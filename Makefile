@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -39,9 +39,10 @@ net-smoke:
 # primary killed with no restart so its hot standby must be promoted —
 # both must match the serial oracle with exactly-once accumulation, plus
 # the durability/failover unit layer (journal replay property, dedup
-# eviction bounds, graceful shutdown, membership lookup).
+# eviction bounds, graceful shutdown, membership lookup) and the
+# internal/wal crash-point enumeration underneath it.
 net-failover:
-	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestFailoverViaMembershipLookup|TestServerKill|TestRunServerKills' ./internal/net/ ./internal/fault/
+	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestFailoverViaMembershipLookup|TestServerKill|TestRunServerKills|TestWAL' ./internal/net/ ./internal/fault/ ./internal/wal/
 
 # Elastic-fleet gate under the race detector: the membership-churn chaos
 # build (shard join, graceful leave, and primary kill mid-build on a
@@ -79,12 +80,29 @@ serve-test:
 # 1e-9 and clients seeing at most one retriable error), plus the
 # fake-clock lease unit suite (acquire/renew/expiry, incarnation
 # fencing, double-adopt race with exactly one winner), registry WAL
-# recovery, readiness drain transitions, cross-peer owner redirects,
-# and the deterministic daemon-kill schedule.
+# recovery (incl. the snapshot-boundary crash and the internal/wal
+# crash-point enumeration), the finish-then-publish contract, readiness
+# drain transitions, cross-peer owner redirects, and the deterministic
+# daemon-kill schedule.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestRegistryRecovery|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule' ./internal/serve/ ./internal/fault/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL' ./internal/serve/ ./internal/fault/ ./internal/wal/
 
-ci: build vet generate-check race net-smoke net-failover net-elastic cache-test serve-test serve-ha
+# Flake hunt: every timing-sensitive end-to-end test 20 times over
+# (non-race, about a minute). A flaky e2e is a failing e2e — an assertion that
+# depends on scheduling luck must not merge.
+e2e-flake:
+	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestAPIStreamsRealJob|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
+
+# One durability implementation, checked mechanically: outside
+# internal/wal (and tests) nothing checksums a frame, fsyncs, or renames
+# a file into place — except the one .prev rotation of the SCF
+# checkpoint. A hit means a hand-rolled WAL or atomic write crept back.
+wal-single:
+	@! grep -rn --include='*.go' --exclude='*_test.go' -e 'crc32\.' -e '\.Sync()' internal cmd | grep -v '^internal/wal/'
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'os\.Rename' internal cmd | grep -v -e '^internal/wal/' -e '^internal/scf/checkpoint\.go:'
+	@test "$$(grep -c 'os\.Rename' internal/scf/checkpoint.go)" -le 1
+
+ci: build vet generate-check wal-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run smoke).
 microbench:

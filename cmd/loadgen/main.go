@@ -24,6 +24,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"gtfock/internal/chem"
+	"gtfock/internal/dist"
 	"gtfock/internal/scf"
 	"gtfock/internal/serve"
 )
@@ -108,14 +110,9 @@ func newEndpoints(addrs string) *endpoints {
 	return &e
 }
 
-// jitter sleeps a randomized backoff between failover attempts so N
+// retrySleep is the jittered backoff between failover attempts, so N
 // clients retrying a dead peer do not stampede the survivors in phase.
-func jitter(rng *rand.Rand, mu *sync.Mutex) {
-	mu.Lock()
-	d := 25 + rng.Intn(75)
-	mu.Unlock()
-	time.Sleep(time.Duration(d) * time.Millisecond)
-}
+func retrySleep() { dist.SleepBackoff(context.Background(), 60*time.Millisecond) }
 
 func main() {
 	var (
@@ -181,9 +178,6 @@ func main() {
 	if len(eps.bases) == 0 {
 		fatalIf(fmt.Errorf("no endpoints in -addr %q", *addr))
 	}
-	var jmu sync.Mutex
-	jrng := rand.New(rand.NewSource(*seed + 1))
-	retrySleep := func() { jitter(jrng, &jmu) }
 	outcomes := make([]outcome, *njobs)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -197,7 +191,7 @@ func main() {
 				if i >= *njobs {
 					return
 				}
-				outcomes[i] = driveJob(eps, i%len(eps.bases), specs[i], retrySleep, *jobTimeout)
+				outcomes[i] = driveJob(eps, i%len(eps.bases), specs[i], *jobTimeout)
 			}
 		}()
 	}
@@ -225,7 +219,7 @@ func main() {
 // follows its event stream to a terminal state, re-attaching (through
 // 307 owner redirects) when the stream breaks because the owning peer
 // died and the job was adopted elsewhere.
-func driveJob(eps *endpoints, home int, spec serve.JobSpec, retrySleep func(), timeout time.Duration) outcome {
+func driveJob(eps *endpoints, home int, spec serve.JobSpec, timeout time.Duration) outcome {
 	o := outcome{spec: spec}
 	body, _ := json.Marshal(spec)
 	deadline := time.Now().Add(timeout)

@@ -201,12 +201,22 @@ const maxRetryBackoff = time.Second
 
 // Jitter spreads a backoff interval uniformly over [d/2, 3d/2) so
 // concurrent retriers desynchronize instead of hammering the transport
-// in lockstep (retry-storm avoidance). Exported for the net backend.
+// in lockstep (retry-storm avoidance). With NextBackoff and SleepBackoff
+// this is the one backoff helper every retry loop in the repository uses.
 func Jitter(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
 	return d/2 + time.Duration(rand.Int63n(int64(d)))
+}
+
+// NextBackoff doubles a backoff interval until it reaches the cap
+// SleepBackoff applies; a zero interval stays zero.
+func NextBackoff(d time.Duration) time.Duration {
+	if d > 0 && d < maxRetryBackoff {
+		d *= 2
+	}
+	return d
 }
 
 // SleepBackoff sleeps a jittered backoff of nominally d (capped at 1s),
@@ -284,9 +294,7 @@ func (g *GlobalArray) AccFencedRetry(ctx context.Context, backoff time.Duration,
 		if cerr := SleepBackoff(ctx, wait); cerr != nil {
 			return retries, cerr
 		}
-		if wait > 0 && wait < maxRetryBackoff {
-			wait *= 2
-		}
+		wait = NextBackoff(wait)
 	}
 }
 

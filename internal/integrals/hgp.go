@@ -2,6 +2,7 @@ package integrals
 
 import (
 	"math"
+	"sync"
 
 	"gtfock/internal/chem"
 )
@@ -15,17 +16,19 @@ import (
 // HGP path is selectable per engine (Engine.UseHGP) and cross-validated
 // against both the McMurchie-Davidson path and the recursive oracle.
 
-// Per-level Cartesian index tables, built on first use.
+// Per-level Cartesian index tables, built on first use (by whichever
+// build worker gets there first, hence the Once).
 var (
+	cartTablesOnce sync.Once
+
 	cartIndexTab []map[Cart]int
 	lowerIdxTab  [][][3]int // [l][i][d] -> index at level l-1, or -1
 	compExpTab   [][][3]int // [l][i][d] -> exponent of direction d
 )
 
-func initCartTables() {
-	if cartIndexTab != nil {
-		return
-	}
+func initCartTables() { cartTablesOnce.Do(buildCartTables) }
+
+func buildCartTables() {
 	maxL := len(cartCache) - 1
 	cartIndexTab = make([]map[Cart]int, maxL+1)
 	lowerIdxTab = make([][][3]int, maxL+1)

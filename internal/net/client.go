@@ -556,15 +556,6 @@ func (c *Client) noteFailure(pool *connPool, err error) {
 	}
 }
 
-// growWait doubles a backoff up to the shared 1s cap (dist.SleepBackoff
-// caps and jitters the actual sleep; this just shapes the progression).
-func growWait(wait time.Duration) time.Duration {
-	if wait > 0 && wait < time.Second {
-		wait *= 2
-	}
-	return wait
-}
-
 // GetRetry implements dist.Backend: the region is decomposed into
 // per-owner patches, each fetched as one RPC retried up to attempts
 // times with capped jittered backoff, abandoned early when ctx expires.
@@ -592,7 +583,7 @@ func (c *Client) GetRetry(ctx context.Context, attempts int, backoff time.Durati
 					c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
 					return retries, cerr
 				}
-				wait = growWait(wait)
+				wait = dist.NextBackoff(wait)
 			}
 			// Route per attempt: under elastic placement the block's owner
 			// can change between retries (that is the point of the retry).
@@ -707,7 +698,7 @@ func (c *Client) AccFencedRetry(ctx context.Context, backoff time.Duration, proc
 				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
 				return retries, cerr
 			}
-			wait = growWait(wait)
+			wait = dist.NextBackoff(wait)
 		}
 	}
 	return retries, nil
@@ -773,11 +764,7 @@ func (c *Client) driverOpProc(proc int, req *request) (*response, error) {
 	var err error
 	for a := 0; a < 14; a++ {
 		if a > 0 {
-			wait := 5 * time.Millisecond << uint(a-1)
-			if wait > time.Second {
-				wait = time.Second
-			}
-			if cerr := dist.SleepBackoff(context.Background(), wait); cerr != nil {
+			if cerr := dist.SleepBackoff(context.Background(), 5*time.Millisecond<<uint(a-1)); cerr != nil {
 				return nil, cerr
 			}
 		}

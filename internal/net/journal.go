@@ -1,18 +1,20 @@
 package netga
 
 import (
-	"encoding/binary"
 	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+
+	"gtfock/internal/wal"
 )
 
 // Shard durability: a write-ahead journal of applied state mutations plus
-// periodic atomic snapshots. Every mutation (Put, Acc with its idempotency
-// token, session install, dedup checkpoint, promotion) is appended — and
+// periodic atomic snapshots, both on internal/wal (framing, fsync before
+// ack, torn-tail cut, atomic replace — DESIGN.md "Durability
+// primitives"). Every mutation (Put, Acc with its idempotency token,
+// session install, dedup checkpoint, promotion) is appended — and
 // fsynced — to the journal *before* it becomes visible to dedup lookups or
 // is acknowledged, so the journal is the ground truth of what a crashed
 // server had applied. A restarted server loads the latest snapshot and
@@ -21,13 +23,8 @@ import (
 // session, same dedup sets — so exactly-once accumulation survives the
 // restart.
 //
-// On-disk journal framing, per record:
-//
-//	[4B total length][4B crc32(seq+body)][8B seq][encoded request]
-//
-// A torn tail (partial final record, or a crc mismatch from a crash
-// mid-append) terminates replay without error: everything before it was
-// synced and is recovered; the torn record was never acknowledged.
+// A journal record's payload is encodeRecord's output: an 8-byte sequence
+// number, then the encoded request.
 
 // journalFile and snapshotFile are the fixed names inside a shard's
 // durability directory.
@@ -35,155 +32,6 @@ const (
 	journalFile  = "journal.wal"
 	snapshotFile = "snapshot.gob"
 )
-
-// journal is an append-only write-ahead log. Appends are serialized by the
-// server's state mutex; the journal itself carries no locking.
-type journal struct {
-	path   string
-	f      *os.File
-	nosync bool
-	off    int64 // file offset past the last fully appended record
-	failed bool  // a failed append could not be rolled back; log is damaged
-	buf    []byte // reusable encode buffer
-}
-
-// openJournal opens (creating if absent) the journal for appending.
-func openJournal(dir string, nosync bool) (*journal, error) {
-	path := filepath.Join(dir, journalFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &journal{path: path, f: f, nosync: nosync, off: st.Size()}, nil
-}
-
-// append writes one record and syncs it to stable storage. The record is
-// durable when append returns; only then may the server act on it. A
-// failed append must not leave partial bytes mid-log (the next record
-// would land after them and be lost behind the tear on replay), so on any
-// write or sync error the file is truncated back to the pre-append
-// offset; if even that fails, the journal is marked failed and every
-// subsequent append is rejected rather than appended past the damage.
-func (j *journal) append(seq uint64, req *request) error {
-	if j.failed {
-		return fmt.Errorf("netga: journal %s damaged by an earlier failed append", j.path)
-	}
-	rec := encodeRecord(j.buf, seq, req)
-	j.buf = rec
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(rec)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(rec))
-	err := func() error {
-		if _, err := j.f.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := j.f.Write(rec); err != nil {
-			return err
-		}
-		if j.nosync {
-			return nil
-		}
-		return j.f.Sync()
-	}()
-	if err != nil {
-		if terr := j.f.Truncate(j.off); terr != nil {
-			j.failed = true
-		}
-		return err
-	}
-	j.off += int64(len(hdr)) + int64(len(rec))
-	return nil
-}
-
-// reset truncates the journal: everything it held is covered by a snapshot
-// (or discarded by a session reset that was itself journaled afterwards).
-// A successful reset also clears the failed flag — an empty log has no
-// damage to append past.
-func (j *journal) reset() error {
-	if err := j.f.Truncate(0); err != nil {
-		j.failed = true
-		return err
-	}
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		j.failed = true
-		return err
-	}
-	j.off = 0
-	j.failed = false
-	if j.nosync {
-		return nil
-	}
-	return j.f.Sync()
-}
-
-func (j *journal) close() error { return j.f.Close() }
-
-// replayJournal streams every intact record of dir's journal to fn in
-// order. A missing journal is an empty one. Replay stops silently at the
-// first torn or corrupt record (crash mid-append); fn errors abort. good
-// is the byte length of the intact prefix — recovery truncates the file
-// to it so fresh appends extend the intact log instead of landing behind
-// the tear, where replay would never reach them.
-func replayJournal(dir string, fn func(seq uint64, req *request) error) (n int, good int64, err error) {
-	f, err := os.Open(filepath.Join(dir, journalFile))
-	if os.IsNotExist(err) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, err
-	}
-	defer f.Close()
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			return n, good, nil // clean EOF or torn header: end of intact log
-		}
-		size := binary.LittleEndian.Uint32(hdr[0:])
-		sum := binary.LittleEndian.Uint32(hdr[4:])
-		if size < 8 || size > maxFrame {
-			return n, good, nil // corrupt length: torn tail
-		}
-		rec := make([]byte, size)
-		if _, err := io.ReadFull(f, rec); err != nil {
-			return n, good, nil // torn body
-		}
-		if crc32.ChecksumIEEE(rec) != sum {
-			return n, good, nil // bit rot or torn write caught by the checksum
-		}
-		var req request
-		seq, derr := decodeRecord(rec, &req)
-		if derr != nil {
-			return n, good, nil // undecodable yet checksummed: treat as torn
-		}
-		if err := fn(seq, &req); err != nil {
-			return n, good, err
-		}
-		n++
-		good += int64(len(hdr)) + int64(size)
-	}
-}
-
-// truncateJournal cuts dir's journal back to size bytes, removing a torn
-// tail left by a crash mid-append. A missing journal needs no cut.
-func truncateJournal(dir string, size int64) error {
-	path := filepath.Join(dir, journalFile)
-	st, err := os.Stat(path)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if st.Size() <= size {
-		return nil
-	}
-	return os.Truncate(path, size)
-}
 
 // snapshotState is the gob-encoded point-in-time state of one shard
 // server: arrays, session, fence epoch, role, and both dedup generations.
@@ -208,40 +56,11 @@ type snapshotState struct {
 
 const snapshotVersion = 2
 
-// saveSnapshot writes st atomically: gob to a temp file, fsync it, rename
-// over the snapshot path, fsync the directory — a crash at any point
-// leaves either the old snapshot or the new one, never a torn file.
+// saveSnapshot replaces the shard snapshot atomically and durably.
 func saveSnapshot(dir string, st *snapshotState, nosync bool) error {
-	path := filepath.Join(dir, snapshotFile)
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := gob.NewEncoder(f).Encode(st); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if !nosync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if nosync {
-		return nil
-	}
-	return syncDir(dir)
+	return wal.WriteFile(filepath.Join(dir, snapshotFile), nosync, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(st)
+	})
 }
 
 // loadSnapshot reads the shard snapshot, if any. (nil, nil) means no
@@ -263,14 +82,4 @@ func loadSnapshot(dir string) (*snapshotState, error) {
 		return nil, fmt.Errorf("netga: snapshot version %d, want %d", st.Version, snapshotVersion)
 	}
 	return &st, nil
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }

@@ -1,6 +1,7 @@
 package netga
 
 import (
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"os"
@@ -103,7 +104,7 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 
 	fullDir := t.TempDir()
 	full := driveServer(t, fullDir, reqs)
-	defer full.jr.close()
+	defer full.jr.Close()
 	want := stateOf(full)
 
 	for k := 0; k <= len(reqs); k += 3 {
@@ -119,11 +120,11 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 			a.snapshotLocked()
 			a.mu.Unlock()
 		}
-		a.jr.close() // crash: nothing flushed beyond what append synced
+		a.jr.Close() // crash: nothing flushed beyond what append synced
 
 		b := driveServer(t, dir, reqs[k:])
 		got := stateOf(b)
-		b.jr.close()
+		b.jr.Close()
 		if got.Session != want.Session || got.Seq != want.Seq || got.CkptGen != want.CkptGen {
 			t.Fatalf("prefix %d: state (session=%d seq=%d gen=%d), want (%d %d %d)",
 				k, got.Session, got.Seq, got.CkptGen, want.Session, want.Seq, want.CkptGen)
@@ -140,124 +141,38 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 	}
 }
 
-// A torn tail — a partial record from a crash mid-append, or a corrupted
-// one — terminates replay at the last intact record instead of erroring.
-func TestJournalTornTail(t *testing.T) {
+// TestJournalGoldenBytes pins the on-disk format: these are the bytes the
+// pre-internal/wal journal wrote for a Put (seq 2) and a tokened Acc
+// (seq 3) — [4B len][4B crc32][8B seq][encoded request] per record — and
+// a shard directory holding them must still recover to the same state.
+func TestJournalGoldenBytes(t *testing.T) {
+	const golden = "70000000bbfafec1020000000000000003002a000000000000000000000000000000000000000000" +
+		"00000000000000000000000000000000000000000000000000000000000000000000010000000000" +
+		"000002000000000000000000000000000000000002000000000000000000f83f00000000000000c0" +
+		"6800000043a34741030000000000000004012a000000000000000000000000000000070000000000" +
+		"00000000000000000000000000000000000000000000000000000000000001000000020000000100" +
+		"000002000000000000000000004000000000000001000000000000000000d03f"
+	blob, err := hex.DecodeString(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	jr, err := openJournal(dir, true)
-	if err != nil {
+	if err := os.WriteFile(filepath.Join(dir, journalFile), blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	reqs := testRequests(3, 6)
-	for i, r := range reqs {
-		if err := jr.append(uint64(i+1), r); err != nil {
-			t.Fatal(err)
-		}
+	s := driveServer(t, dir, nil)
+	defer s.jr.Close()
+	if s.seq != 3 || s.replayed.Load() != 2 {
+		t.Fatalf("replayed %d records to seq %d, want 2 records to seq 3", s.replayed.Load(), s.seq)
 	}
-	jr.close()
-
-	count := func() int {
-		n, _, err := replayJournal(dir, func(seq uint64, req *request) error { return nil })
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		return n
+	if got := s.arrays[0][:2]; got[0] != 1.5 || got[1] != -2 {
+		t.Fatalf("Put patch = %v, want [1.5 -2]", got)
 	}
-	if got := count(); got != len(reqs) {
-		t.Fatalf("intact journal replayed %d records, want %d", got, len(reqs))
+	if got := s.arrays[1][1*4+1]; got != 0.5 {
+		t.Fatalf("Acc cell = %v, want alpha*data = 0.5", got)
 	}
-
-	// Tear off the last few bytes: the final record is lost, the rest
-	// replays.
-	path := filepath.Join(dir, journalFile)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, blob[:len(blob)-5], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(); got != len(reqs)-1 {
-		t.Fatalf("torn journal replayed %d records, want %d", got, len(reqs)-1)
-	}
-
-	// Corrupt a byte inside the final (intact) record: crc catches it and
-	// replay stops one record earlier.
-	blob2 := append([]byte(nil), blob...)
-	blob2[len(blob2)-1] ^= 0xff
-	if err := os.WriteFile(path, blob2, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got := count(); got != len(reqs)-1 {
-		t.Fatalf("corrupt-tail journal replayed %d records, want %d", got, len(reqs)-1)
-	}
-}
-
-// A torn tail must be cut off at recovery: records appended by the
-// recovered server would otherwise land behind the tear, where replay
-// never reaches them — acked mutations silently dropped on the next
-// restart.
-func TestJournalTornTailTruncatedOnRecovery(t *testing.T) {
-	dir := t.TempDir()
-	s := driveServer(t, dir, testRequests(11, 8))
-	s.jr.close()
-	count := func() int {
-		n, _, err := replayJournal(dir, func(uint64, *request) error { return nil })
-		if err != nil {
-			t.Fatalf("replay: %v", err)
-		}
-		return n
-	}
-	n0 := count()
-	path := filepath.Join(dir, journalFile)
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, blob[:len(blob)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recover (losing the torn final record) and append one fresh record.
-	b := driveServer(t, dir, []*request{{
-		Op: opAcc, Array: 0, Session: 42, Token: 900001, Alpha: 1,
-		R0: 0, R1: 1, C0: 0, C1: 1, Data: []float64{1},
-	}})
-	b.jr.close()
-	if got, want := count(), n0; got != want {
-		t.Fatalf("replay after torn-tail recovery + 1 append sees %d records, want %d", got, want)
-	}
-}
-
-// An append that fails and cannot be rolled back must poison the journal:
-// writing further records past the damage would hide them from replay
-// while the server acks them as durable.
-func TestJournalAppendFailureMarksDamage(t *testing.T) {
-	dir := t.TempDir()
-	jr, err := openJournal(dir, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reqs := testRequests(13, 3)
-	for i, r := range reqs {
-		if err := jr.append(uint64(i+1), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jr.f.Close() // the disk goes away mid-run
-	if err := jr.append(uint64(len(reqs)+1), reqs[0]); err == nil {
-		t.Fatal("append on a dead file reported success")
-	}
-	if !jr.failed {
-		t.Fatal("journal not marked failed after an unrollbackable append error")
-	}
-	if err := jr.append(uint64(len(reqs)+2), reqs[0]); err == nil {
-		t.Fatal("append past known damage accepted")
-	}
-	// Everything appended before the failure still replays.
-	n, _, err := replayJournal(dir, func(uint64, *request) error { return nil })
-	if err != nil || n != len(reqs) {
-		t.Fatalf("replay after damage: n=%d err=%v, want %d intact records", n, err, len(reqs))
+	if !s.seenCur[7] {
+		t.Fatal("Acc idempotency token 7 not recovered into the dedup set")
 	}
 }
 

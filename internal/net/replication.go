@@ -268,18 +268,11 @@ func (s *Server) installState(st *snapshotState) error {
 	}
 	if s.jr != nil {
 		st.Standby = true
-		if err := saveSnapshot(s.dir, st, s.nosync); err != nil {
-			return err
-		}
 		// The reset must land: stale journal records with seq beyond the
 		// synced snapshot would replay on top of it and corrupt recovery.
 		// Abandoning the stream here makes the reconnect loop retry the
 		// whole state sync.
-		if err := s.jr.reset(); err != nil {
-			return err
-		}
-		s.sinceSnap = 0
-		s.snapshots.Add(1)
+		return s.checkpointLocked(st)
 	}
 	return nil
 }
@@ -293,12 +286,10 @@ func (s *Server) applyStream(seq uint64, rec *request) error {
 		return fmt.Errorf("netga: no longer a standby")
 	}
 	if s.jr != nil {
-		if err := s.jr.append(seq, rec); err != nil {
+		if err := s.journalLocked(seq, rec); err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		s.journalRecords.Add(1)
-		s.sinceSnap++
 	}
 	if seq > s.seq {
 		s.seq = seq

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
+	"gtfock/internal/dist"
 	"gtfock/internal/metrics"
 )
 
@@ -24,19 +24,13 @@ const failoverAfter = 3
 // router through promotion probes and fleet lookups on every retry.
 const (
 	failoverBackoffMin = 10 * time.Millisecond
-	failoverBackoffMax = time.Second
 	minViewRefresh     = 5 * time.Millisecond
 )
 
-// jittered spreads a backoff wait over [wait/2, wait] so synchronized
-// retriers desynchronize.
-func jittered(wait time.Duration) time.Duration {
-	if wait <= 1 {
-		return wait
-	}
-	half := wait / 2
-	return half + time.Duration(rand.Int63n(int64(half)+1))
-}
+// probeDelay jitters a failover/refresh backoff over [wait/3, wait): never
+// later than the nominal wait, because a build's bounded recovery rounds
+// are spent waiting for the next promotion probe.
+func probeDelay(wait time.Duration) time.Duration { return dist.Jitter(wait * 2 / 3) }
 
 // Router is the shared routing state of one driver process: for each
 // shard server slot, the address currently serving it, the shard fence
@@ -186,12 +180,10 @@ func (rt *Router) refreshView(force bool) error {
 	}
 	if err != nil {
 		rt.mu.Lock()
-		if rt.refreshWait == 0 {
+		if rt.refreshWait = dist.NextBackoff(rt.refreshWait); rt.refreshWait == 0 {
 			rt.refreshWait = failoverBackoffMin
-		} else if rt.refreshWait < failoverBackoffMax {
-			rt.refreshWait *= 2
 		}
-		rt.nextRefreshAt = time.Now().Add(jittered(rt.refreshWait))
+		rt.nextRefreshAt = time.Now().Add(probeDelay(rt.refreshWait))
 		rt.mu.Unlock()
 		return err
 	}
@@ -296,12 +288,10 @@ func (rt *Router) failure(slot int) bool {
 	if now.Before(s.nextFailoverAt) {
 		return false
 	}
-	if s.failoverWait == 0 {
+	if s.failoverWait = dist.NextBackoff(s.failoverWait); s.failoverWait == 0 {
 		s.failoverWait = failoverBackoffMin
-	} else if s.failoverWait < failoverBackoffMax {
-		s.failoverWait *= 2
 	}
-	s.nextFailoverAt = now.Add(jittered(s.failoverWait))
+	s.nextFailoverAt = now.Add(probeDelay(s.failoverWait))
 	return true
 }
 

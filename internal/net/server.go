@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"gtfock/internal/dist"
+	"gtfock/internal/wal"
 )
 
 // Server hosts the D and F shards of a subset of the process grid's
@@ -73,7 +75,8 @@ type Server struct {
 	dir           string
 	snapshotEvery int
 	nosync        bool
-	jr            *journal
+	jr            *wal.Log
+	jbuf          []byte // reusable journal-record encode buffer (under mu)
 	seq           uint64 // last assigned record sequence number (under mu)
 	sinceSnap     int    // journaled records since the last snapshot (under mu)
 	applyWG       sync.WaitGroup
@@ -224,7 +227,7 @@ func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		if s.jr != nil {
-			s.jr.close()
+			s.jr.Close()
 			s.jr = nil
 		}
 		return "", err
@@ -301,22 +304,20 @@ func (s *Server) recover() error {
 		}
 	}
 	base := s.seq
-	_, good, err := replayJournal(s.dir, func(seq uint64, req *request) error {
+	s.jr, err = wal.Open(filepath.Join(s.dir, journalFile), s.nosync, func(payload []byte) error {
+		var req request
+		seq, err := decodeRecord(payload, &req)
+		if err != nil {
+			return err
+		}
 		if seq <= base {
 			return nil // covered by the snapshot
 		}
-		s.applyRecord(req)
+		s.applyRecord(&req)
 		s.seq = seq
 		s.replayed.Add(1)
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	if err := truncateJournal(s.dir, good); err != nil {
-		return err
-	}
-	s.jr, err = openJournal(s.dir, s.nosync)
 	return err
 }
 
@@ -474,12 +475,10 @@ func (s *Server) persistLocked(req *request, replicate bool) error {
 	}
 	s.seq++
 	if s.jr != nil {
-		if err := s.jr.append(s.seq, req); err != nil {
+		if err := s.journalLocked(s.seq, req); err != nil {
 			s.seq--
 			return fmt.Errorf("netga: journal append: %w", err)
 		}
-		s.journalRecords.Add(1)
-		s.sinceSnap++
 	}
 	if replicate && s.sub != nil {
 		if err := s.sub.forward(s.seq, req); err != nil {
@@ -488,6 +487,19 @@ func (s *Server) persistLocked(req *request, replicate bool) error {
 		}
 		s.replSent.Add(1)
 	}
+	return nil
+}
+
+// journalLocked appends one record — sequence number, then the encoded
+// request — to the journal; it is durable on return. Caller holds s.mu
+// and has checked s.jr != nil.
+func (s *Server) journalLocked(seq uint64, req *request) error {
+	s.jbuf = encodeRecord(s.jbuf, seq, req)
+	if err := s.jr.Append(s.jbuf); err != nil {
+		return err
+	}
+	s.journalRecords.Add(1)
+	s.sinceSnap++
 	return nil
 }
 
@@ -512,16 +524,22 @@ func (s *Server) snapshotLocked() {
 		return
 	}
 	s.applyWG.Wait()
-	st := s.snapshotStateLocked()
-	if err := saveSnapshot(s.dir, st, s.nosync); err != nil {
-		return // keep journaling; the next threshold retries
-	}
-	// A failed reset is tolerable here (unlike installState): every record
+	// A failed save keeps journaling (the next threshold retries). A
+	// failed reset is tolerable here (unlike installState): every record
 	// left behind has seq <= snapshot.Seq and replay skips it; the journal
-	// marks itself failed if it cannot be truncated safely.
-	s.jr.reset()
+	// marks itself damaged if it cannot be truncated safely.
+	_ = s.checkpointLocked(s.snapshotStateLocked())
+}
+
+// checkpointLocked makes st the durable snapshot, then resets the
+// journal it covers. Caller holds s.mu and has checked s.jr != nil.
+func (s *Server) checkpointLocked(st *snapshotState) error {
+	if err := saveSnapshot(s.dir, st, s.nosync); err != nil {
+		return err
+	}
 	s.sinceSnap = 0
 	s.snapshots.Add(1)
+	return s.jr.Reset()
 }
 
 // snapshotStateLocked captures the current state. Caller holds s.mu and
@@ -581,7 +599,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.mu.Lock()
 	if s.jr != nil {
-		s.jr.close()
+		s.jr.Close()
 		s.jr = nil
 	}
 	s.mu.Unlock()
@@ -965,7 +983,7 @@ func (s *Server) hello(req *request) response {
 			// The old session's history is dead; the install record is the
 			// first entry of the fresh journal (seq keeps increasing so a
 			// stale snapshot plus the new journal still replays correctly).
-			if err := s.jr.reset(); err != nil {
+			if err := s.jr.Reset(); err != nil {
 				return errResp(req.ReqID, "netga: journal reset: %v", err)
 			}
 			s.sinceSnap = 0

@@ -2,12 +2,14 @@ package scf
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
-	"path/filepath"
 
 	"gtfock/internal/linalg"
+	"gtfock/internal/wal"
 )
 
 // Checkpoint is the on-disk SCF state: enough to warm-start a calculation
@@ -31,54 +33,20 @@ const checkpointVersion = 1
 // generation kept as the fallback for a corrupted or torn latest file.
 const PrevSuffix = ".prev"
 
-// Save writes the checkpoint to path atomically and durably: the gob
-// goes to a temporary file in the same directory, the temp file is
-// fsynced before the rename and the directory is fsynced after it, so a
-// crash — including a power loss — never leaves a torn checkpoint where
-// a previous valid one stood. The previous checkpoint is rotated to
-// path+PrevSuffix first, so one older generation always survives even if
-// the latest write is interrupted at the worst moment.
+// Save writes the checkpoint to path atomically and durably
+// (wal.WriteFile), so a crash — including a power loss — never leaves a
+// torn checkpoint where a valid one stood. The current checkpoint is
+// first rotated to path+PrevSuffix, so one older generation survives
+// even a latest file that turns out unreadable; until the new file is
+// renamed in, path itself may be absent, which is why resumers load
+// through LoadCheckpointFallback.
 func (ck *Checkpoint) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := os.Rename(path, path+PrevSuffix); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(ck); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Rotate the current checkpoint to the fallback slot (best-effort: on
-	// the first save there is nothing to rotate).
-	if _, serr := os.Stat(path); serr == nil {
-		os.Rename(path, path+PrevSuffix)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// syncDir fsyncs the directory holding a checkpoint so the renames are
-// durable, not just ordered.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
+	return wal.WriteFile(path, false, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(ck)
+	})
 }
 
 // SaveCheckpoint writes the SCF state of res to path (gob encoding,

@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gtfock/internal/dist"
 	"gtfock/internal/metrics"
 )
 
@@ -247,49 +248,52 @@ func (p *Peer) onCheckpoint(j *Job, iter int) {
 	_ = p.reg.UpdateCkpt(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, iter)
 }
 
-// onTerminal records a job's terminal outcome in the registry and drops
-// its lease. Runs on its own goroutine (the scheduler fired it post-
-// transition); transient registry failures are retried while the
-// heartbeat keeps the lease alive, fence losses mean another peer owns
-// the truth now and this outcome is correctly discarded.
-func (p *Peer) onTerminal(j *Job) {
+// onTerminal is the finish half of finish-then-publish: it records the
+// job's terminal outcome in the registry and drops the lease; the
+// scheduler publishes the outcome to clients only after it returns. nil
+// means the registry holds a terminal record for the job (ours, or one it
+// already had) — or no record at all, which only a non-durable registry
+// that restarted can say, and then the local outcome is all there is.
+// Otherwise — peer killed, fence lost (another peer owns the truth now
+// and this outcome is correctly discarded), or the registry unreachable
+// through the retry budget while the heartbeat kept the lease alive — the
+// error wraps ErrLeaseLost (ErrKilled for a dead peer): clients see a
+// retriable failure and follow the job to its adopter, never a terminal
+// state nothing durable backs.
+func (p *Peer) onTerminal(j *Job, state JobState, res *JobResult, jerr error) error {
 	if p.dead.Load() {
-		return
+		return fmt.Errorf("serve: job %s: %w", j.ID, ErrKilled)
 	}
 	p.mu.Lock()
 	fence, held := p.owned[j.ID]
 	p.mu.Unlock()
 	if !held {
-		return
+		return fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
 	}
-	state := RecFailed
-	switch j.State() {
-	case StateDone:
-		state = RecDone
-	case StateCanceled:
-		state = RecCanceled
-	case StateShed:
-		state = RecShed
-	}
-	res, jerr := j.Result()
 	msg := ""
 	if jerr != nil {
 		msg = jerr.Error()
 	}
+	var err error
 	for attempt := 0; attempt < 5; attempt++ {
-		err := p.reg.Finish(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, state, res, msg)
+		// Terminal job states and registry states share their names.
+		err = p.reg.Finish(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, state.String(), res, msg)
 		if err == nil || errors.Is(err, ErrFenceLost) || errors.Is(err, ErrTerminal) || errors.Is(err, ErrUnknownJob) {
 			break
 		}
 		select {
 		case <-p.stop:
-			return
-		case <-time.After(200 * time.Millisecond << uint(attempt)):
+			return fmt.Errorf("serve: job %s: peer stopping: %w", j.ID, ErrLeaseLost)
+		case <-time.After(dist.Jitter(200 * time.Millisecond << uint(attempt))):
 		}
 	}
 	p.mu.Lock()
 	delete(p.owned, j.ID)
 	p.mu.Unlock()
+	if err == nil || errors.Is(err, ErrTerminal) || errors.Is(err, ErrUnknownJob) {
+		return nil
+	}
+	return fmt.Errorf("serve: job %s: outcome not recorded (%v): %w", j.ID, err, ErrLeaseLost)
 }
 
 // heartbeatLoop renews every held lease in one batch. Jobs the registry

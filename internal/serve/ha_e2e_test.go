@@ -38,6 +38,12 @@ import (
 //
 // The whole test runs under -race in CI (make serve-ha).
 func TestHAEndToEnd(t *testing.T) {
+	// An adopted job resumes from a checkpoint with a fresh DIIS history,
+	// so it reaches convergence along a different path than the solo run.
+	// Two runs stopped at the default |ΔE| < 1e-8 agree only to about that;
+	// asserting 1e-9 needs both converged well below it.
+	const haConvTol = 1e-11
+
 	if testing.Short() {
 		t.Skip("HA e2e in short mode")
 	}
@@ -73,7 +79,7 @@ func TestHAEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := scf.RunHF(mol, scf.Options{BasisName: "sto-3g", MaxIter: 40})
+		res, err := scf.RunHF(mol, scf.Options{BasisName: "sto-3g", MaxIter: 40, ConvTol: haConvTol})
 		if err != nil || !res.Converged {
 			t.Fatalf("solo reference %s: %v", m, err)
 		}
@@ -156,6 +162,7 @@ func TestHAEndToEnd(t *testing.T) {
 				Molecule: map[bool]string{true: "H2", false: "CH4"}[i%3 != 0],
 				Basis:    "sto-3g",
 				MaxIter:  40,
+				ConvTol:  haConvTol,
 				Priority: i % 3,
 			}
 			home := i % npeers

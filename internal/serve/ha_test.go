@@ -3,9 +3,11 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -237,17 +239,12 @@ func TestOwnerRedirect(t *testing.T) {
 	// Terminal outcome outlives the owning peer's memory: finish the
 	// job, then ask the OTHER peer after the owner forgot it.
 	close(a.gate.release)
-	waitState(t, j, StateDone)
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		rec, ok, err := b.peer.reg.Get(j.ID)
-		if err == nil && ok && rec.Terminal() {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("terminal outcome never reached the registry")
-		}
-		time.Sleep(2 * time.Millisecond)
+	if _, err := j.Wait(); err != nil {
+		t.Fatalf("job failed: %v", err)
+	}
+	// Finish-then-publish: done was visible, so the record is terminal now.
+	if rec, ok, err := b.peer.reg.Get(j.ID); err != nil || !ok || !rec.Terminal() {
+		t.Fatalf("registry record after a visible done = %+v ok=%v err=%v, want terminal", rec, ok, err)
 	}
 }
 
@@ -290,19 +287,142 @@ func TestKilledPeerLosesLeasesAndSurvivorAdopts(t *testing.T) {
 	waitState(t, adopted, StateDone)
 
 	// The registry records the SURVIVOR's outcome; the dead peer's
-	// session could not have written anything.
-	deadline = time.Now().Add(5 * time.Second)
-	for {
-		rec, ok, err := b.peer.reg.Get(j.ID)
-		if err == nil && ok && rec.State == RecDone {
-			if rec.Adoptions != 1 {
-				t.Fatalf("adoptions = %d, want 1", rec.Adoptions)
-			}
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("adopted job's outcome never recorded")
-		}
-		time.Sleep(2 * time.Millisecond)
+	// session could not have written anything. No wait: done was visible.
+	rec, ok, err := b.peer.reg.Get(j.ID)
+	if err != nil || !ok || rec.State != RecDone {
+		t.Fatalf("adopted job's record = %+v ok=%v err=%v, want done", rec, ok, err)
 	}
+	if rec.Adoptions != 1 {
+		t.Fatalf("adoptions = %d, want 1", rec.Adoptions)
+	}
+}
+
+// gatedFinishRegistry serves reg over HTTP but holds every Finish until
+// release is called; arrived closes when the first one is waiting.
+func gatedFinishRegistry(t *testing.T, reg *Registry) (srv *httptest.Server, arrived chan struct{}, release func()) {
+	arrived = make(chan struct{})
+	proceed := make(chan struct{})
+	var arriveOnce, proceedOnce sync.Once // a timed-out Finish is retried
+	release = func() { proceedOnce.Do(func() { close(proceed) }) }
+	inner := (&RegistryAPI{Reg: reg}).Handler()
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/reg/v1/finish" {
+			arriveOnce.Do(func() { close(arrived) })
+			<-proceed
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	t.Cleanup(release) // runs first: a failed assertion must not wedge Close
+	return srv, arrived, release
+}
+
+// TestFinishThenPublish pins the HA job-lifecycle contract: on a Peer a
+// terminal state or event becomes client-visible only after the
+// registry has answered Finish, so a client that has seen `done` finds a
+// terminal registry record without waiting — and when the registry
+// refuses the outcome (the lease moved), the client sees a retriable
+// lease-lost failure, never a `done` nothing durable backs.
+func TestFinishThenPublish(t *testing.T) {
+	t.Run("done implies a terminal record", func(t *testing.T) {
+		reg := NewRegistry(RegistryConfig{LeaseTTL: time.Minute})
+		regSrv, arrived, release := gatedFinishRegistry(t, reg)
+		rig := newHARig(t, regSrv.URL, "peer-a")
+
+		j, err := rig.peer.Submit(JobSpec{Molecule: "H2"})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		terminal := make(chan Event, 1)
+		go func() {
+			resp, err := http.Get(rig.api.URL + "/v1/jobs/" + j.ID + "/events")
+			if err != nil {
+				close(terminal) // the test fails on the zero Event
+				return
+			}
+			defer resp.Body.Close()
+			var last Event
+			for dec := json.NewDecoder(resp.Body); dec.Decode(&last) == nil; {
+			}
+			terminal <- last
+		}()
+		close(rig.gate.release)
+
+		<-arrived // the run is over and its outcome is at the registry, unanswered
+		if st := j.State(); st.Terminal() {
+			t.Fatalf("job visibly %s while the registry has not recorded the outcome", st)
+		}
+		select {
+		case ev := <-terminal:
+			t.Fatalf("event stream ended with %+v before the registry answered Finish", ev)
+		default:
+		}
+		release()
+
+		if ev := <-terminal; ev.Type != "done" {
+			t.Fatalf("terminal event = %+v, want done", ev)
+		}
+		if rec, ok := reg.Get(j.ID); !ok || rec.State != RecDone || rec.Result == nil || rec.Result.Energy != -1 {
+			t.Fatalf("registry record after the client saw done = %+v ok=%v, want done with the result", rec, ok)
+		}
+	})
+
+	t.Run("drain waits for an outcome being recorded", func(t *testing.T) {
+		reg := NewRegistry(RegistryConfig{LeaseTTL: time.Minute})
+		regSrv, arrived, release := gatedFinishRegistry(t, reg)
+		rig := newHARig(t, regSrv.URL, "peer-a")
+		j, err := rig.peer.Submit(JobSpec{Molecule: "H2"})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		close(rig.gate.release)
+		<-arrived
+
+		drained := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			drained <- rig.peer.Drain(ctx)
+		}()
+		for deadline := time.Now().Add(5 * time.Second); !rig.peer.Server().Draining(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("drain never started")
+			}
+		}
+		release()
+		if err := <-drained; err != nil {
+			t.Fatalf("Drain: %v", err)
+		}
+		// Had the drain released the lease first, Finish would have been
+		// fenced out and the finished job handed back for re-execution.
+		if rec, _ := reg.Get(j.ID); rec.State != RecDone {
+			t.Fatalf("record after drain = %+v, want the finished job recorded done", rec)
+		}
+	})
+
+	t.Run("fenced-out outcome is published as lease lost", func(t *testing.T) {
+		reg, regSrv := newTestRegistryServer(t)
+		// Heartbeats never tick, so only Finish can discover the lost fence.
+		rig := newHARigEvery(t, regSrv.URL, "peer-a", time.Hour)
+		j, err := rig.peer.Submit(JobSpec{Molecule: "H2"})
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		waitState(t, j, StateRunning)
+		reg.Release("peer-a", rig.peer.Incarnation(), nil)
+		if _, err := reg.Acquire(j.ID, "peer-b", "peer-b:80", 2); err != nil {
+			t.Fatalf("Acquire: %v", err)
+		}
+		close(rig.gate.release)
+
+		if _, err := j.Wait(); !errors.Is(err, ErrLeaseLost) {
+			t.Fatalf("fenced-out job's visible error = %v, want ErrLeaseLost", err)
+		}
+		if st := j.State(); st != StateFailed {
+			t.Fatalf("fenced-out job's visible state = %s, want failed", st)
+		}
+		if rec, _ := reg.Get(j.ID); rec.Terminal() || rec.Owner != "peer-b" {
+			t.Fatalf("registry record = %+v, want still active under peer-b", rec)
+		}
+	})
 }

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,6 +12,7 @@ import (
 	"time"
 
 	"gtfock/internal/metrics"
+	"gtfock/internal/wal"
 )
 
 // Registry is the HA service tier's replicated job registry: the single
@@ -34,27 +33,25 @@ import (
 // passed by the registry's clock (injectable, so the unit suite drives
 // it like fleet_test.go drives the fleet's), never on a missed packet.
 //
-// Durability reuses the PR 5 journal discipline (internal/net/journal.go):
-// ownership changes and terminal outcomes are appended — and fsynced —
-// to a crc-framed write-ahead log before they take effect, with periodic
-// atomic snapshots truncating the log. Heartbeat renewals are in-memory
-// only: on a registry restart every lease is conservatively expired, so
-// the surviving peers re-adopt; what must never survive a crash wrongly
-// is the fence sequence, and that is journaled. Like the PR 6 fleet
-// coordinator, the registry is one process — its crash pauses adoption
-// but loses nothing, and a restart recovers from snapshot + journal.
+// Durability sits on internal/wal: ownership changes and terminal
+// outcomes are appended — and fsynced — to the write-ahead log before
+// they take effect, with periodic atomic snapshots truncating the log.
+// Heartbeat renewals are in-memory only: on a registry restart every
+// lease is conservatively expired, so the surviving peers re-adopt; what
+// must never survive a crash wrongly is the fence sequence, and that is
+// journaled. Like the PR 6 fleet coordinator, the registry is one
+// process — its crash pauses adoption but loses nothing, and a restart
+// recovers from snapshot + journal.
 type Registry struct {
 	cfg RegistryConfig
 	met *metrics.Serve
 
-	mu      sync.Mutex
-	jobs    map[string]*JobRecord
-	nextID  uint64
-	wal     *os.File
-	walOff  int64
-	walBuf  []byte
-	appends int
-	failed  bool // a failed append could not be rolled back
+	mu        sync.Mutex
+	jobs      map[string]*JobRecord
+	nextID    uint64
+	dir       string   // durability directory ("" with log == nil)
+	log       *wal.Log // nil: in-memory registry
+	sinceSnap int      // journaled records since the last snapshot
 
 	creates, acquires, expiries, finishes, fenceRejects int64
 }
@@ -168,93 +165,30 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 // whoever owned a job before the registry restarted must re-acquire it
 // through the normal adoption path.
 func OpenRegistry(dir string, cfg RegistryConfig) (*Registry, error) {
-	if cfg.LeaseTTL <= 0 {
-		cfg.LeaseTTL = 1500 * time.Millisecond
-	}
-	if cfg.SnapshotEvery <= 0 {
-		cfg.SnapshotEvery = 256
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	r := &Registry{cfg: cfg, met: cfg.Metrics, jobs: map[string]*JobRecord{}}
-	good, err := r.recover(dir)
-	if err != nil {
-		return nil, err
-	}
-	// Cut any torn tail back to the intact prefix BEFORE opening for
-	// append (mirroring internal/net/journal.go's 'good' handling):
-	// otherwise new fsynced records land after the tear, and the next
-	// restart's replay — which stops at the tear — silently drops them.
-	walPath := filepath.Join(dir, regWALFile)
-	if st, err := os.Stat(walPath); err == nil {
-		if st.Size() > good {
-			if err := os.Truncate(walPath, good); err != nil {
-				return nil, err
-			}
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
-	}
-	wal, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	r.wal, r.walOff = wal, good
-	return r, nil
-}
-
-// recover loads the snapshot (if any) and replays the journal suffix. A
-// torn tail — partial final record or crc mismatch from a crash
-// mid-append — terminates replay without error: everything before it was
-// fsynced, the torn record was never acknowledged. good is the byte
-// length of the intact prefix; the caller truncates the journal to it so
-// fresh appends extend the intact log instead of hiding behind the tear.
-func (r *Registry) recover(dir string) (good int64, err error) {
-	if blob, err := os.ReadFile(filepath.Join(dir, regSnapFile)); err == nil {
+	r := NewRegistry(cfg)
+	r.dir = dir
+	blob, err := os.ReadFile(filepath.Join(dir, regSnapFile))
+	if err == nil {
 		var snap regSnapshot
 		if err := json.Unmarshal(blob, &snap); err != nil {
-			return 0, fmt.Errorf("serve: registry snapshot: %w", err)
+			return nil, fmt.Errorf("serve: registry snapshot: %w", err)
 		}
 		r.nextID = snap.NextID
 		for _, rec := range snap.Jobs {
 			r.jobs[rec.ID] = rec
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return 0, err
+		return nil, err
 	}
-	f, err := os.Open(filepath.Join(dir, regWALFile))
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil
-		}
-		return 0, err
-	}
-	defer f.Close()
-	br := io.Reader(f)
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return good, nil // clean end or torn header
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:])
-		crc := binary.LittleEndian.Uint32(hdr[4:])
-		if n == 0 || n > 16<<20 {
-			return good, nil
-		}
-		body := make([]byte, n)
-		if _, err := io.ReadFull(br, body); err != nil {
-			return good, nil // torn body
-		}
-		if crc32.ChecksumIEEE(body) != crc {
-			return good, nil // torn record
-		}
+	// Records are full-record upserts, so replaying ones the snapshot
+	// already covers (a crash between snapshot and log reset) is harmless.
+	r.log, err = wal.Open(filepath.Join(dir, regWALFile), r.cfg.NoSync, func(payload []byte) error {
 		var rec walRec
-		if err := json.Unmarshal(body, &rec); err != nil {
-			return good, nil // undecodable yet checksummed: treat as torn
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			return err
 		}
 		if rec.Rec != nil {
 			r.jobs[rec.Rec.ID] = rec.Rec
@@ -262,127 +196,77 @@ func (r *Registry) recover(dir string) (good int64, err error) {
 		if rec.NextID > r.nextID {
 			r.nextID = rec.NextID
 		}
-		good += int64(len(hdr)) + int64(n)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return r, nil
 }
 
-// appendLocked journals one record durably before the mutation becomes
-// visible. Mirrors internal/net/journal.go: a failed write rolls the
-// file back to the pre-append offset, or marks the log failed so nothing
-// appends past hidden damage. Caller holds r.mu.
-func (r *Registry) appendLocked(rec *JobRecord) error {
-	if r.wal == nil {
-		return nil // in-memory registry (unit tests)
-	}
-	if r.failed {
-		return errors.New("serve: registry journal damaged by an earlier failed append")
+// commitLocked makes one mutation durable, then visible: rec — the job's
+// complete post-mutation record — is journaled first, installed in the
+// job table only once that append is on disk, and only after that may a
+// snapshot truncate the log. The order is what keeps an acknowledged
+// record in at least one of the two files: a snapshot taken before the
+// install would miss the record and then cut the only copy. On error
+// nothing changed. Caller holds r.mu.
+func (r *Registry) commitLocked(rec *JobRecord) error {
+	if r.log == nil { // in-memory registry
+		r.jobs[rec.ID] = rec
+		return nil
 	}
 	body, err := json.Marshal(walRec{Rec: rec, NextID: r.nextID})
 	if err != nil {
 		return err
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(body))
-	werr := func() error {
-		if _, err := r.wal.Write(hdr[:]); err != nil {
-			return err
-		}
-		if _, err := r.wal.Write(body); err != nil {
-			return err
-		}
-		if r.cfg.NoSync {
-			return nil
-		}
-		return r.wal.Sync()
-	}()
-	if werr != nil {
-		if terr := r.wal.Truncate(r.walOff); terr != nil {
-			r.failed = true
-		}
-		return werr
+	if err := r.log.Append(body); err != nil {
+		return fmt.Errorf("serve: registry journal: %w", err)
 	}
-	r.walOff += int64(len(hdr)) + int64(len(body))
-	r.appends++
-	if r.appends >= r.cfg.SnapshotEvery {
-		r.snapshotLocked()
+	r.jobs[rec.ID] = rec
+	if r.sinceSnap++; r.sinceSnap >= r.cfg.SnapshotEvery {
+		// Best effort: a failed periodic snapshot leaves the log in place
+		// (still the full truth) and the next append retries.
+		_ = r.snapshotLocked()
 	}
 	return nil
 }
 
-// snapshotLocked writes an atomic full-state snapshot and truncates the
-// journal. The snapshot file and its directory are fsynced before the
-// truncate (as in internal/net/journal.go's writeSnapshot): the journal
-// is the only copy of the state until the snapshot is durable, so cutting
-// it on the strength of an unsynced rename could lose both to a power
-// cut. Best effort: any failed step leaves the journal in place.
-func (r *Registry) snapshotLocked() {
-	dir := filepath.Dir(r.wal.Name())
+// snapshotLocked replaces the snapshot with the full current state and
+// resets the log it now covers. The log is the only copy of the state
+// until the snapshot is durable, so it is cut only after wal.WriteFile
+// has returned.
+func (r *Registry) snapshotLocked() error {
 	snap := regSnapshot{NextID: r.nextID, Jobs: make([]*JobRecord, 0, len(r.jobs))}
 	for _, rec := range r.jobs {
 		snap.Jobs = append(snap.Jobs, rec)
 	}
 	blob, err := json.Marshal(snap)
 	if err != nil {
-		return
+		return err
 	}
-	tmp := filepath.Join(dir, regSnapFile+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err = wal.WriteFile(filepath.Join(r.dir, regSnapFile), r.cfg.NoSync, func(w io.Writer) error {
+		_, err := w.Write(blob)
+		return err
+	})
 	if err != nil {
-		return
+		return err
 	}
-	if _, err := f.Write(blob); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return
-	}
-	if !r.cfg.NoSync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return
-		}
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, regSnapFile)); err != nil {
-		os.Remove(tmp)
-		return
-	}
-	if !r.cfg.NoSync {
-		d, err := os.Open(dir)
-		if err != nil {
-			return
-		}
-		serr := d.Sync()
-		d.Close()
-		if serr != nil {
-			return
-		}
-	}
-	if err := r.wal.Truncate(0); err != nil {
-		r.failed = true
-		return
-	}
-	if _, err := r.wal.Seek(0, io.SeekStart); err != nil {
-		r.failed = true
-		return
-	}
-	r.walOff, r.appends, r.failed = 0, 0, false
+	r.sinceSnap = 0
+	return r.log.Reset()
 }
 
-// Close snapshots and releases the journal.
+// Close snapshots and releases the journal. A failed final snapshot is
+// reported (the log still holds everything, so nothing is lost, but the
+// next open replays instead of loading).
 func (r *Registry) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.wal == nil {
+	if r.log == nil {
 		return nil
 	}
-	r.snapshotLocked()
-	err := r.wal.Close()
-	r.wal = nil
+	err := errors.Join(r.snapshotLocked(), r.log.Close())
+	r.log = nil
 	return err
 }
 
@@ -407,11 +291,10 @@ func (r *Registry) Create(spec JobSpec, owner, ownerAddr string, inc uint64, ckp
 		Owner: owner, OwnerAddr: ownerAddr, OwnerInc: inc, Fence: 1,
 		LeaseExpiry: r.cfg.Clock().Add(r.cfg.LeaseTTL).UnixNano(),
 	}
-	if err := r.appendLocked(rec); err != nil {
+	if err := r.commitLocked(rec); err != nil {
 		r.nextID--
 		return "", 0, err
 	}
-	r.jobs[id] = rec
 	r.creates++
 	return id, 1, nil
 }
@@ -456,15 +339,14 @@ func (r *Registry) Acquire(id, owner, ownerAddr string, inc uint64) (JobRecord, 
 		return JobRecord{}, fmt.Errorf("%w (owner %s)", ErrLeaseHeld, rec.Owner)
 	}
 	expired := rec.Owner != ""
-	prev := *rec
-	rec.Owner, rec.OwnerAddr, rec.OwnerInc = owner, ownerAddr, inc
-	rec.Fence++
+	next := *rec
+	next.Owner, next.OwnerAddr, next.OwnerInc = owner, ownerAddr, inc
+	next.Fence++
 	if expired {
-		rec.Adoptions++
+		next.Adoptions++
 	}
-	rec.LeaseExpiry = now.Add(r.cfg.LeaseTTL).UnixNano()
-	if err := r.appendLocked(rec); err != nil {
-		*rec = prev
+	next.LeaseExpiry = now.Add(r.cfg.LeaseTTL).UnixNano()
+	if err := r.commitLocked(&next); err != nil {
 		return JobRecord{}, err
 	}
 	r.acquires++
@@ -472,7 +354,7 @@ func (r *Registry) Acquire(id, owner, ownerAddr string, inc uint64) (JobRecord, 
 		r.expiries++
 		r.met.AddLeaseExpiry()
 	}
-	return *rec, nil
+	return next, nil
 }
 
 // Release gives up ownership without a terminal outcome (graceful drain:
@@ -498,10 +380,9 @@ func (r *Registry) Release(owner string, inc uint64, ids []string) []string {
 		if rec == nil || !match(rec) {
 			continue
 		}
-		prev := *rec
-		rec.Owner, rec.OwnerAddr, rec.OwnerInc, rec.LeaseExpiry = "", "", 0, 0
-		if err := r.appendLocked(rec); err != nil {
-			*rec = prev
+		next := *rec
+		next.Owner, next.OwnerAddr, next.OwnerInc, next.LeaseExpiry = "", "", 0, 0
+		if err := r.commitLocked(&next); err != nil {
 			continue
 		}
 		released = append(released, id)
@@ -548,12 +429,11 @@ func (r *Registry) Finish(id, owner string, inc, fence uint64, state string, res
 		r.fenceRejects++
 		return ErrFenceLost
 	}
-	prev := *rec
-	rec.State = state
-	rec.Result, rec.Error = res, errMsg
-	rec.Owner, rec.OwnerAddr, rec.OwnerInc, rec.LeaseExpiry = "", "", 0, 0
-	if err := r.appendLocked(rec); err != nil {
-		*rec = prev
+	next := *rec
+	next.State = state
+	next.Result, next.Error = res, errMsg
+	next.Owner, next.OwnerAddr, next.OwnerInc, next.LeaseExpiry = "", "", 0, 0
+	if err := r.commitLocked(&next); err != nil {
 		return err
 	}
 	r.finishes++

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gtfock/internal/wal"
 )
 
 // regClock is the deterministic time source the lease suite drives,
@@ -291,52 +293,86 @@ func TestRegistryRecovery(t *testing.T) {
 	}
 }
 
-// TestRecoveryTruncatesTornTail: a crash mid-append leaves a torn record
-// at the WAL tail. Recovery must cut the file back to the intact prefix
-// BEFORE reopening for append — otherwise records acknowledged after the
-// restart land behind the tear, and the next restart's replay (which
-// stops at the tear) silently drops them.
-func TestRecoveryTruncatesTornTail(t *testing.T) {
+// TestSnapshotBoundaryKeepsAcknowledgedRecords: with SnapshotEvery=1 every
+// append is the one that triggers snapshot + log reset. The snapshot must
+// be taken after the mutation is installed — a Create snapshotted before
+// its record entered the job table is in neither file afterwards. Each
+// step crashes (no Close) and recovers through the real OpenRegistry path.
+func TestSnapshotBoundaryKeepsAcknowledgedRecords(t *testing.T) {
 	dir := t.TempDir()
-	cfg := RegistryConfig{LeaseTTL: ttl, NoSync: true}
-
-	r, err := OpenRegistry(dir, cfg)
-	if err != nil {
-		t.Fatalf("OpenRegistry: %v", err)
+	clk := newRegClock()
+	cfg := RegistryConfig{LeaseTTL: ttl, Clock: clk.Now, NoSync: true, SnapshotEvery: 1}
+	reopen := func() *Registry {
+		t.Helper()
+		r, err := OpenRegistry(dir, cfg)
+		if err != nil {
+			t.Fatalf("OpenRegistry: %v", err)
+		}
+		return r
 	}
-	idOld, _ := mustCreate(t, r, "p1", 1)
-	// Crash mid-append: the header promises 32 body bytes, only 3 made it.
-	wal := filepath.Join(dir, regWALFile)
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0o644)
+
+	id, fence := mustCreate(t, reopen(), "p1", 1)
+	r := reopen()
+	rec, ok := r.Get(id)
+	if !ok || rec.State != RecActive || rec.Fence != fence {
+		t.Fatalf("Create acknowledged at the snapshot boundary lost across a crash: %+v ok=%v", rec, ok)
+	}
+
+	adopted, err := r.Acquire(id, "p2", "p2:80", 2)
 	if err != nil {
+		t.Fatalf("Acquire: %v", err)
+	}
+	r = reopen()
+	if rec, _ := r.Get(id); rec.Fence != adopted.Fence || rec.Owner != "p2" || rec.Adoptions != adopted.Adoptions {
+		t.Fatalf("Acquire at the snapshot boundary lost: %+v, want owner p2 fence %d", rec, adopted.Fence)
+	}
+
+	// The recovered lease is expired, so p3 adopts, then finishes.
+	adopted, err = r.Acquire(id, "p3", "p3:80", 3)
+	if err != nil {
+		t.Fatalf("re-adopt after recovery: %v", err)
+	}
+	if err := r.Finish(id, "p3", 3, adopted.Fence, RecDone, &JobResult{Converged: true, Energy: -3}, ""); err != nil {
+		t.Fatalf("Finish: %v", err)
+	}
+	r = reopen()
+	defer r.Close()
+	if rec, _ := r.Get(id); rec.State != RecDone || rec.Result == nil || rec.Result.Energy != -3 {
+		t.Fatalf("Finish at the snapshot boundary lost: %+v", rec)
+	}
+	if id2, _ := mustCreate(t, r, "p1", 1); id2 == id {
+		t.Fatalf("id allocator reused %s after boundary crashes", id)
+	}
+}
+
+// TestRegistryGoldenBytes pins the on-disk format: this is a registry.wal
+// written before internal/wal existed — [4B len][4B crc32][walRec JSON]
+// per record: create j-000001, finish it, create j-000002 — and it must
+// still replay to the same records.
+func TestRegistryGoldenBytes(t *testing.T) {
+	const golden = "\xb7\x00\x00\x00}R\xf0\xbd{\"rec\":{\"id\":\"j-000001\",\"spec\":{\"molecule\":\"H2\",\"basis\":\"sto-3g\"},\"ckpt\":\"/ckpt/j-000001.ckpt\",\"state\":\"active\",\"owner\":\"p1\",\"owner_addr\":\"p1:80\",\"owner_inc\":1,\"fence\":1},\"next_id\":1}" +
+		"\xcc\x00\x00\x00l\xddl!{\"rec\":{\"id\":\"j-000001\",\"spec\":{\"molecule\":\"H2\",\"basis\":\"sto-3g\"},\"ckpt\":\"/ckpt/j-000001.ckpt\",\"state\":\"done\",\"fence\":1,\"result\":{\"converged\":true,\"energy\":-1.125,\"iterations\":7,\"retries\":0}},\"next_id\":1}" +
+		"\x8a\x00\x00\x00&6\xc0/{\"rec\":{\"id\":\"j-000002\",\"spec\":{\"molecule\":\"CH4\"},\"state\":\"active\",\"owner\":\"p2\",\"owner_addr\":\"p2:80\",\"owner_inc\":2,\"fence\":1},\"next_id\":2}"
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, regWALFile), []byte(golden), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte{0x20, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 'c', 'u', 't'}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	r2, err := OpenRegistry(dir, cfg)
+	r, err := OpenRegistry(dir, RegistryConfig{LeaseTTL: ttl, NoSync: true})
 	if err != nil {
-		t.Fatalf("reopen over torn tail: %v", err)
+		t.Fatalf("OpenRegistry over golden WAL: %v", err)
 	}
-	idNew, fence := mustCreate(t, r2, "p2", 2) // acknowledged post-recovery
-	// Crash again: no Close, no snapshot — replay alone must see idNew.
-
-	r3, err := OpenRegistry(dir, cfg)
-	if err != nil {
-		t.Fatalf("second reopen: %v", err)
+	defer r.Close()
+	done, ok := r.Get("j-000001")
+	if !ok || done.State != RecDone || done.Result == nil || done.Result.Energy != -1.125 ||
+		done.Result.Iterations != 7 || done.Ckpt != "/ckpt/j-000001.ckpt" || done.Spec.Basis != "sto-3g" {
+		t.Fatalf("j-000001 = %+v ok=%v, want the finished H2 job", done, ok)
 	}
-	defer r3.Close()
-	if _, ok := r3.Get(idOld); !ok {
-		t.Fatalf("pre-tear record %s lost", idOld)
+	live, ok := r.Get("j-000002")
+	if !ok || live.State != RecActive || live.Owner != "p2" || live.OwnerInc != 2 || live.Fence != 1 || live.Spec.Molecule != "CH4" {
+		t.Fatalf("j-000002 = %+v ok=%v, want p2's active CH4 job", live, ok)
 	}
-	rec, ok := r3.Get(idNew)
-	if !ok {
-		t.Fatalf("record %s acknowledged after torn-tail recovery was silently dropped by the next restart", idNew)
-	}
-	if rec.Fence != fence || rec.Owner != "p2" {
-		t.Fatalf("post-tear record = %+v, want owner p2 fence %d", rec, fence)
+	if id, _ := mustCreate(t, r, "p3", 3); id != "j-000003" {
+		t.Fatalf("next id after golden replay = %s, want j-000003", id)
 	}
 }
 
@@ -351,14 +387,25 @@ func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
 	}
 	defer r.Close()
 	id, fence := mustCreate(t, r, "p1", 1)
+	// The disk goes away: swap in a log whose file is closed, so the next
+	// append fails, cannot be rolled back, and marks the journal damaged.
+	dead, err := wal.Open(filepath.Join(t.TempDir(), regWALFile), true, func([]byte) error { return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
 	r.mu.Lock()
-	r.failed = true // simulate a journal damaged by an earlier failed append
+	good := r.log
+	r.log = dead
 	r.mu.Unlock()
 
 	srv := httptest.NewServer((&RegistryAPI{Reg: r}).Handler())
 	defer srv.Close()
 	c := NewRegistryClient(srv.URL, time.Second)
 
+	if err := c.Finish(id, "p1", 1, fence, RecDone, nil, ""); err == nil || !strings.Contains(err.Error(), "HTTP 500") {
+		t.Fatalf("Finish on a dead disk: err = %v, want HTTP 500", err)
+	}
 	err = c.Finish(id, "p1", 1, fence, RecDone, nil, "")
 	if err == nil {
 		t.Fatal("Finish over a damaged journal succeeded")
@@ -373,7 +420,7 @@ func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
 	}
 
 	r.mu.Lock()
-	r.failed = false
+	r.log = good
 	r.mu.Unlock()
 	if err := c.Finish(id, "p1", 1, fence, RecDone, nil, ""); err != nil {
 		t.Fatalf("Finish after repair: %v", err)

@@ -124,9 +124,7 @@ func (r *FleetRunner) Run(ctx context.Context, j *Job) (*JobResult, error) {
 		j.retries++
 		j.appendLocked(Event{Type: "retry", Msg: err.Error()})
 		j.mu.Unlock()
-		select {
-		case <-time.After(backoff << uint(attempt)):
-		case <-ctx.Done():
+		if dist.SleepBackoff(ctx, backoff<<uint(attempt)) != nil {
 			return nil, fmt.Errorf("serve: job %s: %w", j.ID, context.Cause(ctx))
 		}
 	}

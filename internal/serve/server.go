@@ -61,12 +61,15 @@ type Config struct {
 	Estimate func(JobSpec) (int, error)
 	// Metrics, when non-nil, collects the admission/queue/shed counters.
 	Metrics *metrics.Serve
-	// OnTerminal, when non-nil, is invoked (on its own goroutine, after
-	// the state transition is visible) each time a job reaches a terminal
-	// state — done, failed, canceled or shed. The HA tier uses it to
-	// record the outcome in the shared job registry; drain-parks are NOT
-	// terminal and do not fire it.
-	OnTerminal func(*Job)
+	// OnTerminal, when non-nil, is invoked (on its own goroutine, outside
+	// the scheduler lock) each time a job reaches a terminal outcome —
+	// done, failed, canceled or shed — BEFORE that outcome is visible
+	// through the job: state, result and the terminal event are published
+	// only once it returns (finish-then-publish). The HA tier uses it to
+	// make the outcome durable in the shared job registry first; a non-nil
+	// return means it could not, and the job is published as failed with
+	// that error instead. Drain-parks are NOT terminal and do not fire it.
+	OnTerminal func(j *Job, state JobState, res *JobResult, err error) error
 }
 
 // RejectError is an explicit 503-style admission refusal: the job was
@@ -97,7 +100,8 @@ type Server struct {
 	running  map[*Job]context.CancelCauseFunc
 	memUsed  int64
 	draining bool
-	drained  chan struct{} // closed when the last running job exits during drain
+	drained  chan struct{} // closed once a drain has no running job and no pending outcome left
+	pending  int           // terminal outcomes handed to OnTerminal, not yet published
 	nextID   int64
 }
 
@@ -322,18 +326,8 @@ func withDeadlineCause(parent context.Context, d time.Duration, cause error) (co
 // from the queue to make room for by.
 func (s *Server) finalizeShedLocked(victim, by *Job) {
 	s.memUsed -= victim.Bytes
-	s.met.AddShed()
-	victim.mu.Lock()
-	victim.state = StateShed
-	victim.err = fmt.Errorf("serve: shed from queue by higher-priority job %s", by.ID)
-	victim.finished = time.Now()
-	victim.appendLocked(Event{Type: "shed", State: StateShed, Msg: victim.err.Error()})
-	victim.cond.Broadcast()
-	victim.mu.Unlock()
-	victim.cancel(ErrCanceled)
-	if s.cfg.OnTerminal != nil {
-		go s.cfg.OnTerminal(victim)
-	}
+	s.publishTerminal(victim, StateShed, nil,
+		fmt.Errorf("serve: shed from queue by higher-priority job %s", by.ID))
 }
 
 // maybePreemptLocked parks the lowest-priority running job when every
@@ -439,41 +433,82 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 // finishLocked applies a terminal outcome. Caller holds s.mu.
 func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 	s.memUsed -= j.Bytes
+	state := StateFailed
+	switch {
+	case err == nil:
+		state = StateDone
+	case errors.Is(err, ErrDeadline) || errors.Is(err, ErrCanceled) ||
+		errors.Is(context.Cause(j.ctx), ErrDeadline) || errors.Is(context.Cause(j.ctx), ErrCanceled):
+		state = StateCanceled
+	}
+	if res != nil {
+		j.mu.Lock()
+		res.Retries = j.retries
+		j.mu.Unlock()
+	}
+	s.publishTerminal(j, state, res, err)
+	s.noteDrainedLocked()
+}
+
+// publishTerminal makes a decided terminal outcome visible. Caller holds
+// s.mu and has settled the scheduler accounting (slots, memory). With an
+// OnTerminal hook the order is finish-then-publish: the hook runs first,
+// off the scheduler lock, and the job stays in its pre-terminal state
+// until it returns — a client that has seen a terminal state or event
+// can rely on what the hook recorded.
+func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err error) {
+	if s.cfg.OnTerminal == nil {
+		s.publish(j, state, res, err)
+		return
+	}
+	// The goroutine is bounded by the hook (Peer.onTerminal gives up after
+	// its retry budget or when the peer stops). Drain waits for it through
+	// s.pending, so a drain cannot hand back a lease whose job has already
+	// finished and is only waiting to be recorded.
+	s.pending++
+	go func() {
+		if herr := s.cfg.OnTerminal(j, state, res, err); herr != nil {
+			state, res, err = StateFailed, nil, herr
+		}
+		s.publish(j, state, res, err)
+		s.mu.Lock()
+		s.pending--
+		s.noteDrainedLocked()
+		s.mu.Unlock()
+	}()
+}
+
+// publish writes the terminal outcome into the job and wakes everyone
+// waiting on it.
+func (s *Server) publish(j *Job, state JobState, res *JobResult, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if !j.started.IsZero() {
 		s.met.ObserveRunTime(j.finished.Sub(j.started).Nanoseconds())
 	}
-	if res != nil {
-		res.Retries = j.retries
-	}
-	j.result = res
-	j.err = err
-	switch {
-	case err == nil:
-		j.state = StateDone
+	j.result, j.err, j.state = res, err, state
+	ev := Event{Type: state.String(), State: state}
+	switch state {
+	case StateDone:
 		s.met.AddCompleted()
-		j.appendLocked(Event{Type: "done", State: StateDone, Energy: res.Energy})
-	case errors.Is(err, ErrDeadline) || errors.Is(err, ErrCanceled) ||
-		errors.Is(context.Cause(j.ctx), ErrDeadline) || errors.Is(context.Cause(j.ctx), ErrCanceled):
-		j.state = StateCanceled
+		ev.Energy = res.Energy
+	case StateCanceled:
 		s.met.AddCanceled()
-		j.appendLocked(Event{Type: "canceled", State: StateCanceled, Msg: err.Error()})
+	case StateShed:
+		s.met.AddShed()
 	default:
-		j.state = StateFailed
 		s.met.AddFailed()
-		j.appendLocked(Event{Type: "failed", State: StateFailed, Msg: err.Error()})
 	}
+	if err != nil {
+		ev.Msg = err.Error()
+	}
+	j.appendLocked(ev)
 	j.mu.Unlock()
 	j.cancel(nil)
-	if s.cfg.OnTerminal != nil {
-		go s.cfg.OnTerminal(j)
-	}
-	s.noteDrainedLocked()
 }
 
 func (s *Server) noteDrainedLocked() {
-	if s.draining && len(s.running) == 0 && s.drained != nil {
+	if s.draining && len(s.running) == 0 && s.pending == 0 && s.drained != nil {
 		close(s.drained)
 		s.drained = nil
 	}
@@ -518,7 +553,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	s.draining = true
 	var done chan struct{}
-	if len(s.running) > 0 {
+	if len(s.running) > 0 || s.pending > 0 {
 		done = make(chan struct{})
 		s.drained = done
 	}
