@@ -16,9 +16,9 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Regenerate the d-class ERI kernels and fail if the committed
-# kernels_gen.go drifted from what cmd/kernelgen emits — edits belong in
-# the generator, never in the generated file.
+# Regenerate the ERI kernels (every s/p and d class but ss|ss) and fail
+# if the committed kernels_gen.go drifted from what cmd/kernelgen emits —
+# edits belong in the generator, never in the generated file.
 generate-check:
 	$(GO) generate ./internal/integrals
 	git diff --exit-code -- internal/integrals/kernels_gen.go
@@ -104,9 +104,11 @@ wal-single:
 
 ci: build vet generate-check wal-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
 
-# Go-testing microbenchmarks (one iteration each; a compile-and-run smoke).
+# Go-testing microbenchmarks (one iteration each; a compile-and-run
+# smoke): the paper-table benchmarks and the per-class ERI kernel ones
+# (BenchmarkERIKernelPSPS/PPPS/PPPP, the d classes, their general twins).
 microbench:
-	$(GO) test -bench . -benchtime 1x -run NONE .
+	$(GO) test -bench . -benchtime 1x -run NONE . ./internal/integrals/
 
 # Repeatable Fock-build benchmark series; regenerates the committed
 # BENCH_fock.json baseline (alkane series, fixed parameters).
@@ -115,8 +117,9 @@ bench:
 
 # CI smoke: run the pinned small case and fail if its calibrated wall
 # (wall_ns / serial_ns) regressed more than 15% against the baseline, or
-# if an ERI kernel microbenchmark regressed more than 35% after serial
-# calibration, or if any micro allocs/op exceeds its baseline (0).
+# if an ERI kernel microbenchmark (ps|ps and pp|ps, the two hottest
+# classes, among them) regressed more than 35% after serial calibration,
+# or if any micro allocs/op exceeds its baseline (0).
 bench-short:
 	$(GO) run ./cmd/bench -short -check BENCH_fock.json
 

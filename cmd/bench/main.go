@@ -11,12 +11,11 @@
 //	bench                          # full series -> BENCH_fock.json
 //	bench -short -check BENCH_fock.json   # CI smoke: pinned case vs baseline
 //	bench -ab 5                    # interleaved observability-overhead A/B
-//	bench -kernel-delta FILE       # d-kernel before/after report -> FILE
 //
 // Series entries are either bare alkane chain lengths ("2,4,6", using
 // -basis) or mol:basis specs ("ch4:cc-pvdz"), so the series can mix the
 // s/p-only sto-3g chain with a d-bearing case that exercises the
-// generated kernels.
+// d-class kernels.
 //
 // The regression check compares walls normalized by the serial
 // calibration (wall_ns / serial_ns), so a uniformly slower CI machine
@@ -28,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,9 +60,9 @@ type benchCase struct {
 	CallsPerProc  float64 `json:"calls_per_proc"`
 
 	// ERI dispatch split of one metered build (outside the timed reps):
-	// quartets served by the hand s/p kernels, by the generated d-class
-	// kernels, and by the general MD fallback. GeneralFrac is the leak
-	// rate to the general path — 0 for every built-in basis up to d.
+	// quartets of all-s/p classes, of classes with a d shell, and those
+	// sent to the general MD fallback. GeneralFrac is the leak rate to
+	// the general path — 0 for every built-in basis up to d.
 	QuartetsFastSP  int64   `json:"quartets_fast_sp"`
 	QuartetsFastGen int64   `json:"quartets_fast_gen"`
 	QuartetsGeneral int64   `json:"quartets_general"`
@@ -96,9 +96,15 @@ type cacheBench struct {
 }
 
 type benchReport struct {
-	Basis string      `json:"basis"`
-	Grid  string      `json:"grid"`
-	Reps  int         `json:"reps"`
+	Basis string `json:"basis"`
+	Grid  string `json:"grid"`
+	Reps  int    `json:"reps"`
+	// The box the numbers were taken on: a grid wider than NProc ran
+	// oversubscribed, and walls from different Go releases do not compare.
+	NProc      int    `json:"nproc"`
+	GoMaxProcs int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
+
 	Cases []benchCase `json:"cases"`
 	Micro []microCase `json:"micro,omitempty"`
 	Cache *cacheBench `json:"cache,omitempty"`
@@ -116,7 +122,6 @@ func main() {
 		tol    = flag.Float64("tol", 0.15, "allowed fractional regression of norm_wall in -check mode")
 		mtol   = flag.Float64("mtol", 0.35, "allowed fractional regression of calibrated micro ns/quartet in -check mode")
 		ab     = flag.Int("ab", 0, "run N interleaved A/B pairs measuring observability overhead, then exit")
-		delta  = flag.String("kernel-delta", "", "write a before/after d-kernel report (markdown) to this file, then exit")
 	)
 	flag.Parse()
 
@@ -133,11 +138,6 @@ func main() {
 
 	if *ab > 0 {
 		runAB(specs[0], *bname, prow, pcol, *ab)
-		return
-	}
-
-	if *delta != "" {
-		runKernelDelta(*delta, *reps)
 		return
 	}
 
@@ -185,7 +185,8 @@ func specsOf(base benchReport, requested []string) []string {
 }
 
 func runSeries(specs []string, bname, grid string, prow, pcol, reps int) benchReport {
-	rep := benchReport{Basis: bname, Grid: grid, Reps: reps}
+	rep := benchReport{Basis: bname, Grid: grid, Reps: reps,
+		NProc: runtime.NumCPU(), GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 	for _, spec := range specs {
 		c := runCase(spec, bname, prow, pcol, reps)
 		fmt.Printf("%-12s %3d shells: serial %8.1fms  wall %8.1fms  norm %5.2f  fault x%.3f  l=%.3f  steals=%d  gen=%.0f%%\n",
@@ -354,9 +355,9 @@ func microD() []microCase {
 }
 
 // runMicro benchmarks the ERI kernel layer: ns/quartet for every
-// specialized s/p kernel class on the pinned alkane:2 system (with the
-// general MD path on ss|ss and pp|pp for reference), the generated
-// d-class kernels on ethane/cc-pVDZ with their general twins, and the
+// canonical s/p kernel class on the pinned alkane:2 system (with the
+// general MD path on ss|ss, ps|ps, pp|ps and pp|pp for reference), three
+// d classes on ethane/cc-pVDZ with their general twins, and the
 // batched ERIBatch path over the fattest real task's surviving quartet
 // list (whose steady state must not allocate). Times are
 // machine-absolute; the -check gate calibrates them by the serial-oracle
@@ -428,8 +429,12 @@ func runMicro(bname string) []microCase {
 		one("ss_ss", false, s1, s2, s1, s2),
 		one("ps_ss", false, p1, s1, s1, s2),
 		one("pp_ss", false, p1, p2, s1, s2),
+		one("ps_ps", false, p1, s1, p2, s2),
+		one("pp_ps", false, p1, p2, p1, s2),
 		one("pp_pp", false, p1, p2, p1, p2),
 		one("ss_ss_general", true, s1, s2, s1, s2),
+		one("ps_ps_general", true, p1, s1, p2, s2),
+		one("pp_ps_general", true, p1, p2, p1, s2),
 		one("pp_pp_general", true, p1, p2, p1, p2),
 	}
 	micro = append(micro, microD()...)
@@ -439,58 +444,6 @@ func runMicro(bname string) []microCase {
 			m.Name, m.NsPerQuartet, m.AllocsPerOp, m.Quartets)
 	}
 	return micro
-}
-
-// runKernelDelta writes the before/after evidence for the generated
-// d-class kernels: per-quartet kernel-vs-general times on identical d
-// quartets, and the serial-oracle wall on methane/cc-pVDZ with the
-// specialized layer off ("before": every quartet on the general MD path)
-// and on ("after"). Both halves run back-to-back in one process, so the
-// comparison needs no cross-machine calibration.
-func runKernelDelta(out string, reps int) {
-	micro := microD()
-	byName := map[string]microCase{}
-	for _, m := range micro {
-		byName[m.Name] = m
-	}
-
-	bs, scr, d := setupMol(chem.Methane(), "cc-pvdz")
-	var offNS, onNS int64
-	for r := 0; r < reps; r++ {
-		t0 := time.Now()
-		core.BuildSerial(bs, scr, d, core.Options{DisableFastKernels: true})
-		offNS = minNZ(offNS, time.Since(t0).Nanoseconds())
-		t0 = time.Now()
-		core.BuildSerial(bs, scr, d)
-		onNS = minNZ(onNS, time.Since(t0).Nanoseconds())
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "# Generated d-kernel before/after (`cmd/bench -kernel-delta`, same machine, one process)\n\n")
-	fmt.Fprintf(&b, "Evidence for the DESIGN.md §8 generated kernels (`cmd/kernelgen` →\n")
-	fmt.Fprintf(&b, "`internal/integrals/kernels_gen.go`): the \"before\" column forces every\n")
-	fmt.Fprintf(&b, "quartet onto the general MD path (`DisableFastKernels`), the \"after\"\n")
-	fmt.Fprintf(&b, "column is the default dispatch. Identical quartets, identical process.\n\n")
-	fmt.Fprintf(&b, "## Per-quartet kernel classes (ethane, cc-pVDZ shells)\n\n")
-	fmt.Fprintf(&b, "| class | general ns/quartet | kernel ns/quartet | speedup | allocs/op |\n")
-	fmt.Fprintf(&b, "|-------|-------------------:|------------------:|--------:|----------:|\n")
-	for _, name := range []string{"ds_ss", "pd_ps", "dd_dd"} {
-		k, g := byName[name], byName[name+"_general"]
-		fmt.Fprintf(&b, "| %s | %.0f | %.0f | **%.1f×** | %d |\n",
-			name, g.NsPerQuartet, k.NsPerQuartet, g.NsPerQuartet/k.NsPerQuartet, k.AllocsPerOp)
-	}
-	fmt.Fprintf(&b, "\n## Serial Fock build, methane cc-pVDZ (best of %d)\n\n", reps)
-	fmt.Fprintf(&b, "| path | wall | reduction |\n")
-	fmt.Fprintf(&b, "|------|-----:|----------:|\n")
-	fmt.Fprintf(&b, "| general MD only (before) | %.1f ms | — |\n", float64(offNS)/1e6)
-	fmt.Fprintf(&b, "| specialized kernels (after) | %.1f ms | **%.1f×** |\n",
-		float64(onNS)/1e6, float64(offNS)/float64(onNS))
-	fmt.Fprintf(&b, "\nThe dispatch coverage gate (`TestCCPVDZDispatchCoverage`,\n")
-	fmt.Fprintf(&b, "`TestObservedBuildReportsDispatchSplit`) asserts 0%% of cc-pVDZ quartets\n")
-	fmt.Fprintf(&b, "reach the general path; `TestGenKernelsZeroAlloc` pins 0 allocs/op.\n")
-	fatalIf(os.WriteFile(out, []byte(b.String()), 0o644))
-	fmt.Printf("kernel-delta report written to %s (serial %.1fms -> %.1fms, %.1fx)\n",
-		out, float64(offNS)/1e6, float64(onNS)/1e6, float64(offNS)/float64(onNS))
 }
 
 // runAB measures the overhead of the observability layer with n

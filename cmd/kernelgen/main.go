@@ -1,32 +1,41 @@
-// Command kernelgen generates the specialized d-class ERI kernels of
-// internal/integrals/kernels_gen.go.
+// Command kernelgen generates the specialized ERI kernels of
+// internal/integrals/kernels_gen.go: every quartet class up to d shells
+// that has no closed form.
 //
 // It walks the McMurchie-Davidson Hermite expansion at generation time:
-// for each quartet class (a bra pair class x a ket pair class, both up
-// to d shells) it enumerates, per component pair, the sparse E-coefficient
-// structure — every term is a product of up to three 1D E-table entries
-// with a compile-time-known flat offset into a fixed stride-9 Hermite R
-// cube — and emits straight-line, branch-free Go that
+// for each quartet class (a bra pair class x a ket pair class) it
+// enumerates, per component pair, the sparse E-coefficient structure —
+// every term is a product of up to three 1D E-table entries at a
+// compile-time-known Hermite index — and emits branch-free Go in one
+// shape for every class:
 //
-//  1. builds the folded term coefficients once per primitive pair
-//     (genTermsXX builders; the ket side folds the (-1)^(t+u+v) phase),
-//  2. contracts ket terms against R at every bra-reachable Hermite index
-//     into the g[braHermite][ketComp] intermediate (phase 1), and
-//  3. contracts bra terms against g with a fused per-row axpy loop the
-//     compiler can vectorize (phase 2),
+//  1. the folded term coefficients are built once per primitive pair
+//     (genTermsXX builders, called when a ShellPair is filled; one
+//     layout for bra and ket use — the ket-side (-1)^(t+u+v) phase is a
+//     sign in the kernel text),
+//  2. per bra primitive, phase 1 accumulates pref * (ket terms . R) over
+//     the ket primitives into the g[braHermite][ketComp] intermediate
+//     (pref rides in on the Boys values, R being linear in them), and
+//  3. phase 2 contracts the bra terms against g once per bra primitive.
 //
-// mirroring the two-phase shape of the hand-written eriLowL but with all
-// offsets and loop bounds constant-folded. Only canonical classes with
-// braClass >= ketClass (and a d on at least one side) are emitted —
-// 22 kernels; the 18 mirrored combinations are served by eriCartAuto
-// calling the swapped kernel and transposing (bra-ket symmetry plus the
-// R(-PQ) parity identity make the swapped output exactly the transpose).
+// Classes of total Hermite order <= 4 — every all-s/p class, and the d
+// classes up to (ds|ds), (pd|ps), (dd|ss) — are straight-line: R is an
+// unrolled recursion into a compact local array of at most 35 entries
+// (genHermR1..4), g a local array, both phases fully unrolled. Higher
+// orders keep R in the fixed stride-9 cube so phase 1 can loop over the
+// bra Hermite indices with constant ket offsets. Only canonical classes
+// with braClass >= ketClass are emitted — 27 kernels; the mirrored
+// combinations are served by eriCartAuto calling the swapped kernel and
+// transposing (bra-ket symmetry plus the R(-PQ) parity identity make the
+// swapped output exactly the transpose). Classes listed in closedForms
+// keep their hand-written kernel in kernels.go and only get a dispatch
+// table entry.
 //
 // The generator re-derives the small amount of integrals-package layout
 // it depends on (Cartesian component order, E-table flat indexing, the
-// primPair field set) rather than importing the package, so it builds
-// standalone; the property sweep in kernels_gen_test.go is what actually
-// pins the two in agreement. Regenerate with
+// primPair/ShellPair field set) rather than importing the package, so it
+// builds standalone; the property sweep in kernels_gen_test.go is what
+// actually pins the two in agreement. Regenerate with
 //
 //	go generate ./internal/integrals
 //
@@ -40,10 +49,17 @@ import (
 	"go/format"
 	"log"
 	"os"
+	"sort"
 	"strings"
 )
 
 type cart struct{ x, y, z int }
+
+func (c cart) add(o cart) cart { return cart{c.x + o.x, c.y + o.y, c.z + o.z} }
+func (c cart) ord() int        { return c.x + c.y + c.z }
+
+// off9 is the flat offset of Hermite index c in the stride-9 R cube.
+func (c cart) off9() int { return (c.x*rStride+c.y)*rStride + c.z }
 
 // cartComponents mirrors integrals.CartComponents: lx descending, then
 // ly descending.
@@ -59,25 +75,29 @@ func cartComponents(l int) []cart {
 
 func numCart(l int) int { return (l + 1) * (l + 2) / 2 }
 
-// rStride is the fixed per-dimension stride of the shared Hermite R
-// cube: bra t + ket tau reaches at most 4+4 = 8 per dimension for
-// (dd|dd), so 9 indices per dimension cover every class.
+// rStride is the fixed per-dimension stride of the Hermite R cube of the
+// classes beyond maxCompactOrd: bra t + ket tau reaches at most 4+4 = 8
+// per dimension for (dd|dd), so 9 indices per dimension cover every
+// class.
 const rStride = 9
 
-var dim9 = [3]int{rStride * rStride, rStride, 1}
+// maxCompactOrd is the largest total Hermite order served by the compact
+// R array of the straight-line kernels: (pp|pp), 35 entries.
+const maxCompactOrd = 4
 
 // hermList enumerates the Hermite indices (t,u,v) order-major (total
 // order 0..4; within an order t descending, then u descending), so the
 // first hermPrefix[L] entries are exactly the indices a side of total
-// angular momentum L reaches.
+// angular momentum L reaches. It is both the row order of g and the
+// layout of the compact R array.
 var (
 	hermList   []cart
-	hermPrefix [5]int
+	hermPrefix [maxCompactOrd + 1]int
 	hermIndex  = map[cart]int{}
 )
 
 func init() {
-	for ord := 0; ord <= 4; ord++ {
+	for ord := 0; ord <= maxCompactOrd; ord++ {
 		for t := ord; t >= 0; t-- {
 			for u := ord - t; u >= 0; u-- {
 				c := cart{t, u, ord - t - u}
@@ -111,23 +131,30 @@ var classes = []class{
 	{"ds", 2, 0}, {"pd", 1, 2}, {"dp", 2, 1}, {"dd", 2, 2},
 }
 
+// closedForms names the canonical classes whose hand-written closed form
+// in kernels.go beats the generated kernel; they are dispatched through
+// the same table and no kernel is emitted for them.
+var closedForms = map[string]string{
+	"ss_ss": "(*Engine).eriSSSS",
+}
+
 // term is one constant-folded Hermite expansion term of a component
 // pair: a product of E-table entries (one per dimension carrying
-// angular momentum), its Hermite index (t,u,v), and whether the
-// ket-side phase flips its sign.
+// angular momentum) and its Hermite index (t,u,v).
 type term struct {
 	slot    int
 	factors []int // E-table flat offset per factor
 	facDims []int // dimension of each factor
 	herm    cart
-	odd     bool
 }
 
-func (t term) roff() int { return t.herm.x*dim9[0] + t.herm.y*dim9[1] + t.herm.z*dim9[2] }
+// odd reports whether the ket-side phase (-1)^(t+u+v) flips the term.
+func (t term) odd() bool { return t.herm.ord()%2 == 1 }
 
 // classTerms is a class plus its full folded term structure: pairs[c]
 // lists the terms of component pair c, slots is the total term count
-// (the builder's output array length).
+// (the builder's output length). The ss class has one factor-free term
+// (E^{000} = 1) and no slots.
 type classTerms struct {
 	class
 	pairs [][]term
@@ -170,11 +197,11 @@ func buildTerms(c class) *classTerms {
 				}
 				terms = next
 			}
-			for i := range terms {
-				h := terms[i].herm
-				terms[i].odd = (h.x+h.y+h.z)%2 == 1
-				terms[i].slot = ct.slots
-				ct.slots++
+			if c.ord() > 0 {
+				for i := range terms {
+					terms[i].slot = ct.slots
+					ct.slots++
+				}
 			}
 			ct.pairs = append(ct.pairs, terms)
 		}
@@ -185,8 +212,8 @@ func buildTerms(c class) *classTerms {
 func emitHeader(w *bytes.Buffer) {
 	fmt.Fprint(w, `// Code generated by gtfock/cmd/kernelgen; DO NOT EDIT.
 //
-// Specialized ERI kernels for every quartet class with a d-bearing side
-// (sd/pd/dd bra/ket combinations), produced by constant-folding the
+// Specialized ERI kernels for every quartet class up to d shells that
+// has no closed form, produced by constant-folding the
 // McMurchie-Davidson Hermite expansion per component pair. See
 // cmd/kernelgen and DESIGN.md section 8 for the scheme; regenerate with
 //
@@ -199,37 +226,29 @@ import "math"
 `)
 	var offs []string
 	for _, c := range hermList {
-		offs = append(offs, fmt.Sprint(c.x*dim9[0]+c.y*dim9[1]+c.z*dim9[2]))
+		offs = append(offs, fmt.Sprint(c.off9()))
 	}
 	fmt.Fprintf(w, `// genHermOff9 lists the flat offsets of the Hermite indices (t,u,v) in
 // the stride-9 R cube, order-major (order 0..4; within an order t then u
-// descending), so the first genHermCount[L] entries are exactly the
-// indices a bra of total angular momentum L reaches.
+// descending), so the first entries are exactly the indices a bra of a
+// given total angular momentum reaches.
 var genHermOff9 = [%d]int16{%s}
 
-// genHermCount[L] is the number of Hermite indices (t,u,v) with
-// t+u+v <= L.
-var genHermCount = [5]int{%d, %d, %d, %d, %d}
-
-`, len(hermList), strings.Join(offs, ", "),
-		hermPrefix[0], hermPrefix[1], hermPrefix[2], hermPrefix[3], hermPrefix[4])
+`, len(hermList), strings.Join(offs, ", "))
 }
 
 func emitBuilder(w *bytes.Buffer, ct *classTerms) {
 	fmt.Fprintf(w, "// %s fills t with the %d folded Hermite expansion terms of one\n", ct.builder(), ct.slots)
 	fmt.Fprintf(w, "// primitive pair of a %s-class shell pair (la=%d, lb=%d), one slot per\n", ct.name, ct.la, ct.lb)
-	fmt.Fprintf(w, "// E-coefficient product; s = -1 applies the ket-side (-1)^(t+u+v)\n")
-	fmt.Fprintf(w, "// Hermite phase to odd-order terms (pass +1 for a bra).\n")
-	fmt.Fprintf(w, "func %s(pp *primPair, s float64, t *[%d]float64) {\n", ct.builder(), ct.slots)
+	fmt.Fprintf(w, "// E-coefficient product.\n")
+	fmt.Fprintf(w, "func %s(pp *primPair, ts []float64) {\n", ct.builder())
+	fmt.Fprintf(w, "t := (*[%d]float64)(ts)\n", ct.slots)
 	for d := 0; d < 3; d++ {
 		fmt.Fprintf(w, "e%d := (*[%d]float64)(pp.e[%d])\n", d, ct.esz(), d)
 	}
 	for _, pair := range ct.pairs {
 		for _, tm := range pair {
 			var parts []string
-			if tm.odd {
-				parts = append(parts, "s")
-			}
 			for k, off := range tm.factors {
 				parts = append(parts, fmt.Sprintf("e%d[%d]", tm.facDims[k], off))
 			}
@@ -239,103 +258,267 @@ func emitBuilder(w *bytes.Buffer, ct *classTerms) {
 	fmt.Fprint(w, "}\n\n")
 }
 
-// genBraCap must match the Engine.genBra array length in md.go (the
-// slot count of the largest class, dd).
-const genBraCap = 336
+// rkey names one auxiliary Hermite integral R^m_{tuv}.
+type rkey struct {
+	m int
+	h cart
+}
 
-func emitKernel(w *bytes.Buffer, b, k *classTerms) {
+func (k rkey) name() string { return fmt.Sprintf("a%d_%d%d%d", k.m, k.h.x, k.h.y, k.h.z) }
+
+// rdeps returns the recursion inputs of R^m_{tuv} (order > 0), lowering
+// the first nonzero of t, u, v: R^m_{tuv} = (t-1) R^{m+1}_{t-2,u,v} +
+// PQ_x R^{m+1}_{t-1,u,v}. first is the (n-1) term (nil when n = 1).
+func rdeps(k rkey) (first *rkey, second rkey, dim string, n int) {
+	h := k.h
+	var c *int
+	switch {
+	case h.x > 0:
+		dim, c = "x", &h.x
+	case h.y > 0:
+		dim, c = "y", &h.y
+	default:
+		dim, c = "z", &h.z
+	}
+	n = *c
+	*c = n - 1
+	second = rkey{k.m + 1, h}
+	if n > 1 {
+		*c = n - 2
+		first = &rkey{k.m + 1, h}
+	}
+	return
+}
+
+// emitHermR emits genHermR<l>: the unrolled Hermite recursion for total
+// order <= l into the compact hermList-ordered array. Only the auxiliary
+// R^m (m > 0) the outputs depend on are computed, as local scalars.
+func emitHermR(w *bytes.Buffer, l int) {
+	n := hermPrefix[l]
+	need := map[rkey]bool{}
+	var visit func(k rkey)
+	visit = func(k rkey) {
+		if need[k] {
+			return
+		}
+		need[k] = true
+		if k.h.ord() == 0 {
+			return
+		}
+		first, second, _, _ := rdeps(k)
+		if first != nil {
+			visit(*first)
+		}
+		visit(second)
+	}
+	for _, h := range hermList[:n] {
+		visit(rkey{0, h})
+	}
+	keys := make([]rkey, 0, len(need))
+	for k := range need {
+		keys = append(keys, k)
+	}
+	// Dependencies have strictly lower order: emit order-major, then m,
+	// then hermList position.
+	sort.Slice(keys, func(i, j int) bool {
+		a, b := keys[i], keys[j]
+		if a.h.ord() != b.h.ord() {
+			return a.h.ord() < b.h.ord()
+		}
+		if a.m != b.m {
+			return a.m < b.m
+		}
+		return hermIndex[a.h] < hermIndex[b.h]
+	})
+
+	fmt.Fprintf(w, "// genHermR%d fills r with the Hermite Coulomb integrals R^0_{tuv}(a, PQ),\n", l)
+	fmt.Fprintf(w, "// t+u+v <= %d, scaled by s, in genHermOff9's index order, from the Boys\n", l)
+	fmt.Fprintf(w, "// values f[m] = F_m(a |PQ|^2): the recursion unrolled, auxiliary orders\n")
+	fmt.Fprintf(w, "// held in locals.\n")
+	fmt.Fprintf(w, "func genHermR%d(s, a, x, y, z float64, f *[%d]float64, r *[%d]float64) {\n", l, l+1, n)
+	fmt.Fprint(w, "m2a := -2 * a\n")
+	lhs := func(k rkey) string {
+		if k.m == 0 {
+			return fmt.Sprintf("r[%d] =", hermIndex[k.h])
+		}
+		return k.name() + " :="
+	}
+	for _, k := range keys {
+		if k.h.ord() == 0 {
+			if k.m > 0 {
+				fmt.Fprint(w, "s *= m2a\n")
+			}
+			fmt.Fprintf(w, "%s s * f[%d]\n", lhs(k), k.m)
+			continue
+		}
+		first, second, dim, cnt := rdeps(k)
+		expr := fmt.Sprintf("%s * %s", dim, second.name())
+		if first != nil {
+			if cnt == 2 {
+				expr = fmt.Sprintf("%s + %s", first.name(), expr)
+			} else {
+				expr = fmt.Sprintf("%d*%s + %s", cnt-1, first.name(), expr)
+			}
+		}
+		fmt.Fprintf(w, "%s %s\n", lhs(k), expr)
+	}
+	fmt.Fprint(w, "}\n\n")
+}
+
+// ketSum renders the phase-1 sum of one ket component pair's terms
+// against R, with rAt giving the R operand of a ket Hermite index; the
+// ket phase is the emitted sign.
+func ketSum(terms []term, rAt func(cart) string) string {
+	var b strings.Builder
+	for i, tm := range terms {
+		switch {
+		case tm.odd():
+			b.WriteString(" - ")
+		case i > 0:
+			b.WriteString(" + ")
+		}
+		if len(tm.factors) > 0 {
+			fmt.Fprintf(&b, "kt[%d]*", tm.slot)
+		}
+		b.WriteString(rAt(tm.herm))
+	}
+	return strings.TrimPrefix(b.String(), " ")
+}
+
+// emitPrologue opens a kernel: zeroed output, then the bra-primitive and
+// ket-primitive loops up to the shared per-primitive-quartet scalars.
+// zeroG is the per-bra-primitive reset of the g intermediate.
+func emitPrologue(w *bytes.Buffer, b, k *classTerms, decls, zeroG string) {
 	name := fmt.Sprintf("eriGen_%s_%s", b.name, k.name)
 	nb, nk := b.ncomp(), k.ncomp()
-	ltot := b.ord() + k.ord()
-	nbh := hermPrefix[b.ord()]
-	ketSS := k.ord() == 0
-
 	fmt.Fprintf(w, "// %s computes a contracted Cartesian (%s|%s)-class quartet,\n", name, b.name, k.name)
 	fmt.Fprintf(w, "// row-major over bra then ket component pairs (%d x %d).\n", nb, nk)
 	fmt.Fprintf(w, "func %s(e *Engine, bra, ket *ShellPair) []float64 {\n", name)
 	fmt.Fprintf(w, "cart := e.ensure(&e.cart, %d)\n", nb*nk)
-	fmt.Fprint(w, "for i := range cart {\ncart[i] = 0\n}\n")
-	if ketSS {
-		fmt.Fprintf(w, "cv := (*[%d]float64)(cart)\n", nb*nk)
-	} else {
-		fmt.Fprintf(w, "kbuf := e.ensure(&e.genKet, len(ket.prims)*%d)\n", k.slots)
-		fmt.Fprint(w, "for ki := range ket.prims {\n")
-		fmt.Fprintf(w, "%s(&ket.prims[ki], -1, (*[%d]float64)(kbuf[%d*ki:]))\n", k.builder(), k.slots, k.slots)
-		fmt.Fprint(w, "}\n")
-	}
-	fmt.Fprintf(w, "bt := (*[%d]float64)(e.genBra[:])\n", b.slots)
+	fmt.Fprintf(w, "cv := (*[%d]float64)(cart)\n", nb*nk)
+	fmt.Fprintf(w, "*cv = [%d]float64{}\n", nb*nk)
+	fmt.Fprint(w, decls)
 	fmt.Fprint(w, "for bi := range bra.prims {\n")
 	fmt.Fprint(w, "bp := &bra.prims[bi]\n")
-	fmt.Fprintf(w, "%s(bp, 1, bt)\n", b.builder())
+	fmt.Fprint(w, zeroG)
 	fmt.Fprint(w, "for ki := range ket.prims {\n")
 	fmt.Fprint(w, "kp := &ket.prims[ki]\n")
-	fmt.Fprint(w, "e.Stats.PrimQuartets++\n")
 	fmt.Fprint(w, "p, q := bp.p, kp.p\n")
 	fmt.Fprint(w, "alpha := p * q / (p + q)\n")
 	fmt.Fprint(w, "pq := bp.P.Sub(kp.P)\n")
-	fmt.Fprintf(w, "Boys(%d, alpha*pq.Norm2(), e.boys[:%d])\n", ltot, ltot+1)
-	fmt.Fprintf(w, "hermiteR9(%d, alpha, pq, e.boys[:], &e.kraux9)\n", ltot)
 	fmt.Fprint(w, "pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) * bp.cc * kp.cc * bp.k3 * kp.k3\n")
-	if ketSS {
-		// The ss ket contributes the single term E^{000} = 1 at R offset
-		// 0: contract bra terms against R directly, no g intermediate.
-		fmt.Fprint(w, "r := &e.kraux9\n")
-		for ab, terms := range b.pairs {
-			var parts []string
-			for _, tm := range terms {
-				parts = append(parts, fmt.Sprintf("bt[%d]*r[%d]", tm.slot, tm.roff()))
-			}
-			fmt.Fprintf(w, "cv[%d] += pref * (%s)\n", ab, strings.Join(parts, " + "))
-		}
-	} else {
-		fmt.Fprintf(w, "kt := (*[%d]float64)(kbuf[%d*ki:])\n", k.slots, k.slots)
-		maxOff := 0
-		for _, pair := range k.pairs {
-			for _, tm := range pair {
-				if o := tm.roff(); o > maxOff {
-					maxOff = o
-				}
-			}
-		}
-		// Phase 1: ket terms against R at every bra-reachable Hermite
-		// index. rr's constant re-slice length lets the compiler drop
-		// the bounds checks on the constant offsets below.
-		fmt.Fprintf(w, "for h := 0; h < %d; h++ {\n", nbh)
-		fmt.Fprintf(w, "rr := e.kraux9[int(genHermOff9[h]):][:%d]\n", maxOff+1)
-		fmt.Fprint(w, "gr := &e.genG[h]\n")
-		for kc, pair := range k.pairs {
-			var parts []string
-			for _, tm := range pair {
-				parts = append(parts, fmt.Sprintf("kt[%d]*rr[%d]", tm.slot, tm.roff()))
-			}
-			fmt.Fprintf(w, "gr[%d] = %s\n", kc, strings.Join(parts, " + "))
-		}
-		fmt.Fprint(w, "}\n")
-		// Phase 2: bra terms against g, one fused axpy loop per bra
-		// component pair.
-		for ab, terms := range b.pairs {
-			fmt.Fprint(w, "{\n")
-			fmt.Fprintf(w, "row := (*[%d]float64)(cart[%d:])\n", nk, ab*nk)
-			var sum []string
-			for i, tm := range terms {
-				fmt.Fprintf(w, "c%d := pref * bt[%d]\n", i, tm.slot)
-				fmt.Fprintf(w, "g%d := &e.genG[%d]\n", i, hermIndex[tm.herm])
-				sum = append(sum, fmt.Sprintf("c%d*g%d[kc]", i, i))
-			}
-			fmt.Fprintf(w, "for kc := 0; kc < %d; kc++ {\n", nk)
-			fmt.Fprintf(w, "row[kc] += %s\n", strings.Join(sum, " + "))
-			fmt.Fprint(w, "}\n}\n")
-		}
+	if k.slots > 0 {
+		fmt.Fprintf(w, "kt := (*[%d]float64)(ket.terms[%d*ki:])\n", k.slots, k.slots)
 	}
-	fmt.Fprint(w, "}\n}\nreturn cart\n}\n\n")
 }
 
-func emitTable(w *bytes.Buffer, kernels [][2]int) {
-	fmt.Fprint(w, `// genKernels maps (bra class, ket class) — indexed by the Class*
-// constants — to the generated kernel. nil entries are covered
-// elsewhere: all-s/p classes by the hand kernels in kernels.go, and
-// non-canonical (bra < ket) d-bearing classes by the mirror transpose
-// in eriCartAuto.
+// emitKernelFlat emits a straight-line kernel for a class of total order
+// <= maxCompactOrd: compact R, both phases fully unrolled, g a local
+// array.
+func emitKernelFlat(w *bytes.Buffer, b, k *classTerms) {
+	nk := k.ncomp()
+	ltot := b.ord() + k.ord()
+	nbh := hermPrefix[b.ord()]
+	nr := hermPrefix[ltot]
+	emitPrologue(w, b, k,
+		fmt.Sprintf("var f [%d]float64\nvar r [%d]float64\n", ltot+1, nr),
+		fmt.Sprintf("var g [%d]float64\n", nbh*nk))
+	fmt.Fprintf(w, "Boys(%d, alpha*pq.Norm2(), f[:])\n", ltot)
+	fmt.Fprintf(w, "genHermR%d(pref, alpha, pq.X, pq.Y, pq.Z, &f, &r)\n", ltot)
+	// Phase 1: ket terms against R at every bra-reachable Hermite index,
+	// accumulated over the ket primitives.
+	for h := 0; h < nbh; h++ {
+		for kc, pair := range k.pairs {
+			fmt.Fprintf(w, "g[%d] += %s\n", h*nk+kc, ketSum(pair, func(tau cart) string {
+				return fmt.Sprintf("r[%d]", hermIndex[hermList[h].add(tau)])
+			}))
+		}
+	}
+	fmt.Fprint(w, "}\n")
+	// Phase 2: bra terms against g, once per bra primitive.
+	fmt.Fprintf(w, "bt := (*[%d]float64)(bra.terms[%d*bi:])\n", b.slots, b.slots)
+	for ab, terms := range b.pairs {
+		for kc := 0; kc < nk; kc++ {
+			var parts []string
+			for _, tm := range terms {
+				parts = append(parts, fmt.Sprintf("bt[%d]*g[%d]", tm.slot, hermIndex[tm.herm]*nk+kc))
+			}
+			fmt.Fprintf(w, "cv[%d] += %s\n", ab*nk+kc, strings.Join(parts, " + "))
+		}
+	}
+	fmt.Fprint(w, "}\nreturn cart\n}\n\n")
+}
+
+// emitKernelCube emits a kernel for a class beyond maxCompactOrd: R in
+// the stride-9 cube, phase 1 looping over the bra Hermite indices with
+// constant ket offsets, phase 2 one fused axpy loop per bra component
+// pair.
+func emitKernelCube(w *bytes.Buffer, b, k *classTerms) {
+	nk := k.ncomp()
+	ltot := b.ord() + k.ord()
+	nbh := hermPrefix[b.ord()]
+	emitPrologue(w, b, k, "",
+		fmt.Sprintf("for h := 0; h < %d; h++ {\n*(*[%d]float64)(e.genG[h][:]) = [%d]float64{}\n}\n", nbh, nk, nk))
+	fmt.Fprintf(w, "Boys(%d, alpha*pq.Norm2(), e.boys[:%d])\n", ltot, ltot+1)
+	fmt.Fprintf(w, "hermiteR9(%d, pref, alpha, pq, e.boys[:], &e.kraux9)\n", ltot)
+	maxOff := 0
+	for _, pair := range k.pairs {
+		for _, tm := range pair {
+			if o := tm.herm.off9(); o > maxOff {
+				maxOff = o
+			}
+		}
+	}
+	// Phase 1. rr's constant re-slice length lets the compiler drop the
+	// bounds checks on the constant offsets below.
+	fmt.Fprintf(w, "for h := 0; h < %d; h++ {\n", nbh)
+	fmt.Fprintf(w, "rr := e.kraux9[int(genHermOff9[h]):][:%d]\n", maxOff+1)
+	fmt.Fprint(w, "gr := &e.genG[h]\n")
+	for kc, pair := range k.pairs {
+		fmt.Fprintf(w, "gr[%d] += %s\n", kc, ketSum(pair, func(tau cart) string {
+			return fmt.Sprintf("rr[%d]", tau.off9())
+		}))
+	}
+	fmt.Fprint(w, "}\n}\n")
+	// Phase 2, once per bra primitive.
+	fmt.Fprintf(w, "bt := (*[%d]float64)(bra.terms[%d*bi:])\n", b.slots, b.slots)
+	for ab, terms := range b.pairs {
+		fmt.Fprint(w, "{\n")
+		fmt.Fprintf(w, "row := (*[%d]float64)(cart[%d:])\n", nk, ab*nk)
+		var sum []string
+		for i, tm := range terms {
+			fmt.Fprintf(w, "c%d := bt[%d]\n", i, tm.slot)
+			fmt.Fprintf(w, "g%d := &e.genG[%d]\n", i, hermIndex[tm.herm])
+			sum = append(sum, fmt.Sprintf("c%d*g%d[kc]", i, i))
+		}
+		fmt.Fprintf(w, "for kc := 0; kc < %d; kc++ {\n", nk)
+		fmt.Fprintf(w, "row[kc] += %s\n", strings.Join(sum, " + "))
+		fmt.Fprint(w, "}\n}\n")
+	}
+	fmt.Fprint(w, "}\nreturn cart\n}\n\n")
+}
+
+// emitTables emits the per-class term-builder table and the dispatch
+// table.
+func emitTables(w *bytes.Buffer, cts []*classTerms, kernels [][2]int) {
+	fmt.Fprint(w, `// genTermSlots[c] is the number of folded terms per primitive pair of
+// pair class c; genTermFill[c] builds them (nil for ss, which has none).
+var genTermSlots = [NumPairClasses]int{
+`)
+	for _, ct := range cts {
+		fmt.Fprintf(w, "Class%s: %d,\n", strings.ToUpper(ct.name), ct.slots)
+	}
+	fmt.Fprint(w, "}\n\nvar genTermFill = [NumPairClasses]func(pp *primPair, t []float64){\n")
+	for _, ct := range cts[1:] {
+		fmt.Fprintf(w, "Class%s: %s,\n", strings.ToUpper(ct.name), ct.builder())
+	}
+	fmt.Fprint(w, `}
+
+// genKernels maps (bra class, ket class) — indexed by the Class*
+// constants — to the kernel of every canonical class (bra >= ket):
+// generated above, or a closed form from kernels.go. nil entries are
+// the non-canonical classes, served by the mirror transpose in
+// eriCartAuto.
 var genKernels = [NumPairClasses][NumPairClasses]func(*Engine, *ShellPair, *ShellPair) []float64{
 `)
 	row := -1
@@ -348,8 +531,12 @@ var genKernels = [NumPairClasses][NumPairClasses]func(*Engine, *ShellPair, *Shel
 			fmt.Fprintf(w, "Class%s: {\n", strings.ToUpper(classes[b].name))
 			row = b
 		}
-		fmt.Fprintf(w, "Class%s: eriGen_%s_%s,\n",
-			strings.ToUpper(classes[k].name), classes[b].name, classes[k].name)
+		key := classes[b].name + "_" + classes[k].name
+		fn, ok := closedForms[key]
+		if !ok {
+			fn = "eriGen_" + key
+		}
+		fmt.Fprintf(w, "Class%s: %s,\n", strings.ToUpper(classes[k].name), fn)
 	}
 	fmt.Fprint(w, "},\n}\n")
 }
@@ -362,23 +549,32 @@ func main() {
 	for i, c := range classes {
 		cts[i] = buildTerms(c)
 	}
-	if dd := cts[len(cts)-1]; dd.slots != genBraCap {
-		log.Fatalf("kernelgen: dd slot count %d != genBraCap %d (update Engine.genBra in md.go)", dd.slots, genBraCap)
-	}
 
 	var w bytes.Buffer
 	emitHeader(&w)
 	for _, ct := range cts[1:] {
 		emitBuilder(&w, ct)
 	}
+	for l := 1; l <= maxCompactOrd; l++ {
+		emitHermR(&w, l)
+	}
 	var kernels [][2]int
-	for b := 3; b < len(classes); b++ { // ds and up: every d-bearing canonical class
+	emitted := 0
+	for b := range classes {
 		for k := 0; k <= b; k++ {
 			kernels = append(kernels, [2]int{b, k})
-			emitKernel(&w, cts[b], cts[k])
+			if _, ok := closedForms[classes[b].name+"_"+classes[k].name]; ok {
+				continue
+			}
+			emitted++
+			if classes[b].ord()+classes[k].ord() <= maxCompactOrd {
+				emitKernelFlat(&w, cts[b], cts[k])
+			} else {
+				emitKernelCube(&w, cts[b], cts[k])
+			}
 		}
 	}
-	emitTable(&w, kernels)
+	emitTables(&w, cts, kernels)
 
 	src, err := format.Source(w.Bytes())
 	if err != nil {
@@ -387,5 +583,5 @@ func main() {
 	if err := os.WriteFile(*out, src, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "kernelgen: wrote %s (%d kernels, %d classes)\n", *out, len(kernels), len(classes))
+	fmt.Fprintf(os.Stderr, "kernelgen: wrote %s (%d kernels, %d classes)\n", *out, emitted, len(classes))
 }

@@ -139,6 +139,26 @@ func TestDensityScreen(t *testing.T) {
 	}
 }
 
+// Two workers of one build read the same pair-resident folded terms
+// (filled once by NewPairTable, read-only after): under the race
+// detector the 1x2 build must be clean, and its G must equal the build
+// that sends every quartet down the general MD path to 1e-10.
+func TestTwoWorkersSharePairTermsMatchGeneralKernels(t *testing.T) {
+	bs, scr, d := buildSetup(t, chem.Alkane(3), "sto-3g")
+	pt := scr.PairTable(0)
+	if pt.TermBytes() == 0 {
+		t.Fatal("pair table carries no folded terms")
+	}
+	fast := Build(bs, scr, d, Options{Prow: 1, Pcol: 2, PairTable: pt})
+	ref := Build(bs, scr, d, Options{Prow: 1, Pcol: 2, PairTable: pt, DisableFastKernels: true})
+	if fast.Err != nil || ref.Err != nil {
+		t.Fatalf("fast %v, general %v", fast.Err, ref.Err)
+	}
+	if err := linalg.MaxAbsDiff(ref.G, fast.G); err > 1e-10 {
+		t.Fatalf("|G_general - G_kernels| = %g", err)
+	}
+}
+
 // After one warm pass, repeating a worker's entire task sweep must not
 // allocate: batch and meta slices are reused, ERIBatch scratch is warm,
 // and the stored visit closure digests in place.

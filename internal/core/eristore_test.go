@@ -60,6 +60,45 @@ func TestStoreReplayMatchesSerial(t *testing.T) {
 	}
 }
 
+// Record with the specialized kernels, replay from the store: the
+// replayed G is the recorded G (the store holds what the kernels
+// produced; only the accumulation order may differ), and both equal a direct build on the general
+// MD reference path to 1e-10. Propane/sto-3g runs the straight-line s/p
+// kernels, methane/cc-pVDZ the d classes beside them.
+func TestStoreReplayMatchesGeneratedKernels(t *testing.T) {
+	for _, tc := range []struct {
+		name, bname string
+		mol         *chem.Molecule
+	}{
+		{"propane-sto3g", "sto-3g", chem.Alkane(3)},
+		{"methane-ccpvdz", "cc-pvdz", chem.Methane()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bs, scr, d := buildSetup(t, tc.mol, tc.bname)
+			ref := Build(bs, scr, d, Options{Prow: 1, Pcol: 2, DisableFastKernels: true})
+			if ref.Err != nil {
+				t.Fatal(ref.Err)
+			}
+			store := integrals.NewERIStore(bs.NumShells(), 0, nil, 1, nil)
+			opt := Options{Prow: 1, Pcol: 2, ERIStore: store}
+			rec := Build(bs, scr, d, opt)
+			rep := Build(bs, scr, d, opt)
+			if rec.Err != nil || rep.Err != nil {
+				t.Fatalf("record %v, replay %v", rec.Err, rep.Err)
+			}
+			if st := store.Stats(); st.TaskHits == 0 || st.QuartetsReplayed != st.QuartetsStored {
+				t.Fatalf("second build did not replay the first: %+v", st)
+			}
+			if err := linalg.MaxAbsDiff(rec.G, rep.G); err > 1e-12 {
+				t.Fatalf("|G_record - G_replay| = %g", err)
+			}
+			if err := linalg.MaxAbsDiff(ref.G, rec.G); err > 1e-10 {
+				t.Fatalf("|G_general - G_kernels| = %g", err)
+			}
+		})
+	}
+}
+
 // The replay path must apply the density screen identically to the
 // record path: with density bounds installed, a replayed build and a
 // freshly recorded build (both apply-time screened) produce the same G.

@@ -66,8 +66,8 @@ func TestObservedBuildMatchesSerialAndCountsTasks(t *testing.T) {
 }
 
 // A metered build on a d-bearing basis must surface the ERI dispatch
-// split: every quartet served by a specialized kernel (s/p hand or
-// generated d-class), none by the general path.
+// split: every quartet served by a specialized kernel (counted as an
+// all-s/p or a d-bearing class), none by the general path.
 func TestObservedBuildReportsDispatchSplit(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Methane(), "cc-pvdz")
 	reg := metrics.NewRegistry(4)

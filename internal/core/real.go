@@ -21,8 +21,8 @@ type Options struct {
 	PrimTol    float64 // primitive prescreening threshold for the ERI engine
 	UseHGP     bool    // Head-Gordon-Pople ERI algorithm instead of McMurchie-Davidson
 	// DisableFastKernels forces every quartet through the general MD
-	// recursion instead of the specialized s/p and generated d-class
-	// kernels — the A/B knob behind the kernel-delta benchmarks.
+	// recursion instead of the specialized kernels — the reference path
+	// of the kernel tests and of the *_general microbenchmarks.
 	DisableFastKernels bool
 
 	// Ctx, when non-nil, cancels the build: workers observe the

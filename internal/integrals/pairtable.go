@@ -9,9 +9,10 @@ package integrals
 // Q(m,p), so a quartet loop that walks kets in table order can stop at
 // the first failing Schwarz product: Q(bra)*Q(ket) is monotone
 // non-increasing along the list (see screen.Screening.PhiQ for the
-// per-shell version of the same idea). Primitive-pair structs and
-// E-coefficient tables are carved from shared arena chunks instead of
-// thousands of small allocations.
+// per-shell version of the same idea). Primitive-pair structs,
+// E-coefficient tables and the generated kernels' folded Hermite terms
+// are carved from shared arena chunks instead of thousands of small
+// allocations.
 //
 // Besides the pair data the table can cache per-shell-block density
 // bounds (UpdateDensity, once per SCF iteration) that quartet loops may
@@ -104,6 +105,17 @@ func NewPairTable(bs *basis.Set, q func(m, p int) float64, keep func(m, p int) b
 
 // NumPairs returns the number of stored (significant) ordered pairs.
 func (t *PairTable) NumPairs() int { return len(t.pairs) }
+
+// TermBytes reports the bytes of pair-resident folded Hermite terms the
+// table holds for the generated kernels, on top of the primitive pairs
+// and their E tables.
+func (t *PairTable) TermBytes() int {
+	n := 0
+	for i := range t.pairs {
+		n += len(t.pairs[i].terms)
+	}
+	return n * 8
+}
 
 // ID returns the table index of ordered pair (m, p), or NoPair.
 func (t *PairTable) ID(m, p int) PairID { return t.index[m*t.n+p] }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gtfock/internal/basis"
+	"gtfock/internal/chem"
 )
 
 // testPairTable builds a PairTable over a small random shell set with a
@@ -278,6 +279,44 @@ func TestERIBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state ERIBatch allocates %.1f allocs/run", allocs)
 	}
 	_ = sink
+}
+
+// The pair-resident folded terms: genTermSlots per surviving primitive
+// pair, reported by TermBytes, and identical whether a pair is carved
+// from the table's arena or built on its own by NewShellPair (the path
+// Engine.Pair, the micro benchmarks and BuildSerial take).
+func TestPairTableTermsMatchStandalonePairs(t *testing.T) {
+	bs, err := basis.Build(chem.Methane(), "cc-pvdz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const primTol = 1e-8
+	pt := NewPairTable(bs,
+		func(m, p int) float64 { return 1 },
+		func(m, p int) bool { return true }, primTol)
+	want := 0
+	for id := PairID(0); id < PairID(pt.NumPairs()); id++ {
+		sp := pt.At(id)
+		slots := genTermSlots[pairClassOf(sp.LA, sp.LB)]
+		if len(sp.terms) != len(sp.prims)*slots {
+			t.Fatalf("pair %d (L=%d%d): %d terms for %d primitive pairs of %d slots",
+				id, sp.LA, sp.LB, len(sp.terms), len(sp.prims), slots)
+		}
+		want += len(sp.terms) * 8
+		m, p := pt.Shells(id)
+		solo := NewShellPair(&bs.Shells[m], &bs.Shells[p], primTol)
+		if len(solo.terms) != len(sp.terms) {
+			t.Fatalf("pair %d: standalone pair has %d terms, table %d", id, len(solo.terms), len(sp.terms))
+		}
+		for i, v := range sp.terms {
+			if solo.terms[i] != v {
+				t.Fatalf("pair %d term %d: standalone %g vs table %g", id, i, solo.terms[i], v)
+			}
+		}
+	}
+	if got := pt.TermBytes(); got != want || got == 0 {
+		t.Fatalf("TermBytes = %d, want %d", got, want)
+	}
 }
 
 func TestTrimScratch(t *testing.T) {

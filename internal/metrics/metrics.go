@@ -161,9 +161,9 @@ type Sample struct {
 	StealFails    int64 // steal scans that came up dry
 
 	// ERI dispatch split (from integrals.Stats deltas per task): quartets
-	// served by the hand s/p kernels, by the generated d-class kernels,
-	// and by the general MD recursion, so bench/serve output can report
-	// what fraction of the integral work still takes the general path.
+	// of all-s/p classes, of classes with a d shell, and those sent to
+	// the general MD recursion, so bench/serve output can report what
+	// fraction of the integral work still takes the general path.
 	QuartetsFastSP  int64
 	QuartetsFastGen int64
 	QuartetsGeneral int64
