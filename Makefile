@@ -105,8 +105,9 @@ wal-single:
 ci: build vet generate-check wal-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run
-# smoke): the paper-table benchmarks and the per-class ERI kernel ones
-# (BenchmarkERIKernelPSPS/PPPS/PPPP, the d classes, their general twins).
+# smoke): the paper-table benchmarks, the per-class ERI kernel ones
+# (BenchmarkERIKernelPSPS/PPPS/PPPP, the d classes, their general twins;
+# they also print ns per primitive quartet) and BenchmarkBoys*.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run NONE . ./internal/integrals/
 
@@ -118,8 +119,9 @@ bench:
 # CI smoke: run the pinned small case and fail if its calibrated wall
 # (wall_ns / serial_ns) regressed more than 15% against the baseline, or
 # if an ERI kernel microbenchmark (ps|ps and pp|ps, the two hottest
-# classes, among them) regressed more than 35% after serial calibration,
-# or if any micro allocs/op exceeds its baseline (0).
+# classes, among them) regressed more than 35% after calibration by the
+# report's fixed arithmetic probe (cpu_probe_ns), or if any micro
+# allocs/op exceeds its baseline (0).
 bench-short:
 	$(GO) run ./cmd/bench -short -check BENCH_fock.json
 

@@ -20,6 +20,9 @@
 // The regression check compares walls normalized by the serial
 // calibration (wall_ns / serial_ns), so a uniformly slower CI machine
 // does not trip it; only changes to the parallel runtime's overhead do.
+// The micro section is scaled by a fixed arithmetic probe recorded with
+// every micro case (cpu_probe_ns), which measures the machine and not the
+// kernels under test.
 package main
 
 import (
@@ -77,6 +80,23 @@ type microCase struct {
 	Quartets     int     `json:"quartets"`
 	NsPerQuartet float64 `json:"ns_per_quartet"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
+	// CPUProbeNS is cpuProbe taken right before the case. -check scales
+	// the micro baselines by the ratio of the two runs' fastest probes:
+	// spread over the whole section, the fastest one is the speed of the
+	// undisturbed box even when a neighbour was busy for part of it.
+	CPUProbeNS int64 `json:"cpu_probe_ns"`
+}
+
+// fastestProbe returns the smallest recorded cpu probe of a micro section,
+// 0 for a report from before probes were recorded.
+func fastestProbe(micro []microCase) int64 {
+	var best int64
+	for _, m := range micro {
+		if m.CPUProbeNS > 0 {
+			best = minNZ(best, m.CPUProbeNS)
+		}
+	}
+	return best
 }
 
 // cacheBench reports the stored-ERI cache tier on one pinned case: the
@@ -295,6 +315,33 @@ func runCache(n int, bname string, prow, pcol, reps int) *cacheBench {
 	return cb
 }
 
+var probeSink float64
+
+// cpuProbe times fixed work, 256k dependent multiply-adds on an
+// L1-resident array (the loop of benchmark/'s harness.cpu_probe_us), and
+// returns the fastest of nine passes: the speed of the box at this
+// moment, whatever the kernels cost.
+func cpuProbe() int64 {
+	var best int64
+	for k := 0; k < 9; k++ {
+		var a [64]float64
+		for i := range a {
+			a[i] = 1 + float64(i)*1e-3
+		}
+		t := time.Now()
+		s := 0.0
+		for r := 0; r < 4000; r++ {
+			for i := range a {
+				s += a[i] * 1.0000001
+				a[i] = a[i]*0.999999 + 1e-6
+			}
+		}
+		probeSink = s
+		best = minNZ(best, time.Since(t).Nanoseconds())
+	}
+	return best
+}
+
 // shellsOfL finds two shells of angular momentum l on distinct centers,
 // so benchmark quartets have generic geometry.
 func shellsOfL(bs *basis.Set, bname string, l int) (int, int) {
@@ -321,6 +368,7 @@ func microOne(bs *basis.Set, name string, general bool, ba, bb, ka, kb int) micr
 	bra := eng.Pair(&bs.Shells[ba], &bs.Shells[bb])
 	ket := eng.Pair(&bs.Shells[ka], &bs.Shells[kb])
 	eng.ERI(bra, ket) // warm scratch
+	probe := cpuProbe()
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -331,6 +379,7 @@ func microOne(bs *basis.Set, name string, general bool, ba, bb, ka, kb int) micr
 		Name: name, Quartets: 1,
 		NsPerQuartet: float64(r.NsPerOp()),
 		AllocsPerOp:  r.AllocsPerOp(),
+		CPUProbeNS:   probe,
 	}
 }
 
@@ -360,8 +409,8 @@ func microD() []microCase {
 // d classes on ethane/cc-pVDZ with their general twins, and the
 // batched ERIBatch path over the fattest real task's surviving quartet
 // list (whose steady state must not allocate). Times are
-// machine-absolute; the -check gate calibrates them by the serial-oracle
-// ratio before comparing.
+// machine-absolute; the -check gate calibrates them by the ratio of the
+// two runs' fastest cpu probes before comparing.
 func runMicro(bname string) []microCase {
 	bs, scr, _ := setup(2, bname)
 	pt := scr.PairTable(0)
@@ -411,6 +460,7 @@ func runMicro(bname string) []microCase {
 		sink := 0.0
 		visit := func(k int, b []float64) { sink += b[0] }
 		eng.ERIBatch(pt, best, visit) // warm scratch
+		probe := cpuProbe()
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -422,6 +472,7 @@ func runMicro(bname string) []microCase {
 			Name: "batch_task", Quartets: len(best),
 			NsPerQuartet: float64(r.NsPerOp()) / float64(len(best)),
 			AllocsPerOp:  r.AllocsPerOp(),
+			CPUProbeNS:   probe,
 		}
 	}
 
@@ -482,18 +533,17 @@ func compareReports(base, fresh benchReport, tol, mtol float64) error {
 	for _, c := range base.Cases {
 		byMol[c.Mol] = c
 	}
-	// calib is this machine's speed relative to the baseline machine,
-	// estimated from the pure-ERI serial oracle of the first common case.
-	// Micro times (absolute ns) are compared after scaling the baseline by
-	// it, the same cancellation norm_wall does for the macro section.
-	calib := 0.0
+	// serialCalib is the speed of this machine relative to the baseline's
+	// by the pure-ERI serial oracle of the first common case: the micro
+	// calibration of a baseline recorded before the cpu probe existed.
+	serialCalib := 0.0
 	for _, f := range fresh.Cases {
 		b, ok := byMol[f.Mol]
 		if !ok {
 			continue
 		}
-		if calib == 0 && b.SerialNS > 0 {
-			calib = float64(f.SerialNS) / float64(b.SerialNS)
+		if serialCalib == 0 && b.SerialNS > 0 {
+			serialCalib = float64(f.SerialNS) / float64(b.SerialNS)
 		}
 		if b.NormWall <= 0 {
 			return fmt.Errorf("baseline %s has no norm_wall; regenerate the baseline", f.Mol)
@@ -507,8 +557,19 @@ func compareReports(base, fresh benchReport, tol, mtol float64) error {
 	if len(fresh.Micro) == 0 {
 		return nil
 	}
+	// Micro times (absolute ns) are compared after scaling the baseline by
+	// the machines' speed ratio. It comes from the fixed arithmetic probe,
+	// not from the kernels under test: calibrated by the serial oracle, a
+	// change that makes the oracle 30 % faster shrinks every baseline by
+	// 30 % and a class that did not move reads as a regression.
+	calib := serialCalib
+	if bp := fastestProbe(base.Micro); bp > 0 {
+		calib = float64(fastestProbe(fresh.Micro)) / float64(bp)
+		fmt.Printf("cpu probe %d ns vs baseline %d ns: micro baselines scaled x%.3f\n",
+			fastestProbe(fresh.Micro), bp, calib)
+	}
 	if calib == 0 {
-		return fmt.Errorf("baseline has micro cases but no serial calibration; regenerate the baseline")
+		return fmt.Errorf("baseline has micro cases but neither a cpu probe nor a serial calibration; regenerate the baseline")
 	}
 	byName := map[string]microCase{}
 	for _, m := range base.Micro {

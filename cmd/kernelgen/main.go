@@ -1,6 +1,5 @@
 // Command kernelgen generates the specialized ERI kernels of
-// internal/integrals/kernels_gen.go: every quartet class up to d shells
-// that has no closed form.
+// internal/integrals/kernels_gen.go: every quartet class up to d shells.
 //
 // It walks the McMurchie-Davidson Hermite expansion at generation time:
 // for each quartet class (a bra pair class x a ket pair class) it
@@ -18,18 +17,22 @@
 //     (pref rides in on the Boys values, R being linear in them), and
 //  3. phase 2 contracts the bra terms against g once per bra primitive.
 //
+// Every primitive quartet opens with the same prologue over the two
+// 40-byte primPair records: s = 1/(p+q), alpha = p q s, pref = c c'
+// sqrt(s) (emitPrologue).
+//
 // Classes of total Hermite order <= 4 — every all-s/p class, and the d
-// classes up to (ds|ds), (pd|ps), (dd|ss) — are straight-line: R is an
-// unrolled recursion into a compact local array of at most 35 entries
-// (genHermR1..4), g a local array, both phases fully unrolled. Higher
-// orders keep R in the fixed stride-9 cube so phase 1 can loop over the
-// bra Hermite indices with constant ket offsets. Only canonical classes
-// with braClass >= ketClass are emitted — 27 kernels; the mirrored
-// combinations are served by eriCartAuto calling the swapped kernel and
-// transposing (bra-ket symmetry plus the R(-PQ) parity identity make the
-// swapped output exactly the transpose). Classes listed in closedForms
-// keep their hand-written kernel in kernels.go and only get a dispatch
-// table entry.
+// classes up to (ds|ds), (pd|ps), (dd|ss) — are straight-line: the Boys
+// values come from the tabulated scheme of boys.go unrolled in place into
+// a local array (emitBoys), R is an unrolled recursion into a compact
+// local array of at most 35 entries (genHermR1..4), g a local array, both
+// phases fully unrolled. Higher orders call Boys and keep R in the fixed
+// stride-9 cube so phase 1 can loop over the bra Hermite indices with
+// constant ket offsets. Only canonical classes with braClass >= ketClass
+// are emitted — 28 kernels; the mirrored combinations are served by
+// eriCartAuto calling the swapped kernel and transposing (bra-ket
+// symmetry plus the R(-PQ) parity identity make the swapped output
+// exactly the transpose).
 //
 // The generator re-derives the small amount of integrals-package layout
 // it depends on (Cartesian component order, E-table flat indexing, the
@@ -131,13 +134,6 @@ var classes = []class{
 	{"ds", 2, 0}, {"pd", 1, 2}, {"dp", 2, 1}, {"dd", 2, 2},
 }
 
-// closedForms names the canonical classes whose hand-written closed form
-// in kernels.go beats the generated kernel; they are dispatched through
-// the same table and no kernel is emitted for them.
-var closedForms = map[string]string{
-	"ss_ss": "(*Engine).eriSSSS",
-}
-
 // term is one constant-folded Hermite expansion term of a component
 // pair: a product of E-table entries (one per dimension carrying
 // angular momentum) and its Hermite index (t,u,v).
@@ -212,9 +208,9 @@ func buildTerms(c class) *classTerms {
 func emitHeader(w *bytes.Buffer) {
 	fmt.Fprint(w, `// Code generated by gtfock/cmd/kernelgen; DO NOT EDIT.
 //
-// Specialized ERI kernels for every quartet class up to d shells that
-// has no closed form, produced by constant-folding the
-// McMurchie-Davidson Hermite expansion per component pair. See
+// Specialized ERI kernels for every quartet class up to d shells,
+// produced by constant-folding the McMurchie-Davidson Hermite expansion
+// per component pair. See
 // cmd/kernelgen and DESIGN.md section 8 for the scheme; regenerate with
 //
 //	go generate ./internal/integrals
@@ -240,11 +236,11 @@ var genHermOff9 = [%d]int16{%s}
 func emitBuilder(w *bytes.Buffer, ct *classTerms) {
 	fmt.Fprintf(w, "// %s fills t with the %d folded Hermite expansion terms of one\n", ct.builder(), ct.slots)
 	fmt.Fprintf(w, "// primitive pair of a %s-class shell pair (la=%d, lb=%d), one slot per\n", ct.name, ct.la, ct.lb)
-	fmt.Fprintf(w, "// E-coefficient product.\n")
-	fmt.Fprintf(w, "func %s(pp *primPair, ts []float64) {\n", ct.builder())
+	fmt.Fprintf(w, "// E-coefficient product, from its x, y and z E tables es.\n")
+	fmt.Fprintf(w, "func %s(es, ts []float64) {\n", ct.builder())
 	fmt.Fprintf(w, "t := (*[%d]float64)(ts)\n", ct.slots)
 	for d := 0; d < 3; d++ {
-		fmt.Fprintf(w, "e%d := (*[%d]float64)(pp.e[%d])\n", d, ct.esz(), d)
+		fmt.Fprintf(w, "e%d := (*[%d]float64)(es[%d:])\n", d, ct.esz(), d*ct.esz())
 	}
 	for _, pair := range ct.pairs {
 		for _, tm := range pair {
@@ -403,13 +399,45 @@ func emitPrologue(w *bytes.Buffer, b, k *classTerms, decls, zeroG string) {
 	fmt.Fprint(w, zeroG)
 	fmt.Fprint(w, "for ki := range ket.prims {\n")
 	fmt.Fprint(w, "kp := &ket.prims[ki]\n")
-	fmt.Fprint(w, "p, q := bp.p, kp.p\n")
-	fmt.Fprint(w, "alpha := p * q / (p + q)\n")
+	fmt.Fprint(w, "s := 1 / (bp.p + kp.p)\n")
+	fmt.Fprint(w, "alpha := bp.p * kp.p * s\n")
+	fmt.Fprint(w, "pref := bp.c * kp.c * math.Sqrt(s)\n")
 	fmt.Fprint(w, "pq := bp.P.Sub(kp.P)\n")
-	fmt.Fprint(w, "pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) * bp.cc * kp.cc * bp.k3 * kp.k3\n")
 	if k.slots > 0 {
 		fmt.Fprintf(w, "kt := (*[%d]float64)(ket.terms[%d*ki:])\n", k.slots, k.slots)
 	}
+}
+
+// emitBoys emits x = alpha |PQ|^2 and the Boys values f[m] = F_m(x),
+// m <= l: integrals.Boys unrolled for a fixed order. Below the crossover
+// the top order and exp(-x) are one table row each (the unsigned index
+// test doubles as the rows' bounds check) and the lower orders follow by
+// downward recursion with constant reciprocals; above it F_0 is its
+// asymptote and the orders go upward.
+func emitBoys(w *bytes.Buffer, l int) {
+	fmt.Fprint(w, "x := alpha * pq.Norm2()\n")
+	fmt.Fprint(w, "if i := int(x*boysInvDX + 0.5); uint(i) < boysGridN {\n")
+	fmt.Fprint(w, "d := x - float64(i)*boysDX\n")
+	fmt.Fprintf(w, "f[%d] = boysPoly(&boysTab[%d][i], d)\n", l, l)
+	if l > 0 {
+		fmt.Fprint(w, "ex := boysPoly(&boysTab[boysExp][i], d)\n")
+	}
+	for m := l; m > 1; m-- {
+		fmt.Fprintf(w, "f[%d] = (2*x*f[%d] + ex) * (1.0 / %d)\n", m-1, m, 2*m-1)
+	}
+	if l > 0 {
+		fmt.Fprint(w, "f[0] = 2*x*f[1] + ex\n")
+	}
+	fmt.Fprint(w, "} else {\n")
+	fmt.Fprint(w, "h := 0.5 / x\n")
+	fmt.Fprint(w, "f[0] = math.Sqrt(math.Pi / 2 * h)\n")
+	if l > 0 {
+		fmt.Fprint(w, "f[1] = h * f[0]\n")
+	}
+	for m := 1; m < l; m++ {
+		fmt.Fprintf(w, "f[%d] = %d * h * f[%d]\n", m+1, 2*m+1, m)
+	}
+	fmt.Fprint(w, "}\n")
 }
 
 // emitKernelFlat emits a straight-line kernel for a class of total order
@@ -420,28 +448,40 @@ func emitKernelFlat(w *bytes.Buffer, b, k *classTerms) {
 	ltot := b.ord() + k.ord()
 	nbh := hermPrefix[b.ord()]
 	nr := hermPrefix[ltot]
-	emitPrologue(w, b, k,
-		fmt.Sprintf("var f [%d]float64\nvar r [%d]float64\n", ltot+1, nr),
-		fmt.Sprintf("var g [%d]float64\n", nbh*nk))
-	fmt.Fprintf(w, "Boys(%d, alpha*pq.Norm2(), f[:])\n", ltot)
-	fmt.Fprintf(w, "genHermR%d(pref, alpha, pq.X, pq.Y, pq.Z, &f, &r)\n", ltot)
+	decls := fmt.Sprintf("var f [%d]float64\n", ltot+1)
+	rAt := func(h cart) string { return "pref*f[0]" } // R_000 of (ss|ss)
+	if ltot > 0 {
+		decls += fmt.Sprintf("var r [%d]float64\n", nr)
+		rAt = func(h cart) string { return fmt.Sprintf("r[%d]", hermIndex[h]) }
+	}
+	emitPrologue(w, b, k, decls, fmt.Sprintf("var g [%d]float64\n", nbh*nk))
+	emitBoys(w, ltot)
+	if ltot > 0 {
+		fmt.Fprintf(w, "genHermR%d(pref, alpha, pq.X, pq.Y, pq.Z, &f, &r)\n", ltot)
+	}
 	// Phase 1: ket terms against R at every bra-reachable Hermite index,
 	// accumulated over the ket primitives.
 	for h := 0; h < nbh; h++ {
 		for kc, pair := range k.pairs {
 			fmt.Fprintf(w, "g[%d] += %s\n", h*nk+kc, ketSum(pair, func(tau cart) string {
-				return fmt.Sprintf("r[%d]", hermIndex[hermList[h].add(tau)])
+				return rAt(hermList[h].add(tau))
 			}))
 		}
 	}
 	fmt.Fprint(w, "}\n")
 	// Phase 2: bra terms against g, once per bra primitive.
-	fmt.Fprintf(w, "bt := (*[%d]float64)(bra.terms[%d*bi:])\n", b.slots, b.slots)
+	if b.slots > 0 {
+		fmt.Fprintf(w, "bt := (*[%d]float64)(bra.terms[%d*bi:])\n", b.slots, b.slots)
+	}
 	for ab, terms := range b.pairs {
 		for kc := 0; kc < nk; kc++ {
 			var parts []string
 			for _, tm := range terms {
-				parts = append(parts, fmt.Sprintf("bt[%d]*g[%d]", tm.slot, hermIndex[tm.herm]*nk+kc))
+				part := fmt.Sprintf("g[%d]", hermIndex[tm.herm]*nk+kc)
+				if len(tm.factors) > 0 {
+					part = fmt.Sprintf("bt[%d]*", tm.slot) + part
+				}
+				parts = append(parts, part)
 			}
 			fmt.Fprintf(w, "cv[%d] += %s\n", ab*nk+kc, strings.Join(parts, " + "))
 		}
@@ -508,17 +548,16 @@ var genTermSlots = [NumPairClasses]int{
 	for _, ct := range cts {
 		fmt.Fprintf(w, "Class%s: %d,\n", strings.ToUpper(ct.name), ct.slots)
 	}
-	fmt.Fprint(w, "}\n\nvar genTermFill = [NumPairClasses]func(pp *primPair, t []float64){\n")
+	fmt.Fprint(w, "}\n\nvar genTermFill = [NumPairClasses]func(es, ts []float64){\n")
 	for _, ct := range cts[1:] {
 		fmt.Fprintf(w, "Class%s: %s,\n", strings.ToUpper(ct.name), ct.builder())
 	}
 	fmt.Fprint(w, `}
 
 // genKernels maps (bra class, ket class) — indexed by the Class*
-// constants — to the kernel of every canonical class (bra >= ket):
-// generated above, or a closed form from kernels.go. nil entries are
-// the non-canonical classes, served by the mirror transpose in
-// eriCartAuto.
+// constants — to the kernel of every canonical class (bra >= ket). nil
+// entries are the non-canonical classes, served by the mirror transpose
+// in eriCartAuto.
 var genKernels = [NumPairClasses][NumPairClasses]func(*Engine, *ShellPair, *ShellPair) []float64{
 `)
 	row := -1
@@ -531,12 +570,7 @@ var genKernels = [NumPairClasses][NumPairClasses]func(*Engine, *ShellPair, *Shel
 			fmt.Fprintf(w, "Class%s: {\n", strings.ToUpper(classes[b].name))
 			row = b
 		}
-		key := classes[b].name + "_" + classes[k].name
-		fn, ok := closedForms[key]
-		if !ok {
-			fn = "eriGen_" + key
-		}
-		fmt.Fprintf(w, "Class%s: %s,\n", strings.ToUpper(classes[k].name), fn)
+		fmt.Fprintf(w, "Class%s: eriGen_%s_%s,\n", strings.ToUpper(classes[k].name), classes[b].name, classes[k].name)
 	}
 	fmt.Fprint(w, "},\n}\n")
 }
@@ -559,14 +593,9 @@ func main() {
 		emitHermR(&w, l)
 	}
 	var kernels [][2]int
-	emitted := 0
 	for b := range classes {
 		for k := 0; k <= b; k++ {
 			kernels = append(kernels, [2]int{b, k})
-			if _, ok := closedForms[classes[b].name+"_"+classes[k].name]; ok {
-				continue
-			}
-			emitted++
 			if classes[b].ord()+classes[k].ord() <= maxCompactOrd {
 				emitKernelFlat(&w, cts[b], cts[k])
 			} else {
@@ -583,5 +612,5 @@ func main() {
 	if err := os.WriteFile(*out, src, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "kernelgen: wrote %s (%d kernels, %d classes)\n", *out, emitted, len(classes))
+	fmt.Fprintf(os.Stderr, "kernelgen: wrote %s (%d kernels, %d classes)\n", *out, len(kernels), len(classes))
 }

@@ -552,3 +552,80 @@ func TestBlockFootprintSharesData(t *testing.T) {
 		t.Fatalf("block footprint smaller than single task: %g", ratio)
 	}
 }
+
+// The shell cuts behind Grid (what Build hands to dist.NewGrid2D) against
+// the split of GTFock's init_fock (pfock.c: n0 = ns/np, t = ns%np,
+// n1 = ceil(ns/np), rowptr_sh[i] = i < t ? n1*i : n1*t + (i-t)*n0): for
+// random shell counts and grid extents the cuts cover [0, ns) exactly
+// once, are monotone, and hand every process n0 or n1 shells, t of them
+// n1 — GTFock's block sizes. The placement differs when np does not
+// divide ns: GTFock gives the t larger blocks to the first t processes,
+// ours (floor(i*ns/np), no remainder bookkeeping) spreads them — 5 shells
+// over 2 processes are cut [0 3 5] there and [0 2 5] here. Which process
+// holds the larger block changes neither the load balance nor G.
+func TestGridShellCutsMatchGTFockSplit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	gtfock := func(ns, np int) []int {
+		n0, rem, n1 := ns/np, ns%np, (ns+np-1)/np
+		ptr := make([]int, np+1)
+		for i := 0; i < np; i++ {
+			if i < rem {
+				ptr[i] = n1 * i
+			} else {
+				ptr[i] = n1*rem + (i-rem)*n0
+			}
+		}
+		ptr[np] = ns
+		return ptr
+	}
+	check := func(ns, np int, funcCuts []int, bs *basis.Set) {
+		t.Helper()
+		shellOf := map[int]int{bs.NumFuncs: ns}
+		for s, off := range bs.Offsets {
+			shellOf[off] = s
+		}
+		want := gtfock(ns, np)
+		n0, rem := ns/np, ns%np
+		big, prev := 0, 0
+		for i, fc := range funcCuts {
+			s, ok := shellOf[fc]
+			if !ok {
+				t.Fatalf("ns=%d np=%d: cut %d is not a shell boundary", ns, np, fc)
+			}
+			if i == 0 {
+				if s != 0 {
+					t.Fatalf("ns=%d np=%d: first cut at shell %d", ns, np, s)
+				}
+				continue
+			}
+			switch size := s - prev; {
+			case size == n0+1 && rem > 0:
+				big++
+			case size != n0:
+				t.Fatalf("ns=%d np=%d: process %d holds %d shells, want %d or %d", ns, np, i-1, size, n0, n0+1)
+			}
+			if rem == 0 && s != want[i] {
+				t.Fatalf("ns=%d np=%d: cut %d at shell %d, GTFock %d", ns, np, i, s, want[i])
+			}
+			prev = s
+		}
+		if prev != ns || big != rem || len(funcCuts) != np+1 {
+			t.Fatalf("ns=%d np=%d: cuts end at %d with %d larger blocks, want %d and %d", ns, np, prev, big, ns, rem)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		ns, prow, pcol := 1+rng.Intn(500), 1+rng.Intn(16), 1+rng.Intn(16)
+		bs := &basis.Set{Shells: make([]basis.Shell, ns), Offsets: make([]int, ns)}
+		for i := range bs.Shells {
+			bs.Shells[i].L = rng.Intn(3)
+			bs.Offsets[i] = bs.NumFuncs
+			bs.NumFuncs += bs.Shells[i].NumFuncs()
+		}
+		g := Grid(bs, prow, pcol)
+		check(ns, prow, g.RowCuts, bs)
+		check(ns, pcol, g.ColCuts, bs)
+	}
+	if ours, theirs := dist.UniformCuts(5, 2), gtfock(5, 2); ours[1] != 2 || theirs[1] != 3 {
+		t.Fatalf("5 shells over 2: ours %v, GTFock %v", ours, theirs)
+	}
+}

@@ -14,100 +14,111 @@
 // defines them (Sec. II-C).
 package integrals
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
 
 // maxBoysM is the largest Boys order the tables support: enough for
 // (dd|dd) with nuclear-attraction headroom.
 const maxBoysM = 24
 
-// Boys tabulation parameters. F_m is stored on a uniform grid of spacing
-// boysDX over [0, boysXMax) for orders 0..boysTabM, together with
-// exp(-x_i); at runtime F_mmax and exp(-x) come from boysTerms-term Taylor
-// expansions around the nearest grid point (|dx| <= boysDX/2, so the
-// truncation error is below (boysDX/2)^boysTerms / boysTerms! ~ 2.3e-17)
-// and the lower orders follow from stable downward recursion. Above
-// boysXMax the asymptotic F_0 feeds upward recursion, as before.
+// Boys tabulation. Every order m (and exp(-x), stored as one more order)
+// has its own row per grid interval: the eight Taylor coefficients of
+// F_m around the grid point x_i = i*boysDX, premultiplied so that
+// F_m(x) = sum_k row[k] d^k with d = x - x_i — one 64-byte cache line,
+// evaluated by boysPoly with no division and no long dependency chain.
+// |d| <= boysDX/2, so the truncation error is below
+// (boysDX/2)^8/8! ~ 5.8e-15 relative. A call reads two lines: the top
+// order's and exp(-x)'s; the lower orders follow by downward recursion
+// through the boysInvOdd reciprocals. From boysXMax on, F_0 is its
+// asymptote and the orders go upward without the exp(-x) term, which is
+// below 2.2e-16 there.
 const (
-	boysDX     = 1.0 / 16
-	boysInvDX  = 16.0
-	boysXMax   = 36.0
-	boysTerms  = 8
-	boysTabM   = maxBoysM + boysTerms - 1 // top order a Taylor expansion reads
-	boysRowLen = boysTabM + 2             // F_0..F_boysTabM plus exp(-x_i)
-	boysGridN  = int(boysXMax*boysInvDX) + 1
+	boysDX    = 1.0 / 8
+	boysInvDX = 8.0
+	boysGridN = 36*8 + 1 // grid points 0, 1/8, .., 36
+	boysXMax  = (boysGridN - 0.5) * boysDX
+	boysExp   = maxBoysM + 1 // the row set of exp(-x)
 )
 
-var boysTab [boysGridN * boysRowLen]float64
+// boysTab lives in static storage (outside the collector's heap, so it
+// does not move the GC's pacing), padded so that it can start on a cache
+// line: the linker aligns data to 32 bytes only.
+var boysStore [(maxBoysM+2)*boysGridN*8 + 7]float64
+
+var boysTab = func() *[maxBoysM + 2][boysGridN][8]float64 {
+	skip := -uintptr(unsafe.Pointer(&boysStore)) % 64 / 8
+	return (*[maxBoysM + 2][boysGridN][8]float64)(unsafe.Pointer(&boysStore[skip]))
+}()
+
+// boysInvOdd[m] = 1/(2m-1), the downward recursion's divisor.
+var boysInvOdd [maxBoysM + 1]float64
 
 func init() {
+	var f [maxBoysM + 8]float64
 	for i := 0; i < boysGridN; i++ {
 		x := float64(i) * boysDX
-		row := boysTab[i*boysRowLen : (i+1)*boysRowLen]
-		boysSeries(boysTabM, x, row[:boysTabM+1])
-		row[boysTabM+1] = math.Exp(-x)
+		boysSeries(maxBoysM+7, x, f[:])
+		ex, w := math.Exp(-x), 1.0 // w = (-1)^k / k!
+		for k := 0; k < 8; k++ {
+			boysTab[boysExp][i][k] = ex * w
+			for m := 0; m <= maxBoysM; m++ {
+				boysTab[m][i][k] = f[m+k] * w
+			}
+			w /= -float64(k + 1)
+		}
 	}
+	for m := 1; m <= maxBoysM; m++ {
+		boysInvOdd[m] = 1 / float64(2*m-1)
+	}
+}
+
+// boysPoly evaluates one table row at offset d from its grid point by
+// Estrin's scheme: the four coefficient pairs are independent, so the
+// dependency chain is three multiply-adds deep instead of Horner's seven.
+func boysPoly(c *[8]float64, d float64) float64 {
+	d2 := d * d
+	return ((c[0] + c[1]*d) + (c[2]+c[3]*d)*d2) +
+		((c[4]+c[5]*d)+(c[6]+c[7]*d)*d2)*(d2*d2)
 }
 
 // Boys computes the Boys function F_m(x) = int_0^1 t^{2m} exp(-x t^2) dt
-// for m = 0..mmax into out (len >= mmax+1), and returns out.
-//
-// The tabulated fast path serves x < 36; it agrees with the series
-// reference (boysSeries) to ~1e-15 absolute. Larger x uses the asymptotic
-// F_0 with stable upward recursion.
+// for m = 0..mmax into out (nil, or len > mmax), and returns out[:mmax+1].
+// It agrees with the series reference (boysSeries) to 1e-14 relative. The
+// straight-line kernels carry the same scheme unrolled (cmd/kernelgen).
 func Boys(mmax int, x float64, out []float64) []float64 {
+	switch {
+	case mmax < 0 || mmax > maxBoysM:
+		panic(fmt.Sprintf("integrals: Boys: mmax = %d outside 0..%d", mmax, maxBoysM))
+	case out != nil && len(out) <= mmax:
+		panic(fmt.Sprintf("integrals: Boys: len(out) = %d cannot hold orders 0..%d", len(out), mmax))
+	case !(x >= 0):
+		panic(fmt.Sprintf("integrals: Boys: x = %v is negative or NaN", x))
+	}
 	if out == nil {
 		out = make([]float64, mmax+1)
 	}
-	if mmax > maxBoysM {
-		panic("integrals: Boys order too large")
-	}
-	if x >= boysXMax {
-		// F_0(x) ~ sqrt(pi/x)/2 for large x (erf(sqrt(x)) ~ 1 to < 1e-16).
-		ex := math.Exp(-x)
-		out[0] = 0.5 * math.Sqrt(math.Pi/x)
+	out = out[:mmax+1]
+	i := int(x*boysInvDX + 0.5)
+	if uint(i) >= boysGridN {
+		h := 0.5 / x
+		out[0] = math.Sqrt(math.Pi / 2 * h)
 		for m := 0; m < mmax; m++ {
-			out[m+1] = (float64(2*m+1)*out[m] - ex) / (2 * x)
+			out[m+1] = float64(2*m+1) * h * out[m]
 		}
-		return out[:mmax+1]
+		return out
 	}
-	i := int(x*boysInvDX + 0.5)
 	d := x - float64(i)*boysDX
-	row := boysTab[i*boysRowLen:]
-	// Shared Taylor factors (-d)^k / k! evaluate both F_mmax(x) (offset
-	// rows of the table are exactly the derivatives: F_m' = -F_{m+1}) and
-	// exp(-x) = exp(-x_i) exp(-d) without calling math.Exp.
-	dk := 1.0
-	f := row[mmax]
-	ex := 1.0
-	for k := 1; k < boysTerms; k++ {
-		dk *= -d / float64(k)
-		f += row[mmax+k] * dk
-		ex += dk
+	out[mmax] = boysPoly(&boysTab[mmax][i], d)
+	if mmax > 0 {
+		ex := boysPoly(&boysTab[boysExp][i], d)
+		for m := mmax; m > 0; m-- {
+			out[m-1] = (2*x*out[m] + ex) * boysInvOdd[m]
+		}
 	}
-	ex *= row[boysRowLen-1]
-	out[mmax] = f
-	for m := mmax; m > 0; m-- {
-		out[m-1] = (2*x*out[m] + ex) / float64(2*m-1)
-	}
-	return out[:mmax+1]
-}
-
-// boysF0 is the single-order fast path for F_0 used by the (ss|ss) kernel:
-// one Taylor evaluation, no recursion and no exp.
-func boysF0(x float64) float64 {
-	if x >= boysXMax {
-		return 0.5 * math.Sqrt(math.Pi/x)
-	}
-	i := int(x*boysInvDX + 0.5)
-	d := x - float64(i)*boysDX
-	row := boysTab[i*boysRowLen:]
-	dk := 1.0
-	f := row[0]
-	for k := 1; k < boysTerms; k++ {
-		dk *= -d / float64(k)
-		f += row[k] * dk
-	}
-	return f
+	return out
 }
 
 // boysSeries is the reference implementation the table is built from (and

@@ -2,7 +2,10 @@ package integrals
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
 // boysQuad evaluates F_m(x) by composite Gauss-Legendre quadrature on
@@ -50,8 +53,11 @@ func TestBoysSmallXLimit(t *testing.T) {
 }
 
 func TestBoysRecursionIdentity(t *testing.T) {
-	// (2m+1) F_m(x) = 2x F_{m+1}(x) + e^{-x}
-	for _, x := range []float64{0.2, 2, 17, 40, 90} {
+	// (2m+1) F_m(x) = 2x F_{m+1}(x) + e^{-x}, also at interval midpoints
+	// (worst truncation) and on both sides of the crossover.
+	xs := []float64{0.2, 2, 17, 40, 90, boysDX / 2, 3 + boysDX/2, 17.5 + boysDX/2,
+		boysXMax - boysDX/2, math.Nextafter(boysXMax, 0), boysXMax}
+	for _, x := range xs {
 		out := Boys(10, x, nil)
 		ex := math.Exp(-x)
 		for m := 0; m < 10; m++ {
@@ -78,38 +84,89 @@ func TestBoysMonotoneDecreasingInM(t *testing.T) {
 	}
 }
 
-// The tabulated fast path must reproduce the series reference over the
-// whole table domain, including grid midpoints (worst-case Taylor
-// truncation) and the table/asymptotic crossover at x = 36.
+// boysSweepPoints lists, for every table interval, its grid point, both
+// edges (the worst-case offsets |d| = boysDX/2) one ulp to either side,
+// and a generic interior point; then the crossover one ulp to either side
+// and the asymptotic range out to 200.
+func boysSweepPoints() []float64 {
+	var xs []float64
+	around := func(x float64) {
+		xs = append(xs, math.Nextafter(x, 0), x, math.Nextafter(x, math.Inf(1)))
+	}
+	for i := 0; i < boysGridN; i++ {
+		x := float64(i) * boysDX
+		xs = append(xs, x, x+0.3*boysDX)
+		around(x + boysDX/2)
+	}
+	around(boysXMax)
+	for x := boysXMax; x < 200; x *= 1.01 {
+		xs = append(xs, x)
+	}
+	return append(xs, 44.9, 45.1, 200)
+}
+
+// Every order as its own call (the hot kernels ask for 0..8 directly, not
+// through a recursion from 24) must reproduce the series reference to a
+// relative bound over the whole domain.
 func TestBoysTableAgainstSeries(t *testing.T) {
 	var got, want [maxBoysM + 1]float64
-	for i := 0; i < 4*36; i++ {
-		for _, frac := range []float64{0, 0.25, 0.5 / 16, 0.124999, 0.25 - 1e-9} {
-			x := float64(i)*0.25 + frac
-			Boys(maxBoysM, x, got[:])
-			boysSeries(maxBoysM, x, want[:])
-			for m := 0; m <= maxBoysM; m++ {
-				if math.Abs(got[m]-want[m]) > 1e-13 {
-					t.Fatalf("F_%d(%.9g): table %.16g vs series %.16g", m, x, got[m], want[m])
+	worst := 0.0
+	for _, x := range boysSweepPoints() {
+		for mmax := 0; mmax <= maxBoysM; mmax++ {
+			Boys(mmax, x, got[:])
+			boysSeries(mmax, x, want[:])
+			for m := 0; m <= mmax; m++ {
+				err := math.Abs(got[m] - want[m])
+				if err > 1e-14*want[m]+1e-17 {
+					t.Fatalf("Boys(%d, %.17g)[%d] = %.17g, series %.17g (rel %.2g)",
+						mmax, x, m, got[m], want[m], err/want[m])
+				}
+				if r := (err - 1e-17) / want[m]; r > worst {
+					worst = r
 				}
 			}
 		}
 	}
-	for _, x := range []float64{35.999999, 36.0, 36.000001, 44.9, 45.1} {
-		Boys(12, x, got[:])
-		boysSeries(12, x, want[:])
-		for m := 0; m <= 12; m++ {
-			if math.Abs(got[m]-want[m]) > 1e-13 {
-				t.Fatalf("crossover F_%d(%g): %.16g vs %.16g", m, x, got[m], want[m])
-			}
-		}
+	t.Logf("worst relative error beyond 1e-17 absolute: %.2g", worst)
+}
+
+// A call must touch two cache lines: rows are 64 bytes, 64-byte aligned.
+func TestBoysRowsAreCacheLines(t *testing.T) {
+	if a := uintptr(unsafe.Pointer(boysTab)); a%64 != 0 || unsafe.Sizeof(boysTab[0][0]) != 64 {
+		t.Fatalf("boysTab at %#x, row size %d", a, unsafe.Sizeof(boysTab[0][0]))
+	}
+	if n := unsafe.Sizeof(*boysTab); n > 500_000 {
+		t.Fatalf("boysTab is %d bytes, budget 0.5 MB", n)
 	}
 }
 
-func TestBoysF0FastPath(t *testing.T) {
-	for _, x := range []float64{0, 1e-9, 0.03125, 0.7, 5, 35.97, 36.0, 120} {
-		if got, want := boysF0(x), BoysSingle(0, x); math.Abs(got-want) > 1e-14 {
-			t.Fatalf("boysF0(%g) = %.16g, want %.16g", x, got, want)
+// Boys rejects what it cannot serve, naming the argument.
+func TestBoysRejectsBadArguments(t *testing.T) {
+	for _, tc := range []struct {
+		arg  string // the argument the message must name
+		call func()
+	}{
+		{"mmax", func() { Boys(maxBoysM+1, 1, nil) }},
+		{"mmax", func() { Boys(-1, 1, nil) }},
+		{"len(out)", func() { Boys(4, 1, make([]float64, 4)) }},
+		{"x =", func() { Boys(2, -1e-300, nil) }},
+		{"x =", func() { Boys(2, math.NaN(), nil) }},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "Boys: "+tc.arg) {
+					t.Errorf("want a panic naming %q, recovered %q", tc.arg, msg)
+				}
+			}()
+			tc.call()
+		}()
+	}
+	if got := Boys(3, math.Copysign(0, -1), nil); got[0] != 1 || got[3] != 1.0/7 {
+		t.Errorf("Boys(3, -0) = %v", got)
+	}
+	for _, v := range Boys(maxBoysM, math.MaxFloat64, nil) {
+		if !(v >= 0 && v < 1e-150) {
+			t.Errorf("Boys(24, MaxFloat64) holds %g", v)
 		}
 	}
 }
@@ -122,3 +179,25 @@ func TestBoysF0LargeX(t *testing.T) {
 		t.Fatal("large-x asymptote")
 	}
 }
+
+// benchBoys times Boys(mmax, x) over x uniform in [lo, hi).
+func benchBoys(b *testing.B, mmax int, lo, hi float64) {
+	rng := rand.New(rand.NewSource(1))
+	xs := make([]float64, 4096)
+	for i := range xs {
+		xs[i] = lo + (hi-lo)*rng.Float64()
+	}
+	var out [maxBoysM + 1]float64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Boys(mmax, xs[i%len(xs)], out[:])
+	}
+}
+
+func BenchmarkBoys0(b *testing.B)   { benchBoys(b, 0, 0, 30) }
+func BenchmarkBoys1(b *testing.B)   { benchBoys(b, 1, 0, 30) }
+func BenchmarkBoys2(b *testing.B)   { benchBoys(b, 2, 0, 30) }
+func BenchmarkBoys4(b *testing.B)   { benchBoys(b, 4, 0, 30) }
+func BenchmarkBoys8(b *testing.B)   { benchBoys(b, 8, 0, 30) }
+func BenchmarkBoys24(b *testing.B)  { benchBoys(b, 24, 0, 30) }
+func BenchmarkBoysFar(b *testing.B) { benchBoys(b, 4, 36.5, 200) }

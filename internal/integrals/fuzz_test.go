@@ -9,7 +9,8 @@ import (
 )
 
 // FuzzBoys checks the Boys function invariants for arbitrary inputs:
-// bounds, monotonicity in m, and the downward recursion identity.
+// bounds, monotonicity in m, and the downward recursion identity; a
+// negative or NaN argument must be refused, not tabulated.
 func FuzzBoys(f *testing.F) {
 	f.Add(0.0)
 	f.Add(1e-15)
@@ -17,22 +18,29 @@ func FuzzBoys(f *testing.F) {
 	f.Add(34.999)
 	f.Add(35.001)
 	f.Add(1e4)
-	// Seeds at the tabulation's interesting points: grid midpoints (worst
+	// Seeds at the tabulation's interesting points: interval edges (worst
 	// Taylor truncation), the last grid point, and the table/asymptotic
-	// crossover at x = 36.
-	f.Add(1.0/32 + 1e-12)
-	f.Add(3.0 + 1.0/32)
-	f.Add(35.96875)
-	f.Add(35.999999999)
+	// crossover at boysXMax = 36 + 1/16.
+	f.Add(1.0/16 + 1e-12)
+	f.Add(3.0 + 1.0/16)
+	f.Add(35.9375)
 	f.Add(36.0)
-	f.Add(36.000000001)
+	f.Add(36.062499999)
+	f.Add(36.0625)
+	f.Add(36.062500001)
+	// What must not reach the table index: NaN, -0, negatives, overflow.
+	f.Add(math.NaN())
+	f.Add(math.Copysign(0, -1))
+	f.Add(-1e-300)
+	f.Add(-3.0)
+	f.Add(math.MaxFloat64)
 	f.Fuzz(func(t *testing.T, x float64) {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			t.Skip()
-		}
-		x = math.Abs(x)
-		if x > 1e6 {
-			t.Skip()
+		if !(x >= 0) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Boys accepted x = %v", x)
+				}
+			}()
 		}
 		const mmax = 12
 		out := Boys(mmax, x, nil)

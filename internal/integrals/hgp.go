@@ -91,12 +91,12 @@ func (e *Engine) eriCartHGP(bra, ket *ShellPair) []float64 {
 			kp := &ket.prims[ki]
 			e.Stats.PrimQuartets++
 			p, q := bp.p, kp.p
-			rho := p * q / (p + q)
-			W := bp.P.Scale(p / (p + q)).Add(kp.P.Scale(q / (p + q)))
+			s := 1 / (p + q)
+			rho := p * q * s
+			pref := bp.c * kp.c * math.Sqrt(s)
+			W := bp.P.Scale(p * s).Add(kp.P.Scale(q * s))
 			pq := bp.P.Sub(kp.P)
 			Boys(mTot, rho*pq.Norm2(), e.boys[:])
-			pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3
 
 			PA := bp.P.Sub(A)
 			WP := W.Sub(bp.P)

@@ -3,18 +3,17 @@ package integrals
 // Specialized ERI kernels for every quartet class up to d shells. The
 // general MD recursion in eriCart spends most of its time on branchy
 // zero-checked loops over E and R tables that have a handful of nonzero
-// entries with known positions. One rule decides what replaces it:
-//
-//   - A closed form where it wins: (ss|ss) here is one F_0 evaluation per
-//     primitive quartet, no tables at all.
-//   - A generated kernel otherwise (kernels_gen.go, see cmd/kernelgen):
-//     the folded Hermite term coefficients of every primitive pair live in
-//     the ShellPair (built once when the pair is filled, one layout for
-//     bra and ket use), the ket primitives are contracted first into a
-//     small g[braHermite][ketComponent] intermediate, and the bra terms
-//     meet g once per bra primitive. Classes of total Hermite order <= 4
-//     (every s/p class and the lightest d classes) are straight-line code
-//     over a compact R array; the rest loop over a fixed stride-9 R cube.
+// entries with known positions. Every class is served by a generated
+// kernel instead (kernels_gen.go, see cmd/kernelgen): the folded Hermite
+// term coefficients of every primitive pair live in the ShellPair (built
+// once when the pair is filled, one layout for bra and ket use), the ket
+// primitives are contracted first into a small
+// g[braHermite][ketComponent] intermediate, and the bra terms meet g once
+// per bra primitive. Classes of total Hermite order <= 4 (every s/p class
+// and the lightest d classes; (ss|ss) is the degenerate case, one F_0 per
+// primitive quartet) are straight-line code over a compact R array with
+// the Boys evaluation unrolled in place; the rest call Boys and loop over
+// a fixed stride-9 R cube.
 //
 // Mirror classes reuse the same kernels: because R_{tuv}(-PQ) =
 // (-1)^{t+u+v} R_{tuv}(PQ), a (Y|X) quartet is the transpose of the
@@ -22,11 +21,7 @@ package integrals
 // eriCartAuto; every kernel is cross-checked against the general MD path
 // and the Obara-Saika oracle in kernels_test and kernels_gen_test.
 
-import (
-	"math"
-
-	"gtfock/internal/chem"
-)
+import "gtfock/internal/chem"
 
 // Shell-pair classes for kernel dispatch and per-class statistics: the
 // seven distinct L<=2 pair layouts. sp and sd pairs are served by the
@@ -116,26 +111,6 @@ func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 		}
 	}
 	return out
-}
-
-// eriSSSS computes an (ss|ss) quartet: one F_0 evaluation per primitive
-// quartet, no tables at all.
-func (e *Engine) eriSSSS(bra, ket *ShellPair) []float64 {
-	cart := e.ensure(&e.cart, 1)
-	var v float64
-	for bi := range bra.prims {
-		bp := &bra.prims[bi]
-		for ki := range ket.prims {
-			kp := &ket.prims[ki]
-			p, q := bp.p, kp.p
-			alpha := p * q / (p + q)
-			pq := bp.P.Sub(kp.P)
-			v += twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3 * boysF0(alpha*pq.Norm2())
-		}
-	}
-	cart[0] = v
-	return cart
 }
 
 //go:generate go run gtfock/cmd/kernelgen -out kernels_gen.go

@@ -120,6 +120,9 @@ func benchKernelPair(b *testing.B, l1, l2, l3, l4 int, disable bool) {
 	for i := 0; i < b.N; i++ {
 		e.ERI(bra, ket)
 	}
+	// Table V's constant in the ledger's unit: time per primitive quartet.
+	nprim := len(bra.prims) * len(ket.prims)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nprim), "ns/primquartet")
 }
 
 func BenchmarkERIKernelSSSS(b *testing.B)  { benchKernelPair(b, 0, 0, 0, 0, false) }

@@ -7,18 +7,24 @@ import (
 	"gtfock/internal/chem"
 )
 
-// primPair holds the precomputed quantities of one primitive pair of a
-// shell pair: the Gaussian product center, combined exponent, contraction
-// product, and the McMurchie-Davidson E expansion tables (one per
-// Cartesian dimension, each of shape (la+1) x (lb+1) x (la+lb+1)).
+// primPair is the hot record of one surviving primitive pair, everything
+// a kernel's primitive-quartet prologue reads, in 40 bytes: the combined
+// exponent, the Gaussian product center, and the pair's share of the
+// quartet prefactor,
+//
+//	c = sqrt(2) pi^{5/4} c_a c_b exp(-mu |AB|^2) / p,
+//
+// so that with s = 1/(p+q): alpha = p q s and pref = c c' sqrt(s)
+// (= 2 pi^{5/2} / (p q sqrt(p+q)) times both contraction products and
+// Gaussian product factors).
 type primPair struct {
-	p     float64 // a + b
-	inv2p float64 // 1/(2p)
-	P     chem.Vec3
-	cc    float64 // product of contraction coefficients
-	k3    float64 // exp(-mu |AB|^2), the 3D Gaussian product prefactor
-	e     [3][]float64
+	p float64 // a + b
+	P chem.Vec3
+	c float64
 }
+
+// pairPref is sqrt(2) pi^{5/4}, the constant folded into primPair.c.
+var pairPref = math.Sqrt(twoPiPow52)
 
 // ShellPair is the precomputed bra or ket of an ERI: a pair of shells with
 // per-primitive-pair MD expansion data. Pairs are the reusable unit of
@@ -28,10 +34,22 @@ type ShellPair struct {
 	A, B   *basis.Shell
 	LA, LB int
 	prims  []primPair
+	// etab is the cold side of prims: the McMurchie-Davidson E expansion
+	// tables, per primitive pair one (la+1) x (lb+1) x (la+lb+1) table
+	// for each Cartesian dimension (see eTables). Only the general path
+	// and the term folding below read it.
+	etab []float64
 	// terms holds the folded Hermite expansion terms the generated
 	// kernels read, genTermSlots[class] per primitive pair in prims
 	// order (empty for ss pairs and beyond d).
 	terms []float64
+}
+
+// eTables returns the x, y and z E tables of primitive pair i.
+func (sp *ShellPair) eTables(i int) (ex, ey, ez []float64) {
+	n := (sp.LA + 1) * (sp.LB + 1) * (sp.LA + sp.LB + 1)
+	t := sp.etab[3*n*i : 3*n*(i+1)]
+	return t[:n], t[n : 2*n], t[2*n:]
 }
 
 // NewShellPair precomputes the MD data for shells a and b. Primitive pairs
@@ -58,55 +76,56 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 	ab2 := ab.Norm2()
 	la, lb := a.L, b.L
 	tdim := la + lb + 1
-	// Count surviving primitive pairs first: arena allocators hand out
-	// exactly-sized storage and never move it.
-	n := 0
+	// One pass computes k3 = exp(-mu |AB|^2) of every primitive pair and
+	// counts the survivors (-1 marks a dropped pair): arena allocators hand
+	// out exactly-sized storage and never move it, and the fill below
+	// reads k3 instead of calling math.Exp again.
+	var k3buf [64]float64
+	k3, n := k3buf[:0], 0
 	for i, ea := range a.Exps {
 		for j, eb := range b.Exps {
-			mu := ea * eb / (ea + eb)
-			if primTol > 0 &&
-				math.Abs(a.Coefs[i]*b.Coefs[j])*math.Exp(-mu*ab2) < primTol {
-				continue
+			k := math.Exp(-ea * eb / (ea + eb) * ab2)
+			if primTol > 0 && math.Abs(a.Coefs[i]*b.Coefs[j])*k < primTol {
+				k = -1
+			} else {
+				n++
 			}
-			n++
+			k3 = append(k3, k)
 		}
 	}
 	prims := palloc(n)[:0]
 	esz := (la + 1) * (lb + 1) * tdim
 	var slots int
-	var fillTerms func(pp *primPair, t []float64)
+	var fillTerms func(e, t []float64)
 	if cls := pairClassOf(la, lb); cls != ClassHi {
 		slots, fillTerms = genTermSlots[cls], genTermFill[cls]
 	}
+	sp.etab = ealloc(n * 3 * esz)
 	sp.terms = ealloc(n * slots)
 	for i, ea := range a.Exps {
 		for j, eb := range b.Exps {
-			p := ea + eb
-			mu := ea * eb / p
-			k3 := math.Exp(-mu * ab2)
-			cc := a.Coefs[i] * b.Coefs[j]
-			if primTol > 0 && math.Abs(cc)*k3 < primTol {
+			kab := k3[i*len(b.Exps)+j]
+			if kab < 0 {
 				continue
 			}
+			p := ea + eb
 			P := a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p))
-			pp := primPair{p: p, inv2p: 1 / (2 * p), P: P, cc: cc, k3: k3}
+			c := pairPref * a.Coefs[i] * b.Coefs[j] * kab / p
 			pa := P.Sub(a.Center)
 			pb := P.Sub(b.Center)
 			paD := [3]float64{pa.X, pa.Y, pa.Z}
 			pbD := [3]float64{pb.X, pb.Y, pb.Z}
+			k := len(prims)
+			et := sp.etab[3*esz*k : 3*esz*(k+1)]
 			for d := 0; d < 3; d++ {
-				pp.e[d] = ealloc(esz)
 				// The 1D E(0,0,0) carries no AB factor here; the full 3D
-				// prefactor k3 is applied once at contraction time so the
-				// per-dimension tables stay well scaled.
-				eTable(la, lb, pp.inv2p, paD[d], pbD[d], pp.e[d], lb+1, tdim)
+				// prefactor k3 rides in primPair.c so the per-dimension
+				// tables stay well scaled.
+				eTable(la, lb, 1/(2*p), paD[d], pbD[d], et[d*esz:(d+1)*esz], lb+1, tdim)
 			}
-			prims = append(prims, pp)
+			prims = append(prims, primPair{p: p, P: P, c: c})
 			if slots > 0 {
-				// Filled through the arena element: &pp would escape via the
-				// func value and cost an allocation per primitive pair.
-				k := (len(prims) - 1) * slots
-				fillTerms(&prims[len(prims)-1], sp.terms[k:k+slots])
+				fillTerms(et, sp.terms[k*slots:(k+1)*slots])
 			}
 		}
 	}
@@ -363,18 +382,16 @@ func (e *Engine) eriCart(bra, ket *ShellPair) []float64 {
 		bp := &bra.prims[bi]
 		for ki := range ket.prims {
 			kp := &ket.prims[ki]
-			p, q := bp.p, kp.p
-			alpha := p * q / (p + q)
+			s := 1 / (bp.p + kp.p)
+			alpha := bp.p * kp.p * s
+			pref := bp.c * kp.c * math.Sqrt(s)
 			pq := bp.P.Sub(kp.P)
-			x := alpha * pq.Norm2()
-			Boys(ltot, x, e.boys[:])
+			Boys(ltot, alpha*pq.Norm2(), e.boys[:])
 			hermiteRTable(ltot, alpha, pq, e.boys[:], rtab, raux)
-			pref := twoPiPow52 / (p * q * math.Sqrt(p+q)) *
-				bp.cc * kp.cc * bp.k3 * kp.k3
 
 			// Build g[ketcomp][t][u][v] = sum_{tau,nu,phi}
 			//   (-1)^{tau+nu+phi} Ecd R_{t+tau, u+nu, v+phi}.
-			exC, eyC, ezC := kp.e[0], kp.e[1], kp.e[2]
+			exC, eyC, ezC := ket.eTables(ki)
 			for ic, cC := range cc2 {
 				for id, cD := range cd {
 					g := gtab[(ic*nd+id)*gdim : (ic*nd+id+1)*gdim]
@@ -426,7 +443,7 @@ func (e *Engine) eriCart(bra, ket *ShellPair) []float64 {
 			}
 
 			// Contract bra E coefficients with g.
-			exA, eyA, ezA := bp.e[0], bp.e[1], bp.e[2]
+			exA, eyA, ezA := bra.eTables(bi)
 			for ia, cA := range ca {
 				for ib, cB := range cb {
 					exBase := (cA.X*jdimB + cB.X) * tdimAB

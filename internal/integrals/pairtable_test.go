@@ -319,6 +319,55 @@ func TestPairTableTermsMatchStandalonePairs(t *testing.T) {
 	}
 }
 
+// The folded primitive-quartet prologue over the 40-byte hot records,
+// s = 1/(p+q), alpha = p q s, pref = c c' sqrt(s), must reproduce the
+// two-division form it replaced, alpha = pq/(p+q), pref = 2 pi^{5/2} /
+// (p q sqrt(p+q)) cc cc' k3 k3', over the whole exponent range of real
+// basis sets: alpha to 1 ulp; pref to 10, because either form rounds about
+// ten times on the way (against the exactly rounded value the old form is
+// up to 5 ulp off and the folded one up to 6).
+func TestFoldedPrologueMatchesUnfolded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ulps := func(got, want float64) float64 {
+		return math.Abs(got-want) / (math.Nextafter(math.Abs(want), math.Inf(1)) - math.Abs(want))
+	}
+	type prim struct {
+		sh  *basis.Shell
+		exp float64
+	}
+	mk := func() prim {
+		e := math.Pow(10, -2+7*rng.Float64()) // 1e-2 .. 1e5
+		c := chem.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}.Scale(0.2)
+		coef := (0.3 + rng.Float64()) * float64(1-2*rng.Intn(2))
+		return prim{rawShell(rng.Intn(3), c, []float64{e}, []float64{coef}), e}
+	}
+	var worstA, worstP float64
+	for trial := 0; trial < 20000; trial++ {
+		a, b, c, d := mk(), mk(), mk(), mk()
+		bra := NewShellPair(a.sh, b.sh, 0).prims[0]
+		ket := NewShellPair(c.sh, d.sh, 0).prims[0]
+		s := 1 / (bra.p + ket.p)
+		alpha, pref := bra.p*ket.p*s, bra.c*ket.c*math.Sqrt(s)
+
+		p, q := a.exp+b.exp, c.exp+d.exp
+		k3 := func(x, y prim) float64 {
+			return math.Exp(-x.exp * y.exp / (x.exp + y.exp) * x.sh.Center.Sub(y.sh.Center).Norm2())
+		}
+		wantAlpha := p * q / (p + q)
+		wantPref := twoPiPow52 / (p * q * math.Sqrt(p+q)) *
+			a.sh.Coefs[0] * b.sh.Coefs[0] * c.sh.Coefs[0] * d.sh.Coefs[0] * k3(a, b) * k3(c, d)
+		if math.Abs(wantPref) < 1e-280 {
+			continue // Gaussian products this far apart underflow either way
+		}
+		worstA = math.Max(worstA, ulps(alpha, wantAlpha))
+		worstP = math.Max(worstP, ulps(pref, wantPref))
+	}
+	t.Logf("worst: alpha %.1f ulp, pref %.1f ulp", worstA, worstP)
+	if worstA > 1 || worstP > 10 {
+		t.Fatalf("folded prologue off by %.1f ulp (alpha), %.1f ulp (pref); want <= 1, <= 10", worstA, worstP)
+	}
+}
+
 func TestTrimScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	e := NewEngine()

@@ -33,6 +33,8 @@ type fleetCluster struct {
 	fms     []*netga.FleetMember // member index -> membership handle
 	spares  []*netga.Server      // prepared join targets
 	extra   []*netga.Server      // everything else to close (killed primaries, joined spares)
+
+	rejoins sync.WaitGroup // kill's rejoin goroutines; closeAll waits for them
 }
 
 func (fc *fleetCluster) slotDir(name string) string {
@@ -85,6 +87,10 @@ func (fc *fleetCluster) start(grid *dist.Grid2D, nmembers, nspares int) {
 }
 
 func (fc *fleetCluster) closeAll() {
+	// A promoted standby rejoins while the fleet is still up: a build that
+	// ends before the rejoin must not turn it into "connection refused"
+	// reported after the test has completed.
+	fc.rejoins.Wait()
 	fc.mu.Lock()
 	var all []*netga.Server
 	all = append(all, fc.servers...)
@@ -151,7 +157,9 @@ func (fc *fleetCluster) kill(i int) {
 	fc.mu.Unlock()
 	fm.Stop()
 	srv.Kill()
+	fc.rejoins.Add(1)
 	go func() {
+		defer fc.rejoins.Done()
 		deadline := time.Now().Add(30 * time.Second)
 		for time.Now().Before(deadline) {
 			st := sb.Stats()
