@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -39,10 +39,10 @@ net-smoke:
 # primary killed with no restart so its hot standby must be promoted —
 # both must match the serial oracle with exactly-once accumulation, plus
 # the durability/failover unit layer (journal replay property, dedup
-# eviction bounds, graceful shutdown, membership lookup) and the
-# internal/wal crash-point enumeration underneath it.
+# eviction bounds, graceful shutdown) and the internal/wal crash-point
+# enumeration underneath it.
 net-failover:
-	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestFailoverViaMembershipLookup|TestServerKill|TestRunServerKills|TestWAL' ./internal/net/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestServerKill|TestRunServerKills|TestWAL' ./internal/net/ ./internal/fault/ ./internal/wal/
 
 # Elastic-fleet gate under the race detector: the membership-churn chaos
 # build (shard join, graceful leave, and primary kill mid-build on a
@@ -102,7 +102,18 @@ wal-single:
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'os\.Rename' internal cmd | grep -v -e '^internal/wal/' -e '^internal/scf/checkpoint\.go:'
 	@test "$$(grep -c 'os\.Rename' internal/scf/checkpoint.go)" -le 1
 
-ci: build vet generate-check wal-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
+# One transport contract, checked mechanically: outside tests no type
+# grows a retrying, fenced or error-twin one-sided method again (the two
+# loops in internal/dist/retry.go are the only ones), the network client
+# sleeps a backoff nowhere but in its driver-op loop, and the static
+# membership map the fleet view superseded stays gone.
+backend-single:
+	@! grep -rnE --include='*.go' --exclude='*_test.go' 'func \(.*\) (GetRetry|AccFencedRetry|AccFenced|Fallible|SetFence|LoadMatrixErr|ToMatrixErr)\(' internal cmd
+	@test "$$(grep -c 'SleepBackoff(' internal/net/client.go)" -eq 1
+	@test "$$(awk '/^func \(c \*Client\) driverOp\(/,/^}/' internal/net/client.go | grep -c 'SleepBackoff(')" -eq 1
+	@! grep -rn 'WithMembership\|SetMembership\|lookupStandby' internal cmd
+
+ci: build vet generate-check wal-single backend-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run
 # smoke): the paper-table benchmarks, the per-class ERI kernel ones

@@ -402,7 +402,8 @@ func runChaos(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 // cache builds: a fresh per-build client restarts its Acc-token counter,
 // and on the already-installed session the servers' exactly-once dedup
 // would discard the later builds' accumulates as replays of the first.
-// Repeated-build RPC traffic is accounted to the first build's stats.
+// Each build's traffic is still charged to its own stats: the retry loop
+// accounts into the stats of the build issuing the op, not the client's.
 func persistentBackend(f func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error)) (
 	wrapped func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error),
 	closeAll func()) {

@@ -15,8 +15,8 @@
 // journaled and periodically snapshotted, and a killed server restarted
 // on the same flags replays to its exact pre-crash state and resumes the
 // session. With -standby-of the server runs as a hot standby of the
-// given primary and serves only once a driver promotes it. -peers and
-// -standbys publish the membership map clients consult during failover.
+// given primary and serves only once a driver promotes it (fockbuild
+// -net-standbys names the standbys to the driver).
 //
 // SIGTERM and SIGINT shut down gracefully: stop accepting, drain
 // in-flight ops, flush a final snapshot, close listeners — so rolling
@@ -69,8 +69,6 @@ func main() {
 		journalDir    = flag.String("journal-dir", "", "directory for the write-ahead journal and snapshots (empty = volatile)")
 		snapshotEvery = flag.Int("snapshot-every", 0, "journal records between snapshots (0 = default, <0 = journal only)")
 		standbyOf     = flag.String("standby-of", "", "run as a hot standby replicating from this primary address")
-		peers         = flag.String("peers", "", "comma-separated primary addresses of all slots (membership map)")
-		standbys      = flag.String("standbys", "", "comma-separated standby addresses per slot (membership map; empty entries allowed)")
 		drainFor      = flag.Duration("drain", 5*time.Second, "max time to drain in-flight ops on SIGTERM/SIGINT")
 
 		fleetMode = flag.Bool("fleet", false, "run the elastic fleet coordinator instead of a shard server")
@@ -133,12 +131,6 @@ func main() {
 	}
 	if *standbyOf != "" {
 		opts = append(opts, netga.WithStandby(*standbyOf))
-	}
-	if *peers != "" || *standbys != "" {
-		opts = append(opts, netga.WithMembership(netga.Membership{
-			Primaries: splitAddrs(*peers),
-			Standbys:  splitAddrs(*standbys),
-		}))
 	}
 	srv := netga.NewServer(grid, hostedProcs, opts...)
 	addr, err := srv.Start(*listen)
@@ -266,19 +258,6 @@ func runFleet(grid *dist.Grid2D, listen string, ttl time.Duration, httpAddr stri
 	fmt.Printf("fockd fleet: %d members (%d dead, %d leaving), %d joins, %d rejoins, %d leaves, %d expiries, %d promotions, %d blocks moved, view gen %d, placement gen %d\n",
 		st.Members, st.Dead, st.Leaving, st.Joins, st.Rejoins, st.Leaves,
 		st.Expiries, st.Promotions, st.BlocksMoved, st.ViewGen, st.PlacementGen)
-}
-
-// splitAddrs splits a comma-separated address list, keeping empty
-// entries ("" = no standby for that slot).
-func splitAddrs(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return parts
 }
 
 func parseGrid(s string) (int, int, error) {

@@ -83,14 +83,11 @@ func (l *ledger) heartbeat(rank int) {
 	l.hb[rank].Store(time.Now().UnixNano())
 }
 
-// valid reports whether epoch is still the live incarnation of rank.
-func (l *ledger) valid(rank int, epoch int64) bool {
+// ValidEpoch reports whether epoch is still the live incarnation of rank.
+// It is also the dist.Fence the accumulate loop consults for the global F
+// array.
+func (l *ledger) ValidEpoch(rank int, epoch int64) bool {
 	return l.epoch[rank].Load() == epoch
-}
-
-// ValidEpoch implements dist.Fence for the global F array.
-func (l *ledger) ValidEpoch(proc int, epoch int64) bool {
-	return l.valid(proc, epoch)
 }
 
 // claim records b as owned-uncommitted by rank; it fails if the

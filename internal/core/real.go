@@ -74,18 +74,17 @@ type Options struct {
 	// MaxFaultRounds bounds the number of crash-recovery respawn rounds
 	// before the injector is disarmed to force completion (default 8).
 	MaxFaultRounds int
-	// RetryAttempts/RetryBackoff configure the reliable wrappers around
-	// prefetch Gets (defaults 4 attempts, 1ms initial backoff). Flush
-	// accumulates retry without an attempt bound; see dist.AccFencedRetry.
+	// RetryAttempts/RetryBackoff/RetryWallCap are the dist.Retry budget of
+	// every one-sided op of the build (defaults 4 attempts, 1ms initial
+	// backoff, 10s wall cap). Attempts bounds prefetch Gets only; flush
+	// accumulates retry without an attempt bound. A prefetch Get hitting
+	// the wall cap abandons the incarnation cleanly; a flush Acc consults
+	// it only before the commit's point of no return (the first landed
+	// patch) — after that, retries are unbounded, because abandoning a
+	// half-landed flush would break exactly-once. See dist.Retry.
 	RetryAttempts int
 	RetryBackoff  time.Duration
-	// RetryWallCap bounds the total wall time one retried operation may
-	// consume (context deadline over the whole retry loop, default 10s).
-	// A prefetch Get hitting the cap abandons the incarnation cleanly; a
-	// flush Acc consults it only before the commit's point of no return
-	// (the first landed patch) — after that, retries are unbounded,
-	// because abandoning a half-landed flush would break exactly-once.
-	RetryWallCap time.Duration
+	RetryWallCap  time.Duration
 
 	// Backend, when non-nil, supplies the global arrays for D and F —
 	// e.g. the TCP Global Arrays transport in internal/net — in place of
@@ -176,19 +175,32 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		if cleanup != nil {
 			defer cleanup()
 		}
-		if err := loadMatrix(gaD, d); err != nil {
-			return Result{Stats: stats, Err: fmt.Errorf("core: load density: %w", err)}
-		}
 		// An external backend may be a live session that already served a
 		// build (SCF iterations, cache replays): F accumulates, so it must
 		// start from zero — in-process arrays below are born zeroed.
-		if err := loadMatrix(gaF, linalg.NewMatrix(d.Rows, d.Cols)); err != nil {
+		if err := gaF.LoadMatrix(linalg.NewMatrix(d.Rows, d.Cols)); err != nil {
 			return Result{Stats: stats, Err: fmt.Errorf("core: zero F: %w", err)}
 		}
 	} else {
-		gd := dist.NewGlobalArray(grid, dist.NewRunStats(nprocs)) // load not accounted
-		gd.LoadMatrix(d)
-		gaD, gaF = gd, dist.NewGlobalArray(grid, stats)
+		gd, gf := dist.NewGlobalArray(grid, stats), dist.NewGlobalArray(grid, stats)
+		if opt.Fault != nil {
+			// The in-process arrays consult the injector through the op hook;
+			// the net backend injects at its conn layer instead (from an
+			// injector handed to it via netga.Config, not here).
+			hook := func(proc int, op dist.OpKind) (time.Duration, bool) {
+				fop := fault.OpGet
+				if op == dist.OpAcc {
+					fop = fault.OpAcc
+				}
+				return opt.Fault.OpFault(proc, fop)
+			}
+			gd.SetOpHook(hook)
+			gf.SetOpHook(hook)
+		}
+		gaD, gaF = gd, gf
+	}
+	if err := gaD.LoadMatrix(d); err != nil {
+		return Result{Stats: stats, Err: fmt.Errorf("core: load density: %w", err)}
 	}
 
 	// Per-process task queues holding the static partition (Sec. III-C).
@@ -205,43 +217,29 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 	}
 
-	// Fault-tolerant runtime: lease ledger, epoch fence, transport hook.
-	// An external backend always runs leased — its transport can fail
-	// even without an injector, and the lease machinery is what turns a
-	// lost peer into re-enqueued work instead of a wrong answer.
+	if opt.RetryAttempts <= 0 {
+		opt.RetryAttempts = 4
+	}
+	if opt.RetryBackoff <= 0 {
+		opt.RetryBackoff = time.Millisecond
+	}
+	if opt.RetryWallCap <= 0 {
+		opt.RetryWallCap = 10 * time.Second
+	}
+
+	// Fault-tolerant runtime: lease ledger and epoch fence. An external
+	// backend always runs leased — its transport can fail even without an
+	// injector, and the lease machinery is what turns a lost peer into
+	// re-enqueued work instead of a wrong answer.
 	var led *ledger
 	if opt.Fault != nil || opt.Backend != nil {
 		if opt.LeaseTTL <= 0 {
 			opt.LeaseTTL = time.Second
 		}
-		if opt.RetryAttempts <= 0 {
-			opt.RetryAttempts = 4
-		}
-		if opt.RetryBackoff <= 0 {
-			opt.RetryBackoff = time.Millisecond
-		}
-		if opt.RetryWallCap <= 0 {
-			opt.RetryWallCap = 10 * time.Second
-		}
 		if opt.MaxFaultRounds <= 0 {
 			opt.MaxFaultRounds = 8
 		}
 		led = newLedger(nprocs, opt.LeaseTTL, stats)
-		gaF.SetFence(led)
-	}
-	if opt.Fault != nil {
-		// The in-process arrays consult the injector through the op hook;
-		// the net backend injects at its conn layer instead (and an
-		// injector handed to it via netga.Config, not here).
-		hook := func(proc int, op dist.OpKind) (time.Duration, bool) {
-			return opt.Fault.OpFault(proc, mapOpKind(op))
-		}
-		if g, ok := gaD.(*dist.GlobalArray); ok {
-			g.SetOpHook(hook)
-		}
-		if g, ok := gaF.(*dist.GlobalArray); ok {
-			g.SetOpHook(hook)
-		}
 	}
 
 	var buildErr error
@@ -279,9 +277,9 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 		dist.RunProcs(nprocs, func(rank int) {
 			w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, opt)
-			w.led = led
 			w.clock0 = start
 			if led != nil {
+				w.led, w.fence = led, led
 				w.epoch = epochs[rank]
 			}
 			w.run(roundBlocks, queues, opt)
@@ -328,7 +326,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 	}
 
-	g2e, gerr := toMatrix(gaF)
+	g2e, gerr := gaF.ToMatrix()
 	if gerr != nil {
 		if buildErr == nil {
 			buildErr = fmt.Errorf("core: gather G: %w", gerr)
@@ -338,41 +336,6 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	g := g2e.Clone()
 	g.AXPY(1, g2e.T()) // G = acc + acc^T completes the 8-fold symmetry
 	return Result{G: g, Stats: stats, Wall: wall, Err: buildErr}
-}
-
-// loadMatrix and toMatrix prefer a backend's error-returning bulk ops
-// when it has them (the network client does): a fleet lost mid-build
-// then fails the build — which the serving layer retries — instead of
-// panicking a process that hosts other tenants' jobs.
-func loadMatrix(ga dist.Backend, m *linalg.Matrix) error {
-	if l, ok := ga.(interface {
-		LoadMatrixErr(*linalg.Matrix) error
-	}); ok {
-		return l.LoadMatrixErr(m)
-	}
-	ga.LoadMatrix(m)
-	return nil
-}
-
-func toMatrix(ga dist.Backend) (*linalg.Matrix, error) {
-	if g, ok := ga.(interface {
-		ToMatrixErr() (*linalg.Matrix, error)
-	}); ok {
-		return g.ToMatrixErr()
-	}
-	return ga.ToMatrix(), nil
-}
-
-// mapOpKind translates the dist op taxonomy into the injector's.
-func mapOpKind(op dist.OpKind) fault.Op {
-	switch op {
-	case dist.OpPut:
-		return fault.OpPut
-	case dist.OpAcc:
-		return fault.OpAcc
-	default:
-		return fault.OpGet
-	}
 }
 
 // Grid returns the function-level block distribution a prow x pcol Build
@@ -442,16 +405,14 @@ type worker struct {
 	recVisit    func(k int, batch []float64)
 	replayVisit func(q integrals.Quartet, p, qq int32, vals []float64)
 
-	// Fault-tolerant runtime state (nil led = plain fast path).
-	ctx           context.Context // build cancellation (nil = never canceled)
-	led           *ledger
-	inj           *fault.Injector
-	epoch         int64
-	victims       map[int]bool
-	fallible      bool // backend ops can fail: use the retrying wrappers
-	retryAttempts int
-	retryBackoff  time.Duration
-	retryWallCap  time.Duration
+	// Fault-tolerant runtime state (nil led = no leases, no fencing).
+	ctx     context.Context // build cancellation (nil = never canceled)
+	led     *ledger
+	fence   dist.Fence // led as the accumulate fence; nil without a ledger
+	inj     *fault.Injector
+	epoch   int64
+	victims map[int]bool
+	retry   dist.Retry // the budget of every one-sided op (Options.Retry*)
 
 	// Observability sinks (both nil = zero-instrumentation fast path).
 	// Spans and the metric sample buffer one commit episode and are
@@ -477,20 +438,20 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,
 		gaD: gaD, gaF: gaF, stats: stats, eng: eng,
-		pt:       pt,
-		dscreen:  opt.DensityScreen,
-		store:    opt.ERIStore,
-		ns:       bs.NumShells(),
-		dloc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
-		floc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
-		fp:       NewFootprint(),
-		nf:       bs.NumFuncs,
-		ctx:      opt.Ctx,
-		inj:      opt.Fault,
-		fallible: gaD.Fallible() || gaF.Fallible(),
-		victims:  map[int]bool{},
-		trace:    opt.Trace,
-		reg:      opt.Metrics,
+		pt:      pt,
+		dscreen: opt.DensityScreen,
+		store:   opt.ERIStore,
+		ns:      bs.NumShells(),
+		dloc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
+		floc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
+		fp:      NewFootprint(),
+		nf:      bs.NumFuncs,
+		ctx:     opt.Ctx,
+		inj:     opt.Fault,
+		retry:   dist.Retry{Attempts: opt.RetryAttempts, Backoff: opt.RetryBackoff, WallCap: opt.RetryWallCap},
+		victims: map[int]bool{},
+		trace:   opt.Trace,
+		reg:     opt.Metrics,
 	}
 	w.visit = func(k int, batch []float64) {
 		pq := w.bmeta[k]
@@ -520,21 +481,6 @@ func (w *worker) applyStored(bra, ket integrals.PairID, p, q int32, vals []float
 		return
 	}
 	ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(p), w.curN, int(q), vals)
-}
-
-// opCtx returns the deadline context bounding one retried operation's
-// total wall time (Options.RetryWallCap), derived from the build context
-// so a job-level cancellation also aborts an in-flight retry loop (the
-// accumulate path honors it only before its point of no return).
-func (w *worker) opCtx() (context.Context, context.CancelFunc) {
-	base := w.ctx
-	if base == nil {
-		base = context.Background()
-	}
-	if w.retryWallCap <= 0 {
-		return base, func() {}
-	}
-	return context.WithTimeout(base, w.retryWallCap)
 }
 
 // obsNow reads the clock only when an observability sink is attached; the
@@ -604,11 +550,11 @@ func (w *worker) heartbeat() {
 }
 
 // fetchFootprint Gets the D patches of fp into dloc, one call per row
-// shell per owner column (the transfer granularity of Sec. III-D). Under
-// fault injection the Gets retry with backoff; false means an op
-// ultimately failed and the caller must abandon this incarnation.
+// shell per owner column (the transfer granularity of Sec. III-D),
+// through the one retry loop (dist.Retry.Get; a fault-free Get is a single
+// attempt). False means an op ultimately failed and the caller must
+// abandon this incarnation.
 func (w *worker) fetchFootprint(fp *Footprint) bool {
-	retry := w.fallible
 	t0 := w.obsNow()
 	for _, m := range fp.Rows() {
 		lo, hi, _ := fp.Span(m)
@@ -619,17 +565,9 @@ func (w *worker) fetchFootprint(fp *Footprint) bool {
 		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
 			w.samp.GetCalls++
 			w.samp.GetBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			if !retry {
-				w.gaD.Get(w.rank, p.R0, p.R1, p.C0, p.C1,
-					w.dloc[p.R0*w.nf+p.C0:], w.nf)
-				continue
-			}
 			w.heartbeat()
-			ctx, cancel := w.opCtx()
-			retries, err := w.gaD.GetRetry(ctx, w.retryAttempts, w.retryBackoff,
-				w.rank, p.R0, p.R1, p.C0, p.C1,
-				w.dloc[p.R0*w.nf+p.C0:], w.nf)
-			cancel()
+			retries, err := w.retry.Get(w.ctx, w.gaD, w.stats, w.rank,
+				p.R0, p.R1, p.C0, p.C1, w.dloc[p.R0*w.nf+p.C0:], w.nf)
 			w.samp.GetRetries += int64(retries)
 			if err != nil {
 				w.span(dist.SpanPrefetch, t0)
@@ -672,46 +610,25 @@ func (w *worker) resetAccum() {
 	w.fp = NewFootprint()
 }
 
-// flush accumulates the local F contributions back to the distributed F,
-// over the merged footprint spans (Algorithm 4, line 9). Plain fast path
-// (no fencing, no faults).
-func (w *worker) flush() {
-	for _, m := range w.fp.Rows() {
-		lo, hi, _ := w.fp.Span(m)
-		r0 := w.bs.Offsets[m]
-		r1 := r0 + w.bs.ShellFuncs(m)
-		c0 := w.bs.Offsets[lo]
-		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
-			w.samp.AccCalls++
-			w.samp.AccBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			w.gaF.Acc(w.rank, p.R0, p.R1, p.C0, p.C1,
-				w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
-		}
-	}
-}
-
-// commitFlush lands the local F contributions exactly once. Under the
-// ledger it is a fenced transaction: beginCommit validates this
-// incarnation's epoch (a fenced zombie's flush is discarded here) and
-// endCommit marks the claimed blocks done; the monitor never fences a
-// committing worker, so the transaction is atomic w.r.t. recovery.
+// commitFlush lands the local F contributions exactly once, over the
+// merged footprint spans (Algorithm 4, line 9), every patch through the
+// one retry loop (dist.Retry.Acc). Under the ledger it is a fenced
+// transaction: beginCommit validates this incarnation's epoch (a fenced
+// zombie's flush is discarded here) and endCommit marks the claimed
+// blocks done; the monitor never fences a committing worker, so the
+// transaction is atomic w.r.t. recovery.
 func (w *worker) commitFlush() bool {
 	t0 := w.obsNow()
-	if w.led == nil {
-		w.flush()
-		w.finishFlush(t0)
-		return true
-	}
-	if !w.led.beginCommit(w.rank, w.epoch) {
+	if w.led != nil && !w.led.beginCommit(w.rank, w.epoch) {
 		atomic.AddInt64(&w.stats.Recovery.FencedFlushes, 1)
 		return false
 	}
 	// The first patch is the commit's point of no return: until it lands,
-	// a retry deadline abandons the flush cleanly (abortCommit keeps the
-	// claims for exactly-once re-execution elsewhere); once anything has
-	// landed, retries are unbounded — the monitor cannot fence a
-	// committing worker, so the only exit is landing every patch.
+	// a cancellation or retry deadline abandons the flush cleanly
+	// (abortCommit keeps the claims for exactly-once re-execution
+	// elsewhere); once anything has landed the loop is told so and retries
+	// without bound — the monitor cannot fence a committing worker, so
+	// the only exit is landing every patch.
 	landed := false
 	for _, m := range w.fp.Rows() {
 		lo, hi, _ := w.fp.Span(m)
@@ -722,27 +639,26 @@ func (w *worker) commitFlush() bool {
 		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
 			w.samp.AccCalls++
 			w.samp.AccBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			ctx := context.Background()
-			cancel := func() {}
-			if !landed {
-				ctx, cancel = w.opCtx()
-			}
-			retries, err := w.gaF.AccFencedRetry(ctx, w.retryBackoff, w.rank, w.epoch,
+			retries, err := w.retry.Acc(w.ctx, w.gaF, w.stats, w.fence, landed, w.rank, w.epoch,
 				p.R0, p.R1, p.C0, p.C1, w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
-			cancel()
 			w.samp.AccRetries += int64(retries)
 			if err != nil {
-				// Only reachable before the first landed patch (deadline),
-				// or as a defensive catch for an impossible mid-commit
-				// fence: nothing of this flush is in the global F.
-				w.led.abortCommit(w.rank)
+				// Only reachable before the first landed patch (cancellation
+				// or deadline), or as a defensive catch for an impossible
+				// mid-commit rejection: nothing of this flush is in the
+				// global F.
+				if w.led != nil {
+					w.led.abortCommit(w.rank)
+				}
 				atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
 				return false
 			}
 			landed = true
 		}
 	}
-	w.led.endCommit(w.rank)
+	if w.led != nil {
+		w.led.endCommit(w.rank)
+	}
 	w.finishFlush(t0)
 	return true
 }
@@ -771,7 +687,7 @@ const (
 func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcStats) drainResult {
 	myRow := w.rank / opt.Pcol
 	for {
-		if w.led != nil && !w.led.valid(w.rank, w.epoch) {
+		if w.led != nil && !w.led.ValidEpoch(w.rank, w.epoch) {
 			return drainFenced
 		}
 		if w.ctx != nil && w.ctx.Err() != nil {
@@ -882,9 +798,6 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue, opt Options) {
 	// Any episode still buffered at exit never committed (commitEpisode
 	// empties the buffers); publish it as discardable.
 	defer w.abortEpisode()
-	w.retryAttempts = opt.RetryAttempts
-	w.retryBackoff = opt.RetryBackoff
-	w.retryWallCap = opt.RetryWallCap
 
 	my := queues[w.rank]
 	if blocks != nil && !blocks[w.rank].Empty() {

@@ -1,72 +1,79 @@
 package dist
 
 import (
-	"context"
-	"time"
+	"errors"
 
 	"gtfock/internal/linalg"
 )
 
 // Backend is the one-sided Global Arrays surface a real-mode Fock build
-// runs over. Two implementations exist:
+// runs over: the two verbs of the paper's Algorithm 4 — prefetch Get,
+// flush Acc — as single attempts on a patch owned by one process, plus
+// the driver's whole-matrix load and gather. Two implementations exist:
 //
 //   - GlobalArray, the in-process shared-memory stand-in (goroutine
 //     "processes", optional injected transport faults), and
 //   - the TCP transport in internal/net (package netga), where the D and
-//     F shards live in separate server processes and every Get/Acc is a
-//     framed RPC with deadlines, retries and idempotent accumulation.
+//     F shards live in separate server processes and every attempt is one
+//     framed RPC.
 //
-// core.Build and the lease/epoch recovery machinery are written against
-// this interface, so the same build — including its exactly-once
-// accumulation argument — runs unchanged over either transport.
+// A backend never loops, sleeps, fences or accounts: Retry.Get and
+// Retry.Acc (retry.go) are the only code that retries a one-sided op, and
+// they own the attempts budget, the backoff, the wall cap, the epoch
+// fence, the point of no return and the Tables VI/VII charge. core.Build
+// and its lease/epoch recovery are written against them, so the same
+// build — including its exactly-once accumulation argument — runs
+// unchanged over either transport.
 type Backend interface {
 	// Layout returns the 2D block distribution the backend serves.
 	Layout() *Grid2D
 
-	// Get copies the patch [r0,r1) x [c0,c1) into dst (leading dimension
-	// ld), charging the call to proc. Infallible: only used by builds on
-	// a backend whose Fallible() is false.
-	Get(proc, r0, r1, c0, c1 int, dst []float64, ld int)
+	// TryGet makes one attempt to copy the patch [r0,r1) x [c0,c1), which
+	// must lie inside one owner's block (see Grid2D.Patches), into dst
+	// (leading dimension ld) on behalf of proc. On error nothing usable
+	// was copied and the attempt may be repeated; an error wrapping
+	// ErrRejected is the owner's deterministic refusal and is final.
+	TryGet(proc, r0, r1, c0, c1 int, dst []float64, ld int) error
 
-	// Acc atomically accumulates alpha*src into the patch. Infallible;
-	// see Get.
-	Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64)
-
-	// GetRetry is Get with a bounded retry loop: up to attempts tries
-	// separated by capped, jittered exponential backoff, abandoned early
-	// when ctx's deadline expires. It returns the number of retries
-	// issued and the last error when every attempt failed.
-	GetRetry(ctx context.Context, attempts int, backoff time.Duration, proc, r0, r1, c0, c1 int, dst []float64, ld int) (int, error)
-
-	// AccFencedRetry accumulates with epoch fencing and retries transport
-	// failures until the contribution lands exactly once, the fence
-	// reports (proc, epoch) stale (ErrFenced, nothing further applied),
-	// or ctx expires. Callers must treat a ctx error before the first
-	// landed patch of a flush as a clean abandonment and anything later
-	// as unabortable (see core.Build's commit protocol).
-	AccFencedRetry(ctx context.Context, backoff time.Duration, proc int, epoch int64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (int, error)
-
-	// SetFence installs the epoch authority consulted by AccFencedRetry.
-	// Must be called before concurrent operations start.
-	SetFence(f Fence)
-
-	// Fallible reports whether one-sided operations on this backend can
-	// fail (network transport, or an in-process array with a fault hook).
-	// Builds over a fallible backend must use the retrying wrappers.
-	Fallible() bool
+	// TryAcc makes one attempt to accumulate alpha*src into a single-owner
+	// patch. token is the op's idempotency identity: 0 on the first
+	// attempt, and on every retry the value the previous attempt returned,
+	// so the owner applies the contribution once however often delivery
+	// fails or repeats. The backend mints it — the network client from a
+	// counter that lives as long as its session; the in-process array,
+	// whose attempts either apply or provably do not, never needs one and
+	// returns 0. sent reports that the request may have reached the owner:
+	// an error with sent=false is provably clean (nothing applied, the
+	// caller may walk away), an error with sent=true is ambiguous and only
+	// a retry under the same token resolves it.
+	TryAcc(proc int, token uint64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (next uint64, sent bool, err error)
 
 	// LoadMatrix fills the array from a dense matrix; ToMatrix reads the
-	// whole array back. Driver-side (not accounted, not fault-injected).
-	LoadMatrix(m *linalg.Matrix)
-	ToMatrix() *linalg.Matrix
+	// whole array back. Driver-side: not accounted, not fault-injected. A
+	// fleet lost mid-build surfaces here as an error the build returns —
+	// and the serving layer retries — never as a panic in a process that
+	// hosts other tenants' jobs.
+	LoadMatrix(m *linalg.Matrix) error
+	ToMatrix() (*linalg.Matrix, error)
 }
 
-// GlobalArray implements Backend.
-var _ Backend = (*GlobalArray)(nil)
+// ErrDropped reports a one-sided operation that was lost in transport
+// before being applied (injected fault); the caller may safely retry.
+var ErrDropped = errors.New("dist: one-sided operation dropped")
 
-// Layout returns the grid of the array (Backend interface).
-func (g *GlobalArray) Layout() *Grid2D { return g.Grid }
+// ErrFenced reports an accumulate rejected by epoch fencing: the calling
+// process incarnation has been declared dead and its contribution must
+// be discarded, not applied.
+var ErrFenced = errors.New("dist: accumulate fenced (stale epoch)")
 
-// Fallible reports whether a fault hook is installed: without one the
-// infallible fast-path operations are exact and never dropped.
-func (g *GlobalArray) Fallible() bool { return g.hook != nil }
+// ErrRejected marks an owner's deterministic refusal of an op (unknown
+// session, patch it does not host): retrying cannot help, so the retry
+// loop returns it at once. Backends wrap it with their own detail.
+var ErrRejected = errors.New("rejected")
+
+// Fence validates accumulate epochs: Retry.Acc applies a contribution
+// only while ValidEpoch(proc, epoch) holds, discarding late flushes from
+// zombie process incarnations.
+type Fence interface {
+	ValidEpoch(proc int, epoch int64) bool
+}

@@ -146,7 +146,7 @@ func TestGlobalArrayConcurrentAcc(t *testing.T) {
 			ga.Acc(rank, 0, 8, 0, 8, src, 8, 1)
 		}
 	})
-	m := ga.ToMatrix()
+	m := mustMatrix(t, ga)
 	for _, v := range m.Data {
 		if v != P*50 {
 			t.Fatalf("lost update: %v != %v", v, P*50)
@@ -161,13 +161,13 @@ func TestGlobalArrayLoadToMatrix(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = float64(i) * 0.5
 	}
-	ga.LoadMatrix(m)
-	back := ga.ToMatrix()
+	mustLoad(t, ga, m)
+	back := mustMatrix(t, ga)
 	if linalg.MaxAbsDiff(m, back) != 0 {
 		t.Fatal("LoadMatrix/ToMatrix roundtrip")
 	}
 	ga.Zero()
-	if ga.ToMatrix().MaxAbs() != 0 {
+	if mustMatrix(t, ga).MaxAbs() != 0 {
 		t.Fatal("Zero")
 	}
 }

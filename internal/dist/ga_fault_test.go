@@ -9,26 +9,39 @@ import (
 	"gtfock/internal/linalg"
 )
 
-type fixedFence map[int]int64
+// The retry semantics of a one-sided op — drops ridden out, budget
+// exhausted, deadline inside a backoff, stale epoch, exactly-once — are
+// asserted once for both backends by the conformance table in
+// internal/net/conformance_test.go. What stays here is what only the
+// in-process array or the loop's plumbing can show.
 
-func (f fixedFence) ValidEpoch(proc int, epoch int64) bool { return f[proc] == epoch }
+func mustLoad(t *testing.T, ga *GlobalArray, m *linalg.Matrix) {
+	t.Helper()
+	if err := ga.LoadMatrix(m); err != nil {
+		t.Fatal(err)
+	}
+}
 
-func TestTryGetDropCountsAndCopiesNothing(t *testing.T) {
+func mustMatrix(t *testing.T, ga *GlobalArray) *linalg.Matrix {
+	t.Helper()
+	m, err := ga.ToMatrix()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// A dropped attempt copies or applies nothing, counts as a drop, reports
+// itself unsent, and is not charged as a call: the loop charges the op.
+func TestTryDropAppliesNothing(t *testing.T) {
 	g := UniformGrid2D(2, 2, 4, 4)
 	st := NewRunStats(4)
 	ga := NewGlobalArray(g, st)
-	ga.LoadMatrix(linalg.Identity(4))
+	mustLoad(t, ga, linalg.Identity(4))
+	ga.SetOpHook(func(int, OpKind) (time.Duration, bool) { return 0, true })
 
-	drops := 2
-	ga.SetOpHook(func(proc int, op OpKind) (time.Duration, bool) {
-		if op == OpGet && drops > 0 {
-			drops--
-			return 0, true
-		}
-		return 0, false
-	})
-	dst := make([]float64, 16)
-	if err := ga.TryGet(1, 0, 4, 0, 4, dst, 4); !errors.Is(err, ErrDropped) {
+	dst := make([]float64, 4)
+	if err := ga.TryGet(1, 0, 2, 0, 2, dst, 2); !errors.Is(err, ErrDropped) {
 		t.Fatalf("want ErrDropped, got %v", err)
 	}
 	for _, v := range dst {
@@ -36,159 +49,71 @@ func TestTryGetDropCountsAndCopiesNothing(t *testing.T) {
 			t.Fatal("dropped Get copied data")
 		}
 	}
-	if st.Recovery.OpDrops != 1 {
-		t.Fatalf("OpDrops = %d, want 1", st.Recovery.OpDrops)
+	token, sent, err := ga.TryAcc(1, 0, 0, 2, 0, 2, []float64{1, 1, 1, 1}, 2, 1)
+	if !errors.Is(err, ErrDropped) || sent || token != 0 {
+		t.Fatalf("dropped Acc: token=%d sent=%v err=%v", token, sent, err)
 	}
-	// GetRetry rides out the remaining drop.
-	retries, err := ga.GetRetry(context.Background(), 4, 0, 1, 0, 4, 0, 4, dst, 4)
-	if err != nil {
-		t.Fatalf("GetRetry failed: %v", err)
+	if d := linalg.MaxAbsDiff(mustMatrix(t, ga), linalg.Identity(4)); d != 0 {
+		t.Fatal("dropped Acc modified the array")
 	}
-	if retries != 1 {
-		t.Fatalf("GetRetry reported %d retries, want 1", retries)
+	if st.Recovery.OpDrops != 2 || st.Per[1].Calls != 0 {
+		t.Fatalf("OpDrops = %d, Calls = %d; want 2 drops and no charge", st.Recovery.OpDrops, st.Per[1].Calls)
 	}
-	if dst[0] != 1 || dst[5] != 1 {
-		t.Fatal("GetRetry did not copy the data")
-	}
-	if st.Recovery.OpRetries != 1 {
-		t.Fatalf("OpRetries = %d, want 1", st.Recovery.OpRetries)
+	if err := ga.LoadMatrix(linalg.NewMatrix(3, 4)); err == nil {
+		t.Fatal("LoadMatrix accepted a mis-shaped matrix")
 	}
 }
 
-func TestGetRetryExhaustsAttempts(t *testing.T) {
-	g := UniformGrid2D(1, 1, 2, 2)
-	ga := NewGlobalArray(g, NewRunStats(1))
-	ga.SetOpHook(func(int, OpKind) (time.Duration, bool) { return 0, true })
-	dst := make([]float64, 4)
-	if _, err := ga.GetRetry(context.Background(), 3, 0, 0, 0, 2, 0, 2, dst, 2); !errors.Is(err, ErrDropped) {
-		t.Fatalf("want ErrDropped after exhausting attempts, got %v", err)
-	}
-}
-
-func TestAccFencedRejectsStaleEpoch(t *testing.T) {
-	g := UniformGrid2D(1, 2, 2, 4)
-	st := NewRunStats(2)
-	ga := NewGlobalArray(g, st)
-	fence := fixedFence{0: 3, 1: 5}
-	ga.SetFence(fence)
-
-	src := []float64{1, 1, 1, 1, 1, 1, 1, 1}
-	// Stale epoch: discarded, nothing applied.
-	if err := ga.AccFenced(0, 2, 0, 2, 0, 4, src, 4, 1); !errors.Is(err, ErrFenced) {
-		t.Fatalf("want ErrFenced, got %v", err)
-	}
-	if m := ga.ToMatrix(); m.MaxAbs() != 0 {
-		t.Fatal("fenced Acc modified the array")
-	}
-	// Live epoch: applied.
-	if err := ga.AccFenced(0, 3, 0, 2, 0, 4, src, 4, 2); err != nil {
-		t.Fatalf("valid AccFenced failed: %v", err)
-	}
-	if m := ga.ToMatrix(); m.At(1, 3) != 2 {
-		t.Fatalf("Acc not applied: got %v", m.At(1, 3))
-	}
-}
-
-func TestAccFencedRetryRidesOutDrops(t *testing.T) {
-	g := UniformGrid2D(1, 1, 2, 2)
-	st := NewRunStats(1)
-	ga := NewGlobalArray(g, st)
-	ga.SetFence(fixedFence{0: 1})
-	drops := 3
-	ga.SetOpHook(func(proc int, op OpKind) (time.Duration, bool) {
-		if drops > 0 {
-			drops--
-			return 0, true
+// A fault-free op through the loop is one attempt: no wall-cap deadline
+// is created, nothing is allocated, and it is charged exactly like the
+// infallible call.
+func TestFaultFreeOpAllocatesNothing(t *testing.T) {
+	g := UniformGrid2D(2, 2, 8, 8)
+	st, direct := NewRunStats(4), NewRunStats(4)
+	var ga Backend = NewGlobalArray(g, NewRunStats(4))
+	rt := Retry{Attempts: 4, Backoff: time.Millisecond, WallCap: 10 * time.Second}
+	buf := make([]float64, 16)
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := rt.Get(ctx, ga, st, 0, 0, 4, 4, 8, buf, 4); err != nil {
+			t.Fatal(err)
 		}
-		return 0, false
+		if _, err := rt.Acc(ctx, ga, st, nil, false, 0, 1, 0, 4, 4, 8, buf, 4, 1); err != nil {
+			t.Fatal(err)
+		}
 	})
-	src := []float64{1, 2, 3, 4}
-	retries, err := ga.AccFencedRetry(context.Background(), 0, 0, 1, 0, 2, 0, 2, src, 2, 1)
-	if err != nil {
-		t.Fatalf("AccFencedRetry: %v", err)
+	if allocs != 0 {
+		t.Fatalf("fault-free Get+Acc allocated %.0f times, want 0", allocs)
 	}
-	if m := ga.ToMatrix(); m.At(1, 1) != 4 {
-		t.Fatal("retry did not eventually apply the Acc")
-	}
-	if st.Recovery.OpRetries != 3 || retries != 3 {
-		t.Fatalf("OpRetries = %d (reported %d), want 3", st.Recovery.OpRetries, retries)
-	}
-	// Once the fence goes stale, retry stops with ErrFenced.
-	ga.SetFence(fixedFence{0: 99})
-	if _, err := ga.AccFencedRetry(context.Background(), 0, 0, 1, 0, 2, 0, 2, src, 2, 1); !errors.Is(err, ErrFenced) {
-		t.Fatalf("want ErrFenced, got %v", err)
+	ref := NewGlobalArray(g, direct)
+	ref.Get(0, 0, 4, 4, 8, buf, 4)
+	if a, b := st.Per[0], direct.Per[0]; a.Bytes != b.Bytes*a.Calls || a.RemoteBytes != b.RemoteBytes*a.Calls || b.RemoteBytes != 128 {
+		t.Fatalf("loop charge %+v does not match the infallible call's %+v", a, b)
 	}
 }
 
-// Satellite coverage: AccFencedRetry under a hook that drops the first N
-// attempts must report exactly N retries and accumulate the contribution
-// exactly once — never zero times, never N+1.
-func TestAccFencedRetryDropFirstNExactlyOnce(t *testing.T) {
-	for _, n := range []int{1, 4, 9} {
-		g := UniformGrid2D(1, 1, 2, 2)
-		st := NewRunStats(1)
-		ga := NewGlobalArray(g, st)
-		ga.SetFence(fixedFence{0: 1})
-		drops := n
-		attempts := 0
-		ga.SetOpHook(func(proc int, op OpKind) (time.Duration, bool) {
-			attempts++
-			if drops > 0 {
-				drops--
-				return 0, true
+// Charge splits a region's volume into local and remote by the caller's
+// own block, whatever the number of owners it spans.
+func TestChargeMatchesPatchDecomposition(t *testing.T) {
+	g := UniformGrid2D(2, 3, 7, 11)
+	for proc := 0; proc < g.NumProcs(); proc++ {
+		for _, reg := range [][4]int{{0, 7, 0, 11}, {1, 6, 2, 9}, {3, 4, 0, 3}, {0, 3, 4, 5}} {
+			st := NewRunStats(g.NumProcs())
+			st.Charge(g, proc, reg[0], reg[1], reg[2], reg[3])
+			var remote int64
+			for _, p := range g.Patches(reg[0], reg[1], reg[2], reg[3]) {
+				if p.Proc != proc {
+					remote += 8 * int64(p.Elems())
+				}
 			}
-			return 0, false
-		})
-		src := []float64{1, 2, 3, 4}
-		retries, err := ga.AccFencedRetry(context.Background(), 0, 0, 1, 0, 2, 0, 2, src, 2, 1)
-		if err != nil {
-			t.Fatalf("N=%d: AccFencedRetry: %v", n, err)
-		}
-		if retries != n || st.Recovery.OpRetries != int64(n) {
-			t.Fatalf("N=%d: retries = %d, stats = %d; want %d", n, retries, st.Recovery.OpRetries, n)
-		}
-		if attempts != n+1 {
-			t.Fatalf("N=%d: hook saw %d attempts, want %d", n, attempts, n+1)
-		}
-		// Exactly-once: each element equals src, not a multiple of it.
-		m := ga.ToMatrix()
-		for i, want := range src {
-			if got := m.Data[i]; got != want {
-				t.Fatalf("N=%d: element %d = %v, want %v (applied other than once)", n, i, got, want)
+			total := 8 * int64(reg[1]-reg[0]) * int64(reg[3]-reg[2])
+			if got := st.Per[proc]; got.Calls != 1 || got.Bytes != total || got.RemoteBytes != remote {
+				t.Fatalf("proc %d region %v: charged %+v, want %d bytes / %d remote", proc, reg, got, total, remote)
 			}
 		}
 	}
-}
-
-// A context deadline caps the total retry wall time of both retry
-// wrappers: with a permanently dropping transport they must return the
-// context error promptly instead of sleeping out their full backoff
-// schedules (GetRetry) or spinning forever (AccFencedRetry).
-func TestRetryContextDeadlineCapsWallTime(t *testing.T) {
-	g := UniformGrid2D(1, 1, 2, 2)
-	ga := NewGlobalArray(g, NewRunStats(1))
-	ga.SetFence(fixedFence{0: 1})
-	ga.SetOpHook(func(int, OpKind) (time.Duration, bool) { return 0, true })
-	dst := make([]float64, 4)
-	src := []float64{1, 1, 1, 1}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	t0 := time.Now()
-	if _, err := ga.GetRetry(ctx, 50, 20*time.Millisecond, 0, 0, 2, 0, 2, dst, 2); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("GetRetry: want DeadlineExceeded, got %v", err)
-	}
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel2()
-	if _, err := ga.AccFencedRetry(ctx2, 5*time.Millisecond, 0, 1, 0, 2, 0, 2, src, 2, 1); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("AccFencedRetry: want DeadlineExceeded, got %v", err)
-	}
-	if elapsed := time.Since(t0); elapsed > 5*time.Second {
-		t.Fatalf("deadline-capped retries took %v", elapsed)
-	}
-	if m := ga.ToMatrix(); m.MaxAbs() != 0 {
-		t.Fatal("deadline-abandoned Acc modified the array")
-	}
+	var none *RunStats
+	none.Charge(g, 0, 0, 1, 0, 1) // a nil stats is simply not accounted
 }
 
 // Jitter must stay within [d/2, 3d/2) and preserve zero.

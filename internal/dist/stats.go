@@ -68,6 +68,34 @@ type RunStats struct {
 // NewRunStats allocates stats for p processes.
 func NewRunStats(p int) *RunStats { return &RunStats{Per: make([]ProcStats, p)} }
 
+// Charge records one one-sided call by proc on the region [r0,r1) x
+// [c0,c1) of an array laid out over g, as the paper instruments GA (call
+// counts and transfer volumes, Tables VI/VII; volumes include local
+// transfers, matching the measurement note in Sec. IV-C). It is the only
+// place calls and bytes are counted: the in-process array's infallible
+// ops and the retry loops both come here. A nil receiver or a driver-side
+// proc (< 0) is not accounted.
+func (r *RunStats) Charge(g *Grid2D, proc, r0, r1, c0, c1 int) {
+	if r == nil || proc < 0 {
+		return
+	}
+	st := &r.Per[proc]
+	st.Calls++
+	elems := int64(r1-r0) * int64(c1-c0)
+	st.Bytes += 8 * elems
+	// Everything outside the caller's own block (a caller that is not a
+	// grid process owns none) crosses a process boundary.
+	if proc < g.NumProcs() {
+		i, j := g.Coords(proc)
+		localRows := minInt(r1, g.RowCuts[i+1]) - maxInt(r0, g.RowCuts[i])
+		localCols := minInt(c1, g.ColCuts[j+1]) - maxInt(c0, g.ColCuts[j])
+		if localRows > 0 && localCols > 0 {
+			elems -= int64(localRows) * int64(localCols)
+		}
+	}
+	st.RemoteBytes += 8 * elems
+}
+
 // P returns the number of processes.
 func (r *RunStats) P() int { return len(r.Per) }
 

@@ -351,7 +351,7 @@ func (r *Registry) ExpvarFunc() func() any {
 // records into it directly with atomics. All methods are nil-receiver
 // safe so a client without metrics costs one branch per call.
 type RPC struct {
-	latency                  histAtomic // wall time of one RPC incl. its retries, ns
+	latency                  histAtomic // wall time of one answered data RPC attempt, ns
 	calls, retries, failures atomic.Int64
 	dials, reconnects        atomic.Int64
 	resets, dupSends         atomic.Int64
@@ -369,8 +369,10 @@ type RPC struct {
 	peerResets       atomic.Int64
 }
 
-// ObserveCall records one completed RPC (success or final failure) with
-// its total wall time including retries.
+// ObserveCall records one data RPC the server answered (accepted or
+// rejected) with the wall time of that attempt. The client makes single
+// attempts — the retry loop lives in dist — so earlier failed attempts
+// and their backoff are not part of it.
 func (c *RPC) ObserveCall(ns int64) {
 	if c == nil {
 		return
@@ -381,14 +383,16 @@ func (c *RPC) ObserveCall(ns int64) {
 	c.calls.Add(1)
 }
 
-// AddRetry counts one retried attempt inside an RPC.
+// AddRetry counts one data-RPC attempt that failed in transport (or
+// found no route) and was handed back to the dist retry loop.
 func (c *RPC) AddRetry() {
 	if c != nil {
 		c.retries.Add(1)
 	}
 }
 
-// AddFailure counts one RPC abandoned past its retry budget or deadline.
+// AddFailure counts one data RPC the server rejected deterministically;
+// an op abandoned by the retry loop shows up as a build-level abort.
 func (c *RPC) AddFailure() {
 	if c != nil {
 		c.failures.Add(1)

@@ -70,37 +70,51 @@ type Config struct {
 	Router *Router
 }
 
-// Client is the TCP implementation of dist.Backend: every one-sided op
-// becomes framed RPCs to the shard servers hosting the touched blocks,
-// with per-op deadlines, capped jittered retry, idempotency tokens on
-// accumulates, and automatic reconnection. Epoch fencing is enforced
-// here, client-side, where the lease ledger lives.
+// Client is the TCP implementation of dist.Backend: every attempt at a
+// one-sided op is one framed RPC to the shard server hosting the patch's
+// block, under a per-op socket deadline, with an idempotency token on
+// accumulates and automatic reconnection. It never retries a data op —
+// dist.Retry.Get/Acc do, and they also hold the epoch fence and the
+// accounting — and it routes every attempt through the router's view: a
+// live fleet view (DialFleet) or the fixed one of a static Dial.
 type Client struct {
 	grid   *dist.Grid2D
-	stats  *dist.RunStats
-	assign []int
-	pools  []*connPool
+	stats  *dist.RunStats // of the dialing build: failovers, and the Get/Acc conveniences
 	cfg    Config
 	router *Router
-	fence  dist.Fence
 	reqID  atomic.Uint64
-	token  atomic.Uint64
+	token  atomic.Uint64 // Acc idempotency tokens; lives as long as the session's client
 
-	// Elastic mode (DialFleet): routes resolve per attempt through the
-	// fleet view instead of the fixed assignment, pools are allocated per
-	// router slot as members appear, and every member is helloed once
-	// (session + geometry validation) before its first data op.
-	elastic bool
+	// Conn pools are allocated per router slot as slots are first routed
+	// to, and every slot is helloed once (session + geometry validation)
+	// before its first data op (helloSlot).
 	poolsMu sync.Mutex
+	pools   []*connPool
 	helloed map[int]bool // slot -> hello done
 }
 
 var _ dist.Backend = (*Client)(nil)
 
-// Dial connects to the shard servers and validates session + geometry
-// with a Hello on each. assign[p] is the index in addrs of the server
-// hosting proc p (see SplitProcs); stats may be nil for a driver-only
-// client.
+func newClient(grid *dist.Grid2D, stats *dist.RunStats, cfg Config, rt *Router) *Client {
+	return &Client{grid: grid, stats: stats, cfg: cfg, router: rt, helloed: map[int]bool{}}
+}
+
+// normalize validates and defaults the fields every dial needs.
+func (cfg *Config) normalize() error {
+	if cfg.Session == 0 {
+		return errors.New("netga: session id must be nonzero")
+	}
+	if cfg.OpTimeout <= 0 {
+		cfg.OpTimeout = 2 * time.Second
+	}
+	return nil
+}
+
+// Dial connects to a fixed set of shard servers and validates session +
+// geometry with a Hello on each, failing fast with the server's own words
+// when one refuses. assign[p] is the index in addrs of the server hosting
+// proc p (see SplitProcs); the router keeps it as a view that is never
+// refreshed. stats may be nil for a driver-only client.
 func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int, cfg Config) (*Client, error) {
 	if len(assign) != grid.NumProcs() {
 		return nil, fmt.Errorf("netga: assignment covers %d procs, grid has %d", len(assign), grid.NumProcs())
@@ -110,41 +124,20 @@ func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int,
 			return nil, fmt.Errorf("netga: proc %d assigned to server %d of %d", p, k, len(addrs))
 		}
 	}
-	if cfg.Session == 0 {
-		return nil, errors.New("netga: session id must be nonzero")
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 2 * time.Second
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	rt := cfg.Router
 	if rt == nil {
 		rt = NewRouter(addrs, nil, cfg.OpTimeout, cfg.RPC)
 	}
-	if rt.Slots() != len(addrs) {
+	if rt.elastic() || rt.Slots() != len(addrs) {
 		return nil, fmt.Errorf("netga: router routes %d slots, %d servers given", rt.Slots(), len(addrs))
 	}
-	c := &Client{
-		grid:   grid,
-		stats:  stats,
-		assign: append([]int(nil), assign...),
-		pools:  make([]*connPool, len(addrs)),
-		cfg:    cfg,
-		router: rt,
-	}
-	for i := range addrs {
-		c.pools[i] = &connPool{router: rt, slot: i, timeout: cfg.OpTimeout, rpc: cfg.RPC}
-	}
-	for _, pool := range c.pools {
-		hello := request{
-			Op: opHello, Session: cfg.Session, ReqID: c.reqID.Add(1),
-			R0: int32(grid.Rows), C0: int32(grid.Cols),
-			Msg: layoutMsg(grid),
-		}
-		resp, _, err := c.doRPC(-1, pool, &hello)
-		if err == nil && resp.Status != statusOK {
-			err = fmt.Errorf("netga: hello rejected by %s: %s", rt.addr(pool.slot), resp.Msg)
-		}
-		if err != nil {
+	rt.pin(assign)
+	c := newClient(grid, stats, cfg, rt)
+	for slot := range addrs {
+		if _, err := c.helloSlot(slot); err != nil {
 			c.Close()
 			return nil, err
 		}
@@ -163,11 +156,8 @@ const fleetDialWait = 30 * time.Second
 // session + geometry against every member; members that join later are
 // helloed lazily on first route.
 func DialFleet(grid *dist.Grid2D, stats *dist.RunStats, fleetAddr string, cfg Config) (*Client, error) {
-	if cfg.Session == 0 {
-		return nil, errors.New("netga: session id must be nonzero")
-	}
-	if cfg.OpTimeout <= 0 {
-		cfg.OpTimeout = 2 * time.Second
+	if err := cfg.normalize(); err != nil {
+		return nil, err
 	}
 	rt := cfg.Router
 	if rt == nil {
@@ -176,14 +166,7 @@ func DialFleet(grid *dist.Grid2D, stats *dist.RunStats, fleetAddr string, cfg Co
 	if !rt.elastic() {
 		return nil, errors.New("netga: DialFleet requires a fleet router")
 	}
-	c := &Client{
-		grid:    grid,
-		stats:   stats,
-		cfg:     cfg,
-		router:  rt,
-		elastic: true,
-		helloed: map[int]bool{},
-	}
+	c := newClient(grid, stats, cfg, rt)
 	deadline := time.Now().Add(fleetDialWait)
 	var lastErr error
 	for {
@@ -211,14 +194,11 @@ func DialFleet(grid *dist.Grid2D, stats *dist.RunStats, fleetAddr string, cfg Co
 // answered a hello. Retryable; never evidence a specific server is dead.
 var errNoRoute = errors.New("netga: block not routable yet")
 
-// routeFor resolves the pool serving proc's block. Static mode is the
-// fixed assignment; elastic mode resolves through the fleet view —
-// re-fetched (throttled) when the block is unassigned — and hellos the
-// member on first contact.
+// routeFor resolves the pool serving proc's block through the router's
+// view — re-fetched (throttled) when the block is unassigned, which a
+// static dial's fixed view never is — and hellos the member on first
+// contact.
 func (c *Client) routeFor(proc int) (*connPool, error) {
-	if !c.elastic {
-		return c.pools[c.assign[proc]], nil
-	}
 	slot := c.router.slotFor(proc)
 	if slot < 0 {
 		c.router.RefreshView()
@@ -226,36 +206,30 @@ func (c *Client) routeFor(proc int) (*connPool, error) {
 			return nil, fmt.Errorf("%w: proc %d unassigned in current view", errNoRoute, proc)
 		}
 	}
-	pool := c.poolBySlot(slot)
-	if err := c.helloSlot(slot, pool); err != nil {
+	pool, err := c.helloSlot(slot)
+	if err != nil {
 		return nil, fmt.Errorf("%w: hello slot %d: %v", errNoRoute, slot, err)
 	}
 	return pool, nil
 }
 
-// poolBySlot returns (allocating if needed) the conn pool of a router
-// slot. Slots are append-only, so pools stay valid across churn.
-func (c *Client) poolBySlot(slot int) *connPool {
+// helloSlot returns the conn pool of a router slot (allocating it on
+// first use; slots are append-only, so pools stay valid across churn)
+// after validating session + geometry against the slot's server once.
+// Hello is idempotent under one session, so two goroutines racing here
+// are harmless; a member that joined mid-build adopts the session either
+// from migrated block state or from this hello, whichever lands first.
+// On a route the failure is transient (errNoRoute): a dead unhelloed
+// member is the fleet detector's to fail over, not this client's.
+func (c *Client) helloSlot(slot int) (*connPool, error) {
 	c.poolsMu.Lock()
-	defer c.poolsMu.Unlock()
 	for slot >= len(c.pools) {
 		c.pools = append(c.pools, &connPool{router: c.router, slot: len(c.pools), timeout: c.cfg.OpTimeout, rpc: c.cfg.RPC})
 	}
-	return c.pools[slot]
-}
-
-// helloSlot validates session + geometry against a member once. Hello is
-// idempotent under one session, so two goroutines racing here are
-// harmless; a member that joined mid-build adopts the session either
-// from migrated block state or from this hello, whichever lands first.
-// Failures are transient (errNoRoute): a dead unhelloed member is the
-// fleet detector's to fail over, not this client's.
-func (c *Client) helloSlot(slot int, pool *connPool) error {
-	c.poolsMu.Lock()
-	done := c.helloed[slot]
+	pool, done := c.pools[slot], c.helloed[slot]
 	c.poolsMu.Unlock()
 	if done {
-		return nil
+		return pool, nil
 	}
 	hello := request{
 		Op: opHello, Session: c.cfg.Session, ReqID: c.reqID.Add(1),
@@ -264,20 +238,21 @@ func (c *Client) helloSlot(slot int, pool *connPool) error {
 	}
 	resp, _, err := c.doRPC(-1, pool, &hello)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if resp.Status != statusOK {
-		return fmt.Errorf("netga: hello rejected by %s: %s", c.router.addr(slot), resp.Msg)
+		return nil, fmt.Errorf("netga: hello rejected by %s: %s", c.router.addr(slot), resp.Msg)
 	}
 	c.poolsMu.Lock()
 	c.helloed[slot] = true
 	c.poolsMu.Unlock()
-	return nil
+	return pool, nil
 }
 
 // PlacementGen returns the placement generation the client is routing
-// with (0 in static mode). The delta across a build counts the blocks
-// that migrated under it — each cutover bumps the generation once.
+// with (0 on a static dial's fixed view). The delta across a build counts
+// the blocks that migrated under it — each cutover bumps the generation
+// once.
 func (c *Client) PlacementGen() uint64 { return c.router.pgen() }
 
 // Close tears down every pooled connection.
@@ -292,33 +267,6 @@ func (c *Client) Close() {
 
 // Layout returns the grid the shard servers are laid out over.
 func (c *Client) Layout() *dist.Grid2D { return c.grid }
-
-// Fallible reports true: network transport can always fail, so builds
-// over this backend must use the retrying wrappers.
-func (c *Client) Fallible() bool { return true }
-
-// SetFence installs the epoch authority consulted by AccFencedRetry.
-// The check runs client-side: the ledger lives in this (driver) process,
-// and the commit protocol in core guarantees a fence cannot interleave
-// with an open commit, so servers stay fence-oblivious.
-func (c *Client) SetFence(f dist.Fence) { c.fence = f }
-
-// charge mirrors dist.GlobalArray's per-call accounting so net-backed
-// runs report the paper's Tables VI/VII quantities identically.
-func (c *Client) charge(proc, r0, r1, c0, c1 int) {
-	if c.stats == nil || proc < 0 {
-		return
-	}
-	st := &c.stats.Per[proc]
-	st.Calls++
-	elems := int64(r1-r0) * int64(c1-c0)
-	st.Bytes += 8 * elems
-	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		if p.Proc != proc {
-			st.RemoteBytes += 8 * int64(p.Elems())
-		}
-	}
-}
 
 // connPool keeps idle conns to one shard slot. Any conn that sees an
 // error is discarded, so an idle conn never has residue of a previous
@@ -422,13 +370,12 @@ func (p *connPool) closeAll() {
 func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, sent bool, err error) {
 	// Stamp the shard fence epoch this client believes the slot is at; a
 	// server at a different epoch answers statusRetry instead of applying.
-	// Elastic requests also carry the placement generation routed under,
-	// so a server holding a newer map bounces them instead of serving a
-	// block that moved away.
+	// Requests also carry the placement generation routed under, so a
+	// server holding a newer map bounces them instead of serving a block
+	// that moved away (a static dial's fixed view is generation 0, which
+	// servers read as "no placement fence").
 	req.SEpoch = c.router.epoch(pool.slot)
-	if c.elastic {
-		req.PGen = c.router.pgen()
-	}
+	req.PGen = c.router.pgen()
 	sendTwice := false
 	if c.cfg.Fault != nil && rank >= 0 {
 		delay, outcome := c.cfg.Fault.NetFault(rank)
@@ -518,14 +465,13 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 		// provably not applied. A server answering from a newer placement
 		// generation means our route is superseded — refresh the view
 		// (throttled: a whole retry storm collapses to one fetch) so the
-		// retry resolves against the new map.
+		// retry resolves against the new map (a fixed view has none to
+		// fetch and stays as it is).
 		c.cfg.RPC.AddStaleRetry()
-		if c.elastic {
-			if out.PGen > req.PGen {
-				c.cfg.RPC.AddPlacementRetry()
-			}
-			c.router.RefreshView()
+		if req.PGen != 0 && out.PGen > req.PGen {
+			c.cfg.RPC.AddPlacementRetry()
 		}
+		c.router.RefreshView()
 		return nil, true, fmt.Errorf("%w: %s", errShardRetry, out.Msg)
 	}
 	c.router.success(pool.slot)
@@ -556,211 +502,115 @@ func (c *Client) noteFailure(pool *connPool, err error) {
 	}
 }
 
-// GetRetry implements dist.Backend: the region is decomposed into
-// per-owner patches, each fetched as one RPC retried up to attempts
-// times with capped jittered backoff, abandoned early when ctx expires.
-// Gets never mutate server state, so abandonment is always clean.
-func (c *Client) GetRetry(ctx context.Context, attempts int, backoff time.Duration, proc, r0, r1, c0, c1 int, dst []float64, ld int) (int, error) {
-	c.charge(proc, r0, r1, c0, c1)
-	if attempts <= 0 {
-		attempts = 1
+// attempt runs one data RPC for rank against the current owner of block
+// owner — resolved per attempt, because under elastic placement the owner
+// can change between retries (that is the point of the retry). A failure
+// the retry loop may repeat counts as a retry in the transport counters;
+// a deterministic server rejection wraps dist.ErrRejected and counts as a
+// failure. sent is doRPC's: whether the request may have reached the wire.
+func (c *Client) attempt(rank, owner int, what string, req *request) (resp *response, sent bool, err error) {
+	pool, err := c.routeFor(owner)
+	if err != nil {
+		// Transiently unroutable (block mid-migration, view catching up):
+		// no frame went out, so the failure is provably clean.
+		c.cfg.RPC.AddRetry()
+		return nil, false, err
 	}
-	retries := 0
-	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		req := request{
-			Op: opGet, Array: c.cfg.Array, Session: c.cfg.Session,
-			Proc: int32(proc), R0: int32(p.R0), R1: int32(p.R1), C0: int32(p.C0), C1: int32(p.C1),
-		}
-		start := time.Now()
-		wait := backoff
-		var err error
-		for a := 0; a < attempts; a++ {
-			if a > 0 {
-				retries++
-				c.countRetry()
-				if cerr := dist.SleepBackoff(ctx, wait); cerr != nil {
-					c.cfg.RPC.AddFailure()
-					c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-					return retries, cerr
-				}
-				wait = dist.NextBackoff(wait)
-			}
-			// Route per attempt: under elastic placement the block's owner
-			// can change between retries (that is the point of the retry).
-			pool, rerr := c.routeFor(p.Proc)
-			if rerr != nil {
-				err = rerr
-				continue
-			}
-			req.ReqID = c.reqID.Add(1)
-			var resp *response
-			resp, _, err = c.doRPC(proc, pool, &req)
-			if err != nil {
-				c.noteFailure(pool, err)
-			}
-			if err == nil && resp.Status != statusOK {
-				// A server rejection is deterministic; retrying cannot help.
-				c.cfg.RPC.AddFailure()
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, fmt.Errorf("netga: get rejected: %s", resp.Msg)
-			}
-			if err == nil {
-				w := p.C1 - p.C0
-				if len(resp.Data) != (p.R1-p.R0)*w {
-					c.cfg.RPC.AddFailure()
-					return retries, fmt.Errorf("netga: get returned %d values, want %d", len(resp.Data), (p.R1-p.R0)*w)
-				}
-				for r := p.R0; r < p.R1; r++ {
-					copy(dst[(r-r0)*ld+(p.C0-c0):(r-r0)*ld+(p.C1-c0)], resp.Data[(r-p.R0)*w:(r-p.R0)*w+w])
-				}
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				break
-			}
-		}
-		if err != nil {
-			c.cfg.RPC.AddFailure()
-			c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-			return retries, err
-		}
+	req.ReqID = c.reqID.Add(1)
+	start := time.Now()
+	resp, sent, err = c.doRPC(rank, pool, req)
+	if err != nil {
+		c.noteFailure(pool, err)
+		c.cfg.RPC.AddRetry()
+		return nil, sent, err
 	}
-	return retries, nil
+	c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
+	if resp.Status != statusOK {
+		c.cfg.RPC.AddFailure()
+		return nil, sent, fmt.Errorf("netga: %s %w: %s", what, dist.ErrRejected, resp.Msg)
+	}
+	return resp, sent, nil
 }
 
-// AccFencedRetry implements dist.Backend with exactly-once semantics
-// over an at-least-once transport: each per-owner patch gets one
-// idempotency token, reused across every retry, so the server applies it
-// once no matter how delivery fails or duplicates.
-//
-// ctx and the fence are honored only while the call is provably clean —
-// no frame of it has reached the wire. The first (possibly) sent frame
-// is the point of no return: from there the only exits are landing every
-// remaining patch (retrying on an unbounded context; the injector's
-// consecutive-fault caps and partition windows bound this in practice)
-// or a deterministic server rejection, so a ctx error reported to the
-// caller always means "nothing applied" and core may abort cleanly.
-func (c *Client) AccFencedRetry(ctx context.Context, backoff time.Duration, proc int, epoch int64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (int, error) {
-	c.charge(proc, r0, r1, c0, c1)
-	retries := 0
-	committed := false
-	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		w := p.C1 - p.C0
-		data := make([]float64, (p.R1-p.R0)*w)
-		for r := p.R0; r < p.R1; r++ {
-			copy(data[(r-p.R0)*w:(r-p.R0)*w+w], src[(r-r0)*ld+(p.C0-c0):(r-r0)*ld+(p.C1-c0)])
-		}
-		req := request{
-			Op: opAcc, Array: c.cfg.Array, Session: c.cfg.Session,
-			Token: uint64(c.cfg.Array+1)<<56 | c.token.Add(1),
-			Epoch: epoch, Proc: int32(proc), Alpha: alpha,
-			R0: int32(p.R0), R1: int32(p.R1), C0: int32(p.C0), C1: int32(p.C1),
-			Data: data,
-		}
-		start := time.Now()
-		wait := backoff
-		for {
-			if !committed && c.fence != nil && !c.fence.ValidEpoch(proc, epoch) {
-				return retries, dist.ErrFenced
-			}
-			var resp *response
-			var sent bool
-			var err error
-			if pool, rerr := c.routeFor(p.Proc); rerr != nil {
-				// Transiently unroutable (block mid-migration, view catching
-				// up): no frame went out, so this retry is provably clean.
-				err = rerr
-			} else {
-				req.ReqID = c.reqID.Add(1)
-				resp, sent, err = c.doRPC(proc, pool, &req)
-				if sent {
-					committed = true
-				}
-				if err != nil {
-					c.noteFailure(pool, err)
-				}
-			}
-			if err == nil && resp.Status != statusOK {
-				c.cfg.RPC.AddFailure()
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, fmt.Errorf("netga: acc rejected: %s", resp.Msg)
-			}
-			if err == nil {
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				break
-			}
-			retries++
-			c.countRetry()
-			sctx := ctx
-			if committed {
-				sctx = nil // past the point of no return: retry unbounded
-			}
-			if cerr := dist.SleepBackoff(sctx, wait); cerr != nil {
-				c.cfg.RPC.AddFailure()
-				c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
-				return retries, cerr
-			}
-			wait = dist.NextBackoff(wait)
-		}
+// TryGet implements dist.Backend: one RPC to the patch's owner. Gets
+// never mutate server state, so every failure is clean.
+func (c *Client) TryGet(proc, r0, r1, c0, c1 int, dst []float64, ld int) error {
+	req := request{
+		Op: opGet, Array: c.cfg.Array, Session: c.cfg.Session,
+		Proc: int32(proc), R0: int32(r0), R1: int32(r1), C0: int32(c0), C1: int32(c1),
 	}
-	return retries, nil
+	resp, _, err := c.attempt(proc, c.grid.Owner(r0, c0), "get", &req)
+	if err != nil {
+		return err
+	}
+	w := c1 - c0
+	if len(resp.Data) != (r1-r0)*w {
+		c.cfg.RPC.AddFailure()
+		return fmt.Errorf("netga: get %w: returned %d values, want %d", dist.ErrRejected, len(resp.Data), (r1-r0)*w)
+	}
+	for r := r0; r < r1; r++ {
+		copy(dst[(r-r0)*ld:(r-r0)*ld+w], resp.Data[(r-r0)*w:(r-r0)*w+w])
+	}
+	return nil
 }
 
-func (c *Client) countRetry() {
-	c.cfg.RPC.AddRetry()
-	if c.stats != nil {
-		atomic.AddInt64(&c.stats.Recovery.OpRetries, 1)
+// TryAcc implements dist.Backend: one RPC carrying the op's idempotency
+// token, minted here on the first attempt (token 0) and handed back so
+// every retry reuses it — the server applies the patch once no matter how
+// delivery fails or duplicates. The counter lives in the client, so it
+// must outlive every build of its session (a fresh client on a live
+// session would replay token ranges; see serve.FleetRunner).
+func (c *Client) TryAcc(proc int, token uint64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (uint64, bool, error) {
+	if token == 0 {
+		token = uint64(c.cfg.Array+1)<<56 | c.token.Add(1)
 	}
+	w := c1 - c0
+	data := make([]float64, (r1-r0)*w)
+	for r := r0; r < r1; r++ {
+		copy(data[(r-r0)*w:(r-r0)*w+w], src[(r-r0)*ld:(r-r0)*ld+w])
+	}
+	req := request{
+		Op: opAcc, Array: c.cfg.Array, Session: c.cfg.Session, Token: token,
+		Proc: int32(proc), Alpha: alpha,
+		R0: int32(r0), R1: int32(r1), C0: int32(c0), C1: int32(c1),
+		Data: data,
+	}
+	_, sent, err := c.attempt(proc, c.grid.Owner(r0, c0), "acc", &req)
+	return token, sent, err
 }
 
-// Get implements the infallible Backend read. The netga backend is
-// always fallible, so core never calls this; it exists for tests and
-// panics if the transport cannot deliver.
+// probeRetry is the budget of the Get and Acc conveniences below.
+var probeRetry = dist.Retry{Attempts: 8, Backoff: 5 * time.Millisecond}
+
+// Get fetches an arbitrary region, decomposed per owner, through the one
+// retry loop, charging the stats the client was dialed with. core never
+// calls it (a build issues single-owner patches against its own stats);
+// it exists for tests and probes and panics if the transport cannot
+// deliver.
 func (c *Client) Get(proc, r0, r1, c0, c1 int, dst []float64, ld int) {
-	if _, err := c.GetRetry(context.Background(), 8, 5*time.Millisecond, proc, r0, r1, c0, c1, dst, ld); err != nil {
-		panic(fmt.Sprintf("netga: infallible Get failed: %v", err))
+	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
+		if _, err := probeRetry.Get(context.Background(), c, c.stats, proc, p.R0, p.R1, p.C0, p.C1, dst[(p.R0-r0)*ld+(p.C0-c0):], ld); err != nil {
+			panic(fmt.Sprintf("netga: infallible Get failed: %v", err))
+		}
 	}
 }
 
-// Acc implements the infallible Backend accumulate; see Get.
+// Acc accumulates into an arbitrary region, unfenced; see Get.
 func (c *Client) Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) {
-	fence := c.fence
-	c.fence = nil
-	defer func() { c.fence = fence }()
-	if _, err := c.AccFencedRetry(context.Background(), 5*time.Millisecond, proc, 0, r0, r1, c0, c1, src, ld, alpha); err != nil {
-		panic(fmt.Sprintf("netga: infallible Acc failed: %v", err))
+	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
+		if _, err := probeRetry.Acc(context.Background(), c, c.stats, nil, false, proc, 0, p.R0, p.R1, p.C0, p.C1, src[(p.R0-r0)*ld+(p.C0-c0):], ld, alpha); err != nil {
+			panic(fmt.Sprintf("netga: infallible Acc failed: %v", err))
+		}
 	}
 }
 
 // driverOp runs one un-faulted, un-accounted RPC for the driver-side
-// whole-matrix ops, retrying transport errors a few times.
-func (c *Client) driverOp(pool *connPool, req *request) (*response, error) {
-	var err error
-	for a := 0; a < 10; a++ {
-		if a > 0 {
-			if cerr := dist.SleepBackoff(context.Background(), 5*time.Millisecond<<uint(a-1)); cerr != nil {
-				return nil, cerr
-			}
-		}
-		req.ReqID = c.reqID.Add(1)
-		var resp *response
-		resp, _, err = c.doRPC(-1, pool, req)
-		if err != nil {
-			c.noteFailure(pool, err)
-		}
-		if err == nil && resp.Status != statusOK {
-			return nil, fmt.Errorf("netga: %s", resp.Msg)
-		}
-		if err == nil {
-			return resp, nil
-		}
-	}
-	return nil, err
-}
-
-// driverOpProc is driverOp with per-attempt route resolution: the
-// driver-side whole-matrix ops address blocks, and under elastic
+// ops (whole-matrix load and gather, checkpoint, bye, blobs), retrying
+// transport errors a bounded number of times. route is resolved per
+// attempt: the block-addressed ops pass blockRoute, because under elastic
 // placement a block's owner can change (or be briefly frozen) between
 // attempts.
-func (c *Client) driverOpProc(proc int, req *request) (*response, error) {
+func (c *Client) driverOp(route func() (*connPool, error), req *request) (*response, error) {
 	var err error
 	for a := 0; a < 14; a++ {
 		if a > 0 {
@@ -768,7 +618,7 @@ func (c *Client) driverOpProc(proc int, req *request) (*response, error) {
 				return nil, cerr
 			}
 		}
-		pool, rerr := c.routeFor(proc)
+		pool, rerr := route()
 		if rerr != nil {
 			err = rerr
 			continue
@@ -788,29 +638,27 @@ func (c *Client) driverOpProc(proc int, req *request) (*response, error) {
 	return nil, err
 }
 
-// Checkpoint advances the dedup-eviction generation on every shard: the
-// driver calls it at a session checkpoint (an SCF iteration boundary),
-// when no accumulate can still be retrying, so tokens are only ever
-// evicted a full generation after their op completed. Elastic mode
-// checkpoints every member currently hosting a block — migrated tokens
-// travel with their blocks, so those members hold all live tokens.
+// blockRoute addresses a driver op to whichever member hosts proc's block
+// at the time of each attempt.
+func (c *Client) blockRoute(proc int) func() (*connPool, error) {
+	return func() (*connPool, error) { return c.routeFor(proc) }
+}
+
+// Checkpoint advances the dedup-eviction generation on every shard
+// currently hosting a block: the driver calls it at a session checkpoint
+// (an SCF iteration boundary), when no accumulate can still be retrying,
+// so tokens are only ever evicted a full generation after their op
+// completed. Migrated tokens travel with their blocks, so the hosting
+// members hold all live tokens.
 func (c *Client) Checkpoint() error {
 	req := request{Op: opCheckpoint, Session: c.cfg.Session, Proc: -1}
-	if !c.elastic {
-		for _, pool := range c.pools {
-			if _, err := c.driverOp(pool, &req); err != nil {
-				return fmt.Errorf("netga: checkpoint: %w", err)
-			}
-		}
-		return nil
-	}
 	done := map[*connPool]bool{}
 	for p := 0; p < c.grid.NumProcs(); p++ {
 		pool, err := c.routeFor(p)
 		if err == nil && done[pool] {
 			continue
 		}
-		if _, err := c.driverOpProc(p, &req); err != nil {
+		if _, err := c.driverOp(c.blockRoute(p), &req); err != nil {
 			return fmt.Errorf("netga: checkpoint: %w", err)
 		}
 		if pool != nil {
@@ -820,15 +668,20 @@ func (c *Client) Checkpoint() error {
 	return nil
 }
 
-// Bye releases this client's session on every shard (multi-session
-// servers free the session's arrays and dedup state; single-session
-// servers reject the op, which is harmless). Callers invoke it once per
-// job, after the last build of the session, before Close.
+// Bye releases this client's session on every shard it ever said hello
+// to (multi-session servers free the session's arrays and dedup state;
+// single-session servers reject the op, which is harmless). Callers
+// invoke it once per job, after the last build of the session, before
+// Close.
 func (c *Client) Bye() error {
 	req := request{Op: opBye, Session: c.cfg.Session, Proc: -1}
+	c.poolsMu.Lock()
+	pools := append([]*connPool(nil), c.pools...)
+	c.poolsMu.Unlock()
 	var firstErr error
-	for _, pool := range c.pools {
-		if _, err := c.driverOp(pool, &req); err != nil && firstErr == nil {
+	for _, pool := range pools {
+		fixed := func() (*connPool, error) { return pool, nil }
+		if _, err := c.driverOp(fixed, &req); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -849,7 +702,7 @@ func (c *Client) blobProc(key uint64) int {
 // a final failure makes the store drop the entry and recompute.
 func (c *Client) PutBlob(key uint64, vals []float64) error {
 	req := request{Op: opPutBlob, Session: c.cfg.Session, Token: key, Proc: -1, Data: vals}
-	_, err := c.driverOpProc(c.blobProc(key), &req)
+	_, err := c.driverOp(c.blockRoute(c.blobProc(key)), &req)
 	return err
 }
 
@@ -858,7 +711,7 @@ func (c *Client) PutBlob(key uint64, vals []float64) error {
 // surfaces as an error the store maps to a recompute.
 func (c *Client) GetBlob(key uint64, dst []float64) ([]float64, error) {
 	req := request{Op: opGetBlob, Session: c.cfg.Session, Token: key, Proc: -1}
-	resp, err := c.driverOpProc(c.blobProc(key), &req)
+	resp, err := c.driverOp(c.blockRoute(c.blobProc(key)), &req)
 	if err != nil {
 		return nil, err
 	}
@@ -866,20 +719,10 @@ func (c *Client) GetBlob(key uint64, dst []float64) ([]float64, error) {
 }
 
 // LoadMatrix distributes a dense matrix to the shard servers, one Put
-// per grid block (driver-side: not accounted, not fault-injected).
-// Callers that can recover from a dead fleet — a multi-tenant daemon
-// that must not crash on one job's shard loss — use LoadMatrixErr.
-func (c *Client) LoadMatrix(m *linalg.Matrix) {
-	if err := c.LoadMatrixErr(m); err != nil {
-		panic(fmt.Sprintf("netga: LoadMatrix: %v", err))
-	}
-}
-
-// LoadMatrixErr is LoadMatrix with the transport failure surfaced as an
-// error instead of a panic; core.Build prefers it when the backend
-// provides it, turning a shard lost mid-build into a failed (retryable)
-// build rather than a crashed process.
-func (c *Client) LoadMatrixErr(m *linalg.Matrix) error {
+// per grid block (driver-side: not accounted, not fault-injected). A
+// fleet that cannot be reached is an error, not a panic: a multi-tenant
+// daemon must not crash on one job's shard loss.
+func (c *Client) LoadMatrix(m *linalg.Matrix) error {
 	if m.Rows != c.grid.Rows || m.Cols != c.grid.Cols {
 		return fmt.Errorf("netga: LoadMatrix shape %dx%d, grid %dx%d", m.Rows, m.Cols, c.grid.Rows, c.grid.Cols)
 	}
@@ -894,7 +737,7 @@ func (c *Client) LoadMatrixErr(m *linalg.Matrix) error {
 			R0: int32(p.R0), R1: int32(p.R1), C0: int32(p.C0), C1: int32(p.C1),
 			Data: data,
 		}
-		if _, err := c.driverOpProc(p.Proc, &req); err != nil {
+		if _, err := c.driverOp(c.blockRoute(p.Proc), &req); err != nil {
 			return err
 		}
 	}
@@ -902,25 +745,15 @@ func (c *Client) LoadMatrixErr(m *linalg.Matrix) error {
 }
 
 // ToMatrix gathers the full array from the shard servers, one Get per
-// grid block (driver-side; see LoadMatrix and ToMatrixErr).
-func (c *Client) ToMatrix() *linalg.Matrix {
-	m, err := c.ToMatrixErr()
-	if err != nil {
-		panic(fmt.Sprintf("netga: ToMatrix: %v", err))
-	}
-	return m
-}
-
-// ToMatrixErr is ToMatrix with failures surfaced as errors (see
-// LoadMatrixErr).
-func (c *Client) ToMatrixErr() (*linalg.Matrix, error) {
+// grid block (driver-side; see LoadMatrix).
+func (c *Client) ToMatrix() (*linalg.Matrix, error) {
 	m := linalg.NewMatrix(c.grid.Rows, c.grid.Cols)
 	for _, p := range c.grid.Patches(0, c.grid.Rows, 0, c.grid.Cols) {
 		req := request{
 			Op: opGet, Array: c.cfg.Array, Session: c.cfg.Session, Proc: -1,
 			R0: int32(p.R0), R1: int32(p.R1), C0: int32(p.C0), C1: int32(p.C1),
 		}
-		resp, err := c.driverOpProc(p.Proc, &req)
+		resp, err := c.driverOp(c.blockRoute(p.Proc), &req)
 		if err != nil {
 			return nil, err
 		}

@@ -217,3 +217,72 @@ func TestLoopbackChaosBuildMatchesSerial(t *testing.T) {
 		})
 	}
 }
+
+// TestLiveSessionAccountsEveryBuild is the regression test for the
+// live-session accounting bug: one dialed D/F client pair serves three
+// consecutive builds (as serve.FleetRunner and fockbuild's cached builds
+// do), and every build must report the Tables VI/VII figures of its own
+// traffic — the same as the build over the in-process array — and its own
+// retries. The client used to charge the RunStats it was dialed with, so
+// every build after the first reported zero. One worker keeps the op
+// sequence (no steals) and with it the call counts exact.
+func TestLiveSessionAccountsEveryBuild(t *testing.T) {
+	bs, scr, d := netSetup(t)
+	opt := core.Options{Prow: 1, Pcol: 1, LeaseTTL: 2 * time.Second}
+	ref := core.Build(bs, scr, d, opt)
+	wantCalls, wantMB := ref.Stats.CallsAvg(), ref.Stats.VolumeAvgMB()
+	if wantCalls == 0 || wantMB == 0 {
+		t.Fatalf("in-process build reported no traffic: %v calls, %v MB", wantCalls, wantMB)
+	}
+	grid := core.Grid(bs, 1, 1)
+
+	for _, faulty := range []bool{false, true} {
+		srv := netga.NewServer(grid, []int{0})
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		var inj *fault.Injector
+		if faulty {
+			// Resets never run past the Get attempts budget, so no op is
+			// abandoned and every failed attempt is a counted retry.
+			inj = fault.New(fault.Config{Seed: 5, NetResetProb: 0.3, MaxConsecutiveNetFaults: 2})
+		}
+		rpc := &metrics.RPC{}
+		var clD, clF *netga.Client
+		opt.Backend = func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
+			if clD == nil {
+				cfg := netga.Config{Session: 9, RPC: rpc, Fault: inj}
+				if clD, err = netga.Dial(grid, stats, []string{addr}, []int{0}, cfg); err != nil {
+					return nil, nil, nil, err
+				}
+				cfg.Array = 1
+				if clF, err = netga.Dial(grid, stats, []string{addr}, []int{0}, cfg); err != nil {
+					return nil, nil, nil, err
+				}
+				t.Cleanup(clD.Close)
+				t.Cleanup(clF.Close)
+			}
+			return clD, clF, nil, nil
+		}
+		for b := 1; b <= 3; b++ {
+			before := rpc.Snapshot().Retries
+			res := buildDeadline(t, time.Minute, func() core.Result { return core.Build(bs, scr, d, opt) })
+			if res.Err != nil {
+				t.Fatalf("faulty=%v build %d: %v", faulty, b, res.Err)
+			}
+			if diff := linalg.MaxAbsDiff(ref.G, res.G); diff > 1e-9 {
+				t.Fatalf("faulty=%v build %d: |G - in-process| = %g", faulty, b, diff)
+			}
+			if calls, mb := res.Stats.CallsAvg(), res.Stats.VolumeAvgMB(); calls != wantCalls || mb != wantMB {
+				t.Fatalf("faulty=%v build %d reports %v calls / %v MB, want the in-process build's %v / %v",
+					faulty, b, calls, mb, wantCalls, wantMB)
+			}
+			retries := rpc.Snapshot().Retries - before
+			if got := res.Stats.Recovery.OpRetries; got != retries || (retries > 0) != faulty {
+				t.Fatalf("faulty=%v build %d reports %d op retries, the wire saw %d in it", faulty, b, got, retries)
+			}
+		}
+	}
+}

@@ -262,7 +262,7 @@ func TestFleetGracefulLeaveDrains(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = float64(i) * 0.25
 	}
-	c.LoadMatrix(m)
+	mustLoad(t, c, m)
 
 	if err := fm2.Leave(); err != nil {
 		t.Fatal(err)
@@ -284,7 +284,7 @@ func TestFleetGracefulLeaveDrains(t *testing.T) {
 	}
 	// The drained blocks carried their data: reading back through the new
 	// placement returns exactly what was loaded before the leave.
-	back := c.ToMatrix()
+	back := mustMatrix(t, c)
 	if d := linalg.MaxAbsDiff(m, back); d != 0 {
 		t.Fatalf("matrix differs by %g after drain", d)
 	}

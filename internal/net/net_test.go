@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -52,6 +53,27 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 }
 
+// Journaled records and peers carry op numbers, so an opcode keeps its
+// value for good: 7 was the static membership-map query, is reserved, and
+// is answered like any other op the server does not know.
+func TestOpcodeValuesStable(t *testing.T) {
+	got := []uint8{opHello, opGet, opPut, opAcc, opPing, opCheckpoint, opPromote, opSubscribe, opJoin, opLeave,
+		opLease, opView, opFreeze, opMigrate, opSetGen, opPutBlob, opGetBlob, opBye}
+	want := []uint8{1, 2, 3, 4, 5, 6, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("opcode values %v, want %v", got, want)
+	}
+	grid := dist.UniformGrid2D(1, 1, 2, 2)
+	srv := NewServer(grid, []int{0})
+	srv.handle(&request{Op: opHello, Session: 1, R0: 2, C0: 2, Msg: layoutMsg(grid)})
+	for _, op := range []uint8{7, 200} {
+		resp := srv.handle(&request{Op: op, Session: 1, R1: 1, C1: 1})
+		if resp.Status != statusErr || !strings.Contains(resp.Msg, "unknown op") {
+			t.Fatalf("op %d answered %d %q, want an unknown-op rejection", op, resp.Status, resp.Msg)
+		}
+	}
+}
+
 // startCluster brings up nservers loopback shard servers over grid and
 // returns their addresses, the proc assignment, and a cleanup.
 func startCluster(t *testing.T, grid *dist.Grid2D, nservers int) ([]string, []int, []*Server) {
@@ -85,18 +107,17 @@ func TestClientServerRoundTrip(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = float64(i)
 	}
-	c.LoadMatrix(m)
-	back := c.ToMatrix()
+	mustLoad(t, c, m)
+	back := mustMatrix(t, c)
 	if d := linalg.MaxAbsDiff(m, back); d != 0 {
 		t.Fatalf("LoadMatrix/ToMatrix round trip differs by %g", d)
 	}
 
-	// A cross-owner GetRetry must reassemble patches from both servers.
+	// No build issues a multi-owner op (core decomposes with grid.Patches
+	// first), but the Get/Acc conveniences still do: a cross-owner Get must
+	// reassemble patches from both servers.
 	dst := make([]float64, 6*8)
-	retries, err := c.GetRetry(context.Background(), 3, time.Millisecond, 0, 1, 7, 1, 7, dst, 8)
-	if err != nil || retries != 0 {
-		t.Fatalf("GetRetry: retries=%d err=%v", retries, err)
-	}
+	c.Get(0, 1, 7, 1, 7, dst, 8)
 	for r := 1; r < 7; r++ {
 		for cc := 1; cc < 7; cc++ {
 			if got, want := dst[(r-1)*8+(cc-1)], m.At(r, cc); got != want {
@@ -104,19 +125,17 @@ func TestClientServerRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if stats.Per[0].Calls == 0 || stats.Per[0].Bytes == 0 {
-		t.Fatal("GetRetry did not charge rank 0")
+	if stats.Per[0].Calls != 4 || stats.Per[0].Bytes != 8*36 {
+		t.Fatalf("Get charged rank 0 %d calls / %d bytes, want one call per owner patch", stats.Per[0].Calls, stats.Per[0].Bytes)
 	}
 
-	// A cross-owner AccFencedRetry must land on both servers exactly once.
+	// A cross-owner Acc must land on both servers exactly once.
 	src := make([]float64, 6*8)
 	for i := range src {
 		src[i] = 2
 	}
-	if _, err := c.AccFencedRetry(context.Background(), time.Millisecond, 1, 1, 1, 7, 1, 7, src, 8, 0.5); err != nil {
-		t.Fatalf("AccFencedRetry: %v", err)
-	}
-	back = c.ToMatrix()
+	c.Acc(1, 1, 7, 1, 7, src, 8, 0.5)
+	back = mustMatrix(t, c)
 	for r := 0; r < 8; r++ {
 		for cc := 0; cc < 8; cc++ {
 			want := m.At(r, cc)
@@ -160,7 +179,7 @@ func TestAccTokenDedup(t *testing.T) {
 	if st := servers[0].Stats(); st.AccApplied != 1 || st.AccDups != 2 {
 		t.Fatalf("server stats: %+v, want 1 applied / 2 dups", st)
 	}
-	back := c.ToMatrix()
+	back := mustMatrix(t, c)
 	for i, v := range back.Data {
 		if v != 3 {
 			t.Fatalf("element %d = %g, want 3 (exactly-once)", i, v)
@@ -202,7 +221,7 @@ func TestChaosAccExactlyOnce(t *testing.T) {
 				src[k] = 1
 			}
 			for n := 0; n < perRank; n++ {
-				if _, err := c.AccFencedRetry(context.Background(), time.Millisecond,
+				if _, err := (dist.Retry{Backoff: time.Millisecond}).Acc(context.Background(), c, stats, nil, false,
 					rank, 1, r0, r1, c0, c1, src, c1-c0, 1); err != nil {
 					t.Errorf("rank %d acc %d: %v", rank, n, err)
 					return
@@ -212,7 +231,7 @@ func TestChaosAccExactlyOnce(t *testing.T) {
 	}
 	wg.Wait()
 
-	back := c.ToMatrix()
+	back := mustMatrix(t, c)
 	for i, v := range back.Data {
 		if v != perRank {
 			t.Fatalf("element %d = %g, want %d: Acc lost or double-applied", i, v, perRank)
@@ -233,7 +252,8 @@ func TestChaosAccExactlyOnce(t *testing.T) {
 
 // Inside a partition window RPCs fail fast without touching the wire;
 // once the window closes (and the consecutive cap stops new windows) the
-// op completes. A ctx deadline during an un-sent Acc aborts cleanly.
+// op completes. (What the retry loop does with a partitioned transport —
+// budget, clean abandonment on a deadline — is the conformance table's.)
 func TestPartitionWindowFailsFastThenHeals(t *testing.T) {
 	grid := dist.UniformGrid2D(1, 1, 4, 4)
 	addrs, assign, servers := startCluster(t, grid, 1)
@@ -250,39 +270,27 @@ func TestPartitionWindowFailsFastThenHeals(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Few attempts, short ctx: abandoned inside the first window.
-	dst := make([]float64, 16)
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	_, err = c.GetRetry(ctx, 3, 5*time.Millisecond, 0, 0, 4, 0, 4, dst, 4)
-	cancel()
-	if err == nil {
-		t.Fatal("GetRetry inside a hard partition must fail")
-	}
-
-	// An Acc that was never sent must abandon cleanly on ctx deadline:
-	// nothing lands server-side.
+	// One attempt inside the window: failed fast, provably unsent.
 	src := []float64{1, 1, 1, 1}
-	ctx, cancel = context.WithTimeout(context.Background(), 15*time.Millisecond)
-	_, err = c.AccFencedRetry(ctx, 5*time.Millisecond, 0, 1, 0, 1, 0, 4, src, 4, 1)
-	cancel()
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("partitioned Acc: err=%v, want deadline", err)
+	if _, sent, err := c.TryAcc(0, 0, 0, 1, 0, 4, src, 4, 1); !errors.Is(err, ErrPartitioned) || sent {
+		t.Fatalf("partitioned TryAcc: sent=%v err=%v, want unsent ErrPartitioned", sent, err)
 	}
-	if n := servers[0].Stats().AccApplied; n != 0 {
-		t.Fatalf("clean abandonment applied %d Accs", n)
+	if n := servers[0].Stats().Requests; n != 1 { // the hello
+		t.Fatalf("a partitioned attempt reached the server (%d requests)", n)
 	}
 
 	// Generous retry budget: windows expire, the consecutive cap kicks
 	// in, and the op heals.
-	retries, err := c.GetRetry(context.Background(), 30, 5*time.Millisecond, 0, 0, 4, 0, 4, dst, 4)
+	dst := make([]float64, 16)
+	retries, err := dist.Retry{Attempts: 30, Backoff: 5 * time.Millisecond}.Get(context.Background(), c, nil, 0, 0, 4, 0, 4, dst, 4)
 	if err != nil {
-		t.Fatalf("GetRetry after heal: %v", err)
+		t.Fatalf("Get after heal: %v", err)
 	}
 	if retries == 0 {
-		t.Fatal("healed GetRetry should have recorded retries")
+		t.Fatal("healed Get should have recorded retries")
 	}
-	if rpc.Snapshot().Partitioned == 0 {
-		t.Fatal("no partitioned RPCs counted")
+	if snap := rpc.Snapshot(); snap.Partitioned == 0 || snap.Retries == 0 {
+		t.Fatalf("partitioned RPCs not counted: %+v", snap)
 	}
 }
 
@@ -299,7 +307,7 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = 9
 	}
-	c1.LoadMatrix(m)
+	mustLoad(t, c1, m)
 	c1.Close()
 
 	// New session: state reset to zero.
@@ -308,7 +316,7 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 		t.Fatalf("dial 2: %v", err)
 	}
 	defer c2.Close()
-	back := c2.ToMatrix()
+	back := mustMatrix(t, c2)
 	for i, v := range back.Data {
 		if v != 0 {
 			t.Fatalf("element %d = %g after session reset, want 0", i, v)
@@ -350,7 +358,7 @@ func TestUnhostedProcRejected(t *testing.T) {
 	}
 	defer c.Close()
 	dst := make([]float64, 8)
-	if _, err := c.GetRetry(context.Background(), 2, time.Millisecond, 0, 2, 4, 0, 4, dst, 4); err == nil {
-		t.Fatal("Get of an unhosted block must be rejected")
+	if retries, err := getPatch(c, 0, 2, 4, 0, 4, dst, 4); !errors.Is(err, dist.ErrRejected) || retries != 0 {
+		t.Fatalf("Get of an unhosted block: retries=%d err=%v, want an immediate rejection", retries, err)
 	}
 }

@@ -1,9 +1,10 @@
 // Package netga is the TCP network transport behind dist.Backend: the D
 // and F global arrays live as shards in fockd server processes, and every
-// one-sided Get/Put/Acc is a length-prefixed framed RPC with per-op
-// deadlines, capped jittered retry, idempotency tokens (a retried or
-// duplicated Acc is applied exactly once server-side), and automatic
-// reconnection. core.Build and its lease/epoch recovery machinery run
+// attempt at a one-sided Get/Put/Acc is a length-prefixed framed RPC with
+// a per-op deadline, an idempotency token (a retried or duplicated Acc is
+// applied exactly once server-side), and automatic reconnection; the
+// capped jittered retry over the attempts is dist.Retry's, as for the
+// in-process array. core.Build and its lease/epoch recovery machinery run
 // unchanged over this transport; a rank that loses a peer past its retry
 // budget aborts, gets fenced, and its work is re-executed elsewhere
 // (graceful degradation — see DESIGN.md, "Network transport and
@@ -25,7 +26,7 @@ const (
 	opAcc                         // accumulate alpha*data into one patch, token-deduped
 	opPing                        // liveness probe
 	opCheckpoint                  // session checkpoint: advance the dedup eviction generation
-	opMembership                  // read the cluster membership map (JSON in Msg)
+	_                             // 7: reserved (was the static membership-map query); answered as an unknown op
 	opPromote                     // promote a standby to primary at the fence epoch in SEpoch
 	opSubscribe                   // standby -> primary: hijack this conn into a replication stream
 
@@ -83,7 +84,7 @@ type request struct {
 	Session        uint64
 	ReqID          uint64
 	Token          uint64 // Acc idempotency token; 0 = no dedup
-	Epoch          int64
+	Epoch          int64  // layout only: epoch fencing is the driver-side retry loop's, servers never read it
 	SEpoch         uint64 // shard fence epoch; bumped by standby promotion
 	PGen           uint64 // placement generation the issuer routed by; 0 = static placement
 	Proc           int32  // issuing rank; -1 for driver-side ops

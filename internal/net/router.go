@@ -1,11 +1,8 @@
 package netga
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
@@ -48,11 +45,14 @@ type Router struct {
 	mu    sync.Mutex
 	slots []routeSlot
 
-	// Elastic mode (fleetAddr != ""): slots are allocated dynamically, one
-	// per fleet member ever seen, and routing goes through the published
-	// placement instead of fixed slot arithmetic. Slots are append-only —
-	// a member that leaves keeps its index (nothing routes to it), so
-	// connection pools keyed by slot stay valid across churn.
+	// Routing goes through a view: the block -> member placement, and one
+	// slot per member. A fleet router (fleetAddr != "") fetches the view the
+	// coordinator publishes and allocates slots as members appear; slots
+	// are append-only — a member that leaves keeps its index (nothing
+	// routes to it), so connection pools keyed by slot stay valid across
+	// churn. A static router has no fleet to ask: Dial pins a fixed view
+	// over its address list (generation 0, member i+1 in slot i) that is
+	// never refreshed.
 	fleetAddr     string
 	view          *FleetView
 	slotOf        map[uint64]int // member ID -> slot index
@@ -61,7 +61,7 @@ type Router struct {
 }
 
 type routeSlot struct {
-	id        uint64 // fleet member ID (0 in static mode)
+	id        uint64 // member ID (slot index + 1 on a static router)
 	addr      string
 	standby   string
 	epoch     uint64
@@ -73,22 +73,37 @@ type routeSlot struct {
 	nextFailoverAt time.Time
 }
 
-// NewRouter creates routing state for the given primaries. standbys may
-// be nil, shorter than addrs, or hold "" entries for slots with no
-// standby; missing entries can still be learned later from a membership
-// query. rpc may be nil.
+// NewRouter creates static routing state for the given primaries.
+// standbys may be nil, shorter than addrs, or hold "" entries for slots
+// with no standby (such a slot cannot fail over). rpc may be nil.
 func NewRouter(addrs, standbys []string, opTimeout time.Duration, rpc *metrics.RPC) *Router {
 	if opTimeout <= 0 {
 		opTimeout = 2 * time.Second
 	}
-	rt := &Router{opTimeout: opTimeout, rpc: rpc, slots: make([]routeSlot, len(addrs))}
+	rt := &Router{opTimeout: opTimeout, rpc: rpc, slots: make([]routeSlot, len(addrs)), slotOf: map[uint64]int{}}
 	for i, a := range addrs {
-		rt.slots[i] = routeSlot{addr: a, epoch: 1}
+		rt.slots[i] = routeSlot{id: uint64(i + 1), addr: a, epoch: 1}
+		rt.slotOf[uint64(i+1)] = i
 		if i < len(standbys) {
 			rt.slots[i].standby = standbys[i]
 		}
 	}
 	return rt
+}
+
+// pin installs the fixed view of a static dial: assign[p] is the slot
+// hosting proc p, at placement generation 0 — which servers read as "no
+// placement fence". Only the block -> member map is taken from the view;
+// addresses stay in the slots, so a failover that already swapped one is
+// not undone by the next Dial on the same router.
+func (rt *Router) pin(assign []int) {
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	members := make([]Member, len(rt.slots))
+	for i := range members {
+		members[i].ID = rt.slots[i].id
+	}
+	rt.view = &FleetView{Placement: Placement{Members: members, Assign: append([]int(nil), assign...)}}
 }
 
 // NewFleetRouter creates elastic routing state fed by the fleet
@@ -113,11 +128,11 @@ func (rt *Router) Slots() int {
 	return len(rt.slots)
 }
 
-// elastic reports whether this router routes by fleet placement.
+// elastic reports whether this router follows a fleet coordinator's view.
 func (rt *Router) elastic() bool { return rt.fleetAddr != "" }
 
-// pgen returns the placement generation requests must carry (0 in static
-// mode, where servers skip the placement fence).
+// pgen returns the placement generation requests must carry (0 under a
+// static dial's fixed view, where servers skip the placement fence).
 func (rt *Router) pgen() uint64 {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -151,7 +166,8 @@ func (rt *Router) slotFor(p int) int {
 // a retry loop collapse to one fetch per interval) and with jittered
 // capped backoff after failures so a dead fleet or slow convergence
 // doesn't hot-spin the lookup path. A throttled call returns nil: the
-// caller routes on the view it has.
+// caller routes on the view it has. A static router has no fleet to ask
+// and keeps its fixed view.
 func (rt *Router) RefreshView() error { return rt.refreshView(false) }
 
 func (rt *Router) refreshView(force bool) error {
@@ -169,7 +185,7 @@ func (rt *Router) refreshView(force bool) error {
 	addr := rt.fleetAddr
 	rt.mu.Unlock()
 
-	resp, err := rt.oneShot(addr, &request{Op: opView})
+	resp, err := oneShotRPC(addr, &request{Op: opView}, rt.opTimeout)
 	var v *FleetView
 	if err == nil {
 		if resp.Status != statusOK {
@@ -274,7 +290,7 @@ func (rt *Router) success(slot int) {
 // the caller should attempt a failover now. Crossing the threshold is
 // necessary but not sufficient: failover probes are paced by a jittered
 // exponential backoff per slot, so a dead primary with no (or a slow)
-// standby doesn't make every retry loop hammer promotion and membership
+// standby doesn't make every retry loop hammer promotion and view
 // lookups — callers between backoff deadlines just keep retrying the op.
 func (rt *Router) failure(slot int) bool {
 	rt.mu.Lock()
@@ -302,8 +318,8 @@ var errFailoverInFlight = errors.New("netga: failover already in flight")
 // Failover promotes slot's standby to primary at the next fence epoch and
 // swaps the route to it. Single-flight per slot; concurrent callers get
 // errFailoverInFlight and simply retry their op. With no standby known —
-// statically or via a membership query to the surviving servers — the
-// failover fails and the callers stay on the (possibly healing) primary.
+// configured statically or named by the fleet view — the failover fails
+// and the callers stay on the (possibly healing) primary.
 func (rt *Router) Failover(slot int) error {
 	rt.mu.Lock()
 	s := &rt.slots[slot]
@@ -320,14 +336,21 @@ func (rt *Router) Failover(slot int) error {
 		rt.mu.Unlock()
 	}()
 
-	if target == "" {
-		target = rt.lookupStandby(slot)
+	if target == "" && rt.elastic() {
+		// The fleet view is the membership map: a forced refresh names a
+		// standby registered since the last one.
+		rt.refreshView(true)
+		rt.mu.Lock()
+		target = rt.slots[slot].standby
+		rt.mu.Unlock()
 	}
 	if target == "" {
 		return fmt.Errorf("netga: no standby known for shard slot %d", slot)
 	}
 	req := request{Op: opPromote, SEpoch: startEpoch + 1}
-	resp, err := rt.oneShot(target, &req)
+	// A throwaway conn: promotion must not depend on the pooled conns to a
+	// possibly-dead server.
+	resp, err := oneShotRPC(target, &req, rt.opTimeout)
 	if err != nil {
 		return fmt.Errorf("netga: promote %s: %w", target, err)
 	}
@@ -351,77 +374,4 @@ func (rt *Router) Failover(slot int) error {
 	rt.mu.Unlock()
 	rt.rpc.AddFailover()
 	return nil
-}
-
-// lookupStandby asks the other live servers for the membership map and
-// returns slot's standby address ("" if nobody knows one). Learned
-// standbys for all slots are cached along the way. In elastic mode the
-// fleet view is the membership map, so a forced refresh answers directly.
-func (rt *Router) lookupStandby(slot int) string {
-	if rt.elastic() {
-		rt.refreshView(true)
-		rt.mu.Lock()
-		defer rt.mu.Unlock()
-		return rt.slots[slot].standby
-	}
-	rt.mu.Lock()
-	addrs := make([]string, len(rt.slots))
-	for i := range rt.slots {
-		addrs[i] = rt.slots[i].addr
-	}
-	rt.mu.Unlock()
-	for i, addr := range addrs {
-		if i == slot {
-			continue // that one is the server we just lost
-		}
-		resp, err := rt.oneShot(addr, &request{Op: opMembership})
-		if err != nil || resp.Status != statusOK {
-			continue
-		}
-		var m Membership
-		if json.Unmarshal([]byte(resp.Msg), &m) != nil {
-			continue
-		}
-		rt.mu.Lock()
-		for k := range rt.slots {
-			if rt.slots[k].standby == "" && k < len(m.Standbys) {
-				rt.slots[k].standby = m.Standbys[k]
-			}
-		}
-		found := rt.slots[slot].standby
-		rt.mu.Unlock()
-		if found != "" {
-			return found
-		}
-	}
-	return ""
-}
-
-// oneShot runs a single RPC on a throwaway conn (the promotion and
-// membership path must not depend on the pooled conns to a possibly-dead
-// server).
-func (rt *Router) oneShot(addr string, req *request) (*response, error) {
-	conn, err := net.DialTimeout("tcp", addr, rt.opTimeout)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(rt.opTimeout))
-	req.ReqID = 1
-	bw := bufio.NewWriter(conn)
-	if err := writeFrame(bw, encodeRequest(nil, req)); err != nil {
-		return nil, err
-	}
-	if err := bw.Flush(); err != nil {
-		return nil, err
-	}
-	body, err := readFrame(bufio.NewReader(conn))
-	if err != nil {
-		return nil, err
-	}
-	var resp response
-	if err := decodeResponse(body, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
 }

@@ -2,7 +2,6 @@ package netga
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -87,7 +86,6 @@ type Server struct {
 	hadStandby  bool        // a standby has subscribed at least once (under mu)
 	stdbyStop   chan struct{}
 	stdbyConn   net.Conn // standby side: live subscription conn (under mu)
-	membership  *Membership
 
 	ln       net.Listener
 	boundTo  string
@@ -100,15 +98,6 @@ type Server struct {
 	fencedOps, replSent, replApplied                 atomic.Int64
 	freezes, blocksIn, blocksOut, placementFenced    atomic.Int64
 	blobsStored, blobHits, blobMisses                atomic.Int64
-}
-
-// Membership is the small cluster map every fockd can serve: the primary
-// address per server slot, and the standby (if any) per slot. A client
-// that exhausts its retry budget against a primary asks any live server
-// for this map to locate the standby it should promote.
-type Membership struct {
-	Primaries []string `json:"primaries"`
-	Standbys  []string `json:"standbys,omitempty"`
 }
 
 // ServerOption configures a Server at construction.
@@ -143,11 +132,6 @@ func WithStandby(addr string) ServerOption {
 		s.primaryAddr = addr
 		s.standby.Store(true)
 	}
-}
-
-// WithMembership installs the cluster map served to opMembership queries.
-func WithMembership(m Membership) ServerOption {
-	return func(s *Server) { s.membership = &m }
 }
 
 // ServerStats is a point-in-time counter snapshot.
@@ -757,8 +741,6 @@ func (s *Server) handle(req *request) response {
 		return s.hello(req)
 	case opPing:
 		return response{ReqID: req.ReqID}
-	case opMembership:
-		return s.membershipResp(req)
 	case opPromote:
 		return s.promote(req)
 	case opCheckpoint:
@@ -1032,29 +1014,6 @@ func (s *Server) checkpoint(req *request) response {
 	}
 	s.rotateDedupLocked()
 	return response{ReqID: req.ReqID}
-}
-
-// membershipResp serves the cluster map, if one was configured.
-func (s *Server) membershipResp(req *request) response {
-	s.mu.Lock()
-	m := s.membership
-	s.mu.Unlock()
-	if m == nil {
-		return errResp(req.ReqID, "netga: no membership configured")
-	}
-	blob, err := json.Marshal(m)
-	if err != nil {
-		return errResp(req.ReqID, "netga: membership: %v", err)
-	}
-	return response{ReqID: req.ReqID, Msg: string(blob)}
-}
-
-// SetMembership replaces the served cluster map at runtime (tests, or a
-// deployment tool updating the gossip seed).
-func (s *Server) SetMembership(m Membership) {
-	s.mu.Lock()
-	s.membership = &m
-	s.mu.Unlock()
 }
 
 // promote handles the epoch-fenced role transition. A standby becomes the

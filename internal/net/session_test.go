@@ -1,7 +1,6 @@
 package netga
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -98,30 +97,30 @@ func TestMultiServerSessionIsolation(t *testing.T) {
 	for i := range mA.Data {
 		mA.Data[i] = float64(i)
 	}
-	cA.LoadMatrix(mA)
+	mustLoad(t, cA, mA)
 	mB := linalg.NewMatrix(5, 5)
 	for i := range mB.Data {
 		mB.Data[i] = -float64(i)
 	}
-	cB.LoadMatrix(mB)
+	mustLoad(t, cB, mB)
 
-	if d := linalg.MaxAbsDiff(cA.ToMatrix(), mA); d != 0 {
+	if d := linalg.MaxAbsDiff(mustMatrix(t, cA), mA); d != 0 {
 		t.Fatalf("session A readback off by %g", d)
 	}
-	if d := linalg.MaxAbsDiff(cB.ToMatrix(), mB); d != 0 {
+	if d := linalg.MaxAbsDiff(mustMatrix(t, cB), mB); d != 0 {
 		t.Fatalf("session B readback off by %g", d)
 	}
 
 	// Accumulate with idempotency tokens in A; B unchanged.
 	src := []float64{1, 1, 1, 1}
-	if _, err := cA.AccFencedRetry(context.Background(), time.Millisecond, 0, 0, 0, 2, 0, 2, src, 2, 2.0); err != nil {
+	if _, err := accPatch(cA, 0, 0, 2, 0, 2, src, 2, 2.0); err != nil {
 		t.Fatal(err)
 	}
-	got := cA.ToMatrix()
+	got := mustMatrix(t, cA)
 	if got.Data[0] != mA.Data[0]+2 || got.Data[1] != mA.Data[1]+2 {
 		t.Fatalf("acc not applied: %v", got.Data[:2])
 	}
-	if d := linalg.MaxAbsDiff(cB.ToMatrix(), mB); d != 0 {
+	if d := linalg.MaxAbsDiff(mustMatrix(t, cB), mB); d != 0 {
 		t.Fatalf("session B perturbed by session A's acc (off by %g)", d)
 	}
 }
@@ -137,17 +136,17 @@ func TestMultiServerSharedSessionTwoArrays(t *testing.T) {
 
 	src := []float64{1}
 	for i := 0; i < 3; i++ {
-		if _, err := cD.AccFencedRetry(context.Background(), time.Millisecond, 0, 0, 0, 1, 0, 1, src, 1, 1); err != nil {
+		if _, err := accPatch(cD, 0, 0, 1, 0, 1, src, 1, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cF.AccFencedRetry(context.Background(), time.Millisecond, 0, 0, 0, 1, 0, 1, src, 1, 1); err != nil {
+		if _, err := accPatch(cF, 0, 0, 1, 0, 1, src, 1, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if v := cD.ToMatrix().Data[0]; v != 3 {
+	if v := mustMatrix(t, cD).Data[0]; v != 3 {
 		t.Fatalf("array D = %g, want 3", v)
 	}
-	if v := cF.ToMatrix().Data[0]; v != 3 {
+	if v := mustMatrix(t, cF).Data[0]; v != 3 {
 		t.Fatalf("array F = %g, want 3", v)
 	}
 	if st := servers[0].Stats(); st.AccDups != 0 {
@@ -209,7 +208,7 @@ func TestMultiServerKillForgetsSessions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := dialSession(t, g, []string{addr}, 9, 0)
-	c.LoadMatrix(linalg.NewMatrix(4, 4))
+	mustLoad(t, c, linalg.NewMatrix(4, 4))
 
 	ms.Kill()
 	ms2, err := NewMultiServer(1, 0, 0, 0)
@@ -222,11 +221,11 @@ func TestMultiServerKillForgetsSessions(t *testing.T) {
 	defer ms2.Close()
 
 	dst := make([]float64, 16)
-	_, err = c.GetRetry(context.Background(), 3, time.Millisecond, 0, 0, 4, 0, 4, dst, 4)
-	if err == nil || !strings.Contains(err.Error(), "unknown session") {
+	_, err = getPatch(c, 0, 0, 4, 0, 4, dst, 4)
+	if !errors.Is(err, dist.ErrRejected) || !strings.Contains(err.Error(), "unknown session") {
 		t.Fatalf("get against restarted shard: %v, want unknown session", err)
 	}
-	if _, err := c.AccFencedRetry(context.Background(), time.Millisecond, 0, 0, 0, 1, 0, 1, []float64{1}, 1, 1); err == nil {
+	if _, err := accPatch(c, 0, 0, 1, 0, 1, []float64{1}, 1, 1); !errors.Is(err, dist.ErrRejected) {
 		t.Fatal("acc against restarted shard succeeded; must fail deterministically")
 	}
 
@@ -234,8 +233,8 @@ func TestMultiServerKillForgetsSessions(t *testing.T) {
 	c2 := dialSession(t, g, []string{addr}, 10, 0)
 	m := linalg.NewMatrix(4, 4)
 	m.Data[5] = 42
-	c2.LoadMatrix(m)
-	if d := linalg.MaxAbsDiff(c2.ToMatrix(), m); d != 0 {
+	mustLoad(t, c2, m)
+	if d := linalg.MaxAbsDiff(mustMatrix(t, c2), m); d != 0 {
 		t.Fatalf("fresh session after restart off by %g", d)
 	}
 }
@@ -247,9 +246,9 @@ func TestMultiServerCheckpointRotation(t *testing.T) {
 	addrs, servers := startMultiFleet(t, 1, 0, 0)
 	g := dist.UniformGrid2D(1, 1, 2, 2)
 	c := dialSession(t, g, addrs, 5, 0)
-	c.LoadMatrix(linalg.NewMatrix(2, 2))
+	mustLoad(t, c, linalg.NewMatrix(2, 2))
 
-	if _, err := c.AccFencedRetry(context.Background(), time.Millisecond, 0, 0, 0, 1, 0, 1, []float64{1}, 1, 1); err != nil {
+	if _, err := accPatch(c, 0, 0, 1, 0, 1, []float64{1}, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Checkpoint(); err != nil {

@@ -67,8 +67,10 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	grid := dist.NewGrid2D(opt.Procs, 1, rowCuts, []int{0, nf})
 
 	stats := dist.NewRunStats(opt.Procs)
-	gaD := dist.NewGlobalArray(grid, dist.NewRunStats(opt.Procs))
-	gaD.LoadMatrix(d)
+	gaD := dist.NewGlobalArray(grid, stats)
+	if err := gaD.LoadMatrix(d); err != nil {
+		return Result{}, err
+	}
 	gaF := dist.NewGlobalArray(grid, stats)
 	ctr := &counter{}
 
@@ -87,7 +89,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	})
 	wall := time.Since(start)
 
-	g2e := gaF.ToMatrix()
+	g2e, _ := gaF.ToMatrix() // an in-process gather never fails
 	g := g2e.Clone()
 	g.AXPY(1, g2e.T())
 	return Result{G: g, Stats: stats, Wall: wall}, nil

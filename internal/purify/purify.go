@@ -137,10 +137,12 @@ func (s *SUMMAMul) MatMul(a, b *linalg.Matrix) *linalg.Matrix {
 		dist.UniformCuts(a.Rows, s.Prow), dist.UniformCuts(b.Cols, s.Pcol))
 	gaA := dist.NewGlobalArray(dist.NewGrid2D(s.Prow, s.Pcol,
 		dist.UniformCuts(a.Rows, s.Prow), dist.UniformCuts(a.Cols, s.Pcol)), s.Stats)
-	gaA.LoadMatrix(a)
+	// Both grids are cut from the operands' own shapes, so the in-process
+	// loads (and the gather below) cannot fail.
+	_ = gaA.LoadMatrix(a)
 	gaB := dist.NewGlobalArray(dist.NewGrid2D(s.Prow, s.Pcol,
 		dist.UniformCuts(b.Rows, s.Prow), dist.UniformCuts(b.Cols, s.Pcol)), s.Stats)
-	gaB.LoadMatrix(b)
+	_ = gaB.LoadMatrix(b)
 	gaC := dist.NewGlobalArray(grid, s.Stats)
 
 	// k panels along the contraction dimension, one per grid column.
@@ -186,7 +188,8 @@ func (s *SUMMAMul) MatMul(a, b *linalg.Matrix) *linalg.Matrix {
 		}
 		gaC.Put(rank, r0, r1, c0, c1, cLocal, cols)
 	})
-	return gaC.ToMatrix()
+	c, _ := gaC.ToMatrix()
+	return c
 }
 
 // SimulatedTime models the virtual time of `products` SUMMA products of
