@@ -1,6 +1,7 @@
 GO ?= go
+NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -42,7 +43,7 @@ net-smoke:
 # eviction bounds, graceful shutdown) and the internal/wal crash-point
 # enumeration underneath it.
 net-failover:
-	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshotRoundTrip|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestServerKill|TestRunServerKills|TestWAL' ./internal/net/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshot|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestServerKill|TestRunServerKills|TestWAL' ./internal/net/ ./internal/fault/ ./internal/wal/
 
 # Elastic-fleet gate under the race detector: the membership-churn chaos
 # build (shard join, graceful leave, and primary kill mid-build on a
@@ -113,7 +114,19 @@ backend-single:
 	@test "$$(awk '/^func \(c \*Client\) driverOp\(/,/^}/' internal/net/client.go | grep -c 'SleepBackoff(')" -eq 1
 	@! grep -rn 'WithMembership\|SetMembership\|lookupStandby' internal cmd
 
-ci: build vet generate-check wal-single backend-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
+# One shard server and one ERI engine, checked mechanically: in non-test
+# internal/net there is one accept loop, one per-conn serve loop, one
+# hello and one accumulate loop — the pinned and the admitting session
+# table (NewServer, NewMultiServer) share all four — and the second
+# production ERI algorithm stays gone.
+server-single:
+	@test "$$(cat $(NET_SRC) | grep -c 'Accept()')" -eq 1
+	@test "$$(cat $(NET_SRC) | grep -cE '^func \(.*\) serveConn\(')" -eq 1
+	@test "$$(cat $(NET_SRC) | grep -cE '^func \(.*\) hello\(')" -eq 1
+	@test "$$(cat $(NET_SRC) | grep -cF 'dst[i] += req.Alpha * row[i]')" -eq 1
+	@! grep -rn 'UseHGP\|eriCartHGP' internal cmd
+
+ci: build vet generate-check wal-single backend-single server-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run
 # smoke): the paper-table benchmarks, the per-class ERI kernel ones

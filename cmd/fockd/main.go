@@ -1,40 +1,48 @@
 // Command fockd is one shard server of the network-backed Global Arrays
-// transport: it hosts the D and F blocks of a subset of the process grid
-// and serves framed one-sided Get/Put/Acc RPCs over TCP, with
-// idempotency-token dedup so retrying clients accumulate exactly once.
+// transport: it serves framed one-sided Get/Put/Acc RPCs over TCP against
+// the D and F blocks of the sessions it holds, with idempotency-token
+// dedup so retrying clients accumulate exactly once. It is one server on
+// one start, serve, signal, shutdown path; the flags say what its session
+// table holds and who else it talks to.
 //
-// Every fockd of a cluster — and the fockbuild driver — must be started
+// By default the table is pinned to one session over a fixed grid. Every
+// such fockd of a cluster — and the fockbuild driver — must be started
 // with the same molecule, basis, grid shape, shell ordering and server
-// count, so all of them derive the identical block layout:
+// count, so all of them derive the identical block layout (a driver that
+// differs is refused at its Hello):
 //
 //	fockd -mol alkane:2 -basis sto-3g -grid 2x2 -servers 2 -index 0 -listen 127.0.0.1:7101
 //	fockd -mol alkane:2 -basis sto-3g -grid 2x2 -servers 2 -index 1 -listen 127.0.0.1:7102
 //	fockbuild -mol alkane:2 -basis sto-3g -grid 2x2 -backend net -net-servers 127.0.0.1:7101,127.0.0.1:7102
 //
-// With -journal-dir the shard is durable: mutations are write-ahead
-// journaled and periodically snapshotted, and a killed server restarted
-// on the same flags replays to its exact pre-crash state and resumes the
-// session. With -standby-of the server runs as a hot standby of the
-// given primary and serves only once a driver promotes it (fockbuild
-// -net-standbys names the standbys to the driver).
-//
-// SIGTERM and SIGINT shut down gracefully: stop accepting, drain
-// in-flight ops, flush a final snapshot, close listeners — so rolling
-// restarts do not rely on crash recovery.
-//
-// Elastic fleet mode replaces the static -servers/-index layout with
-// lease-based membership and live resharding:
+// With -journal-dir the pinned session is durable: mutations are
+// write-ahead journaled and periodically snapshotted, and a killed server
+// restarted on the same flags replays to its exact pre-crash state and
+// resumes the session. With -standby-of the server runs as a hot standby
+// of the given primary and serves only once a driver promotes it
+// (fockbuild -net-standbys names the standbys to the driver). With -join
+// it is an elastic member instead of shard -index of -servers: it hosts
+// whatever blocks the coordinator migrates to it, heartbeats to keep its
+// lease, and on SIGTERM leaves gracefully, serving until its blocks have
+// drained to the survivors:
 //
 //	fockd -fleet -mol alkane:2 -basis sto-3g -grid 2x2 -listen 127.0.0.1:7100
 //	fockd -join 127.0.0.1:7100 -member-id 1 -mol alkane:2 -basis sto-3g -grid 2x2
 //	fockd -join 127.0.0.1:7100 -member-id 2 -mol alkane:2 -basis sto-3g -grid 2x2
 //	fockbuild -mol alkane:2 -basis sto-3g -grid 2x2 -backend net -fleet 127.0.0.1:7100
 //
-// -fleet runs the membership/placement coordinator; -join runs a shard
-// member hosting whatever blocks the coordinator migrates to it. Members
-// heartbeat to keep their lease; on SIGTERM a member leaves gracefully,
-// serving until its blocks have drained to the survivors. -http serves
-// /debug/vars with the shard (fock_shard) or fleet (fock_fleet) state.
+// (-fleet runs that membership/placement coordinator, not a shard.)
+//
+// With -multi the table admits many job-scoped sessions for hfd, each
+// carrying its own grid, against -multi-sessions and -multi-mem-mb; it
+// needs no molecule. Such a shard is volatile, and says so: combined with
+// -journal-dir, -standby-of, -join or -fleet it exits non-zero rather than
+// run without the durability it was asked for.
+//
+// SIGTERM and SIGINT shut down gracefully: stop accepting, drain
+// in-flight ops, flush a final snapshot, close listeners — so rolling
+// restarts do not rely on crash recovery. -http serves /debug/vars with
+// the shard (fock_shard) or fleet (fock_fleet) state.
 package main
 
 import (
@@ -85,54 +93,44 @@ func main() {
 	)
 	flag.Parse()
 
-	if *multiMode {
-		runMulti(*servers, *index, *multiSessions, *multiMemMB<<20, *listen, *httpAddr)
-		return
-	}
-
-	if !*fleetMode && *joinAddr == "" && (*index < 0 || *index >= *servers) {
-		fatalIf(fmt.Errorf("-index %d outside [0, %d)", *index, *servers))
-	}
-	mol, err := chem.ParseSpec(*molSpec)
-	fatalIf(err)
-	bs, err := basis.Build(mol, *bname)
-	fatalIf(err)
-	var order []int
-	switch *ord {
-	case "cell":
-		order = reorder.Cell(bs, 0)
-	case "morton":
-		order = reorder.Morton(bs, 0)
-	case "natural":
-		order = reorder.Identity(bs.NumShells())
-	default:
-		fatalIf(fmt.Errorf("unknown ordering %q", *ord))
-	}
-	bs = bs.Permute(order)
-	prow, pcol, err := parseGrid(*gridSpec)
-	fatalIf(err)
-
-	grid := core.Grid(bs, prow, pcol)
-
-	if *fleetMode {
-		runFleet(grid, *listen, *leaseTTL, *httpAddr)
-		return
-	}
-
-	var hostedProcs []int
-	if *joinAddr == "" {
-		_, hosted := netga.SplitProcs(grid.NumProcs(), *servers)
-		hostedProcs = hosted[*index]
-	}
 	var opts []netga.ServerOption
 	if *journalDir != "" {
-		fatalIf(os.MkdirAll(*journalDir, 0o755))
 		opts = append(opts, netga.WithDurability(*journalDir, *snapshotEvery))
 	}
 	if *standbyOf != "" {
 		opts = append(opts, netga.WithStandby(*standbyOf))
 	}
-	srv := netga.NewServer(grid, hostedProcs, opts...)
+	var (
+		srv  *netga.Server
+		what string // the banner's description of the session table
+	)
+	if *multiMode {
+		if *fleetMode || *joinAddr != "" || *standby != "" {
+			fatalIf(fmt.Errorf("-multi shards are static and volatile: -fleet, -join and -standby need the pinned session of a -mol/-grid shard"))
+		}
+		var err error
+		srv, err = netga.NewMultiServer(*servers, *index, *multiSessions, *multiMemMB<<20, opts...)
+		fatalIf(err)
+		what = fmt.Sprintf("admitting job-scoped sessions (cap %d, budget %d MiB)", *multiSessions, *multiMemMB)
+	} else {
+		grid, nfuncs := layoutFromFlags(*molSpec, *bname, *ord, *gridSpec)
+		if *fleetMode {
+			runFleet(grid, *listen, *leaseTTL, *httpAddr)
+			return
+		}
+		var hostedProcs []int
+		what = "serving whatever blocks migrate in"
+		if *joinAddr == "" {
+			if *index < 0 || *index >= *servers {
+				fatalIf(fmt.Errorf("-index %d outside [0, %d)", *index, *servers))
+			}
+			_, hosted := netga.SplitProcs(grid.NumProcs(), *servers)
+			hostedProcs = hosted[*index]
+			what = fmt.Sprintf("serving procs %v", hostedProcs)
+		}
+		srv = netga.NewServer(grid, hostedProcs, opts...)
+		what += fmt.Sprintf(" of a %dx%d grid (%d funcs)", grid.Prow, grid.Pcol, nfuncs)
+	}
 	addr, err := srv.Start(*listen)
 	fatalIf(err)
 	if *httpAddr != "" {
@@ -143,6 +141,7 @@ func main() {
 	}
 
 	var fm *netga.FleetMember
+	who := fmt.Sprintf("%d/%d", *index, *servers)
 	if *joinAddr != "" {
 		if *memberID == 0 {
 			fatalIf(fmt.Errorf("-join requires a nonzero -member-id"))
@@ -153,16 +152,13 @@ func main() {
 		}
 		fm, err = netga.JoinFleet(*joinAddr, self, *leaseTTL, 0)
 		fatalIf(err)
-		fmt.Printf("fockd member %d: joined fleet %s, serving a %dx%d grid (%d funcs) on %s (blocks arrive by migration)\n",
-			*memberID, *joinAddr, prow, pcol, bs.NumFuncs, addr)
-	} else {
-		role := "primary"
-		if *standbyOf != "" {
-			role = "standby of " + *standbyOf
-		}
-		fmt.Printf("fockd %d/%d (%s): serving procs %v of a %dx%d grid (%d funcs) on %s\n",
-			*index, *servers, role, hostedProcs, prow, pcol, bs.NumFuncs, addr)
+		who = fmt.Sprintf("member %d of fleet %s", *memberID, *joinAddr)
 	}
+	role := "primary"
+	if *standbyOf != "" {
+		role = "standby of " + *standbyOf
+	}
+	fmt.Printf("fockd %s (%s): %s on %s\n", who, role, what, addr)
 
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
@@ -188,6 +184,10 @@ func main() {
 	st := srv.Stats()
 	fmt.Printf("fockd %d: %d requests, %d accs applied, %d dedup hits, %d sessions, %d rejects\n",
 		*index, st.Requests, st.AccApplied, st.AccDups, st.Sessions, st.Rejects)
+	if st.SessionsClosed+st.SessionRejects > 0 {
+		fmt.Printf("fockd %d: session table: %d closed, %d still open, %d refused by the cap or the budget\n",
+			*index, st.SessionsClosed, st.SessionsOpen, st.SessionRejects)
+	}
 	if st.JournalRecords+st.Replayed+st.Snapshots > 0 {
 		fmt.Printf("fockd %d: durability: %d journaled, %d replayed at start, %d snapshots, epoch %d\n",
 			*index, st.JournalRecords, st.Replayed, st.Snapshots, st.Epoch)
@@ -202,32 +202,28 @@ func main() {
 	}
 }
 
-// runMulti serves the hfd job service's shard role: many concurrent
-// job-scoped sessions, each with its own grid, admitted against a
-// session cap and a memory budget. Volatile by design — a killed shard
-// forgets its sessions and hfd retries the affected jobs from their
-// checkpoints under fresh sessions.
-func runMulti(servers, index, maxSessions int, memBudget int64, listen, httpAddr string) {
-	ms, err := netga.NewMultiServer(servers, index, maxSessions, memBudget)
+// layoutFromFlags derives the block layout every process of a cluster
+// must agree on, and the basis size for the banner.
+func layoutFromFlags(molSpec, bname, ord, gridSpec string) (*dist.Grid2D, int) {
+	mol, err := chem.ParseSpec(molSpec)
 	fatalIf(err)
-	addr, err := ms.Start(listen)
+	bs, err := basis.Build(mol, bname)
 	fatalIf(err)
-	if httpAddr != "" {
-		metrics.PublishFunc("fock_multi", func() any { return ms.Stats() })
-		dbg, err := metrics.StartDebugServer(httpAddr, nil)
-		fatalIf(err)
-		fmt.Printf("fockd: debug endpoint on http://%s/debug/vars\n", dbg)
+	var order []int
+	switch ord {
+	case "cell":
+		order = reorder.Cell(bs, 0)
+	case "morton":
+		order = reorder.Morton(bs, 0)
+	case "natural":
+		order = reorder.Identity(bs.NumShells())
+	default:
+		fatalIf(fmt.Errorf("unknown ordering %q", ord))
 	}
-	fmt.Printf("fockd %d/%d (multi-session): serving on %s (cap %d sessions, budget %d MiB)\n",
-		index, servers, addr, maxSessions, memBudget>>20)
-
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	<-ch
-	ms.Close()
-	st := ms.Stats()
-	fmt.Printf("fockd %d: %d requests, %d accs applied, %d dedup hits, %d sessions opened, %d session rejects\n",
-		index, st.Requests, st.AccApplied, st.AccDups, st.SessionsOpened, st.SessionRejects)
+	bs = bs.Permute(order)
+	prow, pcol, err := parseGrid(gridSpec)
+	fatalIf(err)
+	return core.Grid(bs, prow, pcol), bs.NumFuncs
 }
 
 // runFleet runs the elastic fleet coordinator: membership leases, the

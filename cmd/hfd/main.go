@@ -99,7 +99,7 @@ func main() {
 
 	// Shard fleet: embedded multi-session servers, or an external one.
 	var addrs []string
-	var embedded []*netga.MultiServer
+	var embedded []*netga.Server
 	if *shardAddrs != "" {
 		addrs = strings.Split(*shardAddrs, ",")
 	} else {

@@ -247,10 +247,6 @@ type Engine struct {
 	// PrimTol enables primitive pre-screening in pairs built through the
 	// engine (see NewShellPair).
 	PrimTol float64
-	// UseHGP selects the Head-Gordon-Pople (Obara-Saika + horizontal
-	// recurrence) algorithm instead of McMurchie-Davidson for ERI batches;
-	// results are identical to rounding.
-	UseHGP bool
 	// DisableFastKernels forces every quartet through the general MD path
 	// instead of the specialized kernels (kernels.go, kernels_gen.go): the
 	// tests' reference path and an A/B knob; the kernels are on by default.
@@ -328,12 +324,7 @@ func (e *Engine) TrimScratch(budget int) {
 // [a][b][c][d]. The returned slice is engine-owned scratch, valid until
 // the next engine call; copy it to retain it.
 func (e *Engine) ERI(bra, ket *ShellPair) []float64 {
-	var cart []float64
-	if e.UseHGP {
-		cart = e.eriCartHGP(bra, ket)
-	} else {
-		cart = e.eriCartAuto(bra, ket)
-	}
+	cart := e.eriCartAuto(bra, ket)
 	sph := sphTransform4(bra.LA, bra.LB, ket.LA, ket.LB, cart, &e.sphScr)
 	n := len(sph)
 	e.Stats.Quartets++

@@ -265,12 +265,7 @@ func (e *Engine) ERIBatch(pt *PairTable, qs []Quartet, visit func(k int, batch [
 	for k := range qs {
 		bra := &pt.pairs[qs[k].Bra]
 		ket := &pt.pairs[qs[k].Ket]
-		var cart []float64
-		if e.UseHGP {
-			cart = e.eriCartHGP(bra, ket)
-		} else {
-			cart = e.eriCartAuto(bra, ket)
-		}
+		cart := e.eriCartAuto(bra, ket)
 		sph := sphTransform4(bra.LA, bra.LB, ket.LA, ket.LB, cart, &e.sphScr)
 		e.Stats.Quartets++
 		e.Stats.Integrals += int64(len(sph))

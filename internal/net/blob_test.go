@@ -9,9 +9,11 @@ import (
 
 // Blob legs round-trip bit-exactly through the wire codec and land on
 // the server picked by key modulo procs; unknown keys are misses.
-func TestBlobRoundTripAndMiss(t *testing.T) {
+func TestBlobRoundTripAndMiss(t *testing.T) { forEachTable(t, testBlobRoundTripAndMiss) }
+
+func testBlobRoundTripAndMiss(t *testing.T, table tableKind) {
 	grid := dist.UniformGrid2D(2, 2, 8, 8)
-	addrs, assign, servers := startCluster(t, grid, 2)
+	addrs, assign, servers := table.start(t, grid, 2)
 	c, err := Dial(grid, dist.NewRunStats(4), addrs, assign, Config{Array: 0, Session: 1})
 	if err != nil {
 		t.Fatalf("dial: %v", err)

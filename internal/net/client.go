@@ -669,10 +669,10 @@ func (c *Client) Checkpoint() error {
 }
 
 // Bye releases this client's session on every shard it ever said hello
-// to (multi-session servers free the session's arrays and dedup state;
-// single-session servers reject the op, which is harmless). Callers
-// invoke it once per job, after the last build of the session, before
-// Close.
+// to: an admitting table frees the session's arrays, dedup state and
+// blobs; a pinned table acknowledges and keeps its session, which lives
+// until the next Hello replaces it. Callers invoke it once per job, after
+// the last build of the session, before Close.
 func (c *Client) Bye() error {
 	req := request{Op: opBye, Session: c.cfg.Session, Proc: -1}
 	c.poolsMu.Lock()

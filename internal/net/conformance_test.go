@@ -14,7 +14,8 @@ import (
 // The backend conformance table: what dist.Retry.Get and dist.Retry.Acc
 // promise about one retried one-sided op, asserted by ONE test body
 // against both dist.Backend implementations — the in-process GlobalArray
-// with an OpHook and a loopback Client with a seeded fault.Injector. It
+// with an OpHook and a loopback Client with a seeded fault.Injector, the
+// latter against a shard of each session-table policy. It
 // replaces the per-backend copies that used to live in
 // dist/ga_fault_test.go (TestTryGetDropCountsAndCopiesNothing's retry
 // half, TestGetRetryExhaustsAttempts, TestAccFencedRejectsStaleEpoch,
@@ -53,11 +54,18 @@ var conformers = []conformer{
 			return ga, nil
 		},
 	},
-	{
-		name:      "Client",
+	clientConformer("Client", pinnedTable),
+	clientConformer("ClientAdmitting", admittingTable),
+}
+
+// clientConformer is a loopback Client against one shard of the given
+// session-table policy.
+func clientConformer(name string, table tableKind) conformer {
+	return conformer{
+		name:      name,
 		ambiguous: true,
 		open: func(t *testing.T, grid *dist.Grid2D, f faults) (dist.Backend, func() (int64, int64)) {
-			addrs, assign, servers := startCluster(t, grid, 1)
+			addrs, assign, servers := table.start(t, grid, 1)
 			cfg := fault.Config{Seed: 11}
 			if f.failFirst > 0 {
 				// Certain resets, capped at n in a row: n attempts are sent and
@@ -78,7 +86,7 @@ var conformers = []conformer{
 				return st.AccApplied, st.AccDups
 			}
 		},
-	},
+	}
 }
 
 // wantAppliedOnce waits for the owner to have seen every delivery of one

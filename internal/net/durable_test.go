@@ -156,8 +156,12 @@ func TestKillRestartRecoversState(t *testing.T) {
 // generation (so any retry of an op that completed before the checkpoint
 // still dedups — no duplicate Acc can land), and are dropped after two.
 func TestDedupEvictionAtCheckpointOnly(t *testing.T) {
+	forEachTable(t, testDedupEvictionAtCheckpointOnly)
+}
+
+func testDedupEvictionAtCheckpointOnly(t *testing.T, table tableKind) {
 	grid := dist.UniformGrid2D(1, 1, 4, 4)
-	addrs, assign, servers := startCluster(t, grid, 1)
+	addrs, assign, servers := table.start(t, grid, 1)
 	srv := servers[0]
 	c, err := Dial(grid, nil, addrs, assign, Config{Array: 1, Session: 9})
 	if err != nil {
@@ -201,6 +205,9 @@ func TestDedupEvictionAtCheckpointOnly(t *testing.T) {
 	}
 	if st.Checkpoints != 3 {
 		t.Fatalf("checkpoints = %d, want 3", st.Checkpoints)
+	}
+	if st.AccApplied != 1+50 || st.AccDups != 2 {
+		t.Fatalf("applied %d accs and absorbed %d repeats, want 51 and 2", st.AccApplied, st.AccDups)
 	}
 	// Exactly-once held throughout: the cell accumulated 3 exactly once.
 	if got := mustMatrix(t, c).At(0, 0); got != 3+50 {
@@ -277,7 +284,7 @@ func TestStandbyPromotionPreservesState(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		stdby.mu.Lock()
 		defer stdby.mu.Unlock()
-		return stdby.session == 5
+		return stdby.pin.id == 5
 	}, "standby state sync")
 
 	src := fill(6, 6, func(r, cc int) float64 { return float64(r*6+cc) / 3 })

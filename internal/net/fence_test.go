@@ -23,7 +23,7 @@ func TestPrimaryRefusesSoloAckAfterStandbyLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(p.Close)
-	if resp := p.handle(&request{Op: opHello, Session: 9, R0: 4, C0: 4}); resp.Status != statusOK {
+	if resp := p.handle(&request{Op: opHello, Session: 9, R0: 4, C0: 4, Msg: layoutMsg(grid)}); resp.Status != statusOK {
 		t.Fatalf("hello: %s", resp.Msg)
 	}
 	hasSub := func() bool {

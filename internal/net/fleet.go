@@ -50,21 +50,18 @@ import (
 // this PR's fault model; members and clients keep serving on the last
 // published view, and DESIGN.md §10 records the restart procedure).
 type Fleet struct {
+	connLoop // its mu is also the coordinator's state mutex
+
 	grid *dist.Grid2D
 	cfg  FleetConfig
 
-	mu      sync.Mutex
 	members map[uint64]*fleetMember
 	view    FleetView
 	moves   []*blockMove // pending cutovers toward the current target
 	nextGen uint64       // placement generation allocator
 
-	kick    chan struct{}
-	stop    chan struct{}
-	ln      net.Listener
-	boundTo string
-	wg      sync.WaitGroup
-	closed  bool
+	kick chan struct{}
+	stop chan struct{}
 
 	joins, rejoins, leaves, expiries, promotions atomic.Int64
 	blocksMoved, viewsServed                     atomic.Int64
@@ -149,73 +146,32 @@ func unassigned(n int) []int {
 	return a
 }
 
-// Start listens on addr and runs the accept loop and the membership /
+// Start listens on addr and runs the conn loop and the membership /
 // migration engine until Close. Returns the bound address.
 func (f *Fleet) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
+	bound, err := f.listen(addr, func(_ *frameConn, req *request, bad error) (response, bool) {
+		if bad != nil {
+			return errResp(0, "%v", bad), false
+		}
+		return f.handle(req), false
+	})
 	if err != nil {
 		return "", err
 	}
-	f.ln = ln
-	f.boundTo = ln.Addr().String()
-	f.wg.Add(2)
-	go f.acceptLoop(ln)
+	f.wg.Add(1)
 	go f.engine()
-	return f.boundTo, nil
+	return bound, nil
 }
-
-// Addr returns the bound address (valid after Start).
-func (f *Fleet) Addr() string { return f.boundTo }
 
 // Close stops the coordinator. Members and clients keep operating on the
 // last published view.
 func (f *Fleet) Close() {
 	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
-	f.closed = true
+	open := f.closeLocked()
 	f.mu.Unlock()
-	close(f.stop)
-	if f.ln != nil {
-		f.ln.Close()
-	}
-	f.wg.Wait()
-}
-
-func (f *Fleet) acceptLoop(ln net.Listener) {
-	defer f.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		f.wg.Add(1)
-		go func() {
-			defer f.wg.Done()
-			defer conn.Close()
-			br := bufio.NewReader(conn)
-			bw := bufio.NewWriter(conn)
-			var buf []byte
-			for {
-				body, err := readFrame(br)
-				if err != nil {
-					return
-				}
-				var req request
-				var resp response
-				if err := decodeRequest(body, &req); err != nil {
-					resp = response{Status: statusErr, Msg: err.Error()}
-				} else {
-					resp = f.handle(&req)
-				}
-				buf = encodeResponse(buf, &resp)
-				if writeFrame(bw, buf) != nil || bw.Flush() != nil {
-					return
-				}
-			}
-		}()
+	if open {
+		close(f.stop)
+		f.join()
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 
 func testRequests(seed int64, n int) []*request {
 	rng := rand.New(rand.NewSource(seed))
-	reqs := []*request{{Op: opHello, Session: 42, R0: 4, C0: 4}}
+	reqs := []*request{{Op: opHello, Session: 42, R0: 4, C0: 4, Msg: layoutMsg(dist.UniformGrid2D(1, 1, 4, 4))}}
 	token := uint64(0)
 	var issued []uint64
 	for len(reqs) < n {
@@ -83,11 +83,11 @@ type serverState struct {
 
 func stateOf(s *Server) serverState {
 	st := serverState{
-		Session: s.session, Seq: s.seq, CkptGen: s.ckptGen,
-		SeenCur: s.seenCur, SeenPrev: s.seenPrev,
+		Session: s.pin.id, Seq: s.seq, CkptGen: s.pin.ckptGen,
+		SeenCur: s.pin.seenCur, SeenPrev: s.pin.seenPrev,
 	}
-	for a := range s.arrays {
-		st.Arrays[a] = s.arrays[a]
+	for a := range s.pin.arrays {
+		st.Arrays[a] = s.pin.arrays[a]
 	}
 	return st
 }
@@ -141,18 +141,19 @@ func TestJournalPrefixSuffixProperty(t *testing.T) {
 	}
 }
 
+const goldenJournal = "70000000bbfafec1020000000000000003002a000000000000000000000000000000000000000000" +
+	"00000000000000000000000000000000000000000000000000000000000000000000010000000000" +
+	"000002000000000000000000000000000000000002000000000000000000f83f00000000000000c0" +
+	"6800000043a34741030000000000000004012a000000000000000000000000000000070000000000" +
+	"00000000000000000000000000000000000000000000000000000000000001000000020000000100" +
+	"000002000000000000000000004000000000000001000000000000000000d03f"
+
 // TestJournalGoldenBytes pins the on-disk format: these are the bytes the
 // pre-internal/wal journal wrote for a Put (seq 2) and a tokened Acc
 // (seq 3) — [4B len][4B crc32][8B seq][encoded request] per record — and
 // a shard directory holding them must still recover to the same state.
 func TestJournalGoldenBytes(t *testing.T) {
-	const golden = "70000000bbfafec1020000000000000003002a000000000000000000000000000000000000000000" +
-		"00000000000000000000000000000000000000000000000000000000000000000000010000000000" +
-		"000002000000000000000000000000000000000002000000000000000000f83f00000000000000c0" +
-		"6800000043a34741030000000000000004012a000000000000000000000000000000070000000000" +
-		"00000000000000000000000000000000000000000000000000000000000001000000020000000100" +
-		"000002000000000000000000004000000000000001000000000000000000d03f"
-	blob, err := hex.DecodeString(golden)
+	blob, err := hex.DecodeString(goldenJournal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,14 +166,73 @@ func TestJournalGoldenBytes(t *testing.T) {
 	if s.seq != 3 || s.replayed.Load() != 2 {
 		t.Fatalf("replayed %d records to seq %d, want 2 records to seq 3", s.replayed.Load(), s.seq)
 	}
-	if got := s.arrays[0][:2]; got[0] != 1.5 || got[1] != -2 {
+	if got := s.pin.arrays[0][:2]; got[0] != 1.5 || got[1] != -2 {
 		t.Fatalf("Put patch = %v, want [1.5 -2]", got)
 	}
-	if got := s.arrays[1][1*4+1]; got != 0.5 {
+	if got := s.pin.arrays[1][1*4+1]; got != 0.5 {
 		t.Fatalf("Acc cell = %v, want alpha*data = 0.5", got)
 	}
-	if !s.seenCur[7] {
+	if !s.pin.seenCur[7] {
 		t.Fatal("Acc idempotency token 7 not recovered into the dedup set")
+	}
+}
+
+// TestSnapshotGoldenBytes pins the other half of a durability directory:
+// these are the bytes the single-session server (before sessions became
+// the unit of shard state) wrote for a 4x4 shard snapshotted at seq 1, and
+// a directory holding them next to the golden journal must recover to the
+// snapshot's session, fence epoch, dedup generations and hosted set, with
+// the journal's seq 2 and 3 replayed on top of its arrays.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	const golden = "" +
+		"ffb87f0301010d736e617073686f74537461746501ff8000010e010756657273696f6e0104000107" +
+		"53657373696f6e010600010545706f636801060001045047656e01060001075374616e6462790102" +
+		"000104526f77730104000104436f6c730104000103536571010600010641727261797301ff840001" +
+		"075365656e43757201ff860001085365656e5072657601ff8600010a436865636b706f696e740106" +
+		"000105486f73747301ff8800010646726f7a656e01ff880000001dff830101010c5b325d5b5d666c" +
+		"6f6174363401ff840001ff82010400000cff81020102ff82000108000016ff85020101085b5d7569" +
+		"6e74363401ff86000106000013ff87020101055b5d696e7401ff88000104000078ff800104012a01" +
+		"0303080108010101021000fef03f40fe0840fe1040fe1440fe1840fe1c40fe2040fe2240fe2440fe" +
+		"2640fe2840fe2a40fe2c40fe2e4010ff80fed0bffee0bffee8bffef0bffef4bffef8bffefcbfffc0" +
+		"fe02c0fe04c0fe06c0fe08c0fe0ac0fe0cc0fe0ec0010105010106010201010000"
+	dir := t.TempDir()
+	for name, h := range map[string]string{snapshotFile: golden, journalFile: goldenJournal} {
+		blob, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := driveServer(t, dir, nil)
+	defer s.jr.Close()
+	ss := s.pin
+	if ss.id != 42 || s.epoch.Load() != 3 || ss.ckptGen != 2 || s.seq != 3 || s.replayed.Load() != 2 {
+		t.Fatalf("recovered session %d epoch %d dedup gen %d seq %d (%d replayed), want 42, 3, 2, 3 (2)",
+			ss.id, s.epoch.Load(), ss.ckptGen, s.seq, s.replayed.Load())
+	}
+	if !reflect.DeepEqual(ss.seenCur, map[uint64]bool{5: true, 7: true}) || !reflect.DeepEqual(ss.seenPrev, map[uint64]bool{6: true}) {
+		t.Fatalf("dedup generations %v / %v, want {5 7} / {6}", ss.seenCur, ss.seenPrev)
+	}
+	if !reflect.DeepEqual(ss.hosts, map[int]bool{0: true}) || len(ss.frozen) != 0 {
+		t.Fatalf("hosted %v frozen %v, want proc 0 hosted and none frozen", ss.hosts, ss.frozen)
+	}
+	// The snapshot held D[i] = i and F[i] = -i/4; the journal Put [1.5 -2]
+	// over D[0:2] and accumulated 0.5 into F[5].
+	for i := range ss.arrays[0] {
+		wantD, wantF := float64(i), -float64(i)/4
+		switch i {
+		case 0:
+			wantD = 1.5
+		case 1:
+			wantD = -2
+		case 5:
+			wantF += 0.5
+		}
+		if ss.arrays[0][i] != wantD || ss.arrays[1][i] != wantF {
+			t.Fatalf("element %d recovered as D=%g F=%g, want %g and %g", i, ss.arrays[0][i], ss.arrays[1][i], wantD, wantF)
+		}
 	}
 }
 

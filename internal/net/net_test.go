@@ -93,6 +93,32 @@ func startCluster(t *testing.T, grid *dist.Grid2D, nservers int) ([]string, []in
 	return addrs, assign, servers
 }
 
+// tableKind brings up nservers loopback shards of one session-table
+// policy, ready for a Dial over grid with the returned assignment. The
+// behaviours both policies promise are asserted by one test body ranging
+// over tables.
+type tableKind struct {
+	name  string
+	start func(t *testing.T, grid *dist.Grid2D, nservers int) ([]string, []int, []*Server)
+}
+
+var (
+	pinnedTable    = tableKind{"pinned", startCluster}
+	admittingTable = tableKind{"admitting", func(t *testing.T, grid *dist.Grid2D, nservers int) ([]string, []int, []*Server) {
+		addrs, servers := startMultiFleet(t, nservers, 0, 0)
+		assign, _ := SplitProcs(grid.NumProcs(), nservers)
+		return addrs, assign, servers
+	}}
+	tables = []tableKind{pinnedTable, admittingTable}
+)
+
+// forEachTable runs body as a subtest per session-table policy.
+func forEachTable(t *testing.T, body func(t *testing.T, table tableKind)) {
+	for _, table := range tables {
+		t.Run(table.name, func(t *testing.T) { body(t, table) })
+	}
+}
+
 func TestClientServerRoundTrip(t *testing.T) {
 	grid := dist.UniformGrid2D(2, 2, 8, 8)
 	addrs, assign, _ := startCluster(t, grid, 2)
@@ -151,9 +177,11 @@ func TestClientServerRoundTrip(t *testing.T) {
 
 // A retried Acc with the same idempotency token must be applied exactly
 // once: the second delivery is acknowledged as a dup, not re-applied.
-func TestAccTokenDedup(t *testing.T) {
+func TestAccTokenDedup(t *testing.T) { forEachTable(t, testAccTokenDedup) }
+
+func testAccTokenDedup(t *testing.T, table tableKind) {
 	grid := dist.UniformGrid2D(1, 1, 4, 4)
-	addrs, assign, servers := startCluster(t, grid, 1)
+	addrs, assign, servers := table.start(t, grid, 1)
 	c, err := Dial(grid, nil, addrs, assign, Config{Array: 1, Session: 5})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -297,7 +325,7 @@ func TestPartitionWindowFailsFastThenHeals(t *testing.T) {
 // A new session id resets server arrays and dedup state; a geometry
 // mismatch is rejected at Hello.
 func TestSessionResetAndGeometryCheck(t *testing.T) {
-	grid := dist.UniformGrid2D(1, 1, 4, 4)
+	grid := dist.NewGrid2D(1, 2, []int{0, 4}, []int{0, 1, 4})
 	addrs, assign, servers := startCluster(t, grid, 1)
 	c1, err := Dial(grid, nil, addrs, assign, Config{Array: 0, Session: 10})
 	if err != nil {
@@ -339,26 +367,79 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 	if _, err := Dial(wrong, nil, addrs, []int{0}, Config{Array: 0, Session: 12}); err == nil {
 		t.Fatal("geometry mismatch must fail Dial")
 	}
+
+	// So is a grid with the server's dimensions but other cuts (a driver
+	// started with a different -reorder or -grid): refused at Hello with
+	// both layouts named, not mid-build on a patch that spans two owners,
+	// and the session it would have replaced is untouched.
+	for _, other := range []*dist.Grid2D{
+		dist.NewGrid2D(1, 2, []int{0, 4}, []int{0, 2, 4}), // same shape, other column cut
+		dist.NewGrid2D(2, 1, []int{0, 1, 4}, []int{0, 4}), // same size, other shape
+	} {
+		_, err := Dial(other, nil, addrs, assign, Config{Array: 0, Session: 12})
+		if err == nil {
+			t.Fatalf("hello with layout %s accepted by a server over %s", layoutMsg(other), layoutMsg(grid))
+		}
+		for _, want := range []string{"geometry mismatch", layoutMsg(other), layoutMsg(grid)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal %q does not name %q", err, want)
+			}
+		}
+	}
+	if n := servers[0].Stats().Sessions; n != 2 {
+		t.Fatalf("refused hellos installed sessions: %d installs, want 2", n)
+	}
 }
 
-// Requests for blocks a server does not host are rejected, catching
-// routing bugs instead of silently serving zeros.
-func TestUnhostedProcRejected(t *testing.T) {
-	grid := dist.UniformGrid2D(2, 1, 4, 4)
-	srv := NewServer(grid, []int{0}) // hosts proc 0 only
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	// Misroute proc 1's block to this server.
-	c, err := Dial(grid, nil, []string{addr}, []int{0, 0}, Config{Array: 0, Session: 6})
+// A pinned table acknowledges a Bye and releases nothing: its session
+// lives until the next Hello replaces it, so Client.Bye is safe to call
+// against either policy.
+func TestByeToPinnedSessionIsAckedAndIgnored(t *testing.T) {
+	grid := dist.UniformGrid2D(1, 1, 2, 2)
+	addrs, assign, servers := startCluster(t, grid, 1)
+	c, err := Dial(grid, nil, addrs, assign, Config{Array: 0, Session: 4})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	dst := make([]float64, 8)
-	if retries, err := getPatch(c, 0, 2, 4, 0, 4, dst, 4); !errors.Is(err, dist.ErrRejected) || retries != 0 {
+	m := fill(2, 2, func(r, cc int) float64 { return float64(1 + r + cc) })
+	mustLoad(t, c, m)
+	if err := c.Bye(); err != nil {
+		t.Fatalf("bye: %v", err)
+	}
+	if d := linalg.MaxAbsDiff(mustMatrix(t, c), m); d != 0 {
+		t.Fatalf("session state off by %g after a Bye", d)
+	}
+	if st := servers[0].Stats(); st.SessionsClosed != 0 || st.SessionsOpen != 1 || st.Rejects != 0 {
+		t.Fatalf("bye changed the pinned table: %+v", st)
+	}
+}
+
+// Requests for blocks a server does not host, and patches that span two
+// blocks, are rejected, catching routing bugs instead of silently serving
+// zeros.
+func TestUnhostedProcRejected(t *testing.T) { forEachTable(t, testUnhostedProcRejected) }
+
+func testUnhostedProcRejected(t *testing.T, table tableKind) {
+	grid := dist.UniformGrid2D(2, 1, 4, 4)
+	// Shard 0 of 2 hosts proc 0 only; misroute proc 1's block to it.
+	addrs, _, _ := table.start(t, grid, 2)
+	c, err := Dial(grid, nil, addrs[:1], []int{0, 0}, Config{Array: 0, Session: 6})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	dst := make([]float64, 16)
+	retries, err := getPatch(c, 0, 2, 4, 0, 4, dst, 4)
+	if !errors.Is(err, dist.ErrRejected) || retries != 0 || !strings.Contains(err.Error(), "not hosted") {
 		t.Fatalf("Get of an unhosted block: retries=%d err=%v, want an immediate rejection", retries, err)
+	}
+	if _, err := accPatch(c, 0, 2, 4, 0, 4, dst, 4, 1); !errors.Is(err, dist.ErrRejected) || !strings.Contains(err.Error(), "not hosted") {
+		t.Fatalf("Acc into an unhosted block: %v, want an immediate rejection", err)
+	}
+	// TryGet addresses whatever patch it is given to the owner of its first
+	// element: rows 1..3 cross the block boundary at row 2.
+	if err := c.TryGet(0, 1, 3, 0, 4, dst, 4); !errors.Is(err, dist.ErrRejected) || !strings.Contains(err.Error(), "spans 2 owners") {
+		t.Fatalf("Get of a patch spanning two blocks: %v, want a rejection", err)
 	}
 }

@@ -46,10 +46,9 @@ const (
 	opPutBlob // store a spill blob (key in Token, payload in Data); first write wins
 	opGetBlob // fetch a spill blob by Token; statusErr blobMissMsg = miss
 
-	// Multi-session op (job-scoped sessions; see session.go). A session's
-	// last client says goodbye so the shard frees its arrays and dedup
-	// state immediately instead of waiting for an eviction.
-	opBye // release this request's session (multi-session servers only)
+	// A job-scoped session's last client says goodbye so an admitting
+	// table (see session.go) frees its arrays and dedup state at once.
+	opBye // release this request's session (a pinned table acks and keeps it)
 )
 
 // blobMissMsg marks an opGetBlob statusErr answer as a plain cache miss
@@ -73,8 +72,8 @@ const numArrays = 2
 
 // request is one client->server frame. Every request carries the client
 // session so a reconnected conn needs no re-handshake; Hello installs a
-// session (a new session id resets the server's arrays and dedup state)
-// and validates geometry via R0=Rows, C0=Cols. SEpoch is the shard fence
+// session (a new id opens one, or replaces a pinned table's) and validates
+// geometry via R0=Rows, C0=Cols and the cut layout in Msg. SEpoch is the shard fence
 // epoch the issuer believes the target serves at (0 = unfenced/legacy):
 // a server at a different epoch answers statusRetry so stale clients
 // resync and a superseded primary can never double-apply after failover.
@@ -90,7 +89,7 @@ type request struct {
 	Proc           int32  // issuing rank; -1 for driver-side ops
 	R0, R1, C0, C1 int32
 	Alpha          float64
-	Msg            string    // fleet-op JSON payload (join/leave/lease)
+	Msg            string    // JSON payload: the Hello's grid layout, a fleet op's member
 	Tokens         []uint64  // migrated dedup tokens (opMigrate)
 	Data           []float64 // patch payload; for opMigrate: D block then F block
 }

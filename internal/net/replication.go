@@ -32,17 +32,15 @@ const replTimeout = 2 * time.Second
 
 // subscriber is the primary's handle on a connected standby.
 type subscriber struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	buf  []byte
+	*frameConn
+	buf []byte
 }
 
 // forward sends one record and waits for the standby's seq ack. Called
 // with the server mutex held (serializing the stream with the journal).
 func (sub *subscriber) forward(seq uint64, req *request) error {
-	sub.conn.SetDeadline(time.Now().Add(replTimeout))
-	defer sub.conn.SetDeadline(time.Time{})
+	sub.SetDeadline(time.Now().Add(replTimeout))
+	defer sub.SetDeadline(time.Time{})
 	sub.buf = encodeRecord(sub.buf, seq, req)
 	if err := writeFrame(sub.bw, sub.buf); err != nil {
 		return err
@@ -65,61 +63,49 @@ func (sub *subscriber) forward(seq uint64, req *request) error {
 // re-subscribe and get a fresh state sync.
 func (s *Server) dropSubscriberLocked() {
 	if s.sub != nil {
-		s.sub.conn.Close()
+		s.sub.Close()
 		s.sub = nil
 	}
 }
 
 // serveSubscribe turns an accepted conn into the replication stream for a
-// standby. It sends the subscribe response followed by a full state-sync
-// frame, registers the subscriber, and returns true when the conn was
-// handed over (the caller must then not close it). The response, the
-// state frame and the registration happen under s.mu so no mutation can
-// slip between the sync point and the first streamed record.
-func (s *Server) serveSubscribe(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, req *request) bool {
-	fail := func(resp response) bool {
-		resp.SEpoch = s.epoch.Load()
-		buf := encodeResponse(nil, &resp)
-		if writeFrame(bw, buf) == nil {
-			bw.Flush()
-		}
-		return false
-	}
+// standby of this server's pinned session. It sends the subscribe
+// response followed by a full state-sync frame, registers the subscriber,
+// and reports the conn hijacked (the loop must then neither answer on it
+// nor close it); a refusal is an ordinary response for the loop to send. The response, the state frame
+// and the registration happen under s.mu so no mutation can slip between
+// the sync point and the first streamed record.
+func (s *Server) serveSubscribe(fc *frameConn, req *request) (response, bool) {
 	if s.standby.Load() {
-		return fail(retryResp(req.ReqID, "netga: standby cannot host a subscriber"))
+		return retryResp(req.ReqID, "netga: standby cannot host a subscriber"), false
 	}
-	if int(req.R0) != s.grid.Rows || int(req.C0) != s.grid.Cols {
-		return fail(errResp(req.ReqID, "netga: subscriber geometry %dx%d, server %dx%d",
-			req.R0, req.C0, s.grid.Rows, s.grid.Cols))
+	if g := s.pin.grid; int(req.R0) != g.Rows || int(req.C0) != g.Cols {
+		return errResp(req.ReqID, "netga: subscriber geometry %dx%d, server %dx%d",
+			req.R0, req.C0, g.Rows, g.Cols), false
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed || s.draining {
-		return fail(errResp(req.ReqID, "netga: server closing"))
+		return errResp(req.ReqID, "netga: server closing"), false
 	}
 	s.applyWG.Wait()
 	var blob bytes.Buffer
 	if err := gob.NewEncoder(&blob).Encode(s.snapshotStateLocked()); err != nil {
-		return fail(errResp(req.ReqID, "netga: state sync: %v", err))
+		return errResp(req.ReqID, "netga: state sync: %v", err), false
 	}
 	resp := response{ReqID: req.ReqID, SEpoch: s.epoch.Load()}
-	buf := encodeResponse(nil, &resp)
-	if err := writeFrame(bw, buf); err != nil {
-		return false
-	}
-	if err := writeFrame(bw, blob.Bytes()); err != nil {
-		return false
-	}
-	if err := bw.Flush(); err != nil {
-		return false
+	if writeFrame(fc.bw, encodeResponse(nil, &resp)) != nil ||
+		writeFrame(fc.bw, blob.Bytes()) != nil || fc.bw.Flush() != nil {
+		fc.Close() // broken mid-sync: the standby's reconnect loop starts over
+		return response{}, true
 	}
 	s.dropSubscriberLocked() // at most one standby; newest wins
-	s.sub = &subscriber{conn: conn, br: br, bw: bw}
+	s.sub = &subscriber{frameConn: fc}
 	// From here on this primary never again acks a replicated op without a
 	// live subscriber (see persistLocked): losing the stream could mean
 	// the standby was promoted over us.
 	s.hadStandby = true
-	return true
+	return response{}, true
 }
 
 // runStandby is the standby-side loop: connect to the primary, subscribe,
@@ -175,8 +161,8 @@ func (s *Server) streamFrom(conn net.Conn) {
 	sub := request{
 		Op:    opSubscribe,
 		ReqID: 1,
-		R0:    int32(s.grid.Rows),
-		C0:    int32(s.grid.Cols),
+		R0:    int32(s.pin.grid.Rows),
+		C0:    int32(s.pin.grid.Cols),
 	}
 	conn.SetDeadline(time.Now().Add(replTimeout))
 	if err := writeFrame(bw, encodeRequest(nil, &sub)); err != nil {
@@ -233,38 +219,13 @@ func (s *Server) streamFrom(conn net.Conn) {
 // sync. A durable standby persists it as its own snapshot and resets its
 // journal, so the sync point is recoverable without the primary.
 func (s *Server) installState(st *snapshotState) error {
-	if st.Rows != s.grid.Rows || st.Cols != s.grid.Cols {
-		return fmt.Errorf("netga: state sync geometry %dx%d, grid %dx%d",
-			st.Rows, st.Cols, s.grid.Rows, s.grid.Cols)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.standby.Load() {
 		return fmt.Errorf("netga: promoted mid-sync")
 	}
-	s.session = st.Session
-	s.epoch.Store(st.Epoch)
-	s.pgen.Store(st.PGen)
-	s.seq = st.Seq
-	s.ckptGen = st.Checkpoint
-	s.seenCur = tokenSet(st.SeenCur)
-	s.seenPrev = tokenSet(st.SeenPrev)
-	s.hosts = map[int]bool{}
-	for _, p := range st.Hosts {
-		s.hosts[p] = true
-	}
-	s.frozen = map[int]bool{}
-	for _, p := range st.Frozen {
-		s.frozen[p] = true
-	}
-	for p := range s.locks {
-		s.locks[p].Lock()
-	}
-	for a := range s.arrays {
-		copy(s.arrays[a], st.Arrays[a])
-	}
-	for p := range s.locks {
-		s.locks[p].Unlock()
+	if err := s.restoreLocked(st); err != nil {
+		return err
 	}
 	if s.jr != nil {
 		st.Standby = true
@@ -295,7 +256,9 @@ func (s *Server) applyStream(seq uint64, rec *request) error {
 		s.seq = seq
 	}
 	s.mu.Unlock()
-	s.applyRecord(rec)
+	if err := s.applyRecord(rec); err != nil {
+		return err
+	}
 	s.replApplied.Add(1)
 	s.maybeSnapshot()
 	return nil

@@ -1,7 +1,6 @@
 package netga
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -15,14 +14,64 @@ import (
 	"gtfock/internal/wal"
 )
 
-// Server hosts the D and F shards of a subset of the process grid's
-// blocks and serves framed one-sided RPCs over TCP. It is deliberately
+// session is the unit of shard state: one build's D and F arrays over one
+// grid, the procs of it this shard hosts, both dedup generations, and the
+// spill blobs. The arrays cover the full matrix for indexing simplicity;
+// only hosted patches are ever addressed (requests for other owners are
+// rejected, catching routing bugs instead of serving zeros). The owning
+// Server's mu guards everything but the arrays; the patch locks, those.
+type session struct {
+	id   uint64 // 0: a pinned table before its first Hello
+	grid *dist.Grid2D
+
+	// Mutable on a pinned table: the fleet installs and drops blocks via
+	// opMigrate/opSetGen, and a frozen block refuses writes (statusRetry)
+	// while its state is in flight to a new owner.
+	hosts  map[int]bool
+	frozen map[int]bool
+
+	arrays [numArrays][]float64
+	locks  []sync.Mutex // per-proc patch locks
+
+	seenCur  map[uint64]bool // applied Acc tokens since the last checkpoint
+	seenPrev map[uint64]bool // tokens of the previous checkpoint generation
+	ckptGen  uint64          // dedup eviction generation counter
+
+	// Stored-ERI spill blobs: immutable cache legs keyed by Token, first
+	// write wins. Deliberately volatile — not journaled, snapshotted, or
+	// replicated — a blob lost to a restart or failover is a client-side
+	// recompute, never a wrong answer.
+	blobs     map[uint64][]float64
+	blobBytes int64
+}
+
+func newSession(id uint64, grid *dist.Grid2D, procs []int) *session {
+	ss := &session{
+		id:       id,
+		grid:     grid,
+		hosts:    setOf(procs),
+		frozen:   map[int]bool{},
+		locks:    make([]sync.Mutex, grid.NumProcs()),
+		seenCur:  map[uint64]bool{},
+		seenPrev: map[uint64]bool{},
+		blobs:    map[uint64][]float64{},
+	}
+	for a := range ss.arrays {
+		ss.arrays[a] = make([]float64, grid.Rows*grid.Cols)
+	}
+	return ss
+}
+
+// Server is one shard of the network-backed global arrays: a table of
+// sessions (session.go has its two policies) behind one framed accept/serve
+// loop, one request dispatch and one patch-apply path. It is deliberately
 // fence-oblivious about *worker* epochs: that fencing is enforced
 // client-side in the driver process, where the lease ledger lives; the
 // server's job is idempotent application (token dedup) so at-least-once
 // delivery from retrying clients becomes exactly-once accumulation.
 //
-// Two orthogonal robustness layers sit on top (DESIGN.md §9):
+// Two orthogonal robustness layers sit on top of a pinned session
+// (DESIGN.md §9):
 //
 //   - Durability: with WithDurability, every applied mutation is
 //     journaled (write-ahead, fsynced before ack) and periodically
@@ -36,32 +85,16 @@ import (
 //     opPromote; *shard* epochs travel on every request so a superseded
 //     primary can never serve or double-apply after the fence.
 type Server struct {
-	grid  *dist.Grid2D
-	hosts map[int]bool
+	connLoop // its mu is also this server's state mutex
 
-	mu       sync.Mutex
-	session  uint64
-	seenCur  map[uint64]bool // applied Acc tokens since the last checkpoint
-	seenPrev map[uint64]bool // tokens of the previous checkpoint generation
-	ckptGen  uint64          // dedup eviction generation counter
-	arrays   [numArrays][]float64
-	locks    []sync.Mutex // per-proc patch locks
-	conns    map[net.Conn]bool
-	closed   bool
-	draining bool
+	// The session table (under mu); session.go has the two policies.
+	pin   *session            // pinned table: its one session
+	table map[uint64]*session // admitting table: live sessions by id
 
-	// Elastic placement state (under mu): frozen blocks reject writes
-	// (statusRetry) while their state is in flight to a new owner. The
-	// hosted-proc set is mutable — the fleet installs and drops blocks at
-	// runtime via opMigrate/opSetGen.
-	frozen map[int]bool
-
-	// Stored-ERI spill blobs (under mu): session-scoped immutable cache
-	// legs keyed by Token, first write wins. Deliberately volatile — not
-	// journaled, snapshotted, or replicated — a blob lost to a restart or
-	// failover is a client-side recompute, never a wrong answer.
-	blobs     map[uint64][]float64
-	blobBytes int64
+	// Admitting table: this shard's place in SplitProcs, the session cap,
+	// the byte budget (0 = unlimited). memUsed: live arrays + blobs (under mu).
+	nservers, index, maxSessions int
+	memBudget, memUsed           int64
 
 	// Role and shard fence epoch: written under mu, read lock-free. pgen
 	// is the placement generation this shard serves at (0 = static
@@ -87,12 +120,8 @@ type Server struct {
 	stdbyStop   chan struct{}
 	stdbyConn   net.Conn // standby side: live subscription conn (under mu)
 
-	ln       net.Listener
-	boundTo  string
-	wg       sync.WaitGroup
-	inflight atomic.Int64 // requests currently being handled (drain)
-
 	requests, accApplied, accDups, sessions, rejects atomic.Int64
+	sessionsClosed, sessionRejects                   atomic.Int64
 	journalRecords, replayed, snapshots              atomic.Int64
 	promotions, checkpoints, tokensEvicted           atomic.Int64
 	fencedOps, replSent, replApplied                 atomic.Int64
@@ -139,8 +168,18 @@ type ServerStats struct {
 	Requests   int64 `json:"requests"`
 	AccApplied int64 `json:"acc_applied"`
 	AccDups    int64 `json:"acc_dups"` // retried/duplicated Accs absorbed by token dedup
-	Sessions   int64 `json:"sessions"`
-	Rejects    int64 `json:"rejects"` // statusErr responses sent
+	Sessions   int64 `json:"sessions"` // sessions installed (pinned) or admitted
+	Rejects    int64 `json:"rejects"`  // statusErr responses sent
+
+	// Session-table counters. SessionsOpened is Sessions under the name the
+	// admitting table has always published; SessionRejects counts Hellos
+	// and blobs refused by the session cap or the resident-memory budget.
+	SessionsOpen   int   `json:"sessions_open,omitempty"`
+	SessionsOpened int64 `json:"sessions_opened,omitempty"`
+	SessionsClosed int64 `json:"sessions_closed,omitempty"`
+	SessionRejects int64 `json:"session_rejects,omitempty"`
+	MemUsed        int64 `json:"mem_used,omitempty"` // resident array + blob bytes of live sessions
+	MemBudget      int64 `json:"mem_budget,omitempty"`
 
 	Epoch   uint64 `json:"epoch"`             // shard fence epoch
 	Standby bool   `json:"standby,omitempty"` // still a standby (not promoted)
@@ -171,31 +210,21 @@ type ServerStats struct {
 	BlobMisses  int64 `json:"blob_misses,omitempty"`
 }
 
-// NewServer creates a server for the blocks of the given procs. The
-// backing store covers the full matrix for indexing simplicity; only the
-// hosted patches are ever addressed (requests for other owners are
-// rejected, catching routing bugs instead of serving zeros).
-func NewServer(grid *dist.Grid2D, procs []int, opts ...ServerOption) *Server {
-	s := &Server{
-		grid:     grid,
-		hosts:    map[int]bool{},
-		frozen:   map[int]bool{},
-		seenCur:  map[uint64]bool{},
-		seenPrev: map[uint64]bool{},
-		blobs:    map[uint64][]float64{},
-		locks:    make([]sync.Mutex, grid.NumProcs()),
-		conns:    map[net.Conn]bool{},
-	}
+func newServer(opts []ServerOption) *Server {
+	s := &Server{}
 	s.epoch.Store(1)
-	for _, p := range procs {
-		s.hosts[p] = true
-	}
-	for a := range s.arrays {
-		s.arrays[a] = make([]float64, grid.Rows*grid.Cols)
-	}
 	for _, opt := range opts {
 		opt(s)
 	}
+	return s
+}
+
+// NewServer creates a server whose table is pinned to one session over
+// grid, hosting the blocks of the given procs.
+func NewServer(grid *dist.Grid2D, procs []int, opts ...ServerOption) *Server {
+	s := newServer(opts)
+	s.pin = newSession(0, grid, procs)
+	s.memUsed = sessionBytes(grid)
 	return s
 }
 
@@ -208,7 +237,7 @@ func (s *Server) Start(addr string) (string, error) {
 			return "", err
 		}
 	}
-	ln, err := net.Listen("tcp", addr)
+	bound, err := s.listen(addr, s.serve)
 	if err != nil {
 		if s.jr != nil {
 			s.jr.Close()
@@ -216,37 +245,12 @@ func (s *Server) Start(addr string) (string, error) {
 		}
 		return "", err
 	}
-	s.ln = ln
-	s.boundTo = ln.Addr().String()
 	if s.primaryAddr != "" {
 		s.stdbyStop = make(chan struct{})
 		s.wg.Add(1)
 		go s.runStandby(s.stdbyStop)
 	}
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.mu.Lock()
-			if s.closed || s.draining {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = true
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
-	return s.boundTo, nil
+	return bound, nil
 }
 
 // recover loads the latest snapshot and replays the journal suffix,
@@ -261,31 +265,12 @@ func (s *Server) recover() error {
 		return err
 	}
 	if snap != nil {
-		if snap.Rows != s.grid.Rows || snap.Cols != s.grid.Cols {
-			return fmt.Errorf("netga: snapshot geometry %dx%d, server grid %dx%d",
-				snap.Rows, snap.Cols, s.grid.Rows, s.grid.Cols)
-		}
-		s.session = snap.Session
-		s.epoch.Store(snap.Epoch)
-		s.pgen.Store(snap.PGen)
-		s.standby.Store(snap.Standby && s.primaryAddr != "")
-		s.seq = snap.Seq
-		s.ckptGen = snap.Checkpoint
-		for a := range s.arrays {
-			copy(s.arrays[a], snap.Arrays[a])
-		}
-		s.seenCur = tokenSet(snap.SeenCur)
-		s.seenPrev = tokenSet(snap.SeenPrev)
 		// The snapshot records the true hosted/frozen sets at save time;
 		// they supersede the constructor's static assignment.
-		s.hosts = map[int]bool{}
-		for _, p := range snap.Hosts {
-			s.hosts[p] = true
+		if err := s.restoreLocked(snap); err != nil {
+			return err
 		}
-		s.frozen = map[int]bool{}
-		for _, p := range snap.Frozen {
-			s.frozen[p] = true
-		}
+		s.standby.Store(snap.Standby && s.primaryAddr != "")
 	}
 	base := s.seq
 	s.jr, err = wal.Open(filepath.Join(s.dir, journalFile), s.nosync, func(payload []byte) error {
@@ -297,7 +282,9 @@ func (s *Server) recover() error {
 		if seq <= base {
 			return nil // covered by the snapshot
 		}
-		s.applyRecord(&req)
+		if err := s.applyRecord(&req); err != nil {
+			return err
+		}
 		s.seq = seq
 		s.replayed.Add(1)
 		return nil
@@ -305,120 +292,188 @@ func (s *Server) recover() error {
 	return err
 }
 
-func tokenSet(tokens []uint64) map[uint64]bool {
-	m := make(map[uint64]bool, len(tokens))
-	for _, t := range tokens {
-		m[t] = true
+// restoreLocked overwrites the pinned session, the fence state and the
+// journal position with a snapshot's (a recovery, or a standby's state
+// sync). Caller holds s.mu or is the only goroutine.
+func (s *Server) restoreLocked(st *snapshotState) error {
+	ss := s.pin
+	if st.Rows != ss.grid.Rows || st.Cols != ss.grid.Cols {
+		return fmt.Errorf("netga: snapshot geometry %dx%d, server grid %dx%d",
+			st.Rows, st.Cols, ss.grid.Rows, ss.grid.Cols)
+	}
+	ss.id = st.Session
+	s.epoch.Store(st.Epoch)
+	s.pgen.Store(st.PGen)
+	s.seq = st.Seq
+	ss.ckptGen = st.Checkpoint
+	ss.seenCur = setOf(st.SeenCur)
+	ss.seenPrev = setOf(st.SeenPrev)
+	ss.hosts = setOf(st.Hosts)
+	ss.frozen = setOf(st.Frozen)
+	for p := range ss.locks {
+		ss.locks[p].Lock()
+	}
+	for a := range ss.arrays {
+		copy(ss.arrays[a], st.Arrays[a])
+	}
+	for p := range ss.locks {
+		ss.locks[p].Unlock()
+	}
+	return nil
+}
+
+// setOf and keysOf convert the proc and token sets between their in-memory
+// map form and the slices snapshots and migrations carry.
+func setOf[K comparable](keys []K) map[K]bool {
+	m := make(map[K]bool, len(keys))
+	for _, k := range keys {
+		m[k] = true
 	}
 	return m
 }
 
-func tokenList(m map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for t := range m {
-		out = append(out, t)
+func keysOf[K comparable](m map[K]bool) []K {
+	out := make([]K, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
 	return out
 }
 
-// applyRecord applies one journal/replication record to the in-memory
-// state. It does NOT journal (recovery replays existing records; the
+// applyRecord applies one journal/replication record to the pinned
+// session. It does NOT journal (recovery replays existing records; the
 // standby journals before applying). Token dedup is re-checked so replay
 // across a snapshot boundary and duplicated stream delivery stay
 // exactly-once.
-func (s *Server) applyRecord(req *request) {
+func (s *Server) applyRecord(req *request) error {
+	ss := s.pin
+	switch req.Op {
+	case opPut, opAcc:
+		p, err := ss.patch(req)
+		if err != nil {
+			return err
+		}
+		if req.Op == opAcc && req.Token != 0 {
+			s.mu.Lock()
+			dup := ss.seen(req.Token)
+			if !dup {
+				ss.seenCur[req.Token] = true
+			}
+			s.mu.Unlock()
+			if dup {
+				return nil
+			}
+		}
+		ss.apply(req, p)
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	switch req.Op {
 	case opHello:
-		s.mu.Lock()
-		s.session = req.Session
-		s.seenCur = map[uint64]bool{}
-		s.seenPrev = map[uint64]bool{}
-		s.zeroArraysLocked()
-		s.mu.Unlock()
+		s.resetLocked(ss, req.Session)
 	case opCheckpoint:
-		s.mu.Lock()
-		s.rotateDedupLocked()
-		s.mu.Unlock()
+		s.rotateDedupLocked(ss)
 	case opPromote:
-		s.mu.Lock()
 		s.epoch.Store(req.SEpoch)
 		s.standby.Store(false)
-		s.mu.Unlock()
 	case opFreeze:
-		s.mu.Lock()
-		if p := int(req.Proc); p >= 0 && s.hosts[p] {
-			s.frozen[p] = true
+		if p := int(req.Proc); p >= 0 && ss.hosts[p] {
+			ss.frozen[p] = true
 		}
-		s.mu.Unlock()
 	case opMigrate:
-		s.mu.Lock()
 		s.applyMigrateLocked(req)
-		s.mu.Unlock()
 	case opSetGen:
-		s.mu.Lock()
 		s.applySetGenLocked(req)
-		s.mu.Unlock()
-	case opPut:
-		s.applyPatch(req)
-	case opAcc:
-		if req.Token != 0 {
-			s.mu.Lock()
-			if s.seenCur[req.Token] || s.seenPrev[req.Token] {
-				s.mu.Unlock()
-				return
-			}
-			s.seenCur[req.Token] = true
-			s.mu.Unlock()
-		}
-		s.applyPatch(req)
 	}
+	return nil
 }
 
-// zeroArraysLocked clears both shard arrays and drops the session's
-// spill blobs (a new session is a new build; its store re-spills).
-// Caller holds s.mu; the per-proc locks are taken so concurrent Gets
-// never see a torn reset.
-func (s *Server) zeroArraysLocked() {
-	for p := range s.locks {
-		s.locks[p].Lock()
+// resetLocked makes ss the empty state of session id: arrays zeroed, dedup
+// generations and spill blobs dropped (a new session is a new build; its
+// store re-spills). The hosted and frozen sets stay: placement outlives a
+// build. Caller holds s.mu; the patch locks are taken so a concurrent Get
+// never sees a torn reset.
+func (s *Server) resetLocked(ss *session, id uint64) {
+	ss.id = id
+	ss.seenCur = map[uint64]bool{}
+	ss.seenPrev = map[uint64]bool{}
+	for p := range ss.locks {
+		ss.locks[p].Lock()
 	}
-	for a := range s.arrays {
-		arr := s.arrays[a]
-		for i := range arr {
-			arr[i] = 0
-		}
+	for a := range ss.arrays {
+		clear(ss.arrays[a])
 	}
-	for p := range s.locks {
-		s.locks[p].Unlock()
+	for p := range ss.locks {
+		ss.locks[p].Unlock()
 	}
-	s.blobs = map[uint64][]float64{}
-	s.blobBytes = 0
+	s.memUsed -= ss.blobBytes
+	ss.blobs = map[uint64][]float64{}
+	ss.blobBytes = 0
 }
 
-// rotateDedupLocked advances the dedup eviction generation: the previous
-// generation's tokens are evicted, the current one becomes previous.
-// Tokens are therefore only dropped after a full checkpoint interval —
-// never mid-epoch — so any retry of an op that completed before the
-// checkpoint still hits its token.
-func (s *Server) rotateDedupLocked() {
-	s.tokensEvicted.Add(int64(len(s.seenPrev)))
-	s.seenPrev = s.seenCur
-	s.seenCur = map[uint64]bool{}
-	s.ckptGen++
+// seen reports whether an Acc token is in either dedup generation. Caller
+// holds the server's mu.
+func (ss *session) seen(token uint64) bool {
+	return ss.seenCur[token] || ss.seenPrev[token]
+}
+
+// rotateDedupLocked advances a session's dedup eviction generation: the
+// previous generation's tokens are evicted, the current one becomes
+// previous. Tokens are therefore only dropped after a full checkpoint
+// interval — never mid-epoch — so any retry of an op that completed
+// before the checkpoint still hits its token.
+func (s *Server) rotateDedupLocked(ss *session) {
+	s.tokensEvicted.Add(int64(len(ss.seenPrev)))
+	ss.seenPrev = ss.seenCur
+	ss.seenCur = map[uint64]bool{}
+	ss.ckptGen++
 	s.checkpoints.Add(1)
 }
 
-// applyPatch lands one Put/Acc payload in the arrays under the owner's
-// patch lock. The caller has validated geometry and ownership.
-func (s *Server) applyPatch(req *request) {
+// patch validates the patch of a Get/Put/Acc against the session's grid
+// and returns it with its owning proc. The client decomposes regions per
+// owner, so a request patch must lie within exactly one block.
+func (ss *session) patch(req *request) (dist.Patch, error) {
+	if int(req.Array) >= numArrays {
+		return dist.Patch{}, fmt.Errorf("netga: bad array id %d", req.Array)
+	}
+	g := ss.grid
 	r0, r1, c0, c1 := int(req.R0), int(req.R1), int(req.C0), int(req.C1)
-	w := c1 - c0
-	owner := s.grid.Patches(r0, r1, c0, c1)[0].Proc
-	s.locks[owner].Lock()
-	defer s.locks[owner].Unlock()
-	for r := r0; r < r1; r++ {
-		dst := s.arrays[req.Array][r*s.grid.Cols+c0 : r*s.grid.Cols+c1]
-		row := req.Data[(r-r0)*w : (r-r0)*w+w]
+	if r0 < 0 || r1 > g.Rows || c0 < 0 || c1 > g.Cols || r0 >= r1 || c0 >= c1 {
+		return dist.Patch{}, fmt.Errorf("netga: bad patch [%d,%d)x[%d,%d)", r0, r1, c0, c1)
+	}
+	ps := g.Patches(r0, r1, c0, c1)
+	if len(ps) != 1 {
+		return dist.Patch{}, fmt.Errorf("netga: patch spans %d owners, want 1", len(ps))
+	}
+	if op := req.Op; (op == opPut || op == opAcc) && len(req.Data) != ps[0].Elems() {
+		return dist.Patch{}, fmt.Errorf("netga: payload %d values, want %d", len(req.Data), ps[0].Elems())
+	}
+	return ps[0], nil
+}
+
+// read copies a validated patch out under its owner's patch lock.
+func (ss *session) read(array uint8, p dist.Patch) []float64 {
+	w, cols := p.C1-p.C0, ss.grid.Cols
+	data := make([]float64, p.Elems())
+	ss.locks[p.Proc].Lock()
+	for r := p.R0; r < p.R1; r++ {
+		copy(data[(r-p.R0)*w:(r-p.R0)*w+w], ss.arrays[array][r*cols+p.C0:r*cols+p.C1])
+	}
+	ss.locks[p.Proc].Unlock()
+	return data
+}
+
+// apply lands one validated Put/Acc payload in the arrays under its
+// owner's patch lock.
+func (ss *session) apply(req *request, p dist.Patch) {
+	w, cols := p.C1-p.C0, ss.grid.Cols
+	ss.locks[p.Proc].Lock()
+	defer ss.locks[p.Proc].Unlock()
+	for r := p.R0; r < p.R1; r++ {
+		dst := ss.arrays[req.Array][r*cols+p.C0 : r*cols+p.C1]
+		row := req.Data[(r-p.R0)*w : (r-p.R0)*w+w]
 		if req.Op == opPut {
 			copy(dst, row)
 		} else {
@@ -452,7 +507,8 @@ var errReplLost = errors.New("netga: standby replication lost")
 // subscriber re-attaches, because it cannot distinguish a crashed standby
 // from having been superseded by an epoch-fenced promotion it never saw.
 // This is the availability price of the failover option: a primary whose
-// standby is gone for good blocks writes instead of diverging.
+// standby is gone for good blocks writes instead of diverging. A server
+// with neither journal nor standby (every admitting table) only counts.
 func (s *Server) persistLocked(req *request, replicate bool) error {
 	if replicate && s.hadStandby && s.sub == nil {
 		return errReplLost
@@ -472,6 +528,17 @@ func (s *Server) persistLocked(req *request, replicate bool) error {
 		s.replSent.Add(1)
 	}
 	return nil
+}
+
+// persistFailed answers a request whose mutation persistLocked refused:
+// a lost standby is retryable (not acked, token not marked — the client
+// retries the same token once the standby re-attaches or the router
+// reroutes), a journal failure is not.
+func persistFailed(reqID uint64, err error) response {
+	if errors.Is(err, errReplLost) {
+		return retryResp(reqID, "%v", err)
+	}
+	return errResp(reqID, "%v", err)
 }
 
 // journalLocked appends one record — sequence number, then the encoded
@@ -526,46 +593,40 @@ func (s *Server) checkpointLocked(st *snapshotState) error {
 	return s.jr.Reset()
 }
 
-// snapshotStateLocked captures the current state. Caller holds s.mu and
-// has drained applyWG.
+// snapshotStateLocked captures the pinned session and the shard's fence
+// state. Caller holds s.mu and has drained applyWG.
 func (s *Server) snapshotStateLocked() *snapshotState {
+	ss := s.pin
 	st := &snapshotState{
 		Version: snapshotVersion,
-		Session: s.session,
+		Session: ss.id,
 		Epoch:   s.epoch.Load(),
 		PGen:    s.pgen.Load(),
 		Standby: s.standby.Load(),
-		Rows:    s.grid.Rows, Cols: s.grid.Cols,
+		Rows:    ss.grid.Rows, Cols: ss.grid.Cols,
 		Seq:        s.seq,
-		SeenCur:    tokenList(s.seenCur),
-		SeenPrev:   tokenList(s.seenPrev),
-		Checkpoint: s.ckptGen,
+		SeenCur:    keysOf(ss.seenCur),
+		SeenPrev:   keysOf(ss.seenPrev),
+		Checkpoint: ss.ckptGen,
+		Hosts:      keysOf(ss.hosts),
+		Frozen:     keysOf(ss.frozen),
 	}
-	for p := range s.hosts {
-		st.Hosts = append(st.Hosts, p)
-	}
-	for p := range s.frozen {
-		st.Frozen = append(st.Frozen, p)
-	}
-	for a := range s.arrays {
-		st.Arrays[a] = append([]float64(nil), s.arrays[a]...)
+	for a := range ss.arrays {
+		st.Arrays[a] = append([]float64(nil), ss.arrays[a]...)
 	}
 	return st
 }
 
 // Close abruptly stops the server: listener and conns are torn down and
 // goroutines joined, but no final snapshot is taken — exactly the state a
-// SIGKILL leaves behind. Durable servers recover from the journal; Kill
-// is an alias that makes chaos-test intent explicit.
+// SIGKILL leaves behind. A durable server recovers from the journal; any
+// other forgets its sessions, so clients see "unknown session" after a
+// restart and the serving layer retries jobs under fresh ones.
 func (s *Server) Close() {
 	s.mu.Lock()
-	if s.closed {
+	if !s.closeLocked() {
 		s.mu.Unlock()
 		return
-	}
-	s.closed = true
-	for c := range s.conns {
-		c.Close()
 	}
 	s.dropSubscriberLocked()
 	if s.stdbyConn != nil {
@@ -577,10 +638,7 @@ func (s *Server) Close() {
 	if stop != nil {
 		close(stop)
 	}
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	s.wg.Wait()
+	s.join()
 	s.mu.Lock()
 	if s.jr != nil {
 		s.jr.Close()
@@ -598,41 +656,27 @@ func (s *Server) Kill() { s.Close() }
 // snapshot so the next start needs no journal replay, and closes every
 // listener and conn. Safe to call from a signal handler.
 func (s *Server) Shutdown(wait time.Duration) {
-	s.mu.Lock()
-	if s.closed || s.draining {
-		s.mu.Unlock()
+	if !s.drain(wait) {
 		return
 	}
-	s.draining = true
-	s.mu.Unlock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
-	deadline := time.Now().Add(wait)
-	for s.inflight.Load() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
 	s.mu.Lock()
-	if s.jr != nil {
-		s.snapshotLocked()
-	}
+	s.snapshotLocked()
 	s.mu.Unlock()
 	s.Close()
 }
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	live := int64(len(s.seenCur) + len(s.seenPrev))
-	hosted, frozen := len(s.hosts), len(s.frozen)
-	blobBytes := s.blobBytes
-	s.mu.Unlock()
-	return ServerStats{
+	st := ServerStats{
 		Requests:   s.requests.Load(),
 		AccApplied: s.accApplied.Load(),
 		AccDups:    s.accDups.Load(),
 		Sessions:   s.sessions.Load(),
 		Rejects:    s.rejects.Load(),
+
+		SessionsClosed: s.sessionsClosed.Load(),
+		SessionRejects: s.sessionRejects.Load(),
+		MemBudget:      s.memBudget,
 
 		Epoch:   s.epoch.Load(),
 		Standby: s.standby.Load(),
@@ -642,86 +686,65 @@ func (s *Server) Stats() ServerStats {
 		Snapshots:      s.snapshots.Load(),
 		Promotions:     s.promotions.Load(),
 		Checkpoints:    s.checkpoints.Load(),
-		TokensLive:     live,
 		TokensEvicted:  s.tokensEvicted.Load(),
 		FencedOps:      s.fencedOps.Load(),
 		ReplSent:       s.replSent.Load(),
 		ReplApplied:    s.replApplied.Load(),
 
 		PGen:            s.pgen.Load(),
-		HostedProcs:     hosted,
-		FrozenProcs:     frozen,
 		Freezes:         s.freezes.Load(),
 		BlocksIn:        s.blocksIn.Load(),
 		BlocksOut:       s.blocksOut.Load(),
 		PlacementFenced: s.placementFenced.Load(),
 
 		BlobsStored: s.blobsStored.Load(),
-		BlobBytes:   blobBytes,
 		BlobHits:    s.blobHits.Load(),
 		BlobMisses:  s.blobMisses.Load(),
 	}
+	add := func(ss *session) {
+		if ss.id != 0 {
+			st.SessionsOpen++
+		}
+		st.TokensLive += int64(len(ss.seenCur) + len(ss.seenPrev))
+		st.HostedProcs += len(ss.hosts)
+		st.FrozenProcs += len(ss.frozen)
+		st.BlobBytes += ss.blobBytes
+	}
+	st.SessionsOpened = st.Sessions
+	s.mu.Lock()
+	st.MemUsed = s.memUsed
+	if s.pin != nil {
+		add(s.pin)
+	}
+	for _, ss := range s.table {
+		add(ss)
+	}
+	s.mu.Unlock()
+	return st
 }
 
-// Addr returns the bound address (valid after Start).
-func (s *Server) Addr() string { return s.boundTo }
-
-func (s *Server) serveConn(conn net.Conn) {
-	hijacked := false
-	defer func() {
-		if !hijacked {
-			conn.Close()
+// serve answers one frame for the conn loop: a subscription hijacks the
+// conn, everything else is dispatched by handle, and every answer carries
+// the shard's fence epoch and placement generation.
+func (s *Server) serve(fc *frameConn, req *request, bad error) (resp response, hijacked bool) {
+	switch {
+	case bad != nil:
+		resp = errResp(0, "%v", bad)
+	case req.Op == opSubscribe && s.pin != nil:
+		// On success the conn becomes a replication stream owned by the
+		// subscription; the loop hands it over.
+		if resp, hijacked = s.serveSubscribe(fc, req); hijacked {
+			return resp, true
 		}
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	var buf []byte
-	for {
-		body, err := readFrame(br)
-		if err != nil {
-			return // client closed, reset, or corrupt stream
-		}
-		var req request
-		var resp response
-		if err := decodeRequest(body, &req); err != nil {
-			resp = response{Status: statusErr, Msg: err.Error()}
-		} else if req.Op == opSubscribe {
-			// The conn becomes a replication stream owned by the
-			// subscription; this goroutine hands it over and exits.
-			hijacked = s.serveSubscribe(conn, br, bw, &req)
-			if hijacked {
-				s.mu.Lock()
-				delete(s.conns, conn)
-				s.mu.Unlock()
-			}
-			return
-		} else {
-			s.inflight.Add(1)
-			resp = s.handle(&req)
-			s.inflight.Add(-1)
-		}
-		resp.SEpoch = s.epoch.Load()
-		resp.PGen = s.pgen.Load()
-		if resp.Status == statusErr {
-			s.rejects.Add(1)
-		}
-		buf = encodeResponse(buf, &resp)
-		if err := writeFrame(bw, buf); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		s.mu.Lock()
-		drain := s.draining
-		s.mu.Unlock()
-		if drain {
-			return
-		}
+	default:
+		resp = s.handle(req)
 	}
+	resp.SEpoch = s.epoch.Load()
+	resp.PGen = s.pgen.Load()
+	if resp.Status == statusErr {
+		s.rejects.Add(1)
+	}
+	return resp, false
 }
 
 func errResp(reqID uint64, format string, args ...any) response {
@@ -734,15 +757,32 @@ func retryResp(reqID uint64, format string, args ...any) response {
 	return response{Status: statusRetry, ReqID: reqID, Msg: fmt.Sprintf(format, args...)}
 }
 
+// handle is the one request dispatch. Promotion and the fleet's placement
+// ops act on the pinned session and are refused without one; a standby
+// answers liveness probes, goodbyes and its promotion and nothing else;
+// data ops pass the shard-epoch and placement-generation fences, then
+// address one live session.
 func (s *Server) handle(req *request) response {
 	s.requests.Add(1)
 	switch req.Op {
-	case opHello:
-		return s.hello(req)
 	case opPing:
 		return response{ReqID: req.ReqID}
-	case opPromote:
+	case opBye:
+		return s.bye(req)
+	case opPromote, opSubscribe, opFreeze, opMigrate, opSetGen:
+		if s.pin == nil {
+			return errResp(req.ReqID, "netga: op %d not supported in multi-session mode", req.Op)
+		}
+	}
+	if req.Op == opPromote {
 		return s.promote(req)
+	}
+	if s.standby.Load() {
+		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
+	}
+	switch req.Op {
+	case opHello:
+		return s.hello(req)
 	case opCheckpoint:
 		return s.checkpoint(req)
 	case opFreeze:
@@ -753,11 +793,6 @@ func (s *Server) handle(req *request) response {
 		return s.setGen(req)
 	}
 
-	// Data ops: role, shard-epoch fence, placement-generation fence, then
-	// session.
-	if s.standby.Load() {
-		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
-	}
 	if cur := s.epoch.Load(); req.SEpoch != 0 && req.SEpoch != cur {
 		s.fencedOps.Add(1)
 		if req.SEpoch > cur {
@@ -783,87 +818,76 @@ func (s *Server) handle(req *request) response {
 		}
 	}
 	s.mu.Lock()
-	sessionOK := s.session != 0 && req.Session == s.session
+	ss := s.sessionLocked(req.Session)
 	s.mu.Unlock()
-	if !sessionOK {
+	if ss == nil {
+		// Deterministic rejection: a restarted volatile shard (or an ended
+		// session) makes the client's build fail cleanly; the serving layer
+		// retries the job from its checkpoint under a fresh session.
 		return errResp(req.ReqID, "netga: unknown session %d", req.Session)
 	}
-	// Spill blobs are keyed by Token, not patch coordinates, so they skip
-	// the patch/owner validation below.
 	switch req.Op {
 	case opPutBlob:
-		return s.putBlob(req)
+		return s.putBlob(req, ss)
 	case opGetBlob:
-		return s.getBlob(req)
-	}
-	if int(req.Array) >= numArrays {
-		return errResp(req.ReqID, "netga: bad array id %d", req.Array)
-	}
-	r0, r1, c0, c1 := int(req.R0), int(req.R1), int(req.C0), int(req.C1)
-	if r0 < 0 || r1 > s.grid.Rows || c0 < 0 || c1 > s.grid.Cols || r0 >= r1 || c0 >= c1 {
-		return errResp(req.ReqID, "netga: bad patch [%d,%d)x[%d,%d)", r0, r1, c0, c1)
-	}
-	// The client decomposes regions per owner, so a request patch must
-	// lie within exactly one block — and that block must be hosted here.
-	ps := s.grid.Patches(r0, r1, c0, c1)
-	if len(ps) != 1 {
-		return errResp(req.ReqID, "netga: patch spans %d owners, want 1", len(ps))
-	}
-	owner := ps[0].Proc
-	s.mu.Lock()
-	hosted := s.hosts[owner]
-	s.mu.Unlock()
-	if !hosted {
-		return s.notHostedResp(req, owner)
-	}
-	w := c1 - c0
-	switch req.Op {
-	case opGet:
-		data := make([]float64, (r1-r0)*w)
-		s.locks[owner].Lock()
-		for r := r0; r < r1; r++ {
-			copy(data[(r-r0)*w:(r-r0)*w+w], s.arrays[req.Array][r*s.grid.Cols+c0:r*s.grid.Cols+c1])
+		return s.getBlob(req, ss)
+	case opGet, opPut, opAcc:
+		p, err := ss.patch(req)
+		if err != nil {
+			return errResp(req.ReqID, "%v", err)
 		}
-		s.locks[owner].Unlock()
-		return response{ReqID: req.ReqID, Data: data}
-	case opPut, opAcc:
-		if len(req.Data) != (r1-r0)*w {
-			return errResp(req.ReqID, "netga: payload %d values, want %d", len(req.Data), (r1-r0)*w)
+		if req.Op != opGet {
+			return s.applyOp(req, ss, p)
 		}
-		return s.applyOp(req, owner)
+		s.mu.Lock()
+		hosted := ss.hosts[p.Proc]
+		s.mu.Unlock()
+		if !hosted {
+			return s.notHostedResp(req, p.Proc)
+		}
+		return response{ReqID: req.ReqID, Data: ss.read(req.Array, p)}
 	}
 	return errResp(req.ReqID, "netga: unknown op %d", req.Op)
 }
 
-// putBlob stores a stored-ERI spill blob first-writer-wins: re-puts from
-// re-executed tasks carry bit-identical data (the batch is deterministic
-// in the geometry), so duplicates are dropped without comparison. The
-// write path stays off the journal and the replication stream by design
-// — blobs are cache legs, and losing them costs a recompute, not
-// correctness (see DESIGN.md §11).
-func (s *Server) putBlob(req *request) response {
+// putBlob stores a session's stored-ERI spill blob first-writer-wins:
+// re-puts from re-executed tasks carry bit-identical data (the batch is
+// deterministic in the geometry), so duplicates are dropped without
+// comparison. Its bytes are charged to the memory budget (best effort:
+// over budget the blob is refused and the client's store falls back to
+// drop/recompute). The write path stays off the journal and the
+// replication stream by design — blobs are cache legs, and losing them
+// costs a recompute, not correctness (see DESIGN.md §11).
+func (s *Server) putBlob(req *request, ss *session) response {
 	if req.Token == 0 {
 		return errResp(req.ReqID, "netga: blob key must be nonzero")
 	}
 	if len(req.Data) == 0 {
 		return errResp(req.ReqID, "netga: empty blob")
 	}
+	add := int64(8 * len(req.Data))
 	s.mu.Lock()
-	if _, ok := s.blobs[req.Token]; !ok {
-		s.blobs[req.Token] = append([]float64(nil), req.Data...)
-		s.blobBytes += int64(8 * len(req.Data))
-		s.blobsStored.Add(1)
+	defer s.mu.Unlock()
+	if _, ok := ss.blobs[req.Token]; ok {
+		return response{ReqID: req.ReqID}
 	}
-	s.mu.Unlock()
+	if s.memBudget > 0 && s.memUsed+add > s.memBudget {
+		s.sessionRejects.Add(1)
+		return errResp(req.ReqID, "netga: blob over memory budget")
+	}
+	ss.blobs[req.Token] = append([]float64(nil), req.Data...)
+	ss.blobBytes += add
+	s.memUsed += add
+	s.blobsStored.Add(1)
 	return response{ReqID: req.ReqID}
 }
 
 // getBlob serves a spill blob, or a statusErr tagged blobMissMsg the
 // client maps to a cache miss. The returned slice is shared — blobs are
 // immutable once stored, and the encoder only reads it.
-func (s *Server) getBlob(req *request) response {
+func (s *Server) getBlob(req *request, ss *session) response {
 	s.mu.Lock()
-	data := s.blobs[req.Token]
+	data := ss.blobs[req.Token]
 	s.mu.Unlock()
 	if data == nil {
 		s.blobMisses.Add(1)
@@ -885,47 +909,43 @@ func (s *Server) notHostedResp(req *request, owner int) response {
 	return errResp(req.ReqID, "netga: proc %d not hosted here", owner)
 }
 
-// applyOp is the write path shared by Put and Acc: dedup check, journal
-// append and standby forward under s.mu (write-ahead: the record is
-// durable and replicated before the token becomes visible or the client
-// is acked), then the array mutation under the owner's patch lock.
-func (s *Server) applyOp(req *request, owner int) response {
+// applyOp is the one write path of Put and Acc: ownership, freeze and
+// dedup checks, journal append and standby forward under s.mu
+// (write-ahead: the record is durable and replicated before the token
+// becomes visible or the client is acked), then the array mutation under
+// the owner's patch lock.
+func (s *Server) applyOp(req *request, ss *session, p dist.Patch) response {
+	owner := p.Proc
 	s.mu.Lock()
-	// Re-check ownership and the migration freeze under mu: the early
-	// checks in handle are advisory (a cutover can land between them and
-	// here), this one is authoritative — a write must never slip into a
-	// block that has been frozen or handed off, or it would exist only on
-	// the superseded owner.
-	if !s.hosts[owner] {
+	// Ownership and the migration freeze are checked under mu: a cutover
+	// must never let a write slip into a block that has been frozen or
+	// handed off, or it would exist only on the superseded owner.
+	if !ss.hosts[owner] {
 		s.mu.Unlock()
 		return s.notHostedResp(req, owner)
 	}
-	if s.frozen[owner] {
+	if ss.frozen[owner] {
 		s.mu.Unlock()
 		s.placementFenced.Add(1)
 		return retryResp(req.ReqID, "netga: proc %d frozen (migrating)", owner)
 	}
-	if req.Op == opAcc && req.Token != 0 && (s.seenCur[req.Token] || s.seenPrev[req.Token]) {
+	tokened := req.Op == opAcc && req.Token != 0
+	if tokened && ss.seen(req.Token) {
 		s.mu.Unlock()
 		s.accDups.Add(1)
 		return response{ReqID: req.ReqID, Dup: 1}
 	}
 	if err := s.persistLocked(req, true); err != nil {
 		s.mu.Unlock()
-		if errors.Is(err, errReplLost) {
-			// Not acked, token not marked: the client retries the same
-			// token once the standby re-attaches or the router reroutes.
-			return retryResp(req.ReqID, "%v", err)
-		}
-		return errResp(req.ReqID, "%v", err)
+		return persistFailed(req.ReqID, err)
 	}
-	if req.Op == opAcc && req.Token != 0 {
-		s.seenCur[req.Token] = true
+	if tokened {
+		ss.seenCur[req.Token] = true
 	}
 	s.applyWG.Add(1)
 	s.mu.Unlock()
 
-	s.applyPatch(req)
+	ss.apply(req, p)
 	s.applyWG.Done()
 	if req.Op == opAcc {
 		s.accApplied.Add(1)
@@ -934,85 +954,91 @@ func (s *Server) applyOp(req *request, owner int) response {
 	return response{ReqID: req.ReqID}
 }
 
-// hello installs or validates a session. A session id the server has not
-// seen resets the arrays, the dedup state and the journal (a new build);
-// re-Hello with the current session — a reconnecting client, or one
-// rejoining a recovered server — validates and changes nothing, which is
-// what lets a restarted shard resume the build instead of restarting it.
-// Geometry travels in R0=Rows, C0=Cols.
+// hello installs or validates a session; geometry travels in R0=Rows,
+// C0=Cols and the cut layout in Msg. The layout must match the grid of
+// the session it meets (the pinned one, or an admitted one with this id),
+// so a driver started with another -reorder or -grid is refused here and
+// not mid-build on a patch spanning two owners. A re-Hello with a live id
+// (the F client after the D client, a reconnect, a rejoin of a recovered
+// server) then changes nothing — which is what lets a restarted durable
+// shard resume the build — and a new id is admitted, or replaces the
+// pinned session.
 func (s *Server) hello(req *request) response {
-	if int(req.R0) != s.grid.Rows || int(req.C0) != s.grid.Cols {
-		return errResp(req.ReqID, "netga: geometry mismatch: client %dx%d, server %dx%d",
-			req.R0, req.C0, s.grid.Rows, s.grid.Cols)
-	}
 	if req.Session == 0 {
 		return errResp(req.ReqID, "netga: session id must be nonzero")
 	}
-	if s.standby.Load() {
-		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
+	grid, err := parseLayout(req.Msg, int(req.R0), int(req.C0))
+	if err != nil {
+		return errResp(req.ReqID, "%v", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if req.Session != s.session {
-		if s.hadStandby && s.sub == nil {
-			// Refuse before the destructive journal reset: a session
-			// install that cannot reach the standby must not be acked
-			// (see persistLocked).
-			return retryResp(req.ReqID, "%v", errReplLost)
+	ss := s.pin
+	if ss == nil {
+		if ss = s.table[req.Session]; ss == nil {
+			return s.admitLocked(req, grid)
 		}
-		s.applyWG.Wait()
-		if s.jr != nil {
-			// The old session's history is dead; the install record is the
-			// first entry of the fresh journal (seq keeps increasing so a
-			// stale snapshot plus the new journal still replays correctly).
-			if err := s.jr.Reset(); err != nil {
-				return errResp(req.ReqID, "netga: journal reset: %v", err)
-			}
-			s.sinceSnap = 0
-		}
-		rec := request{Op: opHello, Session: req.Session, R0: req.R0, C0: req.C0, SEpoch: s.epoch.Load()}
-		if err := s.persistLocked(&rec, true); err != nil {
-			if errors.Is(err, errReplLost) {
-				return retryResp(req.ReqID, "%v", err)
-			}
-			return errResp(req.ReqID, "%v", err)
-		}
-		s.session = req.Session
-		s.seenCur = map[uint64]bool{}
-		s.seenPrev = map[uint64]bool{}
-		s.zeroArraysLocked()
-		s.sessions.Add(1)
-		// The journal reset above destroyed any journaled placement history
-		// (the opMigrate/opSetGen records that tell an elastic shard which
-		// blocks it hosts). Snapshot at the install point so a crash after
-		// this hello recovers the current host set, frozen set and placement
-		// generation instead of whatever an older snapshot remembered.
-		s.snapshotLocked()
+	}
+	if mine := layoutMsg(ss.grid); mine != layoutMsg(grid) {
+		return errResp(req.ReqID, "netga: geometry mismatch: client grid %s, session grid %s", layoutMsg(grid), mine)
+	}
+	if ss.id != req.Session {
+		return s.replacePinnedLocked(req)
 	}
 	return response{ReqID: req.ReqID}
 }
 
-// checkpoint advances the dedup eviction generation (driver-issued at a
-// session checkpoint, e.g. an SCF iteration boundary — never mid-build):
-// tokens that have survived one full generation are evicted, bounding the
-// dedup table over long SCF runs.
-func (s *Server) checkpoint(req *request) response {
-	if s.standby.Load() {
-		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
+// replacePinnedLocked installs a new session id on the pinned table: the
+// arrays, the dedup state and the journal are reset (a new build), all of
+// it journaled and replicated first. Caller holds s.mu.
+func (s *Server) replacePinnedLocked(req *request) response {
+	if s.hadStandby && s.sub == nil {
+		// Refuse before the destructive journal reset: a session
+		// install that cannot reach the standby must not be acked
+		// (see persistLocked).
+		return retryResp(req.ReqID, "%v", errReplLost)
 	}
+	s.applyWG.Wait()
+	if s.jr != nil {
+		// The old session's history is dead; the install record is the
+		// first entry of the fresh journal (seq keeps increasing so a
+		// stale snapshot plus the new journal still replays correctly).
+		if err := s.jr.Reset(); err != nil {
+			return errResp(req.ReqID, "netga: journal reset: %v", err)
+		}
+		s.sinceSnap = 0
+	}
+	rec := request{Op: opHello, Session: req.Session, R0: req.R0, C0: req.C0, SEpoch: s.epoch.Load()}
+	if err := s.persistLocked(&rec, true); err != nil {
+		return persistFailed(req.ReqID, err)
+	}
+	s.resetLocked(s.pin, req.Session)
+	s.sessions.Add(1)
+	// The journal reset above destroyed any journaled placement history
+	// (the opMigrate/opSetGen records that tell an elastic shard which
+	// blocks it hosts). Snapshot at the install point so a crash after
+	// this hello recovers the current host set, frozen set and placement
+	// generation instead of whatever an older snapshot remembered.
+	s.snapshotLocked()
+	return response{ReqID: req.ReqID}
+}
+
+// checkpoint advances a session's dedup eviction generation
+// (driver-issued at a session checkpoint, e.g. an SCF iteration boundary
+// — never mid-build): tokens that have survived one full generation are
+// evicted, bounding the dedup table over long SCF runs.
+func (s *Server) checkpoint(req *request) response {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.session == 0 || req.Session != s.session {
+	ss := s.sessionLocked(req.Session)
+	if ss == nil {
 		return errResp(req.ReqID, "netga: unknown session %d", req.Session)
 	}
 	rec := request{Op: opCheckpoint, Session: req.Session}
 	if err := s.persistLocked(&rec, true); err != nil {
-		if errors.Is(err, errReplLost) {
-			return retryResp(req.ReqID, "%v", err)
-		}
-		return errResp(req.ReqID, "%v", err)
+		return persistFailed(req.ReqID, err)
 	}
-	s.rotateDedupLocked()
+	s.rotateDedupLocked(ss)
 	return response{ReqID: req.ReqID}
 }
 
@@ -1049,65 +1075,70 @@ func (s *Server) promote(req *request) response {
 	return response{ReqID: req.ReqID}
 }
 
-// blockBounds returns the matrix rectangle owned by grid proc p.
-func (s *Server) blockBounds(p int) (r0, r1, c0, c1 int) {
-	i, j := s.grid.Coords(p)
-	return s.grid.RowCuts[i], s.grid.RowCuts[i+1], s.grid.ColCuts[j], s.grid.ColCuts[j+1]
+// blockRows visits, under proc p's patch lock, the rows of its block in
+// the D array and then the F array — the order a migrating block's state
+// travels in.
+func (ss *session) blockRows(p int, visit func(row []float64)) {
+	i, j := ss.grid.Coords(p)
+	c0, c1 := ss.grid.ColCuts[j], ss.grid.ColCuts[j+1]
+	ss.locks[p].Lock()
+	defer ss.locks[p].Unlock()
+	for a := range ss.arrays {
+		for r := ss.grid.RowCuts[i]; r < ss.grid.RowCuts[i+1]; r++ {
+			visit(ss.arrays[a][r*ss.grid.Cols+c0 : r*ss.grid.Cols+c1])
+		}
+	}
+}
+
+// blockLen is the length of proc p's migrating state (see blockRows), or
+// an error for a proc outside the grid.
+func (ss *session) blockLen(p int) (int, error) {
+	if p < 0 || p >= ss.grid.NumProcs() {
+		return 0, fmt.Errorf("netga: bad proc %d", p)
+	}
+	i, j := ss.grid.Coords(p)
+	return numArrays * (ss.grid.RowCuts[i+1] - ss.grid.RowCuts[i]) * (ss.grid.ColCuts[j+1] - ss.grid.ColCuts[j]), nil
 }
 
 // freezeBlock (opFreeze, fleet -> source shard) starts a block's
 // migration: writes to proc p are durably refused from here on (the
 // freeze is journaled and replicated, so neither a crash-restart nor a
 // standby promotion un-freezes it), in-flight applies are drained, and
-// the response carries the block's D and F state, the shard's dedup
-// tokens, and the session (in Msg) for the new owner to adopt. The
+// the response carries the block's D and F state, the session's dedup
+// tokens, and the session id (in Msg) for the new owner to adopt. The
 // frozen copy is immutable, so a retried freeze returns identical state.
 // Reads keep being served: until the cutover fences this shard, the
 // frozen copy IS the block's current value.
 func (s *Server) freezeBlock(req *request) response {
-	if s.standby.Load() {
-		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
-	}
-	p := int(req.Proc)
-	if p < 0 || p >= s.grid.NumProcs() {
-		return errResp(req.ReqID, "netga: bad proc %d", p)
+	ss, p := s.pin, int(req.Proc)
+	n, err := ss.blockLen(p)
+	if err != nil {
+		return errResp(req.ReqID, "%v", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.hosts[p] {
+	if !ss.hosts[p] {
 		return errResp(req.ReqID, "netga: proc %d not hosted here", p)
 	}
-	if !s.frozen[p] {
-		rec := request{Op: opFreeze, Session: s.session, Proc: req.Proc}
+	if !ss.frozen[p] {
+		rec := request{Op: opFreeze, Session: ss.id, Proc: req.Proc}
 		if err := s.persistLocked(&rec, true); err != nil {
-			if errors.Is(err, errReplLost) {
-				return retryResp(req.ReqID, "%v", err)
-			}
-			return errResp(req.ReqID, "%v", err)
+			return persistFailed(req.ReqID, err)
 		}
-		s.frozen[p] = true
+		ss.frozen[p] = true
 		s.freezes.Add(1)
 	}
 	s.applyWG.Wait() // drain writes that passed the freeze check before it was set
-	r0, r1, c0, c1 := s.blockBounds(p)
-	w := c1 - c0
-	data := make([]float64, 0, numArrays*(r1-r0)*w)
-	s.locks[p].Lock()
-	for a := 0; a < numArrays; a++ {
-		for r := r0; r < r1; r++ {
-			data = append(data, s.arrays[a][r*s.grid.Cols+c0:r*s.grid.Cols+c1]...)
-		}
-	}
-	s.locks[p].Unlock()
-	tokens := make([]uint64, 0, len(s.seenCur)+len(s.seenPrev))
-	tokens = append(tokens, tokenList(s.seenCur)...)
-	for t := range s.seenPrev {
-		if !s.seenCur[t] {
+	data := make([]float64, 0, n)
+	ss.blockRows(p, func(row []float64) { data = append(data, row...) })
+	tokens := keysOf(ss.seenCur)
+	for t := range ss.seenPrev {
+		if !ss.seenCur[t] {
 			tokens = append(tokens, t)
 		}
 	}
 	return response{ReqID: req.ReqID, Data: data, Tokens: tokens,
-		Msg: fmt.Sprintf("%d", s.session)}
+		Msg: fmt.Sprintf("%d", ss.id)}
 }
 
 // migrateIn (opMigrate, fleet -> destination shard) installs a migrated
@@ -1120,24 +1151,17 @@ func (s *Server) freezeBlock(req *request) response {
 // until the fleet publishes the new map, and the fleet publishes only
 // after the install is acked), so fleet-side retries are safe.
 func (s *Server) migrateIn(req *request) response {
-	if s.standby.Load() {
-		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
+	n, err := s.pin.blockLen(int(req.Proc))
+	if err != nil {
+		return errResp(req.ReqID, "%v", err)
 	}
-	p := int(req.Proc)
-	if p < 0 || p >= s.grid.NumProcs() {
-		return errResp(req.ReqID, "netga: bad proc %d", p)
-	}
-	r0, r1, c0, c1 := s.blockBounds(p)
-	if n := numArrays * (r1 - r0) * (c1 - c0); len(req.Data) != 0 && len(req.Data) != n {
+	if len(req.Data) != 0 && len(req.Data) != n {
 		return errResp(req.ReqID, "netga: migrate payload %d values, want %d", len(req.Data), n)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.persistLocked(req, true); err != nil {
-		if errors.Is(err, errReplLost) {
-			return retryResp(req.ReqID, "%v", err)
-		}
-		return errResp(req.ReqID, "%v", err)
+		return persistFailed(req.ReqID, err)
 	}
 	s.applyMigrateLocked(req)
 	s.blocksIn.Add(1)
@@ -1147,32 +1171,19 @@ func (s *Server) migrateIn(req *request) response {
 // applyMigrateLocked lands an opMigrate record. Caller holds s.mu. Shared
 // by the live handler, journal replay, and the replication stream.
 func (s *Server) applyMigrateLocked(req *request) {
-	p := int(req.Proc)
-	if req.Session != 0 && req.Session != s.session {
+	ss, p := s.pin, int(req.Proc)
+	if req.Session != 0 && req.Session != ss.id {
 		// A fresh member adopts the running build's session wholesale.
-		s.session = req.Session
-		s.seenCur = map[uint64]bool{}
-		s.seenPrev = map[uint64]bool{}
-		s.zeroArraysLocked()
+		s.resetLocked(ss, req.Session)
 		s.sessions.Add(1)
 	}
 	for _, t := range req.Tokens {
-		s.seenCur[t] = true
+		ss.seenCur[t] = true
 	}
-	s.hosts[p] = true
-	delete(s.frozen, p)
-	if len(req.Data) > 0 {
-		r0, r1, c0, c1 := s.blockBounds(p)
-		w := c1 - c0
-		s.locks[p].Lock()
-		off := 0
-		for a := 0; a < numArrays; a++ {
-			for r := r0; r < r1; r++ {
-				copy(s.arrays[a][r*s.grid.Cols+c0:r*s.grid.Cols+c1], req.Data[off:off+w])
-				off += w
-			}
-		}
-		s.locks[p].Unlock()
+	ss.hosts[p] = true
+	delete(ss.frozen, p)
+	if off := 0; len(req.Data) > 0 {
+		ss.blockRows(p, func(row []float64) { off += copy(row, req.Data[off:]) })
 	}
 }
 
@@ -1184,9 +1195,6 @@ func (s *Server) applyMigrateLocked(req *request) {
 // legs source-drop BEFORE publish, so once any client can route a write
 // to the new owner, the old owner already refuses the block.
 func (s *Server) setGen(req *request) response {
-	if s.standby.Load() {
-		return retryResp(req.ReqID, "netga: standby of %s: not promoted", s.primaryAddr)
-	}
 	if req.PGen == 0 {
 		return errResp(req.ReqID, "netga: setgen requires a placement generation")
 	}
@@ -1194,10 +1202,7 @@ func (s *Server) setGen(req *request) response {
 	defer s.mu.Unlock()
 	rec := request{Op: opSetGen, PGen: req.PGen, Proc: req.Proc}
 	if err := s.persistLocked(&rec, true); err != nil {
-		if errors.Is(err, errReplLost) {
-			return retryResp(req.ReqID, "%v", err)
-		}
-		return errResp(req.ReqID, "%v", err)
+		return persistFailed(req.ReqID, err)
 	}
 	s.applySetGenLocked(req)
 	return response{ReqID: req.ReqID}
@@ -1212,11 +1217,11 @@ func (s *Server) applySetGenLocked(req *request) {
 		}
 	}
 	if p := int(req.Proc); p >= 0 {
-		if s.hosts[p] {
+		if s.pin.hosts[p] {
 			s.blocksOut.Add(1)
 		}
-		delete(s.hosts, p)
-		delete(s.frozen, p)
+		delete(s.pin.hosts, p)
+		delete(s.pin.frozen, p)
 	}
 }
 

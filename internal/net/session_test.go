@@ -239,27 +239,37 @@ func TestMultiServerKillForgetsSessions(t *testing.T) {
 	}
 }
 
-// Checkpoint rotates the per-session dedup generations: a token is
-// still deduped one generation later and evicted after two, mirroring
-// the single-session server's contract.
-func TestMultiServerCheckpointRotation(t *testing.T) {
-	addrs, servers := startMultiFleet(t, 1, 0, 0)
-	g := dist.UniformGrid2D(1, 1, 2, 2)
-	c := dialSession(t, g, addrs, 5, 0)
-	mustLoad(t, c, linalg.NewMatrix(2, 2))
+// A multi-session shard is volatile by construction: asking it for a
+// journal or a standby role is an error, never a silent downgrade.
+func TestMultiServerRefusesDurabilityOptions(t *testing.T) {
+	for name, opt := range map[string]ServerOption{
+		"WithDurability": WithDurability(t.TempDir(), 0),
+		"WithStandby":    WithStandby("127.0.0.1:1"),
+	} {
+		if ms, err := NewMultiServer(2, 0, 0, 0, opt); err == nil || ms != nil {
+			t.Fatalf("NewMultiServer accepted %s (err=%v)", name, err)
+		}
+	}
+	if _, err := NewMultiServer(2, 0, 0, 0, WithNoSync()); err != nil {
+		t.Fatalf("NewMultiServer refused an option that asks for no durability: %v", err)
+	}
+}
 
-	if _, err := accPatch(c, 0, 0, 1, 0, 1, []float64{1}, 1, 1); err != nil {
+// Promotion, replication and block migration act on a pinned session; an
+// admitting table refuses them by name instead of growing a capability.
+func TestMultiServerRefusesPinnedOnlyOps(t *testing.T) {
+	ms, err := NewMultiServer(1, 0, 0, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
+	for _, op := range []uint8{opPromote, opSubscribe, opFreeze, opMigrate, opSetGen} {
+		resp, hijacked := ms.serve(nil, &request{Op: op, SEpoch: 2, PGen: 2}, nil)
+		if hijacked || resp.Status != statusErr || !strings.Contains(resp.Msg, "not supported in multi-session mode") {
+			t.Fatalf("op %d answered %d %q (hijacked=%v), want a not-supported rejection", op, resp.Status, resp.Msg, hijacked)
+		}
 	}
-	if err := c.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st := servers[0].Stats()
-	if st.AccApplied != 1 {
-		t.Fatalf("applied %d accs, want 1", st.AccApplied)
+	if st := ms.Stats(); st.Epoch != 1 || st.PGen != 0 {
+		t.Fatalf("refused ops moved the fences: %+v", st)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestHAEndToEnd(t *testing.T) {
 
 	// Shared fleet: two multi-session shards on loopback.
 	addrs := make([]string, 2)
-	shards := make([]*netga.MultiServer, 2)
+	shards := make([]*netga.Server, 2)
 	for i := range shards {
 		ms, err := netga.NewMultiServer(2, i, 256, 256<<20)
 		if err != nil {

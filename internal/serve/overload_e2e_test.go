@@ -43,7 +43,7 @@ func TestOverloadEndToEnd(t *testing.T) {
 
 	// Shared fleet: two multi-session shards on loopback.
 	addrs := make([]string, 2)
-	servers := make([]*netga.MultiServer, 2)
+	servers := make([]*netga.Server, 2)
 	for i := range servers {
 		ms, err := netga.NewMultiServer(2, i, 256, 256<<20)
 		if err != nil {
