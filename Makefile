@@ -1,7 +1,7 @@
 GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -126,7 +126,20 @@ server-single:
 	@test "$$(cat $(NET_SRC) | grep -cF 'dst[i] += req.Alpha * row[i]')" -eq 1
 	@! grep -rn 'UseHGP\|eriCartHGP' internal cmd
 
-ci: build vet generate-check wal-single backend-single server-single race net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake
+# One net session, checked mechanically: outside internal/net (and tests)
+# nobody assembles a D/F client pair — netga.Session is the one place —
+# the hand-rolled backend factories and the in-core SCF engine stay gone,
+# and the drivers share dist.ParseGrid.
+session-single:
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'Array: *[01]\|\.Array = ' cmd internal | grep -v '^internal/net/'
+	@! grep -rn 'persistentBackend\|netFactory\|fleetFactory\|EngineInCore' cmd internal
+	@test "$$(cat cmd/*/*.go | grep -c '^func parseGrid')" -eq 0
+
+# The aggregate gate. `race` already runs every test of the named subset
+# gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
+# serve-ha) under the race detector, so those stay developer targets and
+# parallel workflow jobs instead of running twice here.
+ci: build vet generate-check wal-single backend-single server-single session-single race e2e-flake
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run
 # smoke): the paper-table benchmarks, the per-class ERI kernel ones

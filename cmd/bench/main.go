@@ -147,7 +147,7 @@ func main() {
 
 	specs, err := parseSeries(*series)
 	fatalIf(err)
-	prow, pcol, err := parseGrid(*grid)
+	prow, pcol, err := dist.ParseGrid(*grid)
 	fatalIf(err)
 	if *short {
 		specs = specs[:1]
@@ -165,7 +165,7 @@ func main() {
 		base := readReport(*check)
 		// Re-run under the baseline's own parameters so the comparison is
 		// apples to apples even if the flags drifted.
-		prow, pcol, err = parseGrid(base.Grid)
+		prow, pcol, err = dist.ParseGrid(base.Grid)
 		fatalIf(err)
 		fresh := runSeries(specsOf(base, specs), base.Basis, base.Grid, prow, pcol, *reps)
 		if len(base.Micro) > 0 {
@@ -664,19 +664,6 @@ func parseSeries(s string) ([]string, error) {
 		return nil, fmt.Errorf("empty series")
 	}
 	return out, nil
-}
-
-func parseGrid(s string) (int, int, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("grid must be RxC, got %q", s)
-	}
-	r, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := strconv.Atoi(parts[1])
-	return r, c, err
 }
 
 func fatalIf(err error) {

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"time"
 
@@ -152,7 +151,7 @@ func main() {
 			fmt.Print(tr.Timeline(100, 24))
 		}
 	case "real":
-		prow, pcol, err := parseGrid(*grid)
+		prow, pcol, err := dist.ParseGrid(*grid)
 		fatalIf(err)
 		if *eriCache && *engine != "gtfock" {
 			fatalIf(fmt.Errorf("-eri-cache requires -engine gtfock"))
@@ -194,23 +193,27 @@ func main() {
 				session = uint64(time.Now().UnixNano())
 			}
 			var rpc *metrics.RPC
+			var sess *netga.Session
 			if *backend == "net" {
-				rpc = &metrics.RPC{}
+				if *netFleet == "" && *netServers == "" {
+					fatalIf(fmt.Errorf("-backend net requires -net-servers or -fleet"))
+				}
+				// The fockd cluster must have been started with the same
+				// molecule, basis, grid and ordering so both sides derive the
+				// identical block layout.
+				var addrs, standbys []string
 				if *netFleet != "" {
-					copt.Backend = fleetFactory(*netFleet, session, rpc)
 					fmt.Printf("net backend: elastic fleet at %s, session %d\n", *netFleet, session)
 				} else {
-					if *netServers == "" {
-						fatalIf(fmt.Errorf("-backend net requires -net-servers or -fleet"))
-					}
-					addrs := strings.Split(*netServers, ",")
-					var standbys []string
+					addrs = strings.Split(*netServers, ",")
 					if *netStandbys != "" {
 						standbys = strings.Split(*netStandbys, ",")
 					}
-					copt.Backend = netFactory(addrs, standbys, session, copt.Fault, rpc)
 					fmt.Printf("net backend: %d shard servers (%d standbys), session %d\n", len(addrs), len(standbys), session)
 				}
+				rpc = &metrics.RPC{}
+				sess = netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: copt.Fault}, *netFleet, addrs, standbys)
+				copt.Backend = sess.Backend
 				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
 			} else if *backend != "local" {
 				fatalIf(fmt.Errorf("unknown backend %q", *backend))
@@ -229,32 +232,16 @@ func main() {
 				fmt.Printf("debug endpoint: http://%s/debug/vars (expvar) and http://%s/debug/pprof/\n", addr, addr)
 			}
 			var store *integrals.ERIStore
-			var spillClose func()
 			if *eriCache {
 				var spill integrals.BlobStore
 				if *eriSpill {
-					if *backend != "net" || *netServers == "" {
+					if sess == nil || *netServers == "" {
 						fatalIf(fmt.Errorf("-eri-spill requires -backend net with -net-servers"))
 					}
-					// Dedicated blob client: the per-build array clients are
-					// closed after every build, but spilled batches must
-					// survive from the recording build to the replays.
-					bgrid := core.Grid(bs, prow, pcol)
-					addrs := strings.Split(*netServers, ",")
-					assign, _ := netga.SplitProcs(bgrid.NumProcs(), len(addrs))
-					bc, err := netga.Dial(bgrid, dist.NewRunStats(bgrid.NumProcs()), addrs, assign,
-						netga.Config{Array: 0, Session: session, RPC: rpc})
-					fatalIf(err)
-					spill = bc
-					spillClose = func() { bc.Close() }
+					spill = sess
 				}
 				store = integrals.NewERIStore(bs.NumShells(), *eriBudget, spill, session, nil)
 				copt.ERIStore = store
-				if copt.Backend != nil {
-					wrapped, closeAll := persistentBackend(copt.Backend)
-					copt.Backend = wrapped
-					defer closeAll()
-				}
 			}
 			res := core.Build(bs, scr, d, copt)
 			fatalIf(res.Err)
@@ -262,9 +249,9 @@ func main() {
 			report(res.Stats, fmt.Sprintf("real, %dx%d grid, %s backend", prow, pcol, *backend))
 			if store != nil {
 				replayCachedBuilds(bs, scr, d, copt, store, res, *eriBuilds)
-				if spillClose != nil {
-					spillClose()
-				}
+			}
+			if sess != nil {
+				sess.Close(true)
 			}
 			if rpc != nil {
 				reportRPC(rpc)
@@ -398,35 +385,6 @@ func runChaos(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 	}
 }
 
-// persistentBackend shares one set of array clients across the repeated
-// cache builds: a fresh per-build client restarts its Acc-token counter,
-// and on the already-installed session the servers' exactly-once dedup
-// would discard the later builds' accumulates as replays of the first.
-// Each build's traffic is still charged to its own stats: the retry loop
-// accounts into the stats of the build issuing the op, not the client's.
-func persistentBackend(f func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error)) (
-	wrapped func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error),
-	closeAll func()) {
-	var gaD, gaF dist.Backend
-	var cleanup func()
-	wrapped = func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		if gaD == nil {
-			var err error
-			gaD, gaF, cleanup, err = f(grid, stats)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-		}
-		return gaD, gaF, nil, nil
-	}
-	closeAll = func() {
-		if cleanup != nil {
-			cleanup()
-		}
-	}
-	return wrapped, closeAll
-}
-
 // replayCachedBuilds re-runs the build against the store populated by
 // the first (recording) build and reports the replay speedup and
 // hit rate per build. Every replayed G is checked against the recorded
@@ -466,74 +424,6 @@ func replayCachedBuilds(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 	}
 }
 
-// netFactory returns a core.Options.Backend factory that dials the
-// user-supplied fockd shard servers for the D and F arrays. The fockd
-// cluster must have been started with the same molecule, basis, grid
-// and ordering so both sides derive the identical block layout.
-func netFactory(addrs, standbys []string, session uint64, inj *fault.Injector, rpc *metrics.RPC) func(
-	grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-	return func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		assign, _ := netga.SplitProcs(grid.NumProcs(), len(addrs))
-		// One router shared by the D and F clients: a failover observed
-		// through either array reroutes both.
-		router := netga.NewRouter(addrs, standbys, 0, rpc)
-		gaD, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 0, Session: session, RPC: rpc, Fault: inj, Router: router,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 1, Session: session, RPC: rpc, Fault: inj, Router: router,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		cleanup := func() {
-			gaD.Close()
-			gaF.Close()
-		}
-		return gaD, gaF, cleanup, nil
-	}
-}
-
-// fleetFactory returns a core.Options.Backend factory for the elastic
-// fleet: routing comes from the coordinator's live membership view
-// instead of a static server list, so shards can join, leave or fail
-// over mid-build. The placement-generation delta across the build is
-// charged to the RPC counters as blocks migrated under the driver.
-func fleetFactory(fleetAddr string, session uint64, rpc *metrics.RPC) func(
-	grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-	return func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		router := netga.NewFleetRouter(fleetAddr, 0, rpc)
-		gaD, err := netga.DialFleet(grid, stats, fleetAddr, netga.Config{
-			Array: 0, Session: session, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.DialFleet(grid, stats, fleetAddr, netga.Config{
-			Array: 1, Session: session, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		startGen := gaD.PlacementGen()
-		cleanup := func() {
-			// One generation is published per migrated block, so the delta
-			// is the number of cutovers this build routed across.
-			if end := gaD.PlacementGen(); end > startGen {
-				rpc.AddBlocksMigrated(int64(end - startGen))
-			}
-			gaD.Close()
-			gaF.Close()
-		}
-		return gaD, gaF, cleanup, nil
-	}
-}
-
 // reportRPC prints the transport-level counters of a net-backed build.
 func reportRPC(rpc *metrics.RPC) {
 	s := rpc.Snapshot()
@@ -561,22 +451,6 @@ func reportRPC(rpc *metrics.RPC) {
 			s.LatencyNS.Mean/1e3, float64(s.LatencyNS.P95)/1e3,
 			float64(s.LatencyNS.Max)/1e3)
 	}
-}
-
-func parseGrid(s string) (int, int, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("grid must be RxC, got %q", s)
-	}
-	r, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return r, c, nil
 }
 
 // guessDensity returns a plausible symmetric density-like matrix (overlap-

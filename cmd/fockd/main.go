@@ -50,8 +50,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -221,7 +219,7 @@ func layoutFromFlags(molSpec, bname, ord, gridSpec string) (*dist.Grid2D, int) {
 		fatalIf(fmt.Errorf("unknown ordering %q", ord))
 	}
 	bs = bs.Permute(order)
-	prow, pcol, err := parseGrid(gridSpec)
+	prow, pcol, err := dist.ParseGrid(gridSpec)
 	fatalIf(err)
 	return core.Grid(bs, prow, pcol), bs.NumFuncs
 }
@@ -254,22 +252,6 @@ func runFleet(grid *dist.Grid2D, listen string, ttl time.Duration, httpAddr stri
 	fmt.Printf("fockd fleet: %d members (%d dead, %d leaving), %d joins, %d rejoins, %d leaves, %d expiries, %d promotions, %d blocks moved, view gen %d, placement gen %d\n",
 		st.Members, st.Dead, st.Leaving, st.Joins, st.Rejoins, st.Leaves,
 		st.Expiries, st.Promotions, st.BlocksMoved, st.ViewGen, st.PlacementGen)
-}
-
-func parseGrid(s string) (int, int, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("grid must be RxC, got %q", s)
-	}
-	r, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, err
-	}
-	return r, c, nil
 }
 
 func fatalIf(err error) {

@@ -16,12 +16,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"gtfock/internal/chem"
 	"gtfock/internal/correlate"
+	"gtfock/internal/dist"
 	"gtfock/internal/integrals"
 	"gtfock/internal/metrics"
 	"gtfock/internal/props"
@@ -95,7 +94,7 @@ func main() {
 	if *noDIIS {
 		opt.DIIS = -1
 	}
-	opt.Prow, opt.Pcol, err = parseGrid(*grid)
+	opt.Prow, opt.Pcol, err = dist.ParseGrid(*grid)
 	fatalIf(err)
 
 	var reg *metrics.Registry
@@ -244,19 +243,6 @@ func loadResumeState(path, formula, basisName, ord string) (*scf.Checkpoint, err
 		return nil, fmt.Errorf("checkpoint uses -reorder %q, this run uses %q", ck.Reorder, ord)
 	}
 	return ck, nil
-}
-
-func parseGrid(s string) (int, int, error) {
-	parts := strings.Split(s, "x")
-	if len(parts) != 2 {
-		return 0, 0, fmt.Errorf("grid must be RxC, got %q", s)
-	}
-	r, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, 0, err
-	}
-	c, err := strconv.Atoi(parts[1])
-	return r, c, err
 }
 
 func fatalIf(err error) {

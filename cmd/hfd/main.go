@@ -48,6 +48,7 @@ import (
 	"syscall"
 	"time"
 
+	"gtfock/internal/dist"
 	"gtfock/internal/fault"
 	"gtfock/internal/metrics"
 	netga "gtfock/internal/net"
@@ -93,7 +94,7 @@ func main() {
 	)
 	flag.Parse()
 
-	prow, pcol, err := parseGrid(*gridSpec)
+	prow, pcol, err := dist.ParseGrid(*gridSpec)
 	fatalIf(err)
 	fatalIf(os.MkdirAll(*ckptDir, 0o755))
 
@@ -247,22 +248,6 @@ func main() {
 	fmt.Printf("hfd: done: %d admitted, %d completed, %d rejected, %d shed, %d parked\n",
 		snap.Admitted, snap.Completed,
 		snap.RejectedQueue+snap.RejectedQuota+snap.RejectedMem, snap.Shed, snap.Parked)
-}
-
-func parseGrid(s string) (int, int, error) {
-	r, c, ok := strings.Cut(s, "x")
-	if !ok {
-		return 0, 0, fmt.Errorf("bad grid %q (want RxC)", s)
-	}
-	prow, err := strconv.Atoi(r)
-	if err != nil {
-		return 0, 0, err
-	}
-	pcol, err := strconv.Atoi(c)
-	if err != nil {
-		return 0, 0, err
-	}
-	return prow, pcol, nil
 }
 
 func fatalIf(err error) {

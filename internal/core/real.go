@@ -73,23 +73,21 @@ type Options struct {
 	// MaxFaultRounds bounds the number of crash-recovery respawn rounds
 	// before the injector is disarmed to force completion (default 8).
 	MaxFaultRounds int
-	// RetryAttempts/RetryBackoff/RetryWallCap are the dist.Retry budget of
-	// every one-sided op of the build (defaults 4 attempts, 1ms initial
-	// backoff, 10s wall cap). Attempts bounds prefetch Gets only; flush
-	// accumulates retry without an attempt bound. A prefetch Get hitting
-	// the wall cap abandons the incarnation cleanly; a flush Acc consults
-	// it only before the commit's point of no return (the first landed
-	// patch) — after that, retries are unbounded, because abandoning a
-	// half-landed flush would break exactly-once. See dist.Retry.
-	RetryAttempts int
-	RetryBackoff  time.Duration
-	RetryWallCap  time.Duration
+	// Retry is the budget of every one-sided op of the build; each zero
+	// field takes its default (4 attempts, 1ms initial backoff, 10s wall
+	// cap). Attempts bounds prefetch Gets only; flush accumulates retry
+	// without an attempt bound. A prefetch Get hitting the wall cap
+	// abandons the incarnation cleanly; a flush Acc consults it only
+	// before the commit's point of no return (the first landed patch) —
+	// after that, retries are unbounded, because abandoning a half-landed
+	// flush would break exactly-once. See dist.Retry.
+	Retry dist.Retry
 
-	// Backend, when non-nil, supplies the global arrays for D and F —
-	// e.g. the TCP Global Arrays transport in internal/net — in place of
-	// the in-process dist.GlobalArray. Build calls it once with the
-	// block layout and the run's stats; cleanup (may be nil) runs when
-	// the build finishes. A build over an external backend always runs
+	// Backend, when non-nil, supplies the global arrays for D and F in
+	// place of the in-process dist.GlobalArray — for the TCP transport in
+	// internal/net, pass a netga.Session's Backend. Build calls it once
+	// with the block layout and the run's stats; cleanup (may be nil) runs
+	// when the build finishes. A build over an external backend always runs
 	// the lease/fencing runtime, so a worker that loses its transport
 	// past the retry budget degrades gracefully: it aborts, the monitor
 	// fences it, and its blocks are re-executed exactly once elsewhere.
@@ -216,14 +214,14 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 	}
 
-	if opt.RetryAttempts <= 0 {
-		opt.RetryAttempts = 4
+	if opt.Retry.Attempts <= 0 {
+		opt.Retry.Attempts = 4
 	}
-	if opt.RetryBackoff <= 0 {
-		opt.RetryBackoff = time.Millisecond
+	if opt.Retry.Backoff <= 0 {
+		opt.Retry.Backoff = time.Millisecond
 	}
-	if opt.RetryWallCap <= 0 {
-		opt.RetryWallCap = 10 * time.Second
+	if opt.Retry.WallCap <= 0 {
+		opt.Retry.WallCap = 10 * time.Second
 	}
 
 	// Fault-tolerant runtime: lease ledger and epoch fence. An external
@@ -446,7 +444,7 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 		nf:      bs.NumFuncs,
 		ctx:     opt.Ctx,
 		inj:     opt.Fault,
-		retry:   dist.Retry{Attempts: opt.RetryAttempts, Backoff: opt.RetryBackoff, WallCap: opt.RetryWallCap},
+		retry:   opt.Retry,
 		victims: map[int]bool{},
 		trace:   opt.Trace,
 		reg:     opt.Metrics,

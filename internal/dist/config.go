@@ -3,6 +3,8 @@ package dist
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Config describes the simulated machine. Defaults reproduce the paper's
@@ -85,6 +87,18 @@ func SquareGridFor(n int) (int, int) {
 		}
 	}
 	return best, n / best
+}
+
+// ParseGrid parses a process-grid flag of the form "RxC" into positive
+// (prow, pcol).
+func ParseGrid(s string) (prow, pcol int, err error) {
+	r, c, _ := strings.Cut(s, "x")
+	prow, rerr := strconv.Atoi(r)
+	pcol, cerr := strconv.Atoi(c)
+	if rerr != nil || cerr != nil || prow <= 0 || pcol <= 0 {
+		return 0, 0, fmt.Errorf("dist: grid must be RxC with positive dimensions, got %q", s)
+	}
+	return prow, pcol, nil
 }
 
 // NodesFor converts a core count to a node count for GTFock (one process

@@ -264,6 +264,31 @@ func TestSquareGridFor(t *testing.T) {
 	}
 }
 
+func TestParseGrid(t *testing.T) {
+	for _, tc := range []struct {
+		in         string
+		prow, pcol int
+		ok         bool
+	}{
+		{"2x2", 2, 2, true},
+		{"1x12", 1, 12, true},
+		{"18x18", 18, 18, true},
+		{"0x2", 0, 0, false}, // would reach UniformCuts(ns, 0): divide by zero
+		{"2x0", 0, 0, false},
+		{"-1x2", 0, 0, false},
+		{"2", 0, 0, false},
+		{"2x2x2", 0, 0, false},
+		{"ax2", 0, 0, false},
+		{"2x", 0, 0, false},
+		{"", 0, 0, false},
+	} {
+		prow, pcol, err := ParseGrid(tc.in)
+		if (err == nil) != tc.ok || prow != tc.prow || pcol != tc.pcol {
+			t.Errorf("ParseGrid(%q) = %d, %d, %v; want %d, %d, ok=%v", tc.in, prow, pcol, err, tc.prow, tc.pcol, tc.ok)
+		}
+	}
+}
+
 func TestNodesFor(t *testing.T) {
 	c := Lonestar()
 	n, err := c.NodesFor(3888)

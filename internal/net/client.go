@@ -63,10 +63,10 @@ type Config struct {
 	// delivery, slow link, partition windows) at this conn layer, keyed
 	// by the issuing rank. Driver-side ops (proc -1) are never faulted.
 	Fault *fault.Injector
-	// Router, when non-nil, is the shared failover routing state (one per
-	// driver process, shared by the D and F clients so a promotion reroutes
-	// both). Nil builds a private router with no standbys: plain routing,
-	// no failover.
+	// Router, when non-nil, is the shared failover routing state (a
+	// Session's D and F clients share one, so a promotion reroutes both).
+	// Nil builds a private router with no standbys: plain routing, no
+	// failover.
 	Router *Router
 }
 
@@ -78,8 +78,10 @@ type Config struct {
 // accounting — and it routes every attempt through the router's view: a
 // live fleet view (DialFleet) or the fixed one of a static Dial.
 type Client struct {
-	grid   *dist.Grid2D
-	stats  *dist.RunStats // of the dialing build: failovers, and the Get/Acc conveniences
+	grid *dist.Grid2D
+	// stats (may hold nil) takes failovers and the Get/Acc conveniences:
+	// the dialing build's, re-pointed by Session.Backend to each build's.
+	stats  atomic.Pointer[dist.RunStats]
 	cfg    Config
 	router *Router
 	reqID  atomic.Uint64
@@ -96,7 +98,9 @@ type Client struct {
 var _ dist.Backend = (*Client)(nil)
 
 func newClient(grid *dist.Grid2D, stats *dist.RunStats, cfg Config, rt *Router) *Client {
-	return &Client{grid: grid, stats: stats, cfg: cfg, router: rt, helloed: map[int]bool{}}
+	c := &Client{grid: grid, cfg: cfg, router: rt, helloed: map[int]bool{}}
+	c.stats.Store(stats)
+	return c
 }
 
 // normalize validates and defaults the fields every dial needs.
@@ -248,12 +252,6 @@ func (c *Client) helloSlot(slot int) (*connPool, error) {
 	c.poolsMu.Unlock()
 	return pool, nil
 }
-
-// PlacementGen returns the placement generation the client is routing
-// with (0 on a static dial's fixed view). The delta across a build counts
-// the blocks that migrated under it — each cutover bumps the generation
-// once.
-func (c *Client) PlacementGen() uint64 { return c.router.pgen() }
 
 // Close tears down every pooled connection.
 func (c *Client) Close() {
@@ -496,8 +494,8 @@ func (c *Client) noteFailure(pool *connPool, err error) {
 		return
 	}
 	if ferr := c.router.Failover(pool.slot); ferr == nil {
-		if c.stats != nil {
-			atomic.AddInt64(&c.stats.Recovery.Failovers, 1)
+		if st := c.stats.Load(); st != nil {
+			atomic.AddInt64(&st.Recovery.Failovers, 1)
 		}
 	}
 }
@@ -557,9 +555,8 @@ func (c *Client) TryGet(proc, r0, r1, c0, c1 int, dst []float64, ld int) error {
 // TryAcc implements dist.Backend: one RPC carrying the op's idempotency
 // token, minted here on the first attempt (token 0) and handed back so
 // every retry reuses it — the server applies the patch once no matter how
-// delivery fails or duplicates. The counter lives in the client, so it
-// must outlive every build of its session (a fresh client on a live
-// session would replay token ranges; see serve.FleetRunner).
+// delivery fails or duplicates. The counter lives in the client, so the
+// client must outlive every build of its session (see Session).
 func (c *Client) TryAcc(proc int, token uint64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (uint64, bool, error) {
 	if token == 0 {
 		token = uint64(c.cfg.Array+1)<<56 | c.token.Add(1)
@@ -589,7 +586,7 @@ var probeRetry = dist.Retry{Attempts: 8, Backoff: 5 * time.Millisecond}
 // deliver.
 func (c *Client) Get(proc, r0, r1, c0, c1 int, dst []float64, ld int) {
 	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		if _, err := probeRetry.Get(context.Background(), c, c.stats, proc, p.R0, p.R1, p.C0, p.C1, dst[(p.R0-r0)*ld+(p.C0-c0):], ld); err != nil {
+		if _, err := probeRetry.Get(context.Background(), c, c.stats.Load(), proc, p.R0, p.R1, p.C0, p.C1, dst[(p.R0-r0)*ld+(p.C0-c0):], ld); err != nil {
 			panic(fmt.Sprintf("netga: infallible Get failed: %v", err))
 		}
 	}
@@ -598,7 +595,7 @@ func (c *Client) Get(proc, r0, r1, c0, c1 int, dst []float64, ld int) {
 // Acc accumulates into an arbitrary region, unfenced; see Get.
 func (c *Client) Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) {
 	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		if _, err := probeRetry.Acc(context.Background(), c, c.stats, nil, false, proc, 0, p.R0, p.R1, p.C0, p.C1, src[(p.R0-r0)*ld+(p.C0-c0):], ld, alpha); err != nil {
+		if _, err := probeRetry.Acc(context.Background(), c, c.stats.Load(), nil, false, proc, 0, p.R0, p.R1, p.C0, p.C1, src[(p.R0-r0)*ld+(p.C0-c0):], ld, alpha); err != nil {
 			panic(fmt.Sprintf("netga: infallible Acc failed: %v", err))
 		}
 	}

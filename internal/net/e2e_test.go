@@ -38,54 +38,50 @@ func netSetup(t *testing.T) (*basis.Set, *screen.Screening, *linalg.Matrix) {
 	return bs, scr, d
 }
 
+// lazySession is the one D/F pair factory of the e2e tests. Loopback
+// shards need the build's grid, so they come up inside the first Backend
+// call: up starts them and returns the netga.Session over them, every
+// call is then the session's own, and dialed (when non-nil) runs once the
+// pair exists — chaos schedules start there, never mid-dial. The session
+// is closed with the test, before the servers up registered for cleanup.
+type lazySession struct {
+	t      *testing.T
+	up     func(grid *dist.Grid2D) (*netga.Session, error)
+	dialed func()
+	sess   *netga.Session
+}
+
+func (l *lazySession) Backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
+	first := l.sess == nil
+	if first {
+		sess, err := l.up(grid)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		l.sess = sess
+		l.t.Cleanup(func() { sess.Close(false) })
+	}
+	gaD, gaF, cleanup, err := l.sess.Backend(grid, stats)
+	if first && err == nil && l.dialed != nil {
+		l.dialed()
+	}
+	return gaD, gaF, cleanup, err
+}
+
 // netBackend returns a core.Options.Backend factory that brings up
-// nservers loopback shard servers for the build's grid and dials the D
-// and F clients, plus an escape hatch to read the server stats after the
-// build.
+// nservers loopback shard servers for the build's grid and opens a
+// session on them, plus an escape hatch to read the server stats after
+// the build.
 func netBackend(t *testing.T, nservers int, session uint64, inj *fault.Injector, rpc *metrics.RPC) (
 	factory func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error),
 	serverStats func() netga.ServerStats,
 ) {
 	t.Helper()
 	var servers []*netga.Server
-	factory = func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		assign, hosted := netga.SplitProcs(grid.NumProcs(), nservers)
-		addrs := make([]string, nservers)
-		for k := 0; k < nservers; k++ {
-			srv := netga.NewServer(grid, hosted[k])
-			addr, err := srv.Start("127.0.0.1:0")
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			servers = append(servers, srv)
-			addrs[k] = addr
-		}
-		gaD, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 0, Session: session, RPC: rpc, Fault: inj,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 1, Session: session, RPC: rpc, Fault: inj,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		cleanup := func() {
-			gaD.Close()
-			gaF.Close()
-			// Servers stay up so the test can read their stats; closed
-			// via t.Cleanup below.
-		}
-		return gaD, gaF, cleanup, nil
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
+	ls := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
+		addrs, err := startShards(t, grid, nservers, &servers)
+		return netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: inj}, "", addrs, nil), err
+	}}
 	serverStats = func() (sum netga.ServerStats) {
 		for _, s := range servers {
 			st := s.Stats()
@@ -97,7 +93,25 @@ func netBackend(t *testing.T, nservers int, session uint64, inj *fault.Injector,
 		}
 		return sum
 	}
-	return factory, serverStats
+	return ls.Backend, serverStats
+}
+
+// startShards starts nservers plain pinned shard servers over grid, closed
+// with the test, appending them to *servers and returning their addresses.
+func startShards(t *testing.T, grid *dist.Grid2D, nservers int, servers *[]*netga.Server) ([]string, error) {
+	_, hosted := netga.SplitProcs(grid.NumProcs(), nservers)
+	addrs := make([]string, nservers)
+	for k := range addrs {
+		srv := netga.NewServer(grid, hosted[k])
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		t.Cleanup(srv.Close)
+		*servers = append(*servers, srv)
+		addrs[k] = addr
+	}
+	return addrs, nil
 }
 
 func buildDeadline(t *testing.T, timeout time.Duration, f func() core.Result) core.Result {
@@ -188,14 +202,12 @@ func TestLoopbackChaosBuildMatchesSerial(t *testing.T) {
 			res := buildDeadline(t, 3*time.Minute, func() core.Result {
 				return core.Build(bs, scr, d, core.Options{
 					Prow: 2, Pcol: 2,
-					Backend:       factory,
-					Fault:         inj,
-					LeaseTTL:      150 * time.Millisecond,
-					MonitorEvery:  10 * time.Millisecond,
-					RetryAttempts: 6,
-					RetryBackoff:  time.Millisecond,
-					RetryWallCap:  300 * time.Millisecond,
-					Metrics:       reg,
+					Backend:      factory,
+					Fault:        inj,
+					LeaseTTL:     150 * time.Millisecond,
+					MonitorEvery: 10 * time.Millisecond,
+					Retry:        dist.Retry{Attempts: 6, Backoff: time.Millisecond, WallCap: 300 * time.Millisecond},
+					Metrics:      reg,
 				})
 			})
 			if res.Err != nil {
@@ -219,7 +231,7 @@ func TestLoopbackChaosBuildMatchesSerial(t *testing.T) {
 }
 
 // TestLiveSessionAccountsEveryBuild is the regression test for the
-// live-session accounting bug: one dialed D/F client pair serves three
+// live-session accounting bug: one netga.Session serves three
 // consecutive builds (as serve.FleetRunner and fockbuild's cached builds
 // do), and every build must report the Tables VI/VII figures of its own
 // traffic — the same as the build over the in-process array — and its own
@@ -250,22 +262,9 @@ func TestLiveSessionAccountsEveryBuild(t *testing.T) {
 			inj = fault.New(fault.Config{Seed: 5, NetResetProb: 0.3, MaxConsecutiveNetFaults: 2})
 		}
 		rpc := &metrics.RPC{}
-		var clD, clF *netga.Client
-		opt.Backend = func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-			if clD == nil {
-				cfg := netga.Config{Session: 9, RPC: rpc, Fault: inj}
-				if clD, err = netga.Dial(grid, stats, []string{addr}, []int{0}, cfg); err != nil {
-					return nil, nil, nil, err
-				}
-				cfg.Array = 1
-				if clF, err = netga.Dial(grid, stats, []string{addr}, []int{0}, cfg); err != nil {
-					return nil, nil, nil, err
-				}
-				t.Cleanup(clD.Close)
-				t.Cleanup(clF.Close)
-			}
-			return clD, clF, nil, nil
-		}
+		sess := netga.NewSession(netga.Config{Session: 9, RPC: rpc, Fault: inj}, "", []string{addr}, nil)
+		t.Cleanup(func() { sess.Close(false) })
+		opt.Backend = sess.Backend
 		for b := 1; b <= 3; b++ {
 			before := rpc.Snapshot().Retries
 			res := buildDeadline(t, time.Minute, func() core.Result { return core.Build(bs, scr, d, opt) })

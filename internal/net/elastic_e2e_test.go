@@ -199,48 +199,33 @@ func TestElasticChurnBuildMatchesSerial(t *testing.T) {
 	reg := metrics.NewRegistry(4)
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
-	var startGen uint64
-	var clientD *netga.Client
-	factory := func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		fc.start(grid, 3, 1)
-		router := netga.NewFleetRouter(fc.fleet.Addr(), 0, rpc)
-		gaD, err := netga.DialFleet(grid, stats, fc.fleet.Addr(), netga.Config{
-			Array: 0, Session: 400, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.DialFleet(grid, stats, fc.fleet.Addr(), netga.Config{
-			Array: 1, Session: 400, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		clientD, startGen = gaD, gaD.PlacementGen()
-		// One join, one leave, one kill, triggered by client RPC counts so
-		// each lands mid-build deterministically per seed. Restart < 0: the
-		// killed primary never returns; its standby must take over.
-		plan := fault.MembershipChurnPlan(44, 3, 3, 30, 150, -1)
-		ops := func() int64 { return rpc.Snapshot().Calls }
-		chaos.Add(1)
-		go func() {
-			defer chaos.Done()
-			fault.RunMembershipChurn(plan, ops, fc.join, fc.leave, fc.kill, nil, stop)
-		}()
-		return gaD, gaF, func() { gaD.Close(); gaF.Close() }, nil
+	ls := &lazySession{t: t,
+		up: func(grid *dist.Grid2D) (*netga.Session, error) {
+			fc.start(grid, 3, 1)
+			return netga.NewSession(netga.Config{Session: 400, RPC: rpc}, fc.fleet.Addr(), nil, nil), nil
+		},
+		dialed: func() {
+			// One join, one leave, one kill, triggered by client RPC counts so
+			// each lands mid-build deterministically per seed. Restart < 0: the
+			// killed primary never returns; its standby must take over.
+			plan := fault.MembershipChurnPlan(44, 3, 3, 30, 150, -1)
+			ops := func() int64 { return rpc.Snapshot().Calls }
+			chaos.Add(1)
+			go func() {
+				defer chaos.Done()
+				fault.RunMembershipChurn(plan, ops, fc.join, fc.leave, fc.kill, nil, stop)
+			}()
+		},
 	}
 
 	res := buildDeadline(t, 4*time.Minute, func() core.Result {
 		return core.Build(bs, scr, d, core.Options{
 			Prow: 2, Pcol: 2,
-			Backend:       factory,
-			LeaseTTL:      300 * time.Millisecond,
-			MonitorEvery:  10 * time.Millisecond,
-			RetryAttempts: 10,
-			RetryBackoff:  2 * time.Millisecond,
-			RetryWallCap:  500 * time.Millisecond,
-			Metrics:       reg,
+			Backend:      ls.Backend,
+			LeaseTTL:     300 * time.Millisecond,
+			MonitorEvery: 10 * time.Millisecond,
+			Retry:        dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
+			Metrics:      reg,
 		})
 	})
 	close(stop)
@@ -273,8 +258,19 @@ func TestElasticChurnBuildMatchesSerial(t *testing.T) {
 	if sbst.Standby || sbst.Promotions < 1 || sbst.Epoch < 2 {
 		t.Fatalf("killed member's standby was not promoted: %+v", sbst)
 	}
-	if endGen := clientD.PlacementGen(); endGen <= startGen {
-		t.Fatalf("client placement gen %d -> %d: churn published no new map", startGen, endGen)
+	// The session charges the maps published under it — one generation per
+	// migrated block — to the RPC counters, once, when it closes.
+	if got := rpc.Snapshot().BlocksMigrated; got != 0 {
+		t.Fatalf("%d blocks charged as migrated before the session closed", got)
+	}
+	ls.sess.Close(true)
+	migrated := rpc.Snapshot().BlocksMigrated
+	if migrated == 0 {
+		t.Fatal("session saw no placement generation pass: churn published no new map")
+	}
+	ls.sess.Close(true)
+	if got := rpc.Snapshot().BlocksMigrated; got != migrated {
+		t.Fatalf("blocks migrated charged twice: %d then %d", migrated, got)
 	}
 	t.Logf("churn: fleet=%+v rpc=%+v standby={epoch:%d repl_applied:%d}",
 		st, rpc.Snapshot(), sbst.Epoch, sbst.ReplApplied)

@@ -37,9 +37,9 @@ func (cc *chaosCluster) slotDir(k int) string {
 	return filepath.Join(cc.dir, fmt.Sprintf("s%d", k))
 }
 
-func (cc *chaosCluster) start(grid *dist.Grid2D, nservers int, withStandbys bool) ([]string, []int, []string) {
+func (cc *chaosCluster) start(grid *dist.Grid2D, nservers int, withStandbys bool) (addrs, standbys []string) {
 	cc.grid = grid
-	assign, hosted := netga.SplitProcs(grid.NumProcs(), nservers)
+	_, hosted := netga.SplitProcs(grid.NumProcs(), nservers)
 	cc.hosted = hosted
 	cc.addrs = make([]string, nservers)
 	cc.servers = make([]*netga.Server, nservers)
@@ -68,7 +68,7 @@ func (cc *chaosCluster) start(grid *dist.Grid2D, nservers int, withStandbys bool
 		}
 	}
 	cc.t.Cleanup(cc.closeAll)
-	return cc.addrs, assign, stdbyAddrs
+	return cc.addrs, stdbyAddrs
 }
 
 func (cc *chaosCluster) closeAll() {
@@ -138,44 +138,32 @@ func TestLoopbackKillRestartBuildMatchesSerial(t *testing.T) {
 	reg := metrics.NewRegistry(4)
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
-	factory := func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		addrs, assign, _ := cc.start(grid, 2, false)
-		router := netga.NewRouter(addrs, nil, 0, rpc)
-		gaD, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 0, Session: cc.session, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 1, Session: cc.session, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		// Two kills per slot, triggered by served-op counts so they land
-		// mid-build deterministically per seed (the loopback build is only a
-		// few hundred RPCs long), restarted after 30ms.
-		plan := fault.ServerKillPlan(42, 2, 4, 20, 60, 30*time.Millisecond)
-		chaos.Add(1)
-		go func() {
-			defer chaos.Done()
-			fault.RunServerKills(plan, cc.ops, cc.kill, cc.restart, stop)
-		}()
-		return gaD, gaF, func() { gaD.Close(); gaF.Close() }, nil
+	ls := &lazySession{t: t,
+		up: func(grid *dist.Grid2D) (*netga.Session, error) {
+			addrs, _ := cc.start(grid, 2, false)
+			return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, "", addrs, nil), nil
+		},
+		dialed: func() {
+			// Two kills per slot, triggered by served-op counts so they land
+			// mid-build deterministically per seed (the loopback build is only a
+			// few hundred RPCs long), restarted after 30ms.
+			plan := fault.ServerKillPlan(42, 2, 4, 20, 60, 30*time.Millisecond)
+			chaos.Add(1)
+			go func() {
+				defer chaos.Done()
+				fault.RunServerKills(plan, cc.ops, cc.kill, cc.restart, stop)
+			}()
+		},
 	}
 
 	res := buildDeadline(t, 4*time.Minute, func() core.Result {
 		return core.Build(bs, scr, d, core.Options{
 			Prow: 2, Pcol: 2,
-			Backend:       factory,
-			LeaseTTL:      300 * time.Millisecond,
-			MonitorEvery:  10 * time.Millisecond,
-			RetryAttempts: 10,
-			RetryBackoff:  2 * time.Millisecond,
-			RetryWallCap:  500 * time.Millisecond,
-			Metrics:       reg,
+			Backend:      ls.Backend,
+			LeaseTTL:     300 * time.Millisecond,
+			MonitorEvery: 10 * time.Millisecond,
+			Retry:        dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
+			Metrics:      reg,
 		})
 	})
 	close(stop)
@@ -212,7 +200,10 @@ func TestLoopbackKillRestartBuildMatchesSerial(t *testing.T) {
 // TestLoopbackStandbyPromotionBuildMatchesSerial kills a primary shard
 // mid-build with no restart: the only way the build can complete — which
 // it must, matching serial with exactly-once accounting — is the client
-// promoting the hot standby behind the epoch fence.
+// promoting the hot standby behind the epoch fence. The kill lands in the
+// second of three builds on one session, and the promotion must be
+// charged to that build's Recovery.Failovers, not to the stats the pair
+// was dialed with: 0, >= 1, 0.
 func TestLoopbackStandbyPromotionBuildMatchesSerial(t *testing.T) {
 	bs, scr, d := netSetup(t)
 	ref := core.BuildSerial(bs, scr, d)
@@ -220,60 +211,55 @@ func TestLoopbackStandbyPromotionBuildMatchesSerial(t *testing.T) {
 
 	cc := &chaosCluster{t: t, dir: t.TempDir(), session: 301}
 	rpc := &metrics.RPC{}
-	reg := metrics.NewRegistry(4)
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
-	var runStats *dist.RunStats
-	factory := func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		runStats = stats
-		addrs, assign, stdbyAddrs := cc.start(grid, 2, true)
-		router := netga.NewRouter(addrs, stdbyAddrs, 0, rpc)
-		gaD, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 0, Session: cc.session, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		gaF, err := netga.Dial(grid, stats, addrs, assign, netga.Config{
-			Array: 1, Session: cc.session, RPC: rpc, Router: router,
-		})
-		if err != nil {
-			gaD.Close()
-			return nil, nil, nil, err
-		}
-		// Kill primary 0 once it has served enough ops to be mid-build.
-		// Restart < 0: the slot never comes back; the standby must.
-		plan := fault.ServerKillPlan(43, 1, 1, 30, 31, -1)
-		chaos.Add(1)
-		go func() {
-			defer chaos.Done()
-			fault.RunServerKills(plan, cc.ops, cc.kill, nil, stop)
-		}()
-		return gaD, gaF, func() { gaD.Close(); gaF.Close() }, nil
-	}
+	ls := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
+		addrs, stdbyAddrs := cc.start(grid, 2, true)
+		return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, "", addrs, stdbyAddrs), nil
+	}}
 
-	res := buildDeadline(t, 4*time.Minute, func() core.Result {
-		return core.Build(bs, scr, d, core.Options{
-			Prow: 2, Pcol: 2,
-			Backend:       factory,
-			LeaseTTL:      300 * time.Millisecond,
-			MonitorEvery:  10 * time.Millisecond,
-			RetryAttempts: 10,
-			RetryBackoff:  2 * time.Millisecond,
-			RetryWallCap:  500 * time.Millisecond,
-			Metrics:       reg,
+	for build := 1; build <= 3; build++ {
+		if build == 2 {
+			// Kill primary 0 once it has served enough of THIS build's ops to
+			// be mid-build. Restart < 0: the slot never comes back; the
+			// standby must.
+			base := cc.ops(0)
+			ops := func(k int) int64 { return cc.ops(k) - base }
+			plan := fault.ServerKillPlan(43, 1, 1, 30, 31, -1)
+			chaos.Add(1)
+			go func() {
+				defer chaos.Done()
+				fault.RunServerKills(plan, ops, cc.kill, nil, stop)
+			}()
+		}
+		reg := metrics.NewRegistry(4)
+		res := buildDeadline(t, 4*time.Minute, func() core.Result {
+			return core.Build(bs, scr, d, core.Options{
+				Prow: 2, Pcol: 2,
+				Backend:      ls.Backend,
+				LeaseTTL:     300 * time.Millisecond,
+				MonitorEvery: 10 * time.Millisecond,
+				Retry:        dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
+				Metrics:      reg,
+			})
 		})
-	})
-	close(stop)
-	chaos.Wait()
-	if res.Err != nil {
-		t.Fatalf("build error: %v", res.Err)
-	}
-	if diff := linalg.MaxAbsDiff(ref, res.G); diff > 1e-9 {
-		t.Fatalf("|G - serial| = %g after standby promotion", diff)
-	}
-	if got := reg.Snapshot().TasksTotal; got != ns*ns {
-		t.Fatalf("tasks_total = %d, want ns^2 = %d (lost or double-counted tasks)", got, ns*ns)
+		if build == 2 {
+			close(stop)
+			chaos.Wait()
+		}
+		if res.Err != nil {
+			t.Fatalf("build %d error: %v", build, res.Err)
+		}
+		if diff := linalg.MaxAbsDiff(ref, res.G); diff > 1e-9 {
+			t.Fatalf("build %d: |G - serial| = %g around the standby promotion", build, diff)
+		}
+		if got := reg.Snapshot().TasksTotal; got != ns*ns {
+			t.Fatalf("build %d: tasks_total = %d, want ns^2 = %d (lost or double-counted tasks)", build, got, ns*ns)
+		}
+		if got := res.Stats.Recovery.Failovers; (got > 0) != (build == 2) {
+			t.Fatalf("build %d reports %d failovers; the promotion happened in build 2", build, got)
+		}
+		t.Logf("build %d: recovery=%+v", build, res.Stats.Recovery)
 	}
 	st := cc.standbys[0].Stats()
 	if st.Standby || st.Promotions != 1 || st.Epoch < 2 {
@@ -282,6 +268,6 @@ func TestLoopbackStandbyPromotionBuildMatchesSerial(t *testing.T) {
 	if snap := rpc.Snapshot(); snap.Failovers == 0 {
 		t.Fatalf("no failover recorded in RPC stats: %+v", snap)
 	}
-	t.Logf("promotion: standby={epoch:%d repl_applied:%d} rpc=%+v recovery=%+v",
-		st.Epoch, st.ReplApplied, rpc.Snapshot(), runStats.Recovery)
+	t.Logf("promotion: standby={epoch:%d repl_applied:%d} rpc=%+v",
+		st.Epoch, st.ReplApplied, rpc.Snapshot())
 }

@@ -18,7 +18,7 @@ import (
 
 func TestProtoRoundTrip(t *testing.T) {
 	req := request{
-		Op: opAcc, Array: 1, Session: 7, ReqID: 42, Token: 99, Epoch: 3, SEpoch: 6, PGen: 12,
+		Op: opAcc, Array: 1, Session: 7, ReqID: 42, Token: 99, SEpoch: 6, PGen: 12,
 		Proc: 2, R0: 1, R1: 4, C0: 0, C1: 2, Alpha: -0.5,
 		Msg:    "migrate session 7",
 		Tokens: []uint64{1, 1 << 56, 0xfeedface},
@@ -30,6 +30,13 @@ func TestProtoRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(req, back) {
 		t.Fatalf("request round trip: got %+v, want %+v", back, req)
+	}
+	// Bytes 26..34 are reserved (old clients put the worker epoch there):
+	// whatever they hold is ignored.
+	old := encodeRequest(nil, &req)
+	old[26] = 3
+	if err := decodeRequest(old, &back); err != nil || !reflect.DeepEqual(req, back) {
+		t.Fatalf("reserved slot not ignored: %+v, %v", back, err)
 	}
 	resp := response{Status: statusErr, Dup: 1, ReqID: 42, SEpoch: 6, PGen: 12, Msg: "boom",
 		Tokens: []uint64{3, 9}, Data: []float64{7, 8}}

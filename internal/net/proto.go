@@ -83,7 +83,6 @@ type request struct {
 	Session        uint64
 	ReqID          uint64
 	Token          uint64 // Acc idempotency token; 0 = no dedup
-	Epoch          int64  // layout only: epoch fencing is the driver-side retry loop's, servers never read it
 	SEpoch         uint64 // shard fence epoch; bumped by standby promotion
 	PGen           uint64 // placement generation the issuer routed by; 0 = static placement
 	Proc           int32  // issuing rank; -1 for driver-side ops
@@ -110,7 +109,7 @@ type response struct {
 }
 
 // reqHeaderLen is the fixed-size prefix of an encoded request:
-// op+array (2) + session+reqid+token (24) + epoch (8) + sepoch (8) +
+// op+array (2) + session+reqid+token (24) + reserved (8) + sepoch (8) +
 // pgen (8) + proc+4 coords (20) + alpha (8) + msg len (2) +
 // token count (4) + data count (4).
 const reqHeaderLen = 2 + 24 + 8 + 8 + 8 + 20 + 8 + 2 + 4 + 4
@@ -121,7 +120,7 @@ func encodeRequest(buf []byte, r *request) []byte {
 	buf = binary.LittleEndian.AppendUint64(buf, r.Session)
 	buf = binary.LittleEndian.AppendUint64(buf, r.ReqID)
 	buf = binary.LittleEndian.AppendUint64(buf, r.Token)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(r.Epoch))
+	buf = binary.LittleEndian.AppendUint64(buf, 0) // reserved (was the worker epoch: fencing is the driver's retry loop's)
 	buf = binary.LittleEndian.AppendUint64(buf, r.SEpoch)
 	buf = binary.LittleEndian.AppendUint64(buf, r.PGen)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.Proc))
@@ -151,7 +150,7 @@ func decodeRequest(body []byte, r *request) error {
 	r.Session = binary.LittleEndian.Uint64(body[2:])
 	r.ReqID = binary.LittleEndian.Uint64(body[10:])
 	r.Token = binary.LittleEndian.Uint64(body[18:])
-	r.Epoch = int64(binary.LittleEndian.Uint64(body[26:]))
+	// body[26:34] is reserved and ignored.
 	r.SEpoch = binary.LittleEndian.Uint64(body[34:])
 	r.PGen = binary.LittleEndian.Uint64(body[42:])
 	r.Proc = int32(binary.LittleEndian.Uint32(body[50:]))

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"gtfock/internal/core"
-	"gtfock/internal/dist"
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	netga "gtfock/internal/net"
@@ -15,65 +14,27 @@ import (
 // resident budget far below the working set, the recording build parks
 // value batches on the shard servers as blobs, and the replay build
 // fetches them back — matching the serial oracle to the same tolerance
-// as every other net-backed build. Servers persist across both builds
-// (per-build array clients close; blobs are session-scoped, not
-// client-scoped).
+// as every other net-backed build.
 func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	bs, scr, d := netSetup(t)
 	ref := core.BuildSerial(bs, scr, d)
 	const session = 31
 	grid := core.Grid(bs, 2, 2)
-	assign, hosted := netga.SplitProcs(grid.NumProcs(), 2)
-	addrs := make([]string, 2)
 	var servers []*netga.Server
-	for k := 0; k < 2; k++ {
-		srv := netga.NewServer(grid, hosted[k])
-		addr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatalf("start server %d: %v", k, err)
-		}
-		servers = append(servers, srv)
-		addrs[k] = addr
-	}
-	t.Cleanup(func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	})
-	// One persistent pair of array clients across both builds: a fresh
-	// client restarts its Acc-token counter, and on an already-installed
-	// session the servers' exactly-once dedup would discard the second
-	// build's accumulates as replays of the first.
-	gaD, err := netga.Dial(grid, dist.NewRunStats(grid.NumProcs()), addrs, assign,
-		netga.Config{Array: 0, Session: session})
+	addrs, err := startShards(t, grid, 2, &servers)
 	if err != nil {
-		t.Fatalf("dial D: %v", err)
+		t.Fatal(err)
 	}
-	defer gaD.Close()
-	gaF, err := netga.Dial(grid, dist.NewRunStats(grid.NumProcs()), addrs, assign,
-		netga.Config{Array: 1, Session: session})
-	if err != nil {
-		t.Fatalf("dial F: %v", err)
-	}
-	defer gaF.Close()
-	factory := func(g *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-		return gaD, gaF, nil, nil
-	}
-
-	// Dedicated blob client for the spill legs, same session as the
-	// builds so the blobs live alongside the arrays.
-	bc, err := netga.Dial(grid, dist.NewRunStats(grid.NumProcs()), addrs, assign,
-		netga.Config{Array: 0, Session: session})
-	if err != nil {
-		t.Fatalf("dial blob client: %v", err)
-	}
-	defer bc.Close()
+	// One session across both builds; it is also the spill store, so the
+	// blobs live beside the arrays for as long as it does.
+	sess := netga.NewSession(netga.Config{Session: session}, "", addrs, nil)
+	defer sess.Close(true)
 
 	// 4 KiB budget: a handful of tasks stay resident, the rest spill.
-	store := integrals.NewERIStore(bs.NumShells(), 4096, bc, session, nil)
+	store := integrals.NewERIStore(bs.NumShells(), 4096, sess, session, nil)
 	opt := core.Options{
 		Prow: 2, Pcol: 2,
-		Backend:      factory,
+		Backend:      sess.Backend,
 		ERIStore:     store,
 		LeaseTTL:     500 * time.Millisecond,
 		MonitorEvery: 20 * time.Millisecond,

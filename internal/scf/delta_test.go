@@ -77,9 +77,9 @@ func TestDeltaLinearityProperty(t *testing.T) {
 	}
 }
 
-// Full SCF equivalence: the stored-ERI cache plus ΔD incremental builds
-// must reproduce the plain run's converged energy to 1e-9 (without the
-// density screen both paths are exact).
+// Full SCF equivalence: the stored-ERI cache, alone and under ΔD
+// incremental builds, must reproduce the direct run's converged energy to
+// 1e-9 (without the density screen every path is exact).
 func TestDeltaDCacheMatchesPlain(t *testing.T) {
 	for _, mol := range []*chem.Molecule{chem.Methane(), chem.Alkane(2)} {
 		base, err := RunHF(mol, Options{
@@ -88,39 +88,45 @@ func TestDeltaDCacheMatchesPlain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if !base.Converged {
+			t.Fatalf("%s: plain run did not converge", mol.Formula())
+		}
+		// Stored ERIs alone, then stored ERIs replayed through ΔD builds.
 		// No drift reset: on a 2x2 grid the accumulation order, and with it
 		// the iteration count of the symmetric CH4, varies from run to run
 		// (7 to 11), and the default reset after 8 incremental builds would
 		// make iteration 10 a full build.
-		res, err := RunHF(mol, Options{
-			BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
-			ERICache: true, DeltaD: true, DeltaDResetEvery: -1,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !base.Converged || !res.Converged {
-			t.Fatalf("%s: convergence %v/%v", mol.Formula(), base.Converged, res.Converged)
-		}
-		if diff := math.Abs(res.Energy - base.Energy); diff > 1e-9 {
-			t.Fatalf("%s: cached ΔD energy off by %g", mol.Formula(), diff)
-		}
-		// Iteration 1 records and builds fully; every later iteration is
-		// an incremental replay.
-		if res.Iterations[0].DeltaBuild {
-			t.Fatal("iteration 1 marked as a delta build")
-		}
-		for i, it := range res.Iterations[1:] {
-			if !it.DeltaBuild {
-				t.Fatalf("iteration %d: not a delta build", i+2)
+		for _, deltaD := range []bool{false, true} {
+			res, err := RunHF(mol, Options{
+				BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
+				ERICache: true, DeltaD: deltaD, DeltaDResetEvery: -1,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			if it.Cache.TaskMisses != 0 || it.Cache.TaskHits == 0 {
-				t.Fatalf("iteration %d: cache hits/misses %d/%d",
-					i+2, it.Cache.TaskHits, it.Cache.TaskMisses)
+			if !res.Converged {
+				t.Fatalf("%s ΔD=%v: did not converge", mol.Formula(), deltaD)
 			}
-		}
-		if res.CacheStats.HitRate() == 0 {
-			t.Fatalf("no aggregate cache hits: %+v", res.CacheStats)
+			if diff := math.Abs(res.Energy - base.Energy); diff > 1e-9 {
+				t.Fatalf("%s ΔD=%v: cached energy off by %g", mol.Formula(), deltaD, diff)
+			}
+			// Iteration 1 records and builds fully; every later iteration
+			// is a replay, incremental exactly when ΔD is on.
+			if res.Iterations[0].DeltaBuild {
+				t.Fatal("iteration 1 marked as a delta build")
+			}
+			for i, it := range res.Iterations[1:] {
+				if it.DeltaBuild != deltaD {
+					t.Fatalf("ΔD=%v iteration %d: DeltaBuild = %v", deltaD, i+2, it.DeltaBuild)
+				}
+				if it.Cache.TaskMisses != 0 || it.Cache.TaskHits == 0 {
+					t.Fatalf("ΔD=%v iteration %d: cache hits/misses %d/%d",
+						deltaD, i+2, it.Cache.TaskHits, it.Cache.TaskMisses)
+				}
+			}
+			if res.CacheStats.HitRate() == 0 {
+				t.Fatalf("no aggregate cache hits: %+v", res.CacheStats)
+			}
 		}
 	}
 }

@@ -37,16 +37,7 @@ const (
 	EngineNWChem Engine = "nwchem"
 	// EngineSerial is the brute-force oracle.
 	EngineSerial Engine = "serial"
-	// EngineInCore precomputes and stores the full AO ERI tensor once and
-	// contracts it each iteration — the strategy the paper's Sec. II-C
-	// rules out for all but the smallest molecules ("prohibitively
-	// expensive to precompute and store"); offered here for exactly those
-	// small molecules, where it makes repeated SCF iterations cheap.
-	EngineInCore Engine = "incore"
 )
-
-// inCoreLimitBytes caps the AO tensor EngineInCore will materialize.
-const inCoreLimitBytes = 1 << 31
 
 // ErrNumericalBlowUp marks an SCF run aborted because the Fock matrix or
 // total energy became non-finite (bad warm start, DIIS breakdown,
@@ -88,28 +79,14 @@ type Options struct {
 	// values the kernels would recompute.
 	ERICache bool
 	// ERICacheBudget bounds the store's resident value bytes; over-budget
-	// batches spill to ERISpill when set, else are dropped and recomputed
-	// every iteration. 0 = unlimited.
+	// batches are dropped and recomputed every iteration. 0 = unlimited.
 	ERICacheBudget int64
-	// ERISpill is the optional spill backend for over-budget batches —
-	// dist.NewMemBlobStore for in-process runs, or a netga client so
-	// cache capacity scales with the shard fleet. A spill miss (restarted
-	// shard) falls back to recompute; never a correctness dependency.
-	ERISpill integrals.BlobStore
-	// ERISpillKey salts the store's spill keys so concurrent runs sharing
-	// a fleet do not collide (e.g. the net session id).
-	ERISpillKey uint64
-	// CacheMetrics, when non-nil, is the shared stored-ERI counter sink
-	// (hits, misses, spills); nil gives the store a private one, still
-	// reported through Result and per-iteration Cache snapshots.
-	CacheMetrics *metrics.Cache
-
 	// DeltaD enables incremental density-difference Fock builds: after a
 	// full G(D) build, later iterations build only G(ΔD) with
 	// ΔD = D - D_prev and assemble F = H_core + G(D_prev) + G(ΔD). G is
 	// linear in D, so this telescopes exactly; its payoff comes from
 	// DensityScreen, where the shrinking ΔD prunes quartets the Schwarz
-	// bound alone keeps. Ignored by EngineInCore.
+	// bound alone keeps.
 	DeltaD bool
 	// DeltaDResetEvery forces a full G(D) rebuild after this many
 	// consecutive ΔD builds, bounding the O(tau)-per-build screening
@@ -121,8 +98,7 @@ type Options struct {
 	ConvTol float64 // energy convergence, default 1e-8
 	DTol    float64 // density max-change convergence, default 1e-5
 
-	UsePurification bool    // density via canonical purification + SUMMA
-	PurifyTol       float64 // default purify.DefaultTol
+	UsePurification bool // density via canonical purification + SUMMA
 
 	DIIS int // DIIS subspace size; 0 = default (8), negative disables
 
@@ -147,19 +123,14 @@ type Options struct {
 	// resumed run continues the original numbering.
 	StartIter int
 
-	// FockTrace and FockMetrics attach the real-mode observability sinks
-	// to every GTFock Fock build of the run (see core.Options). The trace
-	// and registry accumulate across SCF iterations; nil disables them.
-	FockTrace   *dist.Trace
+	// FockMetrics attaches the real-mode metrics registry to every GTFock
+	// Fock build of the run (see core.Options.Metrics); it accumulates
+	// across SCF iterations. Nil disables collection.
 	FockMetrics *metrics.Registry
 
 	// FockBackend, when non-nil, supplies the distributed D and F arrays
-	// for every GTFock build of the run (see core.Options.Backend) — the
-	// hook the HF service uses to run each job's builds over a shared
-	// shard fleet. The factory is called once per build; callers that keep
-	// live sessions across builds (they must, or Acc dedup tokens restart
-	// and eat later iterations' accumulates) return the same clients each
-	// time and advance the dedup generation in OnIteration.
+	// for every GTFock build of the run (see core.Options.Backend): pass a
+	// netga.Session's Backend and call its Checkpoint from OnIteration.
 	FockBackend func(grid *dist.Grid2D, stats *dist.RunStats) (gaD, gaF dist.Backend, cleanup func(), err error)
 
 	// TuneFock, when non-nil, adjusts the assembled core.Options of every
@@ -277,14 +248,6 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 			nocc, bs.NumFuncs)
 	}
 
-	if opt.Engine == EngineInCore {
-		nf := int64(bs.NumFuncs)
-		if bytes := nf * nf * nf * nf * 8; bytes > inCoreLimitBytes {
-			return nil, fmt.Errorf("scf: in-core tensor needs %d bytes (> %d); use a direct engine",
-				bytes, inCoreLimitBytes)
-		}
-	}
-
 	scr := screen.Compute(bs, opt.Tau)
 	s := integrals.Overlap(bs)
 	hcore := integrals.CoreHamiltonian(bs)
@@ -312,13 +275,6 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 	var ePrev float64
 	diis := newDIIS(diisDepth)
 
-	// In-core mode: materialize the AO tensor once (Sec. II-C's rejected
-	// tradeoff, viable here only for small systems; sized-checked above).
-	var aoTensor []float64
-	if opt.Engine == EngineInCore {
-		aoTensor = integrals.AOTensor(bs)
-	}
-
 	// GTFock builds share one pair table for the whole run: pair data
 	// depends only on geometry and screening, so it is built once here
 	// rather than once per iteration. Density bounds (for the optional
@@ -336,13 +292,12 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 		if opt.Engine != EngineGTFock {
 			return nil, fmt.Errorf("scf: ERICache requires the gtfock engine (have %q)", opt.Engine)
 		}
-		store = integrals.NewERIStore(bs.NumShells(), opt.ERICacheBudget, opt.ERISpill, opt.ERISpillKey, opt.CacheMetrics)
+		store = integrals.NewERIStore(bs.NumShells(), opt.ERICacheBudget, nil, 0, nil)
 	}
 
 	// ΔD incremental state: pPrev is the orbital density the accumulated
 	// gTot = G(pPrev) was built for; sinceFull counts consecutive
 	// incremental builds toward the drift-reset rebuild.
-	useDelta := opt.DeltaD && opt.Engine != EngineInCore
 	resetEvery := opt.DeltaDResetEvery
 	if resetEvery == 0 {
 		resetEvery = 8
@@ -374,7 +329,7 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 		var rho *linalg.Matrix
 		if opt.UsePurification {
 			var nit int
-			rho, nit, err = purify.Canonical(fPrime, nocc, opt.PurifyTol, 300, nil)
+			rho, nit, err = purify.Canonical(fPrime, nocc, purify.DefaultTol, 300, nil)
 			if err != nil {
 				return nil, fmt.Errorf("scf: iteration %d: %w", it, err)
 			}
@@ -418,9 +373,7 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 			cacheBefore = store.Stats()
 		}
 		switch {
-		case aoTensor != nil:
-			g = contractInCore(aoTensor, p)
-		case useDelta && gTot != nil && (resetEvery < 0 || sinceFull < resetEvery):
+		case opt.DeltaD && gTot != nil && (resetEvery < 0 || sinceFull < resetEvery):
 			// Incremental build: G(p) = G(pPrev) + G(Δp) by linearity. The
 			// density screen sees Δp, so quartets whose contribution no
 			// longer moves F past the Schwarz bound are pruned — the payoff
@@ -558,28 +511,6 @@ func (r *Result) finalizeOrbitals(x *linalg.Matrix, nocc int) {
 	r.NOcc = nocc
 }
 
-// contractInCore evaluates eq. (3) directly from a stored AO tensor:
-// G_ij = sum_kl p_kl (2 (ij|kl) - (ik|jl)).
-func contractInCore(t []float64, p *linalg.Matrix) *linalg.Matrix {
-	n := p.Rows
-	g := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				rowJ := t[((i*n+j)*n+k)*n:]
-				rowK := t[((i*n+k)*n+j)*n:]
-				pk := p.Data[k*n:]
-				for l := 0; l < n; l++ {
-					s += pk[l] * (2*rowJ[l] - rowK[l])
-				}
-			}
-			g.Set(i, j, s)
-		}
-	}
-	return g
-}
-
 // buildG dispatches the two-electron build to the selected engine. pt is
 // the run-wide shell-pair table and store the run-wide stored-ERI tier
 // (both GTFock only; nil elsewhere).
@@ -589,8 +520,7 @@ func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integral
 		copt := core.Options{
 			Prow: opt.Prow, Pcol: opt.Pcol, PrimTol: opt.PrimTol,
 			PairTable: pt, DensityScreen: opt.DensityScreen, ERIStore: store,
-			Trace: opt.FockTrace, Metrics: opt.FockMetrics,
-			Ctx: opt.Ctx, Backend: opt.FockBackend,
+			Metrics: opt.FockMetrics, Ctx: opt.Ctx, Backend: opt.FockBackend,
 		}
 		if opt.TuneFock != nil {
 			opt.TuneFock(&copt)

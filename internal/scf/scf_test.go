@@ -171,39 +171,6 @@ func TestPurificationMatchesEigensolver(t *testing.T) {
 	}
 }
 
-// The in-core engine (stored AO tensor, no screening) must reproduce the
-// direct engines' energy.
-func TestInCoreMatchesDirect(t *testing.T) {
-	mol := chem.Methane()
-	direct, err := RunHF(mol, Options{BasisName: "sto-3g"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	incore, err := RunHF(mol, Options{BasisName: "sto-3g", Engine: EngineInCore})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !incore.Converged {
-		t.Fatal("in-core SCF did not converge")
-	}
-	if math.Abs(incore.Energy-direct.Energy) > 1e-7 {
-		t.Fatalf("in-core %.10f vs direct %.10f", incore.Energy, direct.Energy)
-	}
-	// The in-core iterations after the first should be much cheaper than
-	// rebuilding integrals; at minimum they must not error and FockStats
-	// is absent (no communication happens).
-	if incore.FockStats != nil {
-		t.Fatal("in-core engine should not report distributed stats")
-	}
-}
-
-func TestInCoreRejectsLargeSystems(t *testing.T) {
-	mol := chem.Alkane(30) // cc-pvdz: 730 functions -> ~2.3 TB tensor
-	if _, err := RunHF(mol, Options{BasisName: "cc-pvdz", Engine: EngineInCore, MaxIter: 1}); err == nil {
-		t.Fatal("expected in-core memory guard to trip")
-	}
-}
-
 func TestRejectsOpenShell(t *testing.T) {
 	mol := &chem.Molecule{Atoms: []chem.Atom{{Z: chem.ZHydrogen}}}
 	if _, err := RunHF(mol, Options{BasisName: "sto-3g"}); err == nil {

@@ -130,7 +130,7 @@ func (r *FleetRunner) Run(ctx context.Context, j *Job) (*JobResult, error) {
 	}
 }
 
-// attempt runs the SCF once over fresh job-scoped sessions, resuming
+// attempt runs the SCF once over a fresh job-scoped session, resuming
 // from the job's checkpoint when one exists.
 func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, ckptPath string) (*JobResult, error) {
 	session := r.SessionNonce ^ (r.sessionSeq.Add(1) << 20) ^ uint64(os.Getpid())
@@ -145,11 +145,9 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		pcol = 2
 	}
 
-	// One persistent client pair for all of this attempt's builds: Acc
-	// dedup tokens are monotone within a session, so re-dialing per
-	// build would replay token ranges and eat later builds' accumulates.
-	var clD, clF *netga.Client
-	dialed := false
+	sess := netga.NewSession(netga.Config{
+		Session: session, OpTimeout: r.OpTimeout, RPC: r.RPC, Fault: r.Fault,
+	}, "", r.Addrs, nil)
 	opt := scf.Options{
 		BasisName: j.Spec.Basis,
 		MaxIter:   j.Spec.MaxIter,
@@ -158,39 +156,13 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		Engine:    scf.EngineGTFock,
 		Prow:      prow, Pcol: pcol,
 		CheckpointPath: ckptPath,
-		FockBackend: func(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
-			if !dialed {
-				assign, _ := netga.SplitProcs(grid.NumProcs(), len(r.Addrs))
-				cfg := netga.Config{
-					Session: session, OpTimeout: r.OpTimeout,
-					RPC: r.RPC, Fault: r.Fault,
-				}
-				var err error
-				cfg.Array = 0
-				clD, err = netga.Dial(grid, stats, r.Addrs, assign, cfg)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				cfg.Array = 1
-				clF, err = netga.Dial(grid, stats, r.Addrs, assign, cfg)
-				if err != nil {
-					clD.Close()
-					clD = nil
-					return nil, nil, nil, err
-				}
-				dialed = true
-			}
-			return clD, clF, nil, nil
-		},
-		TuneFock: r.TuneCore,
+		FockBackend:    sess.Backend,
+		TuneFock:       r.TuneCore,
 		OnIteration: func(iter int, it scf.Iteration) {
 			// The iteration's checkpoint is on disk; advance the shard
-			// sessions' dedup generation (safe: no Acc can still be
-			// retrying across an iteration boundary) and the resume
-			// cursor, then stream the progress event.
-			if dialed {
-				_ = clD.Checkpoint()
-			}
+			// sessions' dedup generation and the resume cursor, then
+			// stream the progress event.
+			_ = sess.Checkpoint()
 			// Iteration 1 has no previous energy (DeltaE is NaN), and JSON
 			// has no NaN: sanitize or the NDJSON encoder kills the stream.
 			dE := it.DeltaE
@@ -214,15 +186,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 	}
 
 	res, err := scf.RunHF(mol, opt)
-	if dialed {
-		if err == nil {
-			// Graceful end: free the sessions' shard memory. Best
-			// effort — a dead shard frees them by having restarted.
-			_ = clD.Bye()
-		}
-		clD.Close()
-		clF.Close()
-	}
+	sess.Close(err == nil)
 	if err != nil {
 		return nil, err
 	}

@@ -161,19 +161,10 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.SubmitID("", spec
 // way); id == "" allocates a local one.
 func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
 	s.met.AddSubmitted()
-	spec.Tenant = tenantName(spec.Tenant)
-	if spec.Basis == "" {
-		spec.Basis = "sto-3g"
-	}
-	if spec.MaxIter <= 0 {
-		spec.MaxIter = 30
-	}
-	nbf, err := s.cfg.Estimate(spec)
+	bytes, tc, start, err := s.prepareJob(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bad job spec: %w", err)
 	}
-	bytes := jobBytes(nbf)
-	tc := s.tenantConfig(spec.Tenant)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -190,19 +181,11 @@ func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
 		s.nextID++
 		id = fmt.Sprintf("j-%06d", s.nextID)
 	}
-	ctx := context.Background()
-	var cancel context.CancelCauseFunc
-	if spec.DeadlineMs > 0 {
-		ctx, cancel = withDeadlineCause(ctx, time.Duration(spec.DeadlineMs)*time.Millisecond, ErrDeadline)
-	} else {
-		ctx, cancel = context.WithCancelCause(ctx)
-	}
-	j := newJob(id, spec, nbf, bytes, tc.Weight, ctx, cancel)
-
-	t := s.q.tenant(spec.Tenant, tc.Weight, tc.MaxQueued, tc.MaxRunning)
+	j := start(id)
+	t := s.q.tenant(j.Spec.Tenant, tc.Weight, tc.MaxQueued, tc.MaxRunning)
 	shed, aerr := s.q.push(t, j)
 	if aerr != nil {
-		cancel(nil)
+		j.cancel(nil)
 		cause := metrics.RejectQueueFull
 		if aerr.cause == "tenant_quota" {
 			cause = metrics.RejectQuota
@@ -225,6 +208,37 @@ func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
+// prepareJob is what admission (SubmitID) and re-entry (Adopt) share:
+// it normalises the spec, then validates and sizes it — outside s.mu,
+// Estimate builds the molecule's basis — and returns start, which the
+// caller invokes under its own entry checks to arm the job's deadline
+// (counted from that moment) and create it under the given id.
+func (s *Server) prepareJob(spec JobSpec) (bytes int64, tc TenantConfig, start func(id string) *Job, err error) {
+	spec.Tenant = tenantName(spec.Tenant)
+	if spec.Basis == "" {
+		spec.Basis = "sto-3g"
+	}
+	if spec.MaxIter <= 0 {
+		spec.MaxIter = 30
+	}
+	nbf, err := s.cfg.Estimate(spec)
+	if err != nil {
+		return 0, tc, nil, err
+	}
+	bytes, tc = jobBytes(nbf), s.tenantConfig(spec.Tenant)
+	start = func(id string) *Job {
+		ctx := context.Background()
+		var cancel context.CancelCauseFunc
+		if spec.DeadlineMs > 0 {
+			ctx, cancel = withDeadlineCause(ctx, time.Duration(spec.DeadlineMs)*time.Millisecond, ErrDeadline)
+		} else {
+			ctx, cancel = context.WithCancelCause(ctx)
+		}
+		return newJob(id, spec, nbf, bytes, tc.Weight, ctx, cancel)
+	}
+	return bytes, tc, start, nil
+}
+
 func (j *Job) appendQueued() {
 	j.mu.Lock()
 	j.appendLocked(Event{Type: "queued", State: StateQueued})
@@ -240,19 +254,10 @@ func (j *Job) appendQueued() {
 // resumes from its on-disk checkpoint through the runner's normal
 // fresh-session path.
 func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
-	spec.Tenant = tenantName(spec.Tenant)
-	if spec.Basis == "" {
-		spec.Basis = "sto-3g"
-	}
-	if spec.MaxIter <= 0 {
-		spec.MaxIter = 30
-	}
-	nbf, err := s.cfg.Estimate(spec)
+	bytes, tc, start, err := s.prepareJob(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bad adopted job spec: %w", err)
 	}
-	bytes := jobBytes(nbf)
-	tc := s.tenantConfig(spec.Tenant)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,23 +267,16 @@ func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
 	if s.jobs[id] != nil {
 		return nil, fmt.Errorf("serve: job %s already present", id)
 	}
-	ctx := context.Background()
-	var cancel context.CancelCauseFunc
-	if spec.DeadlineMs > 0 {
-		// The deadline restarts on the adopter: the original submission
-		// time died with the old owner, and a conservative (longer) total
-		// latency beats canceling work that survived a crash.
-		ctx, cancel = withDeadlineCause(ctx, time.Duration(spec.DeadlineMs)*time.Millisecond, ErrDeadline)
-	} else {
-		ctx, cancel = context.WithCancelCause(ctx)
-	}
-	j := newJob(id, spec, nbf, bytes, tc.Weight, ctx, cancel)
+	// The deadline restarts on the adopter: the original submission time
+	// died with the old owner, and a conservative (longer) total latency
+	// beats canceling work that survived a crash.
+	j := start(id)
 	s.jobs[id] = j
 	s.memUsed += bytes
 	j.mu.Lock()
 	j.appendLocked(Event{Type: "queued", State: StateQueued, Msg: "adopted"})
 	j.mu.Unlock()
-	t := s.q.tenant(spec.Tenant, tc.Weight, tc.MaxQueued, tc.MaxRunning)
+	t := s.q.tenant(j.Spec.Tenant, tc.Weight, tc.MaxQueued, tc.MaxRunning)
 	s.q.requeue(t, j)
 	s.met.SetQueueDepth(s.q.depth)
 	s.scheduleLocked()
