@@ -1,7 +1,8 @@
 GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
+CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single ci bench microbench bench-short bench-check bench-ab
 
 build:
 	$(GO) build ./...
@@ -135,11 +136,21 @@ session-single:
 	@! grep -rn 'persistentBackend\|netFactory\|fleetFactory\|EngineInCore' cmd internal
 	@test "$$(cat cmd/*/*.go | grep -c '^func parseGrid')" -eq 0
 
+# One worker runtime, checked mechanically: in non-test internal/core no
+# code branches on whether a ledger exists or keeps the fence beside it,
+# the worker walks a footprint's patches in one place, the two test-only
+# lease options stay gone, and the general-kernel switch lives only in
+# internal/integrals (its tests' oracle and cmd/bench's *_general micros).
+core-single:
+	@! grep -nE 'led [!=]= nil|\.fence\b|MonitorEvery|MaxFaultRounds' $(CORE_SRC)
+	@test "$$(grep -c '\.Patches(' internal/core/real.go)" -eq 1
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'DisableFastKernels' internal cmd | grep -v -e '^internal/integrals/' -e '^cmd/bench/'
+
 # The aggregate gate. `race` already runs every test of the named subset
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
 # serve-ha) under the race detector, so those stay developer targets and
 # parallel workflow jobs instead of running twice here.
-ci: build vet generate-check wal-single backend-single server-single session-single race e2e-flake
+ci: build vet generate-check wal-single backend-single server-single session-single core-single race e2e-flake
 
 # Go-testing microbenchmarks (one iteration each; a compile-and-run
 # smoke): the paper-table benchmarks, the per-class ERI kernel ones

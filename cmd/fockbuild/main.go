@@ -11,9 +11,9 @@
 //	fockbuild -mol C96H24 -engine nwchem -mode sim -cores 3888
 //	fockbuild -mol alkane:40 -reorder cell -grid 4x2
 //
-// Fault tolerance (gtfock real mode): the -fault-* flags inject seeded
-// worker crashes, stalls, and transport faults into the build, which then
-// recovers via leases, epoch fencing, and orphan re-execution. -chaos N
+// Fault tolerance (gtfock real mode): every build runs under leases, epoch
+// fencing and orphan re-execution; the -fault-* flags inject seeded worker
+// crashes, stalls and transport faults for it to recover from. -chaos N
 // runs N seeded fault injections sweeping the rates and verifies every
 // recovered G against the serial oracle:
 //
@@ -71,7 +71,7 @@ func main() {
 		faultDrop       = flag.Float64("fault-drop", 0, "probability a one-sided op is dropped")
 		faultDelay      = flag.Float64("fault-delay", 0, "probability a one-sided op is delayed")
 		faultDelayMS    = flag.Int("fault-delay-ms", 1, "op delay in ms")
-		leaseMS         = flag.Int("lease-ms", 200, "worker lease TTL in ms (fault mode)")
+		leaseMS         = flag.Int("lease-ms", 200, "worker lease TTL in ms with -fault-* flags, -chaos or -backend net (a plain local build keeps core's 1s)")
 		chaos           = flag.Int("chaos", 0, "run N seeded chaos builds sweeping fault rates and verify each against the serial oracle")
 
 		// Stored-ERI cache (gtfock real mode): build 1 records each task's
@@ -186,7 +186,6 @@ func main() {
 					NetPartitionProb: *netPartition,
 					NetPartitionFor:  time.Duration(*netPartitionMS) * time.Millisecond,
 				})
-				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
 			}
 			session := *netSession
 			if session == 0 {
@@ -214,9 +213,13 @@ func main() {
 				rpc = &metrics.RPC{}
 				sess = netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: copt.Fault}, *netFleet, addrs, standbys)
 				copt.Backend = sess.Backend
-				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
 			} else if *backend != "local" {
 				fatalIf(fmt.Errorf("unknown backend %q", *backend))
+			}
+			if copt.Fault != nil || copt.Backend != nil {
+				// A plain local build keeps core's 1s default instead: a big
+				// molecule's longest task must fit the lease.
+				copt.LeaseTTL = time.Duration(*leaseMS) * time.Millisecond
 			}
 			if *trace {
 				copt.Trace = &dist.Trace{}

@@ -9,6 +9,7 @@ import (
 	"gtfock/internal/dist"
 	"gtfock/internal/fault"
 	"gtfock/internal/linalg"
+	"gtfock/internal/metrics"
 )
 
 // buildDeadline runs Build with a hard deadline; a hang is a test
@@ -75,9 +76,8 @@ func TestChaosRecoveryMatchesOracle(t *testing.T) {
 				res := buildDeadline(t, 60*time.Second, func() Result {
 					return Build(bs, scr, d, Options{
 						Prow: grid[0], Pcol: grid[1],
-						Fault:        fault.New(mix),
-						LeaseTTL:     15 * time.Millisecond,
-						MonitorEvery: 3 * time.Millisecond,
+						Fault:    fault.New(mix),
+						LeaseTTL: 15 * time.Millisecond,
 					})
 				})
 				if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
@@ -111,27 +111,40 @@ func TestChaosRecoveryMatchesOracle(t *testing.T) {
 		runs, crashes, fenced, reassigned, fencedFlushes)
 }
 
-// A fault-free build through the fault-tolerant path (armed injector
-// with zero rates) must still match the oracle and record no recovery
-// events — the machinery itself must not perturb the result.
+// A fault-free build — with an armed zero-rate injector, and plain (no
+// injector, no backend) — must match the oracle, record no recovery
+// events and commit every task once: the lease machinery itself must not
+// perturb the result. Both run it: every rank renews its lease.
 func TestFaultPathZeroRatesIsClean(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Methane(), "sto-3g")
 	ref := BuildSerial(bs, scr, d)
-	res := Build(bs, scr, d, Options{
-		Prow: 2, Pcol: 2,
-		Fault:    fault.New(fault.Config{Seed: 9}),
-		LeaseTTL: time.Second,
-	})
-	if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
-		t.Fatalf("|G - serial| = %g", err)
-	}
-	if res.Stats.Recovery.Any() {
-		t.Fatalf("zero-rate run recorded recovery events: %+v", res.Stats.Recovery)
+	ns := int64(bs.NumShells())
+	for name, inj := range map[string]*fault.Injector{
+		"zero-rate injector": fault.New(fault.Config{Seed: 9}),
+		"plain":              nil,
+	} {
+		reg := metrics.NewRegistry(4)
+		res := Build(bs, scr, d, Options{Prow: 2, Pcol: 2, Fault: inj, Metrics: reg})
+		if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
+			t.Fatalf("%s: |G - serial| = %g", name, err)
+		}
+		if res.Stats.Recovery.Any() {
+			t.Fatalf("%s: fault-free run recorded recovery events: %+v", name, res.Stats.Recovery)
+		}
+		snap := reg.Snapshot()
+		if snap.TasksTotal != ns*ns {
+			t.Fatalf("%s: committed TasksTotal = %d, want %d", name, snap.TasksTotal, ns*ns)
+		}
+		for _, w := range snap.Workers {
+			if w.LeaseRenewals == 0 {
+				t.Fatalf("%s: rank %d never renewed a lease; the build did not run leased", name, w.Rank)
+			}
+		}
 	}
 }
 
 // Certain-death configuration: every worker crashes before its flush
-// while armed. The MaxFaultRounds disarm valve must still complete the
+// while armed. The disarm valve (eight rounds) must still complete the
 // build correctly.
 func TestChaosCertainCrashStillCompletes(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Methane(), "sto-3g")
@@ -139,10 +152,8 @@ func TestChaosCertainCrashStillCompletes(t *testing.T) {
 	res := buildDeadline(t, 60*time.Second, func() Result {
 		return Build(bs, scr, d, Options{
 			Prow: 2, Pcol: 2,
-			Fault:          fault.New(fault.Config{Seed: 3, CrashBeforeFlush: 1}),
-			LeaseTTL:       10 * time.Millisecond,
-			MonitorEvery:   2 * time.Millisecond,
-			MaxFaultRounds: 3,
+			Fault:    fault.New(fault.Config{Seed: 3, CrashBeforeFlush: 1}),
+			LeaseTTL: 10 * time.Millisecond,
 		})
 	})
 	if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
@@ -153,17 +164,24 @@ func TestChaosCertainCrashStillCompletes(t *testing.T) {
 	}
 }
 
+// transfer is transferLocked under l.mu, the way ledger.steal reaches it.
+func transfer(l *ledger, victim, thief int, b TaskBlock) bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.transferLocked(victim, thief, b)
+}
+
 // A column-split steal (Queue.Steal's fallback for single-row blocks)
 // transfers a column band between claims; the guillotine split leaves
 // the victim the left remnant, and interior rectangles leave all four.
 func TestLedgerTransferColumnBand(t *testing.T) {
 	l := newLedger(2, time.Hour, dist.NewRunStats(2))
 	e0 := l.register(0)
-	e1 := l.register(1)
+	l.register(1)
 	if !l.claim(0, e0, TaskBlock{R0: 2, R1: 3, C0: 0, C1: 8}) {
 		t.Fatal("claim failed")
 	}
-	if !l.transfer(0, 1, e1, TaskBlock{R0: 2, R1: 3, C0: 5, C1: 8}) {
+	if !transfer(l, 0, 1, TaskBlock{R0: 2, R1: 3, C0: 5, C1: 8}) {
 		t.Fatal("column-band transfer failed")
 	}
 	if n := len(l.claimed[0]); n != 1 || l.claimed[0][0] != (TaskBlock{R0: 2, R1: 3, C0: 0, C1: 5}) {
@@ -174,7 +192,7 @@ func TestLedgerTransferColumnBand(t *testing.T) {
 	if !l.claim(0, e0, TaskBlock{R0: 10, R1: 20, C0: 10, C1: 20}) {
 		t.Fatal("claim failed")
 	}
-	if !l.transfer(0, 1, e1, TaskBlock{R0: 13, R1: 16, C0: 14, C1: 17}) {
+	if !transfer(l, 0, 1, TaskBlock{R0: 13, R1: 16, C0: 14, C1: 17}) {
 		t.Fatal("interior transfer failed")
 	}
 	area := 0
@@ -238,7 +256,7 @@ func TestLedgerTransferAndFence(t *testing.T) {
 		t.Fatal("claim failed")
 	}
 	stolen := TaskBlock{R0: 6, R1: 8, C0: 0, C1: 4}
-	if !l.transfer(0, 1, e1, stolen) {
+	if !transfer(l, 0, 1, stolen) {
 		t.Fatal("transfer failed")
 	}
 	// Victim keeps [0,6), thief owns [6,8).
@@ -246,7 +264,7 @@ func TestLedgerTransferAndFence(t *testing.T) {
 		t.Fatalf("victim claims after transfer: %v", l.claimed[0])
 	}
 	// A transfer of a block nobody claims must fail.
-	if l.transfer(0, 1, e1, TaskBlock{R0: 6, R1: 8, C0: 0, C1: 4}) {
+	if transfer(l, 0, 1, TaskBlock{R0: 6, R1: 8, C0: 0, C1: 4}) {
 		t.Fatal("double transfer of the same block succeeded")
 	}
 

@@ -62,9 +62,10 @@ func TestStoreReplayMatchesSerial(t *testing.T) {
 
 // Record with the specialized kernels, replay from the store: the
 // replayed G is the recorded G (the store holds what the kernels
-// produced; only the accumulation order may differ), and both equal a direct build on the general
-// MD reference path to 1e-10. Propane/sto-3g runs the straight-line s/p
-// kernels, methane/cc-pVDZ the d classes beside them.
+// produced; only the accumulation order may differ), and both equal the
+// serial oracle on the general MD reference path to 1e-10. Propane/sto-3g
+// runs the straight-line s/p kernels, methane/cc-pVDZ the d classes
+// beside them.
 func TestStoreReplayMatchesGeneratedKernels(t *testing.T) {
 	for _, tc := range []struct {
 		name, bname string
@@ -75,10 +76,7 @@ func TestStoreReplayMatchesGeneratedKernels(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bs, scr, d := buildSetup(t, tc.mol, tc.bname)
-			ref := Build(bs, scr, d, Options{Prow: 1, Pcol: 2, DisableFastKernels: true})
-			if ref.Err != nil {
-				t.Fatal(ref.Err)
-			}
+			ref := generalSerial(bs, scr, d)
 			store := integrals.NewERIStore(bs.NumShells(), 0, nil, 1, nil)
 			opt := Options{Prow: 1, Pcol: 2, ERIStore: store}
 			rec := Build(bs, scr, d, opt)
@@ -92,7 +90,7 @@ func TestStoreReplayMatchesGeneratedKernels(t *testing.T) {
 			if err := linalg.MaxAbsDiff(rec.G, rep.G); err > 1e-12 {
 				t.Fatalf("|G_record - G_replay| = %g", err)
 			}
-			if err := linalg.MaxAbsDiff(ref.G, rec.G); err > 1e-10 {
+			if err := linalg.MaxAbsDiff(ref, rec.G); err > 1e-10 {
 				t.Fatalf("|G_general - G_kernels| = %g", err)
 			}
 		})
@@ -168,11 +166,10 @@ func TestStoreChaosExactlyOnce(t *testing.T) {
 			res := buildDeadline(t, 60*time.Second, func() Result {
 				return Build(bs, scr, d, Options{
 					Prow: 2, Pcol: 2,
-					ERIStore:     store,
-					Fault:        fault.New(mix),
-					LeaseTTL:     15 * time.Millisecond,
-					MonitorEvery: 3 * time.Millisecond,
-					Metrics:      reg,
+					ERIStore: store,
+					Fault:    fault.New(mix),
+					LeaseTTL: 15 * time.Millisecond,
+					Metrics:  reg,
 				})
 			})
 			if res.Err != nil {

@@ -8,7 +8,7 @@ import (
 	"gtfock/internal/dist"
 )
 
-// ledger is the fault-tolerance bookkeeping of a real-mode build: a
+// ledger is the fault-tolerance bookkeeping of every real-mode build: a
 // per-rank lease (heartbeat + epoch) and the set of task blocks each
 // worker incarnation has claimed but not yet committed. Its invariants
 // carry the exactly-once argument (DESIGN.md, "Fault model and
@@ -132,23 +132,13 @@ func (l *ledger) steal(victim, thief int, thiefEpoch int64, q *Queue) (TaskBlock
 	return b, true
 }
 
-// transfer moves ownership of stolen block b from victim to thief. It
-// fails — and the thief must discard b — when the thief is fenced or the
-// victim's claim no longer covers b (the victim was fenced and b already
-// sits in the orphan pool).
-func (l *ledger) transfer(victim, thief int, thiefEpoch int64, b TaskBlock) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.epoch[thief].Load() != thiefEpoch {
-		return false
-	}
-	return l.transferLocked(victim, thief, b)
-}
-
-// transferLocked is transfer's body; caller holds l.mu. Steals take
-// either a row band or a column band of a claimed region (Queue.Steal's
-// row split and column fallback), so b is contained in exactly one
-// claim; a guillotine split around b leaves at most four remnants.
+// transferLocked moves ownership of stolen block b from victim to thief;
+// caller holds l.mu. It fails when the victim's claims no longer cover b
+// (the victim was fenced and b already sits in the orphan pool). Steals
+// take either a row band or a column band of a claimed region
+// (Queue.Steal's row split and column fallback), so b is contained in
+// exactly one claim; a guillotine split around b leaves at most four
+// remnants.
 func (l *ledger) transferLocked(victim, thief int, b TaskBlock) bool {
 	regs := l.claimed[victim]
 	for i, r := range regs {
@@ -240,9 +230,9 @@ func (l *ledger) expire(now time.Time) {
 }
 
 // sweep fences every rank still holding uncommitted work — valid once
-// all worker goroutines of the round have exited — and reports whether
-// orphaned work remains for another round.
-func (l *ledger) sweep() bool {
+// all worker goroutines of the round have exited — and returns how many
+// orphaned blocks remain for another round.
+func (l *ledger) sweep() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for rank := range l.claimed {
@@ -250,7 +240,7 @@ func (l *ledger) sweep() bool {
 			l.fenceLocked(rank)
 		}
 	}
-	return len(l.orphans) > 0
+	return len(l.orphans)
 }
 
 // fenceLocked declares rank's current incarnation dead: bump its epoch
@@ -267,13 +257,6 @@ func (l *ledger) fenceLocked(rank int) {
 	l.claimed[rank] = nil
 }
 
-// orphanCount reports how many blocks sit unadopted in the orphan pool.
-func (l *ledger) orphanCount() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.orphans)
-}
-
 // fencedEpochs returns the incarnations fenced so far.
 func (l *ledger) fencedEpochs() []fencedEpoch {
 	l.mu.Lock()
@@ -281,15 +264,11 @@ func (l *ledger) fencedEpochs() []fencedEpoch {
 	return append([]fencedEpoch(nil), l.fenced...)
 }
 
-// startMonitor launches the lease monitor; the returned function stops
-// it and waits for it to exit.
-func startMonitor(l *ledger, every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = l.ttl / 4
-	}
-	if every < time.Millisecond {
-		every = time.Millisecond
-	}
+// startMonitor launches the lease monitor, which scans every quarter TTL
+// (at least every millisecond); the returned function stops it and waits
+// for it to exit.
+func startMonitor(l *ledger) (stop func()) {
+	every := max(l.ttl/4, time.Millisecond)
 	quit := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -111,11 +111,10 @@ func TestChaosTracedRecoveryExactlyOnceMetrics(t *testing.T) {
 		res := buildDeadline(t, 60*time.Second, func() Result {
 			return Build(bs, scr, d, Options{
 				Prow: 2, Pcol: 2,
-				Fault:        fault.New(mix),
-				LeaseTTL:     15 * time.Millisecond,
-				MonitorEvery: 3 * time.Millisecond,
-				Trace:        tr,
-				Metrics:      reg,
+				Fault:    fault.New(mix),
+				LeaseTTL: 15 * time.Millisecond,
+				Trace:    tr,
+				Metrics:  reg,
 			})
 		})
 		if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {

@@ -19,10 +19,6 @@ import (
 type Options struct {
 	Prow, Pcol int     // process grid (defaults 1x1)
 	PrimTol    float64 // primitive prescreening threshold for the ERI engine
-	// DisableFastKernels forces every quartet through the general MD
-	// recursion instead of the specialized kernels — the reference path
-	// of the kernel tests and of the *_general microbenchmarks.
-	DisableFastKernels bool
 
 	// Ctx, when non-nil, cancels the build: workers observe the
 	// cancellation between tasks and abandon their incarnations, in-flight
@@ -58,21 +54,21 @@ type Options struct {
 	// contributions and the exactly-once chaos invariants hold unchanged.
 	ERIStore *integrals.ERIStore
 
-	// Fault enables the fault-tolerant runtime: the injector is consulted
-	// at worker lifecycle points and on one-sided ops, and the build runs
-	// with leases, heartbeats, epoch fencing and orphan recovery. Nil
-	// (the default) keeps the original fast path with zero overhead.
+	// Fault, when non-nil, injects seeded faults: worker crashes before and
+	// after the flush, per-task stalls, and dropped or delayed one-sided ops
+	// on the in-process arrays. It only injects — the runtime that survives
+	// the faults (leases, heartbeats, epoch fencing, orphan re-execution)
+	// is the one every build runs, injector or not.
 	Fault *fault.Injector
-	// LeaseTTL is how long a worker may go without a heartbeat before the
-	// monitor declares it dead and re-enqueues its uncommitted blocks.
-	// Default 1s. It should exceed the longest single task plus any
-	// benign op delay; a too-small TTL is safe but wastes re-execution.
+	// LeaseTTL is how long a worker may go without a heartbeat (one per
+	// task and per prefetch Get) before the monitor, scanning every
+	// LeaseTTL/4, declares it dead and re-enqueues its uncommitted blocks.
+	// Default 1s. It should exceed the longest single task plus any benign
+	// op delay: fencing a live worker is safe on any backend (its late
+	// flush is discarded, its blocks re-executed exactly once) but wastes
+	// the re-execution, and a task that never fits the TTL ends the build
+	// in Result.Err.
 	LeaseTTL time.Duration
-	// MonitorEvery is the lease-scan period (default LeaseTTL/4).
-	MonitorEvery time.Duration
-	// MaxFaultRounds bounds the number of crash-recovery respawn rounds
-	// before the injector is disarmed to force completion (default 8).
-	MaxFaultRounds int
 	// Retry is the budget of every one-sided op of the build; each zero
 	// field takes its default (4 attempts, 1ms initial backoff, 10s wall
 	// cap). Attempts bounds prefetch Gets only; flush accumulates retry
@@ -87,10 +83,9 @@ type Options struct {
 	// place of the in-process dist.GlobalArray — for the TCP transport in
 	// internal/net, pass a netga.Session's Backend. Build calls it once
 	// with the block layout and the run's stats; cleanup (may be nil) runs
-	// when the build finishes. A build over an external backend always runs
-	// the lease/fencing runtime, so a worker that loses its transport
-	// past the retry budget degrades gracefully: it aborts, the monitor
-	// fences it, and its blocks are re-executed exactly once elsewhere.
+	// when the build finishes. A worker that loses its transport past the
+	// retry budget degrades gracefully: it aborts, the monitor fences it,
+	// and its blocks are re-executed exactly once elsewhere.
 	Backend func(grid *dist.Grid2D, stats *dist.RunStats) (gaD, gaF dist.Backend, cleanup func(), err error)
 
 	// Trace, when non-nil, records per-worker activity spans (prefetch,
@@ -115,23 +110,29 @@ type Result struct {
 	Stats *dist.RunStats
 	// Wall is the wall-clock duration of the parallel section.
 	Wall time.Duration
-	// Err is non-nil when the build could not produce a correct G: the
-	// external backend failed to initialize, or recovery exhausted its
-	// rounds against a transport that never healed. In-process builds
-	// (Options.Backend nil) never set it — the injector disarm valve
-	// guarantees completion.
+	// Err is non-nil when the build could not produce a correct G: it was
+	// canceled, the external backend failed to initialize, or recovery
+	// exhausted its rounds — against a transport that never healed or, on
+	// any backend, a task that outlasts Options.LeaseTTL every time it is
+	// re-executed. Injected faults alone never set it: the injector is
+	// disarmed after eight rounds to force completion.
 	Err error
 }
+
+// maxFaultRounds is the number of crash-recovery respawn rounds after
+// which an armed injector is disarmed to force completion; a build whose
+// faults cannot be disarmed gives up after twice as many.
+const maxFaultRounds = 8
 
 // Build runs the paper's Algorithm 4 for real: prow x pcol goroutine
 // processes over block-distributed global arrays, with static task
 // partitioning, D prefetch, local F accumulation, and distributed work
 // stealing. The density d must be symmetric.
 //
-// With opt.Fault set, the build additionally survives injected worker
-// crashes, stalls and transport faults: a lease monitor fences dead or
-// wedged workers, their uncommitted task blocks are re-enqueued for
-// survivors (or for respawned workers in a follow-up round), and epoch
+// Every build runs under the lease ledger, so it survives worker crashes,
+// stalls and transport faults, injected or real: a lease monitor fences
+// dead or wedged workers, their uncommitted task blocks are re-enqueued
+// for survivors (or for respawned workers in a follow-up round), and epoch
 // fencing on the F accumulate guarantees exactly-once accumulation, so
 // the recovered G is bit-for-bit within the serial oracle's tolerance.
 func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) Result {
@@ -223,21 +224,16 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	if opt.Retry.WallCap <= 0 {
 		opt.Retry.WallCap = 10 * time.Second
 	}
-
-	// Fault-tolerant runtime: lease ledger and epoch fence. An external
-	// backend always runs leased — its transport can fail even without an
-	// injector, and the lease machinery is what turns a lost peer into
-	// re-enqueued work instead of a wrong answer.
-	var led *ledger
-	if opt.Fault != nil || opt.Backend != nil {
-		if opt.LeaseTTL <= 0 {
-			opt.LeaseTTL = time.Second
-		}
-		if opt.MaxFaultRounds <= 0 {
-			opt.MaxFaultRounds = 8
-		}
-		led = newLedger(nprocs, opt.LeaseTTL, stats)
+	if opt.Ctx == nil {
+		opt.Ctx = context.Background()
 	}
+	if opt.LeaseTTL <= 0 {
+		opt.LeaseTTL = time.Second
+	}
+
+	// The lease ledger and epoch fence: what turns a lost worker or peer
+	// into re-enqueued work instead of a wrong answer.
+	led := newLedger(nprocs, opt.LeaseTTL, stats)
 
 	var buildErr error
 	start := time.Now()
@@ -251,64 +247,55 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 				queues[pid] = NewQueue(TaskBlock{})
 			}
 		}
-		var stopMon func()
-		var epochs []int64
-		if led != nil {
-			// Register every incarnation and claim the static partition
-			// BEFORE any worker goroutine starts: a fast thief may steal
-			// from a victim's queue before the victim's goroutine runs, and
-			// the claim transfer needs the victim's claim to already exist
-			// — otherwise the same tasks end up both orphaned and claimed,
-			// breaking exactly-once.
-			epochs = make([]int64, nprocs)
-			for r := 0; r < nprocs; r++ {
-				epochs[r] = led.register(r)
-			}
-			if round == 0 {
-				for pid, b := range blocks {
-					led.claim(pid, epochs[pid], b)
-				}
-			}
-			led.beginRound(queues)
-			stopMon = startMonitor(led, opt.MonitorEvery)
+		// Register every incarnation and claim the static partition
+		// BEFORE any worker goroutine starts: a fast thief may steal
+		// from a victim's queue before the victim's goroutine runs, and
+		// the claim transfer needs the victim's claim to already exist
+		// — otherwise the same tasks end up both orphaned and claimed,
+		// breaking exactly-once.
+		epochs := make([]int64, nprocs)
+		for r := range epochs {
+			epochs[r] = led.register(r)
 		}
+		for pid, b := range roundBlocks {
+			led.claim(pid, epochs[pid], b)
+		}
+		led.beginRound(queues)
+		stopMon := startMonitor(led)
 		dist.RunProcs(nprocs, func(rank int) {
 			w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, opt)
 			w.clock0 = start
-			if led != nil {
-				w.led, w.fence = led, led
-				w.epoch = epochs[rank]
-			}
-			w.run(roundBlocks, queues, opt)
+			w.led, w.epoch = led, epochs[rank]
+			w.run(roundBlocks, queues)
 		})
-		if stopMon != nil {
-			stopMon()
-		}
+		stopMon()
 		// Per-queue atomic-operation accounting (Sec. IV-C), accumulated
 		// across recovery rounds.
 		for pid, q := range queues {
 			stats.Per[pid].QueueOps += q.Ops
 		}
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
+		if opt.Ctx.Err() != nil {
 			// Canceled builds never respawn: whatever the workers abandoned
 			// stays unfinished, and the caller sees the cause, not a wrong G.
 			buildErr = fmt.Errorf("core: build canceled: %w", context.Cause(opt.Ctx))
 			break
 		}
-		if led == nil || !led.sweep() {
+		orphans := led.sweep()
+		if orphans == 0 {
 			break
 		}
 		atomic.AddInt64(&stats.Recovery.Rounds, 1)
-		if round+1 >= opt.MaxFaultRounds {
+		if round+1 >= maxFaultRounds {
 			if opt.Fault != nil && opt.Fault.Armed() {
 				// Too many faulty rounds: finish the tail failure-free.
 				opt.Fault.Disarm()
-			} else if round+1 >= 2*opt.MaxFaultRounds {
-				// Real (non-injected) transport faults cannot be disarmed.
-				// Give up rather than respawn forever against a peer that
-				// never heals; the caller sees the failure, not a wrong G.
-				buildErr = fmt.Errorf("core: %d blocks unrecovered after %d recovery rounds: transport never healed",
-					led.orphanCount(), round+1)
+			} else if round+1 >= 2*maxFaultRounds {
+				// Real (non-injected) faults cannot be disarmed. Give up
+				// rather than respawn forever against a peer that never
+				// heals or a task that never fits its lease; the caller
+				// sees the failure, not a wrong G.
+				buildErr = fmt.Errorf("core: %d blocks unrecovered after %d recovery rounds: transport never healed, or a task outlasts LeaseTTL",
+					orphans, round+1)
 				break
 			}
 		}
@@ -317,7 +304,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 
 	// Fenced incarnations' uncommitted spans were published under their
 	// epoch; mark them discarded so duration accounting excludes them.
-	if led != nil && opt.Trace != nil {
+	if opt.Trace != nil {
 		for _, fe := range led.fencedEpochs() {
 			opt.Trace.Discard(fe.rank, fe.epoch)
 		}
@@ -402,11 +389,10 @@ type worker struct {
 	recVisit    func(k int, batch []float64)
 	replayVisit func(q integrals.Quartet, p, qq int32, vals []float64)
 
-	// Fault-tolerant runtime state (nil led = no leases, no fencing).
-	ctx     context.Context // build cancellation (nil = never canceled)
+	// Lease runtime state: led is also the dist.Fence of the accumulate.
+	ctx     context.Context // build cancellation
 	led     *ledger
-	fence   dist.Fence // led as the accumulate fence; nil without a ledger
-	inj     *fault.Injector
+	inj     *fault.Injector // nil = nothing injected
 	epoch   int64
 	victims map[int]bool
 	retry   dist.Retry // the budget of every one-sided op (Options.Retry*)
@@ -430,7 +416,6 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 	grid *dist.Grid2D, gaD, gaF dist.Backend, stats *dist.RunStats, opt Options) *worker {
 	eng := integrals.NewEngine()
 	eng.PrimTol = opt.PrimTol
-	eng.DisableFastKernels = opt.DisableFastKernels
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,
 		gaD: gaD, gaF: gaF, stats: stats, eng: eng,
@@ -539,49 +524,48 @@ func (w *worker) abortEpisode() {
 
 // heartbeat refreshes this worker's lease.
 func (w *worker) heartbeat() {
-	if w.led != nil {
-		w.led.heartbeat(w.rank)
-		w.samp.LeaseRenewals++
-	}
+	w.led.heartbeat(w.rank)
+	w.samp.LeaseRenewals++
 }
 
-// fetchFootprint Gets the D patches of fp into dloc, one call per row
-// shell per owner column (the transfer granularity of Sec. III-D),
-// through the one retry loop (dist.Retry.Get; a fault-free Get is a single
-// attempt). False means an op ultimately failed and the caller must
-// abandon this incarnation.
-func (w *worker) fetchFootprint(fp *Footprint) bool {
-	t0 := w.obsNow()
+// patches is the worker's one footprint walk: the patches that move fp
+// once, one per row shell per owner column its span intersects (the
+// transfer granularity of Sec. III-D). Rows ascend, so the Get and Acc
+// sequences — and with them the Acc tokens — repeat from build to build.
+func (w *worker) patches(fp *Footprint) []dist.Patch {
+	var out []dist.Patch
 	for _, m := range fp.Rows() {
 		lo, hi, _ := fp.Span(m)
 		r0 := w.bs.Offsets[m]
 		r1 := r0 + w.bs.ShellFuncs(m)
 		c0 := w.bs.Offsets[lo]
 		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
-			w.samp.GetCalls++
-			w.samp.GetBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			w.heartbeat()
-			retries, err := w.retry.Get(w.ctx, w.gaD, w.stats, w.rank,
-				p.R0, p.R1, p.C0, p.C1, w.dloc[p.R0*w.nf+p.C0:], w.nf)
-			w.samp.GetRetries += int64(retries)
-			if err != nil {
-				w.span(dist.SpanPrefetch, t0)
-				return false
-			}
-		}
+		out = append(out, w.grid.Patches(r0, r1, c0, c1)...)
 	}
-	w.span(dist.SpanPrefetch, t0)
-	return true
+	return out
 }
 
-// addWork merges block b into the worker's flush footprint after
-// prefetching the D patches b needs.
+// addWork is the one block-intake path — the initial block, a stolen
+// block and an adopted orphan all enter here. It Gets the D patches b
+// needs into dloc through the one retry loop (dist.Retry.Get; a fault-free
+// Get is a single attempt), then merges b into the worker's flush
+// footprint. False means a Get ultimately failed and the caller must
+// abandon this incarnation.
 func (w *worker) addWork(b TaskBlock) bool {
 	fpb := NewFootprint()
 	fpb.AddBlock(w.scr, b)
-	if !w.fetchFootprint(fpb) {
-		return false
+	t0 := w.obsNow()
+	defer func() { w.span(dist.SpanPrefetch, t0) }()
+	for _, p := range w.patches(fpb) {
+		w.samp.GetCalls++
+		w.samp.GetBytes += 8 * int64(p.Elems())
+		w.heartbeat()
+		retries, err := w.retry.Get(w.ctx, w.gaD, w.stats, w.rank,
+			p.R0, p.R1, p.C0, p.C1, w.dloc[p.R0*w.nf+p.C0:], w.nf)
+		w.samp.GetRetries += int64(retries)
+		if err != nil {
+			return false
+		}
 	}
 	w.fp.AddBlock(w.scr, b)
 	return true
@@ -590,17 +574,9 @@ func (w *worker) addWork(b TaskBlock) bool {
 // resetAccum clears the flushed local F contributions so a follow-up
 // episode (adopted orphan work) accumulates from zero.
 func (w *worker) resetAccum() {
-	for _, m := range w.fp.Rows() {
-		lo, hi, _ := w.fp.Span(m)
-		r0 := w.bs.Offsets[m]
-		r1 := r0 + w.bs.ShellFuncs(m)
-		c0 := w.bs.Offsets[lo]
-		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		for r := r0; r < r1; r++ {
-			row := w.floc[r*w.nf+c0 : r*w.nf+c1]
-			for i := range row {
-				row[i] = 0
-			}
+	for _, p := range w.patches(w.fp) {
+		for r := p.R0; r < p.R1; r++ {
+			clear(w.floc[r*w.nf+p.C0 : r*w.nf+p.C1])
 		}
 	}
 	w.fp = NewFootprint()
@@ -608,14 +584,14 @@ func (w *worker) resetAccum() {
 
 // commitFlush lands the local F contributions exactly once, over the
 // merged footprint spans (Algorithm 4, line 9), every patch through the
-// one retry loop (dist.Retry.Acc). Under the ledger it is a fenced
-// transaction: beginCommit validates this incarnation's epoch (a fenced
-// zombie's flush is discarded here) and endCommit marks the claimed
-// blocks done; the monitor never fences a committing worker, so the
-// transaction is atomic w.r.t. recovery.
+// one retry loop (dist.Retry.Acc). It is a fenced transaction:
+// beginCommit validates this incarnation's epoch (a fenced zombie's flush
+// is discarded here) and endCommit marks the claimed blocks done; the
+// monitor never fences a committing worker, so the transaction is atomic
+// w.r.t. recovery.
 func (w *worker) commitFlush() bool {
 	t0 := w.obsNow()
-	if w.led != nil && !w.led.beginCommit(w.rank, w.epoch) {
+	if !w.led.beginCommit(w.rank, w.epoch) {
 		atomic.AddInt64(&w.stats.Recovery.FencedFlushes, 1)
 		return false
 	}
@@ -626,47 +602,32 @@ func (w *worker) commitFlush() bool {
 	// without bound — the monitor cannot fence a committing worker, so
 	// the only exit is landing every patch.
 	landed := false
-	for _, m := range w.fp.Rows() {
-		lo, hi, _ := w.fp.Span(m)
-		r0 := w.bs.Offsets[m]
-		r1 := r0 + w.bs.ShellFuncs(m)
-		c0 := w.bs.Offsets[lo]
-		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		for _, p := range w.grid.Patches(r0, r1, c0, c1) {
-			w.samp.AccCalls++
-			w.samp.AccBytes += 8 * int64(p.R1-p.R0) * int64(p.C1-p.C0)
-			retries, err := w.retry.Acc(w.ctx, w.gaF, w.stats, w.fence, landed, w.rank, w.epoch,
-				p.R0, p.R1, p.C0, p.C1, w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
-			w.samp.AccRetries += int64(retries)
-			if err != nil {
-				// Only reachable before the first landed patch (cancellation
-				// or deadline), or as a defensive catch for an impossible
-				// mid-commit rejection: nothing of this flush is in the
-				// global F.
-				if w.led != nil {
-					w.led.abortCommit(w.rank)
-				}
-				atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
-				return false
-			}
-			landed = true
+	for _, p := range w.patches(w.fp) {
+		w.samp.AccCalls++
+		w.samp.AccBytes += 8 * int64(p.Elems())
+		retries, err := w.retry.Acc(w.ctx, w.gaF, w.stats, w.led, landed, w.rank, w.epoch,
+			p.R0, p.R1, p.C0, p.C1, w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
+		w.samp.AccRetries += int64(retries)
+		if err != nil {
+			// Only reachable before the first landed patch (cancellation
+			// or deadline), or as a defensive catch for an impossible
+			// mid-commit rejection: nothing of this flush is in the
+			// global F.
+			w.led.abortCommit(w.rank)
+			atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
+			return false
 		}
+		landed = true
 	}
-	if w.led != nil {
-		w.led.endCommit(w.rank)
-	}
-	w.finishFlush(t0)
-	return true
-}
-
-// finishFlush observes the flush that just landed and publishes the
-// episode's buffers as committed.
-func (w *worker) finishFlush(t0 time.Time) {
+	w.led.endCommit(w.rank)
+	// Observe the flush that just landed and publish the episode's
+	// buffers as committed.
 	if !t0.IsZero() {
 		w.samp.Flushes.Observe(time.Since(t0).Nanoseconds())
 		w.span(dist.SpanFlush, t0)
 	}
 	w.commitEpisode()
+	return true
 }
 
 type drainResult int
@@ -677,16 +638,49 @@ const (
 	drainAbandoned                    // a prefetch op failed after retries
 )
 
-// drain is the inner loop of Algorithm 4: pop own tasks, steal, and (in
-// fault mode) adopt orphaned blocks of fenced workers, until nothing is
-// reachable.
-func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcStats) drainResult {
-	myRow := w.rank / opt.Pcol
+// steal scans the grid row-wise from the worker's own row (Sec. III-F)
+// and takes a block from the first victim that has one, its claim with it
+// (see ledger.steal). A scan that finds nothing anywhere is idle time.
+func (w *worker) steal(queues []*Queue, st *dist.ProcStats) (TaskBlock, bool) {
+	s0 := w.obsNow()
+	prow, pcol := w.grid.Prow, w.grid.Pcol
+	myRow := w.rank / pcol
+	for r := 0; r < prow; r++ {
+		row := (myRow + r) % prow
+		for c := 0; c < pcol; c++ {
+			v := row*pcol + c
+			if v == w.rank {
+				continue
+			}
+			blk, ok := w.led.steal(v, w.rank, w.epoch, queues[v])
+			if !ok {
+				continue
+			}
+			if !s0.IsZero() {
+				w.samp.Steals.Observe(time.Since(s0).Nanoseconds())
+				w.span(dist.SpanSteal, s0)
+			}
+			if !w.victims[v] {
+				w.victims[v] = true
+				st.Victims++
+			}
+			st.Steals++
+			return blk, true
+		}
+	}
+	w.samp.StealFails++
+	w.span(dist.SpanIdle, s0)
+	return TaskBlock{}, false
+}
+
+// drain is the inner loop of Algorithm 4: pop own tasks, steal, and adopt
+// orphaned blocks of fenced workers, until nothing is reachable.
+func (w *worker) drain(my *Queue, queues []*Queue, st *dist.ProcStats) drainResult {
 	for {
-		if w.led != nil && !w.led.ValidEpoch(w.rank, w.epoch) {
+		if !w.led.ValidEpoch(w.rank, w.epoch) {
 			return drainFenced
 		}
-		if w.ctx != nil && w.ctx.Err() != nil {
+		if w.ctx.Err() != nil {
 			// Job-level cancellation: abandon between tasks, exactly like a
 			// prefetch failure — claimed blocks stay with the ledger, and
 			// Build's round loop turns the cancellation into Result.Err.
@@ -694,64 +688,17 @@ func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcSta
 		}
 		t, ok := my.Pop()
 		if !ok {
-			// Work stealing (Sec. III-F): scan the grid row-wise starting
-			// from our own row.
-			s0 := w.obsNow()
-			stole := false
-			for r := 0; r < opt.Prow && !stole; r++ {
-				row := (myRow + r) % opt.Prow
-				for c := 0; c < opt.Pcol && !stole; c++ {
-					v := row*opt.Pcol + c
-					if v == w.rank {
-						continue
-					}
-					var blk TaskBlock
-					var ok bool
-					if w.led != nil {
-						// Atomic steal + claim transfer; see ledger.steal.
-						blk, ok = w.led.steal(v, w.rank, w.epoch, queues[v])
-					} else {
-						blk, ok = queues[v].Steal()
-					}
-					if !ok {
-						continue
-					}
-					if !s0.IsZero() {
-						w.samp.Steals.Observe(time.Since(s0).Nanoseconds())
-						w.span(dist.SpanSteal, s0)
-					}
-					fpSteal := NewFootprint()
-					fpSteal.AddBlock(w.scr, blk)
-					if !w.fetchFootprint(fpSteal) {
-						return drainAbandoned
-					}
-					w.fp.AddBlock(w.scr, blk)
-					my.AddBlock(blk)
-					if !w.victims[v] {
-						w.victims[v] = true
-						st.Victims++
-					}
-					st.Steals++
-					stole = true
-				}
+			blk, ok := w.steal(queues, st)
+			if !ok {
+				blk, ok = w.led.adopt(w.rank, w.epoch)
 			}
-			if !stole {
-				// A scan that found nothing anywhere is idle time.
-				w.samp.StealFails++
-				w.span(dist.SpanIdle, s0)
-			}
-			if !stole && w.led != nil {
-				if blk, ok := w.led.adopt(w.rank, w.epoch); ok {
-					if !w.addWork(blk) {
-						return drainAbandoned
-					}
-					my.AddBlock(blk)
-					continue
-				}
-			}
-			if !stole {
+			if !ok {
 				return drainDry
 			}
+			if !w.addWork(blk) {
+				return drainAbandoned
+			}
+			my.AddBlock(blk)
 			continue
 		}
 		w.heartbeat()
@@ -784,7 +731,7 @@ func (w *worker) drain(my *Queue, queues []*Queue, opt Options, st *dist.ProcSta
 // orphaned work that appears after the commit. A return without a commit
 // (injected crash, fencing, abandoned op) leaves this incarnation's
 // claimed blocks to the monitor/sweep for re-execution elsewhere.
-func (w *worker) run(blocks []TaskBlock, queues []*Queue, opt Options) {
+func (w *worker) run(blocks []TaskBlock, queues []*Queue) {
 	t0 := time.Now()
 	st := &w.stats.Per[w.rank]
 	defer func() {
@@ -798,7 +745,8 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue, opt Options) {
 	my := queues[w.rank]
 	if blocks != nil && !blocks[w.rank].Empty() {
 		// The initial block was claimed by Build before this goroutine
-		// started (w.epoch was assigned there too); only prefetch here.
+		// started (w.epoch was assigned there too) and already sits in the
+		// queue; only prefetch here.
 		if !w.addWork(blocks[w.rank]) {
 			atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
 			return
@@ -806,7 +754,7 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue, opt Options) {
 	}
 
 	for {
-		switch w.drain(my, queues, opt, st) {
+		switch w.drain(my, queues, st) {
 		case drainAbandoned:
 			atomic.AddInt64(&w.stats.Recovery.Aborts, 1)
 			return
@@ -827,9 +775,6 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue, opt Options) {
 		w.eng.TrimScratch(0)
 		if w.inj != nil && w.inj.Crash(w.rank, fault.PointAfterFlush) {
 			atomic.AddInt64(&w.stats.Recovery.Crashes, 1)
-			return
-		}
-		if w.led == nil {
 			return
 		}
 		// Recovery work: adopt one orphaned block and run another episode

@@ -15,19 +15,16 @@ import (
 //
 // Screening is applied with the same Cauchy-Schwarz rule as the parallel
 // code so that results agree to the screening tolerance.
-//
-// The optional opts (at most one is honored) carries the ERI engine
-// knobs — PrimTol, DisableFastKernels — so A/B measurements
-// can run the oracle with and without the specialized kernel layer.
-func BuildSerial(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opts ...Options) *linalg.Matrix {
+func BuildSerial(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix) *linalg.Matrix {
+	return buildSerialWith(integrals.NewEngine(), bs, scr, d)
+}
+
+// buildSerialWith is BuildSerial on the caller's engine, so the kernel
+// tests can take their reference from one with the fast kernels off.
+func buildSerialWith(eng *integrals.Engine, bs *basis.Set, scr *screen.Screening, d *linalg.Matrix) *linalg.Matrix {
 	n := bs.NumFuncs
 	ns := bs.NumShells()
 	g := linalg.NewMatrix(n, n)
-	eng := integrals.NewEngine()
-	if len(opts) > 0 {
-		eng.PrimTol = opts[0].PrimTol
-		eng.DisableFastKernels = opts[0].DisableFastKernels
-	}
 	pt := scr.PairTable(0)
 
 	for m := 0; m < ns; m++ {

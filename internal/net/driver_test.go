@@ -40,7 +40,7 @@ func TestSessionReusedAcrossBuilds(t *testing.T) {
 		res := buildDeadline(t, 2*time.Minute, func() core.Result {
 			return core.Build(bs, scr, d, core.Options{
 				Prow: 2, Pcol: 2, Backend: sess.Backend,
-				LeaseTTL: 500 * time.Millisecond, MonitorEvery: 20 * time.Millisecond,
+				LeaseTTL: 500 * time.Millisecond,
 			})
 		})
 		if res.Err != nil {

@@ -139,10 +139,9 @@ func TestLoopbackBuildMatchesSerial(t *testing.T) {
 	res := buildDeadline(t, 2*time.Minute, func() core.Result {
 		return core.Build(bs, scr, d, core.Options{
 			Prow: 2, Pcol: 2,
-			Backend:      factory,
-			LeaseTTL:     500 * time.Millisecond,
-			MonitorEvery: 20 * time.Millisecond,
-			Metrics:      reg,
+			Backend:  factory,
+			LeaseTTL: 500 * time.Millisecond,
+			Metrics:  reg,
 		})
 	})
 	if res.Err != nil {
@@ -202,12 +201,11 @@ func TestLoopbackChaosBuildMatchesSerial(t *testing.T) {
 			res := buildDeadline(t, 3*time.Minute, func() core.Result {
 				return core.Build(bs, scr, d, core.Options{
 					Prow: 2, Pcol: 2,
-					Backend:      factory,
-					Fault:        inj,
-					LeaseTTL:     150 * time.Millisecond,
-					MonitorEvery: 10 * time.Millisecond,
-					Retry:        dist.Retry{Attempts: 6, Backoff: time.Millisecond, WallCap: 300 * time.Millisecond},
-					Metrics:      reg,
+					Backend:  factory,
+					Fault:    inj,
+					LeaseTTL: 150 * time.Millisecond,
+					Retry:    dist.Retry{Attempts: 6, Backoff: time.Millisecond, WallCap: 300 * time.Millisecond},
+					Metrics:  reg,
 				})
 			})
 			if res.Err != nil {

@@ -221,11 +221,10 @@ func TestElasticChurnBuildMatchesSerial(t *testing.T) {
 	res := buildDeadline(t, 4*time.Minute, func() core.Result {
 		return core.Build(bs, scr, d, core.Options{
 			Prow: 2, Pcol: 2,
-			Backend:      ls.Backend,
-			LeaseTTL:     300 * time.Millisecond,
-			MonitorEvery: 10 * time.Millisecond,
-			Retry:        dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
-			Metrics:      reg,
+			Backend:  ls.Backend,
+			LeaseTTL: 300 * time.Millisecond,
+			Retry:    dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
+			Metrics:  reg,
 		})
 	})
 	close(stop)

@@ -694,6 +694,11 @@ func (f *Fleet) WaitConverged(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		f.mu.Lock()
+		// A pending target not yet planned also counts as unsettled: force
+		// a plan pass so "converged" means "nothing left to do".
+		if len(f.moves) == 0 {
+			f.planMovesLocked()
+		}
 		settled := len(f.moves) == 0
 		if settled {
 			for _, k := range f.view.Placement.Assign {
@@ -703,8 +708,6 @@ func (f *Fleet) WaitConverged(timeout time.Duration) error {
 				}
 			}
 		}
-		// A pending target not yet planned also counts as unsettled: force
-		// a plan pass so "converged" means "nothing left to do".
 		f.mu.Unlock()
 		if settled {
 			return nil

@@ -34,10 +34,9 @@ func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	store := integrals.NewERIStore(bs.NumShells(), 4096, sess, session, nil)
 	opt := core.Options{
 		Prow: 2, Pcol: 2,
-		Backend:      sess.Backend,
-		ERIStore:     store,
-		LeaseTTL:     500 * time.Millisecond,
-		MonitorEvery: 20 * time.Millisecond,
+		Backend:  sess.Backend,
+		ERIStore: store,
+		LeaseTTL: 500 * time.Millisecond,
 	}
 	for build := 1; build <= 2; build++ {
 		res := buildDeadline(t, 2*time.Minute, func() core.Result {

@@ -41,25 +41,7 @@ func TestOverloadEndToEnd(t *testing.T) {
 		convTol = 1e-11
 	)
 
-	// Shared fleet: two multi-session shards on loopback.
-	addrs := make([]string, 2)
-	servers := make([]*netga.Server, 2)
-	for i := range servers {
-		ms, err := netga.NewMultiServer(2, i, 256, 256<<20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr, err := ms.Start("127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i], servers[i] = addr, ms
-	}
-	defer func() {
-		for _, ms := range servers {
-			ms.Close()
-		}
-	}()
+	addrs, servers := startShards(t)
 
 	// Solo references: same molecules, same SCF options, no service.
 	refs := map[string]float64{}
@@ -144,7 +126,7 @@ func TestOverloadEndToEnd(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if !waitIteration(t, chaos, 60*time.Second) {
+	if !waitIteration(t, chaos, 0, 60*time.Second) {
 		t.Fatal("chaos job finished or stalled before its first iteration event")
 	}
 	servers[0].Kill()
@@ -213,13 +195,92 @@ func TestOverloadEndToEnd(t *testing.T) {
 		nburst, accepted, rejected, chaosRes.Retries, snap.QueueHighWater, float64(mem.HeapAlloc)/(1<<20))
 }
 
-// waitIteration blocks until j streams its first per-iteration progress
-// event; false if j went terminal (or the timeout expired) first.
-func waitIteration(t *testing.T, j *Job, d time.Duration) bool {
+// startShards starts the shared fleet: two multi-session shards on
+// loopback. Whatever the returned slice holds at the end of the test is
+// closed, so a test may kill and replace an entry.
+func startShards(t *testing.T) ([]string, []*netga.Server) {
+	t.Helper()
+	addrs := make([]string, 2)
+	servers := make([]*netga.Server, 2)
+	for i := range servers {
+		ms, err := netga.NewMultiServer(2, i, 256, 256<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := ms.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		addrs[i], servers[i] = addr, ms
+	}
+	t.Cleanup(func() {
+		for _, ms := range servers {
+			ms.Close()
+		}
+	})
+	return addrs, servers
+}
+
+// A parked attempt ended on its own context, not on a transport failure:
+// it must say Bye like a finished one, or every park leaves one session
+// resident on every healthy shard until the shard restarts. One job is
+// preempted three times; afterwards no shard holds a session.
+func TestParkedAttemptsReleaseShardSessions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet e2e in short mode")
+	}
+	addrs, servers := startShards(t)
+	sm := metrics.NewServe()
+	runner := NewFleetRunner(addrs, t.TempDir())
+	runner.Prow, runner.Pcol = 1, 2
+	s, err := NewServer(Config{Capacity: 1, Preempt: true, Runner: runner, Metrics: sm})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Tight enough that the job outlives three parks, each taken once the
+	// current attempt has streamed an iteration (its sessions are live).
+	lo, err := s.Submit(JobSpec{Molecule: "alkane:2", Basis: "sto-3g", MaxIter: 80, ConvTol: 1e-12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const parks = 3
+	deadline := time.Now().Add(2 * time.Minute)
+	for k := 0; k < parks; k++ {
+		evs, _ := lo.EventsSince(0)
+		if !waitIteration(t, lo, len(evs), 60*time.Second) {
+			t.Fatalf("job finished or stalled before park %d", k+1)
+		}
+		hi, err := s.Submit(JobSpec{Molecule: "H2", Basis: "sto-3g", Priority: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := waitDone(t, hi, deadline); err != nil {
+			t.Fatalf("preempting job %d: %v", k+1, err)
+		}
+	}
+	if res, err := waitDone(t, lo, deadline); err != nil || !res.Converged {
+		t.Fatalf("parked job: %+v, %v", res, err)
+	}
+	if snap := sm.Snapshot(); snap.Parked != parks {
+		t.Fatalf("parked = %d, want %d", snap.Parked, parks)
+	}
+	for i, ms := range servers {
+		st := ms.Stats()
+		if st.SessionsOpen != 0 || st.SessionsClosed != st.SessionsOpened {
+			t.Errorf("shard %d: %d sessions opened, %d closed, %d still open",
+				i, st.SessionsOpened, st.SessionsClosed, st.SessionsOpen)
+		}
+	}
+}
+
+// waitIteration blocks until j streams a per-iteration progress event at
+// index from or later; false if j went terminal (or the timeout expired)
+// first.
+func waitIteration(t *testing.T, j *Job, from int, d time.Duration) bool {
 	t.Helper()
 	found := make(chan bool, 1)
 	go func() {
-		for from := 0; ; {
+		for {
 			evs, ok := j.EventsSince(from)
 			for _, ev := range evs {
 				if ev.Type == "iteration" {

@@ -186,7 +186,9 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 	}
 
 	res, err := scf.RunHF(mol, opt)
-	sess.Close(err == nil)
+	// Bye unless the transport failed (the shard may be dead): an attempt
+	// that ended on its own ctx must not leave its session resident.
+	sess.Close(err == nil || ctx.Err() != nil)
 	if err != nil {
 		return nil, err
 	}
