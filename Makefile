@@ -84,16 +84,19 @@ serve-test:
 # fencing, double-adopt race with exactly one winner), registry WAL
 # recovery (incl. the snapshot-boundary crash and the internal/wal
 # crash-point enumeration), the finish-then-publish contract, readiness
-# drain transitions, cross-peer owner redirects, and the deterministic
-# daemon-kill schedule.
+# drain transitions, cross-peer owner redirects, the deterministic
+# daemon-kill schedule, and the background checkpoint writer an adopter's
+# resume depends on: latest-wins, flushed on every exit of a solve, F/D
+# handed over uncopied (the race detector is the check), a failed write
+# sticky, and CkptIter advertised only after the file is durable.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL' ./internal/serve/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointDurableBeforeAdvertised' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
 
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
 # (non-race, about a minute). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
 e2e-flake:
-	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestAPIStreamsRealJob|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
+	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
 
 # One durability implementation, checked mechanically: outside
 # internal/wal (and tests) nothing checksums a frame, fsyncs, or renames

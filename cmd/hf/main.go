@@ -70,9 +70,9 @@ func main() {
 	fatalIf(err)
 
 	// SIGINT/SIGTERM interrupt the SCF at the next iteration boundary:
-	// the just-finished iteration's checkpoint is already on disk (with
-	// -checkpoint), so an interrupted run resumes with -resume instead
-	// of recomputing. A second signal kills immediately.
+	// RunHF flushes the just-finished iteration's checkpoint before it
+	// returns (with -checkpoint), so an interrupted run resumes with
+	// -resume instead of recomputing. A second signal kills immediately.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 

@@ -253,3 +253,30 @@ func TestRPCNilSafe(t *testing.T) {
 		t.Fatalf("nil snapshot not zero: %+v", snap)
 	}
 }
+
+// The checkpoint-writer counters reach the JSON view under the names the
+// hfd expvar blob exports, and a runner without metrics may call them.
+func TestServeCheckpointCounters(t *testing.T) {
+	var none *Serve
+	none.ObserveCheckpoint(1, 1)
+
+	s := NewServe()
+	s.ObserveCheckpoint(200_000, 0)
+	s.ObserveCheckpoint(900_000, 2)
+	raw, err := json.Marshal(s.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var view struct {
+		Written   int64        `json:"ckpt_written"`
+		Coalesced int64        `json:"ckpt_coalesced"`
+		WriteNs   HistSnapshot `json:"ckpt_write_ns"`
+	}
+	if err := json.Unmarshal(raw, &view); err != nil {
+		t.Fatal(err)
+	}
+	if view.Written != 2 || view.Coalesced != 2 || view.WriteNs.Count != 2 ||
+		view.WriteNs.Sum != 1_100_000 || view.WriteNs.Max != 900_000 || len(view.WriteNs.Buckets) != 2 {
+		t.Fatalf("snapshot JSON %s", raw)
+	}
+}

@@ -40,6 +40,15 @@ type Serve struct {
 	// admission→dispatch and dispatch→done.
 	queueWait histAtomic
 	runTime   histAtomic
+
+	// The SCF checkpoint writer, which runs beside the solve: checkpoints
+	// made durable, snapshots a newer one overwrote while a write was in
+	// flight (iterations a crash would re-execute), and the wall time of
+	// each write. A coalesced count that keeps pace with written is a
+	// disk that has fallen behind the solver.
+	ckptWritten   atomic.Int64
+	ckptCoalesced atomic.Int64
+	ckptWrite     histAtomic
 }
 
 // NewServe returns an empty Serve counter set.
@@ -200,6 +209,18 @@ func (s *Serve) ObserveRunTime(ns int64) {
 	}
 }
 
+// ObserveCheckpoint records one durable checkpoint write of ns
+// nanoseconds that coalesced the given number of older snapshots.
+func (s *Serve) ObserveCheckpoint(ns int64, coalesced int) {
+	if s != nil {
+		s.ckptWritten.Add(1)
+		s.ckptCoalesced.Add(int64(coalesced))
+		var h Hist
+		h.Observe(ns)
+		s.ckptWrite.merge(&h)
+	}
+}
+
 // ServeSnapshot is the JSON-facing view of Serve, exposed at /v1/stats.
 type ServeSnapshot struct {
 	Submitted      int64        `json:"submitted"`
@@ -222,6 +243,9 @@ type ServeSnapshot struct {
 	Running        int64        `json:"running"`
 	QueueWaitNs    HistSnapshot `json:"queue_wait_ns"`
 	RunTimeNs      HistSnapshot `json:"run_time_ns"`
+	CkptWritten    int64        `json:"ckpt_written"`
+	CkptCoalesced  int64        `json:"ckpt_coalesced"`
+	CkptWriteNs    HistSnapshot `json:"ckpt_write_ns"`
 }
 
 // Snapshot returns a point-in-time copy of the counters.
@@ -250,5 +274,8 @@ func (s *Serve) Snapshot() ServeSnapshot {
 		Running:        s.running.Load(),
 		QueueWaitNs:    s.queueWait.snapshot(),
 		RunTimeNs:      s.runTime.snapshot(),
+		CkptWritten:    s.ckptWritten.Load(),
+		CkptCoalesced:  s.ckptCoalesced.Load(),
+		CkptWriteNs:    s.ckptWrite.snapshot(),
 	}
 }

@@ -82,8 +82,11 @@ func TestDeltaLinearityProperty(t *testing.T) {
 // 1e-9 (without the density screen every path is exact).
 func TestDeltaDCacheMatchesPlain(t *testing.T) {
 	for _, mol := range []*chem.Molecule{chem.Methane(), chem.Alkane(2)} {
+		// ConvTol sits a decade under the 1e-9 the energies are compared
+		// to: at the default 1e-8 two runs that stop an iteration apart
+		// (below) differed by 2e-9 on one run in fifty.
 		base, err := RunHF(mol, Options{
-			BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
+			BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2, ConvTol: 1e-10,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -98,7 +101,7 @@ func TestDeltaDCacheMatchesPlain(t *testing.T) {
 		// make iteration 10 a full build.
 		for _, deltaD := range []bool{false, true} {
 			res, err := RunHF(mol, Options{
-				BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
+				BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2, ConvTol: 1e-10,
 				ERICache: true, DeltaD: deltaD, DeltaDResetEvery: -1,
 			})
 			if err != nil {

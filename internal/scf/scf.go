@@ -53,11 +53,11 @@ type Options struct {
 	PrimTol   float64 // primitive prescreening, default 0 (off)
 
 	// Ctx, when non-nil, cancels the run at well-defined points: the top
-	// of each iteration (after the previous iteration's checkpoint is on
-	// disk) and inside the GTFock build's worker loops. RunHF returns an
-	// error wrapping the context's cause, so a caller that canceled with
-	// context.CancelCauseFunc (deadline, park, shutdown) can errors.Is the
-	// reason back out and resume later from CheckpointPath.
+	// of each iteration and inside the GTFock build's worker loops. RunHF
+	// returns an error wrapping the context's cause, so a caller that
+	// canceled with context.CancelCauseFunc (deadline, park, shutdown) can
+	// errors.Is the reason back out and resume later from CheckpointPath,
+	// which by then holds the last completed iteration.
 	Ctx context.Context
 
 	Engine     Engine // default EngineGTFock
@@ -113,11 +113,28 @@ type Options struct {
 	// Checkpoint) instead of the core-Hamiltonian guess.
 	InitialFock *linalg.Matrix
 
-	// CheckpointPath, when set, saves a checkpoint of the current F, D and
-	// energy after every SCF iteration (atomic tmp+rename, so the file on
-	// disk is always the latest complete iteration). A run that blows up
-	// at iteration k leaves iteration k-1 on disk to resume from.
+	// CheckpointPath, when set, checkpoints F, D and the energy of every
+	// SCF iteration off the critical path: the loop hands the iteration's
+	// snapshot to a latest-wins background writer (Checkpoint.Save, so the
+	// file on disk is always a complete iteration and path+PrevSuffix the
+	// write before it) and starts the next density step at once. While the
+	// run is in flight the file may trail the solver by the write in
+	// progress plus the snapshots that write coalesced; RunHF flushes and
+	// stops the writer before it returns on every path — convergence,
+	// MaxIter, cancellation, blow-up, build error — so after it returns the
+	// file holds the last completed iteration and nothing writes to it any
+	// more. A crash mid-run therefore costs a resumer at most one write's
+	// worth of iterations, never a wrong answer. A failed write fails the
+	// run at the next hand-off (or at exit) with the cause wrapped.
 	CheckpointPath string
+
+	// OnDurable, when non-nil, is called on the checkpoint writer's
+	// goroutine each time a checkpoint has become durable at
+	// CheckpointPath — the place to advertise "iteration k can be resumed
+	// from" to anyone else. Calls are serial, in increasing Iter, and the
+	// last one happens before RunHF returns; time spent here delays the
+	// next write (and the final flush), not the solver.
+	OnDurable func(CheckpointWrite)
 
 	// StartIter offsets the iteration count recorded in checkpoints, so a
 	// resumed run continues the original numbering.
@@ -139,10 +156,13 @@ type Options struct {
 	TuneFock func(*core.Options)
 
 	// OnIteration, when non-nil, is called after every completed SCF
-	// iteration (checkpoint already saved when CheckpointPath is set) with
-	// the global iteration number (StartIter offset included). The HF
-	// service streams these to clients and checkpoints its net sessions
-	// here; the callback runs on the SCF goroutine, so it must be quick.
+	// iteration with the global iteration number (StartIter offset
+	// included). With CheckpointPath set the iteration's snapshot has been
+	// handed to the writer but need not be on disk yet: progress reported
+	// from here may precede durability by at most one write (OnDurable is
+	// the durable edge). The HF service streams these to clients and
+	// checkpoints its net sessions here; the callback runs on the SCF
+	// goroutine, so it must be quick.
 	OnIteration func(iter int, it Iteration)
 }
 
@@ -192,7 +212,7 @@ type Result struct {
 }
 
 // RunHF performs restricted Hartree-Fock on a closed-shell molecule.
-func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
+func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	if opt.BasisName == "" {
 		opt.BasisName = "cc-pvdz"
 	}
@@ -254,7 +274,7 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 	x := linalg.InvSqrtSym(s, 0)
 	enuc := mol.NuclearRepulsion()
 
-	res := &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder}
+	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder}
 	var f *linalg.Matrix
 	switch opt.Guess {
 	case "", "core":
@@ -305,12 +325,28 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 	var pPrev, gTot *linalg.Matrix
 	sinceFull := 0
 
+	// Checkpoints leave the critical path through one background writer
+	// per run. Every exit below — return or panic — flushes and stops it,
+	// so no write happens after RunHF returns and the file is the last
+	// completed iteration; a write that failed fails the run here unless
+	// the run is already failing for its own reason.
+	var ckw *ckptWriter
+	if opt.CheckpointPath != "" {
+		ckw = startCkptWriter(opt.CheckpointPath, opt.OnDurable)
+		defer func() {
+			if werr := ckw.flush(); werr != nil && err == nil {
+				res, err = nil, werr
+			}
+		}()
+	}
+
 	for it := 1; it <= opt.MaxIter; it++ {
 		iter := Iteration{}
 
-		// Cancellation boundary: the previous iteration's checkpoint is on
-		// disk (when checkpointing), so stopping here loses nothing — a
-		// parked or deadline-killed run resumes from exactly this state.
+		// Cancellation boundary: returning from here flushes the previous
+		// iteration's checkpoint to disk (when checkpointing), so stopping
+		// here loses nothing — a parked or deadline-killed run resumes from
+		// exactly this state.
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return nil, fmt.Errorf("scf: canceled before iteration %d: %w",
 				opt.StartIter+it, context.Cause(opt.Ctx))
@@ -445,16 +481,21 @@ func RunHF(mol *chem.Molecule, opt Options) (*Result, error) {
 		res.Energy = eTot
 
 		conv := it > 1 && math.Abs(iter.DeltaE) < opt.ConvTol && iter.DErr < opt.DTol
-		if opt.CheckpointPath != "" {
-			ck := Checkpoint{
+		if ckw != nil {
+			// F and D go to the writer uncopied. The loop never writes an
+			// iteration's f or d again once they are built: the next
+			// iteration allocates fresh ones, DIIS keeps a clone of f and
+			// only reads d, and the caller sees res.F/res.D after the
+			// flush. (The race detector holds this to account:
+			// TestCheckpointHandOffIsRaceFree.)
+			if err := ckw.submit(&Checkpoint{
 				Version: checkpointVersion, Formula: mol.Formula(),
 				BasisName: opt.BasisName, NumFuncs: bs.NumFuncs,
 				Iter: opt.StartIter + it, Reorder: opt.Reorder,
 				Converged: conv, Energy: eTot,
 				FData: f.Data, DData: d.Data,
-			}
-			if err := ck.Save(opt.CheckpointPath); err != nil {
-				return nil, fmt.Errorf("scf: checkpoint at iteration %d: %w", it, err)
+			}); err != nil {
+				return nil, err
 			}
 		}
 		if opt.OnIteration != nil {

@@ -67,10 +67,18 @@ type FleetRunner struct {
 	// TuneCore, when non-nil, adjusts each build's core.Options
 	// (lease TTLs, retry budgets) after the runner's own settings.
 	TuneCore func(*core.Options)
-	// OnCheckpoint, when non-nil, is called after each iteration's
-	// checkpoint is on disk (the HA tier pushes the job's checkpoint
-	// pointer to the shared registry; best-effort, never blocks the SCF
-	// on registry health).
+	// OnCheckpoint, when non-nil, is called each time a checkpoint of the
+	// job has become durable, with the iteration it holds (the HA tier
+	// pushes the job's checkpoint pointer to the shared registry from
+	// here, so an advertised CkptIter never names an iteration newer than
+	// the file). It runs on the SCF's background checkpoint writer, off
+	// the solve's critical path: a slow disk or registry delays the next
+	// write — iterations coalesce, latest wins — never the solver, and an
+	// attempt returns only after its last call. `iteration` events may
+	// precede the checkpoint they name by at most one write; a terminal
+	// state is still finish-then-publish; an adopter or retry resumes
+	// from the file and re-executes at most one write's worth of
+	// iterations.
 	OnCheckpoint func(j *Job, iter int)
 	// RPC and Serve are the shared metric sinks (may be nil).
 	RPC   *metrics.RPC
@@ -159,9 +167,10 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		FockBackend:    sess.Backend,
 		TuneFock:       r.TuneCore,
 		OnIteration: func(iter int, it scf.Iteration) {
-			// The iteration's checkpoint is on disk; advance the shard
-			// sessions' dedup generation and the resume cursor, then
-			// stream the progress event.
+			// Iteration boundary: no accumulate can still be retrying, so
+			// advance the shard sessions' dedup generation, then stream
+			// the progress event. The iteration's checkpoint is with the
+			// writer, not necessarily on disk — OnDurable owns that edge.
 			_ = sess.Checkpoint()
 			// Iteration 1 has no previous energy (DeltaE is NaN), and JSON
 			// has no NaN: sanitize or the NDJSON encoder kills the stream.
@@ -170,11 +179,19 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 				dE = 0
 			}
 			j.mu.Lock()
-			j.resumeAt = iter + 1
 			j.appendLocked(Event{Type: "iteration", Iter: iter, Energy: it.Energy, DeltaE: dE})
 			j.mu.Unlock()
+		},
+		OnDurable: func(w scf.CheckpointWrite) {
+			// Iteration w.Iter is what the next attempt will load
+			// (opt.StartIter = ck.Iter): only now may the resume cursor and
+			// the registry's checkpoint pointer name it.
+			r.Serve.ObserveCheckpoint(w.Took.Nanoseconds(), w.Coalesced)
+			j.mu.Lock()
+			j.resumeAt = w.Iter + 1
+			j.mu.Unlock()
 			if r.OnCheckpoint != nil {
-				r.OnCheckpoint(j, iter)
+				r.OnCheckpoint(j, w.Iter)
 			}
 		},
 	}
