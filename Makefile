@@ -2,7 +2,7 @@ GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single ci bench microbench bench-short bench-check bench-ab
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -143,11 +143,11 @@ session-single:
 # code branches on whether a ledger exists or keeps the fence beside it,
 # the worker walks a footprint's patches in one place, the two test-only
 # lease options stay gone, and the general-kernel switch lives only in
-# internal/integrals (its tests' oracle and cmd/bench's *_general micros).
+# internal/integrals (its tests' oracle).
 core-single:
 	@! grep -nE 'led [!=]= nil|\.fence\b|MonitorEvery|MaxFaultRounds' $(CORE_SRC)
 	@test "$$(grep -c '\.Patches(' internal/core/real.go)" -eq 1
-	@! grep -rn --include='*.go' --exclude='*_test.go' 'DisableFastKernels' internal cmd | grep -v -e '^internal/integrals/' -e '^cmd/bench/'
+	@! grep -rn --include='*.go' --exclude='*_test.go' 'DisableFastKernels' internal cmd | grep -v '^internal/integrals/'
 
 # The aggregate gate. `race` already runs every test of the named subset
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
@@ -155,27 +155,24 @@ core-single:
 # parallel workflow jobs instead of running twice here.
 ci: build vet generate-check wal-single backend-single server-single session-single core-single race e2e-flake
 
-# Go-testing microbenchmarks (one iteration each; a compile-and-run
-# smoke): the paper-table benchmarks, the per-class ERI kernel ones
-# (BenchmarkERIKernelPSPS/PPPS/PPPP, the d classes, their general twins;
-# they also print ns per primitive quartet) and BenchmarkBoys*.
+# Per-class ERI kernel microbenchmarks (one iteration each; a
+# compile-and-run smoke that also prints ns per primitive quartet) and
+# BenchmarkBoys*. For diagnosis only: nothing gates on them.
 microbench:
-	$(GO) test -bench . -benchtime 1x -run NONE . ./internal/integrals/
+	$(GO) test -bench . -benchtime 1x -run NONE ./internal/integrals/
 
-# Repeatable Fock-build benchmark series; regenerates the committed
-# BENCH_fock.json baseline (alkane series, fixed parameters).
-bench:
-	$(GO) run ./cmd/bench -out BENCH_fock.json
-
-# CI smoke: run the pinned small case and fail if its calibrated wall
-# (wall_ns / serial_ns) regressed more than 15% against the baseline, or
-# if an ERI kernel microbenchmark (ps|ps and pp|ps, the two hottest
-# classes, among them) regressed more than 35% after calibration by the
-# report's fixed arithmetic probe (cpu_probe_ns), or if any micro
-# allocs/op exceeds its baseline (0).
-bench-short:
-	$(GO) run ./cmd/bench -short -check BENCH_fock.json
-
-# Interleaved A/B measurement of the observability layer's overhead.
-bench-ab:
-	$(GO) run ./cmd/bench -ab 5
+# The performance gate: the benchmark BENCHMARK.json declares, run on the
+# committed tree of BASE (a detached worktree under .bench_build/, built
+# from its own source by its own benchmark/run.sh) and on the working
+# tree, on this box, back to back; -compare prints one verdict row per
+# declared workload x end-to-end metric against the BENCHMARK.json bounds
+# and exits non-zero unless every row is `within`. No baseline file
+# crosses machines. About eight minutes on a 2-core box.
+bench-gate:
+	@test -n "$(BASE)" || { echo "usage: make bench-gate BASE=<git ref>" >&2; exit 2; }
+	@git worktree remove --force .bench_build/base 2>/dev/null; git worktree prune
+	git worktree add --detach .bench_build/base $(BASE)
+	bash .bench_build/base/benchmark/run.sh -out $(CURDIR)/.bench_build/base.json -runs 5 -seconds 6
+	git worktree remove --force .bench_build/base
+	bash benchmark/run.sh -out .bench_build/head.json -runs 5 -seconds 6
+	$(GO) run ./benchmark -compare .bench_build/base.json .bench_build/head.json

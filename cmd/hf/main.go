@@ -18,6 +18,7 @@ import (
 	"os/signal"
 	"syscall"
 
+	"gtfock/internal/basis"
 	"gtfock/internal/chem"
 	"gtfock/internal/correlate"
 	"gtfock/internal/dist"
@@ -113,7 +114,7 @@ func main() {
 		fatalIf(fmt.Errorf("-resume requires -checkpoint"))
 	}
 	if *resume {
-		if ck, err := loadResumeState(*ckptPath, mol.Formula(), *bname, *ord); err != nil {
+		if ck, err := loadResumeState(*ckptPath, mol, *bname, *ord); err != nil {
 			fatalIf(err)
 		} else if ck != nil {
 			fmt.Printf("resuming from checkpoint: iteration %d (E = %.10f Ha)\n", ck.Iter, ck.Energy)
@@ -128,7 +129,7 @@ func main() {
 	if err != nil && *resume && errors.Is(err, scf.ErrNumericalBlowUp) {
 		// The checkpoint on disk is the last complete iteration before the
 		// blow-up; reload it and continue once with a fresh DIIS subspace.
-		ck, lerr := loadResumeState(*ckptPath, mol.Formula(), *bname, *ord)
+		ck, lerr := loadResumeState(*ckptPath, mol, *bname, *ord)
 		fatalIf(lerr)
 		if ck == nil {
 			fatalIf(err)
@@ -227,7 +228,7 @@ func main() {
 // file is torn or corrupt (a crash mid-save costs one iteration, not the
 // run). A missing file is not an error — it returns (nil, nil) so a
 // first run with -resume simply starts cold.
-func loadResumeState(path, formula, basisName, ord string) (*scf.Checkpoint, error) {
+func loadResumeState(path string, mol *chem.Molecule, basisName, ord string) (*scf.Checkpoint, error) {
 	ck, err := scf.LoadCheckpointFallback(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, nil
@@ -235,12 +236,12 @@ func loadResumeState(path, formula, basisName, ord string) (*scf.Checkpoint, err
 	if err != nil {
 		return nil, err
 	}
-	if ck.Formula != formula || ck.BasisName != basisName {
-		return nil, fmt.Errorf("checkpoint is for %s/%s, not %s/%s",
-			ck.Formula, ck.BasisName, formula, basisName)
+	bs, err := basis.Build(mol, basisName)
+	if err != nil {
+		return nil, err
 	}
-	if ck.Reorder != ord {
-		return nil, fmt.Errorf("checkpoint uses -reorder %q, this run uses %q", ck.Reorder, ord)
+	if err := ck.Validate(mol.Formula(), basisName, ord, bs.NumFuncs); err != nil {
+		return nil, err
 	}
 	return ck, nil
 }

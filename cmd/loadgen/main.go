@@ -4,7 +4,9 @@
 // capacity — and grades what comes back: accepted jobs must all reach an
 // explicit terminal state (zero losses), energies must match solo
 // in-process references, rejections must be fast, and the latency
-// percentiles and goodput land in a JSON report next to BENCH_fock.json.
+// percentiles and goodput are printed as one JSON report (also written to
+// -out when given). It is the open-loop overload driver; performance
+// numbers anything gates on come from benchmark/ (workload serve_jobs).
 //
 //	hfd -listen 127.0.0.1:8680 -capacity 2 -max-queue 8 &
 //	loadgen -addr 127.0.0.1:8680 -jobs 200 -concurrency 32 \
@@ -135,7 +137,7 @@ func main() {
 		sloP99Ms    = flag.Float64("slo-p99-ms", 0, "accepted-job p99 latency SLO (0 = don't grade)")
 		sloRejectMs = flag.Float64("slo-reject-ms", 100, "rejection latency SLO")
 		jobTimeout  = flag.Duration("job-timeout", 5*time.Minute, "per-job cap on stream-following and failover retries")
-		out         = flag.String("out", "BENCH_serve.json", "JSON report path ('' = stdout only)")
+		out         = flag.String("out", "", "also write the JSON report to this file")
 	)
 	flag.Parse()
 

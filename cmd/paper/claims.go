@@ -3,7 +3,9 @@ package main
 import (
 	"fmt"
 
+	"gtfock/internal/core"
 	"gtfock/internal/model"
+	"gtfock/internal/reorder"
 )
 
 // claims reproduces the quantitative claims made in the paper's prose:
@@ -12,7 +14,10 @@ import (
 //   - Sec. III-G: average steal victims s ~= 3.8 for C96H24 at 3888 cores;
 //   - Sec. III-G: ERI computation must get ~50x faster before
 //     communication dominates at maximum parallelism;
-//   - isoefficiency n_shells = O(sqrt(p)).
+//   - isoefficiency n_shells = O(sqrt(p));
+//
+// and the two design choices the paper argues for without a table, as
+// ablations on the simulator (EXPERIMENTS.md "Ablations").
 func (l *lab) claims() {
 	cores := l.coreCounts()[len(l.coreCounts())-1]
 	alkane := l.molecules()[2]
@@ -42,5 +47,49 @@ func (l *lab) claims() {
 		m.NShells, 64)
 	fmt.Printf("      processes needs %d shells (n = O(sqrt p))\n",
 		m.IsoefficiencyShells(64, 256))
+	fmt.Println()
+	l.ablations()
+}
+
+// ablations quantifies shell reordering (Sec. III-D: communication volume
+// under cell, natural and random orderings) and work stealing (Sec. III-F:
+// load balance with the row-wise scan, with no stealing — the static
+// partition — and with a richest-victim scan), always on C30H62 at the
+// core counts EXPERIMENTS.md records.
+func (l *lab) ablations() {
+	const volCores, lbCores = 432, 972
+	s := l.system("C30H62")
+	cfg := l.config(s)
+	n := s.bs.NumShells()
+
+	fmt.Printf("Ablation: shell ordering (Sec. III-D), %s at %d cores, MB per process:\n", s.formula, volCores)
+	for _, o := range []struct {
+		name  string
+		order []int
+	}{
+		{"cell", reorder.Cell(s.bs, 0)},
+		{"natural", reorder.Identity(n)},
+		{"random", reorder.Random(n, 42)},
+	} {
+		pbs := s.bs.Permute(o.order)
+		st, err := core.Simulate(pbs, s.scr.Permute(o.order, pbs), cfg, volCores)
+		check(err)
+		fmt.Printf("  %-8s %6.1f\n", o.name, st.VolumeAvgMB())
+	}
+	fmt.Println()
+
+	fmt.Printf("Ablation: work stealing (Sec. III-F), %s at %d cores, l = T_max/T_avg:\n", s.formula, lbCores)
+	for _, p := range []struct {
+		name   string
+		policy core.StealPolicy
+	}{
+		{"row-wise", core.StealRowWise},
+		{"none", core.StealNone},
+		{"richest", core.StealRichest},
+	} {
+		st, err := core.SimulateOptions(s.rbs, s.rscr, cfg, lbCores, core.SimOptions{Policy: p.policy})
+		check(err)
+		fmt.Printf("  %-8s %5.2f\n", p.name, st.LoadBalance())
+	}
 	fmt.Println()
 }

@@ -41,15 +41,15 @@ import (
 // put-once/get key-value store for float64 batches. Implementations are
 // cache-semantics only — a GetBlob miss (ErrBlobMiss) after a shard
 // restart or eviction is normal and makes the store recompute that
-// task. dist.MemBlobStore is the in-process implementation; the netga
-// client implements it over the shard fleet (opPutBlob/opGetBlob).
+// task. netga.Session implements it over the shard fleet
+// (opPutBlob/opGetBlob).
 type BlobStore interface {
 	// PutBlob stores vals under key. Re-puts of the same key may be
 	// ignored (first write wins); values are never mutated after Put.
 	PutBlob(key uint64, vals []float64) error
 	// GetBlob fetches the blob into dst (reusing its capacity) and
 	// returns the filled slice. Any error — conventionally ErrBlobMiss
-	// (or dist.ErrBlobMiss) for an unknown key — is treated as a miss.
+	// for an unknown key — is treated as a miss.
 	GetBlob(key uint64, dst []float64) ([]float64, error)
 }
 

@@ -340,11 +340,6 @@ func (r *Registry) MarshalJSON() ([]byte, error) {
 	return json.Marshal(r.Snapshot())
 }
 
-// ExpvarFunc adapts the registry to expvar.Publish(expvar.Func(...)).
-func (r *Registry) ExpvarFunc() func() any {
-	return func() any { return r.Snapshot() }
-}
-
 // RPC is the transport-level counter set of the network backend. Unlike
 // worker Samples it is not merged at commit time: an RPC happened on the
 // wire whether or not the work it carried ever commits, so the client

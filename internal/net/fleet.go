@@ -798,16 +798,6 @@ func (fm *FleetMember) call(op uint8) error {
 	return nil
 }
 
-// SetEpoch updates the shard epoch reported on subsequent heartbeats
-// (after a local promotion or recovery).
-func (fm *FleetMember) SetEpoch(epoch uint64) {
-	fm.mu.Lock()
-	if epoch > fm.self.Epoch {
-		fm.self.Epoch = epoch
-	}
-	fm.mu.Unlock()
-}
-
 // Leave stops the heartbeat and asks the fleet for a graceful leave. The
 // caller should keep its server running until the fleet view no longer
 // assigns it any blocks.

@@ -136,11 +136,17 @@ func (ck *Checkpoint) Density() *linalg.Matrix {
 	return m
 }
 
-// Validate checks that the checkpoint belongs to the given system.
-func (ck *Checkpoint) Validate(formula, basisName string, numFuncs int) error {
+// Validate checks that the checkpoint can warm-start a run on the given
+// system: same molecule, basis and size, and the same shell ordering —
+// F and D are stored in the permuted basis, so a matrix saved under one
+// Options.Reorder is a wrong guess, silently, under another.
+func (ck *Checkpoint) Validate(formula, basisName, reorder string, numFuncs int) error {
 	if ck.Formula != formula || ck.BasisName != basisName || ck.NumFuncs != numFuncs {
 		return fmt.Errorf("scf: checkpoint is for %s/%s (%d funcs), not %s/%s (%d funcs)",
 			ck.Formula, ck.BasisName, ck.NumFuncs, formula, basisName, numFuncs)
+	}
+	if ck.Reorder != reorder {
+		return fmt.Errorf("scf: checkpoint uses shell ordering %q, this run uses %q", ck.Reorder, reorder)
 	}
 	return nil
 }

@@ -28,11 +28,24 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Validate("CH4", "sto-3g", res.Basis.NumFuncs); err != nil {
+	nf := res.Basis.NumFuncs
+	if err := ck.Validate("CH4", "sto-3g", "", nf); err != nil {
 		t.Fatal(err)
 	}
-	if err := ck.Validate("H2", "sto-3g", res.Basis.NumFuncs); err == nil {
-		t.Fatal("expected mismatch error")
+	for _, m := range []struct {
+		what, formula, basis, reorder string
+		numFuncs                      int
+	}{
+		{"formula", "H2", "sto-3g", "", nf},
+		{"basis", "CH4", "6-31g", "", nf},
+		{"size", "CH4", "sto-3g", "", nf + 1},
+		// F is stored in the permuted basis: natural-order matrices must
+		// not warm-start a cell-ordered run.
+		{"reorder", "CH4", "sto-3g", "cell", nf},
+	} {
+		if err := ck.Validate(m.formula, m.basis, m.reorder, m.numFuncs); err == nil {
+			t.Errorf("%s mismatch accepted", m.what)
+		}
 	}
 	if linalg.MaxAbsDiff(ck.Fock(), res.F) != 0 ||
 		linalg.MaxAbsDiff(ck.Density(), res.D) != 0 {

@@ -167,20 +167,14 @@ func (p *Peer) Ready() (bool, string) {
 // job the local scheduler then refuses is finished in the registry as
 // rejected, so nothing dangles.
 func (p *Peer) Submit(spec JobSpec) (*Job, error) {
-	spec.Tenant = tenantName(spec.Tenant)
-	if spec.Basis == "" {
-		spec.Basis = "sto-3g"
-	}
-	if spec.MaxIter <= 0 {
-		spec.MaxIter = 30
-	}
-	// Validate before registering: malformed specs must not litter the
-	// registry (and the 400-vs-503 split the HTTP layer makes relies on
-	// estimate errors being plain, not RejectError).
-	if _, err := p.estimate(spec); err != nil {
+	// Validate before registering: a malformed spec must not litter the
+	// registry. The registry gets the normalised spec, so an adopter
+	// defaults nothing differently.
+	pj, err := p.srv.prepareJob(spec)
+	if err != nil {
 		return nil, fmt.Errorf("serve: bad job spec: %w", err)
 	}
-	id, fence, err := p.reg.Create(spec, p.cfg.ID, p.cfg.Addr, p.cfg.Incarnation, p.cfg.CheckpointDir)
+	id, fence, err := p.reg.Create(pj.spec, p.cfg.ID, p.cfg.Addr, p.cfg.Incarnation, p.cfg.CheckpointDir)
 	if err != nil {
 		return nil, &RejectError{Cause: metrics.RejectQueueFull,
 			Msg: "serve: job registry unavailable: " + err.Error()}
@@ -188,7 +182,8 @@ func (p *Peer) Submit(spec JobSpec) (*Job, error) {
 	p.mu.Lock()
 	p.owned[id] = fence
 	p.mu.Unlock()
-	j, err := p.srv.SubmitID(id, spec)
+	p.srv.met.AddSubmitted()
+	j, err := p.srv.admit(id, pj)
 	if err != nil {
 		p.mu.Lock()
 		delete(p.owned, id)
@@ -197,14 +192,6 @@ func (p *Peer) Submit(spec JobSpec) (*Job, error) {
 		return nil, err
 	}
 	return j, nil
-}
-
-func (p *Peer) estimate(spec JobSpec) (int, error) {
-	est := p.cfg.Server.Estimate
-	if est == nil {
-		est = EstimateSpec
-	}
-	return est(spec)
 }
 
 // runLeased wraps the inner runner: execution happens only while the
@@ -372,7 +359,7 @@ func (p *Peer) scanLoop() {
 			if mine || p.srv.Job(rec.ID) != nil {
 				continue
 			}
-			nbf, err := p.estimate(rec.Spec)
+			nbf, err := p.srv.cfg.Estimate(rec.Spec)
 			if err != nil {
 				continue
 			}

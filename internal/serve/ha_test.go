@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -295,6 +296,60 @@ func TestKilledPeerLosesLeasesAndSurvivorAdopts(t *testing.T) {
 	if rec.Adoptions != 1 {
 		t.Fatalf("adoptions = %d, want 1", rec.Adoptions)
 	}
+}
+
+// TestPeerSubmitPreparesOnce: an HA submission is normalised and sized
+// once — Peer.Submit's prepareJob result is what the scheduler admits —
+// so Estimate (a full basis build in production) runs exactly once per
+// accepted job, the registry holds the defaulted spec an adopter will
+// run, and a malformed spec is refused before it reaches the registry,
+// as a plain error (HTTP 400), not a RejectError (503).
+func TestPeerSubmitPreparesOnce(t *testing.T) {
+	reg, regSrv := newTestRegistryServer(t)
+	var estimates atomic.Int64
+	g := newGate()
+	p, err := NewPeer(PeerConfig{
+		ID: "peer-a", Addr: "127.0.0.1:1",
+		Registry:      NewRegistryClient(regSrv.URL, time.Second),
+		CheckpointDir: t.TempDir(),
+		Server: Config{Capacity: 2, Runner: g, Estimate: func(spec JobSpec) (int, error) {
+			estimates.Add(1)
+			if spec.Molecule == "" {
+				return 0, errors.New("empty molecule")
+			}
+			return 10, nil
+		}},
+		HeartbeatEvery: 10 * time.Millisecond,
+		ScanEvery:      10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+
+	_, err = p.Submit(JobSpec{})
+	var rej *RejectError
+	if err == nil || errors.As(err, &rej) {
+		t.Fatalf("malformed spec: err = %v, want a plain error", err)
+	}
+	if recs := reg.List(); len(recs) != 0 {
+		t.Fatalf("malformed spec left %d registry records", len(recs))
+	}
+
+	estimates.Store(0)
+	j, err := p.Submit(JobSpec{Molecule: "H2"})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if n := estimates.Load(); n != 1 {
+		t.Fatalf("Estimate ran %d times for one accepted submission, want 1", n)
+	}
+	want := JobSpec{Tenant: "default", Molecule: "H2", Basis: "sto-3g", MaxIter: 30}
+	if rec, ok := reg.Get(j.ID); !ok || rec.Spec != want || j.Spec != want {
+		t.Fatalf("registry spec = %+v (ok=%v), job spec = %+v, want %+v", rec.Spec, ok, j.Spec, want)
+	}
+	close(g.release)
+	waitState(t, j, StateDone)
 }
 
 // gatedFinishRegistry serves reg over HTTP but holds every Finish until

@@ -203,7 +203,8 @@ func (j *Job) appendLocked(ev Event) {
 	j.cond.Broadcast()
 }
 
-// Emit appends a progress event (iteration, retry) to the stream.
+// Emit appends an event that changes nothing else of the job (queued,
+// iteration) to the stream.
 func (j *Job) Emit(ev Event) {
 	j.mu.Lock()
 	j.appendLocked(ev)

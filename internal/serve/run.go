@@ -178,9 +178,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 			if math.IsNaN(dE) || math.IsInf(dE, 0) {
 				dE = 0
 			}
-			j.mu.Lock()
-			j.appendLocked(Event{Type: "iteration", Iter: iter, Energy: it.Energy, DeltaE: dE})
-			j.mu.Unlock()
+			j.Emit(Event{Type: "iteration", Iter: iter, Energy: it.Energy, DeltaE: dE})
 		},
 		OnDurable: func(w scf.CheckpointWrite) {
 			// Iteration w.Iter is what the next attempt will load
@@ -196,7 +194,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		},
 	}
 	if ck, err := scf.LoadCheckpointFallback(ckptPath); err == nil && ck != nil {
-		if verr := ck.Validate(mol.Formula(), j.Spec.Basis, j.NumBF); verr == nil {
+		if verr := ck.Validate(mol.Formula(), j.Spec.Basis, opt.Reorder, j.NumBF); verr == nil {
 			opt.InitialFock = ck.Fock()
 			opt.StartIter = ck.Iter
 		}

@@ -161,28 +161,33 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.SubmitID("", spec
 // way); id == "" allocates a local one.
 func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
 	s.met.AddSubmitted()
-	bytes, tc, start, err := s.prepareJob(spec)
+	pj, err := s.prepareJob(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bad job spec: %w", err)
 	}
+	return s.admit(id, pj)
+}
 
+// admit is the scheduler half of a submission: memory budget, tenant
+// quota, queue bound and shed ladder, then the job exists under id.
+func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, &RejectError{Cause: metrics.RejectQueueFull, Msg: ErrDraining.Error()}
 	}
-	if s.cfg.MemBudget > 0 && s.memUsed+bytes > s.cfg.MemBudget {
+	if s.cfg.MemBudget > 0 && s.memUsed+pj.bytes > s.cfg.MemBudget {
 		s.met.AddRejected(metrics.RejectMemory)
 		return nil, &RejectError{Cause: metrics.RejectMemory,
-			Msg: fmt.Sprintf("serve: memory budget exceeded (%d + %d > %d bytes)", s.memUsed, bytes, s.cfg.MemBudget)}
+			Msg: fmt.Sprintf("serve: memory budget exceeded (%d + %d > %d bytes)", s.memUsed, pj.bytes, s.cfg.MemBudget)}
 	}
 
 	if id == "" {
 		s.nextID++
 		id = fmt.Sprintf("j-%06d", s.nextID)
 	}
-	j := start(id)
-	t := s.q.tenant(j.Spec.Tenant, tc.Weight, tc.MaxQueued, tc.MaxRunning)
+	j := pj.start(id)
+	t := s.q.tenant(j.Spec.Tenant, pj.tc.Weight, pj.tc.MaxQueued, pj.tc.MaxRunning)
 	shed, aerr := s.q.push(t, j)
 	if aerr != nil {
 		j.cancel(nil)
@@ -194,9 +199,9 @@ func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
 		return nil, &RejectError{Cause: cause, Msg: aerr.msg}
 	}
 	s.jobs[id] = j
-	s.memUsed += bytes
+	s.memUsed += pj.bytes
 	s.met.AddAdmitted()
-	j.appendQueued()
+	j.Emit(Event{Type: "queued", State: StateQueued})
 	if shed != nil {
 		s.finalizeShedLocked(shed, j)
 	}
@@ -208,12 +213,21 @@ func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// prepareJob is what admission (SubmitID) and re-entry (Adopt) share:
-// it normalises the spec, then validates and sizes it — outside s.mu,
-// Estimate builds the molecule's basis — and returns start, which the
-// caller invokes under its own entry checks to arm the job's deadline
-// (counted from that moment) and create it under the given id.
-func (s *Server) prepareJob(spec JobSpec) (bytes int64, tc TenantConfig, start func(id string) *Job, err error) {
+// preparedJob is a spec that passed validation: normalised (tenant,
+// basis and MaxIter defaulted) and sized.
+type preparedJob struct {
+	spec  JobSpec
+	nbf   int
+	bytes int64
+	tc    TenantConfig
+}
+
+// prepareJob is what admission (SubmitID, Peer.Submit) and re-entry
+// (Adopt) share, and the one place a spec is defaulted: it normalises
+// the spec, then validates and sizes it — outside s.mu, Estimate builds
+// the molecule's basis. The error of a malformed spec is plain, never a
+// RejectError: the HTTP layer's 400-vs-503 split relies on that.
+func (s *Server) prepareJob(spec JobSpec) (preparedJob, error) {
 	spec.Tenant = tenantName(spec.Tenant)
 	if spec.Basis == "" {
 		spec.Basis = "sto-3g"
@@ -223,26 +237,22 @@ func (s *Server) prepareJob(spec JobSpec) (bytes int64, tc TenantConfig, start f
 	}
 	nbf, err := s.cfg.Estimate(spec)
 	if err != nil {
-		return 0, tc, nil, err
+		return preparedJob{}, err
 	}
-	bytes, tc = jobBytes(nbf), s.tenantConfig(spec.Tenant)
-	start = func(id string) *Job {
-		ctx := context.Background()
-		var cancel context.CancelCauseFunc
-		if spec.DeadlineMs > 0 {
-			ctx, cancel = withDeadlineCause(ctx, time.Duration(spec.DeadlineMs)*time.Millisecond, ErrDeadline)
-		} else {
-			ctx, cancel = context.WithCancelCause(ctx)
-		}
-		return newJob(id, spec, nbf, bytes, tc.Weight, ctx, cancel)
-	}
-	return bytes, tc, start, nil
+	return preparedJob{spec: spec, nbf: nbf, bytes: jobBytes(nbf), tc: s.tenantConfig(spec.Tenant)}, nil
 }
 
-func (j *Job) appendQueued() {
-	j.mu.Lock()
-	j.appendLocked(Event{Type: "queued", State: StateQueued})
-	j.mu.Unlock()
+// start creates the job under id and arms its deadline, counted from
+// this moment; callers invoke it under their own entry checks.
+func (pj preparedJob) start(id string) *Job {
+	ctx := context.Background()
+	var cancel context.CancelCauseFunc
+	if pj.spec.DeadlineMs > 0 {
+		ctx, cancel = withDeadlineCause(ctx, time.Duration(pj.spec.DeadlineMs)*time.Millisecond, ErrDeadline)
+	} else {
+		ctx, cancel = context.WithCancelCause(ctx)
+	}
+	return newJob(id, pj.spec, pj.nbf, pj.bytes, pj.tc.Weight, ctx, cancel)
 }
 
 // Adopt re-enters an already-admitted job — adopted from a crashed
@@ -254,7 +264,7 @@ func (j *Job) appendQueued() {
 // resumes from its on-disk checkpoint through the runner's normal
 // fresh-session path.
 func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
-	bytes, tc, start, err := s.prepareJob(spec)
+	pj, err := s.prepareJob(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bad adopted job spec: %w", err)
 	}
@@ -270,13 +280,11 @@ func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
 	// The deadline restarts on the adopter: the original submission time
 	// died with the old owner, and a conservative (longer) total latency
 	// beats canceling work that survived a crash.
-	j := start(id)
+	j := pj.start(id)
 	s.jobs[id] = j
-	s.memUsed += bytes
-	j.mu.Lock()
-	j.appendLocked(Event{Type: "queued", State: StateQueued, Msg: "adopted"})
-	j.mu.Unlock()
-	t := s.q.tenant(j.Spec.Tenant, tc.Weight, tc.MaxQueued, tc.MaxRunning)
+	s.memUsed += pj.bytes
+	j.Emit(Event{Type: "queued", State: StateQueued, Msg: "adopted"})
+	t := s.q.tenant(j.Spec.Tenant, pj.tc.Weight, pj.tc.MaxQueued, pj.tc.MaxRunning)
 	s.q.requeue(t, j)
 	s.met.SetQueueDepth(s.q.depth)
 	s.scheduleLocked()
