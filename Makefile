@@ -2,7 +2,7 @@ GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single ci microbench bench-gate
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single screen-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -55,15 +55,15 @@ net-failover:
 net-elastic:
 	$(GO) test -race -count=1 -run 'TestElasticChurnBuildMatchesSerial|TestFleet|TestRebalance|TestRouter|TestMembershipChurn' ./internal/net/ ./internal/fault/
 
-# Stored-ERI cache and ΔD gate under the race detector: the store unit
-# layer (commit idempotence, budget/spill/drop legs, blob keying), the
-# concurrent density-bound publication test, record/replay equivalence
-# against the serial oracle (including under chaos with exactly-once
-# accounting), the G-linearity property behind ΔD builds, the SCF
-# equivalence of cached ΔD runs, and the blob spill legs over the real
-# transport.
+# Stored-ERI cache gate under the race detector: the store unit layer
+# (commit idempotence, budget/spill/drop legs, blob keying), record/replay
+# equivalence against the serial oracle (including under chaos with
+# exactly-once accounting), one stored batch replayed against different
+# densities staying linear in D, the default-option reference energies
+# (the cached alkane:6 run among them), and the blob spill legs over the
+# real transport.
 cache-test:
-	$(GO) test -race -count=1 -run 'TestERIStore|TestUpdateDensityRace|TestStore|TestDelta|TestPerIterationFockStats|TestBlowUpReportedAtProducingIteration|TestBlob|TestSpillE2E' ./internal/integrals/ ./internal/core/ ./internal/scf/ ./internal/net/
+	$(GO) test -race -count=1 -run 'TestERIStore|TestStore|TestStoredBatchReplayIsLinearInDensity|TestDefaultOptionsReproduceReferenceEnergies|TestPerIterationFockStats|TestBlowUpReportedAtProducingIteration|TestBlob|TestSpillE2E' ./internal/integrals/ ./internal/core/ ./internal/scf/ ./internal/net/
 
 # Multi-tenant HF service gate under the race detector: the overload +
 # chaos acceptance e2e (burst at 4x admission capacity onto a live
@@ -149,11 +149,22 @@ core-single:
 	@test "$$(grep -c '\.Patches(' internal/core/real.go)" -eq 1
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'DisableFastKernels' internal cmd | grep -v '^internal/integrals/'
 
+# One quartet screen, checked mechanically: Cauchy-Schwarz at tau over a
+# primitive prescreen fixed at integrals.PrimTol. The density-weighted
+# screen, the dD telescope and the QQR bound stay gone; no struct but
+# integrals.Engine has a PrimTol field to thread a second value through;
+# and outside tests the constant is read by exactly the three production
+# pair builders and cmd/paper's Table V.
+screen-single:
+	@! grep -rnE --include='*.go' 'DensityScreen|DeltaD|UpdateDensity|MaxQuartetDensity|NewQQR' cmd internal gtfock.go
+	@! grep -rnE --include='*.go' '^[[:space:]]+PrimTol[[:space:]]+float64' cmd internal gtfock.go | grep -v '^internal/integrals/md\.go:'
+	@test "$$(grep -rl --include='*.go' --exclude='*_test.go' 'integrals\.PrimTol' cmd internal gtfock.go | sort | tr '\n' ' ')" = "cmd/paper/tables.go internal/core/real.go internal/nwchem/real.go internal/scf/scf.go "
+
 # The aggregate gate. `race` already runs every test of the named subset
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
 # serve-ha) under the race detector, so those stay developer targets and
 # parallel workflow jobs instead of running twice here.
-ci: build vet generate-check wal-single backend-single server-single session-single core-single race e2e-flake
+ci: build vet generate-check wal-single backend-single server-single session-single core-single screen-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet) and

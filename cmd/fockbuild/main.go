@@ -54,7 +54,6 @@ func main() {
 		cores   = flag.Int("cores", 3888, "total cores for sim mode (multiple of 12)")
 		tau     = flag.Float64("tau", screen.DefaultTau, "screening tolerance")
 		ord     = flag.String("reorder", "cell", "shell ordering: cell, morton, natural (gtfock only)")
-		primTol = flag.Float64("primtol", 0, "primitive prescreening tolerance (0 = off)")
 		trace   = flag.Bool("trace", false, "print an activity timeline (sim mode, or gtfock real mode)")
 
 		// Observability (gtfock real mode).
@@ -166,7 +165,7 @@ func main() {
 		}
 		switch *engine {
 		case "gtfock":
-			copt := core.Options{Prow: prow, Pcol: pcol, PrimTol: *primTol}
+			copt := core.Options{Prow: prow, Pcol: pcol}
 			if *faultCrash > 0 || *faultCrashAfter > 0 || *faultStall > 0 ||
 				*faultDrop > 0 || *faultDelay > 0 ||
 				*netReset > 0 || *netDup > 0 || *netDelay > 0 || *netPartition > 0 {
@@ -285,7 +284,7 @@ func main() {
 				<-ch
 			}
 		case "nwchem":
-			res, err := nwchem.Build(bs, scr, d, nwchem.Options{Procs: prow * pcol, PrimTol: *primTol})
+			res, err := nwchem.Build(bs, scr, d, nwchem.Options{Procs: prow * pcol})
 			fatalIf(err)
 			fmt.Printf("wall time: %v,  |G|_max = %.6f\n", res.Wall, res.G.MaxAbs())
 			report(res.Stats, fmt.Sprintf("real, %d processes", prow*pcol))

@@ -43,15 +43,11 @@ func main() {
 		noDIIS  = flag.Bool("nodiis", false, "disable DIIS acceleration")
 		mp2     = flag.Bool("mp2", false, "add the MP2 correlation energy (small systems)")
 
-		// Stored-ERI cache tier + incremental builds (gtfock engine):
-		// -eri-cache records iteration 1's surviving integral batches and
-		// replays them on iterations 2..N; -delta-d builds G(ΔD) against the
-		// previous density and assembles F = F_prev + G(ΔD).
-		eriCache   = flag.Bool("eri-cache", false, "store surviving ERIs on iteration 1, replay on later iterations (gtfock)")
-		eriBudget  = flag.Int64("eri-cache-budget", 0, "resident stored-ERI bytes; over budget drops to recompute (0 = unlimited)")
-		deltaD     = flag.Bool("delta-d", false, "incremental density-difference Fock builds F = F_prev + G(dD)")
-		deltaReset = flag.Int("delta-reset", 0, "full rebuild after this many dD builds (0 = default 8, negative = never)")
-		dscreen    = flag.Bool("density-screen", false, "density-weighted quartet screening (gtfock; pairs well with -delta-d)")
+		// Stored-ERI cache tier (gtfock engine): -eri-cache records
+		// iteration 1's surviving integral batches and replays them on
+		// iterations 2..N.
+		eriCache  = flag.Bool("eri-cache", false, "store surviving ERIs on iteration 1, replay on later iterations (gtfock)")
+		eriBudget = flag.Int64("eri-cache-budget", 0, "resident stored-ERI bytes; over budget drops to recompute (0 = unlimited)")
 
 		// Checkpoint / resume: -checkpoint saves the SCF state after every
 		// iteration (atomic rename, always a complete iteration on disk);
@@ -78,19 +74,16 @@ func main() {
 	defer stop()
 
 	opt := scf.Options{
-		Ctx:              ctx,
-		BasisName:        *bname,
-		Engine:           scf.Engine(*engine),
-		Tau:              *tau,
-		MaxIter:          *maxIter,
-		ConvTol:          *conv,
-		UsePurification:  *pur,
-		Reorder:          *ord,
-		ERICache:         *eriCache,
-		ERICacheBudget:   *eriBudget,
-		DeltaD:           *deltaD,
-		DeltaDResetEvery: *deltaReset,
-		DensityScreen:    *dscreen,
+		Ctx:             ctx,
+		BasisName:       *bname,
+		Engine:          scf.Engine(*engine),
+		Tau:             *tau,
+		MaxIter:         *maxIter,
+		ConvTol:         *conv,
+		UsePurification: *pur,
+		Reorder:         *ord,
+		ERICache:        *eriCache,
+		ERICacheBudget:  *eriBudget,
 	}
 	if *noDIIS {
 		opt.DIIS = -1
@@ -162,9 +155,6 @@ func main() {
 			it.FockTime.Seconds(), it.DensityTime.Seconds())
 		if it.PurifyIters > 0 {
 			fmt.Printf("  (purify: %d iters)", it.PurifyIters)
-		}
-		if it.DeltaBuild {
-			fmt.Printf("  dD")
 		}
 		if c := it.Cache; c.TaskHits+c.TaskMisses > 0 {
 			fmt.Printf("  (cache: %.0f%% hit)", 100*c.HitRate())

@@ -26,16 +26,31 @@ func TestBuildWithSharedPairTable(t *testing.T) {
 	}
 }
 
+// The production primitive prescreen keeps a build on the oracle: a table
+// at integrals.PrimTol — what scf.RunHF and Build's own fallback
+// construct — matches the serial build, which drops no primitive, to 1e-9
+// with d shells in play.
+func TestBuildAtProductionPrimTolMatchesSerial(t *testing.T) {
+	bs, scr, d := buildSetup(t, chem.Methane(), "cc-pvdz")
+	ref := BuildSerial(bs, scr, d)
+	res := Build(bs, scr, d, Options{Prow: 2, Pcol: 2, PairTable: scr.PairTable(integrals.PrimTol)})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
+		t.Fatalf("|G(PrimTol) - serial| = %g", err)
+	}
+}
+
 // testDoTaskWorker builds the minimal worker doTask needs: shared pair
 // table, engine, density image, local Fock accumulator. No distributed
 // machinery.
-func testDoTaskWorker(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable, d *linalg.Matrix, dscreen bool) *worker {
+func testDoTaskWorker(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable, d *linalg.Matrix) *worker {
 	w := &worker{
 		bs: bs, scr: scr, pt: pt, eng: integrals.NewEngine(),
-		dloc:    append([]float64(nil), d.Data...),
-		floc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
-		nf:      bs.NumFuncs,
-		dscreen: dscreen,
+		dloc: append([]float64(nil), d.Data...),
+		floc: make([]float64, bs.NumFuncs*bs.NumFuncs),
+		nf:   bs.NumFuncs,
 	}
 	w.visit = func(k int, batch []float64) {
 		pq := w.bmeta[k]
@@ -51,7 +66,7 @@ func testDoTaskWorker(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTa
 func TestDoTaskSurvivorSetMatchesKeepQuartet(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
 	pt := scr.PairTable(0)
-	w := testDoTaskWorker(bs, scr, pt, d, false)
+	w := testDoTaskWorker(bs, scr, pt, d)
 	ns := bs.NumShells()
 	total := 0
 	for m := 0; m < ns; m++ {
@@ -103,42 +118,6 @@ func TestDoTaskSurvivorSetMatchesKeepQuartet(t *testing.T) {
 	}
 }
 
-// Density-weighted screening: a zero density prunes every quartet; a real
-// density build stays within screening tolerance of the oracle.
-func TestDensityScreen(t *testing.T) {
-	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
-	pt := scr.PairTable(0)
-
-	zero := linalg.NewMatrix(bs.NumFuncs, bs.NumFuncs)
-	pt.UpdateDensity(zero.Data, zero.Cols)
-	ws := testDoTaskWorker(bs, scr, pt, zero, true)
-	ns := bs.NumShells()
-	for m := 0; m < ns; m++ {
-		for n := 0; n < ns; n++ {
-			if !SymmetryCheck(m, n) {
-				continue
-			}
-			ws.doTask(Task{M: m, N: n})
-			if len(ws.batch) != 0 {
-				t.Fatalf("task (%d,%d): zero density kept %d quartets", m, n, len(ws.batch))
-			}
-		}
-	}
-
-	// Real density: pruning only drops sub-tau contributions.
-	pt.UpdateDensity(d.Data, d.Cols)
-	ref := BuildSerial(bs, scr, d)
-	res := Build(bs, scr, d, Options{Prow: 2, Pcol: 2, PairTable: pt, DensityScreen: true})
-	if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-7 {
-		t.Fatalf("density-screened |G - serial| = %g", err)
-	}
-	// DensityScreen without density bounds is an exact no-op.
-	res2 := Build(bs, scr, d, Options{Prow: 1, Pcol: 1, PairTable: scr.PairTable(0), DensityScreen: true})
-	if err := linalg.MaxAbsDiff(ref, res2.G); err > 1e-9 {
-		t.Fatalf("no-bounds density screen |G - serial| = %g", err)
-	}
-}
-
 // generalSerial is the serial oracle with every quartet on the general MD
 // recursion: the reference G of the kernel-equivalence tests.
 func generalSerial(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix) *linalg.Matrix {
@@ -172,7 +151,7 @@ func TestTwoWorkersSharePairTermsMatchGeneralKernels(t *testing.T) {
 func TestDoTaskSteadyStateZeroAlloc(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
 	pt := scr.PairTable(0)
-	w := testDoTaskWorker(bs, scr, pt, d, false)
+	w := testDoTaskWorker(bs, scr, pt, d)
 	ns := bs.NumShells()
 	sweep := func() {
 		for m := 0; m < ns; m++ {

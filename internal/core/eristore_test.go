@@ -97,37 +97,6 @@ func TestStoreReplayMatchesGeneratedKernels(t *testing.T) {
 	}
 }
 
-// The replay path must apply the density screen identically to the
-// record path: with density bounds installed, a replayed build and a
-// freshly recorded build (both apply-time screened) produce the same G.
-func TestStoreReplayDensityScreenConsistent(t *testing.T) {
-	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
-	pt := scr.PairTable(0)
-	pt.UpdateDensity(d.Data, d.Cols)
-	ns := bs.NumShells()
-
-	// Recorded then replayed, single process so accumulation order is
-	// deterministic and the comparison can be exact.
-	store := integrals.NewERIStore(ns, 0, nil, 1, nil)
-	opt := Options{Prow: 1, Pcol: 1, PairTable: pt, DensityScreen: true, ERIStore: store}
-	rec := Build(bs, scr, d, opt)
-	rep := Build(bs, scr, d, opt)
-	if rec.Err != nil || rep.Err != nil {
-		t.Fatalf("build errors: %v / %v", rec.Err, rep.Err)
-	}
-	if err := linalg.MaxAbsDiff(rec.G, rep.G); err != 0 {
-		t.Fatalf("replayed screened G differs from recorded: %g", err)
-	}
-	// And both stay within screening tolerance of the oracle.
-	ref := BuildSerial(bs, scr, d)
-	if err := linalg.MaxAbsDiff(ref, rep.G); err > 1e-7 {
-		t.Fatalf("screened replay |G - serial| = %g", err)
-	}
-	if st := store.Stats(); st.TaskHits == 0 {
-		t.Fatalf("no replay hits: %+v", st)
-	}
-}
-
 // A store sized for a different geometry must be rejected up front, not
 // silently produce wrong task keys.
 func TestStoreSizeMismatchRejected(t *testing.T) {

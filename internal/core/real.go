@@ -17,8 +17,7 @@ import (
 
 // Options configures a real-mode Fock build.
 type Options struct {
-	Prow, Pcol int     // process grid (defaults 1x1)
-	PrimTol    float64 // primitive prescreening threshold for the ERI engine
+	Prow, Pcol int // process grid (defaults 1x1)
 
 	// Ctx, when non-nil, cancels the build: workers observe the
 	// cancellation between tasks and abandon their incarnations, in-flight
@@ -31,27 +30,17 @@ type Options struct {
 	// PairTable, when non-nil, is the precomputed shell-pair table all
 	// workers share (read-only). Pass the table across SCF iterations so
 	// pair data is built once per geometry instead of once per build; it
-	// must come from the same screening (and the same PrimTol) as scr, or
-	// the quartet set will not match. Nil makes Build construct one.
+	// must come from the same screening as scr, or the quartet set will
+	// not match. Nil makes Build construct one at integrals.PrimTol.
 	PairTable *integrals.PairTable
-	// DensityScreen additionally skips quartets whose Schwarz bound times
-	// the cached max-density block (PairTable.UpdateDensity) falls below
-	// tau. Off by default: it changes G by O(tau) per skipped quartet, so
-	// builds no longer match BuildSerial bit-tightly — callers that want
-	// it (the SCF loop) accept the approximation knowingly. No-op unless
-	// the shared PairTable has density bounds.
-	DensityScreen bool
 	// ERIStore, when non-nil, is the stored-ERI cache tier shared across
 	// builds of one geometry (it must be sized for this basis and used
 	// with the same PairTable): tasks with a stored entry replay it
 	// through the contraction path instead of re-entering the kernel
 	// layer, and tasks without one compute, apply, and commit their batch
-	// first-writer-wins. With ERIStore set, the density screen moves from
-	// collection time to apply time — the store always records the full
-	// Schwarz-surviving set (valid for any later density), and both the
-	// recording and replaying paths prune the same quartets per build, so
-	// a replayed task and a recomputed task commit identical
-	// contributions and the exactly-once chaos invariants hold unchanged.
+	// first-writer-wins. The store records the full Schwarz-surviving set,
+	// which no density enters, so a batch is valid for every later build
+	// and a replayed task commits the contributions a recomputed one would.
 	ERIStore *integrals.ERIStore
 
 	// Fault, when non-nil, injects seeded faults: worker crashes before and
@@ -158,7 +147,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	// every worker concurrently.
 	pt := opt.PairTable
 	if pt == nil {
-		pt = scr.PairTable(opt.PrimTol)
+		pt = scr.PairTable(integrals.PrimTol)
 	}
 
 	stats := dist.NewRunStats(nprocs)
@@ -368,21 +357,18 @@ type worker struct {
 	// submits them in one ERIBatch call; visit (built once, so the hot
 	// path allocates nothing) digests each batch straight from engine
 	// scratch into the local accumulators.
-	batch   []integrals.Quartet
-	bmeta   [][2]int32 // (p, q) shell indices parallel to batch
-	curM    int
-	curN    int
-	visit   func(k int, batch []float64)
-	dscreen bool
+	batch []integrals.Quartet
+	bmeta [][2]int32 // (p, q) shell indices parallel to batch
+	curM  int
+	curN  int
+	visit func(k int, batch []float64)
 
 	// Stored-ERI cache tier state (nil store = always recompute). The
 	// record closure tees engine batches into recVals/recEnds for a
 	// first-writer-wins CommitTask; the replay closure applies stored
-	// batches with the same apply-time density screen, so both paths
-	// commit identical contributions (see Options.ERIStore).
+	// batches through the same ApplyQuartet (see Options.ERIStore).
 	store       *integrals.ERIStore
 	ns          int // shell count; task id = M*ns + N
-	curDscr     bool
 	recVals     []float64
 	recEnds     []int32
 	replayScr   []float64 // spill-fetch scratch
@@ -414,13 +400,10 @@ type worker struct {
 
 func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable,
 	grid *dist.Grid2D, gaD, gaF dist.Backend, stats *dist.RunStats, opt Options) *worker {
-	eng := integrals.NewEngine()
-	eng.PrimTol = opt.PrimTol
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,
-		gaD: gaD, gaF: gaF, stats: stats, eng: eng,
+		gaD: gaD, gaF: gaF, stats: stats, eng: integrals.NewEngine(),
 		pt:      pt,
-		dscreen: opt.DensityScreen,
 		store:   opt.ERIStore,
 		ns:      bs.NumShells(),
 		dloc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
@@ -440,28 +423,15 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 	}
 	if w.store != nil {
 		w.recVisit = func(k int, batch []float64) {
-			pq := w.bmeta[k]
-			qt := w.batch[k]
-			w.applyStored(qt.Bra, qt.Ket, pq[0], pq[1], batch)
+			w.visit(k, batch)
 			w.recVals = append(w.recVals, batch...)
 			w.recEnds = append(w.recEnds, int32(len(w.recVals)))
 		}
-		w.replayVisit = func(q integrals.Quartet, p, qq int32, vals []float64) {
-			w.applyStored(q.Bra, q.Ket, p, qq, vals)
+		w.replayVisit = func(_ integrals.Quartet, p, q int32, vals []float64) {
+			ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(p), w.curN, int(q), vals)
 		}
 	}
 	return w
-}
-
-// applyStored digests one recorded or replayed quartet into the local
-// accumulators, applying the density screen at apply time (both paths
-// prune identically within a build; see Options.ERIStore).
-func (w *worker) applyStored(bra, ket integrals.PairID, p, q int32, vals []float64) {
-	if w.curDscr &&
-		w.pt.Q(bra)*w.pt.Q(ket)*w.pt.MaxQuartetDensity(w.curM, int(p), w.curN, int(q)) < w.scr.Tau {
-		return
-	}
-	ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(p), w.curN, int(q), vals)
 }
 
 // obsNow reads the clock only when an observability sink is attached; the
@@ -808,15 +778,12 @@ func (w *worker) doTask(t Task) {
 	if w.store != nil {
 		// Stored-ERI tier: replay the recorded batch when present; a miss
 		// of any kind (not recorded yet, dropped over budget, spill gone)
-		// falls through to compute-and-commit. The density screen moves to
-		// apply time so the recorded set is the full Schwarz set.
-		w.curDscr = w.dscreen && w.pt.HasDensity()
+		// falls through to compute-and-commit.
 		if w.store.ReplayTask(m*w.ns+n, &w.replayScr, w.replayVisit) {
 			return
 		}
 	}
 	tau := w.scr.Tau
-	dscr := w.store == nil && w.dscreen && w.pt.HasDensity()
 	w.batch = w.batch[:0]
 	w.bmeta = w.bmeta[:0]
 	for _, p := range w.scr.Phi[m] {
@@ -832,8 +799,6 @@ func (w *worker) doTask(t Task) {
 			ketID := w.pt.ID(n, q)
 			if qKet := w.pt.Q(ketID); qBra*qKet < tau {
 				break
-			} else if dscr && qBra*qKet*w.pt.MaxQuartetDensity(m, p, n, q) < tau {
-				continue
 			}
 			if !SymmetryCheck(n, q) {
 				continue

@@ -52,6 +52,17 @@ func (sp *ShellPair) eTables(i int) (ex, ey, ez []float64) {
 	return t[:n], t[n : 2*n], t[2*n:]
 }
 
+// PrimTol is the primitive prescreening threshold of every production pair
+// builder (scf.RunHF's run-wide table, core.Build's fallback table, the
+// nwchem worker's engine). One value because one measured best: against
+// keeping every primitive it moves the converged HF energy by |ΔE| ≤ 3e-11
+// Ha on each benchmark input (1.5e-10 at alkane:10, 3.9e-10 at alkane:16;
+// the suite promises 1e-9) in the same iteration counts, for 14 % less
+// Fock time on alkane:3/sto-3g and 39 % at alkane:10 (EXPERIMENTS.md,
+// "Screening knobs"). Tests, cmd/paper's Table V and benchmark/ pass
+// their own values to NewShellPair / NewPairTable.
+const PrimTol = 1e-12
+
 // NewShellPair precomputes the MD data for shells a and b. Primitive pairs
 // whose Gaussian-product magnitude |c_a c_b| exp(-mu|AB|^2) falls below
 // primTol are dropped; pass 0 to keep everything. A positive primTol is the

@@ -13,15 +13,9 @@ package integrals
 // E-coefficient tables and the generated kernels' folded Hermite terms
 // are carved from shared arena chunks instead of thousands of small
 // allocations.
-//
-// Besides the pair data the table can cache per-shell-block density
-// bounds (UpdateDensity, once per SCF iteration) that quartet loops may
-// combine with the Schwarz product for density-weighted screening.
 
 import (
-	"math"
 	"sort"
-	"sync/atomic"
 
 	"gtfock/internal/basis"
 )
@@ -34,11 +28,7 @@ type PairID int32
 const NoPair PairID = -1
 
 // PairTable holds the precomputed significant shell pairs of one basis
-// set. Read-only after construction except for UpdateDensity, which
-// publishes a fresh immutable bounds snapshot through an atomic pointer:
-// concurrent readers need no locking, and a straggling worker from a
-// previous build reads either the old snapshot or the new one, never a
-// torn mix (see TestUpdateDensityRace).
+// set. Read-only after construction.
 type PairTable struct {
 	Basis *basis.Set
 
@@ -46,10 +36,7 @@ type PairTable struct {
 	q     []float64  // Schwarz value per pair, descending
 	mp    [][2]int32 // shell indices (m, p) per pair
 	index []PairID   // ns*ns ordered-pair index, NoPair if absent
-	// dBound is the published per-shell-block max |D| snapshot; nil until
-	// UpdateDensity. The pointed-to slice is immutable once published.
-	dBound atomic.Pointer[[]float64]
-	n      int
+	n     int
 }
 
 // NewPairTable precomputes the MD pair data for every ordered shell pair
@@ -145,69 +132,6 @@ func (t *PairTable) Shells(id PairID) (m, p int) {
 // screen.Screening.KeepQuartet on the corresponding shell indices.
 func (t *PairTable) KeepQuartet(bra, ket PairID, tau float64) bool {
 	return t.q[bra]*t.q[ket] >= tau
-}
-
-// UpdateDensity refreshes the per-shell-block density bounds from the
-// dense row-major density matrix d with leading dimension ld (the basis
-// function count): dBound(m,p) = max |d[i][j]| over the (m,p) shell
-// block. Called once per SCF iteration — this is the "cached once per
-// iteration instead of recomputed per quartet" quantity density-weighted
-// screening needs. The bounds are computed into a fresh slice and
-// published atomically, so it is safe to call while readers (even
-// stragglers fenced out of a previous build) are still screening — they
-// observe a complete old or new snapshot, never torn values.
-func (t *PairTable) UpdateDensity(d []float64, ld int) {
-	bound := make([]float64, t.n*t.n)
-	bs := t.Basis
-	for m := 0; m < t.n; m++ {
-		om, nm := bs.Offsets[m], bs.ShellFuncs(m)
-		for p := 0; p < t.n; p++ {
-			op, np := bs.Offsets[p], bs.ShellFuncs(p)
-			var mx float64
-			for i := om; i < om+nm; i++ {
-				row := d[i*ld : i*ld+ld]
-				for j := op; j < op+np; j++ {
-					if v := math.Abs(row[j]); v > mx {
-						mx = v
-					}
-				}
-			}
-			bound[m*t.n+p] = mx
-		}
-	}
-	t.dBound.Store(&bound)
-}
-
-// HasDensity reports whether UpdateDensity has been called.
-func (t *PairTable) HasDensity() bool { return t.dBound.Load() != nil }
-
-// DBound returns the cached max |D| over the (m, p) shell block.
-func (t *PairTable) DBound(m, p int) float64 { return (*t.dBound.Load())[m*t.n+p] }
-
-// MaxQuartetDensity bounds the largest cached |D| block any of the six
-// Fock contributions of quartet (m p | n q) reads; multiplied by the
-// Schwarz product it bounds the quartet's contribution to F. The six
-// reads come from one atomically published snapshot.
-func (t *PairTable) MaxQuartetDensity(m, p, n, q int) float64 {
-	ns := t.n
-	d := *t.dBound.Load()
-	mx := d[n*ns+q]
-	if v := d[m*ns+p]; v > mx {
-		mx = v
-	}
-	if v := d[p*ns+q]; v > mx {
-		mx = v
-	}
-	if v := d[p*ns+n]; v > mx {
-		mx = v
-	}
-	if v := d[m*ns+q]; v > mx {
-		mx = v
-	}
-	if v := d[m*ns+n]; v > mx {
-		mx = v
-	}
-	return mx
 }
 
 // floatArena carves exact-length zeroed []float64 blocks out of large

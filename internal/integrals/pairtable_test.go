@@ -124,108 +124,6 @@ func TestPairTableERIEquivalence(t *testing.T) {
 	}
 }
 
-func TestPairTableDensityBounds(t *testing.T) {
-	bs, pt, _ := testPairTable(t, 6, 7, 0)
-	if pt.HasDensity() {
-		t.Fatal("density bounds before UpdateDensity")
-	}
-	nf := bs.NumFuncs
-	rng := rand.New(rand.NewSource(8))
-	d := make([]float64, nf*nf)
-	for i := range d {
-		d[i] = rng.NormFloat64()
-	}
-	pt.UpdateDensity(d, nf)
-	if !pt.HasDensity() {
-		t.Fatal("HasDensity false after UpdateDensity")
-	}
-	ns := bs.NumShells()
-	for m := 0; m < ns; m++ {
-		for p := 0; p < ns; p++ {
-			var want float64
-			for i := bs.Offsets[m]; i < bs.Offsets[m]+bs.ShellFuncs(m); i++ {
-				for j := bs.Offsets[p]; j < bs.Offsets[p]+bs.ShellFuncs(p); j++ {
-					if v := math.Abs(d[i*nf+j]); v > want {
-						want = v
-					}
-				}
-			}
-			if pt.DBound(m, p) != want {
-				t.Fatalf("DBound(%d,%d) = %g, want %g", m, p, pt.DBound(m, p), want)
-			}
-		}
-	}
-	// MaxQuartetDensity is the max over the six Fock blocks.
-	for trial := 0; trial < 20; trial++ {
-		m, p := rng.Intn(ns), rng.Intn(ns)
-		n, q := rng.Intn(ns), rng.Intn(ns)
-		want := 0.0
-		for _, b := range [][2]int{{n, q}, {m, p}, {p, q}, {p, n}, {m, q}, {m, n}} {
-			if v := pt.DBound(b[0], b[1]); v > want {
-				want = v
-			}
-		}
-		if got := pt.MaxQuartetDensity(m, p, n, q); got != want {
-			t.Fatalf("MaxQuartetDensity(%d,%d,%d,%d) = %g, want %g", m, p, n, q, got, want)
-		}
-	}
-}
-
-// UpdateDensity publishes a fresh bound snapshot atomically: a worker
-// racing the driver's update must read a coherent snapshot (all six
-// blocks of a quartet from the same density), never torn bounds. Run
-// under -race; the invariant check also catches value-level tearing
-// because each snapshot is a constant multiple of the base density.
-func TestUpdateDensityRace(t *testing.T) {
-	bs, pt, _ := testPairTable(t, 6, 21, 0)
-	nf := bs.NumFuncs
-	ns := bs.NumShells()
-	base := make([]float64, nf*nf)
-	for i := range base {
-		base[i] = 1 + float64(i%7)
-	}
-	pt.UpdateDensity(base, nf)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		scaled := make([]float64, nf*nf)
-		for gen := 2; gen < 200; gen++ {
-			for i, v := range base {
-				scaled[i] = float64(gen) * v
-			}
-			pt.UpdateDensity(scaled, nf)
-		}
-	}()
-	for i := 0; ; i++ {
-		m, p := i%ns, (i/ns)%ns
-		got := pt.MaxQuartetDensity(m, p, (i+1)%ns, (i+2)%ns)
-		// Every coherent snapshot is gen*base, so the ratio to the
-		// gen-1 snapshot of the same cell must be an integer generation.
-		ref := 0.0
-		for _, b := range [][2]int{{(i + 1) % ns, (i + 2) % ns}, {m, p}, {p, (i + 2) % ns}, {p, (i + 1) % ns}, {m, (i + 2) % ns}, {m, (i + 1) % ns}} {
-			var mx float64
-			for r := bs.Offsets[b[0]]; r < bs.Offsets[b[0]]+bs.ShellFuncs(b[0]); r++ {
-				for c := bs.Offsets[b[1]]; c < bs.Offsets[b[1]]+bs.ShellFuncs(b[1]); c++ {
-					if v := base[r*nf+c]; v > mx {
-						mx = v
-					}
-				}
-			}
-			if mx > ref {
-				ref = mx
-			}
-		}
-		if gen := got / ref; ref > 0 && (gen < 1 || gen != float64(int(gen))) {
-			t.Fatalf("torn bound: MaxQuartetDensity = %g, base %g (gen %g)", got, ref, gen)
-		}
-		select {
-		case <-done:
-			return
-		default:
-		}
-	}
-}
-
 func TestERIBatchMatchesERI(t *testing.T) {
 	_, pt, _ := testPairTable(t, 6, 31, 0)
 	eng := NewEngine()

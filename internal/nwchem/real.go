@@ -14,8 +14,7 @@ import (
 
 // Options configures a real-mode baseline build.
 type Options struct {
-	Procs   int     // number of goroutine processes (NWChem: one per core)
-	PrimTol float64 // primitive prescreening (NWChem uses it aggressively)
+	Procs int // number of goroutine processes (NWChem: one per core)
 }
 
 // Result mirrors core.Result for the baseline.
@@ -84,7 +83,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 			dloc:  make([]float64, nf*nf),
 			floc:  make([]float64, nf*nf),
 		}
-		w.eng.PrimTol = opt.PrimTol
+		w.eng.PrimTol = integrals.PrimTol
 		w.run(ctr)
 	})
 	wall := time.Since(start)

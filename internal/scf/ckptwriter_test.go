@@ -264,14 +264,14 @@ func TestCheckpointWriteFailureFailsRun(t *testing.T) {
 // F and D reach the writer uncopied, on the promise that the loop never
 // writes an iteration's matrices after building them. A slow save keeps
 // every hand-off unordered against whatever the loop does next — DIIS,
-// the next density step, the next (incremental) build — so under -race
-// a write to either matrix fails this test; without it, the bitwise
-// comparison against the result does.
+// the next density step, the next build — so under -race a write to
+// either matrix fails this test; without it, the bitwise comparison
+// against the result does.
 func TestCheckpointHandOffIsRaceFree(t *testing.T) {
 	slowSaves(t, 3*time.Millisecond)
 	for _, opt := range []Options{
 		{},
-		{ERICache: true, DeltaD: true},
+		{ERICache: true},
 		{DIIS: -1},
 	} {
 		path := filepath.Join(t.TempDir(), "race.ckpt")

@@ -50,7 +50,6 @@ var ErrNumericalBlowUp = errors.New("scf: numerical blow-up")
 type Options struct {
 	BasisName string  // default "cc-pvdz"
 	Tau       float64 // screening tolerance, default screen.DefaultTau
-	PrimTol   float64 // primitive prescreening, default 0 (off)
 
 	// Ctx, when non-nil, cancels the run at well-defined points: the top
 	// of each iteration and inside the GTFock build's worker loops. RunHF
@@ -63,14 +62,6 @@ type Options struct {
 	Engine     Engine // default EngineGTFock
 	Prow, Pcol int    // process grid (GTFock) / Prow*Pcol processes (NWChem)
 
-	// DensityScreen enables density-weighted quartet screening in the
-	// GTFock engine: the shared pair table caches per-shell-block max|D|
-	// bounds, refreshed once per iteration, and quartets whose Schwarz
-	// bound times the relevant density bound falls below tau are skipped.
-	// Changes G by O(tau) per skipped quartet, so leave it off when
-	// comparing engines bit-tightly.
-	DensityScreen bool
-
 	// ERICache enables the stored-ERI cache tier (GTFock engine only):
 	// iteration 1 records every task's surviving integral batch into an
 	// integrals.ERIStore shared across the run's builds, and iterations
@@ -81,18 +72,6 @@ type Options struct {
 	// ERICacheBudget bounds the store's resident value bytes; over-budget
 	// batches are dropped and recomputed every iteration. 0 = unlimited.
 	ERICacheBudget int64
-	// DeltaD enables incremental density-difference Fock builds: after a
-	// full G(D) build, later iterations build only G(ΔD) with
-	// ΔD = D - D_prev and assemble F = H_core + G(D_prev) + G(ΔD). G is
-	// linear in D, so this telescopes exactly; its payoff comes from
-	// DensityScreen, where the shrinking ΔD prunes quartets the Schwarz
-	// bound alone keeps.
-	DeltaD bool
-	// DeltaDResetEvery forces a full G(D) rebuild after this many
-	// consecutive ΔD builds, bounding the O(tau)-per-build screening
-	// drift the incremental sum accumulates. Default 8; negative
-	// disables resets.
-	DeltaDResetEvery int
 
 	MaxIter int     // default 50
 	ConvTol float64 // energy convergence, default 1e-8
@@ -177,8 +156,6 @@ type Iteration struct {
 	// FockStats is this iteration's build accounting (every iteration is
 	// kept — Result.FockStats only carries the final build's).
 	FockStats *dist.RunStats
-	// DeltaBuild marks an incremental G(ΔD) build (Options.DeltaD).
-	DeltaBuild bool
 	// Cache is the stored-ERI counter delta of this iteration's build
 	// (zero when Options.ERICache is off).
 	Cache metrics.CacheSnapshot
@@ -246,22 +223,34 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 			mol.Formula(), mol.NumElectrons())
 	}
 	nocc := mol.NumElectrons() / 2
+	// Option-only checks come before any integral work, so a bad
+	// combination costs nothing on a paper-sized molecule.
+	switch opt.Reorder {
+	case "", "cell", "morton":
+	default:
+		return nil, fmt.Errorf("scf: unknown reordering %q", opt.Reorder)
+	}
+	if opt.Engine == EngineNWChem && opt.Reorder != "" {
+		return nil, fmt.Errorf("scf: the NWChem baseline requires atom-ordered shells")
+	}
+	switch opt.Guess {
+	case "", "core", "gwh":
+	default:
+		return nil, fmt.Errorf("scf: unknown guess %q", opt.Guess)
+	}
+	if opt.ERICache && opt.Engine != EngineGTFock {
+		return nil, fmt.Errorf("scf: ERICache requires the gtfock engine (have %q)", opt.Engine)
+	}
 
 	bs, err := basis.Build(mol, opt.BasisName)
 	if err != nil {
 		return nil, err
 	}
 	switch opt.Reorder {
-	case "":
 	case "cell":
 		bs = bs.Permute(reorder.Cell(bs, 0))
 	case "morton":
 		bs = bs.Permute(reorder.Morton(bs, 0))
-	default:
-		return nil, fmt.Errorf("scf: unknown reordering %q", opt.Reorder)
-	}
-	if opt.Engine == EngineNWChem && opt.Reorder != "" {
-		return nil, fmt.Errorf("scf: the NWChem baseline requires atom-ordered shells")
 	}
 	if nocc > bs.NumFuncs {
 		return nil, fmt.Errorf("scf: %d occupied orbitals exceed %d basis functions",
@@ -275,14 +264,9 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	enuc := mol.NuclearRepulsion()
 
 	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder}
-	var f *linalg.Matrix
-	switch opt.Guess {
-	case "", "core":
-		f = hcore.Clone()
-	case "gwh":
+	f := hcore.Clone()
+	if opt.Guess == "gwh" {
 		f = gwhGuess(hcore, s)
-	default:
-		return nil, fmt.Errorf("scf: unknown guess %q", opt.Guess)
 	}
 	if opt.InitialFock != nil {
 		if opt.InitialFock.Rows != bs.NumFuncs || opt.InitialFock.Cols != bs.NumFuncs {
@@ -297,33 +281,18 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 
 	// GTFock builds share one pair table for the whole run: pair data
 	// depends only on geometry and screening, so it is built once here
-	// rather than once per iteration. Density bounds (for the optional
-	// density-weighted screen) are refreshed each iteration before the
-	// build.
+	// rather than once per iteration.
 	var pt *integrals.PairTable
 	if opt.Engine == EngineGTFock {
-		pt = scr.PairTable(opt.PrimTol)
+		pt = scr.PairTable(integrals.PrimTol)
 	}
 
 	// Stored-ERI cache tier: one store per run, shared by every build of
 	// this geometry (it is keyed off pt's quartet order).
 	var store *integrals.ERIStore
 	if opt.ERICache {
-		if opt.Engine != EngineGTFock {
-			return nil, fmt.Errorf("scf: ERICache requires the gtfock engine (have %q)", opt.Engine)
-		}
 		store = integrals.NewERIStore(bs.NumShells(), opt.ERICacheBudget, nil, 0, nil)
 	}
-
-	// ΔD incremental state: pPrev is the orbital density the accumulated
-	// gTot = G(pPrev) was built for; sinceFull counts consecutive
-	// incremental builds toward the drift-reset rebuild.
-	resetEvery := opt.DeltaDResetEvery
-	if resetEvery == 0 {
-		resetEvery = 8
-	}
-	var pPrev, gTot *linalg.Matrix
-	sinceFull := 0
 
 	// Checkpoints leave the critical path through one background writer
 	// per run. Every exit below — return or panic — flushes and stops it,
@@ -402,46 +371,14 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 
 		// Fock build F = H_core + G(p) (Alg. 1 line 6, eq. (3)).
 		t1 := time.Now()
-		var g *linalg.Matrix
-		var stats *dist.RunStats
 		var cacheBefore metrics.CacheSnapshot
 		if store != nil {
 			cacheBefore = store.Stats()
 		}
-		switch {
-		case opt.DeltaD && gTot != nil && (resetEvery < 0 || sinceFull < resetEvery):
-			// Incremental build: G(p) = G(pPrev) + G(Δp) by linearity. The
-			// density screen sees Δp, so quartets whose contribution no
-			// longer moves F past the Schwarz bound are pruned — the payoff
-			// grows as SCF converges and Δp shrinks.
-			dp := p.Clone()
-			dp.AXPY(-1, pPrev)
-			if pt != nil && opt.DensityScreen {
-				pt.UpdateDensity(dp.Data, dp.Cols)
-			}
-			var dg *linalg.Matrix
-			dg, stats, err = buildG(bs, scr, dp, pt, store, opt)
-			if err != nil {
-				return nil, err
-			}
-			gTot.AXPY(1, dg)
-			g = gTot
-			iter.DeltaBuild = true
-			sinceFull++
-		default:
-			// Full build — the first iteration, or the periodic drift reset
-			// that rebases the incremental sum.
-			if pt != nil && opt.DensityScreen {
-				pt.UpdateDensity(p.Data, p.Cols)
-			}
-			g, stats, err = buildG(bs, scr, p, pt, store, opt)
-			if err != nil {
-				return nil, err
-			}
-			gTot = g
-			sinceFull = 0
+		g, stats, err := buildG(bs, scr, p, pt, store, opt)
+		if err != nil {
+			return nil, err
 		}
-		pPrev = p
 		iter.FockTime = time.Since(t1)
 		iter.FockStats = stats
 		if store != nil {
@@ -559,8 +496,7 @@ func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integral
 	switch opt.Engine {
 	case EngineGTFock:
 		copt := core.Options{
-			Prow: opt.Prow, Pcol: opt.Pcol, PrimTol: opt.PrimTol,
-			PairTable: pt, DensityScreen: opt.DensityScreen, ERIStore: store,
+			Prow: opt.Prow, Pcol: opt.Pcol, PairTable: pt, ERIStore: store,
 			Metrics: opt.FockMetrics, Ctx: opt.Ctx, Backend: opt.FockBackend,
 		}
 		if opt.TuneFock != nil {
@@ -569,9 +505,7 @@ func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integral
 		r := core.Build(bs, scr, d, copt)
 		return r.G, r.Stats, r.Err
 	case EngineNWChem:
-		r, err := nwchem.Build(bs, scr, d, nwchem.Options{
-			Procs: opt.Prow * opt.Pcol, PrimTol: opt.PrimTol,
-		})
+		r, err := nwchem.Build(bs, scr, d, nwchem.Options{Procs: opt.Prow * opt.Pcol})
 		if err != nil {
 			return nil, nil, err
 		}

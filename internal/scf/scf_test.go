@@ -2,6 +2,7 @@ package scf
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"gtfock/internal/chem"
@@ -191,6 +192,76 @@ func TestRejectsBadOptions(t *testing.T) {
 	}
 	if _, err := RunHF(mol, Options{BasisName: "sto-3g", Engine: "magic"}); err == nil {
 		t.Fatal("expected unknown-engine error")
+	}
+}
+
+// A bad option combination is rejected before any integral work: each row
+// also names an unknown basis, and basis.Build is the first thing RunHF
+// does with the molecule, so getting the option error back — not the
+// basis error — proves the check ran first.
+func TestOptionErrorsPrecedeBasisBuild(t *testing.T) {
+	mol := chem.Hydrogen2(0)
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		want string
+	}{
+		{"cache off gtfock", Options{Engine: EngineSerial, ERICache: true}, "ERICache requires the gtfock engine"},
+		{"nwchem reordered", Options{Engine: EngineNWChem, Reorder: "cell"}, "atom-ordered shells"},
+		{"unknown guess", Options{Guess: "huckel"}, "unknown guess"},
+		{"unknown reorder", Options{Reorder: "zigzag"}, "unknown reordering"},
+	} {
+		tc.opt.BasisName = "nope"
+		_, err := RunHF(mol, tc.opt)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// Default options reproduce the reference energies benchmark/main.go
+// commits, to 1e-10 and in the iteration counts they were recorded with
+// (when no primitive was prescreened): the margin of integrals.PrimTol is
+// held by tier-1, not only by the benchmark's in-run checks. The cached
+// input also pins the tier's shape — iteration 1 records, every later
+// iteration is all hits.
+func TestDefaultOptionsReproduceReferenceEnergies(t *testing.T) {
+	for _, tc := range []struct {
+		mol, basis string
+		cache      bool
+		energy     float64
+		iters      int
+	}{
+		{"alkane:3", "sto-3g", false, -116.878829676865, 10},
+		{"CH4", "cc-pvdz", false, -40.198710292482, 9},
+		{"alkane:6", "sto-3g", true, -232.623507363494, 12},
+	} {
+		mol, err := chem.ParseSpec(tc.mol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := RunHF(mol, Options{BasisName: tc.basis, ERICache: tc.cache})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", tc.mol, tc.basis, err)
+		}
+		if !res.Converged || len(res.Iterations) != tc.iters {
+			t.Errorf("%s/%s: converged=%v in %d iterations, want %d", tc.mol, tc.basis,
+				res.Converged, len(res.Iterations), tc.iters)
+		}
+		if diff := math.Abs(res.Energy - tc.energy); diff > 1e-10 {
+			t.Errorf("%s/%s: E = %.12f, off the reference by %g", tc.mol, tc.basis, res.Energy, diff)
+		}
+		if !tc.cache {
+			continue
+		}
+		if c := res.Iterations[0].Cache; c.TaskHits != 0 || c.TaskMisses == 0 {
+			t.Errorf("iteration 1 hits/misses = %d/%d, want a pure recording pass", c.TaskHits, c.TaskMisses)
+		}
+		for i, it := range res.Iterations[1:] {
+			if it.Cache.TaskMisses != 0 || it.Cache.TaskHits == 0 {
+				t.Errorf("iteration %d: cache hits/misses %d/%d", i+2, it.Cache.TaskHits, it.Cache.TaskMisses)
+			}
+		}
 	}
 }
 
