@@ -2,7 +2,7 @@ GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single screen-single ci microbench bench-gate
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single screen-single perimeter-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -160,11 +160,24 @@ screen-single:
 	@! grep -rnE --include='*.go' '^[[:space:]]+PrimTol[[:space:]]+float64' cmd internal gtfock.go | grep -v '^internal/integrals/md\.go:'
 	@test "$$(grep -rl --include='*.go' --exclude='*_test.go' 'integrals\.PrimTol' cmd internal gtfock.go | sort | tr '\n' ' ')" = "cmd/paper/tables.go internal/core/real.go internal/nwchem/real.go internal/scf/scf.go "
 
+# One perimeter, checked mechanically: every internal package is in the
+# non-test dependency closure of something that runs (a command, the
+# benchmark, the facade); the packages, alternatives and test-only
+# helpers deleted for serving no tier and no table stay gone (their
+# measured numbers are in EXPERIMENTS.md "Ablations"); and cmd/ and
+# examples/ hold exactly the seven commands and the one compiled README
+# snippet.
+perimeter-single:
+	@test "$$($(GO) list -deps ./cmd/... ./benchmark . | grep '^gtfock/internal/' | sort -u)" = "$$($(GO) list ./internal/...)"
+	@! grep -rnE --include='*.go' 'internal/(correlate|props)|AOTensor|reorder\.Morton|StealRichest|finalizeOrbitals|gwhGuess|GrapheneRibbon|MatMulParallel|runChaos' cmd internal examples gtfock.go
+	@test "$$(ls cmd | tr '\n' ' ')" = "fockbuild fockd hf hfd kernelgen loadgen paper "
+	@test "$$(ls examples)" = "quickstart"
+
 # The aggregate gate. `race` already runs every test of the named subset
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
 # serve-ha) under the race detector, so those stay developer targets and
 # parallel workflow jobs instead of running twice here.
-ci: build vet generate-check wal-single backend-single server-single session-single core-single screen-single race e2e-flake
+ci: build vet generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet) and

@@ -13,12 +13,11 @@
 //
 // Fault tolerance (gtfock real mode): every build runs under leases, epoch
 // fencing and orphan re-execution; the -fault-* flags inject seeded worker
-// crashes, stalls and transport faults for it to recover from. -chaos N
-// runs N seeded fault injections sweeping the rates and verifies every
-// recovered G against the serial oracle:
+// crashes, stalls and transport faults for it to recover from (the seeded
+// sweep of those rates against the serial oracle is the core package's
+// TestChaosRecoveryMatchesOracle):
 //
 //	fockbuild -mol alkane:4 -basis sto-3g -fault-crash 0.3 -fault-stall 0.05
-//	fockbuild -mol alkane:2 -basis sto-3g -chaos 20
 package main
 
 import (
@@ -53,7 +52,7 @@ func main() {
 		grid    = flag.String("grid", "2x2", "process grid RxC for real mode")
 		cores   = flag.Int("cores", 3888, "total cores for sim mode (multiple of 12)")
 		tau     = flag.Float64("tau", screen.DefaultTau, "screening tolerance")
-		ord     = flag.String("reorder", "cell", "shell ordering: cell, morton, natural (gtfock only)")
+		ord     = flag.String("reorder", "cell", "shell ordering: cell or natural (gtfock only)")
 		trace   = flag.Bool("trace", false, "print an activity timeline (sim mode, or gtfock real mode)")
 
 		// Observability (gtfock real mode).
@@ -70,8 +69,7 @@ func main() {
 		faultDrop       = flag.Float64("fault-drop", 0, "probability a one-sided op is dropped")
 		faultDelay      = flag.Float64("fault-delay", 0, "probability a one-sided op is delayed")
 		faultDelayMS    = flag.Int("fault-delay-ms", 1, "op delay in ms")
-		leaseMS         = flag.Int("lease-ms", 200, "worker lease TTL in ms with -fault-* flags, -chaos or -backend net (a plain local build keeps core's 1s)")
-		chaos           = flag.Int("chaos", 0, "run N seeded chaos builds sweeping fault rates and verify each against the serial oracle")
+		leaseMS         = flag.Int("lease-ms", 200, "worker lease TTL in ms with -fault-* flags or -backend net (a plain local build keeps core's 1s)")
 
 		// Stored-ERI cache (gtfock real mode): build 1 records each task's
 		// surviving integral batch, builds 2..N replay it without touching
@@ -110,20 +108,14 @@ func main() {
 
 	scr := screen.Compute(bs, *tau)
 	if *engine == "gtfock" {
-		var order []int
-		switch *ord {
-		case "cell":
-			order = reorder.Cell(bs, 0)
-		case "morton":
-			order = reorder.Morton(bs, 0)
-		case "natural":
-			order = reorder.Identity(bs.NumShells())
-		default:
-			fatalIf(fmt.Errorf("unknown ordering %q", *ord))
+		by, err := reorder.ByName(*ord)
+		fatalIf(err)
+		if by != nil {
+			order := by(bs)
+			pbs := bs.Permute(order)
+			scr = scr.Permute(order, pbs)
+			bs = pbs
 		}
-		pbs := bs.Permute(order)
-		scr = scr.Permute(order, pbs)
-		bs = pbs
 	}
 	fmt.Printf("screening: B = %.1f avg significant partners, %d unique quartets, work scale %.3f\n",
 		scr.AvgPhi(), scr.UniqueQuartetCount(), scr.WorkScale)
@@ -156,13 +148,6 @@ func main() {
 			fatalIf(fmt.Errorf("-eri-cache requires -engine gtfock"))
 		}
 		d := guessDensity(bs)
-		if *chaos > 0 {
-			if *engine != "gtfock" {
-				fatalIf(fmt.Errorf("-chaos requires -engine gtfock"))
-			}
-			runChaos(bs, scr, d, prow, pcol, *chaos, *faultSeed, *leaseMS)
-			return
-		}
 		switch *engine {
 		case "gtfock":
 			copt := core.Options{Prow: prow, Pcol: pcol}
@@ -335,56 +320,6 @@ func writeMetrics(path string, reg *metrics.Registry) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// runChaos executes n seeded fault-injected builds sweeping crash, stall
-// and transport rates, checking every recovered G against the serial
-// oracle. Any mismatch or recovery failure exits nonzero.
-func runChaos(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
-	prow, pcol, n int, seed int64, leaseMS int) {
-	fmt.Printf("chaos: %d seeded fault-injected builds on a %dx%d grid\n", n, prow, pcol)
-	ref := core.BuildSerial(bs, scr, d)
-	failures := 0
-	var total dist.RecoveryStats
-	for i := 0; i < n; i++ {
-		// Sweep the fault mix deterministically with the run index.
-		mix := fault.Config{
-			Seed:             seed + int64(i),
-			CrashBeforeFlush: 0.2 + 0.2*float64(i%3),
-			CrashAfterFlush:  0.1 * float64(i%2),
-			StallProb:        0.02 * float64(i%3),
-			StallFor:         time.Duration(2*leaseMS) * time.Millisecond,
-			DropProb:         0.1 * float64(i%4),
-			DelayProb:        0.05,
-			DelayFor:         time.Millisecond,
-		}
-		res := core.Build(bs, scr, d, core.Options{
-			Prow: prow, Pcol: pcol,
-			Fault:    fault.New(mix),
-			LeaseTTL: time.Duration(leaseMS) * time.Millisecond,
-		})
-		diff := linalg.MaxAbsDiff(ref, res.G)
-		rec := &res.Stats.Recovery
-		status := "ok"
-		if diff > 1e-9 {
-			status = "MISMATCH"
-			failures++
-		}
-		fmt.Printf("  run %2d seed %4d: |G-serial| = %.2e  crashes=%d fenced=%d reassigned=%d rounds=%d  %s\n",
-			i, mix.Seed, diff, rec.Crashes, rec.WorkersFenced, rec.BlocksReassigned, rec.Rounds, status)
-		total.Crashes += rec.Crashes
-		total.Stalls += rec.Stalls
-		total.WorkersFenced += rec.WorkersFenced
-		total.BlocksReassigned += rec.BlocksReassigned
-		total.OpDrops += rec.OpDrops
-		total.Rounds += rec.Rounds
-	}
-	fmt.Printf("chaos summary: %d/%d runs correct; %d crashes, %d stalls, %d workers fenced, %d blocks reassigned, %d op drops, %d extra rounds\n",
-		n-failures, n, total.Crashes, total.Stalls, total.WorkersFenced,
-		total.BlocksReassigned, total.OpDrops, total.Rounds)
-	if failures > 0 {
-		fatalIf(fmt.Errorf("%d of %d chaos runs diverged from the serial oracle", failures, n))
-	}
 }
 
 // replayCachedBuilds re-runs the build against the store populated by

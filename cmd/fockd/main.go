@@ -67,7 +67,7 @@ func main() {
 		molSpec  = flag.String("mol", "alkane:2", "molecule: a paper formula, alkane:N, or flake:K")
 		bname    = flag.String("basis", "sto-3g", "basis set: sto-3g, 6-31g, cc-pvdz, or cc-pvtz")
 		gridSpec = flag.String("grid", "2x2", "process grid RxC (must match the driver)")
-		ord      = flag.String("reorder", "cell", "shell ordering: cell, morton, natural (must match the driver)")
+		ord      = flag.String("reorder", "cell", "shell ordering: cell or natural (must match the driver)")
 		servers  = flag.Int("servers", 1, "total number of shard servers in the cluster")
 		index    = flag.Int("index", 0, "this server's index in [0, servers)")
 		listen   = flag.String("listen", "127.0.0.1:0", "TCP address to listen on")
@@ -207,18 +207,11 @@ func layoutFromFlags(molSpec, bname, ord, gridSpec string) (*dist.Grid2D, int) {
 	fatalIf(err)
 	bs, err := basis.Build(mol, bname)
 	fatalIf(err)
-	var order []int
-	switch ord {
-	case "cell":
-		order = reorder.Cell(bs, 0)
-	case "morton":
-		order = reorder.Morton(bs, 0)
-	case "natural":
-		order = reorder.Identity(bs.NumShells())
-	default:
-		fatalIf(fmt.Errorf("unknown ordering %q", ord))
+	by, err := reorder.ByName(ord)
+	fatalIf(err)
+	if by != nil {
+		bs = bs.Permute(by(bs))
 	}
-	bs = bs.Permute(order)
 	prow, pcol, err := dist.ParseGrid(gridSpec)
 	fatalIf(err)
 	return core.Grid(bs, prow, pcol), bs.NumFuncs

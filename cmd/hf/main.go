@@ -20,11 +20,8 @@ import (
 
 	"gtfock/internal/basis"
 	"gtfock/internal/chem"
-	"gtfock/internal/correlate"
 	"gtfock/internal/dist"
-	"gtfock/internal/integrals"
 	"gtfock/internal/metrics"
-	"gtfock/internal/props"
 	"gtfock/internal/scf"
 	"gtfock/internal/screen"
 )
@@ -39,9 +36,8 @@ func main() {
 		conv    = flag.Float64("conv", 1e-8, "energy convergence (Hartree)")
 		tau     = flag.Float64("tau", screen.DefaultTau, "screening tolerance")
 		pur     = flag.Bool("purify", false, "density via canonical purification (Sec. IV-E)")
-		ord     = flag.String("reorder", "", "shell ordering: cell, morton, or empty")
+		ord     = flag.String("reorder", "", "shell ordering: cell, or empty for the generator's atom order")
 		noDIIS  = flag.Bool("nodiis", false, "disable DIIS acceleration")
-		mp2     = flag.Bool("mp2", false, "add the MP2 correlation energy (small systems)")
 
 		// Stored-ERI cache tier (gtfock engine): -eri-cache records
 		// iteration 1's surviving integral batches and replays them on
@@ -191,25 +187,6 @@ func main() {
 		fatalIf(err)
 		fatalIf(os.WriteFile(*metricsOut, append(data, '\n'), 0o644))
 		fmt.Printf("Fock-build metrics (all iterations) written to %s\n", *metricsOut)
-	}
-
-	if *mp2 {
-		r2, err := correlate.MP2(res)
-		fatalIf(err)
-		fmt.Printf("MP2: E_corr = %.10f (OS %.10f, SS %.10f)  E(MP2) = %.10f Ha\n",
-			r2.ECorr, r2.OppositeSpin, r2.SameSpin, r2.ETotal)
-	}
-
-	// Properties from the converged density.
-	mu := props.Dipole(res.Basis, res.D, chem.Vec3{})
-	fmt.Printf("dipole moment: |mu| = %.4f D  (%.4f, %.4f, %.4f a.u.)\n",
-		mu.Norm()*props.DebyePerAU, mu.X, mu.Y, mu.Z)
-	s := integrals.Overlap(res.Basis)
-	if q, err := props.Mulliken(res.Basis, res.D, s); err == nil {
-		fmt.Println("Mulliken charges:")
-		for a, v := range q {
-			fmt.Printf("  %-2s%-3d %+8.4f\n", chem.Symbol(mol.Atoms[a].Z), a, v)
-		}
 	}
 }
 

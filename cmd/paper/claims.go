@@ -53,9 +53,8 @@ func (l *lab) claims() {
 
 // ablations quantifies shell reordering (Sec. III-D: communication volume
 // under cell, natural and random orderings) and work stealing (Sec. III-F:
-// load balance with the row-wise scan, with no stealing — the static
-// partition — and with a richest-victim scan), always on C30H62 at the
-// core counts EXPERIMENTS.md records.
+// load balance with the row-wise scan and with no stealing — the static
+// partition), always on C30H62 at the core counts EXPERIMENTS.md records.
 func (l *lab) ablations() {
 	const volCores, lbCores = 432, 972
 	s := l.system("C30H62")
@@ -85,7 +84,6 @@ func (l *lab) ablations() {
 	}{
 		{"row-wise", core.StealRowWise},
 		{"none", core.StealNone},
-		{"richest", core.StealRichest},
 	} {
 		st, err := core.SimulateOptions(s.rbs, s.rscr, cfg, lbCores, core.SimOptions{Policy: p.policy})
 		check(err)

@@ -49,11 +49,16 @@ func TestQuickAllPrintsEverything(t *testing.T) {
 	// set, so they are the same in both modes.
 	for _, line := range []string{
 		"cell       15.9", "natural    29.1", "random     26.3",
-		"row-wise  1.03", "none      1.33", "richest   1.03",
+		"row-wise  1.03", "none      1.33",
 	} {
 		if !strings.Contains(out, line) {
 			t.Errorf("no ablation line %q", line)
 		}
+	}
+	// The richest-victim policy is deleted (EXPERIMENTS.md "Ablations"
+	// keeps its number), not hidden.
+	if strings.Contains(out, "richest") {
+		t.Error("output still has a richest-victim line")
 	}
 	if t.Failed() {
 		t.Logf("output:%s", out)

@@ -24,13 +24,10 @@ import (
 	"gtfock/internal/basis"
 	"gtfock/internal/chem"
 	"gtfock/internal/core"
-	"gtfock/internal/correlate"
 	"gtfock/internal/dist"
-	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	"gtfock/internal/model"
 	"gtfock/internal/nwchem"
-	"gtfock/internal/props"
 	"gtfock/internal/reorder"
 	"gtfock/internal/scf"
 	"gtfock/internal/screen"
@@ -141,25 +138,6 @@ func RunHF(mol *Molecule, opt SCFOptions) (*SCFResult, error) {
 
 // Lonestar returns the paper's machine constants (Table I).
 func Lonestar() MachineConfig { return dist.Lonestar() }
-
-// MP2 computes the second-order Moller-Plesset correlation energy on top
-// of a converged SCF result (small systems; O(N^5) transformation).
-func MP2(res *SCFResult) (*correlate.MP2Result, error) {
-	return correlate.MP2(res)
-}
-
-// Dipole returns the total dipole moment (atomic units) of a converged
-// SCF result.
-func Dipole(res *SCFResult) Vec3 {
-	return props.Dipole(res.Basis, res.D, chem.Vec3{})
-}
-
-// MullikenCharges returns per-atom Mulliken charges of a converged SCF
-// result.
-func MullikenCharges(res *SCFResult) ([]float64, error) {
-	s := integrals.Overlap(res.Basis)
-	return props.Mulliken(res.Basis, res.D, s)
-}
 
 // NewPerfModel extracts the Sec. III-G model parameters from a screened
 // system; s is the average number of steal victims per process.

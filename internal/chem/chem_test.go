@@ -3,7 +3,6 @@ package chem
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,35 +209,6 @@ func TestBenzeneIsHexagon(t *testing.T) {
 	}
 }
 
-// Small graphene ribbons are familiar polycyclic aromatics.
-func TestGrapheneRibbonKnownPAHs(t *testing.T) {
-	cases := []struct {
-		nx, ny  int
-		formula string
-	}{
-		{1, 1, "C6H6"},    // benzene
-		{2, 1, "C10H8"},   // naphthalene
-		{3, 1, "C14H10"},  // anthracene
-		{2, 2, "C16H10"},  // pyrene
-		{5, 1, "C22H14"},  // pentacene
-		{10, 2, "C64H26"}, // a long 2-wide ribbon: 2*nx*ny + 2(nx+ny) carbons
-	}
-	for _, c := range cases {
-		m := GrapheneRibbon(c.nx, c.ny)
-		if m.Formula() != c.formula {
-			t.Fatalf("ribbon %dx%d = %s, want %s", c.nx, c.ny, m.Formula(), c.formula)
-		}
-		for _, a := range m.Atoms {
-			if math.Abs(a.Pos.Z) > 1e-12 {
-				t.Fatal("ribbon not planar")
-			}
-		}
-		if m.MinInterAtomicDistance() < 1.0*BohrPerAngstrom {
-			t.Fatal("ribbon atoms too close")
-		}
-	}
-}
-
 func TestPaperMolecules(t *testing.T) {
 	cases := map[string]struct{ atoms, electrons int }{
 		"C24H12":   {36, 156},
@@ -285,21 +255,6 @@ func TestNuclearRepulsionTranslationInvariant(t *testing.T) {
 	m.Translate(Vec3{3, -2, 7})
 	if math.Abs(m.NuclearRepulsion()-e0) > 1e-10 {
 		t.Fatal("E_nn not translation invariant")
-	}
-}
-
-func TestXYZFormat(t *testing.T) {
-	m := Hydrogen2(0.741)
-	s := m.XYZ()
-	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("xyz has %d lines", len(lines))
-	}
-	if lines[0] != "2" {
-		t.Fatalf("first line = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[2], "H") || !strings.HasPrefix(lines[3], "H") {
-		t.Fatal("atom lines malformed")
 	}
 }
 

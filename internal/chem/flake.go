@@ -33,23 +33,6 @@ func GrapheneFlake(k int) *Molecule {
 	return honeycomb(rings, fmt.Sprintf("C%dH%d graphene flake (k=%d)", 6*k*k, 6*k, k))
 }
 
-// GrapheneRibbon generates a parallelogram-shaped polycyclic aromatic
-// patch of nx x ny fused hexagonal rings — a finite graphene nanoribbon.
-// Small instances are familiar molecules: 1x1 benzene, 2x1 naphthalene,
-// 3x1 anthracene, 2x2 pyrene.
-func GrapheneRibbon(nx, ny int) *Molecule {
-	if nx < 1 || ny < 1 {
-		panic("chem: GrapheneRibbon requires nx, ny >= 1")
-	}
-	var rings [][2]int
-	for q := 0; q < nx; q++ {
-		for r := 0; r < ny; r++ {
-			rings = append(rings, [2]int{q, r})
-		}
-	}
-	return honeycomb(rings, fmt.Sprintf("%dx%d graphene ribbon", nx, ny))
-}
-
 // honeycomb builds the union of hexagonal rings centered at the given
 // axial lattice coordinates, hydrogen-terminating every edge carbon
 // (degree-2 vertices of the honeycomb).
@@ -117,10 +100,6 @@ func honeycomb(rings [][2]int, name string) *Molecule {
 
 // Benzene returns C6H6 (GrapheneFlake order 1).
 func Benzene() *Molecule { return GrapheneFlake(1) }
-
-// Coronene returns C24H12 (GrapheneFlake order 2), the graphene-family
-// molecule of the paper's Table V.
-func Coronene() *Molecule { return GrapheneFlake(2) }
 
 // PaperMolecule returns one of the paper's named test systems by formula:
 // C96H24, C150H30, C100H202, C144H290, C24H12, C10H22.

@@ -130,18 +130,6 @@ func (m *Molecule) BoundingBox() (min, max Vec3) {
 	return min, max
 }
 
-// XYZ renders the molecule in XMol .xyz format with coordinates in Angstrom.
-func (m *Molecule) XYZ() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d\n%s\n", len(m.Atoms), m.Name)
-	inv := 1 / BohrPerAngstrom
-	for _, a := range m.Atoms {
-		fmt.Fprintf(&b, "%-2s %14.8f %14.8f %14.8f\n",
-			Symbol(a.Z), a.Pos.X*inv, a.Pos.Y*inv, a.Pos.Z*inv)
-	}
-	return b.String()
-}
-
 // MinInterAtomicDistance returns the smallest pairwise distance (Bohr); a
 // geometry sanity check used by tests. Returns +Inf for <2 atoms.
 func (m *Molecule) MinInterAtomicDistance() float64 {

@@ -373,7 +373,7 @@ type worker struct {
 	recEnds     []int32
 	replayScr   []float64 // spill-fetch scratch
 	recVisit    func(k int, batch []float64)
-	replayVisit func(q integrals.Quartet, p, qq int32, vals []float64)
+	replayVisit func(p, q int32, vals []float64)
 
 	// Lease runtime state: led is also the dist.Fence of the accumulate.
 	ctx     context.Context // build cancellation
@@ -427,7 +427,7 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 			w.recVals = append(w.recVals, batch...)
 			w.recEnds = append(w.recEnds, int32(len(w.recVals)))
 		}
-		w.replayVisit = func(_ integrals.Quartet, p, q int32, vals []float64) {
+		w.replayVisit = func(p, q int32, vals []float64) {
 			ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(p), w.curN, int(q), vals)
 		}
 	}
@@ -820,7 +820,7 @@ func (w *worker) doTask(t Task) {
 	w.recVals = w.recVals[:0]
 	w.recEnds = w.recEnds[:0]
 	w.eng.ERIBatch(w.pt, w.batch, w.recVisit)
-	w.store.CommitTask(m*w.ns+n, w.batch, w.bmeta, w.recEnds, w.recVals)
+	w.store.CommitTask(m*w.ns+n, w.bmeta, w.recEnds, w.recVals)
 }
 
 // ApplyQuartet applies the scaled 6-block Fock update for the unique

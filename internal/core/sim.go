@@ -18,10 +18,6 @@ const (
 	StealRowWise StealPolicy = iota
 	// StealNone disables stealing: the static partition only (ablation).
 	StealNone
-	// StealRichest always steals from the process with the most remaining
-	// work — an instance of the "smart distributed dynamic scheduling"
-	// the paper lists as future work.
-	StealRichest
 )
 
 // SimOptions tune the GTFock simulation (ablations and observability).
@@ -155,22 +151,7 @@ func SimulateOptions(bs *basis.Set, scr *screen.Screening, cfg dist.Config, core
 		// Choose steal victims per policy; the paper scans the node grid
 		// row-wise starting from the thief's own row (Sec. III-F).
 		var victims []int
-		switch opts.Policy {
-		case StealNone:
-		case StealRichest:
-			best, bestRem := -1, 0.0
-			for v := range procs {
-				if v == e.Proc || procs[v].exited || procs[v].density <= 0 {
-					continue
-				}
-				if rem := procs[v].finish - t; rem > bestRem {
-					best, bestRem = v, rem
-				}
-			}
-			if best >= 0 {
-				victims = []int{best}
-			}
-		default: // StealRowWise
+		if opts.Policy != StealNone {
 			myRow := e.Proc / pcol
 			for r := 0; r < prow; r++ {
 				row := (myRow + r) % prow

@@ -153,32 +153,6 @@ func TestSimulateNoStealAblation(t *testing.T) {
 	}
 }
 
-// Ablation: the "richest victim" policy (future-work smart scheduling)
-// must still balance the load, with no more steals than row-wise.
-func TestSimulateRichestPolicy(t *testing.T) {
-	bs, scr := simSetup(t, chem.Alkane(20))
-	cfg := dist.Lonestar()
-	rich, err := SimulateOptions(bs, scr, cfg, 432, SimOptions{Policy: StealRichest})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rich.StealsAvg() == 0 {
-		t.Fatal("richest policy never stole on an irregular workload")
-	}
-	if l := rich.LoadBalance(); l > 1.2 {
-		t.Fatalf("richest policy balance %.3f too poor", l)
-	}
-	// Work conservation still holds.
-	var got float64
-	for _, ps := range rich.Per {
-		got += ps.ComputeTime * float64(cfg.CoresPerNode)
-	}
-	want := TotalWorkSeconds(scr, cfg.TIntGTFock)
-	if math.Abs(got-want) > 1e-6*want {
-		t.Fatalf("richest policy lost work: %g vs %g", got, want)
-	}
-}
-
 // Rejects core counts that are not whole nodes.
 func TestSimulateRejectsPartialNodes(t *testing.T) {
 	bs, scr := simSetup(t, chem.Alkane(4))

@@ -4,21 +4,20 @@ package integrals
 // tier", after Mitin's stored non-zero two-electron integral method):
 // the screened surviving quartet set of a Fock build is
 // geometry-determined and identical across SCF iterations, so iteration
-// 1 records each task's surviving batch — quartet ids, ket shell
-// indices, and the contracted spherical integral values — and
-// iterations 2..N replay the stored batches straight through the
-// contraction path (core.ApplyQuartet) without re-entering the kernel
-// layer.
+// 1 records each task's surviving batch — ket shell indices and the
+// contracted spherical integral values — and iterations 2..N replay the
+// stored batches straight through the contraction path
+// (core.ApplyQuartet) without re-entering the kernel layer.
 //
-// Format: one entry per (M, N) task, indexed by task id M*ns+N. The
-// index legs (quartet ids as int32 pairs, int32 value offsets) always
-// stay in memory — they are a small fraction of the values and replay
-// needs them to re-screen against fresh density bounds. The value leg
-// is carved from a shared arena when it fits the configured budget;
-// over budget it either spills to a BlobStore (the shard fleet, so
-// capacity scales with members) or is dropped, in which case that task
-// recomputes every iteration. A replay miss of any kind degrades to
-// recompute — the store is a cache, never a correctness dependency.
+// Format: one entry per (M, N) task, indexed by task id M*ns+N — what
+// survives the screen, index-packed, as Mitin stores it. The index legs
+// (ket shell indices as int32 pairs, int32 value offsets) always stay in
+// memory; they are a small fraction of the values. The value leg is
+// carved from a shared arena when it fits the configured budget; over
+// budget it either spills to a BlobStore (the shard fleet, so capacity
+// scales with members) or is dropped, in which case that task recomputes
+// every iteration. A replay miss of any kind degrades to recompute — the
+// store is a cache, never a correctness dependency.
 //
 // Exactly-once: entries are committed first-writer-wins through an
 // atomic pointer. Workers re-executing a task after a crash or fence
@@ -58,9 +57,8 @@ var ErrBlobMiss = errors.New("integrals: blob not found")
 
 // storedTask is one task's immutable recorded batch.
 type storedTask struct {
-	qs  []Quartet  // surviving quartets, in collection (= replay) order
-	pq  [][2]int32 // ket shell indices (p, q) per quartet
-	off []int32    // len(qs)+1 value offsets; batch k is vals[off[k]:off[k+1]]
+	pq  [][2]int32 // ket shell indices (p, q) per surviving quartet, in collection (= replay) order
+	off []int32    // len(pq)+1 value offsets; batch k is vals[off[k]:off[k+1]]
 	// vals holds the contracted spherical integrals when resident; nil
 	// when spilled or dropped.
 	vals    []float64
@@ -124,22 +122,21 @@ func (s *ERIStore) blobKey(task int) uint64 {
 	return s.keyBase ^ (uint64(task+1) * 0x9e3779b97f4a7c15)
 }
 
-// CommitTask records one task's surviving batch: qs and pq in collection
+// CommitTask records one task's surviving batch: pq in collection
 // order, ends[k] the exclusive end offset of batch k in vals (as
 // accumulated by the recording visit). All inputs are copied; the caller
 // may reuse its buffers. First writer wins: re-executions after a crash
 // or fence recompute bit-identical data, so duplicates are dropped
 // without comparison. An empty batch (fully screened task) commits an
 // empty entry so replay still hits.
-func (s *ERIStore) CommitTask(task int, qs []Quartet, pq [][2]int32, ends []int32, vals []float64) {
+func (s *ERIStore) CommitTask(task int, pq [][2]int32, ends []int32, vals []float64) {
 	if s.entries[task].Load() != nil {
 		return
 	}
 	e := &storedTask{}
-	if len(qs) > 0 {
-		e.qs = append([]Quartet(nil), qs...)
+	if len(pq) > 0 {
 		e.pq = append([][2]int32(nil), pq...)
-		e.off = make([]int32, len(qs)+1)
+		e.off = make([]int32, len(pq)+1)
 		copy(e.off[1:], ends)
 	}
 	bytes := int64(8 * len(vals))
@@ -173,7 +170,7 @@ func (s *ERIStore) CommitTask(task int, qs []Quartet, pq [][2]int32, ends []int3
 	s.entries[task].Store(e)
 	s.mu.Unlock()
 	if !e.dropped {
-		s.cache.AddStored(int64(len(qs)), bytes)
+		s.cache.AddStored(int64(len(pq)), bytes)
 	}
 }
 
@@ -183,7 +180,7 @@ func (s *ERIStore) CommitTask(task int, qs []Quartet, pq [][2]int32, ends []int3
 // Returns false — and counts a miss — when the task must be recomputed:
 // no entry yet, entry dropped over budget, or the spill backend no
 // longer has the values.
-func (s *ERIStore) ReplayTask(task int, scratch *[]float64, visit func(q Quartet, p, qq int32, vals []float64)) bool {
+func (s *ERIStore) ReplayTask(task int, scratch *[]float64, visit func(p, q int32, vals []float64)) bool {
 	e := s.entries[task].Load()
 	if e == nil || e.dropped {
 		s.cache.AddTaskMiss()
@@ -208,10 +205,10 @@ func (s *ERIStore) ReplayTask(task int, scratch *[]float64, visit func(q Quartet
 		vals = got
 		s.cache.AddSpillFetch()
 	}
-	for k := range e.qs {
-		visit(e.qs[k], e.pq[k][0], e.pq[k][1], vals[e.off[k]:e.off[k+1]])
+	for k, pq := range e.pq {
+		visit(pq[0], pq[1], vals[e.off[k]:e.off[k+1]])
 	}
 	s.cache.AddTaskHit()
-	s.cache.AddReplayed(int64(len(e.qs)))
+	s.cache.AddReplayed(int64(len(e.pq)))
 	return true
 }

@@ -47,11 +47,10 @@ func (f *fakeBlobStore) GetBlob(key uint64, dst []float64) ([]float64, error) {
 }
 
 // storeTask builds a synthetic recorded batch for task id t: nq quartets
-// with distinct ids and value runs of varying length.
-func storeTask(t, nq int) (qs []Quartet, pq [][2]int32, ends []int32, vals []float64) {
+// with distinct ket indices and value runs of varying length.
+func storeTask(t, nq int) (pq [][2]int32, ends []int32, vals []float64) {
 	for k := 0; k < nq; k++ {
-		qs = append(qs, Quartet{Bra: PairID(t + k), Ket: PairID(2*t + k)})
-		pq = append(pq, [2]int32{int32(k), int32(k + 1)})
+		pq = append(pq, [2]int32{int32(t + k), int32(2*t + k + 1)})
 		for j := 0; j <= k%3; j++ {
 			vals = append(vals, float64(t*1000+k*10+j))
 		}
@@ -62,12 +61,11 @@ func storeTask(t, nq int) (qs []Quartet, pq [][2]int32, ends []int32, vals []flo
 
 // replayAll replays task through the store and returns the flattened
 // visit sequence for comparison with the committed batch.
-func replayAll(t *testing.T, s *ERIStore, task int) (qs []Quartet, pq [][2]int32, vals []float64, ok bool) {
+func replayAll(t *testing.T, s *ERIStore, task int) (pq [][2]int32, vals []float64, ok bool) {
 	t.Helper()
 	var scratch []float64
-	ok = s.ReplayTask(task, &scratch, func(q Quartet, p, qq int32, v []float64) {
-		qs = append(qs, q)
-		pq = append(pq, [2]int32{p, qq})
+	ok = s.ReplayTask(task, &scratch, func(p, q int32, v []float64) {
+		pq = append(pq, [2]int32{p, q})
 		vals = append(vals, v...)
 	})
 	return
@@ -79,17 +77,16 @@ func TestERIStoreCommitReplayRoundtrip(t *testing.T) {
 		t.Fatalf("NumTasks = %d, want 16", s.NumTasks())
 	}
 	for task := 0; task < 16; task++ {
-		qs, pq, ends, vals := storeTask(task, 1+task%5)
-		s.CommitTask(task, qs, pq, ends, vals)
+		pq, ends, vals := storeTask(task, 1+task%5)
+		s.CommitTask(task, pq, ends, vals)
 	}
 	for task := 0; task < 16; task++ {
-		wantQS, wantPQ, _, wantVals := storeTask(task, 1+task%5)
-		qs, pq, vals, ok := replayAll(t, s, task)
+		wantPQ, _, wantVals := storeTask(task, 1+task%5)
+		pq, vals, ok := replayAll(t, s, task)
 		if !ok {
 			t.Fatalf("task %d: replay missed", task)
 		}
-		if fmt.Sprint(qs) != fmt.Sprint(wantQS) || fmt.Sprint(pq) != fmt.Sprint(wantPQ) ||
-			fmt.Sprint(vals) != fmt.Sprint(wantVals) {
+		if fmt.Sprint(pq) != fmt.Sprint(wantPQ) || fmt.Sprint(vals) != fmt.Sprint(wantVals) {
 			t.Fatalf("task %d: replay diverged from commit", task)
 		}
 	}
@@ -107,22 +104,22 @@ func TestERIStoreCommitReplayRoundtrip(t *testing.T) {
 // a no-op: first writer wins and replay sees one copy.
 func TestERIStoreCommitIdempotent(t *testing.T) {
 	s := NewERIStore(2, 0, nil, 0, nil)
-	qs, pq, ends, vals := storeTask(1, 4)
+	pq, ends, vals := storeTask(1, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.CommitTask(1, qs, pq, ends, vals)
+			s.CommitTask(1, pq, ends, vals)
 		}()
 	}
 	wg.Wait()
 	if st := s.Stats(); st.QuartetsStored != 4 {
 		t.Fatalf("duplicate commits counted: %+v", st)
 	}
-	gotQS, _, gotVals, ok := replayAll(t, s, 1)
-	if !ok || len(gotQS) != 4 || len(gotVals) != len(vals) {
-		t.Fatalf("replay after duplicate commits: ok=%v len=%d", ok, len(gotQS))
+	gotPQ, gotVals, ok := replayAll(t, s, 1)
+	if !ok || len(gotPQ) != 4 || len(gotVals) != len(vals) {
+		t.Fatalf("replay after duplicate commits: ok=%v len=%d", ok, len(gotPQ))
 	}
 }
 
@@ -130,13 +127,13 @@ func TestERIStoreCommitIdempotent(t *testing.T) {
 // a miss, the latter a hit with zero visits.
 func TestERIStoreMissAndEmptyTask(t *testing.T) {
 	s := NewERIStore(2, 0, nil, 0, nil)
-	if _, _, _, ok := replayAll(t, s, 0); ok {
+	if _, _, ok := replayAll(t, s, 0); ok {
 		t.Fatal("replay hit on an uncommitted task")
 	}
-	s.CommitTask(3, nil, nil, nil, nil)
-	qs, _, _, ok := replayAll(t, s, 3)
-	if !ok || len(qs) != 0 {
-		t.Fatalf("empty task: ok=%v visits=%d, want hit with 0 visits", ok, len(qs))
+	s.CommitTask(3, nil, nil, nil)
+	pq, _, ok := replayAll(t, s, 3)
+	if !ok || len(pq) != 0 {
+		t.Fatalf("empty task: ok=%v visits=%d, want hit with 0 visits", ok, len(pq))
 	}
 	if st := s.Stats(); st.TaskMisses != 1 || st.TaskHits != 1 {
 		t.Fatalf("stats: %+v", st)
@@ -146,15 +143,15 @@ func TestERIStoreMissAndEmptyTask(t *testing.T) {
 // Over budget without a spill backend, value legs are dropped and the
 // task recomputes (replay miss) — but within-budget tasks still hit.
 func TestERIStoreBudgetDrop(t *testing.T) {
-	qs, pq, ends, vals := storeTask(0, 3)
+	pq, ends, vals := storeTask(0, 3)
 	budget := int64(8 * len(vals)) // exactly one task's values
 	s := NewERIStore(2, budget, nil, 0, nil)
-	s.CommitTask(0, qs, pq, ends, vals)
-	s.CommitTask(1, qs, pq, ends, vals) // over budget: dropped
-	if _, _, _, ok := replayAll(t, s, 0); !ok {
+	s.CommitTask(0, pq, ends, vals)
+	s.CommitTask(1, pq, ends, vals) // over budget: dropped
+	if _, _, ok := replayAll(t, s, 0); !ok {
 		t.Fatal("within-budget task missed")
 	}
-	if _, _, _, ok := replayAll(t, s, 1); ok {
+	if _, _, ok := replayAll(t, s, 1); ok {
 		t.Fatal("over-budget task replayed without spill backend")
 	}
 	st := s.Stats()
@@ -167,14 +164,14 @@ func TestERIStoreBudgetDrop(t *testing.T) {
 // replay fetches them back intact.
 func TestERIStoreSpillRoundtrip(t *testing.T) {
 	fb := &fakeBlobStore{}
-	qs, pq, ends, vals := storeTask(0, 3)
+	pq, ends, vals := storeTask(0, 3)
 	s := NewERIStore(2, 8, fb, 42, nil) // budget below any task
-	s.CommitTask(0, qs, pq, ends, vals)
+	s.CommitTask(0, pq, ends, vals)
 	if fb.puts != 1 {
 		t.Fatalf("puts = %d, want 1", fb.puts)
 	}
-	gotQS, _, gotVals, ok := replayAll(t, s, 0)
-	if !ok || fmt.Sprint(gotQS) != fmt.Sprint(qs) || fmt.Sprint(gotVals) != fmt.Sprint(vals) {
+	gotPQ, gotVals, ok := replayAll(t, s, 0)
+	if !ok || fmt.Sprint(gotPQ) != fmt.Sprint(pq) || fmt.Sprint(gotVals) != fmt.Sprint(vals) {
 		t.Fatalf("spilled replay diverged: ok=%v", ok)
 	}
 	st := s.Stats()
@@ -191,16 +188,16 @@ func TestERIStoreSpillLossFallsBackToMiss(t *testing.T) {
 		if mode == "putfail" {
 			fb.failPuts = true
 		}
-		qs, pq, ends, vals := storeTask(0, 3)
+		pq, ends, vals := storeTask(0, 3)
 		s := NewERIStore(2, 8, fb, 0, nil)
-		s.CommitTask(0, qs, pq, ends, vals)
+		s.CommitTask(0, pq, ends, vals)
 		switch mode {
 		case "lossy":
 			fb.lossy = true
 		case "torn":
 			fb.truncate = true
 		}
-		if _, _, _, ok := replayAll(t, s, 0); ok {
+		if _, _, ok := replayAll(t, s, 0); ok {
 			t.Fatalf("%s: replay hit on lost spill data", mode)
 		}
 		st := s.Stats()

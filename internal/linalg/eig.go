@@ -157,17 +157,3 @@ func InvSqrtSym(s *Matrix, dropTol float64) *Matrix {
 	}
 	return MatMul(scaled, eig.Vectors.T())
 }
-
-// PowSym returns s^p for symmetric s via eigendecomposition (used in tests).
-func PowSym(s *Matrix, p float64) *Matrix {
-	eig := EigSym(s)
-	n := s.Rows
-	scaled := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		f := math.Pow(eig.Values[j], p)
-		for i := 0; i < n; i++ {
-			scaled.Set(i, j, eig.Vectors.At(i, j)*f)
-		}
-	}
-	return MatMul(scaled, eig.Vectors.T())
-}

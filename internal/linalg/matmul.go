@@ -1,10 +1,5 @@
 package linalg
 
-import (
-	"runtime"
-	"sync"
-)
-
 // MatMul returns a*b using a cache-blocked serial kernel.
 func MatMul(a, b *Matrix) *Matrix {
 	c := NewMatrix(a.Rows, b.Cols)
@@ -12,55 +7,15 @@ func MatMul(a, b *Matrix) *Matrix {
 	return c
 }
 
-// MatMulParallel returns a*b computed with up to nworkers goroutines
-// partitioning the rows of the result. nworkers <= 0 uses GOMAXPROCS.
-func MatMulParallel(a, b *Matrix, nworkers int) *Matrix {
-	c := NewMatrix(a.Rows, b.Cols)
-	if nworkers <= 0 {
-		nworkers = runtime.GOMAXPROCS(0)
-	}
-	if nworkers > a.Rows {
-		nworkers = a.Rows
-	}
-	if nworkers <= 1 {
-		GEMM(1, a, b, 0, c)
-		return c
-	}
-	var wg sync.WaitGroup
-	chunk := (a.Rows + nworkers - 1) / nworkers
-	for w := 0; w < nworkers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > a.Rows {
-			hi = a.Rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmRows(1, a, b, 0, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	return c
-}
-
-// GEMM computes c = alpha*a*b + beta*c. Shapes must conform; c must not
+// GEMM computes c = alpha*a*b + beta*c with an ikj loop order (streams
+// rows of b, vector-friendly inner loop). Shapes must conform; c must not
 // alias a or b.
 func GEMM(alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic("linalg: GEMM shape mismatch")
 	}
-	gemmRows(alpha, a, b, beta, c, 0, a.Rows)
-}
-
-// gemmRows computes rows [lo,hi) of c = alpha*a*b + beta*c with an
-// ikj loop order (streams rows of b, vector-friendly inner loop).
-func gemmRows(alpha float64, a, b *Matrix, beta float64, c *Matrix, lo, hi int) {
 	n, k := c.Cols, a.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < a.Rows; i++ {
 		ci := c.Data[i*n : (i+1)*n]
 		if beta == 0 {
 			for j := range ci {

@@ -153,21 +153,6 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for _, n := range []int{1, 3, 17, 64} {
-		a := randMatrix(rng, n, n+2)
-		b := randMatrix(rng, n+2, n+1)
-		serial := MatMul(a, b)
-		for _, w := range []int{1, 2, 4, 9} {
-			par := MatMulParallel(a, b, w)
-			if MaxAbsDiff(serial, par) > 1e-12 {
-				t.Fatalf("parallel (w=%d) differs from serial for n=%d", w, n)
-			}
-		}
-	}
-}
-
 func TestGEMMAccumulate(t *testing.T) {
 	a := FromRows([][]float64{{1, 0}, {0, 1}})
 	b := FromRows([][]float64{{2, 3}, {4, 5}})
@@ -300,15 +285,6 @@ func TestInvSqrtSym(t *testing.T) {
 	}
 }
 
-func TestPowSym(t *testing.T) {
-	a := FromRows([][]float64{{4, 0}, {0, 9}})
-	half := PowSym(a, 0.5)
-	want := FromRows([][]float64{{2, 0}, {0, 3}})
-	if MaxAbsDiff(half, want) > 1e-12 {
-		t.Fatalf("PowSym(diag(4,9), 0.5) = %v", half)
-	}
-}
-
 func TestAXPYScale(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}})
 	x := FromRows([][]float64{{10, 20}})
@@ -359,16 +335,6 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(x, y)
-	}
-}
-
-func BenchmarkMatMulParallel256(b *testing.B) {
-	rng := rand.New(rand.NewSource(10))
-	x := randMatrix(rng, 256, 256)
-	y := randMatrix(rng, 256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MatMulParallel(x, y, 0)
 	}
 }
 

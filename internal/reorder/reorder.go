@@ -6,12 +6,11 @@
 // between neighboring tasks that the prefetch scheme exploits (Fig. 1).
 //
 // Cell ordering with a "natural" (lexicographic) cell numbering is the
-// paper's scheme. Morton (Z-curve) numbering is provided as an instance of
-// the "improved reordering schemes" the paper lists as future work, and
-// identity/random orderings serve as ablation baselines.
+// paper's scheme; identity/random orderings serve as ablation baselines.
 package reorder
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 
@@ -37,6 +36,20 @@ func Random(n int, seed int64) []int {
 	return rand.New(rand.NewSource(seed)).Perm(n)
 }
 
+// ByName resolves the shell-ordering name every driver takes: "" and
+// "natural" keep the generator's atom order (a nil function: nothing to
+// permute), "cell" is the paper's cell ordering at the default edge. The
+// name is checked without a basis, so a bad one costs no integral work.
+func ByName(name string) (func(*basis.Set) []int, error) {
+	switch name {
+	case "", "natural":
+		return nil, nil
+	case "cell":
+		return func(bs *basis.Set) []int { return Cell(bs, 0) }, nil
+	}
+	return nil, fmt.Errorf("unknown reordering %q", name)
+}
+
 // Cell returns the paper's cell ordering: the bounding box of the shell
 // centers is divided into cubical cells of edge cellBohr (pass 0 for the
 // default), cells are numbered in natural x-fastest lexicographic order,
@@ -44,21 +57,6 @@ func Random(n int, seed int64) []int {
 // The result r is usable with basis.Set.Permute: new shell i is old shell
 // r[i].
 func Cell(bs *basis.Set, cellBohr float64) []int {
-	return cellOrder(bs, cellBohr, func(ix, iy, iz, nx, ny int) int64 {
-		return int64(iz)*int64(nx)*int64(ny) + int64(iy)*int64(nx) + int64(ix)
-	})
-}
-
-// Morton returns a cell ordering with cells numbered along a Z-order
-// (Morton) space-filling curve instead of lexicographically, improving
-// locality across cell-row boundaries.
-func Morton(bs *basis.Set, cellBohr float64) []int {
-	return cellOrder(bs, cellBohr, func(ix, iy, iz, nx, ny int) int64 {
-		return morton3(uint32(ix), uint32(iy), uint32(iz))
-	})
-}
-
-func cellOrder(bs *basis.Set, cellBohr float64, number func(ix, iy, iz, nx, ny int) int64) []int {
 	if cellBohr <= 0 {
 		cellBohr = DefaultCellBohr
 	}
@@ -97,27 +95,11 @@ func cellOrder(bs *basis.Set, cellBohr float64, number func(ix, iy, iz, nx, ny i
 		ix := int((sh.Center.X - min.X) / cellBohr)
 		iy := int((sh.Center.Y - min.Y) / cellBohr)
 		iz := int((sh.Center.Z - min.Z) / cellBohr)
-		keys[i] = number(ix, iy, iz, nx, ny)
+		keys[i] = int64(iz)*int64(nx)*int64(ny) + int64(iy)*int64(nx) + int64(ix)
 	}
 	order := Identity(n)
 	sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
 	return order
-}
-
-// morton3 interleaves the low 21 bits of x, y, z into a Z-order key.
-func morton3(x, y, z uint32) int64 {
-	return int64(spread(x)) | int64(spread(y))<<1 | int64(spread(z))<<2
-}
-
-// spread inserts two zero bits between each of the low 21 bits of v.
-func spread(v uint32) uint64 {
-	x := uint64(v) & 0x1fffff
-	x = (x | x<<32) & 0x1f00000000ffff
-	x = (x | x<<16) & 0x1f0000ff0000ff
-	x = (x | x<<8) & 0x100f00f00f00f00f
-	x = (x | x<<4) & 0x10c30c30c30c30c3
-	x = (x | x<<2) & 0x1249249249249249
-	return x
 }
 
 // IndexSpread measures ordering quality for a screening: the average over

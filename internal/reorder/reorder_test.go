@@ -1,6 +1,7 @@
 package reorder
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 
@@ -38,14 +39,13 @@ func TestIdentityAndRandomArePermutations(t *testing.T) {
 	}
 }
 
-func TestCellAndMortonArePermutations(t *testing.T) {
+func TestCellIsPermutation(t *testing.T) {
 	mol := chem.Alkane(12)
 	bs, err := basis.Build(mol, "sto-3g")
 	if err != nil {
 		t.Fatal(err)
 	}
 	isPermutation(t, Cell(bs, 0), bs.NumShells())
-	isPermutation(t, Morton(bs, 0), bs.NumShells())
 	isPermutation(t, Cell(bs, 2.0), bs.NumShells())
 }
 
@@ -96,20 +96,6 @@ func TestCellOrderingReducesPhiSpread(t *testing.T) {
 	}
 }
 
-func TestMortonAtLeastAsLocalAsRandom(t *testing.T) {
-	mol := chem.GrapheneFlake(3)
-	bs, _ := basis.Build(mol, "sto-3g")
-	s := func(b *basis.Set) float64 {
-		sc := screen.Compute(b, 1e-10)
-		return IndexSpread(sc.Phi, b.NumShells())
-	}
-	morton := s(bs.Permute(Morton(bs, 0)))
-	random := s(bs.Permute(Random(bs.NumShells(), 11)))
-	if morton >= random {
-		t.Fatalf("morton spread %g not better than random %g", morton, random)
-	}
-}
-
 func TestSpreadHelpers(t *testing.T) {
 	// Phi sets covering the full index range have spread 1.
 	phi := [][]int{{0, 9}, {0, 9}}
@@ -123,20 +109,29 @@ func TestSpreadHelpers(t *testing.T) {
 	}
 }
 
-func TestMorton3Interleaving(t *testing.T) {
-	if morton3(1, 0, 0) != 1 || morton3(0, 1, 0) != 2 || morton3(0, 0, 1) != 4 {
-		t.Fatal("unit keys wrong")
+// ByName is the one name -> ordering switch of the drivers: a nil function
+// for the atom order under both its spellings, Cell at the default edge
+// for "cell", an error for anything else.
+func TestByName(t *testing.T) {
+	bs, err := basis.Build(chem.Alkane(6), "sto-3g")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if morton3(3, 0, 0) != 9 { // bits 0 and 3
-		t.Fatalf("morton3(3,0,0) = %d", morton3(3, 0, 0))
-	}
-	// Monotone in each coordinate along the diagonal.
-	prev := int64(-1)
-	for i := uint32(0); i < 8; i++ {
-		k := morton3(i, i, i)
-		if k <= prev {
-			t.Fatal("diagonal keys not increasing")
+	for _, name := range []string{"", "natural"} {
+		if by, err := ByName(name); err != nil || by != nil {
+			t.Errorf("ByName(%q) = non-nil ordering or error %v, want the atom order", name, err)
 		}
-		prev = k
+	}
+	by, err := ByName("cell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := by(bs), Cell(bs, 0); !reflect.DeepEqual(got, want) {
+		t.Errorf("ByName(cell) = %v, want Cell's %v", got, want)
+	}
+	for _, name := range []string{"morton", "zigzag"} {
+		if _, err := ByName(name); err == nil {
+			t.Errorf("ByName(%q) accepted", name)
+		}
 	}
 }

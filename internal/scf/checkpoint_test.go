@@ -348,6 +348,34 @@ func TestResumeFromMidRunCheckpoint(t *testing.T) {
 	}
 }
 
+// A run that leaves the loop at MaxIter returns the Fock matrix its last
+// iteration built — the one Energy and D go with and the checkpoint
+// writer was handed — not the DIIS extrapolation prepared for an
+// iteration that never ran.
+func TestMaxIterExitReturnsBuiltFock(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "maxiter.ckpt")
+	res, err := RunHF(chem.Methane(), Options{BasisName: "sto-3g", MaxIter: 3, CheckpointPath: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Converged {
+		t.Fatal("converged within 3 iterations; the MaxIter exit was not taken")
+	}
+	ck, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Iter != 3 || ck.Energy != res.Energy {
+		t.Fatalf("checkpoint {iter:%d E:%v}, want the run's last iteration {3 %v}", ck.Iter, ck.Energy, res.Energy)
+	}
+	if d := linalg.MaxAbsDiff(ck.Fock(), res.F); d != 0 {
+		t.Errorf("res.F differs from the checkpoint of the same iteration by %g", d)
+	}
+	if d := linalg.MaxAbsDiff(ck.Density(), res.D); d != 0 {
+		t.Errorf("res.D differs from the checkpoint of the same iteration by %g", d)
+	}
+}
+
 // The checkpoint records the shell ordering its matrices use, so a
 // resume under a different -reorder can be rejected.
 func TestCheckpointRecordsReorder(t *testing.T) {

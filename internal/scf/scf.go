@@ -81,12 +81,7 @@ type Options struct {
 
 	DIIS int // DIIS subspace size; 0 = default (8), negative disables
 
-	Reorder string // "", "cell", or "morton" shell reordering (GTFock/serial)
-
-	// Guess selects the initial Fock matrix: "core" (default, the bare
-	// core Hamiltonian) or "gwh" (generalized Wolfsberg-Helmholz,
-	// F_ij = 0.875 K (H_ii + H_jj) S_ij-style, usually converging faster).
-	Guess string
+	Reorder string // shell ordering, a reorder.ByName name: "" (atom order) or "cell" (GTFock/serial)
 
 	// InitialFock warm-starts the SCF from a previous Fock matrix (e.g. a
 	// Checkpoint) instead of the core-Hamiltonian guess.
@@ -179,13 +174,7 @@ type Result struct {
 	// Options.ERICache is off).
 	CacheStats metrics.CacheSnapshot
 
-	// Canonical molecular orbitals of the final Fock matrix: C columns are
-	// orbitals (AO x MO), OrbitalEnergies ascending, NOcc doubly occupied.
-	// Populated by a final diagonalization regardless of the density step
-	// used during the iterations.
-	C               *linalg.Matrix
-	OrbitalEnergies []float64
-	NOcc            int
+	NOcc int // doubly occupied orbitals
 }
 
 // RunHF performs restricted Hartree-Fock on a closed-shell molecule.
@@ -225,18 +214,17 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	nocc := mol.NumElectrons() / 2
 	// Option-only checks come before any integral work, so a bad
 	// combination costs nothing on a paper-sized molecule.
-	switch opt.Reorder {
-	case "", "cell", "morton":
+	switch opt.Engine {
+	case EngineGTFock, EngineNWChem, EngineSerial:
 	default:
-		return nil, fmt.Errorf("scf: unknown reordering %q", opt.Reorder)
+		return nil, fmt.Errorf("scf: unknown engine %q", opt.Engine)
 	}
-	if opt.Engine == EngineNWChem && opt.Reorder != "" {
+	order, err := reorder.ByName(opt.Reorder)
+	if err != nil {
+		return nil, fmt.Errorf("scf: %w", err)
+	}
+	if order != nil && opt.Engine == EngineNWChem {
 		return nil, fmt.Errorf("scf: the NWChem baseline requires atom-ordered shells")
-	}
-	switch opt.Guess {
-	case "", "core", "gwh":
-	default:
-		return nil, fmt.Errorf("scf: unknown guess %q", opt.Guess)
 	}
 	if opt.ERICache && opt.Engine != EngineGTFock {
 		return nil, fmt.Errorf("scf: ERICache requires the gtfock engine (have %q)", opt.Engine)
@@ -246,11 +234,8 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	if err != nil {
 		return nil, err
 	}
-	switch opt.Reorder {
-	case "cell":
-		bs = bs.Permute(reorder.Cell(bs, 0))
-	case "morton":
-		bs = bs.Permute(reorder.Morton(bs, 0))
+	if order != nil {
+		bs = bs.Permute(order(bs))
 	}
 	if nocc > bs.NumFuncs {
 		return nil, fmt.Errorf("scf: %d occupied orbitals exceed %d basis functions",
@@ -263,11 +248,8 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	x := linalg.InvSqrtSym(s, 0)
 	enuc := mol.NuclearRepulsion()
 
-	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder}
+	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder, NOcc: nocc}
 	f := hcore.Clone()
-	if opt.Guess == "gwh" {
-		f = gwhGuess(hcore, s)
-	}
 	if opt.InitialFock != nil {
 		if opt.InitialFock.Rows != bs.NumFuncs || opt.InitialFock.Cols != bs.NumFuncs {
 			return nil, fmt.Errorf("scf: InitialFock is %dx%d, want %dx%d",
@@ -416,6 +398,9 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		res.Iterations = append(res.Iterations, iter)
 		res.Electronic = eElec
 		res.Energy = eTot
+		// The F this iteration built, the one Energy and D go with — not
+		// the DIIS extrapolation below, which only feeds the next density.
+		res.F, res.D = f, d
 
 		conv := it > 1 && math.Abs(iter.DeltaE) < opt.ConvTol && iter.DErr < opt.DTol
 		if ckw != nil {
@@ -440,8 +425,6 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		}
 		if conv {
 			res.Converged = true
-			res.F, res.D = f, d
-			res.finalizeOrbitals(x, nocc)
 			return res, nil
 		}
 		ePrev = eTot
@@ -451,8 +434,6 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 			f = diis.extrapolate(f, d, s, x)
 		}
 	}
-	res.F, res.D = f, d
-	res.finalizeOrbitals(x, nocc)
 	return res, nil
 }
 
@@ -477,18 +458,6 @@ func nonFiniteErr(m *linalg.Matrix, it int, what string) error {
 		ErrNumericalBlowUp, it, what, m.At(i, j), i, j)
 }
 
-// finalizeOrbitals diagonalizes the final Fock matrix in the orthogonal
-// basis to expose canonical MOs and orbital energies (used by property
-// and correlation methods), independent of the density scheme used during
-// the SCF iterations.
-func (r *Result) finalizeOrbitals(x *linalg.Matrix, nocc int) {
-	fPrime := linalg.MatMul(linalg.MatMul(x.T(), r.F), x)
-	eig := linalg.EigSym(fPrime)
-	r.C = linalg.MatMul(x, eig.Vectors)
-	r.OrbitalEnergies = eig.Values
-	r.NOcc = nocc
-}
-
 // buildG dispatches the two-electron build to the selected engine. pt is
 // the run-wide shell-pair table and store the run-wide stored-ERI tier
 // (both GTFock only; nil elsewhere).
@@ -510,11 +479,8 @@ func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integral
 			return nil, nil, err
 		}
 		return r.G, r.Stats, nil
-	case EngineSerial:
-		return core.BuildSerial(bs, scr, d), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("scf: unknown engine %q", opt.Engine)
 	}
+	return core.BuildSerial(bs, scr, d), nil, nil // EngineSerial: RunHF admits no fourth
 }
 
 // diisState implements Pulay's DIIS with the orthogonalized commutator
@@ -579,21 +545,4 @@ func (ds *diisState) extrapolate(f, d, s, x *linalg.Matrix) *linalg.Matrix {
 		out.AXPY(coef[i], ds.fs[i])
 	}
 	return out
-}
-
-// gwhGuess builds the generalized Wolfsberg-Helmholz initial Fock matrix:
-// F_ij = K S_ij (H_ii + H_jj)/2 with K = 1.75 (diagonal kept at H_ii).
-func gwhGuess(h, s *linalg.Matrix) *linalg.Matrix {
-	const k = 1.75
-	n := h.Rows
-	f := linalg.NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		f.Set(i, i, h.At(i, i))
-		for j := i + 1; j < n; j++ {
-			v := k * s.At(i, j) * (h.At(i, i) + h.At(j, j)) / 2
-			f.Set(i, j, v)
-			f.Set(j, i, v)
-		}
-	}
-	return f
 }

@@ -136,7 +136,7 @@ func TestReorderingInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ord := range []string{"cell", "morton"} {
+	for _, ord := range []string{"cell", "natural"} {
 		res, err := RunHF(mol, Options{BasisName: "sto-3g", Reorder: ord})
 		if err != nil {
 			t.Fatal(err)
@@ -208,8 +208,8 @@ func TestOptionErrorsPrecedeBasisBuild(t *testing.T) {
 	}{
 		{"cache off gtfock", Options{Engine: EngineSerial, ERICache: true}, "ERICache requires the gtfock engine"},
 		{"nwchem reordered", Options{Engine: EngineNWChem, Reorder: "cell"}, "atom-ordered shells"},
-		{"unknown guess", Options{Guess: "huckel"}, "unknown guess"},
 		{"unknown reorder", Options{Reorder: "zigzag"}, "unknown reordering"},
+		{"unknown engine", Options{Engine: "gtfork"}, "unknown engine"},
 	} {
 		tc.opt.BasisName = "nope"
 		_, err := RunHF(mol, tc.opt)
@@ -283,32 +283,6 @@ func TestDIISHelps(t *testing.T) {
 	if plain.Converged && len(diis.Iterations) > len(plain.Iterations)+2 {
 		t.Fatalf("DIIS (%d iters) much slower than plain (%d)",
 			len(diis.Iterations), len(plain.Iterations))
-	}
-}
-
-// The GWH guess must converge to the same energy as the core guess, in no
-// more iterations.
-func TestGWHGuess(t *testing.T) {
-	mol := chem.Methane()
-	core, err := RunHF(mol, Options{BasisName: "sto-3g"})
-	if err != nil || !core.Converged {
-		t.Fatal("core-guess SCF failed")
-	}
-	gwh, err := RunHF(mol, Options{BasisName: "sto-3g", Guess: "gwh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gwh.Converged {
-		t.Fatal("GWH SCF did not converge")
-	}
-	if math.Abs(gwh.Energy-core.Energy) > 1e-8 {
-		t.Fatalf("GWH %.10f vs core %.10f", gwh.Energy, core.Energy)
-	}
-	if len(gwh.Iterations) > len(core.Iterations) {
-		t.Fatalf("GWH took %d iterations, core %d", len(gwh.Iterations), len(core.Iterations))
-	}
-	if _, err := RunHF(mol, Options{BasisName: "sto-3g", Guess: "huckel"}); err == nil {
-		t.Fatal("expected unknown-guess error")
 	}
 }
 
