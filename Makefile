@@ -14,9 +14,12 @@ vet:
 	$(GO) vet ./...
 
 # Race-detector run of the full suite; the chaos tests exercise the
-# fault-tolerant build's concurrency hardest.
+# fault-tolerant build's concurrency hardest. The second run pins
+# GOMAXPROCS so that a rank's fork-join is exercised with one lane and
+# with four on any runner, whatever its core count.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,4 ./internal/core/ ./internal/scf/
 
 # Regenerate the ERI kernels (every s/p and d class but ss|ss) and fail
 # if the committed kernels_gen.go drifted from what cmd/kernelgen emits —
@@ -143,10 +146,13 @@ session-single:
 # code branches on whether a ledger exists or keeps the fence beside it,
 # the worker walks a footprint's patches in one place, the two test-only
 # lease options stay gone, and the general-kernel switch lives only in
-# internal/integrals (its tests' oracle).
+# internal/integrals (its tests' oracle). Lanes have no knob: GOMAXPROCS
+# is read in one place, and neither Options struct grows a thread count.
 core-single:
 	@! grep -nE 'led [!=]= nil|\.fence\b|MonitorEvery|MaxFaultRounds' $(CORE_SRC)
 	@test "$$(grep -c '\.Patches(' internal/core/real.go)" -eq 1
+	@test "$$(cat $(CORE_SRC) | grep -c 'GOMAXPROCS(')" -eq 1
+	@! awk '/^type Options struct/,/^}/' internal/core/real.go internal/scf/scf.go | grep -E '^[[:space:]]+(Num)?(Threads|Lanes|Workers)\b'
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'DisableFastKernels' internal cmd | grep -v '^internal/integrals/'
 
 # One quartet screen, checked mechanically: Cauchy-Schwarz at tau over a

@@ -42,21 +42,15 @@ func TestBuildAtProductionPrimTolMatchesSerial(t *testing.T) {
 	}
 }
 
-// testDoTaskWorker builds the minimal worker doTask needs: shared pair
-// table, engine, density image, local Fock accumulator. No distributed
+// testDoTaskLane builds the minimal lane doTask needs: shared pair table,
+// engine, density image, private Fock accumulator. No distributed
 // machinery.
-func testDoTaskWorker(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable, d *linalg.Matrix) *worker {
-	w := &worker{
-		bs: bs, scr: scr, pt: pt, eng: integrals.NewEngine(),
+func testDoTaskLane(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable, d *linalg.Matrix) *lane {
+	return newLane(&worker{
+		bs: bs, scr: scr, pt: pt,
 		dloc: append([]float64(nil), d.Data...),
-		floc: make([]float64, bs.NumFuncs*bs.NumFuncs),
 		nf:   bs.NumFuncs,
-	}
-	w.visit = func(k int, batch []float64) {
-		pq := w.bmeta[k]
-		ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(pq[0]), w.curN, int(pq[1]), batch)
-	}
-	return w
+	}, 0)
 }
 
 // The batched doTask walks PhiQ (Schwarz-descending) and breaks at the
@@ -66,7 +60,7 @@ func testDoTaskWorker(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTa
 func TestDoTaskSurvivorSetMatchesKeepQuartet(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
 	pt := scr.PairTable(0)
-	w := testDoTaskWorker(bs, scr, pt, d)
+	w := testDoTaskLane(bs, scr, pt, d)
 	ns := bs.NumShells()
 	total := 0
 	for m := 0; m < ns; m++ {
@@ -151,7 +145,7 @@ func TestTwoWorkersSharePairTermsMatchGeneralKernels(t *testing.T) {
 func TestDoTaskSteadyStateZeroAlloc(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
 	pt := scr.PairTable(0)
-	w := testDoTaskWorker(bs, scr, pt, d)
+	w := testDoTaskLane(bs, scr, pt, d)
 	ns := bs.NumShells()
 	sweep := func() {
 		for m := 0; m < ns; m++ {

@@ -33,9 +33,16 @@ func buildDeadline(t *testing.T, timeout time.Duration, f func() Result) Result 
 // one-sided ops), every recovered build must match the serial oracle to
 // the same tolerance the fault-free builds are held to, and none may
 // hang.
-func TestChaosRecoveryMatchesOracle(t *testing.T) {
+func TestChaosRecoveryMatchesOracle(t *testing.T) { chaosGrid(t) }
+
+// chaosGrid is the 24-run sweep (3 grids x 4 mixes x 2 seeds) at whatever
+// GOMAXPROCS — hence lanes per rank — the caller has set. Beyond the
+// oracle match it holds every run to exactly-once in the registry:
+// tasks_total == ns^2, fenced work dropped and re-executed, never merged.
+func chaosGrid(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
 	ref := BuildSerial(bs, scr, d)
+	ns := int64(bs.NumShells())
 
 	grids := [][2]int{{2, 2}, {3, 1}, {1, 4}}
 	mixes := []fault.Config{
@@ -73,15 +80,21 @@ func TestChaosRecoveryMatchesOracle(t *testing.T) {
 				mix.Seed = int64(1000*gi+100*mi) + seed
 				runs++
 				name := fmt.Sprintf("grid %dx%d mix %d seed %d", grid[0], grid[1], mi, mix.Seed)
+				reg := metrics.NewRegistry(grid[0] * grid[1])
 				res := buildDeadline(t, 60*time.Second, func() Result {
 					return Build(bs, scr, d, Options{
 						Prow: grid[0], Pcol: grid[1],
 						Fault:    fault.New(mix),
 						LeaseTTL: 15 * time.Millisecond,
+						Metrics:  reg,
 					})
 				})
 				if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
 					t.Fatalf("%s: |G - serial| = %g", name, err)
+				}
+				if snap := reg.Snapshot(); snap.TasksTotal != ns*ns {
+					t.Fatalf("%s: committed tasks_total = %d, want %d (%d samples discarded)",
+						name, snap.TasksTotal, ns*ns, snap.DiscardedSamples)
 				}
 				if res.G.SymmetryError() > 1e-11 {
 					t.Fatalf("%s: recovered G not symmetric", name)
@@ -104,8 +117,8 @@ func TestChaosRecoveryMatchesOracle(t *testing.T) {
 	if crashes == 0 {
 		t.Fatal("no crashes injected across the chaos sweep")
 	}
-	if fenced == 0 || reassigned == 0 {
-		t.Fatalf("recovery never engaged: fenced=%d reassigned=%d", fenced, reassigned)
+	if fenced == 0 || reassigned == 0 || fencedFlushes == 0 {
+		t.Fatalf("recovery never engaged: fenced=%d reassigned=%d fenced flushes=%d", fenced, reassigned, fencedFlushes)
 	}
 	t.Logf("chaos sweep: %d runs, %d crashes, %d workers fenced, %d blocks reassigned, %d fenced flushes",
 		runs, crashes, fenced, reassigned, fencedFlushes)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -118,6 +120,13 @@ const maxFaultRounds = 8
 // partitioning, D prefetch, local F accumulation, and distributed work
 // stealing. The density d must be symmetric.
 //
+// Each process is GTFock's hybrid rank: it drains its task queue on
+// GOMAXPROCS/(prow*pcol) lanes (at least one) that share its prefetched D
+// image and keep private F accumulators, summed once before the rank's
+// single flush. GOMAXPROCS is the only control. Which lane runs which task
+// is decided at run time, so G is reproducible to rounding, not bit for
+// bit, whenever a rank has more than one lane.
+//
 // Every build runs under the lease ledger, so it survives worker crashes,
 // stalls and transport faults, injected or real: a lease monitor fences
 // dead or wedged workers, their uncommitted task blocks are re-enqueued
@@ -224,6 +233,9 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	// into re-enqueued work instead of a wrong answer.
 	led := newLedger(nprocs, opt.LeaseTTL, stats)
 
+	// Threads within a rank: the cores the grid leaves over, shared evenly.
+	lanes := max(1, runtime.GOMAXPROCS(0)/nprocs)
+
 	var buildErr error
 	start := time.Now()
 	for round := 0; ; round++ {
@@ -252,7 +264,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		led.beginRound(queues)
 		stopMon := startMonitor(led)
 		dist.RunProcs(nprocs, func(rank int) {
-			w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, opt)
+			w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, lanes, opt)
 			w.clock0 = start
 			w.led, w.epoch = led, epochs[rank]
 			w.run(roundBlocks, queues)
@@ -336,7 +348,10 @@ func funcCuts(bs *basis.Set, shellCuts []int) []int {
 	return out
 }
 
-// worker is the per-process state of a real-mode build.
+// worker is the per-rank state of a real-mode build: the ledger identity,
+// the prefetched D image, the flush footprint and everything that talks to
+// the global arrays — one per rank, touched only by the rank's goroutine.
+// The tasks themselves run on the rank's lanes (see lane).
 type worker struct {
 	rank  int
 	bs    *basis.Set
@@ -345,13 +360,53 @@ type worker struct {
 	gaD   dist.Backend
 	gaF   dist.Backend
 	stats *dist.RunStats
-	eng   *integrals.Engine
 	pt    *integrals.PairTable // shared read-only pair table
-	dloc  []float64            // dense n x n local D image (prefetched patches)
-	floc  []float64            // dense n x n local F accumulator
-	fp    *Footprint
-	nf    int
-	comp  time.Duration
+	store *integrals.ERIStore  // stored-ERI cache tier (nil = always recompute)
+	ns    int                  // shell count; task id = M*ns + N
+	// dloc is the dense n x n local D image (prefetched patches). Every
+	// lane reads it; addWork writes it, and only between fork-joins.
+	dloc []float64
+	fp   *Footprint
+	nf   int
+	comp time.Duration
+
+	// lanes[0] runs on the rank's goroutine and owns the accumulator the
+	// flush lands; helper lanes are created the first time a fork-join
+	// needs them, never more than maxLanes.
+	lanes    []*lane
+	maxLanes int
+
+	// Lease runtime state: led is also the dist.Fence of the accumulate.
+	ctx     context.Context // build cancellation
+	led     *ledger
+	inj     *fault.Injector // nil = nothing injected
+	epoch   int64
+	victims map[int]bool
+	retry   dist.Retry // the budget of every one-sided op (Options.Retry*)
+
+	// Observability sinks (both nil = zero-instrumentation fast path).
+	// Spans and the metric sample buffer one commit episode — the rank's
+	// own (prefetch, steal, flush) plus every lane's, folded in at each
+	// join — and are published together with the flush: committed via
+	// commitEpisode, or via abortEpisode when the incarnation dies
+	// uncommitted.
+	trace  *dist.Trace
+	reg    *metrics.Registry
+	clock0 time.Time
+	samp   metrics.Sample
+	spans  []dist.Span
+}
+
+// lane is one thread of a rank (GTFock's OpenMP thread inside an MPI
+// process): its own engine, its own private F accumulator, batch buffers
+// and observability buffers, so a task runs without synchronizing with the
+// lanes beside it. Lanes share the rank's queue (mutexed), dloc, pair
+// table and store (all read-only or first-writer-wins while they run).
+type lane struct {
+	w    *worker
+	id   int
+	eng  *integrals.Engine
+	floc []float64 // dense n x n private F accumulator
 
 	// Batched ERI state: doTask collects a task's surviving quartets and
 	// submits them in one ERIBatch call; visit (built once, so the hot
@@ -363,35 +418,23 @@ type worker struct {
 	curN  int
 	visit func(k int, batch []float64)
 
-	// Stored-ERI cache tier state (nil store = always recompute). The
-	// record closure tees engine batches into recVals/recEnds for a
-	// first-writer-wins CommitTask; the replay closure applies stored
-	// batches through the same ApplyQuartet (see Options.ERIStore).
-	store       *integrals.ERIStore
-	ns          int // shell count; task id = M*ns + N
+	// Stored-ERI tier state. The record closure tees engine batches into
+	// recVals/recEnds for a first-writer-wins CommitTask; the replay
+	// closure applies stored batches through the same ApplyQuartet (see
+	// Options.ERIStore).
 	recVals     []float64
 	recEnds     []int32
 	replayScr   []float64 // spill-fetch scratch
 	recVisit    func(k int, batch []float64)
 	replayVisit func(p, q int32, vals []float64)
 
-	// Lease runtime state: led is also the dist.Fence of the accumulate.
-	ctx     context.Context // build cancellation
-	led     *ledger
-	inj     *fault.Injector // nil = nothing injected
-	epoch   int64
-	victims map[int]bool
-	retry   dist.Retry // the budget of every one-sided op (Options.Retry*)
-
-	// Observability sinks (both nil = zero-instrumentation fast path).
-	// Spans and the metric sample buffer one commit episode and are
-	// published together with the flush: committed via commitEpisode,
-	// or via abortEpisode when the incarnation dies uncommitted.
-	trace  *dist.Trace
-	reg    *metrics.Registry
-	clock0 time.Time
-	samp   metrics.Sample
-	spans  []dist.Span
+	// What the lane did since the last join; runLanes folds it into the
+	// rank and clears it.
+	res   drainResult
+	tasks int64
+	comp  time.Duration
+	samp  metrics.Sample
+	spans []dist.Span
 
 	// Last-seen engine dispatch counters, so per-task deltas can flow
 	// into the sample (engine Stats are monotonic across episodes).
@@ -399,39 +442,45 @@ type worker struct {
 }
 
 func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable,
-	grid *dist.Grid2D, gaD, gaF dist.Backend, stats *dist.RunStats, opt Options) *worker {
+	grid *dist.Grid2D, gaD, gaF dist.Backend, stats *dist.RunStats, maxLanes int, opt Options) *worker {
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,
-		gaD: gaD, gaF: gaF, stats: stats, eng: integrals.NewEngine(),
-		pt:      pt,
-		store:   opt.ERIStore,
-		ns:      bs.NumShells(),
-		dloc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
-		floc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
-		fp:      NewFootprint(),
-		nf:      bs.NumFuncs,
-		ctx:     opt.Ctx,
-		inj:     opt.Fault,
-		retry:   opt.Retry,
-		victims: map[int]bool{},
-		trace:   opt.Trace,
-		reg:     opt.Metrics,
+		gaD: gaD, gaF: gaF, stats: stats,
+		pt:       pt,
+		store:    opt.ERIStore,
+		ns:       bs.NumShells(),
+		dloc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
+		fp:       NewFootprint(),
+		nf:       bs.NumFuncs,
+		maxLanes: maxLanes,
+		ctx:      opt.Ctx,
+		inj:      opt.Fault,
+		retry:    opt.Retry,
+		victims:  map[int]bool{},
+		trace:    opt.Trace,
+		reg:      opt.Metrics,
 	}
-	w.visit = func(k int, batch []float64) {
-		pq := w.bmeta[k]
-		ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(pq[0]), w.curN, int(pq[1]), batch)
+	w.lanes = []*lane{newLane(w, 0)}
+	return w
+}
+
+func newLane(w *worker, id int) *lane {
+	ln := &lane{w: w, id: id, eng: integrals.NewEngine(), floc: make([]float64, w.nf*w.nf)}
+	ln.visit = func(k int, batch []float64) {
+		pq := ln.bmeta[k]
+		ApplyQuartet(w.bs, w.dloc, ln.floc, ln.curM, int(pq[0]), ln.curN, int(pq[1]), batch)
 	}
 	if w.store != nil {
-		w.recVisit = func(k int, batch []float64) {
-			w.visit(k, batch)
-			w.recVals = append(w.recVals, batch...)
-			w.recEnds = append(w.recEnds, int32(len(w.recVals)))
+		ln.recVisit = func(k int, batch []float64) {
+			ln.visit(k, batch)
+			ln.recVals = append(ln.recVals, batch...)
+			ln.recEnds = append(ln.recEnds, int32(len(ln.recVals)))
 		}
-		w.replayVisit = func(p, q int32, vals []float64) {
-			ApplyQuartet(w.bs, w.dloc, w.floc, w.curM, int(p), w.curN, int(q), vals)
+		ln.replayVisit = func(p, q int32, vals []float64) {
+			ApplyQuartet(w.bs, w.dloc, ln.floc, ln.curM, int(p), ln.curN, int(q), vals)
 		}
 	}
-	return w
+	return ln
 }
 
 // obsNow reads the clock only when an observability sink is attached; the
@@ -444,14 +493,16 @@ func (w *worker) obsNow() time.Time {
 	return time.Now()
 }
 
-// span buffers one activity interval [t0, now); no-op when tracing is off
-// or t0 is the disabled sentinel. The epoch is stamped at publish time.
-func (w *worker) span(kind byte, t0 time.Time) {
+// span buffers one activity interval [t0, now) of the given lane into buf
+// (the rank's own spans are lane 0's); no-op when tracing is off or t0 is
+// the disabled sentinel. The epoch is stamped at publish time.
+func (w *worker) span(buf *[]dist.Span, lane int, kind byte, t0 time.Time) {
 	if w.trace == nil || t0.IsZero() {
 		return
 	}
-	w.spans = append(w.spans, dist.Span{
+	*buf = append(*buf, dist.Span{
 		Proc:  w.rank,
+		Lane:  lane,
 		Start: t0.Sub(w.clock0).Seconds(),
 		End:   time.Since(w.clock0).Seconds(),
 		Kind:  kind,
@@ -492,10 +543,11 @@ func (w *worker) abortEpisode() {
 	w.samp.Reset()
 }
 
-// heartbeat refreshes this worker's lease.
-func (w *worker) heartbeat() {
+// heartbeat refreshes this rank's lease, counted in the caller's sample
+// (the rank's own, or a lane's).
+func (w *worker) heartbeat(samp *metrics.Sample) {
 	w.led.heartbeat(w.rank)
-	w.samp.LeaseRenewals++
+	samp.LeaseRenewals++
 }
 
 // patches is the worker's one footprint walk: the patches that move fp
@@ -519,17 +571,18 @@ func (w *worker) patches(fp *Footprint) []dist.Patch {
 // block and an adopted orphan all enter here. It Gets the D patches b
 // needs into dloc through the one retry loop (dist.Retry.Get; a fault-free
 // Get is a single attempt), then merges b into the worker's flush
-// footprint. False means a Get ultimately failed and the caller must
+// footprint. It runs between fork-joins only: no lane reads dloc while it
+// is written. False means a Get ultimately failed and the caller must
 // abandon this incarnation.
 func (w *worker) addWork(b TaskBlock) bool {
 	fpb := NewFootprint()
 	fpb.AddBlock(w.scr, b)
 	t0 := w.obsNow()
-	defer func() { w.span(dist.SpanPrefetch, t0) }()
+	defer func() { w.span(&w.spans, 0, dist.SpanPrefetch, t0) }()
 	for _, p := range w.patches(fpb) {
 		w.samp.GetCalls++
 		w.samp.GetBytes += 8 * int64(p.Elems())
-		w.heartbeat()
+		w.heartbeat(&w.samp)
 		retries, err := w.retry.Get(w.ctx, w.gaD, w.stats, w.rank,
 			p.R0, p.R1, p.C0, p.C1, w.dloc[p.R0*w.nf+p.C0:], w.nf)
 		w.samp.GetRetries += int64(retries)
@@ -542,17 +595,38 @@ func (w *worker) addWork(b TaskBlock) bool {
 }
 
 // resetAccum clears the flushed local F contributions so a follow-up
-// episode (adopted orphan work) accumulates from zero.
+// episode (adopted orphan work) accumulates from zero. Helper lanes need
+// none: reduceLanes zeroed them.
 func (w *worker) resetAccum() {
+	floc := w.lanes[0].floc
 	for _, p := range w.patches(w.fp) {
 		for r := p.R0; r < p.R1; r++ {
-			clear(w.floc[r*w.nf+p.C0 : r*w.nf+p.C1])
+			clear(floc[r*w.nf+p.C0 : r*w.nf+p.C1])
 		}
 	}
 	w.fp = NewFootprint()
 }
 
-// commitFlush lands the local F contributions exactly once, over the
+// reduceLanes sums the helper lanes' private accumulators into lane 0's
+// over the flush patches and zeroes them, so one flush lands the whole
+// rank's contributions and every helper starts its next episode clean.
+func (w *worker) reduceLanes(patches []dist.Patch) {
+	dst := w.lanes[0].floc
+	for _, ln := range w.lanes[1:] {
+		for _, p := range patches {
+			for r := p.R0; r < p.R1; r++ {
+				src := ln.floc[r*w.nf+p.C0 : r*w.nf+p.C1]
+				row := dst[r*w.nf+p.C0 : r*w.nf+p.C1]
+				for i, v := range src {
+					row[i] += v
+				}
+				clear(src)
+			}
+		}
+	}
+}
+
+// commitFlush lands the rank's F contributions exactly once, over the
 // merged footprint spans (Algorithm 4, line 9), every patch through the
 // one retry loop (dist.Retry.Acc). It is a fenced transaction:
 // beginCommit validates this incarnation's epoch (a fenced zombie's flush
@@ -565,6 +639,9 @@ func (w *worker) commitFlush() bool {
 		atomic.AddInt64(&w.stats.Recovery.FencedFlushes, 1)
 		return false
 	}
+	patches := w.patches(w.fp)
+	w.reduceLanes(patches)
+	floc := w.lanes[0].floc
 	// The first patch is the commit's point of no return: until it lands,
 	// a cancellation or retry deadline abandons the flush cleanly
 	// (abortCommit keeps the claims for exactly-once re-execution
@@ -572,11 +649,11 @@ func (w *worker) commitFlush() bool {
 	// without bound — the monitor cannot fence a committing worker, so
 	// the only exit is landing every patch.
 	landed := false
-	for _, p := range w.patches(w.fp) {
+	for _, p := range patches {
 		w.samp.AccCalls++
 		w.samp.AccBytes += 8 * int64(p.Elems())
 		retries, err := w.retry.Acc(w.ctx, w.gaF, w.stats, w.led, landed, w.rank, w.epoch,
-			p.R0, p.R1, p.C0, p.C1, w.floc[p.R0*w.nf+p.C0:], w.nf, 1)
+			p.R0, p.R1, p.C0, p.C1, floc[p.R0*w.nf+p.C0:], w.nf, 1)
 		w.samp.AccRetries += int64(retries)
 		if err != nil {
 			// Only reachable before the first landed patch (cancellation
@@ -594,18 +671,20 @@ func (w *worker) commitFlush() bool {
 	// buffers as committed.
 	if !t0.IsZero() {
 		w.samp.Flushes.Observe(time.Since(t0).Nanoseconds())
-		w.span(dist.SpanFlush, t0)
+		w.span(&w.spans, 0, dist.SpanFlush, t0)
 	}
 	w.commitEpisode()
 	return true
 }
 
+// drainResult orders the ways a drain ends by severity, so a fork-join
+// reports the worst of its lanes.
 type drainResult int
 
 const (
 	drainDry       drainResult = iota // no reachable work anywhere
 	drainFenced                       // this incarnation was declared dead
-	drainAbandoned                    // a prefetch op failed after retries
+	drainAbandoned                    // a prefetch op failed after retries, or the build was canceled
 )
 
 // steal scans the grid row-wise from the worker's own row (Sec. III-F)
@@ -628,7 +707,7 @@ func (w *worker) steal(queues []*Queue, st *dist.ProcStats) (TaskBlock, bool) {
 			}
 			if !s0.IsZero() {
 				w.samp.Steals.Observe(time.Since(s0).Nanoseconds())
-				w.span(dist.SpanSteal, s0)
+				w.span(&w.spans, 0, dist.SpanSteal, s0)
 			}
 			if !w.victims[v] {
 				w.victims[v] = true
@@ -639,13 +718,15 @@ func (w *worker) steal(queues []*Queue, st *dist.ProcStats) (TaskBlock, bool) {
 		}
 	}
 	w.samp.StealFails++
-	w.span(dist.SpanIdle, s0)
+	w.span(&w.spans, 0, dist.SpanIdle, s0)
 	return TaskBlock{}, false
 }
 
-// drain is the inner loop of Algorithm 4: pop own tasks, steal, and adopt
-// orphaned blocks of fenced workers, until nothing is reachable.
-func (w *worker) drain(my *Queue, queues []*Queue, st *dist.ProcStats) drainResult {
+// work is one lane's share of a fork-join: pop the rank's queue until it
+// is dry, checking the epoch and the build's context and renewing the
+// rank's lease before every task.
+func (ln *lane) work(my *Queue) drainResult {
+	w := ln.w
 	for {
 		if !w.led.ValidEpoch(w.rank, w.epoch) {
 			return drainFenced
@@ -658,20 +739,9 @@ func (w *worker) drain(my *Queue, queues []*Queue, st *dist.ProcStats) drainResu
 		}
 		t, ok := my.Pop()
 		if !ok {
-			blk, ok := w.steal(queues, st)
-			if !ok {
-				blk, ok = w.led.adopt(w.rank, w.epoch)
-			}
-			if !ok {
-				return drainDry
-			}
-			if !w.addWork(blk) {
-				return drainAbandoned
-			}
-			my.AddBlock(blk)
-			continue
+			return drainDry
 		}
-		w.heartbeat()
+		w.heartbeat(&ln.samp)
 		if w.inj != nil {
 			if d := w.inj.Stall(w.rank); d > 0 {
 				atomic.AddInt64(&w.stats.Recovery.Stalls, 1)
@@ -679,20 +749,83 @@ func (w *worker) drain(my *Queue, queues []*Queue, st *dist.ProcStats) drainResu
 			}
 		}
 		c0 := time.Now()
-		w.doTask(t)
+		ln.doTask(t)
 		dt := time.Since(c0)
-		w.comp += dt
+		ln.comp += dt
 		if w.reg != nil {
-			w.samp.Tasks.Observe(dt.Nanoseconds())
-			es := &w.eng.Stats
-			w.samp.QuartetsFastSP += es.FastSP - w.lastFastSP
-			w.samp.QuartetsFastGen += es.FastGen - w.lastFastGen
-			w.samp.QuartetsGeneral += es.GeneralQuartets - w.lastGeneral
-			w.lastFastSP, w.lastFastGen, w.lastGeneral =
+			ln.samp.Tasks.Observe(dt.Nanoseconds())
+			es := &ln.eng.Stats
+			ln.samp.QuartetsFastSP += es.FastSP - ln.lastFastSP
+			ln.samp.QuartetsFastGen += es.FastGen - ln.lastFastGen
+			ln.samp.QuartetsGeneral += es.GeneralQuartets - ln.lastGeneral
+			ln.lastFastSP, ln.lastFastGen, ln.lastGeneral =
 				es.FastSP, es.FastGen, es.GeneralQuartets
 		}
-		w.span(dist.SpanCompute, c0)
-		st.TasksRun++
+		w.span(&ln.spans, ln.id, dist.SpanCompute, c0)
+		ln.tasks++
+	}
+}
+
+// runLanes drains the rank's own queue as one fork-join: as many lanes as
+// the rank may use, never more than the queue holds tasks, lane 0 on the
+// rank's goroutine. Every lane has returned before runLanes does, so the
+// caller may write dloc, steal, adopt or flush; what the lanes did is
+// folded into the rank's episode here. The rank's ComputeTime advances by
+// the busiest lane's time inside task sections — the rank's wall-clock in
+// compute, not the sum over lanes — so T_comp + T_ov still adds up to the
+// build.
+func (w *worker) runLanes(my *Queue, st *dist.ProcStats) drainResult {
+	n := max(1, min(w.maxLanes, my.Remaining()))
+	for len(w.lanes) < n {
+		w.lanes = append(w.lanes, newLane(w, len(w.lanes)))
+	}
+	lanes := w.lanes[:n]
+	var wg sync.WaitGroup
+	for _, ln := range lanes[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ln.res = ln.work(my)
+		}()
+	}
+	lanes[0].res = lanes[0].work(my)
+	wg.Wait()
+
+	res := drainDry
+	var busiest time.Duration
+	for _, ln := range lanes {
+		res = max(res, ln.res)
+		busiest = max(busiest, ln.comp)
+		st.TasksRun += ln.tasks
+		ln.tasks, ln.comp = 0, 0
+		w.samp.Add(&ln.samp)
+		ln.samp.Reset()
+		w.spans = append(w.spans, ln.spans...)
+		ln.spans = ln.spans[:0]
+	}
+	w.comp += busiest
+	return res
+}
+
+// drain is the inner loop of Algorithm 4: run the own queue dry on the
+// lanes, then steal, or adopt an orphaned block of a fenced worker, until
+// nothing is reachable.
+func (w *worker) drain(my *Queue, queues []*Queue, st *dist.ProcStats) drainResult {
+	for {
+		if res := w.runLanes(my, st); res != drainDry {
+			return res
+		}
+		blk, ok := w.steal(queues, st)
+		if !ok {
+			blk, ok = w.led.adopt(w.rank, w.epoch)
+		}
+		if !ok {
+			return drainDry
+		}
+		if !w.addWork(blk) {
+			return drainAbandoned
+		}
+		my.AddBlock(blk)
 	}
 }
 
@@ -740,9 +873,11 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue) {
 		if !w.commitFlush() {
 			return
 		}
-		// Between rounds the worker is idle: cap engine scratch that an
+		// Between rounds the rank is idle: cap engine scratch that an
 		// unusually large quartet class may have grown (default budget).
-		w.eng.TrimScratch(0)
+		for _, ln := range w.lanes {
+			ln.eng.TrimScratch(0)
+		}
 		if w.inj != nil && w.inj.Crash(w.rank, fault.PointAfterFlush) {
 			atomic.AddInt64(&w.stats.Recovery.Crashes, 1)
 			return
@@ -769,23 +904,24 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue) {
 // intermediate copies. Kets walk the Schwarz-descending PhiQ list, so the
 // first failing Schwarz product ends the scan (the surviving set is
 // exactly KeepQuartet's).
-func (w *worker) doTask(t Task) {
+func (ln *lane) doTask(t Task) {
+	w := ln.w
 	m, n := t.M, t.N
 	if !SymmetryCheck(m, n) {
 		return
 	}
-	w.curM, w.curN = m, n
+	ln.curM, ln.curN = m, n
 	if w.store != nil {
 		// Stored-ERI tier: replay the recorded batch when present; a miss
 		// of any kind (not recorded yet, dropped over budget, spill gone)
 		// falls through to compute-and-commit.
-		if w.store.ReplayTask(m*w.ns+n, &w.replayScr, w.replayVisit) {
+		if w.store.ReplayTask(m*w.ns+n, &ln.replayScr, ln.replayVisit) {
 			return
 		}
 	}
 	tau := w.scr.Tau
-	w.batch = w.batch[:0]
-	w.bmeta = w.bmeta[:0]
+	ln.batch = ln.batch[:0]
+	ln.bmeta = ln.bmeta[:0]
 	for _, p := range w.scr.Phi[m] {
 		if !SymmetryCheck(m, p) {
 			continue
@@ -809,18 +945,18 @@ func (w *worker) doTask(t Task) {
 			if m == n && !SymmetryCheck(p, q) {
 				continue
 			}
-			w.batch = append(w.batch, integrals.Quartet{Bra: braID, Ket: ketID})
-			w.bmeta = append(w.bmeta, [2]int32{int32(p), int32(q)})
+			ln.batch = append(ln.batch, integrals.Quartet{Bra: braID, Ket: ketID})
+			ln.bmeta = append(ln.bmeta, [2]int32{int32(p), int32(q)})
 		}
 	}
 	if w.store == nil {
-		w.eng.ERIBatch(w.pt, w.batch, w.visit)
+		ln.eng.ERIBatch(w.pt, ln.batch, ln.visit)
 		return
 	}
-	w.recVals = w.recVals[:0]
-	w.recEnds = w.recEnds[:0]
-	w.eng.ERIBatch(w.pt, w.batch, w.recVisit)
-	w.store.CommitTask(m*w.ns+n, w.bmeta, w.recEnds, w.recVals)
+	ln.recVals = ln.recVals[:0]
+	ln.recEnds = ln.recEnds[:0]
+	ln.eng.ERIBatch(w.pt, ln.batch, ln.recVisit)
+	w.store.CommitTask(m*w.ns+n, ln.bmeta, ln.recEnds, ln.recVals)
 }
 
 // ApplyQuartet applies the scaled 6-block Fock update for the unique

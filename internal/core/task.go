@@ -11,7 +11,8 @@
 //   - BuildSerial: a brute-force single-threaded reference used as a
 //     correctness oracle;
 //   - Build (real mode): goroutine processes over dist.GlobalArray, with
-//     real work stealing and full communication accounting;
+//     real work stealing and full communication accounting, each process
+//     running its tasks on GOMAXPROCS/(processes) lanes;
 //   - Simulate (sim mode): a discrete-event simulation of the algorithm at
 //     paper scale (up to 3888 cores) using the screening-derived workload
 //     model described in DESIGN.md.

@@ -4,7 +4,11 @@ import "math"
 
 // ProcStats accumulates per-process accounting, mirroring the quantities
 // the paper reports in Tables VI-VIII and Fig. 2. In real mode times are
-// wall-clock seconds; in sim mode they are virtual seconds.
+// wall-clock seconds; in sim mode they are virtual seconds. A real-mode
+// rank that runs its tasks on several lanes reports ComputeTime as the
+// rank's wall-clock inside task sections (its busiest lane per fork-join),
+// not the sum over lanes, so ComputeTime <= TotalTime and T_comp + T_ov is
+// still the build; TasksRun sums the lanes.
 type ProcStats struct {
 	Calls       int64   // one-sided communication calls (Table VII)
 	Bytes       int64   // total communication volume incl. local (Table VI)

@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -19,11 +20,14 @@ const (
 )
 
 // Span is one activity interval of a process. Real-mode spans carry the
-// epoch of the worker incarnation that recorded them; spans of fenced
-// incarnations are marked Discarded after the run — their work never
-// reached the global F, so duration accounting must not count them.
+// lane of the rank that ran them (0 for the rank's own prefetch, steal and
+// flush, and for every sim-mode span) and the epoch of the worker
+// incarnation that recorded them; spans of fenced incarnations — all of
+// the rank's lanes alike — are marked Discarded after the run: their work
+// never reached the global F, so duration accounting must not count them.
 type Span struct {
 	Proc       int
+	Lane       int
 	Epoch      int64
 	Start, End float64
 	Kind       byte
@@ -90,7 +94,7 @@ func (t *Trace) Discard(proc int, epoch int64) int {
 	return n
 }
 
-// Spans returns the recorded spans sorted by (proc, start).
+// Spans returns the recorded spans sorted by (proc, lane, start).
 func (t *Trace) Spans() []Span {
 	if t == nil {
 		return nil
@@ -101,6 +105,9 @@ func (t *Trace) Spans() []Span {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Proc != out[j].Proc {
 			return out[i].Proc < out[j].Proc
+		}
+		if out[i].Lane != out[j].Lane {
+			return out[i].Lane < out[j].Lane
 		}
 		return out[i].Start < out[j].Start
 	})
@@ -124,12 +131,12 @@ func (t *Trace) Makespan() float64 {
 	return m
 }
 
-// Timeline renders an ASCII Gantt chart: one row per process (at most
-// maxRows, sampled evenly), width time buckets, with the latest-recorded
-// span kind shown per bucket ('c' compute, 'm' communication, 'p'
-// prefetch, 'f' flush, 's' steal, '.' idle; discarded spans render as
-// 'x'). Empty or degenerate traces render a placeholder instead of
-// dividing by zero.
+// Timeline renders an ASCII Gantt chart: one row per (process, lane) (at
+// most maxRows, sampled evenly), labelled proc or proc.lane, width time
+// buckets, with the latest-recorded span kind shown per bucket ('c'
+// compute, 'm' communication, 'p' prefetch, 'f' flush, 's' steal, '.'
+// idle; discarded spans render as 'x'). Empty or degenerate traces render
+// a placeholder instead of dividing by zero.
 func (t *Trace) Timeline(width, maxRows int) string {
 	spans := t.Spans()
 	if len(spans) == 0 || width <= 0 {
@@ -139,25 +146,30 @@ func (t *Trace) Timeline(width, maxRows int) string {
 	if makespan <= 0 {
 		return "(empty trace)\n"
 	}
+	// spans are sorted by (proc, lane), so each new pair is the next lane
+	// row; laneOf[i] is the lane row of spans[i].
+	type procLane struct{ proc, lane int }
+	var keys []procLane
+	laneOf := make([]int, len(spans))
 	nproc := 0
-	for _, s := range spans {
-		if s.Proc+1 > nproc {
-			nproc = s.Proc + 1
+	for i, s := range spans {
+		if k := (procLane{s.Proc, s.Lane}); len(keys) == 0 || keys[len(keys)-1] != k {
+			keys = append(keys, k)
 		}
+		laneOf[i] = len(keys) - 1
+		nproc = max(nproc, s.Proc+1)
 	}
-	rows := nproc
+	rows := len(keys)
 	if maxRows > 0 && rows > maxRows {
 		rows = maxRows
 	}
-	// Map proc -> display row (even sampling when compressed).
-	rowOf := func(p int) int { return p * rows / nproc }
 
 	grid := make([][]byte, rows)
 	for r := range grid {
 		grid[r] = []byte(strings.Repeat(string(rune(SpanIdle)), width))
 	}
-	for _, s := range spans {
-		r := rowOf(s.Proc)
+	for i, s := range spans {
+		r := laneOf[i] * rows / len(keys) // even sampling when compressed
 		k := s.Kind
 		if s.Discarded {
 			k = 'x'
@@ -172,10 +184,15 @@ func (t *Trace) Timeline(width, maxRows int) string {
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "timeline: %d procs x %.4fs  (c=compute m=comm p=prefetch f=flush s=steal r=rpc .=idle x=discarded)\n",
-		nproc, makespan)
+	fmt.Fprintf(&sb, "timeline: %d procs, %d lanes x %.4fs  (c=compute m=comm p=prefetch f=flush s=steal r=rpc .=idle x=discarded)\n",
+		nproc, len(keys), makespan)
 	for r := range grid {
-		fmt.Fprintf(&sb, "%4d |%s|\n", r*nproc/rows, grid[r])
+		k := keys[(r*len(keys)+rows-1)/rows] // the first lane row sampled into r
+		label := strconv.Itoa(k.proc)
+		if k.lane > 0 {
+			label += "." + strconv.Itoa(k.lane)
+		}
+		fmt.Fprintf(&sb, "%6s |%s|\n", label, grid[r])
 	}
 	return sb.String()
 }

@@ -77,3 +77,40 @@ func TestTraceRowCompression(t *testing.T) {
 		t.Fatalf("expected 10 compressed rows, got %d lines", len(lines)-1)
 	}
 }
+
+// Lanes of one process get a row each, labelled proc.lane below lane 0's;
+// fencing the incarnation discards every lane's spans and the totals keep
+// their meaning.
+func TestTraceTimelineLaneRows(t *testing.T) {
+	tr := &Trace{}
+	tr.AddSpans([]Span{
+		{Proc: 0, Lane: 0, Epoch: 3, Start: 0, End: 4, Kind: SpanCompute},
+		{Proc: 0, Lane: 1, Epoch: 3, Start: 1, End: 4, Kind: SpanCompute},
+		{Proc: 1, Lane: 0, Start: 0, End: 2, Kind: SpanCompute},
+		{Proc: 0, Lane: 0, Epoch: 3, Start: 4, End: 5, Kind: SpanFlush},
+	})
+	lines := strings.Split(strings.TrimSuffix(tr.Timeline(10, 8), "\n"), "\n")
+	if len(lines) != 4 { // header + rows 0, 0.1, 1
+		t.Fatalf("timeline:\n%s", strings.Join(lines, "\n"))
+	}
+	for i, label := range []string{"0 |", "0.1 |", "1 |"} {
+		if !strings.HasPrefix(strings.TrimLeft(lines[i+1], " "), label) {
+			t.Fatalf("row %d is %q, want label %q", i, lines[i+1], label)
+		}
+	}
+	if !strings.HasPrefix(strings.TrimLeft(lines[2], " "), "0.1 |..c") {
+		t.Fatalf("lane 1 row should start idle, then compute: %q", lines[2])
+	}
+	if tot := tr.KindTotals(); tot[SpanCompute] != 4+3+2 || tot[SpanFlush] != 1 {
+		t.Fatalf("totals = %v", tot)
+	}
+	if n := tr.Discard(0, 3); n != 3 {
+		t.Fatalf("Discard marked %d spans, want both lanes' 3", n)
+	}
+	if tot := tr.KindTotals(); tot[SpanCompute] != 2 {
+		t.Fatalf("totals after discard = %v", tot)
+	}
+	if n, secs := tr.DiscardedTotal(); n != 3 || secs != 4+3+1 {
+		t.Fatalf("DiscardedTotal = %d, %v", n, secs)
+	}
+}

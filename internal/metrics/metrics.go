@@ -50,6 +50,16 @@ func (h *Hist) Observe(v int64) {
 	}
 }
 
+// add folds o's observations into h.
+func (h *Hist) add(o *Hist) {
+	for i, c := range o.Counts {
+		h.Counts[i] += c
+	}
+	h.N += o.N
+	h.Sum += o.Sum
+	h.Max = max(h.Max, o.Max)
+}
+
 // histAtomic is the concurrently-readable accumulation of merged Hists.
 type histAtomic struct {
 	counts [nbuckets]atomic.Int64
@@ -175,6 +185,25 @@ func (s *Sample) empty() bool {
 		s.GetCalls == 0 && s.AccCalls == 0 && s.GetRetries == 0 &&
 		s.AccRetries == 0 && s.LeaseRenewals == 0 && s.StealFails == 0 &&
 		s.QuartetsFastSP == 0 && s.QuartetsFastGen == 0 && s.QuartetsGeneral == 0
+}
+
+// Add folds o into s: a rank's lanes each fill a private sample and the
+// rank sums them at the join, so one commit episode is still one Merge.
+func (s *Sample) Add(o *Sample) {
+	s.Tasks.add(&o.Tasks)
+	s.Steals.add(&o.Steals)
+	s.Flushes.add(&o.Flushes)
+	s.GetCalls += o.GetCalls
+	s.GetBytes += o.GetBytes
+	s.AccCalls += o.AccCalls
+	s.AccBytes += o.AccBytes
+	s.GetRetries += o.GetRetries
+	s.AccRetries += o.AccRetries
+	s.LeaseRenewals += o.LeaseRenewals
+	s.StealFails += o.StealFails
+	s.QuartetsFastSP += o.QuartetsFastSP
+	s.QuartetsFastGen += o.QuartetsFastGen
+	s.QuartetsGeneral += o.QuartetsGeneral
 }
 
 // Reset clears the sample for the next commit episode.

@@ -313,34 +313,31 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		// Density from the current Fock matrix (Alg. 1 lines 7-10).
 		t0 := time.Now()
 		fPrime := linalg.MatMul(linalg.MatMul(x.T(), f), x)
-		var rho *linalg.Matrix
-		if opt.UsePurification {
-			var nit int
-			rho, nit, err = purify.Canonical(fPrime, nocc, purify.DefaultTol, 300, nil)
-			if err != nil {
-				return nil, fmt.Errorf("scf: iteration %d: %w", it, err)
-			}
-			iter.PurifyIters = nit
-		} else {
-			eig := linalg.EigSym(fPrime)
-			rho = linalg.NewMatrix(bs.NumFuncs, bs.NumFuncs)
-			for k := 0; k < nocc; k++ {
-				for i := 0; i < bs.NumFuncs; i++ {
-					vi := eig.Vectors.At(i, k)
-					if vi == 0 {
-						continue
-					}
-					for j := 0; j < bs.NumFuncs; j++ {
-						rho.Add(i, j, vi*eig.Vectors.At(j, k))
-					}
-				}
-			}
-		}
 		// p = X rho X^T is the spinless orbital density C_occ C_occ^T
 		// (tr(pS) = nocc); the physical density of Alg. 1 line 10 is
 		// D = 2p. Equation (3) of the paper is dimensionally written for
 		// the unscaled p (see DESIGN.md), so the builders receive p.
-		p := linalg.MatMul(linalg.MatMul(x, rho), x.T())
+		var p *linalg.Matrix
+		if opt.UsePurification {
+			rho, nit, err := purify.Canonical(fPrime, nocc, purify.DefaultTol, 300, nil)
+			if err != nil {
+				return nil, fmt.Errorf("scf: iteration %d: %w", it, err)
+			}
+			iter.PurifyIters = nit
+			p = linalg.MatMul(linalg.MatMul(x, rho), x.T())
+		} else {
+			// The eigensolver hands over the occupied orbitals themselves,
+			// so rho is never formed: C = X V_occ, p = C C^T — two
+			// n^2 n_occ products, and p symmetric by construction.
+			eig := linalg.EigSym(fPrime)
+			n := bs.NumFuncs
+			vocc := linalg.NewMatrix(n, nocc)
+			for i := 0; i < n; i++ {
+				copy(vocc.Data[i*nocc:(i+1)*nocc], eig.Vectors.Data[i*n:i*n+nocc])
+			}
+			c := linalg.MatMul(x, vocc)
+			p = linalg.MatMul(c, c.T())
+		}
 		dNew := p.Clone().Scale(2)
 		iter.DensityTime = time.Since(t0)
 
@@ -483,12 +480,28 @@ func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integral
 	return core.BuildSerial(bs, scr, d), nil, nil // EngineSerial: RunHF admits no fourth
 }
 
+// diisIndependence is the smallest eigenvalue the cosine matrix of the
+// DIIS error vectors may have before the oldest vector is dropped: about
+// the relative rounding floor of a late error vector (the commutator is a
+// difference of O(10) products, eps*|FDS|/|e| ~ 1e-8 at |e| ~ 1e-7), so
+// anything below it is not information. A symmetric molecule confines the
+// error vectors to a few dimensions (four for CH4/STO-3G) and the
+// subspace outgrows them by the sixth iteration; without the cut the
+// coefficients — and with them the converged energy, at the 1e-9 level,
+// and the iteration count — follow rounding-level changes in F such as
+// the order a build's lanes or ranks sum G in. Any value from 1e-12 to
+// 1e-6 gave the same iteration counts and energies on the declared
+// workloads' molecules.
+const diisIndependence = 1e-8
+
 // diisState implements Pulay's DIIS with the orthogonalized commutator
-// error e = X^T (FDS - SDF) X.
+// error e = X^T (FDS - SDF) X. dots[i][j] = <errs[i], errs[j]> is kept
+// beside the subspace, so a step computes only the new entry's row.
 type diisState struct {
 	depth int
 	fs    []*linalg.Matrix
 	errs  []*linalg.Matrix
+	dots  [][]float64
 }
 
 func newDIIS(depth int) *diisState {
@@ -498,51 +511,87 @@ func newDIIS(depth int) *diisState {
 	return &diisState{depth: depth}
 }
 
+// dropOldest removes entry 0 from the subspace and from dots.
+func (ds *diisState) dropOldest() {
+	ds.fs, ds.errs, ds.dots = ds.fs[1:], ds.errs[1:], ds.dots[1:]
+	for i := range ds.dots {
+		ds.dots[i] = ds.dots[i][1:]
+	}
+}
+
 func (ds *diisState) extrapolate(f, d, s, x *linalg.Matrix) *linalg.Matrix {
 	if ds.depth == 0 {
 		return f
 	}
+	// F, D and S are symmetric, so SDF = (FDS)^T: the commutator costs two
+	// products, the orthogonalization two more.
 	fds := linalg.MatMul(linalg.MatMul(f, d), s)
-	sdf := linalg.MatMul(linalg.MatMul(s, d), f)
 	comm := fds.Clone()
-	comm.AXPY(-1, sdf)
+	comm.AXPY(-1, fds.T())
 	e := linalg.MatMul(linalg.MatMul(x.T(), comm), x)
 
 	ds.fs = append(ds.fs, f.Clone())
 	ds.errs = append(ds.errs, e)
+	row := make([]float64, len(ds.errs))
+	for i, ei := range ds.errs {
+		for k, v := range ei.Data {
+			row[i] += v * e.Data[k]
+		}
+	}
+	if row[len(row)-1] == 0 {
+		// F commutes with D exactly: a fixed point, nothing to extrapolate
+		// (and no direction to scale by).
+		ds.fs, ds.errs = ds.fs[:len(ds.fs)-1], ds.errs[:len(ds.errs)-1]
+		return f
+	}
+	for i := range ds.dots {
+		ds.dots[i] = append(ds.dots[i], row[i])
+	}
+	ds.dots = append(ds.dots, row)
 	if len(ds.fs) > ds.depth {
-		ds.fs = ds.fs[1:]
-		ds.errs = ds.errs[1:]
+		ds.dropOldest()
 	}
 	m := len(ds.fs)
+	// Pulay's equations — minimize c^T B c subject to sum(c) = 1 — solved
+	// in the scaled unknowns z_i = c_i |e_i|: the matrix becomes the cosines
+	// between the error vectors (unit diagonal), c = w z / sum(w z) with
+	// w_i = 1/|e_i|. The subspace first sheds its oldest entries until the
+	// cosines say the rest are independent (diisIndependence).
+	var w []float64
+	var cos *linalg.Matrix
+	for ; m >= 2; m-- {
+		w = make([]float64, m)
+		for i := range w {
+			w[i] = 1 / math.Sqrt(ds.dots[i][i])
+		}
+		cos = linalg.NewMatrix(m, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < m; j++ {
+				cos.Set(i, j, ds.dots[i][j]*w[i]*w[j])
+			}
+		}
+		if linalg.EigSym(cos).Values[0] > diisIndependence {
+			break
+		}
+		ds.dropOldest()
+	}
 	if m < 2 {
 		return f
 	}
-	// Pulay B matrix with the constraint row/column.
-	b := linalg.NewMatrix(m+1, m+1)
-	for i := 0; i < m; i++ {
-		for j := 0; j < m; j++ {
-			var dot float64
-			for k, v := range ds.errs[i].Data {
-				dot += v * ds.errs[j].Data[k]
-			}
-			b.Set(i, j, dot)
-		}
-		b.Set(i, m, -1)
-		b.Set(m, i, -1)
+	z, err := linalg.SolveLinear(cos, w)
+	var sum float64
+	for i := range z {
+		z[i] *= w[i]
+		sum += z[i]
 	}
-	rhs := make([]float64, m+1)
-	rhs[m] = -1
-	coef, err := linalg.SolveLinear(b, rhs)
-	if err != nil {
+	if err != nil || sum == 0 {
 		// Singular subspace: drop the oldest entry and carry on.
-		ds.fs = ds.fs[1:]
-		ds.errs = ds.errs[1:]
+		ds.dropOldest()
 		return f
 	}
 	out := linalg.NewMatrix(f.Rows, f.Cols)
 	for i := 0; i < m; i++ {
-		out.AXPY(coef[i], ds.fs[i])
+		out.AXPY(z[i]/sum, ds.fs[i])
 	}
 	return out
 }
