@@ -2,7 +2,7 @@ GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake wal-single backend-single server-single session-single core-single screen-single perimeter-single ci microbench bench-gate
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -87,19 +87,25 @@ serve-test:
 # fencing, double-adopt race with exactly one winner), registry WAL
 # recovery (incl. the snapshot-boundary crash and the internal/wal
 # crash-point enumeration), the finish-then-publish contract, readiness
-# drain transitions, cross-peer owner redirects, the deterministic
-# daemon-kill schedule, and the background checkpoint writer an adopter's
+# drain transitions, a new peer ready and adopting already-orphaned
+# jobs on its first scan (no tick), cross-peer owner redirects, the
+# deterministic daemon-kill schedule, and the background checkpoint
+# writer an adopter's
 # resume depends on: latest-wins, flushed on every exit of a solve, F/D
 # handed over uncopied (the race detector is the check), a failed write
 # sticky, and CkptIter advertised only after the file is durable.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointDurableBeforeAdvertised' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointDurableBeforeAdvertised' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
 
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
 # (non-race, about a minute). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
 e2e-flake:
 	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
+
+# Every tracked Go file is gofmt-clean (`gofmt -w <file>` fixes a hit).
+fmt-check:
+	@bad="$$(gofmt -l $$(git ls-files '*.go'))"; test -z "$$bad" || { echo "not gofmt-clean:"; echo "$$bad"; exit 1; }
 
 # One durability implementation, checked mechanically: outside
 # internal/wal (and tests) nothing checksums a frame, fsyncs, or renames
@@ -183,7 +189,7 @@ perimeter-single:
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
 # serve-ha) under the race detector, so those stay developer targets and
 # parallel workflow jobs instead of running twice here.
-ci: build vet generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single race e2e-flake
+ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet) and

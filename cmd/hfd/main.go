@@ -25,10 +25,13 @@
 // -registry. Each peer executes only under a heartbeat-refreshed,
 // incarnation-fenced lease and adopts jobs whose owner stopped
 // heartbeating, resuming from the last SCF checkpoint — the checkpoint
-// directory must be shared storage across peers. /readyz reports
-// false while draining or before the first registry sync, and
-// status/event queries for a job owned by another peer answer 307 with
-// the owner's address.
+// directory must be shared storage across peers. The first adoption
+// scan runs at start, not one -scan-every later, so /readyz turns true
+// one registry round trip after the listeners are bound (it reports
+// false before that first registry sync and while draining), and a
+// restarted peer adopts already-expired orphans at once. Status/event
+// queries for a job owned by another peer answer 307 with the owner's
+// address.
 //
 //	hfd -listen 127.0.0.1:8680 -registry-listen 127.0.0.1:8690 \
 //	    -registry-dir hfd-reg -checkpoint-dir /shared/ckpt
@@ -40,6 +43,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -84,7 +88,7 @@ func main() {
 		advertise = flag.String("advertise", "", "job-API address other peers redirect clients to (default -listen)")
 		peerID    = flag.String("peer-id", "", "stable peer identity in the registry (default -advertise)")
 		leaseTTL  = flag.Duration("lease-ttl", 1500*time.Millisecond, "embedded registry lease TTL (registry host only; joining peers fetch the host's TTL)")
-		scanEvery = flag.Duration("scan-every", time.Second, "adoption scanner cadence (HA mode)")
+		scanEvery = flag.Duration("scan-every", time.Second, "adoption scanner cadence after the first scan, which runs at start (HA mode)")
 
 		faultReset = flag.Float64("fault-net-reset", 0, "injected connection-reset probability per RPC (chaos)")
 		faultDup   = flag.Float64("fault-net-dup", 0, "injected duplicate-delivery probability per RPC (chaos)")
@@ -149,6 +153,12 @@ func main() {
 			cfg.Tenants[name] = serve.TenantConfig{Weight: w, MaxQueued: *maxQdTen, MaxRunning: *maxRunTen}
 		}
 	}
+	// Bind every listener before the peer starts: its first registry call
+	// and its first adoption scan run at construction, and an adopted job
+	// advertises the job-API address to clients from that scan on.
+	ln, err := net.Listen("tcp", *listen)
+	fatalIf(err)
+
 	// HA mode: host and/or join a shared job registry, and run the
 	// scheduler behind an ownership lease via a Peer.
 	var (
@@ -159,6 +169,8 @@ func main() {
 	if *regAddr != "" || *regListen != "" {
 		regTarget := *regAddr
 		if *regListen != "" {
+			rln, err := net.Listen("tcp", *regListen)
+			fatalIf(err)
 			rcfg := serve.RegistryConfig{LeaseTTL: *leaseTTL, Metrics: sm}
 			if *regDir != "" {
 				reg, err = serve.OpenRegistry(*regDir, rcfg)
@@ -166,9 +178,9 @@ func main() {
 			} else {
 				reg = serve.NewRegistry(rcfg)
 			}
-			rhs := &http.Server{Addr: *regListen, Handler: (&serve.RegistryAPI{Reg: reg}).Handler()}
+			rhs := &http.Server{Handler: (&serve.RegistryAPI{Reg: reg}).Handler()}
 			go func() {
-				if err := rhs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+				if err := rhs.Serve(rln); err != nil && err != http.ErrServerClosed {
 					fatalIf(fmt.Errorf("registry: %w", err))
 				}
 			}()
@@ -205,7 +217,7 @@ func main() {
 	}
 
 	api := &serve.API{Server: srv, RPC: rpc, Peer: peer}
-	hs := &http.Server{Addr: *listen, Handler: api.Handler()}
+	hs := &http.Server{Handler: api.Handler()}
 	if *ackAddr != "" {
 		metrics.PublishFunc("hfd", func() any { return sm.Snapshot() })
 		metrics.PublishFunc("serve_jobs_adopted", func() any { return sm.Adopted() })
@@ -225,7 +237,7 @@ func main() {
 		defer cancel()
 		drain := srv.Drain
 		if peer != nil {
-			drain = peer.Drain // parks, then releases every lease for instant adoption
+			drain = peer.Drain // parks, then releases every lease for adoption on the survivors' next scan
 		}
 		if err := drain(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "hfd: %v\n", err)
@@ -235,7 +247,7 @@ func main() {
 
 	fmt.Printf("hfd: serving on http://%s (fleet: %s; capacity %d, queue %d)\n",
 		*listen, strings.Join(addrs, ","), srv.Capacity(), srv.MaxQueue())
-	if err := hs.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatalIf(err)
 	}
 	for _, ms := range embedded {

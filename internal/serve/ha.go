@@ -77,7 +77,8 @@ type PeerConfig struct {
 	// slowly its own leases falsely expire. Falls back to 500ms when the
 	// registry cannot be reached at construction.
 	HeartbeatEvery time.Duration
-	// ScanEvery is the adoption scanner's cadence (default 1s).
+	// ScanEvery is the adoption scanner's cadence (default 1s). The first
+	// scan does not wait for it: it runs as the peer starts.
 	ScanEvery time.Duration
 }
 
@@ -145,8 +146,9 @@ func (p *Peer) Server() *Server { return p.srv }
 func (p *Peer) ID() string          { return p.cfg.ID }
 func (p *Peer) Incarnation() uint64 { return p.cfg.Incarnation }
 
-// Ready implements the /readyz contract: true once the first registry
-// round-trip succeeded and until the peer starts draining (or dies), so
+// Ready implements the /readyz contract: true once a registry round-trip
+// has succeeded (normally the first scan, run as the peer starts) and
+// until the peer starts draining (or dies), so
 // an external load balancer stops routing to a dying peer before its
 // jobs are gone.
 func (p *Peer) Ready() (bool, string) {
@@ -327,61 +329,66 @@ func (p *Peer) heartbeatLoop() {
 	}
 }
 
-// scanLoop is the adoption scanner: it polls the registry for orphaned
-// jobs (lease expired or released) and adopts what fits locally. The
-// headroom check happens BEFORE acquiring, so a peer never takes a lease
-// it would immediately have to give back.
+// scanLoop is the adoption scanner. A pass leads each ScanEvery wait, so
+// the first one runs as the peer starts: the peer is ready one registry
+// round trip after NewPeer, and a restarted peer adopts orphans that
+// have already expired without waiting out a tick.
 func (p *Peer) scanLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.ScanEvery)
 	defer t.Stop()
-	for {
+	for !p.dead.Load() {
+		p.scan()
 		select {
 		case <-p.stop:
 			return
 		case <-t.C:
 		}
-		if p.dead.Load() {
-			return
+	}
+}
+
+// scan is one adoption pass: it polls the registry for orphaned jobs
+// (lease expired or released) and adopts what fits locally. The headroom
+// check happens BEFORE acquiring, so a peer never takes a lease it would
+// immediately have to give back.
+func (p *Peer) scan() {
+	orphans, err := p.reg.Orphans()
+	if err != nil {
+		return
+	}
+	p.synced.Store(true)
+	if p.srv.Draining() {
+		return
+	}
+	for _, rec := range orphans {
+		p.mu.Lock()
+		_, mine := p.owned[rec.ID]
+		p.mu.Unlock()
+		if mine || p.srv.Job(rec.ID) != nil {
+			continue
 		}
-		orphans, err := p.reg.Orphans()
+		nbf, err := p.srv.cfg.Estimate(rec.Spec)
 		if err != nil {
 			continue
 		}
-		p.synced.Store(true)
-		if p.srv.Draining() {
+		if b := p.cfg.Server.MemBudget; b > 0 && p.srv.MemUsed()+jobBytes(nbf) > b {
+			continue // no headroom; another peer or a later scan takes it
+		}
+		got, err := p.reg.Acquire(rec.ID, p.cfg.ID, p.cfg.Addr, p.cfg.Incarnation)
+		if err != nil {
+			continue // lost the race, or the job finished meanwhile
+		}
+		p.mu.Lock()
+		p.owned[rec.ID] = got.Fence
+		p.mu.Unlock()
+		if _, err := p.srv.Adopt(rec.ID, got.Spec); err != nil {
+			p.mu.Lock()
+			delete(p.owned, rec.ID)
+			p.mu.Unlock()
+			p.reg.Release(p.cfg.ID, p.cfg.Incarnation, []string{rec.ID})
 			continue
 		}
-		for _, rec := range orphans {
-			p.mu.Lock()
-			_, mine := p.owned[rec.ID]
-			p.mu.Unlock()
-			if mine || p.srv.Job(rec.ID) != nil {
-				continue
-			}
-			nbf, err := p.srv.cfg.Estimate(rec.Spec)
-			if err != nil {
-				continue
-			}
-			if b := p.cfg.Server.MemBudget; b > 0 && p.srv.MemUsed()+jobBytes(nbf) > b {
-				continue // no headroom; another peer or a later scan takes it
-			}
-			got, err := p.reg.Acquire(rec.ID, p.cfg.ID, p.cfg.Addr, p.cfg.Incarnation)
-			if err != nil {
-				continue // lost the race, or the job finished meanwhile
-			}
-			p.mu.Lock()
-			p.owned[rec.ID] = got.Fence
-			p.mu.Unlock()
-			if _, err := p.srv.Adopt(rec.ID, got.Spec); err != nil {
-				p.mu.Lock()
-				delete(p.owned, rec.ID)
-				p.mu.Unlock()
-				p.reg.Release(p.cfg.ID, p.cfg.Incarnation, []string{rec.ID})
-				continue
-			}
-			p.met.AddAdopted()
-		}
+		p.met.AddAdopted()
 	}
 }
 
@@ -410,8 +417,8 @@ func (p *Peer) Lookup(id string) (ownerAddr string, rec *JobRecord, pending bool
 
 // Drain gracefully hands the peer's work back: the local scheduler
 // checkpoints and parks everything, then every held lease is released so
-// the surviving peers adopt the parked jobs immediately instead of
-// waiting out an expiry.
+// the surviving peers adopt the parked jobs on their next scan (within
+// ScanEvery) instead of waiting out an expiry.
 func (p *Peer) Drain(ctx context.Context) error {
 	err := p.srv.Drain(ctx)
 	p.mu.Lock()

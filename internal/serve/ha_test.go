@@ -116,12 +116,18 @@ func readyz(t *testing.T, api *httptest.Server) (int, string) {
 func TestReadyzDrainTransition(t *testing.T) {
 	_, regSrv := newTestRegistryServer(t)
 
-	// Before the first registry round-trip the peer must not take
-	// traffic: it cannot see orphans or record outcomes yet. A peer
-	// whose loops never tick stays deterministically unsynced.
-	cold := newHARigEvery(t, regSrv.URL, "peer-cold", time.Hour)
-	if code, reason := readyz(t, cold.api); code != http.StatusServiceUnavailable || reason != "registry sync pending" {
-		t.Fatalf("/readyz before registry sync: %d %q, want 503 pending", code, reason)
+	// Until a registry round-trip succeeds the peer must not take
+	// traffic: it cannot see orphans or record outcomes yet. A peer whose
+	// registry is unreachable (a closed server's URL; explicit cadences,
+	// so NewPeer does not retry a TTL fetch) stays unsynced.
+	gone := httptest.NewServer(http.NotFoundHandler())
+	gone.Close()
+	cold := newHARigEvery(t, gone.URL, "peer-cold", time.Hour)
+	for i := 0; i < 3; i++ {
+		if code, reason := readyz(t, cold.api); code != http.StatusServiceUnavailable || reason != "registry sync pending" {
+			t.Fatalf("/readyz with the registry unreachable: %d %q, want 503 pending", code, reason)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 
 	rig := newHARig(t, regSrv.URL, "peer-a")
@@ -175,6 +181,70 @@ func TestReadyzDrainTransition(t *testing.T) {
 	}
 	if len(orphans) != 1 || orphans[0].ID != j.ID {
 		t.Fatalf("orphans after drain = %v, want [%s]", orphans, j.ID)
+	}
+}
+
+// TestPeerReadyWithoutTick: the first registry sync is the scan NewPeer
+// starts, not one ScanEvery later — with both cadences an hour, /readyz
+// still turns 200 within a second.
+func TestPeerReadyWithoutTick(t *testing.T) {
+	_, regSrv := newTestRegistryServer(t)
+	rig := newHARigEvery(t, regSrv.URL, "peer-a", time.Hour)
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
+		code, reason := readyz(t, rig.api)
+		if code == http.StatusOK {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz = %d %q one second after NewPeer, want 200", code, reason)
+		}
+	}
+}
+
+// TestPeerAdoptsOrphanOnStart: a peer that starts while the registry
+// already holds an orphan — released by a drained owner, or expired
+// under a dead one — adopts it on its first scan, with no tick (ScanEvery
+// is an hour). The registry clock is frozen, so the expired lease is the
+// only expiry in play and the adopter's own lease never lapses.
+func TestPeerAdoptsOrphanOnStart(t *testing.T) {
+	for _, how := range []string{"released", "expired"} {
+		t.Run(how, func(t *testing.T) {
+			var now atomic.Int64
+			reg := NewRegistry(RegistryConfig{LeaseTTL: time.Second,
+				Clock: func() time.Time { return time.Unix(0, now.Load()) }})
+			regSrv := httptest.NewServer((&RegistryAPI{Reg: reg}).Handler())
+			t.Cleanup(regSrv.Close)
+			id, _, err := reg.Create(JobSpec{Molecule: "H2"}, "peer-dead", "127.0.0.1:1", 1, "")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if how == "released" {
+				reg.Release("peer-dead", 1, nil)
+			} else {
+				now.Add(int64(2 * time.Second))
+			}
+
+			rig := newHARigEvery(t, regSrv.URL, "peer-b", time.Hour)
+			for deadline := time.Now().Add(5 * time.Second); rig.met.Adopted() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("peer never adopted the orphan present at its start")
+				}
+			}
+			if n := rig.met.Adopted(); n != 1 {
+				t.Fatalf("adopted = %d, want 1", n)
+			}
+			j := rig.peer.Server().Job(id)
+			if j == nil {
+				t.Fatalf("adopted job %s is not on the peer's server", id)
+			}
+			close(rig.gate.release)
+			waitState(t, j, StateDone)
+			// Done was visible, so the adopter's outcome is recorded — under
+			// the fence of exactly one acquisition after the creator's.
+			if rec, _ := reg.Get(id); rec.State != RecDone || rec.Fence != 2 {
+				t.Fatalf("record = %+v, want done under fence 2", rec)
+			}
+		})
 	}
 }
 

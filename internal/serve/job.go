@@ -76,8 +76,8 @@ var (
 	ErrCanceled  = errors.New("serve: job canceled by client")
 	ErrParked    = errors.New("serve: job parked (preempted)")
 	ErrDraining  = errors.New("serve: server draining")
-	ErrKilled    = errors.New("serve: peer killed")       // chaos: simulated SIGKILL
-	ErrLeaseLost = errors.New("serve: job lease lost")    // another peer adopted the job
+	ErrKilled    = errors.New("serve: peer killed")    // chaos: simulated SIGKILL
+	ErrLeaseLost = errors.New("serve: job lease lost") // another peer adopted the job
 )
 
 // JobSpec is what a tenant submits: the chemical system plus scheduling

@@ -50,12 +50,12 @@ type regReq struct {
 // regResp is the response body. Reason is one of the stable lease-error
 // strings when OK is false.
 type regResp struct {
-	OK     bool      `json:"ok"`
-	Reason string    `json:"reason,omitempty"`
-	ID     string    `json:"id,omitempty"`
-	Fence  uint64    `json:"fence,omitempty"`
-	Lost   []string  `json:"lost,omitempty"`
-	IDs    []string  `json:"ids,omitempty"`
+	OK     bool       `json:"ok"`
+	Reason string     `json:"reason,omitempty"`
+	ID     string     `json:"id,omitempty"`
+	Fence  uint64     `json:"fence,omitempty"`
+	Lost   []string   `json:"lost,omitempty"`
+	IDs    []string   `json:"ids,omitempty"`
 	Rec    *JobRecord `json:"rec,omitempty"`
 }
 
