@@ -1,8 +1,9 @@
 GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
+SCF_SRC = $(filter-out %_test.go,$(wildcard internal/scf/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single ci microbench bench-gate
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -185,11 +186,28 @@ perimeter-single:
 	@test "$$(ls cmd | tr '\n' ' ')" = "fockbuild fockd hf hfd kernelgen loadgen paper "
 	@test "$$(ls examples)" = "quickstart"
 
+# scf_callers prints, once each, the non-test internal/scf functions whose
+# body calls $(1) (a call on the func line itself counts).
+scf_callers = awk '/^func /{f=$$0; sub(/\(.*/, "", f); b=$$0; sub(/^func [^{]*\{/, "", b)} !/^func /{b=$$0} b ~ /$(1)\(/{print f}' $(SCF_SRC) | sort -u
+
+# One starting density, checked mechanically: every cold SCF starts from
+# scf.GuessDensity and nothing selects another start — scf.Options has no
+# Guess* or InitialDensity field, neither hf nor fockbuild defines a
+# -guess flag, fockbuild's identity density stays gone, and in non-test
+# internal/scf exactly one function (atomicDensity) runs the atomic SCF
+# and only the memo (atomFor) calls it.
+guess-single:
+	@! awk '/^type Options struct/,/^}/' internal/scf/scf.go | grep -E '^[[:space:]]+(Guess[A-Za-z0-9]*|InitialDensity)\b'
+	@! grep -nE 'flag\.[A-Za-z0-9]+\((&[^,]+, *)?"guess' cmd/hf/*.go cmd/fockbuild/*.go
+	@! grep -rnw --include='*.go' guessDensity cmd internal gtfock.go
+	@test "$$($(call scf_callers,sphericalBlock))" = "func atomicDensity"
+	@test "$$($(call scf_callers,atomicDensity))" = "func atomFor"
+
 # The aggregate gate. `race` already runs every test of the named subset
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
 # serve-ha) under the race detector, so those stay developer targets and
 # parallel workflow jobs instead of running twice here.
-ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single race e2e-flake
+ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet) and

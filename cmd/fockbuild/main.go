@@ -40,6 +40,7 @@ import (
 	netga "gtfock/internal/net"
 	"gtfock/internal/nwchem"
 	"gtfock/internal/reorder"
+	"gtfock/internal/scf"
 	"gtfock/internal/screen"
 )
 
@@ -147,7 +148,9 @@ func main() {
 		if *eriCache && *engine != "gtfock" {
 			fatalIf(fmt.Errorf("-eri-cache requires -engine gtfock"))
 		}
-		d := guessDensity(bs)
+		// The SCF's starting density, halved: the builders take the
+		// spinless density.
+		d := scf.GuessDensity(bs).Scale(0.5)
 		switch *engine {
 		case "gtfock":
 			copt := core.Options{Prow: prow, Pcol: pcol}
@@ -388,13 +391,6 @@ func reportRPC(rpc *metrics.RPC) {
 			s.LatencyNS.Mean/1e3, float64(s.LatencyNS.P95)/1e3,
 			float64(s.LatencyNS.Max)/1e3)
 	}
-}
-
-// guessDensity returns a plausible symmetric density-like matrix (overlap-
-// shaped) so real-mode builds exercise realistic sparsity.
-func guessDensity(bs *basis.Set) *linalg.Matrix {
-	d := linalg.Identity(bs.NumFuncs)
-	return d.Scale(0.5)
 }
 
 func fatalIf(err error) {

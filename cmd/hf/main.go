@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"gtfock/internal/basis"
@@ -143,20 +144,7 @@ func main() {
 	}
 	fatalIf(err)
 
-	fmt.Printf("%4s %18s %14s %12s %10s %10s\n",
-		"iter", "E_total (Ha)", "dE", "max|dD|", "t_fock", "t_dens")
-	for i, it := range res.Iterations {
-		fmt.Printf("%4d %18.10f %14.3e %12.3e %9.2fs %9.2fs",
-			i+1, it.Energy, it.DeltaE, it.DErr,
-			it.FockTime.Seconds(), it.DensityTime.Seconds())
-		if it.PurifyIters > 0 {
-			fmt.Printf("  (purify: %d iters)", it.PurifyIters)
-		}
-		if c := it.Cache; c.TaskHits+c.TaskMisses > 0 {
-			fmt.Printf("  (cache: %.0f%% hit)", 100*c.HitRate())
-		}
-		fmt.Println()
-	}
+	fmt.Print(iterTable(opt.StartIter, res.Iterations))
 	if c := res.CacheStats; c.TaskHits+c.TaskMisses > 0 {
 		fmt.Printf("stored-ERI cache: %d hits / %d misses (%.1f%%), %d quartets stored (%.1f MB resident",
 			c.TaskHits, c.TaskMisses, 100*c.HitRate(), c.QuartetsStored,
@@ -188,6 +176,28 @@ func main() {
 		fatalIf(os.WriteFile(*metricsOut, append(data, '\n'), 0o644))
 		fmt.Printf("Fock-build metrics (all iterations) written to %s\n", *metricsOut)
 	}
+}
+
+// iterTable formats the iteration table. Rows are numbered globally from
+// startIter+1, so a resumed run continues the numbering its checkpoints
+// and OnIteration use.
+func iterTable(startIter int, its []scf.Iteration) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%4s %18s %14s %12s %10s %10s\n",
+		"iter", "E_total (Ha)", "dE", "max|dD|", "t_fock", "t_dens")
+	for i, it := range its {
+		fmt.Fprintf(&b, "%4d %18.10f %14.3e %12.3e %9.2fs %9.2fs",
+			startIter+i+1, it.Energy, it.DeltaE, it.DErr,
+			it.FockTime.Seconds(), it.DensityTime.Seconds())
+		if it.PurifyIters > 0 {
+			fmt.Fprintf(&b, "  (purify: %d iters)", it.PurifyIters)
+		}
+		if c := it.Cache; c.TaskHits+c.TaskMisses > 0 {
+			fmt.Fprintf(&b, "  (cache: %.0f%% hit)", 100*c.HitRate())
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
 }
 
 // loadResumeState loads and validates the checkpoint at path for the

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,5 +64,39 @@ func TestLoadResumeState(t *testing.T) {
 	ck, err = loadResumeState(path, mol, "sto-3g", "")
 	if err != nil || ck == nil || ck.Iter != 1 {
 		t.Fatalf("torn latest: (%+v, %v), want the .prev generation, iteration 1", ck, err)
+	}
+}
+
+// A resumed run's table continues the global numbering: after resuming
+// from iteration 3 its rows are numbered 4, 5, ... exactly as OnIteration
+// (and the checkpoints) number them.
+func TestIterTableNumbersGlobally(t *testing.T) {
+	mol := chem.Methane()
+	path := filepath.Join(t.TempDir(), "ch4.ckpt")
+	if _, err := scf.RunHF(mol, scf.Options{BasisName: "sto-3g", MaxIter: 3, CheckpointPath: path}); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := loadResumeState(path, mol, "sto-3g", "")
+	if err != nil || ck == nil || ck.Iter != 3 {
+		t.Fatalf("load: (%+v, %v), want iteration 3", ck, err)
+	}
+	var want []string
+	res, err := scf.RunHF(mol, scf.Options{
+		BasisName: "sto-3g", InitialFock: ck.Fock(), StartIter: ck.Iter,
+		OnIteration: func(n int, _ scf.Iteration) { want = append(want, strconv.Itoa(n)) },
+	})
+	if err != nil || !res.Converged {
+		t.Fatalf("resumed run: %v", err)
+	}
+	lines := strings.Split(strings.TrimSuffix(iterTable(ck.Iter, res.Iterations), "\n"), "\n")
+	var got []string
+	for _, l := range lines[1:] {
+		got = append(got, strings.Fields(l)[0])
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") || got[0] != "4" {
+		t.Errorf("rows numbered %v, OnIteration %v; want both from 4", got, want)
+	}
+	if row := iterTable(0, []scf.Iteration{{PurifyIters: 12}}); !strings.Contains(row, "\n   1 ") || !strings.HasSuffix(row, "  (purify: 12 iters)\n") {
+		t.Errorf("table %q: want row 1 with the purification suffix", row)
 	}
 }

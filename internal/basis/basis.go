@@ -26,6 +26,7 @@ import (
 type Shell struct {
 	L      int // angular momentum: 0=s, 1=p, 2=d, ...
 	Atom   int // index of the parent atom in the molecule
+	Pos    int // position among its atom's shells in the basis-set table
 	Center chem.Vec3
 	Exps   []float64
 	Coefs  []float64
@@ -199,10 +200,11 @@ func Build(mol *chem.Molecule, name string) (*Set, error) {
 			return nil, fmt.Errorf("basis: %s has no data for element %s",
 				name, chem.Symbol(atom.Z))
 		}
-		for _, es := range shells {
+		for pos, es := range shells {
 			sh := Shell{
 				L:      es.l,
 				Atom:   ai,
+				Pos:    pos,
 				Center: atom.Pos,
 				Exps:   append([]float64(nil), es.exps...),
 				Coefs:  normalizeContraction(es.l, es.exps, es.coefs),

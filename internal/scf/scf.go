@@ -1,7 +1,8 @@
 // Package scf implements the closed-shell restricted Hartree-Fock
-// procedure of the paper's Algorithm 1: core-Hamiltonian guess, basis
-// orthogonalization X = S^{-1/2}, Fock construction through any of the
-// engines in this repository (GTFock, the NWChem-style baseline, or the
+// procedure of the paper's Algorithm 1: a superposition of atomic
+// densities as the guess D (GuessDensity), basis orthogonalization
+// X = S^{-1/2}, Fock construction through any of the engines in this
+// repository (GTFock, the NWChem-style baseline, or the
 // serial oracle), and the density step either by dense diagonalization or
 // by canonical purification with SUMMA (Sec. IV-E). DIIS convergence
 // acceleration is included as a production convenience.
@@ -84,7 +85,8 @@ type Options struct {
 	Reorder string // shell ordering, a reorder.ByName name: "" (atom order) or "cell" (GTFock/serial)
 
 	// InitialFock warm-starts the SCF from a previous Fock matrix (e.g. a
-	// Checkpoint) instead of the core-Hamiltonian guess.
+	// Checkpoint): iteration 1 starts with the density step from it. When
+	// nil, iteration 1 builds F from GuessDensity and skips that step.
 	InitialFock *linalg.Matrix
 
 	// CheckpointPath, when set, checkpoints F, D and the energy of every
@@ -249,15 +251,18 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	enuc := mol.NuclearRepulsion()
 
 	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder, NOcc: nocc}
-	f := hcore.Clone()
+	// A cold start is Alg. 1's "guess D": iteration 1 builds F from the
+	// atomic densities and skips the density step. A warm start carries F.
+	var f, d *linalg.Matrix
 	if opt.InitialFock != nil {
 		if opt.InitialFock.Rows != bs.NumFuncs || opt.InitialFock.Cols != bs.NumFuncs {
 			return nil, fmt.Errorf("scf: InitialFock is %dx%d, want %dx%d",
 				opt.InitialFock.Rows, opt.InitialFock.Cols, bs.NumFuncs, bs.NumFuncs)
 		}
 		f = opt.InitialFock.Clone()
+	} else {
+		d = GuessDensity(bs)
 	}
-	var d *linalg.Matrix
 	var ePrev float64
 	diis := newDIIS(diisDepth)
 
@@ -303,50 +308,32 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 				opt.StartIter+it, context.Cause(opt.Ctx))
 		}
 
-		// Numerical blow-up guard: a NaN/Inf in F (bad warm start, DIIS
-		// breakdown, diverging density) would otherwise propagate silently
-		// through eigensolver and energy until MaxIter.
-		if err := nonFiniteErr(f, it, "Fock matrix"); err != nil {
-			return nil, err
-		}
-
-		// Density from the current Fock matrix (Alg. 1 lines 7-10).
-		t0 := time.Now()
-		fPrime := linalg.MatMul(linalg.MatMul(x.T(), f), x)
-		// p = X rho X^T is the spinless orbital density C_occ C_occ^T
-		// (tr(pS) = nocc); the physical density of Alg. 1 line 10 is
-		// D = 2p. Equation (3) of the paper is dimensionally written for
-		// the unscaled p (see DESIGN.md), so the builders receive p.
 		var p *linalg.Matrix
-		if opt.UsePurification {
-			rho, nit, err := purify.Canonical(fPrime, nocc, purify.DefaultTol, 300, nil)
-			if err != nil {
+		if f == nil {
+			// Cold start, iteration 1: build straight from the guess.
+			p = d.Clone().Scale(0.5)
+			iter.DErr = d.MaxAbs()
+		} else {
+			// Numerical blow-up guard: a NaN/Inf in F (bad warm start, DIIS
+			// breakdown, diverging density) would otherwise propagate
+			// silently through eigensolver and energy until MaxIter.
+			if err := nonFiniteErr(f, it, "Fock matrix"); err != nil {
+				return nil, err
+			}
+			t0 := time.Now()
+			var err error
+			if p, iter.PurifyIters, err = densityStep(f, x, nocc, opt.UsePurification); err != nil {
 				return nil, fmt.Errorf("scf: iteration %d: %w", it, err)
 			}
-			iter.PurifyIters = nit
-			p = linalg.MatMul(linalg.MatMul(x, rho), x.T())
-		} else {
-			// The eigensolver hands over the occupied orbitals themselves,
-			// so rho is never formed: C = X V_occ, p = C C^T — two
-			// n^2 n_occ products, and p symmetric by construction.
-			eig := linalg.EigSym(fPrime)
-			n := bs.NumFuncs
-			vocc := linalg.NewMatrix(n, nocc)
-			for i := 0; i < n; i++ {
-				copy(vocc.Data[i*nocc:(i+1)*nocc], eig.Vectors.Data[i*n:i*n+nocc])
+			dNew := p.Clone().Scale(2)
+			iter.DensityTime = time.Since(t0)
+			if d != nil {
+				iter.DErr = linalg.MaxAbsDiff(d, dNew)
+			} else {
+				iter.DErr = dNew.MaxAbs()
 			}
-			c := linalg.MatMul(x, vocc)
-			p = linalg.MatMul(c, c.T())
+			d = dNew
 		}
-		dNew := p.Clone().Scale(2)
-		iter.DensityTime = time.Since(t0)
-
-		if d != nil {
-			iter.DErr = linalg.MaxAbsDiff(d, dNew)
-		} else {
-			iter.DErr = dNew.MaxAbs()
-		}
-		d = dNew
 
 		// Fock build F = H_core + G(p) (Alg. 1 line 6, eq. (3)).
 		t1 := time.Now()
@@ -432,6 +419,33 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		}
 	}
 	return res, nil
+}
+
+// densityStep returns the spinless density p of the nocc lowest orbitals
+// of f (Alg. 1 lines 7-10), and the purification iterations it took.
+// p = X rho X^T is C_occ C_occ^T (tr(pS) = nocc); the physical density of
+// Alg. 1 line 10 is D = 2p. Equation (3) of the paper is dimensionally
+// written for the unscaled p (see DESIGN.md), so the builders receive p.
+func densityStep(f, x *linalg.Matrix, nocc int, usePurification bool) (*linalg.Matrix, int, error) {
+	fPrime := linalg.MatMul(linalg.MatMul(x.T(), f), x)
+	if usePurification {
+		rho, nit, err := purify.Canonical(fPrime, nocc, purify.DefaultTol, 300, nil)
+		if err != nil {
+			return nil, 0, err
+		}
+		return linalg.MatMul(linalg.MatMul(x, rho), x.T()), nit, nil
+	}
+	// The eigensolver hands over the occupied orbitals themselves, so rho
+	// is never formed: C = X V_occ, p = C C^T — two n^2 n_occ products,
+	// and p symmetric by construction.
+	eig := linalg.EigSym(fPrime)
+	n := f.Rows
+	vocc := linalg.NewMatrix(n, nocc)
+	for i := 0; i < n; i++ {
+		copy(vocc.Data[i*nocc:(i+1)*nocc], eig.Vectors.Data[i*n:i*n+nocc])
+	}
+	c := linalg.MatMul(x, vocc)
+	return linalg.MatMul(c, c.T()), 0, nil
 }
 
 // firstNonFinite returns the position of the first NaN/Inf entry of m.
