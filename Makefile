@@ -2,6 +2,7 @@ GO ?= go
 NET_SRC = $(filter-out %_test.go,$(wildcard internal/net/*.go))
 CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 SCF_SRC = $(filter-out %_test.go,$(wildcard internal/scf/*.go))
+INTEGRALS_SRC = $(filter-out %_test.go,$(wildcard internal/integrals/*.go))
 
 .PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single ci microbench bench-gate
 
@@ -177,12 +178,15 @@ screen-single:
 # non-test dependency closure of something that runs (a command, the
 # benchmark, the facade); the packages, alternatives and test-only
 # helpers deleted for serving no tier and no table stay gone (their
-# measured numbers are in EXPERIMENTS.md "Ablations"); and cmd/ and
-# examples/ hold exactly the seven commands and the one compiled README
-# snippet.
+# measured numbers are in EXPERIMENTS.md "Ablations"); the one-electron
+# integrals have one path, CoreHamiltonian's single pass, with the
+# per-matrix T and V builders and their per-pair context only in the
+# tests' oracle; and cmd/ and examples/ hold exactly the seven commands
+# and the one compiled README snippet.
 perimeter-single:
 	@test "$$($(GO) list -deps ./cmd/... ./benchmark . | grep '^gtfock/internal/' | sort -u)" = "$$($(GO) list ./internal/...)"
 	@! grep -rnE --include='*.go' 'internal/(correlate|props)|AOTensor|reorder\.Morton|StealRichest|finalizeOrbitals|gwhGuess|GrapheneRibbon|MatMulParallel|runChaos' cmd internal examples gtfock.go
+	@! grep -nE 'newOE1Ctx|Kinetic\(|NuclearAttraction\(' $(INTEGRALS_SRC)
 	@test "$$(ls cmd | tr '\n' ' ')" = "fockbuild fockd hf hfd kernelgen loadgen paper "
 	@test "$$(ls examples)" = "quickstart"
 
@@ -210,8 +214,10 @@ guess-single:
 ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
-# compile-and-run smoke that also prints ns per primitive quartet) and
-# BenchmarkBoys*. For diagnosis only: nothing gates on them.
+# compile-and-run smoke that also prints ns per primitive quartet),
+# BenchmarkBoys*, and BenchmarkOverlap / BenchmarkCoreHamiltonian at
+# alkane:6/sto-3g and CH4/cc-pVDZ. For diagnosis only: nothing gates on
+# them.
 microbench:
 	$(GO) test -bench . -benchtime 1x -run NONE ./internal/integrals/
 

@@ -173,10 +173,11 @@ func eTable(la, lb int, inv2p, pa, pb float64, out []float64, jdim, tdim int) {
 	}
 }
 
-// hermiteRTable fills r (size td^3, td = L+1) with the Hermite Coulomb
-// integrals R^0_{tuv}(alpha, PQ) for t+u+v <= L, using aux as scratch
-// (size (L+1)*td^3) and the Boys values F_0..F_L(alpha*|PQ|^2) in boys.
-func hermiteRTable(l int, alpha float64, pq chem.Vec3, boys, r, aux []float64) {
+// hermiteRTable returns the Hermite Coulomb integrals R^0_{tuv}(alpha, PQ)
+// for t+u+v <= L at [(t*td+u)*td+v] (td = L+1) of a td^3 slice of aux,
+// computed in aux (size (L+1)*td^3) from the Boys values
+// F_0..F_L(alpha*|PQ|^2) in boys. Entries with t+u+v > L are not set.
+func hermiteRTable(l int, alpha float64, pq chem.Vec3, boys, aux []float64) []float64 {
 	td := l + 1
 	td2 := td * td
 	td3 := td2 * td
@@ -215,7 +216,7 @@ func hermiteRTable(l int, alpha float64, pq chem.Vec3, boys, r, aux []float64) {
 			}
 		}
 	}
-	copy(r[:td3], aux[:td3])
+	return aux[:td3]
 }
 
 // Stats counts work done by an Engine.
@@ -266,11 +267,15 @@ type Engine struct {
 
 	boys   [maxBoysM + 1]float64
 	raux   []float64
-	rtab   []float64
 	gtab   []float64
 	cart   []float64
 	sphScr [2][]float64
 	out    []float64
+
+	// PairScratch's pair and the storage it is filled into.
+	pair       ShellPair
+	pairPrims  []primPair
+	pairFloats []float64
 
 	// Scratch of the generated kernels beyond total Hermite order 4
 	// (kernels_gen.go), fixed-size so they never touch the allocator: the
@@ -291,9 +296,34 @@ func (e *Engine) Pair(a, b *basis.Shell) *ShellPair {
 	return NewShellPair(a, b, e.PrimTol)
 }
 
-func (e *Engine) ensure(buf *[]float64, n int) []float64 {
+// PairScratch is Pair into engine-owned storage, for a pair used once:
+// the result is valid until the next PairScratch call, and a warmed
+// engine fills it without allocating.
+func (e *Engine) PairScratch(a, b *basis.Shell) *ShellPair {
+	used := 0
+	fillShellPair(&e.pair, a, b, e.PrimTol,
+		func(n int) []primPair { return grow(&e.pairPrims, n) },
+		func(n int) []float64 {
+			if used+n > cap(e.pairFloats) {
+				// Blocks already handed out keep the old buffer; the next
+				// call finds room for both in this one.
+				e.pairFloats = make([]float64, 2*(used+n))
+				used = 0
+			}
+			blk := e.pairFloats[used : used+n : used+n]
+			used += n
+			clear(blk)
+			return blk
+		})
+	return &e.pair
+}
+
+func (e *Engine) ensure(buf *[]float64, n int) []float64 { return grow(buf, n) }
+
+// grow returns (*buf)[:n], reallocating only when the capacity is short.
+func grow[T any](buf *[]T, n int) []T {
 	if cap(*buf) < n {
-		*buf = make([]float64, n)
+		*buf = make([]T, n)
 	}
 	return (*buf)[:n]
 }
@@ -305,9 +335,9 @@ const DefaultScratchBudget = 256 << 10
 
 // ScratchBytes reports the engine's current growable scratch footprint in
 // bytes (the fixed-size kernel scratch is excluded; it is part of the
-// Engine struct itself).
+// Engine struct itself. So is PairScratch's storage, one pair's worth).
 func (e *Engine) ScratchBytes() int {
-	n := cap(e.raux) + cap(e.rtab) + cap(e.gtab) + cap(e.cart) +
+	n := cap(e.raux) + cap(e.gtab) + cap(e.cart) +
 		cap(e.sphScr[0]) + cap(e.sphScr[1]) + cap(e.out) + cap(e.genCartT)
 	return n * 8
 }
@@ -325,7 +355,7 @@ func (e *Engine) TrimScratch(budget int) {
 	if e.ScratchBytes() <= budget {
 		return
 	}
-	e.raux, e.rtab, e.gtab, e.cart = nil, nil, nil, nil
+	e.raux, e.gtab, e.cart = nil, nil, nil
 	e.sphScr[0], e.sphScr[1], e.out = nil, nil, nil
 	e.genCartT = nil
 }
@@ -369,7 +399,6 @@ func (e *Engine) eriCart(bra, ket *ShellPair) []float64 {
 	for i := range cart {
 		cart[i] = 0
 	}
-	rtab := e.ensure(&e.rtab, td3)
 	raux := e.ensure(&e.raux, (ltot+1)*td3)
 	gdim := tdAB * tdAB * tdAB
 	gtab := e.ensure(&e.gtab, nket*gdim)
@@ -389,7 +418,7 @@ func (e *Engine) eriCart(bra, ket *ShellPair) []float64 {
 			pref := bp.c * kp.c * math.Sqrt(s)
 			pq := bp.P.Sub(kp.P)
 			Boys(ltot, alpha*pq.Norm2(), e.boys[:])
-			hermiteRTable(ltot, alpha, pq, e.boys[:], rtab, raux)
+			rtab := hermiteRTable(ltot, alpha, pq, e.boys[:], raux)
 
 			// Build g[ketcomp][t][u][v] = sum_{tau,nu,phi}
 			//   (-1)^{tau+nu+phi} Ecd R_{t+tau, u+nu, v+phi}.

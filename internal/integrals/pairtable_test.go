@@ -179,6 +179,41 @@ func TestERIBatchZeroAlloc(t *testing.T) {
 	_ = sink
 }
 
+// A pair filled into engine scratch gives the same batch, bit for bit, as
+// one built on its own, and a warmed engine fills and uses it without
+// allocating (screen.Compute's Schwarz pass).
+func TestPairScratchMatchesPairZeroAlloc(t *testing.T) {
+	bs, err := basis.Build(chem.Methane(), "cc-pvtz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := NewEngine()
+	eng.PrimTol = PrimTol
+	sweep := func(check bool) {
+		for m := range bs.Shells {
+			for p := m; p < len(bs.Shells); p++ {
+				sp := eng.PairScratch(&bs.Shells[m], &bs.Shells[p])
+				got := eng.ERI(sp, sp)
+				if !check {
+					continue
+				}
+				got = append([]float64(nil), got...)
+				solo := eng.Pair(&bs.Shells[m], &bs.Shells[p])
+				want := eng.ERI(solo, solo)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("pair (%d,%d) elem %d: %.17g vs %.17g", m, p, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	sweep(true)
+	if n := testing.AllocsPerRun(3, func() { sweep(false) }); n != 0 {
+		t.Fatalf("steady-state PairScratch + ERI allocates %v times per sweep", n)
+	}
+}
+
 // The pair-resident folded terms: genTermSlots per surviving primitive
 // pair, reported by TermBytes, and identical whether a pair is carved
 // from the table's arena or built on its own by NewShellPair (the path

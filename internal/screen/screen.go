@@ -74,7 +74,7 @@ func Compute(bs *basis.Set, tau float64) *Screening {
 			for m := range rows {
 				shM := &bs.Shells[m]
 				for p := m; p < n; p++ {
-					pair := eng.Pair(shM, &bs.Shells[p])
+					pair := eng.PairScratch(shM, &bs.Shells[p])
 					batch := eng.ERI(pair, pair)
 					na, nb := shM.NumFuncs(), bs.Shells[p].NumFuncs()
 					var mx float64
