@@ -4,7 +4,7 @@ CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 SCF_SRC = $(filter-out %_test.go,$(wildcard internal/scf/*.go))
 INTEGRALS_SRC = $(filter-out %_test.go,$(wildcard internal/integrals/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single ci microbench bench-gate
+.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single scf-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -167,12 +167,13 @@ core-single:
 # primitive prescreen fixed at integrals.PrimTol. The density-weighted
 # screen, the dD telescope and the QQR bound stay gone; no struct but
 # integrals.Engine has a PrimTol field to thread a second value through;
-# and outside tests the constant is read by exactly the three production
-# pair builders and cmd/paper's Table V.
+# and outside tests the constant is read by exactly the four production
+# pair tables (RunHF's, the atomic guess's, core.Build's fallback and
+# nwchem.Build's) and cmd/paper's Table V.
 screen-single:
 	@! grep -rnE --include='*.go' 'DensityScreen|DeltaD|UpdateDensity|MaxQuartetDensity|NewQQR' cmd internal gtfock.go
 	@! grep -rnE --include='*.go' '^[[:space:]]+PrimTol[[:space:]]+float64' cmd internal gtfock.go | grep -v '^internal/integrals/md\.go:'
-	@test "$$(grep -rl --include='*.go' --exclude='*_test.go' 'integrals\.PrimTol' cmd internal gtfock.go | sort | tr '\n' ' ')" = "cmd/paper/tables.go internal/core/real.go internal/nwchem/real.go internal/scf/scf.go "
+	@test "$$(grep -rl --include='*.go' --exclude='*_test.go' 'integrals\.PrimTol' cmd internal gtfock.go | LC_ALL=C sort | tr '\n' ' ')" = "cmd/paper/tables.go internal/core/real.go internal/nwchem/real.go internal/scf/guess.go internal/scf/scf.go "
 
 # One perimeter, checked mechanically: every internal package is in the
 # non-test dependency closure of something that runs (a command, the
@@ -207,11 +208,24 @@ guess-single:
 	@test "$$($(call scf_callers,sphericalBlock))" = "func atomicDensity"
 	@test "$$($(call scf_callers,atomicDensity))" = "func atomFor"
 
+# One Fock build in the SCF, checked mechanically: non-test internal/scf
+# builds G in one place (buildG, the one core.Build call), which RunHF and
+# the atomic guess both call, and never imports the NWChem baseline (a
+# Fock-build comparison, not an SCF engine); the NWChem and serial engine
+# values and the guess's hand-rolled ERI tensor stay gone; and hf has no
+# -engine flag.
+scf-single:
+	@! grep -n '"gtfock/internal/nwchem"' $(SCF_SRC)
+	@test "$$(cat $(SCF_SRC) | grep -c 'core\.Build(')" -eq 1
+	@test "$$($(call scf_callers,buildG) | LC_ALL=C sort | tr '\n' ' ')" = "func RunHF func atomicDensity "
+	@! grep -rnE --include='*.go' 'EngineNWChem|EngineSerial|eriTensor' cmd internal examples gtfock.go
+	@! grep -nE 'flag\.[A-Za-z0-9]+\((&[^,]+, *)?"engine"' cmd/hf/*.go
+
 # The aggregate gate. `race` already runs every test of the named subset
 # gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
 # serve-ha) under the race detector, so those stay developer targets and
 # parallel workflow jobs instead of running twice here.
-ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single race e2e-flake
+ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single scf-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet),

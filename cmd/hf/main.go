@@ -1,10 +1,11 @@
 // Command hf runs a closed-shell restricted Hartree-Fock calculation
-// (the paper's Algorithm 1) with any of the repository's Fock engines.
+// (the paper's Algorithm 1), every Fock matrix built by GTFock. The
+// NWChem-style baseline is a Fock-build comparison: run it with fockbuild.
 //
 // Examples:
 //
 //	hf -mol CH4 -basis sto-3g
-//	hf -mol C6H6 -engine gtfock -grid 2x2 -purify
+//	hf -mol C6H6 -grid 2x2 -purify
 //	hf -mol alkane:4 -basis cc-pvdz -reorder cell
 package main
 
@@ -31,7 +32,6 @@ func main() {
 	var (
 		molSpec = flag.String("mol", "CH4", "molecule: formula, alkane:N, or flake:K")
 		bname   = flag.String("basis", "sto-3g", "basis set: sto-3g, 6-31g, cc-pvdz, or cc-pvtz")
-		engine  = flag.String("engine", "gtfock", "gtfock, nwchem, or serial")
 		grid    = flag.String("grid", "1x1", "process grid RxC")
 		maxIter = flag.Int("maxiter", 50, "maximum SCF iterations")
 		conv    = flag.Float64("conv", 1e-8, "energy convergence (Hartree)")
@@ -40,10 +40,9 @@ func main() {
 		ord     = flag.String("reorder", "", "shell ordering: cell, or empty for the generator's atom order")
 		noDIIS  = flag.Bool("nodiis", false, "disable DIIS acceleration")
 
-		// Stored-ERI cache tier (gtfock engine): -eri-cache records
-		// iteration 1's surviving integral batches and replays them on
-		// iterations 2..N.
-		eriCache  = flag.Bool("eri-cache", false, "store surviving ERIs on iteration 1, replay on later iterations (gtfock)")
+		// Stored-ERI cache tier: -eri-cache records iteration 1's
+		// surviving integral batches and replays them on iterations 2..N.
+		eriCache  = flag.Bool("eri-cache", false, "store surviving ERIs on iteration 1, replay on later iterations")
 		eriBudget = flag.Int64("eri-cache-budget", 0, "resident stored-ERI bytes; over budget drops to recompute (0 = unlimited)")
 
 		// Checkpoint / resume: -checkpoint saves the SCF state after every
@@ -53,8 +52,8 @@ func main() {
 		ckptPath = flag.String("checkpoint", "", "save an SCF checkpoint to this file after every iteration")
 		resume   = flag.Bool("resume", false, "warm-start from -checkpoint if it exists; reload it after a numerical blow-up")
 
-		// Observability (gtfock engine): metrics accumulate over every Fock
-		// build of the SCF run.
+		// Observability: metrics accumulate over every Fock build of the
+		// SCF run.
 		metricsOut = flag.String("metrics", "", "write per-worker Fock-build metrics JSON to this file")
 		httpAddr   = flag.String("http", "", "serve /debug/vars (expvar) and /debug/pprof on this address")
 	)
@@ -73,7 +72,6 @@ func main() {
 	opt := scf.Options{
 		Ctx:             ctx,
 		BasisName:       *bname,
-		Engine:          scf.Engine(*engine),
 		Tau:             *tau,
 		MaxIter:         *maxIter,
 		ConvTol:         *conv,
@@ -113,8 +111,8 @@ func main() {
 		}
 	}
 
-	fmt.Printf("RHF/%s on %s (%d electrons, %s engine)\n",
-		*bname, mol.Formula(), mol.NumElectrons(), *engine)
+	fmt.Printf("RHF/%s on %s (%d electrons)\n",
+		*bname, mol.Formula(), mol.NumElectrons())
 	res, err := scf.RunHF(mol, opt)
 	if err != nil && *resume && errors.Is(err, scf.ErrNumericalBlowUp) {
 		// The checkpoint on disk is the last complete iteration before the
@@ -165,11 +163,9 @@ func main() {
 			len(res.Iterations), res.Energy)
 		os.Exit(1)
 	}
-	if res.FockStats != nil {
-		fmt.Printf("last Fock build: %.2f MB and %.0f calls per process, l = %.4f\n",
-			res.FockStats.VolumeAvgMB(), res.FockStats.CallsAvg(),
-			res.FockStats.LoadBalance())
-	}
+	fmt.Printf("last Fock build: %.2f MB and %.0f calls per process, l = %.4f\n",
+		res.FockStats.VolumeAvgMB(), res.FockStats.CallsAvg(),
+		res.FockStats.LoadBalance())
 	if *metricsOut != "" {
 		data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
 		fatalIf(err)

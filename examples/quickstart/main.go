@@ -14,7 +14,6 @@ func main() {
 	mol := gtfock.Methane()
 	res, err := gtfock.RunHF(mol, gtfock.SCFOptions{
 		BasisName: "sto-3g",
-		Engine:    gtfock.EngineGTFock,
 		Prow:      2, Pcol: 2, // 4 goroutine "processes"
 	})
 	if err != nil {

@@ -65,13 +65,6 @@ type (
 	PerfModel = model.Params
 )
 
-// SCF engine selectors.
-const (
-	EngineGTFock = scf.EngineGTFock
-	EngineNWChem = scf.EngineNWChem
-	EngineSerial = scf.EngineSerial
-)
-
 // DefaultTau is the paper's screening tolerance, 1e-10.
 const DefaultTau = screen.DefaultTau
 

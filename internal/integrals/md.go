@@ -53,8 +53,8 @@ func (sp *ShellPair) eTables(i int) (ex, ey, ez []float64) {
 }
 
 // PrimTol is the primitive prescreening threshold of every production pair
-// builder (scf.RunHF's run-wide table, core.Build's fallback table, the
-// nwchem worker's engine). One value because one measured best: against
+// builder (scf.RunHF's run-wide table, each atomic guess's table,
+// core.Build's fallback table, nwchem.Build's table). One value because one measured best: against
 // keeping every primitive it moves the converged HF energy by |ΔE| ≤ 3e-11
 // Ha on each benchmark input (1.5e-10 at alkane:10, 3.9e-10 at alkane:16;
 // the suite promises 1e-9) in the same iteration counts, for 14 % less

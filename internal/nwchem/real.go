@@ -72,18 +72,18 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	}
 	gaF := dist.NewGlobalArray(grid, stats)
 	ctr := &counter{}
+	// One shared, read-only pair table for every process, as core.Build.
+	pt := scr.PairTable(integrals.PrimTol)
 
 	start := time.Now()
 	dist.RunProcs(opt.Procs, func(rank int) {
 		w := &baseWorker{
-			rank: rank, bs: bs, scr: scr, ad: ad,
+			rank: rank, bs: bs, scr: scr, pt: pt, ad: ad,
 			gaD: gaD, gaF: gaF, stats: stats,
-			eng:   integrals.NewEngine(),
-			pairs: map[int64]*integrals.ShellPair{},
-			dloc:  make([]float64, nf*nf),
-			floc:  make([]float64, nf*nf),
+			eng:  integrals.NewEngine(),
+			dloc: make([]float64, nf*nf),
+			floc: make([]float64, nf*nf),
 		}
-		w.eng.PrimTol = integrals.PrimTol
 		w.run(ctr)
 	})
 	wall := time.Since(start)
@@ -98,25 +98,15 @@ type baseWorker struct {
 	rank  int
 	bs    *basis.Set
 	scr   *screen.Screening
+	pt    *integrals.PairTable
 	ad    *AtomData
 	gaD   *dist.GlobalArray
 	gaF   *dist.GlobalArray
 	stats *dist.RunStats
 	eng   *integrals.Engine
-	pairs map[int64]*integrals.ShellPair
 	dloc  []float64
 	floc  []float64
 	comp  time.Duration
-}
-
-func (w *baseWorker) pair(a, b int) *integrals.ShellPair {
-	key := int64(a)*int64(w.bs.NumShells()) + int64(b)
-	if p, ok := w.pairs[key]; ok {
-		return p
-	}
-	p := w.eng.Pair(&w.bs.Shells[a], &w.bs.Shells[b])
-	w.pairs[key] = p
-	return p
 }
 
 // run executes Algorithm 2 verbatim: every process walks the full task id
@@ -218,7 +208,7 @@ func (w *baseWorker) quartet(ai, aj, ak, al int) {
 			if !w.scr.Significant(m, n) {
 				continue
 			}
-			bra := w.pair(m, n)
+			bra := w.pt.Lookup(m, n)
 			for _, p := range bs.ByAtom[ak] {
 				for _, q := range bs.ByAtom[al] {
 					if ak == al && p < q {
@@ -230,10 +220,11 @@ func (w *baseWorker) quartet(ai, aj, ak, al int) {
 							continue
 						}
 					}
+					// A ket that passes KeepQuartet is significant: in pt.
 					if !w.scr.KeepQuartet(m, n, p, q) {
 						continue
 					}
-					batch := w.eng.ERI(bra, w.pair(p, q))
+					batch := w.eng.ERI(bra, w.pt.Lookup(p, q))
 					core.ApplyQuartet(bs, w.dloc, w.floc, m, n, p, q, batch)
 				}
 			}

@@ -84,7 +84,7 @@ func TestStoredBatchReplayIsLinearInDensity(t *testing.T) {
 // object and the result-level field is the final build's.
 func TestPerIterationFockStats(t *testing.T) {
 	res, err := RunHF(chem.Methane(), Options{
-		BasisName: "sto-3g", Engine: EngineGTFock, Prow: 2, Pcol: 2,
+		BasisName: "sto-3g", Prow: 2, Pcol: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestBlowUpReportedAtProducingIteration(t *testing.T) {
 	bad := linalg.NewMatrix(bs.NumFuncs, bs.NumFuncs)
 	bad.Set(0, 1, math.Inf(1))
 	_, err = RunHF(mol, Options{
-		BasisName: "sto-3g", Engine: EngineSerial, InitialFock: bad,
+		BasisName: "sto-3g", InitialFock: bad,
 	})
 	if !errors.Is(err, ErrNumericalBlowUp) || !strings.Contains(err.Error(), "iteration 1") {
 		t.Fatalf("warm-start blow-up not attributed to iteration 1: %v", err)

@@ -8,6 +8,7 @@ import (
 	"gtfock/internal/chem"
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
+	"gtfock/internal/screen"
 )
 
 // GuessDensity returns the superposition of atomic densities (SAD) over
@@ -107,7 +108,10 @@ const (
 // subshell's electrons are spread evenly over its 2l+1 components, so
 // every m of a shell carries the same block. When every l block is fully
 // occupied or holds one radial function (STO-3G) the second density
-// equals the first and the loop stops after one Fock build.
+// equals the first and the loop stops after one Fock build. G comes from
+// buildG, as in RunHF, over the atom's own screening, pair table and an
+// unbudgeted ERI store: the first build records the atom's integrals and
+// every later one replays them.
 func atomicDensity(basisName string, z int) atom {
 	bs, err := basis.Build(&chem.Molecule{Atoms: []chem.Atom{{Z: z}}}, basisName)
 	if err != nil {
@@ -129,12 +133,13 @@ func atomicDensity(basisName string, z int) atom {
 
 	s := integrals.Overlap(bs)
 	h := integrals.CoreHamiltonian(bs)
-	eri := eriTensor(bs)
-	n := bs.NumFuncs
+	scr := screen.Compute(bs, screen.DefaultTau)
+	pt := scr.PairTable(integrals.PrimTol)
+	store := integrals.NewERIStore(bs.NumShells(), 0, nil, 0, nil)
 	f := h
 	var p *linalg.Matrix
 	for it := 0; it < atomMaxIter; it++ {
-		pNew := linalg.NewMatrix(n, n)
+		pNew := linalg.NewMatrix(bs.NumFuncs, bs.NumFuncs)
 		for l, o := range occ {
 			sphericalBlock(bs, byL[l], l, o, f, s, pNew)
 		}
@@ -143,66 +148,16 @@ func atomicDensity(basisName string, z int) atom {
 		if done {
 			break
 		}
-		// F = H + G(p), G_ij = sum_kl p_kl (2 (ij|kl) - (ik|jl)).
-		f = h.Clone()
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				var g float64
-				for k := 0; k < n; k++ {
-					for l := 0; l < n; l++ {
-						g += p.At(k, l) * (2*eri[((i*n+j)*n+k)*n+l] - eri[((i*n+k)*n+j)*n+l])
-					}
-				}
-				f.Add(i, j, g)
-			}
+		// With no context, backend or fault injector, the build fails only
+		// if one of the atom's tasks outlasts the 1 s lease on every retry.
+		g, _, err := buildG(bs, scr, p, pt, store, Options{})
+		if err != nil {
+			panic(fmt.Sprintf("scf: atomic guess: %v", err))
 		}
+		f = h.Clone()
+		f.AXPY(1, g)
 	}
 	return atom{bs: bs, d: p.Scale(2)}
-}
-
-// eriTensor returns every (ij|kl) of bs, n^4 values row-major, computed
-// once per unique shell quartet and copied to its eight permutations.
-func eriTensor(bs *basis.Set) []float64 {
-	n, ns := bs.NumFuncs, bs.NumShells()
-	v := make([]float64, n*n*n*n)
-	eng := integrals.NewEngine()
-	pair := func(m, p int) *integrals.ShellPair {
-		return integrals.NewShellPair(&bs.Shells[m], &bs.Shells[p], 0)
-	}
-	for m := 0; m < ns; m++ {
-		for p := 0; p <= m; p++ {
-			bra := pair(m, p)
-			for r := 0; r <= m; r++ {
-				top := r
-				if r == m {
-					top = p
-				}
-				for q := 0; q <= top; q++ {
-					batch := eng.ERI(bra, pair(r, q))
-					om, op, or, oq := bs.Offsets[m], bs.Offsets[p], bs.Offsets[r], bs.Offsets[q]
-					nm, np, nr, nq := bs.ShellFuncs(m), bs.ShellFuncs(p), bs.ShellFuncs(r), bs.ShellFuncs(q)
-					idx := 0
-					for a := om; a < om+nm; a++ {
-						for b := op; b < op+np; b++ {
-							for c := or; c < or+nr; c++ {
-								for d := oq; d < oq+nq; d++ {
-									x := batch[idx]
-									idx++
-									for _, o := range [8][4]int{
-										{a, b, c, d}, {b, a, c, d}, {a, b, d, c}, {b, a, d, c},
-										{c, d, a, b}, {d, c, a, b}, {c, d, b, a}, {d, c, b, a},
-									} {
-										v[((o[0]*n+o[1])*n+o[2])*n+o[3]] = x
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return v
 }
 
 // sphericalBlock adds to p the spinless density of the l block: the radial

@@ -1,11 +1,11 @@
 // Package scf implements the closed-shell restricted Hartree-Fock
 // procedure of the paper's Algorithm 1: a superposition of atomic
 // densities as the guess D (GuessDensity), basis orthogonalization
-// X = S^{-1/2}, Fock construction through any of the engines in this
-// repository (GTFock, the NWChem-style baseline, or the
-// serial oracle), and the density step either by dense diagonalization or
-// by canonical purification with SUMMA (Sec. IV-E). DIIS convergence
-// acceleration is included as a production convenience.
+// X = S^{-1/2}, Fock construction by GTFock (internal/core, the one G
+// builder the run and its atomic guess share), and the density step either
+// by dense diagonalization or by canonical purification with SUMMA
+// (Sec. IV-E). DIIS convergence acceleration is included as a production
+// convenience.
 package scf
 
 import (
@@ -22,29 +22,28 @@ import (
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	"gtfock/internal/metrics"
-	"gtfock/internal/nwchem"
 	"gtfock/internal/purify"
 	"gtfock/internal/reorder"
 	"gtfock/internal/screen"
 )
 
-// Engine selects the Fock-build implementation.
+// Engine names the Fock-build implementation; GTFock is the only one (the
+// NWChem-style baseline is a Fock-build comparison, not an SCF driver).
+// The type goes when Options.Engine does.
 type Engine string
 
-const (
-	// EngineGTFock is the paper's algorithm (internal/core).
-	EngineGTFock Engine = "gtfock"
-	// EngineNWChem is the baseline of Algorithm 2 (internal/nwchem).
-	EngineNWChem Engine = "nwchem"
-	// EngineSerial is the brute-force oracle.
-	EngineSerial Engine = "serial"
-)
+// EngineGTFock is the paper's algorithm (internal/core).
+const EngineGTFock Engine = "gtfock"
 
 // ErrNumericalBlowUp marks an SCF run aborted because the Fock matrix or
 // total energy became non-finite (bad warm start, DIIS breakdown,
 // diverging density). Callers holding a checkpoint can errors.Is for it
 // and restart from the last valid iteration.
 var ErrNumericalBlowUp = errors.New("scf: numerical blow-up")
+
+// dTol is the density half of convergence: max |D - D_prev| below it, with
+// |ΔE| below Options.ConvTol.
+const dTol = 1e-5
 
 // Options configures an SCF run. The zero value gives cc-pVDZ, GTFock on a
 // 1x1 grid, eigensolver densities, DIIS on.
@@ -60,15 +59,18 @@ type Options struct {
 	// which by then holds the last completed iteration.
 	Ctx context.Context
 
-	Engine     Engine // default EngineGTFock
-	Prow, Pcol int    // process grid (GTFock) / Prow*Pcol processes (NWChem)
+	// Engine must be "" or EngineGTFock (RunHF rejects anything else) and
+	// selects nothing. It survives only because the benchmark harness and
+	// the HF service still set it, and is deleted once they stop.
+	Engine     Engine
+	Prow, Pcol int // GTFock process grid
 
-	// ERICache enables the stored-ERI cache tier (GTFock engine only):
-	// iteration 1 records every task's surviving integral batch into an
-	// integrals.ERIStore shared across the run's builds, and iterations
-	// 2..N replay the stored batches through the contraction path instead
-	// of re-entering the kernel layer. Exact — replay applies the same
-	// values the kernels would recompute.
+	// ERICache enables the stored-ERI cache tier: iteration 1 records
+	// every task's surviving integral batch into an integrals.ERIStore
+	// shared across the run's builds, and iterations 2..N replay the
+	// stored batches through the contraction path instead of re-entering
+	// the kernel layer. Exact — replay applies the same values the
+	// kernels would recompute.
 	ERICache bool
 	// ERICacheBudget bounds the store's resident value bytes; over-budget
 	// batches are dropped and recomputed every iteration. 0 = unlimited.
@@ -76,13 +78,12 @@ type Options struct {
 
 	MaxIter int     // default 50
 	ConvTol float64 // energy convergence, default 1e-8
-	DTol    float64 // density max-change convergence, default 1e-5
 
 	UsePurification bool // density via canonical purification + SUMMA
 
 	DIIS int // DIIS subspace size; 0 = default (8), negative disables
 
-	Reorder string // shell ordering, a reorder.ByName name: "" (atom order) or "cell" (GTFock/serial)
+	Reorder string // shell ordering, a reorder.ByName name: "" (atom order) or "cell"
 
 	// InitialFock warm-starts the SCF from a previous Fock matrix (e.g. a
 	// Checkpoint): iteration 1 starts with the density step from it. When
@@ -187,9 +188,6 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	if opt.Tau <= 0 {
 		opt.Tau = screen.DefaultTau
 	}
-	if opt.Engine == "" {
-		opt.Engine = EngineGTFock
-	}
 	if opt.Prow <= 0 {
 		opt.Prow = 1
 	}
@@ -202,9 +200,6 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	if opt.ConvTol <= 0 {
 		opt.ConvTol = 1e-8
 	}
-	if opt.DTol <= 0 {
-		opt.DTol = 1e-5
-	}
 	diisDepth := opt.DIIS
 	if diisDepth == 0 {
 		diisDepth = 8
@@ -216,20 +211,12 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	nocc := mol.NumElectrons() / 2
 	// Option-only checks come before any integral work, so a bad
 	// combination costs nothing on a paper-sized molecule.
-	switch opt.Engine {
-	case EngineGTFock, EngineNWChem, EngineSerial:
-	default:
+	if opt.Engine != "" && opt.Engine != EngineGTFock {
 		return nil, fmt.Errorf("scf: unknown engine %q", opt.Engine)
 	}
 	order, err := reorder.ByName(opt.Reorder)
 	if err != nil {
 		return nil, fmt.Errorf("scf: %w", err)
-	}
-	if order != nil && opt.Engine == EngineNWChem {
-		return nil, fmt.Errorf("scf: the NWChem baseline requires atom-ordered shells")
-	}
-	if opt.ERICache && opt.Engine != EngineGTFock {
-		return nil, fmt.Errorf("scf: ERICache requires the gtfock engine (have %q)", opt.Engine)
 	}
 
 	bs, err := basis.Build(mol, opt.BasisName)
@@ -266,13 +253,10 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	var ePrev float64
 	diis := newDIIS(diisDepth)
 
-	// GTFock builds share one pair table for the whole run: pair data
-	// depends only on geometry and screening, so it is built once here
-	// rather than once per iteration.
-	var pt *integrals.PairTable
-	if opt.Engine == EngineGTFock {
-		pt = scr.PairTable(integrals.PrimTol)
-	}
+	// The run's builds share one pair table: pair data depends only on
+	// geometry and screening, so it is built once here rather than once
+	// per iteration.
+	pt := scr.PairTable(integrals.PrimTol)
 
 	// Stored-ERI cache tier: one store per run, shared by every build of
 	// this geometry (it is keyed off pt's quartet order).
@@ -386,7 +370,7 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		// the DIIS extrapolation below, which only feeds the next density.
 		res.F, res.D = f, d
 
-		conv := it > 1 && math.Abs(iter.DeltaE) < opt.ConvTol && iter.DErr < opt.DTol
+		conv := it > 1 && math.Abs(iter.DeltaE) < opt.ConvTol && iter.DErr < dTol
 		if ckw != nil {
 			// F and D go to the writer uncopied. The loop never writes an
 			// iteration's f or d again once they are built: the next
@@ -469,29 +453,20 @@ func nonFiniteErr(m *linalg.Matrix, it int, what string) error {
 		ErrNumericalBlowUp, it, what, m.At(i, j), i, j)
 }
 
-// buildG dispatches the two-electron build to the selected engine. pt is
-// the run-wide shell-pair table and store the run-wide stored-ERI tier
-// (both GTFock only; nil elsewhere).
+// buildG is the package's one two-electron build, G(d) by GTFock
+// (core.Build), for RunHF and the atomic guess alike. pt is the caller's
+// shell-pair table and store its stored-ERI tier (nil: recompute every
+// build); opt supplies the grid and the build hooks.
 func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integrals.PairTable, store *integrals.ERIStore, opt Options) (*linalg.Matrix, *dist.RunStats, error) {
-	switch opt.Engine {
-	case EngineGTFock:
-		copt := core.Options{
-			Prow: opt.Prow, Pcol: opt.Pcol, PairTable: pt, ERIStore: store,
-			Metrics: opt.FockMetrics, Ctx: opt.Ctx, Backend: opt.FockBackend,
-		}
-		if opt.TuneFock != nil {
-			opt.TuneFock(&copt)
-		}
-		r := core.Build(bs, scr, d, copt)
-		return r.G, r.Stats, r.Err
-	case EngineNWChem:
-		r, err := nwchem.Build(bs, scr, d, nwchem.Options{Procs: opt.Prow * opt.Pcol})
-		if err != nil {
-			return nil, nil, err
-		}
-		return r.G, r.Stats, nil
+	copt := core.Options{
+		Prow: opt.Prow, Pcol: opt.Pcol, PairTable: pt, ERIStore: store,
+		Metrics: opt.FockMetrics, Ctx: opt.Ctx, Backend: opt.FockBackend,
 	}
-	return core.BuildSerial(bs, scr, d), nil, nil // EngineSerial: RunHF admits no fourth
+	if opt.TuneFock != nil {
+		opt.TuneFock(&copt)
+	}
+	r := core.Build(bs, scr, d, copt)
+	return r.G, r.Stats, r.Err
 }
 
 // diisIndependence is the smallest eigenvalue the cosine matrix of the

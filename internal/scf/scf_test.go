@@ -15,7 +15,7 @@ import (
 // total RHF energy of -1.1167 Hartree.
 func TestH2STO3GEnergy(t *testing.T) {
 	mol := chem.Hydrogen2(1.4 / chem.BohrPerAngstrom)
-	res, err := RunHF(mol, Options{BasisName: "sto-3g", Engine: EngineSerial})
+	res, err := RunHF(mol, Options{BasisName: "sto-3g"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,29 +111,6 @@ func TestConvergedDensityInvariants(t *testing.T) {
 	}
 }
 
-// All three engines must agree on the converged energy.
-func TestEnginesAgree(t *testing.T) {
-	mol := chem.Methane()
-	var energies []float64
-	for _, eng := range []Engine{EngineSerial, EngineGTFock, EngineNWChem} {
-		res, err := RunHF(mol, Options{
-			BasisName: "sto-3g", Engine: eng, Prow: 2, Pcol: 2,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", eng, err)
-		}
-		if !res.Converged {
-			t.Fatalf("%s did not converge", eng)
-		}
-		energies = append(energies, res.Energy)
-	}
-	for i := 1; i < len(energies); i++ {
-		if math.Abs(energies[i]-energies[0]) > 1e-7 {
-			t.Fatalf("engine energies disagree: %v", energies)
-		}
-	}
-}
-
 // Shell reordering must not change the converged energy.
 func TestReorderingInvariance(t *testing.T) {
 	mol := chem.Alkane(2)
@@ -198,9 +175,6 @@ func TestRejectsBadOptions(t *testing.T) {
 	if _, err := RunHF(mol, Options{BasisName: "sto-3g", Reorder: "zigzag"}); err == nil {
 		t.Fatal("expected unknown-reorder error")
 	}
-	if _, err := RunHF(mol, Options{BasisName: "sto-3g", Engine: EngineNWChem, Reorder: "cell"}); err == nil {
-		t.Fatal("expected nwchem+reorder error")
-	}
 	if _, err := RunHF(mol, Options{BasisName: "sto-3g", Engine: "magic"}); err == nil {
 		t.Fatal("expected unknown-engine error")
 	}
@@ -217,8 +191,6 @@ func TestOptionErrorsPrecedeBasisBuild(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{"cache off gtfock", Options{Engine: EngineSerial, ERICache: true}, "ERICache requires the gtfock engine"},
-		{"nwchem reordered", Options{Engine: EngineNWChem, Reorder: "cell"}, "atom-ordered shells"},
 		{"unknown reorder", Options{Reorder: "zigzag"}, "unknown reordering"},
 		{"unknown engine", Options{Engine: "gtfork"}, "unknown engine"},
 	} {
