@@ -152,13 +152,18 @@ session-single:
 
 # One worker runtime, checked mechanically: in non-test internal/core no
 # code branches on whether a ledger exists or keeps the fence beside it,
-# the worker walks a footprint's patches in one place, the two test-only
-# lease options stay gone, and the general-kernel switch lives only in
-# internal/integrals (its tests' oracle). Lanes have no knob: GOMAXPROCS
-# is read in one place, and neither Options struct grows a thread count.
+# the real build walks a footprint in one place — worker.patches holds its
+# one Rows() and one Patches( call, no other line of real.go makes either,
+# and real.go never counts the simulator's per-row Transfers — the two
+# test-only lease options stay gone, and the general-kernel switch lives
+# only in internal/integrals (its tests' oracle). Lanes have no knob:
+# GOMAXPROCS is read in one place, and neither Options struct grows a
+# thread count.
 core-single:
 	@! grep -nE 'led [!=]= nil|\.fence\b|MonitorEvery|MaxFaultRounds' $(CORE_SRC)
-	@test "$$(grep -c '\.Patches(' internal/core/real.go)" -eq 1
+	@test "$$(awk '/^func \(w \*worker\) patches\(/,/^}/' internal/core/real.go | grep -cE '\.Rows\(\)|\.Patches\(')" -eq 2
+	@! awk '/^func \(w \*worker\) patches\(/,/^}/{next} 1' internal/core/real.go | grep -nE '\.Rows\(|\.Patches\('
+	@! grep -n 'Transfers(' internal/core/real.go
 	@test "$$(cat $(CORE_SRC) | grep -c 'GOMAXPROCS(')" -eq 1
 	@! awk '/^type Options struct/,/^}/' internal/core/real.go internal/scf/scf.go | grep -E '^[[:space:]]+(Num)?(Threads|Lanes|Workers)\b'
 	@! grep -rn --include='*.go' --exclude='*_test.go' 'DisableFastKernels' internal cmd | grep -v '^internal/integrals/'

@@ -15,9 +15,13 @@ import (
 //
 //   - Footprint: the *transfer* footprint — per row shell, the contiguous
 //     column span [min, max] of the shells it touches. This is what an
-//     implementation fetches with strided one-sided Gets (one call per row
-//     shell per owner column), and it is why the paper's spatial
-//     reordering matters: a tight Phi span makes the fetched spans tight.
+//     implementation fetches with strided one-sided Gets, and it is why
+//     the paper's spatial reordering matters: a tight Phi span makes the
+//     fetched spans tight. The paper's GTFock makes one call per row shell
+//     per owner block, and Transfers counts that for the simulator's
+//     Tables VI-VII; the real build (worker.patches) moves the same
+//     elements but merges each run of consecutive row shells with equal
+//     spans into one rectangle per owner block, so it makes fewer calls.
 //   - ExactDElements: the exact element-level union (Fig. 1's nz counts).
 type Footprint struct {
 	// span[m] = inclusive shell-index column span fetched for row shell m.
@@ -110,8 +114,11 @@ func (f *Footprint) Span(m int) (lo, hi int, ok bool) {
 }
 
 // Transfers returns the one-sided operation count and byte volume needed
-// to move this footprint once (Get for D, or Acc for F): one call per row
-// shell per owner process column intersected by its span.
+// to move this footprint once (Get for D, or Acc for F) the paper's way:
+// one call per row shell per owner process column intersected by its
+// span. The simulator charges this; the real build moves the same bytes
+// in at most as many calls, because it coalesces runs of row shells with
+// equal spans (worker.patches).
 func (f *Footprint) Transfers(bs *basis.Set, grid *dist.Grid2D) (calls, bytes int64) {
 	for m, s := range f.span {
 		r0 := bs.Offsets[m]

@@ -1,0 +1,111 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"gtfock/internal/basis"
+	"gtfock/internal/chem"
+	"gtfock/internal/dist"
+	"gtfock/internal/linalg"
+)
+
+// rowShellPatches is the per-row-shell walk worker.patches coalesces: one
+// patch per row shell per owner block its span intersects, the transfer
+// granularity Footprint.Transfers counts. It is the element-set oracle of
+// the coalesced walk.
+func rowShellPatches(bs *basis.Set, grid *dist.Grid2D, fp *Footprint) []dist.Patch {
+	var out []dist.Patch
+	for _, m := range fp.Rows() {
+		lo, hi, _ := fp.Span(m)
+		r0 := bs.Offsets[m]
+		c0 := bs.Offsets[lo]
+		out = append(out, grid.Patches(r0, r0+bs.ShellFuncs(m), c0, bs.Offsets[hi]+bs.ShellFuncs(hi))...)
+	}
+	return out
+}
+
+// The coalesced footprint walk moves exactly the per-row-shell walk's
+// elements: over random unions of task blocks (a static block plus stolen
+// or adopted ones) on several grids, its patches are pairwise disjoint,
+// each lies in the one owner block it names, together they cover the
+// oracle's element set and nothing else, and they take no more calls than
+// Footprint.Transfers for the same bytes.
+func TestCoalescedPatchesCoverRowShellWalkExactly(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for _, c := range []struct{ mol, basis string }{{"CH4", "cc-pvdz"}, {"alkane:6", "sto-3g"}} {
+		mol, err := chem.ParseSpec(c.mol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, scr, _ := buildSetup(t, mol, c.basis)
+		ns, nf := bs.NumShells(), bs.NumFuncs
+		for _, g := range [][2]int{{1, 1}, {1, 2}, {2, 2}, {3, 2}} {
+			grid := Grid(bs, g[0], g[1])
+			w := &worker{bs: bs, grid: grid}
+			for trial := 0; trial < 40; trial++ {
+				fp := NewFootprint()
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					r0, c0 := rng.Intn(ns), rng.Intn(ns)
+					fp.AddBlock(scr, TaskBlock{R0: r0, R1: r0 + 1 + rng.Intn(ns-r0), C0: c0, C1: c0 + 1 + rng.Intn(ns-c0)})
+				}
+				name := fmt.Sprintf("%s/%s %dx%d trial %d", c.mol, c.basis, g[0], g[1], trial)
+
+				want := make([]bool, nf*nf)
+				for _, p := range rowShellPatches(bs, grid, fp) {
+					for r := p.R0; r < p.R1; r++ {
+						for col := p.C0; col < p.C1; col++ {
+							want[r*nf+col] = true
+						}
+					}
+				}
+				got := make([]int, nf*nf)
+				patches := w.patches(fp)
+				var bytes int64
+				for _, p := range patches {
+					bi, bj := grid.Coords(p.Proc)
+					if p.R0 < grid.RowCuts[bi] || p.R1 > grid.RowCuts[bi+1] ||
+						p.C0 < grid.ColCuts[bj] || p.C1 > grid.ColCuts[bj+1] || p.Elems() <= 0 {
+						t.Fatalf("%s: patch %+v is not a non-empty part of owner block (%d,%d)", name, p, bi, bj)
+					}
+					bytes += 8 * int64(p.Elems())
+					for r := p.R0; r < p.R1; r++ {
+						for col := p.C0; col < p.C1; col++ {
+							got[r*nf+col]++
+						}
+					}
+				}
+				for i := range got {
+					if (got[i] == 1) != want[i] || got[i] > 1 {
+						t.Fatalf("%s: element (%d,%d) covered %d times, oracle %v", name, i/nf, i%nf, got[i], want[i])
+					}
+				}
+				tc, tb := fp.Transfers(bs, grid)
+				if int64(len(patches)) > tc || bytes != tb {
+					t.Fatalf("%s: %d calls / %d bytes, Transfers %d / %d", name, len(patches), bytes, tc, tb)
+				}
+			}
+		}
+	}
+}
+
+// At 1x1 every row shell of a small molecule spans every column shell, so
+// the whole footprint is one rectangle: the build Gets D once and
+// accumulates F once, moving the bytes the per-row-shell walk moved in 14
+// calls (7 row shells, Get and Acc each).
+func TestBuildMovesOneRectanglePerOwnerBlock(t *testing.T) {
+	bs, scr, d := buildSetup(t, chem.Methane(), "sto-3g")
+	res := Build(bs, scr, d, Options{})
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// 9 basis functions: the 9x9 D Get plus the 9x9 F Acc, 8 bytes each.
+	const wantMB = 2 * 9 * 9 * 8 / 1e6
+	if calls, mb := res.Stats.CallsAvg(), res.Stats.VolumeAvgMB(); calls != 2 || mb != wantMB {
+		t.Fatalf("1x1 CH4/sto-3g build: %g calls, %g MB; want 2 calls, %g MB", calls, mb, wantMB)
+	}
+	if err := linalg.MaxAbsDiff(BuildSerial(bs, scr, d), res.G); err > 1e-9 {
+		t.Fatalf("|G - serial| = %g", err)
+	}
+}

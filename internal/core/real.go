@@ -551,18 +551,31 @@ func (w *worker) heartbeat(samp *metrics.Sample) {
 }
 
 // patches is the worker's one footprint walk: the patches that move fp
-// once, one per row shell per owner column its span intersects (the
-// transfer granularity of Sec. III-D). Rows ascend, so the Get and Acc
-// sequences — and with them the Acc tokens — repeat from build to build.
+// once. A run of consecutive row shells with equal column spans is one
+// rectangle, split by owner block — so a patch never leaves one block, and
+// the elements moved are exactly the per-row-shell walk's (Sec. III-D) in
+// fewer calls. Rows ascend, so the Get and Acc sequences — and with them
+// the Acc tokens — repeat from build to build.
 func (w *worker) patches(fp *Footprint) []dist.Patch {
 	var out []dist.Patch
-	for _, m := range fp.Rows() {
+	rows := fp.Rows()
+	for i := 0; i < len(rows); {
+		m := rows[i]
 		lo, hi, _ := fp.Span(m)
+		j := i + 1
+		for j < len(rows) && rows[j] == rows[j-1]+1 {
+			if l, h, _ := fp.Span(rows[j]); l != lo || h != hi {
+				break
+			}
+			j++
+		}
+		last := rows[j-1]
 		r0 := w.bs.Offsets[m]
-		r1 := r0 + w.bs.ShellFuncs(m)
+		r1 := w.bs.Offsets[last] + w.bs.ShellFuncs(last)
 		c0 := w.bs.Offsets[lo]
 		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
 		out = append(out, w.grid.Patches(r0, r1, c0, c1)...)
+		i = j
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package netga_test
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,10 +45,13 @@ func netSetup(t *testing.T) (*basis.Set, *screen.Screening, *linalg.Matrix) {
 // call is then the session's own, and dialed (when non-nil) runs once the
 // pair exists — chaos schedules start there, never mid-dial. The session
 // is closed with the test, before the servers up registered for cleanup.
+// A non-nil pace holds every one-sided op of the pair while a chaos event
+// is due (see pacer).
 type lazySession struct {
 	t      *testing.T
 	up     func(grid *dist.Grid2D) (*netga.Session, error)
 	dialed func()
+	pace   *pacer
 	sess   *netga.Session
 }
 
@@ -65,7 +69,53 @@ func (l *lazySession) Backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Bac
 	if first && err == nil && l.dialed != nil {
 		l.dialed()
 	}
+	if err == nil && l.pace != nil {
+		gaD, gaF = pacedBackend{gaD, l.pace}, pacedBackend{gaF, l.pace}
+	}
 	return gaD, gaF, cleanup, err
+}
+
+// pacer pins a chaos schedule to its op counts. The fault runners poll
+// their op counter on a 2ms timer, and a build of a few dozen one-sided
+// calls, CPU-bound between them, can end before the runner's goroutine is
+// scheduled again. While event i of n is due (due(i) reports its trigger
+// reached) but has not fired, every op of the build waits, so the event
+// lands at its count however the runner is scheduled. Wrap each event
+// callback with fire.
+type pacer struct {
+	n     int
+	due   func(i int) bool
+	fired atomic.Int64
+}
+
+func (p *pacer) hold() {
+	for i := int(p.fired.Load()); i < p.n && p.due(i); i = int(p.fired.Load()) {
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// fire returns f counted as the schedule's next fired event.
+func (p *pacer) fire(f func(int)) func(int) {
+	return func(k int) {
+		f(k)
+		p.fired.Add(1)
+	}
+}
+
+// pacedBackend holds each one-sided op of a build at its pacer.
+type pacedBackend struct {
+	dist.Backend
+	p *pacer
+}
+
+func (b pacedBackend) TryGet(proc, r0, r1, c0, c1 int, dst []float64, ld int) error {
+	b.p.hold()
+	return b.Backend.TryGet(proc, r0, r1, c0, c1, dst, ld)
+}
+
+func (b pacedBackend) TryAcc(proc int, token uint64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (uint64, bool, error) {
+	b.p.hold()
+	return b.Backend.TryAcc(proc, token, r0, r1, c0, c1, src, ld, alpha)
 }
 
 // netBackend returns a core.Options.Backend factory that brings up
@@ -255,9 +305,12 @@ func TestLiveSessionAccountsEveryBuild(t *testing.T) {
 		t.Cleanup(srv.Close)
 		var inj *fault.Injector
 		if faulty {
-			// Resets never run past the Get attempts budget, so no op is
-			// abandoned and every failed attempt is a counted retry.
-			inj = fault.New(fault.Config{Seed: 5, NetResetProb: 0.3, MaxConsecutiveNetFaults: 2})
+			// About four resets per build whatever its call count (the
+			// in-process build of the same shape is the dry run), so every
+			// build sees some. They never run past the Get attempts budget,
+			// so no op is abandoned and every failed attempt is a counted
+			// retry.
+			inj = fault.New(fault.Config{Seed: 5, NetResetProb: min(1, 4/wantCalls), MaxConsecutiveNetFaults: 2})
 		}
 		rpc := &metrics.RPC{}
 		sess := netga.NewSession(netga.Config{Session: 9, RPC: rpc, Fault: inj}, "", []string{addr}, nil)

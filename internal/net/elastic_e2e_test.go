@@ -194,38 +194,50 @@ func TestElasticChurnBuildMatchesSerial(t *testing.T) {
 	ref := core.BuildSerial(bs, scr, d)
 	ns := int64(bs.NumShells())
 
+	// The churn window is drawn on a fault-free dry build over a fleet of
+	// the same shape: its client RPC count is the build's traffic.
+	dryFleet := &fleetCluster{t: t, dir: t.TempDir(), ttl: 400 * time.Millisecond}
+	dryRPC := &metrics.RPC{}
+	dryLS := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
+		dryFleet.start(grid, 3, 1)
+		return netga.NewSession(netga.Config{Session: 399, RPC: dryRPC}, dryFleet.fleet.Addr(), nil, nil), nil
+	}}
+	if res := buildDeadline(t, time.Minute, func() core.Result {
+		return core.Build(bs, scr, d, chaosOptions(dryLS.Backend, nil))
+	}); res.Err != nil {
+		t.Fatalf("dry build: %v", res.Err)
+	}
+	dry := dryRPC.Snapshot().Calls
+
+	// One join, one leave, one kill, triggered by client RPC counts in the
+	// first half of the dry build's traffic so each lands mid-build
+	// deterministically per seed. Restart < 0: the killed primary never
+	// returns; its standby must take over.
+	plan := fault.MembershipChurnPlan(44, 3, 3, dry/4, dry/2, -1)
+
 	fc := &fleetCluster{t: t, dir: t.TempDir(), ttl: 400 * time.Millisecond}
 	rpc := &metrics.RPC{}
 	reg := metrics.NewRegistry(4)
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
-	ls := &lazySession{t: t,
+	ops := func() int64 { return rpc.Snapshot().Calls }
+	pace := &pacer{n: len(plan), due: func(i int) bool { return ops() >= plan[i].AfterOps }}
+	ls := &lazySession{t: t, pace: pace,
 		up: func(grid *dist.Grid2D) (*netga.Session, error) {
 			fc.start(grid, 3, 1)
 			return netga.NewSession(netga.Config{Session: 400, RPC: rpc}, fc.fleet.Addr(), nil, nil), nil
 		},
 		dialed: func() {
-			// One join, one leave, one kill, triggered by client RPC counts so
-			// each lands mid-build deterministically per seed. Restart < 0: the
-			// killed primary never returns; its standby must take over.
-			plan := fault.MembershipChurnPlan(44, 3, 3, 30, 150, -1)
-			ops := func() int64 { return rpc.Snapshot().Calls }
 			chaos.Add(1)
 			go func() {
 				defer chaos.Done()
-				fault.RunMembershipChurn(plan, ops, fc.join, fc.leave, fc.kill, nil, stop)
+				fault.RunMembershipChurn(plan, ops, pace.fire(fc.join), pace.fire(fc.leave), pace.fire(fc.kill), nil, stop)
 			}()
 		},
 	}
 
 	res := buildDeadline(t, 4*time.Minute, func() core.Result {
-		return core.Build(bs, scr, d, core.Options{
-			Prow: 2, Pcol: 2,
-			Backend:  ls.Backend,
-			LeaseTTL: 300 * time.Millisecond,
-			Retry:    dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
-			Metrics:  reg,
-		})
+		return core.Build(bs, scr, d, chaosOptions(ls.Backend, reg))
 	})
 	close(stop)
 	chaos.Wait()

@@ -7,12 +7,14 @@ import (
 	"testing"
 	"time"
 
+	"gtfock/internal/basis"
 	"gtfock/internal/core"
 	"gtfock/internal/dist"
 	"gtfock/internal/fault"
 	"gtfock/internal/linalg"
 	"gtfock/internal/metrics"
 	netga "gtfock/internal/net"
+	"gtfock/internal/screen"
 )
 
 // chaosCluster is the loopback harness for process-kill chaos: durable
@@ -122,6 +124,38 @@ func (cc *chaosCluster) restart(k int) {
 	cc.t.Errorf("restart slot %d on %s: %v", k, cc.addrs[k], err)
 }
 
+// chaosOptions is the build every process-kill chaos test runs: 2x2 with
+// leases and retry budgets short enough to ride out a 30ms restart.
+func chaosOptions(backend func(*dist.Grid2D, *dist.RunStats) (dist.Backend, dist.Backend, func(), error), reg *metrics.Registry) core.Options {
+	return core.Options{
+		Prow: 2, Pcol: 2,
+		Backend:  backend,
+		LeaseTTL: 300 * time.Millisecond,
+		Retry:    dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
+		Metrics:  reg,
+	}
+}
+
+// dryShardOps is the per-shard op count of one fault-free chaos build over
+// two durable shards — the fewest requests either shard serves. Kill
+// windows are drawn as fractions of it, so a schedule lands mid-build
+// however many one-sided calls the build issues.
+func dryShardOps(t *testing.T, bs *basis.Set, scr *screen.Screening, d *linalg.Matrix) int64 {
+	t.Helper()
+	cc := &chaosCluster{t: t, dir: t.TempDir(), session: 299}
+	ls := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
+		addrs, _ := cc.start(grid, 2, false)
+		return netga.NewSession(netga.Config{Session: cc.session}, "", addrs, nil), nil
+	}}
+	res := buildDeadline(t, time.Minute, func() core.Result {
+		return core.Build(bs, scr, d, chaosOptions(ls.Backend, nil))
+	})
+	if res.Err != nil {
+		t.Fatalf("dry build: %v", res.Err)
+	}
+	return min(cc.ops(0), cc.ops(1))
+}
+
 // TestLoopbackKillRestartBuildMatchesSerial is the tentpole chaos proof
 // without standbys: durable shard servers are SIGKILLed mid-build and
 // restarted from snapshot + journal on the same address. The build must
@@ -132,38 +166,34 @@ func TestLoopbackKillRestartBuildMatchesSerial(t *testing.T) {
 	bs, scr, d := netSetup(t)
 	ref := core.BuildSerial(bs, scr, d)
 	ns := int64(bs.NumShells())
+	// Two kills per slot, triggered by served-op counts in the first half
+	// of a dry build's per-shard traffic, past the driver's loads, so they
+	// land mid-build deterministically per seed; restarted after 30ms.
+	dry := dryShardOps(t, bs, scr, d)
+	plan := fault.ServerKillPlan(42, 2, 4, dry/4, dry/2, 30*time.Millisecond)
 
 	cc := &chaosCluster{t: t, dir: t.TempDir(), session: 300}
 	rpc := &metrics.RPC{}
 	reg := metrics.NewRegistry(4)
 	stop := make(chan struct{})
 	var chaos sync.WaitGroup
-	ls := &lazySession{t: t,
+	pace := &pacer{n: len(plan), due: func(i int) bool { return cc.ops(plan[i].Server) >= plan[i].AfterOps }}
+	ls := &lazySession{t: t, pace: pace,
 		up: func(grid *dist.Grid2D) (*netga.Session, error) {
 			addrs, _ := cc.start(grid, 2, false)
 			return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, "", addrs, nil), nil
 		},
 		dialed: func() {
-			// Two kills per slot, triggered by served-op counts so they land
-			// mid-build deterministically per seed (the loopback build is only a
-			// few hundred RPCs long), restarted after 30ms.
-			plan := fault.ServerKillPlan(42, 2, 4, 20, 60, 30*time.Millisecond)
 			chaos.Add(1)
 			go func() {
 				defer chaos.Done()
-				fault.RunServerKills(plan, cc.ops, cc.kill, cc.restart, stop)
+				fault.RunServerKills(plan, cc.ops, pace.fire(cc.kill), cc.restart, stop)
 			}()
 		},
 	}
 
 	res := buildDeadline(t, 4*time.Minute, func() core.Result {
-		return core.Build(bs, scr, d, core.Options{
-			Prow: 2, Pcol: 2,
-			Backend:  ls.Backend,
-			LeaseTTL: 300 * time.Millisecond,
-			Retry:    dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
-			Metrics:  reg,
-		})
+		return core.Build(bs, scr, d, chaosOptions(ls.Backend, reg))
 	})
 	close(stop)
 	chaos.Wait()
@@ -219,27 +249,24 @@ func TestLoopbackStandbyPromotionBuildMatchesSerial(t *testing.T) {
 
 	for build := 1; build <= 3; build++ {
 		if build == 2 {
-			// Kill primary 0 once it has served enough of THIS build's ops to
-			// be mid-build. Restart < 0: the slot never comes back; the
-			// standby must.
+			// Kill primary 0 a third of the way into THIS build, measured in
+			// the ops it served in build 1 — the fault-free dry build of the
+			// same shape. Restart < 0: the slot never comes back; the standby
+			// must.
 			base := cc.ops(0)
 			ops := func(k int) int64 { return cc.ops(k) - base }
-			plan := fault.ServerKillPlan(43, 1, 1, 30, 31, -1)
+			plan := fault.ServerKillPlan(43, 1, 1, base/3, base/3+1, -1)
+			pace := &pacer{n: 1, due: func(int) bool { return ops(0) >= plan[0].AfterOps }}
+			ls.pace = pace
 			chaos.Add(1)
 			go func() {
 				defer chaos.Done()
-				fault.RunServerKills(plan, ops, cc.kill, nil, stop)
+				fault.RunServerKills(plan, ops, pace.fire(cc.kill), nil, stop)
 			}()
 		}
 		reg := metrics.NewRegistry(4)
 		res := buildDeadline(t, 4*time.Minute, func() core.Result {
-			return core.Build(bs, scr, d, core.Options{
-				Prow: 2, Pcol: 2,
-				Backend:  ls.Backend,
-				LeaseTTL: 300 * time.Millisecond,
-				Retry:    dist.Retry{Attempts: 10, Backoff: 2 * time.Millisecond, WallCap: 500 * time.Millisecond},
-				Metrics:  reg,
-			})
+			return core.Build(bs, scr, d, chaosOptions(ls.Backend, reg))
 		})
 		if build == 2 {
 			close(stop)
