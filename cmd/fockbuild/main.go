@@ -217,7 +217,8 @@ func main() {
 				copt.Metrics = reg
 			}
 			if *httpAddr != "" {
-				addr, err := metrics.StartDebugServer(*httpAddr, reg)
+				metrics.PublishFunc("fock_metrics", func() any { return reg.Snapshot() })
+				addr, err := metrics.StartDebugServer(*httpAddr)
 				fatalIf(err)
 				fmt.Printf("debug endpoint: http://%s/debug/vars (expvar) and http://%s/debug/pprof/\n", addr, addr)
 			}

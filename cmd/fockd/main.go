@@ -133,7 +133,7 @@ func main() {
 	fatalIf(err)
 	if *httpAddr != "" {
 		metrics.PublishFunc("fock_shard", func() any { return srv.Stats() })
-		dbg, err := metrics.StartDebugServer(*httpAddr, nil)
+		dbg, err := metrics.StartDebugServer(*httpAddr)
 		fatalIf(err)
 		fmt.Printf("fockd: debug endpoint on http://%s/debug/vars\n", dbg)
 	}
@@ -226,11 +226,11 @@ func runFleet(grid *dist.Grid2D, listen string, ttl time.Duration, httpAddr stri
 	if httpAddr != "" {
 		metrics.PublishFunc("fock_fleet", func() any {
 			return struct {
-				Stats netga.FleetStats `json:"stats"`
-				View  netga.FleetView  `json:"view"`
+				netga.FleetStats
+				View netga.FleetView `json:"view"`
 			}{f.Stats(), f.View()}
 		})
-		dbg, err := metrics.StartDebugServer(httpAddr, nil)
+		dbg, err := metrics.StartDebugServer(httpAddr)
 		fatalIf(err)
 		fmt.Printf("fockd fleet: debug endpoint on http://%s/debug/vars\n", dbg)
 	}

@@ -118,14 +118,10 @@ func main() {
 		}
 	}
 
-	rpc := &metrics.RPC{}
-	sm := metrics.NewServe()
 	runner := serve.NewFleetRunner(addrs, *ckptDir)
 	runner.Prow, runner.Pcol = prow, pcol
 	runner.RetryMax = *retryMax
 	runner.OpTimeout = *opTimeout
-	runner.RPC = rpc
-	runner.Serve = sm
 	if *faultReset > 0 || *faultDup > 0 || *faultDelay > 0 {
 		runner.Fault = fault.New(fault.Config{
 			Seed:         *faultSeed,
@@ -139,7 +135,7 @@ func main() {
 		DefaultTenant: serve.TenantConfig{Weight: 1, MaxQueued: *maxQdTen, MaxRunning: *maxRunTen},
 		Preempt:       *preempt,
 		Runner:        runner,
-		Metrics:       sm,
+		Metrics:       runner.Serve,
 	}
 	if *tenants != "" {
 		cfg.Tenants = map[string]serve.TenantConfig{}
@@ -171,7 +167,7 @@ func main() {
 		if *regListen != "" {
 			rln, err := net.Listen("tcp", *regListen)
 			fatalIf(err)
-			rcfg := serve.RegistryConfig{LeaseTTL: *leaseTTL, Metrics: sm}
+			rcfg := serve.RegistryConfig{LeaseTTL: *leaseTTL}
 			if *regDir != "" {
 				reg, err = serve.OpenRegistry(*regDir, rcfg)
 				fatalIf(err)
@@ -216,14 +212,11 @@ func main() {
 		fatalIf(err)
 	}
 
-	api := &serve.API{Server: srv, RPC: rpc, Peer: peer}
+	api := &serve.API{Server: srv, RPC: runner.RPC, Peer: peer}
 	hs := &http.Server{Handler: api.Handler()}
 	if *ackAddr != "" {
-		metrics.PublishFunc("hfd", func() any { return sm.Snapshot() })
-		metrics.PublishFunc("serve_jobs_adopted", func() any { return sm.Adopted() })
-		metrics.PublishFunc("serve_lease_expiries", func() any { return sm.LeaseExpiries() })
-		metrics.PublishFunc("serve_owner_redirects", func() any { return sm.OwnerRedirects() })
-		dbg, err := metrics.StartDebugServer(*ackAddr, nil)
+		metrics.PublishFunc("hfd", func() any { return api.Stats() })
+		dbg, err := metrics.StartDebugServer(*ackAddr)
 		fatalIf(err)
 		fmt.Printf("hfd: debug endpoint on http://%s/debug/vars\n", dbg)
 	}
@@ -256,7 +249,7 @@ func main() {
 	if reg != nil {
 		reg.Close() // final snapshot of the embedded registry
 	}
-	snap := sm.Snapshot()
+	snap := runner.Serve.Snapshot()
 	fmt.Printf("hfd: done: %d admitted, %d completed, %d rejected, %d shed, %d parked\n",
 		snap.Admitted, snap.Completed,
 		snap.RejectedQueue+snap.RejectedQuota+snap.RejectedMem, snap.Shed, snap.Parked)

@@ -104,10 +104,7 @@ func NewERIStore(nshells int, budgetBytes int64, spill BlobStore, keyBase uint64
 }
 
 // Stats returns the store's counter snapshot.
-func (s *ERIStore) Stats() metrics.CacheSnapshot { return s.cache.Snapshot() }
-
-// Metrics returns the store's counter sink (for sharing with expvar).
-func (s *ERIStore) Metrics() *metrics.Cache { return s.cache }
+func (s *ERIStore) Stats() metrics.Cache { return s.cache.Snapshot() }
 
 // NumTasks returns the task capacity (ns*ns).
 func (s *ERIStore) NumTasks() int { return len(s.entries) }
@@ -158,19 +155,21 @@ func (s *ERIStore) CommitTask(task int, pq [][2]int32, ends []int32, vals []floa
 		// first-writer-wins window trivially correct.
 		if err := s.spill.PutBlob(s.blobKey(task), vals); err == nil {
 			e.spilled = true
-			s.cache.AddSpill(bytes)
+			atomic.AddInt64(&s.cache.Spills, 1)
+			atomic.AddInt64(&s.cache.SpillBytes, bytes)
 		} else {
 			e.dropped = true
-			s.cache.AddDropped()
 		}
 	default:
 		e.dropped = true
-		s.cache.AddDropped()
 	}
 	s.entries[task].Store(e)
 	s.mu.Unlock()
-	if !e.dropped {
-		s.cache.AddStored(int64(len(pq)), bytes)
+	if e.dropped {
+		atomic.AddInt64(&s.cache.Dropped, 1)
+	} else {
+		atomic.AddInt64(&s.cache.QuartetsStored, int64(len(pq)))
+		atomic.AddInt64(&s.cache.BytesStored, bytes)
 	}
 }
 
@@ -183,32 +182,27 @@ func (s *ERIStore) CommitTask(task int, pq [][2]int32, ends []int32, vals []floa
 func (s *ERIStore) ReplayTask(task int, scratch *[]float64, visit func(p, q int32, vals []float64)) bool {
 	e := s.entries[task].Load()
 	if e == nil || e.dropped {
-		s.cache.AddTaskMiss()
+		atomic.AddInt64(&s.cache.TaskMisses, 1)
 		return false
 	}
 	vals := e.vals
 	if e.spilled {
 		got, err := s.spill.GetBlob(s.blobKey(task), (*scratch)[:0])
-		if err != nil {
-			s.cache.AddSpillMiss()
-			s.cache.AddTaskMiss()
+		// A torn/foreign blob is a miss rather than replayed garbage (keys
+		// are salted, but a shared fleet is external state).
+		if err != nil || int(e.off[len(e.off)-1]) > len(got) {
+			atomic.AddInt64(&s.cache.SpillMisses, 1)
+			atomic.AddInt64(&s.cache.TaskMisses, 1)
 			return false
 		}
 		*scratch = got
-		if int(e.off[len(e.off)-1]) > len(got) {
-			// Torn/foreign blob: treat as a miss rather than replaying
-			// garbage (keys are salted, but a shared fleet is external state).
-			s.cache.AddSpillMiss()
-			s.cache.AddTaskMiss()
-			return false
-		}
 		vals = got
-		s.cache.AddSpillFetch()
+		atomic.AddInt64(&s.cache.SpillFetches, 1)
 	}
 	for k, pq := range e.pq {
 		visit(pq[0], pq[1], vals[e.off[k]:e.off[k+1]])
 	}
-	s.cache.AddTaskHit()
-	s.cache.AddReplayed(int64(len(e.pq)))
+	atomic.AddInt64(&s.cache.TaskHits, 1)
+	atomic.AddInt64(&s.cache.QuartetsReplayed, int64(len(e.pq)))
 	return true
 }

@@ -9,29 +9,13 @@ import (
 	"sync/atomic"
 )
 
-var (
-	publishOnce sync.Once
-	currentReg  atomic.Pointer[Registry]
-)
-
-// Publish exposes reg as the expvar "fock_metrics" (on /debug/vars).
-// Safe to call repeatedly — later calls swap which registry the variable
-// reads, since expvar names can be published only once per process.
-func Publish(reg *Registry) {
-	currentReg.Store(reg)
-	publishOnce.Do(func() {
-		expvar.Publish("fock_metrics", expvar.Func(func() any {
-			return currentReg.Load().Snapshot()
-		}))
-	})
-}
-
 var publishedFuncs sync.Map // expvar name -> *atomic.Value holding func() any
 
 // PublishFunc exposes fn as the expvar name (on /debug/vars). Safe to
 // call repeatedly — expvar allows each name only once per process, so
-// later calls swap which function the variable reads. Used to export
-// shard, fleet-membership and placement state alongside fock_metrics.
+// later calls swap which function the variable reads. A binary publishes
+// one product blob this way: the build registry (fock_metrics), the shard
+// (fock_shard) or fleet (fock_fleet) state, or the service's (hfd).
 func PublishFunc(name string, fn func() any) {
 	holder, loaded := publishedFuncs.LoadOrStore(name, &atomic.Value{})
 	h := holder.(*atomic.Value)
@@ -43,13 +27,12 @@ func PublishFunc(name string, fn func() any) {
 	}
 }
 
-// StartDebugServer publishes reg and serves the process-wide debug mux —
-// /debug/vars (expvar, including fock_metrics) and /debug/pprof/ — on
-// addr in a background goroutine. It returns the bound address (useful
-// with ":0") and never stops serving; the endpoint is an inspection aid
-// for the lifetime of a run, not a managed service.
-func StartDebugServer(addr string, reg *Registry) (string, error) {
-	Publish(reg)
+// StartDebugServer serves the process-wide debug mux — /debug/vars
+// (expvar: whatever PublishFunc exposed) and /debug/pprof/ — on addr in a
+// background goroutine. It publishes nothing itself. It returns the bound
+// address (useful with ":0") and never stops serving; the endpoint is an
+// inspection aid for the lifetime of a run, not a managed service.
+func StartDebugServer(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err

@@ -1,23 +1,28 @@
-// Package metrics is the low-overhead measurement layer of the real-mode
-// Fock build: per-worker histograms and counters for the quantities the
-// paper's evaluation is built on (task service time, steal latency,
-// one-sided transfer volume, retries, lease renewals; Sec. IV, Tables
-// V-VIII).
+// Package metrics is the low-overhead measurement layer of the stack:
+// counter sets for the quantities the paper's evaluation is built on
+// (task service time, steal latency, one-sided transfer volume, retries,
+// lease renewals; Sec. IV, Tables V-VIII) and for the transport, the
+// stored-ERI tier and the job service above the build.
 //
-// The collection protocol keeps the counts exactly-once under fault
-// recovery: a worker accumulates into a private Sample (single-writer,
-// no synchronization) and merges it into the shared Registry only when
-// the corresponding work commits to the global F. A fenced or crashed
-// incarnation's sample is dropped — counted in DiscardedSamples but
-// never merged — so a task re-executed after recovery appears exactly
-// once in the merged histograms, mirroring the epoch fence on the
-// accumulate path.
+// Every counter is declared once: a field of a counter-set struct, tagged
+// with its ledger name (`json:"net.rpc_calls"`; DESIGN.md §6 has the one
+// table). The place an event happens updates the field with sync/atomic;
+// Load copies a set out atomically, and a set's Snapshot is Load of it —
+// the same type, so there is no second, hand-kept view of any counter.
+//
+// The build's Registry keeps its counts exactly-once under fault
+// recovery: a worker accumulates into a private Sample and merges it into
+// the shared Registry only when the corresponding work commits to the
+// global F. A fenced or crashed incarnation's sample is dropped — counted
+// in core.discarded_samples but never merged — so a task re-executed
+// after recovery appears exactly once in the merged histograms, mirroring
+// the epoch fence on the accumulate path.
 package metrics
 
 import (
-	"encoding/json"
 	"math"
 	"math/bits"
+	"reflect"
 	"strconv"
 	"sync/atomic"
 )
@@ -25,15 +30,23 @@ import (
 // nbuckets spans int64: bucket b counts observations in [2^(b-1), 2^b).
 const nbuckets = 64
 
-// Hist is a power-of-two-bucket histogram of positive int64 observations
-// (nanoseconds or bytes). The zero value is ready to use. It is a plain,
-// single-writer value inside a Sample; the Registry holds the atomic
-// mirror (histAtomic).
+// Hist is a power-of-two-bucket histogram of int64 observations
+// (nanoseconds or bytes). The zero value is ready to use and Observe is
+// safe for concurrent use. Mean, the quantiles and Buckets are derived
+// when the histogram is loaded (Load, a set's Snapshot); on a live
+// histogram they are zero.
 type Hist struct {
-	Counts [nbuckets]int64
-	N      int64
-	Sum    int64
-	Max    int64
+	Count int64   `json:"count"`
+	Sum   int64   `json:"sum"`
+	Max   int64   `json:"max"`
+	Mean  float64 `json:"mean"`
+	P50   int64   `json:"p50"`
+	P95   int64   `json:"p95"`
+	P99   int64   `json:"p99"`
+	// Buckets maps the upper bound 2^b to its count, zero buckets elided.
+	Buckets map[string]int64 `json:"buckets,omitempty"`
+
+	counts [nbuckets]int64
 }
 
 // Observe records v; non-positive observations count into bucket 0.
@@ -42,80 +55,40 @@ func (h *Hist) Observe(v int64) {
 	if v > 0 {
 		b = bits.Len64(uint64(v))
 	}
-	h.Counts[b%nbuckets]++
-	h.N++
-	h.Sum += v
-	if v > h.Max {
-		h.Max = v
-	}
+	atomic.AddInt64(&h.counts[b%nbuckets], 1)
+	atomic.AddInt64(&h.Count, 1)
+	atomic.AddInt64(&h.Sum, v)
+	StoreMax(&h.Max, v)
 }
 
 // add folds o's observations into h.
 func (h *Hist) add(o *Hist) {
-	for i, c := range o.Counts {
-		h.Counts[i] += c
-	}
-	h.N += o.N
-	h.Sum += o.Sum
-	h.Max = max(h.Max, o.Max)
-}
-
-// histAtomic is the concurrently-readable accumulation of merged Hists.
-type histAtomic struct {
-	counts [nbuckets]atomic.Int64
-	n      atomic.Int64
-	sum    atomic.Int64
-	max    atomic.Int64
-}
-
-func (h *histAtomic) merge(s *Hist) {
-	for i, c := range s.Counts {
+	for i, c := range o.counts {
 		if c != 0 {
-			h.counts[i].Add(c)
+			atomic.AddInt64(&h.counts[i], c)
 		}
 	}
-	h.n.Add(s.N)
-	h.sum.Add(s.Sum)
-	for {
-		old := h.max.Load()
-		if s.Max <= old || h.max.CompareAndSwap(old, s.Max) {
-			return
-		}
-	}
+	atomic.AddInt64(&h.Count, o.Count)
+	atomic.AddInt64(&h.Sum, o.Sum)
+	StoreMax(&h.Max, o.Max)
 }
 
-// HistSnapshot is the JSON-facing view of a histogram.
-type HistSnapshot struct {
-	Count int64   `json:"count"`
-	Sum   int64   `json:"sum"`
-	Mean  float64 `json:"mean"`
-	Max   int64   `json:"max"`
-	P50   int64   `json:"p50"`
-	P95   int64   `json:"p95"`
-	P99   int64   `json:"p99"`
-	// Buckets maps the upper bound 2^b to its count, zero buckets elided.
-	Buckets map[string]int64 `json:"buckets,omitempty"`
-}
-
-func (h *histAtomic) snapshot() HistSnapshot {
-	var counts [nbuckets]int64
+// load copies h atomically and derives its summary fields.
+func (h *Hist) load() Hist {
+	var s Hist
 	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
+		s.counts[i] = atomic.LoadInt64(&h.counts[i])
 	}
-	return snapshotCounts(counts, h.n.Load(), h.sum.Load(), h.max.Load())
-}
-
-func snapshotCounts(counts [nbuckets]int64, n, sum, max int64) HistSnapshot {
-	s := HistSnapshot{Count: n, Sum: sum, Max: max}
-	if n == 0 {
+	s.Count, s.Sum, s.Max = atomic.LoadInt64(&h.Count), atomic.LoadInt64(&h.Sum), atomic.LoadInt64(&h.Max)
+	if s.Count == 0 {
 		return s
 	}
-	s.Mean = float64(sum) / float64(n)
-	s.P50 = quantile(counts, n, 0.50)
-	s.P95 = quantile(counts, n, 0.95)
-	s.P99 = quantile(counts, n, 0.99)
+	s.Mean = float64(s.Sum) / float64(s.Count)
+	s.P50 = quantile(s.counts, s.Count, 0.50)
+	s.P95 = quantile(s.counts, s.Count, 0.95)
+	s.P99 = quantile(s.counts, s.Count, 0.99)
 	s.Buckets = map[string]int64{}
-	for b, c := range counts {
+	for b, c := range s.counts {
 		if c != 0 {
 			s.Buckets[bucketLabel(b)] = c
 		}
@@ -153,75 +126,110 @@ func quantile(counts [nbuckets]int64, n int64, q float64) int64 {
 	return 0
 }
 
-// Sample is one worker incarnation's private measurement buffer. It is
-// written by exactly one goroutine and carries no synchronization; merge
-// it into the Registry at commit time, or drop it if the incarnation is
-// fenced.
+// StoreMax raises *p to v if v is larger: a high-water gauge.
+func StoreMax(p *int64, v int64) {
+	for {
+		old := atomic.LoadInt64(p)
+		if v <= old || atomic.CompareAndSwapInt64(p, old, v) {
+			return
+		}
+	}
+}
+
+var histType = reflect.TypeOf(Hist{})
+
+// Load returns a copy of the counter set *set that is safe to take while
+// the set is being updated: every int64 and uint64 field and every Hist
+// is read atomically, embedded sets recursively, and any other field
+// (a rank, a budget: fixed at construction) is copied as is. Reflection
+// runs here, at read time, and never on an update path.
+func Load[T any](set *T) T {
+	var out T
+	load(reflect.ValueOf(&out).Elem(), reflect.ValueOf(set).Elem())
+	return out
+}
+
+func load(dst, src reflect.Value) {
+	switch {
+	case src.Type() == histType:
+		dst.Set(reflect.ValueOf(src.Addr().Interface().(*Hist).load()))
+	case src.Kind() == reflect.Struct:
+		for i := 0; i < src.NumField(); i++ {
+			if src.Type().Field(i).IsExported() {
+				load(dst.Field(i), src.Field(i))
+			}
+		}
+	case src.Kind() == reflect.Int64:
+		dst.SetInt(atomic.LoadInt64((*int64)(src.Addr().UnsafePointer())))
+	case src.Kind() == reflect.Uint64:
+		dst.SetUint(atomic.LoadUint64((*uint64)(src.Addr().UnsafePointer())))
+	default:
+		dst.Set(src)
+	}
+}
+
+// Sample is one worker incarnation's private measurement buffer, written
+// by one goroutine; merge it into the Registry at commit time, or drop it
+// if the incarnation is fenced.
 type Sample struct {
-	Tasks         Hist // task service time, ns
-	Steals        Hist // successful steal latency (scan start to block landed), ns
-	Flushes       Hist // commit/flush duration, ns
-	GetCalls      int64
-	GetBytes      int64
-	AccCalls      int64
-	AccBytes      int64
-	GetRetries    int64
-	AccRetries    int64
-	LeaseRenewals int64
-	StealFails    int64 // steal scans that came up dry
+	Tasks         Hist  `json:"core.task_ns"`  // task service time
+	Steals        Hist  `json:"core.steal_ns"` // successful steal latency (scan start to block landed)
+	Flushes       Hist  `json:"core.flush_ns"` // commit/flush duration
+	GetCalls      int64 `json:"dist.get_calls"`
+	GetBytes      int64 `json:"dist.get_bytes"`
+	AccCalls      int64 `json:"dist.acc_calls"`
+	AccBytes      int64 `json:"dist.acc_bytes"`
+	GetRetries    int64 `json:"dist.get_retries,omitempty"`
+	AccRetries    int64 `json:"dist.acc_retries,omitempty"`
+	LeaseRenewals int64 `json:"core.lease_renewals,omitempty"`
+	StealFails    int64 `json:"core.steal_fails,omitempty"` // steal scans that came up dry
 
 	// ERI dispatch split (from integrals.Stats deltas per task): quartets
 	// of all-s/p classes, of classes with a d shell, and those sent to
-	// the general MD recursion, so bench/serve output can report what
-	// fraction of the integral work still takes the general path.
-	QuartetsFastSP  int64
-	QuartetsFastGen int64
-	QuartetsGeneral int64
+	// the general MD recursion.
+	QuartetsFastSP  int64 `json:"integrals.quartets_fast_sp,omitempty"`
+	QuartetsFastGen int64 `json:"integrals.quartets_fast_gen,omitempty"`
+	QuartetsGeneral int64 `json:"integrals.quartets_general,omitempty"`
 }
 
 // empty reports whether the sample holds no observations at all.
-func (s *Sample) empty() bool {
-	return s.Tasks.N == 0 && s.Steals.N == 0 && s.Flushes.N == 0 &&
-		s.GetCalls == 0 && s.AccCalls == 0 && s.GetRetries == 0 &&
-		s.AccRetries == 0 && s.LeaseRenewals == 0 && s.StealFails == 0 &&
-		s.QuartetsFastSP == 0 && s.QuartetsFastGen == 0 && s.QuartetsGeneral == 0
-}
+func (s *Sample) empty() bool { return reflect.ValueOf(s).Elem().IsZero() }
 
 // Add folds o into s: a rank's lanes each fill a private sample and the
 // rank sums them at the join, so one commit episode is still one Merge.
+// The Registry merges a committed sample with the same call.
 func (s *Sample) Add(o *Sample) {
 	s.Tasks.add(&o.Tasks)
 	s.Steals.add(&o.Steals)
 	s.Flushes.add(&o.Flushes)
-	s.GetCalls += o.GetCalls
-	s.GetBytes += o.GetBytes
-	s.AccCalls += o.AccCalls
-	s.AccBytes += o.AccBytes
-	s.GetRetries += o.GetRetries
-	s.AccRetries += o.AccRetries
-	s.LeaseRenewals += o.LeaseRenewals
-	s.StealFails += o.StealFails
-	s.QuartetsFastSP += o.QuartetsFastSP
-	s.QuartetsFastGen += o.QuartetsFastGen
-	s.QuartetsGeneral += o.QuartetsGeneral
+	atomic.AddInt64(&s.GetCalls, o.GetCalls)
+	atomic.AddInt64(&s.GetBytes, o.GetBytes)
+	atomic.AddInt64(&s.AccCalls, o.AccCalls)
+	atomic.AddInt64(&s.AccBytes, o.AccBytes)
+	atomic.AddInt64(&s.GetRetries, o.GetRetries)
+	atomic.AddInt64(&s.AccRetries, o.AccRetries)
+	atomic.AddInt64(&s.LeaseRenewals, o.LeaseRenewals)
+	atomic.AddInt64(&s.StealFails, o.StealFails)
+	atomic.AddInt64(&s.QuartetsFastSP, o.QuartetsFastSP)
+	atomic.AddInt64(&s.QuartetsFastGen, o.QuartetsFastGen)
+	atomic.AddInt64(&s.QuartetsGeneral, o.QuartetsGeneral)
 }
 
 // Reset clears the sample for the next commit episode.
 func (s *Sample) Reset() { *s = Sample{} }
 
-// worker is the Registry's committed per-rank accumulation.
-type worker struct {
-	tasks, steals, flushes histAtomic
-	getCalls, getBytes     atomic.Int64
-	accCalls, accBytes     atomic.Int64
-	getRetries, accRetries atomic.Int64
-	leaseRenewals          atomic.Int64
-	stealFails             atomic.Int64
-	merges                 atomic.Int64
+// Worker is one rank's committed accumulation.
+type Worker struct {
+	Rank int `json:"core.rank"`
+	Sample
+	Commits int64 `json:"core.commits"`
+}
 
-	quartetsFastSP  atomic.Int64
-	quartetsFastGen atomic.Int64
-	quartetsGeneral atomic.Int64
+// Fenced counts the samples dropped uncommitted and the observations in
+// them.
+type Fenced struct {
+	DiscardedSamples int64 `json:"core.discarded_samples"`
+	DroppedObs       int64 `json:"core.dropped_observations"`
 }
 
 // Registry aggregates committed samples per worker rank. All methods are
@@ -229,13 +237,18 @@ type worker struct {
 // (the expvar endpoint does exactly that) and sees a consistent-enough
 // view for monitoring.
 type Registry struct {
-	workers   []worker
-	discarded atomic.Int64
-	dropped   atomic.Int64 // observations inside discarded samples
+	workers []Worker
+	fenced  Fenced
 }
 
 // NewRegistry creates a registry for n worker ranks.
-func NewRegistry(n int) *Registry { return &Registry{workers: make([]worker, n)} }
+func NewRegistry(n int) *Registry {
+	r := &Registry{workers: make([]Worker, n)}
+	for i := range r.workers {
+		r.workers[i].Rank = i
+	}
+	return r
+}
 
 // P returns the number of worker ranks.
 func (r *Registry) P() int {
@@ -252,21 +265,8 @@ func (r *Registry) Merge(rank int, s *Sample) {
 		return
 	}
 	w := &r.workers[rank]
-	w.tasks.merge(&s.Tasks)
-	w.steals.merge(&s.Steals)
-	w.flushes.merge(&s.Flushes)
-	w.getCalls.Add(s.GetCalls)
-	w.getBytes.Add(s.GetBytes)
-	w.accCalls.Add(s.AccCalls)
-	w.accBytes.Add(s.AccBytes)
-	w.getRetries.Add(s.GetRetries)
-	w.accRetries.Add(s.AccRetries)
-	w.leaseRenewals.Add(s.LeaseRenewals)
-	w.stealFails.Add(s.StealFails)
-	w.quartetsFastSP.Add(s.QuartetsFastSP)
-	w.quartetsFastGen.Add(s.QuartetsFastGen)
-	w.quartetsGeneral.Add(s.QuartetsGeneral)
-	w.merges.Add(1)
+	w.Add(s)
+	atomic.AddInt64(&w.Commits, 1)
 }
 
 // Discard records that a sample was dropped uncommitted (fenced or
@@ -276,46 +276,24 @@ func (r *Registry) Discard(s *Sample) {
 	if r == nil || s.empty() {
 		return
 	}
-	r.discarded.Add(1)
-	r.dropped.Add(s.Tasks.N + s.Steals.N + s.Flushes.N)
+	atomic.AddInt64(&r.fenced.DiscardedSamples, 1)
+	atomic.AddInt64(&r.fenced.DroppedObs, s.Tasks.Count+s.Steals.Count+s.Flushes.Count)
 }
 
-// WorkerSnapshot is the JSON-facing per-rank view.
-type WorkerSnapshot struct {
-	Rank          int          `json:"rank"`
-	TaskNS        HistSnapshot `json:"task_ns"`
-	StealNS       HistSnapshot `json:"steal_ns"`
-	FlushNS       HistSnapshot `json:"flush_ns"`
-	GetCalls      int64        `json:"get_calls"`
-	GetBytes      int64        `json:"get_bytes"`
-	AccCalls      int64        `json:"acc_calls"`
-	AccBytes      int64        `json:"acc_bytes"`
-	GetRetries    int64        `json:"get_retries,omitempty"`
-	AccRetries    int64        `json:"acc_retries,omitempty"`
-	LeaseRenewals int64        `json:"lease_renewals,omitempty"`
-	StealFails    int64        `json:"steal_fails,omitempty"`
-	Commits       int64        `json:"commits"`
-
-	QuartetsFastSP  int64 `json:"quartets_fast_sp,omitempty"`
-	QuartetsFastGen int64 `json:"quartets_fast_gen,omitempty"`
-	QuartetsGeneral int64 `json:"quartets_general,omitempty"`
-}
-
-// Snapshot is the JSON-facing registry view.
+// Snapshot is the registry view: every rank, and the totals across them.
 type Snapshot struct {
-	Workers          []WorkerSnapshot `json:"workers"`
-	TasksTotal       int64            `json:"tasks_total"`
-	StealsTotal      int64            `json:"steals_total"`
-	BytesTotal       int64            `json:"bytes_total"`
-	DiscardedSamples int64            `json:"discarded_samples"`
-	DroppedObs       int64            `json:"dropped_observations"`
+	Workers []Worker `json:"core.workers"`
+	Fenced
+	TasksTotal  int64 `json:"core.tasks_total"`
+	StealsTotal int64 `json:"core.steals_total"`
+	BytesTotal  int64 `json:"dist.bytes_total"`
 
 	// ERI dispatch totals across ranks; QuartetsGeneralFrac is the
 	// general-path fraction (0 when no quartets were recorded).
-	QuartetsFastSP      int64   `json:"quartets_fast_sp,omitempty"`
-	QuartetsFastGen     int64   `json:"quartets_fast_gen,omitempty"`
-	QuartetsGeneral     int64   `json:"quartets_general,omitempty"`
-	QuartetsGeneralFrac float64 `json:"quartets_general_frac,omitempty"`
+	QuartetsFastSP      int64   `json:"integrals.quartets_fast_sp,omitempty"`
+	QuartetsFastGen     int64   `json:"integrals.quartets_fast_gen,omitempty"`
+	QuartetsGeneral     int64   `json:"integrals.quartets_general,omitempty"`
+	QuartetsGeneralFrac float64 `json:"integrals.quartets_general_frac,omitempty"`
 }
 
 // Snapshot captures the current committed totals.
@@ -323,39 +301,16 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return Snapshot{}
 	}
-	out := Snapshot{
-		Workers:          make([]WorkerSnapshot, len(r.workers)),
-		DiscardedSamples: r.discarded.Load(),
-		DroppedObs:       r.dropped.Load(),
-	}
+	out := Snapshot{Workers: make([]Worker, len(r.workers)), Fenced: Load(&r.fenced)}
 	for i := range r.workers {
-		w := &r.workers[i]
-		ws := WorkerSnapshot{
-			Rank:          i,
-			TaskNS:        w.tasks.snapshot(),
-			StealNS:       w.steals.snapshot(),
-			FlushNS:       w.flushes.snapshot(),
-			GetCalls:      w.getCalls.Load(),
-			GetBytes:      w.getBytes.Load(),
-			AccCalls:      w.accCalls.Load(),
-			AccBytes:      w.accBytes.Load(),
-			GetRetries:    w.getRetries.Load(),
-			AccRetries:    w.accRetries.Load(),
-			LeaseRenewals: w.leaseRenewals.Load(),
-			StealFails:    w.stealFails.Load(),
-			Commits:       w.merges.Load(),
-
-			QuartetsFastSP:  w.quartetsFastSP.Load(),
-			QuartetsFastGen: w.quartetsFastGen.Load(),
-			QuartetsGeneral: w.quartetsGeneral.Load(),
-		}
-		out.Workers[i] = ws
-		out.TasksTotal += ws.TaskNS.Count
-		out.StealsTotal += ws.StealNS.Count
-		out.BytesTotal += ws.GetBytes + ws.AccBytes
-		out.QuartetsFastSP += ws.QuartetsFastSP
-		out.QuartetsFastGen += ws.QuartetsFastGen
-		out.QuartetsGeneral += ws.QuartetsGeneral
+		w := Load(&r.workers[i])
+		out.Workers[i] = w
+		out.TasksTotal += w.Tasks.Count
+		out.StealsTotal += w.Steals.Count
+		out.BytesTotal += w.GetBytes + w.AccBytes
+		out.QuartetsFastSP += w.QuartetsFastSP
+		out.QuartetsFastGen += w.QuartetsFastGen
+		out.QuartetsGeneral += w.QuartetsGeneral
 	}
 	if total := out.QuartetsFastSP + out.QuartetsFastGen + out.QuartetsGeneral; total > 0 {
 		out.QuartetsGeneralFrac = float64(out.QuartetsGeneral) / float64(total)
@@ -363,352 +318,89 @@ func (r *Registry) Snapshot() Snapshot {
 	return out
 }
 
-// MarshalJSON serializes the current snapshot, so a *Registry can be
-// handed directly to json.Marshal or published via expvar.
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Snapshot())
-}
-
-// RPC is the transport-level counter set of the network backend. Unlike
-// worker Samples it is not merged at commit time: an RPC happened on the
-// wire whether or not the work it carried ever commits, so the client
-// records into it directly with atomics. All methods are nil-receiver
-// safe so a client without metrics costs one branch per call.
+// RPC is the transport counter set of the network backend. Unlike worker
+// Samples it is not merged at commit time: an RPC happened on the wire
+// whether or not the work it carried ever commits, so the client updates
+// it directly with atomics. One set may be shared by many clients.
 type RPC struct {
-	latency                  histAtomic // wall time of one answered data RPC attempt, ns
-	calls, retries, failures atomic.Int64
-	dials, reconnects        atomic.Int64
-	resets, dupSends         atomic.Int64
-	partitioned              atomic.Int64
-	failovers, staleRetries  atomic.Int64
-	placementRetries         atomic.Int64
-	viewRefreshes            atomic.Int64
-	blocksMigrated           atomic.Int64
-
-	// Failure-cause split: a deadline that expired (overload — the peer
-	// is slow or we are) versus a connection the peer tore down (faults,
-	// restarts, kills). Reports that lump them together cannot tell a
-	// saturated service from a dying one.
-	deadlineExceeded atomic.Int64
-	peerResets       atomic.Int64
-}
-
-// ObserveCall records one data RPC the server answered (accepted or
-// rejected) with the wall time of that attempt. The client makes single
-// attempts — the retry loop lives in dist — so earlier failed attempts
-// and their backoff are not part of it.
-func (c *RPC) ObserveCall(ns int64) {
-	if c == nil {
-		return
-	}
-	var h Hist
-	h.Observe(ns)
-	c.latency.merge(&h)
-	c.calls.Add(1)
-}
-
-// AddRetry counts one data-RPC attempt that failed in transport (or
-// found no route) and was handed back to the dist retry loop.
-func (c *RPC) AddRetry() {
-	if c != nil {
-		c.retries.Add(1)
-	}
-}
-
-// AddFailure counts one data RPC the server rejected deterministically;
-// an op abandoned by the retry loop shows up as a build-level abort.
-func (c *RPC) AddFailure() {
-	if c != nil {
-		c.failures.Add(1)
-	}
-}
-
-// AddDial counts one fresh connection established.
-func (c *RPC) AddDial() {
-	if c != nil {
-		c.dials.Add(1)
-	}
-}
-
-// AddReconnect counts one connection re-established after an error.
-func (c *RPC) AddReconnect() {
-	if c != nil {
-		c.reconnects.Add(1)
-	}
-}
-
-// AddReset counts one connection torn down mid-RPC (peer or injected).
-func (c *RPC) AddReset() {
-	if c != nil {
-		c.resets.Add(1)
-	}
-}
-
-// AddDupSend counts one request frame deliberately delivered twice by
-// the fault injector.
-func (c *RPC) AddDupSend() {
-	if c != nil {
-		c.dupSends.Add(1)
-	}
-}
-
-// AddPartitioned counts one RPC failed fast inside a partition window.
-func (c *RPC) AddPartitioned() {
-	if c != nil {
-		c.partitioned.Add(1)
-	}
-}
-
-// AddDeadlineExceeded counts one RPC attempt that failed because an op
-// deadline or retry wall cap expired — the overload signature, as opposed
-// to a torn connection (AddPeerReset).
-func (c *RPC) AddDeadlineExceeded() {
-	if c != nil {
-		c.deadlineExceeded.Add(1)
-	}
-}
-
-// AddPeerReset counts one RPC attempt that failed because the peer reset
-// or closed the connection mid-exchange (server kill, restart, injected
-// reset) — the fault signature, as opposed to an expired deadline.
-func (c *RPC) AddPeerReset() {
-	if c != nil {
-		c.peerResets.Add(1)
-	}
-}
-
-// AddFailover counts one completed shard failover (standby promoted and
-// routing swapped).
-func (c *RPC) AddFailover() {
-	if c != nil {
-		c.failovers.Add(1)
-	}
-}
-
-// AddStaleRetry counts one statusRetry answer (standby not yet promoted,
-// or a stale shard epoch) that forced an epoch resync and retry.
-func (c *RPC) AddStaleRetry() {
-	if c != nil {
-		c.staleRetries.Add(1)
-	}
-}
-
-// AddPlacementRetry counts one request refused under a superseded
-// placement generation (the block moved; the client re-resolved its
-// route from a newer map and retried).
-func (c *RPC) AddPlacementRetry() {
-	if c != nil {
-		c.placementRetries.Add(1)
-	}
-}
-
-// AddViewRefresh counts one successful fleet-view fetch.
-func (c *RPC) AddViewRefresh() {
-	if c != nil {
-		c.viewRefreshes.Add(1)
-	}
-}
-
-// AddBlocksMigrated counts blocks observed moving to a new owner (from
-// the driver's perspective: placement-generation bumps it routed across).
-func (c *RPC) AddBlocksMigrated(n int64) {
-	if c != nil && n > 0 {
-		c.blocksMigrated.Add(n)
-	}
-}
-
-// RPCSnapshot is the JSON-facing view of the transport counters.
-type RPCSnapshot struct {
-	LatencyNS    HistSnapshot `json:"latency_ns"`
-	Calls        int64        `json:"calls"`
-	Retries      int64        `json:"retries,omitempty"`
-	Failures     int64        `json:"failures,omitempty"`
-	Dials        int64        `json:"dials"`
-	Reconnects   int64        `json:"reconnects,omitempty"`
-	Resets       int64        `json:"resets,omitempty"`
-	DupSends     int64        `json:"dup_sends,omitempty"`
-	Partitioned  int64        `json:"partitioned,omitempty"`
-	Failovers    int64        `json:"failovers,omitempty"`
-	StaleRetries int64        `json:"stale_retries,omitempty"`
-	// Elastic-fleet counters: requests bounced by a superseded placement
-	// map, fleet-view fetches, and blocks seen migrating to new owners.
-	PlacementRetries int64 `json:"placement_retries,omitempty"`
-	ViewRefreshes    int64 `json:"view_refreshes,omitempty"`
-	BlocksMigrated   int64 `json:"blocks_migrated,omitempty"`
-	// Failure-cause split: expired deadlines (overload) vs peer-torn
-	// connections (faults/restarts).
-	DeadlineExceeded int64 `json:"deadline_exceeded,omitempty"`
-	PeerResets       int64 `json:"peer_resets,omitempty"`
+	// LatencyNS is the wall time of one answered data RPC attempt (the
+	// retry loop lives in dist, so earlier failed attempts and their
+	// backoff are not part of it); Calls counts the same attempts.
+	LatencyNS Hist  `json:"net.rpc_latency_ns"`
+	Calls     int64 `json:"net.rpc_calls"`
+	// Retries: attempts that failed in transport (or found no route) and
+	// went back to the retry loop. Failures: answers the server rejected
+	// deterministically.
+	Retries    int64 `json:"net.rpc_retries,omitempty"`
+	Failures   int64 `json:"net.rpc_failures,omitempty"`
+	Dials      int64 `json:"net.rpc_dials"`
+	Reconnects int64 `json:"net.rpc_reconnects,omitempty"` // dials after a conn was discarded
+	// Injected faults: conns torn down mid-RPC, frames delivered twice,
+	// RPCs failed fast inside a partition window.
+	Resets      int64 `json:"net.rpc_resets,omitempty"`
+	DupSends    int64 `json:"net.rpc_dup_sends,omitempty"`
+	Partitioned int64 `json:"net.rpc_partitioned,omitempty"`
+	// Failovers completed by this driver, and statusRetry answers (standby
+	// not promoted yet, stale shard epoch) that forced a resync.
+	Failovers    int64 `json:"net.rpc_failovers,omitempty"`
+	StaleRetries int64 `json:"net.rpc_stale_retries,omitempty"`
+	// Elastic fleet: requests bounced by a superseded placement map,
+	// fleet-view fetches, and blocks seen migrating to new owners.
+	PlacementRetries int64 `json:"net.rpc_placement_retries,omitempty"`
+	ViewRefreshes    int64 `json:"net.rpc_view_refreshes,omitempty"`
+	BlocksMigrated   int64 `json:"net.rpc_blocks_migrated,omitempty"`
+	// Failure-cause split: expired deadlines (overload — the peer is slow
+	// or we are) against conns the peer tore down (faults, restarts,
+	// kills). Reports that lump them together cannot tell a saturated
+	// service from a dying one.
+	DeadlineExceeded int64 `json:"net.rpc_deadline_exceeded,omitempty"`
+	PeerResets       int64 `json:"net.rpc_peer_resets,omitempty"`
 }
 
 // Snapshot captures the current transport counters.
-func (c *RPC) Snapshot() RPCSnapshot {
-	if c == nil {
-		return RPCSnapshot{}
-	}
-	return RPCSnapshot{
-		LatencyNS:        c.latency.snapshot(),
-		Calls:            c.calls.Load(),
-		Retries:          c.retries.Load(),
-		Failures:         c.failures.Load(),
-		Dials:            c.dials.Load(),
-		Reconnects:       c.reconnects.Load(),
-		Resets:           c.resets.Load(),
-		DupSends:         c.dupSends.Load(),
-		Partitioned:      c.partitioned.Load(),
-		Failovers:        c.failovers.Load(),
-		StaleRetries:     c.staleRetries.Load(),
-		PlacementRetries: c.placementRetries.Load(),
-		ViewRefreshes:    c.viewRefreshes.Load(),
-		BlocksMigrated:   c.blocksMigrated.Load(),
-		DeadlineExceeded: c.deadlineExceeded.Load(),
-		PeerResets:       c.peerResets.Load(),
-	}
-}
-
-// MarshalJSON serializes the current snapshot.
-func (c *RPC) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Snapshot())
-}
+func (c *RPC) Snapshot() RPC { return Load(c) }
 
 // Cache is the counter set of the stored-ERI tier (integrals.ERIStore).
-// Like RPC it is recorded with direct atomics rather than commit-time
+// Like RPC it is updated with direct atomics rather than commit-time
 // merging: a replay/recompute decision happened whether or not the task
 // it served ever commits, and double counts from fenced re-executions
 // are accounting noise, not a correctness hazard (the store itself stays
-// exactly-once via first-writer-wins commits). All methods are
-// nil-receiver safe.
+// exactly-once via first-writer-wins commits).
 type Cache struct {
-	taskHits, taskMisses             atomic.Int64
-	quartetsStored, quartetsReplayed atomic.Int64
-	bytesStored                      atomic.Int64
-	spills, spillBytes               atomic.Int64
-	spillFetches, spillMisses        atomic.Int64
-	dropped                          atomic.Int64
-}
-
-// AddTaskHit counts one task served from the store (replayed).
-func (c *Cache) AddTaskHit() {
-	if c != nil {
-		c.taskHits.Add(1)
-	}
-}
-
-// AddTaskMiss counts one task the store could not serve (no entry yet,
-// entry dropped over budget, or spill fetch failed) — the caller
-// recomputes it through the kernel layer.
-func (c *Cache) AddTaskMiss() {
-	if c != nil {
-		c.taskMisses.Add(1)
-	}
-}
-
-// AddStored counts one committed task entry: quartets and value bytes
-// retained (in memory or on a spill shard).
-func (c *Cache) AddStored(quartets, bytes int64) {
-	if c != nil {
-		c.quartetsStored.Add(quartets)
-		c.bytesStored.Add(bytes)
-	}
-}
-
-// AddReplayed counts quartets applied from stored batches.
-func (c *Cache) AddReplayed(quartets int64) {
-	if c != nil {
-		c.quartetsReplayed.Add(quartets)
-	}
-}
-
-// AddSpill counts one task's values pushed to the spill backend.
-func (c *Cache) AddSpill(bytes int64) {
-	if c != nil {
-		c.spills.Add(1)
-		c.spillBytes.Add(bytes)
-	}
-}
-
-// AddSpillFetch counts one spilled batch fetched back for replay.
-func (c *Cache) AddSpillFetch() {
-	if c != nil {
-		c.spillFetches.Add(1)
-	}
-}
-
-// AddSpillMiss counts one spilled batch the backend no longer had (shard
-// restarted, blob evicted) — the task falls back to recompute.
-func (c *Cache) AddSpillMiss() {
-	if c != nil {
-		c.spillMisses.Add(1)
-	}
-}
-
-// AddDropped counts one over-budget task entry dropped instead of
-// spilled (no spill backend, or the spill write failed).
-func (c *Cache) AddDropped() {
-	if c != nil {
-		c.dropped.Add(1)
-	}
-}
-
-// CacheSnapshot is the JSON-facing view of the stored-ERI counters.
-type CacheSnapshot struct {
-	TaskHits         int64 `json:"task_hits"`
-	TaskMisses       int64 `json:"task_misses"`
-	QuartetsStored   int64 `json:"quartets_stored"`
-	QuartetsReplayed int64 `json:"quartets_replayed"`
-	BytesStored      int64 `json:"bytes_stored"`
-	Spills           int64 `json:"spills,omitempty"`
-	SpillBytes       int64 `json:"spill_bytes,omitempty"`
-	SpillFetches     int64 `json:"spill_fetches,omitempty"`
-	SpillMisses      int64 `json:"spill_misses,omitempty"`
-	Dropped          int64 `json:"dropped,omitempty"`
-}
-
-// HitRate returns replayed tasks over replay attempts (0 when none).
-func (s CacheSnapshot) HitRate() float64 {
-	if s.TaskHits+s.TaskMisses == 0 {
-		return 0
-	}
-	return float64(s.TaskHits) / float64(s.TaskHits+s.TaskMisses)
-}
-
-// Sub returns the per-field difference s - b, for per-iteration deltas
-// of a monotonically growing counter set.
-func (s CacheSnapshot) Sub(b CacheSnapshot) CacheSnapshot {
-	return CacheSnapshot{
-		TaskHits:         s.TaskHits - b.TaskHits,
-		TaskMisses:       s.TaskMisses - b.TaskMisses,
-		QuartetsStored:   s.QuartetsStored - b.QuartetsStored,
-		QuartetsReplayed: s.QuartetsReplayed - b.QuartetsReplayed,
-		BytesStored:      s.BytesStored - b.BytesStored,
-		Spills:           s.Spills - b.Spills,
-		SpillBytes:       s.SpillBytes - b.SpillBytes,
-		SpillFetches:     s.SpillFetches - b.SpillFetches,
-		SpillMisses:      s.SpillMisses - b.SpillMisses,
-		Dropped:          s.Dropped - b.Dropped,
-	}
+	TaskHits   int64 `json:"core.task_hits"`   // tasks served from the store
+	TaskMisses int64 `json:"core.task_misses"` // tasks recomputed: no entry, dropped, or spill fetch failed
+	// Committed entries: quartets and value bytes retained (in memory or
+	// on a spill shard), and quartets applied from stored batches.
+	QuartetsStored   int64 `json:"core.quartets_stored"`
+	QuartetsReplayed int64 `json:"core.quartets_replayed"`
+	BytesStored      int64 `json:"core.store_bytes"`
+	// Spill tier: entries pushed to the spill backend and their bytes,
+	// batches fetched back, and batches the backend no longer had.
+	Spills       int64 `json:"core.spills,omitempty"`
+	SpillBytes   int64 `json:"core.spill_bytes,omitempty"`
+	SpillFetches int64 `json:"core.spill_fetches,omitempty"`
+	SpillMisses  int64 `json:"core.spill_misses,omitempty"`
+	// Over-budget entries dropped instead of spilled.
+	Dropped int64 `json:"core.store_dropped,omitempty"`
 }
 
 // Snapshot captures the current stored-ERI counters.
-func (c *Cache) Snapshot() CacheSnapshot {
-	if c == nil {
-		return CacheSnapshot{}
+func (c *Cache) Snapshot() Cache { return Load(c) }
+
+// HitRate returns replayed tasks over replay attempts (0 when none).
+func (c Cache) HitRate() float64 {
+	if c.TaskHits+c.TaskMisses == 0 {
+		return 0
 	}
-	return CacheSnapshot{
-		TaskHits:         c.taskHits.Load(),
-		TaskMisses:       c.taskMisses.Load(),
-		QuartetsStored:   c.quartetsStored.Load(),
-		QuartetsReplayed: c.quartetsReplayed.Load(),
-		BytesStored:      c.bytesStored.Load(),
-		Spills:           c.spills.Load(),
-		SpillBytes:       c.spillBytes.Load(),
-		SpillFetches:     c.spillFetches.Load(),
-		SpillMisses:      c.spillMisses.Load(),
-		Dropped:          c.dropped.Load(),
-	}
+	return float64(c.TaskHits) / float64(c.TaskHits+c.TaskMisses)
 }
 
-// MarshalJSON serializes the current snapshot.
-func (c *Cache) MarshalJSON() ([]byte, error) {
-	return json.Marshal(c.Snapshot())
+// Sub returns the per-field difference c - b of two snapshots, for
+// per-iteration deltas.
+func (c Cache) Sub(b Cache) Cache {
+	cv, bv := reflect.ValueOf(&c).Elem(), reflect.ValueOf(b)
+	for i := 0; i < cv.NumField(); i++ {
+		cv.Field(i).SetInt(cv.Field(i).Int() - bv.Field(i).Int())
+	}
+	return c
 }

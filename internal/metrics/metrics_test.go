@@ -2,7 +2,9 @@ package metrics
 
 import (
 	"encoding/json"
+	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -11,8 +13,8 @@ func TestHistBucketsAndQuantiles(t *testing.T) {
 	for _, v := range []int64{0, 1, 2, 3, 5, 8, 100, 1000} {
 		h.Observe(v)
 	}
-	if h.N != 8 {
-		t.Fatalf("N = %d, want 8", h.N)
+	if h.Count != 8 {
+		t.Fatalf("Count = %d, want 8", h.Count)
 	}
 	if h.Sum != 1119 {
 		t.Fatalf("Sum = %d, want 1119", h.Sum)
@@ -23,12 +25,12 @@ func TestHistBucketsAndQuantiles(t *testing.T) {
 	// 0 -> bucket 0; 1 -> bucket 1; 2,3 -> bucket 2; 5 -> 3; 8 -> 4;
 	// 100 -> 7; 1000 -> 10.
 	want := map[int]int64{0: 1, 1: 1, 2: 2, 3: 1, 4: 1, 7: 1, 10: 1}
-	for b, c := range h.Counts {
+	for b, c := range h.counts {
 		if c != want[b] {
 			t.Fatalf("bucket %d = %d, want %d", b, c, want[b])
 		}
 	}
-	s := snapshotCounts(h.Counts, h.N, h.Sum, h.Max)
+	s := h.load()
 	// 4th of 8 observations sits in bucket 2 ([2,4)): p50 ~ 2*sqrt2/... =
 	// geometric midpoint of [2,4) ~ 2.83 -> 2.
 	if s.P50 != 2 {
@@ -43,8 +45,8 @@ func TestHistBucketsAndQuantiles(t *testing.T) {
 }
 
 func TestHistEmptySnapshotIsDefined(t *testing.T) {
-	var h histAtomic
-	s := h.snapshot()
+	var h Hist
+	s := h.load()
 	if s.Count != 0 || s.Mean != 0 || s.P50 != 0 || len(s.Buckets) != 0 {
 		t.Fatalf("empty snapshot not zero: %+v", s)
 	}
@@ -81,7 +83,7 @@ func TestRegistryMergeAndDiscard(t *testing.T) {
 			snap.DiscardedSamples, snap.DroppedObs)
 	}
 	w := snap.Workers[0]
-	if w.TaskNS.Sum != 300 || w.GetRetries != 1 || w.AccRetries != 2 ||
+	if w.Tasks.Sum != 300 || w.GetRetries != 1 || w.AccRetries != 2 ||
 		w.LeaseRenewals != 7 || w.Commits != 1 {
 		t.Fatalf("worker 0 snapshot wrong: %+v", w)
 	}
@@ -188,16 +190,21 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 	var s Sample
 	s.Tasks.Observe(1500)
 	r.Merge(0, &s)
-	raw, err := json.Marshal(r)
+	raw, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var back Snapshot
+	var back struct {
+		TasksTotal int64 `json:"core.tasks_total"`
+		Workers    []struct {
+			TaskNS Hist `json:"core.task_ns"`
+		} `json:"core.workers"`
+	}
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
 	if back.TasksTotal != 1 || back.Workers[0].TaskNS.Max != 1500 {
-		t.Fatalf("round trip lost data: %+v", back)
+		t.Fatalf("round trip lost data: %s", raw)
 	}
 	if _, ok := back.Workers[0].TaskNS.Buckets["2048"]; !ok {
 		t.Fatalf("1500 should land in bucket 2048: %v", back.Workers[0].TaskNS.Buckets)
@@ -207,70 +214,91 @@ func TestRegistryJSONRoundTrip(t *testing.T) {
 func TestRPCCounters(t *testing.T) {
 	var c RPC
 	for i := 0; i < 4; i++ {
-		c.ObserveCall(int64(1000 * (i + 1)))
+		c.LatencyNS.Observe(int64(1000 * (i + 1)))
+		atomic.AddInt64(&c.Calls, 1)
 	}
-	c.AddRetry()
-	c.AddRetry()
-	c.AddFailure()
-	c.AddDial()
-	c.AddReconnect()
-	c.AddReset()
-	c.AddDupSend()
-	c.AddPartitioned()
+	for _, p := range []*int64{&c.Retries, &c.Retries, &c.Failures, &c.Dials, &c.Reconnects, &c.Resets, &c.DupSends, &c.Partitioned} {
+		atomic.AddInt64(p, 1)
+	}
 	snap := c.Snapshot()
-	if snap.Calls != 4 || snap.LatencyNS.Count != 4 || snap.LatencyNS.Max != 4000 {
+	if snap.Calls != 4 || snap.LatencyNS.Count != 4 || snap.LatencyNS.Max != 4000 || snap.LatencyNS.Mean != 2500 {
 		t.Fatalf("calls/latency wrong: %+v", snap)
 	}
 	if snap.Retries != 2 || snap.Failures != 1 || snap.Dials != 1 ||
 		snap.Reconnects != 1 || snap.Resets != 1 || snap.DupSends != 1 || snap.Partitioned != 1 {
 		t.Fatalf("counter snapshot wrong: %+v", snap)
 	}
-	raw, err := json.Marshal(&c)
+	raw, err := json.Marshal(snap)
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
-	var back RPCSnapshot
+	var back struct {
+		Calls   int64 `json:"net.rpc_calls"`
+		Retries int64 `json:"net.rpc_retries"`
+		Latency Hist  `json:"net.rpc_latency_ns"`
+	}
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if back.Calls != 4 || back.Retries != 2 {
-		t.Fatalf("round trip lost data: %+v", back)
+	if back.Calls != 4 || back.Retries != 2 || back.Latency.Count != 4 {
+		t.Fatalf("round trip lost data: %s", raw)
 	}
 }
 
-// Nil-receiver calls must be safe: the client runs without metrics.
-func TestRPCNilSafe(t *testing.T) {
-	var c *RPC
-	c.ObserveCall(1)
-	c.AddRetry()
-	c.AddFailure()
-	c.AddDial()
-	c.AddReconnect()
-	c.AddReset()
-	c.AddDupSend()
-	c.AddPartitioned()
-	if snap := c.Snapshot(); snap.Calls != 0 {
-		t.Fatalf("nil snapshot not zero: %+v", snap)
+// Load copies a set that is being updated without a data race (run under
+// -race in CI), and a loaded copy loads to itself.
+func TestLoadRacesUpdates(t *testing.T) {
+	var c RPC
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				c.LatencyNS.Observe(int64(i))
+				atomic.AddInt64(&c.Calls, 1)
+				StoreMax(&c.Dials, int64(i))
+				_ = c.Snapshot()
+			}
+		}()
+	}
+	wg.Wait()
+	snap := c.Snapshot()
+	if snap.Calls != 2000 || snap.LatencyNS.Count != 2000 || snap.Dials != 499 {
+		t.Fatalf("snapshot after the race: %+v", snap)
+	}
+	if again := Load(&snap); again.LatencyNS.P95 != snap.LatencyNS.P95 || again.Calls != snap.Calls {
+		t.Fatalf("reloaded snapshot differs: %+v vs %+v", again, snap)
 	}
 }
 
-// The checkpoint-writer counters reach the JSON view under the names the
-// hfd expvar blob exports, and a runner without metrics may call them.
+// Sub differences every stored-ERI counter, which HitRate then reads.
+func TestCacheSub(t *testing.T) {
+	a := Cache{TaskHits: 5, TaskMisses: 5, BytesStored: 80, Dropped: 1}
+	b := Cache{TaskHits: 2, TaskMisses: 5, BytesStored: 80}
+	d := a.Sub(b)
+	if d != (Cache{TaskHits: 3, Dropped: 1}) || d.HitRate() != 1 {
+		t.Fatalf("Sub = %+v, hit rate %v", d, d.HitRate())
+	}
+}
+
+// The checkpoint-writer counters reach the JSON view under their ledger
+// names.
 func TestServeCheckpointCounters(t *testing.T) {
-	var none *Serve
-	none.ObserveCheckpoint(1, 1)
-
 	s := NewServe()
-	s.ObserveCheckpoint(200_000, 0)
-	s.ObserveCheckpoint(900_000, 2)
+	for _, w := range []struct{ ns, coalesced int64 }{{200_000, 0}, {900_000, 2}} {
+		atomic.AddInt64(&s.CkptWritten, 1)
+		atomic.AddInt64(&s.CkptCoalesced, w.coalesced)
+		s.CkptWriteNS.Observe(w.ns)
+	}
 	raw, err := json.Marshal(s.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var view struct {
-		Written   int64        `json:"ckpt_written"`
-		Coalesced int64        `json:"ckpt_coalesced"`
-		WriteNs   HistSnapshot `json:"ckpt_write_ns"`
+		Written   int64 `json:"serve.ckpt_written"`
+		Coalesced int64 `json:"serve.ckpt_coalesced"`
+		WriteNs   Hist  `json:"serve.ckpt_write_ns"`
 	}
 	if err := json.Unmarshal(raw, &view); err != nil {
 		t.Fatal(err)
@@ -278,5 +306,29 @@ func TestServeCheckpointCounters(t *testing.T) {
 	if view.Written != 2 || view.Coalesced != 2 || view.WriteNs.Count != 2 ||
 		view.WriteNs.Sum != 1_100_000 || view.WriteNs.Max != 900_000 || len(view.WriteNs.Buckets) != 2 {
 		t.Fatalf("snapshot JSON %s", raw)
+	}
+}
+
+// A debug server publishes only what its binary published: started with
+// nothing published, /debug/vars holds Go's cmdline and memstats and no
+// product blob — no all-zero fock_metrics beside a daemon's real one.
+func TestDebugServerPublishesNothingItself(t *testing.T) {
+	addr, err := StartDebugServer("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + addr + "/debug/vars")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var vars map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
+		t.Fatal(err)
+	}
+	for name := range vars {
+		if name != "cmdline" && name != "memstats" {
+			t.Errorf("debug server published %q by itself", name)
+		}
 	}
 }

@@ -35,13 +35,13 @@ var errInjectedReset = errors.New("netga: connection reset mid-RPC (injected)")
 func classifyFailure(rpc *metrics.RPC, err error) {
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		rpc.AddDeadlineExceeded()
+		atomic.AddInt64(&rpc.DeadlineExceeded, 1)
 		return
 	}
 	if errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.EPIPE) ||
 		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
 		errors.Is(err, errInjectedReset) {
-		rpc.AddPeerReset()
+		atomic.AddInt64(&rpc.PeerResets, 1)
 	}
 }
 
@@ -56,8 +56,9 @@ type Config struct {
 	Session uint64
 	// OpTimeout is the socket deadline of one RPC attempt (default 2s).
 	OpTimeout time.Duration
-	// RPC, when non-nil, collects transport counters (latency, retries,
-	// reconnects, injected faults). May be shared across clients.
+	// RPC collects transport counters (latency, retries, reconnects,
+	// injected faults); nil gets a private set. May be shared across
+	// clients.
 	RPC *metrics.RPC
 	// Fault, when non-nil, injects network faults (reset, duplicate
 	// delivery, slow link, partition windows) at this conn layer, keyed
@@ -110,6 +111,9 @@ func (cfg *Config) normalize() error {
 	}
 	if cfg.OpTimeout <= 0 {
 		cfg.OpTimeout = 2 * time.Second
+	}
+	if cfg.RPC == nil {
+		cfg.RPC = &metrics.RPC{}
 	}
 	return nil
 }
@@ -323,9 +327,9 @@ func (p *connPool) get() (*pooledConn, error) {
 		return nil, err
 	}
 	if redial {
-		p.rpc.AddReconnect()
+		atomic.AddInt64(&p.rpc.Reconnects, 1)
 	} else {
-		p.rpc.AddDial()
+		atomic.AddInt64(&p.rpc.Dials, 1)
 	}
 	return &pooledConn{Conn: conn, addr: addr}, nil
 }
@@ -378,7 +382,7 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 	if c.cfg.Fault != nil && rank >= 0 {
 		delay, outcome := c.cfg.Fault.NetFault(rank)
 		if outcome == fault.NetPartitioned {
-			c.cfg.RPC.AddPartitioned()
+			atomic.AddInt64(&c.cfg.RPC.Partitioned, 1)
 			return nil, false, ErrPartitioned
 		}
 		if delay > 0 {
@@ -387,9 +391,9 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 		switch outcome {
 		case fault.NetDup:
 			sendTwice = true
-			c.cfg.RPC.AddDupSend()
+			atomic.AddInt64(&c.cfg.RPC.DupSends, 1)
 		case fault.NetReset:
-			defer c.cfg.RPC.AddReset()
+			defer atomic.AddInt64(&c.cfg.RPC.Resets, 1)
 			// Send the frame, then tear the conn down before reading the
 			// response: the client cannot know whether the server applied
 			// the request — the ambiguity idempotency tokens exist for.
@@ -465,9 +469,9 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 		// (throttled: a whole retry storm collapses to one fetch) so the
 		// retry resolves against the new map (a fixed view has none to
 		// fetch and stays as it is).
-		c.cfg.RPC.AddStaleRetry()
+		atomic.AddInt64(&c.cfg.RPC.StaleRetries, 1)
 		if req.PGen != 0 && out.PGen > req.PGen {
-			c.cfg.RPC.AddPlacementRetry()
+			atomic.AddInt64(&c.cfg.RPC.PlacementRetries, 1)
 		}
 		c.router.RefreshView()
 		return nil, true, fmt.Errorf("%w: %s", errShardRetry, out.Msg)
@@ -511,7 +515,7 @@ func (c *Client) attempt(rank, owner int, what string, req *request) (resp *resp
 	if err != nil {
 		// Transiently unroutable (block mid-migration, view catching up):
 		// no frame went out, so the failure is provably clean.
-		c.cfg.RPC.AddRetry()
+		atomic.AddInt64(&c.cfg.RPC.Retries, 1)
 		return nil, false, err
 	}
 	req.ReqID = c.reqID.Add(1)
@@ -519,12 +523,13 @@ func (c *Client) attempt(rank, owner int, what string, req *request) (resp *resp
 	resp, sent, err = c.doRPC(rank, pool, req)
 	if err != nil {
 		c.noteFailure(pool, err)
-		c.cfg.RPC.AddRetry()
+		atomic.AddInt64(&c.cfg.RPC.Retries, 1)
 		return nil, sent, err
 	}
-	c.cfg.RPC.ObserveCall(time.Since(start).Nanoseconds())
+	c.cfg.RPC.LatencyNS.Observe(time.Since(start).Nanoseconds())
+	atomic.AddInt64(&c.cfg.RPC.Calls, 1)
 	if resp.Status != statusOK {
-		c.cfg.RPC.AddFailure()
+		atomic.AddInt64(&c.cfg.RPC.Failures, 1)
 		return nil, sent, fmt.Errorf("netga: %s %w: %s", what, dist.ErrRejected, resp.Msg)
 	}
 	return resp, sent, nil
@@ -543,7 +548,7 @@ func (c *Client) TryGet(proc, r0, r1, c0, c1 int, dst []float64, ld int) error {
 	}
 	w := c1 - c0
 	if len(resp.Data) != (r1-r0)*w {
-		c.cfg.RPC.AddFailure()
+		atomic.AddInt64(&c.cfg.RPC.Failures, 1)
 		return fmt.Errorf("netga: get %w: returned %d values, want %d", dist.ErrRejected, len(resp.Data), (r1-r0)*w)
 	}
 	for r := r0; r < r1; r++ {

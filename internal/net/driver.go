@@ -3,8 +3,10 @@ package netga
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 
 	"gtfock/internal/dist"
+	"gtfock/internal/metrics"
 )
 
 // Session is the driver side of one net session (DESIGN.md §7): the D and
@@ -31,6 +33,9 @@ type Session struct {
 // session id and both clients' OpTimeout, RPC and Fault; Array and Router
 // are the session's to set. Nothing is dialed before the first Backend.
 func NewSession(cfg Config, fleetAddr string, addrs, standbys []string) *Session {
+	if cfg.RPC == nil {
+		cfg.RPC = &metrics.RPC{}
+	}
 	return &Session{cfg: cfg, fleetAddr: fleetAddr, addrs: addrs, standbys: standbys}
 }
 
@@ -134,7 +139,9 @@ func (s *Session) Close(graceful bool) {
 	if graceful {
 		_ = s.d.Bye() // best effort: a dead shard freed the session by restarting
 	}
-	s.cfg.RPC.AddBlocksMigrated(int64(s.d.router.pgen()) - int64(s.startGen))
+	if moved := int64(s.d.router.pgen()) - int64(s.startGen); moved > 0 {
+		atomic.AddInt64(&s.cfg.RPC.BlocksMigrated, moved)
+	}
 	s.d.Close()
 	s.f.Close()
 	s.d, s.f = nil, nil

@@ -100,7 +100,7 @@ func TestConnPoolDropsSupersededConns(t *testing.T) {
 	}
 	lnA, lnB := listen(), listen()
 	rt := NewRouter([]string{lnA.Addr().String()}, nil, time.Second, nil)
-	p := &connPool{router: rt, slot: 0, timeout: time.Second}
+	p := &connPool{router: rt, slot: 0, timeout: time.Second, rpc: rt.rpc}
 
 	c1, err := p.get()
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"gtfock/internal/dist"
+	"gtfock/internal/metrics"
 )
 
 // Fleet is the lease-based membership and placement coordinator of an
@@ -63,8 +64,7 @@ type Fleet struct {
 	kick chan struct{}
 	stop chan struct{}
 
-	joins, rejoins, leaves, expiries, promotions atomic.Int64
-	blocksMoved, viewsServed                     atomic.Int64
+	st FleetStats // counters, updated with atomics; Stats adds the gauges
 }
 
 // FleetConfig tunes a Fleet.
@@ -211,7 +211,7 @@ func (f *Fleet) handleJoin(req *request) response {
 	case ex == nil:
 		m.LeaseExpiry = f.cfg.Clock().Add(f.cfg.LeaseTTL).UnixNano()
 		f.members[m.ID] = &fleetMember{Member: m}
-		f.joins.Add(1)
+		atomic.AddInt64(&f.st.Joins, 1)
 		f.bumpViewLocked()
 	case m.Incarnation >= ex.Incarnation:
 		changed := ex.Addr != m.Addr || ex.Standby != m.Standby || ex.dead
@@ -223,7 +223,7 @@ func (f *Fleet) handleJoin(req *request) response {
 		ex.Incarnation = m.Incarnation
 		ex.dead = false
 		ex.LeaseExpiry = f.cfg.Clock().Add(f.cfg.LeaseTTL).UnixNano()
-		f.rejoins.Add(1)
+		atomic.AddInt64(&f.st.Rejoins, 1)
 		if changed {
 			f.bumpViewLocked()
 		}
@@ -295,7 +295,7 @@ func (f *Fleet) handleView(req *request) response {
 	f.mu.Lock()
 	view := encodeView(&f.view)
 	f.mu.Unlock()
-	f.viewsServed.Add(1)
+	atomic.AddInt64(&f.st.ViewsServed, 1)
 	return response{ReqID: req.ReqID, Msg: view}
 }
 
@@ -374,7 +374,7 @@ func (f *Fleet) sweep() {
 			promote = append(promote, m.ID)
 		} else {
 			m.dead = true
-			f.expiries.Add(1)
+			atomic.AddInt64(&f.st.Expiries, 1)
 			f.bumpViewLocked()
 		}
 	}
@@ -418,8 +418,8 @@ func (f *Fleet) promoteMember(id uint64) {
 		m.Incarnation++
 		m.dead = false
 		m.LeaseExpiry = f.cfg.Clock().Add(f.cfg.LeaseTTL).UnixNano()
-		f.promotions.Add(1)
-		f.expiries.Add(1)
+		atomic.AddInt64(&f.st.Promotions, 1)
+		atomic.AddInt64(&f.st.Expiries, 1)
 		f.bumpViewLocked()
 	}
 	f.mu.Unlock()
@@ -627,7 +627,7 @@ func (f *Fleet) publishMove(mv *blockMove) error {
 		f.view.Placement.Gen = mv.gen
 	}
 	f.view.ViewGen++
-	f.blocksMoved.Add(1)
+	atomic.AddInt64(&f.st.BlocksMoved, 1)
 	return nil
 }
 
@@ -637,38 +637,37 @@ func (f *Fleet) finishLeavesLocked() {
 	for id, m := range f.members {
 		if m.leaving && len(f.view.Placement.HostedBy(id)) == 0 {
 			delete(f.members, id)
-			f.leaves.Add(1)
+			atomic.AddInt64(&f.st.Leaves, 1)
 			f.bumpViewLocked()
 		}
 	}
 }
 
-// FleetStats is a point-in-time snapshot of the coordinator's state.
+// FleetStats is the coordinator's counter set; Stats fills the gauges
+// (members, dead, leaving, pending moves, generations) from its state.
 type FleetStats struct {
-	Members      int    `json:"members"`
-	Dead         int    `json:"dead,omitempty"`
-	Leaving      int    `json:"leaving,omitempty"`
-	PendingMoves int    `json:"pending_moves,omitempty"`
-	ViewGen      uint64 `json:"view_gen"`
-	PlacementGen uint64 `json:"placement_gen"`
-	Joins        int64  `json:"joins"`
-	Rejoins      int64  `json:"rejoins,omitempty"`
-	Leaves       int64  `json:"leaves,omitempty"`
-	Expiries     int64  `json:"expiries,omitempty"`
-	Promotions   int64  `json:"promotions,omitempty"`
-	BlocksMoved  int64  `json:"blocks_moved,omitempty"`
-	ViewsServed  int64  `json:"views_served,omitempty"`
+	Members      int    `json:"net.fleet_members"`
+	Dead         int    `json:"net.fleet_dead,omitempty"`
+	Leaving      int    `json:"net.fleet_leaving,omitempty"`
+	PendingMoves int    `json:"net.fleet_pending_moves,omitempty"`
+	ViewGen      uint64 `json:"net.fleet_view_gen"`
+	PlacementGen uint64 `json:"net.fleet_placement_gen"`
+	Joins        int64  `json:"net.fleet_joins"`
+	Rejoins      int64  `json:"net.fleet_rejoins,omitempty"`
+	Leaves       int64  `json:"net.fleet_leaves,omitempty"`
+	Expiries     int64  `json:"net.fleet_expiries,omitempty"`
+	Promotions   int64  `json:"net.fleet_promotions,omitempty"`
+	BlocksMoved  int64  `json:"net.fleet_blocks_moved,omitempty"`
+	ViewsServed  int64  `json:"net.fleet_views_served,omitempty"`
 }
 
-// Stats snapshots the fleet counters.
+// Stats snapshots the fleet counters and gauges.
 func (f *Fleet) Stats() FleetStats {
+	st := metrics.Load(&f.st)
 	f.mu.Lock()
-	st := FleetStats{
-		Members:      len(f.members),
-		PendingMoves: len(f.moves),
-		ViewGen:      f.view.ViewGen,
-		PlacementGen: f.view.Placement.Gen,
-	}
+	defer f.mu.Unlock()
+	st.Members, st.PendingMoves = len(f.members), len(f.moves)
+	st.ViewGen, st.PlacementGen = f.view.ViewGen, f.view.Placement.Gen
 	for _, m := range f.members {
 		if m.dead {
 			st.Dead++
@@ -677,14 +676,6 @@ func (f *Fleet) Stats() FleetStats {
 			st.Leaving++
 		}
 	}
-	f.mu.Unlock()
-	st.Joins = f.joins.Load()
-	st.Rejoins = f.rejoins.Load()
-	st.Leaves = f.leaves.Load()
-	st.Expiries = f.expiries.Load()
-	st.Promotions = f.promotions.Load()
-	st.BlocksMoved = f.blocksMoved.Load()
-	st.ViewsServed = f.viewsServed.Load()
 	return st
 }
 

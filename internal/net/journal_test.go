@@ -163,8 +163,8 @@ func TestJournalGoldenBytes(t *testing.T) {
 	}
 	s := driveServer(t, dir, nil)
 	defer s.jr.Close()
-	if s.seq != 3 || s.replayed.Load() != 2 {
-		t.Fatalf("replayed %d records to seq %d, want 2 records to seq 3", s.replayed.Load(), s.seq)
+	if s.seq != 3 || s.st.Replayed != 2 {
+		t.Fatalf("replayed %d records to seq %d, want 2 records to seq 3", s.st.Replayed, s.seq)
 	}
 	if got := s.pin.arrays[0][:2]; got[0] != 1.5 || got[1] != -2 {
 		t.Fatalf("Put patch = %v, want [1.5 -2]", got)
@@ -208,9 +208,9 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 	s := driveServer(t, dir, nil)
 	defer s.jr.Close()
 	ss := s.pin
-	if ss.id != 42 || s.epoch.Load() != 3 || ss.ckptGen != 2 || s.seq != 3 || s.replayed.Load() != 2 {
+	if ss.id != 42 || s.epoch.Load() != 3 || ss.ckptGen != 2 || s.seq != 3 || s.st.Replayed != 2 {
 		t.Fatalf("recovered session %d epoch %d dedup gen %d seq %d (%d replayed), want 42, 3, 2, 3 (2)",
-			ss.id, s.epoch.Load(), ss.ckptGen, s.seq, s.replayed.Load())
+			ss.id, s.epoch.Load(), ss.ckptGen, s.seq, s.st.Replayed)
 	}
 	if !reflect.DeepEqual(ss.seenCur, map[uint64]bool{5: true, 7: true}) || !reflect.DeepEqual(ss.seenPrev, map[uint64]bool{6: true}) {
 		t.Fatalf("dedup generations %v / %v, want {5 7} / {6}", ss.seenCur, ss.seenPrev)

@@ -7,6 +7,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"net"
+	"sync/atomic"
 	"time"
 )
 
@@ -259,7 +260,7 @@ func (s *Server) applyStream(seq uint64, rec *request) error {
 	if err := s.applyRecord(rec); err != nil {
 		return err
 	}
-	s.replApplied.Add(1)
+	atomic.AddInt64(&s.st.ReplApplied, 1)
 	s.maybeSnapshot()
 	return nil
 }

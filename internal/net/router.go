@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gtfock/internal/dist"
@@ -75,10 +76,14 @@ type routeSlot struct {
 
 // NewRouter creates static routing state for the given primaries.
 // standbys may be nil, shorter than addrs, or hold "" entries for slots
-// with no standby (such a slot cannot fail over). rpc may be nil.
+// with no standby (such a slot cannot fail over). rpc nil gets a private
+// counter set.
 func NewRouter(addrs, standbys []string, opTimeout time.Duration, rpc *metrics.RPC) *Router {
 	if opTimeout <= 0 {
 		opTimeout = 2 * time.Second
+	}
+	if rpc == nil {
+		rpc = &metrics.RPC{}
 	}
 	rt := &Router{opTimeout: opTimeout, rpc: rpc, slots: make([]routeSlot, len(addrs)), slotOf: map[uint64]int{}}
 	for i, a := range addrs {
@@ -108,10 +113,13 @@ func (rt *Router) pin(assign []int) {
 
 // NewFleetRouter creates elastic routing state fed by the fleet
 // coordinator at fleetAddr. Slots appear as members do; callers must
-// RefreshView before the first route. rpc may be nil.
+// RefreshView before the first route. rpc nil gets a private counter set.
 func NewFleetRouter(fleetAddr string, opTimeout time.Duration, rpc *metrics.RPC) *Router {
 	if opTimeout <= 0 {
 		opTimeout = 2 * time.Second
+	}
+	if rpc == nil {
+		rpc = &metrics.RPC{}
 	}
 	return &Router{
 		opTimeout: opTimeout,
@@ -204,7 +212,7 @@ func (rt *Router) refreshView(force bool) error {
 		return err
 	}
 	rt.applyView(v)
-	rt.rpc.AddViewRefresh()
+	atomic.AddInt64(&rt.rpc.ViewRefreshes, 1)
 	rt.mu.Lock()
 	rt.refreshWait = 0
 	rt.nextRefreshAt = time.Now().Add(minViewRefresh)
@@ -372,6 +380,6 @@ func (rt *Router) Failover(slot int) error {
 		s.fails = 0
 	}
 	rt.mu.Unlock()
-	rt.rpc.AddFailover()
+	atomic.AddInt64(&rt.rpc.Failovers, 1)
 	return nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gtfock/internal/dist"
+	"gtfock/internal/metrics"
 	"gtfock/internal/wal"
 )
 
@@ -120,13 +121,9 @@ type Server struct {
 	stdbyStop   chan struct{}
 	stdbyConn   net.Conn // standby side: live subscription conn (under mu)
 
-	requests, accApplied, accDups, sessions, rejects atomic.Int64
-	sessionsClosed, sessionRejects                   atomic.Int64
-	journalRecords, replayed, snapshots              atomic.Int64
-	promotions, checkpoints, tokensEvicted           atomic.Int64
-	fencedOps, replSent, replApplied                 atomic.Int64
-	freezes, blocksIn, blocksOut, placementFenced    atomic.Int64
-	blobsStored, blobHits, blobMisses                atomic.Int64
+	// st holds the counters, updated with atomics where the event
+	// happens; Stats adds the state-derived gauges.
+	st ServerStats
 }
 
 // ServerOption configures a Server at construction.
@@ -163,51 +160,52 @@ func WithStandby(addr string) ServerOption {
 	}
 }
 
-// ServerStats is a point-in-time counter snapshot.
+// ServerStats is the shard's counter set. Stats fills the gauges
+// (sessions open, memory, epoch, role, placement, hosted blocks, live
+// tokens, blob bytes) from the server's state; the rest are counters.
 type ServerStats struct {
-	Requests   int64 `json:"requests"`
-	AccApplied int64 `json:"acc_applied"`
-	AccDups    int64 `json:"acc_dups"` // retried/duplicated Accs absorbed by token dedup
-	Sessions   int64 `json:"sessions"` // sessions installed (pinned) or admitted
-	Rejects    int64 `json:"rejects"`  // statusErr responses sent
+	Requests   int64 `json:"net.requests"`
+	AccApplied int64 `json:"net.acc_applied"`
+	AccDups    int64 `json:"net.acc_dups"` // retried/duplicated Accs absorbed by token dedup
+	Sessions   int64 `json:"net.sessions"` // sessions installed (pinned) or admitted
+	Rejects    int64 `json:"net.rejects"`  // statusErr responses sent
 
-	// Session-table counters. SessionsOpened is Sessions under the name the
-	// admitting table has always published; SessionRejects counts Hellos
-	// and blobs refused by the session cap or the resident-memory budget.
-	SessionsOpen   int   `json:"sessions_open,omitempty"`
-	SessionsOpened int64 `json:"sessions_opened,omitempty"`
-	SessionsClosed int64 `json:"sessions_closed,omitempty"`
-	SessionRejects int64 `json:"session_rejects,omitempty"`
-	MemUsed        int64 `json:"mem_used,omitempty"` // resident array + blob bytes of live sessions
-	MemBudget      int64 `json:"mem_budget,omitempty"`
+	// Session table: sessions released by Bye, Hellos and blobs refused by
+	// the session cap or the resident-memory budget, and the resident
+	// array + blob bytes of live sessions against that budget.
+	SessionsOpen   int   `json:"net.sessions_open,omitempty"`
+	SessionsClosed int64 `json:"net.sessions_closed,omitempty"`
+	SessionRejects int64 `json:"net.session_rejects,omitempty"`
+	MemUsed        int64 `json:"net.mem_used,omitempty"`
+	MemBudget      int64 `json:"net.mem_budget,omitempty"`
 
-	Epoch   uint64 `json:"epoch"`             // shard fence epoch
-	Standby bool   `json:"standby,omitempty"` // still a standby (not promoted)
+	Epoch   uint64 `json:"net.epoch"`             // shard fence epoch
+	Standby bool   `json:"net.standby,omitempty"` // still a standby (not promoted)
 
-	JournalRecords int64 `json:"journal_records,omitempty"` // records appended this incarnation
-	Replayed       int64 `json:"replayed,omitempty"`        // records replayed at recovery
-	Snapshots      int64 `json:"snapshots,omitempty"`
-	Promotions     int64 `json:"promotions,omitempty"`
-	Checkpoints    int64 `json:"checkpoints,omitempty"` // dedup eviction generations advanced
-	TokensLive     int64 `json:"tokens_live"`           // dedup tokens currently held
-	TokensEvicted  int64 `json:"tokens_evicted,omitempty"`
-	FencedOps      int64 `json:"fenced_ops,omitempty"` // ops rejected by the shard-epoch fence
-	ReplSent       int64 `json:"repl_sent,omitempty"`  // records forwarded to the standby
-	ReplApplied    int64 `json:"repl_applied,omitempty"`
+	JournalRecords int64 `json:"net.journal_records,omitempty"` // records appended this incarnation
+	Replayed       int64 `json:"net.replayed,omitempty"`        // records replayed at recovery
+	Snapshots      int64 `json:"net.snapshots,omitempty"`
+	Promotions     int64 `json:"net.promotions,omitempty"`
+	Checkpoints    int64 `json:"net.checkpoints,omitempty"` // dedup eviction generations advanced
+	TokensLive     int64 `json:"net.tokens_live"`           // dedup tokens currently held
+	TokensEvicted  int64 `json:"net.tokens_evicted,omitempty"`
+	FencedOps      int64 `json:"net.fenced_ops,omitempty"` // ops rejected by the shard-epoch fence
+	ReplSent       int64 `json:"net.repl_sent,omitempty"`  // records forwarded to the standby
+	ReplApplied    int64 `json:"net.repl_applied,omitempty"`
 
-	PGen            uint64 `json:"pgen,omitempty"`             // placement generation (0 = static)
-	HostedProcs     int    `json:"hosted_procs"`               // blocks currently hosted
-	FrozenProcs     int    `json:"frozen_procs,omitempty"`     // blocks frozen for out-migration
-	Freezes         int64  `json:"freezes,omitempty"`          // opFreeze cutovers started here
-	BlocksIn        int64  `json:"blocks_in,omitempty"`        // blocks installed by opMigrate
-	BlocksOut       int64  `json:"blocks_out,omitempty"`       // blocks dropped after cutover
-	PlacementFenced int64  `json:"placement_fenced,omitempty"` // ops rejected by the placement-gen fence
+	PGen            uint64 `json:"net.pgen,omitempty"`             // placement generation (0 = static)
+	HostedProcs     int    `json:"net.hosted_procs"`               // blocks currently hosted
+	FrozenProcs     int    `json:"net.frozen_procs,omitempty"`     // blocks frozen for out-migration
+	Freezes         int64  `json:"net.freezes,omitempty"`          // opFreeze cutovers started here
+	BlocksIn        int64  `json:"net.blocks_in,omitempty"`        // blocks installed by opMigrate
+	BlocksOut       int64  `json:"net.blocks_out,omitempty"`       // blocks dropped after cutover
+	PlacementFenced int64  `json:"net.placement_fenced,omitempty"` // ops rejected by the placement-gen fence
 
 	// Stored-ERI spill blob counters (cache tier; volatile by design).
-	BlobsStored int64 `json:"blobs_stored,omitempty"`
-	BlobBytes   int64 `json:"blob_bytes,omitempty"`
-	BlobHits    int64 `json:"blob_hits,omitempty"`
-	BlobMisses  int64 `json:"blob_misses,omitempty"`
+	BlobsStored int64 `json:"net.blobs_stored,omitempty"`
+	BlobBytes   int64 `json:"net.blob_bytes,omitempty"`
+	BlobHits    int64 `json:"net.blob_hits,omitempty"`
+	BlobMisses  int64 `json:"net.blob_misses,omitempty"`
 }
 
 func newServer(opts []ServerOption) *Server {
@@ -286,7 +284,7 @@ func (s *Server) recover() error {
 			return err
 		}
 		s.seq = seq
-		s.replayed.Add(1)
+		atomic.AddInt64(&s.st.Replayed, 1)
 		return nil
 	})
 	return err
@@ -424,11 +422,11 @@ func (ss *session) seen(token uint64) bool {
 // interval — never mid-epoch — so any retry of an op that completed
 // before the checkpoint still hits its token.
 func (s *Server) rotateDedupLocked(ss *session) {
-	s.tokensEvicted.Add(int64(len(ss.seenPrev)))
+	atomic.AddInt64(&s.st.TokensEvicted, int64(len(ss.seenPrev)))
 	ss.seenPrev = ss.seenCur
 	ss.seenCur = map[uint64]bool{}
 	ss.ckptGen++
-	s.checkpoints.Add(1)
+	atomic.AddInt64(&s.st.Checkpoints, 1)
 }
 
 // patch validates the patch of a Get/Put/Acc against the session's grid
@@ -525,7 +523,7 @@ func (s *Server) persistLocked(req *request, replicate bool) error {
 			s.dropSubscriberLocked()
 			return errReplLost
 		}
-		s.replSent.Add(1)
+		atomic.AddInt64(&s.st.ReplSent, 1)
 	}
 	return nil
 }
@@ -549,7 +547,7 @@ func (s *Server) journalLocked(seq uint64, req *request) error {
 	if err := s.jr.Append(s.jbuf); err != nil {
 		return err
 	}
-	s.journalRecords.Add(1)
+	atomic.AddInt64(&s.st.JournalRecords, 1)
 	s.sinceSnap++
 	return nil
 }
@@ -589,7 +587,7 @@ func (s *Server) checkpointLocked(st *snapshotState) error {
 		return err
 	}
 	s.sinceSnap = 0
-	s.snapshots.Add(1)
+	atomic.AddInt64(&s.st.Snapshots, 1)
 	return s.jr.Reset()
 }
 
@@ -665,42 +663,11 @@ func (s *Server) Shutdown(wait time.Duration) {
 	s.Close()
 }
 
-// Stats snapshots the server counters.
+// Stats snapshots the server counters and gauges.
 func (s *Server) Stats() ServerStats {
-	st := ServerStats{
-		Requests:   s.requests.Load(),
-		AccApplied: s.accApplied.Load(),
-		AccDups:    s.accDups.Load(),
-		Sessions:   s.sessions.Load(),
-		Rejects:    s.rejects.Load(),
-
-		SessionsClosed: s.sessionsClosed.Load(),
-		SessionRejects: s.sessionRejects.Load(),
-		MemBudget:      s.memBudget,
-
-		Epoch:   s.epoch.Load(),
-		Standby: s.standby.Load(),
-
-		JournalRecords: s.journalRecords.Load(),
-		Replayed:       s.replayed.Load(),
-		Snapshots:      s.snapshots.Load(),
-		Promotions:     s.promotions.Load(),
-		Checkpoints:    s.checkpoints.Load(),
-		TokensEvicted:  s.tokensEvicted.Load(),
-		FencedOps:      s.fencedOps.Load(),
-		ReplSent:       s.replSent.Load(),
-		ReplApplied:    s.replApplied.Load(),
-
-		PGen:            s.pgen.Load(),
-		Freezes:         s.freezes.Load(),
-		BlocksIn:        s.blocksIn.Load(),
-		BlocksOut:       s.blocksOut.Load(),
-		PlacementFenced: s.placementFenced.Load(),
-
-		BlobsStored: s.blobsStored.Load(),
-		BlobHits:    s.blobHits.Load(),
-		BlobMisses:  s.blobMisses.Load(),
-	}
+	st := metrics.Load(&s.st)
+	st.MemBudget = s.memBudget
+	st.Epoch, st.Standby, st.PGen = s.epoch.Load(), s.standby.Load(), s.pgen.Load()
 	add := func(ss *session) {
 		if ss.id != 0 {
 			st.SessionsOpen++
@@ -710,7 +677,6 @@ func (s *Server) Stats() ServerStats {
 		st.FrozenProcs += len(ss.frozen)
 		st.BlobBytes += ss.blobBytes
 	}
-	st.SessionsOpened = st.Sessions
 	s.mu.Lock()
 	st.MemUsed = s.memUsed
 	if s.pin != nil {
@@ -742,7 +708,7 @@ func (s *Server) serve(fc *frameConn, req *request, bad error) (resp response, h
 	resp.SEpoch = s.epoch.Load()
 	resp.PGen = s.pgen.Load()
 	if resp.Status == statusErr {
-		s.rejects.Add(1)
+		atomic.AddInt64(&s.st.Rejects, 1)
 	}
 	return resp, false
 }
@@ -763,7 +729,7 @@ func retryResp(reqID uint64, format string, args ...any) response {
 // data ops pass the shard-epoch and placement-generation fences, then
 // address one live session.
 func (s *Server) handle(req *request) response {
-	s.requests.Add(1)
+	atomic.AddInt64(&s.st.Requests, 1)
 	switch req.Op {
 	case opPing:
 		return response{ReqID: req.ReqID}
@@ -794,7 +760,7 @@ func (s *Server) handle(req *request) response {
 	}
 
 	if cur := s.epoch.Load(); req.SEpoch != 0 && req.SEpoch != cur {
-		s.fencedOps.Add(1)
+		atomic.AddInt64(&s.st.FencedOps, 1)
 		if req.SEpoch > cur {
 			return retryResp(req.ReqID, "netga: shard superseded (epoch %d > %d)", req.SEpoch, cur)
 		}
@@ -809,7 +775,7 @@ func (s *Server) handle(req *request) response {
 		for {
 			cur := s.pgen.Load()
 			if req.PGen < cur {
-				s.placementFenced.Add(1)
+				atomic.AddInt64(&s.st.PlacementFenced, 1)
 				return retryResp(req.ReqID, "netga: stale placement gen %d (now %d)", req.PGen, cur)
 			}
 			if req.PGen == cur || s.pgen.CompareAndSwap(cur, req.PGen) {
@@ -872,13 +838,13 @@ func (s *Server) putBlob(req *request, ss *session) response {
 		return response{ReqID: req.ReqID}
 	}
 	if s.memBudget > 0 && s.memUsed+add > s.memBudget {
-		s.sessionRejects.Add(1)
+		atomic.AddInt64(&s.st.SessionRejects, 1)
 		return errResp(req.ReqID, "netga: blob over memory budget")
 	}
 	ss.blobs[req.Token] = append([]float64(nil), req.Data...)
 	ss.blobBytes += add
 	s.memUsed += add
-	s.blobsStored.Add(1)
+	atomic.AddInt64(&s.st.BlobsStored, 1)
 	return response{ReqID: req.ReqID}
 }
 
@@ -890,10 +856,10 @@ func (s *Server) getBlob(req *request, ss *session) response {
 	data := ss.blobs[req.Token]
 	s.mu.Unlock()
 	if data == nil {
-		s.blobMisses.Add(1)
+		atomic.AddInt64(&s.st.BlobMisses, 1)
 		return errResp(req.ReqID, blobMissMsg)
 	}
-	s.blobHits.Add(1)
+	atomic.AddInt64(&s.st.BlobHits, 1)
 	return response{ReqID: req.ReqID, Data: data}
 }
 
@@ -903,7 +869,7 @@ func (s *Server) getBlob(req *request, ss *session) response {
 // refresh; under static placement it is a routing bug and fatal.
 func (s *Server) notHostedResp(req *request, owner int) response {
 	if s.pgen.Load() != 0 || req.PGen != 0 {
-		s.placementFenced.Add(1)
+		atomic.AddInt64(&s.st.PlacementFenced, 1)
 		return retryResp(req.ReqID, "netga: proc %d not hosted here (placement moved)", owner)
 	}
 	return errResp(req.ReqID, "netga: proc %d not hosted here", owner)
@@ -926,13 +892,13 @@ func (s *Server) applyOp(req *request, ss *session, p dist.Patch) response {
 	}
 	if ss.frozen[owner] {
 		s.mu.Unlock()
-		s.placementFenced.Add(1)
+		atomic.AddInt64(&s.st.PlacementFenced, 1)
 		return retryResp(req.ReqID, "netga: proc %d frozen (migrating)", owner)
 	}
 	tokened := req.Op == opAcc && req.Token != 0
 	if tokened && ss.seen(req.Token) {
 		s.mu.Unlock()
-		s.accDups.Add(1)
+		atomic.AddInt64(&s.st.AccDups, 1)
 		return response{ReqID: req.ReqID, Dup: 1}
 	}
 	if err := s.persistLocked(req, true); err != nil {
@@ -948,7 +914,7 @@ func (s *Server) applyOp(req *request, ss *session, p dist.Patch) response {
 	ss.apply(req, p)
 	s.applyWG.Done()
 	if req.Op == opAcc {
-		s.accApplied.Add(1)
+		atomic.AddInt64(&s.st.AccApplied, 1)
 	}
 	s.maybeSnapshot()
 	return response{ReqID: req.ReqID}
@@ -1013,7 +979,7 @@ func (s *Server) replacePinnedLocked(req *request) response {
 		return persistFailed(req.ReqID, err)
 	}
 	s.resetLocked(s.pin, req.Session)
-	s.sessions.Add(1)
+	atomic.AddInt64(&s.st.Sessions, 1)
 	// The journal reset above destroyed any journaled placement history
 	// (the opMigrate/opSetGen records that tell an elastic shard which
 	// blocks it hosts). Snapshot at the install point so a crash after
@@ -1071,7 +1037,7 @@ func (s *Server) promote(req *request) response {
 	if wasStandby && s.stdbyConn != nil {
 		s.stdbyConn.Close() // sever the stream from the old primary
 	}
-	s.promotions.Add(1)
+	atomic.AddInt64(&s.st.Promotions, 1)
 	return response{ReqID: req.ReqID}
 }
 
@@ -1126,7 +1092,7 @@ func (s *Server) freezeBlock(req *request) response {
 			return persistFailed(req.ReqID, err)
 		}
 		ss.frozen[p] = true
-		s.freezes.Add(1)
+		atomic.AddInt64(&s.st.Freezes, 1)
 	}
 	s.applyWG.Wait() // drain writes that passed the freeze check before it was set
 	data := make([]float64, 0, n)
@@ -1164,7 +1130,7 @@ func (s *Server) migrateIn(req *request) response {
 		return persistFailed(req.ReqID, err)
 	}
 	s.applyMigrateLocked(req)
-	s.blocksIn.Add(1)
+	atomic.AddInt64(&s.st.BlocksIn, 1)
 	return response{ReqID: req.ReqID}
 }
 
@@ -1175,7 +1141,7 @@ func (s *Server) applyMigrateLocked(req *request) {
 	if req.Session != 0 && req.Session != ss.id {
 		// A fresh member adopts the running build's session wholesale.
 		s.resetLocked(ss, req.Session)
-		s.sessions.Add(1)
+		atomic.AddInt64(&s.st.Sessions, 1)
 	}
 	for _, t := range req.Tokens {
 		ss.seenCur[t] = true
@@ -1218,7 +1184,7 @@ func (s *Server) applySetGenLocked(req *request) {
 	}
 	if p := int(req.Proc); p >= 0 {
 		if s.pin.hosts[p] {
-			s.blocksOut.Add(1)
+			atomic.AddInt64(&s.st.BlocksOut, 1)
 		}
 		delete(s.pin.hosts, p)
 		delete(s.pin.frozen, p)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"gtfock/internal/dist"
 )
@@ -104,19 +105,19 @@ func (s *Server) sessionLocked(id uint64) *session {
 // jobs. Caller holds s.mu.
 func (s *Server) admitLocked(req *request, grid *dist.Grid2D) response {
 	if len(s.table) >= s.maxSessions {
-		s.sessionRejects.Add(1)
+		atomic.AddInt64(&s.st.SessionRejects, 1)
 		return errResp(req.ReqID, "netga: session table full (%d sessions)", len(s.table))
 	}
 	need := sessionBytes(grid)
 	if s.memBudget > 0 && s.memUsed+need > s.memBudget {
-		s.sessionRejects.Add(1)
+		atomic.AddInt64(&s.st.SessionRejects, 1)
 		return errResp(req.ReqID, "netga: session memory budget exceeded (%d + %d > %d bytes)",
 			s.memUsed, need, s.memBudget)
 	}
 	_, hosted := SplitProcs(grid.NumProcs(), s.nservers)
 	s.table[req.Session] = newSession(req.Session, grid, hosted[s.index])
 	s.memUsed += need
-	s.sessions.Add(1)
+	atomic.AddInt64(&s.st.Sessions, 1)
 	return response{ReqID: req.ReqID}
 }
 
@@ -129,7 +130,7 @@ func (s *Server) bye(req *request) response {
 	if ss := s.table[req.Session]; ss != nil {
 		s.memUsed -= sessionBytes(ss.grid) + ss.blobBytes
 		delete(s.table, req.Session)
-		s.sessionsClosed.Add(1)
+		atomic.AddInt64(&s.st.SessionsClosed, 1)
 	}
 	s.mu.Unlock()
 	return response{ReqID: req.ReqID}

@@ -156,7 +156,7 @@ type Iteration struct {
 	FockStats *dist.RunStats
 	// Cache is the stored-ERI counter delta of this iteration's build
 	// (zero when Options.ERICache is off).
-	Cache metrics.CacheSnapshot
+	Cache metrics.Cache
 }
 
 // Result is a completed SCF calculation.
@@ -175,7 +175,7 @@ type Result struct {
 	FockStats *dist.RunStats
 	// CacheStats is the stored-ERI tier's run total (zero when
 	// Options.ERICache is off).
-	CacheStats metrics.CacheSnapshot
+	CacheStats metrics.Cache
 
 	NOcc int // doubly occupied orbitals
 }
@@ -321,7 +321,7 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 
 		// Fock build F = H_core + G(p) (Alg. 1 line 6, eq. (3)).
 		t1 := time.Now()
-		var cacheBefore metrics.CacheSnapshot
+		var cacheBefore metrics.Cache
 		if store != nil {
 			cacheBefore = store.Stats()
 		}

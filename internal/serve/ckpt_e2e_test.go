@@ -130,9 +130,9 @@ func TestCheckpointDurableBeforeAdvertised(t *testing.T) {
 	// and the one waiting behind the held push was overwritten.
 	snap := sm.Snapshot()
 	if int(snap.CkptWritten) != len(pushed) || snap.CkptCoalesced == 0 ||
-		int(snap.CkptWritten+snap.CkptCoalesced) != res.Iterations || snap.CkptWriteNs.Count != snap.CkptWritten {
+		int(snap.CkptWritten+snap.CkptCoalesced) != res.Iterations || snap.CkptWriteNS.Count != snap.CkptWritten {
 		t.Fatalf("ckpt_written %d, ckpt_coalesced %d, ckpt_write_ns.count %d; %d pushes, %d iterations",
-			snap.CkptWritten, snap.CkptCoalesced, snap.CkptWriteNs.Count, len(pushed), res.Iterations)
+			snap.CkptWritten, snap.CkptCoalesced, snap.CkptWriteNS.Count, len(pushed), res.Iterations)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"gtfock/internal/dist"
-	"gtfock/internal/metrics"
 )
 
 // Peer is one hfd front end of the HA service tier. N peers share one
@@ -33,7 +32,6 @@ type Peer struct {
 	reg   *RegistryClient
 	srv   *Server
 	inner Runner
-	met   *metrics.Serve
 
 	mu      sync.Mutex
 	owned   map[string]uint64 // job id -> lease fence
@@ -118,7 +116,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		cfg:     cfg,
 		reg:     cfg.Registry,
 		inner:   cfg.Server.Runner,
-		met:     cfg.Server.Metrics,
 		owned:   map[string]uint64{},
 		cancels: map[string]context.CancelCauseFunc{},
 		stop:    make(chan struct{}),
@@ -178,13 +175,13 @@ func (p *Peer) Submit(spec JobSpec) (*Job, error) {
 	}
 	id, fence, err := p.reg.Create(pj.spec, p.cfg.ID, p.cfg.Addr, p.cfg.Incarnation, p.cfg.CheckpointDir)
 	if err != nil {
-		return nil, &RejectError{Cause: metrics.RejectQueueFull,
+		return nil, &RejectError{Cause: RejectQueueFull,
 			Msg: "serve: job registry unavailable: " + err.Error()}
 	}
 	p.mu.Lock()
 	p.owned[id] = fence
 	p.mu.Unlock()
-	p.srv.met.AddSubmitted()
+	atomic.AddInt64(&p.srv.met.Submitted, 1)
 	j, err := p.srv.admit(id, pj)
 	if err != nil {
 		p.mu.Lock()
@@ -388,7 +385,7 @@ func (p *Peer) scan() {
 			p.reg.Release(p.cfg.ID, p.cfg.Incarnation, []string{rec.ID})
 			continue
 		}
-		p.met.AddAdopted()
+		atomic.AddInt64(&p.srv.met.Adopted, 1)
 	}
 }
 

@@ -269,11 +269,11 @@ func TestHAEndToEnd(t *testing.T) {
 	// The kill actually exercised the HA path.
 	adopted := int64(0)
 	for i := 1; i < npeers; i++ {
-		adopted += mets[i].Adopted()
+		adopted += mets[i].Snapshot().Adopted
 	}
 	st := reg.Stats()
 	if adopted == 0 || st.Expiries == 0 {
-		t.Errorf("adopted=%d lease_expiries=%d; the kill exercised nothing", adopted, st.Expiries)
+		t.Errorf("adopted=%d registry lease expiries=%d; the kill exercised nothing", adopted, st.Expiries)
 	}
 	if st.Active != 0 {
 		t.Errorf("%d jobs still active in the registry after the burst", st.Active)

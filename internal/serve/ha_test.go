@@ -225,12 +225,12 @@ func TestPeerAdoptsOrphanOnStart(t *testing.T) {
 			}
 
 			rig := newHARigEvery(t, regSrv.URL, "peer-b", time.Hour)
-			for deadline := time.Now().Add(5 * time.Second); rig.met.Adopted() == 0; time.Sleep(time.Millisecond) {
+			for deadline := time.Now().Add(5 * time.Second); rig.met.Snapshot().Adopted == 0; time.Sleep(time.Millisecond) {
 				if time.Now().After(deadline) {
 					t.Fatal("peer never adopted the orphan present at its start")
 				}
 			}
-			if n := rig.met.Adopted(); n != 1 {
+			if n := rig.met.Snapshot().Adopted; n != 1 {
 				t.Fatalf("adopted = %d, want 1", n)
 			}
 			j := rig.peer.Server().Job(id)
@@ -278,8 +278,8 @@ func TestOwnerRedirect(t *testing.T) {
 	if !strings.Contains(loc, a.peer.cfg.Addr) || !strings.HasSuffix(loc, "/v1/jobs/"+j.ID) {
 		t.Fatalf("redirect Location = %q, want owner %s", loc, a.peer.cfg.Addr)
 	}
-	if b.met.OwnerRedirects() == 0 {
-		t.Fatal("serve_owner_redirects not counted")
+	if b.met.Snapshot().OwnerRedirects == 0 {
+		t.Fatal("serve.owner_redirects not counted")
 	}
 
 	// Default client follows the redirect: the stream and status work
@@ -351,8 +351,8 @@ func TestKilledPeerLosesLeasesAndSurvivorAdopts(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if b.met.Adopted() == 0 {
-		t.Fatal("serve_jobs_adopted not counted")
+	if b.met.Snapshot().Adopted == 0 {
+		t.Fatal("serve.adopted not counted")
 	}
 	close(b.gate.release)
 	waitState(t, adopted, StateDone)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"strings"
+	"sync/atomic"
 
 	"gtfock/internal/metrics"
 )
@@ -98,9 +99,9 @@ func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 			// shed load itself; the server will not absorb it.
 			cause := "queue_full"
 			switch re.Cause {
-			case metrics.RejectQuota:
+			case RejectQuota:
 				cause = "tenant_quota"
-			case metrics.RejectMemory:
+			case RejectMemory:
 				cause = "memory_budget"
 			}
 			writeJSON(w, http.StatusServiceUnavailable, errBody{Error: re.Msg, Cause: cause})
@@ -137,7 +138,7 @@ func (a *API) miss(w http.ResponseWriter, r *http.Request, id string) {
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, errBody{Error: "registry unavailable: " + err.Error()})
 	case ownerAddr != "":
-		a.Server.met.AddOwnerRedirect()
+		atomic.AddInt64(&a.Server.met.OwnerRedirects, 1)
 		http.Redirect(w, r, "http://"+ownerAddr+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 	case pending:
 		w.Header().Set("Retry-After", "1")
@@ -216,17 +217,23 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// StatsBody is the /v1/stats response.
+// StatsBody is the /v1/stats response and hfd's expvar blob: the serve
+// and transport counter sets side by side, each counter under its ledger
+// name.
 type StatsBody struct {
-	Serve metrics.ServeSnapshot `json:"serve"`
-	RPC   *metrics.RPCSnapshot  `json:"rpc,omitempty"`
+	metrics.Serve
+	metrics.RPC
+}
+
+// Stats snapshots the counters /v1/stats serves.
+func (a *API) Stats() StatsBody {
+	body := StatsBody{Serve: a.Server.met.Snapshot()}
+	if a.RPC != nil {
+		body.RPC = a.RPC.Snapshot()
+	}
+	return body
 }
 
 func (a *API) stats(w http.ResponseWriter, _ *http.Request) {
-	body := StatsBody{Serve: a.Server.met.Snapshot()}
-	if a.RPC != nil {
-		s := a.RPC.Snapshot()
-		body.RPC = &s
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, a.Stats())
 }

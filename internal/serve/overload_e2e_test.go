@@ -266,9 +266,9 @@ func TestParkedAttemptsReleaseShardSessions(t *testing.T) {
 	}
 	for i, ms := range servers {
 		st := ms.Stats()
-		if st.SessionsOpen != 0 || st.SessionsClosed != st.SessionsOpened {
+		if st.SessionsOpen != 0 || st.SessionsClosed != st.Sessions {
 			t.Errorf("shard %d: %d sessions opened, %d closed, %d still open",
-				i, st.SessionsOpened, st.SessionsClosed, st.SessionsOpen)
+				i, st.Sessions, st.SessionsClosed, st.SessionsOpen)
 		}
 	}
 }

@@ -44,7 +44,6 @@ import (
 // recovers from snapshot + journal.
 type Registry struct {
 	cfg RegistryConfig
-	met *metrics.Serve
 
 	mu        sync.Mutex
 	jobs      map[string]*JobRecord
@@ -53,7 +52,7 @@ type Registry struct {
 	log       *wal.Log // nil: in-memory registry
 	sinceSnap int      // journaled records since the last snapshot
 
-	creates, acquires, expiries, finishes, fenceRejects int64
+	st RegistryStats // the counters (under mu); Stats adds the gauges
 }
 
 // RegistryConfig tunes a Registry.
@@ -69,8 +68,8 @@ type RegistryConfig struct {
 	Clock func() time.Time
 	// NoSync skips the per-append fsync (tests only).
 	NoSync bool
-	// Metrics, when non-nil, receives AddLeaseExpiry for every lease the
-	// registry expires.
+	// Metrics is not read: the registry counts its lease expiries once,
+	// in RegistryStats. The field remains for callers that still set it.
 	Metrics *metrics.Serve
 }
 
@@ -157,7 +156,7 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 	if cfg.Clock == nil {
 		cfg.Clock = time.Now
 	}
-	return &Registry{cfg: cfg, met: cfg.Metrics, jobs: map[string]*JobRecord{}}
+	return &Registry{cfg: cfg, jobs: map[string]*JobRecord{}}
 }
 
 // OpenRegistry opens (creating if needed) a registry rooted at dir,
@@ -295,7 +294,7 @@ func (r *Registry) Create(spec JobSpec, owner, ownerAddr string, inc uint64, ckp
 		r.nextID--
 		return "", 0, err
 	}
-	r.creates++
+	r.st.Creates++
 	return id, 1, nil
 }
 
@@ -349,10 +348,9 @@ func (r *Registry) Acquire(id, owner, ownerAddr string, inc uint64) (JobRecord, 
 	if err := r.commitLocked(&next); err != nil {
 		return JobRecord{}, err
 	}
-	r.acquires++
+	r.st.Acquires++
 	if expired {
-		r.expiries++
-		r.met.AddLeaseExpiry()
+		r.st.Expiries++
 	}
 	return next, nil
 }
@@ -402,7 +400,7 @@ func (r *Registry) UpdateCkpt(id, owner string, inc, fence uint64, iter int) err
 		return ErrUnknownJob
 	}
 	if rec.Owner != owner || rec.OwnerInc != inc || rec.Fence != fence {
-		r.fenceRejects++
+		r.st.FenceRejects++
 		return ErrFenceLost
 	}
 	if iter > rec.CkptIter {
@@ -426,7 +424,7 @@ func (r *Registry) Finish(id, owner string, inc, fence uint64, state string, res
 		return ErrTerminal
 	}
 	if rec.Owner != owner || rec.OwnerInc != inc || rec.Fence != fence {
-		r.fenceRejects++
+		r.st.FenceRejects++
 		return ErrFenceLost
 	}
 	next := *rec
@@ -436,7 +434,7 @@ func (r *Registry) Finish(id, owner string, inc, fence uint64, state string, res
 	if err := r.commitLocked(&next); err != nil {
 		return err
 	}
-	r.finishes++
+	r.st.Finishes++
 	return nil
 }
 
@@ -479,30 +477,28 @@ func (r *Registry) List() []JobRecord {
 	return out
 }
 
-// RegistryStats is a point-in-time snapshot of the registry counters.
-// LeaseTTL advertises the registry's actual TTL so joining peers derive
-// their heartbeat cadence from it instead of trusting their own flags.
+// RegistryStats is the registry's counter set; Stats fills the gauges
+// (jobs, active, owned) from its records. LeaseTTL advertises the
+// registry's actual TTL so joining peers derive their heartbeat cadence
+// from it instead of trusting their own flags.
 type RegistryStats struct {
-	Jobs         int           `json:"jobs"`
-	Active       int           `json:"active"`
-	Owned        int           `json:"owned"`
-	Creates      int64         `json:"creates"`
-	Acquires     int64         `json:"acquires"`
-	Expiries     int64         `json:"lease_expiries"`
-	Finishes     int64         `json:"finishes"`
-	FenceRejects int64         `json:"fence_rejects"`
-	LeaseTTL     time.Duration `json:"lease_ttl_ns"`
+	Jobs         int           `json:"serve.registry_jobs"`
+	Active       int           `json:"serve.registry_active"`
+	Owned        int           `json:"serve.registry_owned"`
+	Creates      int64         `json:"serve.registry_creates"`
+	Acquires     int64         `json:"serve.registry_acquires"`
+	Expiries     int64         `json:"serve.registry_lease_expiries"` // acquisitions that took over an expired lease
+	Finishes     int64         `json:"serve.registry_finishes"`
+	FenceRejects int64         `json:"serve.registry_fence_rejects"`
+	LeaseTTL     time.Duration `json:"serve.registry_lease_ttl_ns"`
 }
 
 // Stats snapshots the registry.
 func (r *Registry) Stats() RegistryStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RegistryStats{
-		Jobs: len(r.jobs), Creates: r.creates, Acquires: r.acquires,
-		Expiries: r.expiries, Finishes: r.finishes, FenceRejects: r.fenceRejects,
-		LeaseTTL: r.cfg.LeaseTTL,
-	}
+	st := r.st
+	st.Jobs, st.LeaseTTL = len(r.jobs), r.cfg.LeaseTTL
 	for _, rec := range r.jobs {
 		if !rec.Terminal() {
 			st.Active++

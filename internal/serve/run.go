@@ -80,7 +80,8 @@ type FleetRunner struct {
 	// from the file and re-executes at most one write's worth of
 	// iterations.
 	OnCheckpoint func(j *Job, iter int)
-	// RPC and Serve are the shared metric sinks (may be nil).
+	// RPC and Serve are the counter sets the runner updates; NewFleetRunner
+	// allocates private ones, and a caller may swap in shared sets.
 	RPC   *metrics.RPC
 	Serve *metrics.Serve
 
@@ -95,6 +96,8 @@ func NewFleetRunner(addrs []string, checkpointDir string) *FleetRunner {
 	return &FleetRunner{
 		Addrs:         addrs,
 		CheckpointDir: checkpointDir,
+		RPC:           &metrics.RPC{},
+		Serve:         metrics.NewServe(),
 		SessionNonce:  uint64(time.Now().UnixNano()),
 	}
 }
@@ -127,7 +130,7 @@ func (r *FleetRunner) Run(ctx context.Context, j *Job) (*JobResult, error) {
 		if attempt >= retryMax {
 			return nil, fmt.Errorf("serve: job %s failed after %d retries: %w", j.ID, attempt, err)
 		}
-		r.Serve.AddRetry()
+		atomic.AddInt64(&r.Serve.Retries, 1)
 		j.mu.Lock()
 		j.retries++
 		j.appendLocked(Event{Type: "retry", Msg: err.Error()})
@@ -161,7 +164,6 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		MaxIter:   j.Spec.MaxIter,
 		ConvTol:   j.Spec.ConvTol,
 		Ctx:       ctx,
-		Engine:    scf.EngineGTFock,
 		Prow:      prow, Pcol: pcol,
 		CheckpointPath: ckptPath,
 		FockBackend:    sess.Backend,
@@ -184,7 +186,9 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 			// Iteration w.Iter is what the next attempt will load
 			// (opt.StartIter = ck.Iter): only now may the resume cursor and
 			// the registry's checkpoint pointer name it.
-			r.Serve.ObserveCheckpoint(w.Took.Nanoseconds(), w.Coalesced)
+			atomic.AddInt64(&r.Serve.CkptWritten, 1)
+			atomic.AddInt64(&r.Serve.CkptCoalesced, int64(w.Coalesced))
+			r.Serve.CkptWriteNS.Observe(w.Took.Nanoseconds())
 			j.mu.Lock()
 			j.resumeAt = w.Iter + 1
 			j.mu.Unlock()

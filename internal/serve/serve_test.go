@@ -107,7 +107,7 @@ func TestMemoryBudgetRejects(t *testing.T) {
 	}
 	_, err := s.Submit(JobSpec{Molecule: "CH4"})
 	var re *RejectError
-	if !errors.As(err, &re) || re.Cause != metrics.RejectMemory {
+	if !errors.As(err, &re) || re.Cause != RejectMemory {
 		t.Fatalf("over-budget submit: %v, want memory rejection", err)
 	}
 	if snap := sm.Snapshot(); snap.RejectedMem != 1 {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gtfock/internal/metrics"
@@ -59,7 +60,8 @@ type Config struct {
 	// EstimateSpec.
 	Runner   Runner
 	Estimate func(JobSpec) (int, error)
-	// Metrics, when non-nil, collects the admission/queue/shed counters.
+	// Metrics collects the admission/queue/shed counters; nil gets a
+	// private set.
 	Metrics *metrics.Serve
 	// OnTerminal, when non-nil, is invoked (on its own goroutine, outside
 	// the scheduler lock) each time a job reaches a terminal outcome —
@@ -77,9 +79,18 @@ type Config struct {
 // from Submit so rejection latency is bounded by admission bookkeeping,
 // not by the queue.
 type RejectError struct {
-	Cause metrics.RejectCause
+	Cause RejectCause
 	Msg   string
 }
+
+// RejectCause names which admission limit refused a job.
+type RejectCause int
+
+const (
+	RejectQueueFull RejectCause = iota
+	RejectQuota
+	RejectMemory
+)
 
 func (e *RejectError) Error() string { return e.Msg }
 
@@ -119,6 +130,9 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.Estimate == nil {
 		cfg.Estimate = EstimateSpec
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = metrics.NewServe()
 	}
 	return &Server{
 		cfg:     cfg,
@@ -160,7 +174,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.SubmitID("", spec
 // under registry-allocated global ids so every peer names a job the same
 // way); id == "" allocates a local one.
 func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
-	s.met.AddSubmitted()
+	atomic.AddInt64(&s.met.Submitted, 1)
 	pj, err := s.prepareJob(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bad job spec: %w", err)
@@ -174,11 +188,11 @@ func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, &RejectError{Cause: metrics.RejectQueueFull, Msg: ErrDraining.Error()}
+		return nil, &RejectError{Cause: RejectQueueFull, Msg: ErrDraining.Error()}
 	}
 	if s.cfg.MemBudget > 0 && s.memUsed+pj.bytes > s.cfg.MemBudget {
-		s.met.AddRejected(metrics.RejectMemory)
-		return nil, &RejectError{Cause: metrics.RejectMemory,
+		atomic.AddInt64(&s.met.RejectedMem, 1)
+		return nil, &RejectError{Cause: RejectMemory,
 			Msg: fmt.Sprintf("serve: memory budget exceeded (%d + %d > %d bytes)", s.memUsed, pj.bytes, s.cfg.MemBudget)}
 	}
 
@@ -191,21 +205,21 @@ func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 	shed, aerr := s.q.push(t, j)
 	if aerr != nil {
 		j.cancel(nil)
-		cause := metrics.RejectQueueFull
+		cause, counter := RejectQueueFull, &s.met.RejectedQueue
 		if aerr.cause == "tenant_quota" {
-			cause = metrics.RejectQuota
+			cause, counter = RejectQuota, &s.met.RejectedQuota
 		}
-		s.met.AddRejected(cause)
+		atomic.AddInt64(counter, 1)
 		return nil, &RejectError{Cause: cause, Msg: aerr.msg}
 	}
 	s.jobs[id] = j
 	s.memUsed += pj.bytes
-	s.met.AddAdmitted()
+	atomic.AddInt64(&s.met.Admitted, 1)
 	j.Emit(Event{Type: "queued", State: StateQueued})
 	if shed != nil {
 		s.finalizeShedLocked(shed, j)
 	}
-	s.met.SetQueueDepth(s.q.depth)
+	s.noteQueueLocked()
 	if s.cfg.Preempt {
 		s.maybePreemptLocked(j)
 	}
@@ -286,7 +300,7 @@ func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
 	j.Emit(Event{Type: "queued", State: StateQueued, Msg: "adopted"})
 	t := s.q.tenant(j.Spec.Tenant, pj.tc.Weight, pj.tc.MaxQueued, pj.tc.MaxRunning)
 	s.q.requeue(t, j)
-	s.met.SetQueueDepth(s.q.depth)
+	s.noteQueueLocked()
 	s.scheduleLocked()
 	return j, nil
 }
@@ -301,7 +315,7 @@ func (s *Server) Kill() {
 	s.mu.Lock()
 	s.draining = true
 	s.q.drainQueued()
-	s.met.SetQueueDepth(0)
+	s.noteQueueLocked()
 	for _, cancel := range s.running {
 		cancel(ErrKilled)
 	}
@@ -354,6 +368,14 @@ func (s *Server) maybePreemptLocked(arrival *Job) {
 	}
 }
 
+// noteQueueLocked publishes the queue-depth and running gauges and the
+// depth's high-water mark.
+func (s *Server) noteQueueLocked() {
+	atomic.StoreInt64(&s.met.QueueDepth, int64(s.q.depth))
+	metrics.StoreMax(&s.met.QueueHighWater, int64(s.q.depth))
+	atomic.StoreInt64(&s.met.Running, int64(len(s.running)))
+}
+
 // scheduleLocked fills free executor slots from the fair-share queue.
 func (s *Server) scheduleLocked() {
 	for len(s.running) < s.cfg.Capacity && !s.draining {
@@ -361,7 +383,7 @@ func (s *Server) scheduleLocked() {
 		if j == nil {
 			break
 		}
-		s.met.SetQueueDepth(s.q.depth)
+		s.noteQueueLocked()
 		// A job whose deadline expired while queued is canceled without
 		// consuming a slot (its tenant's accounting is rolled back).
 		if j.ctx.Err() != nil {
@@ -371,7 +393,7 @@ func (s *Server) scheduleLocked() {
 		}
 		runCtx, runCancel := context.WithCancelCause(j.ctx)
 		s.running[j] = runCancel
-		s.met.SetRunning(len(s.running))
+		s.noteQueueLocked()
 		go s.runJob(j, runCtx)
 	}
 }
@@ -381,9 +403,9 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 	first := j.started.IsZero()
 	if first {
 		j.started = time.Now()
-		s.met.ObserveQueueWait(j.started.Sub(j.submitted).Nanoseconds())
+		s.met.QueueWaitNS.Observe(j.started.Sub(j.submitted).Nanoseconds())
 	} else {
-		s.met.AddResumed()
+		atomic.AddInt64(&s.met.Resumed, 1)
 	}
 	j.state = StateRunning
 	j.appendLocked(Event{Type: "running", State: StateRunning, Iter: j.resumeAt})
@@ -398,7 +420,7 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 	defer s.mu.Unlock()
 	runCancel := s.running[j]
 	delete(s.running, j)
-	s.met.SetRunning(len(s.running))
+	s.noteQueueLocked()
 	if runCancel != nil {
 		runCancel(nil)
 	}
@@ -408,7 +430,7 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 	// parked with its checkpoint on disk (drain).
 	cause := context.Cause(runCtx)
 	if err != nil && (errors.Is(cause, ErrParked) || errors.Is(err, ErrParked)) && !s.draining {
-		s.met.AddParked()
+		atomic.AddInt64(&s.met.Parked, 1)
 		j.setState(StateParked, "preempted")
 		j.setState(StateQueued, "requeued after park")
 		tc := s.tenantConfig(j.Spec.Tenant)
@@ -417,12 +439,12 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 		// parked jobs; the admission bound applies to Submit, not to
 		// re-entry of already-admitted work.
 		s.q.requeue(t, j)
-		s.met.SetQueueDepth(s.q.depth)
+		s.noteQueueLocked()
 		s.scheduleLocked()
 		return
 	}
 	if err != nil && (errors.Is(cause, ErrDraining) || errors.Is(err, ErrDraining)) {
-		s.met.AddParked()
+		atomic.AddInt64(&s.met.Parked, 1)
 		j.mu.Lock()
 		j.state = StateParked
 		j.err = ErrDraining
@@ -490,20 +512,20 @@ func (s *Server) publish(j *Job, state JobState, res *JobResult, err error) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if !j.started.IsZero() {
-		s.met.ObserveRunTime(j.finished.Sub(j.started).Nanoseconds())
+		s.met.RunTimeNS.Observe(j.finished.Sub(j.started).Nanoseconds())
 	}
 	j.result, j.err, j.state = res, err, state
 	ev := Event{Type: state.String(), State: state}
 	switch state {
 	case StateDone:
-		s.met.AddCompleted()
+		atomic.AddInt64(&s.met.Completed, 1)
 		ev.Energy = res.Energy
 	case StateCanceled:
-		s.met.AddCanceled()
+		atomic.AddInt64(&s.met.Canceled, 1)
 	case StateShed:
-		s.met.AddShed()
+		atomic.AddInt64(&s.met.Shed, 1)
 	default:
-		s.met.AddFailed()
+		atomic.AddInt64(&s.met.Failed, 1)
 	}
 	if err != nil {
 		ev.Msg = err.Error()
@@ -564,7 +586,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.drained = done
 	}
 	for _, j := range s.q.drainQueued() {
-		s.met.AddParked()
+		atomic.AddInt64(&s.met.Parked, 1)
 		s.memUsed -= j.Bytes
 		j.mu.Lock()
 		j.state = StateParked
@@ -573,7 +595,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		j.cond.Broadcast()
 		j.mu.Unlock()
 	}
-	s.met.SetQueueDepth(0)
+	s.noteQueueLocked()
 	for _, cancel := range s.running {
 		cancel(ErrDraining)
 	}
