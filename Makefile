@@ -66,9 +66,11 @@ net-elastic:
 # exactly-once accounting), one stored batch replayed against different
 # densities staying linear in D, the default-option reference energies
 # (the cached alkane:6 run among them), and the blob spill legs over the
-# real transport.
+# real transport, and the service path: every hfd job attempt records and
+# replays within the store share of its admission charge (full, partial
+# and no store), its totals summed into the runner's one counter set.
 cache-test:
-	$(GO) test -race -count=1 -run 'TestERIStore|TestStore|TestStoredBatchReplayIsLinearInDensity|TestDefaultOptionsReproduceReferenceEnergies|TestPerIterationFockStats|TestBlowUpReportedAtProducingIteration|TestBlob|TestSpillE2E' ./internal/integrals/ ./internal/core/ ./internal/scf/ ./internal/net/
+	$(GO) test -race -count=1 -run 'TestERIStore|TestStore|TestStoredBatchReplayIsLinearInDensity|TestDefaultOptionsReproduceReferenceEnergies|TestPerIterationFockStats|TestBlowUpReportedAtProducingIteration|TestBlob|TestSpillE2E|TestCacheAdd|TestFleetRunnerStoreShare' ./internal/integrals/ ./internal/core/ ./internal/scf/ ./internal/net/ ./internal/metrics/ ./internal/serve/
 
 # Multi-tenant HF service gate under the race detector: the overload +
 # chaos acceptance e2e (burst at 4x admission capacity onto a live
@@ -76,9 +78,12 @@ cache-test:
 # including across an injected mid-SCF shard kill+restart; rejections
 # must be explicit and land in <100ms), plus the multi-session shard
 # layer, the fair-share/quota/shed scheduler, and the job lifecycle
-# unit tests.
+# unit tests, and the memory charges: local buffers per lane in the
+# admission charge, the store share a job's run gets at dispatch without
+# crowding out admission, and finished jobs kept queryable with their
+# older event histories trimmed.
 serve-test:
-	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream' ./internal/serve/ ./internal/net/
+	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestFleetRunnerStoreShare|TestStoresLeaveRoomForAdmission|TestFinishedJobsKeepStatus|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream' ./internal/serve/ ./internal/net/
 
 # HA service-tier gate under the race detector: the daemon-kill chaos
 # e2e (3 peers sharing a lease registry over a live 2-shard fleet, one
@@ -90,14 +95,15 @@ serve-test:
 # recovery (incl. the snapshot-boundary crash and the internal/wal
 # crash-point enumeration), the finish-then-publish contract, readiness
 # drain transitions, a new peer ready and adopting already-orphaned
-# jobs on its first scan (no tick), cross-peer owner redirects, the
+# jobs on its first scan (no tick) but never one whose charge admission
+# would refuse, cross-peer owner redirects, the
 # deterministic daemon-kill schedule, and the background checkpoint
 # writer an adopter's
 # resume depends on: latest-wins, flushed on every exit of a solve, F/D
 # handed over uncopied (the race detector is the check), a failed write
 # sticky, and CkptIter advertised only after the file is durable.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointDurableBeforeAdvertised' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestPeerAdoptsOnlyWhatItWouldAdmit|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointDurableBeforeAdvertised' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
 
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
 # (non-race, about a minute). A flaky e2e is a failing e2e — an assertion that

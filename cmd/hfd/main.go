@@ -212,7 +212,7 @@ func main() {
 		fatalIf(err)
 	}
 
-	api := &serve.API{Server: srv, RPC: runner.RPC, Peer: peer}
+	api := &serve.API{Server: srv, RPC: runner.RPC, Cache: runner.Cache, Peer: peer}
 	hs := &http.Server{Handler: api.Handler()}
 	if *ackAddr != "" {
 		metrics.PublishFunc("hfd", func() any { return api.Stats() })

@@ -9,6 +9,7 @@ import (
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	"gtfock/internal/metrics"
+	"gtfock/internal/screen"
 )
 
 // A store-enabled build sequence — build 1 records, builds 2..N replay —
@@ -55,6 +56,41 @@ func TestStoreReplayMatchesSerial(t *testing.T) {
 			}
 			if st.QuartetsStored == 0 || st.QuartetsReplayed != 2*st.QuartetsStored {
 				t.Fatalf("stored %d quartets, replayed %d", st.QuartetsStored, st.QuartetsReplayed)
+			}
+		})
+	}
+}
+
+// StoreBytes is exact for a basis nothing screens out and an upper bound
+// otherwise: what a recorded store holds is sized by ERIStoreBytes from
+// its counters and compared with the bound computed from the basis alone.
+func TestStoreBytesBoundsRecordedStore(t *testing.T) {
+	for _, tc := range []struct {
+		name, bname string
+		mol         *chem.Molecule
+		tau         float64
+	}{
+		{"methane-sto3g-unscreened", "sto-3g", chem.Methane(), 1e-300},
+		{"methane-ccpvdz-unscreened", "cc-pvdz", chem.Methane(), 1e-300},
+		{"butane-sto3g", "sto-3g", chem.Alkane(4), 1e-11},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bs, _, d := buildSetup(t, tc.mol, tc.bname)
+			scr := screen.Compute(bs, tc.tau)
+			ns := bs.NumShells()
+			store := integrals.NewERIStore(ns, 0, nil, 1, nil)
+			if res := Build(bs, scr, d, Options{ERIStore: store}); res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			st := store.Stats()
+			index, values := integrals.ERIStoreBytes(ns, int64(ns*(ns+1)/2), st.QuartetsStored, st.BytesStored/8)
+			boundIndex, boundValues := StoreBytes(bs)
+			if index > boundIndex || values > boundValues {
+				t.Fatalf("store holds %d index + %d value bytes, bound %d + %d", index, values, boundIndex, boundValues)
+			}
+			if tc.tau < 1e-200 && (index != boundIndex || values != boundValues) {
+				t.Fatalf("unscreened store holds %d index + %d value bytes, bound %d + %d: want equal",
+					index, values, boundIndex, boundValues)
 			}
 		})
 	}

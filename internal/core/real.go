@@ -233,8 +233,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	// into re-enqueued work instead of a wrong answer.
 	led := newLedger(nprocs, opt.LeaseTTL, stats)
 
-	// Threads within a rank: the cores the grid leaves over, shared evenly.
-	lanes := max(1, runtime.GOMAXPROCS(0)/nprocs)
+	lanes := Lanes(nprocs)
 
 	var buildErr error
 	start := time.Now()
@@ -333,6 +332,52 @@ func Grid(bs *basis.Set, prow, pcol int) *dist.Grid2D {
 	return dist.NewGrid2D(prow, pcol,
 		funcCuts(bs, dist.UniformCuts(ns, prow)),
 		funcCuts(bs, dist.UniformCuts(ns, pcol)))
+}
+
+// Lanes is the number of threads each rank of an nprocs-rank build runs:
+// the cores the grid leaves over, shared evenly, at least one.
+func Lanes(nprocs int) int { return max(1, runtime.GOMAXPROCS(0)/nprocs) }
+
+// LocalBytes is what the local buffers of a build over n basis functions
+// hold on nprocs ranks of lanes lanes each: every rank's dense n x n D
+// image (dloc) and every lane's dense n x n F accumulator (floc).
+func LocalBytes(n, nprocs, lanes int) int64 {
+	return 8 * int64(n) * int64(n) * int64(nprocs) * int64(1+lanes)
+}
+
+// StoreBytes bounds what an unbudgeted ERIStore of bs holds once a build
+// has recorded it: the index and value bytes (integrals.ERIStoreBytes) of
+// every task and quartet doTask visits with nothing screened out. It is
+// computed from the shells' function counts alone, in O(ns^2).
+//
+// SymmetryCheck keeps exactly one of (i, j) and (j, i) for i != j, so for
+// a bra shell M with kept partners K(M) — c of them, s functions, s2 the
+// sum of squared function counts — an off-diagonal task (M, N) visits
+// c(M) c(N) quartets of nf(M) nf(N) s(M) s(N) values, and the diagonal
+// task (M, M), which keeps one of (P, Q) and (Q, P), (c^2 + c)/2 quartets
+// of nf(M)^2 (s^2 + s2)/2 values. Summing f(M) f(N) over the kept
+// off-diagonal (M, N) is ((Σf)^2 - Σf^2)/2 for the same reason.
+func StoreBytes(bs *basis.Set) (index, values int64) {
+	ns := bs.NumShells()
+	var qSum, qSq, vSum, vSq, quartets int64
+	for m := 0; m < ns; m++ {
+		var c, s, s2 int64
+		for p := 0; p < ns; p++ {
+			if SymmetryCheck(m, p) {
+				f := int64(bs.ShellFuncs(p))
+				c, s, s2 = c+1, s+f, s2+f*f
+			}
+		}
+		fm := int64(bs.ShellFuncs(m))
+		v := fm * s
+		qSum, qSq, vSum, vSq = qSum+c, qSq+c*c, vSum+v, vSq+v*v
+		quartets += (c*c + c) / 2
+		values += fm * fm * (s*s + s2) / 2
+	}
+	quartets += (qSum*qSum - qSq) / 2
+	values += (vSum*vSum - vSq) / 2
+	tasks := int64(ns) * int64(ns+1) / 2
+	return integrals.ERIStoreBytes(ns, tasks, quartets, values)
 }
 
 // funcCuts maps shell-index cuts to basis-function-index cuts.

@@ -32,6 +32,7 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"gtfock/internal/metrics"
 )
@@ -99,8 +100,20 @@ func NewERIStore(nshells int, budgetBytes int64, spill BlobStore, keyBase uint64
 		spill:   spill,
 		cache:   cache,
 		entries: make([]atomic.Pointer[storedTask], nshells*nshells),
-		arena:   floatArena{chunk: 1 << 16},
 	}
+}
+
+// ERIStoreBytes is what an ERIStore over nshells shells holds once it has
+// committed tasks entries carrying quartets quartets and values integral
+// values: index is the entry table plus every entry and its index legs,
+// which stay resident whatever the budget; vals is the value legs, the
+// part the budget bounds.
+func ERIStoreBytes(nshells int, tasks, quartets, values int64) (index, vals int64) {
+	const slot = int64(unsafe.Sizeof(atomic.Pointer[storedTask]{}))
+	const entry = int64(unsafe.Sizeof(storedTask{})) + 4 // + the closing offset
+	const perQuartet = int64(unsafe.Sizeof([2]int32{})) + 4
+	index = slot*int64(nshells)*int64(nshells) + tasks*entry + quartets*perQuartet
+	return index, 8 * values
 }
 
 // Stats returns the store's counter snapshot.

@@ -3,6 +3,7 @@ package integrals
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -208,6 +209,45 @@ func TestERIStoreSpillLossFallsBackToMiss(t *testing.T) {
 		} else if st.SpillMisses != 1 || st.TaskMisses != 1 {
 			t.Fatalf("%s: stats %+v", mode, st)
 		}
+	}
+}
+
+// A store that records one small task reserves about what it holds, not
+// a 512 KB arena chunk: every hfd job opens a store, most of them small.
+func TestERIStoreSmallArena(t *testing.T) {
+	pq, ends, vals := storeTask(0, 3)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := NewERIStore(2, 0, nil, 0, nil)
+	s.CommitTask(0, pq, ends, vals)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Fatalf("a one-task store allocated %d bytes, want < 64 KB", got)
+	}
+	if _, _, ok := replayAll(t, s, 0); !ok {
+		t.Fatal("the small task missed")
+	}
+}
+
+// The arena grows geometrically from arenaFirst up to arenaMax, and a
+// block longer than the chunk gets a chunk of its own length, so every
+// block is exact and intact.
+func TestERIStoreArenaGrowth(t *testing.T) {
+	var a floatArena
+	var chunks []int
+	for _, n := range []int{300, 300, 1000, 5000, 3000, 3000, 20000, 40000, 70000, 40000, 40000} {
+		fresh := len(a.cur) < n
+		b := a.take(n)
+		if len(b) != n || cap(b) != n {
+			t.Fatalf("take(%d) gave len %d cap %d", n, len(b), cap(b))
+		}
+		if fresh {
+			chunks = append(chunks, n+len(a.cur))
+		}
+	}
+	if want := "[512 1024 2048 5000 8192 20000 40000 70000 65536 65536]"; fmt.Sprint(chunks) != want {
+		t.Fatalf("chunks %v, want %s", chunks, want)
 	}
 }
 

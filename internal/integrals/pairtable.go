@@ -77,7 +77,7 @@ func NewPairTable(bs *basis.Set, q func(m, p int) float64, keep func(m, p int) b
 	t.pairs = make([]ShellPair, len(recs))
 	t.q = make([]float64, len(recs))
 	t.mp = make([][2]int32, len(recs))
-	fa := floatArena{chunk: 1 << 14}
+	var fa floatArena
 	pa := primArena{chunk: 1 << 8}
 	for i := range recs {
 		r := &recs[i]
@@ -134,21 +134,26 @@ func (t *PairTable) KeepQuartet(bra, ket PairID, tau float64) bool {
 	return t.q[bra]*t.q[ket] >= tau
 }
 
-// floatArena carves exact-length zeroed []float64 blocks out of large
-// chunks. Blocks are never reused or moved, so slices handed out stay
-// valid for the arena's lifetime.
+// floatArena carves exact-length zeroed []float64 blocks out of chunks.
+// Blocks are never reused or moved, so slices handed out stay valid for
+// the arena's lifetime. The first chunk is arenaFirst long and each next
+// one twice the last, up to arenaMax, so a small arena reserves little; a
+// block longer than the chunk gets a chunk of its own length. The zero
+// value is ready to use.
 type floatArena struct {
 	cur   []float64
-	chunk int
+	chunk int // length of the last chunk made
 }
+
+const (
+	arenaFirst = 1 << 9  // 4 KB
+	arenaMax   = 1 << 16 // 512 KB
+)
 
 func (a *floatArena) take(n int) []float64 {
 	if len(a.cur) < n {
-		c := a.chunk
-		if c < n {
-			c = n
-		}
-		a.cur = make([]float64, c)
+		a.chunk = min(max(2*a.chunk, arenaFirst), arenaMax)
+		a.cur = make([]float64, max(a.chunk, n))
 	}
 	out := a.cur[:n:n]
 	a.cur = a.cur[n:]

@@ -404,3 +404,13 @@ func (c Cache) Sub(b Cache) Cache {
 	}
 	return c
 }
+
+// Add folds the snapshot o into the live set c, field by field with
+// atomics, so c may be read (Snapshot) while runs add to it: the service
+// sums every attempt's store totals into one set.
+func (c *Cache) Add(o Cache) {
+	cv, ov := reflect.ValueOf(c).Elem(), reflect.ValueOf(o)
+	for i := 0; i < cv.NumField(); i++ {
+		atomic.AddInt64((*int64)(cv.Field(i).Addr().UnsafePointer()), ov.Field(i).Int())
+	}
+}

@@ -282,6 +282,23 @@ func TestCacheSub(t *testing.T) {
 	}
 }
 
+// Add sums every stored-ERI counter, concurrently with readers.
+func TestCacheAdd(t *testing.T) {
+	var total Cache
+	a := Cache{TaskHits: 5, TaskMisses: 5, BytesStored: 80, Dropped: 1, SpillMisses: 2}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(2)
+		go func() { defer wg.Done(); total.Add(a) }()
+		go func() { defer wg.Done(); _ = total.Snapshot() }()
+	}
+	wg.Wait()
+	want := Cache{TaskHits: 20, TaskMisses: 20, BytesStored: 320, Dropped: 4, SpillMisses: 8}
+	if got := total.Snapshot(); got != want {
+		t.Fatalf("Add: %+v, want %+v", got, want)
+	}
+}
+
 // The checkpoint-writer counters reach the JSON view under their ledger
 // names.
 func TestServeCheckpointCounters(t *testing.T) {

@@ -120,12 +120,13 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		cancels: map[string]context.CancelCauseFunc{},
 		stop:    make(chan struct{}),
 	}
-	cfg.Server.Runner = RunnerFunc(p.runLeased)
-	cfg.Server.OnTerminal = p.onTerminal
 	srv, err := NewServer(cfg.Server)
 	if err != nil {
 		return nil, err
 	}
+	// The server runs every job leased; it holds no job yet.
+	srv.cfg.Runner = RunnerFunc(p.runLeased)
+	srv.cfg.OnTerminal = p.onTerminal
 	p.srv = srv
 	if fr, ok := p.inner.(*FleetRunner); ok && fr.OnCheckpoint == nil {
 		fr.OnCheckpoint = p.onCheckpoint
@@ -364,11 +365,9 @@ func (p *Peer) scan() {
 		if mine || p.srv.Job(rec.ID) != nil {
 			continue
 		}
-		nbf, err := p.srv.cfg.Estimate(rec.Spec)
-		if err != nil {
-			continue
-		}
-		if b := p.cfg.Server.MemBudget; b > 0 && p.srv.MemUsed()+jobBytes(nbf) > b {
+		// The charge admission would refuse at submit, priced the same way.
+		pj, err := p.srv.prepareJob(rec.Spec)
+		if err != nil || !p.srv.fits(pj.size) {
 			continue // no headroom; another peer or a later scan takes it
 		}
 		got, err := p.reg.Acquire(rec.ID, p.cfg.ID, p.cfg.Addr, p.cfg.Incarnation)
@@ -378,7 +377,7 @@ func (p *Peer) scan() {
 		p.mu.Lock()
 		p.owned[rec.ID] = got.Fence
 		p.mu.Unlock()
-		if _, err := p.srv.Adopt(rec.ID, got.Spec); err != nil {
+		if _, err := p.srv.adopt(rec.ID, pj); err != nil {
 			p.mu.Lock()
 			delete(p.owned, rec.ID)
 			p.mu.Unlock()

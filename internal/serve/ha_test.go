@@ -248,6 +248,58 @@ func TestPeerAdoptsOrphanOnStart(t *testing.T) {
 	}
 }
 
+// TestPeerAdoptsOnlyWhatItWouldAdmit: the adoption scanner prices an
+// orphan with the charge admission refuses on. A peer whose budget is one
+// byte short of the job's fixed charge refuses it at submit and leaves it
+// orphaned scan after scan; at exactly the fixed charge it admits and
+// adopts it.
+func TestPeerAdoptsOnlyWhatItWouldAdmit(t *testing.T) {
+	for _, tc := range []struct {
+		budget int64
+		adopts bool
+	}{{stubSize.Fixed - 1, false}, {stubSize.Fixed, true}} {
+		reg, regSrv := newTestRegistryServer(t)
+		id, _, err := reg.Create(JobSpec{Molecule: "H2"}, "peer-dead", "127.0.0.1:1", 1, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg.Release("peer-dead", 1, nil)
+		sm := metrics.NewServe()
+		p, err := NewPeer(PeerConfig{
+			ID: "peer-b", Addr: "127.0.0.1:1",
+			Registry:      NewRegistryClient(regSrv.URL, time.Second),
+			CheckpointDir: t.TempDir(),
+			Server: Config{Capacity: 1, MemBudget: tc.budget, Runner: newGate(),
+				Estimate: stubEstimate, Metrics: sm},
+			HeartbeatEvery: 10 * time.Millisecond,
+			ScanEvery:      5 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(p.Close)
+		if tc.adopts {
+			for deadline := time.Now().Add(5 * time.Second); sm.Snapshot().Adopted == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("budget %d: the orphan was never adopted", tc.budget)
+				}
+			}
+			if j, used := p.Server().Job(id), p.Server().MemUsed(); j == nil || j.Size != stubSize || used != stubSize.Fixed {
+				t.Fatalf("budget %d: adopted job %+v holding %d, want charge %d", tc.budget, j, used, stubSize.Fixed)
+			}
+			continue
+		}
+		var re *RejectError
+		if _, err := p.Server().Submit(JobSpec{Molecule: "H2"}); !errors.As(err, &re) || re.Cause != RejectMemory {
+			t.Fatalf("budget %d: submit %v, want a memory rejection", tc.budget, err)
+		}
+		time.Sleep(50 * time.Millisecond) // ten scans
+		if rec, _ := reg.Get(id); sm.Snapshot().Adopted != 0 || rec.Owner != "" {
+			t.Fatalf("budget %d: adopted %d, owner %q; want the orphan left alone", tc.budget, sm.Snapshot().Adopted, rec.Owner)
+		}
+	}
+}
+
 // TestOwnerRedirect covers the fix for cross-peer status queries: a job
 // owned by peer A, asked about on peer B, answers 307 to A — and a
 // redirect-following client transparently gets the real status.
@@ -382,12 +434,12 @@ func TestPeerSubmitPreparesOnce(t *testing.T) {
 		ID: "peer-a", Addr: "127.0.0.1:1",
 		Registry:      NewRegistryClient(regSrv.URL, time.Second),
 		CheckpointDir: t.TempDir(),
-		Server: Config{Capacity: 2, Runner: g, Estimate: func(spec JobSpec) (int, error) {
+		Server: Config{Capacity: 2, Runner: g, Estimate: func(spec JobSpec) (JobSize, error) {
 			estimates.Add(1)
 			if spec.Molecule == "" {
-				return 0, errors.New("empty molecule")
+				return JobSize{}, errors.New("empty molecule")
 			}
-			return 10, nil
+			return stubSize, nil
 		}},
 		HeartbeatEvery: 10 * time.Millisecond,
 		ScanEvery:      10 * time.Millisecond,

@@ -16,7 +16,7 @@ import (
 //	GET  /v1/jobs/{id}        status snapshot
 //	GET  /v1/jobs/{id}/events NDJSON progress stream until terminal
 //	POST /v1/jobs/{id}/cancel explicit cancellation
-//	GET  /v1/stats            admission/queue/RPC counter snapshot
+//	GET  /v1/stats            admission/queue/RPC/stored-ERI counter snapshot
 //	GET  /healthz             liveness (the process answers HTTP)
 //	GET  /readyz              readiness (false while draining or before
 //	                          the first registry sync; 200 without a Peer)
@@ -28,9 +28,10 @@ import (
 // instead of seeing a spurious 404.
 type API struct {
 	Server *Server
-	// RPC, when non-nil, is included in /v1/stats next to the serve
-	// counters.
-	RPC *metrics.RPC
+	// RPC and Cache, when non-nil, are included in /v1/stats next to the
+	// serve counters (a FleetRunner's RPC and Cache sets).
+	RPC   *metrics.RPC
+	Cache *metrics.Cache
 	// Peer, when non-nil, routes submissions through the HA tier and
 	// resolves unknown job ids against the shared registry.
 	Peer *Peer
@@ -207,7 +208,7 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		from += len(evs)
+		from = evs[len(evs)-1].Seq + 1
 		if flusher != nil {
 			flusher.Flush()
 		}
@@ -217,12 +218,13 @@ func (a *API) events(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// StatsBody is the /v1/stats response and hfd's expvar blob: the serve
-// and transport counter sets side by side, each counter under its ledger
-// name.
+// StatsBody is the /v1/stats response and hfd's expvar blob: the serve,
+// transport and stored-ERI counter sets side by side, each counter under
+// its ledger name.
 type StatsBody struct {
 	metrics.Serve
 	metrics.RPC
+	metrics.Cache
 }
 
 // Stats snapshots the counters /v1/stats serves.
@@ -230,6 +232,9 @@ func (a *API) Stats() StatsBody {
 	body := StatsBody{Serve: a.Server.met.Snapshot()}
 	if a.RPC != nil {
 		body.RPC = a.RPC.Snapshot()
+	}
+	if a.Cache != nil {
+		body.Cache = a.Cache.Snapshot()
 	}
 	return body
 }

@@ -129,10 +129,14 @@ type JobResult struct {
 // Job is one admitted SCF job. All mutable fields are guarded by mu;
 // the context is fixed at admission and carries the deadline.
 type Job struct {
-	ID     string
-	Spec   JobSpec
-	NumBF  int   // basis functions, fixed at admission
-	Bytes  int64 // resident-memory estimate charged against the budget
+	ID   string
+	Spec JobSpec
+	Size JobSize // fixed at admission; Size.Fixed is held until the job ends
+	// Store is the stored-ERI value budget of the job's current (or last)
+	// run, given at dispatch (Server.storeLocked) and run by every attempt
+	// (scf.Options.ERICacheBudget); 0: no store, every build recomputes
+	// its integrals.
+	Store  int64
 	Weight float64
 
 	ctx    context.Context
@@ -142,6 +146,7 @@ type Job struct {
 	cond      *sync.Cond
 	state     JobState
 	events    []Event
+	first     int // seq of events[0]: 0, or the terminal seq of a finishedJob's job
 	result    *JobResult
 	err       error
 	retries   int
@@ -151,9 +156,9 @@ type Job struct {
 	finished  time.Time
 }
 
-func newJob(id string, spec JobSpec, nbf int, bytes int64, weight float64, ctx context.Context, cancel context.CancelCauseFunc) *Job {
+func newJob(id string, spec JobSpec, size JobSize, weight float64, ctx context.Context, cancel context.CancelCauseFunc) *Job {
 	j := &Job{
-		ID: id, Spec: spec, NumBF: nbf, Bytes: bytes, Weight: weight,
+		ID: id, Spec: spec, Size: size, Weight: weight,
 		ctx: ctx, cancel: cancel,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -197,7 +202,7 @@ func (j *Job) setState(s JobState, msg string) {
 
 // appendLocked adds an event and wakes streamers. Callers hold j.mu.
 func (j *Job) appendLocked(ev Event) {
-	ev.Seq = len(j.events)
+	ev.Seq = j.first + len(j.events)
 	ev.Time = time.Now().UnixNano()
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
@@ -217,14 +222,15 @@ func (j *Job) Emit(ev Event) {
 func (j *Job) EventsSince(from int) ([]Event, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for len(j.events) <= from && !j.state.Terminal() {
+	for j.first+len(j.events) <= from && !j.state.Terminal() {
 		j.cond.Wait()
 	}
-	if len(j.events) <= from {
+	i := max(0, from-j.first)
+	if len(j.events) <= i {
 		return nil, false
 	}
-	out := make([]Event, len(j.events)-from)
-	copy(out, j.events[from:])
+	out := make([]Event, len(j.events)-i)
+	copy(out, j.events[i:])
 	return out, true
 }
 
@@ -261,11 +267,53 @@ func (j *Job) Status() Status {
 	st := Status{
 		ID: j.ID, Tenant: j.Spec.Tenant, Priority: j.Spec.Priority,
 		Molecule: j.Spec.Molecule, Basis: j.Spec.Basis,
-		State: j.state.String(), NumBF: j.NumBF, Retries: j.retries,
+		State: j.state.String(), NumBF: j.Size.NumBF, Retries: j.retries,
 		Submitted: j.submitted, Result: j.result,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
 	return st
+}
+
+// finishedJob is what a server keeps of a terminal job once it is past
+// the last keepHistory (Server.keepLocked): its status and its terminal
+// event, not its event history or scheduling state, so what a server
+// keeps per finished job does not grow with the job's iterations.
+type finishedJob struct {
+	st Status
+	ev Event
+}
+
+// condense is what the server keeps of j once j has published its
+// terminal event and left the last keepHistory.
+func (j *Job) condense() finishedJob {
+	st := j.Status()
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return finishedJob{st: st, ev: j.events[len(j.events)-1]}
+}
+
+// job rebuilds a terminal Job from f for a lookup: the same status, and a
+// stream of f's terminal event alone, at its seq, so a stream read from
+// any seq up to it yields that event. Cancel is a no-op.
+func (f *finishedJob) job() *Job {
+	j := &Job{
+		ID: f.st.ID,
+		Spec: JobSpec{Tenant: f.st.Tenant, Priority: f.st.Priority,
+			Molecule: f.st.Molecule, Basis: f.st.Basis},
+		Size:      JobSize{NumBF: f.st.NumBF},
+		cancel:    func(error) {},
+		state:     f.ev.State,
+		events:    []Event{f.ev},
+		first:     f.ev.Seq,
+		result:    f.st.Result,
+		retries:   f.st.Retries,
+		submitted: f.st.Submitted,
+	}
+	if f.st.Error != "" {
+		j.err = errors.New(f.st.Error)
+	}
+	j.cond = sync.NewCond(&j.mu)
+	return j
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gtfock/internal/basis"
 	"gtfock/internal/chem"
 	"gtfock/internal/metrics"
 	netga "gtfock/internal/net"
@@ -43,13 +44,22 @@ func TestOverloadEndToEnd(t *testing.T) {
 
 	addrs, servers := startShards(t)
 
-	// Solo references: same molecules, same SCF options, no service.
+	// Solo references: same molecules, same SCF options, no service. And
+	// the store entries one attempt records, one per task SymmetryCheck
+	// keeps.
 	refs := map[string]float64{}
+	tasksOf := map[string]int64{}
 	for _, m := range []string{"H2", "CH4"} {
 		mol, err := chem.ParseSpec(m)
 		if err != nil {
 			t.Fatal(err)
 		}
+		bs, err := basis.Build(mol, "sto-3g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ns := int64(bs.NumShells())
+		tasksOf[m] = ns * (ns + 1) / 2
 		res, err := scf.RunHF(mol, scf.Options{BasisName: "sto-3g", MaxIter: 40, ConvTol: convTol})
 		if err != nil || !res.Converged {
 			t.Fatalf("solo reference %s: %v", m, err)
@@ -177,6 +187,23 @@ func TestOverloadEndToEnd(t *testing.T) {
 	}
 	if accepted == 0 || rejected == 0 {
 		t.Fatalf("burst split accepted=%d rejected=%d; want both nonzero", accepted, rejected)
+	}
+
+	// Every attempt runs with its own store (64 MB holds every store bound
+	// beside a full queue's fixed charges):
+	// a completed attempt — the chaos job's is its retry, on a fresh
+	// session — recorded each of its tasks at least once before replaying.
+	var recorded int64
+	for _, r := range append(results, submitted{j: chaos}) {
+		if r.rejected {
+			continue
+		}
+		if r.j.State() == StateDone {
+			recorded += tasksOf[r.j.Spec.Molecule]
+		}
+	}
+	if c := runner.Cache.Snapshot(); c.TaskMisses < recorded || c.TaskHits == 0 {
+		t.Errorf("stored-ERI totals %+v: want >= %d recording misses and replays", c, recorded)
 	}
 
 	snap := sm.Snapshot()

@@ -9,7 +9,7 @@ import (
 func qjob(tenant string, prio int) *Job {
 	ctx, cancel := context.WithCancelCause(context.Background())
 	return newJob(fmt.Sprintf("%s-p%d", tenant, prio),
-		JobSpec{Tenant: tenant, Priority: prio}, 10, 1, 1, ctx, cancel)
+		JobSpec{Tenant: tenant, Priority: prio}, JobSize{NumBF: 10, Fixed: 1}, 1, ctx, cancel)
 }
 
 // Weighted fair share: with tenants at weights 3:1 and saturated

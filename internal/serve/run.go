@@ -20,26 +20,26 @@ import (
 	"gtfock/internal/scf"
 )
 
-// EstimateSpec validates a job spec by actually building its molecule
-// and basis, returning the basis-function count the memory admission
-// charge is computed from. Malformed molecules and unknown basis sets
-// are caught here, synchronously at submit, instead of failing after
-// queueing.
-func EstimateSpec(spec JobSpec) (int, error) {
-	mol, err := chem.ParseSpec(spec.Molecule)
-	if err != nil {
-		return 0, err
+// sizeJob is the one count of what a job holds, for a job run on a
+// prow x pcol grid whose ranks run lanes lanes each. The SCF working set
+// is F, D, S, X, H and up to 8 DIIS F/error pairs, 21 n^2 doubles,
+// charged as 24 for the slack around them; the builds' local buffers are
+// core.LocalBytes; the store's bound is core.StoreBytes.
+func sizeJob(bs *basis.Set, prow, pcol, lanes int) JobSize {
+	n := int64(bs.NumFuncs)
+	index, values := core.StoreBytes(bs)
+	return JobSize{
+		NumBF:      bs.NumFuncs,
+		Fixed:      8*24*n*n + core.LocalBytes(bs.NumFuncs, prow*pcol, lanes),
+		StoreIndex: index, StoreValues: values,
 	}
-	bs, err := basis.Build(mol, spec.Basis)
-	if err != nil {
-		return 0, err
-	}
-	return bs.NumFuncs, nil
 }
 
 // FleetRunner executes jobs against a shared fockd shard fleet: each
 // job attempt opens a fresh job-scoped netga session on every shard,
-// runs the SCF with the distributed backend, and says goodbye. Shard
+// runs the SCF with the distributed backend and its own stored-ERI tier
+// (iteration 1 records, later iterations replay, within the value budget
+// the server gave the job's run, Job.Store), and says goodbye. Shard
 // failures (a killed/restarted multi-session server forgets the
 // session and answers "unknown session") surface as build errors and
 // are retried with exponential backoff from the job's last
@@ -80,10 +80,13 @@ type FleetRunner struct {
 	// from the file and re-executes at most one write's worth of
 	// iterations.
 	OnCheckpoint func(j *Job, iter int)
-	// RPC and Serve are the counter sets the runner updates; NewFleetRunner
-	// allocates private ones, and a caller may swap in shared sets.
+	// RPC, Serve and Cache are the counter sets the runner updates (Cache
+	// sums the stored-ERI totals of every completed attempt);
+	// NewFleetRunner allocates private ones, and a caller may swap in
+	// shared sets.
 	RPC   *metrics.RPC
 	Serve *metrics.Serve
+	Cache *metrics.Cache
 
 	sessionSeq atomic.Uint64
 	// SessionNonce salts session ids so daemon restarts sharing a fleet
@@ -98,8 +101,39 @@ func NewFleetRunner(addrs []string, checkpointDir string) *FleetRunner {
 		CheckpointDir: checkpointDir,
 		RPC:           &metrics.RPC{},
 		Serve:         metrics.NewServe(),
+		Cache:         &metrics.Cache{},
 		SessionNonce:  uint64(time.Now().UnixNano()),
 	}
+}
+
+// grid is the per-job process grid, defaulted.
+func (r *FleetRunner) grid() (prow, pcol int) {
+	prow, pcol = r.Prow, r.Pcol
+	if prow <= 0 {
+		prow = 2
+	}
+	if pcol <= 0 {
+		pcol = 2
+	}
+	return prow, pcol
+}
+
+// Estimate validates a job spec by actually building its molecule and
+// basis — malformed molecules and unknown basis sets fail here,
+// synchronously at submit, instead of after queueing — and sizes the job
+// as this runner runs it: on its grid, with core.Lanes lanes per rank.
+// It is the Server's default Config.Estimate.
+func (r *FleetRunner) Estimate(spec JobSpec) (JobSize, error) {
+	mol, err := chem.ParseSpec(spec.Molecule)
+	if err != nil {
+		return JobSize{}, err
+	}
+	bs, err := basis.Build(mol, spec.Basis)
+	if err != nil {
+		return JobSize{}, err
+	}
+	prow, pcol := r.grid()
+	return sizeJob(bs, prow, pcol, core.Lanes(prow*pcol)), nil
 }
 
 // Run executes one job to completion, retrying across shard failures.
@@ -148,13 +182,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 	if session == 0 {
 		session = 1
 	}
-	prow, pcol := r.Prow, r.Pcol
-	if prow <= 0 {
-		prow = 2
-	}
-	if pcol <= 0 {
-		pcol = 2
-	}
+	prow, pcol := r.grid()
 
 	sess := netga.NewSession(netga.Config{
 		Session: session, OpTimeout: r.OpTimeout, RPC: r.RPC, Fault: r.Fault,
@@ -168,6 +196,10 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		CheckpointPath: ckptPath,
 		FockBackend:    sess.Backend,
 		TuneFock:       r.TuneCore,
+		// The attempt's store is new: a retry or a resumed park records
+		// again on its fresh session.
+		ERICache:       j.Store > 0,
+		ERICacheBudget: j.Store,
 		OnIteration: func(iter int, it scf.Iteration) {
 			// Iteration boundary: no accumulate can still be retrying, so
 			// advance the shard sessions' dedup generation, then stream
@@ -198,7 +230,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		},
 	}
 	if ck, err := scf.LoadCheckpointFallback(ckptPath); err == nil && ck != nil {
-		if verr := ck.Validate(mol.Formula(), j.Spec.Basis, opt.Reorder, j.NumBF); verr == nil {
+		if verr := ck.Validate(mol.Formula(), j.Spec.Basis, opt.Reorder, j.Size.NumBF); verr == nil {
 			opt.InitialFock = ck.Fock()
 			opt.StartIter = ck.Iter
 		}
@@ -211,6 +243,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 	if err != nil {
 		return nil, err
 	}
+	r.Cache.Add(res.CacheStats)
 	if !res.Converged {
 		return nil, errors.New("serve: SCF did not converge within max iterations")
 	}

@@ -2,12 +2,17 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"gtfock/internal/basis"
+	"gtfock/internal/chem"
 	"gtfock/internal/metrics"
 )
 
@@ -30,7 +35,11 @@ func (g *gate) Run(ctx context.Context, j *Job) (*JobResult, error) {
 	}
 }
 
-func stubEstimate(JobSpec) (int, error) { return 10, nil }
+// stubSize is what every stub job is sized at: 10 basis functions, no
+// store.
+var stubSize = JobSize{NumBF: 10, Fixed: 8 * 24 * 10 * 10}
+
+func stubEstimate(JobSpec) (JobSize, error) { return stubSize, nil }
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *metrics.Serve) {
 	t.Helper()
@@ -98,8 +107,8 @@ func TestAdmissionRejectsExplicitly(t *testing.T) {
 
 func TestMemoryBudgetRejects(t *testing.T) {
 	g := newGate()
-	// Each stub job charges jobBytes(10); budget fits exactly two.
-	s, sm := newTestServer(t, Config{Capacity: 4, MemBudget: 2 * jobBytes(10), Runner: g})
+	// Each stub job charges its Fixed bytes; budget fits exactly two.
+	s, sm := newTestServer(t, Config{Capacity: 4, MemBudget: 2 * stubSize.Fixed, Runner: g})
 	for i := 0; i < 2; i++ {
 		if _, err := s.Submit(JobSpec{Molecule: "CH4"}); err != nil {
 			t.Fatal(err)
@@ -114,6 +123,154 @@ func TestMemoryBudgetRejects(t *testing.T) {
 		t.Fatalf("rejected_mem = %d, want 1", snap.RejectedMem)
 	}
 	close(g.release)
+}
+
+// The charge counts the build's local buffers, one dense n x n F per lane
+// and one D per rank, so it grows with the box. A budget twice the old
+// flat 24 n^2 charge, which admitted a CH4 job on any box, still admits
+// it at one lane and refuses it at 64.
+func TestAdmissionChargesLanes(t *testing.T) {
+	mol, err := chem.ParseSpec("CH4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bs, err := basis.Build(mol, "sto-3g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := int64(bs.NumFuncs)
+	oldCharge := 8 * 24 * n * n
+	for _, tc := range []struct {
+		lanes int
+		admit bool
+	}{{1, true}, {64, false}} {
+		g := newGate()
+		size := sizeJob(bs, 1, 1, tc.lanes)
+		s, err := NewServer(Config{Capacity: 1, MemBudget: 2 * oldCharge, Runner: g,
+			Estimate: func(JobSpec) (JobSize, error) { return size, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := s.Submit(JobSpec{Molecule: "CH4"})
+		var re *RejectError
+		switch {
+		case tc.admit && err != nil:
+			t.Errorf("lanes %d: charge %d refused under budget %d: %v", tc.lanes, size.Fixed, 2*oldCharge, err)
+		case !tc.admit && (!errors.As(err, &re) || re.Cause != RejectMemory):
+			t.Errorf("lanes %d: fixed charge %d over budget %d admitted (%v)", tc.lanes, size.Fixed, 2*oldCharge, err)
+		case tc.admit && j.Size != size:
+			t.Errorf("lanes %d: job sized %+v, want %+v", tc.lanes, j.Size, size)
+		}
+		close(g.release)
+	}
+}
+
+// A store's share comes out of the budget when its job is dispatched, and
+// only out of what the budget leaves once every slot the service holds is
+// charged fixed bytes. A budget holding the fixed charges of
+// Capacity+MaxQueue jobs and two full stores admits every one of them, as
+// the flat 24 n^2 charge did, and both running jobs get their whole
+// store; a budget holding one store admits them all as well, and the
+// second running job runs without one. Charging the store at admission
+// instead, the first queued job took what was left and the rest were
+// refused memory_budget.
+func TestStoresLeaveRoomForAdmission(t *testing.T) {
+	size := JobSize{NumBF: 60, Fixed: 1 << 20, StoreIndex: 1 << 20, StoreValues: 40 << 20}
+	full := size.StoreIndex + size.StoreValues
+	const capacity, maxQueue = 2, 8
+	for _, tc := range []struct {
+		stores int64
+		shares [2]int64 // the two running jobs' store shares
+	}{{2, [2]int64{size.StoreValues, size.StoreValues}}, {1, [2]int64{size.StoreValues, 0}}} {
+		g := newGate()
+		budget := (capacity+maxQueue)*size.Fixed + tc.stores*full
+		s, err := NewServer(Config{Capacity: capacity, MaxQueue: maxQueue, MemBudget: budget, Runner: g,
+			Estimate: func(JobSpec) (JobSize, error) { return size, nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []*Job
+		for i := 0; i < capacity+maxQueue; i++ {
+			j, err := s.Submit(JobSpec{Molecule: "C2H6"})
+			if err != nil {
+				t.Fatalf("%d stores: job %d refused: %v", tc.stores, i, err)
+			}
+			jobs = append(jobs, j)
+		}
+		if got := [2]int64{jobs[0].Store, jobs[1].Store}; got != tc.shares {
+			t.Fatalf("%d stores: running jobs' shares %v, want %v", tc.stores, got, tc.shares)
+		}
+		held := (capacity+maxQueue)*size.Fixed + size.storeCharge(tc.shares[0]) + size.storeCharge(tc.shares[1])
+		if used := s.MemUsed(); used != held || used > budget {
+			t.Fatalf("%d stores: %d bytes held, want %d within %d", tc.stores, used, held, budget)
+		}
+		close(g.release)
+		for _, j := range jobs {
+			waitState(t, j, StateDone)
+		}
+		if used := s.MemUsed(); used != 0 {
+			t.Fatalf("%d stores: %d bytes held after every job finished", tc.stores, used)
+		}
+	}
+}
+
+// Every finished job stays queryable with the status it finished with;
+// past the last keepHistory of them its event stream (over HTTP, as a
+// client reads it) is the terminal event alone, at its seq, and
+// cancelling it does nothing.
+func TestFinishedJobsKeepStatus(t *testing.T) {
+	done := RunnerFunc(func(context.Context, *Job) (*JobResult, error) {
+		return &JobResult{Converged: true, Energy: -1}, nil
+	})
+	s, _ := newTestServer(t, Config{Capacity: 1, Runner: done})
+	var jobs []*Job
+	for i := 0; i < keepHistory+2; i++ {
+		j, err := s.Submit(JobSpec{Molecule: "H2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, j, StateDone)
+		jobs = append(jobs, j)
+	}
+	api := httptest.NewServer((&API{Server: s}).Handler())
+	defer api.Close()
+	for i, orig := range jobs {
+		j := s.Job(orig.ID)
+		if j == nil || j.Status() != orig.Status() || j.Status().State != "done" || j.Status().Result == nil {
+			t.Fatalf("job %d: status %+v, want done as it finished: %+v", i, j, orig.Status())
+		}
+		j.Cancel()
+		resp, err := http.Get(api.URL + "/v1/jobs/" + orig.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []Event
+		for dec := json.NewDecoder(resp.Body); ; {
+			var ev Event
+			if dec.Decode(&ev) != nil {
+				break
+			}
+			evs = append(evs, ev)
+		}
+		resp.Body.Close()
+		if len(evs) == 0 {
+			t.Fatalf("job %d: empty event stream", i)
+		}
+		switch last := evs[len(evs)-1]; {
+		case last.Type != "done" || last.Seq != 2:
+			t.Fatalf("job %d: last event %+v, want done at seq 2", i, last)
+		case i < 2 && len(evs) != 1:
+			t.Fatalf("job %d: %d events kept, want the terminal one alone", i, len(evs))
+		case i >= 2 && len(evs) != 3:
+			t.Fatalf("job %d: %d events kept, want queued, running, done", i, len(evs))
+		}
+		if evs, more := j.EventsSince(3); evs != nil || more {
+			t.Fatalf("job %d: stream past its end returned %v, %v", i, evs, more)
+		}
+	}
+	if s.MemUsed() != 0 {
+		t.Fatalf("charge %d held after every job finished", s.MemUsed())
+	}
 }
 
 // Deadlines cancel both queued and running jobs with an explicit

@@ -43,8 +43,10 @@ type Config struct {
 	// MaxQueue bounds the admission queue depth (default 4x capacity).
 	// Admissions beyond it are shed-or-rejected, never absorbed.
 	MaxQueue int
-	// MemBudget bounds the summed resident-memory estimates of admitted
-	// jobs; submissions that would exceed it are rejected. 0 = unlimited.
+	// MemBudget bounds the summed charges of admitted jobs: a submission
+	// whose fixed bytes (JobSize.Fixed) do not fit is rejected, and a
+	// running job's store gets a share of what is left (storeLocked),
+	// down to none. 0 = unlimited, every store at its full bound.
 	MemBudget int64
 	// Tenants maps tenant name to its quota/weight config; unknown
 	// tenants get DefaultTenant.
@@ -55,11 +57,12 @@ type Config struct {
 	// lowest-priority running job is checkpointed and parked back into
 	// the queue.
 	Preempt bool
-	// Runner executes jobs (required). Estimate validates a spec and
-	// returns its basis-function count for memory admission; default
-	// EstimateSpec.
+	// Runner executes jobs (required). Estimate validates a spec and sizes
+	// it for the memory charge; with a FleetRunner it defaults to the
+	// runner's own Estimate, since what a job holds depends on how its
+	// runner runs it, and any other Runner needs one.
 	Runner   Runner
-	Estimate func(JobSpec) (int, error)
+	Estimate func(JobSpec) (JobSize, error)
 	// Metrics collects the admission/queue/shed counters; nil gets a
 	// private set.
 	Metrics *metrics.Serve
@@ -108,6 +111,8 @@ type Server struct {
 	mu       sync.Mutex
 	q        *fairQueue
 	jobs     map[string]*Job
+	recent   []*Job                 // terminal jobs in jobs, oldest first (keepHistory)
+	finished map[string]finishedJob // terminal jobs past them
 	running  map[*Job]context.CancelCauseFunc
 	memUsed  int64
 	draining bool
@@ -129,17 +134,22 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.MaxQueue = 4 * cfg.Capacity
 	}
 	if cfg.Estimate == nil {
-		cfg.Estimate = EstimateSpec
+		fr, ok := cfg.Runner.(*FleetRunner)
+		if !ok {
+			return nil, errors.New("serve: Config.Estimate is required with a Runner other than a FleetRunner")
+		}
+		cfg.Estimate = fr.Estimate
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewServe()
 	}
 	return &Server{
-		cfg:     cfg,
-		met:     cfg.Metrics,
-		q:       newFairQueue(cfg.MaxQueue),
-		jobs:    map[string]*Job{},
-		running: map[*Job]context.CancelCauseFunc{},
+		cfg:      cfg,
+		met:      cfg.Metrics,
+		q:        newFairQueue(cfg.MaxQueue),
+		jobs:     map[string]*Job{},
+		finished: map[string]finishedJob{},
+		running:  map[*Job]context.CancelCauseFunc{},
 	}, nil
 }
 
@@ -155,14 +165,62 @@ func (s *Server) tenantConfig(name string) TenantConfig {
 	return s.cfg.DefaultTenant
 }
 
-// jobBytes estimates one job's resident footprint in the daemon: the
-// SCF working set is a handful of nbf x nbf matrices (F, D, S, X, H,
-// DIIS history of up to 8 F/error pairs) plus slack for the build's
-// local blocks. Deliberately generous — admission control errs toward
-// refusing work, never toward OOM.
-func jobBytes(nbf int) int64 {
-	const matrices = 24
-	return int64(nbf) * int64(nbf) * 8 * matrices
+// JobSize is what a job's charges are computed from, measured once per
+// submission by Config.Estimate.
+type JobSize struct {
+	NumBF int
+	// Fixed is what the job holds from admission to its end, whatever its
+	// store gets: the SCF working set and its Fock builds' local buffers
+	// (core.LocalBytes). It is the admission charge.
+	Fixed int64
+	// StoreIndex and StoreValues bound one run's stored-ERI tier
+	// (core.StoreBytes): its index legs, resident whenever the store is
+	// on, and its values, the part scf.Options.ERICacheBudget bounds.
+	StoreIndex, StoreValues int64
+}
+
+// storeCharge is what a store of value budget share holds against the
+// memory budget: nothing when it is off, else its index legs and share.
+func (z JobSize) storeCharge(share int64) int64 {
+	if share == 0 {
+		return 0
+	}
+	return z.StoreIndex + share
+}
+
+// fitsLocked reports whether a job of size z is admitted under the memory
+// budget now: its Fixed bytes fit. Admission and the adoption scanner
+// both ask it. Caller holds s.mu.
+func (s *Server) fitsLocked(z JobSize) bool {
+	return s.cfg.MemBudget <= 0 || s.memUsed+z.Fixed <= s.cfg.MemBudget
+}
+
+// fits is fitsLocked for the adoption scanner.
+func (s *Server) fits(z JobSize) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.fitsLocked(z)
+}
+
+// storeLocked is the one store rule: it gives j, being dispatched (already
+// in s.running, off the queue), its run's store share and charges it. A
+// store takes only what the budget leaves free once every slot the
+// service holds — Capacity running and MaxQueue queued — is charged fixed
+// bytes: an admitted job its own, an empty slot j's. Stores so never
+// crowd out the admission of jobs like j. The share is the store's value
+// bound, or what free leaves after its index legs, and 0 — no store,
+// every build recomputes — when that is nothing. No budget: every store
+// at its bound. runJob releases the share when the run ends or parks.
+// Caller holds s.mu.
+func (s *Server) storeLocked(j *Job) {
+	z := j.Size
+	free := z.StoreIndex + z.StoreValues
+	if b := s.cfg.MemBudget; b > 0 {
+		empty := max(0, s.cfg.Capacity+s.cfg.MaxQueue-len(s.running)-s.q.depth)
+		free = b - s.memUsed - int64(empty)*z.Fixed
+	}
+	j.Store = max(0, min(z.StoreValues, free-z.StoreIndex))
+	s.memUsed += z.storeCharge(j.Store)
 }
 
 // Submit runs admission control and either enqueues the job or returns
@@ -190,10 +248,10 @@ func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 	if s.draining {
 		return nil, &RejectError{Cause: RejectQueueFull, Msg: ErrDraining.Error()}
 	}
-	if s.cfg.MemBudget > 0 && s.memUsed+pj.bytes > s.cfg.MemBudget {
+	if !s.fitsLocked(pj.size) {
 		atomic.AddInt64(&s.met.RejectedMem, 1)
 		return nil, &RejectError{Cause: RejectMemory,
-			Msg: fmt.Sprintf("serve: memory budget exceeded (%d + %d > %d bytes)", s.memUsed, pj.bytes, s.cfg.MemBudget)}
+			Msg: fmt.Sprintf("serve: memory budget exceeded (%d + %d > %d bytes)", s.memUsed, pj.size.Fixed, s.cfg.MemBudget)}
 	}
 
 	if id == "" {
@@ -213,7 +271,7 @@ func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 		return nil, &RejectError{Cause: cause, Msg: aerr.msg}
 	}
 	s.jobs[id] = j
-	s.memUsed += pj.bytes
+	s.memUsed += j.Size.Fixed
 	atomic.AddInt64(&s.met.Admitted, 1)
 	j.Emit(Event{Type: "queued", State: StateQueued})
 	if shed != nil {
@@ -230,17 +288,19 @@ func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 // preparedJob is a spec that passed validation: normalised (tenant,
 // basis and MaxIter defaulted) and sized.
 type preparedJob struct {
-	spec  JobSpec
-	nbf   int
-	bytes int64
-	tc    TenantConfig
+	spec JobSpec
+	size JobSize
+	tc   TenantConfig
 }
 
 // prepareJob is what admission (SubmitID, Peer.Submit) and re-entry
-// (Adopt) share, and the one place a spec is defaulted: it normalises
-// the spec, then validates and sizes it — outside s.mu, Estimate builds
-// the molecule's basis. The error of a malformed spec is plain, never a
-// RejectError: the HTTP layer's 400-vs-503 split relies on that.
+// (the adoption scanner, adopt) share, and the one place a spec is
+// defaulted: it normalises the spec, then validates and sizes it —
+// outside s.mu, Estimate builds the molecule's basis. Its size is what
+// fitsLocked admits on, at submission and adoption alike, and what
+// storeLocked shares the budget by. The error of a malformed spec is
+// plain, never a RejectError: the HTTP layer's 400-vs-503 split relies
+// on that.
 func (s *Server) prepareJob(spec JobSpec) (preparedJob, error) {
 	spec.Tenant = tenantName(spec.Tenant)
 	if spec.Basis == "" {
@@ -249,11 +309,11 @@ func (s *Server) prepareJob(spec JobSpec) (preparedJob, error) {
 	if spec.MaxIter <= 0 {
 		spec.MaxIter = 30
 	}
-	nbf, err := s.cfg.Estimate(spec)
+	size, err := s.cfg.Estimate(spec)
 	if err != nil {
 		return preparedJob{}, err
 	}
-	return preparedJob{spec: spec, nbf: nbf, bytes: jobBytes(nbf), tc: s.tenantConfig(spec.Tenant)}, nil
+	return preparedJob{spec: spec, size: size, tc: s.tenantConfig(spec.Tenant)}, nil
 }
 
 // start creates the job under id and arms its deadline, counted from
@@ -266,29 +326,24 @@ func (pj preparedJob) start(id string) *Job {
 	} else {
 		ctx, cancel = context.WithCancelCause(ctx)
 	}
-	return newJob(id, pj.spec, pj.nbf, pj.bytes, pj.tc.Weight, ctx, cancel)
+	return newJob(id, pj.spec, pj.size, pj.tc.Weight, ctx, cancel)
 }
 
-// Adopt re-enters an already-admitted job — adopted from a crashed
+// adopt re-enters an already-admitted job — adopted from a crashed
 // peer's expired lease — into the local scheduler. Adoption is re-entry,
 // not admission: the job was accepted by the service when first
-// submitted, so the queue-depth bound and the shed ladder do not apply
-// (the adoption scanner checks local memory headroom before acquiring
-// the lease, which keeps the transient overshoot bounded). The job
-// resumes from its on-disk checkpoint through the runner's normal
-// fresh-session path.
-func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
-	pj, err := s.prepareJob(spec)
-	if err != nil {
-		return nil, fmt.Errorf("serve: bad adopted job spec: %w", err)
-	}
-
+// submitted, so the queue-depth bound and the shed ladder do not apply,
+// and its fixed charge is not refused (the adoption scanner checks fits
+// before acquiring the lease, which keeps the transient overshoot
+// bounded). The job resumes from its on-disk checkpoint through the
+// runner's normal fresh-session path.
+func (s *Server) adopt(id string, pj preparedJob) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return nil, ErrDraining
 	}
-	if s.jobs[id] != nil {
+	if _, done := s.finished[id]; done || s.jobs[id] != nil {
 		return nil, fmt.Errorf("serve: job %s already present", id)
 	}
 	// The deadline restarts on the adopter: the original submission time
@@ -296,7 +351,7 @@ func (s *Server) Adopt(id string, spec JobSpec) (*Job, error) {
 	// beats canceling work that survived a crash.
 	j := pj.start(id)
 	s.jobs[id] = j
-	s.memUsed += pj.bytes
+	s.memUsed += j.Size.Fixed
 	j.Emit(Event{Type: "queued", State: StateQueued, Msg: "adopted"})
 	t := s.q.tenant(j.Spec.Tenant, pj.tc.Weight, pj.tc.MaxQueued, pj.tc.MaxRunning)
 	s.q.requeue(t, j)
@@ -345,7 +400,7 @@ func withDeadlineCause(parent context.Context, d time.Duration, cause error) (co
 // finalizeShedLocked terminates a job the degradation ladder dropped
 // from the queue to make room for by.
 func (s *Server) finalizeShedLocked(victim, by *Job) {
-	s.memUsed -= victim.Bytes
+	s.memUsed -= victim.Size.Fixed
 	s.publishTerminal(victim, StateShed, nil,
 		fmt.Errorf("serve: shed from queue by higher-priority job %s", by.ID))
 }
@@ -393,6 +448,7 @@ func (s *Server) scheduleLocked() {
 		}
 		runCtx, runCancel := context.WithCancelCause(j.ctx)
 		s.running[j] = runCancel
+		s.storeLocked(j)
 		s.noteQueueLocked()
 		go s.runJob(j, runCtx)
 	}
@@ -420,6 +476,7 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 	defer s.mu.Unlock()
 	runCancel := s.running[j]
 	delete(s.running, j)
+	s.memUsed -= j.Size.storeCharge(j.Store)
 	s.noteQueueLocked()
 	if runCancel != nil {
 		runCancel(nil)
@@ -450,7 +507,7 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 		j.err = ErrDraining
 		j.appendLocked(Event{Type: "parked", State: StateParked, Msg: "server draining"})
 		j.mu.Unlock()
-		s.memUsed -= j.Bytes
+		s.memUsed -= j.Size.Fixed
 		s.noteDrainedLocked()
 		return
 	}
@@ -460,7 +517,7 @@ func (s *Server) runJob(j *Job, runCtx context.Context) {
 
 // finishLocked applies a terminal outcome. Caller holds s.mu.
 func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
-	s.memUsed -= j.Bytes
+	s.memUsed -= j.Size.Fixed
 	state := StateFailed
 	switch {
 	case err == nil:
@@ -487,6 +544,7 @@ func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err error) {
 	if s.cfg.OnTerminal == nil {
 		s.publish(j, state, res, err)
+		s.keepLocked(j)
 		return
 	}
 	// The goroutine is bounded by the hook (Peer.onTerminal gives up after
@@ -501,9 +559,28 @@ func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err err
 		s.publish(j, state, res, err)
 		s.mu.Lock()
 		s.pending--
+		s.keepLocked(j)
 		s.noteDrainedLocked()
 		s.mu.Unlock()
 	}()
+}
+
+// keepHistory is how many published terminal jobs a server keeps whole,
+// event history included. Every job stays queryable (status, result,
+// error); an older one is kept as a finishedJob, whose stream is its
+// terminal event alone.
+const keepHistory = 256
+
+// keepLocked counts j, just published terminal, among the jobs kept whole
+// and condenses the oldest one beyond keepHistory. Caller holds s.mu.
+func (s *Server) keepLocked(j *Job) {
+	s.recent = append(s.recent, j)
+	if len(s.recent) > keepHistory {
+		old := s.recent[0]
+		s.recent = append(s.recent[:0], s.recent[1:]...)
+		delete(s.jobs, old.ID)
+		s.finished[old.ID] = old.condense()
+	}
 }
 
 // publish writes the terminal outcome into the job and wakes everyone
@@ -546,18 +623,13 @@ func (s *Server) noteDrainedLocked() {
 func (s *Server) Job(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.jobs[id]
-}
-
-// Jobs snapshots all admitted jobs.
-func (s *Server) Jobs() []*Job {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j)
+	if j := s.jobs[id]; j != nil {
+		return j
 	}
-	return out
+	if f, ok := s.finished[id]; ok {
+		return f.job()
+	}
+	return nil
 }
 
 // MemUsed returns the resident-memory estimate currently admitted.
@@ -587,7 +659,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 	for _, j := range s.q.drainQueued() {
 		atomic.AddInt64(&s.met.Parked, 1)
-		s.memUsed -= j.Bytes
+		s.memUsed -= j.Size.Fixed
 		j.mu.Lock()
 		j.state = StateParked
 		j.err = ErrDraining
