@@ -81,9 +81,11 @@ cache-test:
 # unit tests, and the memory charges: local buffers per lane in the
 # admission charge, the store share a job's run gets at dispatch without
 # crowding out admission, and finished jobs kept queryable with their
-# older event histories trimmed.
+# older event histories trimmed; the runner's pooled shard conns (one
+# hello per shard per session, a restarted shard redialed without a
+# retry) and finished jobs' checkpoint files removed.
 serve-test:
-	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestFleetRunnerStoreShare|TestStoresLeaveRoomForAdmission|TestFinishedJobsKeepStatus|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream' ./internal/serve/ ./internal/net/
+	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestFleetRunnerStoreShare|TestFleetRunnerPoolsConns|TestFleetRunnerRedialsRestartedShard|TestFinishedJobsLeaveNoCheckpoints|TestStoresLeaveRoomForAdmission|TestFinishedJobsKeepStatus|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream' ./internal/serve/ ./internal/net/
 
 # HA service-tier gate under the race detector: the daemon-kill chaos
 # e2e (3 peers sharing a lease registry over a live 2-shard fleet, one
@@ -99,17 +101,20 @@ serve-test:
 # would refuse, cross-peer owner redirects, the
 # deterministic daemon-kill schedule, and the background checkpoint
 # writer an adopter's
-# resume depends on: latest-wins, flushed on every exit of a solve, F/D
-# handed over uncopied (the race detector is the check), a failed write
-# sticky, and CkptIter advertised only after the file is durable.
+# resume depends on: its rent-or-buy cadence, the last completed
+# iteration handed over and flushed on every exit of a solve but
+# convergence, F/D handed over uncopied (the race detector is the
+# check), a failed write sticky, CkptIter advertised only after the file
+# is durable, a dead owner's file kept for its adopter and a finished
+# job's removed, and the pooled conns a restarted shard leaves dead.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestPeerAdoptsOnlyWhatItWouldAdmit|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointDurableBeforeAdvertised' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestPeerAdoptsOnlyWhatItWouldAdmit|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointCadenceRentOrBuy|TestCheckpointDurableBeforeAdvertised|TestFleetRunnerRedialsRestartedShard|TestFinishedJobsLeaveNoCheckpoints' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
 
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
 # (non-race, about a minute). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
 e2e-flake:
-	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
+	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestFleetRunnerRedialsRestartedShard|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
 
 # Every tracked Go file is gofmt-clean (`gofmt -w <file>` fixes a hit).
 fmt-check:

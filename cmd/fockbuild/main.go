@@ -198,7 +198,7 @@ func main() {
 					fmt.Printf("net backend: %d shard servers (%d standbys), session %d\n", len(addrs), len(standbys), session)
 				}
 				rpc = &metrics.RPC{}
-				sess = netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: copt.Fault}, *netFleet, addrs, standbys)
+				sess = netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: copt.Fault}, nil, *netFleet, addrs, standbys)
 				copt.Backend = sess.Backend
 			} else if *backend != "local" {
 				fatalIf(fmt.Errorf("unknown backend %q", *backend))

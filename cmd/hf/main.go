@@ -45,11 +45,12 @@ func main() {
 		eriCache  = flag.Bool("eri-cache", false, "store surviving ERIs on iteration 1, replay on later iterations")
 		eriBudget = flag.Int64("eri-cache-budget", 0, "resident stored-ERI bytes; over budget drops to recompute (0 = unlimited)")
 
-		// Checkpoint / resume: -checkpoint saves the SCF state after every
-		// iteration (atomic rename, always a complete iteration on disk);
+		// Checkpoint / resume: -checkpoint saves the SCF state as the run
+		// goes and the converged state at its end (atomic rename, always a
+		// complete iteration on disk);
 		// -resume warm-starts from it and retries once from the last valid
 		// iteration if the run blows up numerically.
-		ckptPath = flag.String("checkpoint", "", "save an SCF checkpoint to this file after every iteration")
+		ckptPath = flag.String("checkpoint", "", "save SCF checkpoints, and the converged state, to this file")
 		resume   = flag.Bool("resume", false, "warm-start from -checkpoint if it exists; reload it after a numerical blow-up")
 
 		// Observability: metrics accumulate over every Fock build of the
@@ -142,6 +143,7 @@ func main() {
 		return
 	}
 	fatalIf(err)
+	fatalIf(saveConverged(*ckptPath, res, *bname))
 
 	fmt.Print(iterTable(opt.StartIter, res.Iterations))
 	if c := res.CacheStats; c.TaskHits+c.TaskMisses > 0 {
@@ -195,6 +197,18 @@ func iterTable(startIter int, its []scf.Iteration) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
+}
+
+// saveConverged keeps -checkpoint's file contract: RunHF checkpoints only
+// what a resume needs and leaves a converged run's file at an earlier
+// iteration, so a converged run is saved here, once — the file then holds
+// the converged iterate, as a later -resume expects. A run that did not
+// converge already has its last iteration on disk.
+func saveConverged(path string, res *scf.Result, basisName string) error {
+	if path == "" || !res.Converged {
+		return nil
+	}
+	return scf.SaveCheckpoint(path, res, basisName)
 }
 
 // loadResumeState loads and validates the checkpoint at path for the

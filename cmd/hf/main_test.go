@@ -100,3 +100,46 @@ func TestIterTableNumbersGlobally(t *testing.T) {
 		t.Errorf("table %q: want row 1 with the purification suffix", row)
 	}
 }
+
+// -checkpoint keeps its file contract: RunHF leaves a converged run's file
+// at an earlier iteration, so hf saves the converged iterate itself,
+// under the run's global numbering — and leaves a run that stopped short
+// with its last iteration, as RunHF wrote it.
+func TestCheckpointHoldsConvergedIterate(t *testing.T) {
+	mol := chem.Methane()
+	path := filepath.Join(t.TempDir(), "ch4.ckpt")
+	short, err := scf.RunHF(mol, scf.Options{BasisName: "sto-3g", MaxIter: 3, CheckpointPath: path})
+	if err != nil || short.Converged {
+		t.Fatalf("short run: converged=%v, %v", short != nil && short.Converged, err)
+	}
+	if err := saveConverged(path, short, "sto-3g"); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := loadResumeState(path, mol, "sto-3g", "")
+	if err != nil || ck == nil || ck.Iter != 3 || ck.Converged {
+		t.Fatalf("after a run cut at -maxiter 3: (%+v, %v), want iteration 3, not converged", ck, err)
+	}
+
+	res, err := scf.RunHF(mol, scf.Options{
+		BasisName: "sto-3g", CheckpointPath: path, InitialFock: ck.Fock(), StartIter: ck.Iter,
+	})
+	if err != nil || !res.Converged {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if err := saveConverged(path, res, "sto-3g"); err != nil {
+		t.Fatal(err)
+	}
+	ck, err = loadResumeState(path, mol, "sto-3g", "")
+	if err != nil || ck == nil {
+		t.Fatalf("after convergence: (%+v, %v)", ck, err)
+	}
+	if want := 3 + len(res.Iterations); ck.Iter != want || !ck.Converged || ck.Energy != res.Energy {
+		t.Fatalf("file holds {iter:%d conv:%v E:%v}, want the converged iterate {iter:%d conv:true E:%v}",
+			ck.Iter, ck.Converged, ck.Energy, want, res.Energy)
+	}
+	for i, v := range ck.Fock().Data {
+		if v != res.F.Data[i] {
+			t.Fatal("checkpointed Fock differs from the converged result's")
+		}
+	}
+}

@@ -87,19 +87,12 @@ type Client struct {
 	router *Router
 	reqID  atomic.Uint64
 	token  atomic.Uint64 // Acc idempotency tokens; lives as long as the session's client
-
-	// Conn pools are allocated per router slot as slots are first routed
-	// to, and every slot is helloed once (session + geometry validation)
-	// before its first data op (helloSlot).
-	poolsMu sync.Mutex
-	pools   []*connPool
-	helloed map[int]bool // slot -> hello done
 }
 
 var _ dist.Backend = (*Client)(nil)
 
 func newClient(grid *dist.Grid2D, stats *dist.RunStats, cfg Config, rt *Router) *Client {
-	c := &Client{grid: grid, cfg: cfg, router: rt, helloed: map[int]bool{}}
+	c := &Client{grid: grid, cfg: cfg, router: rt}
 	c.stats.Store(stats)
 	return c
 }
@@ -221,21 +214,20 @@ func (c *Client) routeFor(proc int) (*connPool, error) {
 	return pool, nil
 }
 
-// helloSlot returns the conn pool of a router slot (allocating it on
-// first use; slots are append-only, so pools stay valid across churn)
-// after validating session + geometry against the slot's server once.
-// Hello is idempotent under one session, so two goroutines racing here
-// are harmless; a member that joined mid-build adopts the session either
-// from migrated block state or from this hello, whichever lands first.
-// On a route the failure is transient (errNoRoute): a dead unhelloed
-// member is the fleet detector's to fail over, not this client's.
+// helloSlot returns the conn pool of a router slot after validating
+// session + geometry against the slot's server once per session: the
+// router keeps the hello state, so a session's D and F clients, which
+// share it, say hello once per shard between them. Hello is idempotent
+// under one session, so two goroutines racing here are harmless; a
+// member that joined mid-build adopts the session either from migrated
+// block state or from this hello, whichever lands first. A hello that
+// fails after its frame went out may have met a conn left idle across a
+// restart of the shard, as may that address's other idle conns: they are
+// dropped and the hello, being idempotent, is redialed once. On a route
+// the failure is transient (errNoRoute): a dead unhelloed member is the
+// fleet detector's to fail over, not this client's.
 func (c *Client) helloSlot(slot int) (*connPool, error) {
-	c.poolsMu.Lock()
-	for slot >= len(c.pools) {
-		c.pools = append(c.pools, &connPool{router: c.router, slot: len(c.pools), timeout: c.cfg.OpTimeout, rpc: c.cfg.RPC})
-	}
-	pool, done := c.pools[slot], c.helloed[slot]
-	c.poolsMu.Unlock()
+	pool, done := c.router.pool(slot, c.cfg.Session)
 	if done {
 		return pool, nil
 	}
@@ -244,51 +236,109 @@ func (c *Client) helloSlot(slot int) (*connPool, error) {
 		R0: int32(c.grid.Rows), C0: int32(c.grid.Cols),
 		Msg: layoutMsg(c.grid),
 	}
-	resp, _, err := c.doRPC(-1, pool, &hello)
+	resp, sent, err := c.doRPC(-1, pool, &hello)
+	if err != nil && sent && !errors.Is(err, errShardRetry) {
+		c.router.conns.drop(c.router.addr(slot))
+		hello.ReqID = c.reqID.Add(1)
+		resp, _, err = c.doRPC(-1, pool, &hello)
+	}
 	if err != nil {
 		return nil, err
 	}
 	if resp.Status != statusOK {
 		return nil, fmt.Errorf("netga: hello rejected by %s: %s", c.router.addr(slot), resp.Msg)
 	}
-	c.poolsMu.Lock()
-	c.helloed[slot] = true
-	c.poolsMu.Unlock()
+	c.router.helloDone(slot, c.cfg.Session)
 	return pool, nil
 }
 
-// Close tears down every pooled connection.
-func (c *Client) Close() {
-	c.poolsMu.Lock()
-	pools := append([]*connPool(nil), c.pools...)
-	c.poolsMu.Unlock()
-	for _, p := range pools {
-		p.closeAll()
-	}
-}
+// Close releases the client's connections: the router's own idle conns
+// are closed; a Conns shared across sessions keeps them for the next.
+func (c *Client) Close() { c.router.closeConns() }
 
 // Layout returns the grid the shard servers are laid out over.
 func (c *Client) Layout() *dist.Grid2D { return c.grid }
 
-// connPool keeps idle conns to one shard slot. Any conn that sees an
-// error is discarded, so an idle conn never has residue of a previous
-// RPC. The slot's address is re-resolved through the router on every
-// checkout AND checkin — under the pool lock, so two racing gets cannot
-// regress curAddr — and every conn remembers the address it was dialed
-// to, so a conn to a superseded primary checked out across a failover is
-// closed on return instead of re-entering the pool and being handed out
-// against the wrong server forever.
-type connPool struct {
-	router  *Router
-	slot    int
-	timeout time.Duration
-	rpc     *metrics.RPC
+// Conns keeps idle connections to shard servers by address. Every request
+// frame names its session, so a conn belongs to no session, and one Conns
+// can serve every session of a process: the HF service's runner holds
+// one for its life (NewSession), so a job attempt opens on pooled conns
+// instead of fresh TCP dials. A conn that sees an error is closed, never
+// returned, so an idle conn has no residue of a previous RPC.
+type Conns struct {
+	mu     sync.Mutex
+	idle   map[string][]*pooledConn
+	closed bool
+}
 
-	mu        sync.Mutex
-	curAddr   string
-	idle      []*pooledConn
-	discarded int64
-	closed    bool
+// NewConns returns an empty connection pool.
+func NewConns() *Conns { return &Conns{idle: map[string][]*pooledConn{}} }
+
+// take checks out the most recently returned idle conn to addr, if any.
+func (cs *Conns) take(addr string) *pooledConn {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	idle := cs.idle[addr]
+	if len(idle) == 0 {
+		return nil
+	}
+	c := idle[len(idle)-1]
+	cs.idle[addr] = idle[:len(idle)-1]
+	return c
+}
+
+// give returns a healthy conn for reuse, closing it instead when the pool
+// is closed. It needs no cap: a conn is dialed only when no idle one to
+// its address is left, so the idle conns to an address never outnumber
+// the peak of RPCs in flight to it.
+func (cs *Conns) give(c *pooledConn) {
+	cs.mu.Lock()
+	if cs.closed {
+		cs.mu.Unlock()
+		c.Close()
+		return
+	}
+	cs.idle[c.addr] = append(cs.idle[c.addr], c)
+	cs.mu.Unlock()
+}
+
+// drop closes every idle conn to addr.
+func (cs *Conns) drop(addr string) {
+	cs.mu.Lock()
+	idle := cs.idle[addr]
+	delete(cs.idle, addr)
+	cs.mu.Unlock()
+	for _, c := range idle {
+		c.Close()
+	}
+}
+
+// Close closes every idle conn; conns returned afterwards are closed too.
+func (cs *Conns) Close() {
+	cs.mu.Lock()
+	cs.closed = true
+	idle := cs.idle
+	cs.idle = map[string][]*pooledConn{}
+	cs.mu.Unlock()
+	for _, conns := range idle {
+		for _, c := range conns {
+			c.Close()
+		}
+	}
+}
+
+// connPool is one router slot's view of its router's Conns. The slot's
+// address is re-resolved through the router on every checkout AND
+// checkin, and every conn remembers the address it was dialed to, so a
+// conn to a superseded primary checked out across a failover is closed
+// on return instead of re-entering the pool and being handed out against
+// the wrong server.
+type connPool struct {
+	router    *Router
+	slot      int
+	timeout   time.Duration
+	rpc       *metrics.RPC
+	discarded atomic.Int64
 }
 
 // pooledConn ties a conn to the address it was dialed to.
@@ -297,36 +347,16 @@ type pooledConn struct {
 	addr string
 }
 
-// syncAddrLocked refreshes curAddr from the router, draining idle conns
-// to a stale address. Caller holds p.mu.
-func (p *connPool) syncAddrLocked() string {
-	addr := p.router.addr(p.slot)
-	if addr != p.curAddr {
-		for _, c := range p.idle {
-			c.Close()
-		}
-		p.idle = nil
-		p.curAddr = addr
-	}
-	return addr
-}
-
 func (p *connPool) get() (*pooledConn, error) {
-	p.mu.Lock()
-	addr := p.syncAddrLocked()
-	if n := len(p.idle); n > 0 {
-		conn := p.idle[n-1]
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
+	addr := p.router.addr(p.slot)
+	if conn := p.router.conns.take(addr); conn != nil {
 		return conn, nil
 	}
-	redial := p.discarded > 0
-	p.mu.Unlock()
 	conn, err := net.DialTimeout("tcp", addr, p.timeout)
 	if err != nil {
 		return nil, err
 	}
-	if redial {
+	if p.discarded.Load() > 0 {
 		atomic.AddInt64(&p.rpc.Reconnects, 1)
 	} else {
 		atomic.AddInt64(&p.rpc.Dials, 1)
@@ -335,32 +365,16 @@ func (p *connPool) get() (*pooledConn, error) {
 }
 
 func (p *connPool) put(conn *pooledConn) {
-	p.mu.Lock()
-	addr := p.syncAddrLocked()
-	if p.closed || conn.addr != addr {
-		p.mu.Unlock()
+	if conn.addr != p.router.addr(p.slot) {
 		conn.Close()
 		return
 	}
-	p.idle = append(p.idle, conn)
-	p.mu.Unlock()
+	p.router.conns.give(conn)
 }
 
 func (p *connPool) discard(conn *pooledConn) {
 	conn.Close()
-	p.mu.Lock()
-	p.discarded++
-	p.mu.Unlock()
-}
-
-func (p *connPool) closeAll() {
-	p.mu.Lock()
-	p.closed = true
-	for _, c := range p.idle {
-		c.Close()
-	}
-	p.idle = nil
-	p.mu.Unlock()
+	p.discarded.Add(1)
 }
 
 // doRPC performs one request/response exchange on a pooled conn, with
@@ -677,11 +691,8 @@ func (c *Client) Checkpoint() error {
 // the last build of the session, before Close.
 func (c *Client) Bye() error {
 	req := request{Op: opBye, Session: c.cfg.Session, Proc: -1}
-	c.poolsMu.Lock()
-	pools := append([]*connPool(nil), c.pools...)
-	c.poolsMu.Unlock()
 	var firstErr error
-	for _, pool := range pools {
+	for _, pool := range c.router.helloedPools(c.cfg.Session) {
 		fixed := func() (*connPool, error) { return pool, nil }
 		if _, err := c.driverOp(fixed, &req); err != nil && firstErr == nil {
 			firstErr = err

@@ -10,7 +10,8 @@ import (
 )
 
 // Session is the driver side of one net session (DESIGN.md §7): the D and
-// F clients over ONE shared Router, dialed once and kept for every build.
+// F clients over ONE shared Router — one conn pool and one hello per
+// shard between them — dialed once and kept for every build.
 // The clients mint the Acc idempotency tokens, so a pair re-dialed on a
 // live session would replay token ranges and the shards' dedup would
 // discard later builds' accumulates; held here, tokens are monotone for
@@ -18,6 +19,7 @@ import (
 // stored-ERI spill integrals.BlobStore.
 type Session struct {
 	cfg             Config
+	conns           *Conns // nil: the session's router keeps its own
 	addrs, standbys []string
 	fleetAddr       string
 
@@ -31,12 +33,16 @@ type Session struct {
 // at fleetAddr or, when that is empty, over the fixed shard servers addrs
 // (procs split by SplitProcs, standbys as in NewRouter). cfg carries the
 // session id and both clients' OpTimeout, RPC and Fault; Array and Router
-// are the session's to set. Nothing is dialed before the first Backend.
-func NewSession(cfg Config, fleetAddr string, addrs, standbys []string) *Session {
+// are the session's to set. conns, when non-nil, is a pool that outlives
+// the session: its RPCs run on conns idle there (a fresh session id needs
+// a hello, not a dial) and return them there; nil keeps the session's
+// conns its own, closed with it. Nothing is dialed before the first
+// Backend.
+func NewSession(cfg Config, conns *Conns, fleetAddr string, addrs, standbys []string) *Session {
 	if cfg.RPC == nil {
 		cfg.RPC = &metrics.RPC{}
 	}
-	return &Session{cfg: cfg, fleetAddr: fleetAddr, addrs: addrs, standbys: standbys}
+	return &Session{cfg: cfg, conns: conns, fleetAddr: fleetAddr, addrs: addrs, standbys: standbys}
 }
 
 // Backend has the core.Options.Backend signature. The first call dials the
@@ -54,6 +60,9 @@ func (s *Session) Backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend
 		cfg.Router = NewRouter(s.addrs, s.standbys, cfg.OpTimeout, cfg.RPC)
 		if s.fleetAddr != "" {
 			cfg.Router = NewFleetRouter(s.fleetAddr, cfg.OpTimeout, cfg.RPC)
+		}
+		if s.conns != nil {
+			cfg.Router.shareConns(s.conns)
 		}
 		cfg.Array = 0
 		d, err := s.dial(grid, stats, cfg)

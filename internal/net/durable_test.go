@@ -53,7 +53,7 @@ func rawAcc(t *testing.T, c *Client, token uint64, val float64) *response {
 	var lastErr error
 	for i := 0; i < 20; i++ {
 		req.ReqID = c.reqID.Add(1)
-		resp, _, err := c.doRPC(-1, c.pools[0], &req)
+		resp, _, err := c.doRPC(-1, firstPool(c), &req)
 		if err == nil {
 			if resp.Status != statusOK {
 				t.Fatalf("raw acc rejected: %s", resp.Msg)

@@ -200,7 +200,7 @@ func TestElasticChurnBuildMatchesSerial(t *testing.T) {
 	dryRPC := &metrics.RPC{}
 	dryLS := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
 		dryFleet.start(grid, 3, 1)
-		return netga.NewSession(netga.Config{Session: 399, RPC: dryRPC}, dryFleet.fleet.Addr(), nil, nil), nil
+		return netga.NewSession(netga.Config{Session: 399, RPC: dryRPC}, nil, dryFleet.fleet.Addr(), nil, nil), nil
 	}}
 	if res := buildDeadline(t, time.Minute, func() core.Result {
 		return core.Build(bs, scr, d, chaosOptions(dryLS.Backend, nil))
@@ -225,7 +225,7 @@ func TestElasticChurnBuildMatchesSerial(t *testing.T) {
 	ls := &lazySession{t: t, pace: pace,
 		up: func(grid *dist.Grid2D) (*netga.Session, error) {
 			fc.start(grid, 3, 1)
-			return netga.NewSession(netga.Config{Session: 400, RPC: rpc}, fc.fleet.Addr(), nil, nil), nil
+			return netga.NewSession(netga.Config{Session: 400, RPC: rpc}, nil, fc.fleet.Addr(), nil, nil), nil
 		},
 		dialed: func() {
 			chaos.Add(1)

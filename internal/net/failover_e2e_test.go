@@ -145,7 +145,7 @@ func dryShardOps(t *testing.T, bs *basis.Set, scr *screen.Screening, d *linalg.M
 	cc := &chaosCluster{t: t, dir: t.TempDir(), session: 299}
 	ls := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
 		addrs, _ := cc.start(grid, 2, false)
-		return netga.NewSession(netga.Config{Session: cc.session}, "", addrs, nil), nil
+		return netga.NewSession(netga.Config{Session: cc.session}, nil, "", addrs, nil), nil
 	}}
 	res := buildDeadline(t, time.Minute, func() core.Result {
 		return core.Build(bs, scr, d, chaosOptions(ls.Backend, nil))
@@ -181,7 +181,7 @@ func TestLoopbackKillRestartBuildMatchesSerial(t *testing.T) {
 	ls := &lazySession{t: t, pace: pace,
 		up: func(grid *dist.Grid2D) (*netga.Session, error) {
 			addrs, _ := cc.start(grid, 2, false)
-			return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, "", addrs, nil), nil
+			return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, nil, "", addrs, nil), nil
 		},
 		dialed: func() {
 			chaos.Add(1)
@@ -244,7 +244,7 @@ func TestLoopbackStandbyPromotionBuildMatchesSerial(t *testing.T) {
 	var chaos sync.WaitGroup
 	ls := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
 		addrs, stdbyAddrs := cc.start(grid, 2, true)
-		return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, "", addrs, stdbyAddrs), nil
+		return netga.NewSession(netga.Config{Session: cc.session, RPC: rpc}, nil, "", addrs, stdbyAddrs), nil
 	}}
 
 	for build := 1; build <= 3; build++ {

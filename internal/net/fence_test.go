@@ -115,10 +115,7 @@ func TestConnPoolDropsSupersededConns(t *testing.T) {
 	rt.mu.Unlock()
 
 	p.put(c1)
-	p.mu.Lock()
-	idle := len(p.idle)
-	p.mu.Unlock()
-	if idle != 0 {
+	if idle := idleConns(rt.conns); idle != 0 {
 		t.Fatal("conn to the superseded primary re-entered the pool")
 	}
 	c2, err := p.get()
@@ -129,10 +126,7 @@ func TestConnPoolDropsSupersededConns(t *testing.T) {
 		t.Fatalf("post-failover get dialed %s, want new primary %s", c2.addr, lnB.Addr())
 	}
 	p.put(c2)
-	p.mu.Lock()
-	idle = len(p.idle)
-	p.mu.Unlock()
-	if idle != 1 {
+	if idle := idleConns(rt.conns); idle != 1 {
 		t.Fatal("current-address conn was not pooled")
 	}
 }

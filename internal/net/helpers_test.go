@@ -38,3 +38,20 @@ func mustMatrix(t *testing.T, ga dist.Backend) *linalg.Matrix {
 	}
 	return m
 }
+
+// firstPool is the conn pool of c's slot 0.
+func firstPool(c *Client) *connPool {
+	p, _ := c.router.pool(0, c.cfg.Session)
+	return p
+}
+
+// idleConns counts the conns idle in cs, to every address.
+func idleConns(cs *Conns) int {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	n := 0
+	for _, idle := range cs.idle {
+		n += len(idle)
+	}
+	return n
+}

@@ -203,7 +203,7 @@ func testAccTokenDedup(t *testing.T, table tableKind) {
 	}
 	for i := 0; i < 3; i++ { // initial delivery + two "retries"
 		req.ReqID = c.reqID.Add(1)
-		resp, _, err := c.doRPC(0, c.pools[0], &req)
+		resp, _, err := c.doRPC(0, firstPool(c), &req)
 		if err != nil || resp.Status != statusOK {
 			t.Fatalf("acc delivery %d: %v / %+v", i, err, resp)
 		}
@@ -364,7 +364,7 @@ func TestSessionResetAndGeometryCheck(t *testing.T) {
 	// A stale-session client is rejected per-request (c1's session died).
 	req := request{Op: opGet, Session: 10, Proc: -1, R0: 0, R1: 1, C0: 0, C1: 1}
 	req.ReqID = c2.reqID.Add(1)
-	resp, _, err := c2.doRPC(-1, c2.pools[0], &req)
+	resp, _, err := c2.doRPC(-1, firstPool(c2), &req)
 	if err != nil || resp.Status != statusErr {
 		t.Fatalf("stale session request: err=%v resp=%+v, want statusErr", err, resp)
 	}

@@ -59,6 +59,23 @@ type Router struct {
 	slotOf        map[uint64]int // member ID -> slot index
 	nextRefreshAt time.Time
 	refreshWait   time.Duration
+
+	// The clients routed here share their conns and their hellos: one
+	// conn pool per slot (allocated as slots are first routed to; slots
+	// are append-only, so pools stay valid across churn) drawing on conns,
+	// and the slots each session has said hello to. conns is the router's
+	// own unless the router was given a shared one (NewSession).
+	poolsMu  sync.Mutex
+	pools    []*connPool
+	helloed  map[helloKey]bool
+	conns    *Conns
+	ownConns bool
+}
+
+// helloKey names one session's hello to one slot.
+type helloKey struct {
+	slot    int
+	session uint64
 }
 
 type routeSlot struct {
@@ -85,7 +102,8 @@ func NewRouter(addrs, standbys []string, opTimeout time.Duration, rpc *metrics.R
 	if rpc == nil {
 		rpc = &metrics.RPC{}
 	}
-	rt := &Router{opTimeout: opTimeout, rpc: rpc, slots: make([]routeSlot, len(addrs)), slotOf: map[uint64]int{}}
+	rt := &Router{opTimeout: opTimeout, rpc: rpc, slots: make([]routeSlot, len(addrs)), slotOf: map[uint64]int{},
+		helloed: map[helloKey]bool{}, conns: NewConns(), ownConns: true}
 	for i, a := range addrs {
 		rt.slots[i] = routeSlot{id: uint64(i + 1), addr: a, epoch: 1}
 		rt.slotOf[uint64(i+1)] = i
@@ -126,6 +144,54 @@ func NewFleetRouter(fleetAddr string, opTimeout time.Duration, rpc *metrics.RPC)
 		rpc:       rpc,
 		fleetAddr: fleetAddr,
 		slotOf:    map[uint64]int{},
+		helloed:   map[helloKey]bool{},
+		conns:     NewConns(),
+		ownConns:  true,
+	}
+}
+
+// shareConns makes the router draw its conns from cs, which outlives it,
+// instead of its own. Call it before the first route.
+func (rt *Router) shareConns(cs *Conns) {
+	rt.conns, rt.ownConns = cs, false
+}
+
+// pool returns slot's conn pool, allocating pools up to it, and whether
+// session has said hello to the slot.
+func (rt *Router) pool(slot int, session uint64) (*connPool, bool) {
+	rt.poolsMu.Lock()
+	defer rt.poolsMu.Unlock()
+	for slot >= len(rt.pools) {
+		rt.pools = append(rt.pools, &connPool{router: rt, slot: len(rt.pools), timeout: rt.opTimeout, rpc: rt.rpc})
+	}
+	return rt.pools[slot], rt.helloed[helloKey{slot, session}]
+}
+
+// helloDone records that session has said hello to slot.
+func (rt *Router) helloDone(slot int, session uint64) {
+	rt.poolsMu.Lock()
+	rt.helloed[helloKey{slot, session}] = true
+	rt.poolsMu.Unlock()
+}
+
+// helloedPools returns the pools of the slots session has said hello to.
+func (rt *Router) helloedPools(session uint64) []*connPool {
+	rt.poolsMu.Lock()
+	defer rt.poolsMu.Unlock()
+	var out []*connPool
+	for slot, p := range rt.pools {
+		if rt.helloed[helloKey{slot, session}] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// closeConns closes the router's own idle conns; a shared Conns is its
+// owner's to close.
+func (rt *Router) closeConns() {
+	if rt.ownConns {
+		rt.conns.Close()
 	}
 }
 

@@ -168,6 +168,7 @@ type ServerStats struct {
 	AccApplied int64 `json:"net.acc_applied"`
 	AccDups    int64 `json:"net.acc_dups"` // retried/duplicated Accs absorbed by token dedup
 	Sessions   int64 `json:"net.sessions"` // sessions installed (pinned) or admitted
+	Hellos     int64 `json:"net.hellos"`   // Hello requests answered, admitted or not
 	Rejects    int64 `json:"net.rejects"`  // statusErr responses sent
 
 	// Session table: sessions released by Bye, Hellos and blobs refused by
@@ -748,6 +749,7 @@ func (s *Server) handle(req *request) response {
 	}
 	switch req.Op {
 	case opHello:
+		atomic.AddInt64(&s.st.Hellos, 1)
 		return s.hello(req)
 	case opCheckpoint:
 		return s.checkpoint(req)

@@ -49,8 +49,8 @@ func (ck *Checkpoint) Save(path string) error {
 	})
 }
 
-// SaveCheckpoint writes the SCF state of res to path (gob encoding,
-// atomic rename).
+// SaveCheckpoint writes the SCF state of res — its last iteration, under
+// its global number — to path (gob encoding, atomic rename).
 func SaveCheckpoint(path string, res *Result, basisName string) error {
 	if res.F == nil || res.D == nil {
 		return fmt.Errorf("scf: result has no matrices to checkpoint")
@@ -60,7 +60,7 @@ func SaveCheckpoint(path string, res *Result, basisName string) error {
 		Formula:   res.Basis.Mol.Formula(),
 		BasisName: basisName,
 		NumFuncs:  res.Basis.NumFuncs,
-		Iter:      len(res.Iterations),
+		Iter:      res.StartIter + len(res.Iterations),
 		Reorder:   res.Reorder,
 		Converged: res.Converged,
 		Energy:    res.Energy,

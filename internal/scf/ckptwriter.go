@@ -11,33 +11,31 @@ import (
 type CheckpointWrite struct {
 	Iter int           // global iteration now on disk at CheckpointPath
 	Took time.Duration // wall time of the Save: rotation, write, both fsyncs
-	// Coalesced counts the newer snapshots that overwrote a pending one
-	// since the previous write: iterations whose checkpoint was skipped
-	// because the disk was slower than the solver.
-	Coalesced int
 }
 
-// ckptBeforeSave, when non-nil, runs on the writer goroutine before every
-// Save. Tests make the disk slow (or stuck) with it.
+// ckptBeforeSave, when non-nil, runs on the writer goroutine at the start
+// of every Save, inside its measured time. Tests make the disk slow (or
+// stuck) with it.
 var ckptBeforeSave func(iter int)
 
-// ckptWriter is a run's latest-wins background checkpoint writer: the SCF
-// loop hands each iteration's snapshot to a single-slot mailbox and goes
-// on; one goroutine saves whatever the slot holds. A snapshot that
-// arrives while a write is in flight replaces the one still waiting — a
-// resumer only ever wants the newest — so the solver never queues behind
-// the disk and the disk is never more than one write behind the solver.
+// ckptWriter is a run's background checkpoint writer: the SCF loop hands
+// a snapshot to a single-slot mailbox and goes on; one goroutine saves
+// whatever the slot holds. The loop hands over only what due allows, so
+// at most one write is ever in flight and the mailbox holds at most the
+// exit's last snapshot behind it.
 type ckptWriter struct {
 	path      string
 	onDurable func(CheckpointWrite)
 	done      chan struct{} // closed when the goroutine has exited
 
-	mu        sync.Mutex
-	wake      *sync.Cond
-	pending   *Checkpoint
-	coalesced int
-	closed    bool
-	err       error // first failed write; sticky
+	mu      sync.Mutex
+	wake    *sync.Cond
+	pending *Checkpoint
+	busy    bool          // a handed snapshot is waiting or being written
+	last    time.Duration // the last Save's wall time
+	idleAt  time.Time     // when the last write (Save and OnDurable) ended; zero before it
+	closed  bool
+	err     error // first failed write; sticky
 }
 
 func startCkptWriter(path string, onDurable func(CheckpointWrite)) *ckptWriter {
@@ -47,20 +45,30 @@ func startCkptWriter(path string, onDurable func(CheckpointWrite)) *ckptWriter {
 	return w
 }
 
-// submit leaves ck in the mailbox, replacing a snapshot still waiting
-// there, and returns without touching the disk. ck and the slices it
-// points to belong to the writer from here on. The error is an earlier
-// write's failure.
+// due is the checkpoint cadence, a rent-or-buy rule: it reports whether
+// the loop should hand over the snapshot it has just taken. The first is
+// always due, since no write has been measured yet. After that a snapshot
+// is due only when no write is waiting or in flight and the solve has
+// run, since the last write ended, at least as long as that write's Save
+// took. So the writer never takes more wall time than the solve time it
+// protects, and a crash re-executes at most about two Saves' worth of
+// iterations.
+func (w *ckptWriter) due() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return !w.busy && (w.idleAt.IsZero() || time.Since(w.idleAt) >= w.last)
+}
+
+// submit leaves ck in the mailbox and returns without touching the disk.
+// ck and the slices it points to belong to the writer from here on. The
+// error is an earlier write's failure.
 func (w *ckptWriter) submit(ck *Checkpoint) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return w.err
 	}
-	if w.pending != nil {
-		w.coalesced++
-	}
-	w.pending = ck
+	w.pending, w.busy = ck, true
 	w.wake.Signal()
 	return nil
 }
@@ -85,21 +93,23 @@ func (w *ckptWriter) loop() {
 		for w.pending == nil && !w.closed {
 			w.wake.Wait()
 		}
-		ck, coalesced := w.pending, w.coalesced
+		ck := w.pending
 		if ck == nil {
 			return // closed and drained
 		}
-		w.pending, w.coalesced = nil, 0
+		w.pending = nil
 		w.mu.Unlock()
+		t0 := time.Now()
 		if ckptBeforeSave != nil {
 			ckptBeforeSave(ck.Iter)
 		}
-		t0 := time.Now()
 		err := ck.Save(w.path)
+		took := time.Since(t0)
 		if err == nil && w.onDurable != nil {
-			w.onDurable(CheckpointWrite{Iter: ck.Iter, Took: time.Since(t0), Coalesced: coalesced})
+			w.onDurable(CheckpointWrite{Iter: ck.Iter, Took: took})
 		}
 		w.mu.Lock()
+		w.last, w.idleAt, w.busy = took, time.Now(), w.pending != nil
 		if err != nil {
 			w.err = fmt.Errorf("scf: checkpoint at iteration %d: %w", ck.Iter, err)
 			return

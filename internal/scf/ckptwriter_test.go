@@ -14,6 +14,7 @@ import (
 
 	"gtfock/internal/chem"
 	"gtfock/internal/dist"
+	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 )
 
@@ -37,7 +38,9 @@ func tinyCheckpoint(iter int) *Checkpoint {
 
 // Latest wins: while one write is in flight, any number of hand-offs
 // leave exactly one snapshot waiting, the newest; the ones it replaced
-// are counted, never written.
+// are never written. While a write is waiting or in flight no snapshot
+// is due (at most one write in flight), and once it has ended the next
+// is due only after the solve has run as long as that write's Save took.
 func TestCkptWriterLatestWins(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "lw.ckpt")
 	entered := make(chan int, 4)
@@ -50,6 +53,9 @@ func TestCkptWriterLatestWins(t *testing.T) {
 
 	var writes []CheckpointWrite // appended on the writer goroutine, read after flush
 	w := startCkptWriter(path, func(cw CheckpointWrite) { writes = append(writes, cw) })
+	if !w.due() {
+		t.Fatal("the first snapshot is not due")
+	}
 	if err := w.submit(tinyCheckpoint(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -57,30 +63,47 @@ func TestCkptWriterLatestWins(t *testing.T) {
 		t.Fatalf("first write is of iteration %d, want 1", got)
 	}
 	// Iteration 1 is in flight and stuck in its save.
+	if w.due() {
+		t.Fatal("a snapshot is due while a write is in flight")
+	}
 	for iter := 2; iter <= 4; iter++ {
 		if err := w.submit(tinyCheckpoint(iter)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	w.mu.Lock()
-	pending, coalesced := w.pending, w.coalesced
+	pending := w.pending
 	w.mu.Unlock()
-	if pending == nil || pending.Iter != 4 || coalesced != 2 {
-		t.Fatalf("mailbox after three hand-offs: pending %+v, %d coalesced; want iteration 4 alone, 2 coalesced", pending, coalesced)
+	if pending == nil || pending.Iter != 4 {
+		t.Fatalf("mailbox after three hand-offs: pending %+v; want iteration 4 alone", pending)
 	}
 	close(release)
 	if err := w.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if len(writes) != 2 || writes[0].Iter != 1 || writes[0].Coalesced != 0 ||
-		writes[1].Iter != 4 || writes[1].Coalesced != 2 {
-		t.Fatalf("durable writes = %+v, want iteration 1, then iteration 4 with 2 coalesced", writes)
+	if len(writes) != 2 || writes[0].Iter != 1 || writes[1].Iter != 4 {
+		t.Fatalf("durable writes = %+v, want iteration 1, then iteration 4", writes)
 	}
 	if ck, err := LoadCheckpoint(path); err != nil || ck.Iter != 4 {
 		t.Fatalf("file after flush: %+v, %v; want iteration 4", ck, err)
 	}
 	if ck, err := LoadCheckpoint(path + PrevSuffix); err != nil || ck.Iter != 1 {
 		t.Fatalf("previous generation: %+v, %v; want iteration 1", ck, err)
+	}
+
+	// The rent-or-buy clock, on a writer whose last Save took an hour: it
+	// ended just now, so nothing is due until an hour of solve has passed.
+	w.mu.Lock()
+	w.last, w.idleAt = time.Hour, time.Now()
+	w.mu.Unlock()
+	if w.due() {
+		t.Fatal("a snapshot is due before the solve has run as long as the last Save took")
+	}
+	w.mu.Lock()
+	w.idleAt = time.Now().Add(-time.Hour)
+	w.mu.Unlock()
+	if !w.due() {
+		t.Fatal("no snapshot is due after the solve has run as long as the last Save took")
 	}
 }
 
@@ -117,12 +140,15 @@ func (ff *faultyFock) backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Bac
 	return dist.NewGlobalArray(grid, stats), gaF, nil, nil
 }
 
-// Whatever ends the run — convergence, MaxIter, a cancellation at the
-// iteration boundary, a numerical blow-up, a failed build — RunHF has
-// flushed and stopped the writer before it returns: the file holds the
-// last completed iteration, .prev the write before it, and nothing
-// writes afterwards. The saves are slow, so each exit really has a
-// pending snapshot to flush.
+// Whatever ends the run, RunHF has flushed and stopped the writer before
+// it returns: nothing writes afterwards, the file holds the last durable
+// write and .prev the write before it. On every exit but convergence —
+// MaxIter, a cancellation at the iteration boundary, a numerical
+// blow-up, a failed build — that is the last completed iteration: the
+// snapshot the cadence held back is handed over first. A converged run
+// hands over nothing more, so its file holds an earlier completed
+// iteration, with that iteration's energy. The saves are slow, so the
+// cadence really holds snapshots back on each exit.
 func TestCheckpointFlushedOnEveryExitPath(t *testing.T) {
 	parked := errors.New("park for test")
 	cases := []struct {
@@ -196,15 +222,22 @@ func TestCheckpointFlushedOnEveryExitPath(t *testing.T) {
 			if lerr != nil {
 				t.Fatalf("checkpoint after return: %v", lerr)
 			}
-			if ck.Iter != last || ck.Energy != energies[last] {
-				t.Fatalf("file holds iteration %d (E=%v), want the last completed one, %d (E=%v)",
-					ck.Iter, ck.Energy, last, energies[last])
+			want := last
+			if tc.last == 0 { // converged: some earlier completed iteration
+				if ck.Iter < 1 || ck.Iter >= last || ck.Converged {
+					t.Fatalf("file holds iteration %d (converged=%v), want one before the converged %d", ck.Iter, ck.Converged, last)
+				}
+				want = ck.Iter
+			}
+			if ck.Iter != want || ck.Energy != energies[want] {
+				t.Fatalf("file holds iteration %d (E=%v), want %d (E=%v)",
+					ck.Iter, ck.Energy, want, energies[want])
 			}
 			mu.Lock()
 			n := len(written)
 			mu.Unlock()
-			if n == 0 || written[n-1] != last {
-				t.Fatalf("durable writes %v: want them to end at %d", written, last)
+			if n == 0 || written[n-1] != want {
+				t.Fatalf("durable writes %v: want them to end at %d", written, want)
 			}
 			prev, perr := LoadCheckpoint(path + PrevSuffix)
 			if n == 1 { // everything before the flush coalesced into it
@@ -222,6 +255,59 @@ func TestCheckpointFlushedOnEveryExitPath(t *testing.T) {
 				t.Fatalf("checkpoint writes %v happened after RunHF returned", written[n:])
 			}
 		})
+	}
+}
+
+// The cadence is rent-or-buy: with every Save slowed to 5 ms, a run
+// whose iterations are slowed too (so it outlasts several Saves) writes
+// no more than the solve time pays for — within ⌈solve/Save⌉ + 1, and
+// in fact half that, since a snapshot is handed over only after the solve
+// has run a Save's length past the last write — and the converged
+// iteration, which the exit does not hand over, is never written.
+func TestCheckpointCadenceRentOrBuy(t *testing.T) {
+	const save = 5 * time.Millisecond
+	var mu sync.Mutex
+	var saved []int // iterations whose Save started, in order
+	ckptBeforeSave = func(iter int) {
+		mu.Lock()
+		saved = append(saved, iter)
+		mu.Unlock()
+		time.Sleep(save)
+	}
+	t.Cleanup(func() { ckptBeforeSave = nil })
+
+	path := filepath.Join(t.TempDir(), "cadence.ckpt")
+	t0 := time.Now()
+	res, err := RunHF(chem.Methane(), Options{
+		BasisName: "sto-3g", CheckpointPath: path, ConvTol: 1e-12,
+		OnIteration: func(int, Iteration) { time.Sleep(2 * time.Millisecond) },
+	})
+	solve := time.Since(t0)
+	if err != nil || !res.Converged {
+		t.Fatalf("RunHF: %v", err)
+	}
+	mu.Lock()
+	n := len(saved)
+	got := append([]int(nil), saved...)
+	mu.Unlock()
+	ratio := float64(solve) / float64(save)
+	bound := int(math.Ceil(ratio)) + 1
+	half := int(math.Ceil(ratio/2)) + 1
+	t.Logf("%d iterations in %v: wrote %v (bound %d, rent-or-buy %d)", len(res.Iterations), solve, got, bound, half)
+	if n == 0 || got[0] != 1 {
+		t.Fatalf("writes %v: iteration 1 is always written", got)
+	}
+	if n > bound || n > half {
+		t.Fatalf("%d writes in a %v solve of %v Saves: more than ⌈solve/Save⌉+1 = %d or the rent-or-buy %d", n, solve, save, bound, half)
+	}
+	if got[n-1] >= len(res.Iterations) {
+		t.Fatalf("writes %v: the converged iteration %d was written", got, len(res.Iterations))
+	}
+	time.Sleep(2 * save)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(saved) != n {
+		t.Fatalf("writes %v started after RunHF returned", saved[n:])
 	}
 }
 
@@ -265,14 +351,16 @@ func TestCheckpointWriteFailureFailsRun(t *testing.T) {
 // writes an iteration's matrices after building them. A slow save keeps
 // every hand-off unordered against whatever the loop does next — DIIS,
 // the next density step, the next build — so under -race a write to
-// either matrix fails this test; without it, the bitwise comparison
-// against the result does.
+// either matrix fails this test; without it, the energy recomputed from
+// the checkpointed F and D, which must reproduce the iteration's energy
+// bit for bit, does.
 func TestCheckpointHandOffIsRaceFree(t *testing.T) {
 	slowSaves(t, 3*time.Millisecond)
 	for _, opt := range []Options{
 		{},
 		{ERICache: true},
 		{DIIS: -1},
+		{MaxIter: 4},
 	} {
 		path := filepath.Join(t.TempDir(), "race.ckpt")
 		opt.BasisName, opt.CheckpointPath = "sto-3g", path
@@ -284,11 +372,18 @@ func TestCheckpointHandOffIsRaceFree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ck.Iter != len(res.Iterations) || ck.Energy != res.Energy {
-			t.Fatalf("file holds iteration %d (E=%v), result has %d (E=%v)", ck.Iter, ck.Energy, len(res.Iterations), res.Energy)
+		if ck.Iter < 1 || ck.Iter > len(res.Iterations) || ck.Energy != res.Iterations[ck.Iter-1].Energy {
+			t.Fatalf("file holds iteration %d (E=%v); the run has %d iterations", ck.Iter, ck.Energy, len(res.Iterations))
 		}
-		if linalg.MaxAbsDiff(ck.Fock(), res.F) != 0 || linalg.MaxAbsDiff(ck.Density(), res.D) != 0 {
-			t.Fatal("checkpointed matrices differ from the result's: something wrote to them after the hand-off")
+		// E = Tr(p (H + F)) + E_nuc with p = D/2, as the loop computed it.
+		hp := integrals.CoreHamiltonian(res.Basis)
+		hp.AXPY(1, ck.Fock())
+		e := linalg.TraceMul(ck.Density().Scale(0.5), hp) + res.NuclearRep
+		if e != ck.Energy {
+			t.Fatalf("energy from the checkpointed matrices %v, iteration %d's %v: something wrote to them after the hand-off", e, ck.Iter, ck.Energy)
+		}
+		if !res.Converged && linalg.MaxAbsDiff(ck.Fock(), res.F) != 0 {
+			t.Fatal("a run stopped at MaxIter did not leave its last built F on disk")
 		}
 	}
 }

@@ -90,19 +90,24 @@ type Options struct {
 	// nil, iteration 1 builds F from GuessDensity and skips that step.
 	InitialFock *linalg.Matrix
 
-	// CheckpointPath, when set, checkpoints F, D and the energy of every
-	// SCF iteration off the critical path: the loop hands the iteration's
-	// snapshot to a latest-wins background writer (Checkpoint.Save, so the
-	// file on disk is always a complete iteration and path+PrevSuffix the
-	// write before it) and starts the next density step at once. While the
-	// run is in flight the file may trail the solver by the write in
-	// progress plus the snapshots that write coalesced; RunHF flushes and
-	// stops the writer before it returns on every path — convergence,
-	// MaxIter, cancellation, blow-up, build error — so after it returns the
-	// file holds the last completed iteration and nothing writes to it any
-	// more. A crash mid-run therefore costs a resumer at most one write's
-	// worth of iterations, never a wrong answer. A failed write fails the
-	// run at the next hand-off (or at exit) with the cause wrapped.
+	// CheckpointPath, when set, checkpoints F, D and the energy of SCF
+	// iterations off the critical path: the loop hands an iteration's
+	// snapshot to a background writer (Checkpoint.Save, so the file on
+	// disk is always a complete iteration and path+PrevSuffix the write
+	// before it) and starts the next density step at once. It hands one
+	// over only when the solve time since the last write ended is at least
+	// what that write's Save took (iteration 1 always), so at most one
+	// write is in flight and the writer costs no more than the solve it
+	// protects; a crash mid-run costs a resumer about two Saves' worth of
+	// iterations, never a wrong answer. On every exit but convergence —
+	// MaxIter, cancellation, blow-up, build error — RunHF hands over the
+	// last completed iteration and flushes, so after it returns the file
+	// holds that iteration. A converged run hands over nothing more: its
+	// file holds some earlier completed iteration (the result is what a
+	// reader of a converged run wants; SaveCheckpoint writes it). Either
+	// way nothing writes to the file after RunHF returns. A failed write
+	// fails the run at the next hand-off (or at exit) with the cause
+	// wrapped.
 	CheckpointPath string
 
 	// OnDurable, when non-nil, is called on the checkpoint writer's
@@ -134,10 +139,9 @@ type Options struct {
 
 	// OnIteration, when non-nil, is called after every completed SCF
 	// iteration with the global iteration number (StartIter offset
-	// included). With CheckpointPath set the iteration's snapshot has been
-	// handed to the writer but need not be on disk yet: progress reported
-	// from here may precede durability by at most one write (OnDurable is
-	// the durable edge). The HF service streams these to clients and
+	// included). With CheckpointPath set the iteration need not be on
+	// disk, nor ever be: progress reported from here may precede
+	// durability (OnDurable is the durable edge). The HF service streams these to clients and
 	// checkpoints its net sessions here; the callback runs on the SCF
 	// goroutine, so it must be quick.
 	OnIteration func(iter int, it Iteration)
@@ -176,6 +180,9 @@ type Result struct {
 	// CacheStats is the stored-ERI tier's run total (zero when
 	// Options.ERICache is off).
 	CacheStats metrics.Cache
+	// StartIter is Options.StartIter: Iterations[0] is global iteration
+	// StartIter+1.
+	StartIter int
 
 	NOcc int // doubly occupied orbitals
 }
@@ -237,7 +244,7 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	x := linalg.InvSqrtSym(s, 0)
 	enuc := mol.NuclearRepulsion()
 
-	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder, NOcc: nocc}
+	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder, NOcc: nocc, StartIter: opt.StartIter}
 	// A cold start is Alg. 1's "guess D": iteration 1 builds F from the
 	// atomic densities and skips the density step. A warm start carries F.
 	var f, d *linalg.Matrix
@@ -266,14 +273,21 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	}
 
 	// Checkpoints leave the critical path through one background writer
-	// per run. Every exit below — return or panic — flushes and stops it,
-	// so no write happens after RunHF returns and the file is the last
-	// completed iteration; a write that failed fails the run here unless
-	// the run is already failing for its own reason.
+	// per run, handed only the snapshots its cadence (ckptWriter.due)
+	// pays for; held is the newest one it has not been handed. Every exit
+	// below — return or panic — but convergence first hands held over, so
+	// the file is the last completed iteration; every exit flushes and
+	// stops the writer, so no write happens after RunHF returns. A write
+	// that failed fails the run here unless the run is already failing
+	// for its own reason.
 	var ckw *ckptWriter
+	var held *Checkpoint
 	if opt.CheckpointPath != "" {
 		ckw = startCkptWriter(opt.CheckpointPath, opt.OnDurable)
 		defer func() {
+			if held != nil && (res == nil || !res.Converged) {
+				_ = ckw.submit(held) // a failed write is sticky: flush returns it
+			}
 			if werr := ckw.flush(); werr != nil && err == nil {
 				res, err = nil, werr
 			}
@@ -371,21 +385,25 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		res.F, res.D = f, d
 
 		conv := it > 1 && math.Abs(iter.DeltaE) < opt.ConvTol && iter.DErr < dTol
-		if ckw != nil {
+		if ckw != nil && !conv {
 			// F and D go to the writer uncopied. The loop never writes an
 			// iteration's f or d again once they are built: the next
 			// iteration allocates fresh ones, DIIS keeps a clone of f and
 			// only reads d, and the caller sees res.F/res.D after the
 			// flush. (The race detector holds this to account:
-			// TestCheckpointHandOffIsRaceFree.)
-			if err := ckw.submit(&Checkpoint{
+			// TestCheckpointHandOffIsRaceFree.) A converged iteration is
+			// not checkpointed: the result is what its reader wants.
+			held = &Checkpoint{
 				Version: checkpointVersion, Formula: mol.Formula(),
 				BasisName: opt.BasisName, NumFuncs: bs.NumFuncs,
 				Iter: opt.StartIter + it, Reorder: opt.Reorder,
-				Converged: conv, Energy: eTot,
-				FData: f.Data, DData: d.Data,
-			}); err != nil {
-				return nil, err
+				Energy: eTot, FData: f.Data, DData: d.Data,
+			}
+			if ckw.due() {
+				if err := ckw.submit(held); err != nil {
+					return nil, err
+				}
+				held = nil
 			}
 		}
 		if opt.OnIteration != nil {

@@ -37,9 +37,11 @@ func iterationEvents(j *Job) []Event {
 // iteration newer than the file an adopter would load. The fake registry
 // is the real one behind a handler that checks every update against the
 // disk, and sits on the first one until the solver is two iterations
-// further on: the writer (the push is part of its cycle) has fallen
-// behind, hand-offs coalesce, and a push made from the SCF goroutine at
-// hand-off time would name a file not yet written.
+// further on: the writer (the push is part of its cycle) is busy, the
+// cadence holds snapshots back, and a push made from the SCF goroutine
+// at hand-off time would name a file not yet written. The job converges,
+// so its last iterations are never written: the registry's terminal
+// record, not the file, carries its result.
 func TestCheckpointDurableBeforeAdvertised(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet e2e in short mode")
@@ -52,6 +54,7 @@ func TestCheckpointDurableBeforeAdvertised(t *testing.T) {
 	var mu sync.Mutex
 	var pushed []int
 	var early []string
+	fileEnergy := map[int]float64{} // by iteration, as the file held it at each push
 	var job atomic.Pointer[Job]
 	regSrv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/reg/v1/update" {
@@ -67,6 +70,8 @@ func TestCheckpointDurableBeforeAdvertised(t *testing.T) {
 			first := len(pushed) == 1
 			if err != nil || ck.Iter < req.CkptIter {
 				early = append(early, fmt.Sprintf("UpdateCkpt(%d) arrived before its file (%+v, %v)", req.CkptIter, ck, err))
+			} else {
+				fileEnergy[ck.Iter] = ck.Energy
 			}
 			mu.Unlock()
 			for deadline := time.Now().Add(10 * time.Second); first && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
@@ -110,8 +115,8 @@ func TestCheckpointDurableBeforeAdvertised(t *testing.T) {
 	for _, v := range early {
 		t.Error(v)
 	}
-	if len(pushed) == 0 || pushed[len(pushed)-1] != res.Iterations {
-		t.Fatalf("pushes %v: want the last to name the final iteration %d", pushed, res.Iterations)
+	if len(pushed) == 0 || pushed[0] != 1 || pushed[len(pushed)-1] >= res.Iterations {
+		t.Fatalf("pushes %v: want iteration 1 first and never the converged iteration %d", pushed, res.Iterations)
 	}
 	for i := 1; i < len(pushed); i++ {
 		if pushed[i] <= pushed[i-1] {
@@ -119,15 +124,21 @@ func TestCheckpointDurableBeforeAdvertised(t *testing.T) {
 		}
 	}
 	// The client has seen `done`, so the attempt — and with it the
-	// writer's last push — is over: registry pointer, file and result
-	// agree on the final iteration.
+	// writer's last push — is over: the registry's pointer names the
+	// file's iteration, the file holds that completed iteration, and the
+	// terminal record carries the result. (The job is done, so its files
+	// are gone: what they held was checked as each push arrived.)
 	rec, _ := reg.Get(j.ID)
-	ck, err := scf.LoadCheckpoint(filepath.Join(ckptDir, j.ID+".ckpt"))
-	if err != nil || ck.Iter != res.Iterations || rec.CkptIter != ck.Iter || !ck.Converged {
-		t.Fatalf("after done: registry CkptIter %d, file %+v (%v), result %d iterations", rec.CkptIter, ck, err, res.Iterations)
+	if rec.CkptIter != pushed[len(pushed)-1] || rec.State != RecDone || rec.Result == nil || rec.Result.Energy != res.Energy {
+		t.Fatalf("after done: registry record %+v; last push %d, result %+v", rec, pushed[len(pushed)-1], res)
 	}
-	// Every hand-off was either written or overwritten by a newer one,
-	// and the one waiting behind the held push was overwritten.
+	for _, ev := range iterationEvents(j) {
+		if ev.Iter == rec.CkptIter && ev.Energy != fileEnergy[rec.CkptIter] {
+			t.Fatalf("the file held iteration %d at E=%v, its event says %v", ev.Iter, fileEnergy[ev.Iter], ev.Energy)
+		}
+	}
+	// Every iteration was either written or skipped by the cadence, and
+	// those behind the held push were skipped.
 	snap := sm.Snapshot()
 	if int(snap.CkptWritten) != len(pushed) || snap.CkptCoalesced == 0 ||
 		int(snap.CkptWritten+snap.CkptCoalesced) != res.Iterations || snap.CkptWriteNS.Count != snap.CkptWritten {

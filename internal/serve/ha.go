@@ -69,7 +69,8 @@ type PeerConfig struct {
 	// OnTerminal to the registry.
 	Server Config
 	// HeartbeatEvery is the lease-renewal cadence. Zero derives a third
-	// of the registry's ADVERTISED LeaseTTL (fetched from its stats) —
+	// of the registry's ADVERTISED LeaseTTL (fetched from its stats, the
+	// round trip NewPeer makes either way) —
 	// never a locally-configured TTL, which on a joining peer can
 	// disagree with the registry host's and make the peer heartbeat so
 	// slowly its own leases falsely expire. Falls back to 500ms when the
@@ -94,20 +95,31 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	if cfg.Incarnation == 0 {
 		cfg.Incarnation = uint64(time.Now().UnixNano())
 	}
+	// One registry round trip before the peer exists: its success is the
+	// first sync, so /readyz answers 200 from the first request after
+	// NewPeer returns instead of racing the first scan. It also carries
+	// the advertised lease TTL a derived cadence needs; the registry may
+	// still be binding its listener (same-process startup), so that fetch
+	// gets a few tries before falling back. With a cadence given, one try:
+	// the scan loop syncs later if it failed.
+	synced := false
+	derive := cfg.HeartbeatEvery <= 0
+	for attempt := 0; attempt < 5; attempt++ {
+		st, err := cfg.Registry.Stats()
+		if err == nil {
+			synced = true
+			if derive && st.LeaseTTL > 0 {
+				cfg.HeartbeatEvery = st.LeaseTTL / 3
+			}
+			break
+		}
+		if !derive {
+			break
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = 500 * time.Millisecond
-		// The registry may still be binding its listener (same-process
-		// startup), so give the fetch a few tries before falling back.
-		for attempt := 0; attempt < 5; attempt++ {
-			st, err := cfg.Registry.Stats()
-			if err == nil {
-				if st.LeaseTTL > 0 {
-					cfg.HeartbeatEvery = st.LeaseTTL / 3
-				}
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
 	}
 	if cfg.ScanEvery <= 0 {
 		cfg.ScanEvery = time.Second
@@ -120,6 +132,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		cancels: map[string]context.CancelCauseFunc{},
 		stop:    make(chan struct{}),
 	}
+	p.synced.Store(synced)
 	srv, err := NewServer(cfg.Server)
 	if err != nil {
 		return nil, err
@@ -145,7 +158,7 @@ func (p *Peer) ID() string          { return p.cfg.ID }
 func (p *Peer) Incarnation() uint64 { return p.cfg.Incarnation }
 
 // Ready implements the /readyz contract: true once a registry round-trip
-// has succeeded (normally the first scan, run as the peer starts) and
+// has succeeded (normally NewPeer's own, before it returns) and
 // until the peer starts draining (or dies), so
 // an external load balancer stops routing to a dying peer before its
 // jobs are gone.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -184,20 +185,20 @@ func TestReadyzDrainTransition(t *testing.T) {
 	}
 }
 
-// TestPeerReadyWithoutTick: the first registry sync is the scan NewPeer
-// starts, not one ScanEvery later — with both cadences an hour, /readyz
-// still turns 200 within a second.
+// TestPeerReadyWithoutTick: the first registry sync is the round trip
+// NewPeer makes before it returns, not the first scan (which runs on its
+// own goroutine and races the first probe) nor one ScanEvery later — with
+// both cadences an hour, /readyz answers 200 on the very first GET after
+// NewPeer, every time.
 func TestPeerReadyWithoutTick(t *testing.T) {
 	_, regSrv := newTestRegistryServer(t)
-	rig := newHARigEvery(t, regSrv.URL, "peer-a", time.Hour)
-	for deadline := time.Now().Add(time.Second); ; time.Sleep(time.Millisecond) {
-		code, reason := readyz(t, rig.api)
-		if code == http.StatusOK {
-			return
+	for i := 0; i < 50; i++ {
+		rig := newHARigEvery(t, regSrv.URL, fmt.Sprintf("peer-%d", i), time.Hour)
+		if code, reason := readyz(t, rig.api); code != http.StatusOK {
+			t.Fatalf("start %d: first /readyz after NewPeer = %d %q, want 200", i, code, reason)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("/readyz = %d %q one second after NewPeer, want 200", code, reason)
-		}
+		rig.api.Close()
+		rig.peer.Close()
 	}
 }
 

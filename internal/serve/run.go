@@ -36,8 +36,9 @@ func sizeJob(bs *basis.Set, prow, pcol, lanes int) JobSize {
 }
 
 // FleetRunner executes jobs against a shared fockd shard fleet: each
-// job attempt opens a fresh job-scoped netga session on every shard,
-// runs the SCF with the distributed backend and its own stored-ERI tier
+// job attempt opens a fresh job-scoped netga session on every shard —
+// one hello per shard, on conns the runner pools for its life — runs the
+// SCF with the distributed backend and its own stored-ERI tier
 // (iteration 1 records, later iterations replay, within the value budget
 // the server gave the job's run, Job.Store), and says goodbye. Shard
 // failures (a killed/restarted multi-session server forgets the
@@ -73,12 +74,12 @@ type FleetRunner struct {
 	// here, so an advertised CkptIter never names an iteration newer than
 	// the file). It runs on the SCF's background checkpoint writer, off
 	// the solve's critical path: a slow disk or registry delays the next
-	// write — iterations coalesce, latest wins — never the solver, and an
-	// attempt returns only after its last call. `iteration` events may
-	// precede the checkpoint they name by at most one write; a terminal
-	// state is still finish-then-publish; an adopter or retry resumes
-	// from the file and re-executes at most one write's worth of
-	// iterations.
+	// write — the SCF's cadence checkpoints fewer iterations — never the
+	// solver, and an attempt returns only after its last call. A
+	// converged attempt makes no call for its last iterations: its
+	// terminal state, finish-then-publish, is what readers see. An
+	// adopter or retry resumes from the file and re-executes the
+	// iterations since it.
 	OnCheckpoint func(j *Job, iter int)
 	// RPC, Serve and Cache are the counter sets the runner updates (Cache
 	// sums the stored-ERI totals of every completed attempt);
@@ -92,6 +93,11 @@ type FleetRunner struct {
 	// SessionNonce salts session ids so daemon restarts sharing a fleet
 	// cannot collide; NewFleetRunner sets it from the clock.
 	SessionNonce uint64
+
+	// conns keeps idle conns to the shards for the runner's life: a
+	// session id rides in every frame, so an attempt's fresh session
+	// needs a hello, not a dial.
+	conns *netga.Conns
 }
 
 // NewFleetRunner builds a runner over the given shard fleet.
@@ -103,7 +109,22 @@ func NewFleetRunner(addrs []string, checkpointDir string) *FleetRunner {
 		Serve:         metrics.NewServe(),
 		Cache:         &metrics.Cache{},
 		SessionNonce:  uint64(time.Now().UnixNano()),
+		conns:         netga.NewConns(),
 	}
+}
+
+// ckptPath is the file j's attempts checkpoint into.
+func (r *FleetRunner) ckptPath(j *Job) string {
+	return filepath.Join(r.CheckpointDir, j.ID+".ckpt")
+}
+
+// forget removes j's checkpoint files. The Server calls it once the job's
+// terminal outcome is durable and published, when nothing will resume
+// the job; a parked, lease-lost or retriable job keeps them.
+func (r *FleetRunner) forget(j *Job) {
+	path := r.ckptPath(j)
+	os.Remove(path)
+	os.Remove(path + scf.PrevSuffix)
 }
 
 // grid is the per-job process grid, defaulted.
@@ -142,7 +163,7 @@ func (r *FleetRunner) Run(ctx context.Context, j *Job) (*JobResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: job %s: %w", j.ID, err)
 	}
-	ckptPath := filepath.Join(r.CheckpointDir, j.ID+".ckpt")
+	ckptPath := r.ckptPath(j)
 	retryMax := r.RetryMax
 	if retryMax <= 0 {
 		retryMax = 3
@@ -186,7 +207,12 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 
 	sess := netga.NewSession(netga.Config{
 		Session: session, OpTimeout: r.OpTimeout, RPC: r.RPC, Fault: r.Fault,
-	}, "", r.Addrs, nil)
+	}, r.conns, "", r.Addrs, nil)
+	// Every iteration of the attempt is checkpointed or skipped by the
+	// SCF's cadence; the skipped ones are counted as coalesced once
+	// RunHF has returned (no write happens after that), so written +
+	// coalesced is the iterations run.
+	var iters, written int64
 	opt := scf.Options{
 		BasisName: j.Spec.Basis,
 		MaxIter:   j.Spec.MaxIter,
@@ -203,9 +229,10 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		OnIteration: func(iter int, it scf.Iteration) {
 			// Iteration boundary: no accumulate can still be retrying, so
 			// advance the shard sessions' dedup generation, then stream
-			// the progress event. The iteration's checkpoint is with the
-			// writer, not necessarily on disk — OnDurable owns that edge.
+			// the progress event. Whether the iteration is checkpointed is
+			// the SCF's cadence; OnDurable owns that edge.
 			_ = sess.Checkpoint()
+			iters++
 			// Iteration 1 has no previous energy (DeltaE is NaN), and JSON
 			// has no NaN: sanitize or the NDJSON encoder kills the stream.
 			dE := it.DeltaE
@@ -219,7 +246,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 			// (opt.StartIter = ck.Iter): only now may the resume cursor and
 			// the registry's checkpoint pointer name it.
 			atomic.AddInt64(&r.Serve.CkptWritten, 1)
-			atomic.AddInt64(&r.Serve.CkptCoalesced, int64(w.Coalesced))
+			written++
 			r.Serve.CkptWriteNS.Observe(w.Took.Nanoseconds())
 			j.mu.Lock()
 			j.resumeAt = w.Iter + 1
@@ -237,6 +264,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 	}
 
 	res, err := scf.RunHF(mol, opt)
+	atomic.AddInt64(&r.Serve.CkptCoalesced, iters-written)
 	// Bye unless the transport failed (the shard may be dead): an attempt
 	// that ended on its own ctx must not leave its session resident.
 	sess.Close(err == nil || ctx.Err() != nil)

@@ -107,6 +107,10 @@ func IsReject(err error) bool {
 type Server struct {
 	cfg Config
 	met *metrics.Serve
+	// forget drops what the runner keeps of a job past its runs (a
+	// FleetRunner's checkpoint files) once its terminal outcome is
+	// published and, with OnTerminal, durable.
+	forget func(*Job)
 
 	mu       sync.Mutex
 	q        *fairQueue
@@ -133,12 +137,14 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 4 * cfg.Capacity
 	}
-	if cfg.Estimate == nil {
-		fr, ok := cfg.Runner.(*FleetRunner)
-		if !ok {
-			return nil, errors.New("serve: Config.Estimate is required with a Runner other than a FleetRunner")
+	forget := func(*Job) {}
+	if fr, ok := cfg.Runner.(*FleetRunner); ok {
+		if cfg.Estimate == nil {
+			cfg.Estimate = fr.Estimate
 		}
-		cfg.Estimate = fr.Estimate
+		forget = fr.forget
+	} else if cfg.Estimate == nil {
+		return nil, errors.New("serve: Config.Estimate is required with a Runner other than a FleetRunner")
 	}
 	if cfg.Metrics == nil {
 		cfg.Metrics = metrics.NewServe()
@@ -146,6 +152,7 @@ func NewServer(cfg Config) (*Server, error) {
 	return &Server{
 		cfg:      cfg,
 		met:      cfg.Metrics,
+		forget:   forget,
 		q:        newFairQueue(cfg.MaxQueue),
 		jobs:     map[string]*Job{},
 		finished: map[string]finishedJob{},
@@ -540,11 +547,13 @@ func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 // OnTerminal hook the order is finish-then-publish: the hook runs first,
 // off the scheduler lock, and the job stays in its pre-terminal state
 // until it returns — a client that has seen a terminal state or event
-// can rely on what the hook recorded.
+// can rely on what the hook recorded. Either way the runner forgets the
+// job off the scheduler lock, so its file removals never stall a Submit.
 func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err error) {
 	if s.cfg.OnTerminal == nil {
 		s.publish(j, state, res, err)
 		s.keepLocked(j)
+		go s.forget(j)
 		return
 	}
 	// The goroutine is bounded by the hook (Peer.onTerminal gives up after
@@ -553,10 +562,14 @@ func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err err
 	// finished and is only waiting to be recorded.
 	s.pending++
 	go func() {
-		if herr := s.cfg.OnTerminal(j, state, res, err); herr != nil {
+		herr := s.cfg.OnTerminal(j, state, res, err)
+		if herr != nil {
 			state, res, err = StateFailed, nil, herr
 		}
 		s.publish(j, state, res, err)
+		if herr == nil {
+			s.forget(j)
+		}
 		s.mu.Lock()
 		s.pending--
 		s.keepLocked(j)
