@@ -4,7 +4,7 @@ CORE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
 SCF_SRC = $(filter-out %_test.go,$(wildcard internal/scf/*.go))
 INTEGRALS_SRC = $(filter-out %_test.go,$(wildcard internal/integrals/*.go))
 
-.PHONY: build test vet race generate-check net-test net-smoke net-failover net-elastic cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single scf-single ci microbench bench-gate
+.PHONY: build test vet race generate-check net-test cache-test serve-test serve-ha e2e-flake fmt-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single scf-single ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -34,31 +34,6 @@ generate-check:
 # global-array packages.
 net-test:
 	$(GO) test -race ./internal/net/... ./internal/dist/...
-
-# Fixed-seed loopback chaos smoke: the Fock build over TCP shard
-# servers under injected resets/dups/partitions must match the serial
-# oracle with exactly-once accumulation.
-net-smoke:
-	$(GO) test -count=1 -run 'TestLoopback(Chaos)?BuildMatchesSerial' ./internal/net/
-
-# Process-kill chaos gate under the race detector: durable shard servers
-# SIGKILLed and restarted (snapshot + journal replay) mid-build, and a
-# primary killed with no restart so its hot standby must be promoted —
-# both must match the serial oracle with exactly-once accumulation, plus
-# the durability/failover unit layer (journal replay property, dedup
-# eviction bounds, graceful shutdown) and the internal/wal crash-point
-# enumeration underneath it.
-net-failover:
-	$(GO) test -race -count=1 -run 'TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestJournal|TestSnapshot|TestKillRestartRecoversState|TestDedupEvictionAtCheckpointOnly|TestGracefulShutdownFlushesSnapshot|TestStandbyPromotionPreservesState|TestServerKill|TestRunServerKills|TestWAL' ./internal/net/ ./internal/fault/ ./internal/wal/
-
-# Elastic-fleet gate under the race detector: the membership-churn chaos
-# build (shard join, graceful leave, and primary kill mid-build on a
-# deterministic schedule must match the serial oracle exactly-once), plus
-# the fleet coordinator unit layer (lease expiry, standby promotion,
-# drain), the placement property tests (deterministic minimal-move
-# rebalance), and the concurrent-promotion single-flight router test.
-net-elastic:
-	$(GO) test -race -count=1 -run 'TestElasticChurnBuildMatchesSerial|TestFleet|TestRebalance|TestRouter|TestMembershipChurn' ./internal/net/ ./internal/fault/
 
 # Stored-ERI cache gate under the race detector: the store unit layer
 # (commit idempotence, budget/spill/drop legs, blob keying), record/replay
@@ -98,23 +73,22 @@ serve-test:
 # crash-point enumeration), the finish-then-publish contract, readiness
 # drain transitions, a new peer ready and adopting already-orphaned
 # jobs on its first scan (no tick) but never one whose charge admission
-# would refuse, cross-peer owner redirects, the
-# deterministic daemon-kill schedule, and the background checkpoint
-# writer an adopter's
-# resume depends on: its rent-or-buy cadence, the last completed
+# would refuse, cross-peer owner redirects, the fault plan and schedule
+# the e2e's kill fires from, and the background checkpoint writer an
+# adopter's resume depends on: its rent-or-buy cadence, the last completed
 # iteration handed over and flushed on every exit of a solve but
 # convergence, F/D handed over uncopied (the race detector is the
 # check), a failed write sticky, CkptIter advertised only after the file
 # is durable, a dead owner's file kept for its adopter and a finished
 # job's removed, and the pooled conns a restarted shard leaves dead.
 serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestPeerAdoptsOnlyWhatItWouldAdmit|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|TestDaemonKillPlanDeterministic|TestRunDaemonKillsExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointCadenceRentOrBuy|TestCheckpointDurableBeforeAdvertised|TestFleetRunnerRedialsRestartedShard|TestFinishedJobsLeaveNoCheckpoints' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
+	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestPeerAdoptsOnlyWhatItWouldAdmit|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|PlanDeterministic|ExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointCadenceRentOrBuy|TestCheckpointDurableBeforeAdvertised|TestFleetRunnerRedialsRestartedShard|TestFinishedJobsLeaveNoCheckpoints' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
 
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
-# (non-race, about a minute). A flaky e2e is a failing e2e — an assertion that
+# (non-race, about two minutes). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
 e2e-flake:
-	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestFleetRunnerRedialsRestartedShard|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestElasticChurnBuildMatchesSerial|TestLoopbackKillRestartBuildMatchesSerial|TestLoopbackStandbyPromotionBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
+	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestFleetRunnerRedialsRestartedShard|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestChaosSweepBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
 
 # Every tracked Go file is gofmt-clean (`gofmt -w <file>` fixes a hit).
 fmt-check:
@@ -238,9 +212,9 @@ scf-single:
 	@! grep -nE 'flag\.[A-Za-z0-9]+\((&[^,]+, *)?"engine"' cmd/hf/*.go
 
 # The aggregate gate. `race` already runs every test of the named subset
-# gates (net-smoke, net-failover, net-elastic, cache-test, serve-test,
-# serve-ha) under the race detector, so those stay developer targets and
-# parallel workflow jobs instead of running twice here.
+# gates (net-test, cache-test, serve-test, serve-ha) under the race
+# detector, so those stay developer targets and parallel workflow jobs
+# instead of running twice here.
 ci: build vet fmt-check generate-check wal-single backend-single server-single session-single core-single screen-single perimeter-single guess-single scf-single race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a

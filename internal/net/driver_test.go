@@ -11,9 +11,9 @@ import (
 )
 
 // The elastic case of the Session (a fleet address, blocks migrated
-// charged once at Close) rides on TestElasticChurnBuildMatchesSerial, the
-// failover re-pointing on TestLoopbackStandbyPromotionBuildMatchesSerial
-// and the blob store on TestSpillE2EReplayMatchesSerial.
+// charged once at Close) and its failover re-pointing ride on
+// TestChaosSweepBuildMatchesSerial, the blob store on
+// TestSpillE2EReplayMatchesSerial.
 
 // TestSessionReusedAcrossBuilds: three builds through one Session on two
 // loopback shards each match the serial oracle with no accumulate

@@ -7,9 +7,9 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -98,7 +98,41 @@ func TestHAEndToEnd(t *testing.T) {
 	peers := make([]*Peer, npeers)
 	apis := make([]*httptest.Server, npeers)
 	mets := make([]*metrics.Serve, npeers)
-	var iterEvents [npeers]atomic.Int64
+	// Chaos: SIGKILL peer 0 once its jobs have streamed 5 SCF iterations —
+	// running mid-SCF with checkpoints on disk, queue non-empty. The
+	// schedule ticks in peer 0's checkpoint hook, so the kill fires in the
+	// iteration that reaches its count. The hook runs on one of the peer's
+	// own goroutines, which Peer.Kill waits for, so the teardown runs on a
+	// goroutine of its own that the test waits out.
+	plan := fault.Plan(42, []fault.Event{{Target: 0}}, 5, 6)
+	var (
+		killMu   sync.Mutex // guards killed: nil once the test tears down
+		killed   = make([]bool, npeers)
+		killDone = make(chan struct{})
+	)
+	sched := fault.NewSchedule(plan, func(e fault.Event) {
+		killMu.Lock()
+		defer killMu.Unlock()
+		if killed == nil {
+			return // the test is tearing the peers down itself
+		}
+		killed[e.Target] = true
+		t.Logf("killing peer %d at %d iteration events", e.Target, e.At)
+		go func() {
+			defer close(killDone)
+			// Abrupt teardown, SIGKILL semantics: the listener and every
+			// client connection sever first (no goodbye, no terminal
+			// events observable), nothing is reported to the registry,
+			// leases are left to expire. No apis[e.Target].Close(): it would
+			// wait for event-stream handlers parked on jobs the killed
+			// scheduler will never advance — exactly what a real SIGKILL
+			// does not do. The handler goroutines leak until the test
+			// process exits, like the dead daemon's threads would.
+			apis[e.Target].Listener.Close()
+			apis[e.Target].CloseClientConnections()
+			peers[e.Target].Kill()
+		}()
+	})
 	for i := 0; i < npeers; i++ {
 		sm := metrics.NewServe()
 		runner := NewFleetRunner(addrs, ckptDir)
@@ -124,20 +158,34 @@ func TestHAEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Count per-peer SCF progress for the kill trigger on top of the
-		// peer's own checkpoint-pointer push.
+		// Tick the chaos schedule on the kill target's SCF progress, on top
+		// of the peer's own checkpoint-pointer push.
 		runner.OnCheckpoint = func(j *Job, iter int) {
-			iterEvents[i].Add(1)
+			if i == plan[0].Target {
+				sched.Tick()
+			}
 			p.onCheckpoint(j, iter)
 		}
 		api.Config.Handler = (&API{Server: p.Server(), Peer: p, RPC: runner.RPC}).Handler()
 		api.Start()
 		peers[i], apis[i], mets[i] = p, api, sm
 	}
-	killed := make([]bool, npeers)
 	defer func() {
+		// A kill under way finishes before the peers close: the rest
+		// close here, and none is killed from now on.
+		killMu.Lock()
+		dead := killed
+		killed = nil
+		killMu.Unlock()
+		if slices.Contains(dead, true) {
+			select {
+			case <-killDone:
+			case <-time.After(time.Minute):
+				t.Error("the peer kill never returned")
+			}
+		}
 		for i := range peers {
-			if !killed[i] {
+			if !dead[i] {
 				peers[i].Close()
 				apis[i].Close()
 			}
@@ -176,43 +224,6 @@ func TestHAEndToEnd(t *testing.T) {
 			results[i] = r
 		}(i)
 	}
-
-	// Chaos: SIGKILL peer 0 once its jobs have streamed at least 5 SCF
-	// iterations — running mid-SCF with checkpoints on disk, queue
-	// non-empty. The deterministic plan comes from the fault package.
-	plan := fault.DaemonKillPlan(42, npeers, 1, 5, 6)
-	if len(plan) != 1 || plan[0].Peer != 0 {
-		t.Fatalf("unexpected kill plan %+v", plan)
-	}
-	killDone := make(chan struct{})
-	stopKill := make(chan struct{})
-	go func() {
-		defer close(killDone)
-		fault.RunDaemonKills(plan,
-			func(slot int) int64 { return iterEvents[slot].Load() },
-			func(slot int) {
-				// Abrupt teardown, SIGKILL semantics: the listener and every
-				// client connection sever first (no goodbye, no terminal
-				// events observable), nothing is reported to the registry,
-				// leases are left to expire. No apis[slot].Close(): it would
-				// wait for event-stream handlers parked on jobs the killed
-				// scheduler will never advance — exactly what a real SIGKILL
-				// does not do. The handler goroutines leak until the test
-				// process exits, like the dead daemon's threads would.
-				apis[slot].Listener.Close()
-				apis[slot].CloseClientConnections()
-				peers[slot].Kill()
-				killed[slot] = true
-				t.Logf("killed peer %d at %d iteration events", slot, iterEvents[slot].Load())
-			},
-			stopKill)
-	}()
-	// Teardown order (LIFO under the peers defer above): stop the kill
-	// runner and wait it out, so `killed` is settled before peers close.
-	defer func() {
-		close(stopKill)
-		<-killDone
-	}()
 
 	wg.Wait()
 	select {

@@ -15,7 +15,7 @@ import (
 	"gtfock/internal/wal"
 )
 
-// Registry is the HA service tier's replicated job registry: the single
+// Registry is the HA service tier's durable job registry: the single
 // source of truth for every job's spec, tenant, priority, latest
 // checkpoint pointer, ownership lease and terminal outcome, shared by N
 // hfd front-end peers (DESIGN.md §13).
