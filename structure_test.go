@@ -1,0 +1,626 @@
+package gtfock_test
+
+import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/format"
+	"go/parser"
+	"go/printer"
+	"go/token"
+	"go/types"
+	"io"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// TestStructure holds the structural decisions DESIGN records on the
+// parsed source tree. Each row checks one invariant; each of its plants is
+// a violation overlaid on the tree in memory that the row must report, so
+// a row that stops biting fails too. A deleted mechanism stays deleted by
+// a row here, with a plant.
+func TestStructure(t *testing.T) {
+	tr := loadTree(t)
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			for _, v := range r.check(tr) {
+				t.Errorf("%s: %s", r.rule, v)
+			}
+			for i, p := range r.plants {
+				t.Run(fmt.Sprintf("plant%d", i), func(t *testing.T) {
+					if len(r.check(tr.with(t, p))) == 0 {
+						t.Errorf("%s: not reported: %s in %s", r.rule, p.src, p.path)
+					}
+				})
+			}
+		})
+	}
+}
+
+// fset positions every loaded and planted file.
+var fset = token.NewFileSet()
+
+type srcFile struct {
+	path  string // slash-separated, relative to the module root
+	match bool   // its build constraints hold (go/build.Default.MatchFile)
+	fmtOK bool   // format.Source leaves it unchanged
+	src   []byte
+	ast   *ast.File
+	nodes []node // every node, in ast.Inspect order
+}
+
+// node is an AST node and the declaration enclosing it: "pkg.F" and
+// "pkg.(*T).M" for functions, "pkg.T" for types, "" otherwise.
+type node struct {
+	decl string
+	n    ast.Node
+}
+
+func newFile(p string, src []byte) (*srcFile, error) {
+	f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	ctx := build.Default
+	ctx.OpenFile = func(string) (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(src)), nil }
+	match, err := ctx.MatchFile(path.Dir(p), path.Base(p))
+	if err != nil {
+		return nil, err
+	}
+	out, err := format.Source(src)
+	sf := &srcFile{path: p, match: match, fmtOK: err == nil && bytes.Equal(out, src), src: src, ast: f}
+	// The one AST walk: every helper below reads its flat list.
+	inspect := func(n ast.Node, decl string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if n != nil {
+				sf.nodes = append(sf.nodes, node{decl, n})
+			}
+			return true
+		})
+	}
+	pkg := f.Name.Name
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			inspect(d, pkg+"."+recvPrefix(d)+d.Name.Name)
+		case *ast.GenDecl:
+			for _, s := range d.Specs {
+				decl := ""
+				if ts, ok := s.(*ast.TypeSpec); ok {
+					decl = pkg + "." + ts.Name.Name
+				}
+				inspect(s, decl)
+			}
+		}
+	}
+	return sf, nil
+}
+
+// recvPrefix returns "(*T)." or "T." for a method, "" for a function.
+func recvPrefix(fd *ast.FuncDecl) string {
+	if fd.Recv == nil {
+		return ""
+	}
+	if st, ok := fd.Recv.List[0].Type.(*ast.StarExpr); ok {
+		return "(*" + types.ExprString(st.X) + ")."
+	}
+	return types.ExprString(fd.Recv.List[0].Type) + "."
+}
+
+// loadTree parses the module once, skipping dot-directories (a benchmark
+// worktree lives under .bench_build/) and testdata.
+func loadTree(t *testing.T) files {
+	var tr files
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(p)
+		if err != nil {
+			return err
+		}
+		f, err := newFile(filepath.ToSlash(p), src)
+		if err != nil {
+			return err
+		}
+		tr = append(tr, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+// plant is a violation overlaid on the tree: src is appended to the file
+// at path if the tree has one, and is a new file otherwise.
+type plant struct{ path, src string }
+
+// with returns the tree with p overlaid; only the planted file is parsed
+// and formatted again.
+func (tr files) with(t *testing.T, p plant) files {
+	out, src := append(files(nil), tr...), p.src
+	i := slices.IndexFunc(out, func(f *srcFile) bool { return f.path == p.path })
+	if i < 0 {
+		i, out = len(out), append(out, nil)
+	} else {
+		src = string(out[i].src) + "\n" + src
+	}
+	f, err := newFile(p.path, []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out[i] = f
+	return out
+}
+
+// files is a tree, or part of one.
+type files []*srcFile
+
+// code keeps the non-test files.
+func (fs files) code() files {
+	return fs.filter(func(f *srcFile) bool { return !strings.HasSuffix(f.path, "_test.go") })
+}
+
+func (fs files) filter(keep func(*srcFile) bool) files {
+	var out files
+	for _, f := range fs {
+		if keep(f) {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// within reports whether file p is one of roots or lies under one; "."
+// is the module root's own package.
+func within(p string, roots ...string) bool {
+	for _, r := range roots {
+		if p == r || strings.HasPrefix(p, r+"/") || r == "." && path.Dir(p) == "." {
+			return true
+		}
+	}
+	return false
+}
+
+// under keeps the files in or under roots (directories or files).
+func (fs files) under(roots ...string) files {
+	return fs.filter(func(f *srcFile) bool { return within(f.path, roots...) })
+}
+
+// except drops the files in or under roots.
+func (fs files) except(roots ...string) files {
+	return fs.filter(func(f *srcFile) bool { return !within(f.path, roots...) })
+}
+
+// site is one match: its place, its enclosing declaration, and what
+// matched.
+type site struct {
+	path       string
+	line       int
+	decl, what string
+}
+
+func (s site) String() string { return fmt.Sprintf("%s:%d: %s in %s", s.path, s.line, s.what, s.decl) }
+
+// find returns a site for each node match names; "" is no match.
+func (fs files) find(match func(n node) string) []site {
+	var out []site
+	for _, f := range fs {
+		for _, n := range f.nodes {
+			if what := match(n); what != "" {
+				out = append(out, site{f.path, fset.Position(n.n.Pos()).Line, n.decl, what})
+			}
+		}
+	}
+	return out
+}
+
+// glob matches s against pat, where a trailing * matches any suffix.
+func glob(pat, s string) bool {
+	if pre, ok := strings.CutSuffix(pat, "*"); ok {
+		return strings.HasPrefix(s, pre)
+	}
+	return pat == s
+}
+
+// named returns the first form that names n: "x" the identifier x, ".x"
+// any selector .x, "p.x" the selector p.x; x may end in *. Whole names
+// match, never substrings.
+func named(n ast.Node, forms ...string) string {
+	for _, form := range forms {
+		p, x, dotted := strings.Cut(form, ".")
+		switch n := n.(type) {
+		case *ast.Ident:
+			if !dotted && glob(form, n.Name) {
+				return form
+			}
+		case *ast.SelectorExpr:
+			id, isID := n.X.(*ast.Ident)
+			if dotted && glob(x, n.Sel.Name) && (p == "" || isID && id.Name == p) {
+				return form
+			}
+		}
+	}
+	return ""
+}
+
+// uses returns the identifiers and selectors any of forms names.
+func (fs files) uses(forms ...string) []site {
+	return fs.find(func(n node) string { return named(n.n, forms...) })
+}
+
+// calls returns the calls of any of forms; "f" matches f(…) and x.f(…).
+func (fs files) calls(forms ...string) []site {
+	return fs.find(func(n node) string {
+		c, ok := n.n.(*ast.CallExpr)
+		if !ok {
+			return ""
+		}
+		if sel, ok := c.Fun.(*ast.SelectorExpr); ok && named(c.Fun, forms...) == "" {
+			return named(sel.Sel, forms...)
+		}
+		return named(c.Fun, forms...)
+	})
+}
+
+// funcs returns the function and method declarations any of forms names.
+func (fs files) funcs(forms ...string) []site {
+	return fs.find(func(n node) string {
+		if fd, ok := n.n.(*ast.FuncDecl); ok {
+			return named(fd.Name, forms...)
+		}
+		return ""
+	})
+}
+
+// fields returns the structs declared in a declaration typ matches
+// ("pkg.T"; "*" for every struct) that have a field any of forms names,
+// whatever the field's type.
+func (fs files) fields(typ string, forms ...string) []site {
+	return fs.find(func(n node) string {
+		if st, ok := n.n.(*ast.StructType); ok && glob(typ, n.decl) {
+			for _, fl := range st.Fields.List {
+				for _, id := range fl.Names {
+					if named(id, forms...) != "" {
+						return id.Name
+					}
+				}
+			}
+		}
+		return ""
+	})
+}
+
+// flags returns the command-line flags a form names ("-" omitted) that
+// the files define through the flag package: flag.T("name", …) or
+// flag.TVar(&v, "name", …).
+func (fs files) flags(forms ...string) []site {
+	return fs.find(func(n node) string {
+		c, ok := n.n.(*ast.CallExpr)
+		if !ok || named(c.Fun, "flag.*") == "" {
+			return ""
+		}
+		for _, a := range c.Args[:min(2, len(c.Args))] {
+			if lit, ok := a.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				return named(ast.NewIdent(strings.Trim(lit.Value, "`\"")), forms...)
+			}
+		}
+		return ""
+	})
+}
+
+// imports returns the imports whose path starts with any of prefixes.
+func (fs files) imports(prefixes ...string) []site {
+	return fs.find(func(n node) string {
+		if is, ok := n.n.(*ast.ImportSpec); ok {
+			for _, p := range prefixes {
+				if ip := strings.Trim(is.Path.Value, `"`); strings.HasPrefix(ip, p) {
+					return ip
+				}
+			}
+		}
+		return ""
+	})
+}
+
+// printed returns the assignments and binary expressions that print as
+// one of texts, so that layout cannot hide one.
+func (fs files) printed(texts ...string) []site {
+	return fs.find(func(n node) string {
+		switch n.n.(type) {
+		case *ast.AssignStmt, *ast.BinaryExpr:
+			// An empty file set drops every position: line breaks print alike.
+			var b strings.Builder
+			printer.Fprint(&b, token.NewFileSet(), n.n)
+			for _, text := range texts {
+				if b.String() == text {
+					return text
+				}
+			}
+		}
+		return ""
+	})
+}
+
+// pkgs returns the package directories of the files, sorted.
+func (fs files) pkgs() []string {
+	var out []string
+	for _, f := range fs {
+		out = append(out, path.Dir(f.path))
+	}
+	return distinct(out)
+}
+
+// unreached returns the pkgs outside the non-test import closure of the
+// packages in or under roots, counting only the files whose build
+// constraints hold, as go list does.
+func (tr files) unreached(pkgs []string, roots ...string) []string {
+	seen := map[string]bool{}
+	for _, f := range tr.code().under(roots...) {
+		seen[path.Dir(f.path)] = true
+	}
+	for grew := true; grew; {
+		grew = false
+		for _, f := range tr.code().filter(func(f *srcFile) bool { return f.match && seen[path.Dir(f.path)] }) {
+			for _, is := range f.ast.Imports {
+				if ip, ok := strings.CutPrefix(strings.Trim(is.Path.Value, `"`), "gtfock/"); ok && !seen[ip] {
+					seen[ip], grew = true, true
+				}
+			}
+		}
+	}
+	var out []string
+	for _, p := range pkgs {
+		if !seen[p] {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// decls returns the distinct declarations enclosing the sites, sorted.
+func decls(sites []site) []string {
+	var out []string
+	for _, s := range sites {
+		out = append(out, s.decl)
+	}
+	return distinct(out)
+}
+
+func distinct(s []string) []string {
+	slices.Sort(s)
+	return slices.Compact(s)
+}
+
+// atMost reports the sites unless there are at most n, each in one of
+// where (a path or a declaration; none means anywhere).
+func atMost(n int, sites []site, where ...string) []string {
+	var out []string
+	for _, s := range sites {
+		ok := len(where) == 0
+		for _, w := range where {
+			ok = ok || w == s.path || w == s.decl
+		}
+		if !ok || len(sites) > n {
+			out = append(out, s.String())
+		}
+	}
+	return out
+}
+
+// one reports unless there is exactly one site, in one of where.
+func one(sites []site, where ...string) []string {
+	if len(sites) == 0 {
+		return []string{"none found, want one"}
+	}
+	return atMost(1, sites, where...)
+}
+
+// none reports every site.
+func none(sites []site) []string { return atMost(0, sites) }
+
+// same reports unless got equals want (both sorted).
+func same(got []string, want ...string) []string {
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		return []string{fmt.Sprintf("got %q, want %q", got, want)}
+	}
+	return nil
+}
+
+// row is one structural invariant: rule in DESIGN's words, its check on
+// a tree, and the violations it must report.
+type row struct {
+	name, rule string
+	check      func(tr files) []string
+	plants     []plant
+}
+
+var rows = []row{
+	{"gofmt", "every Go file is gofmt-clean (gofmt -w <file> fixes a hit)", func(tr files) []string {
+		var out []string
+		for _, f := range tr.filter(func(f *srcFile) bool { return !f.fmtOK }) {
+			out = append(out, f.path)
+		}
+		return out
+	}, []plant{{"internal/serve/plant.go", "package serve\nvar  x=1\n"}}},
+
+	// One durability implementation (DESIGN §9): internal/wal.
+	{"wal-checksum", "outside internal/wal nothing checksums a frame", func(tr files) []string {
+		return none(tr.code().under("internal", "cmd").except("internal/wal").imports("hash/crc32"))
+	}, []plant{{"internal/serve/plant.go", `package serve; import "hash/crc32"; var _ = crc32.ChecksumIEEE`}}},
+	{"wal-fsync", "outside internal/wal nothing fsyncs", func(tr files) []string {
+		return none(tr.code().under("internal", "cmd").except("internal/wal").calls("Sync"))
+	}, []plant{{"cmd/hfd/plant.go", `package main; import "os"; func plant(f *os.File) { f.Sync() }`}}},
+	{"wal-rename", "outside internal/wal nothing renames a file into place but the SCF checkpoint's one .prev rotation",
+		func(tr files) []string {
+			return atMost(1, tr.code().under("internal", "cmd").except("internal/wal").calls("os.Rename"), "internal/scf/checkpoint.go")
+		}, []plant{
+			{"internal/serve/plant.go", `package serve; import "os"; func plant() { os.Rename("a", "b") }`},
+			{"internal/scf/checkpoint.go", `func plant() { os.Rename("a", "b") }`},
+		}},
+
+	// One transport contract (DESIGN §7).
+	{"backend-retry", "no type grows a retrying, fenced or error-twin one-sided method", func(tr files) []string {
+		return none(tr.code().under("internal", "cmd").funcs("GetRetry", "AccFencedRetry", "AccFenced", "Fallible", "SetFence", "LoadMatrixErr", "ToMatrixErr"))
+	}, []plant{{"internal/dist/plant.go", `package dist; func (g *GlobalArray) GetRetry() {}`}}},
+	{"backend-backoff", "the network client sleeps a backoff only in its driver-op loop", func(tr files) []string {
+		return one(tr.code().under("internal/net").calls("SleepBackoff"), "netga.(*Client).driverOp")
+	}, []plant{
+		{"internal/net/client.go", `func (c *Client) plant() { dist.SleepBackoff(nil, 0) }`},
+		{"internal/net/plant.go", `package netga; import "gtfock/internal/dist"; func plant() { dist.SleepBackoff(nil, 0) }`},
+	}},
+	{"backend-membership", "the static membership map the fleet view superseded stays gone", func(tr files) []string {
+		return none(tr.under("internal", "cmd").uses("WithMembership", "SetMembership", "lookupStandby"))
+	}, []plant{{"internal/net/plant_test.go", `package netga; func lookupStandby() {}`}}},
+
+	// One shard server (DESIGN §7): the pinned and the admitting session
+	// table (NewServer, NewMultiServer) share all four loops.
+	{"server-accept", "internal/net has one accept loop", func(tr files) []string {
+		return one(tr.code().under("internal/net").calls("Accept"))
+	}, []plant{{"internal/net/plant.go", `package netga; import "net"; func plant(ln net.Listener) { ln.Accept() }`}}},
+	{"server-conn", "internal/net has one per-conn serve loop", func(tr files) []string {
+		return one(tr.code().under("internal/net").funcs("serveConn"))
+	}, []plant{{"internal/net/plant.go", `package netga; func (s *Server) serveConn() {}`}}},
+	{"server-hello", "internal/net has one hello", func(tr files) []string {
+		return one(tr.code().under("internal/net").funcs("hello"))
+	}, []plant{{"internal/net/plant.go", `package netga; func (f *Fleet) hello() {}`}}},
+	{"server-acc", "internal/net has one accumulate loop", func(tr files) []string {
+		return one(tr.code().under("internal/net").printed("dst[i] += req.Alpha * row[i]"))
+	}, []plant{{"internal/net/plant.go", "package netga\nfunc plant(dst, row []float64, req request) {\n\tfor i := range dst {\n\t\tdst[i]+=req.Alpha*\n\t\t\trow[i]\n\t}\n}"}}},
+	{"server-hgp", "the second production ERI algorithm stays gone", func(tr files) []string {
+		return none(tr.under("internal", "cmd").uses("UseHGP", "eriCartHGP"))
+	}, []plant{{"internal/integrals/plant.go", `package integrals; var UseHGP bool`}}},
+
+	// One net session (DESIGN §7). benchmark/scf.go still dials D and F
+	// by hand (ROADMAP item 13(b)), so this row stays in cmd and internal.
+	{"session-pair", "outside internal/net nobody assembles a D/F client pair: netga.Session is the one place", func(tr files) []string {
+		return none(tr.code().under("cmd", "internal").except("internal/net").uses("Array"))
+	}, []plant{{"cmd/hf/plant.go", `package main; import netga "gtfock/internal/net"; var _ = netga.Config{Array: 1}`}}},
+	{"session-factories", "the hand-rolled backend factories and the in-core SCF engine stay gone", func(tr files) []string {
+		return none(tr.under("cmd", "internal").uses("persistentBackend", "netFactory", "fleetFactory", "EngineInCore"))
+	}, []plant{{"internal/scf/plant.go", `package scf; const EngineInCore = 2`}}},
+	{"session-grid", "the drivers share dist.ParseGrid", func(tr files) []string {
+		return none(tr.code().under("cmd").funcs("parseGrid"))
+	}, []plant{{"cmd/fockbuild/plant.go", `package main; func parseGrid(s string) {}`}}},
+
+	// One worker runtime (DESIGN §5): every build runs leased.
+	{"core-ledger", "no internal/core code branches on whether a ledger exists or keeps the fence beside it", func(tr files) []string {
+		core := tr.code().under("internal/core")
+		return none(append(core.printed("led == nil", "led != nil"), core.uses(".fence")...))
+	}, []plant{
+		{"internal/core/plant.go", `package core; func plant(led *ledger) { if led != nil { return } }`},
+		{"internal/core/plant.go", `package core; func plant(w *worker) { _ = w.fence }`},
+	}},
+	{"core-lease-options", "the two test-only lease options stay gone", func(tr files) []string {
+		return none(tr.code().under("internal/core").uses("MonitorEvery", "MaxFaultRounds"))
+	}, []plant{{"internal/core/plant.go", `package core; type plantOptions struct{ MonitorEvery int }`}}},
+	{"core-walk-rows", "the real build walks a footprint in one place: worker.patches makes real.go's one Rows() call", func(tr files) []string {
+		return one(tr.code().under("internal/core/real.go").calls("Rows"), "core.(*worker).patches")
+	}, []plant{{"internal/core/real.go", `func (w *worker) resetAccum(fp *Footprint) { _ = fp.Rows() }`}}},
+	{"core-walk-patches", "worker.patches makes real.go's one Patches( call", func(tr files) []string {
+		return one(tr.code().under("internal/core/real.go").calls("Patches"), "core.(*worker).patches")
+	}, []plant{{"internal/core/real.go", `func (w *worker) plant(r0, r1, c0, c1 int) { _ = w.grid.Patches(r0, r1, c0, c1) }`}}},
+	{"core-transfers", "real.go never counts the simulator's per-row Transfers", func(tr files) []string {
+		return none(tr.code().under("internal/core/real.go").calls("Transfers"))
+	}, []plant{{"internal/core/real.go", `func (w *worker) plant(fp *Footprint) { fp.Transfers(w.bs, w.grid) }`}}},
+	{"core-gomaxprocs", "lanes have no knob: internal/core reads GOMAXPROCS in one place", func(tr files) []string {
+		return one(tr.code().under("internal/core").calls("GOMAXPROCS"))
+	}, []plant{{"internal/core/plant.go", `package core; import "runtime"; var lanes = runtime.GOMAXPROCS(0)`}}},
+	{"core-threads", "neither Options struct (core's, scf's) grows a thread count", func(tr files) []string {
+		knobs := []string{"Threads", "NumThreads", "Lanes", "NumLanes", "Workers", "NumWorkers"}
+		opts := tr.code().under("internal/core", "internal/scf")
+		return none(append(opts.fields("core.Options", knobs...), opts.fields("scf.Options", knobs...)...))
+	}, []plant{{"internal/scf/plant.go", `package scf; type Options struct{ Lanes int }`}}},
+	{"core-fast-kernels", "the general-kernel switch is set only in internal/integrals (its tests' oracle)", func(tr files) []string {
+		return none(tr.code().under("internal", "cmd").except("internal/integrals").uses("DisableFastKernels"))
+	}, []plant{{"cmd/fockbuild/plant.go", `package main; import "gtfock/internal/integrals"; func plant(e *integrals.Engine) { e.DisableFastKernels = true }`}}},
+
+	// One quartet screen (DESIGN §8): Schwarz at tau over a primitive
+	// prescreen fixed at integrals.PrimTol.
+	{"screen-deleted", "the density-weighted screen, the dD telescope and the QQR bound stay gone", func(tr files) []string {
+		return none(tr.under("cmd", "internal", "gtfock.go").uses("DensityScreen", "DeltaD", "UpdateDensity", "MaxQuartetDensity", "NewQQR"))
+	}, []plant{{"internal/screen/plant.go", `package screen; func NewQQR() {}`}}},
+	{"screen-primtol-field", "no struct but integrals.Engine has a PrimTol field to thread a second value through", func(tr files) []string {
+		return atMost(1, tr.under("cmd", "internal", "gtfock.go").fields("*", "PrimTol"), "integrals.Engine")
+	}, []plant{{"internal/core/plant.go", `package core; type plantOptions struct{ PrimTol float32 }`}}},
+	{"screen-primtol-readers", "integrals.PrimTol is read by the four production pair tables and cmd/paper's Table V", func(tr files) []string {
+		return same(decls(tr.code().under("cmd", "internal", "gtfock.go").uses("integrals.PrimTol")),
+			"core.Build", "main.(*lab).table5", "nwchem.Build", "scf.RunHF", "scf.atomicDensity")
+	}, []plant{{"internal/serve/plant.go", `package serve; import "gtfock/internal/integrals"; var tol = integrals.PrimTol`}}},
+
+	// One perimeter (DESIGN §1 "Perimeter").
+	{"perimeter-reached", "every internal package is in the non-test dependency closure of a command, the benchmark or the facade",
+		func(tr files) []string {
+			return tr.unreached(tr.under("internal").pkgs(), "cmd", "benchmark", ".")
+		},
+		[]plant{{"internal/unreached/plant.go", `package unreached`}}},
+	{"perimeter-deleted", "the packages, alternatives and test-only helpers deleted for serving no tier and no table stay gone",
+		func(tr files) []string {
+			fs := tr.under("cmd", "internal", "examples", "gtfock.go")
+			return none(append(fs.imports("gtfock/internal/correlate", "gtfock/internal/props"),
+				fs.uses("AOTensor", "reorder.Morton", "StealRichest", "finalizeOrbitals", "gwhGuess", "GrapheneRibbon", "MatMulParallel", "runChaos")...))
+		}, []plant{
+			{"internal/scf/plant_test.go", `package scf; import _ "gtfock/internal/props"`},
+			{"cmd/paper/plant.go", `package main; import "gtfock/internal/reorder"; var _ = reorder.Morton`},
+			{"internal/net/plant_test.go", `package netga; func runChaos() {}`},
+		}},
+	{"perimeter-one-electron", "the per-matrix T and V builders and their per-pair context live only in the tests' oracle", func(tr files) []string {
+		return none(tr.code().under("internal/integrals").uses("newOE1Ctx", "Kinetic", "NuclearAttraction"))
+	}, []plant{{"internal/integrals/plant.go", `package integrals; func Kinetic() {}`}}},
+	{"perimeter-commands", "cmd/ holds exactly the seven commands", func(tr files) []string {
+		return same(tr.under("cmd").pkgs(), "cmd/fockbuild", "cmd/fockd", "cmd/hf", "cmd/hfd", "cmd/kernelgen", "cmd/loadgen", "cmd/paper")
+	}, []plant{{"cmd/extra/main.go", `package main; func main() {}`}}},
+	{"perimeter-examples", "examples/ holds exactly the one compiled README snippet", func(tr files) []string {
+		return same(tr.under("examples").pkgs(), "examples/quickstart")
+	}, []plant{{"examples/second/main.go", `package main; func main() {}`}}},
+
+	// One starting density (DESIGN §1 "Starting density").
+	{"guess-options", "scf.Options has no Guess* or InitialDensity field", func(tr files) []string {
+		return none(tr.code().under("internal/scf").fields("scf.Options", "Guess*", "InitialDensity"))
+	}, []plant{
+		{"internal/scf/plant.go", `package scf; type Options struct{ Guess string }`},
+		{"internal/scf/plant.go", `package scf; import "gtfock/internal/linalg"; type Options struct{ InitialDensity *linalg.Matrix }`},
+	}},
+	{"guess-flag", "neither hf nor fockbuild defines a -guess flag", func(tr files) []string {
+		return none(tr.code().under("cmd/hf", "cmd/fockbuild").flags("guess*"))
+	}, []plant{{"cmd/hf/plant.go", `package main; import "flag"; var _ = flag.String("guess", "sad", "starting density")`}}},
+	{"guess-identity", "fockbuild's identity density stays gone", func(tr files) []string {
+		return none(tr.under("cmd", "internal", "gtfock.go").uses("guessDensity"))
+	}, []plant{{"cmd/fockbuild/plant.go", `package main; func guessDensity() {}`}}},
+	{"guess-atomic", "exactly one function (atomicDensity) runs the atomic SCF", func(tr files) []string {
+		return same(decls(tr.code().under("internal/scf").calls("sphericalBlock")), "scf.atomicDensity")
+	}, []plant{{"internal/scf/plant.go", `package scf; func atomicDensity2() { sphericalBlock(nil, nil, 0, nil, nil, nil, nil) }`}}},
+	{"guess-memo", "only the memo (atomFor) calls atomicDensity", func(tr files) []string {
+		return same(decls(tr.code().under("internal/scf").calls("atomicDensity")), "scf.atomFor")
+	}, []plant{{"internal/scf/plant.go", `package scf; func plant() { atomicDensity("sto-3g", 6) }`}}},
+
+	// One Fock build in the SCF (DESIGN §1 row 12).
+	{"scf-no-nwchem", "internal/scf never imports the NWChem baseline (a Fock-build comparison, not an SCF engine)", func(tr files) []string {
+		return none(tr.code().under("internal/scf").imports("gtfock/internal/nwchem"))
+	}, []plant{{"internal/scf/plant.go", `package scf; import _ "gtfock/internal/nwchem"`}}},
+	{"scf-one-build", "internal/scf builds G in one place: buildG, the one core.Build call", func(tr files) []string {
+		return one(tr.code().under("internal/scf").calls("core.Build"), "scf.buildG")
+	}, []plant{{"internal/scf/plant.go", `package scf; import "gtfock/internal/core"; func plant() { core.Build(nil, nil, nil, core.Options{}) }`}}},
+	{"scf-build-callers", "RunHF and the atomic guess both call buildG, and nothing else does", func(tr files) []string {
+		return same(decls(tr.code().under("internal/scf").calls("buildG")), "scf.RunHF", "scf.atomicDensity")
+	}, []plant{{"internal/scf/plant.go", `package scf; func plant() { buildG(nil, nil, nil, nil, nil, Options{}) }`}}},
+	{"scf-engines", "the NWChem and serial SCF engine values and the guess's hand-rolled ERI tensor stay gone", func(tr files) []string {
+		return none(tr.under("cmd", "internal", "examples", "gtfock.go").uses("EngineNWChem", "EngineSerial", "eriTensor"))
+	}, []plant{{"internal/scf/plant.go", `package scf; const EngineSerial Engine = "serial"`}}},
+	{"scf-engine-flag", "hf has no -engine flag", func(tr files) []string {
+		return none(tr.code().under("cmd/hf").flags("engine"))
+	}, []plant{{"cmd/hf/plant.go", `package main; import "flag"; var _ = flag.String("engine", "gtfock", "Fock engine")`}}},
+}
