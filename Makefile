@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race generate-check net-test cache-test serve-test serve-ha e2e-flake ci microbench bench-gate
+.PHONY: build test vet race generate-check e2e-flake ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -26,71 +26,18 @@ generate-check:
 	$(GO) generate ./internal/integrals
 	git diff --exit-code -- internal/integrals/kernels_gen.go
 
-# Transport-focused gate: race-detector run of the network and
-# global-array packages.
-net-test:
-	$(GO) test -race ./internal/net/... ./internal/dist/...
-
-# Stored-ERI cache gate under the race detector: the store unit layer
-# (commit idempotence, budget/spill/drop legs, blob keying), record/replay
-# equivalence against the serial oracle (including under chaos with
-# exactly-once accounting), one stored batch replayed against different
-# densities staying linear in D, the default-option reference energies
-# (the cached alkane:6 run among them), and the blob spill legs over the
-# real transport, and the service path: every hfd job attempt records and
-# replays within the store share of its admission charge (full, partial
-# and no store), its totals summed into the runner's one counter set.
-cache-test:
-	$(GO) test -race -count=1 -run 'TestERIStore|TestStore|TestStoredBatchReplayIsLinearInDensity|TestDefaultOptionsReproduceReferenceEnergies|TestPerIterationFockStats|TestBlowUpReportedAtProducingIteration|TestBlob|TestSpillE2E|TestCacheAdd|TestFleetRunnerStoreShare' ./internal/integrals/ ./internal/core/ ./internal/scf/ ./internal/net/ ./internal/metrics/ ./internal/serve/
-
-# Multi-tenant HF service gate under the race detector: the overload +
-# chaos acceptance e2e (burst at 4x admission capacity onto a live
-# 2-shard fleet; every accepted job must match its solo energy to 1e-9,
-# including across an injected mid-SCF shard kill+restart; rejections
-# must be explicit and land in <100ms), plus the multi-session shard
-# layer, the fair-share/quota/shed scheduler, and the job lifecycle
-# unit tests, and the memory charges: local buffers per lane in the
-# admission charge, the store share a job's run gets at dispatch without
-# crowding out admission, and finished jobs kept queryable with their
-# older event histories trimmed; the runner's pooled shard conns (one
-# hello per shard per session, a restarted shard redialed without a
-# retry) and finished jobs' checkpoint files removed.
-serve-test:
-	$(GO) test -race -count=1 -run 'TestOverloadEndToEnd|TestFleetRunnerStoreShare|TestFleetRunnerPoolsConns|TestFleetRunnerRedialsRestartedShard|TestFinishedJobsLeaveNoCheckpoints|TestStoresLeaveRoomForAdmission|TestFinishedJobsKeepStatus|TestMultiServer|TestLayoutRoundTrip|TestClassifyFailureCounters|TestFairShare|TestTenantQuotas|TestShedLadder|TestAdmission|TestMemoryBudget|TestDeadline|TestClientCancel|TestPreemption|TestNoPreemption|TestDrain|TestEventStream' ./internal/serve/ ./internal/net/
-
-# HA service-tier gate under the race detector: the daemon-kill chaos
-# e2e (3 peers sharing a lease registry over a live 2-shard fleet, one
-# peer SIGKILLed mid-burst; survivors must adopt its leases and resume
-# from checkpoint, every accepted job finishing with its solo energy to
-# 1e-9 and clients seeing at most one retriable error), plus the
-# fake-clock lease unit suite (acquire/renew/expiry, incarnation
-# fencing, double-adopt race with exactly one winner), registry WAL
-# recovery (incl. the snapshot-boundary crash and the internal/wal
-# crash-point enumeration), the finish-then-publish contract, readiness
-# drain transitions, a new peer ready and adopting already-orphaned
-# jobs on its first scan (no tick) but never one whose charge admission
-# would refuse, cross-peer owner redirects, the fault plan and schedule
-# the e2e's kill fires from, and the background checkpoint writer an
-# adopter's resume depends on: its rent-or-buy cadence, the last completed
-# iteration handed over and flushed on every exit of a solve but
-# convergence, F/D handed over uncopied (the race detector is the
-# check), a failed write sticky, CkptIter advertised only after the file
-# is durable, a dead owner's file kept for its adopter and a finished
-# job's removed, and the pooled conns a restarted shard leaves dead.
-serve-ha:
-	$(GO) test -race -count=1 -run 'TestHAEndToEnd|TestReadyzDrainTransition|TestPeerReadyWithoutTick|TestPeerAdoptsOrphanOnStart|TestPeerAdoptsOnlyWhatItWouldAdmit|TestOwnerRedirect|TestKilledPeerLosesLeasesAndSurvivorAdopts|TestLeaseAcquireRenewExpiry|TestIncarnationFencing|TestDoubleAdoptOneWinner|TestReleaseMakesImmediatelyAdoptable|TestFinishThenPublish|TestRegistryRecovery|TestSnapshotBoundary|TestRegistryGoldenBytes|PlanDeterministic|ExecutesSchedule|TestWAL|TestCkptWriter|TestCheckpointFlushedOnEveryExitPath|TestCheckpointWriteFailureFailsRun|TestCheckpointHandOffIsRaceFree|TestCheckpointCadenceRentOrBuy|TestCheckpointDurableBeforeAdvertised|TestFleetRunnerRedialsRestartedShard|TestFinishedJobsLeaveNoCheckpoints' ./internal/serve/ ./internal/scf/ ./internal/fault/ ./internal/wal/
-
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
 # (non-race, about two minutes). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
 e2e-flake:
 	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestFleetRunnerRedialsRestartedShard|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestChaosSweepBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
 
-# The aggregate gate. `race` already runs every test of the named subset
-# gates (net-test, cache-test, serve-test, serve-ha) under the race
-# detector, so those stay developer targets and parallel workflow jobs
-# instead of running twice here. The structural rules (gofmt among them)
-# are TestStructure in the root package, so `test` and `race` run them.
+# The aggregate gate, and the one suite CI runs. `race` runs every test
+# of every package under the race detector, so a new test is gated by
+# being in ./..., with no list to extend; one package alone is
+# `go test -race ./internal/<pkg>/`. The structural rules (gofmt among
+# them) are TestStructure in the root package, so `test` and `race` run
+# them.
 ci: build vet generate-check race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a

@@ -180,23 +180,23 @@ func main() {
 	// so the next start replays nothing.
 	srv.Shutdown(*drainFor)
 	st := srv.Stats()
-	fmt.Printf("fockd %d: %d requests, %d accs applied, %d dedup hits, %d sessions, %d rejects\n",
-		*index, st.Requests, st.AccApplied, st.AccDups, st.Sessions, st.Rejects)
+	fmt.Printf("fockd %s: %d requests, %d accs applied, %d dedup hits, %d sessions, %d rejects\n",
+		who, st.Requests, st.AccApplied, st.AccDups, st.Sessions, st.Rejects)
 	if st.SessionsClosed+st.SessionRejects > 0 {
-		fmt.Printf("fockd %d: session table: %d closed, %d still open, %d refused by the cap or the budget\n",
-			*index, st.SessionsClosed, st.SessionsOpen, st.SessionRejects)
+		fmt.Printf("fockd %s: session table: %d closed, %d still open, %d refused by the cap or the budget\n",
+			who, st.SessionsClosed, st.SessionsOpen, st.SessionRejects)
 	}
 	if st.JournalRecords+st.Replayed+st.Snapshots > 0 {
-		fmt.Printf("fockd %d: durability: %d journaled, %d replayed at start, %d snapshots, epoch %d\n",
-			*index, st.JournalRecords, st.Replayed, st.Snapshots, st.Epoch)
+		fmt.Printf("fockd %s: durability: %d journaled, %d replayed at start, %d snapshots, epoch %d\n",
+			who, st.JournalRecords, st.Replayed, st.Snapshots, st.Epoch)
 	}
 	if st.ReplSent+st.ReplApplied+st.Promotions > 0 {
-		fmt.Printf("fockd %d: replication: %d forwarded, %d applied from stream, %d promotions\n",
-			*index, st.ReplSent, st.ReplApplied, st.Promotions)
+		fmt.Printf("fockd %s: replication: %d forwarded, %d applied from stream, %d promotions\n",
+			who, st.ReplSent, st.ReplApplied, st.Promotions)
 	}
 	if st.BlocksIn+st.BlocksOut+st.Freezes+st.PlacementFenced > 0 {
-		fmt.Printf("fockd %d: elastic: %d blocks in, %d out, %d freezes, %d ops fenced, placement gen %d, %d still hosted\n",
-			*index, st.BlocksIn, st.BlocksOut, st.Freezes, st.PlacementFenced, st.PGen, st.HostedProcs)
+		fmt.Printf("fockd %s: elastic: %d blocks in, %d out, %d freezes, %d ops fenced, placement gen %d, %d still hosted\n",
+			who, st.BlocksIn, st.BlocksOut, st.Freezes, st.PlacementFenced, st.PGen, st.HostedProcs)
 	}
 }
 

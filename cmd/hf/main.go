@@ -149,10 +149,7 @@ func main() {
 	if c := res.CacheStats; c.TaskHits+c.TaskMisses > 0 {
 		fmt.Printf("stored-ERI cache: %d hits / %d misses (%.1f%%), %d quartets stored (%.1f MB resident",
 			c.TaskHits, c.TaskMisses, 100*c.HitRate(), c.QuartetsStored,
-			float64(c.BytesStored-c.SpillBytes)/(1<<20))
-		if c.Spills > 0 {
-			fmt.Printf(", %.1f MB spilled", float64(c.SpillBytes)/(1<<20))
-		}
+			float64(c.BytesStored)/(1<<20))
 		if c.Dropped > 0 {
 			fmt.Printf(", %d tasks dropped over budget", c.Dropped)
 		}

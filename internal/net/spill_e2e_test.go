@@ -14,7 +14,8 @@ import (
 // resident budget far below the working set, the recording build parks
 // value batches on the shard servers as blobs, and the replay build
 // fetches them back — matching the serial oracle to the same tolerance
-// as every other net-backed build.
+// as every other net-backed build. It runs under -race in `make race`,
+// and 20 times over in `make e2e-flake`.
 func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	bs, scr, d := netSetup(t)
 	ref := core.BuildSerial(bs, scr, d)
