@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race generate-check e2e-flake ci microbench bench-gate
+.PHONY: build test vet race e2e-flake ci microbench bench-gate
 
 build:
 	$(GO) build ./...
@@ -19,13 +19,6 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race -cpu 1,4 ./internal/core/ ./internal/scf/
 
-# Regenerate the ERI kernels (every s/p and d class but ss|ss) and fail
-# if the committed kernels_gen.go drifted from what cmd/kernelgen emits —
-# edits belong in the generator, never in the generated file.
-generate-check:
-	$(GO) generate ./internal/integrals
-	git diff --exit-code -- internal/integrals/kernels_gen.go
-
 # Flake hunt: every timing-sensitive end-to-end test 20 times over
 # (non-race, about two minutes). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
@@ -37,8 +30,9 @@ e2e-flake:
 # being in ./..., with no list to extend; one package alone is
 # `go test -race ./internal/<pkg>/`. The structural rules (gofmt among
 # them) are TestStructure in the root package, so `test` and `race` run
-# them.
-ci: build vet generate-check race e2e-flake
+# them, and so is the generated-kernel freshness check (cmd/kernelgen's
+# TestCommittedKernelsMatchGenerator).
+ci: build vet race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet),

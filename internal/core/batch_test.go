@@ -53,9 +53,10 @@ func testDoTaskLane(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTabl
 	}, 0)
 }
 
-// The batched doTask walks PhiQ (Schwarz-descending) and breaks at the
-// first failing partner. That early exit must select EXACTLY the quartets
-// the reference Phi scan with KeepQuartet selects — same set, possibly
+// The batched doTask walks the partner families (Schwarz-descending) and
+// breaks at the first failing family. That early exit must select
+// EXACTLY the quartets the reference Phi scan with KeepQuartet and the
+// same pair orientation (PairCheck) selects — same set, possibly
 // different order.
 func TestDoTaskSurvivorSetMatchesKeepQuartet(t *testing.T) {
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
@@ -73,14 +74,14 @@ func TestDoTaskSurvivorSetMatchesKeepQuartet(t *testing.T) {
 			copy(got, w.bmeta)
 			var want [][2]int32
 			for _, p := range scr.Phi[m] {
-				if !SymmetryCheck(m, p) {
+				if !PairCheck(pt, m, p) {
 					continue
 				}
 				for _, q := range scr.Phi[n] {
-					if !SymmetryCheck(n, q) || !scr.KeepQuartet(m, p, n, q) {
+					if !PairCheck(pt, n, q) || !scr.KeepQuartet(m, p, n, q) {
 						continue
 					}
-					if m == n && !SymmetryCheck(p, q) {
+					if m == n && !PairCheck(pt, p, q) {
 						continue
 					}
 					want = append(want, [2]int32{int32(p), int32(q)})

@@ -356,7 +356,10 @@ func LocalBytes(n, nprocs, lanes int) int64 {
 // c(M) c(N) quartets of nf(M) nf(N) s(M) s(N) values, and the diagonal
 // task (M, M), which keeps one of (P, Q) and (Q, P), (c^2 + c)/2 quartets
 // of nf(M)^2 (s^2 + s2)/2 values. Summing f(M) f(N) over the kept
-// off-diagonal (M, N) is ((Σf)^2 - Σf^2)/2 for the same reason.
+// off-diagonal (M, N) is ((Σf)^2 - Σf^2)/2 for the same reason. The
+// totals count each orbit once whichever such predicate orients the
+// pairs, so they hold for doTask's PairCheck too (it needs a pair table,
+// this bound only the basis).
 func StoreBytes(bs *basis.Set) (index, values int64) {
 	ns := bs.NumShells()
 	var qSum, qSq, vSum, vSq, quartets int64
@@ -959,9 +962,7 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue) {
 // quartets of (M,: | N,:) as pair-table ids, then submit the whole
 // surviving list in one ERIBatch call so the engine amortizes dispatch
 // and the Fock digestion runs straight off engine scratch with no
-// intermediate copies. Kets walk the Schwarz-descending PhiQ list, so the
-// first failing Schwarz product ends the scan (the surviving set is
-// exactly KeepQuartet's).
+// intermediate copies.
 func (ln *lane) doTask(t Task) {
 	w := ln.w
 	m, n := t.M, t.N
@@ -977,36 +978,7 @@ func (ln *lane) doTask(t Task) {
 			return
 		}
 	}
-	tau := w.scr.Tau
-	ln.batch = ln.batch[:0]
-	ln.bmeta = ln.bmeta[:0]
-	for _, p := range w.scr.Phi[m] {
-		if !SymmetryCheck(m, p) {
-			continue
-		}
-		braID := w.pt.ID(m, p)
-		if braID == integrals.NoPair {
-			continue
-		}
-		qBra := w.pt.Q(braID)
-		for _, q := range w.scr.PhiQ[n] {
-			ketID := w.pt.ID(n, q)
-			if qKet := w.pt.Q(ketID); qBra*qKet < tau {
-				break
-			}
-			if !SymmetryCheck(n, q) {
-				continue
-			}
-			// Diagonal tasks (M==N) see both bra-ket orderings (MP|MQ)
-			// and (MQ|MP) of the same orbit; break the tie on (P,Q).
-			// (Algorithm 3 in the paper omits this case.)
-			if m == n && !SymmetryCheck(p, q) {
-				continue
-			}
-			ln.batch = append(ln.batch, integrals.Quartet{Bra: braID, Ket: ketID})
-			ln.bmeta = append(ln.bmeta, [2]int32{int32(p), int32(q)})
-		}
-	}
+	ln.collect(m, n)
 	if w.store == nil {
 		ln.eng.ERIBatch(w.pt, ln.batch, ln.visit)
 		return
@@ -1015,6 +987,50 @@ func (ln *lane) doTask(t Task) {
 	ln.recEnds = ln.recEnds[:0]
 	ln.eng.ERIBatch(w.pt, ln.batch, ln.recVisit)
 	w.store.CommitTask(m*w.ns+n, ln.bmeta, ln.recEnds, ln.recVals)
+}
+
+// collect fills ln.batch (and ln.bmeta, the (P,Q) shells) with the
+// unique, screened quartets (MP|NQ) of task (m, n). Bras and kets walk
+// the pair table's partner families (integrals.PairTable.Partners), kets
+// by descending family Q, so the first failing Schwarz product ends the
+// ket scan (the surviving set is exactly KeepQuartet's), and the quartets
+// of a bra family x ket family are collected bra-major: ERIBatch computes
+// such a sibling group with one kernel call. The pair orientation is
+// PairCheck's, which keeps sibling pairs together in a task.
+func (ln *lane) collect(m, n int) {
+	w := ln.w
+	tau := w.scr.Tau
+	pt := w.pt
+	ln.batch = ln.batch[:0]
+	ln.bmeta = ln.bmeta[:0]
+	for _, bf := range pt.Partners(m) {
+		for _, kf := range pt.Partners(n) {
+			if bf.Q*kf.Q < tau {
+				break
+			}
+			for _, braID := range bf.Pairs {
+				_, p := pt.Shells(braID)
+				if !PairCheck(pt, m, p) {
+					continue
+				}
+				qBra := pt.Q(braID)
+				for _, ketID := range kf.Pairs {
+					_, q := pt.Shells(ketID)
+					if qBra*pt.Q(ketID) < tau || !PairCheck(pt, n, q) {
+						continue
+					}
+					// Diagonal tasks (M==N) see both bra-ket orderings
+					// (MP|MQ) and (MQ|MP) of the same orbit; break the tie
+					// on (P,Q). (Algorithm 3 in the paper omits this case.)
+					if m == n && !PairCheck(pt, p, q) {
+						continue
+					}
+					ln.batch = append(ln.batch, integrals.Quartet{Bra: braID, Ket: ketID})
+					ln.bmeta = append(ln.bmeta, [2]int32{int32(p), int32(q)})
+				}
+			}
+		}
+	}
 }
 
 // ApplyQuartet applies the scaled 6-block Fock update for the unique

@@ -18,7 +18,11 @@
 //     model described in DESIGN.md.
 package core
 
-import "sync"
+import (
+	"sync"
+
+	"gtfock/internal/integrals"
+)
 
 // SymmetryCheck is the uniqueness predicate of Sec. III-C: for every
 // unordered index pair {i,j}, exactly one of SymmetryCheck(i,j) /
@@ -34,6 +38,24 @@ func SymmetryCheck(i, j int) bool {
 	default:
 		return (i+j)%2 == 1
 	}
+}
+
+// PairCheck is the pair orientation of doTask's quartets: SymmetryCheck
+// on the shell families of pt (integrals.PairTable.Family), ties inside
+// one family broken by SymmetryCheck on the shell indices. It is a
+// uniqueness predicate like SymmetryCheck — exactly one of (i,j) / (j,i)
+// for i != j — so bra (M,P), ket (N,Q) and the M==N tie (P,Q) still
+// select one representative per orbit; it only changes which orientation
+// of a pair is kept, so that a task's bra M keeps all or none of a
+// family's P (and its ket N all or none of a family's Q) whenever that
+// family is not M's (N's) own — the siblings ERIBatch computes together.
+// Tasks stay SymmetryCheck(M,N)'s.
+func PairCheck(pt *integrals.PairTable, i, j int) bool {
+	fi, fj := pt.Family(i), pt.Family(j)
+	if fi == fj {
+		return SymmetryCheck(i, j)
+	}
+	return SymmetryCheck(fi, fj)
 }
 
 // Task identifies the computation (M,: | N,:) for row shell M and column

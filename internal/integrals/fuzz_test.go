@@ -2,6 +2,7 @@ package integrals
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gtfock/internal/basis"
@@ -70,22 +71,37 @@ func FuzzBoys(f *testing.F) {
 // keys are all reachable) and cross-checks the dispatched result against
 // the general MD path. depth picks 1, 3 or 8 primitives per shell (8
 // only for all-s/p keys, to keep a (dd|dd) execution short); prune turns
-// on PrimTol so pairs may lose primitives.
+// on PrimTol so pairs may lose primitives. family adds a sibling to the
+// bra's second shell (bit 0) and to the ket's (bit 1) — same exponents
+// and centre, its own coefficients; of the shell's L with bit 2, else s
+// beside a p or d and p beside an s — and checks every member of the
+// resulting sibling group against its own kernel and the general path
+// (see checkFamilyGroup).
 func FuzzERIKernelClasses(f *testing.F) {
-	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), false, 1.0, 0.5, 0.3, 2.0, 0.5, -0.4, 1.0)
-	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), false, 0.8, 1.5, 0.9, 0.2, -1.1, 0.7, 0.0)
-	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), false, 11.0, 0.1, 3.3, 0.6, 0.0, 0.0, 0.0)
-	f.Add(uint8(0), uint8(2), uint8(1), uint8(1), uint8(0), true, 2.5, 2.5, 2.5, 2.5, 0.3, 0.3, 0.3)
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), false, 1.0, 0.5, 0.3, 2.0, 0.5, -0.4, 1.0, uint8(0))
+	f.Add(uint8(2), uint8(2), uint8(2), uint8(2), uint8(0), false, 0.8, 1.5, 0.9, 0.2, -1.1, 0.7, 0.0, uint8(0))
+	f.Add(uint8(1), uint8(2), uint8(2), uint8(1), uint8(1), false, 11.0, 0.1, 3.3, 0.6, 0.0, 0.0, 0.0, uint8(0))
+	f.Add(uint8(0), uint8(2), uint8(1), uint8(1), uint8(0), true, 2.5, 2.5, 2.5, 2.5, 0.3, 0.3, 0.3, uint8(0))
 	// The straight-line s/p kernels: canonical and mirrored orientations,
 	// sp aliasing ps, each contraction depth, coincident centres (g = 0)
 	// and far ones (Boys argument >= 36), with and without pruning.
-	f.Add(uint8(1), uint8(0), uint8(1), uint8(0), uint8(1), false, 1.0, 0.5, 0.3, 2.0, 0.5, -0.4, 1.0)
-	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint8(2), false, 0.7, 1.9, 4.0, 0.2, 0.0, 0.0, 0.0)
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(2), true, 3.0, 0.4, 1.3, 0.9, 1.5, -0.8, 0.6)
-	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), uint8(1), false, 5.0, 6.0, 7.0, 8.0, 7.9, 7.9, 7.9)
-	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), true, 0.3, 2.2, 0.6, 1.1, -2.5, 3.5, 0.1)
-	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), false, 1.2, 1.2, 0.8, 0.8, 0.0, 0.0, 0.0)
-	f.Fuzz(func(t *testing.T, la, lb, lc, ld, depth uint8, prune bool, e1, e2, e3, e4, gx, gy, gz float64) {
+	f.Add(uint8(1), uint8(0), uint8(1), uint8(0), uint8(1), false, 1.0, 0.5, 0.3, 2.0, 0.5, -0.4, 1.0, uint8(0))
+	f.Add(uint8(0), uint8(1), uint8(1), uint8(0), uint8(2), false, 0.7, 1.9, 4.0, 0.2, 0.0, 0.0, 0.0, uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(0), uint8(2), true, 3.0, 0.4, 1.3, 0.9, 1.5, -0.8, 0.6, uint8(0))
+	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), uint8(1), false, 5.0, 6.0, 7.0, 8.0, 7.9, 7.9, 7.9, uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(1), uint8(2), true, 0.3, 2.2, 0.6, 1.1, -2.5, 3.5, 0.1, uint8(0))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(1), uint8(0), false, 1.2, 1.2, 0.8, 0.8, 0.0, 0.0, 0.0, uint8(0))
+	// Sibling groups: s+p and s+s families on either side or both,
+	// mirrored, with misaligned primitives under pruning, coincident
+	// centres and a d first shell; (p,d) siblings have no set kernel
+	// and run member by member.
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(0), uint8(1), false, 1.0, 0.5, 0.3, 2.0, 0.5, -0.4, 1.0, uint8(3))
+	f.Add(uint8(1), uint8(0), uint8(0), uint8(0), uint8(2), true, 3.0, 0.4, 1.3, 0.9, 1.5, -0.8, 0.6, uint8(1))
+	f.Add(uint8(0), uint8(0), uint8(1), uint8(0), uint8(1), false, 0.7, 1.9, 4.0, 0.2, 0.0, 0.0, 0.0, uint8(2))
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), uint8(1), true, 0.8, 1.5, 0.9, 0.2, -1.1, 0.7, 0.0, uint8(3))
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(2), uint8(0), false, 11.0, 0.1, 3.3, 0.6, 0.0, 0.0, 0.0, uint8(3))
+	f.Add(uint8(1), uint8(0), uint8(2), uint8(0), uint8(1), true, 0.3, 2.2, 0.6, 1.1, -2.5, 3.5, 0.1, uint8(7))
+	f.Fuzz(func(t *testing.T, la, lb, lc, ld, depth uint8, prune bool, e1, e2, e3, e4, gx, gy, gz float64, family uint8) {
 		for _, v := range []float64{e1, e2, e3, e4, gx, gy, gz} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip()
@@ -127,11 +143,34 @@ func FuzzERIKernelClasses(f *testing.F) {
 		fast := NewEngine()
 		slow := NewEngine()
 		slow.DisableFastKernels = true
-		bra := NewShellPair(mk(ls[0], e1, gx, gy, gz), mk(ls[1], e2, gy, gz, gx), primTol)
-		ket := NewShellPair(mk(ls[2], e3, -gx, gz, gy), mk(ls[3], e4, gz, -gy, gx), primTol)
-		checkKernel(t, "fuzzed quartet", fast, slow, bra, ket, nil)
-		if fast.Stats.FastQuartets != 1 || fast.Stats.GeneralQuartets != 0 {
-			t.Fatalf("L<=2 quartet not served by a kernel: %+v", fast.Stats)
+		sh := [4]*basis.Shell{mk(ls[0], e1, gx, gy, gz), mk(ls[1], e2, gy, gz, gx), mk(ls[2], e3, -gx, gz, gy), mk(ls[3], e4, gz, -gy, gx)}
+		if family&3 == 0 {
+			bra, ket := NewShellPair(sh[0], sh[1], primTol), NewShellPair(sh[2], sh[3], primTol)
+			checkKernel(t, "fuzzed quartet", fast, slow, bra, ket, nil)
+			if fast.Stats.FastQuartets != 1 || fast.Stats.GeneralQuartets != 0 {
+				t.Fatalf("L<=2 quartet not served by a kernel: %+v", fast.Stats)
+			}
+			return
 		}
+		// A sibling of b: same exponents and centre, coefficients
+		// reversed; the family in (L, index) order.
+		fam := func(b *basis.Shell, with bool) []*basis.Shell {
+			if !with {
+				return []*basis.Shell{b}
+			}
+			coefs := append([]float64(nil), b.Coefs...)
+			slices.Reverse(coefs)
+			l := min(b.L, 1) ^ 1
+			if family&4 != 0 {
+				l = b.L
+			}
+			sib := rawShell(l, b.Center, b.Exps, coefs)
+			if sib.L < b.L {
+				return []*basis.Shell{sib, b}
+			}
+			return []*basis.Shell{b, sib}
+		}
+		g := newFamilyGroup(sh[0], fam(sh[1], family&1 != 0), sh[2], fam(sh[3], family&2 != 0), primTol)
+		checkFamilyGroup(t, "fuzzed sibling group", g, false)
 	})
 }

@@ -72,9 +72,20 @@ func pairClassOf(la, lb int) int {
 	return int(pairClassTab[la*3+lb])
 }
 
-// eriCartAuto dispatches a quartet to its specialized kernel — a pure
-// function of the two pair classes — falling back to the general MD
-// path for anything beyond d.
+// maxMembers bounds the member set one side of a kernel serves: the
+// shell families of the basis library have two shells.
+const maxMembers = 2
+
+// memberSet holds the sibling pairs one side of a kernel call serves, in
+// order: pairs of one first shell with second shells of one family, which
+// the pair table gives the same primitive-pair list (see PairTable). A
+// kernel reads only as many members as its side has; a one-member set is
+// an ordinary quartet side.
+type memberSet [maxMembers]*ShellPair
+
+// eriCartAuto dispatches one quartet to its specialized kernel — a pure
+// function of the two pair classes, served as one-member sets — falling
+// back to the general MD path for anything beyond d.
 func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 	bc, kc := pairClassOf(bra.LA, bra.LB), pairClassOf(ket.LA, ket.LB)
 	e.Stats.ByClass[bc][kc]++
@@ -82,27 +93,39 @@ func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 		e.Stats.GeneralQuartets++
 		return e.eriCart(bra, ket)
 	}
-	e.Stats.FastQuartets++
+	e.countFast(bc, kc)
 	e.Stats.PrimQuartets += int64(len(bra.prims) * len(ket.prims))
+	e.one[0][0], e.one[1][0] = bra, ket
+	if fn := genKernels[bc][kc]; fn != nil {
+		return fn(e, &e.one[0], &e.one[1])
+	}
+	// Non-canonical class (bra class < ket class): bra-ket symmetry makes
+	// the swapped kernel's output exactly the [ket][bra] layout of this
+	// quartet (within MD this is the R(-PQ) parity identity).
+	e.Stats.MirrorGen++
+	return e.transpose(genKernels[kc][bc](e, &e.one[1], &e.one[0]), cartLen(bra), cartLen(ket))
+}
+
+// countFast counts one quartet of classes (bc, kc) served by a kernel.
+func (e *Engine) countFast(bc, kc int) {
+	e.Stats.FastQuartets++
 	if bc <= ClassPP && kc <= ClassPP {
 		e.Stats.FastSP++
 	} else {
 		e.Stats.FastGen++
 	}
-	if fn := genKernels[bc][kc]; fn != nil {
-		return fn(e, bra, ket)
+}
+
+// cartLen is the number of Cartesian component pairs of sp.
+func cartLen(sp *ShellPair) int { return NumCart(sp.LA) * NumCart(sp.LB) }
+
+// transpose returns the nb x nk transpose of the nk x nb block swapped,
+// in separate scratch: swapped is kernel output that later members of a
+// set still read.
+func (e *Engine) transpose(swapped []float64, nb, nk int) []float64 {
+	if nb == 1 || nk == 1 {
+		return swapped[:nb*nk] // one row or column: the transpose is the identity
 	}
-	// Non-canonical class (bra class < ket class): bra-ket symmetry makes
-	// the swapped kernel's output exactly the [ket][bra] layout of this
-	// quartet (within MD this is the R(-PQ) parity identity), so transpose
-	// it into separate scratch — cart would be clobbered in place.
-	e.Stats.MirrorGen++
-	swapped := genKernels[kc][bc](e, ket, bra)
-	nb := NumCart(bra.LA) * NumCart(bra.LB)
-	if nb == 1 {
-		return swapped // one row: the transpose is the identity
-	}
-	nk := NumCart(ket.LA) * NumCart(ket.LB)
 	out := e.ensure(&e.genCartT, nb*nk)
 	for i := 0; i < nk; i++ {
 		col := swapped[i*nb : i*nb+nb]
@@ -111,6 +134,79 @@ func (e *Engine) eriCartAuto(bra, ket *ShellPair) []float64 {
 		}
 	}
 	return out
+}
+
+// sideOf returns the kernel-table side of the first n members of s, or
+// -1 when no kernel serves it (a pair beyond d, or a family shape the
+// generator was not given).
+func sideOf(s *memberSet, n int) int {
+	c0 := pairClassOf(s[0].LA, s[0].LB)
+	if c0 == ClassHi {
+		return -1
+	}
+	if n == 1 {
+		return c0
+	}
+	c1 := pairClassOf(s[1].LA, s[1].LB)
+	if c1 == ClassHi {
+		return -1
+	}
+	return int(genPairSide[c0][c1])
+}
+
+// groupCart computes the nb x nk member quartets (e.set[0][i] |
+// e.set[1][j]) of a sibling group with one kernel call, sharing each
+// primitive quartet's prologue, Boys values and R across the members, and
+// returns the kernel's output (mirrored: the swapped kernel's) for
+// memberCart to read, each member's block offset in e.setOff. It returns
+// nil when no kernel serves the side pair (beyond total order 4, a shape
+// the generator was not given, or DisableFastKernels): memberCart then
+// runs the members one at a time.
+func (e *Engine) groupCart(nb, nk int) (cart []float64, mirror bool) {
+	bra, ket := &e.set[0], &e.set[1]
+	bs, ks := sideOf(bra, nb), sideOf(ket, nk)
+	if e.DisableFastKernels || bs < 0 || ks < 0 {
+		return nil, false
+	}
+	if fn := genKernels[bs][ks]; fn != nil {
+		cart = fn(e, bra, ket)
+	} else if fn := genKernels[ks][bs]; fn != nil {
+		cart, mirror = fn(e, ket, bra), true
+	} else {
+		return nil, false
+	}
+	e.Stats.PrimQuartets += int64(len(bra[0].prims) * len(ket[0].prims))
+	// Blocks are row-major over the kernel's own bra x ket members, so
+	// the swapped kernel's are ket-major.
+	off := 0
+	for x := 0; x < nb*nk; x++ {
+		i, j := x/nk, x%nk
+		if mirror {
+			i, j = x%nb, x/nb
+		}
+		e.setOff[i][j] = off
+		off += cartLen(bra[i]) * cartLen(ket[j])
+	}
+	return cart, mirror
+}
+
+// memberCart returns the Cartesian block of member (i, j) of the group
+// groupCart computed — transposed out of the swapped kernel's block when
+// mirrored — or computes it on its own when cart is nil.
+func (e *Engine) memberCart(cart []float64, mirror bool, i, j int) []float64 {
+	b, k := e.set[0][i], e.set[1][j]
+	if cart == nil {
+		return e.eriCartAuto(b, k)
+	}
+	bc, kc := pairClassOf(b.LA, b.LB), pairClassOf(k.LA, k.LB)
+	e.Stats.ByClass[bc][kc]++
+	e.countFast(bc, kc)
+	block := cart[e.setOff[i][j]:][:cartLen(b)*cartLen(k)]
+	if !mirror {
+		return block
+	}
+	e.Stats.MirrorGen++
+	return e.transpose(block, cartLen(b), cartLen(k))
 }
 
 //go:generate go run gtfock/cmd/kernelgen -out kernels_gen.go

@@ -80,6 +80,273 @@ func TestGenKernelsAgainstGeneralMDAndOS(t *testing.T) {
 	if slow.Stats.FastQuartets != 0 {
 		t.Fatalf("DisableFastKernels still counted %d fast quartets", slow.Stats.FastQuartets)
 	}
+
+	// Member sets: every two-member side of the library's family shapes
+	// (s+p, s+s) on a first shell up to d, against every one- and
+	// two-member side up to d, in both orientations; each member must
+	// match its own generated kernel, the general path and the OS oracle.
+	shapes := [][]int{{0, 1}, {0, 0}}
+	type sideSpec struct {
+		lm int   // first shell's L
+		lf []int // its partners' Ls, one family
+	}
+	var sides []sideSpec
+	for lm := 0; lm <= 2; lm++ {
+		for lb := 0; lb <= 2; lb++ {
+			sides = append(sides, sideSpec{lm, []int{lb}})
+		}
+		for _, sh := range shapes {
+			sides = append(sides, sideSpec{lm, sh})
+		}
+	}
+	var groups, setCalls, mirrored int64
+	for _, bs := range sides {
+		for _, ks := range sides {
+			if len(bs.lf) == 1 && len(ks.lf) == 1 {
+				continue // the one-member sweep above
+			}
+			for trial := 0; trial < 2; trial++ {
+				g := newFamilyGroup(randShellWide(rng, bs.lm), familyOf(rng, bs.lf, 3),
+					randShellWide(rng, ks.lm), familyOf(rng, ks.lf, 3), 0)
+				st, oneCall := checkFamilyGroup(t, fmt.Sprintf("sides %v|%v trial %d", bs, ks, trial), g, true)
+				groups++
+				if oneCall {
+					setCalls++
+					mirrored += st.MirrorGen
+				}
+			}
+		}
+	}
+	if setCalls == 0 || mirrored == 0 || setCalls == groups {
+		t.Fatalf("%d groups: %d served by one kernel call, %d mirrored members", groups, setCalls, mirrored)
+	}
+}
+
+// familyOf returns shells of the given Ls that form one family: one
+// random centre and exponent set (nprim primitives, wide range), each
+// shell its own signed coefficients.
+func familyOf(rng *rand.Rand, ls []int, nprim int) []*basis.Shell {
+	proto := deepShell(rng, 0, nprim, chem.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()}, 0.1, 300)
+	var out []*basis.Shell
+	for _, l := range ls {
+		coefs := make([]float64, nprim)
+		for i := range coefs {
+			coefs[i] = (0.3 + rng.Float64()) * float64(1-2*rng.Intn(2))
+		}
+		out = append(out, rawShell(l, proto.Center, proto.Exps, coefs))
+	}
+	return out
+}
+
+// familyGroup is a sibling group built as a pair table builds one:
+// first shells m and n on atoms of their own, each paired with a family
+// (shells of one atom with identical exponents), the pairs taken from a
+// PairTable over all the shells at primTol, so the siblings of a side
+// share one primitive-pair list.
+type familyGroup struct {
+	pt       *PairTable
+	bra, ket []PairID
+	shells   map[PairID][2]*basis.Shell
+	primTol  float64
+}
+
+func newFamilyGroup(m *basis.Shell, bfam []*basis.Shell, n *basis.Shell, kfam []*basis.Shell, primTol float64) *familyGroup {
+	bs := &basis.Set{}
+	add := func(s *basis.Shell, atom int) int {
+		c := *s
+		c.Atom = atom
+		bs.Shells = append(bs.Shells, c)
+		return len(bs.Shells) - 1
+	}
+	im := add(m, 0)
+	var ib, ik []int
+	for _, s := range bfam {
+		ib = append(ib, add(s, 1))
+	}
+	in := add(n, 2)
+	for _, s := range kfam {
+		ik = append(ik, add(s, 3))
+	}
+	bs.Offsets = make([]int, len(bs.Shells))
+	for i := 1; i < len(bs.Shells); i++ {
+		bs.Offsets[i] = bs.Offsets[i-1] + bs.Shells[i-1].NumFuncs()
+	}
+	bs.NumFuncs = bs.Offsets[len(bs.Shells)-1] + bs.Shells[len(bs.Shells)-1].NumFuncs()
+	g := &familyGroup{
+		pt: NewPairTable(bs,
+			func(m, p int) float64 { return 1 },
+			func(m, p int) bool { return true }, primTol),
+		shells:  map[PairID][2]*basis.Shell{},
+		primTol: primTol,
+	}
+	for _, p := range ib {
+		id := g.pt.ID(im, p)
+		g.bra = append(g.bra, id)
+		g.shells[id] = [2]*basis.Shell{&bs.Shells[im], &bs.Shells[p]}
+	}
+	for _, q := range ik {
+		id := g.pt.ID(in, q)
+		g.ket = append(g.ket, id)
+		g.shells[id] = [2]*basis.Shell{&bs.Shells[in], &bs.Shells[q]}
+	}
+	return g
+}
+
+// checkFamilyGroup computes g's members with one group dispatch and
+// checks each against its own generated kernel on the same pairs, the
+// general MD path on them, and — what the member's integrals were before
+// families — the general path on the member's standalone pair at the
+// same primTol, plus, when oracle is set, the Obara-Saika oracle. Flat
+// side pairs of the library's shapes must take one kernel call that
+// counts its primitive quartets once.
+func checkFamilyGroup(t *testing.T, label string, g *familyGroup, oracle bool) (st Stats, oneCall bool) {
+	t.Helper()
+	e, own, slow := NewEngine(), NewEngine(), NewEngine()
+	slow.DisableFastKernels = true
+	nb, nk := len(g.bra), len(g.ket)
+	maxOrd := func(ids []PairID) (o int) {
+		for _, id := range ids {
+			o = max(o, g.pt.At(id).LA+g.pt.At(id).LB)
+		}
+		return o
+	}
+	for i, id := range g.bra {
+		e.set[0][i] = g.pt.At(id)
+	}
+	for j, id := range g.ket {
+		e.set[1][j] = g.pt.At(id)
+	}
+	flat := sideOf(&e.set[0], nb) >= 0 && sideOf(&e.set[1], nk) >= 0 && maxOrd(g.bra)+maxOrd(g.ket) <= 4
+	cart, mirror := e.groupCart(nb, nk)
+	if flat != (cart != nil) {
+		t.Fatalf("%s: flat side pair %v, group kernel %v", label, flat, cart != nil)
+	}
+	if want := int64(len(e.set[0][0].prims) * len(e.set[1][0].prims)); cart != nil && e.Stats.PrimQuartets != want {
+		t.Fatalf("%s: group counted %d primitive quartets, want %d once", label, e.Stats.PrimQuartets, want)
+	}
+	for i, bid := range g.bra {
+		for j, kid := range g.ket {
+			bra, ket := g.pt.At(bid), g.pt.At(kid)
+			got := append([]float64(nil), e.memberCart(cart, mirror, i, j)...)
+			sa, sc := g.shells[bid], g.shells[kid]
+			refs := [][]float64{
+				append([]float64(nil), own.eriCartAuto(bra, ket)...),
+				append([]float64(nil), slow.eriCart(bra, ket)...),
+				append([]float64(nil), slow.eriCart(NewShellPair(sa[0], sa[1], g.primTol), NewShellPair(sc[0], sc[1], g.primTol))...),
+			}
+			if oracle {
+				refs = append(refs, ERICartOS(sa[0], sa[1], sc[0], sc[1]))
+			}
+			var scale float64
+			for _, v := range refs[1] {
+				scale = max(scale, math.Abs(v))
+			}
+			for r, ref := range refs {
+				if len(ref) != len(got) {
+					t.Fatalf("%s member (%d,%d): %d values, reference %d has %d", label, i, j, len(got), r, len(ref))
+				}
+				for k := range got {
+					if math.Abs(got[k]-ref[k]) > 1e-10*(1+scale) {
+						t.Fatalf("%s member (%d,%d) elem %d: group %.14g vs reference %d %.14g",
+							label, i, j, k, got[k], r, ref[k])
+					}
+				}
+			}
+		}
+	}
+	if flat && e.Stats.FastQuartets != int64(nb*nk) {
+		t.Fatalf("%s: %d fast quartets for %d members", label, e.Stats.FastQuartets, nb*nk)
+	}
+	return e.Stats, cart != nil
+}
+
+// Member sets at contraction depths 1, 3 and 8 per shell, in three
+// geometries — generic, all centres coincident (the Boys x = 0 corner)
+// and the two sides far apart (every Boys argument >= 36) — and with
+// siblings whose own primitive screens keep different primitive pairs
+// at PrimTol: the table gives them the union, with c = 0 where a
+// member's own screen drops one, and each member still equals what its
+// own pruned pair gives.
+func TestGenKernelSetsDepthGeometryAndPruning(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	fam := func(ls []int, depth int, c chem.Vec3, lo, hi float64) []*basis.Shell {
+		proto := deepShell(rng, 0, depth, c, lo, hi)
+		var out []*basis.Shell
+		for _, l := range ls {
+			out = append(out, deepShell(rng, l, depth, c, 1, 2))
+			out[len(out)-1].Exps = proto.Exps
+		}
+		return out
+	}
+	sides := []struct {
+		lm int   // first shell's L
+		lf []int // its partners' Ls, one family
+	}{
+		{0, []int{0, 1}}, {1, []int{0, 1}}, {1, []int{0, 0}}, {0, []int{0, 0}}, {2, []int{0, 0}}, {0, []int{1}},
+	}
+	for bi, bs := range sides {
+		for ki, ks := range sides {
+			if len(bs.lf) == 1 && len(ks.lf) == 1 {
+				continue
+			}
+			for _, depth := range []int{1, 3, 8} {
+				if bs.lm == 2 || ks.lm == 2 {
+					depth = min(depth, 3)
+				}
+				for _, geom := range []string{"generic", "coincident", "far"} {
+					// First shells at mb, mk; the families at cb, ck.
+					var mb, mk, cb, ck chem.Vec3
+					lo, hi := 0.1, 300.0
+					switch geom {
+					case "generic":
+						rnd := func() chem.Vec3 { return chem.Vec3{X: rng.NormFloat64(), Y: rng.NormFloat64(), Z: rng.NormFloat64()} }
+						mb, mk, cb, ck = rnd(), rnd(), rnd(), rnd()
+					case "coincident":
+						cb = chem.Vec3{X: 0.3, Y: -0.1, Z: 0.9}
+						mb, mk, ck = cb, cb, cb
+					default:
+						mb, mk, cb, ck = chem.Vec3{Y: 0.3}, chem.Vec3{X: 12}, chem.Vec3{}, chem.Vec3{X: 12, Z: 0.3}
+						lo, hi = 0.5, 5
+					}
+					g := newFamilyGroup(deepShell(rng, bs.lm, depth, mb, lo, hi), fam(bs.lf, depth, cb, lo, hi),
+						deepShell(rng, ks.lm, depth, mk, lo, hi), fam(ks.lf, depth, ck, lo, hi), 0)
+					bra, ket := g.pt.At(g.bra[0]), g.pt.At(g.ket[0])
+					blo, bhi := boysArgRange(bra, ket)
+					if geom == "coincident" && bhi > 1e-25 {
+						t.Fatalf("coincident centres but Boys argument up to %g", bhi)
+					}
+					if geom == "far" && blo < boysXMax {
+						t.Fatalf("far geometry but Boys argument down to %g", blo)
+					}
+					checkFamilyGroup(t, fmt.Sprintf("sides %d|%d depth %d %s", bi, ki, depth, geom), g, depth <= 3)
+				}
+			}
+		}
+	}
+
+	// Misaligned siblings: at primTol = 1e-6 the s member keeps the
+	// tight primitive (coefficient 1) against every partner, the p member
+	// (coefficient 1e-9 there) drops it.
+	c := chem.Vec3{X: 0.4}
+	sib := []*basis.Shell{
+		rawShell(0, c, []float64{40, 0.4}, []float64{1, 0.8}),
+		rawShell(1, c, []float64{40, 0.4}, []float64{1e-9, 1.1}),
+	}
+	m := rawShell(0, chem.Vec3{X: -2}, []float64{35, 0.5}, []float64{0.6, 0.9})
+	n := rawShell(1, chem.Vec3{Y: 1.5}, []float64{0.7}, []float64{1})
+	const primTol = 1e-6
+	g := newFamilyGroup(m, sib, n, sib, primTol)
+	for _, side := range [][]PairID{g.bra, g.ket} {
+		table := len(g.pt.At(side[0]).prims)
+		if len(g.pt.At(side[1]).prims) != table {
+			t.Fatalf("siblings not aligned: %d and %d primitive pairs", table, len(g.pt.At(side[1]).prims))
+		}
+		sh := g.shells[side[1]]
+		if own := len(NewShellPair(sh[0], sh[1], primTol).prims); own >= table {
+			t.Fatalf("p member's own screen keeps %d of the family's %d primitive pairs: not misaligned", own, table)
+		}
+	}
+	checkFamilyGroup(t, "misaligned siblings", g, false)
 }
 
 // deepShell returns a shell of nprim primitives with exponents log-spread
@@ -270,6 +537,32 @@ func TestGenKernelsZeroAlloc(t *testing.T) {
 			e.eriCartAuto(tc.bra, tc.ket)
 		}); n != 0 {
 			t.Errorf("%s: %v allocs/op at steady state", tc.name, n)
+		}
+	}
+	// A 2 x 2 sibling group through ERIBatch, direct and mirrored.
+	g := newFamilyGroup(randShellWide(rng, 1), familyOf(rng, []int{0, 1}, 3),
+		randShellWide(rng, 0), familyOf(rng, []int{0, 0}, 3), 0)
+	var direct, mirror []Quartet
+	for _, b := range g.bra {
+		for _, k := range g.ket {
+			direct = append(direct, Quartet{Bra: b, Ket: k})
+		}
+	}
+	for _, k := range g.ket {
+		for _, b := range g.bra {
+			mirror = append(mirror, Quartet{Bra: k, Ket: b})
+		}
+	}
+	visit := func(int, []float64) {}
+	for _, qs := range [][]Quartet{direct, mirror} {
+		e.ERIBatch(g.pt, qs, visit) // warm scratch
+		before := e.Stats.PrimQuartets
+		if n := testing.AllocsPerRun(50, func() { e.ERIBatch(g.pt, qs, visit) }); n != 0 {
+			t.Errorf("sibling group: %v allocs/op at steady state", n)
+		}
+		one := int64(len(g.pt.At(qs[0].Bra).prims) * len(g.pt.At(qs[0].Ket).prims))
+		if got := e.Stats.PrimQuartets - before; got != 51*one {
+			t.Errorf("sibling group: %d primitive quartets over 51 calls, want %d (one kernel call each)", got, 51*one)
 		}
 	}
 }

@@ -40,8 +40,9 @@ type ShellPair struct {
 	// and the term folding below read it.
 	etab []float64
 	// terms holds the folded Hermite expansion terms the generated
-	// kernels read, genTermSlots[class] per primitive pair in prims
-	// order (empty for ss pairs and beyond d).
+	// kernels read, times the primitive pair's c, genTermSlots[class] per
+	// primitive pair in prims order (empty for ss pairs, whose one term
+	// is prims[i].c, and beyond d).
 	terms []float64
 }
 
@@ -70,7 +71,7 @@ const PrimTol = 1e-12
 // the paper's Table V discussion.
 func NewShellPair(a, b *basis.Shell, primTol float64) *ShellPair {
 	sp := &ShellPair{}
-	fillShellPair(sp, a, b, primTol,
+	fillShellPair(sp, a, b, primTol, nil,
 		func(n int) []primPair { return make([]primPair, n) },
 		func(n int) []float64 { return make([]float64, n) })
 	return sp
@@ -80,7 +81,13 @@ func NewShellPair(a, b *basis.Shell, primTol float64) *ShellPair {
 // storage from the given allocators so a PairTable can carve thousands of
 // pairs out of a handful of arena chunks. Allocators must return zeroed
 // memory of exactly the requested length.
-func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
+//
+// bmax, when non-nil, widens the primitive screen to a pair family: it
+// holds, per primitive of b, the largest |coefficient| among b's sibling
+// shells paired with a, so every sibling keeps the union of the
+// primitive pairs their own screens keep, in the same order; a primitive
+// pair b's own screen drops stays with c = 0.
+func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64, bmax []float64,
 	palloc func(n int) []primPair, ealloc func(n int) []float64) {
 	sp.A, sp.B, sp.LA, sp.LB = a, b, a.L, b.L
 	ab := a.Center.Sub(b.Center)
@@ -96,7 +103,11 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 	for i, ea := range a.Exps {
 		for j, eb := range b.Exps {
 			k := math.Exp(-ea * eb / (ea + eb) * ab2)
-			if primTol > 0 && math.Abs(a.Coefs[i]*b.Coefs[j])*k < primTol {
+			cb := math.Abs(b.Coefs[j])
+			if bmax != nil {
+				cb = bmax[j]
+			}
+			if primTol > 0 && math.Abs(a.Coefs[i])*cb*k < primTol {
 				k = -1
 			} else {
 				n++
@@ -107,7 +118,7 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 	prims := palloc(n)[:0]
 	esz := (la + 1) * (lb + 1) * tdim
 	var slots int
-	var fillTerms func(e, t []float64)
+	var fillTerms func(c float64, e, t []float64)
 	if cls := pairClassOf(la, lb); cls != ClassHi {
 		slots, fillTerms = genTermSlots[cls], genTermFill[cls]
 	}
@@ -122,6 +133,9 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 			p := ea + eb
 			P := a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p))
 			c := pairPref * a.Coefs[i] * b.Coefs[j] * kab / p
+			if primTol > 0 && math.Abs(a.Coefs[i]*b.Coefs[j])*kab < primTol {
+				c = 0 // kept for a sibling only
+			}
 			pa := P.Sub(a.Center)
 			pb := P.Sub(b.Center)
 			paD := [3]float64{pa.X, pa.Y, pa.Z}
@@ -136,7 +150,7 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64,
 			}
 			prims = append(prims, primPair{p: p, P: P, c: c})
 			if slots > 0 {
-				fillTerms(et, sp.terms[k*slots:(k+1)*slots])
+				fillTerms(c, et, sp.terms[k*slots:(k+1)*slots])
 			}
 		}
 	}
@@ -286,6 +300,14 @@ type Engine struct {
 	kraux9   [6561]float64
 	genG     [35][36]float64
 	genCartT []float64
+
+	// Member sets of a kernel call: one holds eriCartAuto's one-member
+	// bra and ket, set the bra and ket members of an ERIBatch sibling
+	// group (kept apart because a group may run its members through
+	// eriCartAuto).
+	one    [2]memberSet
+	set    [2]memberSet
+	setOff [maxMembers][maxMembers]int
 }
 
 // NewEngine returns an Engine with prescreening disabled.
@@ -301,7 +323,7 @@ func (e *Engine) Pair(a, b *basis.Shell) *ShellPair {
 // engine fills it without allocating.
 func (e *Engine) PairScratch(a, b *basis.Shell) *ShellPair {
 	used := 0
-	fillShellPair(&e.pair, a, b, e.PrimTol,
+	fillShellPair(&e.pair, a, b, e.PrimTol, nil,
 		func(n int) []primPair { return grow(&e.pairPrims, n) },
 		func(n int) []float64 {
 			if used+n > cap(e.pairFloats) {

@@ -84,6 +84,10 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 			dloc: make([]float64, nf*nf),
 			floc: make([]float64, nf*nf),
 		}
+		w.visit = func(k int, batch []float64) {
+			s := w.meta[k]
+			core.ApplyQuartet(bs, w.dloc, w.floc, s[0], s[1], s[2], s[3], batch)
+		}
 		w.run(ctr)
 	})
 	wall := time.Since(start)
@@ -107,6 +111,12 @@ type baseWorker struct {
 	dloc  []float64
 	floc  []float64
 	comp  time.Duration
+
+	// One atom quartet's shell quartets, as ERIBatch takes them, with
+	// their shell indices (m, n, p, q); visit digests each batch.
+	batch []integrals.Quartet
+	meta  [][4]int
+	visit func(k int, batch []float64)
 }
 
 // run executes Algorithm 2 verbatim: every process walks the full task id
@@ -197,37 +207,61 @@ func (w *baseWorker) accF(i, j int) {
 }
 
 // quartet computes the unique shell quartets of the atom quartet
-// (I J | K L) and applies their Fock contributions.
+// (I J | K L) and applies their Fock contributions. The quartets go to
+// the engine in one ERIBatch call, the second shell of each pair walked
+// by shell family (runs of one integrals.PairTable.Family among an
+// atom's shells) and each bra family x ket family collected bra-major,
+// so sibling quartets share their kernel call as they do in core's
+// tasks: the baseline runs the same kernels as GTFock.
 func (w *baseWorker) quartet(ai, aj, ak, al int) {
-	bs := w.bs
+	bs, pt := w.bs, w.pt
+	w.batch, w.meta = w.batch[:0], w.meta[:0]
 	for _, m := range bs.ByAtom[ai] {
-		for _, n := range bs.ByAtom[aj] {
-			if ai == aj && m < n {
-				continue // canonical M >= N within a diagonal atom pair
-			}
-			if !w.scr.Significant(m, n) {
-				continue
-			}
-			bra := w.pt.Lookup(m, n)
+		for nrest := bs.ByAtom[aj]; len(nrest) > 0; {
+			nfam := familyRun(pt, nrest)
+			nrest = nrest[len(nfam):]
 			for _, p := range bs.ByAtom[ak] {
-				for _, q := range bs.ByAtom[al] {
-					if ak == al && p < q {
-						continue
-					}
-					if ai == ak && aj == al {
-						// Diagonal pair-of-pairs: canonical (M,N) >= (P,Q).
-						if m < p || (m == p && n < q) {
+				for qrest := bs.ByAtom[al]; len(qrest) > 0; {
+					qfam := familyRun(pt, qrest)
+					qrest = qrest[len(qfam):]
+					for _, n := range nfam {
+						if ai == aj && m < n {
+							continue // canonical M >= N within a diagonal atom pair
+						}
+						if !w.scr.Significant(m, n) {
 							continue
 						}
+						for _, q := range qfam {
+							if ak == al && p < q {
+								continue
+							}
+							if ai == ak && aj == al {
+								// Diagonal pair-of-pairs: canonical (M,N) >= (P,Q).
+								if m < p || (m == p && n < q) {
+									continue
+								}
+							}
+							// A ket that passes KeepQuartet is significant: in pt.
+							if !w.scr.KeepQuartet(m, n, p, q) {
+								continue
+							}
+							w.batch = append(w.batch, integrals.Quartet{Bra: pt.ID(m, n), Ket: pt.ID(p, q)})
+							w.meta = append(w.meta, [4]int{m, n, p, q})
+						}
 					}
-					// A ket that passes KeepQuartet is significant: in pt.
-					if !w.scr.KeepQuartet(m, n, p, q) {
-						continue
-					}
-					batch := w.eng.ERI(bra, w.pt.Lookup(p, q))
-					core.ApplyQuartet(bs, w.dloc, w.floc, m, n, p, q, batch)
 				}
 			}
 		}
 	}
+	w.eng.ERIBatch(pt, w.batch, w.visit)
+}
+
+// familyRun returns the leading run of shells that share the first one's
+// shell family.
+func familyRun(pt *integrals.PairTable, shells []int) []int {
+	n := 1
+	for n < len(shells) && pt.Family(shells[n]) == pt.Family(shells[0]) {
+		n++
+	}
+	return shells[:n]
 }

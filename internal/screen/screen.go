@@ -28,11 +28,6 @@ type Screening struct {
 	// Phi[m] lists, in ascending order, the shells p with Q(m,p)
 	// significant: Q(m,p) >= Tau/MaxPairValue.
 	Phi [][]int
-	// PhiQ[m] holds the same shells as Phi[m] but sorted by descending
-	// Q(m,p) (ties by index): along PhiQ[m] the Schwarz product
-	// Q(bra)*Q(m,p) is non-increasing, so quartet loops stop at the first
-	// failing partner instead of scanning the whole list.
-	PhiQ [][]int
 	// MaxPairValue is m = max_MN Q(M,N).
 	MaxPairValue float64
 	// W[m] = sum_{p in Phi(m)} nbf(m)*nbf(p): the bra-side workload weight
@@ -112,22 +107,8 @@ func Compute(bs *basis.Set, tau float64) *Screening {
 			}
 		}
 	}
-	s.buildPhiQ()
 	s.WorkScale = s.computeWorkScale()
 	return s
-}
-
-// buildPhiQ derives the Schwarz-descending partner lists from Phi.
-func (s *Screening) buildPhiQ() {
-	s.PhiQ = make([][]int, s.n)
-	for m := 0; m < s.n; m++ {
-		row := append([]int(nil), s.Phi[m]...)
-		qm := s.pairVal[m*s.n:]
-		sort.SliceStable(row, func(i, j int) bool {
-			return qm[row[i]] > qm[row[j]]
-		})
-		s.PhiQ[m] = row
-	}
 }
 
 // PairTable builds the build-wide precomputed table of significant
@@ -208,7 +189,6 @@ func (s *Screening) Permute(order []int, pbs *basis.Set) *Screening {
 			}
 		}
 	}
-	np.buildPhiQ()
 	return np
 }
 
