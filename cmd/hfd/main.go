@@ -17,18 +17,18 @@
 // -shards N starts an embedded in-process shard fleet; -shard-addrs
 // points at externally launched `fockd -multi` shards instead. SIGTERM
 // and SIGINT drain gracefully: admission stops, running jobs checkpoint
-// and park, then the daemon exits.
+// and park, their leases are released, then the daemon exits.
 //
-// HA mode (DESIGN.md §13): N hfd peers share one job registry and one
-// shard fleet. One peer hosts the registry with -registry-listen (add
-// -registry-dir for crash-durable state); the others point at it with
-// -registry. Each peer executes only under a heartbeat-refreshed,
-// incarnation-fenced lease and adopts jobs whose owner stopped
-// heartbeating, resuming from the last SCF checkpoint — the checkpoint
-// directory must be shared storage across peers. The first adoption
-// scan runs at start, not one -scan-every later, so /readyz turns true
-// one registry round trip after the listeners are bound (it reports
-// false before that first registry sync and while draining), and a
+// Every hfd is a peer of a job registry (DESIGN.md §13). Without
+// -registry it hosts its own: on -registry-listen, or on a private
+// loopback listener, in memory or durable with -registry-dir. A lone
+// hfd is a one-peer tier; N peers share one registry and one shard
+// fleet by pointing -registry at the host's -registry-listen. Each peer
+// executes only under a heartbeat-refreshed, incarnation-fenced lease
+// and adopts jobs whose owner stopped heartbeating, resuming from the
+// last SCF checkpoint — the checkpoint directory must be shared storage
+// across peers. /readyz turns true one registry round trip after the
+// listeners are bound, and the first adoption scan runs at start, so a
 // restarted peer adopts already-expired orphans at once. Status/event
 // queries for a job owned by another peer answer 307 with the owner's
 // address.
@@ -41,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -82,13 +83,13 @@ func main() {
 		opTimeout = flag.Duration("op-timeout", 0, "per-RPC socket deadline (0 = transport default)")
 		drainFor  = flag.Duration("drain", 30*time.Second, "max graceful-drain time on SIGTERM/SIGINT")
 
-		regAddr   = flag.String("registry", "", "shared job-registry address (HA mode, peer of a registry-hosting daemon)")
-		regListen = flag.String("registry-listen", "", "host an embedded job registry on this address (HA mode)")
-		regDir    = flag.String("registry-dir", "", "embedded registry durability directory ('' = in-memory)")
-		advertise = flag.String("advertise", "", "job-API address other peers redirect clients to (default -listen)")
+		regAddr   = flag.String("registry", "", "job registry of another hfd to join ('' = host one)")
+		regListen = flag.String("registry-listen", "", "address of the hosted job registry ('' = private loopback port)")
+		regDir    = flag.String("registry-dir", "", "hosted registry durability directory ('' = in-memory)")
+		advertise = flag.String("advertise", "", "job-API address other peers redirect clients to (default: the bound -listen address)")
 		peerID    = flag.String("peer-id", "", "stable peer identity in the registry (default -advertise)")
-		leaseTTL  = flag.Duration("lease-ttl", 1500*time.Millisecond, "embedded registry lease TTL (registry host only; joining peers fetch the host's TTL)")
-		scanEvery = flag.Duration("scan-every", time.Second, "adoption scanner cadence after the first scan, which runs at start (HA mode)")
+		leaseTTL  = flag.Duration("lease-ttl", 1500*time.Millisecond, "hosted registry lease TTL (joining peers fetch the host's TTL)")
+		scanEvery = flag.Duration("scan-every", time.Second, "adoption scanner cadence after the first scan, which runs at start")
 
 		faultReset = flag.Float64("fault-net-reset", 0, "injected connection-reset probability per RPC (chaos)")
 		faultDup   = flag.Float64("fault-net-dup", 0, "injected duplicate-delivery probability per RPC (chaos)")
@@ -98,6 +99,7 @@ func main() {
 	)
 	flag.Parse()
 
+	fatalIf(checkRegistryFlags(*regAddr, *regListen, *regDir))
 	prow, pcol, err := dist.ParseGrid(*gridSpec)
 	fatalIf(err)
 	fatalIf(os.MkdirAll(*ckptDir, 0o755))
@@ -154,63 +156,33 @@ func main() {
 	// advertises the job-API address to clients from that scan on.
 	ln, err := net.Listen("tcp", *listen)
 	fatalIf(err)
-
-	// HA mode: host and/or join a shared job registry, and run the
-	// scheduler behind an ownership lease via a Peer.
-	var (
-		srv  *serve.Server
-		peer *serve.Peer
-		reg  *serve.Registry
-	)
-	if *regAddr != "" || *regListen != "" {
-		regTarget := *regAddr
-		if *regListen != "" {
-			rln, err := net.Listen("tcp", *regListen)
-			fatalIf(err)
-			rcfg := serve.RegistryConfig{LeaseTTL: *leaseTTL}
-			if *regDir != "" {
-				reg, err = serve.OpenRegistry(*regDir, rcfg)
-				fatalIf(err)
-			} else {
-				reg = serve.NewRegistry(rcfg)
-			}
-			rhs := &http.Server{Handler: (&serve.RegistryAPI{Reg: reg}).Handler()}
-			go func() {
-				if err := rhs.Serve(rln); err != nil && err != http.ErrServerClosed {
-					fatalIf(fmt.Errorf("registry: %w", err))
-				}
-			}()
-			fmt.Printf("hfd: job registry on http://%s (lease TTL %s)\n", *regListen, *leaseTTL)
-			if regTarget == "" {
-				regTarget = *regListen
-			}
-		}
-		adv := *advertise
-		if adv == "" {
-			adv = *listen
-		}
-		id := *peerID
-		if id == "" {
-			id = adv
-		}
-		// HeartbeatEvery is deliberately left zero: the peer derives it
-		// from the registry's advertised TTL, so a joining peer whose
-		// -lease-ttl disagrees with the registry host's cannot heartbeat
-		// too slowly and falsely expire its own leases.
-		peer, err = serve.NewPeer(serve.PeerConfig{
-			ID: id, Addr: adv,
-			Registry:      serve.NewRegistryClient(regTarget, 0),
-			CheckpointDir: *ckptDir,
-			Server:        cfg,
-			ScanEvery:     *scanEvery,
-		})
-		fatalIf(err)
-		srv = peer.Server()
-		fmt.Printf("hfd: HA peer %q (incarnation %d) against registry %s\n", id, peer.Incarnation(), regTarget)
-	} else {
-		srv, err = serve.NewServer(cfg)
-		fatalIf(err)
+	var reg *serve.Registry
+	regTarget := *regAddr
+	if regTarget == "" {
+		reg, regTarget = hostRegistry(*regListen, *regDir, *leaseTTL)
 	}
+	adv := *advertise
+	if adv == "" {
+		adv = ln.Addr().String()
+	}
+	id := *peerID
+	if id == "" {
+		id = adv
+	}
+	// HeartbeatEvery is deliberately left zero: the peer derives it from
+	// the registry's advertised TTL, so a joining peer whose -lease-ttl
+	// disagrees with the registry host's cannot heartbeat too slowly and
+	// falsely expire its own leases.
+	peer, err := serve.NewPeer(serve.PeerConfig{
+		ID: id, Addr: adv,
+		Registry:      serve.NewRegistryClient(regTarget, 0),
+		CheckpointDir: *ckptDir,
+		Server:        cfg,
+		ScanEvery:     *scanEvery,
+	})
+	fatalIf(err)
+	srv := peer.Server()
+	fmt.Printf("hfd: peer %q (incarnation %d) against registry %s\n", id, peer.Incarnation(), regTarget)
 
 	api := &serve.API{Server: srv, RPC: runner.RPC, Cache: runner.Cache, Peer: peer}
 	hs := &http.Server{Handler: api.Handler()}
@@ -228,18 +200,16 @@ func main() {
 		fmt.Printf("hfd: %s: draining (stop admission, park running jobs, release leases)\n", sig)
 		ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
 		defer cancel()
-		drain := srv.Drain
-		if peer != nil {
-			drain = peer.Drain // parks, then releases every lease for adoption on the survivors' next scan
-		}
-		if err := drain(ctx); err != nil {
+		// Parks, then releases every lease: the survivors adopt on their
+		// next scan, or a restart of this daemon over a durable registry.
+		if err := peer.Drain(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "hfd: %v\n", err)
 		}
 		hs.Shutdown(context.Background())
 	}()
 
 	fmt.Printf("hfd: serving on http://%s (fleet: %s; capacity %d, queue %d)\n",
-		*listen, strings.Join(addrs, ","), srv.Capacity(), srv.MaxQueue())
+		ln.Addr(), strings.Join(addrs, ","), srv.Capacity(), srv.MaxQueue())
 	if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
 		fatalIf(err)
 	}
@@ -247,12 +217,50 @@ func main() {
 		ms.Close()
 	}
 	if reg != nil {
-		reg.Close() // final snapshot of the embedded registry
+		reg.Close() // final snapshot of the hosted registry
 	}
 	snap := runner.Serve.Snapshot()
 	fmt.Printf("hfd: done: %d admitted, %d completed, %d rejected, %d shed, %d parked\n",
 		snap.Admitted, snap.Completed,
 		snap.RejectedQueue+snap.RejectedQuota+snap.RejectedMem, snap.Shed, snap.Parked)
+}
+
+// checkRegistryFlags refuses a daemon that would both join a registry
+// and host one: it would serve the hosted registry but use the joined
+// one, and two registries would allocate the same job ids into one
+// checkpoint directory.
+func checkRegistryFlags(regAddr, regListen, regDir string) error {
+	if regAddr != "" && (regListen != "" || regDir != "") {
+		return errors.New("-registry joins another daemon's registry; it cannot be combined with -registry-listen or -registry-dir, which host one")
+	}
+	return nil
+}
+
+// hostRegistry starts this daemon's own job registry on addr (a private
+// loopback port when empty), durable in dir when dir is set, and returns
+// it with the address peers reach it on.
+func hostRegistry(addr, dir string, ttl time.Duration) (*serve.Registry, string) {
+	if addr == "" {
+		addr = "127.0.0.1:0"
+	}
+	rln, err := net.Listen("tcp", addr)
+	fatalIf(err)
+	rcfg := serve.RegistryConfig{LeaseTTL: ttl}
+	var reg *serve.Registry
+	if dir == "" {
+		reg = serve.NewRegistry(rcfg)
+	} else {
+		reg, err = serve.OpenRegistry(dir, rcfg)
+		fatalIf(err)
+	}
+	rhs := &http.Server{Handler: (&serve.RegistryAPI{Reg: reg}).Handler()}
+	go func() {
+		if err := rhs.Serve(rln); err != nil && err != http.ErrServerClosed {
+			fatalIf(fmt.Errorf("registry: %w", err))
+		}
+	}()
+	fmt.Printf("hfd: job registry on http://%s (lease TTL %s)\n", rln.Addr(), ttl)
+	return reg, rln.Addr().String()
 }
 
 func fatalIf(err error) {

@@ -11,10 +11,11 @@ import (
 	"gtfock/internal/dist"
 )
 
-// Peer is one hfd front end of the HA service tier. N peers share one
-// shard fleet and one job registry; each runs the PR 8 scheduler
-// locally, but a job is executed only under a registry lease that the
-// peer acquired at submission (or by adoption) and renews by heartbeat.
+// Peer is what every hfd runs: one front end of the service tier (a lone
+// hfd is a one-peer tier over a registry it hosts itself). N peers share
+// one shard fleet and one job registry; each runs the scheduler locally,
+// but a job is executed only under a registry lease that the peer
+// acquired at submission (or by adoption) and renews by heartbeat.
 // When a peer dies — SIGKILL, no drain — its heartbeats stop, its
 // leases expire, and the surviving peers' adoption scanners acquire the
 // orphaned jobs and resume them from their last SCF checkpoint through
@@ -25,8 +26,8 @@ import (
 // right: a falsely-expired owner keeps executing only until its next
 // heartbeat, whose response lists the job as lost (the fence moved), at
 // which point the peer cancels the run; and every registry write the
-// superseded session attempts — checkpoint pointer, terminal outcome —
-// is rejected by the incarnation fence.
+// superseded session attempts — renewal, terminal outcome — is rejected
+// by the incarnation fence.
 type Peer struct {
 	cfg   PeerConfig
 	reg   *RegistryClient
@@ -59,10 +60,10 @@ type PeerConfig struct {
 	Addr string
 	// Registry is the shared job registry. Required.
 	Registry *RegistryClient
-	// CheckpointDir is the fleet-shared per-job checkpoint directory; it
-	// must be the same directory the runner checkpoints into, on storage
-	// every peer can read (that is what makes adoption a resume instead
-	// of a recompute).
+	// CheckpointDir is the directory the runner checkpoints into, recorded
+	// in each job's registry record (JobRecord.Ckpt). What makes adoption
+	// a resume instead of a recompute is that every peer's runner uses the
+	// same directory, on storage they all read.
 	CheckpointDir string
 	// Server is the local scheduler's config. Runner must be set (the
 	// FleetRunner); the Peer wraps it with lease acquisition and wires
@@ -141,9 +142,6 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	srv.cfg.Runner = RunnerFunc(p.runLeased)
 	srv.cfg.OnTerminal = p.onTerminal
 	p.srv = srv
-	if fr, ok := p.inner.(*FleetRunner); ok && fr.OnCheckpoint == nil {
-		fr.OnCheckpoint = p.onCheckpoint
-	}
 	p.wg.Add(2)
 	go p.heartbeatLoop()
 	go p.scanLoop()
@@ -231,21 +229,6 @@ func (p *Peer) runLeased(ctx context.Context, j *Job) (*JobResult, error) {
 		return nil, fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
 	}
 	return res, err
-}
-
-// onCheckpoint pushes the job's checkpoint pointer to the registry.
-// Best-effort: a registry blip must never stall the SCF.
-func (p *Peer) onCheckpoint(j *Job, iter int) {
-	if p.dead.Load() {
-		return
-	}
-	p.mu.Lock()
-	fence, held := p.owned[j.ID]
-	p.mu.Unlock()
-	if !held {
-		return
-	}
-	_ = p.reg.UpdateCkpt(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, iter)
 }
 
 // onTerminal is the finish half of finish-then-publish: it records the

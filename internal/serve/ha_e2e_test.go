@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gtfock/internal/chem"
+	"gtfock/internal/core"
 	"gtfock/internal/fault"
 	"gtfock/internal/metrics"
 	netga "gtfock/internal/net"
@@ -100,12 +101,12 @@ func TestHAEndToEnd(t *testing.T) {
 	peers := make([]*Peer, npeers)
 	apis := make([]*httptest.Server, npeers)
 	mets := make([]*metrics.Serve, npeers)
-	// Chaos: SIGKILL peer 0 once its jobs have streamed 5 SCF iterations —
+	// Chaos: SIGKILL peer 0 once its jobs have run 5 SCF iterations —
 	// running mid-SCF with checkpoints on disk, queue non-empty. The
-	// schedule ticks in peer 0's checkpoint hook, so the kill fires in the
-	// iteration that reaches its count. The hook runs on one of the peer's
-	// own goroutines, which Peer.Kill waits for, so the teardown runs on a
-	// goroutine of its own that the test waits out.
+	// schedule ticks in peer 0's Fock builds, so the kill fires in the
+	// iteration that reaches its count. A tick runs on one of the peer's
+	// own job goroutines, which the kill cancels, so the teardown runs on
+	// a goroutine of its own that the test waits out.
 	plan := fault.Plan(42, []fault.Event{{Target: 0}}, 5, 6)
 	var (
 		killMu   sync.Mutex // guards killed: nil once the test tears down
@@ -119,7 +120,7 @@ func TestHAEndToEnd(t *testing.T) {
 			return // the test is tearing the peers down itself
 		}
 		killed[e.Target] = true
-		t.Logf("killing peer %d at %d iteration events", e.Target, e.At)
+		t.Logf("killing peer %d at %d iterations", e.Target, e.At)
 		go func() {
 			defer close(killDone)
 			// Abrupt teardown, SIGKILL semantics: the listener and every
@@ -142,6 +143,11 @@ func TestHAEndToEnd(t *testing.T) {
 		runner.RetryMax = 6
 		runner.RPC = &metrics.RPC{}
 		runner.Serve = sm
+		// Tick the chaos schedule on the kill target's SCF progress: one
+		// tick per iteration's Fock build.
+		if i == plan[0].Target {
+			runner.TuneCore = func(*core.Options) { sched.Tick() }
+		}
 		api := httptest.NewUnstartedServer(nil)
 		p, err := NewPeer(PeerConfig{
 			ID:            api.Listener.Addr().String(),
@@ -159,14 +165,6 @@ func TestHAEndToEnd(t *testing.T) {
 		})
 		if err != nil {
 			t.Fatal(err)
-		}
-		// Tick the chaos schedule on the kill target's SCF progress, on top
-		// of the peer's own checkpoint-pointer push.
-		runner.OnCheckpoint = func(j *Job, iter int) {
-			if i == plan[0].Target {
-				sched.Tick()
-			}
-			p.onCheckpoint(j, iter)
 		}
 		api.Config.Handler = (&API{Server: p.Server(), Peer: p, RPC: runner.RPC}).Handler()
 		api.Start()

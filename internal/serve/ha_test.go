@@ -29,22 +29,30 @@ func newHARig(t *testing.T, regURL, id string) *haRig {
 	return newHARigEvery(t, regURL, id, 10*time.Millisecond)
 }
 
-// newHARigEvery starts the peer's HTTP API on a pre-bound listener so
-// the advertised address is real before the peer's loops start —
-// redirects issued by other peers are followable from the first scan.
+// newHARigEvery is newHARig with the peer's heartbeat and scan cadence.
 func newHARigEvery(t *testing.T, regURL, id string, every time.Duration) *haRig {
 	t.Helper()
 	g := newGate()
 	sm := metrics.NewServe()
+	p, api := newTestPeer(t, regURL, id, every, Config{
+		Capacity: 2, Runner: g, Estimate: stubEstimate, Metrics: sm,
+	})
+	return &haRig{peer: p, api: api, gate: g, met: sm}
+}
+
+// newTestPeer starts a peer of the registry at regURL running cfg's
+// scheduler, and its job API on a pre-bound listener so the advertised
+// address is real before the peer's loops start — redirects issued by
+// other peers are followable from the first scan.
+func newTestPeer(t *testing.T, regURL, id string, every time.Duration, cfg Config) (*Peer, *httptest.Server) {
+	t.Helper()
 	api := httptest.NewUnstartedServer(nil)
 	p, err := NewPeer(PeerConfig{
-		ID:            id,
-		Addr:          api.Listener.Addr().String(),
-		Registry:      NewRegistryClient(regURL, time.Second),
-		CheckpointDir: t.TempDir(),
-		Server: Config{
-			Capacity: 2, Runner: g, Estimate: stubEstimate, Metrics: sm,
-		},
+		ID:             id,
+		Addr:           api.Listener.Addr().String(),
+		Registry:       NewRegistryClient(regURL, time.Second),
+		CheckpointDir:  t.TempDir(),
+		Server:         cfg,
 		HeartbeatEvery: every,
 		ScanEvery:      every,
 	})
@@ -55,7 +63,16 @@ func newHARigEvery(t *testing.T, regURL, id string, every time.Duration) *haRig 
 	api.Start()
 	t.Cleanup(api.Close)
 	t.Cleanup(p.Close)
-	return &haRig{peer: p, api: api, gate: g, met: sm}
+	return p, api
+}
+
+// newLonePeer is what a lone hfd runs: the one peer of an in-memory
+// registry.
+func newLonePeer(t *testing.T, cfg Config) (*Peer, *httptest.Server) {
+	t.Helper()
+	regSrv := httptest.NewServer((&RegistryAPI{Reg: NewRegistry(RegistryConfig{LeaseTTL: time.Minute})}).Handler())
+	t.Cleanup(regSrv.Close)
+	return newTestPeer(t, regSrv.URL, "peer-a", 10*time.Millisecond, cfg)
 }
 
 func newTestRegistryServer(t *testing.T) (*Registry, *httptest.Server) {
@@ -64,6 +81,32 @@ func newTestRegistryServer(t *testing.T) (*Registry, *httptest.Server) {
 	srv := httptest.NewServer((&RegistryAPI{Reg: reg}).Handler())
 	t.Cleanup(srv.Close)
 	return reg, srv
+}
+
+// oversize is a JSON object one byte past maxBody.
+func oversize() string {
+	return `{"molecule":"` + strings.Repeat("x", maxBody-14) + `"}`
+}
+
+// A submission body past maxBody is refused with 413 before it is
+// decoded: no job is registered or admitted.
+func TestAPIRefusesOversizeBody(t *testing.T) {
+	p, api := newLonePeer(t, Config{Capacity: 1, Runner: newGate(), Estimate: stubEstimate})
+	body := oversize()
+	if len(body) != maxBody+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), maxBody+1)
+	}
+	resp, err := http.Post(api.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize submit: HTTP %d, want 413", resp.StatusCode)
+	}
+	if p.Server().Job("j-000001") != nil {
+		t.Fatal("the oversize submission was admitted")
+	}
 }
 
 // TestPeerDerivesHeartbeatFromRegistryTTL: with no explicit cadence a

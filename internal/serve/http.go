@@ -10,31 +10,51 @@ import (
 	"gtfock/internal/metrics"
 )
 
-// API exposes a Server over HTTP (the hfd wire surface):
+// API exposes a Peer's scheduler over HTTP (the hfd wire surface):
 //
-//	POST /v1/jobs             submit; 202 {"id"} | 503 reject | 400 bad spec
+//	POST /v1/jobs             submit; 202 {"id"} | 503 reject | 400 bad spec | 413 body too large
 //	GET  /v1/jobs/{id}        status snapshot
 //	GET  /v1/jobs/{id}/events NDJSON progress stream until terminal
 //	POST /v1/jobs/{id}/cancel explicit cancellation
 //	GET  /v1/stats            admission/queue/RPC/stored-ERI counter snapshot
 //	GET  /healthz             liveness (the process answers HTTP)
 //	GET  /readyz              readiness (false while draining or before
-//	                          the first registry sync; 200 without a Peer)
+//	                          the first registry sync)
 //
-// With a Peer attached the API is HA-aware: submissions take a registry
-// lease first, and a status/events query for a job owned by ANOTHER
-// peer answers 307 with the owner's address from the registry — the
-// client follows the redirect and keeps its stream across adoptions
-// instead of seeing a spurious 404.
+// Every submission takes a registry lease first, and a status/events
+// query for a job owned by ANOTHER peer answers 307 with the owner's
+// address from the registry — the client follows the redirect and keeps
+// its stream across adoptions instead of seeing a spurious 404.
 type API struct {
+	// Server is the Peer's scheduler (Peer.Server()): local job lookups
+	// and the serve counters.
 	Server *Server
 	// RPC and Cache, when non-nil, are included in /v1/stats next to the
 	// serve counters (a FleetRunner's RPC and Cache sets).
 	RPC   *metrics.RPC
 	Cache *metrics.Cache
-	// Peer, when non-nil, routes submissions through the HA tier and
-	// resolves unknown job ids against the shared registry.
+	// Peer is required: it routes submissions through the registry and
+	// resolves unknown job ids against it.
 	Peer *Peer
+}
+
+// maxBody bounds a request body on both HTTP surfaces, the job API's
+// submit and the registry's. A heartbeat that names every job a peer can
+// hold is far below it.
+const maxBody = 1 << 20
+
+// readJSON decodes r's body, at most maxBody bytes of it, into v. On
+// failure it returns the status to answer: 413 past the bound, else 400.
+func readJSON(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return http.StatusOK, nil
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 // Handler builds the route table.
@@ -58,12 +78,7 @@ func (a *API) Handler() http.Handler {
 // peer is alive but not ready, which is exactly the window a load
 // balancer must stop sending submissions for.
 func (a *API) ready(w http.ResponseWriter, _ *http.Request) {
-	ok, reason := true, "ok"
-	if a.Peer != nil {
-		ok, reason = a.Peer.Ready()
-	} else if a.Server.Draining() {
-		ok, reason = false, "draining"
-	}
+	ok, reason := a.Peer.Ready()
 	code := http.StatusOK
 	if !ok {
 		code = http.StatusServiceUnavailable
@@ -84,15 +99,11 @@ type errBody struct {
 
 func (a *API) submit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errBody{Error: "bad JSON: " + err.Error()})
+	if code, err := readJSON(w, r, &spec); err != nil {
+		writeJSON(w, code, errBody{Error: "bad JSON: " + err.Error()})
 		return
 	}
-	submit := a.Server.Submit
-	if a.Peer != nil {
-		submit = a.Peer.Submit
-	}
-	j, err := submit(spec)
+	j, err := a.Peer.Submit(spec)
 	if err != nil {
 		var re *RejectError
 		if errors.As(err, &re) {
@@ -122,17 +133,12 @@ func (a *API) job(w http.ResponseWriter, r *http.Request) *Job {
 	return j
 }
 
-// miss resolves a job id the local scheduler does not know. Without a
-// Peer that is a plain 404; with one, the registry decides: owned
-// elsewhere → 307 to the owner (the response a client's redirect
-// follower handles transparently), terminal → the recorded outcome,
-// between owners → 503 + Retry-After so the client re-asks after the
-// adoption lands.
+// miss resolves a job id the local scheduler does not know. The
+// registry decides: owned elsewhere → 307 to the owner (the response a
+// client's redirect follower handles transparently), terminal → the
+// recorded outcome, between owners → 503 + Retry-After so the client
+// re-asks after the adoption lands, unknown → 404.
 func (a *API) miss(w http.ResponseWriter, r *http.Request, id string) {
-	if a.Peer == nil {
-		writeJSON(w, http.StatusNotFound, errBody{Error: "unknown job"})
-		return
-	}
 	ownerAddr, rec, pending, err := a.Peer.Lookup(id)
 	switch {
 	case err != nil:

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -13,7 +12,8 @@ import (
 	netga "gtfock/internal/net"
 )
 
-// TestAPIStreamsRealJob runs one real SCF job through the HTTP surface:
+// TestAPIStreamsRealJob runs one real SCF job through the HTTP surface
+// of a lone hfd's peer:
 // submit, follow the NDJSON event stream all the way to the terminal
 // event (a regression test for the stream dying on iteration 1's NaN
 // DeltaE), then read the final status. The stream must carry the
@@ -36,12 +36,7 @@ func TestAPIStreamsRealJob(t *testing.T) {
 	runner := NewFleetRunner(addrs, t.TempDir())
 	runner.Prow, runner.Pcol = 1, 2
 	runner.Serve = sm
-	s, err := NewServer(Config{Capacity: 1, Runner: runner, Metrics: sm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer((&API{Server: s}).Handler())
-	t.Cleanup(hs.Close)
+	_, hs := newLonePeer(t, Config{Capacity: 1, Runner: runner, Metrics: sm})
 
 	resp, err := hs.Client().Post(hs.URL+"/v1/jobs", "application/json",
 		strings.NewReader(`{"molecule":"CH4","basis":"sto-3g"}`))

@@ -16,18 +16,18 @@ import (
 )
 
 // Registry is the HA service tier's durable job registry: the single
-// source of truth for every job's spec, tenant, priority, latest
-// checkpoint pointer, ownership lease and terminal outcome, shared by N
-// hfd front-end peers (DESIGN.md §13).
+// source of truth for every job's spec, tenant, priority, checkpoint
+// path, ownership lease and terminal outcome, shared by N hfd front-end
+// peers (DESIGN.md §13).
 //
 // Ownership is a heartbeat-refreshed, incarnation-fenced lease modeled
 // on the shard fleet's membership leases (internal/net/fleet.go): every
 // ownership change bumps the record's fence, and every owner-side write
-// (renew, checkpoint update, finish) must present the owner id,
-// incarnation AND fence it acquired under. A peer that lost its lease —
-// because it crashed and was adopted, or because it stalled long enough
-// for the failure detector to act — therefore cannot renew, cannot
-// finish, and cannot resurrect: the fence rejects the loser's session.
+// (renew, finish) must present the owner id, incarnation AND fence it
+// acquired under. A peer that lost its lease — because it crashed and
+// was adopted, or because it stalled long enough for the failure
+// detector to act — therefore cannot renew, cannot finish, and cannot
+// resurrect: the fence rejects the loser's session.
 //
 // Expiry is deterministic: a lease is orphaned only once its expiry has
 // passed by the registry's clock (injectable, so the unit suite drives
@@ -89,12 +89,9 @@ const (
 type JobRecord struct {
 	ID   string  `json:"id"`
 	Spec JobSpec `json:"spec"`
-	// Ckpt is the job's checkpoint pointer: the path (in the fleet-shared
-	// checkpoint directory) an adopter resumes from. CkptIter is the last
-	// iteration known to have checkpointed (advisory; the file is the
-	// ground truth).
-	Ckpt     string `json:"ckpt,omitempty"`
-	CkptIter int    `json:"ckpt_iter,omitempty"`
+	// Ckpt is the job's checkpoint path in the fleet-shared checkpoint
+	// directory. An adopter's runner derives the same path from the id.
+	Ckpt string `json:"ckpt,omitempty"`
 
 	State string `json:"state"`
 
@@ -273,7 +270,7 @@ func (r *Registry) Close() error {
 // front end takes the lease immediately, so a job is covered from the
 // moment it is accepted — queued jobs on a crashed peer are adoptable
 // exactly like running ones. ckptDir is the fleet-shared checkpoint
-// directory; the record's checkpoint pointer follows the FleetRunner
+// directory; the record's checkpoint path follows the FleetRunner
 // convention <ckptDir>/<id>.ckpt. Returns the global job id and the
 // fence the owner must present on every subsequent write.
 func (r *Registry) Create(spec JobSpec, owner, ownerAddr string, inc uint64, ckptDir string) (string, uint64, error) {
@@ -387,26 +384,6 @@ func (r *Registry) Release(owner string, inc uint64, ids []string) []string {
 	}
 	sort.Strings(released)
 	return released
-}
-
-// UpdateCkpt advances the job's checkpoint pointer (advisory, in-memory;
-// the checkpoint file itself is the durable artifact). Fence-checked so
-// a superseded owner cannot move the pointer backward under the adopter.
-func (r *Registry) UpdateCkpt(id, owner string, inc, fence uint64, iter int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	rec := r.jobs[id]
-	if rec == nil {
-		return ErrUnknownJob
-	}
-	if rec.Owner != owner || rec.OwnerInc != inc || rec.Fence != fence {
-		r.st.FenceRejects++
-		return ErrFenceLost
-	}
-	if iter > rec.CkptIter {
-		rec.CkptIter = iter
-	}
-	return nil
 }
 
 // Finish records a terminal outcome. Fence-checked: only the current

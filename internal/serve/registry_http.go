@@ -16,7 +16,6 @@ import (
 //	POST /reg/v1/heartbeat  renew all of one peer's leases; returns lost ids
 //	POST /reg/v1/acquire    adopt an orphaned job (fenced, one winner)
 //	POST /reg/v1/release    give ownership back (graceful drain)
-//	POST /reg/v1/update     advance the checkpoint pointer (fenced)
 //	POST /reg/v1/finish     record a terminal outcome (fenced)
 //	GET  /reg/v1/orphans    active jobs with no live lease
 //	GET  /reg/v1/jobs/{id}  one record
@@ -25,7 +24,7 @@ import (
 //
 // Lease violations travel as stable reason strings and are mapped back
 // to the sentinel errors on the client, so errors.Is(err, ErrFenceLost)
-// holds across the wire.
+// holds across the wire. A request body past maxBody answers 413.
 type RegistryAPI struct {
 	Reg *Registry
 }
@@ -41,7 +40,6 @@ type regReq struct {
 	Fence     uint64            `json:"fence,omitempty"`
 	Held      map[string]uint64 `json:"held,omitempty"`
 	Ckpt      string            `json:"ckpt,omitempty"`
-	CkptIter  int               `json:"ckpt_iter,omitempty"`
 	State     string            `json:"state,omitempty"`
 	Result    *JobResult        `json:"result,omitempty"`
 	ErrMsg    string            `json:"err_msg,omitempty"`
@@ -101,7 +99,6 @@ func (a *RegistryAPI) Handler() http.Handler {
 	mux.HandleFunc("POST /reg/v1/heartbeat", a.heartbeat)
 	mux.HandleFunc("POST /reg/v1/acquire", a.acquire)
 	mux.HandleFunc("POST /reg/v1/release", a.release)
-	mux.HandleFunc("POST /reg/v1/update", a.update)
 	mux.HandleFunc("POST /reg/v1/finish", a.finish)
 	mux.HandleFunc("GET /reg/v1/orphans", a.orphans)
 	mux.HandleFunc("GET /reg/v1/jobs/{id}", a.get)
@@ -112,8 +109,8 @@ func (a *RegistryAPI) Handler() http.Handler {
 
 func decodeReq(w http.ResponseWriter, r *http.Request) (*regReq, bool) {
 	var req regReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, regResp{Reason: "bad_json"})
+	if code, err := readJSON(w, r, &req); err != nil {
+		writeJSON(w, code, regResp{Reason: "bad_json: " + err.Error()})
 		return nil, false
 	}
 	return &req, true
@@ -176,18 +173,6 @@ func (a *RegistryAPI) release(w http.ResponseWriter, r *http.Request) {
 	}
 	ids := a.Reg.Release(req.Owner, req.Inc, req.IDs)
 	writeJSON(w, http.StatusOK, regResp{OK: true, IDs: ids})
-}
-
-func (a *RegistryAPI) update(w http.ResponseWriter, r *http.Request) {
-	req, ok := decodeReq(w, r)
-	if !ok {
-		return
-	}
-	if err := a.Reg.UpdateCkpt(req.ID, req.Owner, req.Inc, req.Fence, req.CkptIter); err != nil {
-		writeLeaseErr(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, regResp{OK: true})
 }
 
 func (a *RegistryAPI) finish(w http.ResponseWriter, r *http.Request) {
@@ -302,12 +287,6 @@ func (c *RegistryClient) Release(owner string, inc uint64, ids []string) ([]stri
 		return nil, err
 	}
 	return resp.IDs, nil
-}
-
-// UpdateCkpt advances the checkpoint pointer (fenced).
-func (c *RegistryClient) UpdateCkpt(id, owner string, inc, fence uint64, iter int) error {
-	_, err := c.post("/reg/v1/update", &regReq{ID: id, Owner: owner, Inc: inc, Fence: fence, CkptIter: iter})
-	return err
 }
 
 // Finish records a terminal outcome (fenced).

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -106,9 +107,6 @@ func TestIncarnationFencing(t *testing.T) {
 	}
 
 	// The superseded session is fenced out of every write path.
-	if err := r.UpdateCkpt(id, "p1", 100, f1, 7); !errors.Is(err, ErrFenceLost) {
-		t.Fatalf("stale UpdateCkpt: err = %v, want ErrFenceLost", err)
-	}
 	if err := r.Finish(id, "p1", 100, f1, RecDone, &JobResult{Energy: -1}, ""); !errors.Is(err, ErrFenceLost) {
 		t.Fatalf("stale Finish: err = %v, want ErrFenceLost", err)
 	}
@@ -122,9 +120,6 @@ func TestIncarnationFencing(t *testing.T) {
 	}
 
 	// The adopter's session works.
-	if err := r.UpdateCkpt(id, "p2", 200, rec.Fence, 3); err != nil {
-		t.Fatalf("adopter UpdateCkpt: %v", err)
-	}
 	if err := r.Finish(id, "p2", 200, rec.Fence, RecDone, &JobResult{Converged: true, Energy: -2}, ""); err != nil {
 		t.Fatalf("adopter Finish: %v", err)
 	}
@@ -373,6 +368,29 @@ func TestRegistryGoldenBytes(t *testing.T) {
 	}
 	if id, _ := mustCreate(t, r, "p3", 3); id != "j-000003" {
 		t.Fatalf("next id after golden replay = %s, want j-000003", id)
+	}
+}
+
+// A registry request body past maxBody is refused with 413 before it is
+// decoded, and the client reports the refusal as an error.
+func TestRegistryRefusesOversizeBody(t *testing.T) {
+	r, _ := newTestRegistry()
+	srv := httptest.NewServer((&RegistryAPI{Reg: r}).Handler())
+	defer srv.Close()
+	resp, err := http.Post(srv.URL+"/reg/v1/heartbeat", "application/json", strings.NewReader(oversize()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize heartbeat: HTTP %d, want 413", resp.StatusCode)
+	}
+	spec := JobSpec{Molecule: strings.Repeat("x", maxBody)}
+	if _, _, err := NewRegistryClient(srv.URL, time.Second).Create(spec, "p1", "p1:80", 1, ""); err == nil {
+		t.Fatal("oversize Create succeeded")
+	}
+	if st := r.Stats(); st.Jobs != 0 {
+		t.Fatalf("%d jobs registered from oversize bodies", st.Jobs)
 	}
 }
 

@@ -57,9 +57,8 @@ type FleetRunner struct {
 	// wide grid).
 	Prow, Pcol int
 	// RetryMax bounds shard-failure retries per job (default 3); the
-	// backoff before retry k is RetryBackoff<<k (default 50ms).
-	RetryMax     int
-	RetryBackoff time.Duration
+	// backoff before retry k is retryBackoff<<k.
+	RetryMax int
 	// OpTimeout is the per-RPC socket deadline (default netga's 2s).
 	OpTimeout time.Duration
 	// Fault, when non-nil, injects conn-layer network faults into every
@@ -68,19 +67,6 @@ type FleetRunner struct {
 	// TuneCore, when non-nil, adjusts each build's core.Options
 	// (lease TTLs, retry budgets) after the runner's own settings.
 	TuneCore func(*core.Options)
-	// OnCheckpoint, when non-nil, is called each time a checkpoint of the
-	// job has become durable, with the iteration it holds (the HA tier
-	// pushes the job's checkpoint pointer to the shared registry from
-	// here, so an advertised CkptIter never names an iteration newer than
-	// the file). It runs on the SCF's background checkpoint writer, off
-	// the solve's critical path: a slow disk or registry delays the next
-	// write — the SCF's cadence checkpoints fewer iterations — never the
-	// solver, and an attempt returns only after its last call. A
-	// converged attempt makes no call for its last iterations: its
-	// terminal state, finish-then-publish, is what readers see. An
-	// adopter or retry resumes from the file and re-executes the
-	// iterations since it.
-	OnCheckpoint func(j *Job, iter int)
 	// RPC, Serve and Cache are the counter sets the runner updates (Cache
 	// sums the stored-ERI totals of every completed attempt);
 	// NewFleetRunner allocates private ones, and a caller may swap in
@@ -99,6 +85,10 @@ type FleetRunner struct {
 	// needs a hello, not a dial.
 	conns *netga.Conns
 }
+
+// retryBackoff is the backoff before a job's first shard-failure retry;
+// it doubles with each retry after.
+const retryBackoff = 50 * time.Millisecond
 
 // NewFleetRunner builds a runner over the given shard fleet.
 func NewFleetRunner(addrs []string, checkpointDir string) *FleetRunner {
@@ -168,10 +158,6 @@ func (r *FleetRunner) Run(ctx context.Context, j *Job) (*JobResult, error) {
 	if retryMax <= 0 {
 		retryMax = 3
 	}
-	backoff := r.RetryBackoff
-	if backoff <= 0 {
-		backoff = 50 * time.Millisecond
-	}
 	for attempt := 0; ; attempt++ {
 		res, err := r.attempt(ctx, j, mol, ckptPath)
 		if err == nil {
@@ -190,7 +176,7 @@ func (r *FleetRunner) Run(ctx context.Context, j *Job) (*JobResult, error) {
 		j.retries++
 		j.appendLocked(Event{Type: "retry", Msg: err.Error()})
 		j.mu.Unlock()
-		if dist.SleepBackoff(ctx, backoff<<uint(attempt)) != nil {
+		if dist.SleepBackoff(ctx, retryBackoff<<uint(attempt)) != nil {
 			return nil, fmt.Errorf("serve: job %s: %w", j.ID, context.Cause(ctx))
 		}
 	}
@@ -243,17 +229,14 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 		},
 		OnDurable: func(w scf.CheckpointWrite) {
 			// Iteration w.Iter is what the next attempt will load
-			// (opt.StartIter = ck.Iter): only now may the resume cursor and
-			// the registry's checkpoint pointer name it.
+			// (opt.StartIter = ck.Iter): only now may the resume cursor
+			// name it.
 			atomic.AddInt64(&r.Serve.CkptWritten, 1)
 			written++
 			r.Serve.CkptWriteNS.Observe(w.Took.Nanoseconds())
 			j.mu.Lock()
 			j.resumeAt = w.Iter + 1
 			j.mu.Unlock()
-			if r.OnCheckpoint != nil {
-				r.OnCheckpoint(j, w.Iter)
-			}
 		},
 	}
 	if ck, err := scf.LoadCheckpointFallback(ckptPath); err == nil && ck != nil {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -216,24 +215,28 @@ func TestStoresLeaveRoomForAdmission(t *testing.T) {
 
 // Every finished job stays queryable with the status it finished with;
 // past the last keepHistory of them its event stream (over HTTP, as a
-// client reads it) is the terminal event alone, at its seq, and
-// cancelling it does nothing.
+// client reads it, from a lone hfd's peer) is the terminal event alone,
+// at its seq, and cancelling it does nothing.
 func TestFinishedJobsKeepStatus(t *testing.T) {
 	done := RunnerFunc(func(context.Context, *Job) (*JobResult, error) {
 		return &JobResult{Converged: true, Energy: -1}, nil
 	})
-	s, _ := newTestServer(t, Config{Capacity: 1, Runner: done})
+	p, api := newLonePeer(t, Config{Capacity: 1, Runner: done, Estimate: stubEstimate})
+	s := p.Server()
 	var jobs []*Job
 	for i := 0; i < keepHistory+2; i++ {
-		j, err := s.Submit(JobSpec{Molecule: "H2"})
+		j, err := p.Submit(JobSpec{Molecule: "H2"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		waitState(t, j, StateDone)
 		jobs = append(jobs, j)
 	}
-	api := httptest.NewServer((&API{Server: s}).Handler())
-	defer api.Close()
+	// A job is published before the scheduler keeps it; a drain returns
+	// once every published job is kept.
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 	for i, orig := range jobs {
 		j := s.Job(orig.ID)
 		if j == nil || j.Status() != orig.Status() || j.Status().State != "done" || j.Status().Result == nil {

@@ -230,25 +230,23 @@ func (s *Server) storeLocked(j *Job) {
 	s.memUsed += z.storeCharge(j.Store)
 }
 
-// Submit runs admission control and either enqueues the job or returns
-// an explicit rejection. The error is a *RejectError for overload
-// refusals (503) and a plain error for malformed specs (400).
-func (s *Server) Submit(spec JobSpec) (*Job, error) { return s.SubmitID("", spec) }
-
-// SubmitID is Submit with a caller-supplied job id (the HA tier submits
-// under registry-allocated global ids so every peer names a job the same
-// way); id == "" allocates a local one.
-func (s *Server) SubmitID(id string, spec JobSpec) (*Job, error) {
+// Submit runs admission control and either enqueues the job under a
+// local id or returns an explicit rejection. The error is a *RejectError
+// for overload refusals (503) and a plain error for malformed specs
+// (400). hfd submits through Peer.Submit, which admits under the
+// registry's id.
+func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	atomic.AddInt64(&s.met.Submitted, 1)
 	pj, err := s.prepareJob(spec)
 	if err != nil {
 		return nil, fmt.Errorf("serve: bad job spec: %w", err)
 	}
-	return s.admit(id, pj)
+	return s.admit("", pj)
 }
 
 // admit is the scheduler half of a submission: memory budget, tenant
-// quota, queue bound and shed ladder, then the job exists under id.
+// quota, queue bound and shed ladder, then the job exists under id
+// (id == "" allocates a local one).
 func (s *Server) admit(id string, pj preparedJob) (*Job, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -300,7 +298,7 @@ type preparedJob struct {
 	tc   TenantConfig
 }
 
-// prepareJob is what admission (SubmitID, Peer.Submit) and re-entry
+// prepareJob is what admission (Submit, Peer.Submit) and re-entry
 // (the adoption scanner, adopt) share, and the one place a spec is
 // defaulted: it normalises the spec, then validates and sizes it —
 // outside s.mu, Estimate builds the molecule's basis. Its size is what

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -51,9 +52,13 @@ type srcFile struct {
 	match bool   // its build constraints hold (go/build.Default.MatchFile)
 	fmtOK bool   // format.Source leaves it unchanged
 	src   []byte
-	ast   *ast.File
-	nodes []node // every node, in ast.Inspect order
+	ast   *ast.File // nil for a document
+	nodes []node    // every node, in ast.Inspect order
 }
+
+// docs are the documents loaded beside the Go files, for the rows that
+// check what they cite.
+var docs = []string{"DESIGN.md", "README.md"}
 
 // node is an AST node and the declaration enclosing it: "pkg.F" and
 // "pkg.(*T).M" for functions, "pkg.T" for types, "" otherwise.
@@ -63,6 +68,9 @@ type node struct {
 }
 
 func newFile(p string, src []byte) (*srcFile, error) {
+	if !strings.HasSuffix(p, ".go") {
+		return &srcFile{path: p, fmtOK: true, src: src}, nil
+	}
 	f, err := parser.ParseFile(fset, p, src, parser.SkipObjectResolution)
 	if err != nil {
 		return nil, err
@@ -114,7 +122,7 @@ func recvPrefix(fd *ast.FuncDecl) string {
 }
 
 // loadTree parses the module once, skipping dot-directories (a benchmark
-// worktree lives under .bench_build/) and testdata.
+// worktree lives under .bench_build/) and testdata, and reads the docs.
 func loadTree(t *testing.T) files {
 	var tr files
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
@@ -124,7 +132,7 @@ func loadTree(t *testing.T) files {
 		if d.IsDir() && p != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
 			return filepath.SkipDir
 		}
-		if d.IsDir() || !strings.HasSuffix(p, ".go") {
+		if d.IsDir() || !strings.HasSuffix(p, ".go") && !slices.Contains(docs, p) {
 			return nil
 		}
 		src, err := os.ReadFile(p)
@@ -355,6 +363,89 @@ func (fs files) printed(texts ...string) []site {
 	})
 }
 
+// literals returns the string literals that contain any of subs.
+func (fs files) literals(subs ...string) []site {
+	return fs.find(func(n node) string {
+		if lit, ok := n.n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			for _, sub := range subs {
+				if strings.Contains(lit.Value, sub) {
+					return sub
+				}
+			}
+		}
+		return ""
+	})
+}
+
+// docRef is a code span that opens with pkg.Name, Name exported.
+var docRef = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)`)
+
+// docRefs returns the code spans of the documents at paths that open with
+// `pkg.Name` of a module package (by its package name, not its directory:
+// `netga.Session`) that declares no such Name at top level. Fenced blocks
+// are skipped; other packages' names, such as the standard library's
+// `errors.Is`, are not module packages.
+func (tr files) docRefs(paths ...string) []string {
+	pkgs, decls := map[string]bool{}, map[string]bool{}
+	for _, f := range tr.filter(func(f *srcFile) bool { return f.ast != nil }) {
+		pkg := f.ast.Name.Name
+		if pkg == "main" || strings.HasSuffix(pkg, "_test") {
+			continue
+		}
+		pkgs[pkg] = true
+		for _, name := range topLevel(f.ast) {
+			decls[pkg+"."+name] = true
+		}
+	}
+	var out []string
+	for _, f := range tr.under(paths...) {
+		var text strings.Builder
+		fenced := false
+		for _, l := range strings.SplitAfter(string(f.src), "\n") {
+			fence := strings.HasPrefix(strings.TrimSpace(l), "```")
+			fenced = fenced != fence
+			if fence || fenced {
+				l = "\n" // keep the line count
+			}
+			text.WriteString(l)
+		}
+		line := 1
+		for i, span := range strings.Split(text.String(), "`") {
+			if m := docRef.FindStringSubmatch(span); i%2 == 1 && m != nil && pkgs[m[1]] && !decls[m[0]] {
+				out = append(out, fmt.Sprintf("%s:%d: `%s` names no declaration", f.path, line, m[0]))
+			}
+			line += strings.Count(span, "\n")
+		}
+	}
+	return out
+}
+
+// topLevel returns the names a file declares at package level: its
+// functions (not methods), types, variables and constants.
+func topLevel(f *ast.File) []string {
+	var names []string
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				names = append(names, d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, sp := range d.Specs {
+				switch sp := sp.(type) {
+				case *ast.TypeSpec:
+					names = append(names, sp.Name.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						names = append(names, id.Name)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
 // pkgs returns the package directories of the files, sorted.
 func (fs files) pkgs() []string {
 	var out []string
@@ -471,6 +562,42 @@ var rows = []row{
 			{"internal/serve/plant.go", `package serve; import "os"; func plant() { os.Rename("a", "b") }`},
 			{"internal/scf/checkpoint.go", `func plant() { os.Rename("a", "b") }`},
 		}},
+
+	// One service composition (DESIGN §12–13): every hfd is a registry
+	// peer, and the registry keeps no checkpoint pointer.
+	{"hfd-one-composition", "cmd/hfd has one start path: it runs one serve.Peer and never a bare serve.NewServer", func(tr files) []string {
+		hfd := tr.code().under("cmd/hfd")
+		return append(one(hfd.calls("serve.NewPeer")), none(hfd.calls("serve.NewServer"))...)
+	}, []plant{
+		{"cmd/hfd/plant.go", `package main; import "gtfock/internal/serve"; func plant() { serve.NewServer(serve.Config{}) }`},
+		{"cmd/hfd/plant.go", `package main; import "gtfock/internal/serve"; func plant() { serve.NewPeer(serve.PeerConfig{}) }`},
+	}},
+	{"serve-api-peer", "serve.API never branches on a missing Peer", func(tr files) []string {
+		return none(tr.code().under("internal/serve").find(func(n node) string {
+			if b, ok := n.n.(*ast.BinaryExpr); ok && strings.HasPrefix(n.decl, "serve.(*API).") {
+				if named(b.X, ".Peer") != "" && named(b.Y, "nil") != "" || named(b.Y, ".Peer") != "" && named(b.X, "nil") != "" {
+					return types.ExprString(b)
+				}
+			}
+			return ""
+		}))
+	}, []plant{
+		{"internal/serve/http.go", `func (api *API) plant() bool { return nil != api.Peer }`},
+	}},
+	{"serve-ckpt-pointer", "the registry's write-only checkpoint pointer stays gone: no UpdateCkpt, CkptIter, OnCheckpoint or /reg/v1/update", func(tr files) []string {
+		fs := tr.under("cmd", "internal")
+		return none(append(fs.uses("UpdateCkpt", "CkptIter", "OnCheckpoint", "onCheckpoint"), fs.literals("/reg/v1/update")...))
+	}, []plant{
+		{"internal/serve/plant.go", `package serve; func (r *Registry) UpdateCkpt() {}`},
+		{"internal/serve/plant_test.go", `package serve; type plantRecord struct{ CkptIter int }`},
+		{"cmd/hfd/plant.go", `package main; var plant struct{ OnCheckpoint func() }`},
+		{"internal/serve/registry_http.go", `const plantRoute = "POST /reg/v1/update"`},
+	}},
+
+	// The documents cite what exists.
+	{"doc-refs", "every backticked pkg.Name in DESIGN.md and README.md of a module package names one of its declarations", func(tr files) []string {
+		return tr.docRefs(docs...)
+	}, []plant{{"DESIGN.md", "A line citing `core.NoSuchName`."}}},
 
 	// One transport contract (DESIGN §7).
 	{"backend-retry", "no type grows a retrying, fenced or error-twin one-sided method", func(tr files) []string {
