@@ -83,12 +83,11 @@ func main() {
 
 		// Network backend (gtfock real mode): the global arrays live in
 		// fockd shard servers and every one-sided op is a framed TCP RPC.
-		backend     = flag.String("backend", "local", "global-array transport: local (in-process) or net (fockd shard servers)")
-		netServers  = flag.String("net-servers", "", "comma-separated fockd addresses (backend=net); must match the fockd cluster order")
-		netStandbys = flag.String("net-standbys", "", "comma-separated standby addresses per slot (backend=net); empty entries allowed")
-		netSession  = flag.Uint64("net-session", 0, "session id for the net backend (0 = derive from wall clock); a fresh id resets the servers")
-		netFleet    = flag.String("fleet", "", "elastic fleet coordinator address (backend=net); replaces -net-servers with live membership")
-		netVerify   = flag.Bool("net-verify", false, "verify the net-backed G against the serial oracle (small molecules)")
+		backend    = flag.String("backend", "local", "global-array transport: local (in-process) or net (fockd shard servers)")
+		netServers = flag.String("net-servers", "", "comma-separated fockd addresses (backend=net); must match the fockd cluster order")
+		netSession = flag.Uint64("net-session", 0, "session id for the net backend (0 = derive from wall clock); a fresh id resets the servers")
+		netFleet   = flag.String("fleet", "", "elastic fleet coordinator address (backend=net); replaces -net-servers with live membership")
+		netVerify  = flag.Bool("net-verify", false, "verify the net-backed G against the serial oracle (small molecules)")
 
 		// Network fault injection (backend=net): applied at the conn layer.
 		netReset       = flag.Float64("fault-net-reset", 0, "probability an RPC's connection is reset mid-flight")
@@ -187,18 +186,15 @@ func main() {
 				// The fockd cluster must have been started with the same
 				// molecule, basis, grid and ordering so both sides derive the
 				// identical block layout.
-				var addrs, standbys []string
+				var addrs []string
 				if *netFleet != "" {
 					fmt.Printf("net backend: elastic fleet at %s, session %d\n", *netFleet, session)
 				} else {
 					addrs = strings.Split(*netServers, ",")
-					if *netStandbys != "" {
-						standbys = strings.Split(*netStandbys, ",")
-					}
-					fmt.Printf("net backend: %d shard servers (%d standbys), session %d\n", len(addrs), len(standbys), session)
+					fmt.Printf("net backend: %d shard servers, session %d\n", len(addrs), session)
 				}
 				rpc = &metrics.RPC{}
-				sess = netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: copt.Fault}, nil, *netFleet, addrs, standbys)
+				sess = netga.NewSession(netga.Config{Session: session, RPC: rpc, Fault: copt.Fault}, nil, *netFleet, addrs)
 				copt.Backend = sess.Backend
 			} else if *backend != "local" {
 				fatalIf(fmt.Errorf("unknown backend %q", *backend))
@@ -299,8 +295,8 @@ func report(st *dist.RunStats, label string) {
 			r.Crashes, r.Stalls, r.Aborts, r.WorkersFenced)
 		fmt.Printf("                       %d blocks orphaned, %d reassigned (%d tasks), %d fenced flushes\n",
 			r.BlocksOrphaned, r.BlocksReassigned, r.TasksReassigned, r.FencedFlushes)
-		fmt.Printf("                       %d op drops, %d op retries, %d extra rounds, %d shard failovers\n",
-			r.OpDrops, r.OpRetries, r.Rounds, r.Failovers)
+		fmt.Printf("                       %d op drops, %d op retries, %d extra rounds\n",
+			r.OpDrops, r.OpRetries, r.Rounds)
 	}
 }
 
@@ -379,13 +375,9 @@ func reportRPC(rpc *metrics.RPC) {
 		fmt.Printf("  failure classes:     %d deadline exceeded, %d peer resets\n",
 			s.DeadlineExceeded, s.PeerResets)
 	}
-	if s.Failovers > 0 || s.StaleRetries > 0 {
-		fmt.Printf("  failover:            %d promotions, %d stale-epoch retries\n",
-			s.Failovers, s.StaleRetries)
-	}
-	if s.PlacementRetries > 0 || s.ViewRefreshes > 0 || s.BlocksMigrated > 0 {
-		fmt.Printf("  elastic fleet:       %d map-generation retries, %d view refreshes, %d blocks migrated\n",
-			s.PlacementRetries, s.ViewRefreshes, s.BlocksMigrated)
+	if s.StaleRetries > 0 || s.ViewRefreshes > 0 || s.BlocksMigrated > 0 {
+		fmt.Printf("  elastic fleet:       %d shard retry answers (%d map-generation), %d view refreshes, %d blocks migrated\n",
+			s.StaleRetries, s.PlacementRetries, s.ViewRefreshes, s.BlocksMigrated)
 	}
 	if s.LatencyNS.Count > 0 {
 		fmt.Printf("  latency:             mean %.1fus, p95 %.1fus, max %.1fus\n",

@@ -18,26 +18,31 @@
 // With -journal-dir the pinned session is durable: mutations are
 // write-ahead journaled and periodically snapshotted, and a killed server
 // restarted on the same flags replays to its exact pre-crash state and
-// resumes the session. With -standby-of the server runs as a hot standby
-// of the given primary and serves only once a driver promotes it
-// (fockbuild -net-standbys names the standbys to the driver). With -join
-// it is an elastic member instead of shard -index of -servers: it hosts
-// whatever blocks the coordinator migrates to it, heartbeats to keep its
-// lease, and on SIGTERM leaves gracefully, serving until its blocks have
-// drained to the survivors:
+// resumes the session; that restart is how a static cluster recovers a
+// killed shard. With -join it is an elastic member instead of shard
+// -index of -servers: it hosts whatever blocks the coordinator migrates
+// to it, heartbeats to keep its lease, and on SIGTERM leaves gracefully,
+// serving until its blocks have drained to the survivors:
 //
 //	fockd -fleet -mol alkane:2 -basis sto-3g -grid 2x2 -listen 127.0.0.1:7100
 //	fockd -join 127.0.0.1:7100 -member-id 1 -mol alkane:2 -basis sto-3g -grid 2x2
 //	fockd -join 127.0.0.1:7100 -member-id 2 -mol alkane:2 -basis sto-3g -grid 2x2
 //	fockbuild -mol alkane:2 -basis sto-3g -grid 2x2 -backend net -fleet 127.0.0.1:7100
 //
-// (-fleet runs that membership/placement coordinator, not a shard.)
+// (-fleet runs that membership/placement coordinator, not a shard.) A
+// member's hot standby is a fockd started with -standby-of the member's
+// address and advertised by the member with -standby; it serves once the
+// coordinator promotes it, when the member's lease expires. The
+// coordinator is the one promoter: a driver never promotes.
 //
 // With -multi the table admits many job-scoped sessions for hfd, each
 // carrying its own grid, against -multi-sessions and -multi-mem-mb; it
 // needs no molecule. Such a shard is volatile, and says so: combined with
-// -journal-dir, -standby-of, -join or -fleet it exits non-zero rather than
-// run without the durability it was asked for.
+// -journal-dir, -snapshot-every, -standby-of, -join, -standby or -fleet it
+// exits non-zero rather than run without the durability it was asked
+// for. So does every flag its mode would ignore: -fleet with a shard's
+// -journal-dir, -snapshot-every, -standby-of or -join, and a member's
+// -standby, -member-id or -incarnation without -join.
 //
 // SIGTERM and SIGINT shut down gracefully: stop accepting, drain
 // in-flight ops, flush a final snapshot, close listeners — so rolling
@@ -90,6 +95,9 @@ func main() {
 		multiMemMB    = flag.Int64("multi-mem-mb", 0, "resident memory budget in MiB in -multi mode (0 = unlimited)")
 	)
 	flag.Parse()
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fatalIf(checkFlags(set))
 
 	var opts []netga.ServerOption
 	if *journalDir != "" {
@@ -103,9 +111,6 @@ func main() {
 		what string // the banner's description of the session table
 	)
 	if *multiMode {
-		if *fleetMode || *joinAddr != "" || *standby != "" {
-			fatalIf(fmt.Errorf("-multi shards are static and volatile: -fleet, -join and -standby need the pinned session of a -mol/-grid shard"))
-		}
 		var err error
 		srv, err = netga.NewMultiServer(*servers, *index, *multiSessions, *multiMemMB<<20, opts...)
 		fatalIf(err)
@@ -198,6 +203,32 @@ func main() {
 		fmt.Printf("fockd %s: elastic: %d blocks in, %d out, %d freezes, %d ops fenced, placement gen %d, %d still hosted\n",
 			who, st.BlocksIn, st.BlocksOut, st.Freezes, st.PlacementFenced, st.PGen, st.HostedProcs)
 	}
+}
+
+// checkFlags refuses a flag that the mode the others select would ignore.
+// set holds the names of the flags given on the command line.
+func checkFlags(set map[string]bool) error {
+	for _, r := range []struct {
+		mode, why string
+		refused   []string
+	}{
+		{"multi", "a -multi shard is static and volatile; it needs the pinned session of a -mol/-grid shard",
+			[]string{"fleet", "join", "standby", "journal-dir", "snapshot-every", "standby-of"}},
+		{"fleet", "the -fleet coordinator holds no shard state; it applies to a shard server",
+			[]string{"journal-dir", "snapshot-every", "standby-of", "join"}},
+	} {
+		for _, f := range r.refused {
+			if set[r.mode] && set[f] {
+				return fmt.Errorf("-%s with -%s: %s", r.mode, f, r.why)
+			}
+		}
+	}
+	for _, f := range []string{"standby", "member-id", "incarnation"} {
+		if set[f] && !set["join"] {
+			return fmt.Errorf("-%s without -join: it describes a fleet member", f)
+		}
+	}
+	return nil
 }
 
 // layoutFromFlags derives the block layout every process of a cluster

@@ -53,14 +53,12 @@ type RecoveryStats struct {
 	OpDrops          int64 // one-sided ops lost in transport
 	OpRetries        int64 // retries issued by the reliable op wrappers
 	Rounds           int64 // extra recovery rounds beyond the first
-	Failovers        int64 // shard servers replaced by a promoted standby
 }
 
 // Any reports whether any recovery event occurred.
 func (r *RecoveryStats) Any() bool {
 	return r.Crashes+r.Stalls+r.Aborts+r.WorkersFenced+r.BlocksOrphaned+
-		r.BlocksReassigned+r.FencedFlushes+r.OpDrops+r.OpRetries+r.Rounds+
-		r.Failovers > 0
+		r.BlocksReassigned+r.FencedFlushes+r.OpDrops+r.OpRetries+r.Rounds > 0
 }
 
 // RunStats aggregates a whole Fock-build run.

@@ -340,9 +340,8 @@ type RPC struct {
 	Resets      int64 `json:"net.rpc_resets,omitempty"`
 	DupSends    int64 `json:"net.rpc_dup_sends,omitempty"`
 	Partitioned int64 `json:"net.rpc_partitioned,omitempty"`
-	// Failovers completed by this driver, and statusRetry answers (standby
-	// not promoted yet, stale shard epoch) that forced a resync.
-	Failovers    int64 `json:"net.rpc_failovers,omitempty"`
+	// statusRetry answers (standby not promoted yet, stale shard epoch,
+	// superseded placement, frozen block) that forced a resync.
 	StaleRetries int64 `json:"net.rpc_stale_retries,omitempty"`
 	// Elastic fleet: requests bounced by a superseded placement map,
 	// fleet-view fetches, and blocks seen migrating to new owners.

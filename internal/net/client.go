@@ -64,10 +64,9 @@ type Config struct {
 	// delivery, slow link, partition windows) at this conn layer, keyed
 	// by the issuing rank. Driver-side ops (proc -1) are never faulted.
 	Fault *fault.Injector
-	// Router, when non-nil, is the shared failover routing state (a
-	// Session's D and F clients share one, so a promotion reroutes both).
-	// Nil builds a private router with no standbys: plain routing, no
-	// failover.
+	// Router, when non-nil, is the shared routing state (a Session's D
+	// and F clients share one conn pool, hello set and view). Nil builds
+	// a private one.
 	Router *Router
 }
 
@@ -80,9 +79,8 @@ type Config struct {
 // live fleet view (DialFleet) or the fixed one of a static Dial.
 type Client struct {
 	grid *dist.Grid2D
-	// stats (may hold nil) takes failovers and the Get/Acc conveniences:
-	// the dialing build's, re-pointed by Session.Backend to each build's.
-	stats  atomic.Pointer[dist.RunStats]
+	// stats (may be nil) takes the Get/Acc conveniences' accounting.
+	stats  *dist.RunStats
 	cfg    Config
 	router *Router
 	reqID  atomic.Uint64
@@ -92,9 +90,7 @@ type Client struct {
 var _ dist.Backend = (*Client)(nil)
 
 func newClient(grid *dist.Grid2D, stats *dist.RunStats, cfg Config, rt *Router) *Client {
-	c := &Client{grid: grid, cfg: cfg, router: rt}
-	c.stats.Store(stats)
-	return c
+	return &Client{grid: grid, stats: stats, cfg: cfg, router: rt}
 }
 
 // normalize validates and defaults the fields every dial needs.
@@ -130,7 +126,7 @@ func Dial(grid *dist.Grid2D, stats *dist.RunStats, addrs []string, assign []int,
 	}
 	rt := cfg.Router
 	if rt == nil {
-		rt = NewRouter(addrs, nil, cfg.OpTimeout, cfg.RPC)
+		rt = NewRouter(addrs, cfg.OpTimeout, cfg.RPC)
 	}
 	if rt.elastic() || rt.Slots() != len(addrs) {
 		return nil, fmt.Errorf("netga: router routes %d slots, %d servers given", rt.Slots(), len(addrs))
@@ -330,7 +326,7 @@ func (cs *Conns) Close() {
 // connPool is one router slot's view of its router's Conns. The slot's
 // address is re-resolved through the router on every checkout AND
 // checkin, and every conn remembers the address it was dialed to, so a
-// conn to a superseded primary checked out across a failover is closed
+// conn to a superseded primary checked out across a promotion is closed
 // on return instead of re-entering the pool and being handed out against
 // the wrong server.
 type connPool struct {
@@ -490,32 +486,27 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 		c.router.RefreshView()
 		return nil, true, fmt.Errorf("%w: %s", errShardRetry, out.Msg)
 	}
-	c.router.success(pool.slot)
 	return &out, true, nil
 }
 
 // errShardRetry marks a statusRetry answer: the server is alive but not
-// serving this request right now. Retry, but never count it toward the
-// failover threshold.
+// serving this request right now. Retry; doRPC has resynced already.
 var errShardRetry = errors.New("netga: transient shard rejection")
 
-// noteFailure counts a transport failure against the slot and, past the
-// consecutive-failure threshold, attempts a standby promotion. Injected
-// partition fail-fasts and statusRetry resyncs are not evidence of a dead
-// server and never trigger failover.
-func (c *Client) noteFailure(pool *connPool, err error) {
+// noteFailure classifies a transport failure and refreshes the view
+// (throttled; a fixed view has none to fetch), so the retry routes to
+// whatever address the fleet now names for the member: a standby its
+// lease detector promoted, or a durable restart elsewhere. The client
+// never promotes. A failed RPC cannot tell a dead primary from a live one
+// it cannot reach, and the fleet acts only on an expired lease. Injected
+// partition fail-fasts and statusRetry resyncs are not transport
+// failures.
+func (c *Client) noteFailure(err error) {
 	if err == nil || errors.Is(err, ErrPartitioned) || errors.Is(err, errShardRetry) {
 		return
 	}
 	classifyFailure(c.cfg.RPC, err)
-	if !c.router.failure(pool.slot) {
-		return
-	}
-	if ferr := c.router.Failover(pool.slot); ferr == nil {
-		if st := c.stats.Load(); st != nil {
-			atomic.AddInt64(&st.Recovery.Failovers, 1)
-		}
-	}
+	c.router.RefreshView()
 }
 
 // attempt runs one data RPC for rank against the current owner of block
@@ -536,7 +527,7 @@ func (c *Client) attempt(rank, owner int, what string, req *request) (resp *resp
 	start := time.Now()
 	resp, sent, err = c.doRPC(rank, pool, req)
 	if err != nil {
-		c.noteFailure(pool, err)
+		c.noteFailure(err)
 		atomic.AddInt64(&c.cfg.RPC.Retries, 1)
 		return nil, sent, err
 	}
@@ -605,7 +596,7 @@ var probeRetry = dist.Retry{Attempts: 8, Backoff: 5 * time.Millisecond}
 // deliver.
 func (c *Client) Get(proc, r0, r1, c0, c1 int, dst []float64, ld int) {
 	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		if _, err := probeRetry.Get(context.Background(), c, c.stats.Load(), proc, p.R0, p.R1, p.C0, p.C1, dst[(p.R0-r0)*ld+(p.C0-c0):], ld); err != nil {
+		if _, err := probeRetry.Get(context.Background(), c, c.stats, proc, p.R0, p.R1, p.C0, p.C1, dst[(p.R0-r0)*ld+(p.C0-c0):], ld); err != nil {
 			panic(fmt.Sprintf("netga: infallible Get failed: %v", err))
 		}
 	}
@@ -614,7 +605,7 @@ func (c *Client) Get(proc, r0, r1, c0, c1 int, dst []float64, ld int) {
 // Acc accumulates into an arbitrary region, unfenced; see Get.
 func (c *Client) Acc(proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) {
 	for _, p := range c.grid.Patches(r0, r1, c0, c1) {
-		if _, err := probeRetry.Acc(context.Background(), c, c.stats.Load(), nil, false, proc, 0, p.R0, p.R1, p.C0, p.C1, src[(p.R0-r0)*ld+(p.C0-c0):], ld, alpha); err != nil {
+		if _, err := probeRetry.Acc(context.Background(), c, c.stats, nil, false, proc, 0, p.R0, p.R1, p.C0, p.C1, src[(p.R0-r0)*ld+(p.C0-c0):], ld, alpha); err != nil {
 			panic(fmt.Sprintf("netga: infallible Acc failed: %v", err))
 		}
 	}
@@ -643,7 +634,7 @@ func (c *Client) driverOp(route func() (*connPool, error), req *request) (*respo
 		var resp *response
 		resp, _, err = c.doRPC(-1, pool, req)
 		if err != nil {
-			c.noteFailure(pool, err)
+			c.noteFailure(err)
 			continue
 		}
 		if resp.Status != statusOK {

@@ -18,10 +18,10 @@ import (
 // the session's life by construction. A Session is also its builds'
 // stored-ERI spill integrals.BlobStore.
 type Session struct {
-	cfg             Config
-	conns           *Conns // nil: the session's router keeps its own
-	addrs, standbys []string
-	fleetAddr       string
+	cfg       Config
+	conns     *Conns // nil: the session's router keeps its own
+	addrs     []string
+	fleetAddr string
 
 	mu       sync.Mutex
 	d, f     *Client // nil before the first Backend call and after Close
@@ -31,24 +31,23 @@ type Session struct {
 
 // NewSession prepares a session routed by the elastic fleet coordinator
 // at fleetAddr or, when that is empty, over the fixed shard servers addrs
-// (procs split by SplitProcs, standbys as in NewRouter). cfg carries the
-// session id and both clients' OpTimeout, RPC and Fault; Array and Router
-// are the session's to set. conns, when non-nil, is a pool that outlives
+// (procs split by SplitProcs). cfg carries the session id and both
+// clients' OpTimeout, RPC and Fault; Array and Router are the session's
+// to set. conns, when non-nil, is a pool that outlives
 // the session: its RPCs run on conns idle there (a fresh session id needs
 // a hello, not a dial) and return them there; nil keeps the session's
 // conns its own, closed with it. Nothing is dialed before the first
 // Backend.
-func NewSession(cfg Config, conns *Conns, fleetAddr string, addrs, standbys []string) *Session {
+func NewSession(cfg Config, conns *Conns, fleetAddr string, addrs []string) *Session {
 	if cfg.RPC == nil {
 		cfg.RPC = &metrics.RPC{}
 	}
-	return &Session{cfg: cfg, conns: conns, fleetAddr: fleetAddr, addrs: addrs, standbys: standbys}
+	return &Session{cfg: cfg, conns: conns, fleetAddr: fleetAddr, addrs: addrs}
 }
 
 // Backend has the core.Options.Backend signature. The first call dials the
 // pair over grid; later calls return the same pair and refuse another
-// grid. Every call points the clients' failover accounting at that build's
-// stats. The cleanup is always nil: the pair outlives the build.
+// grid. The cleanup is always nil: the pair outlives the build.
 func (s *Session) Backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend, dist.Backend, func(), error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -57,7 +56,7 @@ func (s *Session) Backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend
 		return nil, nil, nil, errors.New("netga: session is closed")
 	case s.d == nil:
 		cfg := s.cfg
-		cfg.Router = NewRouter(s.addrs, s.standbys, cfg.OpTimeout, cfg.RPC)
+		cfg.Router = NewRouter(s.addrs, cfg.OpTimeout, cfg.RPC)
 		if s.fleetAddr != "" {
 			cfg.Router = NewFleetRouter(s.fleetAddr, cfg.OpTimeout, cfg.RPC)
 		}
@@ -79,8 +78,6 @@ func (s *Session) Backend(grid *dist.Grid2D, stats *dist.RunStats) (dist.Backend
 	case layoutMsg(grid) != layoutMsg(s.d.grid):
 		return nil, nil, nil, errors.New("netga: session was dialed over another grid: " + layoutMsg(s.d.grid))
 	}
-	s.d.stats.Store(stats)
-	s.f.stats.Store(stats)
 	return s.d, s.f, nil, nil
 }
 

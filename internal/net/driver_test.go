@@ -28,7 +28,7 @@ func TestSessionReusedAcrossBuilds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := netga.NewSession(netga.Config{Session: 11}, nil, "", addrs, nil)
+	sess := netga.NewSession(netga.Config{Session: 11}, nil, "", addrs)
 	defer sess.Close(true)
 	if err := sess.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint before the first build: %v", err)
@@ -68,7 +68,7 @@ func TestSessionRefusesOtherGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := netga.NewSession(netga.Config{Session: 12}, nil, "", addrs, nil)
+	sess := netga.NewSession(netga.Config{Session: 12}, nil, "", addrs)
 	stats := dist.NewRunStats(grid.NumProcs())
 	gaD, gaF, cleanup, err := sess.Backend(grid, stats)
 	if err != nil || cleanup != nil {
@@ -101,7 +101,7 @@ func TestSessionCloseSaysByeOnlyWhenGraceful(t *testing.T) {
 	t.Cleanup(ms.Close)
 	grid := dist.UniformGrid2D(1, 2, 6, 6)
 	for i, graceful := range []bool{false, true} {
-		sess := netga.NewSession(netga.Config{Session: uint64(20 + i)}, nil, "", []string{addr}, nil)
+		sess := netga.NewSession(netga.Config{Session: uint64(20 + i)}, nil, "", []string{addr})
 		if _, _, _, err := sess.Backend(grid, dist.NewRunStats(grid.NumProcs())); err != nil {
 			t.Fatal(err)
 		}

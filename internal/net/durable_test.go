@@ -1,6 +1,7 @@
 package netga
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -254,26 +255,28 @@ func TestGracefulShutdownFlushesSnapshot(t *testing.T) {
 }
 
 // TestStandbyPromotionPreservesState: a hot standby mirrors the primary
-// (semi-sync), a client that loses the primary promotes it behind the
-// epoch fence, and every acknowledged op — before and after the failover —
-// lands exactly once.
+// (semi-sync); the primary dies and the fleet's lease detector, the one
+// promoter, promotes the standby behind the epoch fence; the client only
+// learns the new address from the view, and every acknowledged op —
+// before and after the promotion — lands exactly once.
 func TestStandbyPromotionPreservesState(t *testing.T) {
 	grid := dist.UniformGrid2D(1, 1, 6, 6)
-	prim := NewServer(grid, []int{0})
-	paddr, err := prim.Start("127.0.0.1:0")
-	if err != nil {
+	clock := newFakeClock()
+	f := startFleet(t, grid, FleetConfig{LeaseTTL: time.Second, SweepEvery: time.Hour, Clock: clock.Now})
+	prim := startElastic(t, grid)
+	stdby := startElastic(t, grid, WithStandby(prim.Addr()))
+	paddr, saddr := prim.Addr(), stdby.Addr()
+	waitFor(t, 5*time.Second, func() bool {
+		prim.mu.Lock()
+		defer prim.mu.Unlock()
+		return prim.sub != nil
+	}, "standby subscription")
+	mustOK(t, fleetCall(t, f.Addr(), opJoin, Member{ID: 1, Addr: paddr, Standby: saddr, Epoch: 1}), "join")
+	if err := f.WaitConverged(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(prim.Close)
-	stdby := NewServer(grid, []int{0}, WithStandby(paddr))
-	saddr, err := stdby.Start("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(stdby.Close)
 
-	rt := NewRouter([]string{paddr}, []string{saddr}, time.Second, nil)
-	c, err := Dial(grid, nil, []string{paddr}, []int{0}, Config{Array: 0, Session: 5, Router: rt})
+	c, err := DialFleet(grid, nil, f.Addr(), Config{Array: 0, Session: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,20 +294,38 @@ func TestStandbyPromotionPreservesState(t *testing.T) {
 	c.Acc(0, 0, 6, 0, 6, src.Data, 6, 2) // replicated semi-sync before the ack returns
 
 	prim.Kill()
-	c.Acc(0, 0, 6, 0, 6, src.Data, 6, 3) // exhausts retries, promotes, lands on the standby
+	clock.Advance(1100 * time.Millisecond) // the member's lease expires
+	f.kickEngine()
+	waitFor(t, 5*time.Second, func() bool { return f.Stats().Promotions == 1 }, "fleet promotion")
+	if rt := c.router; rt.addr(0) != paddr {
+		t.Fatalf("router moved slot 0 to %s before any op failed", rt.addr(0))
+	}
+	// The Acc fails on the dead primary, refreshes the view and lands on
+	// the standby. An ambiguous Acc retries to resolution, so a client
+	// that never learned the new address would retry forever.
+	landed := make(chan struct{})
+	go func() {
+		c.Acc(0, 0, 6, 0, 6, src.Data, 6, 3)
+		close(landed)
+	}()
+	select {
+	case <-landed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Acc after the promotion never landed: the client did not follow the view to the standby")
+	}
 
 	want := fill(6, 6, func(r, cc int) float64 {
 		return base.At(r, cc) + 5*src.At(r, cc)
 	})
 	if got := mustMatrix(t, c); !reflect.DeepEqual(got.Data, want.Data) {
-		t.Fatalf("post-failover state wrong (max diff %g)", linalg.MaxAbsDiff(want, got))
+		t.Fatalf("post-promotion state wrong (max diff %g)", linalg.MaxAbsDiff(want, got))
 	}
-	if rt.addr(0) != saddr {
-		t.Fatalf("router still routes slot 0 to %s, want standby %s", rt.addr(0), saddr)
+	if c.router.addr(0) != saddr {
+		t.Fatalf("router still routes slot 0 to %s, want standby %s", c.router.addr(0), saddr)
 	}
 	st := stdby.Stats()
 	if st.Standby || st.Epoch != 2 || st.Promotions != 1 {
-		t.Fatalf("standby not promoted at epoch 2: %+v", st)
+		t.Fatalf("standby not promoted once at epoch 2: %+v", st)
 	}
 
 	// Split-brain fence: a request stamped with the superseded epoch is
@@ -321,5 +342,55 @@ func TestStandbyPromotionPreservesState(t *testing.T) {
 	}
 	if stdby.Stats().FencedOps == 0 {
 		t.Fatal("epoch fence never fired")
+	}
+}
+
+// TestConcurrentPromoteOnceAtAnEpoch: opPromote is idempotent at an
+// epoch. Racing promotions of one standby to epoch 2 all succeed, the
+// standby is promoted once, and a retry after the fact is acknowledged
+// without a second promotion; the fleet's retried promotion whose ack was
+// lost relies on this.
+func TestConcurrentPromoteOnceAtAnEpoch(t *testing.T) {
+	grid := dist.UniformGrid2D(1, 1, 4, 4)
+	prim := NewServer(grid, []int{0})
+	paddr, err := prim.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(prim.Close)
+	sb := NewServer(grid, []int{0}, WithStandby(paddr))
+	sbaddr, err := sb.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sb.Close)
+	waitFor(t, 5*time.Second, func() bool {
+		prim.mu.Lock()
+		defer prim.mu.Unlock()
+		return prim.sub != nil
+	}, "standby subscription")
+	prim.Kill()
+
+	const racers = 8
+	errs := make(chan error, racers)
+	for i := 0; i < racers; i++ {
+		go func() {
+			resp, err := oneShotRPC(sbaddr, &request{Op: opPromote, SEpoch: 2}, time.Second)
+			if err == nil && resp.Status != statusOK {
+				err = fmt.Errorf("status %d: %s", resp.Status, resp.Msg)
+			}
+			errs <- err
+		}()
+	}
+	for i := 0; i < racers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("promotion at epoch 2 refused: %v", err)
+		}
+	}
+	if resp := sb.handle(&request{Op: opPromote, SEpoch: 2}); resp.Status != statusOK {
+		t.Fatalf("retried promotion at the done epoch got status %d (%s)", resp.Status, resp.Msg)
+	}
+	if st := sb.Stats(); st.Standby || st.Epoch != 2 || st.Promotions != 1 {
+		t.Fatalf("after %d racing promotions and a retry: %+v, want one promotion to epoch 2", racers, st)
 	}
 }

@@ -75,7 +75,7 @@ func netBackend(t *testing.T, nservers int, session uint64, rpc *metrics.RPC) fu
 	var servers []*netga.Server
 	ls := &lazySession{t: t, up: func(grid *dist.Grid2D) (*netga.Session, error) {
 		addrs, err := startShards(t, grid, nservers, &servers)
-		return netga.NewSession(netga.Config{Session: session, RPC: rpc}, nil, "", addrs, nil), err
+		return netga.NewSession(netga.Config{Session: session, RPC: rpc}, nil, "", addrs), err
 	}}
 	return ls.Backend
 }
@@ -178,7 +178,7 @@ func TestLiveSessionAccountsEveryBuild(t *testing.T) {
 			inj = fault.New(fault.Config{Seed: 5, NetResetProb: min(1, 4/wantCalls), MaxConsecutiveNetFaults: 2})
 		}
 		rpc := &metrics.RPC{}
-		sess := netga.NewSession(netga.Config{Session: 9, RPC: rpc, Fault: inj}, nil, "", []string{addr}, nil)
+		sess := netga.NewSession(netga.Config{Session: 9, RPC: rpc, Fault: inj}, nil, "", []string{addr})
 		t.Cleanup(func() { sess.Close(false) })
 		opt.Backend = sess.Backend
 		for b := 1; b <= 3; b++ {

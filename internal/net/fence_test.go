@@ -79,7 +79,7 @@ func TestPrimaryRefusesSoloAckAfterStandbyLoss(t *testing.T) {
 	}
 }
 
-// A conn dialed before a failover must not serve (or re-enter the pool)
+// A conn dialed before a promotion must not serve (or re-enter the pool)
 // after the route moved: checked-out conns are tagged with their dial
 // address and dropped on return once the router points elsewhere.
 func TestConnPoolDropsSupersededConns(t *testing.T) {
@@ -99,7 +99,7 @@ func TestConnPoolDropsSupersededConns(t *testing.T) {
 		return ln
 	}
 	lnA, lnB := listen(), listen()
-	rt := NewRouter([]string{lnA.Addr().String()}, nil, time.Second, nil)
+	rt := NewRouter([]string{lnA.Addr().String()}, time.Second, nil)
 	p := &connPool{router: rt, slot: 0, timeout: time.Second, rpc: rt.rpc}
 
 	c1, err := p.get()
@@ -109,7 +109,7 @@ func TestConnPoolDropsSupersededConns(t *testing.T) {
 	if c1.addr != lnA.Addr().String() {
 		t.Fatalf("dialed %s, want %s", c1.addr, lnA.Addr())
 	}
-	// Failover swaps the route while c1 is checked out.
+	// A promotion swaps the route while c1 is checked out.
 	rt.mu.Lock()
 	rt.slots[0].addr = lnB.Addr().String()
 	rt.mu.Unlock()
@@ -123,7 +123,7 @@ func TestConnPoolDropsSupersededConns(t *testing.T) {
 		t.Fatal(err)
 	}
 	if c2.addr != lnB.Addr().String() {
-		t.Fatalf("post-failover get dialed %s, want new primary %s", c2.addr, lnB.Addr())
+		t.Fatalf("post-promotion get dialed %s, want new primary %s", c2.addr, lnB.Addr())
 	}
 	p.put(c2)
 	if idle := idleConns(rt.conns); idle != 1 {

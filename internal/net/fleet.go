@@ -24,11 +24,12 @@ import (
 //
 // The failure detector is deterministic: a member is acted on only after
 // its lease has expired by the fleet's clock — never on a missed packet
-// or a slow RPC. An expired member with a hot standby is promoted (the
-// same epoch-fenced opPromote clients use, so the two promoters cannot
-// diverge: the op is idempotent at a given epoch and fenced above it);
-// an expired member without one keeps its blocks pinned until it rejoins
-// from its journal, trading availability for never fabricating state.
+// or a slow RPC. An expired member with a hot standby is promoted by an
+// epoch-fenced opPromote, and the fleet is the one promoter: no client
+// sends it, because a client's failed RPC cannot tell a dead primary from
+// a live one it cannot reach. An expired member without a standby keeps
+// its blocks pinned until it rejoins from its journal, trading
+// availability for never fabricating state.
 //
 // Split-brain safety does not rest on the detector being right: even if
 // the fleet declares a live member dead, every cutover leg is fenced. The
@@ -384,9 +385,9 @@ func (f *Fleet) sweep() {
 	}
 }
 
-// promoteMember fails an expired member over to its standby with the same
-// epoch-fenced opPromote the client-side router uses; both promoters
-// racing is safe because the op is idempotent at a given epoch.
+// promoteMember fails an expired member over to its standby with an
+// epoch-fenced opPromote, the only one sent. A retried promotion whose
+// ack was lost is safe: the op is idempotent at a given epoch.
 func (f *Fleet) promoteMember(id uint64) {
 	f.mu.Lock()
 	m := f.members[id]

@@ -177,8 +177,8 @@ func TestFleetExpiryPinsBlocksUntilRejoin(t *testing.T) {
 	}
 }
 
-// Lease expiry of a member WITH a hot standby promotes the standby using
-// the same epoch-fenced opPromote the client router uses: the view flips
+// Lease expiry of a member WITH a hot standby promotes the standby with
+// an epoch-fenced opPromote, the fleet's alone: the view flips
 // the member's address (same ID, bumped incarnation), the placement does
 // not move a single block.
 func TestFleetExpiryPromotesStandby(t *testing.T) {

@@ -16,11 +16,11 @@ var testRetry = dist.Retry{Attempts: 3, Backoff: time.Millisecond}
 // getPatch and accPatch issue one single-owner op through the one retry
 // loop, unfenced, charged to the stats the client was dialed with.
 func getPatch(c *Client, proc, r0, r1, c0, c1 int, dst []float64, ld int) (int, error) {
-	return testRetry.Get(context.Background(), c, c.stats.Load(), proc, r0, r1, c0, c1, dst, ld)
+	return testRetry.Get(context.Background(), c, c.stats, proc, r0, r1, c0, c1, dst, ld)
 }
 
 func accPatch(c *Client, proc, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (int, error) {
-	return testRetry.Acc(context.Background(), c, c.stats.Load(), nil, false, proc, 0, r0, r1, c0, c1, src, ld, alpha)
+	return testRetry.Acc(context.Background(), c, c.stats, nil, false, proc, 0, r0, r1, c0, c1, src, ld, alpha)
 }
 
 func mustLoad(t *testing.T, ga dist.Backend, m *linalg.Matrix) {

@@ -11,33 +11,25 @@ import (
 	"gtfock/internal/metrics"
 )
 
-// failoverAfter is the number of consecutive transport failures against
-// one shard slot before the router attempts a standby promotion. Injected
-// single-shot faults (resets, duplicate delivery) recover on the next
-// attempt and never reach it; a dead server does.
-const failoverAfter = 3
-
-// Failover and view-refresh attempts back off exponentially with jitter:
-// a dead primary plus slow membership convergence must not hot-spin the
-// router through promotion probes and fleet lookups on every retry.
+// View-refresh attempts back off exponentially with jitter: a dead fleet
+// or slow membership convergence must not hot-spin the router through
+// fleet lookups on every retry.
 const (
 	failoverBackoffMin = 10 * time.Millisecond
 	minViewRefresh     = 5 * time.Millisecond
 )
 
-// probeDelay jitters a failover/refresh backoff over [wait/3, wait): never
-// later than the nominal wait, because a build's bounded recovery rounds
-// are spent waiting for the next promotion probe.
+// probeDelay jitters a refresh backoff over [wait/3, wait): never later
+// than the nominal wait, because a build's bounded recovery rounds are
+// spent waiting for the next view that names a promoted member.
 func probeDelay(wait time.Duration) time.Duration { return dist.Jitter(wait * 2 / 3) }
 
 // Router is the shared routing state of one driver process: for each
-// shard server slot, the address currently serving it, the shard fence
-// epoch the client believes that server is at, and the standby (if any)
-// to promote when the primary dies. One Router is shared by the D and F
-// clients so a failover observed through either array instantly reroutes
-// both — the driver process is the single point of routing truth, which
-// is what makes the epoch fence sufficient against split-brain: there is
-// exactly one promoter, and the promoted epoch fences the old primary at
+// shard server slot, the address currently serving it and the shard fence
+// epoch the client believes that server is at. One Router is shared by
+// the D and F clients, so a view that names a promoted member reroutes
+// both. The router never promotes: the fleet coordinator is the one
+// promoter (fleet.go), and the promoted epoch fences the old primary at
 // the servers themselves.
 type Router struct {
 	opTimeout time.Duration
@@ -79,23 +71,14 @@ type helloKey struct {
 }
 
 type routeSlot struct {
-	id        uint64 // member ID (slot index + 1 on a static router)
-	addr      string
-	standby   string
-	epoch     uint64
-	fails     int
-	promoting bool // single-flight guard on the failover path
-
-	// Failover pacing (the anti-hot-spin backoff).
-	failoverWait   time.Duration
-	nextFailoverAt time.Time
+	id    uint64 // member ID (slot index + 1 on a static router)
+	addr  string
+	epoch uint64
 }
 
-// NewRouter creates static routing state for the given primaries.
-// standbys may be nil, shorter than addrs, or hold "" entries for slots
-// with no standby (such a slot cannot fail over). rpc nil gets a private
-// counter set.
-func NewRouter(addrs, standbys []string, opTimeout time.Duration, rpc *metrics.RPC) *Router {
+// NewRouter creates static routing state for the given shard servers.
+// rpc nil gets a private counter set.
+func NewRouter(addrs []string, opTimeout time.Duration, rpc *metrics.RPC) *Router {
 	if opTimeout <= 0 {
 		opTimeout = 2 * time.Second
 	}
@@ -107,9 +90,6 @@ func NewRouter(addrs, standbys []string, opTimeout time.Duration, rpc *metrics.R
 	for i, a := range addrs {
 		rt.slots[i] = routeSlot{id: uint64(i + 1), addr: a, epoch: 1}
 		rt.slotOf[uint64(i+1)] = i
-		if i < len(standbys) {
-			rt.slots[i].standby = standbys[i]
-		}
 	}
 	return rt
 }
@@ -117,8 +97,7 @@ func NewRouter(addrs, standbys []string, opTimeout time.Duration, rpc *metrics.R
 // pin installs the fixed view of a static dial: assign[p] is the slot
 // hosting proc p, at placement generation 0 — which servers read as "no
 // placement fence". Only the block -> member map is taken from the view;
-// addresses stay in the slots, so a failover that already swapped one is
-// not undone by the next Dial on the same router.
+// addresses stay in the slots.
 func (rt *Router) pin(assign []int) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -287,10 +266,9 @@ func (rt *Router) refreshView(force bool) error {
 }
 
 // applyView folds a fetched view into the routing state: new members get
-// fresh slots, known members update in place (an address change — a
-// promotion or a durable restart elsewhere — resets the failure and
-// backoff state so the new address gets a clean start). Stale views
-// (older ViewGen) are dropped.
+// fresh slots, known members update in place (an address change is a
+// promotion or a durable restart elsewhere). Stale views (older ViewGen)
+// are dropped.
 func (rt *Router) applyView(v *FleetView) {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -304,17 +282,11 @@ func (rt *Router) applyView(v *FleetView) {
 		slot, ok := rt.slotOf[m.ID]
 		if !ok {
 			slot = len(rt.slots)
-			rt.slots = append(rt.slots, routeSlot{id: m.ID, addr: m.Addr, standby: m.Standby, epoch: 1})
+			rt.slots = append(rt.slots, routeSlot{id: m.ID, addr: m.Addr, epoch: 1})
 			rt.slotOf[m.ID] = slot
 		}
 		s := &rt.slots[slot]
-		if s.addr != m.Addr {
-			s.addr = m.Addr
-			s.fails = 0
-			s.failoverWait = 0
-			s.nextFailoverAt = time.Time{}
-		}
-		s.standby = m.Standby
+		s.addr = m.Addr
 		if m.Epoch > s.epoch {
 			s.epoch = m.Epoch
 		}
@@ -337,8 +309,8 @@ func (rt *Router) epoch(slot int) uint64 {
 }
 
 // observe folds a response's shard epoch into the routing state: servers
-// report their epoch on every answer, so clients resync for free after a
-// promotion they did not perform. Epochs only move forward.
+// report their epoch on every answer, so clients resync for free after the
+// fleet promotes a member. Epochs only move forward.
 func (rt *Router) observe(slot int, sepoch uint64) {
 	if sepoch == 0 {
 		return
@@ -348,104 +320,4 @@ func (rt *Router) observe(slot int, sepoch uint64) {
 		rt.slots[slot].epoch = sepoch
 	}
 	rt.mu.Unlock()
-}
-
-// success resets slot's consecutive-failure count and failover backoff.
-func (rt *Router) success(slot int) {
-	rt.mu.Lock()
-	s := &rt.slots[slot]
-	s.fails = 0
-	s.failoverWait = 0
-	s.nextFailoverAt = time.Time{}
-	rt.mu.Unlock()
-}
-
-// failure counts one transport failure against slot and reports whether
-// the caller should attempt a failover now. Crossing the threshold is
-// necessary but not sufficient: failover probes are paced by a jittered
-// exponential backoff per slot, so a dead primary with no (or a slow)
-// standby doesn't make every retry loop hammer promotion and view
-// lookups — callers between backoff deadlines just keep retrying the op.
-func (rt *Router) failure(slot int) bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	s := &rt.slots[slot]
-	s.fails++
-	if s.fails < failoverAfter {
-		return false
-	}
-	now := time.Now()
-	if now.Before(s.nextFailoverAt) {
-		return false
-	}
-	if s.failoverWait = dist.NextBackoff(s.failoverWait); s.failoverWait == 0 {
-		s.failoverWait = failoverBackoffMin
-	}
-	s.nextFailoverAt = now.Add(probeDelay(s.failoverWait))
-	return true
-}
-
-// errFailoverInFlight reports another goroutine is already promoting this
-// slot; the caller just keeps retrying and picks up the new route.
-var errFailoverInFlight = errors.New("netga: failover already in flight")
-
-// Failover promotes slot's standby to primary at the next fence epoch and
-// swaps the route to it. Single-flight per slot; concurrent callers get
-// errFailoverInFlight and simply retry their op. With no standby known —
-// configured statically or named by the fleet view — the failover fails
-// and the callers stay on the (possibly healing) primary.
-func (rt *Router) Failover(slot int) error {
-	rt.mu.Lock()
-	s := &rt.slots[slot]
-	if s.promoting {
-		rt.mu.Unlock()
-		return errFailoverInFlight
-	}
-	s.promoting = true
-	startAddr, startEpoch, target := s.addr, s.epoch, s.standby
-	rt.mu.Unlock()
-	defer func() {
-		rt.mu.Lock()
-		rt.slots[slot].promoting = false
-		rt.mu.Unlock()
-	}()
-
-	if target == "" && rt.elastic() {
-		// The fleet view is the membership map: a forced refresh names a
-		// standby registered since the last one.
-		rt.refreshView(true)
-		rt.mu.Lock()
-		target = rt.slots[slot].standby
-		rt.mu.Unlock()
-	}
-	if target == "" {
-		return fmt.Errorf("netga: no standby known for shard slot %d", slot)
-	}
-	req := request{Op: opPromote, SEpoch: startEpoch + 1}
-	// A throwaway conn: promotion must not depend on the pooled conns to a
-	// possibly-dead server.
-	resp, err := oneShotRPC(target, &req, rt.opTimeout)
-	if err != nil {
-		return fmt.Errorf("netga: promote %s: %w", target, err)
-	}
-	epoch := startEpoch + 1
-	if resp.Status != statusOK {
-		if resp.SEpoch <= startEpoch {
-			return fmt.Errorf("netga: promote %s rejected: %s", target, resp.Msg)
-		}
-		// Already promoted at a higher fence (a retried promotion that
-		// lost its ack): adopt it.
-		epoch = resp.SEpoch
-	}
-	rt.mu.Lock()
-	s = &rt.slots[slot]
-	if s.addr == startAddr && s.epoch <= epoch {
-		s.addr = target
-		s.standby = "" // consumed; a fresh standby may be learned later
-		s.epoch = epoch
-		s.fails = 0
-	}
-	rt.mu.Unlock()
-	atomic.AddInt64(&rt.rpc.Failovers, 1)
-	return nil
 }

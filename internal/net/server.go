@@ -81,10 +81,11 @@ func newSession(id uint64, grid *dist.Grid2D, procs []int) *session {
 //     the existing session resumes instead of resetting.
 //   - Failover: with WithStandby, the server runs as a hot standby of a
 //     primary, applying its replication stream (semi-sync: the primary
-//     acks a client only after the standby acked the record). A client
-//     that loses the primary promotes the standby with an epoch-fenced
-//     opPromote; *shard* epochs travel on every request so a superseded
-//     primary can never serve or double-apply after the fence.
+//     acks a client only after the standby acked the record). The fleet
+//     coordinator promotes the standby of a member whose lease expired
+//     with an epoch-fenced opPromote; *shard* epochs travel on every
+//     request so a superseded primary can never serve or double-apply
+//     after the fence.
 type Server struct {
 	connLoop // its mu is also this server's state mutex
 

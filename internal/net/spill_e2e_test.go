@@ -28,7 +28,7 @@ func TestSpillE2EReplayMatchesSerial(t *testing.T) {
 	}
 	// One session across both builds; it is also the spill store, so the
 	// blobs live beside the arrays for as long as it does.
-	sess := netga.NewSession(netga.Config{Session: session}, nil, "", addrs, nil)
+	sess := netga.NewSession(netga.Config{Session: session}, nil, "", addrs)
 	defer sess.Close(true)
 
 	// 4 KiB budget: a handful of tasks stay resident, the rest spill.

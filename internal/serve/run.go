@@ -193,7 +193,7 @@ func (r *FleetRunner) attempt(ctx context.Context, j *Job, mol *chem.Molecule, c
 
 	sess := netga.NewSession(netga.Config{
 		Session: session, OpTimeout: r.OpTimeout, RPC: r.RPC, Fault: r.Fault,
-	}, r.conns, "", r.Addrs, nil)
+	}, r.conns, "", r.Addrs)
 	// Every iteration of the attempt is checkpointed or skipped by the
 	// SCF's cadence; the skipped ones are counted as coalesced once
 	// RunHF has returned (no write happens after that), so written +

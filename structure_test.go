@@ -613,6 +613,22 @@ var rows = []row{
 		return none(tr.under("internal", "cmd").uses("WithMembership", "SetMembership", "lookupStandby"))
 	}, []plant{{"internal/net/plant_test.go", `package netga; func lookupStandby() {}`}}},
 
+	// One promoter (DESIGN §9): the fleet's lease detector fails over hot
+	// standbys, and clients never do.
+	{"one-promoter", "outside the server that answers it and its tests, opPromote is sent only by Fleet.promoteMember; client failover (Failover, failoverAfter, errFailoverInFlight, Failovers, -net-standbys) stays gone", func(tr files) []string {
+		net := tr.code().under("internal/net").except("internal/net/server.go", "internal/net/proto.go")
+		fs := tr.under("cmd", "internal")
+		return append(same(decls(net.uses("opPromote")), "netga.(*Fleet).promoteMember"),
+			none(append(fs.uses("Failover", "failoverAfter", "errFailoverInFlight", "Failovers"), fs.literals("net-standbys")...))...)
+	}, []plant{
+		{"internal/net/router.go", `func (rt *Router) plant(addr string) { oneShotRPC(addr, &request{Op: opPromote}, 0) }`},
+		{"internal/net/plant.go", `package netga; func (rt *Router) Failover(slot int) error { return nil }`},
+		{"internal/net/plant_test.go", `package netga; const failoverAfter = 3`},
+		{"internal/net/client.go", `func (c *Client) plant() { _ = errFailoverInFlight }`},
+		{"internal/dist/stats.go", `type plantStats struct{ Failovers int64 }`},
+		{"cmd/fockbuild/plant.go", `package main; import "flag"; var _ = flag.String("net-standbys", "", "standby addresses")`},
+	}},
+
 	// One shard server (DESIGN §7): the pinned and the admitting session
 	// table (NewServer, NewMultiServer) share all four loops.
 	{"server-accept", "internal/net has one accept loop", func(tr files) []string {
