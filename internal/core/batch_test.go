@@ -48,8 +48,9 @@ func TestBuildAtProductionPrimTolMatchesSerial(t *testing.T) {
 func testDoTaskLane(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable, d *linalg.Matrix) *lane {
 	return newLane(&worker{
 		bs: bs, scr: scr, pt: pt,
-		dloc: append([]float64(nil), d.Data...),
-		nf:   bs.NumFuncs,
+		width: shellWidths(bs),
+		dloc:  append([]float64(nil), d.Data...),
+		nf:    bs.NumFuncs,
 	}, 0)
 }
 
@@ -70,8 +71,10 @@ func TestDoTaskSurvivorSetMatchesKeepQuartet(t *testing.T) {
 				continue
 			}
 			w.doTask(Task{M: m, N: n})
-			got := make([][2]int32, len(w.bmeta))
-			copy(got, w.bmeta)
+			got := make([][2]int32, len(w.labels))
+			for k, lb := range w.labels {
+				got[k] = [2]int32{int32(lb & 0xffff), int32(lb >> 16)}
+			}
 			var want [][2]int32
 			for _, p := range scr.Phi[m] {
 				if !PairCheck(pt, m, p) {

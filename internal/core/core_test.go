@@ -379,7 +379,7 @@ func TestQueueConcurrentPopStealAddBlock(t *testing.T) {
 	}
 }
 
-func buildSetup(t *testing.T, mol *chem.Molecule, bname string) (*basis.Set, *screen.Screening, *linalg.Matrix) {
+func buildSetup(t testing.TB, mol *chem.Molecule, bname string) (*basis.Set, *screen.Screening, *linalg.Matrix) {
 	t.Helper()
 	bs, err := basis.Build(mol, bname)
 	if err != nil {

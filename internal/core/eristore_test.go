@@ -1,9 +1,11 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
+	"gtfock/internal/basis"
 	"gtfock/internal/chem"
 	"gtfock/internal/fault"
 	"gtfock/internal/integrals"
@@ -133,6 +135,49 @@ func TestStoreReplayMatchesGeneratedKernels(t *testing.T) {
 	}
 }
 
+// A replay applies the record's bits: on one lane at 1x1 the replay build
+// hands the contraction the labels and scaled values the record build
+// computed, in the same order, so G is equal bit for bit — for s/p
+// classes and with d shells (generated kernels, spherical transform).
+func TestReplayBitIdenticalToRecord(t *testing.T) {
+	withGOMAXPROCS(t, 1)
+	for _, tc := range []struct {
+		name, bname string
+		mol         *chem.Molecule
+	}{
+		{"alkane2-sto3g", "sto-3g", chem.Alkane(2)},
+		{"methane-ccpvdz", "cc-pvdz", chem.Methane()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bs, scr, d := buildSetup(t, tc.mol, tc.bname)
+			store := integrals.NewERIStore(bs.NumShells(), 0, nil, 1, nil)
+			opt := Options{ERIStore: store}
+			rec := Build(bs, scr, d, opt)
+			rep := Build(bs, scr, d, opt)
+			if rec.Err != nil || rep.Err != nil {
+				t.Fatalf("record %v, replay %v", rec.Err, rep.Err)
+			}
+			if st := store.Stats(); st.TaskHits == 0 || st.QuartetsReplayed != st.QuartetsStored {
+				t.Fatalf("second build did not replay the first: %+v", st)
+			}
+			for i, v := range rec.G.Data {
+				if math.Float64bits(v) != math.Float64bits(rep.G.Data[i]) {
+					t.Fatalf("G[%d]: record %v, replay %v", i, v, rep.G.Data[i])
+				}
+			}
+		})
+	}
+}
+
+// A basis past the store label's shell bound is refused before anything
+// is allocated: a task's quartet labels pack P and Q in 16 bits.
+func TestBuildRejectsShellsPastLabel(t *testing.T) {
+	bs := &basis.Set{Shells: make([]basis.Shell, integrals.MaxStoreShells+1)}
+	if res := Build(bs, nil, nil, Options{}); res.Err == nil {
+		t.Fatal("Build accepted more shells than a label packs")
+	}
+}
+
 // A store sized for a different geometry must be rejected up front, not
 // silently produce wrong task keys.
 func TestStoreSizeMismatchRejected(t *testing.T) {
@@ -196,4 +241,26 @@ func TestStoreChaosExactlyOnce(t *testing.T) {
 	if fenced == 0 {
 		t.Fatal("chaos mix never fenced a worker; duplicate-commit path not exercised")
 	}
+}
+
+// BenchmarkReplayBuild times the replay build of alkane:6/STO-3G (the
+// scf_replay molecule) at 1x1, recorded once before the timer starts,
+// and reports ns per stored integral value: the A/B figure for a change
+// to the contraction loop or the store format, without the harness.
+// `go test -run NONE -bench ReplayBuild -cpu 1 ./internal/core/`.
+func BenchmarkReplayBuild(b *testing.B) {
+	bs, scr, d := buildSetup(b, chem.Alkane(6), "sto-3g")
+	store := integrals.NewERIStore(bs.NumShells(), 0, nil, 1, nil)
+	opt := Options{ERIStore: store, PairTable: scr.PairTable(integrals.PrimTol)}
+	if res := Build(bs, scr, d, opt); res.Err != nil {
+		b.Fatal(res.Err)
+	}
+	values := store.Stats().BytesStored / 8
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if res := Build(bs, scr, d, opt); res.Err != nil {
+			b.Fatal(res.Err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*values), "ns/value")
 }

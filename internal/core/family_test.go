@@ -114,8 +114,8 @@ func checkFamilySelection(t *testing.T, bs *basis.Set, scr *screen.Screening, pt
 			// ended, never restarts within the task.
 			done := map[[2]int]bool{}
 			var cur [2]int
-			for k, pq := range ln.bmeta {
-				p, q := int(pq[0]), int(pq[1])
+			for k, lb := range ln.labels {
+				p, q := int(lb&0xffff), int(lb>>16)
 				if !scr.KeepQuartet(m, p, n, q) {
 					t.Fatalf("task (%d,%d) selected (%d%d|%d%d), which KeepQuartet drops", m, n, m, p, n, q)
 				}

@@ -149,7 +149,7 @@ func TestStoreRecordReplayWithLanes(t *testing.T) {
 		t.Fatalf("record build: %+v", recorded)
 	}
 
-	store.CommitTask(0, [][2]int32{{0, 0}}, []int32{1}, []float64{1e6})
+	store.CommitTask(0, []uint32{0}, []float64{1e6})
 	if st := store.Stats(); st.BytesStored != recorded.BytesStored || st.QuartetsStored != recorded.QuartetsStored {
 		t.Fatalf("second commit of task 0 was not dropped: %+v, recorded %+v", st, recorded)
 	}

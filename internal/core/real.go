@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -118,7 +119,9 @@ const maxFaultRounds = 8
 // Build runs the paper's Algorithm 4 for real: prow x pcol goroutine
 // processes over block-distributed global arrays, with static task
 // partitioning, D prefetch, local F accumulation, and distributed work
-// stealing. The density d must be symmetric.
+// stealing. The density d must be symmetric. A basis of more than
+// integrals.MaxStoreShells shells is refused (Result.Err): a task's
+// quartets are labeled P | Q<<16, computed or replayed.
 //
 // Each process is GTFock's hybrid rank: it drains its task queue on
 // GOMAXPROCS/(prow*pcol) lanes (at least one) that share its prefetched D
@@ -142,6 +145,9 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	}
 	ns := bs.NumShells()
 	nprocs := opt.Prow * opt.Pcol
+	if ns > integrals.MaxStoreShells {
+		return Result{Err: fmt.Errorf("core: %d shells exceed the %d a quartet label packs", ns, integrals.MaxStoreShells)}
+	}
 	if opt.ERIStore != nil && opt.ERIStore.NumTasks() != ns*ns {
 		return Result{Err: fmt.Errorf("core: ERIStore sized for %d tasks, build has %d", opt.ERIStore.NumTasks(), ns*ns)}
 	}
@@ -411,6 +417,7 @@ type worker struct {
 	pt    *integrals.PairTable // shared read-only pair table
 	store *integrals.ERIStore  // stored-ERI cache tier (nil = always recompute)
 	ns    int                  // shell count; task id = M*ns + N
+	width []int                // functions per shell, the contraction's table
 	// dloc is the dense n x n local D image (prefetched patches). Every
 	// lane reads it; addWork writes it, and only between fork-joins.
 	dloc []float64
@@ -458,23 +465,16 @@ type lane struct {
 
 	// Batched ERI state: doTask collects a task's surviving quartets and
 	// submits them in one ERIBatch call; visit (built once, so the hot
-	// path allocates nothing) digests each batch straight from engine
-	// scratch into the local accumulators.
-	batch []integrals.Quartet
-	bmeta [][2]int32 // (p, q) shell indices parallel to batch
-	curM  int
-	curN  int
-	visit func(k int, batch []float64)
-
-	// Stored-ERI tier state. The record closure tees engine batches into
-	// recVals/recEnds for a first-writer-wins CommitTask; the replay
-	// closure applies stored batches through the same ApplyQuartet (see
-	// Options.ERIStore).
-	recVals     []float64
-	recEnds     []int32
-	replayScr   []float64 // spill-fetch scratch
-	recVisit    func(k int, batch []float64)
-	replayVisit func(p, q int32, vals []float64)
+	// path allocates nothing) appends each batch, scaled, to vals, and the
+	// task is contracted once from labels and vals — the same two slices a
+	// store commits and replays (see Options.ERIStore).
+	batch     []integrals.Quartet
+	labels    []uint32 // P | Q<<16 parallel to batch
+	vals      []float64
+	curM      int
+	curN      int
+	visit     func(k int, batch []float64)
+	replayScr []float64 // spill-fetch scratch
 
 	// What the lane did since the last join; runLanes folds it into the
 	// rank and clears it.
@@ -497,6 +497,7 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 		pt:       pt,
 		store:    opt.ERIStore,
 		ns:       bs.NumShells(),
+		width:    shellWidths(bs),
 		dloc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
 		fp:       NewFootprint(),
 		nf:       bs.NumFuncs,
@@ -515,20 +516,24 @@ func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.Pai
 func newLane(w *worker, id int) *lane {
 	ln := &lane{w: w, id: id, eng: integrals.NewEngine(), floc: make([]float64, w.nf*w.nf)}
 	ln.visit = func(k int, batch []float64) {
-		pq := ln.bmeta[k]
-		ApplyQuartet(w.bs, w.dloc, ln.floc, ln.curM, int(pq[0]), ln.curN, int(pq[1]), batch)
-	}
-	if w.store != nil {
-		ln.recVisit = func(k int, batch []float64) {
-			ln.visit(k, batch)
-			ln.recVals = append(ln.recVals, batch...)
-			ln.recEnds = append(ln.recEnds, int32(len(ln.recVals)))
-		}
-		ln.replayVisit = func(p, q int32, vals []float64) {
-			ApplyQuartet(w.bs, w.dloc, ln.floc, ln.curM, int(p), ln.curN, int(q), vals)
+		lb := ln.labels[k]
+		s := quartetScale(ln.curM, int(lb&0xffff), ln.curN, int(lb>>16))
+		n := len(ln.vals)
+		ln.vals = slices.Grow(ln.vals, len(batch))[:n+len(batch)]
+		for i, v := range batch {
+			ln.vals[n+i] = v * s
 		}
 	}
 	return ln
+}
+
+// shellWidths is the contraction's width table: functions per shell.
+func shellWidths(bs *basis.Set) []int {
+	width := make([]int, bs.NumShells())
+	for i := range width {
+		width[i] = bs.ShellFuncs(i)
+	}
+	return width
 }
 
 // obsNow reads the clock only when an observability sink is attached; the
@@ -959,10 +964,10 @@ func (w *worker) run(blocks []TaskBlock, queues []*Queue) {
 }
 
 // doTask is Algorithm 3 in batched form: collect the unique, screened
-// quartets of (M,: | N,:) as pair-table ids, then submit the whole
-// surviving list in one ERIBatch call so the engine amortizes dispatch
-// and the Fock digestion runs straight off engine scratch with no
-// intermediate copies.
+// quartets of (M,: | N,:) as pair-table ids, submit the whole surviving
+// list in one ERIBatch call, and contract the task's scaled values in one
+// applyTask call. With a store, a recorded task replays its labels and
+// values through the same call instead, and a computed one commits them.
 func (ln *lane) doTask(t Task) {
 	w := ln.w
 	m, n := t.M, t.N
@@ -970,26 +975,28 @@ func (ln *lane) doTask(t Task) {
 		return
 	}
 	ln.curM, ln.curN = m, n
-	if w.store != nil {
-		// Stored-ERI tier: replay the recorded batch when present; a miss
-		// of any kind (not recorded yet, dropped over budget, spill gone)
-		// falls through to compute-and-commit.
-		if w.store.ReplayTask(m*w.ns+n, &ln.replayScr, ln.replayVisit) {
-			return
-		}
-	}
-	ln.collect(m, n)
-	if w.store == nil {
-		ln.eng.ERIBatch(w.pt, ln.batch, ln.visit)
+	// Stored-ERI tier: replay the recorded batch when present; a miss of
+	// any kind (not recorded yet, dropped over budget, spill gone) falls
+	// through to compute-and-commit.
+	if w.store != nil && w.store.ReplayTask(m*w.ns+n, &ln.replayScr, ln.applyTask) {
 		return
 	}
-	ln.recVals = ln.recVals[:0]
-	ln.recEnds = ln.recEnds[:0]
-	ln.eng.ERIBatch(w.pt, ln.batch, ln.recVisit)
-	w.store.CommitTask(m*w.ns+n, ln.bmeta, ln.recEnds, ln.recVals)
+	ln.collect(m, n)
+	ln.vals = ln.vals[:0]
+	ln.eng.ERIBatch(w.pt, ln.batch, ln.visit)
+	ln.applyTask(ln.labels, ln.vals)
+	if w.store != nil {
+		w.store.CommitTask(m*w.ns+n, ln.labels, ln.vals)
+	}
 }
 
-// collect fills ln.batch (and ln.bmeta, the (P,Q) shells) with the
+// applyTask contracts the current task's quartets into the lane's F.
+func (ln *lane) applyTask(labels []uint32, vals []float64) {
+	w := ln.w
+	contract(w.dloc, ln.floc, w.nf, w.bs.Offsets, w.width, ln.curM, ln.curN, labels, vals)
+}
+
+// collect fills ln.batch (and ln.labels, the packed (P,Q) shells) with the
 // unique, screened quartets (MP|NQ) of task (m, n). Bras and kets walk
 // the pair table's partner families (integrals.PairTable.Partners), kets
 // by descending family Q, so the first failing Schwarz product ends the
@@ -1002,7 +1009,7 @@ func (ln *lane) collect(m, n int) {
 	tau := w.scr.Tau
 	pt := w.pt
 	ln.batch = ln.batch[:0]
-	ln.bmeta = ln.bmeta[:0]
+	ln.labels = ln.labels[:0]
 	for _, bf := range pt.Partners(m) {
 		for _, kf := range pt.Partners(n) {
 			if bf.Q*kf.Q < tau {
@@ -1026,27 +1033,17 @@ func (ln *lane) collect(m, n int) {
 						continue
 					}
 					ln.batch = append(ln.batch, integrals.Quartet{Bra: braID, Ket: ketID})
-					ln.bmeta = append(ln.bmeta, [2]int32{int32(p), int32(q)})
+					ln.labels = append(ln.labels, uint32(p)|uint32(q)<<16)
 				}
 			}
 		}
 	}
 }
 
-// ApplyQuartet applies the scaled 6-block Fock update for the unique
-// batch v[i in B1][j in B2][k in K1][l in K2] = (ij|kl), where (B1,B2) is
-// the bra shell pair and (K1,K2) the ket pair, into the dense n x n
-// buffers d (density, read) and f (Fock accumulator, written):
-//
-//	F_ij += 4 D_kl v'   F_ik -= D_jl v'   F_il -= D_jk v'
-//	F_kl += 4 D_ij v'   F_jl -= D_ik v'   F_jk -= D_il v'
-//
-// with v' = v / 2^{[B1==B2] + [K1==K2] + [(B1,B2)==(K1,K2)]}; adding
-// G + G^T at the end restores the full 8-fold symmetric sum of eq. (3)
-// (see DESIGN.md).
-func ApplyQuartet(bs *basis.Set, d, f []float64, m, p, n, q int, batch []float64) {
-	om, op, on, oq := bs.Offsets[m], bs.Offsets[p], bs.Offsets[n], bs.Offsets[q]
-	nm, np, nn, nq2 := bs.ShellFuncs(m), bs.ShellFuncs(p), bs.ShellFuncs(n), bs.ShellFuncs(q)
+// quartetScale is the symmetry scale of the unique quartet (MP|NQ):
+// 1 / 2^{[M==P] + [N==Q] + [(M,P)==(N,Q)]}. A power of two, so a value
+// scaled by it is exact.
+func quartetScale(m, p, n, q int) float64 {
 	scale := 1.0
 	if m == p {
 		scale *= 0.5
@@ -1057,24 +1054,66 @@ func ApplyQuartet(bs *basis.Set, d, f []float64, m, p, n, q int, batch []float64
 	if m == n && p == q {
 		scale *= 0.5
 	}
-	nf := bs.NumFuncs
+	return scale
+}
+
+// ApplyQuartet applies the 6-block Fock update of one unique quartet
+// batch v[i in M][j in P][k in N][l in Q] = (ij|kl) into the dense n x n
+// buffers d (density, read) and f (Fock accumulator, written), through
+// the one contraction. It scales batch in place by quartetScale first:
+// pass engine scratch that nothing reads after (an ERIBatch visit's).
+// It serves quartets with no task-constant M and N (the NWChem
+// baseline); a task's quartets go through contract in one call.
+func ApplyQuartet(bs *basis.Set, d, f []float64, m, p, n, q int, batch []float64) {
+	if s := quartetScale(m, p, n, q); s != 1 {
+		for i := range batch {
+			batch[i] *= s
+		}
+	}
+	off := [4]int{bs.Offsets[m], bs.Offsets[p], bs.Offsets[n], bs.Offsets[q]}
+	width := [4]int{bs.ShellFuncs(m), bs.ShellFuncs(p), bs.ShellFuncs(n), bs.ShellFuncs(q)}
+	contract(d, f, bs.NumFuncs, off[:], width[:], 0, 2, []uint32{1 | 3<<16}, batch)
+}
+
+// contract is the one Fock contraction. It applies the 6-block update of
+// every quartet (MP|NQ) of task (m, n) — labels[k] = P | Q<<16 in order,
+// vals their batches v[i in M][j in P][k in N][l in Q] = (ij|kl)
+// concatenated and already scaled by quartetScale — into the dense
+// n x n buffers d (density, read) and f (Fock accumulator, written):
+//
+//	F_ij += 4 D_kl v   F_ik -= D_jl v   F_il -= D_jk v
+//	F_kl += 4 D_ij v   F_jl -= D_ik v   F_jk -= D_il v
+//
+// Adding G + G^T at the end restores the full 8-fold symmetric sum of
+// eq. (3) (see DESIGN.md). off and width give each shell's first
+// function and function count; M's and N's are read once per task.
+func contract(d, f []float64, nf int, off, width []int, m, n int, labels []uint32, vals []float64) {
+	om, nm, on, nn := off[m], width[m], off[n], width[n]
 	idx := 0
-	for i := 0; i < nm; i++ {
-		gi := om + i
-		for j := 0; j < np; j++ {
-			gj := op + j
-			for k := 0; k < nn; k++ {
-				gk := on + k
-				for l := 0; l < nq2; l++ {
-					gl := oq + l
-					v := batch[idx] * scale
-					idx++
-					f[gi*nf+gj] += 4 * v * d[gk*nf+gl]
-					f[gk*nf+gl] += 4 * v * d[gi*nf+gj]
-					f[gi*nf+gk] -= v * d[gj*nf+gl]
-					f[gj*nf+gl] -= v * d[gi*nf+gk]
-					f[gi*nf+gl] -= v * d[gj*nf+gk]
-					f[gj*nf+gk] -= v * d[gi*nf+gl]
+	for _, lb := range labels {
+		p, q := int(lb&0xffff), int(lb>>16)
+		op, np, oq, nq := off[p], width[p], off[q], width[q]
+		// Row starts and the D elements fixed for an (i, j, k) are
+		// hoisted; every F update keeps its order, so F gets the same bits.
+		for gi := om; gi < om+nm; gi++ {
+			ri := gi * nf
+			for gj := op; gj < op+np; gj++ {
+				rj, ij := gj*nf, ri+gj
+				dij := d[ij]
+				for gk := on; gk < on+nn; gk++ {
+					rk, ik, jk := gk*nf, ri+gk, rj+gk
+					dik, djk := d[ik], d[jk]
+					for gl := oq; gl < oq+nq; gl++ {
+						kl, il, jl := rk+gl, ri+gl, rj+gl
+						v := vals[idx]
+						idx++
+						f[ij] += 4 * v * d[kl]
+						f[kl] += 4 * v * dij
+						f[ik] -= v * d[jl]
+						f[jl] -= v * dik
+						f[il] -= v * djk
+						f[jk] -= v * d[il]
+					}
 				}
 			}
 		}

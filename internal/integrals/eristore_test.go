@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -48,27 +49,31 @@ func (f *fakeBlobStore) GetBlob(key uint64, dst []float64) ([]float64, error) {
 }
 
 // storeTask builds a synthetic recorded batch for task id t: nq quartets
-// with distinct ket indices and value runs of varying length.
-func storeTask(t, nq int) (pq [][2]int32, ends []int32, vals []float64) {
+// with distinct labels and value runs of varying length.
+func storeTask(t, nq int) (labels []uint32, vals []float64) {
 	for k := 0; k < nq; k++ {
-		pq = append(pq, [2]int32{int32(t + k), int32(2*t + k + 1)})
+		labels = append(labels, uint32(t+k)|uint32(2*t+k+1)<<16)
 		for j := 0; j <= k%3; j++ {
 			vals = append(vals, float64(t*1000+k*10+j))
 		}
-		ends = append(ends, int32(len(vals)))
 	}
 	return
 }
 
-// replayAll replays task through the store and returns the flattened
-// visit sequence for comparison with the committed batch.
-func replayAll(t *testing.T, s *ERIStore, task int) (pq [][2]int32, vals []float64, ok bool) {
+// replayAll replays task through the store and returns what the one
+// apply call saw, for comparison with the committed batch.
+func replayAll(t *testing.T, s *ERIStore, task int) (labels []uint32, vals []float64, ok bool) {
 	t.Helper()
 	var scratch []float64
-	ok = s.ReplayTask(task, &scratch, func(p, q int32, v []float64) {
-		pq = append(pq, [2]int32{p, q})
+	calls := 0
+	ok = s.ReplayTask(task, &scratch, func(l []uint32, v []float64) {
+		calls++
+		labels = append(labels, l...)
 		vals = append(vals, v...)
 	})
+	if ok && calls != 1 {
+		t.Fatalf("task %d: replay made %d apply calls, want 1", task, calls)
+	}
 	return
 }
 
@@ -78,16 +83,16 @@ func TestERIStoreCommitReplayRoundtrip(t *testing.T) {
 		t.Fatalf("NumTasks = %d, want 16", s.NumTasks())
 	}
 	for task := 0; task < 16; task++ {
-		pq, ends, vals := storeTask(task, 1+task%5)
-		s.CommitTask(task, pq, ends, vals)
+		labels, vals := storeTask(task, 1+task%5)
+		s.CommitTask(task, labels, vals)
 	}
 	for task := 0; task < 16; task++ {
-		wantPQ, _, wantVals := storeTask(task, 1+task%5)
-		pq, vals, ok := replayAll(t, s, task)
+		wantLabels, wantVals := storeTask(task, 1+task%5)
+		labels, vals, ok := replayAll(t, s, task)
 		if !ok {
 			t.Fatalf("task %d: replay missed", task)
 		}
-		if fmt.Sprint(pq) != fmt.Sprint(wantPQ) || fmt.Sprint(vals) != fmt.Sprint(wantVals) {
+		if fmt.Sprint(labels) != fmt.Sprint(wantLabels) || fmt.Sprint(vals) != fmt.Sprint(wantVals) {
 			t.Fatalf("task %d: replay diverged from commit", task)
 		}
 	}
@@ -105,36 +110,36 @@ func TestERIStoreCommitReplayRoundtrip(t *testing.T) {
 // a no-op: first writer wins and replay sees one copy.
 func TestERIStoreCommitIdempotent(t *testing.T) {
 	s := NewERIStore(2, 0, nil, 0, nil)
-	pq, ends, vals := storeTask(1, 4)
+	labels, vals := storeTask(1, 4)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.CommitTask(1, pq, ends, vals)
+			s.CommitTask(1, labels, vals)
 		}()
 	}
 	wg.Wait()
 	if st := s.Stats(); st.QuartetsStored != 4 {
 		t.Fatalf("duplicate commits counted: %+v", st)
 	}
-	gotPQ, gotVals, ok := replayAll(t, s, 1)
-	if !ok || len(gotPQ) != 4 || len(gotVals) != len(vals) {
-		t.Fatalf("replay after duplicate commits: ok=%v len=%d", ok, len(gotPQ))
+	gotLabels, gotVals, ok := replayAll(t, s, 1)
+	if !ok || len(gotLabels) != 4 || len(gotVals) != len(vals) {
+		t.Fatalf("replay after duplicate commits: ok=%v len=%d", ok, len(gotLabels))
 	}
 }
 
 // An uncommitted task and an empty (fully screened) task: the former is
-// a miss, the latter a hit with zero visits.
+// a miss, the latter a hit with no labels.
 func TestERIStoreMissAndEmptyTask(t *testing.T) {
 	s := NewERIStore(2, 0, nil, 0, nil)
 	if _, _, ok := replayAll(t, s, 0); ok {
 		t.Fatal("replay hit on an uncommitted task")
 	}
-	s.CommitTask(3, nil, nil, nil)
-	pq, _, ok := replayAll(t, s, 3)
-	if !ok || len(pq) != 0 {
-		t.Fatalf("empty task: ok=%v visits=%d, want hit with 0 visits", ok, len(pq))
+	s.CommitTask(3, nil, nil)
+	labels, _, ok := replayAll(t, s, 3)
+	if !ok || len(labels) != 0 {
+		t.Fatalf("empty task: ok=%v labels=%d, want hit with 0 labels", ok, len(labels))
 	}
 	if st := s.Stats(); st.TaskMisses != 1 || st.TaskHits != 1 {
 		t.Fatalf("stats: %+v", st)
@@ -144,11 +149,11 @@ func TestERIStoreMissAndEmptyTask(t *testing.T) {
 // Over budget without a spill backend, value legs are dropped and the
 // task recomputes (replay miss) — but within-budget tasks still hit.
 func TestERIStoreBudgetDrop(t *testing.T) {
-	pq, ends, vals := storeTask(0, 3)
+	labels, vals := storeTask(0, 3)
 	budget := int64(8 * len(vals)) // exactly one task's values
 	s := NewERIStore(2, budget, nil, 0, nil)
-	s.CommitTask(0, pq, ends, vals)
-	s.CommitTask(1, pq, ends, vals) // over budget: dropped
+	s.CommitTask(0, labels, vals)
+	s.CommitTask(1, labels, vals) // over budget: dropped
 	if _, _, ok := replayAll(t, s, 0); !ok {
 		t.Fatal("within-budget task missed")
 	}
@@ -165,14 +170,14 @@ func TestERIStoreBudgetDrop(t *testing.T) {
 // replay fetches them back intact.
 func TestERIStoreSpillRoundtrip(t *testing.T) {
 	fb := &fakeBlobStore{}
-	pq, ends, vals := storeTask(0, 3)
+	labels, vals := storeTask(0, 3)
 	s := NewERIStore(2, 8, fb, 42, nil) // budget below any task
-	s.CommitTask(0, pq, ends, vals)
+	s.CommitTask(0, labels, vals)
 	if fb.puts != 1 {
 		t.Fatalf("puts = %d, want 1", fb.puts)
 	}
-	gotPQ, gotVals, ok := replayAll(t, s, 0)
-	if !ok || fmt.Sprint(gotPQ) != fmt.Sprint(pq) || fmt.Sprint(gotVals) != fmt.Sprint(vals) {
+	gotLabels, gotVals, ok := replayAll(t, s, 0)
+	if !ok || fmt.Sprint(gotLabels) != fmt.Sprint(labels) || fmt.Sprint(gotVals) != fmt.Sprint(vals) {
 		t.Fatalf("spilled replay diverged: ok=%v", ok)
 	}
 	st := s.Stats()
@@ -189,9 +194,9 @@ func TestERIStoreSpillLossFallsBackToMiss(t *testing.T) {
 		if mode == "putfail" {
 			fb.failPuts = true
 		}
-		pq, ends, vals := storeTask(0, 3)
+		labels, vals := storeTask(0, 3)
 		s := NewERIStore(2, 8, fb, 0, nil)
-		s.CommitTask(0, pq, ends, vals)
+		s.CommitTask(0, labels, vals)
 		switch mode {
 		case "lossy":
 			fb.lossy = true
@@ -215,12 +220,12 @@ func TestERIStoreSpillLossFallsBackToMiss(t *testing.T) {
 // A store that records one small task reserves about what it holds, not
 // a 512 KB arena chunk: every hfd job opens a store, most of them small.
 func TestERIStoreSmallArena(t *testing.T) {
-	pq, ends, vals := storeTask(0, 3)
+	labels, vals := storeTask(0, 3)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	s := NewERIStore(2, 0, nil, 0, nil)
-	s.CommitTask(0, pq, ends, vals)
+	s.CommitTask(0, labels, vals)
 	runtime.ReadMemStats(&after)
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 		t.Fatalf("a one-task store allocated %d bytes, want < 64 KB", got)
@@ -267,4 +272,15 @@ func TestERIStoreBlobKeys(t *testing.T) {
 			t.Fatalf("task %d: same key under different salts", task)
 		}
 	}
+}
+
+// A store over more shells than a label packs panics before it allocates
+// its ns*ns entry table (34 GB at the first shell count past the bound).
+func TestERIStoreShellBound(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "16 bits") {
+			t.Fatalf("NewERIStore(MaxStoreShells+1) recovered %v, want the label-bound panic", r)
+		}
+	}()
+	NewERIStore(MaxStoreShells+1, 0, nil, 0, nil)
 }

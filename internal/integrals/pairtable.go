@@ -330,10 +330,11 @@ type Quartet struct {
 // are computed by one kernel call that shares each primitive quartet's
 // prologue, Boys values and Hermite R across the members; every member
 // is still visited on its own, in qs order. The batch slice is
-// engine-owned scratch valid only inside the visit call — digest it in
-// place (core.ApplyQuartet does); unlike ERI no retained copy is made, so
-// the steady state of a warmed-up engine is allocation-free (see
-// TestERIBatchZeroAlloc).
+// engine-owned scratch valid only inside the visit call — copy it out
+// (core's task walk appends it, scaled, to its task buffer, the one
+// contraction's input) or digest it in place (core.ApplyQuartet does);
+// unlike ERI no retained copy is made, so the steady state of a warmed-up
+// engine is allocation-free (see TestERIBatchZeroAlloc).
 func (e *Engine) ERIBatch(pt *PairTable, qs []Quartet, visit func(k int, batch []float64)) {
 	for k := 0; k < len(qs); {
 		nb, nk := pt.siblingGroup(qs[k:])

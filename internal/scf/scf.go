@@ -233,6 +233,10 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	if order != nil {
 		bs = bs.Permute(order(bs))
 	}
+	if bs.NumShells() > integrals.MaxStoreShells {
+		return nil, fmt.Errorf("scf: a quartet label packs shell indices in 16 bits; %d shells exceed %d",
+			bs.NumShells(), integrals.MaxStoreShells)
+	}
 	if nocc > bs.NumFuncs {
 		return nil, fmt.Errorf("scf: %d occupied orbitals exceed %d basis functions",
 			nocc, bs.NumFuncs)

@@ -180,6 +180,20 @@ func TestRejectsBadOptions(t *testing.T) {
 	}
 }
 
+// A basis whose shell indices do not fit a quartet label is an error
+// before any integral work, with or without ERICache, never a panic: a
+// chain of MaxStoreShells+2 hydrogens has one STO-3G shell per atom.
+func TestRejectsShellsPastLabel(t *testing.T) {
+	mol := &chem.Molecule{Atoms: make([]chem.Atom, integrals.MaxStoreShells+2)}
+	for i := range mol.Atoms {
+		mol.Atoms[i] = chem.Atom{Z: chem.ZHydrogen, Pos: chem.Vec3{X: 1.4 * float64(i)}}
+	}
+	_, err := RunHF(mol, Options{BasisName: "sto-3g"})
+	if err == nil || !strings.Contains(err.Error(), "16 bits") {
+		t.Fatalf("err = %v, want the quartet-label bound", err)
+	}
+}
+
 // A bad option combination is rejected before any integral work: each row
 // also names an unknown basis, and basis.Build is the first thing RunHF
 // does with the molecule, so getting the option error back — not the

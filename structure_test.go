@@ -363,6 +363,57 @@ func (fs files) printed(texts ...string) []site {
 	})
 }
 
+// fockUpdates returns one site for each declaration holding at least n
+// compound += or -= assignments into an indexed element, whatever the
+// right side reads: F_ij += 4 v D_kl, and F_kl += 4 v dij with D_ij
+// hoisted, count alike.
+func (fs files) fockUpdates(n int) []site {
+	sites := fs.find(func(nd node) string {
+		a, ok := nd.n.(*ast.AssignStmt)
+		if !ok || a.Tok != token.ADD_ASSIGN && a.Tok != token.SUB_ASSIGN || len(a.Lhs) != 1 {
+			return ""
+		}
+		if _, ok := a.Lhs[0].(*ast.IndexExpr); !ok {
+			return ""
+		}
+		return "indexed update"
+	})
+	count := map[string]int{}
+	for _, s := range sites {
+		count[s.path+" "+s.decl]++
+	}
+	var out []site
+	for _, s := range sites {
+		if k := s.path + " " + s.decl; count[k] >= n {
+			s.what = fmt.Sprintf("%d indexed updates", count[k])
+			out = append(out, s)
+			count[k] = 0 // one site per declaration
+		}
+	}
+	return out
+}
+
+// funcTypes returns the function types, declared or literal, whose
+// parameter types print as params ("int32, int32, []float64").
+func (fs files) funcTypes(params string) []site {
+	return fs.find(func(n node) string {
+		ft, ok := n.n.(*ast.FuncType)
+		if !ok || ft.Params == nil {
+			return ""
+		}
+		var ts []string
+		for _, f := range ft.Params.List {
+			for range max(1, len(f.Names)) {
+				ts = append(ts, types.ExprString(f.Type))
+			}
+		}
+		if strings.Join(ts, ", ") != params {
+			return ""
+		}
+		return "func(" + params + ")"
+	})
+}
+
 // literals returns the string literals that contain any of subs.
 func (fs files) literals(subs ...string) []site {
 	return fs.find(func(n node) string {
@@ -690,6 +741,30 @@ var rows = []row{
 	{"core-fast-kernels", "the general-kernel switch is set only in internal/integrals (its tests' oracle)", func(tr files) []string {
 		return none(tr.code().under("internal", "cmd").except("internal/integrals").uses("DisableFastKernels"))
 	}, []plant{{"cmd/fockbuild/plant.go", `package main; import "gtfock/internal/integrals"; func plant(e *integrals.Engine) { e.DisableFastKernels = true }`}}},
+
+	// One contraction (DESIGN §11 "Store format"): computed and replayed
+	// tasks, and the NWChem baseline's quartets, meet F in one loop nest.
+	{"one-contraction", "outside tests and the generated kernels exactly one function (core.contract) folds integrals into F from D, and the per-quartet replay callback stays gone in internal/core and internal/integrals", func(tr files) []string {
+		bodies := tr.code().except("internal/integrals/kernels_gen.go").fockUpdates(6)
+		callbacks := tr.under("internal/core", "internal/integrals").funcTypes("int32, int32, []float64")
+		return append(one(bodies, "core.contract"), none(callbacks)...)
+	}, []plant{
+		{"internal/nwchem/plant.go", "package nwchem\nfunc plant(f, d []float64, ij, kl, ik, jl, il, jk int, v float64) {\n\tf[ij] += 4 * v * d[kl]\n\tf[kl] += 4 * v * d[ij]\n\tf[ik] -= v * d[jl]\n\tf[jl] -= v * d[ik]\n\tf[il] -= v * d[jk]\n\tf[jk] -= v * d[il]\n}"},
+		{"internal/nwchem/plant.go", `package nwchem
+func plant(f, d, vals []float64, ri, rj, rk, ij, ik, jk, oq, nq int, dij, dik, djk float64) {
+	for gl := oq; gl < oq+nq; gl++ {
+		kl, il, jl := rk+gl, ri+gl, rj+gl
+		v := vals[gl-oq]
+		f[ij] += 4 * v * d[kl]
+		f[kl] += 4 * v * dij
+		f[ik] -= v * d[jl]
+		f[jl] -= v * dik
+		f[il] -= v * djk
+		f[jk] -= v * d[il]
+	}
+}`},
+		{"internal/integrals/plant.go", `package integrals; func (s *ERIStore) plant(task int, visit func(p, q int32, vals []float64)) {}`},
+	}},
 
 	// One quartet screen (DESIGN §8): Schwarz at tau over a primitive
 	// prescreen fixed at integrals.PrimTol.
