@@ -23,7 +23,7 @@ race:
 # (non-race, about two minutes). A flaky e2e is a failing e2e — an assertion that
 # depends on scheduling luck must not merge.
 e2e-flake:
-	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestFleetRunnerRedialsRestartedShard|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestChaosSweepBuildMatchesSerial|TestSpillE2EReplayMatchesSerial' ./internal/serve/ ./internal/net/
+	$(GO) test -count=20 -run 'TestHAEndToEnd|TestOverloadEndToEnd|TestFleetRunnerRedialsRestartedShard|TestAPIStreamsRealJob|TestPreemptionResumesFromSlowCheckpoint|TestChaosSweepBuildMatchesSerial|TestSpillE2EReplayMatchesSerial|TestHeartbeatLeaseLossCancels' ./internal/serve/ ./internal/net/
 
 # The aggregate gate, and the one suite CI runs. `race` runs every test
 # of every package under the race detector, so a new test is gated by

@@ -34,9 +34,8 @@ type Peer struct {
 	srv   *Server
 	inner Runner
 
-	mu      sync.Mutex
-	owned   map[string]uint64 // job id -> lease fence
-	cancels map[string]context.CancelCauseFunc
+	mu    sync.Mutex
+	owned map[string]uint64 // job id -> lease fence
 
 	synced atomic.Bool // first successful registry round-trip done
 	dead   atomic.Bool // simulated SIGKILL: sever everything, report nothing
@@ -66,8 +65,8 @@ type PeerConfig struct {
 	// same directory, on storage they all read.
 	CheckpointDir string
 	// Server is the local scheduler's config. Runner must be set (the
-	// FleetRunner); the Peer wraps it with lease acquisition and wires
-	// OnTerminal to the registry.
+	// FleetRunner); the Peer wraps it with its lease check and records
+	// every terminal outcome in the registry before it is published.
 	Server Config
 	// HeartbeatEvery is the lease-renewal cadence. Zero derives a third
 	// of the registry's ADVERTISED LeaseTTL (fetched from its stats, the
@@ -126,12 +125,11 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 		cfg.ScanEvery = time.Second
 	}
 	p := &Peer{
-		cfg:     cfg,
-		reg:     cfg.Registry,
-		inner:   cfg.Server.Runner,
-		owned:   map[string]uint64{},
-		cancels: map[string]context.CancelCauseFunc{},
-		stop:    make(chan struct{}),
+		cfg:   cfg,
+		reg:   cfg.Registry,
+		inner: cfg.Server.Runner,
+		owned: map[string]uint64{},
+		stop:  make(chan struct{}),
 	}
 	p.synced.Store(synced)
 	srv, err := NewServer(cfg.Server)
@@ -140,7 +138,7 @@ func NewPeer(cfg PeerConfig) (*Peer, error) {
 	}
 	// The server runs every job leased; it holds no job yet.
 	srv.cfg.Runner = RunnerFunc(p.runLeased)
-	srv.cfg.OnTerminal = p.onTerminal
+	srv.onTerminal = p.onTerminal
 	p.srv = srv
 	p.wg.Add(2)
 	go p.heartbeatLoop()
@@ -205,30 +203,18 @@ func (p *Peer) Submit(spec JobSpec) (*Job, error) {
 	return j, nil
 }
 
-// runLeased wraps the inner runner: execution happens only while the
-// lease is held, under a context the heartbeat loop cancels the moment
-// the registry says the lease moved.
+// runLeased wraps the inner runner: a job starts only while its lease is
+// held. The heartbeat loop cancels the run through the scheduler the
+// moment the registry says the lease moved, and onTerminal's fence check
+// publishes whatever the run then returns as lost.
 func (p *Peer) runLeased(ctx context.Context, j *Job) (*JobResult, error) {
 	p.mu.Lock()
 	_, held := p.owned[j.ID]
+	p.mu.Unlock()
 	if !held {
-		p.mu.Unlock()
 		return nil, fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
 	}
-	runCtx, cancel := context.WithCancelCause(ctx)
-	p.cancels[j.ID] = cancel
-	p.mu.Unlock()
-
-	res, err := p.inner.Run(runCtx, j)
-
-	p.mu.Lock()
-	delete(p.cancels, j.ID)
-	p.mu.Unlock()
-	cancel(nil)
-	if err != nil && errors.Is(context.Cause(runCtx), ErrLeaseLost) {
-		return nil, fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
-	}
-	return res, err
+	return p.inner.Run(ctx, j)
 }
 
 // onTerminal is the finish half of finish-then-publish: it records the
@@ -280,8 +266,9 @@ func (p *Peer) onTerminal(j *Job, state JobState, res *JobResult, jerr error) er
 }
 
 // heartbeatLoop renews every held lease in one batch. Jobs the registry
-// reports lost are canceled locally: their fence moved, so continuing
-// would only waste the executor — nothing they write can land anywhere.
+// reports lost are canceled locally with ErrLeaseLost, running or
+// queued: their fence moved, so continuing would only waste the executor
+// — nothing they write can land anywhere.
 func (p *Peer) heartbeatLoop() {
 	defer p.wg.Done()
 	t := time.NewTicker(p.cfg.HeartbeatEvery)
@@ -309,16 +296,13 @@ func (p *Peer) heartbeatLoop() {
 			continue // registry blip; next tick retries
 		}
 		p.synced.Store(true)
+		p.mu.Lock()
 		for _, id := range lost {
-			p.mu.Lock()
 			delete(p.owned, id)
-			cancel := p.cancels[id]
-			p.mu.Unlock()
-			if cancel != nil {
-				cancel(ErrLeaseLost)
-			} else if j := p.srv.Job(id); j != nil {
-				j.Cancel() // still queued locally; cancel before it runs
-			}
+		}
+		p.mu.Unlock()
+		for _, id := range lost {
+			p.srv.cancelJob(id, ErrLeaseLost)
 		}
 	}
 }
@@ -429,15 +413,6 @@ func (p *Peer) Drain(ctx context.Context) error {
 func (p *Peer) Kill() {
 	p.dead.Store(true)
 	p.stopOnce.Do(func() { close(p.stop) })
-	p.mu.Lock()
-	cancels := make([]context.CancelCauseFunc, 0, len(p.cancels))
-	for _, c := range p.cancels {
-		cancels = append(cancels, c)
-	}
-	p.mu.Unlock()
-	for _, c := range cancels {
-		c(ErrKilled)
-	}
 	p.srv.Kill()
 	p.wg.Wait()
 }

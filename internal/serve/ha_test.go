@@ -647,3 +647,63 @@ func TestFinishThenPublish(t *testing.T) {
 		}
 	})
 }
+
+// TestHeartbeatLeaseLossCancels: a lease a heartbeat reports lost cancels
+// the job it covers, running or queued. Both are published failed with
+// ErrLeaseLost, a run sees its context canceled with that cause, and the
+// registry keeps both active under the peer that took them.
+func TestHeartbeatLeaseLossCancels(t *testing.T) {
+	reg := NewRegistry(RegistryConfig{LeaseTTL: time.Minute})
+	regSrv := httptest.NewServer((&RegistryAPI{Reg: reg}).Handler())
+	t.Cleanup(regSrv.Close)
+	g := newGate()
+	var mu sync.Mutex
+	causes := map[string]error{}
+	run := RunnerFunc(func(ctx context.Context, j *Job) (*JobResult, error) {
+		res, err := g.Run(ctx, j)
+		mu.Lock()
+		causes[j.ID] = context.Cause(ctx)
+		mu.Unlock()
+		return res, err
+	})
+	p, _ := newTestPeer(t, regSrv.URL, "peer-a", 10*time.Millisecond,
+		Config{Capacity: 1, Runner: run, Estimate: stubEstimate})
+	running, err := p.Submit(JobSpec{Molecule: "H2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := p.Submit(JobSpec{Molecule: "H2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, running, StateRunning)
+	if st := queued.State(); st != StateQueued {
+		t.Fatalf("second job %s, want queued behind the first", st)
+	}
+
+	ids := []string{running.ID, queued.ID}
+	reg.Release("peer-a", p.Incarnation(), ids)
+	for _, id := range ids {
+		if _, err := reg.Acquire(id, "peer-b", "peer-b:80", 2); err != nil {
+			t.Fatalf("Acquire %s: %v", id, err)
+		}
+	}
+	for _, j := range []*Job{running, queued} {
+		if _, err := j.Wait(); !errors.Is(err, ErrLeaseLost) || j.State() != StateFailed {
+			t.Fatalf("job %s: %s with %v, want failed with ErrLeaseLost", j.ID, j.State(), err)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if cause, ran := causes[running.ID]; !ran || !errors.Is(cause, ErrLeaseLost) {
+		t.Fatalf("running job's run ended with cause %v (ran %v), want ErrLeaseLost", cause, ran)
+	}
+	if cause, ran := causes[queued.ID]; ran && !errors.Is(cause, ErrLeaseLost) {
+		t.Fatalf("queued job ran and ended with cause %v, want ErrLeaseLost", cause)
+	}
+	for _, id := range ids {
+		if rec, _ := reg.Get(id); rec.Terminal() || rec.Owner != "peer-b" {
+			t.Fatalf("registry record = %+v, want still active under peer-b", rec)
+		}
+	}
+}

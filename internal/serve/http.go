@@ -158,12 +158,20 @@ func (a *API) miss(w http.ResponseWriter, r *http.Request, id string) {
 }
 
 // recorded serves a terminal registry record for a job no peer holds in
-// memory anymore (e.g. finished on a peer that has since restarted).
+// memory: one past its owner's last keepHistory, or finished on a peer
+// that has since restarted. The basis size is the scheduler's estimate
+// of the recorded spec; a failed job's retries died with its run.
 func (a *API) recorded(w http.ResponseWriter, r *http.Request, rec *JobRecord) {
 	st := Status{
 		ID: rec.ID, Tenant: rec.Spec.Tenant, Priority: rec.Spec.Priority,
 		Molecule: rec.Spec.Molecule, Basis: rec.Spec.Basis,
-		State: rec.State, Result: rec.Result, Error: rec.Error,
+		State: rec.State, Submitted: rec.Submitted, Result: rec.Result, Error: rec.Error,
+	}
+	if z, err := a.Server.cfg.Estimate(rec.Spec); err == nil {
+		st.NumBF = z.NumBF
+	}
+	if rec.Result != nil {
+		st.Retries = rec.Result.Retries
 	}
 	if strings.HasSuffix(r.URL.Path, "/events") {
 		// Synthesize the one event that matters: the terminal state. The

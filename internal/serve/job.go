@@ -146,7 +146,6 @@ type Job struct {
 	cond      *sync.Cond
 	state     JobState
 	events    []Event
-	first     int // seq of events[0]: 0, or the terminal seq of a finishedJob's job
 	result    *JobResult
 	err       error
 	retries   int
@@ -202,7 +201,7 @@ func (j *Job) setState(s JobState, msg string) {
 
 // appendLocked adds an event and wakes streamers. Callers hold j.mu.
 func (j *Job) appendLocked(ev Event) {
-	ev.Seq = j.first + len(j.events)
+	ev.Seq = len(j.events)
 	ev.Time = time.Now().UnixNano()
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
@@ -222,15 +221,14 @@ func (j *Job) Emit(ev Event) {
 func (j *Job) EventsSince(from int) ([]Event, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	for j.first+len(j.events) <= from && !j.state.Terminal() {
+	for len(j.events) <= from && !j.state.Terminal() {
 		j.cond.Wait()
 	}
-	i := max(0, from-j.first)
-	if len(j.events) <= i {
+	if len(j.events) <= from {
 		return nil, false
 	}
-	out := make([]Event, len(j.events)-i)
-	copy(out, j.events[i:])
+	out := make([]Event, len(j.events)-from)
+	copy(out, j.events[from:])
 	return out, true
 }
 
@@ -274,46 +272,4 @@ func (j *Job) Status() Status {
 		st.Error = j.err.Error()
 	}
 	return st
-}
-
-// finishedJob is what a server keeps of a terminal job once it is past
-// the last keepHistory (Server.keepLocked): its status and its terminal
-// event, not its event history or scheduling state, so what a server
-// keeps per finished job does not grow with the job's iterations.
-type finishedJob struct {
-	st Status
-	ev Event
-}
-
-// condense is what the server keeps of j once j has published its
-// terminal event and left the last keepHistory.
-func (j *Job) condense() finishedJob {
-	st := j.Status()
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return finishedJob{st: st, ev: j.events[len(j.events)-1]}
-}
-
-// job rebuilds a terminal Job from f for a lookup: the same status, and a
-// stream of f's terminal event alone, at its seq, so a stream read from
-// any seq up to it yields that event. Cancel is a no-op.
-func (f *finishedJob) job() *Job {
-	j := &Job{
-		ID: f.st.ID,
-		Spec: JobSpec{Tenant: f.st.Tenant, Priority: f.st.Priority,
-			Molecule: f.st.Molecule, Basis: f.st.Basis},
-		Size:      JobSize{NumBF: f.st.NumBF},
-		cancel:    func(error) {},
-		state:     f.ev.State,
-		events:    []Event{f.ev},
-		first:     f.ev.Seq,
-		result:    f.st.Result,
-		retries:   f.st.Retries,
-		submitted: f.st.Submitted,
-	}
-	if f.st.Error != "" {
-		j.err = errors.New(f.st.Error)
-	}
-	j.cond = sync.NewCond(&j.mu)
-	return j
 }

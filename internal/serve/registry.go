@@ -94,6 +94,9 @@ type JobRecord struct {
 	Ckpt string `json:"ckpt,omitempty"`
 
 	State string `json:"state"`
+	// Submitted is when the registry created the record, by its clock;
+	// zero in a record written before the field existed.
+	Submitted time.Time `json:"submitted"`
 
 	// Ownership lease. Fence increments on every acquisition; Owner and
 	// OwnerInc identify the holder's identity and process incarnation.
@@ -282,10 +285,11 @@ func (r *Registry) Create(spec JobSpec, owner, ownerAddr string, inc uint64, ckp
 	if ckptDir != "" {
 		ckpt = filepath.Join(ckptDir, id+".ckpt")
 	}
+	now := r.cfg.Clock()
 	rec := &JobRecord{
-		ID: id, Spec: spec, Ckpt: ckpt, State: RecActive,
+		ID: id, Spec: spec, Ckpt: ckpt, State: RecActive, Submitted: now,
 		Owner: owner, OwnerAddr: ownerAddr, OwnerInc: inc, Fence: 1,
-		LeaseExpiry: r.cfg.Clock().Add(r.cfg.LeaseTTL).UnixNano(),
+		LeaseExpiry: now.Add(r.cfg.LeaseTTL).UnixNano(),
 	}
 	if err := r.commitLocked(rec); err != nil {
 		r.nextID--

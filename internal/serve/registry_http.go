@@ -308,9 +308,13 @@ func (c *RegistryClient) Get(id string) (JobRecord, bool, error) {
 		return JobRecord{}, false, err
 	}
 	defer hresp.Body.Close()
-	if hresp.StatusCode == http.StatusNotFound {
+	switch hresp.StatusCode {
+	case http.StatusOK:
+	case http.StatusNotFound:
 		io.Copy(io.Discard, hresp.Body)
 		return JobRecord{}, false, nil
+	default:
+		return JobRecord{}, false, fmt.Errorf("serve: registry /reg/v1/jobs/%s: HTTP %d", id, hresp.StatusCode)
 	}
 	var rec JobRecord
 	if err := json.NewDecoder(hresp.Body).Decode(&rec); err != nil {

@@ -58,8 +58,8 @@ func TestLeaseAcquireRenewExpiry(t *testing.T) {
 	if fence != 1 {
 		t.Fatalf("initial fence = %d, want 1", fence)
 	}
-	if rec, _ := r.Get(id); rec.Ckpt != "/ckpt/"+id+".ckpt" {
-		t.Fatalf("ckpt pointer = %q, want FleetRunner convention", rec.Ckpt)
+	if rec, _ := r.Get(id); rec.Ckpt != "/ckpt/"+id+".ckpt" || !rec.Submitted.Equal(clk.Now()) {
+		t.Fatalf("record = %+v, want the FleetRunner's ckpt path, submitted at %v", rec, clk.Now())
 	}
 
 	// Held lease: not an orphan, not acquirable.
@@ -362,6 +362,9 @@ func TestRegistryGoldenBytes(t *testing.T) {
 		done.Result.Iterations != 7 || done.Ckpt != "/ckpt/j-000001.ckpt" || done.Spec.Basis != "sto-3g" {
 		t.Fatalf("j-000001 = %+v ok=%v, want the finished H2 job", done, ok)
 	}
+	if !done.Submitted.IsZero() {
+		t.Fatalf("j-000001 submitted %v, want zero in a record written without it", done.Submitted)
+	}
 	live, ok := r.Get("j-000002")
 	if !ok || live.State != RecActive || live.Owner != "p2" || live.OwnerInc != 2 || live.Fence != 1 || live.Spec.Molecule != "CH4" {
 		t.Fatalf("j-000002 = %+v ok=%v, want p2's active CH4 job", live, ok)
@@ -442,5 +445,29 @@ func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
 	r.mu.Unlock()
 	if err := c.Finish(id, "p1", 1, fence, RecDone, nil, ""); err != nil {
 		t.Fatalf("Finish after repair: %v", err)
+	}
+}
+
+// RegistryClient.Get reads a record only from a 200: a 404 is an unknown
+// job, and any other status is an error, whatever its body — an
+// overloaded registry's JSON error is not a record, and a terminal one
+// least of all.
+func TestRegistryClientGetRefusesNon200(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		code := http.StatusServiceUnavailable
+		if strings.HasSuffix(r.URL.Path, "/gone") {
+			code = http.StatusNotFound
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(code)
+		w.Write([]byte(`{"error":"overloaded"}`))
+	}))
+	defer srv.Close()
+	c := NewRegistryClient(srv.URL, time.Second)
+	if rec, ok, err := c.Get("j-000001"); err == nil || ok {
+		t.Fatalf("Get on a 503: rec %+v ok=%v err=%v, want an error", rec, ok, err)
+	}
+	if _, ok, err := c.Get("gone"); err != nil || ok {
+		t.Fatalf("Get on a 404: ok=%v err=%v, want an unknown job", ok, err)
 	}
 }

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -213,23 +217,41 @@ func TestStoresLeaveRoomForAdmission(t *testing.T) {
 	}
 }
 
-// Every finished job stays queryable with the status it finished with;
-// past the last keepHistory of them its event stream (over HTTP, as a
-// client reads it, from a lone hfd's peer) is the terminal event alone,
-// at its seq, and cancelling it does nothing.
+// Every finished job stays queryable over HTTP with the status it
+// finished with. Past its owner's last keepHistory a job is the
+// registry's alone: the owner and a second peer of the registry answer
+// the same body, with the submit time the registry stamped and the
+// retries of a done job, and its event stream ends with its terminal
+// event.
 func TestFinishedJobsKeepStatus(t *testing.T) {
-	done := RunnerFunc(func(context.Context, *Job) (*JobResult, error) {
+	var runs atomic.Int64
+	run := RunnerFunc(func(_ context.Context, j *Job) (*JobResult, error) {
+		switch runs.Add(1) % 3 {
+		case 0:
+			return nil, errors.New("stub: shard lost")
+		case 2:
+			j.mu.Lock()
+			j.retries = 2
+			j.mu.Unlock()
+		}
 		return &JobResult{Converged: true, Energy: -1}, nil
 	})
-	p, api := newLonePeer(t, Config{Capacity: 1, Runner: done, Estimate: stubEstimate})
+	regSrv := httptest.NewServer((&RegistryAPI{Reg: NewRegistry(RegistryConfig{LeaseTTL: time.Minute})}).Handler())
+	t.Cleanup(regSrv.Close)
+	cfg := Config{Capacity: 1, Runner: run, Estimate: stubEstimate}
+	p, owner := newTestPeer(t, regSrv.URL, "peer-a", 10*time.Millisecond, cfg)
+	_, other := newTestPeer(t, regSrv.URL, "peer-b", 10*time.Millisecond, cfg)
 	s := p.Server()
+	const old = 3 // done, done after 2 retries, failed
 	var jobs []*Job
-	for i := 0; i < keepHistory+2; i++ {
+	var before []time.Time
+	for i := 0; i < keepHistory+old; i++ {
+		before = append(before, time.Now())
 		j, err := p.Submit(JobSpec{Molecule: "H2"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitState(t, j, StateDone)
+		j.Wait()
 		jobs = append(jobs, j)
 	}
 	// A job is published before the scheduler keeps it; a drain returns
@@ -237,38 +259,50 @@ func TestFinishedJobsKeepStatus(t *testing.T) {
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	for i, orig := range jobs {
-		j := s.Job(orig.ID)
-		if j == nil || j.Status() != orig.Status() || j.Status().State != "done" || j.Status().Result == nil {
-			t.Fatalf("job %d: status %+v, want done as it finished: %+v", i, j, orig.Status())
-		}
-		j.Cancel()
-		resp, err := http.Get(api.URL + "/v1/jobs/" + orig.ID + "/events")
+	get := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var evs []Event
-		for dec := json.NewDecoder(resp.Body); ; {
-			var ev Event
-			if dec.Decode(&ev) != nil {
-				break
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s %v", url, resp.StatusCode, body, err)
+		}
+		return body
+	}
+	for i, orig := range jobs {
+		want, path := orig.Status(), "/v1/jobs/"+orig.ID
+		if kept := s.Job(orig.ID) != nil; kept != (i >= old) {
+			t.Fatalf("job %d: kept by its owner = %v", i, kept)
+		}
+		body := get(owner.URL + path)
+		var got Status
+		if err := json.Unmarshal(body, &got); err != nil {
+			t.Fatal(err)
+		}
+		if got.ID != want.ID || got.State != want.State || got.Error != want.Error || got.NumBF != want.NumBF ||
+			!reflect.DeepEqual(got.Result, want.Result) || want.State == "done" && got.Retries != want.Retries {
+			t.Fatalf("job %d: status %+v, want %+v", i, got, want)
+		}
+		if i < old {
+			if got.Submitted.Before(before[i]) || got.Submitted.After(want.Submitted) {
+				t.Fatalf("job %d: submitted %v, want within [%v, %v]", i, got.Submitted, before[i], want.Submitted)
 			}
-			evs = append(evs, ev)
+			if second := get(other.URL + path); !bytes.Equal(second, body) {
+				t.Fatalf("job %d: second peer answers %s, owner %s", i, second, body)
+			}
+		} else if !got.Submitted.Equal(want.Submitted) {
+			t.Fatalf("job %d: submitted %v, want %v", i, got.Submitted, want.Submitted)
 		}
-		resp.Body.Close()
-		if len(evs) == 0 {
-			t.Fatalf("job %d: empty event stream", i)
+		lines := bytes.Split(bytes.TrimSpace(get(owner.URL+path+"/events")), []byte("\n"))
+		var last Event
+		if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+			t.Fatal(err)
 		}
-		switch last := evs[len(evs)-1]; {
-		case last.Type != "done" || last.Seq != 2:
-			t.Fatalf("job %d: last event %+v, want done at seq 2", i, last)
-		case i < 2 && len(evs) != 1:
-			t.Fatalf("job %d: %d events kept, want the terminal one alone", i, len(evs))
-		case i >= 2 && len(evs) != 3:
-			t.Fatalf("job %d: %d events kept, want queued, running, done", i, len(evs))
-		}
-		if evs, more := j.EventsSince(3); evs != nil || more {
-			t.Fatalf("job %d: stream past its end returned %v, %v", i, evs, more)
+		if last.Type != want.State || last.Msg != want.Error || want.State == "done" && last.Energy != -1 {
+			t.Fatalf("job %d: last event %+v, want the terminal one of %+v", i, last, want)
 		}
 	}
 	if s.MemUsed() != 0 {

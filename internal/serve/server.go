@@ -66,15 +66,6 @@ type Config struct {
 	// Metrics collects the admission/queue/shed counters; nil gets a
 	// private set.
 	Metrics *metrics.Serve
-	// OnTerminal, when non-nil, is invoked (on its own goroutine, outside
-	// the scheduler lock) each time a job reaches a terminal outcome —
-	// done, failed, canceled or shed — BEFORE that outcome is visible
-	// through the job: state, result and the terminal event are published
-	// only once it returns (finish-then-publish). The HA tier uses it to
-	// make the outcome durable in the shared job registry first; a non-nil
-	// return means it could not, and the job is published as failed with
-	// that error instead. Drain-parks are NOT terminal and do not fire it.
-	OnTerminal func(j *Job, state JobState, res *JobResult, err error) error
 }
 
 // RejectError is an explicit 503-style admission refusal: the job was
@@ -109,19 +100,27 @@ type Server struct {
 	met *metrics.Serve
 	// forget drops what the runner keeps of a job past its runs (a
 	// FleetRunner's checkpoint files) once its terminal outcome is
-	// published and, with OnTerminal, durable.
+	// published and, with onTerminal, durable.
 	forget func(*Job)
+	// onTerminal, when non-nil (a Peer's, Peer.onTerminal), is invoked on
+	// its own goroutine, outside the scheduler lock, each time a job
+	// reaches a terminal outcome — done, failed, canceled or shed — BEFORE
+	// that outcome is visible through the job: state, result and the
+	// terminal event are published only once it returns
+	// (finish-then-publish). A non-nil return means the outcome is not
+	// durable, and the job is published as failed with that error instead.
+	// Drain-parks are not terminal and do not fire it.
+	onTerminal func(j *Job, state JobState, res *JobResult, err error) error
 
 	mu       sync.Mutex
 	q        *fairQueue
 	jobs     map[string]*Job
-	recent   []*Job                 // terminal jobs in jobs, oldest first (keepHistory)
-	finished map[string]finishedJob // terminal jobs past them
+	recent   []*Job // terminal jobs in jobs, oldest first (keepHistory)
 	running  map[*Job]context.CancelCauseFunc
 	memUsed  int64
 	draining bool
 	drained  chan struct{} // closed once a drain has no running job and no pending outcome left
-	pending  int           // terminal outcomes handed to OnTerminal, not yet published
+	pending  int           // terminal outcomes handed to onTerminal, not yet published
 	nextID   int64
 }
 
@@ -150,13 +149,12 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.Metrics = metrics.NewServe()
 	}
 	return &Server{
-		cfg:      cfg,
-		met:      cfg.Metrics,
-		forget:   forget,
-		q:        newFairQueue(cfg.MaxQueue),
-		jobs:     map[string]*Job{},
-		finished: map[string]finishedJob{},
-		running:  map[*Job]context.CancelCauseFunc{},
+		cfg:     cfg,
+		met:     cfg.Metrics,
+		forget:  forget,
+		q:       newFairQueue(cfg.MaxQueue),
+		jobs:    map[string]*Job{},
+		running: map[*Job]context.CancelCauseFunc{},
 	}, nil
 }
 
@@ -348,7 +346,7 @@ func (s *Server) adopt(id string, pj preparedJob) (*Job, error) {
 	if s.draining {
 		return nil, ErrDraining
 	}
-	if _, done := s.finished[id]; done || s.jobs[id] != nil {
+	if s.jobs[id] != nil {
 		return nil, fmt.Errorf("serve: job %s already present", id)
 	}
 	// The deadline restarts on the adopter: the original submission time
@@ -380,6 +378,23 @@ func (s *Server) Kill() {
 		cancel(ErrKilled)
 	}
 	s.mu.Unlock()
+}
+
+// cancelJob cancels job id with cause: a running job's run, or a queued
+// job, which its dispatch then finishes without running it. The Peer
+// cancels a job whose lease the registry reports lost through it.
+func (s *Server) cancelJob(id string, cause error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j := s.jobs[id]
+	if j == nil {
+		return
+	}
+	if cancel := s.running[j]; cancel != nil {
+		cancel(cause)
+	} else {
+		j.cancel(cause)
+	}
 }
 
 // Draining reports whether the server has stopped admission (drain in
@@ -542,13 +557,13 @@ func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 
 // publishTerminal makes a decided terminal outcome visible. Caller holds
 // s.mu and has settled the scheduler accounting (slots, memory). With an
-// OnTerminal hook the order is finish-then-publish: the hook runs first,
+// onTerminal hook the order is finish-then-publish: the hook runs first,
 // off the scheduler lock, and the job stays in its pre-terminal state
 // until it returns — a client that has seen a terminal state or event
 // can rely on what the hook recorded. Either way the runner forgets the
 // job off the scheduler lock, so its file removals never stall a Submit.
 func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err error) {
-	if s.cfg.OnTerminal == nil {
+	if s.onTerminal == nil {
 		s.publish(j, state, res, err)
 		s.keepLocked(j)
 		go s.forget(j)
@@ -560,7 +575,7 @@ func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err err
 	// finished and is only waiting to be recorded.
 	s.pending++
 	go func() {
-		herr := s.cfg.OnTerminal(j, state, res, err)
+		herr := s.onTerminal(j, state, res, err)
 		if herr != nil {
 			state, res, err = StateFailed, nil, herr
 		}
@@ -576,21 +591,18 @@ func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err err
 	}()
 }
 
-// keepHistory is how many published terminal jobs a server keeps whole,
-// event history included. Every job stays queryable (status, result,
-// error); an older one is kept as a finishedJob, whose stream is its
-// terminal event alone.
+// keepHistory is how many published terminal jobs a server keeps, event
+// history included. An older one is the registry's alone: API.miss
+// serves its terminal record.
 const keepHistory = 256
 
-// keepLocked counts j, just published terminal, among the jobs kept whole
-// and condenses the oldest one beyond keepHistory. Caller holds s.mu.
+// keepLocked counts j, just published terminal, among the jobs kept and
+// drops the oldest one beyond keepHistory. Caller holds s.mu.
 func (s *Server) keepLocked(j *Job) {
 	s.recent = append(s.recent, j)
 	if len(s.recent) > keepHistory {
-		old := s.recent[0]
+		delete(s.jobs, s.recent[0].ID)
 		s.recent = append(s.recent[:0], s.recent[1:]...)
-		delete(s.jobs, old.ID)
-		s.finished[old.ID] = old.condense()
 	}
 }
 
@@ -630,17 +642,12 @@ func (s *Server) noteDrainedLocked() {
 	}
 }
 
-// Job looks up an admitted job by id.
+// Job looks up an admitted job by id: queued, running, parked, or one of
+// the last keepHistory terminal ones.
 func (s *Server) Job(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if j := s.jobs[id]; j != nil {
-		return j
-	}
-	if f, ok := s.finished[id]; ok {
-		return f.job()
-	}
-	return nil
+	return s.jobs[id]
 }
 
 // MemUsed returns the resident-memory estimate currently admitted.

@@ -644,6 +644,30 @@ var rows = []row{
 		{"cmd/hfd/plant.go", `package main; var plant struct{ OnCheckpoint func() }`},
 		{"internal/serve/registry_http.go", `const plantRoute = "POST /reg/v1/update"`},
 	}},
+	{"serve-one-copy", "a peer's scheduler copies nothing the registry or the scheduler holds: no finishedJob or condense, no map of cancel functions on serve.Peer, no serve.Config.OnTerminal", func(tr files) []string {
+		fs := tr.under("internal/serve")
+		out := fs.find(func(n node) string {
+			switch d := n.n.(type) {
+			case *ast.TypeSpec:
+				return named(d.Name, "finishedJob", "condense")
+			case *ast.FuncDecl:
+				return named(d.Name, "finishedJob", "condense")
+			case *ast.StructType:
+				for _, fl := range d.Fields.List {
+					if m, ok := fl.Type.(*ast.MapType); ok && n.decl == "serve.Peer" && named(m.Value, "context.CancelCauseFunc") != "" {
+						return types.ExprString(m)
+					}
+				}
+			}
+			return ""
+		})
+		return none(append(out, fs.fields("serve.Config", "OnTerminal")...))
+	}, []plant{
+		{"internal/serve/plant.go", `package serve; type finishedJob struct{ st Status }`},
+		{"internal/serve/job.go", `func (j *Job) condense() {}`},
+		{"internal/serve/plant.go", `package serve; import "context"; type Peer struct{ stops map[string]context.CancelCauseFunc }`},
+		{"internal/serve/plant.go", `package serve; type Config struct{ OnTerminal func(*Job) error }`},
+	}},
 
 	// The documents cite what exists.
 	{"doc-refs", "every backticked pkg.Name in DESIGN.md and README.md of a module package names one of its declarations", func(tr files) []string {
