@@ -230,12 +230,14 @@ func main() {
 				store = integrals.NewERIStore(bs.NumShells(), *eriBudget, spill, session, nil)
 				copt.ERIStore = store
 			}
-			res := core.Build(bs, scr, d, copt)
+			// One builder serves the recording build and every replay.
+			fb := core.NewBuilder(bs, scr, copt.PairTable, copt)
+			res := fb.Build(d, copt)
 			fatalIf(res.Err)
 			fmt.Printf("wall time: %v,  |G|_max = %.6f\n", res.Wall, res.G.MaxAbs())
 			report(res.Stats, fmt.Sprintf("real, %dx%d grid, %s backend", prow, pcol, *backend))
 			if store != nil {
-				replayCachedBuilds(bs, scr, d, copt, store, res, *eriBuilds)
+				replayCachedBuilds(fb, d, copt, store, res, *eriBuilds)
 			}
 			if sess != nil {
 				sess.Close(true)
@@ -326,7 +328,7 @@ func writeMetrics(path string, reg *metrics.Registry) error {
 // the first (recording) build and reports the replay speedup and
 // hit rate per build. Every replayed G is checked against the recorded
 // build's G at the chaos-oracle tolerance.
-func replayCachedBuilds(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
+func replayCachedBuilds(fb *core.Builder, d *linalg.Matrix,
 	copt core.Options, store *integrals.ERIStore, first core.Result, n int) {
 	prev := store.Stats()
 	fmt.Printf("stored-ERI cache: %d quartets recorded, %.1f MB resident",
@@ -339,7 +341,7 @@ func replayCachedBuilds(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix,
 	}
 	fmt.Println()
 	for b := 2; b <= n; b++ {
-		res := core.Build(bs, scr, d, copt)
+		res := fb.Build(d, copt)
 		fatalIf(res.Err)
 		cur := store.Stats()
 		it := cur.Sub(prev)

@@ -31,6 +31,9 @@ type Footprint struct {
 // NewFootprint returns an empty footprint.
 func NewFootprint() *Footprint { return &Footprint{span: map[int][2]int{}} }
 
+// Reset empties the footprint, keeping its storage.
+func (f *Footprint) Reset() { clear(f.span) }
+
 // addSpan merges the inclusive span [lo, hi] into row shell m.
 func (f *Footprint) addSpan(m, lo, hi int) {
 	if s, ok := f.span[m]; ok {

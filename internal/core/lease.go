@@ -78,9 +78,9 @@ func (l *ledger) register(rank int) int64 {
 	return e
 }
 
-// heartbeat refreshes rank's lease.
-func (l *ledger) heartbeat(rank int) {
-	l.hb[rank].Store(time.Now().UnixNano())
+// heartbeat refreshes rank's lease as of now (the caller's clock read).
+func (l *ledger) heartbeat(rank int, now time.Time) {
+	l.hb[rank].Store(now.UnixNano())
 }
 
 // ValidEpoch reports whether epoch is still the live incarnation of rank.

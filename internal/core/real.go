@@ -34,7 +34,7 @@ type Options struct {
 	// workers share (read-only). Pass the table across SCF iterations so
 	// pair data is built once per geometry instead of once per build; it
 	// must come from the same screening as scr, or the quartet set will
-	// not match. Nil makes Build construct one at integrals.PrimTol.
+	// not match. Nil makes NewBuilder construct one at integrals.PrimTol.
 	PairTable *integrals.PairTable
 	// ERIStore, when non-nil, is the stored-ERI cache tier shared across
 	// builds of one geometry (it must be sized for this basis and used
@@ -136,33 +136,87 @@ const maxFaultRounds = 8
 // for survivors (or for respawned workers in a follow-up round), and epoch
 // fencing on the F accumulate guarantees exactly-once accumulation, so
 // the recovered G is bit-for-bit within the serial oracle's tolerance.
+//
+// Build is a one-shot NewBuilder(...).Build(...); a caller that builds G
+// more than once over one basis (an SCF solve) keeps the Builder.
 func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) Result {
-	if opt.Prow <= 0 {
-		opt.Prow = 1
-	}
-	if opt.Pcol <= 0 {
-		opt.Pcol = 1
-	}
+	return NewBuilder(bs, scr, opt.PairTable, opt).Build(d, opt)
+}
+
+// Builder is pfock.c's create/compute split: what every Fock build over
+// one basis, screening, pair table, grid and store shares is made once,
+// and each Build reuses it. It holds the grid and the static blocks, and
+// each rank's worker with its D image, its flush footprint and its lanes;
+// each lane keeps its integral engine, its private F accumulator and its
+// batch and spill scratch. A Build resets only what the last one dirtied
+// (worker.reset). Builds of one Builder run one at a time.
+type Builder struct {
+	pt      *integrals.PairTable
+	store   *integrals.ERIStore
+	grid    *dist.Grid2D
+	blocks  []TaskBlock // the static partition, by rank
+	workers []*worker
+	err     error // NewBuilder's refusal, returned by every Build
+}
+
+// NewBuilder makes the Builder of a prow x pcol build over bs (opt.Prow,
+// opt.Pcol; default 1x1) with opt.ERIStore as its stored-ERI tier. pt is
+// the shared pair table; nil builds one at integrals.PrimTol. The other
+// fields of opt vary per build and are read by Build, not here. A basis
+// past integrals.MaxStoreShells shells or a store sized for another basis
+// is refused in every Build's Result.Err.
+func NewBuilder(bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable, opt Options) *Builder {
+	prow, pcol := max(1, opt.Prow), max(1, opt.Pcol)
 	ns := bs.NumShells()
-	nprocs := opt.Prow * opt.Pcol
 	if ns > integrals.MaxStoreShells {
-		return Result{Err: fmt.Errorf("core: %d shells exceed the %d a quartet label packs", ns, integrals.MaxStoreShells)}
+		return &Builder{err: fmt.Errorf("core: %d shells exceed the %d a quartet label packs", ns, integrals.MaxStoreShells)}
 	}
 	if opt.ERIStore != nil && opt.ERIStore.NumTasks() != ns*ns {
-		return Result{Err: fmt.Errorf("core: ERIStore sized for %d tasks, build has %d", opt.ERIStore.NumTasks(), ns*ns)}
+		return &Builder{err: fmt.Errorf("core: ERIStore sized for %d tasks, build has %d", opt.ERIStore.NumTasks(), ns*ns)}
 	}
-
-	// Shell-level block cuts and the matching function-level grid.
-	rowShellCuts := dist.UniformCuts(ns, opt.Prow)
-	colShellCuts := dist.UniformCuts(ns, opt.Pcol)
-	grid := Grid(bs, opt.Prow, opt.Pcol)
-
-	// The shared pair table replaces the old per-worker lazy pair caches:
-	// built once (or passed in and reused across SCF iterations), read by
-	// every worker concurrently.
-	pt := opt.PairTable
+	// The shared pair table: built once (or passed in and reused across
+	// SCF iterations), read by every worker concurrently.
 	if pt == nil {
 		pt = scr.PairTable(integrals.PrimTol)
+	}
+	b := &Builder{pt: pt, store: opt.ERIStore, grid: Grid(bs, prow, pcol)}
+	// Shell-level block cuts of the static partition (Sec. III-C).
+	rowShellCuts := dist.UniformCuts(ns, prow)
+	colShellCuts := dist.UniformCuts(ns, pcol)
+	b.blocks = make([]TaskBlock, prow*pcol)
+	b.workers = make([]*worker, prow*pcol)
+	for i := 0; i < prow; i++ {
+		for j := 0; j < pcol; j++ {
+			pid := b.grid.ProcID(i, j)
+			b.blocks[pid] = TaskBlock{
+				R0: rowShellCuts[i], R1: rowShellCuts[i+1],
+				C0: colShellCuts[j], C1: colShellCuts[j+1],
+			}
+			b.workers[pid] = newWorker(pid, bs, scr, pt, b.grid, opt.ERIStore)
+		}
+	}
+	return b
+}
+
+// Build runs one Fock build of d on the Builder (see the package-level
+// Build). What varies per build comes from opt: Ctx, Backend, Metrics,
+// Trace, Fault, LeaseTTL and Retry. Its Prow, Pcol, PairTable and
+// ERIStore are the Builder's: left zero they mean the Builder's, and opt
+// naming others is refused in Result.Err. Every build runs under a fresh
+// lease ledger, so no epoch, claim or fence of a previous build reaches it.
+func (b *Builder) Build(d *linalg.Matrix, opt Options) Result {
+	if b.err != nil {
+		return Result{Err: b.err}
+	}
+	nprocs := len(b.workers)
+	switch {
+	case opt.Prow > 0 && opt.Prow != b.grid.Prow, opt.Pcol > 0 && opt.Pcol != b.grid.Pcol:
+		return Result{Err: fmt.Errorf("core: options name a %dx%d grid, the builder's is %dx%d",
+			opt.Prow, opt.Pcol, b.grid.Prow, b.grid.Pcol)}
+	case opt.PairTable != nil && opt.PairTable != b.pt:
+		return Result{Err: fmt.Errorf("core: options name another pair table than the builder's")}
+	case opt.ERIStore != nil && opt.ERIStore != b.store:
+		return Result{Err: fmt.Errorf("core: options name another ERIStore than the builder's")}
 	}
 
 	stats := dist.NewRunStats(nprocs)
@@ -170,7 +224,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	if opt.Backend != nil {
 		var cleanup func()
 		var err error
-		gaD, gaF, cleanup, err = opt.Backend(grid, stats)
+		gaD, gaF, cleanup, err = opt.Backend(b.grid, stats)
 		if err != nil {
 			return Result{Stats: stats, Err: fmt.Errorf("core: backend init: %w", err)}
 		}
@@ -184,7 +238,7 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 			return Result{Stats: stats, Err: fmt.Errorf("core: zero F: %w", err)}
 		}
 	} else {
-		gd, gf := dist.NewGlobalArray(grid, stats), dist.NewGlobalArray(grid, stats)
+		gd, gf := dist.NewGlobalArray(b.grid, stats), dist.NewGlobalArray(b.grid, stats)
 		if opt.Fault != nil {
 			// The in-process arrays consult the injector through the op hook;
 			// the net backend injects at its conn layer instead (from an
@@ -207,16 +261,8 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 
 	// Per-process task queues holding the static partition (Sec. III-C).
 	queues := make([]*Queue, nprocs)
-	blocks := make([]TaskBlock, nprocs)
-	for i := 0; i < opt.Prow; i++ {
-		for j := 0; j < opt.Pcol; j++ {
-			pid := grid.ProcID(i, j)
-			blocks[pid] = TaskBlock{
-				R0: rowShellCuts[i], R1: rowShellCuts[i+1],
-				C0: colShellCuts[j], C1: colShellCuts[j+1],
-			}
-			queues[pid] = NewQueue(blocks[pid])
-		}
+	for pid, blk := range b.blocks {
+		queues[pid] = NewQueue(blk)
 	}
 
 	if opt.Retry.Attempts <= 0 {
@@ -240,11 +286,18 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 	led := newLedger(nprocs, opt.LeaseTTL, stats)
 
 	lanes := Lanes(nprocs)
+	start := time.Now()
+	for _, w := range b.workers {
+		w.workerBuild = workerBuild{
+			gaD: gaD, gaF: gaF, stats: stats, maxLanes: lanes,
+			ctx: opt.Ctx, led: led, inj: opt.Fault, retry: opt.Retry,
+			trace: opt.Trace, reg: opt.Metrics, clock0: start,
+		}
+	}
 
 	var buildErr error
-	start := time.Now()
 	for round := 0; ; round++ {
-		roundBlocks := blocks
+		roundBlocks := b.blocks
 		if round > 0 {
 			// Respawn rounds start with empty queues; all remaining work
 			// comes from the orphan pool.
@@ -259,20 +312,16 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		// the claim transfer needs the victim's claim to already exist
 		// — otherwise the same tasks end up both orphaned and claimed,
 		// breaking exactly-once.
-		epochs := make([]int64, nprocs)
-		for r := range epochs {
-			epochs[r] = led.register(r)
+		for rank, w := range b.workers {
+			w.epoch = led.register(rank)
 		}
-		for pid, b := range roundBlocks {
-			led.claim(pid, epochs[pid], b)
+		for pid, blk := range roundBlocks {
+			led.claim(pid, b.workers[pid].epoch, blk)
 		}
 		led.beginRound(queues)
 		stopMon := startMonitor(led)
 		dist.RunProcs(nprocs, func(rank int) {
-			w := newWorker(rank, bs, scr, pt, grid, gaD, gaF, stats, lanes, opt)
-			w.clock0 = start
-			w.led, w.epoch = led, epochs[rank]
-			w.run(roundBlocks, queues)
+			b.workers[rank].run(roundBlocks, queues)
 		})
 		stopMon()
 		// Per-queue atomic-operation accounting (Sec. IV-C), accumulated
@@ -307,6 +356,9 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 	}
 	wall := time.Since(start)
+	for _, w := range b.workers {
+		w.workerBuild = workerBuild{}
+	}
 
 	// Fenced incarnations' uncommitted spans were published under their
 	// epoch; mark them discarded so duration accounting excludes them.
@@ -323,9 +375,8 @@ func Build(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, opt Options) 
 		}
 		return Result{Stats: stats, Wall: wall, Err: buildErr}
 	}
-	g := g2e.Clone()
-	g.AXPY(1, g2e.T()) // G = acc + acc^T completes the 8-fold symmetry
-	return Result{G: g, Stats: stats, Wall: wall, Err: buildErr}
+	// G = acc + acc^T completes the 8-fold symmetry.
+	return Result{G: g2e.AddTranspose(), Stats: stats, Wall: wall, Err: buildErr}
 }
 
 // Grid returns the function-level block distribution a prow x pcol Build
@@ -402,54 +453,67 @@ func funcCuts(bs *basis.Set, shellCuts []int) []int {
 	return out
 }
 
-// worker is the per-rank state of a real-mode build: the ledger identity,
-// the prefetched D image, the flush footprint and everything that talks to
-// the global arrays — one per rank, touched only by the rank's goroutine.
-// The tasks themselves run on the rank's lanes (see lane).
+// worker is the per-rank state of a real-mode build: the prefetched D
+// image, the flush footprint and the lanes, kept by the Builder across
+// builds, and what the current build binds it to (workerBuild) — one per
+// rank, touched only by the rank's goroutine. The tasks themselves run on
+// the rank's lanes (see lane).
 type worker struct {
 	rank  int
 	bs    *basis.Set
 	scr   *screen.Screening
 	grid  *dist.Grid2D
-	gaD   dist.Backend
-	gaF   dist.Backend
-	stats *dist.RunStats
 	pt    *integrals.PairTable // shared read-only pair table
 	store *integrals.ERIStore  // stored-ERI cache tier (nil = always recompute)
 	ns    int                  // shell count; task id = M*ns + N
 	width []int                // functions per shell, the contraction's table
 	// dloc is the dense n x n local D image (prefetched patches). Every
-	// lane reads it; addWork writes it, and only between fork-joins.
+	// lane reads it; addWork writes it, and only between fork-joins. A
+	// build reads only what its own Gets wrote, so it is never cleared.
 	dloc []float64
 	fp   *Footprint
+	fpb  *Footprint // addWork's scratch: one block's footprint
 	nf   int
 	comp time.Duration
 
 	// lanes[0] runs on the rank's goroutine and owns the accumulator the
 	// flush lands; helper lanes are created the first time a fork-join
-	// needs them, never more than maxLanes.
-	lanes    []*lane
+	// needs them, never more than maxLanes, and kept.
+	lanes []*lane
+
+	victims map[int]bool
+
+	workerBuild
+
+	// Observability buffers. Spans and the metric sample buffer one commit
+	// episode — the rank's own (prefetch, steal, flush) plus every lane's,
+	// folded in at each join — and are published together with the flush:
+	// committed via commitEpisode, or via abortEpisode when the incarnation
+	// dies uncommitted.
+	samp  metrics.Sample
+	spans []dist.Span
+}
+
+// workerBuild is what one Build binds a worker to; Builder.Build sets it
+// before the first round and zeroes it after the last, so a kept Builder
+// holds no array, sink or ledger of a finished build.
+type workerBuild struct {
+	gaD      dist.Backend
+	gaF      dist.Backend
+	stats    *dist.RunStats
 	maxLanes int
 
 	// Lease runtime state: led is also the dist.Fence of the accumulate.
-	ctx     context.Context // build cancellation
-	led     *ledger
-	inj     *fault.Injector // nil = nothing injected
-	epoch   int64
-	victims map[int]bool
-	retry   dist.Retry // the budget of every one-sided op (Options.Retry*)
+	ctx   context.Context // build cancellation
+	led   *ledger
+	inj   *fault.Injector // nil = nothing injected
+	epoch int64
+	retry dist.Retry // the budget of every one-sided op (Options.Retry*)
 
 	// Observability sinks (both nil = zero-instrumentation fast path).
-	// Spans and the metric sample buffer one commit episode — the rank's
-	// own (prefetch, steal, flush) plus every lane's, folded in at each
-	// join — and are published together with the flush: committed via
-	// commitEpisode, or via abortEpisode when the incarnation dies
-	// uncommitted.
 	trace  *dist.Trace
 	reg    *metrics.Registry
 	clock0 time.Time
-	samp   metrics.Sample
-	spans  []dist.Span
 }
 
 // lane is one thread of a rank (GTFock's OpenMP thread inside an MPI
@@ -485,29 +549,24 @@ type lane struct {
 	spans []dist.Span
 
 	// Last-seen engine dispatch counters, so per-task deltas can flow
-	// into the sample (engine Stats are monotonic across episodes).
+	// into the sample (engine Stats are monotonic across builds; reset
+	// rebases them).
 	lastFastSP, lastFastGen, lastGeneral int64
 }
 
 func newWorker(rank int, bs *basis.Set, scr *screen.Screening, pt *integrals.PairTable,
-	grid *dist.Grid2D, gaD, gaF dist.Backend, stats *dist.RunStats, maxLanes int, opt Options) *worker {
+	grid *dist.Grid2D, store *integrals.ERIStore) *worker {
 	w := &worker{
 		rank: rank, bs: bs, scr: scr, grid: grid,
-		gaD: gaD, gaF: gaF, stats: stats,
-		pt:       pt,
-		store:    opt.ERIStore,
-		ns:       bs.NumShells(),
-		width:    shellWidths(bs),
-		dloc:     make([]float64, bs.NumFuncs*bs.NumFuncs),
-		fp:       NewFootprint(),
-		nf:       bs.NumFuncs,
-		maxLanes: maxLanes,
-		ctx:      opt.Ctx,
-		inj:      opt.Fault,
-		retry:    opt.Retry,
-		victims:  map[int]bool{},
-		trace:    opt.Trace,
-		reg:      opt.Metrics,
+		pt:      pt,
+		store:   store,
+		ns:      bs.NumShells(),
+		width:   shellWidths(bs),
+		dloc:    make([]float64, bs.NumFuncs*bs.NumFuncs),
+		fp:      NewFootprint(),
+		fpb:     NewFootprint(),
+		nf:      bs.NumFuncs,
+		victims: map[int]bool{},
 	}
 	w.lanes = []*lane{newLane(w, 0)}
 	return w
@@ -525,6 +584,23 @@ func newLane(w *worker, id int) *lane {
 		}
 	}
 	return ln
+}
+
+// reset starts an incarnation on what the rank's previous one — of this
+// build or an earlier one — left: every lane's accumulator is cleared over
+// the last footprint (a committed episode leaves lane 0's flushed values
+// there; a crashed, fenced or aborted one leaves every lane's), the
+// footprint and the victims are emptied, and each lane's engine counters
+// are rebased. The lanes' per-join counters need nothing: runLanes clears
+// them at every join.
+func (w *worker) reset() {
+	w.resetAccum()
+	clear(w.victims)
+	w.comp = 0
+	for _, ln := range w.lanes {
+		es := &ln.eng.Stats
+		ln.lastFastSP, ln.lastFastGen, ln.lastGeneral = es.FastSP, es.FastGen, es.GeneralQuartets
+	}
 }
 
 // shellWidths is the contraction's width table: functions per shell.
@@ -596,10 +672,10 @@ func (w *worker) abortEpisode() {
 	w.samp.Reset()
 }
 
-// heartbeat refreshes this rank's lease, counted in the caller's sample
-// (the rank's own, or a lane's).
-func (w *worker) heartbeat(samp *metrics.Sample) {
-	w.led.heartbeat(w.rank)
+// heartbeat refreshes this rank's lease as of now, the caller's clock
+// read, counted in the caller's sample (the rank's own, or a lane's).
+func (w *worker) heartbeat(samp *metrics.Sample, now time.Time) {
+	w.led.heartbeat(w.rank, now)
 	samp.LeaseRenewals++
 }
 
@@ -641,14 +717,14 @@ func (w *worker) patches(fp *Footprint) []dist.Patch {
 // is written. False means a Get ultimately failed and the caller must
 // abandon this incarnation.
 func (w *worker) addWork(b TaskBlock) bool {
-	fpb := NewFootprint()
-	fpb.AddBlock(w.scr, b)
+	w.fpb.Reset()
+	w.fpb.AddBlock(w.scr, b)
 	t0 := w.obsNow()
 	defer func() { w.span(&w.spans, 0, dist.SpanPrefetch, t0) }()
-	for _, p := range w.patches(fpb) {
+	for _, p := range w.patches(w.fpb) {
 		w.samp.GetCalls++
 		w.samp.GetBytes += 8 * int64(p.Elems())
-		w.heartbeat(&w.samp)
+		w.heartbeat(&w.samp, time.Now())
 		retries, err := w.retry.Get(w.ctx, w.gaD, w.stats, w.rank,
 			p.R0, p.R1, p.C0, p.C1, w.dloc[p.R0*w.nf+p.C0:], w.nf)
 		w.samp.GetRetries += int64(retries)
@@ -660,17 +736,19 @@ func (w *worker) addWork(b TaskBlock) bool {
 	return true
 }
 
-// resetAccum clears the flushed local F contributions so a follow-up
-// episode (adopted orphan work) accumulates from zero. Helper lanes need
-// none: reduceLanes zeroed them.
+// resetAccum clears every lane's local F over the footprint and empties
+// it, so the next episode accumulates from zero. After a commit only lane
+// 0's holds anything (reduceLanes zeroed the helpers); after an episode
+// that never committed, any lane's may.
 func (w *worker) resetAccum() {
-	floc := w.lanes[0].floc
 	for _, p := range w.patches(w.fp) {
-		for r := p.R0; r < p.R1; r++ {
-			clear(floc[r*w.nf+p.C0 : r*w.nf+p.C1])
+		for _, ln := range w.lanes {
+			for r := p.R0; r < p.R1; r++ {
+				clear(ln.floc[r*w.nf+p.C0 : r*w.nf+p.C1])
+			}
 		}
 	}
-	w.fp = NewFootprint()
+	w.fp.Reset()
 }
 
 // reduceLanes sums the helper lanes' private accumulators into lane 0's
@@ -807,14 +885,18 @@ func (ln *lane) work(my *Queue) drainResult {
 		if !ok {
 			return drainDry
 		}
-		w.heartbeat(&ln.samp)
+		// One clock read stamps the lease and starts the task; a stall
+		// sleeps past the stamp, so its heartbeat goes stale, and the
+		// task's time starts after it.
+		c0 := time.Now()
+		w.heartbeat(&ln.samp, c0)
 		if w.inj != nil {
 			if d := w.inj.Stall(w.rank); d > 0 {
 				atomic.AddInt64(&w.stats.Recovery.Stalls, 1)
 				time.Sleep(d)
+				c0 = time.Now()
 			}
 		}
-		c0 := time.Now()
 		ln.doTask(t)
 		dt := time.Since(c0)
 		ln.comp += dt
@@ -901,6 +983,7 @@ func (w *worker) drain(my *Queue, queues []*Queue, st *dist.ProcStats) drainResu
 // (injected crash, fencing, abandoned op) leaves this incarnation's
 // claimed blocks to the monitor/sweep for re-execution elsewhere.
 func (w *worker) run(blocks []TaskBlock, queues []*Queue) {
+	w.reset()
 	t0 := time.Now()
 	st := &w.stats.Per[w.rank]
 	defer func() {

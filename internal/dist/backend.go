@@ -49,7 +49,7 @@ type Backend interface {
 	TryAcc(proc int, token uint64, r0, r1, c0, c1 int, src []float64, ld int, alpha float64) (next uint64, sent bool, err error)
 
 	// LoadMatrix fills the array from a dense matrix; ToMatrix reads the
-	// whole array back. Driver-side: not accounted, not fault-injected. A
+	// whole array back into a new matrix the caller owns. Driver-side: not accounted, not fault-injected. A
 	// fleet lost mid-build surfaces here as an error the build returns —
 	// and the serving layer retries — never as a panic in a process that
 	// hosts other tenants' jobs.

@@ -84,14 +84,37 @@ func (m *Matrix) CopyFrom(src *Matrix) {
 }
 
 // T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
+func (m *Matrix) T() *Matrix { return m.TInto(NewMatrix(m.Cols, m.Rows)) }
+
+// TInto writes the transpose of m into dst (m.Cols x m.Rows, not m) and
+// returns dst: T into a matrix the caller owns.
+func (m *Matrix) TInto(dst *Matrix) *Matrix {
+	if dst.Rows != m.Cols || dst.Cols != m.Rows {
+		panic("linalg: TInto shape mismatch")
+	}
 	for i := 0; i < m.Rows; i++ {
 		for j := 0; j < m.Cols; j++ {
-			t.Data[j*t.Cols+i] = m.Data[i*m.Cols+j]
+			dst.Data[j*dst.Cols+i] = m.Data[i*m.Cols+j]
 		}
 	}
-	return t
+	return dst
+}
+
+// AddTranspose replaces the square m with m + m^T in place and returns
+// m. Each element is the sum m.Clone().AXPY(1, m.T()) gives, bit for bit:
+// a + b and b + a are the same double.
+func (m *Matrix) AddTranspose() *Matrix {
+	if m.Rows != m.Cols {
+		panic("linalg: AddTranspose of non-square matrix")
+	}
+	n := m.Rows
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := m.Data[i*n+j] + m.Data[j*n+i]
+			m.Data[i*n+j], m.Data[j*n+i] = v, v
+		}
+	}
+	return m
 }
 
 // Scale multiplies every element of m by a, in place, and returns m.

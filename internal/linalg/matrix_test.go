@@ -80,6 +80,19 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// AddTranspose is Clone + AXPY(1, T) in place, bit for bit.
+func TestAddTransposeMatchesCloneAXPY(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	m := randMatrix(rng, 7, 7)
+	want := m.Clone().AXPY(1, m.T())
+	got := m.AddTranspose()
+	for i, v := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(v) {
+			t.Fatalf("element %d: %v, want %v", i, got.Data[i], v)
+		}
+	}
+}
+
 func TestCloneIndependent(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
 	c := m.Clone()

@@ -337,10 +337,15 @@ type connPool struct {
 	discarded atomic.Int64
 }
 
-// pooledConn ties a conn to the address it was dialed to.
+// pooledConn ties a conn to the address it was dialed to, and owns the
+// buffered writer and reader every RPC on it uses. They live and die with
+// the conn: an RPC that fails discards (closes) it, so no buffered byte
+// of one exchange reaches the next.
 type pooledConn struct {
 	net.Conn
 	addr string
+	bw   *bufio.Writer
+	br   *bufio.Reader
 }
 
 func (p *connPool) get() (*pooledConn, error) {
@@ -357,7 +362,7 @@ func (p *connPool) get() (*pooledConn, error) {
 	} else {
 		atomic.AddInt64(&p.rpc.Dials, 1)
 	}
-	return &pooledConn{Conn: conn, addr: addr}, nil
+	return &pooledConn{Conn: conn, addr: addr, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}, nil
 }
 
 func (p *connPool) put(conn *pooledConn) {
@@ -426,31 +431,29 @@ func (c *Client) doRPC(rank int, pool *connPool, req *request) (resp *response, 
 		return nil, false, derr
 	}
 	conn.SetDeadline(time.Now().Add(c.cfg.OpTimeout))
-	bw := bufio.NewWriter(conn)
 	body := encodeRequest(nil, req)
 	sent = true
-	if err := writeFrame(bw, body); err != nil {
+	if err := writeFrame(conn.bw, body); err != nil {
 		pool.discard(conn)
 		return nil, true, err
 	}
 	if sendTwice {
-		if err := writeFrame(bw, body); err != nil {
+		if err := writeFrame(conn.bw, body); err != nil {
 			pool.discard(conn)
 			return nil, true, err
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := conn.bw.Flush(); err != nil {
 		pool.discard(conn)
 		return nil, true, err
 	}
-	br := bufio.NewReader(conn)
 	reads := 1
 	if sendTwice {
 		reads = 2 // second response (the dedup ack) is read and dropped
 	}
 	var out response
 	for i := 0; i < reads; i++ {
-		frame, rerr := readFrame(br)
+		frame, rerr := readFrame(conn.br)
 		if rerr != nil {
 			pool.discard(conn)
 			return nil, true, rerr

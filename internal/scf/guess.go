@@ -6,6 +6,7 @@ import (
 
 	"gtfock/internal/basis"
 	"gtfock/internal/chem"
+	"gtfock/internal/core"
 	"gtfock/internal/integrals"
 	"gtfock/internal/linalg"
 	"gtfock/internal/screen"
@@ -109,9 +110,9 @@ const (
 // every m of a shell carries the same block. When every l block is fully
 // occupied or holds one radial function (STO-3G) the second density
 // equals the first and the loop stops after one Fock build. G comes from
-// buildG, as in RunHF, over the atom's own screening, pair table and an
-// unbudgeted ERI store: the first build records the atom's integrals and
-// every later one replays them.
+// buildG, as in RunHF, on one builder over the atom's own screening, pair
+// table and an unbudgeted ERI store: the first build records the atom's
+// integrals and every later one replays them.
 func atomicDensity(basisName string, z int) atom {
 	bs, err := basis.Build(&chem.Molecule{Atoms: []chem.Atom{{Z: z}}}, basisName)
 	if err != nil {
@@ -136,6 +137,7 @@ func atomicDensity(basisName string, z int) atom {
 	scr := screen.Compute(bs, screen.DefaultTau)
 	pt := scr.PairTable(integrals.PrimTol)
 	store := integrals.NewERIStore(bs.NumShells(), 0, nil, 0, nil)
+	fb := core.NewBuilder(bs, scr, pt, core.Options{ERIStore: store})
 	f := h
 	var p *linalg.Matrix
 	for it := 0; it < atomMaxIter; it++ {
@@ -150,12 +152,11 @@ func atomicDensity(basisName string, z int) atom {
 		}
 		// With no context, backend or fault injector, the build fails only
 		// if one of the atom's tasks outlasts the 1 s lease on every retry.
-		g, _, err := buildG(bs, scr, p, pt, store, Options{})
+		g, _, err := buildG(fb, p, Options{})
 		if err != nil {
 			panic(fmt.Sprintf("scf: atomic guess: %v", err))
 		}
-		f = h.Clone()
-		f.AXPY(1, g)
+		f = g.AXPY(1, h)
 	}
 	return atom{bs: bs, d: p.Scale(2)}
 }

@@ -245,7 +245,7 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	scr := screen.Compute(bs, opt.Tau)
 	s := integrals.Overlap(bs)
 	hcore := integrals.CoreHamiltonian(bs)
-	x := linalg.InvSqrtSym(s, 0)
+	dw := newDense(linalg.InvSqrtSym(s, 0), nocc)
 	enuc := mol.NuclearRepulsion()
 
 	res = &Result{Basis: bs, Screening: scr, NuclearRep: enuc, Reorder: opt.Reorder, NOcc: nocc, StartIter: opt.StartIter}
@@ -275,6 +275,9 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 	if opt.ERICache {
 		store = integrals.NewERIStore(bs.NumShells(), opt.ERICacheBudget, nil, 0, nil)
 	}
+	// One Fock builder per run: its workers, engines and accumulators
+	// serve every iteration's build.
+	fb := core.NewBuilder(bs, scr, pt, core.Options{Prow: opt.Prow, Pcol: opt.Pcol, ERIStore: store})
 
 	// Checkpoints leave the critical path through one background writer
 	// per run, handed only the snapshots its cadence (ckptWriter.due)
@@ -313,7 +316,9 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		var p *linalg.Matrix
 		if f == nil {
 			// Cold start, iteration 1: build straight from the guess.
-			p = d.Clone().Scale(0.5)
+			p = dw.p
+			p.CopyFrom(d)
+			p.Scale(0.5)
 			iter.DErr = d.MaxAbs()
 		} else {
 			// Numerical blow-up guard: a NaN/Inf in F (bad warm start, DIIS
@@ -324,7 +329,7 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 			}
 			t0 := time.Now()
 			var err error
-			if p, iter.PurifyIters, err = densityStep(f, x, nocc, opt.UsePurification); err != nil {
+			if p, iter.PurifyIters, err = dw.densityStep(f, opt.UsePurification); err != nil {
 				return nil, fmt.Errorf("scf: iteration %d: %w", it, err)
 			}
 			dNew := p.Clone().Scale(2)
@@ -343,7 +348,7 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		if store != nil {
 			cacheBefore = store.Stats()
 		}
-		g, stats, err := buildG(bs, scr, p, pt, store, opt)
+		g, stats, err := buildG(fb, p, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -362,16 +367,17 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		if err := nonFiniteErr(g, it, "two-electron matrix"); err != nil {
 			return nil, err
 		}
-		f = hcore.Clone()
-		f.AXPY(1, g)
+		// F = G + H: the build's fresh G becomes the iteration's F (the
+		// same doubles H + G gives).
+		f = g.AXPY(1, hcore)
 		if err := nonFiniteErr(f, it, "freshly built Fock matrix"); err != nil {
 			return nil, err
 		}
 
 		// Energy: E_elec = 1/2 Tr(D (H + F)) = Tr(p (H + F)).
-		hp := hcore.Clone()
-		hp.AXPY(1, f)
-		eElec := linalg.TraceMul(p, hp)
+		dw.hp.CopyFrom(hcore)
+		dw.hp.AXPY(1, f)
+		eElec := linalg.TraceMul(p, dw.hp)
 		eTot := eElec + enuc
 		if math.IsNaN(eTot) || math.IsInf(eTot, 0) {
 			return nil, fmt.Errorf("%w at iteration %d: total energy is %g", ErrNumericalBlowUp, it, eTot)
@@ -392,8 +398,9 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 		if ckw != nil && !conv {
 			// F and D go to the writer uncopied. The loop never writes an
 			// iteration's f or d again once they are built: the next
-			// iteration allocates fresh ones, DIIS keeps a clone of f and
-			// only reads d, and the caller sees res.F/res.D after the
+			// iteration's are fresh (a build's G, a new D), DIIS keeps a
+			// copy of f and only reads d, the dense step writes only the
+			// matrices dw owns, and the caller sees res.F/res.D after the
 			// flush. (The race detector holds this to account:
 			// TestCheckpointHandOffIsRaceFree.) A converged iteration is
 			// not checkpointed: the result is what its reader wants.
@@ -421,10 +428,36 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 
 		// DIIS extrapolation of F for the next density step.
 		if diisDepth > 0 {
-			f = diis.extrapolate(f, d, s, x)
+			f = diis.extrapolate(f, d, s, dw)
 		}
 	}
 	return res, nil
+}
+
+// dense is the solve's dense-step working set: the matrices every
+// iteration's density step, energy and DIIS step write in place, made once
+// per solve. Each product is GEMM into a destination, MatMul's loop order,
+// and each transpose TInto, so every value is the one the allocating forms
+// gave.
+type dense struct {
+	x, xt         *linalg.Matrix // X = S^{-1/2} and X^T, fixed per solve
+	nn1, nn2, nn3 *linalg.Matrix // n x n scratch
+	vocc, c       *linalg.Matrix // n x nocc: occupied orbitals, C = X V_occ
+	ct            *linalg.Matrix // C^T
+	p             *linalg.Matrix // the spinless density a build reads
+	hp            *linalg.Matrix // H + F, the energy's
+	fx            *linalg.Matrix // DIIS's extrapolated F
+}
+
+func newDense(x *linalg.Matrix, nocc int) *dense {
+	n := x.Rows
+	sq := func() *linalg.Matrix { return linalg.NewMatrix(n, n) }
+	return &dense{
+		x: x, xt: x.T(),
+		nn1: sq(), nn2: sq(), nn3: sq(),
+		vocc: linalg.NewMatrix(n, nocc), c: linalg.NewMatrix(n, nocc), ct: linalg.NewMatrix(nocc, n),
+		p: sq(), hp: sq(), fx: sq(),
+	}
 }
 
 // densityStep returns the spinless density p of the nocc lowest orbitals
@@ -432,26 +465,31 @@ func RunHF(mol *chem.Molecule, opt Options) (res *Result, err error) {
 // p = X rho X^T is C_occ C_occ^T (tr(pS) = nocc); the physical density of
 // Alg. 1 line 10 is D = 2p. Equation (3) of the paper is dimensionally
 // written for the unscaled p (see DESIGN.md), so the builders receive p.
-func densityStep(f, x *linalg.Matrix, nocc int, usePurification bool) (*linalg.Matrix, int, error) {
-	fPrime := linalg.MatMul(linalg.MatMul(x.T(), f), x)
+// p is dw.p, valid until the next step.
+func (dw *dense) densityStep(f *linalg.Matrix, usePurification bool) (*linalg.Matrix, int, error) {
+	linalg.GEMM(1, dw.xt, f, 0, dw.nn1)
+	fPrime := dw.nn2
+	linalg.GEMM(1, dw.nn1, dw.x, 0, fPrime)
 	if usePurification {
-		rho, nit, err := purify.Canonical(fPrime, nocc, purify.DefaultTol, 300, nil)
+		rho, nit, err := purify.Canonical(fPrime, dw.c.Cols, purify.DefaultTol, 300, nil)
 		if err != nil {
 			return nil, 0, err
 		}
-		return linalg.MatMul(linalg.MatMul(x, rho), x.T()), nit, nil
+		linalg.GEMM(1, dw.x, rho, 0, dw.nn1)
+		linalg.GEMM(1, dw.nn1, dw.xt, 0, dw.p)
+		return dw.p, nit, nil
 	}
 	// The eigensolver hands over the occupied orbitals themselves, so rho
 	// is never formed: C = X V_occ, p = C C^T — two n^2 n_occ products,
 	// and p symmetric by construction.
 	eig := linalg.EigSym(fPrime)
-	n := f.Rows
-	vocc := linalg.NewMatrix(n, nocc)
+	n, nocc := f.Rows, dw.c.Cols
 	for i := 0; i < n; i++ {
-		copy(vocc.Data[i*nocc:(i+1)*nocc], eig.Vectors.Data[i*n:i*n+nocc])
+		copy(dw.vocc.Data[i*nocc:(i+1)*nocc], eig.Vectors.Data[i*n:i*n+nocc])
 	}
-	c := linalg.MatMul(x, vocc)
-	return linalg.MatMul(c, c.T()), 0, nil
+	linalg.GEMM(1, dw.x, dw.vocc, 0, dw.c)
+	linalg.GEMM(1, dw.c, dw.c.TInto(dw.ct), 0, dw.p)
+	return dw.p, 0, nil
 }
 
 // firstNonFinite returns the position of the first NaN/Inf entry of m.
@@ -475,19 +513,19 @@ func nonFiniteErr(m *linalg.Matrix, it int, what string) error {
 		ErrNumericalBlowUp, it, what, m.At(i, j), i, j)
 }
 
-// buildG is the package's one two-electron build, G(d) by GTFock
-// (core.Build), for RunHF and the atomic guess alike. pt is the caller's
-// shell-pair table and store its stored-ERI tier (nil: recompute every
-// build); opt supplies the grid and the build hooks.
-func buildG(bs *basis.Set, scr *screen.Screening, d *linalg.Matrix, pt *integrals.PairTable, store *integrals.ERIStore, opt Options) (*linalg.Matrix, *dist.RunStats, error) {
+// buildG is the package's one two-electron build, G(d) by GTFock on the
+// caller's builder fb (core.Builder.Build), for RunHF and the atomic guess
+// alike. fb holds the basis, pair table, grid and stored-ERI tier; opt
+// supplies the build hooks. G is new and the caller's.
+func buildG(fb *core.Builder, d *linalg.Matrix, opt Options) (*linalg.Matrix, *dist.RunStats, error) {
 	copt := core.Options{
-		Prow: opt.Prow, Pcol: opt.Pcol, PairTable: pt, ERIStore: store,
+		Prow: opt.Prow, Pcol: opt.Pcol,
 		Metrics: opt.FockMetrics, Ctx: opt.Ctx, Backend: opt.FockBackend,
 	}
 	if opt.TuneFock != nil {
 		opt.TuneFock(&copt)
 	}
-	r := core.Build(bs, scr, d, copt)
+	r := fb.Build(d, copt)
 	return r.G, r.Stats, r.Err
 }
 
@@ -507,12 +545,15 @@ const diisIndependence = 1e-8
 
 // diisState implements Pulay's DIIS with the orthogonalized commutator
 // error e = X^T (FDS - SDF) X. dots[i][j] = <errs[i], errs[j]> is kept
-// beside the subspace, so a step computes only the new entry's row.
+// beside the subspace, so a step computes only the new entry's row. An
+// entry's matrices leaving the subspace go to spare, and the next entries
+// are written into them: past depth, a step allocates no matrix.
 type diisState struct {
 	depth int
 	fs    []*linalg.Matrix
 	errs  []*linalg.Matrix
 	dots  [][]float64
+	spare []*linalg.Matrix
 }
 
 func newDIIS(depth int) *diisState {
@@ -524,24 +565,43 @@ func newDIIS(depth int) *diisState {
 
 // dropOldest removes entry 0 from the subspace and from dots.
 func (ds *diisState) dropOldest() {
+	ds.spare = append(ds.spare, ds.fs[0], ds.errs[0])
 	ds.fs, ds.errs, ds.dots = ds.fs[1:], ds.errs[1:], ds.dots[1:]
 	for i := range ds.dots {
 		ds.dots[i] = ds.dots[i][1:]
 	}
 }
 
-func (ds *diisState) extrapolate(f, d, s, x *linalg.Matrix) *linalg.Matrix {
+// matrix returns a spare n x n matrix to overwrite, or a new one.
+func (ds *diisState) matrix(n int) *linalg.Matrix {
+	if k := len(ds.spare); k > 0 {
+		m := ds.spare[k-1]
+		ds.spare = ds.spare[:k-1]
+		return m
+	}
+	return linalg.NewMatrix(n, n)
+}
+
+// extrapolate returns the DIIS F for the next density step: f itself, or
+// dw.fx, valid until the next step.
+func (ds *diisState) extrapolate(f, d, s *linalg.Matrix, dw *dense) *linalg.Matrix {
 	if ds.depth == 0 {
 		return f
 	}
 	// F, D and S are symmetric, so SDF = (FDS)^T: the commutator costs two
 	// products, the orthogonalization two more.
-	fds := linalg.MatMul(linalg.MatMul(f, d), s)
-	comm := fds.Clone()
-	comm.AXPY(-1, fds.T())
-	e := linalg.MatMul(linalg.MatMul(x.T(), comm), x)
+	fds, comm := dw.nn2, dw.nn1
+	linalg.GEMM(1, f, d, 0, dw.nn1)
+	linalg.GEMM(1, dw.nn1, s, 0, fds)
+	comm.CopyFrom(fds)
+	comm.AXPY(-1, fds.TInto(dw.nn3))
+	linalg.GEMM(1, dw.xt, comm, 0, dw.nn2)
+	e := ds.matrix(f.Rows)
+	linalg.GEMM(1, dw.nn2, dw.x, 0, e)
 
-	ds.fs = append(ds.fs, f.Clone())
+	fc := ds.matrix(f.Rows)
+	fc.CopyFrom(f)
+	ds.fs = append(ds.fs, fc)
 	ds.errs = append(ds.errs, e)
 	row := make([]float64, len(ds.errs))
 	for i, ei := range ds.errs {
@@ -552,6 +612,7 @@ func (ds *diisState) extrapolate(f, d, s, x *linalg.Matrix) *linalg.Matrix {
 	if row[len(row)-1] == 0 {
 		// F commutes with D exactly: a fixed point, nothing to extrapolate
 		// (and no direction to scale by).
+		ds.spare = append(ds.spare, fc, e)
 		ds.fs, ds.errs = ds.fs[:len(ds.fs)-1], ds.errs[:len(ds.errs)-1]
 		return f
 	}
@@ -600,7 +661,8 @@ func (ds *diisState) extrapolate(f, d, s, x *linalg.Matrix) *linalg.Matrix {
 		ds.dropOldest()
 		return f
 	}
-	out := linalg.NewMatrix(f.Rows, f.Cols)
+	out := dw.fx
+	out.Zero()
 	for i := 0; i < m; i++ {
 		out.AXPY(z[i]/sum, ds.fs[i])
 	}

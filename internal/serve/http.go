@@ -195,10 +195,12 @@ func (a *API) status(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// cancel answers the job's Status, as GET does: after the cancellation
+// for a job this peer holds, the recorded one (miss) for any other.
 func (a *API) cancel(w http.ResponseWriter, r *http.Request) {
 	if j := a.job(w, r); j != nil {
 		j.Cancel()
-		writeJSON(w, http.StatusOK, map[string]string{"state": j.State().String()})
+		writeJSON(w, http.StatusOK, j.Status())
 	}
 }
 

@@ -310,6 +310,63 @@ func TestFinishedJobsKeepStatus(t *testing.T) {
 	}
 }
 
+// POST /v1/jobs/{id}/cancel answers the job's Status on both of its
+// paths: a job the scheduler holds, and one past its owner's last
+// keepHistory that only the registry's record answers for.
+func TestCancelAnswersStatus(t *testing.T) {
+	var runs atomic.Int64
+	run := RunnerFunc(func(ctx context.Context, _ *Job) (*JobResult, error) {
+		if runs.Add(1) <= keepHistory+1 {
+			return &JobResult{Converged: true, Energy: -1}, nil
+		}
+		<-ctx.Done()
+		return nil, context.Cause(ctx)
+	})
+	p, api := newLonePeer(t, Config{Capacity: 1, Runner: run, Estimate: stubEstimate})
+	var first *Job
+	for i := 0; i < keepHistory+1; i++ {
+		j, err := p.Submit(JobSpec{Molecule: "H2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait()
+		if i == 0 {
+			first = j
+		}
+	}
+	live, err := p.Submit(JobSpec{Molecule: "H2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, live, StateRunning)
+	// A finished job is published before the scheduler keeps it, and the
+	// 257th keep evicts the first.
+	for deadline := time.Now().Add(5 * time.Second); p.Server().Job(first.ID) != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still held by its owner past keepHistory", first.ID)
+		}
+	}
+	for _, tc := range []struct {
+		j     *Job
+		state string
+	}{{live, ""}, {first, "done"}} {
+		resp, err := http.Post(api.URL+"/v1/jobs/"+tc.j.ID+"/cancel", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Status
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel %s: %d %v", tc.j.ID, resp.StatusCode, err)
+		}
+		if got.ID != tc.j.ID || got.Molecule != "H2" || got.State == "" || tc.state != "" && got.State != tc.state {
+			t.Fatalf("cancel %s answered %+v, want its Status", tc.j.ID, got)
+		}
+	}
+	waitState(t, live, StateCanceled)
+}
+
 // Deadlines cancel both queued and running jobs with an explicit
 // Canceled terminal state, releasing their memory charge.
 func TestDeadlineCancels(t *testing.T) {

@@ -800,7 +800,7 @@ func plant(f, d, vals []float64, ri, rj, rk, ij, ik, jk, oq, nq int, dij, dik, d
 	}, []plant{{"internal/core/plant.go", `package core; type plantOptions struct{ PrimTol float32 }`}}},
 	{"screen-primtol-readers", "integrals.PrimTol is read by the four production pair tables and cmd/paper's Table V", func(tr files) []string {
 		return same(decls(tr.code().under("cmd", "internal", "gtfock.go").uses("integrals.PrimTol")),
-			"core.Build", "main.(*lab).table5", "nwchem.Build", "scf.RunHF", "scf.atomicDensity")
+			"core.NewBuilder", "main.(*lab).table5", "nwchem.Build", "scf.RunHF", "scf.atomicDensity")
 	}, []plant{{"internal/serve/plant.go", `package serve; import "gtfock/internal/integrals"; var tol = integrals.PrimTol`}}},
 
 	// One perimeter (DESIGN §1 "Perimeter").
@@ -853,12 +853,33 @@ func plant(f, d, vals []float64, ri, rj, rk, ij, ik, jk, oq, nq int, dij, dik, d
 	{"scf-no-nwchem", "internal/scf never imports the NWChem baseline (a Fock-build comparison, not an SCF engine)", func(tr files) []string {
 		return none(tr.code().under("internal/scf").imports("gtfock/internal/nwchem"))
 	}, []plant{{"internal/scf/plant.go", `package scf; import _ "gtfock/internal/nwchem"`}}},
-	{"scf-one-build", "internal/scf builds G in one place: buildG, the one core.Build call", func(tr files) []string {
-		return one(tr.code().under("internal/scf").calls("core.Build"), "scf.buildG")
-	}, []plant{{"internal/scf/plant.go", `package scf; import "gtfock/internal/core"; func plant() { core.Build(nil, nil, nil, core.Options{}) }`}}},
+	{"scf-one-build", "internal/scf builds G in one place: buildG, the one Build call on a core.Builder (and no core.Build)", func(tr files) []string {
+		return one(tr.code().under("internal/scf").find(func(n node) string {
+			c, ok := n.n.(*ast.CallExpr)
+			if !ok {
+				return ""
+			}
+			if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Build" && named(sel, "basis.Build") == "" {
+				return types.ExprString(sel)
+			}
+			return ""
+		}), "scf.buildG")
+	}, []plant{
+		{"internal/scf/plant.go", `package scf; import "gtfock/internal/core"; func plant() { core.Build(nil, nil, nil, core.Options{}) }`},
+		{"internal/scf/plant.go", `package scf; import "gtfock/internal/core"; func plant(fb *core.Builder) { fb.Build(nil, core.Options{}) }`},
+	}},
+	{"scf-one-builder", "a solve makes one core.Builder: RunHF and the atomic guess each make theirs, and nothing else does", func(tr files) []string {
+		return same(decls(tr.code().under("internal/scf").calls("core.NewBuilder")), "scf.RunHF", "scf.atomicDensity")
+	}, []plant{{"internal/scf/plant.go", `package scf; import "gtfock/internal/core"; func plant() { core.NewBuilder(nil, nil, nil, core.Options{}) }`}}},
 	{"scf-build-callers", "RunHF and the atomic guess both call buildG, and nothing else does", func(tr files) []string {
 		return same(decls(tr.code().under("internal/scf").calls("buildG")), "scf.RunHF", "scf.atomicDensity")
-	}, []plant{{"internal/scf/plant.go", `package scf; func plant() { buildG(nil, nil, nil, nil, nil, Options{}) }`}}},
+	}, []plant{{"internal/scf/plant.go", `package scf; func plant() { buildG(nil, nil, Options{}) }`}}},
+
+	// A buffer has one owner (DESIGN §5 "Lanes"): the Fock build, the
+	// solve and the transport keep theirs in the struct that owns them.
+	{"no-sync-pool", "internal/core, internal/scf and internal/net use no sync.Pool: it hides who owns a buffer", func(tr files) []string {
+		return none(tr.under("internal/core", "internal/scf", "internal/net").uses("sync.Pool"))
+	}, []plant{{"internal/net/plant.go", `package netga; import "sync"; var bufs sync.Pool`}}},
 	{"scf-engines", "the NWChem and serial SCF engine values and the guess's hand-rolled ERI tensor stay gone", func(tr files) []string {
 		return none(tr.under("cmd", "internal", "examples", "gtfock.go").uses("EngineNWChem", "EngineSerial", "eriTensor"))
 	}, []plant{{"internal/scf/plant.go", `package scf; const EngineSerial Engine = "serial"`}}},
