@@ -244,21 +244,23 @@ func TestStoreChaosExactlyOnce(t *testing.T) {
 }
 
 // BenchmarkReplayBuild times the replay build of alkane:6/STO-3G (the
-// scf_replay molecule) at 1x1, recorded once before the timer starts,
-// and reports ns per stored integral value: the A/B figure for a change
-// to the contraction loop or the store format, without the harness.
+// scf_replay molecule) at 1x1 on one kept Builder, as RunHF makes one
+// per solve, recorded once before the timer starts, and reports ns per
+// stored integral value: the A/B figure for a change to the contraction
+// loop or the store format, without the harness or the builder's set-up.
 // `go test -run NONE -bench ReplayBuild -cpu 1 ./internal/core/`.
 func BenchmarkReplayBuild(b *testing.B) {
 	bs, scr, d := buildSetup(b, chem.Alkane(6), "sto-3g")
 	store := integrals.NewERIStore(bs.NumShells(), 0, nil, 1, nil)
 	opt := Options{ERIStore: store, PairTable: scr.PairTable(integrals.PrimTol)}
-	if res := Build(bs, scr, d, opt); res.Err != nil {
+	fb := NewBuilder(bs, scr, opt.PairTable, opt)
+	if res := fb.Build(d, opt); res.Err != nil {
 		b.Fatal(res.Err)
 	}
 	values := store.Stats().BytesStored / 8
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := Build(bs, scr, d, opt); res.Err != nil {
+		if res := fb.Build(d, opt); res.Err != nil {
 			b.Fatal(res.Err)
 		}
 	}

@@ -1157,48 +1157,3 @@ func ApplyQuartet(bs *basis.Set, d, f []float64, m, p, n, q int, batch []float64
 	width := [4]int{bs.ShellFuncs(m), bs.ShellFuncs(p), bs.ShellFuncs(n), bs.ShellFuncs(q)}
 	contract(d, f, bs.NumFuncs, off[:], width[:], 0, 2, []uint32{1 | 3<<16}, batch)
 }
-
-// contract is the one Fock contraction. It applies the 6-block update of
-// every quartet (MP|NQ) of task (m, n) — labels[k] = P | Q<<16 in order,
-// vals their batches v[i in M][j in P][k in N][l in Q] = (ij|kl)
-// concatenated and already scaled by quartetScale — into the dense
-// n x n buffers d (density, read) and f (Fock accumulator, written):
-//
-//	F_ij += 4 D_kl v   F_ik -= D_jl v   F_il -= D_jk v
-//	F_kl += 4 D_ij v   F_jl -= D_ik v   F_jk -= D_il v
-//
-// Adding G + G^T at the end restores the full 8-fold symmetric sum of
-// eq. (3) (see DESIGN.md). off and width give each shell's first
-// function and function count; M's and N's are read once per task.
-func contract(d, f []float64, nf int, off, width []int, m, n int, labels []uint32, vals []float64) {
-	om, nm, on, nn := off[m], width[m], off[n], width[n]
-	idx := 0
-	for _, lb := range labels {
-		p, q := int(lb&0xffff), int(lb>>16)
-		op, np, oq, nq := off[p], width[p], off[q], width[q]
-		// Row starts and the D elements fixed for an (i, j, k) are
-		// hoisted; every F update keeps its order, so F gets the same bits.
-		for gi := om; gi < om+nm; gi++ {
-			ri := gi * nf
-			for gj := op; gj < op+np; gj++ {
-				rj, ij := gj*nf, ri+gj
-				dij := d[ij]
-				for gk := on; gk < on+nn; gk++ {
-					rk, ik, jk := gk*nf, ri+gk, rj+gk
-					dik, djk := d[ik], d[jk]
-					for gl := oq; gl < oq+nq; gl++ {
-						kl, il, jl := rk+gl, ri+gl, rj+gl
-						v := vals[idx]
-						idx++
-						f[ij] += 4 * v * d[kl]
-						f[kl] += 4 * v * dij
-						f[ik] -= v * d[jl]
-						f[jl] -= v * dik
-						f[il] -= v * djk
-						f[jk] -= v * d[il]
-					}
-				}
-			}
-		}
-	}
-}

@@ -87,8 +87,19 @@ func buildSphMatrix(l int) [][]float64 {
 // sphTransform1 applies the Cartesian-to-spherical transform to the first
 // index of a tensor stored row-major with the first index of Cartesian
 // dimension nc and trailing block size rest. Result has leading dimension
-// ns. src and dst must not alias.
+// ns. src and dst must not alias. A d index takes sphTransformD's straight
+// lines; every other l runs its matrix.
 func sphTransform1(l int, src, dst []float64, rest int) {
+	if l == 2 {
+		sphTransformD(src, dst, rest)
+		return
+	}
+	sphTransformMatrix(l, src, dst, rest)
+}
+
+// sphTransformMatrix is sphTransform1 through sphMatrix(l): each output
+// row is cleared, then the row's nonzero terms are added in column order.
+func sphTransformMatrix(l int, src, dst []float64, rest int) {
 	mat := sphMatrix(l)
 	nc := NumCart(l)
 	ns := NumSph(l)
@@ -109,7 +120,30 @@ func sphTransform1(l int, src, dst []float64, rest int) {
 			}
 		}
 	}
-	_ = nc
+}
+
+// sphTransformD is sphTransform1 for l = 2 without the matrix walk. Three
+// of sphMatrix(2)'s rows (xy, yz, xz) are unit rows, so they are copies;
+// the other two are written out with the matrix's own coefficients in its
+// term order, so every value equals sphTransformMatrix's (whose leading
+// 0 + turns a -0 into +0, the only difference).
+func sphTransformD(src, dst []float64, rest int) {
+	mat := sphMatrix(2)
+	c20, c23, c25 := mat[2][0], mat[2][3], mat[2][5]
+	c40, c43 := mat[4][0], mat[4][3]
+	// Every row has xx's length, so the loop below needs no bounds check.
+	xx := src[:rest]
+	row := func(s []float64, c int) []float64 { return s[c*rest:][:len(xx)] }
+	xy, xz, yy, yz, zz := row(src, 1), row(src, 2), row(src, 3), row(src, 4), row(src, 5)
+	d0, d1, d2, d3, d4 := row(dst, 0), row(dst, 1), row(dst, 2), row(dst, 3), row(dst, 4)
+	for r, x := range xx {
+		y := yy[r]
+		d0[r] = xy[r]
+		d1[r] = yz[r]
+		d2[r] = c20*x + c23*y + c25*zz[r]
+		d3[r] = xz[r]
+		d4[r] = c40*x + c43*y
+	}
 }
 
 // sphTransform4 transforms a Cartesian quartet batch

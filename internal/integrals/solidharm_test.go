@@ -165,3 +165,37 @@ func TestPolyHelpers(t *testing.T) {
 		t.Fatal("selfOverlapRel(x^2)")
 	}
 }
+
+// The straight-line d transform gives the matrix path's values: == on
+// random slabs (so a -0 the matrix path turns into +0 compares equal),
+// with exact zeros among the inputs and every slab width the transform
+// layer uses, from one trailing value up.
+func TestSphTransformDMatchesMatrix(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, rest := range []int{1, 2, 3, 5, 6, 9, 15, 25, 36, 75} {
+		for trial := 0; trial < 20; trial++ {
+			src := make([]float64, 6*rest)
+			for i := range src {
+				switch rng.Intn(8) {
+				case 0:
+					src[i] = 0
+				case 1:
+					src[i] = math.Copysign(0, -1)
+				default:
+					src[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
+				}
+			}
+			got, want := make([]float64, 5*rest), make([]float64, 5*rest)
+			for i := range got {
+				got[i], want[i] = math.NaN(), math.NaN()
+			}
+			sphTransformD(src, got, rest)
+			sphTransformMatrix(2, src, want, rest)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("rest %d trial %d: spherical [%d][%d] = %v, matrix %v", rest, trial, i/rest, i%rest, got[i], want[i])
+				}
+			}
+		}
+	}
+}

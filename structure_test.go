@@ -364,19 +364,20 @@ func (fs files) printed(texts ...string) []site {
 }
 
 // fockUpdates returns one site for each declaration holding at least n
-// compound += or -= assignments into an indexed element, whatever the
-// right side reads: F_ij += 4 v D_kl, and F_kl += 4 v dij with D_ij
-// hoisted, count alike.
+// compound += or -= assignments into an indexed or a pointed-to element,
+// whatever the right side reads: f[ij] += 4 v D_kl, *p += 4 v dij with
+// D_ij hoisted, and *elem(f, ij) -= v D_jl count alike.
 func (fs files) fockUpdates(n int) []site {
 	sites := fs.find(func(nd node) string {
 		a, ok := nd.n.(*ast.AssignStmt)
 		if !ok || a.Tok != token.ADD_ASSIGN && a.Tok != token.SUB_ASSIGN || len(a.Lhs) != 1 {
 			return ""
 		}
-		if _, ok := a.Lhs[0].(*ast.IndexExpr); !ok {
-			return ""
+		switch a.Lhs[0].(type) {
+		case *ast.IndexExpr, *ast.StarExpr:
+			return "element update"
 		}
-		return "indexed update"
+		return ""
 	})
 	count := map[string]int{}
 	for _, s := range sites {
@@ -385,7 +386,7 @@ func (fs files) fockUpdates(n int) []site {
 	var out []site
 	for _, s := range sites {
 		if k := s.path + " " + s.decl; count[k] >= n {
-			s.what = fmt.Sprintf("%d indexed updates", count[k])
+			s.what = fmt.Sprintf("%d element updates", count[k])
 			out = append(out, s)
 			count[k] = 0 // one site per declaration
 		}
@@ -788,7 +789,28 @@ func plant(f, d, vals []float64, ri, rj, rk, ij, ik, jk, oq, nq int, dij, dik, d
 	}
 }`},
 		{"internal/integrals/plant.go", `package integrals; func (s *ERIStore) plant(task int, visit func(p, q int32, vals []float64)) {}`},
+		{"internal/nwchem/plant.go", `package nwchem
+func plant(fij, fkl, fik, fjl, fil, fjk *float64, v, dij, dkl, dik, djl, dil, djk float64) {
+	*fij += 4 * v * dkl
+	*fkl += 4 * v * dij
+	*fik -= v * djl
+	*fjl -= v * dik
+	*fil -= v * djk
+	*fjk -= v * dil
+}`},
 	}},
+	// The one contraction's unchecked loop (DESIGN §11 "One contraction")
+	// keeps unsafe to three files: the Boys table's alignment, the store's
+	// byte accounting, and the file holding core.contract.
+	{"unsafe-perimeter", "outside tests only internal/integrals/boys.go, internal/integrals/eristore.go and the file holding core.contract import unsafe", func(tr files) []string {
+		where := []string{"internal/integrals/boys.go", "internal/integrals/eristore.go"}
+		for _, s := range tr.code().under("internal/core").funcs("contract") {
+			if s.decl == "core.contract" {
+				where = append(where, s.path)
+			}
+		}
+		return atMost(3, tr.code().imports("unsafe"), where...)
+	}, []plant{{"internal/core/plant.go", `package core; import "unsafe"; var plant = unsafe.Sizeof(0)`}}},
 
 	// One quartet screen (DESIGN §8): Schwarz at tau over a primitive
 	// prescreen fixed at integrals.PrimTol.
