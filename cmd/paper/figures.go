@@ -4,25 +4,25 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 
 	"gtfock/internal/basis"
 	"gtfock/internal/core"
-	"gtfock/internal/screen"
 )
 
-// fig1 reproduces Figure 1: the map and count of density-matrix elements
+// fig1 reproduces Figure 1: the count of density-matrix elements
 // required by one task (M,:|N,:) versus a 50x50 block of tasks, for the
-// third molecule (C100H202 in the paper) with cell-reordered shells.
-// Sparsity maps are written as PGM images.
-func (l *lab) fig1(outdir string) {
-	formula := l.molecules()[2]
+// first alkane (C100H202 in the paper) with cell-reordered shells. With
+// an outdir it also writes both sparsity maps as PGM images.
+func (l *lab) fig1(outdir string) table {
+	formula := l.alkane()
 	s := l.system(formula)
 	bs, scr := s.rbs, s.rscr
 	ns := bs.NumShells()
 
 	m0, n0 := 300, 600
 	blk := 50
-	if l.quick || ns < 700 {
+	if ns < 700 {
 		m0, n0, blk = ns/4, ns/2, ns/12
 	}
 	single := core.TaskBlock{R0: m0, R1: m0 + 1, C0: n0, C1: n0 + 1}
@@ -30,22 +30,24 @@ func (l *lab) fig1(outdir string) {
 
 	nz1, pairs1 := core.ExactDElements(bs, scr, single)
 	nz2, pairs2 := core.ExactDElements(bs, scr, block)
-	fmt.Printf("Figure 1: D elements required, %s (cell-reordered, %d shells, %d funcs).\n",
-		formula, ns, bs.NumFuncs)
-	fmt.Printf("  (a) task (%d,:|%d,:):                nz = %d elements\n", m0, n0, nz1)
-	fmt.Printf("  (b) block (%d:%d,:|%d:%d,:) [%d tasks]: nz = %d elements\n",
-		m0, m0+blk, n0, n0+blk, block.Count(), nz2)
-	fmt.Printf("  ratio block/task = %.1fx for %d tasks (paper: ~80x for 2500 tasks; nz(a)=1055)\n",
-		float64(nz2)/float64(nz1), block.Count())
-
+	t := table{
+		title: fmt.Sprintf("Figure 1: D elements required, %s (cell-reordered, %d shells, %d funcs).", formula, ns, bs.NumFuncs),
+		label: "Tasks", heads: []string{"count", "nz"}, verbs: []string{"%.0f", "%.0f"},
+		rows: []row{
+			{fmt.Sprintf("(a) task (%d,:|%d,:)", m0, n0), []float64{1, float64(nz1)}},
+			{fmt.Sprintf("(b) block (%d:%d,:|%d:%d,:)", m0, m0+blk, n0, n0+blk), []float64{float64(block.Count()), float64(nz2)}},
+		},
+		notes: []string{fmt.Sprintf("ratio block/task = %.1fx for %d tasks (paper: ~80x for 2500 tasks; nz(a)=1055)",
+			float64(nz2)/float64(nz1), block.Count())},
+	}
 	if outdir != "" {
 		a := filepath.Join(outdir, "fig1a_task.pgm")
 		b := filepath.Join(outdir, "fig1b_block.pgm")
 		check(writePGM(a, bs, pairs1))
 		check(writePGM(b, bs, pairs2))
-		fmt.Printf("  sparsity maps: %s, %s\n", a, b)
+		t.notes = append(t.notes, fmt.Sprintf("sparsity maps: %s, %s", a, b))
 	}
-	fmt.Println()
+	return t
 }
 
 // writePGM renders a shell-pair set as a basis-function sparsity map.
@@ -84,25 +86,23 @@ func writePGM(path string, bs *basis.Set, pairs map[[2]int]bool) error {
 
 // fig2 reproduces Figure 2: average computation time T_comp and average
 // parallel overhead T_ov versus cores, for each molecule and both
-// algorithms (printed as the data series behind the four subplots).
-func (l *lab) fig2() {
-	fmt.Println("Figure 2: T_comp and T_ov (seconds) vs cores, simulated.")
-	for _, f := range l.molecules() {
-		fmt.Printf("  (%s)\n", f)
-		fmt.Printf("    %6s %12s %12s %12s %12s\n",
-			"Cores", "GT T_comp", "GT T_ov", "NW T_comp", "NW T_ov")
-		for _, cores := range l.coreCounts() {
-			gt := l.simulate(f, cores, "gtfock")
-			nw := l.simulate(f, cores, "nwchem")
-			fmt.Printf("    %6d %12.3f %12.3f %12.3f %12.3f\n",
-				cores, gt.TCompAvg(), gt.TOverheadAvg(),
-				nw.TCompAvg(), nw.TOverheadAvg())
+// algorithms (a table per subplot).
+func (l *lab) fig2() []table {
+	var out []table
+	for _, f := range l.mols {
+		t := table{
+			title: fmt.Sprintf("Figure 2 (%s): T_comp and T_ov (seconds) vs cores, simulated.", f),
+			label: "Cores", heads: []string{"GT T_comp", "GT T_ov", "NW T_comp", "NW T_ov"},
+			verbs: []string{"%.3f", "%.3f", "%.3f", "%.3f"},
 		}
+		for _, cores := range l.cores {
+			gt, nw := l.simulate(f, cores, "gtfock"), l.simulate(f, cores, "nwchem")
+			t.rows = append(t.rows, row{strconv.Itoa(cores),
+				[]float64{gt.TCompAvg(), gt.TOverheadAvg(), nw.TCompAvg(), nw.TOverheadAvg()}})
+		}
+		out = append(out, t)
 	}
-	fmt.Println("  (shape targets: comparable T_comp; GTFock T_ov ~10x lower;")
-	fmt.Println("   NWChem T_ov reaches/overtakes its T_comp near ~3000 cores on the")
-	fmt.Println("   smaller graphene and the alkanes)")
-	fmt.Println()
+	out[len(out)-1].notes = []string{"(shape targets: comparable T_comp; GTFock T_ov ~10x lower; NWChem T_ov " +
+		"reaches/overtakes its T_comp near ~3000 cores on the smaller graphene and the alkanes)"}
+	return out
 }
-
-var _ = screen.DefaultTau
