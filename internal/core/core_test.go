@@ -499,18 +499,18 @@ func TestFootprintContainsTaskBlocks(t *testing.T) {
 	fp.AddBlock(scr, b)
 	// Region 1 rows present with spans covering Phi.
 	for m := b.R0; m < b.R1; m++ {
-		lo, hi, ok := fp.Span(m)
+		s, ok := fp.span[m]
 		if !ok {
 			t.Fatalf("row %d missing from footprint", m)
 		}
 		phi := scr.Phi[m]
-		if lo > phi[0] || hi < phi[len(phi)-1] {
-			t.Fatalf("span [%d,%d] does not cover Phi(%d)", lo, hi, m)
+		if s[0] > phi[0] || s[1] < phi[len(phi)-1] {
+			t.Fatalf("span %v does not cover Phi(%d)", s, m)
 		}
 	}
 	// Region 3 rows: members of Phi(M) for block rows.
 	for _, p := range scr.Phi[b.R0] {
-		if _, _, ok := fp.Span(p); !ok {
+		if _, ok := fp.span[p]; !ok {
 			t.Fatalf("region-3 row %d missing", p)
 		}
 	}
@@ -521,9 +521,13 @@ func TestFootprintTransfersPositive(t *testing.T) {
 	grid := dist.UniformGrid2D(2, 2, bs.NumFuncs, bs.NumFuncs)
 	fp := NewFootprint()
 	fp.AddBlock(scr, TaskBlock{R0: 0, R1: 3, C0: 0, C1: 3})
-	calls, bytes := fp.Transfers(bs, grid)
-	if calls <= 0 || bytes <= 0 {
+	patches, oracle := fp.Patches(bs, grid), rowShellPatches(bs, grid, fp)
+	bytes := patchBytes(patches)
+	if len(patches) == 0 || bytes <= 0 {
 		t.Fatal("no transfers")
+	}
+	if len(patches) > len(oracle) || bytes != patchBytes(oracle) {
+		t.Fatalf("%d patches of %d bytes; the per-row-shell walk takes %d of %d", len(patches), bytes, len(oracle), patchBytes(oracle))
 	}
 	if fp.BufferBytes(bs) < bytes/2 {
 		t.Fatal("buffer bytes inconsistent with transfer bytes")

@@ -17,11 +17,8 @@ import (
 //     column span [min, max] of the shells it touches. This is what an
 //     implementation fetches with strided one-sided Gets, and it is why
 //     the paper's spatial reordering matters: a tight Phi span makes the
-//     fetched spans tight. The paper's GTFock makes one call per row shell
-//     per owner block, and Transfers counts that for the simulator's
-//     Tables VI-VII; the real build (worker.patches) moves the same
-//     elements but merges each run of consecutive row shells with equal
-//     spans into one rectangle per owner block, so it makes fewer calls.
+//     fetched spans tight. Patches is its one walk: the real build moves
+//     those patches, and the simulator charges them for Tables VI-VII.
 //   - ExactDElements: the exact element-level union (Fig. 1's nz counts).
 type Footprint struct {
 	// span[m] = inclusive shell-index column span fetched for row shell m.
@@ -110,33 +107,28 @@ func (f *Footprint) Rows() []int {
 	return rows
 }
 
-// Span returns the inclusive column-shell span for row shell m.
-func (f *Footprint) Span(m int) (lo, hi int, ok bool) {
-	s, ok := f.span[m]
-	return s[0], s[1], ok
-}
-
-// Transfers returns the one-sided operation count and byte volume needed
-// to move this footprint once (Get for D, or Acc for F) the paper's way:
-// one call per row shell per owner process column intersected by its
-// span. The simulator charges this; the real build moves the same bytes
-// in at most as many calls, because it coalesces runs of row shells with
-// equal spans (worker.patches).
-func (f *Footprint) Transfers(bs *basis.Set, grid *dist.Grid2D) (calls, bytes int64) {
-	for m, s := range f.span {
-		r0 := bs.Offsets[m]
-		r1 := r0 + bs.ShellFuncs(m)
-		c0 := bs.Offsets[s[0]]
-		c1 := bs.Offsets[s[1]] + bs.ShellFuncs(s[1])
-		for _, p := range grid.Patches(r0, r1, c0, c1) {
-			// Patches in the same grid row share the call for the row
-			// shell only if they are the same owner column; Patches
-			// enumerates owner blocks, so each is one call.
-			calls++
-			bytes += 8 * int64(p.Elems())
+// Patches is the one footprint walk, the real build's and the
+// simulator's: the patches that move f once (a Get each for D, an Acc each
+// for F). A run of consecutive row shells with equal column spans is one
+// rectangle, split by owner block — so a patch never leaves one block, and
+// the elements moved are exactly the paper's per-row-shell walk's
+// (Sec. III-D) in fewer calls. Rows ascend, so the Get and Acc sequences
+// — and with them the Acc tokens — repeat from build to build.
+func (f *Footprint) Patches(bs *basis.Set, grid *dist.Grid2D) []dist.Patch {
+	var out []dist.Patch
+	rows := f.Rows()
+	for i := 0; i < len(rows); {
+		m, s := rows[i], f.span[rows[i]]
+		j := i + 1
+		for j < len(rows) && rows[j] == rows[j-1]+1 && f.span[rows[j]] == s {
+			j++
 		}
+		last := rows[j-1]
+		out = append(out, grid.Patches(bs.Offsets[m], bs.Offsets[last]+bs.ShellFuncs(last),
+			bs.Offsets[s[0]], bs.Offsets[s[1]]+bs.ShellFuncs(s[1]))...)
+		i = j
 	}
-	return calls, bytes
+	return out
 }
 
 // BufferBytes returns the size of the local buffer holding the footprint

@@ -679,36 +679,6 @@ func (w *worker) heartbeat(samp *metrics.Sample, now time.Time) {
 	samp.LeaseRenewals++
 }
 
-// patches is the worker's one footprint walk: the patches that move fp
-// once. A run of consecutive row shells with equal column spans is one
-// rectangle, split by owner block — so a patch never leaves one block, and
-// the elements moved are exactly the per-row-shell walk's (Sec. III-D) in
-// fewer calls. Rows ascend, so the Get and Acc sequences — and with them
-// the Acc tokens — repeat from build to build.
-func (w *worker) patches(fp *Footprint) []dist.Patch {
-	var out []dist.Patch
-	rows := fp.Rows()
-	for i := 0; i < len(rows); {
-		m := rows[i]
-		lo, hi, _ := fp.Span(m)
-		j := i + 1
-		for j < len(rows) && rows[j] == rows[j-1]+1 {
-			if l, h, _ := fp.Span(rows[j]); l != lo || h != hi {
-				break
-			}
-			j++
-		}
-		last := rows[j-1]
-		r0 := w.bs.Offsets[m]
-		r1 := w.bs.Offsets[last] + w.bs.ShellFuncs(last)
-		c0 := w.bs.Offsets[lo]
-		c1 := w.bs.Offsets[hi] + w.bs.ShellFuncs(hi)
-		out = append(out, w.grid.Patches(r0, r1, c0, c1)...)
-		i = j
-	}
-	return out
-}
-
 // addWork is the one block-intake path — the initial block, a stolen
 // block and an adopted orphan all enter here. It Gets the D patches b
 // needs into dloc through the one retry loop (dist.Retry.Get; a fault-free
@@ -721,7 +691,7 @@ func (w *worker) addWork(b TaskBlock) bool {
 	w.fpb.AddBlock(w.scr, b)
 	t0 := w.obsNow()
 	defer func() { w.span(&w.spans, 0, dist.SpanPrefetch, t0) }()
-	for _, p := range w.patches(w.fpb) {
+	for _, p := range w.fpb.Patches(w.bs, w.grid) {
 		w.samp.GetCalls++
 		w.samp.GetBytes += 8 * int64(p.Elems())
 		w.heartbeat(&w.samp, time.Now())
@@ -741,7 +711,7 @@ func (w *worker) addWork(b TaskBlock) bool {
 // 0's holds anything (reduceLanes zeroed the helpers); after an episode
 // that never committed, any lane's may.
 func (w *worker) resetAccum() {
-	for _, p := range w.patches(w.fp) {
+	for _, p := range w.fp.Patches(w.bs, w.grid) {
 		for _, ln := range w.lanes {
 			for r := p.R0; r < p.R1; r++ {
 				clear(ln.floc[r*w.nf+p.C0 : r*w.nf+p.C1])
@@ -783,7 +753,7 @@ func (w *worker) commitFlush() bool {
 		atomic.AddInt64(&w.stats.Recovery.FencedFlushes, 1)
 		return false
 	}
-	patches := w.patches(w.fp)
+	patches := w.fp.Patches(w.bs, w.grid)
 	w.reduceLanes(patches)
 	floc := w.lanes[0].floc
 	// The first patch is the commit's point of no return: until it lands,

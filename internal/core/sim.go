@@ -36,8 +36,8 @@ type SimOptions struct {
 // Per-task compute cost follows the screening-derived workload model of
 // DESIGN.md — t_int * W(M) * W(N) / 8 ERI-seconds executed at a node rate
 // of CoresPerNode — and communication is charged with the alpha-beta model
-// over the exact prefetch/flush footprints and steal transfers of
-// Algorithm 4. Work stealing is simulated with a fluid workload model:
+// over the patches the real build moves for a block's prefetch and flush
+// (Footprint.Patches) and the steal transfers of Algorithm 4. Work stealing is simulated with a fluid workload model:
 // a steal moves half of the victim's remaining tasks, pays two remote
 // atomic queue operations, copies the victim's D_local buffer, and
 // accumulates the previously stolen F buffer back to its victim
@@ -94,7 +94,11 @@ func SimulateOptions(bs *basis.Set, scr *screen.Screening, cfg dist.Config, core
 			blk := TaskBlock{R0: rowCuts[i], R1: rowCuts[i+1], C0: colCuts[j], C1: colCuts[j+1]}
 			fp := NewFootprint()
 			fp.AddBlock(scr, blk)
-			calls, bytes := fp.Transfers(bs, grid)
+			patches := fp.Patches(bs, grid)
+			calls, bytes := int64(len(patches)), int64(0)
+			for _, p := range patches {
+				bytes += 8 * int64(p.Elems())
+			}
 			bufBytes[pid] = fp.BufferBytes(bs)
 
 			st := &stats.Per[pid]

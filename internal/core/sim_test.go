@@ -160,3 +160,28 @@ func TestSimulateRejectsPartialNodes(t *testing.T) {
 		t.Fatal("expected error for 13 cores")
 	}
 }
+
+// The simulator charges the real build's one footprint walk: at one node
+// (12 cores, one process, a 1x1 grid) nothing is stolen, so its calls and
+// MB per process are exactly a real 1x1 build's — one Get and one Acc per
+// patch of Footprint.Patches.
+func TestSimChargesTheRealWalk(t *testing.T) {
+	for _, spec := range []string{"CH4", "alkane:6"} {
+		mol, err := chem.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, scr, d := buildSetup(t, mol, "sto-3g")
+		real := Build(bs, scr, d, Options{})
+		if real.Err != nil {
+			t.Fatal(real.Err)
+		}
+		sim, err := Simulate(bs, scr, dist.Lonestar(), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sc, rc, sv, rv := sim.CallsAvg(), real.Stats.CallsAvg(), sim.VolumeAvgMB(), real.Stats.VolumeAvgMB(); sc != rc || sv != rv {
+			t.Errorf("%s/STO-3G at one node: simulated %g calls, %g MB; the real 1x1 build %g calls, %g MB", spec, sc, sv, rc, rv)
+		}
+	}
+}
