@@ -53,47 +53,62 @@ func TestBuilderReplayAllocs(t *testing.T) {
 // builder, and both match the serial oracle and commit every task once.
 // The 1x2 grid at GOMAXPROCS 4 runs two lanes per rank, so a dead
 // incarnation leaves helper accumulators dirty too.
+//
+// Each seed runs two faulted builds. The full mix's 15 ms lease fences a
+// rank at its first stall, and on a loaded host every rank of every
+// round can be fenced before it reaches a flush, so none of its crash
+// draws is made. The crash-only mix keeps the default lease: every rank
+// reaches its first flush and draws, so the crashes this test counts do
+// not depend on how busy the host is.
 func TestBuilderReuseAfterFault(t *testing.T) {
 	withGOMAXPROCS(t, 4)
 	bs, scr, d := buildSetup(t, chem.Alkane(2), "sto-3g")
 	ref := BuildSerial(bs, scr, d)
 	ns := int64(bs.NumShells())
-	mix := fault.Config{
-		CrashBeforeFlush: 0.3,
-		CrashAfterFlush:  0.15,
-		StallProb:        0.03,
-		StallFor:         50 * time.Millisecond,
-		DropProb:         0.15,
+	mixes := []struct {
+		cfg fault.Config
+		ttl time.Duration
+	}{
+		{fault.Config{
+			CrashBeforeFlush: 0.3,
+			CrashAfterFlush:  0.15,
+			StallProb:        0.03,
+			StallFor:         50 * time.Millisecond,
+			DropProb:         0.15,
+		}, 15 * time.Millisecond},
+		{fault.Config{CrashBeforeFlush: 0.3, CrashAfterFlush: 0.15}, 0},
 	}
 	for _, grid := range [][2]int{{2, 2}, {1, 2}} {
 		b := NewBuilder(bs, scr, nil, Options{Prow: grid[0], Pcol: grid[1]})
 		var crashes, reassigned, steals int64
 		for seed := int64(0); seed < 4; seed++ {
-			mix.Seed = 4600 + seed
-			for _, faulted := range []bool{true, false} {
-				name := fmt.Sprintf("grid %dx%d seed %d faulted %v", grid[0], grid[1], mix.Seed, faulted)
-				opt := Options{Metrics: metrics.NewRegistry(grid[0] * grid[1])}
-				if faulted {
-					opt.Fault, opt.LeaseTTL = fault.New(mix), 15*time.Millisecond
-				}
-				res := buildDeadline(t, 60*time.Second, func() Result { return b.Build(d, opt) })
-				if res.Err != nil {
-					t.Fatalf("%s: %v", name, res.Err)
-				}
-				if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
-					t.Fatalf("%s: |G - serial| = %g", name, err)
-				}
-				if snap := opt.Metrics.Snapshot(); snap.TasksTotal != ns*ns {
-					t.Fatalf("%s: committed tasks_total = %d, want %d", name, snap.TasksTotal, ns*ns)
-				}
-				rec := &res.Stats.Recovery
-				if !faulted && (rec.Crashes != 0 || rec.WorkersFenced != 0) {
-					t.Fatalf("%s: clean build recorded recovery %+v", name, *rec)
-				}
-				crashes += rec.Crashes
-				reassigned += rec.BlocksReassigned
-				for _, p := range res.Stats.Per {
-					steals += p.Steals
+			for mi, mix := range mixes {
+				mix.cfg.Seed = 4600 + seed
+				for _, faulted := range []bool{true, false} {
+					name := fmt.Sprintf("grid %dx%d mix %d seed %d faulted %v", grid[0], grid[1], mi, mix.cfg.Seed, faulted)
+					opt := Options{Metrics: metrics.NewRegistry(grid[0] * grid[1])}
+					if faulted {
+						opt.Fault, opt.LeaseTTL = fault.New(mix.cfg), mix.ttl
+					}
+					res := buildDeadline(t, 60*time.Second, func() Result { return b.Build(d, opt) })
+					if res.Err != nil {
+						t.Fatalf("%s: %v", name, res.Err)
+					}
+					if err := linalg.MaxAbsDiff(ref, res.G); err > 1e-9 {
+						t.Fatalf("%s: |G - serial| = %g", name, err)
+					}
+					if snap := opt.Metrics.Snapshot(); snap.TasksTotal != ns*ns {
+						t.Fatalf("%s: committed tasks_total = %d, want %d", name, snap.TasksTotal, ns*ns)
+					}
+					rec := &res.Stats.Recovery
+					if !faulted && (rec.Crashes != 0 || rec.WorkersFenced != 0) {
+						t.Fatalf("%s: clean build recorded recovery %+v", name, *rec)
+					}
+					crashes += rec.Crashes
+					reassigned += rec.BlocksReassigned
+					for _, p := range res.Stats.Per {
+						steals += p.Steals
+					}
 				}
 			}
 		}
