@@ -149,15 +149,15 @@ var shapes = []shape{
 		return nil
 	}, func(r results) { swapEngines(find(r.cross, "Table VI:")) }},
 
-	{"table7-calls", "Partially", func(r results) error {
+	{"table7-calls", "gap", func(r results) error {
 		t := find(r.cross, "Table VII:")
 		for _, cores := range crossCores {
 			c := fmt.Sprint(cores)
 			for _, f := range crossSet {
 				gt, nw := *at(t, c, f+" GTFock"), *at(t, c, f+" NWChem")
-				// An order of magnitude on every molecule at one node, and
-				// on the alkane at every count; fewer everywhere.
-				if !(gt < nw) || (cores == crossCores[0] || f == "C100H202") && !(10*gt < nw) {
+				// Fewer everywhere, an order of magnitude at one node; the
+				// documented gap is the alkane at 3888, under 10x fewer.
+				if !(gt < nw) || cores == crossCores[0] && !(10*gt < nw) || cores != crossCores[0] && f == "C100H202" && !(10*gt >= nw) {
 					return fmt.Errorf("%s at %s cores: GTFock %.0f calls, NWChem %.0f", f, c, gt, nw)
 				}
 			}
@@ -248,25 +248,25 @@ var shapes = []shape{
 	}},
 
 	{"claim-queue-ops", "gap", func(r results) error {
-		if n := *at(find(r.cross, "Claims"), "scheduler accesses, C100H202, GTFock", "Value"); !(0 < n && 10*n < 349) {
-			return fmt.Errorf("%.1f atomic ops per GTFock queue; the documented gap is a count 10x below the paper's 349", n)
+		if n := *at(find(r.cross, "Claims"), "scheduler accesses, C100H202, GTFock", "Value"); !(10*349 < n && n < 100*349) {
+			return fmt.Errorf("%.1f atomic ops per GTFock queue; the documented gap is a count 10-100x above the paper's 349", n)
 		}
 		return nil
 	}, func(r results) { *at(find(r.cross, "Claims"), "scheduler accesses, C100H202, GTFock", "Value") = 349 }},
 
-	{"claim-steal-victims", "Reproduced", func(r results) error {
-		if s := *at(find(r.cross, "Claims"), "steal victims s, C96H24", "Value"); !(3.4 <= s && s <= 4.2) {
-			return fmt.Errorf("s = %.2f steal victims; want ~3.8", s)
+	{"claim-steal-victims", "gap", func(r results) error {
+		if s := *at(find(r.cross, "Claims"), "steal victims s, C96H24", "Value"); !(5*3.8 <= s && s <= 50) {
+			return fmt.Errorf("s = %.2f steal victims; the documented gap is 5x the paper's 3.8 or more, at most 50", s)
 		}
 		return nil
-	}, func(r results) { *at(find(r.cross, "Claims"), "steal victims s, C96H24", "Value") = 0 }},
+	}, func(r results) { *at(find(r.cross, "Claims"), "steal victims s, C96H24", "Value") = 3.8 }},
 
-	{"claim-eri-speedup", "Reproduced", func(r results) error {
-		if x := *at(find(r.cross, "Claims"), "ERI speedup", "Value"); !(25 <= x && x <= 100) {
-			return fmt.Errorf("ERI computation must get %.0fx faster before communication dominates; want ~50x", x)
+	{"claim-eri-speedup", "gap", func(r results) error {
+		if x := *at(find(r.cross, "Claims"), "ERI speedup", "Value"); !(2 <= x && x < 10) {
+			return fmt.Errorf("ERI computation must get %.1fx faster before communication dominates; the documented gap is 2-10x against the paper's ~50x", x)
 		}
 		return nil
-	}, func(r results) { *at(find(r.cross, "Claims"), "ERI speedup", "Value") = 5 }},
+	}, func(r results) { *at(find(r.cross, "Claims"), "ERI speedup", "Value") = 50 }},
 
 	{"claim-isoefficiency", "Reproduced", func(r results) error {
 		if n := *at(find(r.cross, "Claims"), "isoefficiency", "Value"); n != 2*648 {

@@ -89,20 +89,26 @@ func (l *lab) engines(title, verb string, value func(formula string, cores int) 
 // without primitive prescreening (paper Table V: ERD/GTFock vs NWChem),
 // on the paper's flake and alkane, and counts the primitive quartets each
 // computes. The prescreened column runs at integrals.PrimTol, so it is by
-// construction what every production build pays.
+// construction what every production build pays. Each time is the median
+// of the timed passes, printed beside their range: the absolute time moves
+// between processes by more than the two engines differ.
 func (l *lab) table5() table {
 	t := table{
-		title: fmt.Sprintf("Table V: measured average time per ERI, t_int (this machine, 1 thread, median of %d interleaved passes).", tintPasses),
+		title: fmt.Sprintf("Table V: measured average time per ERI, t_int (this machine, 1 thread, median and range of %d interleaved passes).", tintPasses),
 		label: "Mol.",
-		heads: []string{"Atoms", "Shells", "Funcs", "plain us", "prescreened us", "plain prims", "prescreened prims", "dropped %"},
-		verbs: []string{"%.0f", "%.0f", "%.0f", "%.3f", "%.3f", "%.0f", "%.0f", "%.1f"},
+		heads: []string{"Atoms", "Shells", "Funcs", "plain us", "min", "max", "prescreened us", "min", "max", "plain prims", "prescreened prims", "dropped %"},
+		verbs: []string{"%.0f", "%.0f", "%.0f", "%.3f", "%.3f", "%.3f", "%.3f", "%.3f", "%.3f", "%.0f", "%.0f", "%.1f"},
 		notes: []string{"(shape target: prescreening is faster, more so for the alkane; prims are the sample's primitive quartets)"},
 	}
 	for _, f := range []string{"C24H12", "C10H22"} {
 		s := l.system(f)
-		sec, prims := measureTInt(s.bs, s.scr, 0, integrals.PrimTol)
-		t.rows = append(t.rows, row{f, []float64{float64(s.mol.NumAtoms()), float64(s.bs.NumShells()), float64(s.bs.NumFuncs),
-			sec[0] * 1e6, sec[1] * 1e6, float64(prims[0]), float64(prims[1]), 100 * (1 - float64(prims[1])/float64(prims[0]))}})
+		passes, prims := measureTInt(s.bs, s.scr, 0, integrals.PrimTol)
+		vals := []float64{float64(s.mol.NumAtoms()), float64(s.bs.NumShells()), float64(s.bs.NumFuncs)}
+		for _, sec := range passes {
+			vals = append(vals, sec[len(sec)/2]*1e6, sec[0]*1e6, sec[len(sec)-1]*1e6)
+		}
+		vals = append(vals, float64(prims[0]), float64(prims[1]), 100*(1-float64(prims[1])/float64(prims[0])))
+		t.rows = append(t.rows, row{f, vals})
 	}
 	return t
 }
@@ -113,9 +119,9 @@ const tintPasses = 5
 // measureTInt times one random sample of significant shell quartets on an
 // engine per primitive tolerance, the engines taking turns pass by pass so
 // that a drift of the machine's speed reaches both. It returns each
-// engine's median seconds per basis-function ERI and its primitive
-// quartets per pass.
-func measureTInt(bs *basis.Set, scr *screen.Screening, primTols ...float64) (sec []float64, prims []int64) {
+// engine's seconds per basis-function ERI in every timed pass, sorted, and
+// its primitive quartets per pass.
+func measureTInt(bs *basis.Set, scr *screen.Screening, primTols ...float64) (passes [][]float64, prims []int64) {
 	const samples = 4000
 	var pairs [][2]int
 	for m := range bs.NumShells() {
@@ -161,9 +167,9 @@ func measureTInt(bs *basis.Set, scr *screen.Screening, primTols ...float64) (sec
 	for _, s := range secs {
 		s = s[1:]
 		slices.Sort(s)
-		sec = append(sec, s[len(s)/2])
+		passes = append(passes, s)
 	}
-	return sec, prims
+	return passes, prims
 }
 
 // table6 returns communication volume per process (paper Table VI).

@@ -499,7 +499,7 @@ func TestFootprintContainsTaskBlocks(t *testing.T) {
 	fp.AddBlock(scr, b)
 	// Region 1 rows present with spans covering Phi.
 	for m := b.R0; m < b.R1; m++ {
-		s, ok := fp.span[m]
+		s, ok := fp.span(m)
 		if !ok {
 			t.Fatalf("row %d missing from footprint", m)
 		}
@@ -510,7 +510,7 @@ func TestFootprintContainsTaskBlocks(t *testing.T) {
 	}
 	// Region 3 rows: members of Phi(M) for block rows.
 	for _, p := range scr.Phi[b.R0] {
-		if _, ok := fp.span[p]; !ok {
+		if _, ok := fp.span(p); !ok {
 			t.Fatalf("region-3 row %d missing", p)
 		}
 	}
@@ -528,9 +528,6 @@ func TestFootprintTransfersPositive(t *testing.T) {
 	}
 	if len(patches) > len(oracle) || bytes != patchBytes(oracle) {
 		t.Fatalf("%d patches of %d bytes; the per-row-shell walk takes %d of %d", len(patches), bytes, len(oracle), patchBytes(oracle))
-	}
-	if fp.BufferBytes(bs) < bytes/2 {
-		t.Fatal("buffer bytes inconsistent with transfer bytes")
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"gtfock/internal/chem"
 	"gtfock/internal/dist"
 	"gtfock/internal/linalg"
+	"gtfock/internal/reorder"
+	"gtfock/internal/screen"
 )
 
 // rowShellPatches is the per-row-shell walk Footprint.Patches coalesces:
@@ -17,7 +19,7 @@ import (
 func rowShellPatches(bs *basis.Set, grid *dist.Grid2D, fp *Footprint) []dist.Patch {
 	var out []dist.Patch
 	for _, m := range fp.Rows() {
-		s := fp.span[m]
+		s, _ := fp.span(m)
 		r0 := bs.Offsets[m]
 		out = append(out, grid.Patches(r0, r0+bs.ShellFuncs(m), bs.Offsets[s[0]], bs.Offsets[s[1]]+bs.ShellFuncs(s[1]))...)
 	}
@@ -112,5 +114,100 @@ func TestBuildMovesOneRectanglePerOwnerBlock(t *testing.T) {
 	}
 	if err := linalg.MaxAbsDiff(BuildSerial(bs, scr, d), res.G); err > 1e-9 {
 		t.Fatalf("|G - serial| = %g", err)
+	}
+}
+
+// intakeFunc is a block intake: it merges b into fp and returns the
+// patches to fetch.
+type intakeFunc func(bs *basis.Set, scr *screen.Screening, grid *dist.Grid2D, fp *Footprint, b TaskBlock) []dist.Patch
+
+// intakeCoverage runs random sequences of intakes into an empty footprint
+// on several grids, and reports the first whose fetched patches do not
+// cover every element of the final spans (fp.Patches, the flush's walk)
+// exactly once, and nothing else.
+func intakeCoverage(t *testing.T, in intakeFunc) error {
+	rng := rand.New(rand.NewSource(49))
+	for _, c := range []struct{ mol, basis string }{{"CH4", "cc-pvdz"}, {"alkane:30", "sto-3g"}} {
+		mol, err := chem.ParseSpec(c.mol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bs, _, _ := buildSetup(t, mol, c.basis)
+		// Cell order keeps each Phi(M) a narrow span, so held and new spans
+		// of a row can lie apart.
+		bs = bs.Permute(reorder.Cell(bs, 0))
+		scr := screen.Compute(bs, 1e-11)
+		ns, nf := bs.NumShells(), bs.NumFuncs
+		for _, g := range [][2]int{{1, 1}, {2, 2}, {3, 2}} {
+			grid := Grid(bs, g[0], g[1])
+			for trial := 0; trial < 40; trial++ {
+				fp := NewFootprint()
+				got := make([]int, nf*nf)
+				for k := 1 + rng.Intn(6); k > 0; k-- {
+					r0, c0 := rng.Intn(ns), rng.Intn(ns)
+					b := TaskBlock{R0: r0, R1: r0 + 1 + rng.Intn(min(3, ns-r0)), C0: c0, C1: c0 + 1 + rng.Intn(min(3, ns-c0))}
+					for _, p := range in(bs, scr, grid, fp, b) {
+						for r := p.R0; r < p.R1; r++ {
+							for col := p.C0; col < p.C1; col++ {
+								got[r*nf+col]++
+							}
+						}
+					}
+				}
+				want := make([]bool, nf*nf)
+				for _, p := range fp.Patches(bs, grid) {
+					for r := p.R0; r < p.R1; r++ {
+						for col := p.C0; col < p.C1; col++ {
+							want[r*nf+col] = true
+						}
+					}
+				}
+				for i := range got {
+					if (got[i] == 1) != want[i] {
+						return fmt.Errorf("%s/%s %dx%d trial %d: element (%d,%d) fetched %d times, in the final spans: %v",
+							c.mol, c.basis, g[0], g[1], trial, i/nf, i%nf, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// The one intake fetches each element of the final footprint once: any
+// sequence of intakes into an empty footprint (a static block, then
+// stolen and adopted ones) Gets every element of the flush's spans exactly
+// once, the gap between a held span and a new one included, and nothing
+// else. The plant fetches only the new block's own span beyond the held
+// one, leaving such a gap unfetched, and must be reported.
+func TestIntakeFetchesFinalSpansOnce(t *testing.T) {
+	if err := intakeCoverage(t, func(bs *basis.Set, scr *screen.Screening, grid *dist.Grid2D, fp *Footprint, b TaskBlock) []dist.Patch {
+		return fp.Intake(bs, scr, grid, b)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gapless := func(bs *basis.Set, scr *screen.Screening, grid *dist.Grid2D, fp *Footprint, b TaskBlock) []dist.Patch {
+		blk, lo, hi := NewFootprint(), NewFootprint(), NewFootprint()
+		blk.AddBlock(scr, b)
+		for _, m := range blk.Rows() {
+			s, _ := blk.span(m)
+			held, ok := fp.span(m)
+			switch {
+			case !ok:
+				lo.addSpan(m, s[0], s[1])
+			default:
+				if s[0] < held[0] {
+					lo.addSpan(m, s[0], min(s[1], held[0]-1))
+				}
+				if s[1] > held[1] {
+					hi.addSpan(m, max(s[0], held[1]+1), s[1])
+				}
+			}
+			fp.addSpan(m, s[0], s[1])
+		}
+		return append(lo.Patches(bs, grid), hi.Patches(bs, grid)...)
+	}
+	if intakeCoverage(t, gapless) == nil {
+		t.Fatal("an intake that leaves the gap between the held and the new span unfetched is not reported")
 	}
 }

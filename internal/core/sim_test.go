@@ -20,22 +20,51 @@ func simSetup(t *testing.T, mol *chem.Molecule) (*basis.Set, *screen.Screening) 
 }
 
 // Work conservation: total executed compute equals the analytic total for
-// every core count, steals or not.
+// every core count, steals or not, and every one of the ns^2 tasks runs
+// once.
 func TestSimulateConservesWork(t *testing.T) {
 	bs, scr := simSetup(t, chem.Alkane(16))
 	cfg := dist.Lonestar()
 	want := TotalWorkSeconds(scr, cfg.TIntGTFock)
+	ns := int64(bs.NumShells())
 	for _, cores := range []int{12, 108, 432} {
 		st, err := Simulate(bs, scr, cfg, cores)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var got float64
+		var tasks int64
 		for _, ps := range st.Per {
 			got += ps.ComputeTime * float64(cfg.CoresPerNode)
+			tasks += ps.TasksRun
 		}
 		if math.Abs(got-want) > 1e-6*want {
 			t.Fatalf("cores=%d: executed %g, want %g", cores, got, want)
+		}
+		if tasks != ns*ns {
+			t.Fatalf("cores=%d: %d tasks run, want ns^2 = %d", cores, tasks, ns*ns)
+		}
+	}
+}
+
+// The trace is exact: each process's spans tile its virtual time, so
+// their lengths sum to its TotalTime, with stealing and without.
+func TestSimTraceSumsToTotalTime(t *testing.T) {
+	bs, scr := simSetup(t, chem.Alkane(12))
+	for _, policy := range []StealPolicy{StealRowWise, StealNone} {
+		tr := &dist.Trace{}
+		st, err := SimulateOptions(bs, scr, dist.Lonestar(), 108, SimOptions{Policy: policy, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := make([]float64, st.P())
+		for _, s := range tr.Spans() {
+			sum[s.Proc] += s.End - s.Start
+		}
+		for p, ps := range st.Per {
+			if math.Abs(sum[p]-ps.TotalTime) > 1e-9*ps.TotalTime {
+				t.Fatalf("policy %d, process %d: spans sum to %g s, TotalTime %g s", policy, p, sum[p], ps.TotalTime)
+			}
 		}
 	}
 }

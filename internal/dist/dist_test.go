@@ -214,7 +214,7 @@ func TestEventHeapOrdering(t *testing.T) {
 	PushEvent(&h, Event{At: 1, Proc: 2})
 	PushEvent(&h, Event{At: 1, Proc: 0})
 	PushEvent(&h, Event{At: 2, Proc: 3})
-	want := []Event{{1, 0, 0}, {1, 2, 0}, {2, 3, 0}, {3, 1, 0}}
+	want := []Event{{1, 0}, {1, 2}, {2, 3}, {3, 1}}
 	for _, w := range want {
 		e := PopEvent(&h)
 		if e.At != w.At || e.Proc != w.Proc {

@@ -761,6 +761,67 @@ var rows = []row{
 	{"core-transfers", "the simulator's per-row-shell Footprint.Transfers stays gone: it charges Footprint.Patches", func(tr files) []string {
 		return none(tr.code().under("internal/core").funcs("Transfers"))
 	}, []plant{{"internal/core/sim.go", `func (f *Footprint) Transfers(bs *basis.Set, grid *dist.Grid2D) (calls, bytes int64) { return }`}}},
+	// One Algorithm 4 in both clocks (DESIGN §1 row 9): the simulator
+	// drives real queues through Build's victim scan and block intake.
+	{"one-algorithm-4", "internal/core has one row-wise victim scan (stealScan) and one block intake (Footprint.Intake), each called by the real build and the simulator alone; a queue is stolen from only by the ledger and inside the scan, and a block joins a footprint only in the intake", func(tr files) []string {
+		core := tr.code().under("internal/core")
+		rowWise := core.find(func(n node) string {
+			if b, ok := n.n.(*ast.BinaryExpr); ok && b.Op == token.REM && named(b.Y, "prow", ".Prow") != "" {
+				return "row-wise victim order " + types.ExprString(b)
+			}
+			return ""
+		})
+		var scans []ast.Node // the function literals handed to stealScan
+		steals := core.find(func(n node) string {
+			c, ok := n.n.(*ast.CallExpr)
+			if !ok {
+				return ""
+			}
+			if named(c.Fun, "stealScan") != "" {
+				for _, a := range c.Args {
+					if fl, ok := a.(*ast.FuncLit); ok {
+						scans = append(scans, fl)
+					}
+				}
+			}
+			if named(c.Fun, ".Steal") == "" || n.decl == "core.(*ledger).steal" {
+				return ""
+			}
+			for _, s := range scans { // ast.Inspect visits a call before its arguments
+				if s.Pos() <= c.Pos() && c.End() <= s.End() {
+					return ""
+				}
+			}
+			return "Queue.Steal outside the victim scan"
+		})
+		merges := core.find(func(n node) string { // Footprint.AddBlock(scr, b); Queue.AddBlock takes one
+			if c, ok := n.n.(*ast.CallExpr); ok && len(c.Args) == 2 && named(c.Fun, ".AddBlock") != "" {
+				return "Footprint.AddBlock"
+			}
+			return ""
+		})
+		out := append(one(rowWise, "core.stealScan"), none(steals)...)
+		out = append(out, one(merges, "core.(*Footprint).Intake")...)
+		out = append(out, same(decls(core.calls("stealScan")), "core.(*worker).steal", "core.SimulateOptions")...)
+		return append(out, same(decls(core.calls("Intake")), "core.(*worker).addWork", "core.SimulateOptions")...)
+	}, []plant{
+		{"internal/core/real.go", `func (w *worker) plant(queues []*Queue) (TaskBlock, bool) {
+	for r := range w.grid.Prow {
+		row := (w.rank/w.grid.Pcol + r) % w.grid.Prow
+		for c := range w.grid.Pcol {
+			if v := w.grid.ProcID(row, c); v != w.rank {
+				if b, ok := w.led.steal(v, w.rank, w.epoch, queues[v]); ok {
+					return b, true
+				}
+			}
+		}
+	}
+	return TaskBlock{}, false
+}`},
+		{"internal/core/sim.go", `func plant(queues []*Queue, v int) (TaskBlock, bool) { return queues[v].Steal() }`},
+		{"internal/core/sim.go", `func plant(p *simProc, scr *screen.Screening, b TaskBlock) { p.fp.AddBlock(scr, b) }`},
+		{"internal/core/sim.go", `func plant(p *simProc, bs *basis.Set, scr *screen.Screening, b TaskBlock) { p.fp.Intake(bs, scr, nil, b) }`},
+	}},
 	{"core-gomaxprocs", "lanes have no knob: internal/core reads GOMAXPROCS in one place", func(tr files) []string {
 		return one(tr.code().under("internal/core").calls("GOMAXPROCS"))
 	}, []plant{{"internal/core/plant.go", `package core; import "runtime"; var lanes = runtime.GOMAXPROCS(0)`}}},
