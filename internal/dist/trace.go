@@ -11,11 +11,10 @@ import (
 // Span kinds recorded by simulation and real-mode traces.
 const (
 	SpanCompute  = 'c' // ERI computation
-	SpanComm     = 'm' // communication (sim-mode aggregate)
-	SpanSteal    = 's' // steal scan + stolen-block transfer
-	SpanIdle     = '.' // waiting with no work reachable
-	SpanPrefetch = 'p' // D-block prefetch (real mode)
-	SpanFlush    = 'f' // F accumulate flush (real mode)
+	SpanSteal    = 's' // a victim scan that took a block
+	SpanIdle     = '.' // a victim scan that found none: no work reachable
+	SpanPrefetch = 'p' // D-block prefetch: a block intake's Gets
+	SpanFlush    = 'f' // F accumulate flush
 	SpanRPC      = 'r' // one netga RPC, including its retries (net backend)
 )
 
@@ -35,9 +34,8 @@ type Span struct {
 }
 
 // Trace collects activity spans from a run for post-hoc inspection (an
-// observability aid; sim-mode rendering is approximate where the fluid
-// work model revises earlier intervals, and real-mode span boundaries
-// cost one clock read each).
+// observability aid; sim-mode spans tile each process's virtual time
+// exactly, and real-mode span boundaries cost one clock read each).
 type Trace struct {
 	mu    sync.Mutex
 	spans []Span
@@ -134,7 +132,7 @@ func (t *Trace) Makespan() float64 {
 // Timeline renders an ASCII Gantt chart: one row per (process, lane) (at
 // most maxRows, sampled evenly), labelled proc or proc.lane, width time
 // buckets, with the latest-recorded span kind shown per bucket ('c'
-// compute, 'm' communication, 'p' prefetch, 'f' flush, 's' steal, '.'
+// compute, 'p' prefetch, 'f' flush, 's' steal, '.'
 // idle; discarded spans render as 'x'). Empty or degenerate traces render
 // a placeholder instead of dividing by zero.
 func (t *Trace) Timeline(width, maxRows int) string {
@@ -184,7 +182,7 @@ func (t *Trace) Timeline(width, maxRows int) string {
 		}
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "timeline: %d procs, %d lanes x %.4fs  (c=compute m=comm p=prefetch f=flush s=steal r=rpc .=idle x=discarded)\n",
+	fmt.Fprintf(&sb, "timeline: %d procs, %d lanes x %.4fs  (c=compute p=prefetch f=flush s=steal r=rpc .=idle x=discarded)\n",
 		nproc, len(keys), makespan)
 	for r := range grid {
 		k := keys[(r*len(keys)+rows-1)/rows] // the first lane row sampled into r

@@ -7,7 +7,7 @@ import (
 
 func TestTraceAddAndSpans(t *testing.T) {
 	tr := &Trace{}
-	tr.Add(1, 0, 2, SpanComm)
+	tr.Add(1, 0, 2, SpanPrefetch)
 	tr.Add(0, 1, 3, SpanCompute)
 	tr.Add(0, 5, 5, SpanCompute) // zero-length: dropped
 	tr.Add(0, 6, 4, SpanCompute) // reversed: dropped
@@ -31,7 +31,7 @@ func TestTraceNilSafe(t *testing.T) {
 
 func TestTraceTimeline(t *testing.T) {
 	tr := &Trace{}
-	tr.Add(0, 0, 1, SpanComm)
+	tr.Add(0, 0, 1, SpanPrefetch)
 	tr.Add(0, 1, 10, SpanCompute)
 	tr.Add(1, 0, 5, SpanCompute)
 	out := tr.Timeline(20, 8)
@@ -39,7 +39,7 @@ func TestTraceTimeline(t *testing.T) {
 	if len(lines) != 3 { // header + 2 proc rows
 		t.Fatalf("timeline:\n%s", out)
 	}
-	if !strings.Contains(lines[1], "c") || !strings.Contains(lines[1], "m") {
+	if !strings.Contains(lines[1], "c") || !strings.Contains(lines[1], "p") {
 		t.Fatalf("proc 0 row missing kinds: %q", lines[1])
 	}
 	// Proc 1 idle in the second half.
@@ -59,9 +59,9 @@ func TestTraceKindTotals(t *testing.T) {
 	tr := &Trace{}
 	tr.Add(0, 0, 2, SpanCompute)
 	tr.Add(1, 1, 4, SpanCompute)
-	tr.Add(0, 2, 3, SpanComm)
+	tr.Add(0, 2, 3, SpanPrefetch)
 	totals := tr.KindTotals()
-	if totals[SpanCompute] != 5 || totals[SpanComm] != 1 {
+	if totals[SpanCompute] != 5 || totals[SpanPrefetch] != 1 {
 		t.Fatalf("totals = %v", totals)
 	}
 }
