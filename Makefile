@@ -36,11 +36,14 @@ ci: build vet race e2e-flake
 
 # Per-class ERI kernel microbenchmarks (one iteration each; a
 # compile-and-run smoke that also prints ns per primitive quartet),
-# BenchmarkBoys*, and BenchmarkOverlap / BenchmarkCoreHamiltonian at
-# alkane:6/sto-3g and CH4/cc-pVDZ. For diagnosis only: nothing gates on
-# them.
+# BenchmarkBoys*, and one benchmark per step of the SCF set-up that
+# setup_s times: BenchmarkScreenCompute, BenchmarkNewPairTable
+# (alkane:6/sto-3g at primTol 0, as the benchmark's set-up builds it, and
+# at PrimTol), BenchmarkOverlap and BenchmarkCoreHamiltonian (alkane:6/
+# sto-3g and CH4/cc-pVDZ), so every step has an A/B figure. For diagnosis
+# only: nothing gates on them.
 microbench:
-	$(GO) test -bench . -benchtime 1x -run NONE ./internal/integrals/
+	$(GO) test -bench . -benchtime 1x -run NONE ./internal/integrals/ ./internal/screen/
 
 # The performance gate: the benchmark BENCHMARK.json declares, run on the
 # committed tree of BASE (a detached worktree under .bench_build/, built

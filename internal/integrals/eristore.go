@@ -226,3 +226,29 @@ func (s *ERIStore) ReplayTask(task int, scratch *[]float64, apply func(labels []
 	atomic.AddInt64(&s.cache.QuartetsReplayed, int64(len(e.labels)))
 	return true
 }
+
+// floatArena carves exact-length zeroed []float64 blocks out of chunks.
+// Blocks are never reused or moved, so slices handed out stay valid for
+// the arena's lifetime. The first chunk is arenaFirst long and each next
+// one twice the last, up to arenaMax, so a small arena reserves little; a
+// block longer than the chunk gets a chunk of its own length. The zero
+// value is ready to use.
+type floatArena struct {
+	cur   []float64
+	chunk int // length of the last chunk made
+}
+
+const (
+	arenaFirst = 1 << 9  // 4 KB
+	arenaMax   = 1 << 16 // 512 KB
+)
+
+func (a *floatArena) take(n int) []float64 {
+	if len(a.cur) < n {
+		a.chunk = min(max(2*a.chunk, arenaFirst), arenaMax)
+		a.cur = make([]float64, max(a.chunk, n))
+	}
+	out := a.cur[:n:n]
+	a.cur = a.cur[n:]
+	return out
+}

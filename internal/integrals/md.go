@@ -2,6 +2,7 @@ package integrals
 
 import (
 	"math"
+	"slices"
 
 	"gtfock/internal/basis"
 	"gtfock/internal/chem"
@@ -78,8 +79,7 @@ func NewShellPair(a, b *basis.Shell, primTol float64) *ShellPair {
 }
 
 // fillShellPair builds sp in place, taking primitive-pair and E-table
-// storage from the given allocators so a PairTable can carve thousands of
-// pairs out of a handful of arena chunks. Allocators must return zeroed
+// storage from the given allocators. Allocators must return zeroed
 // memory of exactly the requested length.
 //
 // bmax, when non-nil, widens the primitive screen to a pair family: it
@@ -89,17 +89,22 @@ func NewShellPair(a, b *basis.Shell, primTol float64) *ShellPair {
 // pair b's own screen drops stays with c = 0.
 func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64, bmax []float64,
 	palloc func(n int) []primPair, ealloc func(n int) []float64) {
-	sp.A, sp.B, sp.LA, sp.LB = a, b, a.L, b.L
-	ab := a.Center.Sub(b.Center)
-	ab2 := ab.Norm2()
-	la, lb := a.L, b.L
-	tdim := la + lb + 1
-	// One pass computes k3 = exp(-mu |AB|^2) of every primitive pair and
-	// counts the survivors (-1 marks a dropped pair): arena allocators hand
-	// out exactly-sized storage and never move it, and the fill below
-	// reads k3 instead of calling math.Exp again.
 	var k3buf [64]float64
-	k3, n := k3buf[:0], 0
+	nk := len(a.Exps) * len(b.Exps)
+	k3 := slices.Grow(k3buf[:0], nk)[:nk]
+	n := screenPrims(a, b, primTol, bmax, k3)
+	etab, terms := pairFloats(a.L, b.L, n)
+	fillPair(sp, a, b, primTol, k3, palloc(n), ealloc(etab), ealloc(terms))
+}
+
+// screenPrims is the primitive screen of shell pair (a, b): it sets
+// k3[i*len(b.Exps)+j] to exp(-mu |AB|^2) of primitive pair (i, j), or -1
+// if the screen (widened by bmax, see fillShellPair) drops it, and
+// returns the survivors. fillPair reads k3 instead of calling math.Exp
+// again.
+func screenPrims(a, b *basis.Shell, primTol float64, bmax, k3 []float64) int {
+	ab2 := a.Center.Sub(b.Center).Norm2()
+	n := 0
 	for i, ea := range a.Exps {
 		for j, eb := range b.Exps {
 			k := math.Exp(-ea * eb / (ea + eb) * ab2)
@@ -112,18 +117,38 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64, bmax []flo
 			} else {
 				n++
 			}
-			k3 = append(k3, k)
+			k3[i*len(b.Exps)+j] = k
 		}
 	}
-	prims := palloc(n)[:0]
+	return n
+}
+
+// pairFloats returns the lengths of the E tables and of the folded terms
+// of a pair of shells of angular momenta la and lb with n primitive
+// pairs.
+func pairFloats(la, lb, n int) (etab, terms int) {
+	if cls := pairClassOf(la, lb); cls != ClassHi {
+		terms = n * genTermSlots[cls]
+	}
+	return n * 3 * (la + 1) * (lb + 1) * (la + lb + 1), terms
+}
+
+// fillPair fills sp from the primitive screen k3 (see screenPrims) into
+// the given storage, zeroed and sized by screenPrims and pairFloats:
+// prims for the surviving primitive pairs, etab and terms for their E
+// tables and folded terms.
+func fillPair(sp *ShellPair, a, b *basis.Shell, primTol float64, k3 []float64, prims []primPair, etab, terms []float64) {
+	sp.A, sp.B, sp.LA, sp.LB = a, b, a.L, b.L
+	la, lb := a.L, b.L
+	tdim := la + lb + 1
 	esz := (la + 1) * (lb + 1) * tdim
 	var slots int
 	var fillTerms func(c float64, e, t []float64)
 	if cls := pairClassOf(la, lb); cls != ClassHi {
 		slots, fillTerms = genTermSlots[cls], genTermFill[cls]
 	}
-	sp.etab = ealloc(n * 3 * esz)
-	sp.terms = ealloc(n * slots)
+	sp.prims, sp.etab, sp.terms = prims, etab, terms
+	k := 0
 	for i, ea := range a.Exps {
 		for j, eb := range b.Exps {
 			kab := k3[i*len(b.Exps)+j]
@@ -140,50 +165,59 @@ func fillShellPair(sp *ShellPair, a, b *basis.Shell, primTol float64, bmax []flo
 			pb := P.Sub(b.Center)
 			paD := [3]float64{pa.X, pa.Y, pa.Z}
 			pbD := [3]float64{pb.X, pb.Y, pb.Z}
-			k := len(prims)
-			et := sp.etab[3*esz*k : 3*esz*(k+1)]
+			et := etab[3*esz*k : 3*esz*(k+1)]
 			for d := 0; d < 3; d++ {
 				// The 1D E(0,0,0) carries no AB factor here; the full 3D
 				// prefactor k3 rides in primPair.c so the per-dimension
 				// tables stay well scaled.
 				eTable(la, lb, 1/(2*p), paD[d], pbD[d], et[d*esz:(d+1)*esz], lb+1, tdim)
 			}
-			prims = append(prims, primPair{p: p, P: P, c: c})
+			prims[k] = primPair{p: p, P: P, c: c}
 			if slots > 0 {
-				fillTerms(c, et, sp.terms[k*slots:(k+1)*slots])
+				fillTerms(c, et, terms[k*slots:(k+1)*slots])
 			}
+			k++
 		}
 	}
-	sp.prims = prims
 }
 
 // eTable fills the MD expansion coefficients E_t^{ij} for one dimension:
 // out[(i*jdim+j)*tdim+t], i <= la, j <= lb (jdim >= lb+1), t <= i+j
 // (tdim >= la+lb+1), with E_0^{00} = 1.
 func eTable(la, lb int, inv2p, pa, pb float64, out []float64, jdim, tdim int) {
-	idx := func(i, j, t int) int { return (i*jdim+j)*tdim + t }
-	get := func(i, j, t int) float64 {
-		if t < 0 || t > i+j {
-			return 0
-		}
-		return out[idx(i, j, t)]
-	}
-	out[idx(0, 0, 0)] = 1
+	row := func(i, j int) []float64 { return out[(i*jdim+j)*tdim:][:i+j+1] }
+	out[0] = 1
 	// Raise i with j = 0.
 	for i := 0; i < la; i++ {
-		for t := 0; t <= i+1; t++ {
-			out[idx(i+1, 0, t)] = inv2p*get(i, 0, t-1) + pa*get(i, 0, t) +
-				float64(t+1)*get(i, 0, t+1)
-		}
+		eRaise(row(i+1, 0), row(i, 0), inv2p, pa)
 	}
 	// Raise j for every i.
 	for i := 0; i <= la; i++ {
 		for j := 0; j < lb && j < jdim-1; j++ {
-			for t := 0; t <= i+j+1; t++ {
-				out[idx(i, j+1, t)] = inv2p*get(i, j, t-1) + pb*get(i, j, t) +
-					float64(t+1)*get(i, j, t+1)
-			}
+			eRaise(row(i, j+1), row(i, j), inv2p, pb)
 		}
+	}
+}
+
+// eRaise is one step of the E recursion: from the n+1 coefficients src
+// of one (i, j) it sets the n+2 of the next,
+// dst[t] = inv2p src[t-1] + x src[t] + (t+1) src[t+1], a term whose t is
+// out of src's range being zero.
+func eRaise(dst, src []float64, inv2p, x float64) {
+	n := len(src) - 1
+	dst = dst[:n+2]
+	for t := range dst {
+		var v float64
+		if t > 0 {
+			v = inv2p * src[t-1]
+		}
+		if t <= n {
+			v += x * src[t]
+		}
+		if t < n {
+			v += float64(t+1) * src[t+1]
+		}
+		dst[t] = v
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 
 // Overlap returns the overlap matrix S over the basis (spherical functions).
 func Overlap(bs *basis.Set) *linalg.Matrix {
-	return oneElectron(bs, (*oe1Worker).overlap)
+	return oneElectron(bs, false)
 }
 
 // CoreHamiltonian returns H_core = T + V: the kinetic energy
@@ -20,55 +20,107 @@ func Overlap(bs *basis.Set) *linalg.Matrix {
 // the nuclei of the molecule the basis was built on. T and V of a shell
 // pair are summed in its Cartesian block, in one pass over shell pairs.
 func CoreHamiltonian(bs *basis.Set) *linalg.Matrix {
-	return oneElectron(bs, (*oe1Worker).core)
+	return oneElectron(bs, true)
 }
 
 // oe1Worker is one goroutine's one-electron state: the primitive-pair data
-// of the shell pair in hand (see load) and every scratch buffer a block
-// needs. Buffers grow to the largest pair seen and never shrink, so a
-// warmed worker fills a block without allocating.
+// of the shell-family pair in hand (see load) and every scratch buffer a
+// block needs. Buffers grow to the largest pair seen and never shrink, so
+// a warmed worker fills a block without allocating.
+//
+// A shell family (see shellFamilies) shares its exponents and centre, so
+// the shell pairs of one family pair share everything but their
+// contraction coefficients: the primitive pairs, their E tables (E^{ij}_t
+// does not depend on the shells' L, so the tables of the families'
+// largest L hold every member's) and the nuclear sums (R^0_{tuv} does not
+// depend on L either). load computes them once for all the member pairs.
 type oe1Worker struct {
-	mol  *chem.Molecule
-	a, b *basis.Shell
-	// E-table strides: j runs to lb+2 because the kinetic term reads
-	// E(i, j+2); esz is one dimension's table.
+	bs      *basis.Set
+	fam     []int32   // per shell: its family
+	members [][]int32 // per family: its shells, by L
+	// The loaded family pair (-1 before the first load), and whether it
+	// was loaded for H_core: E tables deep enough for the kinetic term and
+	// the nuclear sums.
+	fa, fb   int32
+	loadCore bool
+	// a and b are the loaded families' last members, of largest L: the
+	// E tables reach i = a.L and j = b.L, or b.L+2 for the kinetic term,
+	// which reads E(i, j+2). esz is one dimension's table.
+	a, b            *basis.Shell
 	jdim, tdim, esz int
 	prims           []oe1Prim
 	etab            []float64 // x, y, z tables of prims[k] at [3*esz*k, 3*esz*(k+1))
 
-	boys       [maxBoysM + 1]float64
-	raux, rsum []float64 // R-table scratch; rsum sums the nuclei's R tables
-	cart       []float64
-	sphScr     [2][]float64
+	boys [maxBoysM + 1]float64
+	raux []float64 // hermiteRTable scratch, L > 4
+	// rsum holds per primitive pair k the nuclei's summed, scaled R
+	// values (see nuclearSum) at [nr*k, nr*(k+1)), nr = hermCount(a.L+b.L).
+	rsum   []float64
+	nr     int
+	cart   []float64
+	sphScr [2][]float64
 }
 
+// oe1Prim is primitive pair k = i*len(b.Exps) + j of the loaded family
+// pair, of exponents a.Exps[i] and b.Exps[j]; a member pair's factor is
+// its coefficients' product times k3.
 type oe1Prim struct {
 	p, bexp float64
 	P       chem.Vec3
 	sqp     float64 // sqrt(pi/p), the 1D overlap factor
-	cck     float64 // c_a c_b exp(-mu |AB|^2)
+	k3      float64 // exp(-mu |AB|^2)
 }
 
-// load makes (a, b) the worker's shell pair: per primitive pair its
-// exponent data and x, y and z E tables, which S, T and V all read.
-func (w *oe1Worker) load(a, b *basis.Shell) {
-	w.a, w.b = a, b
+func newOE1Worker(bs *basis.Set, fam []int32, members [][]int32) *oe1Worker {
+	return &oe1Worker{bs: bs, fam: fam, members: members, fa: -1, fb: -1}
+}
+
+// block returns the spherical S (core false) or T + V (core true) block
+// of shells si and sj, in worker scratch valid until the next call. It
+// loads their family pair first unless that is loaded, deep enough,
+// already.
+func (w *oe1Worker) block(si, sj int, core bool) []float64 {
+	if fa, fb := w.fam[si], w.fam[sj]; fa != w.fa || fb != w.fb || core && !w.loadCore {
+		w.load(fa, fb, core)
+	}
+	a, b := &w.bs.Shells[si], &w.bs.Shells[sj]
+	cart := grow(&w.cart, NumCart(a.L)*NumCart(b.L))
+	clear(cart)
+	if core {
+		w.kinetic(a, b, cart)
+		w.nuclear(a, b, cart)
+	} else {
+		w.overlap(a, b, cart)
+	}
+	return sphTransform2(a.L, b.L, cart, &w.sphScr)
+}
+
+// load makes families (fa, fb) the worker's pair: per primitive pair its
+// exponent data and x, y and z E tables, which S, T and V all read, and
+// for H_core the tables' kinetic depth and the nuclear sums.
+func (w *oe1Worker) load(fa, fb int32, core bool) {
+	ma, mb := w.members[fa], w.members[fb]
+	a, b := &w.bs.Shells[ma[len(ma)-1]], &w.bs.Shells[mb[len(mb)-1]]
+	w.fa, w.fb, w.loadCore, w.a, w.b = fa, fb, core, a, b
 	la, lb := a.L, b.L
-	w.jdim, w.tdim = lb+3, la+lb+3
+	w.jdim, w.tdim = lb+1, la+lb+1
+	if core {
+		w.jdim, w.tdim = lb+3, la+lb+3
+	}
 	w.esz = (la + 1) * w.jdim * w.tdim
 	np := len(a.Exps) * len(b.Exps)
 	w.prims = grow(&w.prims, np)
 	w.etab = grow(&w.etab, 3*w.esz*np)
 	ab2 := a.Center.Sub(b.Center).Norm2()
 	k := 0
-	for i, ea := range a.Exps {
-		for j, eb := range b.Exps {
+	for _, ea := range a.Exps {
+		for _, eb := range b.Exps {
 			p := ea + eb
 			P := a.Center.Scale(ea / p).Add(b.Center.Scale(eb / p))
 			w.prims[k] = oe1Prim{
 				p: p, bexp: eb, P: P,
 				sqp: math.Sqrt(math.Pi / p),
-				cck: a.Coefs[i] * b.Coefs[j] * math.Exp(-ea*eb/p*ab2),
+				k3:  math.Exp(-ea * eb / p * ab2),
 			}
 			pa := P.Sub(a.Center)
 			pb := P.Sub(b.Center)
@@ -76,9 +128,16 @@ func (w *oe1Worker) load(a, b *basis.Shell) {
 			pbD := [3]float64{pb.X, pb.Y, pb.Z}
 			et := w.etab[3*w.esz*k : 3*w.esz*(k+1)]
 			for d := 0; d < 3; d++ {
-				eTable(la, lb+2, 1/(2*p), paD[d], pbD[d], et[d*w.esz:(d+1)*w.esz], w.jdim, w.tdim)
+				eTable(la, w.jdim-1, 1/(2*p), paD[d], pbD[d], et[d*w.esz:(d+1)*w.esz], w.jdim, w.tdim)
 			}
 			k++
+		}
+	}
+	if core {
+		w.nr = hermCount(la + lb)
+		w.rsum = grow(&w.rsum, w.nr*np)
+		for k := range w.prims {
+			w.nuclearSum(&w.prims[k], w.rsum[w.nr*k:w.nr*(k+1)])
 		}
 	}
 }
@@ -89,41 +148,26 @@ func (w *oe1Worker) eTables(k int) (ex, ey, ez []float64) {
 	return t[:w.esz], t[w.esz : 2*w.esz], t[2*w.esz:]
 }
 
-// overlap returns the spherical overlap block of shells a and b, in
-// worker scratch valid until the next call.
-func (w *oe1Worker) overlap(a, b *basis.Shell) []float64 {
-	w.load(a, b)
+// overlap adds the Cartesian overlap block of member pair (a, b) of the
+// loaded family pair into out.
+func (w *oe1Worker) overlap(a, b *basis.Shell, out []float64) {
 	ca, cb := CartComponents(a.L), CartComponents(b.L)
-	cart := w.zeroCart(len(ca) * len(cb))
-	for k := range w.prims {
-		pr := &w.prims[k]
-		ex, ey, ez := w.eTables(k)
-		for ia, A := range ca {
-			for ib, B := range cb {
-				sx := w.e0(ex, A.X, B.X) * pr.sqp
-				sy := w.e0(ey, A.Y, B.Y) * pr.sqp
-				sz := w.e0(ez, A.Z, B.Z) * pr.sqp
-				cart[ia*len(cb)+ib] += pr.cck * sx * sy * sz
+	for i, cai := range a.Coefs {
+		for j, cbj := range b.Coefs {
+			k := i*len(b.Coefs) + j
+			pr := &w.prims[k]
+			c := cai * cbj * pr.k3
+			ex, ey, ez := w.eTables(k)
+			for ia, A := range ca {
+				for ib, B := range cb {
+					sx := w.e0(ex, A.X, B.X) * pr.sqp
+					sy := w.e0(ey, A.Y, B.Y) * pr.sqp
+					sz := w.e0(ez, A.Z, B.Z) * pr.sqp
+					out[ia*len(cb)+ib] += c * sx * sy * sz
+				}
 			}
 		}
 	}
-	return sphTransform2(a.L, b.L, cart, &w.sphScr)
-}
-
-// core returns the spherical T + V block of shells a and b, in worker
-// scratch valid until the next call.
-func (w *oe1Worker) core(a, b *basis.Shell) []float64 {
-	w.load(a, b)
-	cart := w.zeroCart(NumCart(a.L) * NumCart(b.L))
-	w.kinetic(cart)
-	w.nuclear(cart)
-	return sphTransform2(a.L, b.L, cart, &w.sphScr)
-}
-
-func (w *oe1Worker) zeroCart(n int) []float64 {
-	cart := grow(&w.cart, n)
-	clear(cart)
-	return cart
 }
 
 // e0 returns the t=0 MD coefficient E_0^{ij} of one dimension's table;
@@ -143,94 +187,173 @@ func (w *oe1Worker) kin1D(e []float64, b float64, i, j int) float64 {
 	return v
 }
 
-// kinetic adds the Cartesian kinetic block of the loaded pair into out.
-func (w *oe1Worker) kinetic(out []float64) {
-	ca, cb := CartComponents(w.a.L), CartComponents(w.b.L)
-	for k := range w.prims {
-		pr := &w.prims[k]
-		ex, ey, ez := w.eTables(k)
-		for ia, A := range ca {
-			for ib, B := range cb {
-				sx := w.e0(ex, A.X, B.X) * pr.sqp
-				sy := w.e0(ey, A.Y, B.Y) * pr.sqp
-				sz := w.e0(ez, A.Z, B.Z) * pr.sqp
-				kx := w.kin1D(ex, pr.bexp, A.X, B.X) * pr.sqp
-				ky := w.kin1D(ey, pr.bexp, A.Y, B.Y) * pr.sqp
-				kz := w.kin1D(ez, pr.bexp, A.Z, B.Z) * pr.sqp
-				out[ia*len(cb)+ib] += pr.cck * (kx*sy*sz + sx*ky*sz + sx*sy*kz)
+// kinetic adds the Cartesian kinetic block of member pair (a, b) of the
+// loaded family pair into out.
+func (w *oe1Worker) kinetic(a, b *basis.Shell, out []float64) {
+	ca, cb := CartComponents(a.L), CartComponents(b.L)
+	for i, cai := range a.Coefs {
+		for j, cbj := range b.Coefs {
+			k := i*len(b.Coefs) + j
+			pr := &w.prims[k]
+			c := cai * cbj * pr.k3
+			ex, ey, ez := w.eTables(k)
+			for ia, A := range ca {
+				for ib, B := range cb {
+					sx := w.e0(ex, A.X, B.X) * pr.sqp
+					sy := w.e0(ey, A.Y, B.Y) * pr.sqp
+					sz := w.e0(ez, A.Z, B.Z) * pr.sqp
+					kx := w.kin1D(ex, pr.bexp, A.X, B.X) * pr.sqp
+					ky := w.kin1D(ey, pr.bexp, A.Y, B.Y) * pr.sqp
+					kz := w.kin1D(ez, pr.bexp, A.Z, B.Z) * pr.sqp
+					out[ia*len(cb)+ib] += c * (kx*sy*sz + sx*ky*sz + sx*sy*kz)
+				}
 			}
 		}
 	}
 }
 
-// nuclear adds the Cartesian nuclear-attraction block of the loaded pair
-// into out. V is linear in each nucleus's Hermite R table, and the
-// Hermite expansion E^x_t E^y_u E^z_v of a component pair does not depend
-// on the nucleus. So per primitive pair the nuclei only sum their R
-// tables, each weighted by -Z_C 2 pi/p (one Boys evaluation and one R
-// table a nucleus), and every component pair contracts its E-products
+// nuclear adds the Cartesian nuclear-attraction block of member pair
+// (a, b) of the loaded family pair into out. V is linear in each
+// nucleus's Hermite R values, and the Hermite expansion E^x_t E^y_u E^z_v
+// of a component pair does not depend on the nucleus. So per primitive
+// pair the nuclei only sum their R values (load's nuclearSum, once for
+// the family pair), and every component pair contracts its E-products
 // against that sum once.
-func (w *oe1Worker) nuclear(out []float64) {
-	ca, cb := CartComponents(w.a.L), CartComponents(w.b.L)
-	ltot := w.a.L + w.b.L
-	td := ltot + 1
-	td3 := td * td * td
-	w.raux = grow(&w.raux, (ltot+1)*td3)
-	w.rsum = grow(&w.rsum, td3)
-	for k := range w.prims {
-		pr := &w.prims[k]
-		clear(w.rsum)
-		for _, atom := range w.mol.Atoms {
-			pc := pr.P.Sub(atom.Pos)
-			Boys(ltot, pr.p*pc.Norm2(), w.boys[:])
-			pref := -float64(atom.Z) * 2 * math.Pi / pr.p
-			for m := 0; m <= ltot; m++ {
-				w.boys[m] *= pref // R is linear in the Boys values
-			}
-			for i, r := range hermiteRTable(ltot, pr.p, pc, w.boys[:], w.raux) {
-				w.rsum[i] += r
-			}
-		}
-		ex, ey, ez := w.eTables(k)
-		for ia, A := range ca {
-			for ib, B := range cb {
-				exBase := (A.X*w.jdim + B.X) * w.tdim
-				eyBase := (A.Y*w.jdim + B.Y) * w.tdim
-				ezBase := (A.Z*w.jdim + B.Z) * w.tdim
-				var s float64
-				for t := 0; t <= A.X+B.X; t++ {
-					for u := 0; u <= A.Y+B.Y; u++ {
-						exy := ex[exBase+t] * ey[eyBase+u]
-						r := w.rsum[(t*td+u)*td:]
-						for v := 0; v <= A.Z+B.Z; v++ {
-							s += exy * ez[ezBase+v] * r[v]
+func (w *oe1Worker) nuclear(a, b *basis.Shell, out []float64) {
+	ca, cb := CartComponents(a.L), CartComponents(b.L)
+	for i, cai := range a.Coefs {
+		for j, cbj := range b.Coefs {
+			k := i*len(b.Coefs) + j
+			c := cai * cbj * w.prims[k].k3
+			rs := w.rsum[w.nr*k : w.nr*(k+1)]
+			ex, ey, ez := w.eTables(k)
+			for ia, A := range ca {
+				for ib, B := range cb {
+					exBase := (A.X*w.jdim + B.X) * w.tdim
+					eyBase := (A.Y*w.jdim + B.Y) * w.tdim
+					ezBase := (A.Z*w.jdim + B.Z) * w.tdim
+					var s float64
+					for t := 0; t <= A.X+B.X; t++ {
+						for u := 0; u <= A.Y+B.Y; u++ {
+							exy := ex[exBase+t] * ey[eyBase+u]
+							pos := &hermPos[t][u]
+							for v := 0; v <= A.Z+B.Z; v++ {
+								s += exy * ez[ezBase+v] * rs[pos[v]]
+							}
 						}
 					}
+					out[ia*len(cb)+ib] += c * s
 				}
-				out[ia*len(cb)+ib] += pr.cck * s
 			}
 		}
 	}
 }
 
-// oneElectron assembles a full matrix from the spherical per-shell-pair
-// blocks block returns. Shell-pair rows are distributed over GOMAXPROCS
-// goroutines, each with its own worker; each (si, sj) block writes a
-// disjoint region of the matrix, so no synchronization is needed beyond
-// the final join.
-func oneElectron(bs *basis.Set, block func(w *oe1Worker, a, b *basis.Shell) []float64) *linalg.Matrix {
-	m := linalg.NewMatrix(bs.NumFuncs, bs.NumFuncs)
-	ns := len(bs.Shells)
-	nw := runtime.GOMAXPROCS(0)
-	if nw > ns {
-		nw = ns
+// nuclearSum sets rs to the sum over the nuclei C of -Z_C 2 pi/p times
+// R^0_{tuv}(p, P - C), t+u+v <= L = a.L + b.L of the loaded pair, of
+// primitive pair pr, in hermPos order. Up to L = 4 (every s/p/d pair) a
+// nucleus costs what it costs an ERI kernel's primitive quartet: one
+// table Boys evaluation and the straight-line genHermR{L}, whose output
+// order is hermPos's. Beyond, the general recursion hermiteRTable fills a
+// cube that is scattered into the same order.
+func (w *oe1Worker) nuclearSum(pr *oe1Prim, rs []float64) {
+	l := w.a.L + w.b.L
+	f := w.boys[:l+1]
+	twoPiP := 2 * math.Pi / pr.p
+	clear(rs)
+	if l > 4 {
+		td := l + 1
+		w.raux = grow(&w.raux, td*td*td*td)
+		for _, atom := range w.bs.Mol.Atoms {
+			pc := pr.P.Sub(atom.Pos)
+			boysFill(pr.p*pc.Norm2(), f)
+			s := -float64(atom.Z) * twoPiP
+			for m := range f {
+				f[m] *= s // R is linear in the Boys values
+			}
+			cube := hermiteRTable(l, pr.p, pc, f, w.raux)
+			for t := 0; t <= l; t++ {
+				for u := 0; u <= l-t; u++ {
+					for v := 0; v <= l-t-u; v++ {
+						rs[hermPos[t][u][v]] += cube[(t*td+u)*td+v]
+					}
+				}
+			}
+		}
+		return
 	}
+	var r [35]float64
+	rn := r[:len(rs)]
+	for _, atom := range w.bs.Mol.Atoms {
+		pc := pr.P.Sub(atom.Pos)
+		boysFill(pr.p*pc.Norm2(), f)
+		s := -float64(atom.Z) * twoPiP
+		switch l {
+		case 0:
+			r[0] = s * f[0]
+		case 1:
+			genHermR1(s, pr.p, pc.X, pc.Y, pc.Z, (*[2]float64)(f), (*[4]float64)(rn))
+		case 2:
+			genHermR2(s, pr.p, pc.X, pc.Y, pc.Z, (*[3]float64)(f), (*[10]float64)(rn))
+		case 3:
+			genHermR3(s, pr.p, pc.X, pc.Y, pc.Z, (*[4]float64)(f), (*[20]float64)(rn))
+		case 4:
+			genHermR4(s, pr.p, pc.X, pc.Y, pc.Z, (*[5]float64)(f), &r)
+		}
+		for i, v := range rn {
+			rs[i] += v
+		}
+	}
+}
+
+// hermMaxL is the largest total order hermPos indexes: two g shells,
+// beyond every basis set's f.
+const hermMaxL = 8
+
+// hermCount returns the number of Hermite indices (t,u,v) with
+// t+u+v <= l.
+func hermCount(l int) int { return (l + 1) * (l + 2) * (l + 3) / 6 }
+
+// hermPos[t][u][v] is the position of Hermite index (t,u,v) in
+// order-major order: order n = t+u+v from 0, within an order t, then u,
+// descending. Up to order 4 this is genHermOff9's order, the one the
+// generated genHermR{L} write in; the position of (t,u,v) is the count
+// of lower orders, then of the larger t, then of the larger u in its
+// order, v.
+var hermPos = func() (pos [hermMaxL + 1][hermMaxL + 1][hermMaxL + 1]uint8) {
+	for t := 0; t <= hermMaxL; t++ {
+		for u := 0; u <= hermMaxL-t; u++ {
+			for v := 0; v <= hermMaxL-t-u; v++ {
+				n, wv := t+u+v, u+v
+				pos[t][u][v] = uint8(hermCount(n-1) + wv*(wv+1)/2 + v)
+			}
+		}
+	}
+	return pos
+}()
+
+// oneElectron assembles S (core false) or H_core (core true) from the
+// spherical per-shell-pair blocks. Rows of shell families are distributed
+// over GOMAXPROCS goroutines, each with its own worker, which takes a
+// row's family pairs one at a time and every shell pair of each: one
+// load per family pair. Each (si, sj) block writes a disjoint region of
+// the matrix, so no synchronization is needed beyond the final join.
+func oneElectron(bs *basis.Set, core bool) *linalg.Matrix {
+	m := linalg.NewMatrix(bs.NumFuncs, bs.NumFuncs)
+	fam, members := shellFamilies(bs)
+	var heads []int32
+	for i, f := range fam {
+		if f == int32(i) {
+			heads = append(heads, f)
+		}
+	}
+	nw := min(runtime.GOMAXPROCS(0), len(heads))
 	if nw < 1 {
 		nw = 1
 	}
-	rows := make(chan int, ns)
-	for si := 0; si < ns; si++ {
-		rows <- si
+	rows := make(chan int, len(heads))
+	for r := range heads {
+		rows <- r
 	}
 	close(rows)
 	var wg sync.WaitGroup
@@ -238,18 +361,26 @@ func oneElectron(bs *basis.Set, block func(w *oe1Worker, a, b *basis.Shell) []fl
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			w := &oe1Worker{mol: bs.Mol}
-			for si := range rows {
-				for sj := si; sj < ns; sj++ {
-					a, b := &bs.Shells[si], &bs.Shells[sj]
-					sph := block(w, a, b)
-					na, nb := a.NumFuncs(), b.NumFuncs()
-					oi, oj := bs.Offsets[si], bs.Offsets[sj]
-					for i := 0; i < na; i++ {
-						for j := 0; j < nb; j++ {
-							v := sph[i*nb+j]
-							m.Set(oi+i, oj+j, v)
-							m.Set(oj+j, oi+i, v)
+			w := newOE1Worker(bs, fam, members)
+			for r := range rows {
+				ha := heads[r]
+				for _, hb := range heads[r:] {
+					for _, si := range members[ha] {
+						for _, sj := range members[hb] {
+							if ha == hb && sj < si {
+								continue
+							}
+							a, b := &bs.Shells[si], &bs.Shells[sj]
+							sph := w.block(int(si), int(sj), core)
+							na, nb := a.NumFuncs(), b.NumFuncs()
+							oi, oj := bs.Offsets[si], bs.Offsets[sj]
+							for i := 0; i < na; i++ {
+								for j := 0; j < nb; j++ {
+									v := sph[i*nb+j]
+									m.Set(oi+i, oj+j, v)
+									m.Set(oj+j, oi+i, v)
+								}
+							}
 						}
 					}
 				}

@@ -319,12 +319,13 @@ func TestOneElectronSteadyStateZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &oe1Worker{mol: bs.Mol}
+	fam, members := shellFamilies(bs)
+	w := newOE1Worker(bs, fam, members)
 	fill := func() {
 		for si := range bs.Shells {
 			for sj := si; sj < len(bs.Shells); sj++ {
-				w.overlap(&bs.Shells[si], &bs.Shells[sj])
-				w.core(&bs.Shells[si], &bs.Shells[sj])
+				w.block(si, sj, false)
+				w.block(si, sj, true)
 			}
 		}
 	}
@@ -506,5 +507,28 @@ func benchOneElectron(b *testing.B, f func(*basis.Set) *linalg.Matrix) {
 				oneElectronSink = f(bs)
 			}
 		})
+	}
+}
+
+// hermPos extends the generated R functions' order: its first 35
+// positions are genHermOff9's, and it numbers every index of order <= 8
+// once.
+func TestHermPosExtendsGenHermOff9(t *testing.T) {
+	for i, off := range genHermOff9 {
+		if p := hermPos[off/81][off/9%9][off%9]; int(p) != i {
+			t.Fatalf("genHermOff9[%d] = (%d,%d,%d) at hermPos %d", i, off/81, off/9%9, off%9, p)
+		}
+	}
+	seen := make([]bool, hermCount(hermMaxL))
+	for tt := 0; tt <= hermMaxL; tt++ {
+		for u := 0; u <= hermMaxL-tt; u++ {
+			for v := 0; v <= hermMaxL-tt-u; v++ {
+				p := hermPos[tt][u][v]
+				if n := tt + u + v; int(p) < hermCount(n-1) || int(p) >= hermCount(n) || seen[p] {
+					t.Fatalf("(%d,%d,%d) at %d: outside order %d's range or taken", tt, u, v, p, n)
+				}
+				seen[p] = true
+			}
+		}
 	}
 }

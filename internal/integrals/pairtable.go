@@ -11,8 +11,8 @@ package integrals
 // non-increasing along the list (Partners is the per-shell version of
 // the same idea). Primitive-pair structs,
 // E-coefficient tables and the generated kernels' folded Hermite terms
-// are carved from shared arena chunks instead of thousands of small
-// allocations.
+// are carved from one exactly sized store each (see fill) instead of
+// thousands of small allocations.
 //
 // The table also knows the basis's shell families: shells on one atom
 // with identical exponents (a Pople 2s and 2p, cc-pVXZ carbon's two
@@ -25,7 +25,10 @@ package integrals
 import (
 	"cmp"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"gtfock/internal/basis"
 )
@@ -110,30 +113,7 @@ func NewPairTable(bs *basis.Set, q func(m, p int) float64, keep func(m, p int) b
 		t.pfam[i] = r.m*int32(ns) + t.fam[r.p]
 		t.index[int(r.m)*ns+int(r.p)] = PairID(i)
 	}
-	var fa floatArena
-	pa := primArena{chunk: 1 << 8}
-	var bmax []float64
-	for i := range recs {
-		r := &recs[i]
-		// The family's primitive screen: per primitive of p, the largest
-		// |coefficient| among p's stored siblings.
-		var screen []float64
-		if sib := members[t.fam[r.p]]; primTol > 0 && len(sib) > 1 {
-			bmax = bmax[:0]
-			for j := range bs.Shells[r.p].Coefs {
-				var c float64
-				for _, s := range sib {
-					if t.index[int(r.m)*ns+int(s)] != NoPair {
-						c = max(c, math.Abs(bs.Shells[s].Coefs[j]))
-					}
-				}
-				bmax = append(bmax, c)
-			}
-			screen = bmax
-		}
-		fillShellPair(&t.pairs[i], &bs.Shells[r.m], &bs.Shells[r.p],
-			primTol, screen, pa.take, fa.take)
-	}
+	t.fill(members, primTol)
 	t.partners = make([][]PartnerFamily, ns)
 	flat := make([]PairID, 0, len(recs))
 	fams := make([]PartnerFamily, 0, len(recs))
@@ -157,6 +137,116 @@ func NewPairTable(bs *basis.Set, q func(m, p int) float64, keep func(m, p int) b
 		t.partners[m] = fs
 	}
 	return t
+}
+
+// pairOffsets is where one pair's share of each of fill's flat stores
+// starts.
+type pairOffsets struct{ k3, prims, floats int }
+
+// fill builds every pair's primitive pairs, E tables and folded terms in
+// two passes over the table, each on up to GOMAXPROCS goroutines
+// (parallelChunks). The first runs every pair's primitive screen, which
+// sizes the pair exactly; a prefix sum over the sizes gives each pair its
+// share of one store of primitive pairs and one of floats, and the second
+// pass fills every pair into its own share. A pair's data depends on its
+// shells and its family's screen alone, so the table is the same bit for
+// bit on any number of goroutines.
+func (t *PairTable) fill(members [][]int32, primTol float64) {
+	bs, np := t.Basis, len(t.pairs)
+	shells := func(i int) (a, b *basis.Shell) {
+		return &bs.Shells[t.mp[i][0]], &bs.Shells[t.mp[i][1]]
+	}
+	off := make([]pairOffsets, np+1)
+	for i := range np {
+		a, b := shells(i)
+		off[i+1].k3 = off[i].k3 + len(a.Exps)*len(b.Exps)
+	}
+	k3 := make([]float64, off[np].k3)
+	kept := make([]int, np)
+	parallelChunks(np, func(lo, hi int) {
+		var bmax []float64
+		for i := lo; i < hi; i++ {
+			a, b := shells(i)
+			screen := t.familyScreen(i, members, primTol, &bmax)
+			kept[i] = screenPrims(a, b, primTol, screen, k3[off[i].k3:off[i+1].k3])
+		}
+	})
+	for i := range np {
+		a, b := shells(i)
+		etab, terms := pairFloats(a.L, b.L, kept[i])
+		off[i+1].prims = off[i].prims + kept[i]
+		off[i+1].floats = off[i].floats + etab + terms
+	}
+	prims := make([]primPair, off[np].prims)
+	floats := make([]float64, off[np].floats)
+	parallelChunks(np, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			a, b := shells(i)
+			o, e := off[i], off[i+1]
+			etab, _ := pairFloats(a.L, b.L, kept[i])
+			fl := floats[o.floats:e.floats:e.floats]
+			fillPair(&t.pairs[i], a, b, primTol, k3[o.k3:e.k3],
+				prims[o.prims:e.prims:e.prims], fl[:etab:etab], fl[etab:])
+		}
+	})
+}
+
+// familyScreen returns the primitive screen of pair i's family, built in
+// *buf: per primitive of its second shell p, the largest |coefficient|
+// among p's siblings stored with the same first shell. nil when p has no
+// sibling or primTol screens nothing: the pair's own screen applies.
+func (t *PairTable) familyScreen(i int, members [][]int32, primTol float64, buf *[]float64) []float64 {
+	m, p := int(t.mp[i][0]), int(t.mp[i][1])
+	sib := members[t.fam[p]]
+	if primTol <= 0 || len(sib) < 2 {
+		return nil
+	}
+	shells := t.Basis.Shells
+	bmax := (*buf)[:0]
+	for j := range shells[p].Coefs {
+		var c float64
+		for _, s := range sib {
+			if t.index[m*t.n+int(s)] != NoPair {
+				c = max(c, math.Abs(shells[s].Coefs[j]))
+			}
+		}
+		bmax = append(bmax, c)
+	}
+	*buf = bmax
+	return bmax
+}
+
+// fillChunk is how many pairs a goroutine of parallelChunks takes at a
+// time: enough to pay for the hand-off, few enough to even out pairs of
+// unequal cost.
+const fillChunk = 32
+
+// parallelChunks calls fn on the chunks [lo, hi) of fillChunk items
+// that tile [0, n), from up to GOMAXPROCS goroutines (one, the caller's,
+// for a single chunk), each taking the next chunk when done with its
+// last, and returns when every chunk is done.
+func parallelChunks(n int, fn func(lo, hi int)) {
+	nw := min(runtime.GOMAXPROCS(0), (n+fillChunk-1)/fillChunk)
+	if nw <= 1 {
+		fn(0, n)
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range nw {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(fillChunk)) - fillChunk
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+fillChunk, n))
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // shellFamilies returns per shell its family — the lowest index among
@@ -271,51 +361,6 @@ func (t *PairTable) Shells(id PairID) (m, p int) {
 // screen.Screening.KeepQuartet on the corresponding shell indices.
 func (t *PairTable) KeepQuartet(bra, ket PairID, tau float64) bool {
 	return t.q[bra]*t.q[ket] >= tau
-}
-
-// floatArena carves exact-length zeroed []float64 blocks out of chunks.
-// Blocks are never reused or moved, so slices handed out stay valid for
-// the arena's lifetime. The first chunk is arenaFirst long and each next
-// one twice the last, up to arenaMax, so a small arena reserves little; a
-// block longer than the chunk gets a chunk of its own length. The zero
-// value is ready to use.
-type floatArena struct {
-	cur   []float64
-	chunk int // length of the last chunk made
-}
-
-const (
-	arenaFirst = 1 << 9  // 4 KB
-	arenaMax   = 1 << 16 // 512 KB
-)
-
-func (a *floatArena) take(n int) []float64 {
-	if len(a.cur) < n {
-		a.chunk = min(max(2*a.chunk, arenaFirst), arenaMax)
-		a.cur = make([]float64, max(a.chunk, n))
-	}
-	out := a.cur[:n:n]
-	a.cur = a.cur[n:]
-	return out
-}
-
-// primArena is floatArena for primPair structs.
-type primArena struct {
-	cur   []primPair
-	chunk int
-}
-
-func (a *primArena) take(n int) []primPair {
-	if len(a.cur) < n {
-		c := a.chunk
-		if c < n {
-			c = n
-		}
-		a.cur = make([]primPair, c)
-	}
-	out := a.cur[:n:n]
-	a.cur = a.cur[n:]
-	return out
 }
 
 // Quartet identifies one (bra|ket) shell quartet by PairTable ids.

@@ -1,8 +1,11 @@
 package integrals
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"gtfock/internal/basis"
@@ -330,3 +333,113 @@ func TestTrimScratch(t *testing.T) {
 		t.Fatal("default budget trimmed an ordinary working set")
 	}
 }
+
+// schwarzTable builds the pair table of bs as screen.Screening.PairTable
+// does, at primTol, with its own Schwarz bound sqrt(max |(mp|mp)|) and
+// cut (which this package cannot import from the screening layer).
+func schwarzTable(bs *basis.Set, primTol float64) *PairTable {
+	q, keep := schwarzBound(bs)
+	return NewPairTable(bs, q, keep, primTol)
+}
+
+// schwarzBound returns schwarzTable's bound and cut.
+func schwarzBound(bs *basis.Set) (func(m, p int) float64, func(m, p int) bool) {
+	ns := bs.NumShells()
+	q := make([]float64, ns*ns)
+	eng := NewEngine()
+	for m := 0; m < ns; m++ {
+		for p := 0; p < ns; p++ {
+			pair := eng.PairScratch(&bs.Shells[m], &bs.Shells[p])
+			var mx float64
+			for _, v := range eng.ERI(pair, pair) {
+				mx = max(mx, math.Abs(v))
+			}
+			q[m*ns+p] = math.Sqrt(mx)
+		}
+	}
+	return func(m, p int) float64 { return q[m*ns+p] },
+		func(m, p int) bool { return q[m*ns+p] >= 1e-6 }
+}
+
+// The parallel fill is bit-identical to the serial one: built with one
+// goroutine and with four, a table has the same pairs in the same Q
+// order, the same index and Partners, and per pair the same primitive
+// pairs, E tables and folded terms, bit for bit.
+func TestPairTableParallelFillBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		name, basis string
+		mol         *chem.Molecule
+	}{
+		{"alkane:6", "sto-3g", chem.Alkane(6)},
+		{"CH4", "cc-pvdz", chem.Methane()},
+	} {
+		bs, err := basis.Build(c.mol, c.basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, primTol := range []float64{0, PrimTol} {
+			t.Run(fmt.Sprintf("%s/%s/primTol=%g", c.name, c.basis, primTol), func(t *testing.T) {
+				var tabs [2]*PairTable
+				for k, procs := range []int{1, 4} {
+					prev := runtime.GOMAXPROCS(procs)
+					tabs[k] = schwarzTable(bs, primTol)
+					runtime.GOMAXPROCS(prev)
+				}
+				serial, par := tabs[0], tabs[1]
+				if serial.NumPairs() != par.NumPairs() || serial.NumPairs() <= 2*fillChunk ||
+					!reflect.DeepEqual(serial.q, par.q) || !reflect.DeepEqual(serial.mp, par.mp) ||
+					!reflect.DeepEqual(serial.index, par.index) || !reflect.DeepEqual(serial.pfam, par.pfam) {
+					t.Fatalf("pair order or index differ (%d and %d pairs)", serial.NumPairs(), par.NumPairs())
+				}
+				for m := 0; m < bs.NumShells(); m++ {
+					if !reflect.DeepEqual(serial.Partners(m), par.Partners(m)) {
+						t.Fatalf("Partners(%d) differ", m)
+					}
+				}
+				bits := func(v []float64) []uint64 {
+					out := make([]uint64, len(v))
+					for i, x := range v {
+						out[i] = math.Float64bits(x)
+					}
+					return out
+				}
+				for id := PairID(0); id < PairID(serial.NumPairs()); id++ {
+					a, b := serial.At(id), par.At(id)
+					var pa, pb []float64
+					for i := range a.prims {
+						pa = append(pa, a.prims[i].p, a.prims[i].P.X, a.prims[i].P.Y, a.prims[i].P.Z, a.prims[i].c)
+					}
+					for i := range b.prims {
+						pb = append(pb, b.prims[i].p, b.prims[i].P.X, b.prims[i].P.Y, b.prims[i].P.Z, b.prims[i].c)
+					}
+					if a.A != b.A || a.B != b.B || len(a.prims) == 0 ||
+						!reflect.DeepEqual(bits(pa), bits(pb)) ||
+						!reflect.DeepEqual(bits(a.etab), bits(b.etab)) ||
+						!reflect.DeepEqual(bits(a.terms), bits(b.terms)) {
+						t.Fatalf("pair %d (L=%d%d) differs", id, a.LA, a.LB)
+					}
+				}
+			})
+		}
+	}
+}
+
+// Diagnosis only (make microbench): the pair table of alkane:6/STO-3G
+// as the benchmark's set-up builds it (primTol 0) and at PrimTol.
+func BenchmarkNewPairTable(b *testing.B) {
+	bs, err := basis.Build(chem.Alkane(6), "sto-3g")
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, keep := schwarzBound(bs)
+	for _, primTol := range []float64{0, PrimTol} {
+		b.Run(fmt.Sprintf("alkane6_sto3g/primTol=%g", primTol), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pairTableSink = NewPairTable(bs, q, keep, primTol)
+			}
+		})
+	}
+}
+
+var pairTableSink *PairTable

@@ -244,3 +244,28 @@ func TestAvgPhiOverlapBounds(t *testing.T) {
 		t.Fatal("expected some Phi overlap between consecutive shells")
 	}
 }
+
+var screeningSink *Screening
+
+// Diagnosis only (make microbench): the Schwarz screen of the set-up's
+// molecules, alkane:6/STO-3G (scf_replay's) and CH4/cc-pVDZ (scf_d's).
+func BenchmarkScreenCompute(b *testing.B) {
+	for _, c := range []struct {
+		name, basis string
+		mol         *chem.Molecule
+	}{
+		{"alkane6_sto3g", "sto-3g", chem.Alkane(6)},
+		{"CH4_ccpvdz", "cc-pvdz", chem.Methane()},
+	} {
+		bs, err := basis.Build(c.mol, c.basis)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				screeningSink = Compute(bs, DefaultTau)
+			}
+		})
+	}
+}

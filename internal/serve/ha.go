@@ -197,7 +197,7 @@ func (p *Peer) Submit(spec JobSpec) (*Job, error) {
 		p.mu.Lock()
 		delete(p.owned, id)
 		p.mu.Unlock()
-		_ = p.reg.Finish(id, p.cfg.ID, p.cfg.Incarnation, fence, RecRejected, nil, err.Error())
+		_, _ = p.reg.Finish(id, p.cfg.ID, p.cfg.Incarnation, fence, RecRejected, nil, err.Error(), 0)
 		return nil, err
 	}
 	return j, nil
@@ -218,51 +218,65 @@ func (p *Peer) runLeased(ctx context.Context, j *Job) (*JobResult, error) {
 }
 
 // onTerminal is the finish half of finish-then-publish: it records the
-// job's terminal outcome in the registry and drops the lease; the
-// scheduler publishes the outcome to clients only after it returns. nil
-// means the registry holds a terminal record for the job (ours, or one it
-// already had) — or no record at all, which only a non-durable registry
-// that restarted can say, and then the local outcome is all there is.
+// job's terminal outcome in the registry, with seq, the seq of the
+// terminal event, and drops the lease; the scheduler publishes the
+// outcome to clients only after it returns, its terminal event stamped
+// with the returned time: the registry's, so that the event a client
+// reads from this peer is the one the record gives once no peer holds
+// the job (API.recorded). nil means the registry holds a terminal record
+// for the job (ours, or one it already had) — or no record at all, which
+// only a non-durable registry that restarted can say, and then the local
+// outcome is all there is (and the returned time zero).
 // Otherwise — peer killed, fence lost (another peer owns the truth now
 // and this outcome is correctly discarded), or the registry unreachable
 // through the retry budget while the heartbeat kept the lease alive — the
 // error wraps ErrLeaseLost (ErrKilled for a dead peer): clients see a
 // retriable failure and follow the job to its adopter, never a terminal
 // state nothing durable backs.
-func (p *Peer) onTerminal(j *Job, state JobState, res *JobResult, jerr error) error {
+func (p *Peer) onTerminal(j *Job, state JobState, res *JobResult, jerr error, seq int) (time.Time, error) {
 	if p.dead.Load() {
-		return fmt.Errorf("serve: job %s: %w", j.ID, ErrKilled)
+		return time.Time{}, fmt.Errorf("serve: job %s: %w", j.ID, ErrKilled)
 	}
 	p.mu.Lock()
 	fence, held := p.owned[j.ID]
 	p.mu.Unlock()
 	if !held {
-		return fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
+		return time.Time{}, fmt.Errorf("serve: job %s: %w", j.ID, ErrLeaseLost)
 	}
 	msg := ""
 	if jerr != nil {
 		msg = jerr.Error()
 	}
+	var at time.Time
 	var err error
 	for attempt := 0; attempt < 5; attempt++ {
 		// Terminal job states and registry states share their names.
-		err = p.reg.Finish(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, state.String(), res, msg)
+		at, err = p.reg.Finish(j.ID, p.cfg.ID, p.cfg.Incarnation, fence, state.String(), res, msg, seq)
 		if err == nil || errors.Is(err, ErrFenceLost) || errors.Is(err, ErrTerminal) || errors.Is(err, ErrUnknownJob) {
 			break
 		}
 		select {
 		case <-p.stop:
-			return fmt.Errorf("serve: job %s: peer stopping: %w", j.ID, ErrLeaseLost)
+			return time.Time{}, fmt.Errorf("serve: job %s: peer stopping: %w", j.ID, ErrLeaseLost)
 		case <-time.After(dist.Jitter(200 * time.Millisecond << uint(attempt))):
 		}
 	}
 	p.mu.Lock()
 	delete(p.owned, j.ID)
 	p.mu.Unlock()
-	if err == nil || errors.Is(err, ErrTerminal) || errors.Is(err, ErrUnknownJob) {
-		return nil
+	if errors.Is(err, ErrTerminal) {
+		// An earlier attempt landed with its reply lost, or another
+		// session's outcome did: the record's stamp is this event's only
+		// if the record is this outcome.
+		if rec, ok, gerr := p.reg.Get(j.ID); gerr == nil && ok && rec.State == state.String() && rec.EventSeq == seq {
+			at = rec.Finished
+		}
+		return at, nil
 	}
-	return fmt.Errorf("serve: job %s: outcome not recorded (%v): %w", j.ID, err, ErrLeaseLost)
+	if err == nil || errors.Is(err, ErrUnknownJob) {
+		return at, nil
+	}
+	return time.Time{}, fmt.Errorf("serve: job %s: outcome not recorded (%v): %w", j.ID, err, ErrLeaseLost)
 }
 
 // heartbeatLoop renews every held lease in one batch. Jobs the registry

@@ -176,12 +176,14 @@ func (a *API) recorded(w http.ResponseWriter, r *http.Request, rec *JobRecord) {
 	if strings.HasSuffix(r.URL.Path, "/events") {
 		// Synthesize the one event that matters: the terminal state. The
 		// live per-iteration stream died with its peer; what the client
-		// must never lose is the outcome.
+		// must never lose is the outcome, and it reads the event the owner
+		// published, seq and time included. A record from before the
+		// registry kept them gives seq 0 and time_unix_ns 0.
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		ev := Event{Type: rec.State, Msg: rec.Error}
-		if rec.Result != nil {
-			ev.Energy = rec.Result.Energy
-			ev.Iter = rec.Result.Iterations
+		ev := terminalEvent(rec.State, rec.Result, rec.Error)
+		ev.Seq = rec.EventSeq
+		if !rec.Finished.IsZero() {
+			ev.Time = rec.Finished.UnixNano()
 		}
 		json.NewEncoder(w).Encode(ev)
 		return

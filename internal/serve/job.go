@@ -118,6 +118,17 @@ type Event struct {
 	Msg    string   `json:"msg,omitempty"`
 }
 
+// terminalEvent is a job's last event as its owner publishes it and as
+// API.recorded rebuilds it from the registry record: the terminal state,
+// the error message, and a done job's energy and iteration count.
+func terminalEvent(state string, res *JobResult, msg string) Event {
+	ev := Event{Type: state, Msg: msg}
+	if state == StateDone.String() && res != nil {
+		ev.Energy, ev.Iter = res.Energy, res.Iterations
+	}
+	return ev
+}
+
 // JobResult is the terminal outcome of a completed job.
 type JobResult struct {
 	Converged  bool    `json:"converged"`
@@ -199,10 +210,13 @@ func (j *Job) setState(s JobState, msg string) {
 	j.appendLocked(Event{Type: typ, State: s, Msg: msg})
 }
 
-// appendLocked adds an event and wakes streamers. Callers hold j.mu.
+// appendLocked adds an event, stamped now unless it carries a time, and
+// wakes streamers. Callers hold j.mu.
 func (j *Job) appendLocked(ev Event) {
 	ev.Seq = len(j.events)
-	ev.Time = time.Now().UnixNano()
+	if ev.Time == 0 {
+		ev.Time = time.Now().UnixNano()
+	}
 	j.events = append(j.events, ev)
 	j.cond.Broadcast()
 }

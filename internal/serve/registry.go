@@ -112,6 +112,13 @@ type JobRecord struct {
 
 	Result *JobResult `json:"result,omitempty"`
 	Error  string     `json:"error,omitempty"`
+	// Finished is when the registry recorded the terminal outcome, by its
+	// clock, and EventSeq the seq of the terminal event the owner
+	// published with it (FinishEvent): together, with State, Error and
+	// Result, the event API.recorded serves once no peer holds the job.
+	// Zero in a record written before the fields existed.
+	Finished time.Time `json:"finished"`
+	EventSeq int       `json:"event_seq"`
 }
 
 // Terminal reports whether the record reached a terminal state.
@@ -390,33 +397,44 @@ func (r *Registry) Release(owner string, inc uint64, ids []string) []string {
 	return released
 }
 
-// Finish records a terminal outcome. Fence-checked: only the current
-// lease holder's session may finish the job, so the loser of an adoption
-// race cannot overwrite the winner's result — at-most-once outcome
-// recording, on top of the fresh-session exactly-once accumulation.
+// Finish is FinishEvent for a caller that publishes no terminal event:
+// the record's EventSeq is 0.
 func (r *Registry) Finish(id, owner string, inc, fence uint64, state string, res *JobResult, errMsg string) error {
+	_, err := r.FinishEvent(id, owner, inc, fence, state, res, errMsg, 0)
+	return err
+}
+
+// FinishEvent records a terminal outcome, with seq, the seq of the
+// terminal event its owner publishes, and returns the time it stamps the
+// record with (Finished, by the registry clock), the time that event
+// carries. Fence-checked: only the current lease holder's session may
+// finish the job, so the loser of an adoption race cannot overwrite the
+// winner's result — at-most-once outcome recording, on top of the
+// fresh-session exactly-once accumulation.
+func (r *Registry) FinishEvent(id, owner string, inc, fence uint64, state string, res *JobResult, errMsg string, seq int) (time.Time, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rec := r.jobs[id]
 	if rec == nil {
-		return ErrUnknownJob
+		return time.Time{}, ErrUnknownJob
 	}
 	if rec.Terminal() {
-		return ErrTerminal
+		return time.Time{}, ErrTerminal
 	}
 	if rec.Owner != owner || rec.OwnerInc != inc || rec.Fence != fence {
 		r.st.FenceRejects++
-		return ErrFenceLost
+		return time.Time{}, ErrFenceLost
 	}
 	next := *rec
 	next.State = state
 	next.Result, next.Error = res, errMsg
+	next.Finished, next.EventSeq = r.cfg.Clock(), seq
 	next.Owner, next.OwnerAddr, next.OwnerInc, next.LeaseExpiry = "", "", 0, 0
 	if err := r.commitLocked(&next); err != nil {
-		return err
+		return time.Time{}, err
 	}
 	r.st.Finishes++
-	return nil
+	return next.Finished, nil
 }
 
 // Orphans lists active jobs with no live lease — unowned, or expired by

@@ -43,6 +43,7 @@ type regReq struct {
 	State     string            `json:"state,omitempty"`
 	Result    *JobResult        `json:"result,omitempty"`
 	ErrMsg    string            `json:"err_msg,omitempty"`
+	Seq       int               `json:"seq,omitempty"`
 }
 
 // regResp is the response body. Reason is one of the stable lease-error
@@ -55,6 +56,8 @@ type regResp struct {
 	Lost   []string   `json:"lost,omitempty"`
 	IDs    []string   `json:"ids,omitempty"`
 	Rec    *JobRecord `json:"rec,omitempty"`
+	// Finished is the time finish stamped the record with.
+	Finished *time.Time `json:"finished,omitempty"`
 }
 
 const (
@@ -180,11 +183,12 @@ func (a *RegistryAPI) finish(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := a.Reg.Finish(req.ID, req.Owner, req.Inc, req.Fence, req.State, req.Result, req.ErrMsg); err != nil {
+	at, err := a.Reg.FinishEvent(req.ID, req.Owner, req.Inc, req.Fence, req.State, req.Result, req.ErrMsg, req.Seq)
+	if err != nil {
 		writeLeaseErr(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, regResp{OK: true})
+	writeJSON(w, http.StatusOK, regResp{OK: true, Finished: &at})
 }
 
 func (a *RegistryAPI) orphans(w http.ResponseWriter, _ *http.Request) {
@@ -289,10 +293,15 @@ func (c *RegistryClient) Release(owner string, inc uint64, ids []string) ([]stri
 	return resp.IDs, nil
 }
 
-// Finish records a terminal outcome (fenced).
-func (c *RegistryClient) Finish(id, owner string, inc, fence uint64, state string, res *JobResult, errMsg string) error {
-	_, err := c.post("/reg/v1/finish", &regReq{ID: id, Owner: owner, Inc: inc, Fence: fence, State: state, Result: res, ErrMsg: errMsg})
-	return err
+// Finish records a terminal outcome (fenced) with the seq of its
+// terminal event, and returns the time the registry stamped it with (see
+// Registry.FinishEvent).
+func (c *RegistryClient) Finish(id, owner string, inc, fence uint64, state string, res *JobResult, errMsg string, seq int) (time.Time, error) {
+	resp, err := c.post("/reg/v1/finish", &regReq{ID: id, Owner: owner, Inc: inc, Fence: fence, State: state, Result: res, ErrMsg: errMsg, Seq: seq})
+	if err != nil || resp.Finished == nil {
+		return time.Time{}, err
+	}
+	return *resp.Finished, nil
 }
 
 // Orphans lists adoptable jobs.

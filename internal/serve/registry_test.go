@@ -424,10 +424,10 @@ func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
 	defer srv.Close()
 	c := NewRegistryClient(srv.URL, time.Second)
 
-	if err := c.Finish(id, "p1", 1, fence, RecDone, nil, ""); err == nil || !strings.Contains(err.Error(), "HTTP 500") {
+	if _, err := c.Finish(id, "p1", 1, fence, RecDone, nil, "", 0); err == nil || !strings.Contains(err.Error(), "HTTP 500") {
 		t.Fatalf("Finish on a dead disk: err = %v, want HTTP 500", err)
 	}
-	err = c.Finish(id, "p1", 1, fence, RecDone, nil, "")
+	_, err = c.Finish(id, "p1", 1, fence, RecDone, nil, "", 0)
 	if err == nil {
 		t.Fatal("Finish over a damaged journal succeeded")
 	}
@@ -443,7 +443,7 @@ func TestRegistryHTTPNonLeaseErrorIs500(t *testing.T) {
 	r.mu.Lock()
 	r.log = good
 	r.mu.Unlock()
-	if err := c.Finish(id, "p1", 1, fence, RecDone, nil, ""); err != nil {
+	if _, err := c.Finish(id, "p1", 1, fence, RecDone, nil, "", 0); err != nil {
 		t.Fatalf("Finish after repair: %v", err)
 	}
 }

@@ -237,17 +237,35 @@ func TestFinishedJobsLeaveNoCheckpoints(t *testing.T) {
 
 	t.Run("adopted", func(t *testing.T) {
 		dir := t.TempDir()
-		reg := NewRegistry(RegistryConfig{LeaseTTL: 300 * time.Millisecond})
+		// The registry's clock stands still until the owner is dead: its
+		// lease lapses when the test moves the clock past the TTL, never
+		// because a heartbeat of a starved peer came late.
+		reg, clk := newTestRegistry()
 		regSrv := httptest.NewServer((&RegistryAPI{Reg: reg}).Handler())
 		t.Cleanup(regSrv.Close)
-		peer := func(id string) *Peer {
-			runner := NewFleetRunner(addrs, dir)
-			runner.Prow, runner.Pcol = 1, 2
+		// The owner's runner holds a solved job until the peer is killed,
+		// so the job can neither finish nor lose its checkpoint before the
+		// kill: the job is a few milliseconds of work, less than a
+		// starved poll of the checkpoint file can take to come round.
+		peer := func(id string, hold bool) *Peer {
+			fleet := NewFleetRunner(addrs, dir)
+			fleet.Prow, fleet.Pcol = 1, 2
+			cfg := Config{Capacity: 1, Runner: fleet, Metrics: metrics.NewServe()}
+			if hold {
+				cfg.Estimate = fleet.Estimate
+				cfg.Runner = RunnerFunc(func(ctx context.Context, j *Job) (*JobResult, error) {
+					if _, err := fleet.Run(ctx, j); err != nil {
+						return nil, err
+					}
+					<-ctx.Done()
+					return nil, context.Cause(ctx)
+				})
+			}
 			p, err := NewPeer(PeerConfig{
 				ID: id, Addr: "127.0.0.1:1",
 				Registry:       NewRegistryClient(regSrv.URL, time.Second),
 				CheckpointDir:  dir,
-				Server:         Config{Capacity: 1, Runner: runner, Metrics: metrics.NewServe()},
+				Server:         cfg,
 				HeartbeatEvery: 50 * time.Millisecond, ScanEvery: 50 * time.Millisecond,
 			})
 			if err != nil {
@@ -256,7 +274,7 @@ func TestFinishedJobsLeaveNoCheckpoints(t *testing.T) {
 			t.Cleanup(p.Close)
 			return p
 		}
-		owner := peer("peer-owner")
+		owner := peer("peer-owner", true)
 		j, err := owner.Submit(long)
 		if err != nil {
 			t.Fatal(err)
@@ -266,6 +284,13 @@ func TestFinishedJobsLeaveNoCheckpoints(t *testing.T) {
 			if _, err := scf.LoadCheckpoint(path); err == nil {
 				break
 			}
+			if st := j.State(); st.Terminal() {
+				_, jerr := j.Result()
+				t.Fatalf("the job ended %s (%v) before its first checkpoint was seen", st, jerr)
+			}
+			if rec, _ := reg.Get(j.ID); rec.Owner != "peer-owner" {
+				t.Fatalf("the owner lost the job's lease before its first checkpoint was seen: %+v", rec)
+			}
 			if time.Now().After(deadline) {
 				t.Fatal("no checkpoint written before the deadline")
 			}
@@ -274,8 +299,9 @@ func TestFinishedJobsLeaveNoCheckpoints(t *testing.T) {
 		if _, err := scf.LoadCheckpointFallback(path); err != nil {
 			t.Fatalf("the dead owner's checkpoint is gone: %v", err)
 		}
+		clk.Advance(ttl + time.Millisecond) // the dead owner's lease lapses
 
-		adopter := peer("peer-adopter")
+		adopter := peer("peer-adopter", false)
 		for deadline := time.Now().Add(time.Minute); ; time.Sleep(5 * time.Millisecond) {
 			rec, _ := reg.Get(j.ID)
 			if rec.Terminal() {

@@ -310,6 +310,74 @@ func TestFinishedJobsKeepStatus(t *testing.T) {
 	}
 }
 
+// A finished job's terminal event is the one its owner published, seq
+// and time included, wherever it is read: from the owner while it holds
+// the job, and from the registry's record once it is past the owner's
+// last keepHistory, through the owner and through a second peer. Its time
+// is the registry's, the clock of the job's submit time, so a client
+// timing the job from the two reads a positive span.
+func TestRecordedTerminalEventIsTheOwners(t *testing.T) {
+	run := RunnerFunc(func(context.Context, *Job) (*JobResult, error) {
+		return &JobResult{Converged: true, Energy: -1, Iterations: 7}, nil
+	})
+	regSrv := httptest.NewServer((&RegistryAPI{Reg: NewRegistry(RegistryConfig{LeaseTTL: time.Minute})}).Handler())
+	t.Cleanup(regSrv.Close)
+	cfg := Config{Capacity: 1, Runner: run, Estimate: stubEstimate}
+	p, owner := newTestPeer(t, regSrv.URL, "peer-a", 10*time.Millisecond, cfg)
+	_, other := newTestPeer(t, regSrv.URL, "peer-b", 10*time.Millisecond, cfg)
+	last := func(url string) []byte {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %d %s %v", url, resp.StatusCode, body, err)
+		}
+		lines := bytes.Split(bytes.TrimSpace(body), []byte("\n"))
+		return lines[len(lines)-1]
+	}
+	first, err := p.Submit(JobSpec{Molecule: "H2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Wait()
+	path := "/v1/jobs/" + first.ID + "/events"
+	held := last(owner.URL + path)
+	var ev Event
+	if err := json.Unmarshal(held, &ev); err != nil {
+		t.Fatal(err)
+	}
+	evs, _ := first.EventsSince(0)
+	if ev.Type != "done" || ev.Seq != len(evs)-1 || ev.Energy != -1 || ev.Iter != 7 ||
+		ev.Time < first.Status().Submitted.UnixNano() {
+		t.Fatalf("owner's terminal event %s: want done, seq %d, energy -1, 7 iterations, not before the submit time %v",
+			held, len(evs)-1, first.Status().Submitted)
+	}
+	for i := 0; i < keepHistory; i++ {
+		j, err := p.Submit(JobSpec{Molecule: "H2"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Wait()
+	}
+	// A job is published before the scheduler keeps it; a drain returns
+	// once every published job is kept.
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if p.Server().Job(first.ID) != nil {
+		t.Fatalf("job %s still held by its owner past keepHistory", first.ID)
+	}
+	for _, api := range []*httptest.Server{owner, other} {
+		if got := last(api.URL + path); !bytes.Equal(got, held) {
+			t.Fatalf("recorded terminal event %s, the owner published %s", got, held)
+		}
+	}
+}
+
 // POST /v1/jobs/{id}/cancel answers the job's Status on both of its
 // paths: a job the scheduler holds, and one past its owner's last
 // keepHistory that only the registry's record answers for.

@@ -107,10 +107,12 @@ type Server struct {
 	// reaches a terminal outcome — done, failed, canceled or shed — BEFORE
 	// that outcome is visible through the job: state, result and the
 	// terminal event are published only once it returns
-	// (finish-then-publish). A non-nil return means the outcome is not
-	// durable, and the job is published as failed with that error instead.
-	// Drain-parks are not terminal and do not fire it.
-	onTerminal func(j *Job, state JobState, res *JobResult, err error) error
+	// (finish-then-publish). seq is the seq the terminal event will take;
+	// a non-zero returned time is the time it carries. A non-nil return
+	// means the outcome is not durable, and the job is published as
+	// failed with that error instead. Drain-parks are not terminal and do
+	// not fire it.
+	onTerminal func(j *Job, state JobState, res *JobResult, err error, seq int) (time.Time, error)
 
 	mu       sync.Mutex
 	q        *fairQueue
@@ -564,7 +566,7 @@ func (s *Server) finishLocked(j *Job, res *JobResult, err error) {
 // job off the scheduler lock, so its file removals never stall a Submit.
 func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err error) {
 	if s.onTerminal == nil {
-		s.publish(j, state, res, err)
+		s.publish(j, state, res, err, time.Time{})
 		s.keepLocked(j)
 		go s.forget(j)
 		return
@@ -574,12 +576,17 @@ func (s *Server) publishTerminal(j *Job, state JobState, res *JobResult, err err
 	// s.pending, so a drain cannot hand back a lease whose job has already
 	// finished and is only waiting to be recorded.
 	s.pending++
+	// The job is between its run and its publication: nothing appends to
+	// its events until publish does.
+	j.mu.Lock()
+	seq := len(j.events)
+	j.mu.Unlock()
 	go func() {
-		herr := s.onTerminal(j, state, res, err)
+		at, herr := s.onTerminal(j, state, res, err, seq)
 		if herr != nil {
-			state, res, err = StateFailed, nil, herr
+			state, res, err, at = StateFailed, nil, herr, time.Time{}
 		}
-		s.publish(j, state, res, err)
+		s.publish(j, state, res, err, at)
 		if herr == nil {
 			s.forget(j)
 		}
@@ -607,19 +614,18 @@ func (s *Server) keepLocked(j *Job) {
 }
 
 // publish writes the terminal outcome into the job and wakes everyone
-// waiting on it.
-func (s *Server) publish(j *Job, state JobState, res *JobResult, err error) {
+// waiting on it. Its terminal event carries at, or the local time if at
+// is zero.
+func (s *Server) publish(j *Job, state JobState, res *JobResult, err error, at time.Time) {
 	j.mu.Lock()
 	j.finished = time.Now()
 	if !j.started.IsZero() {
 		s.met.RunTimeNS.Observe(j.finished.Sub(j.started).Nanoseconds())
 	}
 	j.result, j.err, j.state = res, err, state
-	ev := Event{Type: state.String(), State: state}
 	switch state {
 	case StateDone:
 		atomic.AddInt64(&s.met.Completed, 1)
-		ev.Energy = res.Energy
 	case StateCanceled:
 		atomic.AddInt64(&s.met.Canceled, 1)
 	case StateShed:
@@ -627,8 +633,14 @@ func (s *Server) publish(j *Job, state JobState, res *JobResult, err error) {
 	default:
 		atomic.AddInt64(&s.met.Failed, 1)
 	}
+	msg := ""
 	if err != nil {
-		ev.Msg = err.Error()
+		msg = err.Error()
+	}
+	ev := terminalEvent(state.String(), res, msg)
+	ev.State = state
+	if !at.IsZero() {
+		ev.Time = at.UnixNano()
 	}
 	j.appendLocked(ev)
 	j.mu.Unlock()
