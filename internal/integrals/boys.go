@@ -101,32 +101,24 @@ func Boys(mmax int, x float64, out []float64) []float64 {
 		out = make([]float64, mmax+1)
 	}
 	out = out[:mmax+1]
-	boysFill(x, out)
-	return out
-}
-
-// boysFill is Boys without its argument checks, for callers whose order
-// and argument are valid by construction: F_0..F_{len(f)-1}(x) into f,
-// 1 <= len(f) <= maxBoysM+1, x >= 0.
-func boysFill(x float64, f []float64) {
-	top := len(f) - 1
 	i := int(x*boysInvDX + 0.5)
 	if uint(i) >= boysGridN {
 		h := 0.5 / x
-		f[0] = math.Sqrt(math.Pi / 2 * h)
-		for m := 0; m < top; m++ {
-			f[m+1] = float64(2*m+1) * h * f[m]
+		out[0] = math.Sqrt(math.Pi / 2 * h)
+		for m := 0; m < mmax; m++ {
+			out[m+1] = float64(2*m+1) * h * out[m]
 		}
-		return
+		return out
 	}
 	d := x - float64(i)*boysDX
-	f[top] = boysPoly(&boysTab[top][i], d)
-	if top > 0 {
+	out[mmax] = boysPoly(&boysTab[mmax][i], d)
+	if mmax > 0 {
 		ex := boysPoly(&boysTab[boysExp][i], d)
-		for m := top; m > 0; m-- {
-			f[m-1] = (2*x*f[m] + ex) * boysInvOdd[m]
+		for m := mmax; m > 0; m-- {
+			out[m-1] = (2*x*out[m] + ex) * boysInvOdd[m]
 		}
 	}
+	return out
 }
 
 // boysSeries is the reference implementation the table is built from (and

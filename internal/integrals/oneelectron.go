@@ -252,10 +252,12 @@ func (w *oe1Worker) nuclear(a, b *basis.Shell, out []float64) {
 // nuclearSum sets rs to the sum over the nuclei C of -Z_C 2 pi/p times
 // R^0_{tuv}(p, P - C), t+u+v <= L = a.L + b.L of the loaded pair, of
 // primitive pair pr, in hermPos order. Up to L = 4 (every s/p/d pair) a
-// nucleus costs what it costs an ERI kernel's primitive quartet: one
-// table Boys evaluation and the straight-line genHermR{L}, whose output
-// order is hermPos's. Beyond, the general recursion hermiteRTable fills a
-// cube that is scattered into the same order.
+// nucleus costs what it costs an ERI kernel's primitive quartet: the
+// Boys values read inline from the table (the top order's and e^-x's
+// rows, then the downward recursion, as Boys computes them) and the
+// straight-line genHermR{L}, whose output order is hermPos's. Beyond,
+// Boys and the general recursion hermiteRTable fill a cube that is
+// scattered into the same order.
 func (w *oe1Worker) nuclearSum(pr *oe1Prim, rs []float64) {
 	l := w.a.L + w.b.L
 	f := w.boys[:l+1]
@@ -266,7 +268,7 @@ func (w *oe1Worker) nuclearSum(pr *oe1Prim, rs []float64) {
 		w.raux = grow(&w.raux, td*td*td*td)
 		for _, atom := range w.bs.Mol.Atoms {
 			pc := pr.P.Sub(atom.Pos)
-			boysFill(pr.p*pc.Norm2(), f)
+			Boys(l, pr.p*pc.Norm2(), f)
 			s := -float64(atom.Z) * twoPiP
 			for m := range f {
 				f[m] *= s // R is linear in the Boys values
@@ -286,7 +288,23 @@ func (w *oe1Worker) nuclearSum(pr *oe1Prim, rs []float64) {
 	rn := r[:len(rs)]
 	for _, atom := range w.bs.Mol.Atoms {
 		pc := pr.P.Sub(atom.Pos)
-		boysFill(pr.p*pc.Norm2(), f)
+		x := pr.p * pc.Norm2()
+		if i := int(x*boysInvDX + 0.5); uint(i) < boysGridN {
+			d := x - float64(i)*boysDX
+			f[l] = boysPoly(&boysTab[l][i], d)
+			if l > 0 {
+				ex := boysPoly(&boysTab[boysExp][i], d)
+				for m := l; m > 0; m-- {
+					f[m-1] = (2*x*f[m] + ex) * boysInvOdd[m]
+				}
+			}
+		} else {
+			h := 0.5 / x
+			f[0] = math.Sqrt(math.Pi / 2 * h)
+			for m := 0; m < l; m++ {
+				f[m+1] = float64(2*m+1) * h * f[m]
+			}
+		}
 		s := -float64(atom.Z) * twoPiP
 		switch l {
 		case 0:
