@@ -16,14 +16,15 @@ func (l *lab) claims() []table {
 // prose reproduces the quantitative claims made in the paper's prose, at
 // the largest core count:
 //   - Sec. IV-C: ~1e5+ centralized-scheduler accesses for C100H202 at 3888
-//     cores versus ~349 atomic queue operations per GTFock node queue;
+//     cores versus ~349 atomic queue operations per GTFock node queue,
+//     split into owner pops, steal probes received and intakes;
 //   - Sec. III-G: average steal victims s ~= 3.8 for C96H24 at 3888 cores;
 //   - Sec. III-G: ERI computation must get ~50x faster before
 //     communication dominates at maximum parallelism;
 //   - isoefficiency n_shells = O(sqrt(p)).
 func (l *lab) prose() table {
 	cores, alkane, flake := l.cores[len(l.cores)-1], l.alkane(), l.flake()
-	gtf := l.simulate(flake, cores, "gtfock")
+	gtf, gta := l.simulate(flake, cores, "gtfock"), l.simulate(alkane, cores, "gtfock")
 	s := l.system(flake)
 	m := model.FromSystem(s.rbs, s.rscr, gtf.VictimsAvg(), l.config(s))
 	return table{
@@ -32,8 +33,10 @@ func (l *lab) prose() table {
 		rows: []row{
 			{"scheduler accesses, " + alkane + ", centralized counter, total (paper: ~1e5+)",
 				[]float64{float64(l.simulate(alkane, cores, "nwchem").QueueOpsTotal())}},
-			{"scheduler accesses, " + alkane + ", GTFock atomic ops per queue (paper: 349)",
-				[]float64{l.simulate(alkane, cores, "gtfock").QueueOpsAvg()}},
+			{"scheduler accesses, " + alkane + ", GTFock atomic ops per queue (paper: 349)", []float64{gta.QueueOpsAvg()}},
+			{"  of which owner pops", []float64{gta.QueueOpsAvg() - gta.StealProbesAvg() - gta.StealsAvg()}},
+			{"  of which steal probes received", []float64{gta.StealProbesAvg()}},
+			{"  of which intakes (successful steals)", []float64{gta.StealsAvg()}},
 			{"steal victims s, " + flake + ", per process (paper: 3.8)", []float64{gtf.VictimsAvg()}},
 			{"performance model, " + flake + ": B", []float64{m.B}},
 			{"performance model, " + flake + ": q", []float64{m.Q}},

@@ -7,8 +7,9 @@
 // engine, Cauchy-Schwarz screening, spatial shell reordering, a simulated
 // one-sided communication runtime with discrete-event scaling simulation,
 // the GTFock Fock-build algorithm and the NWChem-style baseline, SUMMA +
-// canonical purification, a restricted Hartree-Fock driver, and the
-// paper's analytic performance model.
+// canonical purification, and a restricted Hartree-Fock driver. The
+// paper's analytic performance model (internal/model) is read by
+// cmd/paper, not exported here.
 //
 // Quick start:
 //
@@ -26,7 +27,6 @@ import (
 	"gtfock/internal/core"
 	"gtfock/internal/dist"
 	"gtfock/internal/linalg"
-	"gtfock/internal/model"
 	"gtfock/internal/nwchem"
 	"gtfock/internal/reorder"
 	"gtfock/internal/scf"
@@ -61,8 +61,6 @@ type (
 	MachineConfig = dist.Config
 	// RunStats is per-process accounting of a build or simulation.
 	RunStats = dist.RunStats
-	// PerfModel is the analytic performance model of Sec. III-G.
-	PerfModel = model.Params
 )
 
 // DefaultTau is the paper's screening tolerance, 1e-10.
@@ -131,9 +129,3 @@ func RunHF(mol *Molecule, opt SCFOptions) (*SCFResult, error) {
 
 // Lonestar returns the paper's machine constants (Table I).
 func Lonestar() MachineConfig { return dist.Lonestar() }
-
-// NewPerfModel extracts the Sec. III-G model parameters from a screened
-// system; s is the average number of steal victims per process.
-func NewPerfModel(bs *BasisSet, scr *Screening, s float64, cfg MachineConfig) PerfModel {
-	return model.FromSystem(bs, scr, s, cfg)
-}

@@ -184,9 +184,9 @@ func transfer(l *ledger, victim, thief int, b TaskBlock) bool {
 	return l.transferLocked(victim, thief, b)
 }
 
-// A column-split steal (Queue.Steal's fallback for single-row blocks)
-// transfers a column band between claims; the guillotine split leaves
-// the victim the left remnant, and interior rectangles leave all four.
+// The guillotine split conserves any rectangle inside a claim, not only
+// the row bands Queue.Steal takes: a column band leaves the victim the
+// left remnant, and an interior rectangle leaves all four.
 func TestLedgerTransferColumnBand(t *testing.T) {
 	l := newLedger(2, time.Hour, dist.NewRunStats(2))
 	e0 := l.register(0)
@@ -200,8 +200,7 @@ func TestLedgerTransferColumnBand(t *testing.T) {
 	if n := len(l.claimed[0]); n != 1 || l.claimed[0][0] != (TaskBlock{R0: 2, R1: 3, C0: 0, C1: 5}) {
 		t.Fatalf("victim claims after column transfer: %v", l.claimed[0])
 	}
-	// An interior rectangle (not produced by Queue.Steal, but the split
-	// must still conserve area): 4 remnants ring the transferred block.
+	// An interior rectangle: 4 remnants ring the transferred block.
 	if !l.claim(0, e0, TaskBlock{R0: 10, R1: 20, C0: 10, C1: 20}) {
 		t.Fatal("claim failed")
 	}

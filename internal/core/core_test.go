@@ -139,45 +139,31 @@ func TestQueueStealHalvesAndPreservesTasks(t *testing.T) {
 	}
 }
 
-// Regression for the tail-imbalance hole: a single-row but arbitrarily
-// wide block used to be unstealable (Steal split rows only), defeating
-// work stealing exactly where it matters. The column fallback must
-// split it.
-func TestQueueStealColumnSplitFromSingleRow(t *testing.T) {
-	q := NewQueue(TaskBlock{R0: 3, R1: 4, C0: 0, C1: 9})
-	blk, ok := q.Steal()
-	if !ok {
-		t.Fatal("steal from a 1x9 block failed")
-	}
-	if blk.Count() != 4 { // half of 9 columns, rounded down
-		t.Fatalf("stole %d tasks from 1x9, want 4", blk.Count())
-	}
-	seen := map[Task]int{}
-	drain := func(q *Queue) {
-		for {
-			task, ok := q.Pop()
-			if !ok {
-				return
-			}
+// delivered pops each queue dry into seen, counting how often each task
+// is delivered.
+func delivered(seen map[Task]int, queues ...*Queue) {
+	for _, q := range queues {
+		for task, ok := q.Pop(); ok; task, ok = q.Pop() {
 			seen[task]++
-		}
-	}
-	drain(NewQueue(blk))
-	drain(q)
-	if len(seen) != 9 {
-		t.Fatalf("delivered %d distinct tasks, want 9", len(seen))
-	}
-	for task, n := range seen {
-		if n != 1 {
-			t.Fatalf("task %v delivered %d times", task, n)
 		}
 	}
 }
 
-// A cursor-pinned two-row block: the owner sits in the first row, so a
-// row split sees only one spare row and used to give up. The fallback
-// steals that whole row, then column-splits the cursor row's tail.
-func TestQueueStealCursorPinnedBlock(t *testing.T) {
+// A single-row block has no whole row to spare: Steal fails and the
+// owner runs the row.
+func TestQueueStealSingleRowFails(t *testing.T) {
+	q := NewQueue(TaskBlock{R0: 3, R1: 4, C0: 0, C1: 9})
+	if blk, ok := q.Steal(); ok {
+		t.Fatalf("stole %+v from a 1x9 block, want no steal", blk)
+	}
+	seen := map[Task]int{}
+	delivered(seen, q)
+	exactlyOnce(t, seen, 9)
+}
+
+// A cursor-pinned two-row block: the owner sits in the first row, so the
+// thief takes the one whole row below it, and then nothing more.
+func TestQueueStealCursorPinnedTakesSpareRow(t *testing.T) {
 	q := NewQueue(TaskBlock{R0: 0, R1: 2, C0: 0, C1: 8})
 	seen := map[Task]int{}
 	for i := 0; i < 3; i++ { // cursor into row 0, column 3 next
@@ -187,51 +173,27 @@ func TestQueueStealCursorPinnedBlock(t *testing.T) {
 		}
 		seen[task]++
 	}
-	var stolen []TaskBlock
-	for {
-		blk, ok := q.Steal()
-		if !ok {
-			break
-		}
-		if blk.Empty() {
-			t.Fatalf("stole empty block %+v", blk)
-		}
-		stolen = append(stolen, blk)
+	blk, ok := q.Steal()
+	if want := (TaskBlock{R0: 1, R1: 2, C0: 0, C1: 8}); !ok || blk != want {
+		t.Fatalf("first steal took %+v (ok %v), want the 8-task spare row %+v", blk, ok, want)
 	}
-	// First steal takes the full spare row (8 tasks), later ones split
-	// the cursor row's remaining columns [3,8).
-	if len(stolen) < 2 {
-		t.Fatalf("only %d steals from a pinned 2x8 block, want >= 2", len(stolen))
+	if blk, ok := q.Steal(); ok {
+		t.Fatalf("second steal took %+v, want none: only the cursor's row is left", blk)
 	}
-	if stolen[0].Count() != 8 {
-		t.Fatalf("first steal took %d tasks, want the 8-task spare row", stolen[0].Count())
+	delivered(seen, q, NewQueue(blk))
+	exactlyOnce(t, seen, 16)
+}
+
+// exactlyOnce fails unless seen holds n distinct tasks, each delivered
+// once.
+func exactlyOnce(t *testing.T, seen map[Task]int, n int) {
+	t.Helper()
+	if len(seen) != n {
+		t.Fatalf("delivered %d distinct tasks, want %d", len(seen), n)
 	}
-	for _, blk := range stolen {
-		q2 := NewQueue(blk)
-		for {
-			task, ok := q2.Pop()
-			if !ok {
-				break
-			}
-			if seen[task] > 0 {
-				t.Fatalf("stole already-delivered task %v", task)
-			}
-			seen[task]++
-		}
-	}
-	for {
-		task, ok := q.Pop()
-		if !ok {
-			break
-		}
-		seen[task]++
-	}
-	if len(seen) != 16 {
-		t.Fatalf("delivered %d distinct tasks, want 16", len(seen))
-	}
-	for task, n := range seen {
-		if n != 1 {
-			t.Fatalf("task %v delivered %d times", task, n)
+	for task, c := range seen {
+		if c != 1 {
+			t.Fatalf("task %v delivered %d times", task, c)
 		}
 	}
 }
@@ -290,12 +252,12 @@ func TestQueueConcurrentPopSteal(t *testing.T) {
 }
 
 // Concurrent conservation property: an owner popping, thieves stealing
-// (row splits and column fallbacks) and re-stealing from each other, and
+// row bands and re-stealing from each other, and
 // a feeder adding blocks mid-flight must together deliver every task
 // exactly once. Run under -race this doubles as the data-race audit of
 // Pop's front-block shrink against concurrent Steal.
 func TestQueueConcurrentPopStealAddBlock(t *testing.T) {
-	const rows, cols = 8, 50 // wide and short: column fallback territory
+	const rows, cols = 8, 50 // wide and short: few rows to steal
 	q := NewQueue(TaskBlock{R0: 0, R1: rows, C0: 0, C1: cols})
 	extra := []TaskBlock{
 		{R0: rows, R1: rows + 1, C0: 0, C1: cols}, // single wide row

@@ -6,11 +6,11 @@ import "testing"
 // checks task conservation: every task of the initial block and of every
 // later AddBlock is delivered exactly once, through either the owner's
 // Pop or a thief's drain, regardless of interleaving with the cursor and
-// with the row/column steal splits.
+// with the row steal splits.
 func FuzzQueue(f *testing.F) {
 	f.Add(uint8(4), uint8(3), []byte{0, 1, 0, 1, 1, 0})
 	f.Add(uint8(10), uint8(10), []byte{1, 1, 1, 1, 0, 0, 0})
-	f.Add(uint8(1), uint8(17), []byte{1, 1, 0, 1, 0, 1}) // 1xK: column splits
+	f.Add(uint8(1), uint8(17), []byte{1, 1, 0, 1, 0, 1}) // 1xK: nothing to steal
 	f.Add(uint8(2), uint8(9), []byte{0, 1, 3, 1, 2, 1, 0, 1})
 	f.Fuzz(func(t *testing.T, rows, cols uint8, schedule []byte) {
 		r := int(rows%32) + 1

@@ -16,7 +16,7 @@ import (
 //
 //  1. The claimed regions across all ranks plus the orphan pool are
 //     pairwise disjoint, and descend from the initial static partition
-//     by guillotine (row- or column-band) splits only.
+//     by guillotine splits only (Queue.Steal takes row bands).
 //  2. A worker commits (flushes floc into the global F) only between
 //     beginCommit and endCommit; beginCommit validates the incarnation
 //     epoch and the monitor never fences a committing worker, so a
@@ -134,11 +134,10 @@ func (l *ledger) steal(victim, thief int, thiefEpoch int64, q *Queue) (TaskBlock
 
 // transferLocked moves ownership of stolen block b from victim to thief;
 // caller holds l.mu. It fails when the victim's claims no longer cover b
-// (the victim was fenced and b already sits in the orphan pool). Steals
-// take either a row band or a column band of a claimed region
-// (Queue.Steal's row split and column fallback), so b is contained in
-// exactly one claim; a guillotine split around b leaves at most four
-// remnants.
+// (the victim was fenced and b already sits in the orphan pool). A steal
+// takes a row band of one queued block, and every queued block lies in
+// one claim, so b is contained in exactly one claim; a guillotine split
+// around any such rectangle leaves at most four remnants.
 func (l *ledger) transferLocked(victim, thief int, b TaskBlock) bool {
 	regs := l.claimed[victim]
 	for i, r := range regs {

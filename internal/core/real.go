@@ -332,6 +332,7 @@ func (b *Builder) Build(d *linalg.Matrix, opt Options) Result {
 		// across recovery rounds.
 		for pid, q := range queues {
 			stats.Per[pid].QueueOps += q.Ops
+			stats.Per[pid].StealProbes += q.StealOps
 		}
 		if opt.Ctx.Err() != nil {
 			// Canceled builds never respawn: whatever the workers abandoned

@@ -43,8 +43,8 @@ type SimOptions struct {
 // through Build's intake (Footprint.Intake), whose patches are charged
 // with the alpha-beta model, and joins the thief's queue once they have
 // landed. A process whose scan finds nothing flushes F over its footprint
-// (Footprint.Patches) and exits. QueueOps is each queue's Queue.Ops, as
-// Build reports it.
+// (Footprint.Patches) and exits. QueueOps and StealProbes are each
+// queue's Queue.Ops and Queue.StealOps, as Build reports them.
 func Simulate(bs *basis.Set, scr *screen.Screening, cfg dist.Config, cores int) (*dist.RunStats, error) {
 	return SimulateOptions(bs, scr, cfg, cores, SimOptions{})
 }
@@ -168,6 +168,7 @@ events:
 	}
 	for pid, q := range queues {
 		stats.Per[pid].QueueOps = q.Ops
+		stats.Per[pid].StealProbes = q.StealOps
 	}
 	return stats, nil
 }

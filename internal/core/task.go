@@ -149,15 +149,14 @@ func (q *Queue) AddBlock(b TaskBlock) {
 	}
 }
 
-// Steal removes about half of the remaining tasks (rounded down) and
-// returns them as a block for the thief, scanning blocks from the back.
-// The primary split is by rows (the paper's policy); when a block has
-// too few whole rows to halve — a single-row but arbitrarily wide
-// block, or a cursor-pinned two-row block, exactly the tail-imbalance
-// shapes work stealing exists for — it falls back to splitting off the
-// right half of the columns the owner has not consumed. Steal fails
-// only when no block holds 2 or more unconsumed tasks beyond the
-// owner's cursor position.
+// Steal is the paper's row policy (Sec. III-F): scanning blocks from the
+// back, it takes the bottom half (rounded down) of the whole rows of the
+// first block that has a row to spare, and returns them as a block for
+// the thief with the source block's columns. The row the owner's cursor
+// walks is never stolen; a cursor-pinned block with one whole row below
+// the cursor's gives up that row. Steal fails when no block has a whole
+// row to spare: a single-row block, or a pinned block of the cursor's row
+// alone, stays with its owner, who runs it.
 func (q *Queue) Steal() (TaskBlock, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -169,38 +168,21 @@ func (q *Queue) Steal() (TaskBlock, bool) {
 	for i := len(q.blocks) - 1; i >= 0; i-- {
 		b := &q.blocks[i]
 		// The owner's cursor walks the first row of the front block (Pop
-		// keeps blocks[0].R0 = cur.M); that row is only stealable by the
-		// column fallback below, and only beyond the cursor.
+		// keeps blocks[0].R0 = cur.M).
 		pinned := i == 0 && q.curSet
 		rows := b.R1 - b.R0
 		if pinned {
 			rows--
 		}
-		if rows >= 2 {
-			take := rows / 2
+		take := rows / 2
+		if pinned && rows == 1 {
+			// One whole row below the cursor's: halving cannot split it,
+			// so the thief takes it whole.
+			take = 1
+		}
+		if take > 0 {
 			stolen := TaskBlock{R0: b.R1 - take, R1: b.R1, C0: b.C0, C1: b.C1}
 			b.R1 -= take
-			return stolen, true
-		}
-		if pinned && rows == 1 {
-			// One whole row below the cursor's row: a row split cannot
-			// halve it, and a column split would have to carve the cursor
-			// row too; take the whole row instead.
-			stolen := TaskBlock{R0: b.R1 - 1, R1: b.R1, C0: b.C0, C1: b.C1}
-			b.R1--
-			return stolen, true
-		}
-		// Column-split fallback: the block is a single (possibly partially
-		// consumed) row. Split off the right half of the columns the owner
-		// has not reached; the cursor keeps walking to the shrunken C1.
-		lo := b.C0
-		if pinned {
-			lo = q.cur.N
-		}
-		if avail := b.C1 - lo; avail >= 2 {
-			take := avail / 2
-			stolen := TaskBlock{R0: b.R0, R1: b.R1, C0: b.C1 - take, C1: b.C1}
-			b.C1 -= take
 			return stolen, true
 		}
 	}

@@ -174,8 +174,8 @@ func TestGlobalArrayLoadToMatrix(t *testing.T) {
 
 func TestRunStatsAggregates(t *testing.T) {
 	rs := NewRunStats(2)
-	rs.Per[0] = ProcStats{TotalTime: 10, ComputeTime: 8, Bytes: 2e6, Calls: 10, Steals: 1, Victims: 1, QueueOps: 5}
-	rs.Per[1] = ProcStats{TotalTime: 14, ComputeTime: 9, Bytes: 4e6, Calls: 30, Steals: 3, Victims: 2, QueueOps: 7}
+	rs.Per[0] = ProcStats{TotalTime: 10, ComputeTime: 8, Bytes: 2e6, Calls: 10, Steals: 1, Victims: 1, QueueOps: 5, StealProbes: 2}
+	rs.Per[1] = ProcStats{TotalTime: 14, ComputeTime: 9, Bytes: 4e6, Calls: 30, Steals: 3, Victims: 2, QueueOps: 7, StealProbes: 4}
 	if rs.TFockAvg() != 12 || rs.TFockMax() != 14 {
 		t.Fatal("TFock aggregates")
 	}
@@ -194,7 +194,7 @@ func TestRunStatsAggregates(t *testing.T) {
 	if rs.StealsAvg() != 2 || rs.VictimsAvg() != 1.5 {
 		t.Fatal("steals")
 	}
-	if rs.QueueOpsAvg() != 6 || rs.QueueOpsTotal() != 12 {
+	if rs.QueueOpsAvg() != 6 || rs.QueueOpsTotal() != 12 || rs.StealProbesAvg() != 3 {
 		t.Fatal("queue ops")
 	}
 }

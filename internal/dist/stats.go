@@ -19,6 +19,7 @@ type ProcStats struct {
 	Steals      int64   // successful steals performed by this process
 	Victims     int64   // distinct victims stolen from (the model's s)
 	QueueOps    int64   // atomic task-queue operations touching this process
+	StealProbes int64   // of QueueOps, steal attempts this process's queue received
 	TasksRun    int64   // tasks executed by this process
 	TotalTime   float64 // T_fock for this process
 }
@@ -34,6 +35,7 @@ func (s *ProcStats) Add(o ProcStats) {
 	s.Steals += o.Steals
 	s.Victims += o.Victims
 	s.QueueOps += o.QueueOps
+	s.StealProbes += o.StealProbes
 	s.TasksRun += o.TasksRun
 	s.TotalTime += o.TotalTime
 }
@@ -177,6 +179,14 @@ func (r *RunStats) VictimsAvg() float64 {
 // process queue (Sec. IV-C scheduler-overhead discussion).
 func (r *RunStats) QueueOpsAvg() float64 {
 	return r.perAvg(func(p *ProcStats) float64 { return float64(p.QueueOps) })
+}
+
+// StealProbesAvg returns the average number of steal attempts a process
+// queue received. In a fault-free build QueueOpsAvg is these, StealsAvg
+// (each successful steal is one intake on the thief's queue) and owner
+// pops; recovery's adoptions and queue closes add to it.
+func (r *RunStats) StealProbesAvg() float64 {
+	return r.perAvg(func(p *ProcStats) float64 { return float64(p.StealProbes) })
 }
 
 // QueueOpsTotal returns the total number of atomic queue operations (for

@@ -12,15 +12,16 @@ import (
 func TestRunStatsEmptyRunIsDefined(t *testing.T) {
 	for _, rs := range []*RunStats{NewRunStats(0), NewRunStats(3)} {
 		for name, v := range map[string]float64{
-			"TFockAvg":     rs.TFockAvg(),
-			"TFockMax":     rs.TFockMax(),
-			"TCompAvg":     rs.TCompAvg(),
-			"TOverheadAvg": rs.TOverheadAvg(),
-			"VolumeAvgMB":  rs.VolumeAvgMB(),
-			"CallsAvg":     rs.CallsAvg(),
-			"StealsAvg":    rs.StealsAvg(),
-			"VictimsAvg":   rs.VictimsAvg(),
-			"QueueOpsAvg":  rs.QueueOpsAvg(),
+			"TFockAvg":       rs.TFockAvg(),
+			"TFockMax":       rs.TFockMax(),
+			"TCompAvg":       rs.TCompAvg(),
+			"TOverheadAvg":   rs.TOverheadAvg(),
+			"VolumeAvgMB":    rs.VolumeAvgMB(),
+			"CallsAvg":       rs.CallsAvg(),
+			"StealsAvg":      rs.StealsAvg(),
+			"VictimsAvg":     rs.VictimsAvg(),
+			"QueueOpsAvg":    rs.QueueOpsAvg(),
+			"StealProbesAvg": rs.StealProbesAvg(),
 		} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("P=%d: %s = %v on an empty run", rs.P(), name, v)

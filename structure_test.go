@@ -822,6 +822,43 @@ var rows = []row{
 		{"internal/core/sim.go", `func plant(p *simProc, scr *screen.Screening, b TaskBlock) { p.fp.AddBlock(scr, b) }`},
 		{"internal/core/sim.go", `func plant(p *simProc, bs *basis.Set, scr *screen.Screening, b TaskBlock) { p.fp.Intake(bs, scr, nil, b) }`},
 	}},
+	{"row-steals", "Queue.Steal takes whole rows, the paper's policy: inside it nothing assigns a block's C0 or C1, and every stolen TaskBlock keeps its source block's C0 and C1", func(tr files) []string {
+		return none(tr.code().under("internal/core").find(func(n node) string {
+			if n.decl != "core.(*Queue).Steal" {
+				return ""
+			}
+			var lhs []ast.Expr
+			switch n := n.n.(type) {
+			case *ast.AssignStmt:
+				lhs = n.Lhs
+			case *ast.IncDecStmt:
+				lhs = []ast.Expr{n.X}
+			case *ast.KeyValueExpr:
+				if k := named(n.Key, "C0", "C1"); k != "" && named(n.Value, "."+k) == "" {
+					return "a stolen block's " + k + " = " + types.ExprString(n.Value)
+				}
+			}
+			for _, x := range lhs {
+				if named(x, ".C0", ".C1") != "" {
+					return "assigns " + types.ExprString(x)
+				}
+			}
+			return ""
+		}))
+	}, []plant{
+		{"internal/core/task.go", `func (q *Queue) Steal() (TaskBlock, bool) {
+	b := &q.blocks[0]
+	if avail := b.C1 - q.cur.N; avail >= 2 {
+		take := avail / 2
+		stolen := TaskBlock{R0: b.R0, R1: b.R1, C0: b.C1 - take, C1: b.C1}
+		b.C1 -= take
+		return stolen, true
+	}
+	return TaskBlock{}, false
+}`},
+		{"internal/core/task.go", `func (q *Queue) Steal() (TaskBlock, bool) { b := q.blocks[0]; return TaskBlock{R0: b.R0, R1: b.R1, C0: b.C0 + 1, C1: b.C1}, true }`},
+		{"internal/core/task.go", `func (q *Queue) Steal() (TaskBlock, bool) { q.blocks[0].C1--; return TaskBlock{}, false }`},
+	}},
 	{"core-gomaxprocs", "lanes have no knob: internal/core reads GOMAXPROCS in one place", func(tr files) []string {
 		return one(tr.code().under("internal/core").calls("GOMAXPROCS"))
 	}, []plant{{"internal/core/plant.go", `package core; import "runtime"; var lanes = runtime.GOMAXPROCS(0)`}}},
