@@ -40,10 +40,11 @@ ci: build vet race e2e-flake
 # setup_s times: BenchmarkScreenCompute, BenchmarkNewPairTable
 # (alkane:6/sto-3g at primTol 0, as the benchmark's set-up builds it, and
 # at PrimTol), BenchmarkOverlap and BenchmarkCoreHamiltonian (alkane:6/
-# sto-3g and CH4/cc-pVDZ), so every step has an A/B figure. For diagnosis
-# only: nothing gates on them.
+# sto-3g and CH4/cc-pVDZ), so every step has an A/B figure, and
+# BenchmarkSimulate (the NWChem-baseline simulator, C96H24/cc-pVDZ at 3888
+# cores). For diagnosis only: nothing gates on them.
 microbench:
-	$(GO) test -bench . -benchtime 1x -run NONE ./internal/integrals/ ./internal/screen/
+	$(GO) test -bench . -benchtime 1x -run NONE ./internal/integrals/ ./internal/screen/ ./internal/nwchem/
 
 # The performance gate: the benchmark BENCHMARK.json declares, run on the
 # committed tree of BASE (a detached worktree under .bench_build/, built

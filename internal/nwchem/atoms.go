@@ -19,8 +19,7 @@ import (
 // AtomData aggregates shell-level screening to atom level, the granularity
 // of the baseline's tasks.
 type AtomData struct {
-	Basis *basis.Set
-	N     int // number of atoms
+	N int // number of atoms
 	// PairVal[i*N+j] = max shell-pair value between atoms i and j.
 	PairVal []float64
 	// W[i*N+j] = sum of nbf(M)*nbf(N) over significant shell pairs
@@ -38,7 +37,7 @@ type AtomData struct {
 func NewAtomData(bs *basis.Set, scr *screen.Screening) (*AtomData, error) {
 	na := len(bs.ByAtom)
 	ad := &AtomData{
-		Basis: bs, N: na,
+		N:       na,
 		PairVal: make([]float64, na*na),
 		W:       make([]float64, na*na),
 		FuncOff: make([]int, na),
@@ -89,11 +88,6 @@ func (ad *AtomData) Sig(i, j int) bool {
 	return ad.PairVal[i*ad.N+j] >= ad.Tau/ad.MaxPair
 }
 
-// KeepQuartet reports whether the atom quartet (ij|kl) survives screening.
-func (ad *AtomData) KeepQuartet(i, j, k, l int) bool {
-	return ad.PairVal[i*ad.N+j]*ad.PairVal[k*ad.N+l] >= ad.Tau
-}
-
 // TaskStream enumerates the task ids of Algorithm 2 lazily: one task per
 // stride-5 block of L atoms per unique significant triplet (I, J, K).
 type TaskStream struct {
@@ -109,8 +103,7 @@ type TaskDesc struct {
 
 // NewTaskStream positions the stream before the first task.
 func NewTaskStream(ad *AtomData) *TaskStream {
-	ts := &TaskStream{ad: ad, i: 0, j: 0, k: 0, lo: -5}
-	return ts
+	return &TaskStream{ad: ad, lo: -5}
 }
 
 // blockHasWork reports whether the current L block contains at least one
@@ -119,11 +112,7 @@ func NewTaskStream(ad *AtomData) *TaskStream {
 // screening data, so the enumeration stays globally consistent while the
 // centralized counter is spared the (vast, for 1D systems) empty id space.
 func (ts *TaskStream) blockHasWork() bool {
-	lmax := ts.lo + 4
-	if h := ts.lhi(); lmax > h {
-		lmax = h
-	}
-	for l := ts.lo; l <= lmax; l++ {
+	for l := ts.lo; l <= min(ts.lo+4, ts.lhi()); l++ {
 		if ts.ad.Sig(ts.k, l) {
 			return true
 		}
@@ -147,10 +136,10 @@ func (ts *TaskStream) Next() (TaskDesc, bool) {
 	na := ts.ad.N
 	for {
 		ts.lo += 5
-		if ts.lo <= ts.lhi() && ts.ad.Sig(ts.i, ts.j) && ts.blockHasWork() {
-			return TaskDesc{I: ts.i, J: ts.j, K: ts.k, Lo: ts.lo, Lhi: ts.lhi()}, true
-		}
 		if ts.lo <= ts.lhi() && ts.ad.Sig(ts.i, ts.j) {
+			if ts.blockHasWork() {
+				return TaskDesc{I: ts.i, J: ts.j, K: ts.k, Lo: ts.lo, Lhi: ts.lhi()}, true
+			}
 			continue // skip an all-screened L block without spending an id
 		}
 		// Advance (i, j, k) to the next triplet.
@@ -176,4 +165,47 @@ func (ts *TaskStream) Next() (TaskDesc, bool) {
 			continue
 		}
 	}
+}
+
+// TaskBlocks is a task's one walk, shared by the real build and the
+// simulator: it appends to ls the L values whose atom quartet (I J | K L)
+// survives screening, and to blocks the distinct atom blocks those
+// quartets read from D and add to F, (I,J), (I,K), (J,K) first and then
+// (K,L), (J,L), (I,L) for each L in order.
+func (ad *AtomData) TaskBlocks(td TaskDesc, ls []int, blocks [][2]int) ([]int, [][2]int) {
+	n0 := len(ls)
+	for l := td.Lo; l <= min(td.Lo+4, td.Lhi); l++ {
+		if ad.Sig(td.K, l) {
+			ls = append(ls, l)
+		}
+	}
+	b0 := len(blocks)
+	blocks = appendBlock(blocks, b0, [2]int{td.I, td.J})
+	blocks = appendBlock(blocks, b0, [2]int{td.I, td.K})
+	blocks = appendBlock(blocks, b0, [2]int{td.J, td.K})
+	for _, l := range ls[n0:] {
+		// A block (x, L) can repeat one of the first three only if L is J
+		// or K, and never one of another L's.
+		from := len(blocks)
+		if l == td.J || l == td.K {
+			from = b0
+		}
+		blocks = appendBlock(blocks, from, [2]int{td.K, l})
+		blocks = appendBlock(blocks, from, [2]int{td.J, l})
+		blocks = appendBlock(blocks, from, [2]int{td.I, l})
+	}
+	return ls, blocks
+}
+
+// appendBlock appends b to blocks unless blocks[from:] holds it. It and
+// the walk's readers index [][2]int rather than range over it: under
+// -race a range loop pays a pointer check per element, and the race suite
+// runs the simulator at paper scale.
+func appendBlock(blocks [][2]int, from int, b [2]int) [][2]int {
+	for i := from; i < len(blocks); i++ {
+		if blocks[i] == b {
+			return blocks
+		}
+	}
+	return append(blocks, b)
 }

@@ -1,8 +1,10 @@
 package nwchem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gtfock/internal/basis"
@@ -118,6 +120,48 @@ func TestTaskStreamMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TaskBlocks must give every task's surviving L values and exactly the
+// distinct atom blocks of its quartets, appended after what the buffers
+// already hold.
+func TestTaskBlocksMatchesBruteForce(t *testing.T) {
+	for _, mol := range []*chem.Molecule{chem.Alkane(3), chem.Benzene()} {
+		_, _, ad := setup(t, mol, "sto-3g", 1e-10)
+		stream := NewTaskStream(ad)
+		ls, blocks := []int{-1}, [][2]int{{-1, -1}}
+		for {
+			td, ok := stream.Next()
+			if !ok {
+				break
+			}
+			var want []int
+			set := map[[2]int]bool{{td.I, td.J}: true, {td.I, td.K}: true, {td.J, td.K}: true}
+			for l := td.Lo; l <= td.Lo+4 && l <= td.Lhi; l++ {
+				if ad.Sig(td.K, l) {
+					want = append(want, l)
+					set[[2]int{td.K, l}], set[[2]int{td.J, l}], set[[2]int{td.I, l}] = true, true, true
+				}
+			}
+			ls, blocks = ad.TaskBlocks(td, ls[:1], blocks[:1])
+			if ls[0] != -1 || blocks[0] != [2]int{-1, -1} {
+				t.Fatalf("%+v: the buffers' first entries were overwritten", td)
+			}
+			if !slices.Equal(ls[1:], want) {
+				t.Fatalf("%+v: L values %v, want %v", td, ls[1:], want)
+			}
+			seen := map[[2]int]bool{}
+			for _, b := range blocks[1:] {
+				if seen[b] || !set[b] {
+					t.Fatalf("%+v: blocks %v, want each of %v once", td, blocks[1:], set)
+				}
+				seen[b] = true
+			}
+			if len(seen) != len(set) {
+				t.Fatalf("%+v: blocks %v, want each of %v once", td, blocks[1:], set)
+			}
+		}
+	}
+}
+
 func randDensity(nf int, seed int64) *linalg.Matrix {
 	d := linalg.NewMatrix(nf, nf)
 	rng := rand.New(rand.NewSource(seed))
@@ -161,21 +205,70 @@ func TestBaselineMatchesGTFockCCPVDZ(t *testing.T) {
 	}
 }
 
-func TestBaselineSchedulerAccounting(t *testing.T) {
-	bs, scr, _ := setup(t, chem.Alkane(2), "sto-3g", 1e-11)
-	d := randDensity(bs.NumFuncs, 13)
-	res, err := Build(bs, scr, d, Options{Procs: 4})
-	if err != nil {
-		t.Fatal(err)
+// The two clocks run one Algorithm 2: a real build at P processes and the
+// simulator at P cores walk the same tasks (TaskBlocks), so they count the
+// same calls, bytes and tasks, and the centralized counter is read once
+// per task plus once per process that finds the stream exhausted.
+func TestBaselineSimChargesTheRealWalk(t *testing.T) {
+	cases := []struct {
+		mol   *chem.Molecule
+		basis string
+		tau   float64
+		procs []int
+	}{
+		{chem.Alkane(3), "sto-3g", 1e-10, []int{1, 3, 4}},
+		{chem.Methane(), "cc-pvdz", 1e-10, []int{1, 3, 4}},
+		{chem.Benzene(), "sto-3g", 1e-10, []int{1, 3, 4}},
+		{chem.Alkane(2), "sto-3g", 1e-11, []int{4}},
 	}
-	// Every task triggers one counter access, plus one final failed fetch
-	// per proc... total accesses >= total tasks.
-	ad, _ := NewAtomData(bs, scr)
-	if res.Stats.QueueOpsTotal() < TotalTasks(ad) {
-		t.Fatalf("queue ops %d < tasks %d", res.Stats.QueueOpsTotal(), TotalTasks(ad))
+	for _, c := range cases {
+		bs, scr, ad := setup(t, c.mol, c.basis, c.tau)
+		d := randDensity(bs.NumFuncs, 13)
+		tasks := TotalTasks(ad)
+		for _, p := range c.procs {
+			t.Run(fmt.Sprintf("%s_%s_P%d", c.mol.Formula(), c.basis, p), func(t *testing.T) {
+				res, err := Build(bs, scr, d, Options{Procs: p})
+				if err != nil {
+					t.Fatal(err)
+				}
+				sim, err := Simulate(bs, scr, dist.Lonestar(), p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var real, simd dist.ProcStats
+				for _, st := range res.Stats.Per {
+					real.Add(st)
+				}
+				for _, st := range sim.Per {
+					simd.Add(st)
+				}
+				if real.Calls == 0 || real.Bytes == 0 {
+					t.Fatal("no communication recorded")
+				}
+				if real.Calls != simd.Calls || real.Bytes != simd.Bytes || real.TasksRun != simd.TasksRun {
+					t.Errorf("real %d calls, %d B, %d tasks; simulated %d calls, %d B, %d tasks",
+						real.Calls, real.Bytes, real.TasksRun, simd.Calls, simd.Bytes, simd.TasksRun)
+				}
+				if real.TasksRun != tasks {
+					t.Errorf("%d tasks run, stream has %d", real.TasksRun, tasks)
+				}
+				for name, st := range map[string]*dist.RunStats{"real": res.Stats, "simulated": sim} {
+					if got, want := st.QueueOpsTotal(), tasks+int64(p); got != want {
+						t.Errorf("%s: %d counter accesses, want %d tasks + %d processes", name, got, tasks, p)
+					}
+				}
+				t.Logf("%d calls, %d B, %d tasks, %d counter accesses", real.Calls, real.Bytes, real.TasksRun, res.Stats.QueueOpsTotal())
+			})
+		}
 	}
-	if res.Stats.CallsAvg() <= 0 || res.Stats.VolumeAvgMB() <= 0 {
-		t.Fatal("no communication recorded")
+}
+
+// Simulate rejects a core count before it reads the basis or the screen.
+func TestSimulateRejectsNonPositiveCores(t *testing.T) {
+	for _, cores := range []int{0, -1} {
+		if _, err := Simulate(nil, nil, dist.Lonestar(), cores); err == nil {
+			t.Errorf("cores=%d: no error", cores)
+		}
 	}
 }
 
@@ -248,5 +341,27 @@ func TestSimWorkModelsConsistent(t *testing.T) {
 	seq := core.TotalWorkSeconds(scr, cfg.TIntGTFock)
 	if r := gtWork / seq; r < 0.95 || r > 1.05 {
 		t.Fatalf("GTFock work %g vs analytic %g", gtWork, seq)
+	}
+}
+
+var simSink *dist.RunStats
+
+// Diagnosis only (make microbench): the baseline simulator on C96H24/
+// cc-pVDZ at 3888 cores, the paper's largest run, about a second a pass.
+func BenchmarkSimulate(b *testing.B) {
+	mol, err := chem.PaperMolecule("C96H24")
+	if err != nil {
+		b.Fatal(err)
+	}
+	bs, err := basis.Build(mol, "cc-pvdz")
+	if err != nil {
+		b.Fatal(err)
+	}
+	scr := screen.Compute(bs, screen.DefaultTau)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if simSink, err = Simulate(bs, scr, dist.Lonestar(), 3888); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

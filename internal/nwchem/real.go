@@ -112,6 +112,10 @@ type baseWorker struct {
 	floc  []float64
 	comp  time.Duration
 
+	// One task's walk: its surviving L values and distinct atom blocks.
+	ls     []int
+	blocks [][2]int
+
 	// One atom quartet's shell quartets, as ERIBatch takes them, with
 	// their shell indices (m, n, p, q); visit digests each batch.
 	batch []integrals.Quartet
@@ -146,42 +150,21 @@ func (w *baseWorker) run(ctr *counter) {
 	st.TotalTime = time.Since(t0).Seconds()
 }
 
-// execTask fetches D, computes the surviving atom quartets (I J | K L)
-// for L in [Lo, min(Lo+4, Lhi)], and accumulates F.
+// execTask fetches the D blocks of the task's walk (TaskBlocks),
+// computes its surviving atom quartets (I J | K L), and accumulates the
+// same F blocks.
 func (w *baseWorker) execTask(td TaskDesc) {
-	lmax := td.Lo + 4
-	if lmax > td.Lhi {
-		lmax = td.Lhi
-	}
-	var ls []int
-	for l := td.Lo; l <= lmax; l++ {
-		if w.ad.Sig(td.K, l) {
-			ls = append(ls, l)
-		}
-	}
-	if len(ls) == 0 {
-		return
-	}
-	// Fetch the distinct D atom blocks needed by all surviving quartets.
-	blocks := map[[2]int]bool{
-		{td.I, td.J}: true, {td.I, td.K}: true, {td.J, td.K}: true,
-	}
-	for _, l := range ls {
-		blocks[[2]int{td.K, l}] = true
-		blocks[[2]int{td.J, l}] = true
-		blocks[[2]int{td.I, l}] = true
-	}
-	for b := range blocks {
-		w.getD(b[0], b[1])
+	w.ls, w.blocks = w.ad.TaskBlocks(td, w.ls[:0], w.blocks[:0])
+	for i := range w.blocks {
+		w.getD(w.blocks[i][0], w.blocks[i][1])
 	}
 	c0 := time.Now()
-	for _, l := range ls {
+	for _, l := range w.ls {
 		w.quartet(td.I, td.J, td.K, l)
 	}
 	w.comp += time.Since(c0)
-	// Accumulate and clear the same F blocks.
-	for b := range blocks {
-		w.accF(b[0], b[1])
+	for i := range w.blocks {
+		w.accF(w.blocks[i][0], w.blocks[i][1])
 	}
 	w.stats.Per[w.rank].TasksRun++
 }

@@ -11,20 +11,21 @@ import (
 // Simulate runs the baseline algorithm through the discrete-event
 // simulator with one process per core (NWChem runs one MPI rank per core,
 // Sec. IV-A). Every task costs one serialized access to the centralized
-// counter; surviving atom quartets cost block fetches/accumulates under
-// the alpha-beta model and compute time t_int_nw * w(I,J) * w(K,L).
+// counter, the D fetches and F accumulates of the real build's task walk
+// (TaskBlocks) under the alpha-beta model, and compute time
+// t_int_nw * w(I,J) * w(K,L) for each surviving atom quartet.
 //
 // The per-ERI time is cfg.TIntGTFock * cfg.TIntNWChemFactor: NWChem's
 // integral code is faster per ERI thanks to primitive pre-screening
 // (Table V), especially on alkanes.
 func Simulate(bs *basis.Set, scr *screen.Screening, cfg dist.Config, cores int) (*dist.RunStats, error) {
-	ad, err := NewAtomData(bs, scr)
-	if err != nil {
-		return nil, err
-	}
 	nprocs := cores
 	if nprocs <= 0 {
 		return nil, fmt.Errorf("nwchem: non-positive core count %d", cores)
+	}
+	ad, err := NewAtomData(bs, scr)
+	if err != nil {
+		return nil, err
 	}
 	tint := cfg.TIntGTFock * cfg.TIntNWChemFactor * scr.WorkScale
 	stats := dist.NewRunStats(nprocs)
@@ -39,6 +40,8 @@ func Simulate(bs *basis.Set, scr *screen.Screening, cfg dist.Config, cores int) 
 	}
 
 	na := ad.N
+	var ls []int
+	var blocks [][2]int
 	for h.Len() > 0 {
 		e := dist.PopEvent(&h)
 		p := e.Proc
@@ -56,37 +59,16 @@ func Simulate(bs *basis.Set, scr *screen.Screening, cfg dist.Config, cores int) 
 		}
 		st.TasksRun++
 
-		// Surviving L values of the 5-quartet block.
-		lmax := td.Lo + 4
-		if lmax > td.Lhi {
-			lmax = td.Lhi
+		// The real build's walk: a D Get and an F Acc of each block.
+		ls, blocks = ad.TaskBlocks(td, ls[:0], blocks[:0])
+		calls, bytes := 2*int64(len(blocks)), int64(0)
+		for i := range blocks {
+			b := blocks[i]
+			bytes += 2 * 8 * int64(ad.FuncLen[b[0]]) * int64(ad.FuncLen[b[1]])
 		}
-		var calls, bytes int64
 		var work float64
-		var blocks [18][2]int // at most 3 + 3*5 distinct atom blocks
-		nblocks := 0
-		addBlock := func(i, j int) {
-			for b := 0; b < nblocks; b++ {
-				if blocks[b][0] == i && blocks[b][1] == j {
-					return
-				}
-			}
-			blocks[nblocks] = [2]int{i, j}
-			nblocks++
-			calls++
-			bytes += 8 * int64(ad.FuncLen[i]) * int64(ad.FuncLen[j])
-		}
 		wIJ := ad.W[td.I*na+td.J]
-		for l := td.Lo; l <= lmax; l++ {
-			if !ad.Sig(td.K, l) {
-				continue
-			}
-			addBlock(td.I, td.J)
-			addBlock(td.I, td.K)
-			addBlock(td.J, td.K)
-			addBlock(td.K, l)
-			addBlock(td.J, l)
-			addBlock(td.I, l)
+		for _, l := range ls {
 			// Coincidence scaling makes the canonical-quartet sum equal
 			// the ordered-quartet sum / 8 (same total as GTFock's model).
 			scale := 1.0
@@ -101,9 +83,6 @@ func Simulate(bs *basis.Set, scr *screen.Screening, cfg dist.Config, cores int) 
 			}
 			work += tint * scale * wIJ * ad.W[td.K*na+l]
 		}
-		// D fetch + F accumulate over the same blocks.
-		calls *= 2
-		bytes *= 2
 		st.Calls += calls
 		st.Bytes += bytes
 		comm := cfg.CommTime(calls, bytes)

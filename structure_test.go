@@ -822,6 +822,54 @@ var rows = []row{
 		{"internal/core/sim.go", `func plant(p *simProc, scr *screen.Screening, b TaskBlock) { p.fp.AddBlock(scr, b) }`},
 		{"internal/core/sim.go", `func plant(p *simProc, bs *basis.Set, scr *screen.Screening, b TaskBlock) { p.fp.Intake(bs, scr, nil, b) }`},
 	}},
+	{"one-algorithm-2", "internal/nwchem has one task walk (AtomData.TaskBlocks), called by the real build's execTask and the simulator alone; only it and the task stream screen atom pairs, no map is keyed by an atom block, and the simulator holds no func literal", func(tr files) []string {
+		nw := tr.code().under("internal/nwchem")
+		blockMaps := nw.find(func(n node) string {
+			if m, ok := n.n.(*ast.MapType); ok {
+				if _, ok := m.Key.(*ast.ArrayType); ok {
+					return "map keyed by " + types.ExprString(m.Key)
+				}
+			}
+			return ""
+		})
+		closures := nw.under("internal/nwchem/sim.go").find(func(n node) string {
+			if _, ok := n.n.(*ast.FuncLit); ok {
+				return "func literal"
+			}
+			return ""
+		})
+		out := append(none(blockMaps), none(closures)...)
+		out = append(out, same(decls(nw.calls("Sig")), "nwchem.(*AtomData).TaskBlocks", "nwchem.(*TaskStream).Next", "nwchem.(*TaskStream).blockHasWork")...)
+		return append(out, same(decls(nw.calls("TaskBlocks")), "nwchem.(*baseWorker).execTask", "nwchem.Simulate")...)
+	}, []plant{
+		{"internal/nwchem/real.go", `func (w *baseWorker) plant(ls []int) map[[2]int]bool {
+	blocks := map[[2]int]bool{}
+	for _, l := range ls {
+		blocks[[2]int{w.rank, l}] = true
+	}
+	return blocks
+}`},
+		{"internal/nwchem/sim.go", `func plant(blocks *[18][2]int, n *int) func(i, j int) {
+	return func(i, j int) {
+		for b := 0; b < *n; b++ {
+			if blocks[b] == [2]int{i, j} {
+				return
+			}
+		}
+		blocks[*n] = [2]int{i, j}
+		*n++
+	}
+}`},
+		{"internal/nwchem/sim.go", `func plant(ad *AtomData, td TaskDesc) (n int) {
+	for l := td.Lo; l <= td.Lhi; l++ {
+		if ad.Sig(td.K, l) {
+			n++
+		}
+	}
+	return n
+}`},
+		{"internal/nwchem/real.go", `func (w *baseWorker) plant(td TaskDesc) { w.ls, w.blocks = w.ad.TaskBlocks(td, nil, nil) }`},
+	}},
 	{"row-steals", "Queue.Steal takes whole rows, the paper's policy: inside it nothing assigns a block's C0 or C1, and every stolen TaskBlock keeps its source block's C0 and C1", func(tr files) []string {
 		return none(tr.code().under("internal/core").find(func(n node) string {
 			if n.decl != "core.(*Queue).Steal" {
